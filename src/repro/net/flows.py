@@ -17,17 +17,30 @@ receive capacity left over after all foreground flows are allocated — a
 two-pass allocation that captures Nice's "only use spare bandwidth"
 behaviour at the flow level.
 
+One solver serves every allocation: :func:`maxmin_rates` keeps a single
+scalar fill level (all unfrozen flows rise together), visits only links
+that still carry an unfrozen flow and only flows that have a cap, and finds
+the flows on a saturated link through a link → flows index.  Solving F
+flows costs O(rounds·(live links + capped flows) + F); there is one round
+per distinct bottleneck level, so hundreds of transfers squeezed through
+one server link settle in a round or two.  Its floats are bit-identical to
+the textbook per-flow formulation kept as the test oracle in
+``tests/net/reference_maxmin.py``; traces depend on that.
+
 Rate allocation is a pluggable strategy (the ``allocator=`` parameter of
 :class:`FlowNetwork`):
 
-- ``"full"`` — the original global algorithm: every flow change reallocates
-  every active flow, O(F·L) per event.  Simple, and the reference the
-  incremental allocator is property-tested against.
+- ``"full"`` — the original global algorithm: every flow change re-solves
+  every active flow, O(F) per event on top of the solver's rounds.  Simple,
+  and the reference the incremental allocator is property-tested against.
 - ``"incremental"`` (default) — partitions the active flows into
   link-connected components and reallocates only the component touched by a
   change.  Untouched components keep their cached rates and completion
   timers (per-component version counters + cancellable timers), which is
-  what lets the simulator scale to thousands of volunteers.
+  what lets the simulator scale to thousands of volunteers.  A removal
+  walks the component for a split only when the removed flows leave two or
+  more of their links populated, and the walk reads each link's member
+  list once.
 
 Both strategies maintain per-link used-rate sums so
 :meth:`FlowNetwork.utilisation` is O(1) per sample.
@@ -38,6 +51,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import typing as _t
 
 from ..sim import PRIORITY_HIGH, Event, Simulator, TimerHandle, Tracer
@@ -137,61 +151,107 @@ class Flow:
                 f"@{self.rate:.0f}B/s>")
 
 
-def _by_seq(flow: Flow) -> int:
-    return flow.seq
+_by_seq = operator.attrgetter("seq")
 
 
-def maxmin_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
-    """Max–min fair rates for *flows* via progressive filling.
+def maxmin_rates(flows: _t.Sequence[Flow],
+                 capacity: _t.Mapping[Link, float] | None = None,
+                 adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
+                 ) -> dict[Flow, float]:
+    """Max–min fair rates for *flows* via progressive filling (water-filling).
 
     Respects per-flow ``max_rate`` caps.  Links are discovered from the
-    flows themselves.  Returns rates in bytes/s.
+    flows themselves; *capacity*, when given, overrides ``Link.capacity``
+    for every link *flows* traverse (the background pass hands in the
+    residual left by the foreground), and *adj*, when given, is a ready
+    link → flows index over exactly *flows* (a component's adjacency) that
+    saves building one.  Returns rates in bytes/s, keyed in *flows* order.
+
+    All unfrozen flows rise in lockstep, so the fill is one scalar
+    ``level`` that a flow takes as its rate in the round it freezes.  A
+    round costs O(live links + capped flows + flows it freezes), one call
+    O(rounds·(live links + capped flows) + F) — and every float is produced
+    by the same operations, in the same order, as the per-flow
+    ``rate[f] += increment`` formulation (kept as the test oracle in
+    ``tests/net/reference_maxmin.py``), so results are bit-identical to it.
     """
     if not flows:
         return {}
-    rate: dict[Flow, float] = {f: 0.0 for f in flows}
-    unfrozen: set[Flow] = set(flows)
-    headroom: dict[Link, float] = {}
+    rate: dict[Flow, _t.Any] = dict.fromkeys(flows)  # None while unfrozen
+    #: Unfrozen flow *traversals* per link (a link listed twice counts twice).
     active: dict[Link, int] = {}
-    for f in flows:
-        for link in f.links:
-            headroom.setdefault(link, link.capacity)
-            active[link] = active.get(link, 0) + 1
+    if adj is None:
+        index: dict[Link, list[Flow]] = {}
+        for f in flows:
+            for link in f.links:
+                members = index.get(link)
+                if members is None:
+                    index[link] = [f]
+                else:
+                    members.append(f)
+        active = {link: len(members) for link, members in index.items()}
+        adj = index
+    else:
+        for f in flows:
+            for link in f.links:
+                active[link] = active.get(link, 0) + 1
+    if capacity is None:
+        headroom = {link: link.capacity for link in active}
+    else:
+        headroom = {link: capacity[link] for link in active}
+    #: Saturation thresholds, from the same capacities the headroom starts at.
+    floor = {link: room * 1e-9 for link, room in headroom.items()}
+    live = list(active)
+    capped = [f for f in flows if f.max_rate is not None]
+    unfrozen = len(rate)
+    level = 0.0
 
-    # Progressive filling: raise all unfrozen flows' rates in lockstep until
-    # a link saturates or a flow hits its cap; freeze and repeat.
+    # Progressive filling: raise the level until a link saturates or a flow
+    # hits its cap; freeze those flows at the level and repeat.
     for _ in range(2 * len(flows) + 2):  # each round freezes >= 1 flow
         if not unfrozen:
             break
         increment = math.inf
-        for link, count in active.items():
-            if count > 0:
-                increment = min(increment, headroom[link] / count)
-        for f in unfrozen:
-            if f.max_rate is not None:
-                increment = min(increment, f.max_rate - rate[f])
+        for link in live:
+            share = headroom[link] / active[link]
+            if share < increment:
+                increment = share
+        if capped:
+            capped = [f for f in capped if rate[f] is None]
+            for f in capped:
+                gap = f.max_rate - level
+                if gap < increment:
+                    increment = gap
         if increment < 0:
             increment = 0.0
+        level += increment
         newly_frozen: list[Flow] = []
-        for f in unfrozen:
-            rate[f] += increment
-            if f.max_rate is not None and rate[f] >= f.max_rate * (1 - 1e-9):
+        for f in capped:
+            if level >= f.max_rate * (1 - 1e-9):
+                rate[f] = level
                 newly_frozen.append(f)
-        for link in active:
-            headroom[link] -= increment * active[link]
-        for link, room in headroom.items():
-            if room <= link.capacity * 1e-9 and active[link] > 0:
-                for f in list(unfrozen):
-                    if link in f.links and f not in newly_frozen:
+        for link in live:
+            room = headroom[link] - increment * active[link]
+            headroom[link] = room
+            if room <= floor[link]:
+                for f in adj[link]:
+                    if rate[f] is None:
+                        rate[f] = level
                         newly_frozen.append(f)
         if not newly_frozen:
             # Nothing binding (all caps/links satisfied) — allocation final.
             break
+        unfrozen -= len(newly_frozen)
+        if not unfrozen:
+            break  # nobody left to share with: skip the link bookkeeping
         for f in newly_frozen:
-            if f in unfrozen:
-                unfrozen.remove(f)
-                for link in f.links:
-                    active[link] -= 1
+            for link in f.links:
+                active[link] -= 1
+        live = [link for link in live if active[link] > 0]
+    if unfrozen:
+        for f, r in rate.items():
+            if r is None:
+                rate[f] = level
     return rate
 
 
@@ -205,36 +265,63 @@ def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
         for link in f.links:
             if link in residual:
                 residual[link] -= f.rate
-    # Reuse progressive filling by temporarily shrinking link capacities.
-    saved = {link: link.capacity for link in residual}
-    try:
-        for link, room in residual.items():
-            link.capacity = max(room, 1e-9)
-        rates = maxmin_rates(background)
-    finally:
-        for link, cap in saved.items():
-            link.capacity = cap
+    # Progressive filling over the residual, floored so a fully used link
+    # still divides; the links themselves are never touched.
+    rates = maxmin_rates(background, {link: max(room, 1e-9)
+                                      for link, room in residual.items()})
     for f, r in rates.items():
         # A starved background flow gets a vanishing sliver from the
         # capacity floor above; treat it as fully stalled.
         f.rate = r if r > 1e-6 else 0.0
 
 
-def allocate_rates(flows: _t.Sequence[Flow]) -> None:
+def allocate_rates(flows: _t.Sequence[Flow],
+                   adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
+                   ) -> None:
     """Two-pass (foreground max–min, then background residual) allocation.
 
     Mutates ``flow.rate`` in place.  This is the shared fill routine both
     allocator strategies call; progressive filling is numerically
     order-independent, so full and incremental allocation of the same flow
-    set produce identical rates.
+    set produce identical rates.  *adj* is an optional link → flows index
+    over exactly *flows*; it serves the foreground pass when there is no
+    background flow to split off.
     """
     foreground = [f for f in flows if not f.background]
     background = [f for f in flows if f.background]
-    rates = maxmin_rates(foreground)
+    rates = maxmin_rates(foreground, adj=None if background else adj)
     for f, r in rates.items():
         f.rate = r
     if background:
         _fill_background(foreground, background)
+
+
+def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
+           ) -> tuple[float, float]:
+    """Sum fresh rates into *used* per link and find the earliest completion.
+
+    One pass over *flows*, which must be in start order so the per-link
+    float sums and the earliest-completion tie-break come out the same
+    whoever calls; *used* must already hold 0.0 for every link they
+    traverse.  Returns ``(eta, rate)`` of the first flow to finish at the
+    current rates, ``(inf, 0.0)`` if every flow is stalled.
+    """
+    next_eta = math.inf
+    next_rate = 0.0
+    for f in flows:
+        r = f.rate
+        for link in f.links:
+            used[link] += r
+        if f.remaining <= _EPSILON_BYTES:
+            eta = 0.0
+        elif r <= 0:
+            continue
+        else:
+            eta = f.remaining / r
+        if eta < next_eta:
+            next_eta = eta
+            next_rate = r
+    return next_eta, next_rate
 
 
 @_t.runtime_checkable
@@ -281,9 +368,9 @@ class RateAllocator(_t.Protocol):
 class FullAllocator:
     """The original global strategy: every change reallocates every flow.
 
-    O(F·L) per flow event, but numerically bit-identical to the historical
-    single-``_recompute`` implementation — the reference baseline the
-    incremental allocator is property-tested against.
+    O(all active flows) per flow event, but numerically bit-identical to
+    the historical single-``_recompute`` implementation — the reference
+    baseline the incremental allocator is property-tested against.
     """
 
     name = "full"
@@ -345,15 +432,9 @@ class FullAllocator:
         self.advance()
         flows = list(net._active)
         allocate_rates(flows)
-        used: dict[Link, float] = {}
-        for f in flows:
-            for link in f.links:
-                used[link] = used.get(link, 0.0) + f.rate
-        self._used = used
+        self._used = {link: 0.0 for f in flows for link in f.links}
         self._version += 1
-        next_eta = math.inf
-        for f in flows:
-            next_eta = min(next_eta, f.eta())
+        next_eta, _ = _tally(flows, self._used)
         if math.isfinite(next_eta):
             # PRIORITY_HIGH so completion processing at time T runs before
             # ordinary model callbacks at T observe a stale flow set.
@@ -405,6 +486,7 @@ def _link_components(flows: list[Flow],
                      ) -> list[list[Flow]]:
     """Partition *flows* into link-connected groups, each in start order."""
     seen: set[Flow] = set()
+    walked: set[Link] = set()  # each link's member list is read once
     groups: list[list[Flow]] = []
     for f in flows:
         if f in seen:
@@ -415,6 +497,9 @@ def _link_components(flows: list[Flow],
         while stack:
             cur = stack.pop()
             for link in cur.links:
+                if link in walked:
+                    continue
+                walked.add(link)
                 for other in adj[link]:
                     if other not in seen:
                         seen.add(other)
@@ -486,7 +571,7 @@ class IncrementalAllocator:
         """Drop *flow* and split its component if it disconnected."""
         comp = self._flow_comp[flow]
         self._detach(comp, flow)
-        self._resettle(comp)
+        self._resettle(comp, (flow,))
 
     def advance(self, flow: Flow | None = None) -> None:
         """Account progress for *flow*'s component only (or all)."""
@@ -602,19 +687,10 @@ class IncrementalAllocator:
             comp.timer.cancel()
             comp.timer = None
         flows = sorted(comp.flows, key=_by_seq)
-        allocate_rates(flows)
+        allocate_rates(flows, comp.adj)
         for link in comp.adj:
             self._used[link] = 0.0
-        for f in flows:
-            for link in f.links:
-                self._used[link] += f.rate
-        next_eta = math.inf
-        next_rate = 0.0
-        for f in flows:
-            eta = f.eta()
-            if eta < next_eta:
-                next_eta = eta
-                next_rate = f.rate
+        next_eta, next_rate = _tally(flows, self._used)
         if math.isfinite(next_eta):
             comp.next_at = sim.now + next_eta
             comp.next_rate = next_rate
@@ -648,23 +724,27 @@ class IncrementalAllocator:
                          if entry[2].version == entry[3]]
             heapq.heapify(self._due)
 
-    def _resettle(self, comp: _Component) -> None:
-        """After a removal: split *comp* if disconnected, refill survivors.
+    def _resettle(self, comp: _Component, removed: _t.Iterable[Flow]) -> None:
+        """After detaching *removed*: split *comp* if disconnected, refill.
 
-        The adjacency map is maintained incrementally (:meth:`_detach`), so
-        the connectivity walk reuses it directly — the historical per-
-        removal rebuild of link → flows was the second-hottest line in the
-        10k-volunteer profile after the due-scan.
+        Survivors that were joined only through a removed flow were joined
+        through two of its links, so if at most one of the removed flows'
+        links still has members (:meth:`_detach` evicts emptied links from
+        the adjacency) nothing can have come apart and the connectivity
+        walk is skipped — the common case of a transfer between a shared
+        server link and a private access link.  Otherwise the walk reuses
+        the incrementally maintained adjacency map.
         """
+        adj = comp.adj
+        populated = {link for f in removed for link in f.links if link in adj}
+        if len(populated) < 2:
+            groups = []
+        else:
+            groups = _link_components(sorted(comp.flows, key=_by_seq), adj)
+        if len(groups) < 2:
+            self._settle(comp)  # which dissolves an emptied component
+            return
         now = self.net.sim.now
-        if not comp.flows:
-            self._dissolve(comp)
-            return
-        flows = sorted(comp.flows, key=_by_seq)
-        groups = _link_components(flows, comp.adj)
-        if len(groups) == 1:
-            self._settle(comp)
-            return
         self._dissolve(comp)
         for group in groups:
             nc = _Component(now, next(self._comp_seq))
@@ -717,7 +797,7 @@ class IncrementalAllocator:
                 continue
             for f in fin:
                 self._detach(c, f)
-            self._resettle(c)
+            self._resettle(c, fin)
         if finished:
             finished.sort(key=_by_seq)
             self.net._finish(finished)

@@ -1,6 +1,6 @@
 """Tier-1 gates for the documentation layer.
 
-Four enforcement points keep the docs from drifting away from the code:
+Five enforcement points keep the docs from drifting away from the code:
 
 - ``docs/check_docstrings.py`` — every public module/class documented,
   function coverage above its ratchet floor;
@@ -11,12 +11,15 @@ Four enforcement points keep the docs from drifting away from the code:
   route/error code is documented;
 - the README quickstart doctests — run here with
   :class:`DeprecationWarning` promoted to an error, so the front-page
-  examples can never show a deprecated API.
+  examples can never show a deprecated API;
+- ``DESIGN.md`` — every module a package section's ``Modules:`` list names
+  exists under that package.
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib.util
 import json
 import pathlib
 import re
@@ -131,3 +134,45 @@ def test_readme_doctests_clean_of_deprecations():
                                   optionflags=doctest.ELLIPSIS)
     assert result.failed == 0, f"{result.failed} README doctest(s) failed"
     assert result.attempted >= 15, "README lost its executable examples"
+
+
+#: ``### 3.2 `repro.net` — ...`` section headings of DESIGN.md.
+_PACKAGE_HEADING_RE = re.compile(r"^### [\d.]+ `(repro\.\w+)`", re.MULTILINE)
+
+
+def _design_modules() -> list[tuple[str, str]]:
+    """``(package, module)`` for every name on a DESIGN.md ``Modules:`` list.
+
+    A list runs from ``Modules:`` to the end of its sentence; the names
+    are the backticked words outside parentheses (a parenthesis holds
+    what the module contains, not further modules).
+    """
+    doc = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    _, *parts = _PACKAGE_HEADING_RE.split(doc)  # package, body, package, ...
+    named = []
+    for package, body in zip(parts[::2], parts[1::2]):
+        for listing in re.findall(r"^Modules:(.*?)(?:\n\n|\Z)", body,
+                                  re.MULTILINE | re.DOTALL):
+            dropped = 1
+            while dropped:  # innermost parentheses first, until none remain
+                listing, dropped = re.subn(r"\([^()]*\)", "", listing)
+            sentence = re.split(r"\.(?:\s|$)", listing)[0]
+            named += [(package, name)
+                      for name in re.findall(r"`(\w+)`", sentence)]
+    return named
+
+
+def test_design_module_lists_are_parsed():
+    named = _design_modules()
+    assert ("repro.net", "flows") in named
+    assert ("repro.obs", "probes") in named
+    assert len({package for package, _ in named}) >= 10
+    # Parenthesised contents are not mistaken for modules.
+    assert ("repro.sim", "Simulator") not in named
+
+
+@pytest.mark.parametrize("package,module", _design_modules())
+def test_design_names_only_modules_that_exist(package, module):
+    assert importlib.util.find_spec(f"{package}.{module}") is not None, (
+        f"DESIGN.md lists `{module}` under {package}, which has no such "
+        "module")
