@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate: fail when benchmark throughput regresses vs a checked-in baseline.
 
-A shared helper for the two simulator-throughput benchmarks:
+A shared helper for the simulator-throughput and gateway benchmarks:
 
 - ``--kind scale`` (default) compares ``BENCH_scale.json`` (from
   ``benchmarks/test_scale.py``) against
@@ -9,17 +9,6 @@ A shared helper for the two simulator-throughput benchmarks:
   incremental allocator's events/sec must stay within ``--tolerance`` of
   baseline, and so must the machine-independent incremental/full speedup
   ratio.
-- ``--kind parallel`` compares ``BENCH_parallel.json`` (from
-  ``benchmarks/test_parallel.py``) against
-  ``benchmarks/BENCH_parallel_baseline.json``: every size must report
-  sequential equivalence (exact event-count/makespan/queue-depth match at
-  every LP count), sequential and best-parallel events/sec must stay
-  within tolerance, and — on runners with 4+ CPUs only — the best 4+-LP
-  configuration must reach 2x the sequential throughput at 2,000+
-  volunteers.  On smaller runners that criterion is skipped with a
-  logged reason (a GIL-bound single core cannot express cross-LP
-  parallelism).
-
 - ``--kind gateway`` compares ``BENCH_gateway.json`` (from
   ``benchmarks/test_gateway.py`` or ``repro loadgen``) against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
@@ -29,11 +18,11 @@ A shared helper for the two simulator-throughput benchmarks:
   byte-equivalent to the simulated LocalRunner oracle).
 
 Absolute events/sec varies across machines; regenerate a baseline on the
-reference runner with e.g. ``python benchmarks/test_parallel.py && cp
-BENCH_parallel.json benchmarks/BENCH_parallel_baseline.json`` when an
+reference runner with e.g. ``python benchmarks/test_scale.py && cp
+BENCH_scale.json benchmarks/BENCH_scale_baseline.json`` when an
 intentional change shifts the numbers.
 
-Usage: python benchmarks/check_scale_regression.py [--kind scale|parallel]
+Usage: python benchmarks/check_scale_regression.py [--kind scale|gateway]
        [result] [baseline]
 """
 
@@ -50,8 +39,6 @@ _HERE = os.path.dirname(__file__)
 DEFAULTS = {
     "scale": ("BENCH_scale.json",
               os.path.join(_HERE, "BENCH_scale_baseline.json")),
-    "parallel": ("BENCH_parallel.json",
-                 os.path.join(_HERE, "BENCH_parallel_baseline.json")),
     "gateway": ("BENCH_gateway.json",
                 os.path.join(_HERE, "BENCH_gateway_baseline.json")),
 }
@@ -86,54 +73,6 @@ def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"n={n}: incremental/full speedup {got_ratio:.2f}x is "
                 f"{100 * (1 - got_ratio / want_ratio):.0f}% below "
                 f"baseline {want_ratio:.2f}x")
-    return failures
-
-
-def check_parallel(result: dict, baseline: dict,
-                   tolerance: float) -> list[str]:
-    """Parallel-kind findings: equivalence, throughput, multi-core speedup."""
-    failures = []
-    fresh, base = _index(result), _index(baseline)
-    for n in sorted(fresh):
-        if not fresh[n].get("equivalent", False):
-            diverged = [w for w, v in fresh[n].get("lp", {}).items()
-                        if not v.get("matches_sequential")]
-            failures.append(
-                f"n={n}: parallel engine diverged from sequential at "
-                f"LP count(s) {diverged or '?'} — determinism bug")
-    common = sorted(set(fresh) & set(base))
-    if not common:
-        failures.append("no common sizes between result and baseline")
-        return failures
-    for n in common:
-        for label, pick in (("sequential",
-                             lambda e: e["sequential"]["events_per_s"]),
-                            ("best-parallel",
-                             lambda e: max(v["events_per_s"]
-                                           for v in e["lp"].values()))):
-            got, want = pick(fresh[n]), pick(base[n])
-            if _below(got, want, tolerance):
-                failures.append(
-                    f"n={n}: {label} throughput {got:.0f} events/s is "
-                    f"{100 * (1 - got / want):.0f}% below baseline "
-                    f"{want:.0f}")
-    ncpu = result.get("cpu_count") or 1
-    if ncpu >= 4:
-        for n in sorted(fresh):
-            if n < 2000:
-                continue
-            seq = fresh[n]["sequential"]["events_per_s"]
-            four_plus = max(v["events_per_s"]
-                            for w, v in fresh[n]["lp"].items()
-                            if int(w) >= 4)
-            if four_plus < 2.0 * seq:
-                failures.append(
-                    f"n={n}: best 4+-LP throughput {four_plus:.0f} events/s "
-                    f"is below 2x the sequential {seq:.0f} on a "
-                    f"{ncpu}-CPU host")
-    else:
-        print(f"note: skipping the >=2x multi-core criterion — runner has "
-              f"{ncpu} CPU(s), cross-LP execution is GIL-serialized here")
     return failures
 
 
@@ -173,8 +112,7 @@ def check_gateway(result: dict, baseline: dict,
 
 
 #: Kind -> checker function.
-CHECKERS = {"scale": check, "parallel": check_parallel,
-            "gateway": check_gateway}
+CHECKERS = {"scale": check, "gateway": check_gateway}
 
 
 def main(argv: list[str] | None = None) -> int:

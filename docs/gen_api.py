@@ -47,8 +47,6 @@ TARGETS = [
     ("repro.faults.plans", "Named chaos plans (built-in + TOML loading)."),
     ("repro.obs", "Metrics, span timelines, Chrome traces, self-profiling."),
     ("repro.sim", "Discrete-event kernel: simulator, events, rng, tracer."),
-    ("repro.sim.parallel",
-     "LP-partitioned parallel engine with conservative windows."),
     ("repro.analysis", "Trace analysis, statistics, tables, exports."),
     ("repro.runtime", "Real MapReduce runtime used for calibration."),
     ("repro.gateway",

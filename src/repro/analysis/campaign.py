@@ -46,9 +46,7 @@ class GroupStats:
     #: side-channel; 0.0 when the store predates wall recording).
     wall_mean: float = 0.0
     #: Aggregate simulator throughput: summed payload ``events`` over
-    #: summed wall seconds (0.0 when either is unavailable) — the column
-    #: that makes sequential-vs-parallel engine campaigns directly
-    #: comparable from the aggregate table.
+    #: summed wall seconds (0.0 when either is unavailable).
     events_per_s: float = 0.0
     #: Paper-reported counterpart of the headline metric, when the
     #: cells carry one (a ``paper_<metric>`` payload field — the

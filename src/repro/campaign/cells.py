@@ -23,7 +23,7 @@ import typing as _t
 SCENARIO_PARAMS: tuple[str, ...] = (
     "name", "n_nodes", "n_maps", "n_reducers", "mr_clients", "input_size",
     "replication", "quorum", "fast_node_fraction", "byzantine_rate",
-    "allocator", "timeout_s", "app_name", "engine", "sim_workers",
+    "allocator", "timeout_s", "app_name",
 )
 
 
@@ -129,10 +129,6 @@ def _execute_scale_out(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
         "events": point.events,
         "makespan_s": point.makespan_s,
         "peak_queue_depth": point.peak_queue_depth,
-        "engine": point.engine,
-        "sim_workers": point.sim_workers,
-        "windows": point.windows,
-        "cross_deliveries": point.cross_deliveries,
     }
 
 

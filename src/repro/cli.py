@@ -80,8 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  else BoincMRConfig(upload_map_outputs=True,
                                     reduce_from_peers=False))
     cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=args.seed, mr_config=mr_config, allocator=args.allocator,
-        engine=args.engine, sim_workers=args.sim_workers))
+        seed=args.seed, mr_config=mr_config, allocator=args.allocator))
     cloud.add_volunteers(args.nodes, mr=args.mr)
     if args.trace_out or args.faults:
         cloud.attach_observability(spans=True, probes=False)
@@ -94,13 +93,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"map {m.map_stats.mean:.1f}s [{m.map_stats.mean_discard_slowest:.1f}s]"
           f"  reduce {m.reduce_stats.mean:.1f}s"
           f"  total {m.total:.1f}s  transition gap {m.transition_gap:.1f}s")
-    if args.engine == "parallel":
-        sim = cloud.sim
-        print(f"parallel engine: {sim.lp_count} LPs  "
-              f"{sim.window_count} windows "
-              f"(mean {sim.mean_window_events():.1f} events/window)  "
-              f"{sim.cross_deliveries()} cross-LP deliveries  "
-              f"lookahead {sim.lookahead * 1e3:.1f}ms")
     if args.trace_out:
         builder = cloud.finish_observability()
         if args.trace_format == "chrome":
@@ -617,14 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="incremental",
                    help="flow-network rate allocation strategy "
                         "(default incremental; full = the O(F) reference)")
-    p.add_argument("--engine", choices=("sequential", "parallel"),
-                   default="sequential",
-                   help="event-loop engine; parallel shards the loop into "
-                        "--sim-workers logical processes (same seed, "
-                        "byte-identical traces)")
-    p.add_argument("--sim-workers", type=int, default=1, metavar="N",
-                   help="logical-process count for --engine parallel "
-                        "(LP 0 is the server partition; default 1)")
     p.add_argument("--faults", metavar="PLAN", default=None,
                    help="inject a chaos plan (builtin name or TOML path) "
                         "and audit the run afterwards")

@@ -19,10 +19,8 @@ of one run mutating another's configuration.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import typing as _t
-import warnings
 
 from ..boinc.client import Client, ClientConfig
 from ..boinc.server import ProjectServer, ServerConfig
@@ -38,7 +36,6 @@ from ..obs import MetricsRegistry, Sampler, SelfProfiler, SpanBuilder
 from ..obs import attach_standard_probes
 from ..sim import (
     Event,
-    ParallelSimulator,
     RngRegistry,
     SimulationError,
     Simulator,
@@ -60,8 +57,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 class CloudSpec:
     """Everything needed to construct a :class:`VolunteerCloud`.
 
-    Replaces the historical keyword sprawl of ``VolunteerCloud.__init__``:
-    build a spec, then ``VolunteerCloud.from_spec(spec)``.  Being frozen,
+    Build a spec, then ``VolunteerCloud.from_spec(spec)``.  Being frozen,
     specs are safely shareable between runs; derive variants with
     :meth:`replace`::
 
@@ -78,96 +74,51 @@ class CloudSpec:
     #: Rate-allocation strategy for the flow network ("incremental"/"full");
     #: see :data:`repro.net.ALLOCATORS`.
     allocator: str = "incremental"
-    #: Event-loop engine: "sequential" (single heap) or "parallel"
-    #: (:class:`repro.sim.ParallelSimulator`, LP-partitioned).
-    engine: str = "sequential"
-    #: Logical-process count for the parallel engine (ignored when
-    #: sequential); LP 0 is the server/data-server partition.
-    sim_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.engine not in ("sequential", "parallel"):
-            raise ValueError(
-                f"engine must be 'sequential' or 'parallel', got "
-                f"{self.engine!r}")
-        if self.sim_workers < 1:
-            raise ValueError(
-                f"sim_workers must be >= 1, got {self.sim_workers}")
 
     def replace(self, **changes: _t.Any) -> "CloudSpec":
         """A copy of this spec with *changes* applied."""
         return dataclasses.replace(self, **changes)
 
 
-#: Keywords the deprecated VolunteerCloud(...) shim still accepts.
-_LEGACY_SPEC_KEYS = frozenset(
-    f.name for f in dataclasses.fields(CloudSpec))
-
-
 class VolunteerCloud:
     """A complete simulated BOINC-MR deployment."""
 
-    def __init__(self, spec: "CloudSpec | int | None" = None, *,
+    def __init__(self, spec: CloudSpec | None = None, *,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 **legacy: _t.Any) -> None:
-        """Build a cloud from a :class:`CloudSpec` (legacy kwargs deprecated)."""
-        if isinstance(spec, int):  # historical positional seed
-            legacy = {"seed": spec, **legacy}
-            spec = None
-        if legacy:
-            if spec is not None:
-                raise TypeError(
-                    "pass either a CloudSpec or legacy keyword arguments, "
-                    "not both")
-            unknown = set(legacy) - _LEGACY_SPEC_KEYS
-            if unknown:
-                raise TypeError(
-                    f"unknown VolunteerCloud argument(s): {sorted(unknown)}")
-            warnings.warn(
-                "VolunteerCloud(seed=..., server_config=..., ...) is "
-                "deprecated; build a CloudSpec and call "
-                "VolunteerCloud.from_spec(spec)",
-                DeprecationWarning, stacklevel=2)
-            spec = CloudSpec(**legacy)
-        elif spec is None:
+                 metrics: MetricsRegistry | None = None) -> None:
+        """Build a cloud from a :class:`CloudSpec` (default spec if None)."""
+        if spec is None:
             spec = CloudSpec()
+        elif not isinstance(spec, CloudSpec):
+            raise TypeError(
+                f"spec must be a CloudSpec, got {type(spec).__name__}")
         #: The frozen construction spec this deployment was built from.
         self.spec = spec
-        if spec.engine == "parallel":
-            self.sim: Simulator = ParallelSimulator(n_lps=spec.sim_workers,
-                                                    lookahead=float("inf"))
-        else:
-            self.sim = Simulator()
-        #: Two smallest access-link latencies seen so far; their sum is the
-        #: parallel engine's lookahead (the least latency any cross-host
-        #: message pays end to end).
-        self._access_latencies: list[float] = []
+        self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        with self.sim.partition(None):  # LP 0: server/data-server partition
-            self.net = Network(self.sim, tracer=None,  # flow traces are noisy
-                               metrics=self.metrics, allocator=spec.allocator)
-            self.server_host = self.net.add_host("server", spec.server_link)
-            self.server = ProjectServer(self.sim, self.net, self.server_host,
-                                        config=spec.server_config,
-                                        tracer=self.tracer,
-                                        rng=self.rngs.stream("server"),
-                                        metrics=self.metrics)
-            self.mr_config = spec.mr_config or BoincMRConfig()
-            self.client_config = spec.client_config or ClientConfig()
-            self.jobtracker = JobTracker(self.sim, self.server,
-                                         config=self.mr_config,
-                                         tracer=self.tracer)
-            self.jobtracker.on_job_done = self._cleanup_job
-            self.directory = ClientDirectory()
-            self.connectivity = ConnectivityPolicy(
-                spec.traversal_config or TraversalConfig(),
-                rng=self.rngs.stream("nat"))
-        self._note_access_latency(spec.server_link.latency_s)
+        self.net = Network(self.sim, tracer=None,  # flow traces are noisy
+                           metrics=self.metrics, allocator=spec.allocator)
+        self.server_host = self.net.add_host("server", spec.server_link)
+        self.server = ProjectServer(self.sim, self.net, self.server_host,
+                                    config=spec.server_config,
+                                    tracer=self.tracer,
+                                    rng=self.rngs.stream("server"),
+                                    metrics=self.metrics)
+        self.mr_config = spec.mr_config or BoincMRConfig()
+        self.client_config = spec.client_config or ClientConfig()
+        self.jobtracker = JobTracker(self.sim, self.server,
+                                     config=self.mr_config, tracer=self.tracer)
+        self.jobtracker.on_job_done = self._cleanup_job
+        self.directory = ClientDirectory()
+        self.connectivity = ConnectivityPolicy(
+            spec.traversal_config or TraversalConfig(),
+            rng=self.rngs.stream("nat"))
         self.clients: list[Client] = []
         self._started = False
         #: Observability attachments (populated by attach_observability).
@@ -185,21 +136,6 @@ class VolunteerCloud:
         """
         return cls(spec, tracer=tracer, metrics=metrics)
 
-    def _note_access_latency(self, latency_s: float) -> None:
-        """Fold a new host's access latency into the parallel lookahead.
-
-        The conservative safe-window slack is the minimum latency any
-        cross-partition message pays: two access-link traversals for a
-        host-to-host (or host-to-server) hop.  Tracking the two smallest
-        latencies keeps the derivation O(1) per host, and a new host can
-        only shrink the window, never widen it.
-        """
-        lat = self._access_latencies
-        bisect.insort(lat, latency_s)
-        del lat[2:]
-        if len(lat) == 2 and isinstance(self.sim, ParallelSimulator):
-            self.sim.shrink_lookahead(lat[0] + lat[1])
-
     # -- population ------------------------------------------------------------
     def add_volunteer(self, name: str | None = None, *, flops: float = 1.0,
                       mr: bool = False, link_spec: LinkSpec = EMULAB_LINK,
@@ -210,34 +146,35 @@ class VolunteerCloud:
                       platform_variance: bool = False) -> Client:
         """Create one volunteer host and its client (not yet started)."""
         if name is None:
-            name = f"host{len(self.clients):03d}"
-        with self.sim.partition(name):  # host + client live in one LP
-            host = self.net.add_host(name, link_spec, nat=nat)
-            record = self.server.register_host(name, flops, supports_mr=mr,
-                                               hr_class=hr_class)
-            cfg = config or self.client_config
-            executor = MapReduceExecutor(
-                self.jobtracker, byzantine_rate=byzantine_rate,
-                platform_variance=platform_variance,
-                rng=self.rngs.stream(f"exec.{name}"))
-            fetcher = MapReduceInputFetcher(
-                self.jobtracker, self.directory, self.mr_config,
-                connectivity=self.connectivity, relay=self.server_host,
-                rng=self.rngs.stream(f"fetch.{name}"))
-            output_policy = MapReduceOutputPolicy(self.jobtracker,
-                                                  self.mr_config)
-            client = Client(self.sim, self.net, self.server, host, record,
-                            config=cfg, rng=self.rngs.stream(f"client.{name}"),
-                            tracer=self.tracer, input_fetcher=fetcher,
-                            output_policy=output_policy, executor=executor)
-            if mr:
-                client.peer_store = PeerStore(self.sim,
-                                              self.mr_config.serve_timeout_s)
-            self.directory.register(client)
-            self.clients.append(client)
-            if self._started:
-                client.start()
-        self._note_access_latency(link_spec.latency_s)
+            # First free hostNNN at or after the population size, so an
+            # explicitly named "host001" cannot collide with a later auto-name.
+            n = len(self.clients)
+            while (name := f"host{n:03d}") in self.net.hosts:
+                n += 1
+        host = self.net.add_host(name, link_spec, nat=nat)
+        record = self.server.register_host(name, flops, supports_mr=mr,
+                                           hr_class=hr_class)
+        cfg = config or self.client_config
+        executor = MapReduceExecutor(
+            self.jobtracker, byzantine_rate=byzantine_rate,
+            platform_variance=platform_variance,
+            rng=self.rngs.stream(f"exec.{name}"))
+        fetcher = MapReduceInputFetcher(
+            self.jobtracker, self.directory, self.mr_config,
+            connectivity=self.connectivity, relay=self.server_host,
+            rng=self.rngs.stream(f"fetch.{name}"))
+        output_policy = MapReduceOutputPolicy(self.jobtracker, self.mr_config)
+        client = Client(self.sim, self.net, self.server, host, record,
+                        config=cfg, rng=self.rngs.stream(f"client.{name}"),
+                        tracer=self.tracer, input_fetcher=fetcher,
+                        output_policy=output_policy, executor=executor)
+        if mr:
+            client.peer_store = PeerStore(self.sim,
+                                          self.mr_config.serve_timeout_s)
+        self.directory.register(client)
+        self.clients.append(client)
+        if self._started:
+            client.start()
         return client
 
     def add_volunteers(self, n: int, **kwargs: _t.Any) -> list[Client]:
@@ -330,11 +267,9 @@ class VolunteerCloud:
         if self._started:
             return
         self._started = True
-        with self.sim.partition(None):
-            self.server.start_daemons()
+        self.server.start_daemons()
         for client in self.clients:
-            with self.sim.partition(client.host.name):
-                client.start()
+            client.start()
 
     def _cleanup_job(self, job: MapReduceJob) -> None:
         """Withdraw served map outputs once the job completes."""

@@ -111,14 +111,6 @@ class ScalePoint:
     events_per_s: float
     makespan_s: float
     peak_queue_depth: int
-    #: Event-loop engine the point was measured on.
-    engine: str = "sequential"
-    #: Logical-process count (1 on the sequential engine).
-    sim_workers: int = 1
-    #: Safe windows executed (0 on the sequential engine).
-    windows: int = 0
-    #: Cross-partition deliveries received (0 on the sequential engine).
-    cross_deliveries: int = 0
 
     def as_dict(self) -> dict[str, _t.Any]:
         """Plain-dict form for JSON export."""
@@ -128,8 +120,6 @@ class ScalePoint:
 def build_scale_cloud(n_nodes: int, seed: int = 1,
                       allocator: str = "incremental",
                       jobs_per_200_nodes: int = 1,
-                      engine: str = "sequential",
-                      sim_workers: int = 1,
                       ) -> tuple[VolunteerCloud, list]:
     """Internet-style deployment for the scalability study.
 
@@ -149,8 +139,6 @@ def build_scale_cloud(n_nodes: int, seed: int = 1,
         client_config=ClientConfig(backoff_max_s=120.0),
         server_link=SERVER_LINK,
         allocator=allocator,
-        engine=engine,
-        sim_workers=sim_workers,
     )
     cloud = VolunteerCloud.from_spec(spec)
     cloud.add_volunteers(n_nodes, mr=True, link_spec=ADSL_LINK)
@@ -165,17 +153,13 @@ def build_scale_cloud(n_nodes: int, seed: int = 1,
 
 
 def scale_out(n_nodes: int, seed: int = 1,
-              allocator: str = "incremental",
-              engine: str = "sequential",
-              sim_workers: int = 1) -> ScalePoint:
+              allocator: str = "incremental") -> ScalePoint:
     """Run the scalability workload at *n_nodes* and measure throughput."""
-    cloud, jobs = build_scale_cloud(n_nodes, seed=seed, allocator=allocator,
-                                    engine=engine, sim_workers=sim_workers)
+    cloud, jobs = build_scale_cloud(n_nodes, seed=seed, allocator=allocator)
     t0 = time.perf_counter()
     cloud.run_until(cloud.sim.all_of([j.done for j in jobs]))
     wall = time.perf_counter() - t0
     events = cloud.sim.dispatch_count
-    sim = cloud.sim
     return ScalePoint(
         n_nodes=n_nodes,
         allocator=allocator,
@@ -183,11 +167,6 @@ def scale_out(n_nodes: int, seed: int = 1,
         events=events,
         wall_s=wall,
         events_per_s=events / wall if wall > 0 else 0.0,
-        makespan_s=sim.now,
-        peak_queue_depth=sim.peak_pending,
-        engine=engine,
-        sim_workers=sim_workers,
-        windows=getattr(sim, "window_count", 0),
-        cross_deliveries=(sim.cross_deliveries()
-                          if hasattr(sim, "cross_deliveries") else 0),
+        makespan_s=cloud.sim.now,
+        peak_queue_depth=cloud.sim.peak_pending,
     )

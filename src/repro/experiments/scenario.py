@@ -68,11 +68,6 @@ class Scenario:
     mr_config: BoincMRConfig | None = None
     #: Flow-network rate-allocation strategy (see repro.net.ALLOCATORS).
     allocator: str = "incremental"
-    #: Event-loop engine ("sequential" or "parallel"); forwarded to
-    #: :class:`repro.core.CloudSpec` and byte-identical either way.
-    engine: str = "sequential"
-    #: Logical-process count for the parallel engine.
-    sim_workers: int = 1
     timeout_s: float = 48 * 3600.0
 
     def __post_init__(self) -> None:
@@ -106,8 +101,6 @@ class Scenario:
             client_config=self.client_config,
             server_link=self.server_link or self.link,
             allocator=self.allocator,
-            engine=self.engine,
-            sim_workers=self.sim_workers,
         )
 
 

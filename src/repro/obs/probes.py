@@ -71,7 +71,6 @@ def attach_standard_probes(cloud: "VolunteerCloud",
               fn=lambda: net.flownet.utilisation(cloud.server_host.downlink))
     reg.gauge("sim.queue_depth", "live callbacks in the event queue",
               fn=cloud.sim.pending)
-    _attach_lp_probes(reg, cloud.sim)
 
     def _occupancy(state: str) -> _t.Callable[[], float]:
         def count() -> float:
@@ -144,47 +143,6 @@ def attach_gateway_probes(gateway: "GatewayServer",
               fn=lambda: sum(1 for j in gateway.jobs.jobs.values()
                              if j.state == "running"))
     return reg
-
-
-def _attach_lp_probes(reg: MetricsRegistry, sim: Simulator) -> None:
-    """Per-logical-process gauges for the parallel engine (no-op otherwise).
-
-    Exposes the conservative-synchronization health signals named in the
-    parallel-DES design: per-LP queue occupancy, horizon lag behind each
-    safe window's base time, window throughput, and the cross-partition
-    deliveries that arrived below the lookahead (the "rollback-free
-    window" a distributed backend would have to restructure).
-    """
-    from ..sim import ParallelSimulator
-
-    if not isinstance(sim, ParallelSimulator):
-        return
-    reg.gauge("sim.windows", "conservative safe windows executed",
-              fn=lambda: sim.window_count)
-    reg.gauge("sim.window_events_mean", "mean events per safe window",
-              fn=sim.mean_window_events)
-    reg.gauge("sim.cross_deliveries", "cross-partition deliveries received",
-              fn=sim.cross_deliveries)
-
-    def _lp_gauge(lp: _t.Any, field: str) -> _t.Callable[[], float]:
-        def read() -> float:
-            value = getattr(lp, field)
-            return float(value() if callable(value) else value)
-        return read
-
-    for lp in sim.lps:
-        prefix = f"sim.lp{lp.index}"
-        reg.gauge(f"{prefix}.queue_depth", f"LP {lp.index} live callbacks",
-                  fn=_lp_gauge(lp, "pending"))
-        reg.gauge(f"{prefix}.cross_in",
-                  f"LP {lp.index} cross-partition deliveries",
-                  fn=_lp_gauge(lp, "cross_in"))
-        reg.gauge(f"{prefix}.below_lookahead",
-                  f"LP {lp.index} deliveries under the lookahead",
-                  fn=_lp_gauge(lp, "below_lookahead"))
-        reg.gauge(f"{prefix}.lag_max",
-                  f"LP {lp.index} max horizon lag behind window base (s)",
-                  fn=_lp_gauge(lp, "lag_max"))
 
 
 class SelfProfiler:

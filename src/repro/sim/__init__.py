@@ -5,8 +5,6 @@ Public surface:
 - :class:`Simulator` — the event loop and clock;
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` — waitables;
 - :class:`Process`, :class:`Interrupted` — generator-based processes;
-- :class:`ParallelSimulator`, :class:`Partitioner` — the LP-partitioned
-  conservative-synchronization engine (drop-in for :class:`Simulator`);
 - :class:`RngRegistry` — named deterministic random streams;
 - :class:`Tracer` — structured trace recording.
 """
@@ -20,7 +18,6 @@ from .engine import (
     TimerHandle,
 )
 from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
-from .parallel import LogicalProcess, ParallelSimulator, Partitioner
 from .process import Interrupted, Process
 from .rng import RngRegistry, derive_seed, jittered
 from .trace import IntervalAccumulator, TraceRecord, Tracer
@@ -39,9 +36,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Interrupted",
-    "ParallelSimulator",
-    "Partitioner",
-    "LogicalProcess",
     "RngRegistry",
     "derive_seed",
     "jittered",

@@ -13,7 +13,6 @@ code is written.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
@@ -52,23 +51,20 @@ class TimerHandle:
     memory at scale.
     """
 
-    __slots__ = ("_sim", "active", "lp")
+    __slots__ = ("_sim", "active")
 
     def __init__(self, sim: "Simulator") -> None:
         """Handle for a scheduled callback (internal; see Simulator.call_at)."""
         self._sim = sim
         #: True while the callback is still due to run.
         self.active = True
-        #: Owning logical process when scheduled on a
-        #: :class:`repro.sim.parallel.ParallelSimulator` (None otherwise).
-        self.lp: _t.Any = None
 
     def cancel(self) -> bool:
         """Retract the callback; returns False if already cancelled/fired."""
         if not self.active:
             return False
         self.active = False
-        self._sim._note_cancel(self)
+        self._sim._note_cancel()
         return True
 
 
@@ -180,20 +176,8 @@ class Simulator:
 
         return Process(self, gen, name=name)
 
-    # -- partitioning ----------------------------------------------------------
-    def partition(self, key: _t.Hashable) -> _t.ContextManager[None]:
-        """Scope for scheduling on behalf of partition *key* (no-op here).
-
-        The sequential engine has a single event queue, so this returns a
-        null context; :class:`repro.sim.parallel.ParallelSimulator`
-        overrides it to route scheduling into the logical process that
-        owns *key*.  Model-construction code uses it unconditionally and
-        stays engine-agnostic.
-        """
-        return contextlib.nullcontext()
-
     # -- execution -------------------------------------------------------------
-    def _note_cancel(self, handle: TimerHandle) -> None:
+    def _note_cancel(self) -> None:
         """Account a lazy cancellation; compact the heap when they pile up.
 
         Cancelled entries are normally skipped when they surface

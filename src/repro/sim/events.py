@@ -34,17 +34,12 @@ class Event:
         Optional label used in ``repr`` and traces.
     """
 
-    __slots__ = ("sim", "name", "lp", "_callbacks", "_triggered", "_value",
-                 "_exc")
+    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_value", "_exc")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         """An untriggered event on *sim* (name aids tracing)."""
         self.sim = sim
         self.name = name
-        #: Home logical process under a parallel engine (None on the
-        #: sequential engine).  Stamped by the ParallelSimulator event
-        #: factories; waiter callbacks are delivered into this LP.
-        self.lp: _t.Any = None
         self._callbacks: list[_t.Callable[[Event], None]] | None = []
         self._triggered = False
         self._value: _t.Any = None

@@ -4,7 +4,7 @@ locality-aware scheduling."""
 import pytest
 
 from repro.boinc import ClientConfig, ServerConfig
-from repro.core import JobPhase, MapReduceJobSpec, VolunteerCloud
+from repro.core import CloudSpec, JobPhase, MapReduceJobSpec, VolunteerCloud
 
 
 def spec(name="job", **kwargs):
@@ -15,10 +15,11 @@ def spec(name="job", **kwargs):
 
 class TestSpeculativeExecution:
     def slow_node_cloud(self, speculative, speed_factor=0.05, seed=1):
-        cloud = VolunteerCloud(seed=seed, server_config=ServerConfig(
-            speculative_execution=speculative,
-            speculative_factor=3.0,
-            speculative_min_elapsed_s=60.0))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=seed, server_config=ServerConfig(
+                speculative_execution=speculative,
+                speculative_factor=3.0,
+                speculative_min_elapsed_s=60.0)))
         cloud.add_volunteers(7, mr=True)
         # One genuine straggler: the server's speed estimate is 20x off
         # (benchmark speed 1.0, real application speed 0.05).
@@ -56,9 +57,10 @@ class TestSpeculativeExecution:
                 wu.max_total_results
 
     def test_healthy_cluster_barely_speculates(self):
-        cloud = VolunteerCloud(seed=1, server_config=ServerConfig(
-            speculative_execution=True, speculative_factor=3.0,
-            speculative_min_elapsed_s=600.0))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=1, server_config=ServerConfig(
+                speculative_execution=True, speculative_factor=3.0,
+                speculative_min_elapsed_s=600.0)))
         cloud.add_volunteers(8, mr=True)
         cloud.run_job(spec(), timeout=48 * 3600)
         assert len(cloud.tracer.select("transitioner.speculative")) <= 2
@@ -66,8 +68,9 @@ class TestSpeculativeExecution:
 
 class TestHomogeneousRedundancy:
     def platform_cloud(self, hr_on, seed=3):
-        cloud = VolunteerCloud(seed=seed, server_config=ServerConfig(
-            homogeneous_redundancy=hr_on))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=seed,
+            server_config=ServerConfig(homogeneous_redundancy=hr_on)))
         for i in range(5):
             cloud.add_volunteer(f"linux{i}", mr=True, hr_class="x86-linux",
                                 platform_variance=True)
@@ -107,8 +110,9 @@ class TestHomogeneousRedundancy:
 
 class TestLocalityScheduling:
     def run(self, locality, seed=2):
-        cloud = VolunteerCloud(seed=seed, server_config=ServerConfig(
-            locality_scheduling=locality))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=seed,
+            server_config=ServerConfig(locality_scheduling=locality)))
         cloud.add_volunteers(8, mr=True)
         job = cloud.run_job(spec(), timeout=48 * 3600)
         assert job.phase is JobPhase.DONE

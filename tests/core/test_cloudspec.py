@@ -1,12 +1,10 @@
-"""CloudSpec construction API and the legacy keyword shim."""
+"""CloudSpec construction API."""
 
 import dataclasses
-import warnings
 
 import pytest
 
-from repro.boinc.client import ClientConfig
-from repro.core import BoincMRConfig, CloudSpec, VolunteerCloud
+from repro.core import CloudSpec, VolunteerCloud
 from repro.net import EMULAB_LINK, SERVER_LINK
 from repro.net.flows import FullAllocator, IncrementalAllocator
 
@@ -51,37 +49,10 @@ class TestFromSpec:
         assert cloud.server_host.uplink.capacity == pytest.approx(
             SERVER_LINK.up_bps / 8.0)
 
-    def test_positional_int_is_seed(self):
-        with pytest.warns(DeprecationWarning):
-            cloud = VolunteerCloud(5)
-        assert cloud.spec.seed == 5
-
-    def test_no_warning_from_spec_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            VolunteerCloud.from_spec(CloudSpec(seed=1))
-            VolunteerCloud(CloudSpec(seed=1))
-
-
-class TestLegacyShim:
-    def test_keyword_form_warns_and_delegates(self):
-        mr = BoincMRConfig()
-        with pytest.warns(DeprecationWarning, match="CloudSpec"):
-            cloud = VolunteerCloud(seed=9, mr_config=mr)
-        assert cloud.spec.seed == 9
-        assert cloud.spec.mr_config is mr
-
-    def test_equivalent_to_from_spec(self):
-        cc = ClientConfig(backoff_max_s=120.0)
-        with pytest.warns(DeprecationWarning):
-            legacy = VolunteerCloud(seed=3, client_config=cc)
-        modern = VolunteerCloud.from_spec(CloudSpec(seed=3, client_config=cc))
-        assert legacy.spec == modern.spec
-
-    def test_unknown_kwarg_rejected(self):
+    def test_only_a_spec_is_accepted(self):
         with pytest.raises(TypeError):
-            VolunteerCloud(seed=1, flux_capacitor=True)
-
-    def test_spec_and_kwargs_rejected(self):
+            VolunteerCloud.from_spec(5)
         with pytest.raises(TypeError):
-            VolunteerCloud(CloudSpec(seed=1), seed=2)
+            VolunteerCloud.from_spec(CloudSpec(), seed=1)
+        with pytest.raises(TypeError):
+            CloudSpec(engine="parallel")

@@ -5,14 +5,19 @@ import pytest
 from repro.boinc.client import ClientTask
 from repro.boinc.model import FileRef, OutputData, Workunit
 from repro.boinc.server import Assignment
-from repro.core import BoincMRConfig, MapReduceJobSpec, VolunteerCloud
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.core.policies import ClientDirectory
 from repro.net import TransferFailed
 
 
 class TestClientDirectory:
     def test_resolve_with_port(self):
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         client = cloud.add_volunteer("alpha", mr=True)
         assert cloud.directory.resolve("alpha:31416") is client
         assert cloud.directory.resolve("alpha") is client
@@ -21,13 +26,13 @@ class TestClientDirectory:
         assert ClientDirectory().resolve("ghost:1") is None
 
     def test_len(self):
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         cloud.add_volunteers(3, mr=True)
         assert len(cloud.directory) == 3
 
 
 def harness(mr_config=None, n=3):
-    cloud = VolunteerCloud(seed=1, mr_config=mr_config)
+    cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=mr_config))
     clients = cloud.add_volunteers(n, mr=True)
     spec = MapReduceJobSpec("j", n_maps=2, n_reducers=2, input_size=2e6)
     job = cloud.jobtracker.submit(spec)

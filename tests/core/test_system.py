@@ -6,6 +6,7 @@ from repro.boinc import ClientConfig
 from repro.boinc.model import WorkunitState
 from repro.core import (
     BoincMRConfig,
+    CloudSpec,
     JobPhase,
     MapReduceJobSpec,
     VolunteerCloud,
@@ -24,16 +25,16 @@ def small_spec(name="job", **kwargs):
 
 
 def mr_cloud(seed=1, n=8, mr_config=None, **volunteer_kwargs):
-    cloud = VolunteerCloud(seed=seed, mr_config=mr_config)
+    cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed, mr_config=mr_config))
     cloud.add_volunteers(n, mr=True, **volunteer_kwargs)
     return cloud
 
 
 def legacy_cloud(seed=1, n=8, **volunteer_kwargs):
-    cloud = VolunteerCloud(
+    cloud = VolunteerCloud.from_spec(CloudSpec(
         seed=seed,
         mr_config=BoincMRConfig(upload_map_outputs=True,
-                                reduce_from_peers=False))
+                                reduce_from_peers=False)))
     cloud.add_volunteers(n, mr=False, **volunteer_kwargs)
     return cloud
 
@@ -90,8 +91,9 @@ class TestEndToEnd:
     def test_mixed_population_legacy_runs_reduces_via_server(self):
         # Retro-compatibility (Section III.B): ordinary clients execute MR
         # jobs with data through the server.
-        cloud = VolunteerCloud(seed=1, mr_config=BoincMRConfig(
-            upload_map_outputs=True, reduce_from_peers=True))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=1, mr_config=BoincMRConfig(
+                upload_map_outputs=True, reduce_from_peers=True)))
         cloud.add_volunteers(4, mr=True)
         cloud.add_volunteers(4, mr=False)
         job = cloud.run_job(small_spec())
@@ -148,7 +150,7 @@ class TestDeterminism:
 
 class TestByzantine:
     def test_byzantine_outputs_rejected_by_quorum(self):
-        cloud = VolunteerCloud(seed=3)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=3))
         cloud.add_volunteers(6, mr=True)
         cloud.add_volunteers(2, mr=True, byzantine_rate=1.0)
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
@@ -162,7 +164,7 @@ class TestByzantine:
             len(cloud.tracer.select("transitioner.new_result")) > 0
 
     def test_occasional_byzantine_still_completes(self):
-        cloud = VolunteerCloud(seed=5)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=5))
         cloud.add_volunteers(8, mr=True, byzantine_rate=0.2)
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
@@ -197,7 +199,7 @@ class TestPeerFailureFallback:
 class TestNatDeployment:
     def test_all_symmetric_nats_relay_through_server(self):
         nat = NatBox(nat_type=NatType.SYMMETRIC)
-        cloud = VolunteerCloud(seed=2)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=2))
         cloud.add_volunteers(8, mr=True, nat=nat)
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
@@ -216,7 +218,7 @@ class TestEarlyReduceCreation:
     def test_overlap_mode_completes_and_overlaps(self):
         cfg = BoincMRConfig(upload_map_outputs=True, reduce_from_peers=False,
                             reduce_creation_fraction=0.5, fetch_poll_s=5.0)
-        cloud = VolunteerCloud(seed=1, mr_config=cfg)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=cfg))
         cloud.add_volunteers(8, mr=False)
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
@@ -240,7 +242,7 @@ class TestScaleVariants:
         assert job.phase is JobPhase.DONE
 
     def test_heterogeneous_speeds(self):
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         cloud.add_volunteers(4, mr=True, flops=1.0)
         cloud.add_volunteers(4, mr=True, flops=2.0)
         job = cloud.run_job(small_spec())
@@ -251,3 +253,12 @@ class TestScaleVariants:
 
         with pytest.raises(ValueError, match="replication"):
             Scenario(name="x", n_nodes=1, n_maps=2, n_reducers=1)
+
+
+class TestVolunteerNames:
+    def test_auto_name_skips_explicitly_taken_names(self):
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
+        cloud.add_volunteer("host001")
+        cloud.add_volunteer("host003")
+        names = [c.name for c in cloud.add_volunteers(3)]
+        assert names == ["host002", "host004", "host005"]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     BoincMRConfig,
+    CloudSpec,
     VolunteerCloud,
     WorkflowStage,
     pipeline,
@@ -21,7 +22,8 @@ class TestWorkflowFailure:
             def execute(self, client, task):
                 raise RuntimeError("bad binary")
 
-        cloud = VolunteerCloud(seed=1, mr_config=BoincMRConfig())
+        cloud = VolunteerCloud.from_spec(
+            CloudSpec(seed=1, mr_config=BoincMRConfig()))
         for client in cloud.add_volunteers(6, mr=True):
             client.executor = Exploding()
         wf = pipeline(cloud, "doomed", 60e6,
@@ -38,7 +40,7 @@ class TestWorkflowFailure:
         } - {"doomed.a"}
 
     def test_makespan_none_until_finished(self):
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         cloud.add_volunteers(6, mr=True)
         wf = pipeline(cloud, "pending", 30e6,
                       WorkflowStage("a", n_maps=3, n_reducers=1))

@@ -107,7 +107,7 @@ class TestRoundTrip:
         assert jobs2[0] == jobs[0]
 
     def test_parsed_spec_drives_a_real_run(self):
-        from repro.core import VolunteerCloud
+        from repro.core import CloudSpec, VolunteerCloud
 
         xml = """
         <mr_jobtracker>
@@ -121,7 +121,7 @@ class TestRoundTrip:
         </mr_jobtracker>
         """
         config, jobs = load_jobtracker_xml(xml)
-        cloud = VolunteerCloud(seed=1, mr_config=config)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=config))
         cloud.add_volunteers(6, mr=True)
         job = cloud.run_job(jobs[0], timeout=24 * 3600)
         assert job.finished

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.boinc.model import ResultState, WorkunitState
-from repro.core import MapReduceJobSpec, VolunteerCloud
+from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 from repro.faults import RunAuditor
 
 
 def finished_cloud(seed=1, spans=False):
-    cloud = VolunteerCloud(seed=seed)
+    cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
     cloud.add_volunteers(6, mr=True)
     if spans:
         cloud.attach_observability(spans=True, probes=False)
@@ -108,7 +108,7 @@ class TestViolationDetection:
                    for v in report.violations)
 
     def test_unfinished_job_flagged(self):
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         cloud.add_volunteers(6, mr=True)
         job = cloud.submit(MapReduceJobSpec(
             "wc", n_maps=6, n_reducers=2, input_size=60e6))

@@ -10,13 +10,13 @@ chrome trace.
 
 import pytest
 
-from repro.core import MapReduceJobSpec, VolunteerCloud
+from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 from repro.faults import BUILTIN_PLANS
 from repro.obs import chrome_trace_json
 
 
 def chaos_run(plan, seed):
-    cloud = VolunteerCloud(seed=seed)
+    cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
     cloud.add_volunteers(12, mr=True)
     cloud.attach_observability(spans=True, probes=False)
     injector = cloud.apply_faults(plan)
@@ -81,7 +81,7 @@ def test_fault_stream_does_not_perturb_the_model():
     that no fault touches before its first draw: the first map dispatch.
     """
     def first_dispatch(armed):
-        cloud = VolunteerCloud(seed=11)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=11))
         cloud.add_volunteers(12, mr=True)
         if armed:
             cloud.apply_faults("kitchen-sink")

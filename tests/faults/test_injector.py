@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import VolunteerCloud
+from repro.core import CloudSpec, VolunteerCloud
 from repro.faults import FaultInjector, FaultSpec
 
 
 def tiny_cloud(seed=1, n=4):
-    cloud = VolunteerCloud(seed=seed)
+    cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
     cloud.add_volunteers(n, mr=True)
     cloud.start()
     return cloud

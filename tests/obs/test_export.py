@@ -8,7 +8,12 @@ import json
 
 import pytest
 
-from repro.core import BoincMRConfig, MapReduceJobSpec, VolunteerCloud
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.obs import SpanBuilder, chrome_trace_json, run_summary, trace_to_jsonl
 from repro.sim import Tracer
 
@@ -16,7 +21,8 @@ from .test_spans import emit_task
 
 
 def small_cloud_trace(seed=3):
-    cloud = VolunteerCloud(seed=seed, mr_config=BoincMRConfig())
+    cloud = VolunteerCloud.from_spec(
+        CloudSpec(seed=seed, mr_config=BoincMRConfig()))
     cloud.add_volunteers(6, mr=True)
     cloud.attach_observability(spans=True, probes=True, profile=True)
     cloud.run_job(MapReduceJobSpec("wc", n_maps=6, n_reducers=2,

@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.core import BoincMRConfig, MapReduceJobSpec, VolunteerCloud
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.obs import MetricsRegistry, SelfProfiler, attach_standard_probes
 from repro.sim import Simulator
 
 
 class TestStandardProbes:
     def make_cloud(self):
-        cloud = VolunteerCloud(seed=2, mr_config=BoincMRConfig())
+        cloud = VolunteerCloud.from_spec(
+            CloudSpec(seed=2, mr_config=BoincMRConfig()))
         cloud.add_volunteers(6, mr=True)
         return cloud
 

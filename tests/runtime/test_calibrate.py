@@ -46,10 +46,10 @@ class TestMeasureCostModel:
             measure_cost_model(WordCount(), CORPUS, anchor_map_throughput=0)
 
     def test_measured_model_drives_simulation(self):
-        from repro.core import MapReduceJobSpec, VolunteerCloud
+        from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 
         model = measure_cost_model(WordCount(), CORPUS)
-        cloud = VolunteerCloud(seed=1)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
         cloud.add_volunteers(8, mr=True)
         job = cloud.run_job(MapReduceJobSpec(
             "measured", n_maps=6, n_reducers=2, input_size=60e6, cost=model),

@@ -153,6 +153,17 @@ def test_step_returns_false_when_empty():
     assert Simulator().step() is False
 
 
+def test_step_runs_one_callback_and_advances_clock():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(1.0, lambda: None)
+    assert sim.peek() == 1.0
+    assert sim.step() is True
+    assert sim.now == 1.0
+    assert sim.step() is True and sim.step() is False
+    assert sim.peek() == math.inf
+
+
 def test_dispatch_count_increments():
     sim = Simulator()
     for _ in range(5):

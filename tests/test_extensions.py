@@ -6,6 +6,7 @@ import pytest
 from repro.boinc import ClientConfig, ProjectServer, ServerConfig
 from repro.core import (
     BoincMRConfig,
+    CloudSpec,
     JobPhase,
     MapReduceJobSpec,
     VolunteerCloud,
@@ -108,7 +109,7 @@ class TestSupernodeOverlay:
             overlay.pick_relay(hosts[-1], hosts[-2])
 
     def test_overlay_relays_mapreduce_job(self):
-        cloud = VolunteerCloud(seed=2)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=2))
         cloud.add_volunteers(2, mr=True,
                              link_spec=LinkSpec(200e6, 200e6, 0.001))
         cloud.add_volunteers(8, mr=True, nat=SYM)
@@ -146,11 +147,11 @@ class TestNiceUploads:
         assert sim.now == pytest.approx(2.0, rel=0.05)
 
     def test_nice_uploads_dont_break_job(self):
-        cloud = VolunteerCloud(
+        cloud = VolunteerCloud.from_spec(CloudSpec(
             seed=1,
             mr_config=BoincMRConfig(upload_map_outputs=True,
                                     reduce_from_peers=False),
-            client_config=ClientConfig(nice_uploads=True))
+            client_config=ClientConfig(nice_uploads=True)))
         cloud.add_volunteers(8, mr=False)
         job = cloud.run_job(MapReduceJobSpec(
             "nice", n_maps=6, n_reducers=2, input_size=60e6),
@@ -160,7 +161,7 @@ class TestNiceUploads:
 
 class TestWorkflows:
     def cloud(self, seed=4):
-        cloud = VolunteerCloud(seed=seed)
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
         cloud.add_volunteers(10, mr=True)
         return cloud
 
@@ -212,9 +213,10 @@ class TestWorkflows:
 
 class TestAdaptiveReplication:
     def cloud(self, adaptive=True, byz=0.0, seed=5):
-        cloud = VolunteerCloud(seed=seed, server_config=ServerConfig(
-            adaptive_replication=adaptive, adaptive_trust_threshold=2,
-            adaptive_spot_check_rate=0.1))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=seed, server_config=ServerConfig(
+                adaptive_replication=adaptive, adaptive_trust_threshold=2,
+                adaptive_spot_check_rate=0.1)))
         cloud.add_volunteers(12, mr=True, byzantine_rate=byz)
         return cloud
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.boinc.server import ServerConfig
-from repro.core import BoincMRConfig, JobPhase, MapReduceJobSpec, VolunteerCloud
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    JobPhase,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.volunteers.traces import (
     AvailabilityTrace,
     TraceChurnController,
@@ -76,9 +82,10 @@ class TestDiurnal:
 
 class TestTraceReplay:
     def test_client_goes_down_and_up_per_trace(self):
-        cloud = VolunteerCloud(seed=1,
-                               mr_config=BoincMRConfig(upload_map_outputs=True),
-                               server_config=ServerConfig(delay_bound_s=600.0))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=1,
+            mr_config=BoincMRConfig(upload_map_outputs=True),
+            server_config=ServerConfig(delay_bound_s=600.0)))
         clients = cloud.add_volunteers(6, mr=True)
         cloud.start()
         controller = TraceChurnController(cloud.sim, tracer=cloud.tracer)
@@ -92,9 +99,10 @@ class TestTraceReplay:
         assert on and on[0] == pytest.approx(400.0)
 
     def test_job_completes_under_trace_churn(self):
-        cloud = VolunteerCloud(seed=4,
-                               mr_config=BoincMRConfig(upload_map_outputs=True),
-                               server_config=ServerConfig(delay_bound_s=900.0))
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=4,
+            mr_config=BoincMRConfig(upload_map_outputs=True),
+            server_config=ServerConfig(delay_bound_s=900.0)))
         clients = cloud.add_volunteers(10, mr=True)
         cloud.start()
         controller = TraceChurnController(cloud.sim, tracer=cloud.tracer)

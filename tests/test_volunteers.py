@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import BoincMRConfig, JobPhase, MapReduceJobSpec, VolunteerCloud
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    JobPhase,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.boinc.server import ServerConfig
 from repro.sim import Simulator, Tracer
 from repro.volunteers import AvailabilityModel, ChurnController
@@ -29,10 +35,10 @@ class TestAvailabilityModel:
 
 
 def churn_cloud(seed=1, **model_kwargs):
-    cloud = VolunteerCloud(
+    cloud = VolunteerCloud.from_spec(CloudSpec(
         seed=seed,
         mr_config=BoincMRConfig(upload_map_outputs=True),
-        server_config=ServerConfig(delay_bound_s=900.0))
+        server_config=ServerConfig(delay_bound_s=900.0)))
     cloud.add_volunteers(12, mr=True)
     model = AvailabilityModel(**model_kwargs)
     controller = ChurnController(cloud.sim, cloud.rngs.stream("churn"),
