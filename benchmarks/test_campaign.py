@@ -1,31 +1,27 @@
 """Benchmark: campaign fan-out speedup at 1/2/4/8 workers.
 
-Runs the same 32-cell sweep through :class:`repro.campaign.CampaignRunner`
-at increasing pool widths and emits ``BENCH_campaign.json`` with the
-wall-clock and speedup-vs-sequential of each width, for two workloads:
+Runs the same 32-cell sweep through :func:`repro.campaign.run_campaign`
+(a coordinator leasing cells to loopback worker processes) at
+increasing widths and emits ``BENCH_campaign.json`` with the wall-clock
+and speedup-vs-one-worker of each width, for two workloads:
 
 - ``synthetic`` — 32 wall-clock-bound sleep cells.  These measure the
-  runner itself (spawn, scheduling, store, reap overheads) independent
-  of host CPU count, so the near-linear fan-out claim is checkable even
-  on a single-core CI runner.
+  lease plane itself (spawn, lease, heartbeat, result upload, store,
+  reap overheads) independent of host CPU count, so the near-linear
+  fan-out claim is checkable even on a single-core CI runner.
 - ``simulation`` — 32 real small-scenario cells (seed x shape grid).
   These are CPU-bound, so their speedup is additionally capped by the
   machine's core count; the emitted report records ``cpus`` so the
   numbers are interpretable.
-- ``coordinator`` — the same synthetic sweep through the distributed
-  control plane (:class:`repro.campaign.CampaignCoordinator` + spawned
-  workers over TCP) at the same widths, so the lease/heartbeat/socket
-  overhead versus the in-process pool is a number in the report rather
-  than folklore.
 
-Also asserts the campaign determinism contract end to end: the pooled
+Also asserts the campaign determinism contract end to end: the fanned-out
 run's per-cell payloads are byte-identical to an in-process sequential
-run of the same cells, and a ``--resume`` pass re-runs zero cells.
+run of the same cells, and a ``resume`` pass re-runs zero cells.
 
 Run directly (``python benchmarks/test_campaign.py``) or under pytest.
 Environment knobs:
 
-- ``CAMPAIGN_WORKERS``  comma-separated pool widths (default ``1,2,4,8``)
+- ``CAMPAIGN_WORKERS``  comma-separated worker counts (default ``1,2,4,8``)
 - ``CAMPAIGN_OUT``      output path (default ``BENCH_campaign.json``)
 """
 
@@ -40,14 +36,13 @@ import time
 from repro.analysis import render_campaign_table, aggregate_records
 from repro.campaign import (
     CampaignCell,
-    CampaignCoordinator,
     CampaignGrid,
-    CampaignRunner,
     ResultStore,
     canonical_json,
+    run_campaign,
 )
 
-#: Pool widths under comparison; 1 is the sequential baseline.
+#: Worker counts under comparison; 1 is the baseline.
 DEFAULT_WORKERS = (1, 2, 4, 8)
 
 #: Cells per sweep (the acceptance grid size).
@@ -89,16 +84,14 @@ def simulation_grid() -> CampaignGrid:
 
 
 def time_sweep(grid: CampaignGrid, widths: tuple[int, ...]) -> dict:
-    """Wall-clock the grid at each pool width; returns the report entry."""
+    """Wall-clock the grid at each worker count; returns the report entry."""
     entry: dict = {"cells": len(grid), "widths": []}
     baseline = None
     for workers in widths:
         with tempfile.TemporaryDirectory() as tmp:
-            runner = CampaignRunner(
-                grid, ResultStore(os.path.join(tmp, "store.jsonl")),
-                workers=workers)
             t0 = time.perf_counter()
-            report = runner.run()
+            report = run_campaign(grid, os.path.join(tmp, "store.jsonl"),
+                                  workers=workers)
             wall = time.perf_counter() - t0
         assert report.ok and report.ran == len(grid), report.render()
         if baseline is None:
@@ -113,51 +106,20 @@ def time_sweep(grid: CampaignGrid, widths: tuple[int, ...]) -> dict:
     return entry
 
 
-def time_coordinator_sweep(grid: CampaignGrid,
-                           widths: tuple[int, ...]) -> dict:
-    """Wall-clock the grid through the TCP control plane at each width.
-
-    The interesting number is the comparison against ``time_sweep`` on
-    the same grid: identical work, but every cell travels through a
-    lease grant, heartbeats, and a line-JSON result upload.
-    """
-    entry: dict = {"cells": len(grid), "widths": []}
-    baseline = None
-    for workers in widths:
-        with tempfile.TemporaryDirectory() as tmp:
-            coordinator = CampaignCoordinator(
-                grid, ResultStore(os.path.join(tmp, "store.jsonl")),
-                spawn=workers, heartbeat_s=0.25)
-            t0 = time.perf_counter()
-            report = coordinator.run()
-            wall = time.perf_counter() - t0
-        assert report.ok and report.ran == len(grid), report.render()
-        if baseline is None:
-            baseline = wall
-        entry["widths"].append({
-            "workers": workers,
-            "wall_s": round(wall, 3),
-            "speedup": round(baseline / wall, 2),
-        })
-        print(f"  {grid.name:18s} spawn={workers}  wall {wall:6.2f}s  "
-              f"speedup {baseline / wall:5.2f}x  (coordinator)", flush=True)
-    return entry
-
-
 def check_determinism_and_resume(grid: CampaignGrid, workers: int = 8) -> None:
-    """Pooled payloads byte-identical to sequential; resume re-runs zero."""
+    """Fanned-out payloads byte-identical to sequential; resume re-runs zero."""
     with tempfile.TemporaryDirectory() as tmp:
         seq_store = ResultStore(os.path.join(tmp, "seq.jsonl"))
         par_store = ResultStore(os.path.join(tmp, "par.jsonl"))
-        CampaignRunner(grid, seq_store, workers=0).run()
-        CampaignRunner(grid, par_store, workers=workers).run()
+        run_campaign(grid, str(seq_store.path), workers=0)
+        run_campaign(grid, str(par_store.path), workers=workers)
         seq = {k: canonical_json(r.result)
                for k, r in seq_store.load().items()}
         par = {k: canonical_json(r.result)
                for k, r in par_store.load().items()}
-        assert seq == par, "pooled payloads diverged from sequential run"
-        resumed = CampaignRunner(grid, par_store, workers=workers,
-                                 resume=True).run()
+        assert seq == par, "fanned-out payloads diverged from sequential run"
+        resumed = run_campaign(grid, str(par_store.path), workers=workers,
+                               resume=True)
         assert resumed.ran == 0 and resumed.skipped == len(grid), \
             resumed.render()
         print(render_campaign_table(
@@ -175,7 +137,6 @@ def run_suite(widths: tuple[int, ...] | None = None) -> dict:
         "widths": list(widths),
         "synthetic": time_sweep(synthetic_grid(), widths),
         "simulation": time_sweep(simulation_grid(), widths),
-        "coordinator": time_coordinator_sweep(synthetic_grid(), widths),
     }
     best = max(w["workers"] for w in report["synthetic"]["widths"])
 
@@ -183,22 +144,14 @@ def run_suite(widths: tuple[int, ...] | None = None) -> dict:
         return next(w for w in report[section]["widths"]
                     if w["workers"] == best)
 
-    pool_wall = _at_best("synthetic")["wall_s"]
-    coord_wall = _at_best("coordinator")["wall_s"]
     report["headline"] = {
         "cells": N_CELLS,
         "workers": best,
         "synthetic_speedup": _at_best("synthetic")["speedup"],
         "simulation_speedup": _at_best("simulation")["speedup"],
-        "coordinator_speedup": _at_best("coordinator")["speedup"],
-        # control-plane tax at the widest point: distributed wall over
-        # in-process-pool wall on identical wall-clock-bound work.
-        "coordinator_overhead_x": round(coord_wall / pool_wall, 2)
-        if pool_wall > 0 else None,
-        "note": ("synthetic cells are wall-clock-bound (runner fan-out "
-                 "capability); simulation cells are CPU-bound and capped "
-                 "by the host's core count; coordinator runs the "
-                 "synthetic sweep through the TCP lease control plane"),
+        "note": ("synthetic cells are wall-clock-bound (lease-plane "
+                 "fan-out capability); simulation cells are CPU-bound and "
+                 "capped by the host's core count"),
     }
     return report
 
@@ -216,13 +169,10 @@ def test_campaign_benchmark():
     report = run_suite()
     path = write_report(report)
     print(f"\nwrote {path}")
-    # The runner's fan-out is near-linear: 32 wall-clock-bound cells at 8
-    # workers must beat the sequential pass by >= 4x on any host.
+    # The fan-out is near-linear (leases are cheap relative to 0.2s
+    # cells): 32 wall-clock-bound cells at 8 workers must beat one
+    # worker by >= 4x on any host.
     assert report["headline"]["synthetic_speedup"] >= 4.0, report["headline"]
-    # The control plane must still fan out (leases are cheap relative to
-    # 0.2s cells) — >= 3x at 8 workers leaves room for socket overhead.
-    assert report["headline"]["coordinator_speedup"] >= 3.0, \
-        report["headline"]
     # Real cells additionally need the cores to run on; only assert the
     # parallel speedup where the hardware can express it.
     if report["cpus"] >= 8:

@@ -1,4 +1,4 @@
-"""Parallel experiment campaigns: declarative grids over a worker pool.
+"""Parallel experiment campaigns: declarative grids leased out to workers.
 
 The paper's evaluation is a grid of (scenario x seed) cells; this
 package runs such grids concurrently without giving up determinism:
@@ -10,26 +10,28 @@ package runs such grids concurrently without giving up determinism:
 - :mod:`repro.campaign.store` — the resumable append-only JSONL
   :class:`ResultStore`, plus :func:`merge_stores` /
   :func:`diff_stores` for multi-writer shard reconciliation;
-- :mod:`repro.campaign.runner` — :class:`CampaignRunner`: the
-  process-pool scheduler with per-cell timeout, retry, and quarantine;
 - :mod:`repro.campaign.lease` — :class:`LeaseTable`, the pure
-  lease/reclaim/steal state machine under the distributed control
-  plane;
+  lease/reclaim/steal state machine (deadline, retry, quarantine);
 - :mod:`repro.campaign.coordinator` /
-  :mod:`repro.campaign.worker` — the distributed control plane:
-  a TCP coordinator that leases cells to worker processes, detects
-  failures via heartbeats and connection loss, reclaims and re-leases
-  lost work, and steals stragglers near campaign end.
+  :mod:`repro.campaign.worker` — the one executor: a TCP coordinator
+  that leases cells to worker processes (local or on other hosts),
+  detects failures via heartbeats and connection loss, reclaims and
+  re-leases lost work, steals stragglers near campaign end, and owns
+  resume, the store's records, the report and the ``campaign.*``
+  instruments;
+- :mod:`repro.campaign.runner` — :func:`run_campaign`, the one-call
+  local front end (a coordinator plus N loopback workers, or the
+  in-process sequential reference at ``workers=0``).
 
 Builtin grids for the paper's sweeps live in
 :mod:`repro.experiments.grids`; aggregation of a finished store into
 tables lives in :mod:`repro.analysis.campaign`; the CLI front end is
-``python -m repro campaign`` (with ``coordinate`` / ``work`` /
-``merge`` / ``diff`` subcommands for the distributed mode).
+``python -m repro campaign`` (``coordinate`` runs a grid; ``work`` /
+``merge`` / ``diff`` attach workers and reconcile their shards).
 """
 
 from .cells import execute_cell
-from .coordinator import CampaignCoordinator, coordinate_campaign
+from .coordinator import CampaignCoordinator
 from .grid import (
     CELL_KINDS,
     CampaignCell,
@@ -39,7 +41,7 @@ from .grid import (
     grid_from_toml,
 )
 from .lease import Lease, LeaseCounters, LeaseTable
-from .runner import CampaignReport, CampaignRunner, run_campaign
+from .runner import CampaignReport, run_campaign
 from .store import CellRecord, ResultStore, diff_stores, merge_stores
 from .worker import CampaignWorker, worker_entry
 
@@ -49,7 +51,6 @@ __all__ = [
     "CampaignCoordinator",
     "CampaignGrid",
     "CampaignReport",
-    "CampaignRunner",
     "CampaignWorker",
     "CellRecord",
     "Lease",
@@ -58,7 +59,6 @@ __all__ = [
     "ResultStore",
     "canonical_json",
     "cell_key",
-    "coordinate_campaign",
     "diff_stores",
     "execute_cell",
     "grid_from_toml",

@@ -12,7 +12,7 @@ survives them the way BOINC's server survives volunteers:
 - worker liveness is tracked via heartbeats *and* connection EOF, so a
   SIGKILLed worker's cells are reclaimed within one sweep interval;
 - reclaimed cells are re-leased until the retry budget is spent, then
-  quarantined exactly like the in-process runner does;
+  quarantined (a ``failed`` record with the error in its ``meta``);
 - when the pending queue is dry, remaining in-flight cells are stolen
   onto idle workers (first result wins, losers are revoked).
 
@@ -24,16 +24,24 @@ store after the fact.  A built-in chaos hook (``chaos_kills``) SIGKILLs
 spawned workers mid-cell to prove the invariant the tests and the CI
 control-plane job assert: every cell still completes (or is quarantined
 after ``retries``), and the merged payloads equal a sequential run.
+
+Nobody polls to learn that something happened: a ``lease`` request that
+cannot be granted *long-polls* on one :class:`threading.Condition` (at
+most half a heartbeat, so the waiting worker still counts as alive), the
+sweep waits on the same condition, and every result, reclaim, expiry
+and worker loss notifies it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import pathlib
 import random
 import signal
+import socket
 import socketserver
 import threading
 import time
@@ -48,13 +56,39 @@ from .store import CellRecord, ResultStore
 #: Protocol ops a worker may send.
 WORKER_OPS: tuple[str, ...] = ("hello", "lease", "heartbeat", "result")
 
+#: Seeds the ``chaos_kills`` victim choice, so a chaos run is repeatable.
+_CHAOS_SEED = 1
+
 
 class _ControlServer(socketserver.ThreadingTCPServer):
     """Threaded line-JSON control-plane server (one thread per worker)."""
 
     daemon_threads = True
     allow_reuse_address = True
+    #: A spawned fleet connects all at once; a connection that overflows
+    #: the listen backlog retries only after the 1 s SYN timeout.
+    request_queue_size = 128
     coordinator: "CampaignCoordinator"
+    _closing = False
+
+    def start(self) -> None:
+        """Accept connections on a daemon thread until :meth:`stop`."""
+        self._acceptor = threading.Thread(target=self._accept, daemon=True)
+        self._acceptor.start()
+
+    def _accept(self) -> None:
+        # Blocks in accept() rather than serve_forever()'s timed select,
+        # so stop() has no poll interval to wait out.
+        while not self._closing:
+            self.handle_request()
+
+    def stop(self) -> None:
+        """Stop accepting and release the listening socket."""
+        self._closing = True
+        with contextlib.suppress(OSError):  # wake the blocked accept()
+            socket.create_connection(self.server_address, timeout=1.0).close()
+        self._acceptor.join(1.0)
+        self.server_close()
 
 
 class _ControlHandler(socketserver.StreamRequestHandler):
@@ -72,8 +106,9 @@ class _ControlHandler(socketserver.StreamRequestHandler):
                     reply: dict[str, _t.Any] = {"op": "error",
                                                 "error": f"bad json: {exc}"}
                 else:
-                    worker = message.get("worker", worker)
                     reply = coordinator.dispatch(message)
+                    if reply["op"] != "error":
+                        worker = message["worker"]
                 self.wfile.write(
                     (canonical_json(reply) + "\n").encode("utf-8"))
                 self.wfile.flush()
@@ -87,8 +122,9 @@ class _ControlHandler(socketserver.StreamRequestHandler):
 class CampaignCoordinator:
     """Serve a :class:`CampaignGrid` to workers under lease discipline.
 
-    Parameters beyond the runner's (*timeout_s*, *retries*, *resume*,
-    *metrics*, *echo*): *spawn* local worker processes are forked and
+    *timeout_s*, *retries*, *resume*, *metrics* and *echo* are
+    :func:`~repro.campaign.runner.run_campaign`'s (*echo* receives each
+    progress line).  *spawn* local worker processes are forked and
     pointed at the server (0 = external workers only); *host*/*port*
     bind the control socket (port 0 picks a free one, read it back from
     the coordinator's ``port`` attribute after :meth:`run` binds);
@@ -109,7 +145,6 @@ class CampaignCoordinator:
                  steal_after_s: float | None = None,
                  shard_dir: str | pathlib.Path | None = None,
                  chaos_kills: int = 0, chaos_interval_s: float = 1.0,
-                 chaos_seed: int = 1,
                  wall_limit_s: float | None = None,
                  metrics: MetricsRegistry | None = None,
                  echo: _t.Callable[[str], None] | None = None) -> None:
@@ -133,7 +168,6 @@ class CampaignCoordinator:
         self.shard_dir = pathlib.Path(shard_dir) if shard_dir else None
         self.chaos_kills = chaos_kills
         self.chaos_interval_s = chaos_interval_s
-        self.chaos_seed = chaos_seed
         self.wall_limit_s = wall_limit_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.echo = echo
@@ -141,6 +175,8 @@ class CampaignCoordinator:
             grid, lease_s=timeout_s, retries=retries,
             steal_after_s=self.steal_after_s)
         self._lock = threading.Lock()
+        #: Notified when a cell may have become leasable or the table done.
+        self._wake = threading.Condition(self._lock)
         self._mp = multiprocessing.get_context()
         self._spawned: dict[str, multiprocessing.Process] = {}
         self._next_worker = 0
@@ -171,6 +207,10 @@ class CampaignCoordinator:
                                    "cells abandoned after retries")
         self._m_retries = m.counter("campaign.cells.retries",
                                     "extra attempts after failure/timeout")
+        self._m_skipped = m.counter("campaign.cells.skipped",
+                                    "cells satisfied from the store (resume)")
+        self._m_wall = m.histogram("campaign.cell_wall_s",
+                                   "per-cell wall-clock seconds")
         attach_coordinator_probes(self, m)
 
     def _sync_counters(self) -> None:
@@ -179,6 +219,7 @@ class CampaignCoordinator:
         for metric, value in ((self._m_granted, c.granted),
                               (self._m_expired, c.expired),
                               (self._m_reclaimed, c.reclaimed),
+                              (self._m_retries, c.reclaimed),
                               (self._m_stolen, c.stolen),
                               (self._m_worker_fail, c.workers_failed)):
             delta = value - metric.value
@@ -192,6 +233,8 @@ class CampaignCoordinator:
     # -- protocol ------------------------------------------------------------
     def dispatch(self, message: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
         """Handle one worker request; returns the JSON-able reply."""
+        if not isinstance(message, dict):
+            return {"op": "error", "error": "bad request (not an object)"}
         op = message.get("op")
         worker = message.get("worker")
         if op not in WORKER_OPS or not isinstance(worker, str):
@@ -202,21 +245,30 @@ class CampaignCoordinator:
             if op == "hello":
                 self.table.register(worker, now)
                 return {"op": "welcome", "name": self.grid.name,
-                        "heartbeat_s": self.heartbeat_s,
-                        "poll_s": self.heartbeat_s / 2.0}
+                        "heartbeat_s": self.heartbeat_s}
             if op == "heartbeat":
                 revoked = self.table.touch(worker, now)
                 return {"op": "ack", "revoked": revoked}
             if op == "lease":
                 return self._on_lease(worker, now)
-            return self._on_result(worker, message, now)
+            reply = self._on_result(worker, message, now)
+            self._wake.notify_all()
+            return reply
 
     def _on_lease(self, worker: str, now: float) -> dict[str, _t.Any]:
         if self.table.done:
             return {"op": "shutdown"}
         lease = self.table.grant(worker, now)
         if lease is None:
-            return {"op": "wait", "poll_s": self.heartbeat_s / 2.0}
+            # Long poll: hold the request until something changes, but
+            # for at most half a heartbeat — the worker cannot heartbeat
+            # while it waits, and its next ``lease`` refreshes liveness.
+            self._wake.wait(self.heartbeat_s / 2.0)
+            if self.table.done:
+                return {"op": "shutdown"}
+            lease = self.table.grant(worker, time.monotonic())
+            if lease is None:
+                return {"op": "wait"}
         if lease.stolen:
             self._progress(f"steal  {lease.key} -> {worker} "
                            f"(attempt {lease.attempt + 1})")
@@ -230,12 +282,19 @@ class CampaignCoordinator:
         key = message.get("key")
         if not isinstance(key, str) or key not in self.table.cells:
             return {"op": "error", "error": f"unknown cell key {key!r}"}
-        wall = float(message.get("wall_s", 0.0))
-        attempt = int(message.get("attempt", 0))
-        if message.get("status") == "ok":
+        ok = message.get("status") == "ok"
+        payload = message.get("payload")
+        try:
+            wall = float(message.get("wall_s", 0.0))
+            attempt = int(message.get("attempt", 0))
+            if ok and not isinstance(payload, dict):
+                raise TypeError("ok payload is not an object")
+        except (TypeError, ValueError) as exc:
+            return {"op": "error", "error": f"bad result for {key}: {exc}"}
+        if ok:
             first = self.table.report_ok(worker, key, now)
             if first:
-                self._append(key, "ok", message.get("payload"), wall=wall,
+                self._append(key, "ok", payload, wall=wall,
                              attempts=attempt + 1, worker=worker)
                 self._ran += 1
                 self._m_done.inc()
@@ -247,7 +306,6 @@ class CampaignCoordinator:
         error = str(message.get("error", "worker reported failure"))
         fate = self.table.report_error(worker, key, now)
         if fate == "retry":
-            self._m_retries.inc()
             self._progress(f"retrying {key} after {worker}: "
                            f"{error.splitlines()[0]}")
         elif fate == "failed":
@@ -270,6 +328,7 @@ class CampaignCoordinator:
                            f"reclaimed {held - len(quarantined)}")
             for key in quarantined:
                 self._quarantine(key, f"worker {worker} died mid-cell")
+            self._wake.notify_all()
 
     # -- store ---------------------------------------------------------------
     def _append(self, key: str, status: str,
@@ -286,6 +345,7 @@ class CampaignCoordinator:
         record = CellRecord(key=key, spec=self.table.cells[key].spec,
                             status=status, result=payload, meta=meta)
         self.store.append(record)
+        self._m_wall.observe(wall)
         return record
 
     def _quarantine(self, key: str, error: str, *,
@@ -326,15 +386,14 @@ class CampaignCoordinator:
             return
         if now - self._started < self.chaos_interval_s * (self._kills_done + 1):
             return
-        with self._lock:
-            victims = sorted(
-                w for w, p in self._spawned.items()
-                if p.is_alive()
-                and self.table.workers.get(w) is not None
-                and self.table.workers[w].keys)
+        victims = sorted(
+            w for w, p in self._spawned.items()
+            if p.is_alive()
+            and self.table.workers.get(w) is not None
+            and self.table.workers[w].keys)
         if not victims:
             return  # nobody is mid-cell right now; try next sweep
-        rng = random.Random(f"{self.chaos_seed}-{self._kills_done}")
+        rng = random.Random(f"{_CHAOS_SEED}-{self._kills_done}")
         victim = rng.choice(victims)
         process = self._spawned[victim]
         if process.pid is None:
@@ -346,21 +405,56 @@ class CampaignCoordinator:
                        f"(pid {process.pid})")
         self._spawn_worker()  # keep the fleet at strength
 
+    def _sweep(self, now: float) -> bool:
+        """One failure-detection pass, lock held: expire leases, fail
+        silent workers, chaos, wall limit.  True once every cell is
+        terminal."""
+        expired = self.table.expire(now)
+        for lease in expired:
+            self._progress(f"lease expired: {lease.key} on {lease.worker}")
+            attempts = self.table.cells[lease.key].attempts
+            if self.table.cells[lease.key].status == FAILED:
+                self._quarantine(
+                    lease.key, f"lease expired after {attempts} attempt(s)")
+        dead = self.table.dead_workers(now, self.liveness_s)
+        for worker in dead:
+            held = len(self.table.workers[worker].keys)
+            quarantined = self.table.fail_worker(worker, now)
+            self._progress(f"worker {worker} missed heartbeats; "
+                           f"reclaimed {held} lease(s)")
+            for key in quarantined:
+                self._quarantine(key, f"worker {worker} stopped heartbeating")
+        self._chaos_step(now)
+        if (self.wall_limit_s is not None
+                and now - self._started > self.wall_limit_s):
+            for key, cell in self.table.cells.items():
+                if cell.status not in (DONE, FAILED):
+                    cell.status = FAILED
+                    self._quarantine(key, "campaign wall limit reached")
+        self._sync_counters()
+        if expired or dead or self.table.done:
+            self._wake.notify_all()
+        return self.table.done
+
     def _reap_fleet(self, drain_s: float) -> None:
         """Join spawned workers; kill any that outlive the drain window."""
         deadline = time.monotonic() + drain_s
-        for worker_id, process in self._spawned.items():
+        while self._spawned:
+            worker_id, process = self._spawned.popitem()
             process.join(max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
+            lingering = process.is_alive()
+            if lingering:
                 process.kill()
                 process.join()
-                self._progress(f"killed lingering worker {worker_id}")
             process.close()
-        self._spawned.clear()
+            if lingering and drain_s:
+                self._progress(f"killed lingering worker {worker_id}")
 
-    # -- entry point ---------------------------------------------------------
-    def run(self) -> CampaignReport:
-        """Serve the campaign to workers until every cell is terminal."""
+    # -- entry points --------------------------------------------------------
+    def begin(self) -> None:
+        """Attach the instruments and load (*resume*) or truncate the
+        store: what :meth:`run` starts with, and what a caller driving
+        :meth:`dispatch` itself (``run_campaign(workers=0)``) calls first."""
         self._instrument()
         self._started = time.monotonic()
         if self.resume:
@@ -369,72 +463,44 @@ class CampaignCoordinator:
             self.store.clear()
             completed = set()
         self._skipped = self.table.mark_done(completed)
+        self._m_skipped.inc(self._skipped)
         if self._skipped:
             self._progress(f"resume: {self._skipped} cell(s) already "
                            f"complete in {self.store.path}")
+
+    def run(self) -> CampaignReport:
+        """Serve the campaign to workers until every cell is terminal."""
+        self.begin()
         server = _ControlServer((self.host, self.port), _ControlHandler)
         server.coordinator = self
         self.port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
+        server.start()
         try:
             for _ in range(self.spawn):
                 self._spawn_worker()
             sweep_s = min(0.05, self.heartbeat_s / 4.0)
-            while True:
-                now = time.monotonic()
-                with self._lock:
-                    for lease in self.table.expire(now):
-                        self._progress(f"lease expired: {lease.key} "
-                                       f"on {lease.worker}")
-                        if self.table.cells[lease.key].status == FAILED:
-                            self._quarantine(
-                                lease.key,
-                                f"lease expired after "
-                                f"{self.table.cells[lease.key].attempts} "
-                                f"attempt(s)")
-                    for worker in self.table.dead_workers(
-                            now, self.liveness_s):
-                        held = len(self.table.workers[worker].keys)
-                        quarantined = self.table.fail_worker(worker, now)
-                        self._progress(f"worker {worker} missed heartbeats; "
-                                       f"reclaimed {held} lease(s)")
-                        for key in quarantined:
-                            self._quarantine(
-                                key, f"worker {worker} stopped heartbeating")
-                    self._sync_counters()
-                    if self.table.done:
-                        break
-                self._chaos_step(now)
-                if (self.wall_limit_s is not None
-                        and now - self._started > self.wall_limit_s):
-                    with self._lock:
-                        for key, cell in self.table.cells.items():
-                            if cell.status not in (DONE, FAILED):
-                                cell.status = FAILED
-                                self._quarantine(
-                                    key, "campaign wall limit reached")
-                    break
-                time.sleep(sweep_s)
+            with self._lock:
+                while not self._sweep(time.monotonic()):
+                    self._wake.wait(sweep_s)
             self._reap_fleet(drain_s=max(1.0, 4.0 * self.heartbeat_s))
         finally:
-            server.shutdown()
-            server.server_close()
-        return self._report()
+            # An exception skipped the drain above: the workers are not
+            # daemons, so kill them or they outlive the campaign.
+            self._reap_fleet(drain_s=0.0)
+            server.stop()
+        return self.report()
 
-    def _report(self) -> CampaignReport:
+    def report(self) -> CampaignReport:
+        """What the campaign did so far (final once every cell is terminal)."""
         with self._lock:
             self._sync_counters()
         counters = self.table.counters
-        report = CampaignReport(
+        return CampaignReport(
             grid=self.grid.name, total=len(self.grid), ran=self._ran,
             skipped=self._skipped, failed=len(self._quarantined),
             wall_s=time.monotonic() - self._started,
             quarantined=list(self._quarantined.values()),
             reclaimed=counters.reclaimed, stolen=counters.stolen)
-        return report
 
     def summary(self) -> dict[str, _t.Any]:
         """JSON-able control-plane summary (the CI artifact payload)."""
@@ -454,12 +520,3 @@ class CampaignCoordinator:
             "workers_failed": counters.workers_failed,
             "chaos_kills": self._kills_done,
         }
-
-
-def coordinate_campaign(grid: CampaignGrid, out: str, *,
-                        spawn: int = 3,
-                        **kwargs: _t.Any) -> CampaignReport:
-    """One-call convenience: coordinator + *spawn* local workers, run, report."""
-    coordinator = CampaignCoordinator(grid, ResultStore(out), spawn=spawn,
-                                      **kwargs)
-    return coordinator.run()

@@ -1,25 +1,28 @@
-"""The campaign runner: fan a grid of cells out over a worker pool.
+"""``run_campaign``: one call that runs a grid into a result store.
 
-Each cell runs in its own forked process (one process per cell, at most
-``workers`` alive at once), so cells never share interpreter state and a
-hung or crashed cell cannot take the campaign down: the runner enforces
-a per-cell wall-clock timeout, retries transient failures, and
-quarantines cells that keep failing.  Results stream into a
-:class:`~repro.campaign.store.ResultStore` as they arrive, which is what
-makes campaigns resumable, and live progress is published through a
-:class:`repro.obs.MetricsRegistry` (``campaign.*`` instruments) plus an
-optional per-cell echo callback.
+There is one executor.  Every cell is leased out by a
+:class:`~repro.campaign.coordinator.CampaignCoordinator`, which owns the
+deadline, retry and quarantine accounting, resume, the store's records,
+the ``campaign.*`` instruments and the progress lines;
+:func:`run_campaign` only picks the transport.  ``workers >= 1`` spawns
+that many :class:`~repro.campaign.worker.CampaignWorker` processes on
+loopback, each running one forked child per cell, so a hung, crashed or
+SIGKILLed worker costs a re-lease, not the campaign.  ``workers=0`` is
+the sequential in-process reference: the same ``lease`` / ``result``
+exchange as function calls around :func:`execute_cell` (no fork, no
+socket, and so no timeout enforcement).
 
 Determinism: a cell's payload is produced by
 :func:`repro.campaign.cells.execute_cell` from the cell spec alone, so
 the schedule (worker count, completion order, retries) affects only the
-store's line *order*, never a cell's bytes — ``workers=0`` (in-process
-sequential) and ``workers=8`` write the same payload per key.
+store's line *order*, never a cell's bytes — ``workers=0`` and
+``workers=8`` write the same payload per key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -31,9 +34,10 @@ from .cells import execute_cell
 from .grid import CampaignCell, CampaignGrid
 from .store import CellRecord, ResultStore
 
-#: How long the scheduler waits on worker pipes before re-checking
-#: deadlines and liveness (seconds).
-_POLL_S = 0.02
+
+def _describe(exc: BaseException) -> str:
+    """The error text a failed attempt is recorded with (call in ``except``)."""
+    return f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=4)}"
 
 
 def _child_main(spec: dict[str, _t.Any],
@@ -43,9 +47,7 @@ def _child_main(spec: dict[str, _t.Any],
         payload = execute_cell(spec)
         conn.send(("ok", payload))
     except BaseException as exc:  # noqa: BLE001 — becomes a quarantine record
-        conn.send(("error",
-                   f"{type(exc).__name__}: {exc}\n"
-                   f"{traceback.format_exc(limit=4)}"))
+        conn.send(("error", _describe(exc)))
     finally:
         conn.close()
 
@@ -68,20 +70,8 @@ def _shutdown_child(process: multiprocessing.Process,
 
 
 @dataclasses.dataclass(slots=True)
-class _Flight:
-    """One in-flight cell attempt."""
-
-    cell: CampaignCell
-    process: multiprocessing.Process
-    conn: multiprocessing.connection.Connection
-    started: float
-    deadline: float | None
-    attempt: int
-
-
-@dataclasses.dataclass(slots=True)
 class CampaignReport:
-    """What one :meth:`CampaignRunner.run` call did."""
+    """What one campaign run did."""
 
     grid: str
     total: int
@@ -90,9 +80,9 @@ class CampaignReport:
     failed: int
     wall_s: float
     quarantined: list[CellRecord] = dataclasses.field(default_factory=list)
-    #: Cells requeued after a lost lease (distributed runs only).
+    #: Cells requeued after a lost lease (error, expiry, worker death).
     reclaimed: int = 0
-    #: Duplicate leases stolen from stragglers (distributed runs only).
+    #: Duplicate leases stolen from stragglers (never in :func:`run_campaign`).
     stolen: int = 0
 
     @property
@@ -116,217 +106,43 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-class CampaignRunner:
-    """Run a :class:`CampaignGrid` against a :class:`ResultStore`.
-
-    Parameters mirror the CLI: *workers* is the pool width (0 = run
-    every cell inline in this process, the reference sequential mode),
-    *timeout_s* the per-cell wall-clock budget (None = unbounded),
-    *retries* how many extra attempts a failing/timing-out cell gets
-    before quarantine, and *resume* whether cells already ``ok`` in the
-    store are skipped (False truncates the store first).
-    """
-
-    def __init__(self, grid: CampaignGrid, store: ResultStore, *,
-                 workers: int = 1, timeout_s: float | None = None,
-                 retries: int = 1, resume: bool = False,
-                 metrics: MetricsRegistry | None = None,
-                 echo: _t.Callable[[str], None] | None = None) -> None:
-        """Validate knobs and bind the grid/store; see the class doc."""
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.grid = grid
-        self.store = store
-        self.workers = workers
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.resume = resume
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.echo = echo
-        self._mp = multiprocessing.get_context()
-
-    # -- metrics -------------------------------------------------------------
-    def _instrument(self) -> None:
-        m = self.metrics
-        self._done = m.counter("campaign.cells.completed",
-                               "cells finished successfully")
-        self._failed = m.counter("campaign.cells.quarantined",
-                                 "cells abandoned after retries")
-        self._skipped = m.counter("campaign.cells.skipped",
-                                  "cells satisfied from the store (resume)")
-        self._retries = m.counter("campaign.cells.retries",
-                                  "extra attempts after failure/timeout")
-        self._inflight = m.gauge("campaign.in_flight",
-                                 "cell attempts currently running")
-        self._wall = m.histogram("campaign.cell_wall_s",
-                                 "per-cell wall-clock seconds")
-
-    def _progress(self, text: str) -> None:
-        if self.echo is not None:
-            self.echo(text)
-
-    # -- outcomes ------------------------------------------------------------
-    def _record(self, cell: CampaignCell, status: str,
-                result: dict[str, _t.Any] | None, *, wall: float,
-                attempt: int, error: str | None = None) -> CellRecord:
-        meta: dict[str, _t.Any] = {"wall_s": round(wall, 4),
-                                   "attempts": attempt + 1,
-                                   "grid": self.grid.name}
-        if error is not None:
-            meta["error"] = error
-        record = CellRecord(key=cell.key, spec=cell.spec(), status=status,
-                            result=result, meta=meta)
-        self.store.append(record)
-        self._wall.observe(wall)
-        return record
-
-    def _finish_ok(self, cell: CampaignCell, payload: dict[str, _t.Any],
-                   wall: float, attempt: int, done: int, total: int) -> None:
-        self._record(cell, "ok", payload, wall=wall, attempt=attempt)
-        self._done.inc()
-        self._progress(f"[{done}/{total}] ok     {cell.label()} "
-                       f"({wall:.2f}s)")
-
-    def _quarantine(self, cell: CampaignCell, error: str, wall: float,
-                    attempt: int, done: int, total: int,
-                    report: CampaignReport) -> None:
-        record = self._record(cell, "failed", None, wall=wall,
-                              attempt=attempt, error=error)
-        report.failed += 1
-        report.quarantined.append(record)
-        self._failed.inc()
-        self._progress(f"[{done}/{total}] FAILED {cell.label()}: "
-                       f"{error.splitlines()[0]}")
-
-    # -- sequential reference mode -------------------------------------------
-    def _run_inline(self, cells: list[CampaignCell],
-                    report: CampaignReport, total: int) -> None:
-        done = report.skipped
-        for cell in cells:
-            for attempt in range(self.retries + 1):
-                t0 = time.monotonic()
-                try:
-                    payload = execute_cell(cell.spec())
-                except Exception as exc:  # noqa: BLE001
-                    error = (f"{type(exc).__name__}: {exc}\n"
-                             f"{traceback.format_exc(limit=4)}")
-                    if attempt < self.retries:
-                        self._retries.inc()
-                        continue
-                    done += 1
-                    self._quarantine(cell, error, time.monotonic() - t0,
-                                     attempt, done, total, report)
-                else:
-                    done += 1
-                    report.ran += 1
-                    self._finish_ok(cell, payload, time.monotonic() - t0,
-                                    attempt, done, total)
-                break
-
-    # -- pooled mode ---------------------------------------------------------
-    def _launch(self, cell: CampaignCell, attempt: int) -> _Flight:
-        parent, child = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(target=_child_main,
-                                   args=(cell.spec(), child), daemon=True)
-        process.start()
-        child.close()
-        now = time.monotonic()
-        deadline = now + self.timeout_s if self.timeout_s else None
-        self._inflight.add(1)
-        return _Flight(cell=cell, process=process, conn=parent,
-                       started=now, deadline=deadline, attempt=attempt)
-
-    def _reap(self, flight: _Flight) -> tuple[str, _t.Any]:
-        """Collect a finished/overdue flight; returns (status, detail)."""
-        outcome: tuple[str, _t.Any]
-        if flight.conn.poll():
-            try:
-                outcome = flight.conn.recv()
-            except EOFError:
-                outcome = ("error", "worker closed the pipe without a result")
-        elif not flight.process.is_alive():
-            outcome = ("error",
-                       f"worker died (exitcode {flight.process.exitcode})")
-        else:  # deadline exceeded
-            outcome = ("timeout",
-                       f"cell exceeded {self.timeout_s:g}s wall-clock budget")
-        _shutdown_child(flight.process, flight.conn)
-        self._inflight.add(-1)
-        return outcome
-
-    def _run_pooled(self, cells: list[CampaignCell],
-                    report: CampaignReport, total: int) -> None:
-        pending: list[tuple[CampaignCell, int]] = [(c, 0) for c in cells]
-        flights: list[_Flight] = []
-        done = report.skipped
-        while pending or flights:
-            while pending and len(flights) < self.workers:
-                cell, attempt = pending.pop(0)
-                flights.append(self._launch(cell, attempt))
-            now = time.monotonic()
-            finished = [f for f in flights
-                        if f.conn.poll() or not f.process.is_alive()
-                        or (f.deadline is not None and now >= f.deadline)]
-            if not finished:
-                multiprocessing.connection.wait(
-                    [f.conn for f in flights], timeout=_POLL_S)
-                continue
-            for flight in finished:
-                flights.remove(flight)
-                status, detail = self._reap(flight)
-                wall = time.monotonic() - flight.started
-                if status == "ok":
-                    done += 1
-                    report.ran += 1
-                    self._finish_ok(flight.cell, detail, wall,
-                                    flight.attempt, done, total)
-                elif flight.attempt < self.retries:
-                    self._retries.inc()
-                    self._progress(f"retrying {flight.cell.label()} "
-                                   f"(attempt {flight.attempt + 2}): "
-                                   f"{str(detail).splitlines()[0]}")
-                    pending.append((flight.cell, flight.attempt + 1))
-                else:
-                    done += 1
-                    self._quarantine(flight.cell, str(detail), wall,
-                                     flight.attempt, done, total, report)
-
-    # -- entry point ---------------------------------------------------------
-    def run(self) -> CampaignReport:
-        """Execute the grid; returns the run report (store holds results)."""
-        self._instrument()
-        t0 = time.monotonic()
-        if self.resume:
-            completed = self.store.completed_keys()
-        else:
-            self.store.clear()
-            completed = set()
-        todo = [c for c in self.grid if c.key not in completed]
-        skipped = len(self.grid) - len(todo)
-        self._skipped.inc(skipped)
-        report = CampaignReport(grid=self.grid.name, total=len(self.grid),
-                                ran=0, skipped=skipped, failed=0, wall_s=0.0)
-        if skipped:
-            self._progress(f"resume: {skipped} cell(s) already complete "
-                           f"in {self.store.path}")
-        if self.workers == 0:
-            self._run_inline(todo, report, len(self.grid))
-        else:
-            self._run_pooled(todo, report, len(self.grid))
-        report.wall_s = time.monotonic() - t0
-        return report
-
-
 def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
                  timeout_s: float | None = None, retries: int = 1,
                  resume: bool = False,
                  metrics: MetricsRegistry | None = None,
                  echo: _t.Callable[[str], None] | None = None
                  ) -> CampaignReport:
-    """One-call convenience wrapper: build the store, run, report."""
-    runner = CampaignRunner(grid, ResultStore(out), workers=workers,
-                            timeout_s=timeout_s, retries=retries,
-                            resume=resume, metrics=metrics, echo=echo)
-    return runner.run()
+    """Run *grid* into the store at *out* on this host; returns the report.
+
+    *workers* local worker processes run the cells (0 = every cell in
+    this process, the sequential reference), *timeout_s* is the per-cell
+    wall-clock budget (None = unbounded), *retries* how many extra
+    attempts a failing or timing-out cell gets before quarantine, and
+    *resume* whether cells already ``ok`` in the store are skipped
+    (False truncates the store first).
+    """
+    from .coordinator import CampaignCoordinator
+
+    # Stealing is off: on one host at one speed a duplicate of a
+    # deterministic cell can never finish first.
+    coordinator = CampaignCoordinator(
+        grid, ResultStore(out), spawn=workers, timeout_s=timeout_s,
+        retries=retries, resume=resume, steal_after_s=math.inf,
+        metrics=metrics, echo=echo)
+    if workers:
+        return coordinator.run()
+    coordinator.begin()
+    while True:
+        grant = coordinator.dispatch({"op": "lease", "worker": "inline"})
+        if grant["op"] != "cell":
+            break
+        result = {"op": "result", "worker": "inline", "key": grant["key"],
+                  "attempt": grant["attempt"]}
+        t0 = time.monotonic()
+        try:
+            result.update(status="ok", payload=execute_cell(grant["spec"]))
+        except Exception as exc:  # noqa: BLE001 — becomes a retry/quarantine
+            result.update(status="error", error=_describe(exc))
+        result["wall_s"] = time.monotonic() - t0
+        coordinator.dispatch(result)
+    return coordinator.report()

@@ -4,11 +4,11 @@
 control plane — the analogue of a BOINC client.  It is strictly
 pull-based: it connects to a
 :class:`repro.campaign.coordinator.CampaignCoordinator`, requests a
-lease, runs the cell in a forked child process (the same
-``_child_main`` isolation the in-process pool uses, so a crashing or
+lease, runs the cell in a forked child process (so a crashing or
 hanging cell cannot take the worker down), heartbeats while the child
 runs, and ships the outcome back.  Three coordinator signals shape the
-loop: ``wait`` (nothing leasable right now — sleep and re-ask),
+loop: ``wait`` (nothing became leasable while the coordinator held the
+request — re-ask at once; the waiting happens on its side),
 ``shutdown`` (campaign complete — drain and exit), and a ``revoked``
 key in a heartbeat reply (another worker finished the cell first, or
 the lease was reclaimed — kill the child and move on).
@@ -25,11 +25,10 @@ import json
 import os
 import socket
 import time
-import traceback
 import typing as _t
 
 from .grid import canonical_json
-from .runner import _child_main, _shutdown_child
+from .runner import _child_main, _describe, _shutdown_child
 from .store import CellRecord, ResultStore
 
 #: How long the worker waits on the child pipe between bookkeeping
@@ -181,7 +180,6 @@ class CampaignWorker:
                 if op == "shutdown":
                     break
                 if op == "wait":
-                    time.sleep(float(reply.get("poll_s", 0.1)))
                     continue
                 if op != "cell":
                     raise ValueError(f"unexpected coordinator reply {op!r}")
@@ -194,9 +192,8 @@ class CampaignWorker:
                                "attempt": reply.get("attempt", 0),
                                "wall_s": 0.0, "status": "error",
                                "payload": None,
-                               "error": f"worker-side failure: "
-                                        f"{type(exc).__name__}: {exc}\n"
-                                        f"{traceback.format_exc(limit=4)}"})
+                               "error": "worker-side failure: "
+                                        + _describe(exc)})
         except (ConnectionError, OSError, json.JSONDecodeError):
             pass  # coordinator gone; our leases will be reclaimed
         finally:

@@ -291,12 +291,10 @@ _CAMPAIGN_MODES: dict[str, _t.Callable[[argparse.Namespace], int]] = {
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .analysis import aggregate_store, render_campaign_table
-    from .campaign import CampaignRunner, ResultStore
-    from .experiments import GRID_BUILDERS, resolve_grid
+    from .experiments import GRID_BUILDERS
 
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        return _CAMPAIGN_MODES[mode](args)
+    if args.mode is not None:
+        return _CAMPAIGN_MODES[args.mode](args)
     if args.list_grids:
         for name in sorted(GRID_BUILDERS):
             grid = GRID_BUILDERS[name]()
@@ -316,30 +314,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             groups, title=f"campaign store {args.aggregate} — "
                           f"headline metric by group"))
         return 0
-    seeds = None
-    if args.seeds:
-        try:
-            seeds = tuple(_seed_type(tok) for tok in args.seeds.split(","))
-        except argparse.ArgumentTypeError as exc:
-            print(f"campaign: bad --seeds value: {exc}", file=sys.stderr)
-            return 2
-    try:
-        grid = resolve_grid(args.grid, seeds=seeds, faults=args.faults)
-    except (ValueError, OSError) as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
-    runner = CampaignRunner(
-        grid, ResultStore(args.out), workers=args.workers,
-        timeout_s=args.timeout, retries=args.retries, resume=args.resume,
-        echo=None if args.quiet else print)
-    report = runner.run()
-    print(report.render())
-    print(render_campaign_table(
-        aggregate_store(args.out),
-        title=f"campaign {grid.name!r} — headline metric by group"))
-    print(f"results in {args.out} "
-          f"(resume with --resume to skip completed cells)")
-    return 0 if report.ok else 1
+    print("campaign: nothing to do — pass --list-grids, --aggregate FILE "
+          "or a MODE ('coordinate' runs a grid)", file=sys.stderr)
+    return 2
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -460,26 +437,23 @@ def _seed_type(text: str) -> int:
 
 def _add_campaign_modes(p: argparse.ArgumentParser,
                         common: argparse.ArgumentParser) -> None:
-    """Attach the distributed control-plane modes under ``campaign``.
-
-    ``campaign`` with no mode keeps its legacy in-process pool
-    behaviour; ``coordinate`` / ``work`` / ``merge`` / ``diff`` are the
-    distributed front end.
-    """
+    """Attach the ``coordinate`` / ``work`` / ``merge`` / ``diff`` modes
+    under ``campaign``; ``coordinate`` is the one that runs cells."""
     csub = p.add_subparsers(
         dest="mode", metavar="MODE",
-        help="distributed control-plane modes (omit MODE for the "
-             "in-process pool)")
+        help="coordinate runs a grid; work / merge / diff attach "
+             "workers and reconcile their shards")
 
     pc = csub.add_parser(
         "coordinate", parents=[common],
         help="serve a grid to worker processes under lease discipline "
              "(spawns local workers, accepts external ones)")
     pc.add_argument("--grid", default="table1",
-                    help="builtin grid name or TOML grid path "
-                         "(default table1)")
+                    help="builtin grid name (see 'campaign --list-grids') "
+                         "or a declarative TOML grid path (default table1)")
     pc.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                    help="comma-separated seed fan-out")
+                    help="comma-separated seed fan-out "
+                         "(default: the grid's own, typically 1,2,3)")
     pc.add_argument("--faults", metavar="PLAN", default=None,
                     help="arm a chaos plan on every cell "
                          "(table1 grid only)")
@@ -639,35 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "campaign", parents=[common],
         help="run a whole experiment grid (scenario x seed x fault-plan "
-             "cells) over a worker pool, into a resumable result store")
-    p.add_argument("--grid", default="table1",
-                   help="builtin grid name (see --list-grids) or a "
-                        "declarative TOML grid path (default table1)")
+             "cells) on leased workers, into a resumable result store "
+             "('campaign coordinate')")
     p.add_argument("--list-grids", action="store_true",
                    help="list the builtin campaign grids and exit")
     p.add_argument("--aggregate", metavar="FILE", default=None,
                    help="render the aggregated table of an existing result "
                         "store and exit (runs nothing)")
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                   help="comma-separated seed fan-out "
-                        "(default: the grid's own, typically 1,2,3)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker processes (0 = sequential in-process "
-                        "reference mode; default 4)")
-    p.add_argument("--out", default="campaign.jsonl", metavar="FILE",
-                   help="JSONL result store (default campaign.jsonl)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already completed in --out instead of "
-                        "starting the store over")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-clock budget (default: unbounded)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="extra attempts before quarantining a failing "
-                        "cell (default 1)")
-    p.add_argument("--faults", metavar="PLAN", default=None,
-                   help="arm a chaos plan on every cell (table1 grid only)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-cell progress lines")
     _add_campaign_modes(p, common)
 
     p = sub.add_parser(

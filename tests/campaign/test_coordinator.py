@@ -1,11 +1,18 @@
-"""Integration tests for the distributed campaign control plane.
+"""Integration tests for the campaign executor (the lease plane).
 
 These spawn real worker processes against a real TCP coordinator, so
 they are the slowest campaign tests; the grids stay tiny and the
-heartbeat short to keep each under a few seconds.
+heartbeat short to keep each under a few seconds.  Behaviour every
+front end must share is parametrized over :data:`FRONT_ENDS`.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import socket
+import threading
+import time
 
 import pytest
 
@@ -28,6 +35,34 @@ def _sleep_grid(n: int, duration_s: float = 0.05,
         for i in range(n)))
 
 
+#: The executor's front ends: a bare coordinator with spawned workers
+#: (what ``repro campaign coordinate`` builds), and ``run_campaign`` over
+#: loopback workers and over in-process function calls.
+FRONT_ENDS = ("coordinator", "local", "inline")
+
+
+def _run(how: str, grid: CampaignGrid, path, **kwargs):
+    if how == "coordinator":
+        return CampaignCoordinator(grid, ResultStore(path), spawn=2,
+                                   heartbeat_s=0.2, **kwargs).run()
+    return run_campaign(grid, str(path),
+                        workers={"local": 2, "inline": 0}[how], **kwargs)
+
+
+def _serve(coordinator: CampaignCoordinator):
+    """Run *coordinator* on a thread; returns (thread, reports) once the
+    control socket is bound (``port`` stays 0 until then)."""
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(coordinator.run()), daemon=True)
+    thread.start()
+    for _ in range(200):
+        if coordinator.port:
+            break
+        time.sleep(0.01)
+    return thread, reports
+
+
 class TestCoordinatorBasics:
     def test_spawned_workers_complete_every_cell(self, tmp_path):
         grid = _sleep_grid(6)
@@ -41,36 +76,23 @@ class TestCoordinatorBasics:
         assert all("worker" in r.meta for r in loaded.values())
 
     def test_external_worker_against_unspawned_coordinator(self, tmp_path):
-        import threading
-
         grid = _sleep_grid(3)
         coordinator = CampaignCoordinator(
             grid, ResultStore(tmp_path / "out.jsonl"),
             spawn=0, heartbeat_s=0.2)
-        reports = []
-        thread = threading.Thread(
-            target=lambda: reports.append(coordinator.run()), daemon=True)
-        thread.start()
-        # wait for the server socket to come up (port stays 0 until bind)
-        for _ in range(200):
-            if coordinator.port:
-                break
-            import time
-            time.sleep(0.01)
+        thread, reports = _serve(coordinator)
         completed = CampaignWorker("127.0.0.1", coordinator.port,
                                    worker_id="ext0").run()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert completed == 3 and reports[0].ok
 
-    def test_resume_skips_completed_cells(self, tmp_path):
+    @pytest.mark.parametrize("how", FRONT_ENDS)
+    def test_resume_skips_completed_cells(self, how, tmp_path):
         grid = _sleep_grid(4)
-        store = ResultStore(tmp_path / "out.jsonl")
-        first = CampaignCoordinator(
-            grid, store, spawn=2, heartbeat_s=0.2).run()
+        first = _run(how, grid, tmp_path / "out.jsonl")
         assert first.ran == 4
-        second = CampaignCoordinator(
-            grid, store, spawn=2, heartbeat_s=0.2, resume=True).run()
+        second = _run(how, grid, tmp_path / "out.jsonl", resume=True)
         assert second.ran == 0 and second.skipped == 4 and second.ok
 
     def test_distributed_equals_sequential(self, tmp_path):
@@ -131,30 +153,103 @@ class TestFailureRecovery:
         assert diff_stores(tmp_path / "merged.jsonl",
                            tmp_path / "seq.jsonl") == []
 
-    def test_quarantine_after_retry_budget(self, tmp_path):
+    def test_sigkilled_local_worker_costs_a_lease_not_the_campaign(
+            self, tmp_path):
+        grid = _sleep_grid(6, duration_s=0.4)
+        reports = []
+        thread = threading.Thread(target=lambda: reports.append(
+            run_campaign(grid, str(tmp_path / "par.jsonl"), workers=2)))
+        thread.start()
+        time.sleep(0.3)  # both workers are mid-cell by now
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        thread.join(timeout=20.0)
+        assert not thread.is_alive()
+        assert reports[0].ok and reports[0].ran == 6
+        assert reports[0].reclaimed >= 1
+        run_campaign(grid, str(tmp_path / "seq.jsonl"), workers=0)
+        assert diff_stores(tmp_path / "par.jsonl",
+                           tmp_path / "seq.jsonl") == []
+
+    @pytest.mark.parametrize("how", FRONT_ENDS)
+    def test_quarantine_after_retry_budget(self, how, tmp_path):
         # duration_s must be numeric-coercible; a poisoned param makes
         # the cell fail deterministically on every attempt.
         grid = CampaignGrid(name="bad", cells=(
             CampaignCell(kind="sleep", seed=0,
                          params={"duration_s": "not-a-number"}),))
-        store = ResultStore(tmp_path / "out.jsonl")
-        report = CampaignCoordinator(
-            grid, store, spawn=1, heartbeat_s=0.2, retries=1).run()
+        report = _run(how, grid, tmp_path / "out.jsonl", retries=1)
         assert not report.ok and report.failed == 1
-        record = next(iter(store.load().values()))
-        assert record.status == "failed"
-        assert "error" in record.meta
+        assert "quarantined" in report.render()
+        record = ResultStore(tmp_path / "out.jsonl").load()[grid.cells[0].key]
+        assert record.status == "failed" and record.meta["attempts"] == 2
+        assert "ValueError" in record.meta["error"]
 
-    def test_lease_timeout_reclaims_hung_cell(self, tmp_path):
-        # One slow cell with a tight lease: the lease expires, the cell
-        # retries, and eventually exhausts its budget.
-        grid = _sleep_grid(1, duration_s=30.0)
-        store = ResultStore(tmp_path / "out.jsonl")
-        report = CampaignCoordinator(
-            grid, store, spawn=1, heartbeat_s=0.1, timeout_s=0.3,
-            retries=1, wall_limit_s=15.0).run()
-        assert not report.ok and report.failed == 1
+    @pytest.mark.parametrize("how", ("coordinator", "local"))
+    def test_lease_timeout_reclaims_hung_cell(self, how, tmp_path):
+        # A hung cell with a tight lease beside a quick one: the lease
+        # expires, the cell retries, exhausts its budget and is
+        # quarantined; its child is terminated and joined (no zombie,
+        # no worker left behind).
+        grid = CampaignGrid(name="slow", cells=(
+            *_sleep_grid(1, duration_s=30.0).cells,
+            CampaignCell(kind="sleep", seed=9, params={"duration_s": 0.01})))
+        t0 = time.monotonic()
+        report = _run(how, grid, tmp_path / "out.jsonl", timeout_s=0.3,
+                      retries=1)
+        assert time.monotonic() - t0 < 5.0
+        assert report.failed == 1 and report.ran == 1
         assert report.reclaimed >= 1
+        failed = ResultStore(tmp_path / "out.jsonl").load()[grid.cells[0].key]
+        assert "lease" in failed.meta["error"]
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_run_reaps_the_fleet(self, tmp_path):
+        # Regression: spawned workers are not daemons, so a run() that
+        # raised (here: echo, on the wall-limit line — the first one a
+        # campaign of hung cells prints) used to leave them running.
+        def echo(line: str) -> None:
+            raise RuntimeError(line)
+
+        coordinator = CampaignCoordinator(
+            _sleep_grid(2, duration_s=30.0),
+            ResultStore(tmp_path / "out.jsonl"), spawn=2, heartbeat_s=0.1,
+            wall_limit_s=0.3, echo=echo)
+        with pytest.raises(RuntimeError, match="wall limit"):
+            coordinator.run()
+        assert multiprocessing.active_children() == []
+
+    def test_malformed_messages_get_an_error_reply(self, tmp_path):
+        # Regression: a non-object line or a result with junk fields
+        # used to kill the handler thread (and, for a non-dict payload,
+        # would have been stored as an ok record).  The connection and
+        # the lease must survive.
+        grid = _sleep_grid(1, duration_s=0.0)
+        store = ResultStore(tmp_path / "out.jsonl")
+        coordinator = CampaignCoordinator(grid, store, heartbeat_s=0.2)
+        thread, reports = _serve(coordinator)
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5.0) as sock:
+            wire = sock.makefile("rwb")
+
+            def rpc(message) -> dict:
+                wire.write(json.dumps(message).encode() + b"\n")
+                wire.flush()
+                return json.loads(wire.readline())
+
+            assert rpc([])["op"] == "error"
+            assert rpc(5)["op"] == "error"
+            assert rpc({"op": "hello", "worker": "raw"})["op"] == "welcome"
+            cell = rpc({"op": "lease", "worker": "raw"})
+            result = {"op": "result", "worker": "raw", "key": cell["key"],
+                      "status": "ok", "payload": {"slept_s": 0.0}}
+            assert rpc({**result, "wall_s": "fast"})["op"] == "error"
+            assert rpc({**result, "attempt": []})["op"] == "error"
+            assert rpc({**result, "payload": [1]})["op"] == "error"
+            assert rpc(result) == {"op": "ack", "accepted": True}
+            assert rpc({"op": "lease", "worker": "raw"})["op"] == "shutdown"
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and reports[0].ok
+        assert store.load()[cell["key"]].result == {"slept_s": 0.0}
 
 
 class TestWorkStealing:

@@ -10,9 +10,8 @@ from repro.analysis import (
 from repro.campaign import (
     CampaignCell,
     CampaignGrid,
-    CampaignRunner,
     CellRecord,
-    ResultStore,
+    run_campaign,
 )
 from repro.experiments import (
     GRID_BUILDERS,
@@ -130,6 +129,6 @@ class TestAggregation:
                                      params={"duration_s": 0.01},
                                      group="naps") for s in range(3)))
         out = tmp_path / "s.jsonl"
-        CampaignRunner(grid, ResultStore(out), workers=0).run()
+        run_campaign(grid, str(out), workers=0)
         stats = aggregate_store(str(out))
         assert stats[0].group == "naps" and stats[0].n == 3

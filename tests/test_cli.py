@@ -167,12 +167,13 @@ class TestCampaignCommand:
     def test_run_resume_and_aggregate(self, tmp_path, capsys):
         grid = self._toml_grid(tmp_path)
         store = tmp_path / "naps.jsonl"
-        assert main(["campaign", "--grid", str(grid), "--workers", "0",
-                     "--out", str(store), "--quiet"]) == 0
+        assert main(["campaign", "coordinate", "--grid", str(grid),
+                     "--spawn", "1", "--out", str(store), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "2 ran, 0 skipped" in out
-        assert main(["campaign", "--grid", str(grid), "--workers", "0",
-                     "--out", str(store), "--quiet", "--resume"]) == 0
+        assert main(["campaign", "coordinate", "--grid", str(grid),
+                     "--spawn", "1", "--out", str(store), "--quiet",
+                     "--resume"]) == 0
         assert "0 ran, 2 skipped" in capsys.readouterr().out
         assert main(["campaign", "--aggregate", str(store)]) == 0
         out = capsys.readouterr().out
@@ -205,9 +206,12 @@ class TestCampaignControlPlane:
         assert args.heartbeat == 0.5 and args.kill_workers == 0
         assert args.steal_after is None
 
-    def test_legacy_campaign_mode_still_parses(self):
-        args = build_parser().parse_args(["campaign", "--workers", "0"])
-        assert args.mode is None and args.workers == 0
+    def test_flag_mode_is_gone(self):
+        # 'coordinate' is the one command that runs cells: the old
+        # flags are argparse errors, and a bare 'campaign' runs nothing.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--workers", "0"])
+        assert main(["campaign"]) == 2
 
     def test_work_requires_address(self):
         with pytest.raises(SystemExit):
@@ -233,8 +237,8 @@ class TestCampaignControlPlane:
                      "--summary-out", str(summary), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "4 ran" in out and "wrote control-plane summary" in out
-        assert main(["campaign", "--grid", str(grid), "--workers", "0",
-                     "--out", str(seq), "--quiet"]) == 0
+        assert main(["campaign", "coordinate", "--grid", str(grid),
+                     "--spawn", "1", "--out", str(seq), "--quiet"]) == 0
         capsys.readouterr()
 
         import json
