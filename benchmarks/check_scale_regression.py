@@ -5,10 +5,8 @@ A shared helper for the simulator-throughput and gateway benchmarks:
 
 - ``--kind scale`` (default) compares ``BENCH_scale.json`` (from
   ``benchmarks/test_scale.py``) against
-  ``benchmarks/BENCH_scale_baseline.json``: per common size, the
-  incremental allocator's events/sec must stay within ``--tolerance`` of
-  baseline, and so must the machine-independent incremental/full speedup
-  ratio.
+  ``benchmarks/BENCH_scale_baseline.json``: per common size, events/sec
+  must stay within ``--tolerance`` of baseline.
 - ``--kind gateway`` compares ``BENCH_gateway.json`` (from
   ``benchmarks/test_gateway.py`` or ``repro loadgen``) against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
@@ -48,31 +46,20 @@ def _index(report: dict) -> dict[int, dict]:
     return {entry["n_nodes"]: entry for entry in report.get("sizes", [])}
 
 
-def _below(got: float, want: float, tolerance: float) -> bool:
-    return got < (1.0 - tolerance) * want
-
-
 def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Scale-kind findings: allocator throughput + speedup ratio (empty = pass)."""
+    """Scale-kind findings: simulator throughput per size (empty = pass)."""
     failures = []
     fresh, base = _index(result), _index(baseline)
     common = sorted(set(fresh) & set(base))
     if not common:
         return ["no common sizes between result and baseline"]
     for n in common:
-        got = fresh[n]["incremental"]["events_per_s"]
-        want = base[n]["incremental"]["events_per_s"]
-        if _below(got, want, tolerance):
+        got = fresh[n]["events_per_s"]
+        want = base[n]["events_per_s"]
+        if got < (1.0 - tolerance) * want:
             failures.append(
-                f"n={n}: incremental throughput {got:.0f} events/s is "
+                f"n={n}: throughput {got:.0f} events/s is "
                 f"{100 * (1 - got / want):.0f}% below baseline {want:.0f}")
-        got_ratio = fresh[n]["speedup_events_per_s"]
-        want_ratio = base[n]["speedup_events_per_s"]
-        if _below(got_ratio, want_ratio, tolerance):
-            failures.append(
-                f"n={n}: incremental/full speedup {got_ratio:.2f}x is "
-                f"{100 * (1 - got_ratio / want_ratio):.0f}% below "
-                f"baseline {want_ratio:.2f}x")
     return failures
 
 

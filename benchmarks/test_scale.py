@@ -2,18 +2,16 @@
 
 The paper's testbed stops at ~40 Emulab nodes; real volunteer platforms
 run orders of magnitude more hosts.  This harness measures what bounds
-*the simulator* at that scale: events/sec with the incremental
-(component-partitioned) max-min allocator versus the reference
-full-recompute allocator, on an internet-style deployment (1 Gbit
-project server, ADSL volunteers, one concurrent 250 MB word-count job
-per 200 volunteers — see ``repro.experiments.build_scale_cloud``).
+*the simulator* at that scale: events/sec on an internet-style
+deployment (1 Gbit project server, ADSL volunteers, one concurrent
+250 MB word-count job per 200 volunteers — see
+``repro.experiments.build_scale_cloud``).
 
 Emits ``BENCH_scale.json`` with events/sec, wall-clock, and peak event
-queue depth per (size, allocator) point, plus the ``environment`` they were
-taken in (``cpus``, python version, git sha).  Absolute events/sec is
-machine-dependent; the *speedup ratio* between allocators is not, and
-``benchmarks/check_scale_regression.py`` gates CI on both (ratios
-strictly, absolute throughput against the checked-in baseline).
+queue depth per size, plus the ``environment`` they were taken in
+(``cpus``, python version, git sha).  Absolute events/sec is
+machine-dependent; ``benchmarks/check_scale_regression.py`` gates CI on
+it against the checked-in baseline.
 
 Run directly (``python benchmarks/test_scale.py``) or under pytest.
 Environment knobs:
@@ -31,9 +29,6 @@ import subprocess
 import sys
 
 from repro.experiments import SCALE_NODE_COUNTS, scale_out
-
-#: The two strategies under comparison; "full" is the reference.
-ALLOCATORS = ("incremental", "full")
 
 
 def _sizes() -> tuple[int, ...]:
@@ -61,7 +56,7 @@ def environment() -> dict:
 
 def run_suite(sizes: tuple[int, ...] | None = None,
               seed: int = 1) -> dict:
-    """Run every (size, allocator) point and assemble the report."""
+    """Run every size and assemble the report."""
     sizes = sizes or _sizes()
     report: dict = {
         "workload": ("wordcount, 50 maps x 50 reducers x 250 MB per job, "
@@ -72,25 +67,19 @@ def run_suite(sizes: tuple[int, ...] | None = None,
         "sizes": [],
     }
     for n in sizes:
-        entry: dict = {"n_nodes": n}
-        for allocator in ALLOCATORS:
-            point = scale_out(n, seed=seed, allocator=allocator)
-            entry[allocator] = {
-                "events": point.events,
-                "wall_s": round(point.wall_s, 3),
-                "events_per_s": round(point.events_per_s, 1),
-                "makespan_s": round(point.makespan_s, 1),
-                "peak_queue_depth": point.peak_queue_depth,
-                "n_jobs": point.n_jobs,
-            }
-            print(f"  n={n:5d} {allocator:11s} "
-                  f"{point.events_per_s:9.0f} events/s  "
-                  f"wall {point.wall_s:7.2f}s  "
-                  f"peak queue {point.peak_queue_depth}", flush=True)
-        entry["speedup_events_per_s"] = round(
-            entry["incremental"]["events_per_s"]
-            / entry["full"]["events_per_s"], 2)
-        report["sizes"].append(entry)
+        point = scale_out(n, seed=seed)
+        report["sizes"].append({
+            "n_nodes": n,
+            "events": point.events,
+            "wall_s": round(point.wall_s, 3),
+            "events_per_s": round(point.events_per_s, 1),
+            "makespan_s": round(point.makespan_s, 1),
+            "peak_queue_depth": point.peak_queue_depth,
+            "n_jobs": point.n_jobs,
+        })
+        print(f"  n={n:5d} {point.events_per_s:9.0f} events/s  "
+              f"wall {point.wall_s:7.2f}s  "
+              f"peak queue {point.peak_queue_depth}", flush=True)
     return report
 
 
@@ -103,25 +92,12 @@ def write_report(report: dict, path: str | None = None) -> str:
 
 
 def test_scale_benchmark():
-    """Full suite: run, emit BENCH_scale.json, assert the scale story."""
+    """Full suite: run, emit BENCH_scale.json; every size must finish."""
     report = run_suite()
     path = write_report(report)
     print(f"\nwrote {path}")
-    by_size = {e["n_nodes"]: e for e in report["sizes"]}
-    largest = max(by_size)
-    # The headline claim: at the largest size the incremental allocator
-    # delivers a multiple of the full allocator's throughput.  2.8x is the
-    # measured margin at 2,000 volunteers; assert with headroom so a slow
-    # or noisy runner does not flake the build.
-    floor = 1.8 if largest >= 2000 else 1.0
-    assert by_size[largest]["speedup_events_per_s"] >= floor, report
-    # Both allocators simulate the same system: makespans agree closely
-    # (exact equality is not guaranteed — epsilon-simultaneous completions
-    # may resolve in a different order across strategies).
     for entry in report["sizes"]:
-        inc, full = entry["incremental"], entry["full"]
-        assert abs(inc["makespan_s"] - full["makespan_s"]) \
-            <= 0.05 * full["makespan_s"] + 1.0, entry
+        assert entry["events"] > 0 and entry["events_per_s"] > 0, entry
 
 
 def main() -> int:

@@ -1,77 +1,17 @@
 """Benchmark: regenerate Table I (word-count makespan grid).
 
-Prints the full reproduction table next to the published values and
-asserts the paper's relational claims:
-
-1. totals land in the paper's band (roughly 1000-1800 s for a 1 GB job);
-2. per-phase means sit in the published few-hundred-second range;
-3. discarding the slowest node never increases a mean (and is how the
-   paper explains its bracketed values);
-4. the BOINC-MR row has the fastest reduce phase of its cluster size
-   (inter-client transfers bypass the server) while its total stays
-   comparable to vanilla BOINC — the paper's headline observation;
-5. the map phase dominates the job ("the map step took too much of a
-   share of the whole job").
+Prints the full reproduction table next to the published values.  The
+paper's relational claims about it (totals and phase means in band,
+discard-slowest <= raw, BOINC-MR reduce faster than vanilla with a
+comparable total, map phase dominant) are tier-1 tests:
+``tests/test_experiments.py::TestTable1PaperClaims``.
 """
-
-import pytest
 
 from repro.experiments import PAPER_TABLE1, run_table1
 from repro.experiments.table1 import render
 
 
-@pytest.fixture(scope="module")
-def records():
-    return run_table1(PAPER_TABLE1, seed=1)
-
-
-def test_table1_full_grid(benchmark, records):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table1_full_grid(run_once, benchmark):
+    records = run_once(benchmark, run_table1, PAPER_TABLE1, seed=1)
     print()
     print(render(records))
-
-
-def test_totals_in_paper_band(records):
-    for rec in records:
-        total, _disc = rec.measured_total
-        assert 600 < total < 2600, rec.row.label
-
-
-def test_phase_means_in_paper_range(records):
-    for rec in records:
-        for mean, _d in (rec.measured_map, rec.measured_reduce):
-            assert 100 < mean < 1100, rec.row.label
-
-
-def test_discarded_never_exceeds_mean(records):
-    for rec in records:
-        assert rec.measured_map[1] <= rec.measured_map[0] + 1e-9
-        assert rec.measured_reduce[1] <= rec.measured_reduce[0] + 1e-9
-        assert rec.measured_total[1] <= rec.measured_total[0] + 1e-9
-
-
-def test_boinc_mr_reduce_fastest_at_same_size(records):
-    mr = next(r for r in records if r.row.mr)
-    vanilla = next(r for r in records
-                   if not r.row.mr and r.row.nodes == mr.row.nodes
-                   and r.row.n_maps == mr.row.n_maps)
-    assert mr.measured_reduce[0] < vanilla.measured_reduce[0]
-
-
-def test_boinc_mr_total_comparable(records):
-    """Paper: "we can see it can provide the same level of performance"."""
-    mr = next(r for r in records if r.row.mr)
-    vanilla = next(r for r in records
-                   if not r.row.mr and r.row.nodes == mr.row.nodes
-                   and r.row.n_maps == mr.row.n_maps)
-    ratio = mr.measured_total[0] / vanilla.measured_total[0]
-    assert 0.6 < ratio < 1.25
-
-
-def test_map_phase_dominates(records):
-    """Map work (2x results, all input bytes) outweighs the reduce phase."""
-    for rec in records:
-        m = rec.result.metrics
-        map_work = m.map_stats.mean * m.map_stats.n_tasks
-        reduce_work = m.reduce_stats.mean * m.reduce_stats.n_tasks
-        assert map_work > reduce_work, rec.row.label

@@ -130,9 +130,8 @@ class Executor(_t.Protocol):
 
 def _transfer_backoff(client: "Client", attempt: int) -> float:
     cfg = client.config
-    raw = cfg.transfer_backoff_min_s * (2.0 ** (attempt - 1))
-    return jittered(client.rng, min(cfg.transfer_backoff_max_s, raw),
-                    cfg.backoff_jitter)
+    return client._backoff(cfg.transfer_backoff_min_s,
+                           cfg.transfer_backoff_max_s, attempt)
 
 
 def download_with_retry(client: "Client", name: str) -> _t.Generator:
@@ -420,7 +419,10 @@ class Client:
             self.rpc_retries += 1
             if self.metrics is not None:
                 self.metrics.counter("client.rpc_retries_total").inc()
-            delay = self._comm_backoff()
+            # Same shape as the no-work backoff, own counter.
+            delay = self._backoff(self.config.backoff_min_s,
+                                  self.config.backoff_max_s,
+                                  self._rpc_failures)
             self._comm_gate = self.sim.now + delay
             self.tracer.record(self.sim.now, "client.rpc_failed",
                                host=self.name, error=str(exc),
@@ -444,7 +446,9 @@ class Client:
             self.backoffs += 1
             if self.metrics is not None:
                 self.metrics.counter("client.backoff_total").inc()
-            delay = self._backoff_delay()
+            delay = self._backoff(self.config.backoff_min_s,
+                                  self.config.backoff_max_s,
+                                  self._backoff_count)
             self._next_allowed_rpc = self.sim.now + delay
             self.tracer.record(self.sim.now, "client.backoff", host=self.name,
                                count=self._backoff_count, delay=delay)
@@ -452,18 +456,11 @@ class Client:
             self._backoff_count = 0
             self._next_allowed_rpc = self.sim.now + reply.request_delay_s
 
-    def _backoff_delay(self) -> float:
-        cfg = self.config
-        raw = cfg.backoff_min_s * (2.0 ** (self._backoff_count - 1))
-        capped = min(cfg.backoff_max_s, raw)
-        return jittered(self.rng, capped, cfg.backoff_jitter)
-
-    def _comm_backoff(self) -> float:
-        """Deferral after a failed contact: same shape, own counter."""
-        cfg = self.config
-        raw = cfg.backoff_min_s * (2.0 ** (self._rpc_failures - 1))
-        capped = min(cfg.backoff_max_s, raw)
-        return jittered(self.rng, capped, cfg.backoff_jitter)
+    def _backoff(self, lo: float, hi: float, n: int) -> float:
+        """Wait after the *n*-th consecutive failure: *lo* doubled per
+        failure, capped at *hi*, jittered (one draw from ``self.rng``)."""
+        return jittered(self.rng, min(hi, lo * (2.0 ** (n - 1))),
+                        self.config.backoff_jitter)
 
     def _to_report(self, task: ClientTask) -> ReportedResult:
         ok = task.error is None

@@ -23,7 +23,7 @@ import typing as _t
 SCENARIO_PARAMS: tuple[str, ...] = (
     "name", "n_nodes", "n_maps", "n_reducers", "mr_clients", "input_size",
     "replication", "quorum", "fast_node_fraction", "byzantine_rate",
-    "allocator", "timeout_s", "app_name",
+    "timeout_s", "app_name",
 )
 
 
@@ -124,7 +124,6 @@ def _execute_scale_out(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     point = scale_out(seed=spec["seed"], **dict(spec.get("params", {})))
     return {
         "n_nodes": point.n_nodes,
-        "allocator": point.allocator,
         "n_jobs": point.n_jobs,
         "events": point.events,
         "makespan_s": point.makespan_s,

@@ -80,7 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  else BoincMRConfig(upload_map_outputs=True,
                                     reduce_from_peers=False))
     cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=args.seed, mr_config=mr_config, allocator=args.allocator))
+        seed=args.seed, mr_config=mr_config))
     cloud.add_volunteers(args.nodes, mr=args.mr)
     if args.trace_out or args.faults:
         cloud.attach_observability(spans=True, probes=False)
@@ -579,10 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-gb", type=float, default=1.0)
     p.add_argument("--mr", action="store_true",
                    help="use BOINC-MR clients (default: original BOINC)")
-    p.add_argument("--allocator", choices=("incremental", "full"),
-                   default="incremental",
-                   help="flow-network rate allocation strategy "
-                        "(default incremental; full = the O(F) reference)")
     p.add_argument("--faults", metavar="PLAN", default=None,
                    help="inject a chaos plan (builtin name or TOML path) "
                         "and audit the run afterwards")

@@ -62,7 +62,7 @@ class CloudSpec:
     :meth:`replace`::
 
         base = CloudSpec(seed=1, server_link=SERVER_LINK)
-        fullalloc = base.replace(allocator="full")
+        reseeded = base.replace(seed=2)
     """
 
     seed: int = 0
@@ -71,9 +71,6 @@ class CloudSpec:
     client_config: ClientConfig | None = None
     traversal_config: TraversalConfig | None = None
     server_link: LinkSpec = EMULAB_LINK
-    #: Rate-allocation strategy for the flow network ("incremental"/"full");
-    #: see :data:`repro.net.ALLOCATORS`.
-    allocator: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -103,7 +100,7 @@ class VolunteerCloud:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.net = Network(self.sim, tracer=None,  # flow traces are noisy
-                           metrics=self.metrics, allocator=spec.allocator)
+                           metrics=self.metrics)
         self.server_host = self.net.add_host("server", spec.server_link)
         self.server = ProjectServer(self.sim, self.net, self.server_host,
                                     config=spec.server_config,

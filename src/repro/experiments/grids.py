@@ -82,19 +82,16 @@ def replication_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS,
 
 def scale_out_grid(seeds: _t.Sequence[int] = (1,),
                    sizes: _t.Sequence[int] = (100, 500),
-                   allocators: _t.Sequence[str] = ("incremental", "full"),
                    ) -> CampaignGrid:
-    """Simulator-scalability points (size x allocator x seed).
+    """Simulator-scalability points (size x seed).
 
     Wall-clock throughput is the runner's ``meta.wall_s`` per cell; the
     deterministic payload carries events/makespan for cross-checks.
     """
     cells = [
         CampaignCell(kind="scale_out", seed=seed,
-                     params={"n_nodes": n, "allocator": allocator},
-                     group=f"scale{n}_{allocator}")
+                     params={"n_nodes": n}, group=f"scale{n}")
         for n in sizes
-        for allocator in allocators
         for seed in seeds
     ]
     return CampaignGrid(

@@ -16,7 +16,7 @@ either axis; this study sweeps them independently:
   ``benchmarks/test_scale.py`` — an internet-style deployment (1 Gbit
   project server, ADSL volunteers, one concurrent word-count job per 200
   volunteers) at 100/500/2,000 nodes, measuring simulator throughput
-  (events/sec) rather than makespan, for each rate-allocation strategy.
+  (events/sec) rather than makespan.
 """
 
 from __future__ import annotations
@@ -47,20 +47,14 @@ class SweepPoint:
 
 def node_scaling(node_counts: _t.Sequence[int] = (5, 10, 20, 40),
                  seed: int = 1, mr: bool = True,
-                 input_size: float = 1e9,
-                 allocator: str = "incremental") -> list[SweepPoint]:
-    """Makespan for the same job on clusters of increasing size.
-
-    The incremental allocator (default) makes the larger points in
-    :data:`SCALE_NODE_COUNTS` practical; pass ``allocator="full"`` to
-    cross-check against the reference full-recompute strategy.
-    """
+                 input_size: float = 1e9) -> list[SweepPoint]:
+    """Makespan for the same job on clusters of increasing size."""
     points = []
     for n in node_counts:
         result = run_scenario(Scenario(
             name=f"nodes{n}", n_nodes=n, n_maps=max(n, 10),
             n_reducers=max(2, n // 4), mr_clients=mr, seed=seed,
-            input_size=input_size, allocator=allocator))
+            input_size=input_size))
         m = result.metrics
         points.append(SweepPoint(x=n, total=m.total,
                                  map_mean=m.map_stats.mean,
@@ -101,10 +95,9 @@ def speedup(points: _t.Sequence[SweepPoint]) -> list[tuple[int, float]]:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class ScalePoint:
-    """One (cluster size, allocator) measurement of simulator throughput."""
+    """One cluster-size measurement of simulator throughput."""
 
     n_nodes: int
-    allocator: str
     n_jobs: int
     events: int
     wall_s: float
@@ -112,13 +105,8 @@ class ScalePoint:
     makespan_s: float
     peak_queue_depth: int
 
-    def as_dict(self) -> dict[str, _t.Any]:
-        """Plain-dict form for JSON export."""
-        return dataclasses.asdict(self)
-
 
 def build_scale_cloud(n_nodes: int, seed: int = 1,
-                      allocator: str = "incremental",
                       jobs_per_200_nodes: int = 1,
                       ) -> tuple[VolunteerCloud, list]:
     """Internet-style deployment for the scalability study.
@@ -138,7 +126,6 @@ def build_scale_cloud(n_nodes: int, seed: int = 1,
         mr_config=BoincMRConfig(),
         client_config=ClientConfig(backoff_max_s=120.0),
         server_link=SERVER_LINK,
-        allocator=allocator,
     )
     cloud = VolunteerCloud.from_spec(spec)
     cloud.add_volunteers(n_nodes, mr=True, link_spec=ADSL_LINK)
@@ -152,17 +139,15 @@ def build_scale_cloud(n_nodes: int, seed: int = 1,
     return cloud, jobs
 
 
-def scale_out(n_nodes: int, seed: int = 1,
-              allocator: str = "incremental") -> ScalePoint:
+def scale_out(n_nodes: int, seed: int = 1) -> ScalePoint:
     """Run the scalability workload at *n_nodes* and measure throughput."""
-    cloud, jobs = build_scale_cloud(n_nodes, seed=seed, allocator=allocator)
+    cloud, jobs = build_scale_cloud(n_nodes, seed=seed)
     t0 = time.perf_counter()
     cloud.run_until(cloud.sim.all_of([j.done for j in jobs]))
     wall = time.perf_counter() - t0
     events = cloud.sim.dispatch_count
     return ScalePoint(
         n_nodes=n_nodes,
-        allocator=allocator,
         n_jobs=len(jobs),
         events=events,
         wall_s=wall,

@@ -66,8 +66,6 @@ class Scenario:
     server_config: ServerConfig | None = None
     client_config: ClientConfig | None = None
     mr_config: BoincMRConfig | None = None
-    #: Flow-network rate-allocation strategy (see repro.net.ALLOCATORS).
-    allocator: str = "incremental"
     timeout_s: float = 48 * 3600.0
 
     def __post_init__(self) -> None:
@@ -77,11 +75,6 @@ class Scenario:
                 "reach quorum (one replica per host)")
         if self.nats is not None and len(self.nats) != self.n_nodes:
             raise ValueError("nats must have one entry per node")
-
-    @property
-    def link_spec(self) -> LinkSpec:
-        """Deprecated alias for :attr:`link` (pre-CloudSpec field name)."""
-        return self.link
 
     def default_mr_config(self) -> BoincMRConfig:
         """The effective BOINC-MR config (explicit, or derived)."""
@@ -100,7 +93,6 @@ class Scenario:
             mr_config=self.default_mr_config(),
             client_config=self.client_config,
             server_link=self.server_link or self.link,
-            allocator=self.allocator,
         )
 
 

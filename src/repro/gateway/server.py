@@ -59,7 +59,12 @@ RPC_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                0.1, 0.25, 0.5, 1.0, 2.5)
 
 _MAX_HEADER_LINE = 16 * 1024
+_MAX_HEADERS = 64
 _MAX_BODY = 64 * 1024 * 1024
+
+
+class _BadFraming(Exception):
+    """A request whose extent cannot be trusted: answer 400, then close."""
 
 
 @dataclasses.dataclass(slots=True)
@@ -210,7 +215,19 @@ class GatewayServer:
         self.connections_active += 1
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadFraming as exc:
+                    # Where this request ends is unknown, so the stream
+                    # cannot be resynchronised: reply, then hang up.
+                    status, reply_headers, payload = self._error(
+                        "bad_request", str(exc))
+                    reply_headers["Connection"] = "close"
+                    self.metrics.counter("gateway.http_requests_total").inc()
+                    self.metrics.counter("gateway.http_errors_total").inc()
+                    await self._write_response(writer, status, reply_headers,
+                                               payload)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -249,7 +266,7 @@ class GatewayServer:
             raise ConnectionError(f"malformed request line {line!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(_MAX_HEADERS + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
@@ -257,9 +274,17 @@ class GatewayServer:
                 raise ConnectionError("oversized header")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        else:
+            raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
+        raw_length = headers.get("content-length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
         if not 0 <= length <= _MAX_BODY:
-            raise ConnectionError(f"bad content-length {length}")
+            raise _BadFraming(
+                f"Content-Length {raw_length[:32]!r} is not an integer in "
+                f"0..{_MAX_BODY}")
         body = await reader.readexactly(length) if length else b""
         return method, target.split("?", 1)[0], headers, body
 

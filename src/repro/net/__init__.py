@@ -4,10 +4,8 @@ Public surface:
 
 - :class:`Network`, :class:`Host`, :class:`LinkSpec` (+ canned profiles
   ``EMULAB_LINK``, ``ADSL_LINK``, ``CABLE_LINK``, ``SERVER_LINK``);
-- :class:`FlowNetwork`, :class:`Flow`, :class:`Link`, :func:`maxmin_rates`;
-- allocator strategies: the :class:`RateAllocator` protocol, the
-  :class:`FullAllocator` / :class:`IncrementalAllocator` implementations,
-  and the :data:`ALLOCATORS` registry behind ``FlowNetwork(allocator=...)``;
+- :class:`FlowNetwork`, :class:`Flow`, :class:`Link`, :func:`maxmin_rates`,
+  and the :class:`IncrementalAllocator` every :class:`FlowNetwork` runs;
 - NAT models: :class:`NatBox`, :class:`NatType`, :class:`ConnectivityPolicy`,
   :class:`TraversalConfig`, :func:`sample_nat_population`;
 - transfer machinery: :class:`TransferEndpoint`, :func:`peer_download`,
@@ -15,14 +13,11 @@ Public surface:
 """
 
 from .flows import (
-    ALLOCATORS,
     Flow,
     FlowError,
     FlowNetwork,
-    FullAllocator,
     IncrementalAllocator,
     Link,
-    RateAllocator,
     maxmin_rates,
 )
 from .nat import (
@@ -67,10 +62,7 @@ __all__ = [
     "FlowNetwork",
     "Link",
     "maxmin_rates",
-    "RateAllocator",
-    "FullAllocator",
     "IncrementalAllocator",
-    "ALLOCATORS",
     "Network",
     "Host",
     "HostOffline",

@@ -27,23 +27,18 @@ one server link settle in a round or two.  Its floats are bit-identical to
 the textbook per-flow formulation kept as the test oracle in
 ``tests/net/reference_maxmin.py``; traces depend on that.
 
-Rate allocation is a pluggable strategy (the ``allocator=`` parameter of
-:class:`FlowNetwork`):
-
-- ``"full"`` — the original global algorithm: every flow change re-solves
-  every active flow, O(F) per event on top of the solver's rounds.  Simple,
-  and the reference the incremental allocator is property-tested against.
-- ``"incremental"`` (default) — partitions the active flows into
-  link-connected components and reallocates only the component touched by a
-  change.  Untouched components keep their cached rates and completion
-  timers (per-component version counters + cancellable timers), which is
-  what lets the simulator scale to thousands of volunteers.  A removal
-  walks the component for a split only when the removed flows leave two or
-  more of their links populated, and the walk reads each link's member
-  list once.
-
-Both strategies maintain per-link used-rate sums so
-:meth:`FlowNetwork.utilisation` is O(1) per sample.
+Rate allocation is incremental (:class:`IncrementalAllocator`): the active
+flows are partitioned into link-connected components and only the component
+touched by a change is reallocated.  Untouched components keep their cached
+rates and completion timers (per-component version counters + cancellable
+timers), which is what lets the simulator scale to thousands of volunteers.
+A removal walks the component for a split only when the removed flows leave
+two or more of their links populated, and the walk reads each link's member
+list once.  Per-link used-rate sums make :meth:`FlowNetwork.utilisation`
+O(1) per sample.  The global algorithm it replaced (every flow change
+re-solves every active flow) is kept as the test oracle in
+``tests/net/reference_allocator.py``; :class:`FlowNetwork` accepts an
+allocator *instance* so the equivalence tests can inject it.
 """
 
 from __future__ import annotations
@@ -280,12 +275,11 @@ def allocate_rates(flows: _t.Sequence[Flow],
                    ) -> None:
     """Two-pass (foreground max–min, then background residual) allocation.
 
-    Mutates ``flow.rate`` in place.  This is the shared fill routine both
-    allocator strategies call; progressive filling is numerically
-    order-independent, so full and incremental allocation of the same flow
-    set produce identical rates.  *adj* is an optional link → flows index
-    over exactly *flows*; it serves the foreground pass when there is no
-    background flow to split off.
+    Mutates ``flow.rate`` in place.  Progressive filling is numerically
+    order-independent, so allocating a flow set component by component or
+    all at once (the test oracle) produces identical rates.  *adj* is an
+    optional link → flows index over exactly *flows*; it serves the
+    foreground pass when there is no background flow to split off.
     """
     foreground = [f for f in flows if not f.background]
     background = [f for f in flows if f.background]
@@ -322,134 +316,6 @@ def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
             next_eta = eta
             next_rate = r
     return next_eta, next_rate
-
-
-@_t.runtime_checkable
-class RateAllocator(_t.Protocol):
-    """Strategy protocol for :class:`FlowNetwork` rate allocation.
-
-    Implementations own *when* and *over what scope* rates are recomputed;
-    the :class:`FlowNetwork` owns flow lifecycle bookkeeping (tracing,
-    metrics, the ``done`` events) via :meth:`FlowNetwork._finish`.
-
-    Lifecycle: the network calls :meth:`bind` once at construction, then
-    :meth:`add` / :meth:`remove` as flows start and die, :meth:`advance`
-    before it mutates a flow so progress at the old rates is not lost, and
-    :meth:`refresh` after external link-capacity changes.
-    """
-
-    name: str
-
-    def bind(self, net: "FlowNetwork") -> None:
-        """Attach to *net*; called once before any other method."""
-
-    def add(self, flow: Flow) -> None:
-        """*flow* was appended to ``net._active``; allocate it a rate."""
-
-    def remove(self, flow: Flow) -> None:
-        """*flow* left ``net._active`` (abort); reallocate survivors."""
-
-    def advance(self, flow: Flow | None = None) -> None:
-        """Account progress at current rates — for *flow*'s scope, or all."""
-
-    def refresh(self) -> None:
-        """External capacity change: advance and reallocate everything."""
-
-    def link_used(self, link: Link) -> float:
-        """Summed allocated rate over *link* in bytes/s (O(1))."""
-
-    def flows_using(self, links: _t.Sequence[Link]) -> list[Flow]:
-        """Active flows traversing any of *links*, in start order."""
-
-    def component_count(self) -> int:
-        """Number of independent allocation domains currently tracked."""
-
-
-class FullAllocator:
-    """The original global strategy: every change reallocates every flow.
-
-    O(all active flows) per flow event, but numerically bit-identical to
-    the historical single-``_recompute`` implementation — the reference
-    baseline the incremental allocator is property-tested against.
-    """
-
-    name = "full"
-
-    def __init__(self) -> None:
-        """Unbound allocator; :meth:`bind` attaches it to a network."""
-        self.net: FlowNetwork | None = None
-        self._version = 0
-        self._last_update = 0.0
-        self._used: dict[Link, float] = {}
-
-    def bind(self, net: "FlowNetwork") -> None:
-        """Attach to *net* and start the global progress clock."""
-        self.net = net
-        self._last_update = net.sim.now
-
-    # -- protocol -------------------------------------------------------------
-    def add(self, flow: Flow) -> None:
-        """Globally re-run max-min over every active flow."""
-        self._reallocate()
-
-    def remove(self, flow: Flow) -> None:
-        """Globally re-run max-min over the survivors."""
-        self._reallocate()
-
-    def advance(self, flow: Flow | None = None) -> None:
-        """Account progress for every flow (scope is always global here)."""
-        net = self.net
-        dt = net.sim.now - self._last_update
-        if dt > 0:
-            for f in net._active:
-                sent = min(f.remaining, f.rate * dt)
-                f.remaining -= sent
-                for link in f.links:
-                    link.bytes_carried += sent
-        self._last_update = net.sim.now
-
-    def refresh(self) -> None:
-        """Globally reallocate after a capacity change."""
-        self._reallocate()
-
-    def link_used(self, link: Link) -> float:
-        """Summed allocated rate over *link* (cached sum, O(1))."""
-        return self._used.get(link, 0.0)
-
-    def flows_using(self, links: _t.Sequence[Link]) -> list[Flow]:
-        """Scan all active flows for any touching *links*."""
-        lset = set(links)
-        return [f for f in self.net._active if not lset.isdisjoint(f.links)]
-
-    def component_count(self) -> int:
-        """One global domain (or zero when idle)."""
-        return 1 if self.net._active else 0
-
-    # -- internals ------------------------------------------------------------
-    def _reallocate(self) -> None:
-        """Advance progress, refill every rate, schedule the next completion."""
-        net = self.net
-        self.advance()
-        flows = list(net._active)
-        allocate_rates(flows)
-        self._used = {link: 0.0 for f in flows for link in f.links}
-        self._version += 1
-        next_eta, _ = _tally(flows, self._used)
-        if math.isfinite(next_eta):
-            # PRIORITY_HIGH so completion processing at time T runs before
-            # ordinary model callbacks at T observe a stale flow set.
-            net.sim.schedule(next_eta, self._on_timer, self._version,
-                             priority=PRIORITY_HIGH)
-
-    def _on_timer(self, version: int) -> None:
-        if version != self._version:
-            return  # superseded by a later reallocation
-        net = self.net
-        self.advance()
-        finished = [f for f in net._active if f.remaining <= _EPSILON_BYTES]
-        if finished:
-            net._finish(finished)
-        self._reallocate()
 
 
 class _Component:
@@ -511,7 +377,7 @@ def _link_components(flows: list[Flow],
 
 
 class IncrementalAllocator:
-    """Component-partitioned strategy: reallocate only what a change touches.
+    """Component-partitioned allocation: reallocate only what a change touches.
 
     Active flows are grouped into link-connected components.  Starting a
     flow merges the components its links touch; an abort or completion
@@ -519,9 +385,13 @@ class IncrementalAllocator:
     its own progress clock, version counter, and cancellable completion
     timer, so churn in one part of the network never reschedules — or even
     inspects — flows elsewhere.  Per-event cost is O(component), not O(F).
-    """
 
-    name = "incremental"
+    The :class:`FlowNetwork` keeps flow lifecycle bookkeeping (tracing,
+    metrics, ``done`` events) and calls :meth:`bind` once, :meth:`add` /
+    :meth:`remove` as flows start and die, :meth:`advance` before it
+    mutates a flow so progress at the old rates is not lost, and
+    :meth:`refresh` after external link-capacity changes.
+    """
 
     def __init__(self) -> None:
         """Unbound allocator with no components yet."""
@@ -542,7 +412,7 @@ class IncrementalAllocator:
         """Attach to *net*."""
         self.net = net
 
-    # -- protocol -------------------------------------------------------------
+    # -- called by FlowNetwork ------------------------------------------------
     def add(self, flow: Flow) -> None:
         """Merge the components *flow*'s links touch, then resettle one."""
         now = self.net.sim.now
@@ -803,27 +673,18 @@ class IncrementalAllocator:
             self.net._finish(finished)
 
 
-#: Registry the ``allocator=`` string parameter resolves against.
-ALLOCATORS: dict[str, _t.Callable[[], "RateAllocator"]] = {
-    "full": FullAllocator,
-    "incremental": IncrementalAllocator,
-}
-
-
 class FlowNetwork:
     """Tracks active flows and keeps their rates max–min fair over time.
 
-    Parameters
-    ----------
-    allocator:
-        Rate-allocation strategy — ``"incremental"`` (default), ``"full"``,
-        or any :class:`RateAllocator` instance (see :data:`ALLOCATORS`).
+    *allocator* is a test seam, not a product option: an allocator instance
+    to use in place of a fresh :class:`IncrementalAllocator` (the
+    equivalence tests inject ``tests/net/reference_allocator.py``).
     """
 
     def __init__(self, sim: Simulator, tracer: Tracer | None = None,
                  metrics: "MetricsRegistry | None" = None,
-                 allocator: "str | RateAllocator" = "incremental") -> None:
-        """Create an empty network on *sim*; see the class doc for knobs."""
+                 allocator: IncrementalAllocator | None = None) -> None:
+        """Create an empty network on *sim*."""
         self.sim = sim
         self.tracer = tracer
         #: Optional :class:`repro.obs.MetricsRegistry` for flow counters
@@ -835,15 +696,8 @@ class FlowNetwork:
         self.bytes_delivered = 0.0
         self.flows_completed = 0
         self.flows_aborted = 0
-        if isinstance(allocator, str):
-            try:
-                factory = ALLOCATORS[allocator]
-            except KeyError:
-                raise ValueError(
-                    f"unknown allocator {allocator!r}; "
-                    f"expected one of {sorted(ALLOCATORS)}") from None
-            allocator = factory()
-        self.allocator: RateAllocator = allocator
+        self.allocator = (IncrementalAllocator() if allocator is None
+                          else allocator)
         self.allocator.bind(self)
 
     @property

@@ -89,13 +89,11 @@ class Network:
     """Facade over :class:`FlowNetwork` exposing host-to-host transfers."""
 
     def __init__(self, sim: Simulator, tracer: Tracer | None = None,
-                 metrics: "MetricsRegistry | None" = None,
-                 allocator: str = "incremental") -> None:
-        """An empty network over *sim*'s clock with the chosen allocator."""
+                 metrics: "MetricsRegistry | None" = None) -> None:
+        """An empty network over *sim*'s clock."""
         self.sim = sim
         self.tracer = tracer
-        self.flownet = FlowNetwork(sim, tracer=tracer, metrics=metrics,
-                                   allocator=allocator)
+        self.flownet = FlowNetwork(sim, tracer=tracer, metrics=metrics)
         self.hosts: dict[str, Host] = {}
         self._host_by_link: dict[Link, Host] = {}
         #: Active partition: host name -> group id.  Hosts not listed form

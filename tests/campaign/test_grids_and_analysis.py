@@ -11,6 +11,7 @@ from repro.campaign import (
     CampaignCell,
     CampaignGrid,
     CellRecord,
+    execute_cell,
     run_campaign,
 )
 from repro.experiments import (
@@ -46,10 +47,24 @@ class TestBuiltinGrids:
         assert all(c.params["byzantine_rate"] == 0.2 for c in grid)
 
     def test_scale_out_grid_shape(self):
-        grid = scale_out_grid(sizes=(100,), allocators=("incremental",))
+        grid = scale_out_grid(sizes=(100,))
         assert len(grid) == 1
-        assert grid.cells[0].params == {"n_nodes": 100,
-                                        "allocator": "incremental"}
+        assert grid.cells[0].params == {"n_nodes": 100}
+        assert grid.cells[0].group == "scale100"
+        with pytest.raises(TypeError):
+            scale_out_grid(sizes=(100,), allocators=("full",))
+
+    def test_cells_carrying_an_allocator_are_rejected(self):
+        # Stored grids (TOML or JSONL) written before the knob left.
+        scenario = CampaignCell(kind="scenario", seed=1, params={
+            "n_nodes": 4, "n_maps": 4, "n_reducers": 2, "allocator": "full"})
+        with pytest.raises(ValueError, match=r"unknown scenario params: "
+                                             r"\['allocator'\]"):
+            execute_cell(scenario.spec())
+        scale = CampaignCell(kind="scale_out", seed=1, params={
+            "n_nodes": 40, "allocator": "full"})
+        with pytest.raises(TypeError, match="allocator"):
+            execute_cell(scale.spec())
 
     def test_registry_builders_all_construct(self):
         for name, builder in GRID_BUILDERS.items():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import CloudSpec, VolunteerCloud
 from repro.net import EMULAB_LINK, SERVER_LINK
-from repro.net.flows import FullAllocator, IncrementalAllocator
+from repro.net import IncrementalAllocator
 
 
 class TestCloudSpec:
@@ -14,7 +14,6 @@ class TestCloudSpec:
         spec = CloudSpec()
         assert spec.seed == 0
         assert spec.server_link is EMULAB_LINK
-        assert spec.allocator == "incremental"
 
     def test_frozen(self):
         spec = CloudSpec()
@@ -27,11 +26,10 @@ class TestCloudSpec:
 
     def test_replace(self):
         spec = CloudSpec(seed=4)
-        other = spec.replace(allocator="full", server_link=SERVER_LINK)
+        other = spec.replace(server_link=SERVER_LINK)
         assert other.seed == 4
-        assert other.allocator == "full"
         assert other.server_link is SERVER_LINK
-        assert spec.allocator == "incremental"  # original untouched
+        assert spec.server_link is EMULAB_LINK  # original untouched
 
 
 class TestFromSpec:
@@ -40,9 +38,11 @@ class TestFromSpec:
         assert cloud.spec.seed == 7
         assert isinstance(cloud.net.flownet.allocator, IncrementalAllocator)
 
-    def test_allocator_flows_through(self):
-        cloud = VolunteerCloud.from_spec(CloudSpec(allocator="full"))
-        assert isinstance(cloud.net.flownet.allocator, FullAllocator)
+    def test_allocator_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            CloudSpec(allocator="full")
+        with pytest.raises(TypeError):
+            CloudSpec().replace(allocator="full")
 
     def test_server_link_flows_through(self):
         cloud = VolunteerCloud.from_spec(CloudSpec(server_link=SERVER_LINK))

@@ -6,6 +6,7 @@
 """
 
 import collections
+import gc
 import socket
 import time
 
@@ -119,6 +120,48 @@ class TestBasics:
         with pytest.raises(GatewayError) as err:
             client.submit_job("j", "no-such-app", 1000, 1, 1, 1)
         assert err.value.code == "bad_request"
+
+
+class TestHostileFraming:
+    """Requests whose extent cannot be trusted get a 400, then a close."""
+
+    @pytest.mark.parametrize("head", [
+        b"Content-Length: banana\r\n\r\n",
+        b"Content-Length: -5\r\n\r\n",
+        b"Content-Length: \xb2\r\n\r\n",          # str.isdigit() says yes
+        b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1),
+        b"X-Pad: 1\r\n" * 65,                       # no blank line needed
+    ], ids=["non-numeric", "negative", "superscript", "oversized",
+            "header-count"])
+    def test_answered_with_400_then_closed(self, handle, head, caplog):
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            raw.sendall(b"POST /rpc/scheduler HTTP/1.1\r\n" + head)
+            reply = b""
+            while chunk := raw.recv(65536):  # until the server hangs up
+                reply += chunk
+        head_bytes, _, body = reply.partition(b"\r\n\r\n")
+        assert head_bytes.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in head_bytes
+        assert protocol.validate("Error", protocol.loads(body)) == []
+        assert protocol.loads(body)["error"] == "bad_request"
+
+        deadline = time.time() + 5.0
+        while handle.server.connections_active and time.time() < deadline:
+            time.sleep(0.01)
+        assert handle.server.connections_active == 0
+        gc.collect()  # a dead handler task logs its exception when freed
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        assert handle.server.metrics.counter(
+            "gateway.http_errors_total").value == 1
+
+    def test_header_count_at_the_bound_is_served(self, handle):
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                        + b"X-Pad: 1\r\n" * 63 + b"\r\n")
+            reply = raw.recv(65536)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 class TestEndToEnd:

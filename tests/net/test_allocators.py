@@ -1,9 +1,10 @@
-"""Equivalence and accounting tests for the pluggable rate allocators.
+"""Equivalence and accounting tests for the flow network's rate allocator.
 
 The incremental (component-partitioned) allocator must be observationally
-equivalent to the reference full-recompute allocator: same rates on the
-same active flow set, same completion behaviour, same link accounting.
-These tests drive both implementations through randomized flow sets and
+equivalent to the reference full-recompute allocator kept in
+``reference_allocator.py``: same rates on the same active flow set, same
+completion behaviour, same link accounting.  These tests drive both
+implementations through randomized flow sets and
 churn sequences (hypothesis) and pin the O(1) ``utilisation()`` sums
 against a brute-force recount.
 """
@@ -14,47 +15,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import (
-    ALLOCATORS,
-    FlowNetwork,
-    FullAllocator,
-    IncrementalAllocator,
-    Link,
-    RateAllocator,
-    maxmin_rates,
-)
+from repro.net import FlowNetwork, IncrementalAllocator, Link, maxmin_rates
 from repro.sim import Simulator
+
+from .reference_allocator import FullAllocator
+
+#: The product allocator and the oracle; each network gets a fresh instance.
+BOTH = pytest.mark.parametrize(
+    "allocator", [IncrementalAllocator, FullAllocator],
+    ids=["incremental", "full"])
 
 
 # ---------------------------------------------------------------------------
-# Strategy / constructor API
+# Constructor API: one allocator, one test-only seam
 # ---------------------------------------------------------------------------
 
 class TestAllocatorAPI:
-    def test_registry_names(self):
-        assert set(ALLOCATORS) == {"full", "incremental"}
-
     def test_default_is_incremental(self):
         net = FlowNetwork(Simulator())
         assert isinstance(net.allocator, IncrementalAllocator)
-        assert net.allocator.name == "incremental"
-
-    def test_string_selects_strategy(self):
-        net = FlowNetwork(Simulator(), allocator="full")
-        assert isinstance(net.allocator, FullAllocator)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown allocator"):
-            FlowNetwork(Simulator(), allocator="magic")
 
     def test_instance_passthrough(self):
         alloc = FullAllocator()
         net = FlowNetwork(Simulator(), allocator=alloc)
         assert net.allocator is alloc
 
-    def test_protocol_runtime_checkable(self):
-        assert isinstance(FullAllocator(), RateAllocator)
-        assert isinstance(IncrementalAllocator(), RateAllocator)
+    def test_reference_is_not_importable_from_the_product(self):
+        with pytest.raises(ImportError):
+            from repro.net import FullAllocator  # noqa: F401
+        import repro.net.flows as flows
+        for gone in ("FullAllocator", "RateAllocator", "ALLOCATORS"):
+            assert not hasattr(flows, gone)
+
+    def test_allocator_names_are_not_accepted(self):
+        # The string dispatch is gone: only an instance (or None) works.
+        with pytest.raises(AttributeError):
+            FlowNetwork(Simulator(), allocator="full")
 
     def test_component_count(self):
         sim = Simulator()
@@ -90,7 +86,7 @@ churn_script = st.tuples(
 
 def _build(allocator, caps, specs):
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator)
+    net = FlowNetwork(sim, allocator=allocator())
     links = [Link(f"l{i}", cap * 8.0) for i, cap in enumerate(caps)]
     flows = []
     for i, (linkidx, size, background, max_rate) in enumerate(specs):
@@ -111,8 +107,8 @@ def _assert_rates_match(flows_a, flows_b):
 def test_incremental_matches_full_under_churn(script):
     """Same rates after every start and abort, with no time passing."""
     caps, specs, aborts = script
-    _, net_inc, _, flows_inc = _build("incremental", caps, specs)
-    _, net_full, _, flows_full = _build("full", caps, specs)
+    _, net_inc, _, flows_inc = _build(IncrementalAllocator, caps, specs)
+    _, net_full, _, flows_full = _build(FullAllocator, caps, specs)
     _assert_rates_match(flows_inc, flows_full)
     for idx in aborts:
         if idx >= len(specs):
@@ -127,7 +123,7 @@ def test_incremental_matches_full_under_churn(script):
 def test_incremental_matches_maxmin_reference(script):
     """Foreground rates agree with a direct ``maxmin_rates`` evaluation."""
     caps, specs, _ = script
-    _, net, _, flows = _build("incremental", caps, specs)
+    _, net, _, flows = _build(IncrementalAllocator, caps, specs)
     foreground = [f for f in flows if not f.background and not f.finished]
     reference = maxmin_rates(foreground)
     for f in foreground:
@@ -139,8 +135,8 @@ def test_incremental_matches_maxmin_reference(script):
 def test_incremental_matches_full_to_completion(script):
     """Both allocators deliver every byte and agree on completion times."""
     caps, specs, aborts = script
-    sim_i, net_i, _, flows_i = _build("incremental", caps, specs)
-    sim_f, net_f, _, flows_f = _build("full", caps, specs)
+    sim_i, net_i, _, flows_i = _build(IncrementalAllocator, caps, specs)
+    sim_f, net_f, _, flows_f = _build(FullAllocator, caps, specs)
     for idx in aborts:
         if idx < len(specs):
             net_i.abort_flow(flows_i[idx])
@@ -169,10 +165,10 @@ def _brute_utilisation(net, link):
     return used / link.capacity
 
 
-@pytest.mark.parametrize("allocator", ["incremental", "full"])
+@BOTH
 def test_utilisation_tracks_churn(allocator):
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator)
+    net = FlowNetwork(sim, allocator=allocator())
     links = [Link(f"l{i}", 8e6) for i in range(3)]  # 1 MB/s each
 
     def check():
@@ -199,11 +195,11 @@ def test_utilisation_tracks_churn(allocator):
         assert net.utilisation(link) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("allocator", ["incremental", "full"])
+@BOTH
 def test_utilisation_no_drift_after_many_cycles(allocator):
     """Per-link used-rate sums must not accumulate float residue."""
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator)
+    net = FlowNetwork(sim, allocator=allocator())
     link = Link("l", 8e5)  # 100 kB/s
     for cycle in range(30):
         f1 = net.start_flow(f"a{cycle}", [link], 1e4 / 3)

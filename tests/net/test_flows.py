@@ -4,8 +4,11 @@ import math
 
 import pytest
 
-from repro.net import FlowError, FlowNetwork, Link, maxmin_rates
+from repro.net import (FlowError, FlowNetwork, IncrementalAllocator, Link,
+                       maxmin_rates)
 from repro.sim import Simulator
+
+from .reference_allocator import FullAllocator
 
 
 def mbit(x):
@@ -17,10 +20,12 @@ def sim():
     return Simulator()
 
 
-@pytest.fixture(params=["incremental", "full"])
+@pytest.fixture(params=[IncrementalAllocator, FullAllocator],
+                ids=["incremental", "full"])
 def net(sim, request):
-    """Every behavioural test in this file runs under both allocators."""
-    return FlowNetwork(sim, allocator=request.param)
+    """Every behavioural test in this file runs under the product
+    allocator and under the reference oracle."""
+    return FlowNetwork(sim, allocator=request.param())
 
 
 class TestLink:

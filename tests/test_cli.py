@@ -24,6 +24,12 @@ class TestParser:
         assert not args.mr
         assert args.trace_out is None and args.trace_format == "chrome"
 
+    def test_allocator_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--allocator", "full"])
+        assert exc.value.code == 2
+        assert "--allocator" in capsys.readouterr().err
+
     def test_trace_format_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--trace-format", "svg"])

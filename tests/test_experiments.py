@@ -82,6 +82,66 @@ class TestTable1Definitions:
         assert records[0].measured_total[0] > 0
 
 
+@pytest.fixture(scope="module")
+def table1_records():
+    """The full nine-row grid, once (about a second of CPU)."""
+    return run_table1(PAPER_TABLE1, seed=1)
+
+
+class TestTable1PaperClaims:
+    """Table I's relational claims, so a change that bends the
+    reproduction fails tier-1 (Fig. 4's are gated the same way below)."""
+
+    @staticmethod
+    def _mr_and_vanilla(records):
+        """The BOINC-MR row and the vanilla row of the same geometry."""
+        mr = next(r for r in records if r.row.mr)
+        vanilla = next(r for r in records
+                       if not r.row.mr and r.row.nodes == mr.row.nodes
+                       and r.row.n_maps == mr.row.n_maps)
+        assert (mr.row.nodes, mr.row.n_maps, mr.row.n_reducers) == (20, 20, 5)
+        return mr, vanilla
+
+    def test_totals_in_paper_band(self, table1_records):
+        # Roughly 1000-1800 s for a 1 GB job.
+        for rec in table1_records:
+            total, _disc = rec.measured_total
+            assert 600 < total < 2600, rec.row.label
+
+    def test_phase_means_in_paper_range(self, table1_records):
+        for rec in table1_records:
+            for mean, _d in (rec.measured_map, rec.measured_reduce):
+                assert 100 < mean < 1100, rec.row.label
+
+    def test_discarded_never_exceeds_mean(self, table1_records):
+        # Discarding the slowest node is how the paper explains its
+        # bracketed values; it can never increase a mean.
+        for rec in table1_records:
+            assert rec.measured_map[1] <= rec.measured_map[0] + 1e-9
+            assert rec.measured_reduce[1] <= rec.measured_reduce[0] + 1e-9
+            assert rec.measured_total[1] <= rec.measured_total[0] + 1e-9
+
+    def test_boinc_mr_reduce_faster_than_vanilla(self, table1_records):
+        # Inter-client transfers bypass the server.
+        mr, vanilla = self._mr_and_vanilla(table1_records)
+        assert mr.measured_reduce[0] < vanilla.measured_reduce[0]
+
+    def test_boinc_mr_total_comparable(self, table1_records):
+        """Paper: "we can see it can provide the same level of performance"."""
+        mr, vanilla = self._mr_and_vanilla(table1_records)
+        ratio = mr.measured_total[0] / vanilla.measured_total[0]
+        assert 0.6 < ratio < 1.25
+
+    def test_map_phase_dominates(self, table1_records):
+        """Map work (2x results, all input bytes) outweighs the reduce
+        phase: "the map step took too much of a share of the whole job"."""
+        for rec in table1_records:
+            m = rec.result.metrics
+            map_work = m.map_stats.mean * m.map_stats.n_tasks
+            reduce_work = m.reduce_stats.mean * m.reduce_stats.n_tasks
+            assert map_work > reduce_work, rec.row.label
+
+
 class TestFig4:
     def test_fig4_straggler_reproduces(self):
         from repro.experiments import run_fig4

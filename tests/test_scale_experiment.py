@@ -4,26 +4,25 @@ import pytest
 
 from repro.boinc.client import ClientConfig
 from repro.experiments import Scenario, build_cloud, build_scale_cloud, scale_out
-from repro.net import ADSL_LINK, CABLE_LINK, EMULAB_LINK, SERVER_LINK
-from repro.net.flows import FullAllocator, IncrementalAllocator
+from repro.net import (ADSL_LINK, CABLE_LINK, EMULAB_LINK, SERVER_LINK,
+                       FlowNetwork, IncrementalAllocator, topology)
+
+from .net.reference_allocator import FullAllocator
 
 
 class TestScenarioCloudSpec:
     def test_defaults_match_paper_testbed(self):
         spec = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2).cloud_spec()
         assert spec.server_link is EMULAB_LINK
-        assert spec.allocator == "incremental"
 
     def test_fields_flow_through(self):
         cc = ClientConfig(backoff_max_s=60.0)
         sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                      link=CABLE_LINK, client_config=cc, allocator="full",
-                      seed=11)
+                      link=CABLE_LINK, client_config=cc, seed=11)
         spec = sc.cloud_spec()
         assert spec.seed == 11
         assert spec.server_link is CABLE_LINK
         assert spec.client_config is cc
-        assert spec.allocator == "full"
 
     def test_server_link_override(self):
         sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
@@ -37,15 +36,15 @@ class TestScenarioCloudSpec:
         assert cloud.clients[0].host.uplink.capacity == pytest.approx(
             ADSL_LINK.up_bps / 8.0)
 
-    def test_link_spec_alias(self):
+    def test_allocator_knob_and_link_spec_alias_are_gone(self):
+        with pytest.raises(TypeError):
+            Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
+                     allocator="full")
         sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
                       link=CABLE_LINK)
-        assert sc.link_spec is CABLE_LINK
-
-    def test_build_cloud_respects_allocator(self):
-        sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                      allocator="full")
-        assert isinstance(build_cloud(sc).net.flownet.allocator, FullAllocator)
+        assert not hasattr(sc, "link_spec")
+        assert isinstance(build_cloud(sc).net.flownet.allocator,
+                          IncrementalAllocator)
 
 
 class TestScaleStudy:
@@ -64,10 +63,21 @@ class TestScaleStudy:
         assert point.events_per_s > 0
         assert point.peak_queue_depth > 0
         assert point.makespan_s > 0
-        d = point.as_dict()
-        assert d["allocator"] == "incremental"
+        assert not hasattr(point, "allocator")
+        with pytest.raises(TypeError):
+            scale_out(40, seed=1, allocator="full")
 
-    def test_scale_out_allocators_agree_on_makespan(self):
-        inc = scale_out(40, seed=1, allocator="incremental")
-        full = scale_out(40, seed=1, allocator="full")
+    def test_scale_out_agrees_with_reference_allocator(self, monkeypatch):
+        """Whole-cloud cross-check against the test oracle, injected at
+        the one place a cloud's FlowNetwork is constructed."""
+        inc = scale_out(40, seed=1)
+        built = []
+
+        def with_reference(sim, **kwargs):
+            built.append(FlowNetwork(sim, allocator=FullAllocator(), **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(topology, "FlowNetwork", with_reference)
+        full = scale_out(40, seed=1)
+        assert [type(n.allocator) for n in built] == [FullAllocator]
         assert inc.makespan_s == pytest.approx(full.makespan_s, rel=0.05)
