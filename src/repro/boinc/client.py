@@ -33,7 +33,14 @@ from ..net import (
     TransferEndpoint,
     TransferFailed,
 )
-from ..sim import Interrupted, Process, Simulator, Tracer, jittered
+from ..sim import (
+    Interrupted,
+    Process,
+    Simulator,
+    Tracer,
+    backoff_delay,
+    jittered,
+)
 from ..net.transfer import SimSemaphore
 from .dataserver import ChecksumMismatch, ServerUnavailable
 from .model import FileRef, HostRecord, OutputData
@@ -128,30 +135,26 @@ class Executor(_t.Protocol):
     def execute(self, client: "Client", task: ClientTask) -> OutputData: ...
 
 
-def _transfer_backoff(client: "Client", attempt: int) -> float:
-    cfg = client.config
-    return client._backoff(cfg.transfer_backoff_min_s,
-                           cfg.transfer_backoff_max_s, attempt)
-
-
-def download_with_retry(client: "Client", name: str) -> _t.Generator:
-    """Process body: fetch *name* from the data server with bounded retry.
+def _transfer_with_retry(client: "Client", verb: str, name: str,
+                         start: _t.Callable[[], _t.Any]) -> _t.Generator:
+    """Process body: the data-server transfer *start()* opens, with bounded
+    retry; *verb* (``download`` / ``upload``) names metric, trace and errors.
 
     Retries 503-style refusals (:class:`ServerUnavailable`), transfers cut
     by outages or partitions (:class:`FlowError`/:class:`HostOffline`), and
-    corrupt payloads (:class:`ChecksumMismatch` — the checksum catches them
-    and curl re-downloads).  :class:`FileMissing` is *not* retried: a file
-    the server does not hold will not appear because we ask again.  Raises
-    :class:`TransferFailed` when the retry budget is exhausted.
+    — downloads only — corrupt payloads (:class:`ChecksumMismatch`: the
+    checksum catches them and curl re-downloads).  :class:`FileMissing` is
+    *not* retried: a file the server does not hold will not appear because
+    we ask again.  Raises :class:`TransferFailed` when the budget runs out.
     """
     cfg = client.config
     last = "no attempts made"
     for attempt in range(1, cfg.transfer_retries + 1):
         flow = None
         try:
-            flow = client.server.dataserver.download(name, client.host)
+            flow = start()
             yield flow.done
-            if flow.corrupted:
+            if verb == "download" and flow.corrupted:
                 raise ChecksumMismatch(
                     f"{name!r} failed checksum validation after download")
             return flow
@@ -159,8 +162,8 @@ def download_with_retry(client: "Client", name: str) -> _t.Generator:
                 ChecksumMismatch) as exc:
             last = str(exc)
             if client.metrics is not None:
-                client.metrics.counter("client.download_retries_total").inc()
-            client.tracer.record(client.sim.now, "client.download_retry",
+                client.metrics.counter(f"client.{verb}_retries_total").inc()
+            client.tracer.record(client.sim.now, f"client.{verb}_retry",
                                  host=client.name, file=name, attempt=attempt,
                                  error=last)
             if attempt >= cfg.transfer_retries:
@@ -169,66 +172,59 @@ def download_with_retry(client: "Client", name: str) -> _t.Generator:
             # Interrupted (churn kill) can land on either yield: never
             # leave the flow consuming bandwidth unobserved.
             if flow is not None and not flow.finished:
-                client.net.flownet.abort_flow(flow, reason="download cancelled")
-        yield client.sim.timeout(_transfer_backoff(client, attempt))
+                client.net.flownet.abort_flow(flow, reason=f"{verb} cancelled")
+        yield client.sim.timeout(backoff_delay(
+            client.rng, cfg.transfer_backoff_min_s, cfg.transfer_backoff_max_s,
+            attempt, cfg.backoff_jitter))
     raise TransferFailed(
-        f"download of {name!r} failed after {cfg.transfer_retries} "
+        f"{verb} of {name!r} failed after {cfg.transfer_retries} "
         f"attempts: {last}")
+
+
+def download_with_retry(client: "Client", name: str) -> _t.Generator:
+    """Process body: fetch *name* from the data server with bounded retry."""
+    return _transfer_with_retry(
+        client, "download", name,
+        lambda: client.server.dataserver.download(name, client.host))
 
 
 def upload_with_retry(client: "Client", ref: FileRef,
                       background: bool = False) -> _t.Generator:
     """Process body: upload *ref* to the data server with bounded retry."""
-    cfg = client.config
-    last = "no attempts made"
-    for attempt in range(1, cfg.transfer_retries + 1):
-        flow = None
-        try:
-            flow = client.server.dataserver.upload(ref, client.host,
-                                                   background=background)
-            yield flow.done
-            return flow
-        except (ServerUnavailable, HostOffline, FlowError) as exc:
-            last = str(exc)
-            if client.metrics is not None:
-                client.metrics.counter("client.upload_retries_total").inc()
-            client.tracer.record(client.sim.now, "client.upload_retry",
-                                 host=client.name, file=ref.name,
-                                 attempt=attempt, error=last)
-            if attempt >= cfg.transfer_retries:
-                break
-        finally:
-            if flow is not None and not flow.finished:
-                client.net.flownet.abort_flow(flow, reason="upload cancelled")
-        yield client.sim.timeout(_transfer_backoff(client, attempt))
-    raise TransferFailed(
-        f"upload of {ref.name!r} failed after {cfg.transfer_retries} "
-        f"attempts: {last}")
+    return _transfer_with_retry(
+        client, "upload", ref.name,
+        lambda: client.server.dataserver.upload(ref, client.host,
+                                                background=background))
+
+
+def join_transfers(client: "Client", procs: list[Process],
+                   cancelled: str) -> _t.Generator:
+    """Process body: wait for every transfer child process in *procs*.
+
+    Cancelling the waiting task cascades to them (interrupt reason
+    *cancelled*), so no flow or retry timer outlives the task.
+    """
+    try:
+        if procs:
+            yield client.sim.all_of(procs)
+    finally:
+        for proc in procs:
+            if proc.alive:
+                proc.interrupt(cancelled)
 
 
 class ServerInputFetcher:
-    """Default BOINC behaviour: download every input from the data server.
-
-    Downloads run as parallel child processes (concurrent flows, each with
-    its own retry loop); cancelling the task cascades to them so no flow
-    or retry timer outlives the fetch.
-    """
+    """Default BOINC behaviour: download every input from the data server,
+    as parallel child processes (concurrent flows, each with its own retry
+    loop)."""
 
     def fetch(self, client: "Client", task: ClientTask) -> _t.Generator:
         """Download every input from the project data server, in parallel."""
-        procs = [
+        yield from join_transfers(client, [
             client.sim.process(download_with_retry(client, ref.name),
                                name=f"download:{client.name}:{ref.name}")
             for ref in task.assignment.wu.input_files
-        ]
-        if not procs:
-            return
-        try:
-            yield client.sim.all_of(procs)
-        finally:
-            for proc in procs:
-                if proc.alive:
-                    proc.interrupt("input fetch cancelled")
+        ], "input fetch cancelled")
 
 
 class ServerUploadPolicy:
@@ -238,18 +234,11 @@ class ServerUploadPolicy:
         """Upload every output file to the project data server."""
         assert task.output is not None
         nice = client.config.nice_uploads
-        procs = [
+        yield from join_transfers(client, [
             client.sim.process(upload_with_retry(client, ref, background=nice),
                                name=f"upload:{client.name}:{ref.name}")
             for ref in task.output.files
-        ]
-        try:
-            if procs:
-                yield client.sim.all_of(procs)
-        finally:
-            for proc in procs:
-                if proc.alive:
-                    proc.interrupt("output upload cancelled")
+        ], "output upload cancelled")
         client.server.record_upload(task.assignment.result_id)
 
 
@@ -420,9 +409,7 @@ class Client:
             if self.metrics is not None:
                 self.metrics.counter("client.rpc_retries_total").inc()
             # Same shape as the no-work backoff, own counter.
-            delay = self._backoff(self.config.backoff_min_s,
-                                  self.config.backoff_max_s,
-                                  self._rpc_failures)
+            delay = self._backoff(self._rpc_failures)
             self._comm_gate = self.sim.now + delay
             self.tracer.record(self.sim.now, "client.rpc_failed",
                                host=self.name, error=str(exc),
@@ -446,9 +433,7 @@ class Client:
             self.backoffs += 1
             if self.metrics is not None:
                 self.metrics.counter("client.backoff_total").inc()
-            delay = self._backoff(self.config.backoff_min_s,
-                                  self.config.backoff_max_s,
-                                  self._backoff_count)
+            delay = self._backoff(self._backoff_count)
             self._next_allowed_rpc = self.sim.now + delay
             self.tracer.record(self.sim.now, "client.backoff", host=self.name,
                                count=self._backoff_count, delay=delay)
@@ -456,11 +441,12 @@ class Client:
             self._backoff_count = 0
             self._next_allowed_rpc = self.sim.now + reply.request_delay_s
 
-    def _backoff(self, lo: float, hi: float, n: int) -> float:
-        """Wait after the *n*-th consecutive failure: *lo* doubled per
-        failure, capped at *hi*, jittered (one draw from ``self.rng``)."""
-        return jittered(self.rng, min(hi, lo * (2.0 ** (n - 1))),
-                        self.config.backoff_jitter)
+    def _backoff(self, n: int) -> float:
+        """Scheduler deferral after the *n*-th consecutive no-work reply
+        (or failed contact), on this client's rng stream."""
+        cfg = self.config
+        return backoff_delay(self.rng, cfg.backoff_min_s, cfg.backoff_max_s,
+                             n, cfg.backoff_jitter)
 
     def _to_report(self, task: ClientTask) -> ReportedResult:
         ok = task.error is None

@@ -32,9 +32,6 @@ class BoincMRConfig:
     peer_retries: int = 3
     #: Probability that any single inter-client transfer fails (injected).
     peer_failure_rate: float = 0.0
-    #: Whether non-BOINC-MR clients may run reduce tasks (via the server).
-    #: Requires ``upload_map_outputs``.
-    legacy_reduce_via_server: bool = True
     #: §IV.C "intermediate data downloads" ablation: create reduce
     #: workunits once this fraction of map WUs has validated (1.0 =
     #: paper behaviour, wait for every map).  Reducers then overlap their

@@ -74,8 +74,3 @@ class MapReduceExecutor:
             self._corruptions += 1
             digest = f"corrupt:{client.name}:{self._corruptions}:{digest}"
         return OutputData(digest=digest, files=files)
-
-    @property
-    def corruptions(self) -> int:
-        """How many executions this instance corrupted (diagnostics)."""
-        return self._corruptions

@@ -14,7 +14,6 @@ import dataclasses
 import enum
 import typing as _t
 
-from ..sim import Event, Simulator
 from .costmodel import WORD_COUNT, MapReduceCostModel
 
 
@@ -102,23 +101,28 @@ class MapTaskRecord:
 class MapReduceJob:
     """Runtime state of a submitted job (owned by the JobTracker)."""
 
-    def __init__(self, sim: Simulator, spec: MapReduceJobSpec) -> None:
-        """Track *spec* through its phases on *sim* (starts in MAP)."""
-        self.sim = sim
+    def __init__(self, spec: MapReduceJobSpec, now: float,
+                 event: _t.Callable[[str], _t.Any]) -> None:
+        """Track *spec* through its phases from time *now* (starts in MAP).
+
+        *event* builds the two completion signals from a name: ``sim.event``,
+        or anything else with its ``trigger(value)`` / ``fail(exc)`` verbs.
+        """
         self.spec = spec
         self.phase = JobPhase.MAP
         self.map_tasks: dict[int, MapTaskRecord] = {}
         self.reduce_done: set[int] = set()
         self.map_wu_ids: dict[int, int] = {}      # map_index -> wu id
         self.reduce_wu_ids: dict[int, int] = {}   # reduce_index -> wu id
-        self.submitted_at = sim.now
+        self.submitted_at = now
         self.map_phase_done_at: float | None = None
         self.reduce_created_at: float | None = None
         self.finished_at: float | None = None
         #: Fired when every map WU has been validated & assimilated.
-        self.map_phase_done: Event = sim.event(f"{spec.name}.maps_done")
-        #: Fired when the job completes (all reduce outputs returned).
-        self.done: Event = sim.event(f"{spec.name}.done")
+        self.map_phase_done = event(f"{spec.name}.maps_done")
+        #: Fired when the job completes (all reduce outputs returned);
+        #: failed, with the reason, when the job fails.
+        self.done = event(f"{spec.name}.done")
 
     # -- progress ------------------------------------------------------------
     @property
@@ -159,12 +163,12 @@ class MapReduceJob:
             self.finished_at = now
             self.done.trigger(self)
 
-    def fail(self, reason: str) -> None:
+    def fail(self, reason: str, now: float) -> None:
         """Mark the job FAILED with *reason* (no-op when already terminal)."""
         if self.finished:
             return
         self.phase = JobPhase.FAILED
-        self.finished_at = self.sim.now
+        self.finished_at = now
         self.done.fail(RuntimeError(f"job {self.spec.name} failed: {reason}"))
 
     def makespan(self) -> float | None:

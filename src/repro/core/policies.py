@@ -24,6 +24,7 @@ from ..boinc.client import (
     ServerInputFetcher,
     ServerUploadPolicy,
     download_with_retry,
+    join_transfers,
 )
 from ..net import ConnectivityPolicy, Host, TransferFailed, peer_download
 from .config import BoincMRConfig
@@ -127,17 +128,10 @@ class MapReduceInputFetcher:
                 self._fetch_partition(client, name, spec.map_output_size(),
                                       holders),
                 name=f"fetch:{client.name}:{name}"))
-        if not procs:
-            return
-        try:
-            yield client.sim.all_of(procs)
-        finally:
-            # A churn kill of the reduce task must cascade: partition
-            # fetches (and their nested peer downloads) may not keep
-            # pulling bytes for a task that no longer exists.
-            for proc in procs:
-                if proc.alive:
-                    proc.interrupt("reduce fetch cancelled")
+        # A churn kill of the reduce task must cascade: partition
+        # fetches (and their nested peer downloads) may not keep
+        # pulling bytes for a task that no longer exists.
+        yield from join_transfers(client, procs, "reduce fetch cancelled")
 
     def _fetch_partition(self, client: Client, filename: str, size: float,
                          holders: _t.Sequence[str]) -> _t.Generator:

@@ -30,7 +30,6 @@ from ..net import (
     LinkSpec,
     NatBox,
     Network,
-    TraversalConfig,
 )
 from ..obs import MetricsRegistry, Sampler, SelfProfiler, SpanBuilder
 from ..obs import attach_standard_probes
@@ -69,7 +68,6 @@ class CloudSpec:
     server_config: ServerConfig | None = None
     mr_config: BoincMRConfig | None = None
     client_config: ClientConfig | None = None
-    traversal_config: TraversalConfig | None = None
     server_link: LinkSpec = EMULAB_LINK
 
     def __post_init__(self) -> None:
@@ -109,13 +107,11 @@ class VolunteerCloud:
                                     metrics=self.metrics)
         self.mr_config = spec.mr_config or BoincMRConfig()
         self.client_config = spec.client_config or ClientConfig()
-        self.jobtracker = JobTracker(self.sim, self.server,
-                                     config=self.mr_config, tracer=self.tracer)
+        self.jobtracker = JobTracker(self.server, self.sim.event,
+                                     config=self.mr_config)
         self.jobtracker.on_job_done = self._cleanup_job
         self.directory = ClientDirectory()
-        self.connectivity = ConnectivityPolicy(
-            spec.traversal_config or TraversalConfig(),
-            rng=self.rngs.stream("nat"))
+        self.connectivity = ConnectivityPolicy(rng=self.rngs.stream("nat"))
         self.clients: list[Client] = []
         self._started = False
         #: Observability attachments (populated by attach_observability).

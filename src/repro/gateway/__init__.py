@@ -15,8 +15,8 @@ the simulation rather than re-implemented.
 - :mod:`repro.gateway.client` — :class:`GatewayClient` (blocking HTTP
   transport with the paper's backoff) and :func:`run_volunteer`, the
   real-OS-process volunteer loop running the real engine;
-- :mod:`repro.gateway.jobs` — live MapReduce orchestration over the
-  shared assimilator hook;
+- :mod:`repro.gateway.jobs` — the shared
+  :class:`~repro.core.jobtracker.JobTracker` over real bytes;
 - :mod:`repro.gateway.files` — :class:`BlobStore`, real bytes behind
   the shared :class:`~repro.boinc.dataserver.FileCatalogue` seam;
 - :mod:`repro.gateway.loadgen` — the 500-client replay harness behind
@@ -24,7 +24,6 @@ the simulation rather than re-implemented.
 """
 
 from .client import (
-    BackoffPolicy,
     GatewayClient,
     GatewayError,
     VolunteerStats,
@@ -32,7 +31,7 @@ from .client import (
     run_volunteer,
 )
 from .files import BlobStore
-from .jobs import APP_REGISTRY, GatewayJob, GatewayJobTracker
+from .jobs import APP_REGISTRY, GatewayJobTracker
 from .loadgen import LoadConfig, LoadReport, run_loadgen, write_report
 from .protocol import (
     ENDPOINTS,
@@ -51,7 +50,6 @@ from .server import (
 
 __all__ = [
     "APP_REGISTRY",
-    "BackoffPolicy",
     "BlobStore",
     "ENDPOINTS",
     "ERROR_CODES",
@@ -59,7 +57,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayError",
     "GatewayHandle",
-    "GatewayJob",
     "GatewayJobTracker",
     "GatewayServer",
     "GatewayState",

@@ -25,6 +25,7 @@ import time
 import typing as _t
 
 from ..runtime.engine import LocalRunner
+from ..sim.rng import backoff_delay
 from . import protocol
 from .jobs import (
     partition_blob_name,
@@ -51,20 +52,17 @@ class GatewayError(RuntimeError):
         return self.status == 503
 
 
-@dataclasses.dataclass(slots=True)
-class BackoffPolicy:
-    """Exponential backoff with jitter (the paper's client retry shape)."""
+#: Live retry backoff (docs/protocol.md, "Retry semantics"): base and cap
+#: of the doubling, and the relative jitter of each delay.
+RETRY_BASE_S, RETRY_CAP_S, RETRY_JITTER = 0.05, 2.0, 0.5
 
-    base_s: float = 0.05
-    cap_s: float = 2.0
-    factor: float = 2.0
 
-    def delay(self, attempt: int, floor_s: float = 0.0,
-              rng: random.Random | None = None) -> float:
-        """Backoff before retry *attempt* (0-based), at least *floor_s*."""
-        span = min(self.cap_s, self.base_s * (self.factor ** attempt))
-        jitter = (rng or random).uniform(0.5, 1.0)
-        return max(floor_s, span * jitter)
+def retry_delay(rng: random.Random, attempt: int,
+                retry_after_s: float = 0.0) -> float:
+    """Sleep before live retry *attempt* (0-based): the shared backoff
+    formula on the live constants, never under the server's floor."""
+    return max(retry_after_s, backoff_delay(
+        rng, RETRY_BASE_S, RETRY_CAP_S, attempt + 1, RETRY_JITTER))
 
 
 class GatewayClient:
@@ -72,7 +70,6 @@ class GatewayClient:
 
     def __init__(self, address: str, timeout_s: float = 10.0,
                  retries: int = 6,
-                 backoff: BackoffPolicy | None = None,
                  rng: random.Random | None = None) -> None:
         """A client for the gateway at ``host:port`` *address*."""
         host, _, port = address.partition(":")
@@ -80,7 +77,6 @@ class GatewayClient:
         self.port = int(port)
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff = backoff or BackoffPolicy()
         self.rng = rng or random.Random()
         self._conn: http.client.HTTPConnection | None = None
         #: Diagnostics: total retries performed across all requests.
@@ -124,25 +120,22 @@ class GatewayClient:
         headers = dict(headers or {})
         last: Exception | None = None
         for attempt in range(self.retries + 1):
+            floor_s = 0.0
             try:
                 status, resp_headers, payload = self._once(
                     method, path, body, headers)
             except (http.client.HTTPException, ConnectionError,
                     OSError) as exc:
                 last = exc
-                self.retry_count += 1
-                time.sleep(self.backoff.delay(attempt, rng=self.rng))
-                continue
-            if status < 400:
-                return resp_headers, payload
-            err = self._decode_error(status, resp_headers, payload)
-            if not err.retryable or attempt == self.retries:
-                raise err
-            last = err
+            else:
+                if status < 400:
+                    return resp_headers, payload
+                last = err = self._decode_error(status, resp_headers, payload)
+                if not err.retryable or attempt == self.retries:
+                    raise err
+                floor_s = err.retry_after_s
             self.retry_count += 1
-            time.sleep(self.backoff.delay(attempt,
-                                          floor_s=err.retry_after_s,
-                                          rng=self.rng))
+            time.sleep(retry_delay(self.rng, attempt, floor_s))
         raise GatewayError(503, "unavailable",
                            f"retries exhausted: {last}")
 

@@ -1,11 +1,12 @@
-"""Live MapReduce job orchestration on top of :class:`SchedulerCore`.
+"""Live MapReduce jobs: the shared JobTracker over real bytes.
 
-The gateway-side analogue of the simulator's JobTracker: splits a real
-input corpus into chunk blobs, submits map workunits through the shared
-BOINC state machine, and rides the assimilator hook — when the last map
-workunit assimilates, the reduce workunits are created over the uploaded
-partition blobs; when the last reduce assimilates, the per-partition
-outputs are merged into one reclaimable payload.
+:class:`GatewayJobTracker` *is* :class:`repro.core.jobtracker.JobTracker`
+— the same barrier, job record and ``jobtracker.*`` trace the simulator
+runs — told where the bytes live: map inputs are the chunk blobs a
+submission splits the corpus into, reduce inputs the partition blobs
+volunteers uploaded.  On top it adds only what the wire needs: submission
+from bytes or a ``JobRequest``, per-task wire parameters, the merged
+output payload sealed as the last reduce validates, and ``JobStatus``.
 
 Determinism carries the replication story: :class:`~repro.runtime.engine.
 LocalRunner` tasks are bit-reproducible, so replicas of the same task
@@ -20,8 +21,11 @@ import pickle
 import threading
 import typing as _t
 
-from ..boinc.model import FileRef, Result, Workunit
+from ..boinc.dataserver import FileMissing
+from ..boinc.model import Workunit
 from ..boinc.server import SchedulerCore
+from ..core.job import JobPhase, MapReduceJob, MapReduceJobSpec
+from ..core.jobtracker import JobTracker, TaskInput
 from ..runtime.api import MapReduceApp
 from ..runtime.apps import InvertedIndex, MatchCount, WordCount
 from ..runtime.splitter import split_text
@@ -74,80 +78,75 @@ def decode_payload(payload: bytes) -> dict:
     return dict(pickle.loads(payload))
 
 
-class GatewayJob:
-    """Book-keeping for one live MapReduce job."""
+class JobSignal(threading.Event):
+    """A ``threading.Event`` with the simulator :class:`~repro.sim.Event`'s
+    ``trigger`` / ``fail`` verbs: what a live job's completion signals are,
+    so other threads can block on them."""
 
-    def __init__(self, name: str, app_name: str, n_maps: int,
-                 n_reducers: int, replication: int, quorum: int) -> None:
-        """A freshly submitted job with no completed stages."""
-        self.name = name
-        self.app_name = app_name
-        self.n_maps = n_maps
-        self.n_reducers = n_reducers
-        self.replication = replication
-        self.quorum = quorum
-        self.state = "running"
-        self.maps_done = 0
-        self.reduces_done = 0
-        #: Total workunits assimilated for this job (duplicate-assimilation
-        #: detector: must end at ``n_maps + n_reducers`` exactly).
-        self.assimilated = 0
-        self.error: str | None = None
-        self.output_payload: bytes | None = None
-        #: Set when the job reaches a terminal state (done or error).
-        #: A ``threading.Event`` so non-asyncio threads (doctests, the
-        #: blocking client helpers) can wait on it.
-        self.finished = threading.Event()
+    #: The failure the signal fired with, if it was :meth:`fail`.
+    exception: BaseException | None = None
 
-    def status(self) -> dict:
-        """The wire ``JobStatus`` payload for this job."""
-        return {
-            "name": self.name,
-            "state": self.state,
-            "maps_done": self.maps_done,
-            "reduces_done": self.reduces_done,
-            "n_maps": self.n_maps,
-            "n_reducers": self.n_reducers,
-            "assimilated": self.assimilated,
-            "output_checksum": (None if self.output_payload is None
-                                else checksum(self.output_payload)),
-        }
+    def trigger(self, value: _t.Any = None) -> None:
+        """Fire successfully."""
+        self.set()
+
+    def fail(self, exc: BaseException) -> None:
+        """Fire with the failure *exc* for waiters to read."""
+        self.exception = exc
+        self.set()
 
 
-class GatewayJobTracker:
-    """Drives live jobs through the shared scheduler core's hooks."""
+#: ``JobStatus.state`` for each phase of the shared job record.
+WIRE_STATE = {JobPhase.MAP: "running", JobPhase.REDUCE: "running",
+              JobPhase.DONE: "done", JobPhase.FAILED: "error"}
+
+
+class GatewayJobTracker(JobTracker):
+    """The shared JobTracker with its bytes in a :class:`BlobStore`."""
 
     def __init__(self, core: SchedulerCore, store: BlobStore) -> None:
-        """Attach to *core*'s assimilate/error hooks and *store*."""
-        self.core = core
+        """Attach to *core*'s hooks; task bytes live in *store*."""
+        super().__init__(core, lambda _name: JobSignal())
         self.store = store
-        self.jobs: dict[str, GatewayJob] = {}
-        core.assimilate_handler = self._assimilate
-        core.on_wu_error = self._wu_error
+        #: Job name -> merged output payload, set just before ``job.done``.
+        self.outputs: dict[str, bytes] = {}
+        self.on_job_done = self._seal
+
+    # -- where the bytes live --------------------------------------------------
+    def map_input(self, spec: MapReduceJobSpec, i: int) -> TaskInput:
+        """Map *i*'s chunk blob; flops are its length in bytes."""
+        ref = self.store.files[chunk_blob_name(spec.name, i)]
+        return (ref,), max(ref.size, 1.0)
+
+    def reduce_input(self, spec: MapReduceJobSpec, r: int) -> TaskInput:
+        """Reducer *r*'s uploaded partition blobs (:class:`FileMissing` if
+        one never was); flops are their bytes."""
+        refs = []
+        for i in range(spec.n_maps):
+            name = partition_blob_name(spec.name, i, r)
+            if not self.store.has(name):
+                raise FileMissing(f"partition blob {name} was never uploaded")
+            refs.append(self.store.files[name])
+        return tuple(refs), max(sum(f.size for f in refs), 1.0)
 
     # -- submission ------------------------------------------------------------
-    def submit(self, name: str, app_name: str, data: bytes, n_maps: int,
-               n_reducers: int, replication: int = 1,
-               quorum: int = 1) -> GatewayJob:
+    def submit_data(self, name: str, app_name: str, data: bytes, n_maps: int,
+                    n_reducers: int, replication: int = 1,
+                    quorum: int = 1) -> MapReduceJob:
         """Split *data*, publish chunk blobs, submit the map workunits."""
         if name in self.jobs:
             raise ValueError(f"job {name!r} already submitted")
-        resolve_app(app_name)  # fail fast on unknown apps
-        job = GatewayJob(name, app_name, n_maps, n_reducers,
-                         replication, quorum)
-        self.jobs[name] = job
-        chunks = split_text(data, n_maps)
-        for i, chunk in enumerate(chunks):
-            ref = self.store.put(chunk_blob_name(name, i), chunk)
-            self.core.submit_workunit(Workunit(
-                id=self.core.db.new_wu_id(), app_name=app_name,
-                input_files=(ref,), flops=float(max(len(chunk), 1)),
-                target_nresults=replication, min_quorum=quorum,
-                mr_job=name, mr_kind="map", mr_index=i),
-                publish_inputs=False)
-        return job
+        if app_name not in APP_REGISTRY:
+            raise ValueError(f"unknown app {app_name!r}")
+        spec = MapReduceJobSpec(name, n_maps, n_reducers,
+                                input_size=max(len(data), 1.0),
+                                replication=replication, quorum=quorum,
+                                app_name=app_name)
+        for i, chunk in enumerate(split_text(data, n_maps)):
+            self.store.put(chunk_blob_name(name, i), chunk)
+        return self.submit(spec)
 
-    def submit_spec(self, spec: dict) -> GatewayJob:
+    def submit_spec(self, spec: dict) -> MapReduceJob:
         """Submit from a validated wire ``JobRequest`` payload.
 
         The corpus is generated server-side from ``(size, seed)`` — the
@@ -157,79 +156,43 @@ class GatewayJobTracker:
         """
         data = generate_corpus(spec["corpus"]["size"],
                                seed=spec["corpus"]["seed"])
-        return self.submit(spec["name"], spec["app"], data,
-                           n_maps=spec["n_maps"],
-                           n_reducers=spec["n_reducers"],
-                           replication=spec.get("replication", 1),
-                           quorum=spec.get("quorum", 1))
+        return self.submit_data(spec["name"], spec["app"], data,
+                                spec["n_maps"], spec["n_reducers"],
+                                replication=spec.get("replication", 1),
+                                quorum=spec.get("quorum", 1))
 
-    # -- task metadata for the wire -------------------------------------------
+    # -- what the wire reads ---------------------------------------------------
     def task_params(self, wu: Workunit) -> dict:
         """Per-assignment MR parameters serialised into a wire ``Task``."""
-        job = self.jobs.get(wu.mr_job) if wu.mr_job is not None else None
+        job = self.jobs.get(wu.mr_job or "")
+        spec = None if job is None else job.spec
         return {
+            "app": wu.app_name if spec is None else spec.app_name,
             "job": wu.mr_job,
             "kind": wu.mr_kind,
             "index": wu.mr_index,
-            "n_maps": None if job is None else job.n_maps,
-            "n_reducers": None if job is None else job.n_reducers,
+            "n_maps": None if spec is None else spec.n_maps,
+            "n_reducers": None if spec is None else spec.n_reducers,
         }
 
-    # -- scheduler-core hooks --------------------------------------------------
-    def _assimilate(self, wu: Workunit, canonical: Result) -> None:
-        """BOINC assimilator contract: consume one validated workunit."""
-        job = self.jobs.get(wu.mr_job or "")
-        if job is None:
-            return
-        job.assimilated += 1
-        if wu.mr_kind == "map":
-            job.maps_done += 1
-            if job.maps_done == job.n_maps:
-                self._launch_reduces(job)
-        elif wu.mr_kind == "reduce":
-            job.reduces_done += 1
-            if job.reduces_done == job.n_reducers:
-                self._finish(job)
-
-    def _launch_reduces(self, job: GatewayJob) -> None:
-        """All maps assimilated: create one reduce workunit per partition."""
-        for r in range(job.n_reducers):
-            refs = []
-            for i in range(job.n_maps):
-                pname = partition_blob_name(job.name, i, r)
-                if not self.store.has(pname):
-                    job.state = "error"
-                    job.error = f"missing partition blob {pname!r}"
-                    job.finished.set()
-                    return
-                refs.append(self.store.files[pname])
-            self.core.submit_workunit(Workunit(
-                id=self.core.db.new_wu_id(), app_name=job.app_name,
-                input_files=tuple(refs),
-                flops=float(max(sum(int(f.size) for f in refs), 1)),
-                target_nresults=job.replication, min_quorum=job.quorum,
-                mr_job=job.name, mr_kind="reduce", mr_index=r),
-                publish_inputs=False)
-
-    def _finish(self, job: GatewayJob) -> None:
-        """All reduces assimilated: merge partition outputs, seal the job."""
+    def _seal(self, job: MapReduceJob) -> None:
+        """Last reduce validated: merge the partition outputs.  The blobs
+        are whatever volunteers uploaded, so this may raise anything; the
+        shared tracker turns that into a failed job."""
         merged: dict = {}
-        for r in range(job.n_reducers):
-            blob = self.store.fetch(reduce_blob_name(job.name, r))
+        for r in range(job.spec.n_reducers):
+            blob = self.store.fetch(reduce_blob_name(job.spec.name, r))
             merged.update(pickle.loads(blob))
-        job.output_payload = canonical_payload(merged)
-        job.state = "done"
-        job.finished.set()
+        self.outputs[job.spec.name] = canonical_payload(merged)
 
-    def _wu_error(self, wu: Workunit) -> None:
-        """A workunit was abandoned (too many errors): fail its job."""
-        job = self.jobs.get(wu.mr_job or "")
-        if job is None or job.state != "running":
-            return
-        job.state = "error"
-        job.error = f"workunit {wu.id} ({wu.mr_kind} {wu.mr_index}) failed"
-        job.finished.set()
-
-    def statuses(self) -> dict[str, str]:
-        """Job name -> state, for the ``/status`` page."""
-        return {name: job.state for name, job in self.jobs.items()}
+    def status(self, job: MapReduceJob) -> dict:
+        """The wire ``JobStatus`` payload for *job*."""
+        spec, payload = job.spec, self.outputs.get(job.spec.name)
+        return {
+            "name": spec.name, "state": WIRE_STATE[job.phase],
+            "maps_done": job.maps_completed, "n_maps": spec.n_maps,
+            "reduces_done": job.reduces_completed,
+            "n_reducers": spec.n_reducers,
+            "assimilated": job.maps_completed + job.reduces_completed,
+            "output_checksum": None if payload is None else checksum(payload),
+        }

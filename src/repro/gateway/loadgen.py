@@ -30,11 +30,10 @@ import typing as _t
 import numpy as np
 
 from ..runtime.engine import LocalRunner
-from ..runtime.splitter import split_text
 from ..volunteers.traces import AvailabilityTrace, diurnal_trace
 from ..workloads import generate_corpus
 from . import protocol
-from .client import execute_task
+from .client import execute_task, retry_delay
 from .jobs import canonical_payload, resolve_app
 from .server import GatewayConfig, GatewayServer
 
@@ -203,9 +202,8 @@ class _FleetClient:
                 method, path, body, {"Content-Type": "application/json"})
             if status == 503:
                 doc = protocol.loads(data)
-                await asyncio.sleep(
-                    max(float(doc.get("retry_after_s", 0.0)),
-                        0.05 * (2 ** attempt) * self._rng.uniform(0.5, 1)))
+                await asyncio.sleep(retry_delay(
+                    self._rng, attempt, float(doc.get("retry_after_s", 0.0))))
                 continue
             if status >= 400:
                 raise RuntimeError(f"{path}: HTTP {status} "
@@ -264,17 +262,7 @@ def oracle_payload(config: LoadConfig) -> bytes:
     data = generate_corpus(config.corpus_bytes, seed=config.seed)
     runner = LocalRunner(resolve_app(config.app), n_maps=config.n_maps,
                          n_reducers=config.n_reducers)
-    merged: dict = {}
-    blobs_by_reducer: dict[int, list[bytes]] = {
-        r: [] for r in range(config.n_reducers)}
-    for i, chunk in enumerate(split_text(data, config.n_maps)):
-        _, blobs = runner.run_map_task(i, chunk)
-        for r in range(config.n_reducers):
-            blobs_by_reducer[r].append(blobs[r])
-    for r in range(config.n_reducers):
-        _, output = runner.run_reduce_task(r, blobs_by_reducer[r])
-        merged.update(output)
-    return canonical_payload(merged)
+    return canonical_payload(runner.run(data).output)
 
 
 def percentiles_ms(samples: _t.Sequence[float]) -> dict[str, float]:

@@ -46,12 +46,8 @@ from ..boinc.server import (
 from ..obs.metrics import MetricsRegistry
 from . import protocol
 from .files import BlobStore
-from .jobs import (
-    APP_REGISTRY,
-    GatewayJob,
-    GatewayJobTracker,
-    decode_payload,
-)
+from ..core.job import MapReduceJob
+from .jobs import WIRE_STATE, GatewayJobTracker, decode_payload
 
 #: Latency buckets (seconds) for live RPC histograms: sub-millisecond to
 #: multi-second, matching what a loopback-to-WAN deployment can see.
@@ -334,27 +330,27 @@ class GatewayServer:
         """Dispatch one request; returns (status, headers, payload)."""
         try:
             if path == "/rpc/register":
-                return self._require_post(method) or self._rpc_register(body)
+                return self._only(method, "POST") or self._rpc_register(body)
             if path == "/rpc/scheduler":
-                return self._require_post(method) or self._rpc_scheduler(body)
+                return self._only(method, "POST") or self._rpc_scheduler(body)
             if path.startswith("/data/"):
-                return self._require_get(method) or self._data_get(
+                return self._only(method, "GET") or self._data_get(
                     path[len("/data/"):])
             if path.startswith("/upload/"):
-                return self._require_post(method) or self._upload(
+                return self._only(method, "POST") or self._upload(
                     path[len("/upload/"):], headers, body)
             if path == "/jobs":
-                return self._require_post(method) or self._job_submit(body)
+                return self._only(method, "POST") or self._job_submit(body)
             if path.startswith("/jobs/") and path.endswith("/output"):
-                return self._require_get(method) or self._job_output(
+                return self._only(method, "GET") or self._job_output(
                     path[len("/jobs/"):-len("/output")])
             if path.startswith("/jobs/"):
-                return self._require_get(method) or self._job_status(
+                return self._only(method, "GET") or self._job_status(
                     path[len("/jobs/"):])
             if path == "/status":
-                return self._require_get(method) or self._status()
+                return self._only(method, "GET") or self._status()
             if path == "/healthz":
-                return self._require_get(method) or self._json(
+                return self._only(method, "GET") or self._json(
                     200, {"ok": True, "version": protocol.PROTOCOL_VERSION})
             return self._error("not_found", f"no route {path!r}")
         except ServerUnavailable:
@@ -364,20 +360,11 @@ class GatewayServer:
             return self._error("bad_request", f"{type(exc).__name__}: {exc}")
 
     @staticmethod
-    def _require_post(method: str) -> tuple[int, dict, bytes] | None:
-        """405 error triple unless *method* is POST."""
-        if method != "POST":
+    def _only(method: str, allowed: str) -> tuple[int, dict, bytes] | None:
+        """405 error triple unless *method* is the *allowed* one."""
+        if method != allowed:
             status, body = protocol.error_body(
-                "method_not_allowed", "use POST")
-            return status, {"Content-Type": "application/json"}, body
-        return None
-
-    @staticmethod
-    def _require_get(method: str) -> tuple[int, dict, bytes] | None:
-        """405 error triple unless *method* is GET."""
-        if method != "GET":
-            status, body = protocol.error_body(
-                "method_not_allowed", "use GET")
+                "method_not_allowed", f"use {allowed}")
             return status, {"Content-Type": "application/json"}, body
         return None
 
@@ -458,13 +445,11 @@ class GatewayServer:
         """Serialise a core :class:`SchedulerReply` into a wire ``WorkReply``."""
         tasks = []
         for a in reply.assignments:
-            params = self.jobs.task_params(a.wu)
             tasks.append({
                 "result_id": a.result_id, "wu_id": a.wu.id,
-                "app": a.wu.app_name,
                 "input_files": [f.name for f in a.wu.input_files],
                 "est_runtime_s": a.est_runtime_s, "deadline": a.deadline,
-                **params,
+                **self.jobs.task_params(a.wu),
             })
         return {"assignments": tasks,
                 "request_delay_s": reply.request_delay_s,
@@ -507,37 +492,33 @@ class GatewayServer:
     # -- job plane -------------------------------------------------------------
     def _job_submit(self, body: bytes) -> tuple[int, dict, bytes]:
         """``POST /jobs``: generate corpus, split, submit map workunits."""
-        spec = self._validated("JobRequest", body)
-        if spec["name"] in self.jobs.jobs:
-            return self._error("bad_request",
-                               f"job {spec['name']!r} already exists")
-        if spec["app"] not in APP_REGISTRY:
-            return self._error("bad_request",
-                               f"unknown app {spec['app']!r}")
-        job = self.jobs.submit_spec(spec)
-        return self._json(200, {"name": job.name, "n_maps": job.n_maps,
-                                "n_reducers": job.n_reducers,
-                                "workunits": job.n_maps})
+        request = self._validated("JobRequest", body)
+        # A taken name or unknown app raises ValueError: 400, see _route.
+        spec = self.jobs.submit_spec(request).spec
+        return self._json(200, {"name": spec.name, "n_maps": spec.n_maps,
+                                "n_reducers": spec.n_reducers,
+                                "workunits": spec.n_maps})
 
     def _job_status(self, name: str) -> tuple[int, dict, bytes]:
         """``GET /jobs/{name}``: the job's wire status."""
         job = self.jobs.jobs.get(name)
         if job is None:
             return self._error("not_found", f"no job {name!r}")
-        return self._json(200, job.status())
+        return self._json(200, self.jobs.status(job))
 
     def _job_output(self, name: str) -> tuple[int, dict, bytes]:
         """``GET /jobs/{name}/output``: reclaim the merged payload."""
         job = self.jobs.jobs.get(name)
         if job is None:
             return self._error("not_found", f"no job {name!r}")
-        if job.state != "done" or job.output_payload is None:
-            return self._error("not_ready",
-                               f"job {name!r} is {job.state}")
+        if not job.done.is_set():
+            return self._error("not_ready", f"job {name!r} is running")
+        if job.done.exception is not None:
+            return self._error("not_ready", str(job.done.exception))
+        payload = self.jobs.outputs[name]
         return (200, {"Content-Type": "application/octet-stream",
-                      protocol.CHECKSUM_HEADER:
-                          protocol.checksum(job.output_payload)},
-                job.output_payload)
+                      protocol.CHECKSUM_HEADER: protocol.checksum(payload)},
+                payload)
 
     # -- introspection ---------------------------------------------------------
     def _status(self) -> tuple[int, dict, bytes]:
@@ -549,7 +530,8 @@ class GatewayServer:
             "now": self.core.now,
             "counts": self.core.db.counts(),
             "counters": counters,
-            "jobs": self.jobs.statuses(),
+            "jobs": {name: WIRE_STATE[job.phase]
+                     for name, job in self.jobs.jobs.items()},
         })
 
 
@@ -575,11 +557,11 @@ class GatewayHandle:
 
     def submit_job(self, name: str, app: str, data: bytes, n_maps: int,
                    n_reducers: int, replication: int = 1,
-                   quorum: int = 1) -> GatewayJob:
+                   quorum: int = 1) -> MapReduceJob:
         """Submit a job with explicit input bytes (thread-safe)."""
 
-        async def _submit() -> GatewayJob:
-            return self.server.jobs.submit(
+        async def _submit() -> MapReduceJob:
+            return self.server.jobs.submit_data(
                 name, app, data, n_maps=n_maps, n_reducers=n_reducers,
                 replication=replication, quorum=quorum)
 
@@ -589,12 +571,12 @@ class GatewayHandle:
     def result(self, name: str, timeout: float = 60.0) -> dict:
         """Block until job *name* finishes, then return its merged output."""
         job = self.server.jobs.jobs[name]
-        if not job.finished.wait(timeout):
-            raise TimeoutError(f"job {name!r} still {job.state} "
+        if not job.done.wait(timeout):
+            raise TimeoutError(f"job {name!r} still running "
                                f"after {timeout}s")
-        if job.state != "done" or job.output_payload is None:
-            raise RuntimeError(f"job {name!r} failed: {job.error}")
-        return decode_payload(job.output_payload)
+        if job.done.exception is not None:
+            raise job.done.exception
+        return decode_payload(self.server.jobs.outputs[name])
 
     def close(self) -> None:
         """Stop the server and join its thread (state is preserved)."""

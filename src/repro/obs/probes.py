@@ -141,7 +141,7 @@ def attach_gateway_probes(gateway: "GatewayServer",
               fn=lambda: len(gateway.store))
     reg.gauge("gateway.jobs_running", "live jobs not yet sealed",
               fn=lambda: sum(1 for j in gateway.jobs.jobs.values()
-                             if j.state == "running"))
+                             if not j.finished))
     return reg
 
 

@@ -19,7 +19,7 @@ from .engine import (
 )
 from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
 from .process import Interrupted, Process
-from .rng import RngRegistry, derive_seed, jittered
+from .rng import RngRegistry, backoff_delay, derive_seed, jittered
 from .trace import IntervalAccumulator, TraceRecord, Tracer
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "Process",
     "Interrupted",
     "RngRegistry",
+    "backoff_delay",
     "derive_seed",
     "jittered",
     "Tracer",

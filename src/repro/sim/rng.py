@@ -76,7 +76,7 @@ class RngRegistry:
         return f"<RngRegistry seed={self.seed} streams={len(self._streams)}>"
 
 
-def jittered(rng: np.random.Generator, base: float, rel_jitter: float) -> float:
+def jittered(rng, base: float, rel_jitter: float) -> float:
     """*base* multiplied by a uniform factor in ``[1-rel_jitter, 1+rel_jitter]``.
 
     The standard way model code perturbs deterministic costs (compute times,
@@ -87,3 +87,15 @@ def jittered(rng: np.random.Generator, base: float, rel_jitter: float) -> float:
     if rel_jitter == 0:
         return base
     return base * (1.0 + rng.uniform(-rel_jitter, rel_jitter))
+
+
+def backoff_delay(rng, lo: float, hi: float, n: int, jitter: float) -> float:
+    """Wait after the *n*-th consecutive failure (``n >= 1``): *lo* doubled
+    per failure, capped at *hi*, then :func:`jittered` by *jitter*.
+
+    The one backoff formula: the simulated client's no-work, lost-contact
+    and transfer-retry deferrals and the live clients' 503 retries all call
+    it.  *rng* needs only ``uniform(a, b)`` (``numpy.random.Generator`` or
+    ``random.Random``); a call draws from it at most once.
+    """
+    return jittered(rng, min(hi, lo * (2.0 ** (n - 1))), jitter)

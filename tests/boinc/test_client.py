@@ -122,23 +122,38 @@ class TestWorkFetchCycle:
 class TestBackoff:
     def test_delay_sequence_is_pinned(self):
         """The one backoff formula, for n = 1..6 consecutive failures, on
-        the defaults (60 s doubling to 600 s; transfers 15 s to 300 s; 50%
-        jitter, one rng draw per delay).  Values recorded from the three
-        separate copies this helper replaced: traces depend on them."""
-        from repro.boinc.client import _transfer_backoff
+        the client defaults (60 s doubling to 600 s; transfers 15 s to
+        300 s; 50% jitter, one rng draw per delay).  Values recorded from
+        the separate copies this function replaced: traces depend on them."""
+        from repro.sim import backoff_delay
 
-        _sim, _net, _server, (client,) = build(
-            n_clients=1, client_config=ClientConfig())
-        cfg = client.config
-        client.rng = np.random.default_rng(7)
-        assert [client._backoff(cfg.backoff_min_s, cfg.backoff_max_s, n)
+        cfg = ClientConfig()
+        rng = np.random.default_rng(7)
+        assert [backoff_delay(rng, cfg.backoff_min_s, cfg.backoff_max_s, n,
+                              cfg.backoff_jitter)
                 for n in range(1, 7)] == [
             67.50572799628002, 167.66565611634906, 306.16456565884647,
             348.0994511954841, 480.09977094673525, 824.1320672377572]
-        client.rng = np.random.default_rng(7)
-        assert [_transfer_backoff(client, n) for n in range(1, 7)] == [
+        rng = np.random.default_rng(7)
+        assert [backoff_delay(rng, cfg.transfer_backoff_min_s,
+                              cfg.transfer_backoff_max_s, n,
+                              cfg.backoff_jitter)
+                for n in range(1, 7)] == [
             16.876431999070004, 41.916414029087264, 76.54114141471162,
             87.02486279887103, 192.0399083786941, 412.0660336188786]
+
+    def test_live_retry_delay_is_the_same_formula(self):
+        """The live clients' 503 retry: same function, live constants,
+        any rng with ``uniform`` — and never under the server's floor."""
+        import random
+
+        from repro.gateway.client import retry_delay
+
+        delays = [retry_delay(random.Random(3), attempt)
+                  for attempt in range(8)]
+        spans = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        assert all(0.5 * s <= d <= 1.5 * s for s, d in zip(spans, delays))
+        assert retry_delay(random.Random(3), 0, retry_after_s=9.0) == 9.0
 
     def test_no_work_triggers_exponential_backoff(self):
         sim, _net, server, clients = build(n_clients=1)

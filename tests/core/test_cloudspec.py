@@ -44,6 +44,17 @@ class TestFromSpec:
         with pytest.raises(TypeError):
             CloudSpec().replace(allocator="full")
 
+    def test_unset_settings_are_gone(self):
+        # Nobody set either: nat_study swaps cloud.connectivity.config,
+        # and nothing in src/ ever read legacy_reduce_via_server.
+        from repro.core import BoincMRConfig
+        from repro.net import TraversalConfig
+
+        with pytest.raises(TypeError):
+            CloudSpec(traversal_config=TraversalConfig())
+        with pytest.raises(TypeError):
+            BoincMRConfig(legacy_reduce_via_server=False)
+
     def test_server_link_flows_through(self):
         cloud = VolunteerCloud.from_spec(CloudSpec(server_link=SERVER_LINK))
         assert cloud.server_host.uplink.capacity == pytest.approx(

@@ -53,7 +53,7 @@ class TestSpecValidation:
 class TestJobState:
     def make(self):
         sim = Simulator()
-        return sim, MapReduceJob(sim, spec())
+        return sim, MapReduceJob(spec(), sim.now, sim.event)
 
     def test_initial_phase(self):
         _sim, job = self.make()
@@ -97,9 +97,10 @@ class TestJobState:
 
     def test_fail_marks_failed_and_fails_event(self):
         sim, job = self.make()
-        job.fail("validator gave up")
+        job.fail("validator gave up", now=7.0)
         assert job.phase is JobPhase.FAILED
         assert job.finished
+        assert job.finished_at == 7.0
         with pytest.raises(RuntimeError, match="validator gave up"):
             job.done.value
 
@@ -109,7 +110,7 @@ class TestJobState:
             job.record_map_validated(i, i + 1, [], 1.0)
         for r in range(2):
             job.record_reduce_validated(r, 2.0)
-        job.fail("too late")
+        job.fail("too late", now=3.0)
         assert job.phase is JobPhase.DONE
 
     def test_holders_recorded(self):

@@ -16,7 +16,7 @@ def setup():
     net = Network(sim)
     host = net.add_host("server", SERVER_LINK)
     server = ProjectServer(sim, net, host)
-    tracker = JobTracker(sim, server, config=BoincMRConfig(
+    tracker = JobTracker(server, sim.event, config=BoincMRConfig(
         upload_map_outputs=True))
     return sim, server, tracker
 
@@ -37,12 +37,12 @@ def force_validate(server, wu, host_names, supports_mr=True):
     results = server.db.results_for_wu(wu.id)
     for res, name in zip(results, host_names):
         rec = next(h for h in server.db.hosts.values() if h.name == name)
-        server.db.mark_sent(res, rec, server.sim.now, 1e9)
+        server.db.mark_sent(res, rec, server.now, 1e9)
         res.state = ResultState.OVER
         from repro.boinc.model import ResultOutcome
         res.outcome = ResultOutcome.SUCCESS
         res.output = OutputData(digest=f"wu{wu.id}")
-        res.reported_at = server.sim.now
+        res.reported_at = server.now
     server._dirty_wus.add(wu.id)
     server._transitioner_pass()
     server._validator_pass()
@@ -162,7 +162,7 @@ class TestEarlyReduceCreation:
     def test_threshold_creates_early(self, setup):
         sim, server, _old = setup
         # fresh tracker with fraction 0.5 over 4 maps -> create at 2
-        tracker = JobTracker(sim, server, config=BoincMRConfig(
+        tracker = JobTracker(server, sim.event, config=BoincMRConfig(
             upload_map_outputs=True, reduce_creation_fraction=0.5))
         job = tracker.submit(spec(name="early", n_maps=4))
         maps = server.db.workunits_by_job("early", "map")

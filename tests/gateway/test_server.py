@@ -122,6 +122,18 @@ class TestBasics:
         assert err.value.code == "bad_request"
 
 
+class TestRemovedSurface:
+    def test_second_job_record_and_backoff_policy_are_gone(self):
+        # One job record (core.MapReduceJob) and one backoff function
+        # (repro.sim.backoff_delay): no alias, no accepted-and-ignored knob.
+        with pytest.raises(ImportError):
+            from repro.gateway import GatewayJob  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.gateway import BackoffPolicy  # noqa: F401
+        with pytest.raises(TypeError):
+            GatewayClient("h:1", backoff=None)
+
+
 class TestHostileFraming:
     """Requests whose extent cannot be trusted get a 400, then a close."""
 
@@ -183,12 +195,12 @@ class TestEndToEnd:
         job = handle.server.jobs.jobs["q2"]
         for i in range(8):
             run_volunteer(handle.address, name=f"rep-{i}", idle_limit=15)
-            if job.finished.is_set():
+            if job.finished:
                 break
         out = handle.result("q2", timeout=10)
         assert out == dict(collections.Counter(corpus.split()))
-        job = handle.server.jobs.jobs["q2"]
-        assert job.assimilated == 3  # each WU exactly once despite 2 replicas
+        # each WU exactly once despite 2 replicas
+        assert handle.server.jobs.status(job)["assimilated"] == 3
 
     def test_job_status_and_output_endpoints(self, handle, client):
         corpus = generate_corpus(5_000, seed=5)
@@ -202,7 +214,7 @@ class TestEndToEnd:
         run_volunteer(handle.address, name="worker", idle_limit=20)
         handle.result("st", timeout=10)
         payload = client.job_output("st")
-        assert payload == handle.server.jobs.jobs["st"].output_payload
+        assert payload == handle.server.jobs.outputs["st"]
 
 
 class TestDisconnectMidUpload:
@@ -273,7 +285,7 @@ class TestDuplicateReport:
         run_volunteer(handle.address, name="closer", idle_limit=20)
         out = handle.result("dup", timeout=10)
         assert out == dict(collections.Counter(corpus.split()))
-        assert handle.server.jobs.jobs["dup"].assimilated == 2
+        assert client.job_status("dup")["assimilated"] == 2
 
     def test_report_for_foreign_result_dropped(self, handle, client):
         corpus = generate_corpus(6_000, seed=9)
@@ -342,3 +354,84 @@ class TestRestartWithLeases:
             assert res.outcome is ResultOutcome.NO_REPLY
         finally:
             handle.close()
+
+
+class TestBadReportFailsOnlyItsJob:
+    """A report that lies about its uploads may fail its own job — never
+    the daemon task, and so never anybody else's job."""
+
+    @staticmethod
+    def _wait_until_finished(client, name, budget_s=5.0):
+        deadline = time.time() + budget_s
+        while time.time() < deadline:
+            status = client.job_status(name)
+            if status["state"] != "running":
+                return status
+            time.sleep(0.01)
+        raise AssertionError(f"job {name!r} still running after {budget_s}s")
+
+    @staticmethod
+    def _assert_gateway_still_serves(handle, client):
+        assert not handle.server._daemon_task.done()
+        corpus = generate_corpus(5_000, seed=13)
+        handle.submit_job("healthy", "wordcount", corpus,
+                          n_maps=2, n_reducers=2)
+        run_volunteer(handle.address, name="honest", idle_limit=30)
+        assert handle.result("healthy", timeout=10) == dict(
+            collections.Counter(corpus.split()))
+        assert client.status()["jobs"]["healthy"] == "done"
+
+    def test_reduce_reported_without_its_upload(self, handle, client):
+        handle.submit_job("liar", "wordcount", generate_corpus(4_000, seed=12),
+                          n_maps=1, n_reducers=1)
+        host_id = client.register("liar-host", flops=1e9)
+        map_task = _poll_for_assignment(client, host_id)[0]
+        client.scheduler_rpc(host_id, work_req_s=0.0,
+                             reports=[execute_task(client, map_task)])
+        reduce_task = _poll_for_assignment(client, host_id)[0]
+        assert reduce_task["kind"] == "reduce"
+        client.scheduler_rpc(host_id, work_req_s=0.0, reports=[{
+            "result_id": reduce_task["result_id"], "success": True,
+            "elapsed_s": 0.0, "digest": "crc32:00000000",
+            "output_files": [{"name": "liar.out0", "size": 1}]}])
+
+        status = self._wait_until_finished(client, "liar")
+        assert status["state"] == "error"
+        assert status["output_checksum"] is None
+        with pytest.raises(GatewayError) as err:
+            client.job_output("liar")
+        assert err.value.code == "not_ready"
+        assert "liar.out0" in err.value.detail
+        with pytest.raises(RuntimeError, match="liar.out0"):
+            handle.result("liar", timeout=1)
+        self._assert_gateway_still_serves(handle, client)
+
+    def test_missing_partition_creates_no_reduce_workunit(self, handle,
+                                                          client):
+        handle.submit_job("gap", "wordcount", generate_corpus(4_000, seed=14),
+                          n_maps=1, n_reducers=2)
+        host_id = client.register("forgetful", flops=1e9)
+        task = _poll_for_assignment(client, host_id)[0]
+
+        class SkipsPartitionOne(GatewayClient):
+            def upload(self, result_id, name, data):
+                if name.endswith(".p1"):
+                    return {}
+                return super().upload(result_id, name, data)
+
+        forgetful = SkipsPartitionOne(handle.address)
+        client.scheduler_rpc(host_id, work_req_s=0.0,
+                             reports=[execute_task(forgetful, task)])
+        forgetful.close()
+
+        status = self._wait_until_finished(client, "gap")
+        assert status["state"] == "error"
+        # All or nothing: reducer 0's inputs were there, yet nothing of
+        # the failed job is left for a volunteer to be handed.
+        db = handle.server.core.db
+        assert db.workunits_by_job("gap", "reduce") == []
+        assert db.unsent_results() == []
+        with pytest.raises(GatewayError) as err:
+            client.job_output("gap")
+        assert "gap.m0.p1" in err.value.detail
+        self._assert_gateway_still_serves(handle, client)
