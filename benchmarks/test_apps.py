@@ -10,8 +10,9 @@ of intermediate data that would otherwise round-trip through the server.
 
 import pytest
 
-from repro.core import GREP, INVERTED_INDEX, WORD_COUNT, BoincMRConfig
-from repro.experiments import Scenario, run_scenario
+from repro.core import (GREP, INVERTED_INDEX, WORD_COUNT, CloudSpec,
+                        MapReduceJobSpec)
+from repro.experiments import run_scenario
 
 APPS = [
     ("wordcount", WORD_COUNT),
@@ -21,15 +22,13 @@ APPS = [
 
 
 def run_pair(app_name, cost, seed=1):
-    common = dict(n_nodes=20, n_maps=20, n_reducers=5, seed=seed, cost=cost,
-                  app_name=app_name)
-    vanilla = run_scenario(Scenario(
-        name=f"{app_name}_vanilla", mr_clients=False,
-        mr_config=BoincMRConfig(upload_map_outputs=True,
-                                reduce_from_peers=False),
-        **common))
-    mr = run_scenario(Scenario(
-        name=f"{app_name}_mr", mr_clients=True, **common))
+    job = dict(n_maps=20, n_reducers=5, cost=cost, app_name=app_name)
+    vanilla = run_scenario(
+        CloudSpec(seed=seed, n_nodes=20),
+        MapReduceJobSpec(f"{app_name}_vanilla", **job))
+    mr = run_scenario(
+        CloudSpec(seed=seed, n_nodes=20, mr_clients=True),
+        MapReduceJobSpec(f"{app_name}_mr", **job))
     return vanilla, mr
 
 

@@ -6,14 +6,15 @@ what its safety nets deliver when hosts actually come and go."""
 
 import pytest
 
+from repro.core import CloudSpec, MapReduceJobSpec
 from repro.experiments import run_churn, run_scenario
-from repro.experiments.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
 def outcomes():
-    stable = run_scenario(Scenario(name="churn", n_nodes=20, n_maps=20,
-                                   n_reducers=5, mr_clients=True, seed=3))
+    stable = run_scenario(
+        CloudSpec(seed=3, n_nodes=20, mr_clients=True),
+        MapReduceJobSpec("churn", n_maps=20, n_reducers=5))
     churny = run_churn(seed=3, mean_on_s=1800.0, mean_off_s=600.0,
                        departure_prob=0.05)
     return stable, churny

@@ -19,13 +19,14 @@ import statistics
 import pytest
 
 from repro.analysis import backoff_delays, job_metrics, report_lags
-from repro.experiments import Scenario, run_scenario
+from repro.core import CloudSpec, MapReduceJobSpec
+from repro.experiments import run_scenario
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scenario(Scenario(name="delays", n_nodes=20, n_maps=20,
-                                 n_reducers=5, seed=1))
+    return run_scenario(CloudSpec(seed=1, n_nodes=20),
+                        MapReduceJobSpec("delays", n_maps=20, n_reducers=5))
 
 
 def test_delay_decomposition(benchmark, result):

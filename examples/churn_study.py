@@ -10,14 +10,15 @@ mapper mid-download retry and then fall back to the server copy.
 Run:  python examples/churn_study.py
 """
 
+from repro.core import CloudSpec, MapReduceJobSpec
 from repro.experiments import run_churn, run_scenario
-from repro.experiments.scenario import Scenario
 
 
 def main() -> None:
     print("baseline: stable 20-node BOINC-MR cluster ...")
-    stable = run_scenario(Scenario(name="churn", n_nodes=20, n_maps=20,
-                                   n_reducers=5, mr_clients=True, seed=3))
+    stable = run_scenario(
+        CloudSpec(seed=3, n_nodes=20, mr_clients=True),
+        MapReduceJobSpec("churn", n_maps=20, n_reducers=5))
     print(f"  total {stable.metrics.total:8.1f}s\n")
 
     for mean_off, departure in [(300.0, 0.0), (600.0, 0.05), (900.0, 0.15)]:

@@ -325,7 +325,7 @@ class SchedulerCore:
             wu = self.db.workunits[res.wu_id]
             # Re-check within the pass: an earlier assignment in this very
             # RPC may have given this host a replica of the same workunit.
-            if host.id in self.db.hosts_with_result_of_wu(wu.id):
+            if self._barred(wu, host, self.db.hosts_with_result_of_wu(wu.id)):
                 continue
             peer_locations: dict[int, list[str]] = {}
             if wu.mr_kind == "reduce" and self.locate_reduce_inputs is not None:
@@ -342,6 +342,24 @@ class SchedulerCore:
                                result=res.id, wu=wu.id, job=wu.mr_job,
                                kind=wu.mr_kind, index=wu.mr_index)
         return out
+
+    def _barred(self, wu: Workunit, host: HostRecord,
+                assigned_hosts: set[int]) -> bool:
+        """Whether *host* may not take (another) replica of *wu*.
+
+        One replica of a WU per host, or redundancy is meaningless — so a
+        host that ever held one is out.  A workunit validated on a single
+        result has nothing to cross-check: there only a replica still in
+        progress bars the host, and it may retry its own failed or
+        timed-out result (a lone volunteer would otherwise wedge the job).
+        """
+        if host.id not in assigned_hosts:
+            return False
+        if wu.min_quorum > 1 or wu.adaptive:
+            return True
+        return any(r.host_id == host.id
+                   and r.state is ResultState.IN_PROGRESS
+                   for r in self.db.results_for_wu(wu.id))
 
     def _eligible_results(self, host: HostRecord) -> list[int]:
         """Feeder-cache results this host may receive, in serving order.
@@ -360,9 +378,8 @@ class SchedulerCore:
             if wu.state is not WorkunitState.ACTIVE:
                 self._feeder_visible.discard(rid)
                 continue
-            # One replica of a WU per host, or redundancy is meaningless.
             assigned_hosts = self.db.hosts_with_result_of_wu(wu.id)
-            if host.id in assigned_hosts:
+            if self._barred(wu, host, assigned_hosts):
                 continue
             if self.config.homogeneous_redundancy and assigned_hosts:
                 classes = {self.db.hosts[h].hr_class for h in assigned_hosts}

@@ -15,16 +15,19 @@ clock, attempt counts, and worker identity belong to the runner's
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import typing as _t
 
-#: Scenario fields a cell may set (the JSON-able subset of
-#: :class:`repro.experiments.Scenario`).
-SCENARIO_PARAMS: tuple[str, ...] = (
-    "name", "n_nodes", "n_maps", "n_reducers", "mr_clients", "input_size",
-    "replication", "quorum", "fast_node_fraction", "byzantine_rate",
-    "timeout_s", "app_name",
-)
+_SCALARS = (bool, int, float, str)
+
+
+def _scalar_fields(cls: type) -> set[str]:
+    """Fields of dataclass *cls* a flat JSON cell can set, read off their
+    annotations, so a new scalar field is a new cell param."""
+    names = {t.__name__ for t in _SCALARS}
+    return {f.name for f in dataclasses.fields(cls)
+            if getattr(f.type, "__name__", f.type) in names}
 
 
 def _metrics_payload(metrics: _t.Any) -> dict[str, _t.Any]:
@@ -40,35 +43,57 @@ def _metrics_payload(metrics: _t.Any) -> dict[str, _t.Any]:
     }
 
 
-def _run_deployment(scenario: _t.Any, faults: str | None) -> dict[str, _t.Any]:
-    """Build, optionally fault-inject, and run one scenario deployment."""
-    from ..analysis import job_metrics
-    from ..experiments.scenario import build_cloud, job_spec
+def _run_deployment(cloud_spec: _t.Any, job_spec: _t.Any, faults: str | None,
+                    **timeout: float) -> dict[str, _t.Any]:
+    """Build, optionally fault-inject, and run one deployment."""
+    from ..core import VolunteerCloud
+    from ..experiments import run_scenario
 
-    cloud = build_cloud(scenario)
+    cloud = VolunteerCloud.from_spec(cloud_spec)
     injector = cloud.apply_faults(faults) if faults else None
-    job = cloud.run_job(job_spec(scenario), timeout=scenario.timeout_s)
-    payload = _metrics_payload(job_metrics(cloud.tracer, scenario.name))
+    result = run_scenario(cloud, job_spec, **timeout)
+    payload = _metrics_payload(result.metrics)
     payload["events"] = cloud.sim.dispatch_count
     payload["sim_end"] = cloud.sim.now
     if injector is not None:
-        report = cloud.audit(job)
+        report = cloud.audit(result.job)
         payload["faults_injected"] = len(injector.events)
         payload["audit_ok"] = report.ok
     return payload
 
 
-def _execute_scenario(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    """A single :class:`~repro.experiments.Scenario` run."""
-    from ..experiments import Scenario
+def scenario_specs(spec: _t.Mapping[str, _t.Any]) -> tuple[_t.Any, _t.Any]:
+    """The ``(CloudSpec, MapReduceJobSpec)`` a flat ``scenario`` cell names.
+
+    Its params are the scalar fields of :class:`~repro.core.CloudSpec`
+    (the seed is the cell's own) and :class:`~repro.core.MapReduceJobSpec`,
+    plus ``timeout_s``; anything else is refused.
+    """
+    from ..core import CloudSpec, MapReduceJobSpec
 
     params = dict(spec.get("params", {}))
-    unknown = set(params) - set(SCENARIO_PARAMS)
+    cloud_names = _scalar_fields(CloudSpec) - {"seed"}
+    job_names = _scalar_fields(MapReduceJobSpec)
+    unknown = {k for k, v in params.items()
+               if k not in cloud_names | job_names | {"timeout_s"}
+               or not isinstance(v, _SCALARS)}
     if unknown:
         raise ValueError(f"unknown scenario params: {sorted(unknown)}")
     params.setdefault("name", "cell")
-    scenario = Scenario(seed=spec["seed"], **params)
-    return _run_deployment(scenario, spec.get("faults"))
+    return (
+        CloudSpec(seed=spec["seed"],
+                  **{k: v for k, v in params.items() if k in cloud_names}),
+        MapReduceJobSpec(
+            **{k: v for k, v in params.items() if k in job_names}))
+
+
+def _execute_scenario(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
+    """One run described by flat params (see :func:`scenario_specs`)."""
+    params = spec.get("params", {})
+    timeout = ({"timeout_s": params["timeout_s"]} if "timeout_s" in params
+               else {})
+    return _run_deployment(*scenario_specs(spec), spec.get("faults"),
+                           **timeout)
 
 
 def _execute_table1(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
@@ -76,8 +101,8 @@ def _execute_table1(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     from ..experiments import PAPER_TABLE1, scenario_for_row
 
     row = PAPER_TABLE1[spec["params"]["row"]]
-    scenario = scenario_for_row(row, seed=spec["seed"])
-    payload = _run_deployment(scenario, spec.get("faults"))
+    payload = _run_deployment(*scenario_for_row(row, seed=spec["seed"]),
+                              spec.get("faults"))
     payload["paper_total"] = row.paper_total.mean
     payload["paper_map"] = row.paper_map.mean
     payload["paper_reduce"] = row.paper_reduce.mean

@@ -71,51 +71,6 @@ def _cmd_planetlab(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .analysis import job_metrics, trace_to_csv
-    from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
-    from .obs import chrome_trace_json, trace_to_jsonl
-
-    mr_config = (BoincMRConfig() if args.mr
-                 else BoincMRConfig(upload_map_outputs=True,
-                                    reduce_from_peers=False))
-    cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=args.seed, mr_config=mr_config))
-    cloud.add_volunteers(args.nodes, mr=args.mr)
-    if args.trace_out or args.faults:
-        cloud.attach_observability(spans=True, probes=False)
-    if args.faults:
-        injector = cloud.apply_faults(args.faults)
-    job = cloud.run_job(MapReduceJobSpec(
-        "job", n_maps=args.maps, n_reducers=args.reducers,
-        input_size=args.input_gb * 1e9))
-    m = job_metrics(cloud.tracer, "job")
-    print(f"map {m.map_stats.mean:.1f}s [{m.map_stats.mean_discard_slowest:.1f}s]"
-          f"  reduce {m.reduce_stats.mean:.1f}s"
-          f"  total {m.total:.1f}s  transition gap {m.transition_gap:.1f}s")
-    if args.trace_out:
-        builder = cloud.finish_observability()
-        if args.trace_format == "chrome":
-            text = chrome_trace_json(builder)
-        elif args.trace_format == "jsonl":
-            text = trace_to_jsonl(cloud.tracer)
-        else:
-            text = trace_to_csv(cloud.tracer)
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        leaked = len(builder.leaked) if builder is not None else 0
-        print(f"wrote {args.trace_format} trace to {args.trace_out} "
-              f"({len(cloud.tracer)} records, {leaked} leaked spans)")
-    if args.faults:
-        report = cloud.audit(job)
-        print(f"faults injected: {len(injector.events)} "
-              f"(plan {injector.plan_name!r})")
-        print(report.render())
-        if not report.ok:
-            return 1
-    return 0
-
-
 def _render_fault_log(injector: _t.Any) -> str:
     lines = [f"plan {injector.plan_name!r}: "
              f"{len(injector.events)} fault(s) injected"]
@@ -125,12 +80,13 @@ def _render_fault_log(injector: _t.Any) -> str:
     return "\n".join(lines)
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from .core import CloudSpec, MapReduceJobSpec, VolunteerCloud
-    from .faults import BUILTIN_PLANS, resolve_plan
-    from .obs import chrome_trace_json
+    from .analysis import job_metrics, trace_to_csv
+    from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
+    from .faults import BUILTIN_PLANS
+    from .obs import chrome_trace_json, run_summary, trace_to_jsonl
 
     if args.list_plans:
         for name in sorted(BUILTIN_PLANS):
@@ -138,35 +94,57 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{name:22s} {len(plan.faults):2d} faults  "
                   f"{plan.description}")
         return 0
-    if args.plan is None:
-        print("chaos: a plan name or TOML path is required "
-              "(or --list-plans)", file=sys.stderr)
+    if args.summary_out and not args.faults:
+        print("run: --summary-out records the fault log and the audit, so "
+              "--faults PLAN is required (see --list-plans)", file=sys.stderr)
         return 2
-    plan = resolve_plan(args.plan)
-    cloud = VolunteerCloud.from_spec(CloudSpec(seed=args.seed))
-    cloud.add_volunteers(args.nodes, mr=True)
-    cloud.attach_observability(spans=True, probes=False)
-    injector = cloud.apply_faults(plan)
+    mr_config = (BoincMRConfig() if args.mr
+                 else BoincMRConfig.vanilla_boinc())
+    cloud = VolunteerCloud.from_spec(CloudSpec(
+        seed=args.seed, mr_config=mr_config))
+    cloud.add_volunteers(args.nodes, mr=args.mr)
+    if args.summary or args.trace_out or args.faults:
+        cloud.attach_observability(spans=True, probes=args.summary,
+                                   profile=args.summary)
+    injector = cloud.apply_faults(args.faults) if args.faults else None
     job = cloud.submit(MapReduceJobSpec(
-        "chaos", n_maps=args.maps, n_reducers=args.reducers,
+        "job", n_maps=args.maps, n_reducers=args.reducers,
         input_size=args.input_gb * 1e9))
     diagnosis = None
     try:
         cloud.run_until(job.done)
-    except Exception as exc:  # noqa: BLE001 — any failure becomes a diagnosis
+    except Exception as exc:  # noqa: BLE001 — under faults, a diagnosis
+        if injector is None:
+            raise
         diagnosis = f"{type(exc).__name__}: {exc}"
-    report = cloud.audit(job)
-    builder = cloud.finish_observability()
-    print(_render_fault_log(injector))
-    if diagnosis is None:
-        print(f"job finished at t={job.finished_at:g}s")
-    else:
         print(f"job failed with diagnosis: {diagnosis}")
-    print(report.render())
+    else:
+        m = job_metrics(cloud.tracer, "job")
+        print(f"map {m.map_stats.mean:.1f}s "
+              f"[{m.map_stats.mean_discard_slowest:.1f}s]"
+              f"  reduce {m.reduce_stats.mean:.1f}s"
+              f"  total {m.total:.1f}s  transition gap {m.transition_gap:.1f}s")
+    report = cloud.audit(job) if injector is not None else None
+    builder = cloud.finish_observability()
+    if args.summary:
+        print(run_summary(cloud.tracer, metrics=cloud.metrics,
+                          builder=builder, profiler=cloud.profiler))
     if args.trace_out:
+        if args.trace_format == "chrome":
+            text = chrome_trace_json(builder)
+        elif args.trace_format == "jsonl":
+            text = trace_to_jsonl(cloud.tracer)
+        else:
+            text = trace_to_csv(cloud.tracer)
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(chrome_trace_json(builder))
-        print(f"wrote chrome trace to {args.trace_out}")
+            fh.write(text)
+        print(f"wrote {args.trace_format} trace to {args.trace_out} "
+              f"({len(cloud.tracer)} records, {len(builder.leaked)} "
+              f"leaked spans)")
+    if report is None:
+        return 0
+    print(_render_fault_log(injector))
+    print(report.render())
     if args.summary_out:
         summary = {
             "plan": injector.plan_name,
@@ -317,25 +295,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print("campaign: nothing to do — pass --list-grids, --aggregate FILE "
           "or a MODE ('coordinate' runs a grid)", file=sys.stderr)
     return 2
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
-    from .obs import run_summary
-
-    cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=args.seed, mr_config=BoincMRConfig()))
-    cloud.add_volunteers(args.nodes, mr=True)
-    cloud.attach_observability(spans=True, probes=True,
-                               sample_period_s=args.sample_period,
-                               profile=True)
-    cloud.run_job(MapReduceJobSpec(
-        "wordcount", n_maps=args.maps, n_reducers=args.reducers,
-        input_size=args.input_gb * 1e9))
-    cloud.finish_observability()
-    print(run_summary(cloud.tracer, metrics=cloud.metrics,
-                      builder=cloud.span_builder, profiler=cloud.profiler))
-    return 0
 
 
 def _cmd_wordcount(args: argparse.Namespace) -> int:
@@ -581,24 +540,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use BOINC-MR clients (default: original BOINC)")
     p.add_argument("--faults", metavar="PLAN", default=None,
                    help="inject a chaos plan (builtin name or TOML path) "
-                        "and audit the run afterwards")
+                        "and audit the end state with RunAuditor; a job "
+                        "that fails under it becomes a diagnosis")
+    p.add_argument("--list-plans", action="store_true",
+                   help="list the bundled chaos plans and exit")
+    p.add_argument("--summary-out", metavar="FILE", default=None,
+                   help="with --faults: write a JSON run summary "
+                        "(faults + audit report)")
+    p.add_argument("--summary", action="store_true",
+                   help="run with the full observability stack and print "
+                        "the metrics/self-profile summary")
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="write the run's trace to FILE")
     p.add_argument("--trace-format", choices=("chrome", "jsonl", "csv"),
                    default="chrome",
                    help="chrome = Perfetto/chrome://tracing timeline "
                         "(default), jsonl = raw records, csv = flat table")
-
-    p = sub.add_parser(
-        "metrics", parents=[common],
-        help="word-count run with the full observability stack, then the "
-             "metrics/self-profile summary")
-    p.add_argument("--nodes", type=int, default=20)
-    p.add_argument("--maps", type=int, default=20)
-    p.add_argument("--reducers", type=int, default=5)
-    p.add_argument("--input-gb", type=float, default=1.0)
-    p.add_argument("--sample-period", type=float, default=30.0,
-                   help="gauge sampling cadence in sim seconds")
 
     p = sub.add_parser("wordcount", parents=[common],
                        help="run REAL word count on real bytes")
@@ -670,24 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(zero lost/duplicated results, oracle-equivalent "
                         "output, job done)")
 
-    p = sub.add_parser(
-        "chaos", parents=[common],
-        help="run a MapReduce job under a chaos plan, then audit the "
-             "end state with RunAuditor")
-    p.add_argument("plan", nargs="?", default=None,
-                   help="builtin plan name or TOML file path "
-                        "(see --list-plans)")
-    p.add_argument("--list-plans", action="store_true",
-                   help="list the bundled chaos plans and exit")
-    p.add_argument("--nodes", type=int, default=12)
-    p.add_argument("--maps", type=int, default=12)
-    p.add_argument("--reducers", type=int, default=3)
-    p.add_argument("--input-gb", type=float, default=0.5)
-    p.add_argument("--trace-out", metavar="FILE", default=None,
-                   help="write the chrome trace (fault spans included)")
-    p.add_argument("--summary-out", metavar="FILE", default=None,
-                   help="write a JSON run summary (faults + audit report)")
-
     return parser
 
 
@@ -700,9 +639,7 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "planetlab": _cmd_planetlab,
     "run": _cmd_run,
     "campaign": _cmd_campaign,
-    "metrics": _cmd_metrics,
     "wordcount": _cmd_wordcount,
-    "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "volunteer": _cmd_volunteer,
     "loadgen": _cmd_loadgen,

@@ -43,6 +43,11 @@ class BoincMRConfig:
     #: Give up on a missing reduce input after this many polls.
     fetch_poll_attempts: int = 120
 
+    @classmethod
+    def vanilla_boinc(cls) -> "BoincMRConfig":
+        """Original BOINC: every intermediate byte goes via the server."""
+        return cls(upload_map_outputs=True, reduce_from_peers=False)
+
     def __post_init__(self) -> None:
         if not 0.0 < self.reduce_creation_fraction <= 1.0:
             raise ValueError("reduce_creation_fraction must be in (0, 1]")

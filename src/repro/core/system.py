@@ -14,7 +14,12 @@ network, project server (with daemons), JobTracker, and volunteer clients
 Everything is deterministic under the seed.  :class:`CloudSpec` is the
 single construction surface — a frozen dataclass, so a spec can be shared,
 hashed, and ``replace()``-ed between experiment variants without any risk
-of one run mutating another's configuration.
+of one run mutating another's configuration.  It can also carry the
+paper's homogeneous volunteer population (Section IV.A), in which case
+``from_spec`` adds the volunteers itself::
+
+    cloud = VolunteerCloud.from_spec(
+        CloudSpec(seed=1, n_nodes=20, mr_clients=True))
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from ..faults import AuditReport, FaultInjector
     from ..net.supernode import SupernodeOverlay
 
+#: Node classes from the paper's testbed.  pc3001 (3 GHz P4 Xeon) is the
+#: reference; pcr200 (quad-core X3220) is ~1.6x faster per core for this
+#: workload class.
+PC3001_FLOPS = 1.0
+PCR200_FLOPS = 1.6
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class CloudSpec:
@@ -66,13 +77,35 @@ class CloudSpec:
 
     seed: int = 0
     server_config: ServerConfig | None = None
+    #: None = the default for the declared population: original BOINC
+    #: (:meth:`BoincMRConfig.vanilla_boinc`) when :attr:`n_nodes` non-MR
+    #: clients are declared, ``BoincMRConfig()`` otherwise.
     mr_config: BoincMRConfig | None = None
     client_config: ClientConfig | None = None
     server_link: LinkSpec = EMULAB_LINK
+    #: Homogeneous volunteers ``node000``.. that ``from_spec`` adds itself
+    #: (0 = none; populate with :meth:`VolunteerCloud.add_volunteers`).
+    n_nodes: int = 0
+    #: BOINC-MR clients (inter-client transfers) or original BOINC ones.
+    mr_clients: bool = False
+    #: Access link of every declared volunteer.
+    link: LinkSpec = EMULAB_LINK
+    #: Fraction of the declared nodes, lowest indices first, that are the
+    #: faster pcr200 class.
+    fast_node_fraction: float = 0.0
+    byzantine_rate: float = 0.0
+    #: One NAT box (or None = publicly reachable) per declared node.
+    nats: _t.Sequence[NatBox | None] | None = None
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_nodes < 0:
+            raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
+        if self.nats is not None:
+            if len(self.nats) != self.n_nodes:
+                raise ValueError("nats must have one entry per node")
+            object.__setattr__(self, "nats", tuple(self.nats))
 
     def replace(self, **changes: _t.Any) -> "CloudSpec":
         """A copy of this spec with *changes* applied."""
@@ -105,7 +138,9 @@ class VolunteerCloud:
                                     tracer=self.tracer,
                                     rng=self.rngs.stream("server"),
                                     metrics=self.metrics)
-        self.mr_config = spec.mr_config or BoincMRConfig()
+        vanilla = spec.n_nodes > 0 and not spec.mr_clients
+        self.mr_config = spec.mr_config or (
+            BoincMRConfig.vanilla_boinc() if vanilla else BoincMRConfig())
         self.client_config = spec.client_config or ClientConfig()
         self.jobtracker = JobTracker(self.server, self.sim.event,
                                      config=self.mr_config)
@@ -118,6 +153,14 @@ class VolunteerCloud:
         self.span_builder: SpanBuilder | None = None
         self.sampler: Sampler | None = None
         self.profiler: SelfProfiler | None = None
+        n_fast = int(round(spec.n_nodes * spec.fast_node_fraction))
+        for i in range(spec.n_nodes):
+            self.add_volunteer(
+                f"node{i:03d}",
+                flops=PCR200_FLOPS if i < n_fast else PC3001_FLOPS,
+                mr=spec.mr_clients, link_spec=spec.link,
+                nat=spec.nats[i] if spec.nats is not None else None,
+                byzantine_rate=spec.byzantine_rate)
 
     @classmethod
     def from_spec(cls, spec: CloudSpec, *, tracer: Tracer | None = None,
@@ -125,7 +168,9 @@ class VolunteerCloud:
         """Build a deployment from a frozen :class:`CloudSpec`.
 
         The preferred constructor; *tracer* and *metrics* stay out of the
-        spec because they are stateful observers, not configuration.
+        spec because they are stateful observers, not configuration.  The
+        spec's ``n_nodes`` volunteers are added (not started) in index
+        order, so their rng streams depend only on the seed and the name.
         """
         return cls(spec, tracer=tracer, metrics=metrics)
 

@@ -35,15 +35,8 @@ from .scaling import (
     speedup,
 )
 from .server_load import LoadPoint, congestion_ratio, run_load_point, run_load_sweep
-from .scenario import (
-    PC3001_FLOPS,
-    PCR200_FLOPS,
-    Scenario,
-    ScenarioResult,
-    build_cloud,
-    job_spec,
-    run_scenario,
-)
+from ..core.system import PC3001_FLOPS, PCR200_FLOPS
+from .scenario import ScenarioResult, run_scenario
 from .table1 import (
     PAPER_TABLE1,
     PaperCell,
@@ -55,11 +48,8 @@ from .table1 import (
 )
 
 __all__ = [
-    "Scenario",
     "ScenarioResult",
     "run_scenario",
-    "build_cloud",
-    "job_spec",
     "PC3001_FLOPS",
     "PCR200_FLOPS",
     "PAPER_TABLE1",

@@ -25,8 +25,8 @@ import typing as _t
 
 from ..analysis import job_metrics, report_lags
 from ..boinc.client import ClientConfig
-from ..core import BoincMRConfig
-from .scenario import Scenario, build_cloud, job_spec, run_scenario
+from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
+from .scenario import run_scenario
 
 
 @dataclasses.dataclass(slots=True)
@@ -45,12 +45,10 @@ class AblationOutcome:
         return 1.0 - self.mitigated_total / self.baseline_total
 
 
-def _base_scenario(seed: int, **overrides: _t.Any) -> Scenario:
-    defaults: dict[str, _t.Any] = dict(
-        name="ablation", n_nodes=20, n_maps=20, n_reducers=5,
-        mr_clients=False, seed=seed)
-    defaults.update(overrides)
-    return Scenario(**defaults)
+def _base_scenario(seed: int, name: str, **cloud_overrides: _t.Any
+                   ) -> tuple[CloudSpec, MapReduceJobSpec]:
+    return (CloudSpec(seed=seed, n_nodes=20, **cloud_overrides),
+            MapReduceJobSpec(name, n_maps=20, n_reducers=5))
 
 
 def _mean_report_lag(tracer, job: str) -> float:
@@ -60,9 +58,9 @@ def _mean_report_lag(tracer, job: str) -> float:
 
 def ablate_report_immediately(seed: int = 1) -> AblationOutcome:
     """Priority reporting of finished results (ablation 2)."""
-    base = run_scenario(_base_scenario(seed, name="abl_report_base"))
-    mitigated = run_scenario(_base_scenario(
-        seed, name="abl_report_fast",
+    base = run_scenario(*_base_scenario(seed, "abl_report_base"))
+    mitigated = run_scenario(*_base_scenario(
+        seed, "abl_report_fast",
         client_config=ClientConfig(report_immediately=True)))
     return AblationOutcome(
         name="report_immediately",
@@ -83,12 +81,11 @@ def ablate_report_immediately(seed: int = 1) -> AblationOutcome:
 def ablate_intermediate_downloads(seed: int = 1,
                                   fraction: float = 0.5) -> AblationOutcome:
     """Early reduce creation + download overlap (ablation 3)."""
-    base = run_scenario(_base_scenario(seed, name="abl_overlap_base"))
-    mitigated = run_scenario(_base_scenario(
-        seed, name="abl_overlap_early",
-        mr_config=BoincMRConfig(
-            upload_map_outputs=True, reduce_from_peers=False,
-            reduce_creation_fraction=fraction)))
+    base = run_scenario(*_base_scenario(seed, "abl_overlap_base"))
+    mitigated = run_scenario(*_base_scenario(
+        seed, "abl_overlap_early",
+        mr_config=dataclasses.replace(BoincMRConfig.vanilla_boinc(),
+                                      reduce_creation_fraction=fraction)))
     return AblationOutcome(
         name="intermediate_downloads",
         baseline_total=base.metrics.total,
@@ -105,13 +102,12 @@ def ablate_concurrent_jobs(seed: int = 1, n_jobs: int = 3) -> AblationOutcome:
     the mean report lag of the *first* job (extra work keeps clients from
     ever backing off), compared to the same job running alone.
     """
-    solo = run_scenario(_base_scenario(seed, name="abl_multi_0"))
+    spec, job0 = _base_scenario(seed, "abl_multi_0")
+    solo = run_scenario(spec, job0)
 
-    cloud = build_cloud(_base_scenario(seed, name="abl_multi_base"))
-    jobs = []
-    for j in range(n_jobs):
-        spec = job_spec(_base_scenario(seed, name=f"abl_multi_{j}"))
-        jobs.append(cloud.submit(spec))
+    cloud = VolunteerCloud.from_spec(spec)
+    jobs = [cloud.submit(dataclasses.replace(job0, name=f"abl_multi_{j}"))
+            for j in range(n_jobs)]
     cloud.run_until(cloud.sim.all_of([job.done for job in jobs]))
     first = job_metrics(cloud.tracer, "abl_multi_0")
     return AblationOutcome(

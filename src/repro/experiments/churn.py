@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..analysis import job_metrics
 from ..boinc.server import ServerConfig
-from ..core import BoincMRConfig
+from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..volunteers import AvailabilityModel, ChurnController
-from .scenario import Scenario, ScenarioResult, build_cloud, job_spec
+from .scenario import ScenarioResult, run_scenario
 
 
 @dataclasses.dataclass(slots=True)
@@ -39,43 +38,40 @@ class ChurnOutcome:
         return self.result.metrics.total
 
 
-def churn_scenario(seed: int = 1, mr: bool = True) -> Scenario:
+def churn_scenario(seed: int = 1, mr: bool = True
+                   ) -> tuple[CloudSpec, MapReduceJobSpec]:
     """The churn-study deployment (20 nodes, 20 maps, 5 reducers)."""
-    return Scenario(
-        name="churn",
-        n_nodes=20, n_maps=20, n_reducers=5, mr_clients=mr, seed=seed,
+    cloud = CloudSpec(
+        seed=seed, n_nodes=20, mr_clients=mr,
         # Volatile hosts need a short deadline or lost results stall the
         # job for hours; 20 minutes is generous for ~2-4 minute tasks.
         server_config=ServerConfig(delay_bound_s=1200.0),
-        mr_config=(BoincMRConfig(upload_map_outputs=True) if mr
-                   else BoincMRConfig(upload_map_outputs=True,
-                                      reduce_from_peers=False)),
-        timeout_s=24 * 3600.0,
+        # None = vanilla BOINC, which keeps the server copy anyway.
+        mr_config=BoincMRConfig(upload_map_outputs=True) if mr else None,
     )
+    return cloud, MapReduceJobSpec("churn", n_maps=20, n_reducers=5)
 
 
 def run_churn(seed: int = 1, mean_on_s: float = 1800.0,
               mean_off_s: float = 600.0, departure_prob: float = 0.05,
               mr: bool = True) -> ChurnOutcome:
     """Run the churn scenario; raises if the job cannot finish at all."""
-    scenario = churn_scenario(seed, mr=mr)
-    cloud = build_cloud(scenario)
+    spec, job = churn_scenario(seed, mr=mr)
+    cloud = VolunteerCloud.from_spec(spec)
     model = AvailabilityModel(mean_on_s=mean_on_s, mean_off_s=mean_off_s,
                               departure_prob=departure_prob)
     controller = ChurnController(cloud.sim, cloud.rngs.stream("churn"),
                                  model, tracer=cloud.tracer)
     cloud.start()
     controller.manage_all(cloud.clients)
-    job = cloud.run_job(job_spec(scenario), timeout=scenario.timeout_s)
-    metrics = job_metrics(cloud.tracer, scenario.name)
+    result = run_scenario(cloud, job, timeout_s=24 * 3600.0)
     replacement = len(cloud.tracer.select("transitioner.new_result"))
     peer_fetches = sum(
         getattr(c.input_fetcher, "peer_fetches", 0) for c in cloud.clients)
     fallbacks = sum(
         getattr(c.input_fetcher, "server_fallbacks", 0) for c in cloud.clients)
     return ChurnOutcome(
-        result=ScenarioResult(scenario=scenario, job=job, metrics=metrics,
-                              tracer=cloud.tracer, cloud=cloud),
+        result=result,
         transitions=controller.transitions,
         departed=len(controller.departed),
         peer_fetches=peer_fetches,

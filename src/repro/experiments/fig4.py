@@ -16,7 +16,8 @@ import dataclasses
 import typing as _t
 
 from ..analysis import render_timeline, task_intervals
-from .scenario import Scenario, ScenarioResult, run_scenario
+from ..core import CloudSpec, MapReduceJobSpec
+from .scenario import ScenarioResult, run_scenario
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -62,10 +63,10 @@ class Fig4Result:
         return chart
 
 
-def fig4_scenario(seed: int) -> Scenario:
+def fig4_scenario(seed: int) -> tuple[CloudSpec, MapReduceJobSpec]:
     """The paper's Fig. 4 deployment: 15 nodes, 15 map WUs."""
-    return Scenario(name="fig4", n_nodes=15, n_maps=15, n_reducers=3,
-                    mr_clients=False, seed=seed)
+    return (CloudSpec(seed=seed, n_nodes=15),
+            MapReduceJobSpec("fig4", n_maps=15, n_reducers=3))
 
 
 def extract_timelines(result: ScenarioResult) -> list[MapTimeline]:
@@ -73,7 +74,7 @@ def extract_timelines(result: ScenarioResult) -> list[MapTimeline]:
     ready_at = {rec["result"]: rec.time
                 for rec in result.tracer.select("task.ready")}
     out = []
-    for iv in task_intervals(result.tracer, result.scenario.name):
+    for iv in task_intervals(result.tracer, result.job.spec.name):
         if iv.kind != "map":
             continue
         out.append(MapTimeline(
@@ -96,7 +97,7 @@ def run_fig4(base_seed: int = 1, min_straggler_lag: float = 120.0,
     """
     best: Fig4Result | None = None
     for seed in range(base_seed, base_seed + max_seed_scans):
-        result = run_scenario(fig4_scenario(seed))
+        result = run_scenario(*fig4_scenario(seed))
         timelines = extract_timelines(result)
         lags = [(t.host, t.report_lag) for t in timelines
                 if t.report_lag is not None]

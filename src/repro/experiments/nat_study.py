@@ -14,10 +14,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..core import BoincMRConfig
+from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..net import NatType, TraversalConfig, sample_nat_population
 from ..sim import RngRegistry
-from .scenario import Scenario, ScenarioResult, run_scenario
+from .scenario import ScenarioResult, run_scenario
 
 #: An Internet-like volunteer NAT population (see ``sample_nat_population``).
 INTERNET_MIX: dict[NatType, float] = {
@@ -55,18 +55,19 @@ LADDERS: dict[str, TraversalConfig] = {
 
 
 def nat_scenario(seed: int, traversal_label: str = "full_ladder",
-                 mix: dict[NatType, float] | None = None) -> Scenario:
+                 mix: dict[NatType, float] | None = None
+                 ) -> tuple[CloudSpec, MapReduceJobSpec]:
     """20-node scenario with a sampled NAT population and traversal config."""
     rng = RngRegistry(seed).stream("nat_population")
     nats = sample_nat_population(rng, 20, mix=mix or INTERNET_MIX)
-    return Scenario(
-        name=f"nat_{traversal_label}",
-        n_nodes=20, n_maps=20, n_reducers=5, mr_clients=True, seed=seed,
-        nats=nats,
+    cloud = CloudSpec(
+        seed=seed, n_nodes=20, mr_clients=True, nats=nats,
         # Keep the server copy so failed traversals fall back instead of
         # dooming the job — the paper's own safety net.
         mr_config=BoincMRConfig(upload_map_outputs=True),
     )
+    return cloud, MapReduceJobSpec(f"nat_{traversal_label}",
+                                   n_maps=20, n_reducers=5)
 
 
 def run_ladder_study(seed: int = 1,
@@ -76,32 +77,26 @@ def run_ladder_study(seed: int = 1,
     ladders = dict(LADDERS if ladders is None else ladders)
     out = []
     for label, traversal in ladders.items():
-        scenario = nat_scenario(seed, traversal_label=label)
-        cloud_result = _run_with_traversal(scenario, traversal)
-        out.append(cloud_result)
+        out.append(_run_with_traversal(
+            *nat_scenario(seed, traversal_label=label), traversal))
     return out
 
 
-def _run_with_traversal(scenario: Scenario,
+def _run_with_traversal(spec: CloudSpec, job: MapReduceJobSpec,
                         traversal: TraversalConfig) -> NatStudyOutcome:
-    from ..analysis import job_metrics
-    from .scenario import build_cloud, job_spec
-
-    cloud = build_cloud(scenario)
+    cloud = VolunteerCloud.from_spec(spec)
     # Swap the connectivity policy wholesale (all fetchers share it).
     cloud.connectivity.config = traversal
-    job = cloud.run_job(job_spec(scenario), timeout=scenario.timeout_s)
-    metrics = job_metrics(cloud.tracer, scenario.name)
+    result = run_scenario(cloud, job)
     peer_fetches = sum(
         getattr(c.input_fetcher, "peer_fetches", 0) for c in cloud.clients)
     fallbacks = sum(
         getattr(c.input_fetcher, "server_fallbacks", 0) for c in cloud.clients)
     return NatStudyOutcome(
-        label=scenario.name.removeprefix("nat_"),
-        total=metrics.total,
+        label=job.name.removeprefix("nat_"),
+        total=result.total,
         method_counts=cloud.connectivity.method_counts(),
         peer_fetches=peer_fetches,
         server_fallbacks=fallbacks,
-        result=ScenarioResult(scenario=scenario, job=job, metrics=metrics,
-                              tracer=cloud.tracer, cloud=cloud),
+        result=result,
     )

@@ -58,8 +58,7 @@ def build_internet_cloud(seed: int, n_nodes: int, mr: bool,
     rngs = RngRegistry(seed)
     rng = rngs.stream("planetlab")
     mr_config = (BoincMRConfig(upload_map_outputs=True) if mr
-                 else BoincMRConfig(upload_map_outputs=True,
-                                    reduce_from_peers=False))
+                 else BoincMRConfig.vanilla_boinc())
     cloud = VolunteerCloud.from_spec(CloudSpec(
         seed=seed, mr_config=mr_config, server_link=SERVER_LINK))
     nats = (sample_nat_population(rngs.stream("nats"), n_nodes)
@@ -98,14 +97,14 @@ def run_internet_deployment(seed: int = 1, n_nodes: int = 20, mr: bool = True,
 
 def run_lan_vs_internet(seed: int = 1) -> dict[str, InternetDeployment]:
     """The four-way comparison: {LAN, Internet} x {vanilla, BOINC-MR}."""
-    from .scenario import Scenario, run_scenario
+    from .scenario import run_scenario
 
     out: dict[str, InternetDeployment] = {}
     for mr in (False, True):
         label = f"lan_{'mr' if mr else 'vanilla'}"
-        result = run_scenario(Scenario(
-            name=label, n_nodes=20, n_maps=20, n_reducers=5,
-            mr_clients=mr, seed=seed))
+        result = run_scenario(
+            CloudSpec(seed=seed, n_nodes=20, mr_clients=mr),
+            MapReduceJobSpec(label, n_maps=20, n_reducers=5))
         peer_bytes = sum(
             c.peer_store.bytes_served for c in result.cloud.clients
             if getattr(c, "peer_store", None) is not None)

@@ -28,7 +28,7 @@ import typing as _t
 from ..boinc.client import ClientConfig
 from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..net import ADSL_LINK, SERVER_LINK
-from .scenario import Scenario, ScenarioResult, run_scenario
+from .scenario import ScenarioResult, run_scenario
 
 #: Node counts for the simulator-scalability study (ISSUE 4).
 SCALE_NODE_COUNTS: tuple[int, ...] = (100, 500, 2000)
@@ -51,10 +51,11 @@ def node_scaling(node_counts: _t.Sequence[int] = (5, 10, 20, 40),
     """Makespan for the same job on clusters of increasing size."""
     points = []
     for n in node_counts:
-        result = run_scenario(Scenario(
-            name=f"nodes{n}", n_nodes=n, n_maps=max(n, 10),
-            n_reducers=max(2, n // 4), mr_clients=mr, seed=seed,
-            input_size=input_size))
+        result = run_scenario(
+            CloudSpec(seed=seed, n_nodes=n, mr_clients=mr),
+            MapReduceJobSpec(f"nodes{n}", n_maps=max(n, 10),
+                             n_reducers=max(2, n // 4),
+                             input_size=input_size))
         m = result.metrics
         points.append(SweepPoint(x=n, total=m.total,
                                  map_mean=m.map_stats.mean,
@@ -70,9 +71,10 @@ def granularity_scaling(map_counts: _t.Sequence[int] = (10, 20, 40, 80),
     """Makespan for the same 1 GB job split into more, smaller map tasks."""
     points = []
     for n_maps in map_counts:
-        result = run_scenario(Scenario(
-            name=f"maps{n_maps}", n_nodes=n_nodes, n_maps=n_maps,
-            n_reducers=5, mr_clients=mr, seed=seed, input_size=input_size))
+        result = run_scenario(
+            CloudSpec(seed=seed, n_nodes=n_nodes, mr_clients=mr),
+            MapReduceJobSpec(f"maps{n_maps}", n_maps=n_maps, n_reducers=5,
+                             input_size=input_size))
         m = result.metrics
         points.append(SweepPoint(x=n_maps, total=m.total,
                                  map_mean=m.map_stats.mean,

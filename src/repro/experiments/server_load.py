@@ -20,7 +20,8 @@ import typing as _t
 from ..analysis import job_metrics, utilisation_timeline
 from ..boinc.client import ClientConfig
 from ..boinc.server import ServerConfig
-from .scenario import Scenario, run_scenario
+from ..core import CloudSpec, MapReduceJobSpec
+from .scenario import run_scenario
 
 
 @dataclasses.dataclass(slots=True)
@@ -44,17 +45,13 @@ class LoadPoint:
 def run_load_point(n_nodes: int, report_immediately: bool,
                    seed: int = 1, rpc_capacity: int = 10) -> LoadPoint:
     """Measure scheduler RPC load at one deployment size / report mode."""
-    scenario = Scenario(
-        name="load",
-        n_nodes=n_nodes,
-        n_maps=n_nodes,
-        n_reducers=max(2, n_nodes // 4),
-        mr_clients=False,
-        seed=seed,
-        client_config=ClientConfig(report_immediately=report_immediately),
-        server_config=ServerConfig(rpc_capacity=rpc_capacity),
-    )
-    result = run_scenario(scenario)
+    result = run_scenario(
+        CloudSpec(
+            seed=seed, n_nodes=n_nodes,
+            client_config=ClientConfig(report_immediately=report_immediately),
+            server_config=ServerConfig(rpc_capacity=rpc_capacity)),
+        MapReduceJobSpec("load", n_maps=n_nodes,
+                         n_reducers=max(2, n_nodes // 4)))
     metrics = job_metrics(result.tracer, "load")
     rpcs = result.tracer.times("sched.rpc")
     span_min = max((max(rpcs) - min(rpcs)) / 60.0, 1e-9) if rpcs else 1e-9

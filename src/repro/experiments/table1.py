@@ -12,7 +12,8 @@ import dataclasses
 import typing as _t
 
 from ..analysis import format_cell, render_table
-from .scenario import Scenario, ScenarioResult, run_scenario
+from ..core import CloudSpec, MapReduceJobSpec
+from .scenario import ScenarioResult, run_scenario
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -94,17 +95,12 @@ class Table1Record:
         return (m.total, m.total_discard_slowest)
 
 
-def scenario_for_row(row: Table1Row, seed: int = 1, **overrides: _t.Any) -> Scenario:
-    """Build the deployment Scenario matching one Table I row."""
-    return Scenario(
-        name=row.label,
-        n_nodes=row.nodes,
-        n_maps=row.n_maps,
-        n_reducers=row.n_reducers,
-        mr_clients=row.mr,
-        seed=seed,
-        **overrides,
-    )
+def scenario_for_row(row: Table1Row, seed: int = 1
+                     ) -> tuple[CloudSpec, MapReduceJobSpec]:
+    """The deployment and the job matching one Table I row."""
+    return (CloudSpec(seed=seed, n_nodes=row.nodes, mr_clients=row.mr),
+            MapReduceJobSpec(row.label, n_maps=row.n_maps,
+                             n_reducers=row.n_reducers))
 
 
 def run_table1(rows: _t.Sequence[Table1Row] = PAPER_TABLE1,
@@ -112,7 +108,7 @@ def run_table1(rows: _t.Sequence[Table1Row] = PAPER_TABLE1,
     """Run every Table I row; returns paper-vs-measured records."""
     out = []
     for row in rows:
-        result = run_scenario(scenario_for_row(row, seed=seed))
+        result = run_scenario(*scenario_for_row(row, seed=seed))
         out.append(Table1Record(row=row, result=result))
     return out
 

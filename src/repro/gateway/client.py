@@ -134,6 +134,8 @@ class GatewayClient:
                 if not err.retryable or attempt == self.retries:
                     raise err
                 floor_s = err.retry_after_s
+            if attempt == self.retries:
+                break  # nothing left to wait for
             self.retry_count += 1
             time.sleep(retry_delay(self.rng, attempt, floor_s))
         raise GatewayError(503, "unavailable",
@@ -271,15 +273,13 @@ class VolunteerStats:
 
 def run_volunteer(address: str, name: str, flops: float = 1e9,
                   poll_s: float = 0.02, idle_limit: int = 100,
-                  max_tasks: int | None = None,
                   stop: _t.Callable[[], bool] | None = None
                   ) -> VolunteerStats:
     """The BOINC-MR client loop against a live gateway, to completion.
 
     Polls the scheduler, executes assignments with the real engine, and
     reports at the next RPC.  Returns after *idle_limit* consecutive
-    no-work polls (with no reports pending), after *max_tasks* tasks, or
-    when *stop* returns True.
+    no-work polls (with no reports pending), or when *stop* returns True.
     """
     client = GatewayClient(address)
     host_id = client.register(name, flops=flops, supports_mr=True)
@@ -304,8 +304,6 @@ def run_volunteer(address: str, name: str, flops: float = 1e9,
         if reply["assignments"] or reports:
             idle = 0
             continue  # report promptly; more work may be chained
-        if max_tasks is not None and stats.tasks_done >= max_tasks:
-            break
         idle += 1
         stats.idle_polls += 1
         if idle >= idle_limit:

@@ -236,8 +236,7 @@ class GatewayServer:
                                            payload)
                 if headers.get("connection", "").lower() == "close":
                     break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             self.metrics.counter("gateway.disconnects_total").inc()
         finally:
             self.connections_active -= 1
@@ -247,27 +246,34 @@ class GatewayServer:
             except (ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """One request or header line, bounded by ``_MAX_HEADER_LINE``."""
+        try:
+            line = await reader.readline()
+        except ValueError:  # over the stream's own (larger) limit
+            line = None
+        if line is None or len(line) > _MAX_HEADER_LINE:
+            raise _BadFraming(
+                f"request or header line over {_MAX_HEADER_LINE} bytes")
+        return line
+
     async def _read_request(
             self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
         """Parse one HTTP/1.1 request; None on clean EOF between requests."""
-        try:
-            line = await reader.readline()
-        except ValueError:  # header line over the stream limit
-            raise asyncio.LimitOverrunError("header too long", 0)
+        line = await self._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            raise ConnectionError(f"malformed request line {line!r}")
+            raise _BadFraming(f"malformed request line {line[:64]!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
-            if len(line) > _MAX_HEADER_LINE:
-                raise ConnectionError("oversized header")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:

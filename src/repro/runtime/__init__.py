@@ -9,7 +9,6 @@ the simulator models.
 from .api import FnApp, MapReduceApp, default_partition
 from .engine import JobReport, LocalRunner, TaskReport
 from .calibrate import Measurement, measure_cost_model, profile_app
-from .files import CorruptPartition, FileRunner, blob_checksum
 from .splitter import iter_records, split_bytes, split_text
 
 __all__ = [
@@ -17,9 +16,6 @@ __all__ = [
     "FnApp",
     "default_partition",
     "LocalRunner",
-    "FileRunner",
-    "CorruptPartition",
-    "blob_checksum",
     "Measurement",
     "profile_app",
     "measure_cost_model",

@@ -92,6 +92,49 @@ class TestScheduler:
         second = rpc(sim, server, host)
         assert second.assignments == []  # the other replica is off-limits
 
+    def test_lone_host_retries_its_own_failed_result(self, sim, server):
+        """Nothing to cross-check at quorum 1: a failed or timed-out result
+        goes back to the same host instead of waiting forever for another
+        one (it used to answer no_work for good)."""
+        wu = make_wu(server, replication=1, quorum=1)
+        host = server.register_host("h1", 1.0)
+        feed(server)
+        first = rpc(sim, server, host).assignments[0]
+        rpc(sim, server, host, work_req=0,
+            reports=[ReportedResult(first.result_id, False, None, 0.0)])
+        for _ in range(2):
+            server.run_daemon_passes()
+        retry = rpc(sim, server, host)
+        assert [a.wu.id for a in retry.assignments] == [wu.id]
+        assert retry.assignments[0].result_id != first.result_id
+        # ... and again after that one times out.
+        sim.run(until=sim.now + server.config.delay_bound_s + 10)
+        for _ in range(2):
+            server.run_daemon_passes()
+        assert len(rpc(sim, server, host).assignments) == 1
+
+    def test_in_progress_replica_still_bars_a_quorum_one_host(self, sim,
+                                                              server):
+        make_wu(server, replication=2, quorum=1)
+        host = server.register_host("h1", 1.0)
+        feed(server)
+        assert len(rpc(sim, server, host, work_req=1e9).assignments) == 1
+        assert rpc(sim, server, host).assignments == []
+
+    def test_redundant_wu_never_returns_to_a_host_that_held_it(self, sim,
+                                                               server):
+        # Quorum validation needs distinct hosts: the rule is unchanged.
+        make_wu(server, replication=2, quorum=2)
+        host = server.register_host("h1", 1.0)
+        feed(server)
+        first = rpc(sim, server, host).assignments[0]
+        rpc(sim, server, host, work_req=0,
+            reports=[ReportedResult(first.result_id, False, None, 0.0)])
+        for _ in range(2):
+            server.run_daemon_passes()
+        reply = rpc(sim, server, host)
+        assert reply.assignments == [] and reply.no_work
+
     def test_two_hosts_get_different_replicas(self, sim, server):
         wu = make_wu(server, replication=2)
         h1 = server.register_host("h1", 1.0)

@@ -147,3 +147,115 @@ class TestAggregation:
         run_campaign(grid, str(out), workers=0)
         stats = aggregate_store(str(out))
         assert stats[0].group == "naps" and stats[0].n == 3
+
+
+class TestScenarioCellParams:
+    """Flat ``scenario`` cells: accepted names are read off the two specs."""
+
+    BASE = {"n_nodes": 4, "n_maps": 4, "n_reducers": 2}
+
+    @staticmethod
+    def _scalar_fields():
+        """name -> (owning class, field), derived from resolved type hints
+        (the product reads the annotation strings)."""
+        import dataclasses
+        import typing
+
+        from repro.core import CloudSpec, MapReduceJobSpec
+
+        out = {}
+        for cls in (CloudSpec, MapReduceJobSpec):
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if hints[f.name] in (bool, int, float, str):
+                    out[f.name] = (cls, f)
+        del out["seed"]  # the cell's own
+        return out
+
+    def test_the_derived_set_is_the_old_whitelist(self):
+        # Every existing cell key, TOML grid and store stays valid.
+        assert set(self._scalar_fields()) | {"timeout_s"} == {
+            "name", "n_nodes", "n_maps", "n_reducers", "mr_clients",
+            "input_size", "replication", "quorum", "fast_node_fraction",
+            "byzantine_rate", "timeout_s", "app_name"}
+
+    def test_every_scalar_spec_field_is_a_cell_param(self):
+        import dataclasses
+
+        from repro.campaign.cells import scenario_specs
+
+        for name, (cls, f) in self._scalar_fields().items():
+            value = self.BASE.get(
+                name, "x" if f.default is dataclasses.MISSING else f.default)
+            specs = scenario_specs({"seed": 3, "params": {**self.BASE,
+                                                          name: value}})
+            owner = next(s for s in specs if isinstance(s, cls))
+            assert getattr(owner, name) == value, name
+            assert specs[0].seed == 3
+        scenario_specs({"seed": 3, "params": {**self.BASE,
+                                              "timeout_s": 60.0}})
+
+    def test_anything_else_is_refused(self):
+        from hypothesis import assume, given, strategies as st
+
+        from repro.campaign.cells import scenario_specs
+
+        accepted = set(self._scalar_fields()) | {"timeout_s"}
+        scalar = st.one_of(st.integers(), st.booleans(), st.floats(),
+                           st.text(max_size=5))
+        non_scalar = st.one_of(st.none(), st.lists(st.integers(), max_size=2),
+                               st.dictionaries(st.text(max_size=3),
+                                               st.integers(), max_size=2))
+
+        def refused(params):
+            with pytest.raises(ValueError) as exc:
+                scenario_specs({"seed": 1, "params": {**self.BASE, **params}})
+            assert str(exc.value) == (
+                f"unknown scenario params: {sorted(params)}")
+
+        @given(name=st.one_of(st.text(max_size=12), st.sampled_from(
+                   ["seed", "link", "server_link", "nats", "cost",
+                    "mr_config", "allocator"])),
+               value=st.one_of(scalar, non_scalar))
+        def other_names(name, value):
+            assume(name not in accepted)
+            refused({name: value})
+
+        @given(name=st.sampled_from(sorted(accepted)), value=non_scalar)
+        def non_scalar_values(name, value):
+            refused({name: value})
+
+        other_names()
+        non_scalar_values()
+
+    def test_key_and_payload_equal_the_pinned_cells(self):
+        # Recorded at the commit before SCENARIO_PARAMS was deleted.
+        mr = CampaignCell(kind="scenario", seed=4, group="g", params={
+            "n_nodes": 6, "n_maps": 6, "n_reducers": 2, "mr_clients": True,
+            "input_size": 1e8, "fast_node_fraction": 0.5})
+        assert mr.key == "886fb808132cb0e0"
+        assert execute_cell(mr.spec()) == {
+            "total": 363.99116320222316,
+            "total_discard_slowest": 338.38837443184553,
+            "map_mean": 91.739759221952,
+            "map_discard_slowest": 84.01203722878253,
+            "reduce_mean": 93.17835222835248,
+            "reduce_discard_slowest": 90.35635323086422,
+            "transition_gap": 48.82424219403663,
+            "events": 1115, "sim_end": 370.0}
+        vanilla = CampaignCell(kind="scenario", seed=2, group="g", params={
+            "n_nodes": 5, "n_maps": 5, "n_reducers": 2, "input_size": 5e7,
+            "name": "v", "byzantine_rate": 0.1, "timeout_s": 90000.0})
+        assert vanilla.key == "f4c72b480e465fc7"
+        payload = execute_cell(vanilla.spec())
+        assert (payload["total"], payload["events"], payload["sim_end"]) == (
+            463.38139318157556, 1172, 470.0)
+
+    def test_removed_names_do_not_import(self):
+        with pytest.raises(ImportError):
+            from repro.campaign.cells import SCENARIO_PARAMS  # noqa: F401
+        for name in ("Scenario", "build_cloud", "job_spec"):
+            with pytest.raises(ImportError):
+                exec(f"from repro.experiments import {name}")
+            with pytest.raises(ImportError):
+                exec(f"from repro.experiments.scenario import {name}")

@@ -82,6 +82,14 @@ class TestRetryAccounting:
         assert table.report_error("w0", lease.key, now=1.0) == "retry"
         assert table.grant("w1", now=2.0).attempt == 1
 
+    def test_same_worker_may_retry_its_own_failed_cell(self):
+        # The inline executor is one worker; SchedulerCore grants the
+        # same only to quorum-1 workunits (ROADMAP (a), gap 1).
+        table = _table(1, retries=1)
+        key = table.grant("w0", now=0.0).key
+        assert table.report_error("w0", key, now=1.0) == "retry"
+        assert table.grant("w0", now=2.0).key == key
+
     def test_unknown_key_error_ignored(self):
         table = _table(1)
         assert table.report_error("w0", "nope", now=0.0) == "ignored"

@@ -249,10 +249,11 @@ class TestScaleVariants:
         assert job.phase is JobPhase.DONE
 
     def test_too_few_nodes_for_replication_rejected_by_scenario(self):
-        from repro.experiments import Scenario
+        from repro.experiments import run_scenario
 
         with pytest.raises(ValueError, match="replication"):
-            Scenario(name="x", n_nodes=1, n_maps=2, n_reducers=1)
+            run_scenario(CloudSpec(seed=1, n_nodes=1),
+                         MapReduceJobSpec("x", n_maps=2, n_reducers=1))
 
 
 class TestVolunteerNames:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     BoincMRConfig,
     CloudSpec,
+    MapReduceJobSpec,
     VolunteerCloud,
     WorkflowStage,
     pipeline,
@@ -54,16 +55,16 @@ class TestTable1Stability:
 
     @pytest.fixture(scope="class")
     def seeds_metrics(self):
-        from repro.experiments import Scenario, run_scenario
+        from repro.experiments import run_scenario
 
         out = []
         for seed in (1, 2, 3):
-            vanilla = run_scenario(Scenario(
-                name="stab_v", n_nodes=20, n_maps=20, n_reducers=5,
-                mr_clients=False, seed=seed))
-            mr = run_scenario(Scenario(
-                name="stab_m", n_nodes=20, n_maps=20, n_reducers=5,
-                mr_clients=True, seed=seed))
+            vanilla = run_scenario(
+                CloudSpec(seed=seed, n_nodes=20),
+                MapReduceJobSpec("stab_v", n_maps=20, n_reducers=5))
+            mr = run_scenario(
+                CloudSpec(seed=seed, n_nodes=20, mr_clients=True),
+                MapReduceJobSpec("stab_m", n_maps=20, n_reducers=5))
             out.append((vanilla.metrics, mr.metrics))
         return out
 

@@ -133,22 +133,35 @@ class TestRemovedSurface:
         with pytest.raises(TypeError):
             GatewayClient("h:1", backoff=None)
 
+    def test_run_volunteer_max_tasks_is_gone(self):
+        # Never checked while assignments kept arriving, and never passed.
+        with pytest.raises(TypeError):
+            run_volunteer("127.0.0.1:1", name="v", max_tasks=1)
+
 
 class TestHostileFraming:
     """Requests whose extent cannot be trusted get a 400, then a close."""
 
-    @pytest.mark.parametrize("head", [
-        b"Content-Length: banana\r\n\r\n",
-        b"Content-Length: -5\r\n\r\n",
-        b"Content-Length: \xb2\r\n\r\n",          # str.isdigit() says yes
-        b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1),
-        b"X-Pad: 1\r\n" * 65,                       # no blank line needed
+    LINE = b"POST /rpc/scheduler HTTP/1.1\r\n"
+
+    @pytest.mark.parametrize("request_bytes", [
+        LINE + b"Content-Length: banana\r\n\r\n",
+        LINE + b"Content-Length: -5\r\n\r\n",
+        LINE + b"Content-Length: \xb2\r\n\r\n",   # str.isdigit() says yes
+        LINE + b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1),
+        LINE + b"X-Pad: 1\r\n" * 65,                # no blank line needed
+        LINE + b"X-Pad: " + b"a" * (16 * 1024) + b"\r\n\r\n",
+        LINE + b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz\r\n\r\n",
     ], ids=["non-numeric", "negative", "superscript", "oversized",
-            "header-count"])
-    def test_answered_with_400_then_closed(self, handle, head, caplog):
+            "header-count", "header-over-16k", "header-over-stream-limit",
+            "request-line-over-stream-limit", "malformed-request-line"])
+    def test_answered_with_400_then_closed(self, handle, request_bytes,
+                                           caplog):
         host, port = handle.address.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as raw:
-            raw.sendall(b"POST /rpc/scheduler HTTP/1.1\r\n" + head)
+            raw.sendall(request_bytes)
             reply = b""
             while chunk := raw.recv(65536):  # until the server hangs up
                 reply += chunk
@@ -215,6 +228,51 @@ class TestEndToEnd:
         handle.result("st", timeout=10)
         payload = client.job_output("st")
         assert payload == handle.server.jobs.outputs["st"]
+
+
+class TestLoneVolunteerRetry:
+    def test_one_failed_report_does_not_wedge_the_job(self, handle,
+                                                      monkeypatch):
+        """Default replication 1, one volunteer, one transient upload
+        error: the replacement result must come back to the same host."""
+        from repro.gateway import client as client_module
+
+        failures = []
+
+        def flaky(client, task):
+            if not failures:
+                failures.append(task["result_id"])
+                raise GatewayError(503, "unavailable", "injected")
+            return execute_task(client, task)
+
+        monkeypatch.setattr(client_module, "execute_task", flaky)
+        corpus = generate_corpus(10_000, seed=8)
+        handle.submit_job("solo", "wordcount", corpus, n_maps=2, n_reducers=1)
+        stats = run_volunteer(handle.address, name="only", idle_limit=50)
+        assert (stats.tasks_failed, stats.tasks_done) == (1, 3)
+        assert handle.server.jobs.status(
+            handle.server.jobs.jobs["solo"])["state"] == "done"
+        assert handle.result("solo", timeout=10) == dict(
+            collections.Counter(corpus.split()))
+        retried = handle.server.core.db.results[failures[0]].wu_id
+        assert {r.host_id for r in
+                handle.server.core.db.results_for_wu(retried)} == {
+            handle.server.core.db.results[failures[0]].host_id}
+
+
+class TestClientRetryBudget:
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+        with socket.socket() as s:  # a port nothing listens on
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        client = GatewayClient(f"127.0.0.1:{port}", retries=3)
+        with pytest.raises(GatewayError) as err:
+            client.health()
+        assert err.value.code == "unavailable"
+        assert "retries exhausted" in err.value.detail
+        assert len(sleeps) == 3 and client.retry_count == 3
 
 
 class TestDisconnectMidUpload:

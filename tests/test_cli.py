@@ -23,6 +23,7 @@ class TestParser:
         assert (args.nodes, args.maps, args.reducers) == (20, 20, 5)
         assert not args.mr
         assert args.trace_out is None and args.trace_format == "chrome"
+        assert args.faults is None and args.summary_out is None
 
     def test_allocator_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -35,8 +36,20 @@ class TestParser:
             build_parser().parse_args(["run", "--trace-format", "svg"])
 
     def test_metrics_defaults(self):
-        args = build_parser().parse_args(["metrics"])
-        assert args.sample_period == 30.0
+        args = build_parser().parse_args(["run"])
+        assert not args.summary and not args.list_plans
+        # One sampling period is in use (attach_observability's default).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--sample-period", "30"])
+
+    @pytest.mark.parametrize("command", ["chaos", "metrics"])
+    def test_folded_commands_are_gone(self, command, capsys):
+        """`run` is the one command that runs one simulated job: no
+        alias, no accepted-and-ignored flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -45,6 +58,14 @@ class TestCommands:
                      "--input-gb", "0.06"]) == 0
         out = capsys.readouterr().out
         assert "total" in out and "map" in out
+
+    def test_run_stdout_equals_the_pinned_run(self, capsys):
+        # Recorded at the commit before `run` absorbed chaos and metrics.
+        assert main(["run", "--nodes", "6", "--maps", "6", "--reducers", "2",
+                     "--input-gb", "0.1", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "map 95.3s [88.5s]  reduce 102.8s  total 406.3s"
+            "  transition gap 49.9s\n")
 
     def test_run_mr_command(self, capsys):
         assert main(["run", "--mr", "--nodes", "6", "--maps", "6",
@@ -117,9 +138,9 @@ class TestObservabilityCommands:
         assert cs.read_text().splitlines()[0].startswith("time,kind")
 
     def test_metrics_command(self, capsys):
-        assert main(["metrics", "--nodes", "6", "--maps", "6",
-                     "--reducers", "2", "--input-gb", "0.06"]) == 0
+        assert main([*self.RUN, "--summary"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("map ")
         assert "sched.rpc_total" in out
         assert "daemon.transitioner.backlog" in out
         assert "engine self-profile" in out
@@ -129,7 +150,7 @@ class TestSeedHandling:
     """--seed is accepted (and validated) uniformly on every subcommand."""
 
     COMMANDS = ["table1", "fig4", "ablations", "nat", "churn", "planetlab",
-                "run", "metrics", "wordcount", "chaos"]
+                "run", "wordcount"]
 
     def test_every_subcommand_accepts_seed(self):
         for cmd in self.COMMANDS:
@@ -293,23 +314,30 @@ class TestCampaignControlPlane:
 
 
 class TestChaosCommand:
+    """`run --faults`: what the chaos subcommand did."""
+
+    CHAOS = ["run", "--mr", "--nodes", "12", "--maps", "12",
+             "--reducers", "3", "--input-gb", "0.5"]
+
     def test_list_plans(self, capsys):
-        assert main(["chaos", "--list-plans"]) == 0
+        assert main(["run", "--list-plans"]) == 0
         out = capsys.readouterr().out
         assert "kitchen-sink" in out and "dataserver-degraded" in out
 
-    def test_plan_required(self, capsys):
-        assert main(["chaos"]) == 2
+    def test_plan_required(self, capsys, tmp_path):
+        summary = tmp_path / "summary.json"
+        assert main(["run", "--summary-out", str(summary)]) == 2
         assert "required" in capsys.readouterr().err
+        assert not summary.exists()
 
     def test_unknown_plan_raises(self):
         with pytest.raises(ValueError, match="unknown chaos plan"):
-            main(["chaos", "no-such-plan"])
+            main(["run", "--faults", "no-such-plan"])
 
     def test_chaos_run_green(self, capsys, tmp_path):
         summary = tmp_path / "summary.json"
         trace = tmp_path / "trace.json"
-        assert main(["chaos", "flaky-network", "--seed", "1",
+        assert main([*self.CHAOS, "--faults", "flaky-network", "--seed", "1",
                      "--summary-out", str(summary),
                      "--trace-out", str(trace)]) == 0
         out = capsys.readouterr().out
@@ -322,9 +350,68 @@ class TestChaosCommand:
         assert doc["faults"]
         assert trace.read_text().startswith("{")
 
+    #: What `repro chaos <plan> --seed S --summary-out F` wrote at the
+    #: commit before the fold (its defaults were CHAOS's geometry):
+    #: faults as (kind, target, begin, end), then the audit time.
+    PARENT_CHAOS = {
+        ("flaky-network", 1): ([
+            ("link_flap", "host004,host005", 150.0, 350.0),
+            ("bandwidth", "host001,host006,host010", 500.0, 1100.0),
+            ("link_flap", "host003", 900.0, 1050.0)], 975.0),
+        ("split-brain", 7): ([
+            ("partition", "host002,host003,host006", 200.0, 700.0),
+            ("partition", "host002,host004", 1000.0, 1300.0)], 2355.0),
+    }
+    PARENT_CHECKS = {"job": 1, "workunit": 15, "result": 30, "flow": 0,
+                     "semaphore": 37, "span": 0}
+
+    @pytest.mark.parametrize("plan,seed", sorted(PARENT_CHAOS))
+    def test_run_faults_equals_the_chaos_command(self, plan, seed, tmp_path):
+        import json
+
+        summary = tmp_path / "summary.json"
+        assert main([*self.CHAOS, "--faults", plan, "--seed", str(seed),
+                     "--summary-out", str(summary)]) == 0
+        faults, audit_at = self.PARENT_CHAOS[plan, seed]
+        assert json.loads(summary.read_text()) == {
+            "plan": plan, "seed": seed,
+            "faults": [{"fault": f"f{i}", "kind": kind, "target": target,
+                        "begin": begin, "end": end}
+                       for i, (kind, target, begin, end) in enumerate(faults)],
+            "job_done": True, "diagnosis": None,
+            "audit": {"ok": True, "at": audit_at,
+                      "checks": self.PARENT_CHECKS, "violations": []},
+        }
+
+    def test_failed_job_becomes_a_diagnosis(self, capsys, tmp_path):
+        import json
+
+        plan = tmp_path / "doom.toml"
+        plan.write_text('name = "doom"\n[[fault]]\nkind = "byzantine"\n'
+                        'at = 0.0\nduration = 1e6\ntarget = "all"\n')
+        summary = tmp_path / "summary.json"
+        assert main(["run", "--mr", "--nodes", "6", "--maps", "6",
+                     "--reducers", "2", "--input-gb", "0.06",
+                     "--faults", str(plan),
+                     "--summary-out", str(summary)]) == 1
+        out = capsys.readouterr().out
+        assert "job failed with diagnosis: SimulationError" in out
+        assert "FAIL [job]" in out
+        doc = json.loads(summary.read_text())
+        assert doc["job_done"] is False and doc["audit"]["ok"] is False
+        assert doc["diagnosis"].startswith("SimulationError")
+
+    def test_failed_job_without_faults_still_raises(self):
+        from repro.sim import SimulationError
+
+        with pytest.raises(SimulationError):
+            # replication 2 on one host can never reach quorum
+            main(["run", "--nodes", "1", "--maps", "2", "--reducers", "1",
+                  "--input-gb", "0.01"])
+
     def test_run_with_faults_flag(self, capsys):
         assert main(["run", "--mr", "--nodes", "6", "--maps", "6",
                      "--reducers", "2", "--input-gb", "0.06",
                      "--faults", "flaky-network", "--seed", "4"]) == 0
         out = capsys.readouterr().out
-        assert "faults injected" in out and "audit" in out
+        assert "fault(s) injected" in out and "audit" in out

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core import CloudSpec, MapReduceJobSpec
 from repro.experiments import (
     PAPER_TABLE1,
-    Scenario,
     Table1Row,
     nat_scenario,
     run_scenario,
@@ -14,42 +14,52 @@ from repro.experiments.table1 import PaperCell, render, run_table1
 
 
 class TestScenario:
-    def small(self, **overrides):
-        defaults = dict(name="t", n_nodes=6, n_maps=6, n_reducers=2,
-                        input_size=60e6, seed=1)
-        defaults.update(overrides)
-        return Scenario(**defaults)
+    """A run is a (CloudSpec, MapReduceJobSpec) pair."""
+
+    def small(self, name="t", seed=1, **cloud):
+        return (CloudSpec(seed=seed, n_nodes=6, **cloud),
+                MapReduceJobSpec(name, n_maps=6, n_reducers=2,
+                                 input_size=60e6))
 
     def test_run_produces_metrics(self):
-        result = run_scenario(self.small())
+        result = run_scenario(*self.small())
         m = result.metrics
         assert m.total > 0
         assert m.map_stats.n_tasks == 12  # 6 WUs x replication 2
         assert m.reduce_stats.n_tasks == 4
         assert m.map_stats.mean_discard_slowest <= m.map_stats.mean + 1e-9
+        assert not hasattr(result, "scenario")
 
     def test_mr_scenario_runs(self):
-        result = run_scenario(self.small(mr_clients=True))
+        result = run_scenario(*self.small(mr_clients=True))
         assert result.job.finished
 
     def test_deterministic_per_seed(self):
-        a = run_scenario(self.small(seed=5)).metrics.total
-        b = run_scenario(self.small(seed=5)).metrics.total
+        a = run_scenario(*self.small(seed=5)).metrics.total
+        b = run_scenario(*self.small(seed=5)).metrics.total
         assert a == b
 
     def test_fast_nodes_shorten_makespan(self):
-        slow = run_scenario(self.small(seed=3)).metrics
-        fast = run_scenario(self.small(seed=3, name="t2",
-                                       fast_node_fraction=1.0)).metrics
+        slow = run_scenario(*self.small(seed=3)).metrics
+        fast = run_scenario(*self.small(seed=3, name="t2",
+                                        fast_node_fraction=1.0)).metrics
         assert fast.map_stats.mean < slow.map_stats.mean
 
     def test_nat_scenario_has_per_node_nats(self):
-        s = nat_scenario(seed=1)
-        assert s.nats is not None and len(s.nats) == s.n_nodes
+        cloud, _job = nat_scenario(seed=1)
+        assert cloud.nats is not None and len(cloud.nats) == cloud.n_nodes
 
     def test_nats_length_validated(self):
         with pytest.raises(ValueError):
             self.small(nats=[None])
+
+    def test_a_built_cloud_is_accepted_in_place_of_its_spec(self):
+        from repro.core import VolunteerCloud
+
+        spec, job = self.small(seed=5)
+        built = VolunteerCloud.from_spec(spec)
+        assert run_scenario(built, job).metrics.total == \
+            run_scenario(spec, job).metrics.total
 
 
 class TestTable1Definitions:
@@ -63,9 +73,10 @@ class TestTable1Definitions:
         assert r.paper_map.mean == 747 and r.paper_map.discarded == 396
 
     def test_scenario_for_row(self):
-        s = scenario_for_row(PAPER_TABLE1[0], seed=9)
-        assert (s.n_nodes, s.n_maps, s.n_reducers) == (10, 10, 2)
-        assert s.seed == 9 and not s.mr_clients
+        cloud, job = scenario_for_row(PAPER_TABLE1[0], seed=9)
+        assert (cloud.n_nodes, job.n_maps, job.n_reducers) == (10, 10, 2)
+        assert cloud.seed == 9 and not cloud.mr_clients
+        assert job.name == PAPER_TABLE1[0].label
 
     def test_cell_text(self):
         assert PaperCell(700, 400).text() == "700 [400]"
@@ -88,9 +99,31 @@ def table1_records():
     return run_table1(PAPER_TABLE1, seed=1)
 
 
+#: (label, map mean, reduce mean, total) of ``run_table1(seed=1)``, recorded
+#: at the commit before ``Scenario`` was folded into ``CloudSpec``.
+PINNED_TABLE1_SEED1 = [
+        ('boinc_10n_10m_2r', 429.36717511806876, 549.3282309196562, 1151.6746034550229),
+        ('boinc_10n_20m_2r', 218.82037059602658, 511.2505496306419, 1212.069456084863),
+        ('boinc_15n_15m_3r', 410.43606469435633, 343.0500560572705, 1467.9076304284274),
+        ('boinc_15n_30m_3r', 325.30008084294093, 321.70364440615623, 1022.5886222502946),
+        ('boinc_20n_20m_5r', 372.3684233104223, 360.36268824965896, 1132.4536058965653),
+        ('boinc_20n_40m_5r', 313.76096429214306, 361.9022224160235, 1148.513092201701),
+        ('boinc_30n_30m_7r', 478.091678538838, 256.5636544719731, 1500.781425246866),
+        ('boinc_30n_40m_5r', 398.3980618337847, 323.20803188421496, 1563.0771531851433),
+        ('boinc-mr_20n_20m_5r', 325.8247942514067, 244.28229021304196, 928.7905568172083),
+]
+
+
 class TestTable1PaperClaims:
     """Table I's relational claims, so a change that bends the
     reproduction fails tier-1 (Fig. 4's are gated the same way below)."""
+
+    def test_values_equal_the_pinned_run(self, table1_records):
+        # from_spec must build exactly what build_cloud built: same
+        # nodeNNN names (hence rng streams), flops and call order.
+        assert [(r.row.label, r.measured_map[0], r.measured_reduce[0],
+                 r.measured_total[0]) for r in table1_records] \
+            == PINNED_TABLE1_SEED1
 
     @staticmethod
     def _mr_and_vanilla(records):

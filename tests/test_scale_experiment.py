@@ -1,9 +1,11 @@
-"""Scenario -> CloudSpec unification and the scale-out study plumbing."""
+"""The volunteer population on CloudSpec and the scale-out study plumbing."""
 
 import pytest
 
 from repro.boinc.client import ClientConfig
-from repro.experiments import Scenario, build_cloud, build_scale_cloud, scale_out
+from repro.core import CloudSpec, VolunteerCloud
+from repro.core.system import PC3001_FLOPS, PCR200_FLOPS
+from repro.experiments import build_scale_cloud, scale_out
 from repro.net import (ADSL_LINK, CABLE_LINK, EMULAB_LINK, SERVER_LINK,
                        FlowNetwork, IncrementalAllocator, topology)
 
@@ -11,25 +13,39 @@ from .net.reference_allocator import FullAllocator
 
 
 class TestScenarioCloudSpec:
+    """The population Scenario used to describe, built by from_spec."""
+
     def test_defaults_match_paper_testbed(self):
-        spec = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2).cloud_spec()
-        assert spec.server_link is EMULAB_LINK
+        spec = CloudSpec(n_nodes=4)
+        assert spec.server_link is EMULAB_LINK and spec.link is EMULAB_LINK
+        cloud = VolunteerCloud.from_spec(spec)
+        assert [c.name for c in cloud.clients] == [
+            "node000", "node001", "node002", "node003"]
+        assert not cloud._started
+        # Original BOINC clients default to the via-the-server config.
+        assert not cloud.mr_config.reduce_from_peers
+        assert cloud.mr_config.upload_map_outputs
+        assert all(getattr(c, "peer_store", None) is None
+                   for c in cloud.clients)
 
     def test_fields_flow_through(self):
         cc = ClientConfig(backoff_max_s=60.0)
-        sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                      link=CABLE_LINK, client_config=cc, seed=11)
-        spec = sc.cloud_spec()
-        assert spec.seed == 11
-        assert spec.server_link is CABLE_LINK
-        assert spec.client_config is cc
+        spec = CloudSpec(seed=11, n_nodes=4, mr_clients=True,
+                         link=CABLE_LINK, client_config=cc,
+                         fast_node_fraction=0.5, byzantine_rate=0.25)
+        cloud = VolunteerCloud.from_spec(spec)
+        assert cloud.mr_config.reduce_from_peers  # BOINC-MR default
+        assert all(c.config is cc for c in cloud.clients)
+        assert all(c.peer_store is not None for c in cloud.clients)
+        assert [c.record.flops for c in cloud.clients] == [
+            PCR200_FLOPS, PCR200_FLOPS, PC3001_FLOPS, PC3001_FLOPS]
+        assert {c.executor.byzantine_rate for c in cloud.clients} == {0.25}
+        assert cloud.clients[0].host.uplink.capacity == pytest.approx(
+            CABLE_LINK.up_bps / 8.0)
 
     def test_server_link_override(self):
-        sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                      link=ADSL_LINK, server_link=SERVER_LINK)
-        spec = sc.cloud_spec()
-        assert spec.server_link is SERVER_LINK
-        cloud = build_cloud(sc)
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            n_nodes=4, link=ADSL_LINK, server_link=SERVER_LINK))
         assert cloud.server_host.uplink.capacity == pytest.approx(
             SERVER_LINK.up_bps / 8.0)
         # Volunteers keep the volunteer profile.
@@ -38,13 +54,27 @@ class TestScenarioCloudSpec:
 
     def test_allocator_knob_and_link_spec_alias_are_gone(self):
         with pytest.raises(TypeError):
-            Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                     allocator="full")
-        sc = Scenario(name="s", n_nodes=4, n_maps=4, n_reducers=2,
-                      link=CABLE_LINK)
-        assert not hasattr(sc, "link_spec")
-        assert isinstance(build_cloud(sc).net.flownet.allocator,
-                          IncrementalAllocator)
+            CloudSpec(n_nodes=4, allocator="full")
+        with pytest.raises(TypeError):
+            CloudSpec(n_nodes=4, link_spec=CABLE_LINK)
+        cloud = VolunteerCloud.from_spec(CloudSpec(n_nodes=4))
+        assert isinstance(cloud.net.flownet.allocator, IncrementalAllocator)
+
+    def test_empty_spec_plus_add_volunteers_is_unchanged(self):
+        # What bench/ and build_scale_cloud do: hostNNN names, and the
+        # BOINC-MR default config whatever mr_clients says.
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
+        assert cloud.clients == [] and cloud.mr_config.reduce_from_peers
+        names = [c.name for c in cloud.add_volunteers(2, mr=True)]
+        assert names == ["host000", "host001"]
+
+    def test_nats_are_frozen_with_the_spec(self):
+        nats = [None, None]
+        spec = CloudSpec(n_nodes=2, nats=nats)
+        nats.append(None)
+        assert spec.nats == (None, None)
+        with pytest.raises(ValueError):
+            CloudSpec(n_nodes=-1)
 
 
 class TestScaleStudy:
