@@ -4,7 +4,7 @@
 Boots an in-process gateway (unless ``GATEWAY_ADDRESS`` points at an
 external ``repro serve``), replays the compressed availability schedules
 of ``GATEWAY_CLIENTS`` simulated volunteers (default 500) through the
-async load harness, and writes the ``BENCH_gateway.json`` latency/
+load harness (one thread and one ``GatewayClient`` per client), and writes the ``BENCH_gateway.json`` latency/
 correctness report that ``check_scale_regression.py --kind gateway``
 gates against ``benchmarks/BENCH_gateway_baseline.json``.
 

@@ -21,16 +21,6 @@ from .tables import render_table
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..campaign import CellRecord
 
-#: Which payload field is the headline metric, per cell kind.
-HEADLINE_METRIC: dict[str, str] = {
-    "scenario": "total",
-    "table1": "total",
-    "churn": "total",
-    "replication": "total",
-    "scale_out": "makespan_s",
-    "sleep": "slept_s",
-}
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class GroupStats:
@@ -96,6 +86,8 @@ def _numeric_means(payloads: _t.Sequence[_t.Mapping[str, _t.Any]]
 def aggregate_records(records: _t.Iterable["CellRecord"]
                       ) -> list[GroupStats]:
     """Fold store records into per-group statistics (store order kept)."""
+    from ..campaign.cells import KINDS
+
     groups: dict[str, list["CellRecord"]] = {}
     for record in records:
         group = record.spec.get("group") or record.spec["kind"]
@@ -107,7 +99,7 @@ def aggregate_records(records: _t.Iterable["CellRecord"]
         if not ok:
             continue
         kind = members[0].spec["kind"]
-        metric = HEADLINE_METRIC.get(kind, "total")
+        _executor, metric = KINDS[kind]
         values = [float(m.result[metric]) for m in ok
                   if metric in m.result]
         if not values:

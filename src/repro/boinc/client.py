@@ -79,18 +79,20 @@ class ClientConfig:
     #: Send output uploads as TCP-Nice-style background transfers that
     #: yield to foreground traffic (Section III.D future work).
     nice_uploads: bool = False
-    #: Inter-client connection threshold (Section III.C).
-    max_peer_upload_conns: int = 6
-    max_peer_download_conns: int = 6
     #: Initial scheduler contact is staggered by up to this many seconds.
     initial_stagger_s: float = 5.0
-    #: Bounded retry for data-server transfers (503s, outages, corrupt
-    #: payloads).  The backoff between attempts reuses the paper's
-    #: exponential shape on its own, shorter, scale — curl retries are
-    #: minutes, scheduler deferrals are tens of minutes.
-    transfer_retries: int = 6
-    transfer_backoff_min_s: float = 15.0
-    transfer_backoff_max_s: float = 300.0
+
+
+#: Inter-client connection threshold (Section III.C), per direction.
+MAX_PEER_CONNS = 6
+
+#: Bounded retry for data-server transfers (503s, outages, corrupt
+#: payloads).  The backoff between attempts reuses the paper's
+#: exponential shape on its own, shorter, scale — curl retries are
+#: minutes, scheduler deferrals are tens of minutes.
+TRANSFER_RETRIES = 6
+TRANSFER_BACKOFF_MIN_S = 15.0
+TRANSFER_BACKOFF_MAX_S = 300.0
 
 
 class TaskState:
@@ -147,9 +149,8 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
     *not* retried: a file the server does not hold will not appear because
     we ask again.  Raises :class:`TransferFailed` when the budget runs out.
     """
-    cfg = client.config
     last = "no attempts made"
-    for attempt in range(1, cfg.transfer_retries + 1):
+    for attempt in range(1, TRANSFER_RETRIES + 1):
         flow = None
         try:
             flow = start()
@@ -166,7 +167,7 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
             client.tracer.record(client.sim.now, f"client.{verb}_retry",
                                  host=client.name, file=name, attempt=attempt,
                                  error=last)
-            if attempt >= cfg.transfer_retries:
+            if attempt >= TRANSFER_RETRIES:
                 break
         finally:
             # Interrupted (churn kill) can land on either yield: never
@@ -174,10 +175,10 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
             if flow is not None and not flow.finished:
                 client.net.flownet.abort_flow(flow, reason=f"{verb} cancelled")
         yield client.sim.timeout(backoff_delay(
-            client.rng, cfg.transfer_backoff_min_s, cfg.transfer_backoff_max_s,
-            attempt, cfg.backoff_jitter))
+            client.rng, TRANSFER_BACKOFF_MIN_S, TRANSFER_BACKOFF_MAX_S,
+            attempt, client.config.backoff_jitter))
     raise TransferFailed(
-        f"{verb} of {name!r} failed after {cfg.transfer_retries} "
+        f"{verb} of {name!r} failed after {TRANSFER_RETRIES} "
         f"attempts: {last}")
 
 
@@ -287,8 +288,8 @@ class Client:
 
         self.endpoint = TransferEndpoint(
             sim, host,
-            max_upload_conns=self.config.max_peer_upload_conns,
-            max_download_conns=self.config.max_peer_download_conns)
+            max_upload_conns=MAX_PEER_CONNS,
+            max_download_conns=MAX_PEER_CONNS)
         self.tasks: list[ClientTask] = []
         self._ready: list[ClientTask] = []
         self._cpu = SimSemaphore(sim, self.config.ncpus, name=f"{self.name}.cpu")

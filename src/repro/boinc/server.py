@@ -40,17 +40,17 @@ from .model import (
 )
 
 
+#: Daemon polling periods (seconds), in pipeline order.  BOINC defaults
+#: poll every few seconds on a loaded project; these values reproduce the
+#: transition latencies discussed in Section IV.B.
+DAEMON_PERIOD_S = {"feeder": 5.0, "transitioner": 10.0,
+                   "validator": 10.0, "assimilator": 10.0}
+
+
 @dataclasses.dataclass(slots=True)
 class ServerConfig:
     """Tunables for the project server and its daemons."""
 
-    #: Daemon polling periods (seconds).  BOINC defaults poll every few
-    #: seconds on a loaded project; these values reproduce the transition
-    #: latencies discussed in Section IV.B.
-    feeder_period_s: float = 5.0
-    transitioner_period_s: float = 10.0
-    validator_period_s: float = 10.0
-    assimilator_period_s: float = 10.0
     #: Feeder shared-memory slots (results visible to the scheduler).
     feeder_cache_size: int = 100
     #: Max simultaneous scheduler RPCs before requests queue (congestion).
@@ -639,13 +639,8 @@ class ProjectServer(SchedulerCore):
         if self._daemons_started:
             raise RuntimeError("daemons already started")
         self._daemons_started = True
-        cfg = self.config
-        for name, fn, period in (
-            ("feeder", self._feeder_pass, cfg.feeder_period_s),
-            ("transitioner", self._transitioner_pass, cfg.transitioner_period_s),
-            ("validator", self._validator_pass, cfg.validator_period_s),
-            ("assimilator", self._assimilator_pass, cfg.assimilator_period_s),
-        ):
+        for name, period in DAEMON_PERIOD_S.items():
+            fn = getattr(self, f"_{name}_pass")
             self._daemon_procs[name] = self.sim.process(
                 self._poll_loop(name, fn, period), name=name)
 

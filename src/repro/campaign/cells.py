@@ -1,15 +1,16 @@
 """Cell executors: run one campaign cell and return its result payload.
 
-:func:`execute_cell` is the single entry point the campaign runner calls
-— in-process for sequential runs, inside a worker process for parallel
-ones.  Every executor builds its deployment from the cell's own seed via
-the normal :class:`repro.sim.RngRegistry` streams, so a cell's payload
-depends only on its spec: running it alone, sequentially, or on any
-worker of a pool produces byte-identical results (asserted by
-``tests/campaign/`` and ``benchmarks/test_campaign.py``).
+:func:`execute_cell` is the single entry point: a lease-plane worker
+calls it in a child process for each cell it leases, and
+``run_campaign(workers=0)`` calls it in-process.  Every executor builds
+its deployment from the cell's own seed via the normal
+:class:`repro.sim.RngRegistry` streams, so a cell's payload depends only
+on its spec: running it alone, inline, or on any worker produces
+byte-identical results (asserted by ``tests/campaign/test_runner.py``
+and the perf ledger's ``campaign_table1`` workload).
 
 Payloads are JSON-able dicts of *deterministic* quantities only; wall
-clock, attempt counts, and worker identity belong to the runner's
+clock, attempt counts, and worker identity belong to the coordinator's
 ``meta`` side-channel, never to the payload.
 """
 
@@ -164,14 +165,16 @@ def _execute_sleep(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     return {"slept_s": duration}
 
 
-_EXECUTORS: dict[str, _t.Callable[[_t.Mapping[str, _t.Any]],
-                                  dict[str, _t.Any]]] = {
-    "scenario": _execute_scenario,
-    "table1": _execute_table1,
-    "churn": _execute_churn,
-    "replication": _execute_replication,
-    "scale_out": _execute_scale_out,
-    "sleep": _execute_sleep,
+#: What each cell kind is: its executor, and the payload field that is
+#: its headline metric (what :mod:`repro.analysis.campaign` folds over
+#: seeds).  The one declaration; a new kind is one entry here.
+KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str]] = {
+    "scenario": (_execute_scenario, "total"),
+    "table1": (_execute_table1, "total"),
+    "churn": (_execute_churn, "total"),
+    "replication": (_execute_replication, "total"),
+    "scale_out": (_execute_scale_out, "makespan_s"),
+    "sleep": (_execute_sleep, "slept_s"),
 }
 
 
@@ -182,7 +185,7 @@ def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     runner converts exceptions into quarantine records).
     """
     try:
-        executor = _EXECUTORS[spec["kind"]]
+        executor, _headline = KINDS[spec["kind"]]
     except KeyError:
         raise ValueError(f"unknown cell kind {spec.get('kind')!r}") from None
     return executor(spec)

@@ -18,10 +18,10 @@ import pathlib
 import tomllib
 import typing as _t
 
+from .cells import KINDS
+
 #: Cell kinds understood by :func:`repro.campaign.cells.execute_cell`.
-CELL_KINDS: tuple[str, ...] = (
-    "scenario", "table1", "churn", "replication", "scale_out", "sleep",
-)
+CELL_KINDS: tuple[str, ...] = tuple(KINDS)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

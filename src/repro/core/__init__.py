@@ -24,7 +24,6 @@ from .jobtracker import JobTracker
 from .policies import ClientDirectory, MapReduceInputFetcher, MapReduceOutputPolicy
 from .system import CloudSpec, VolunteerCloud
 from .workflow import MapReduceWorkflow, WorkflowStage, pipeline
-from .xmlconfig import ConfigError, dump_jobtracker_xml, load_jobtracker_xml
 
 __all__ = [
     "VolunteerCloud",
@@ -32,9 +31,6 @@ __all__ = [
     "MapReduceWorkflow",
     "WorkflowStage",
     "pipeline",
-    "ConfigError",
-    "load_jobtracker_xml",
-    "dump_jobtracker_xml",
     "MapReduceJobSpec",
     "MapReduceJob",
     "JobPhase",

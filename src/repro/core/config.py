@@ -40,8 +40,6 @@ class BoincMRConfig:
     reduce_creation_fraction: float = 1.0
     #: While waiting for a late map output, poll the server this often.
     fetch_poll_s: float = 30.0
-    #: Give up on a missing reduce input after this many polls.
-    fetch_poll_attempts: int = 120
 
     @classmethod
     def vanilla_boinc(cls) -> "BoincMRConfig":
@@ -51,8 +49,8 @@ class BoincMRConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.reduce_creation_fraction <= 1.0:
             raise ValueError("reduce_creation_fraction must be in (0, 1]")
-        if self.fetch_poll_s <= 0 or self.fetch_poll_attempts < 1:
-            raise ValueError("fetch poll settings must be positive")
+        if self.fetch_poll_s <= 0:
+            raise ValueError("fetch_poll_s must be positive")
         if (self.reduce_creation_fraction < 1.0
                 and not self.upload_map_outputs):
             # Early reduce WUs carry peer locations only for maps already

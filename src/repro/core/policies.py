@@ -31,6 +31,9 @@ from .config import BoincMRConfig
 from .interclient import PeerStore
 from .jobtracker import JobTracker
 
+#: Give up on a missing reduce input after this many server polls.
+FETCH_POLL_ATTEMPTS = 120
+
 
 class ClientDirectory:
     """Address book resolving scheduler-provided addresses to live clients.
@@ -214,7 +217,7 @@ class MapReduceInputFetcher:
         # exist *yet* — poll for it, overlapping this wait with the other
         # partitions' downloads (the §IV.C "intermediate downloads" idea).
         polls = 0
-        while polls < self.config.fetch_poll_attempts:
+        while polls < FETCH_POLL_ATTEMPTS:
             if client.server.dataserver.has(filename):
                 self.server_fallbacks += 1
                 client.tracer.record(sim.now, "peer.fallback_server",

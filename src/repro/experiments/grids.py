@@ -4,8 +4,8 @@ Each builder returns a :class:`repro.campaign.CampaignGrid` whose cells
 reproduce one of the existing sequential studies — the Table I grid,
 the churn study, the replication sweep, and the simulator-scalability
 study — fanned out over seeds (and, where it makes sense, a chaos
-plan), so ``python -m repro campaign --grid table1`` runs the whole
-evaluation concurrently and :mod:`repro.analysis.campaign` folds the
+plan), so ``python -m repro campaign coordinate --grid table1`` runs the
+whole evaluation concurrently and :mod:`repro.analysis.campaign` folds the
 seeds back into tables.
 
 Per-replicate seeds are derived with :func:`repro.sim.derive_seed`, so

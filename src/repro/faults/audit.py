@@ -27,6 +27,7 @@ import dataclasses
 import typing as _t
 
 from ..boinc.model import ResultState, WorkunitState
+from ..boinc.server import DAEMON_PERIOD_S
 from ..core.job import JobPhase
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -88,15 +89,10 @@ class RunAuditor:
         self.cloud = cloud
 
     # -- quiescing --------------------------------------------------------------
-    def _daemon_period_sum(self) -> float:
-        cfg = self.cloud.server.config
-        return (cfg.feeder_period_s + cfg.transitioner_period_s
-                + cfg.validator_period_s + cfg.assimilator_period_s)
-
     def settle(self, grace_s: float | None = None) -> None:
         """Run the sim long enough for the daemon pipeline to flush."""
         if grace_s is None:
-            grace_s = 3.0 * self._daemon_period_sum()
+            grace_s = 3.0 * sum(DAEMON_PERIOD_S.values())
         self.cloud.sim.run(until=self.cloud.sim.now + grace_s)
 
     def drain(self, max_s: float | None = None) -> bool:
@@ -109,10 +105,11 @@ class RunAuditor:
         """
         cfg = self.cloud.server.config
         if max_s is None:
-            max_s = cfg.delay_bound_s + 3.0 * cfg.transitioner_period_s + 600.0
+            max_s = (cfg.delay_bound_s
+                     + 3.0 * DAEMON_PERIOD_S["transitioner"] + 600.0)
         sim = self.cloud.sim
         deadline = sim.now + max_s
-        step = max(60.0, cfg.transitioner_period_s)
+        step = max(60.0, DAEMON_PERIOD_S["transitioner"])
         while sim.now < deadline:
             if not any(r.state is ResultState.IN_PROGRESS
                        for r in self.cloud.server.db.results.values()):
@@ -161,9 +158,9 @@ class RunAuditor:
     def _check_workunits(self, violations: list[Violation],
                          checks: dict[str, int]) -> None:
         db = self.cloud.server.db
-        cfg = self.cloud.server.config
         failed_jobs = self._failed_jobs()
-        live_horizon = self.cloud.sim.now - 2.0 * cfg.transitioner_period_s
+        live_horizon = (self.cloud.sim.now
+                        - 2.0 * DAEMON_PERIOD_S["transitioner"])
         checks["workunit"] = len(db.workunits)
         for wu in db.workunits.values():
             if wu.state is WorkunitState.ASSIMILATED:
@@ -198,7 +195,6 @@ class RunAuditor:
     def _check_results(self, violations: list[Violation],
                        checks: dict[str, int]) -> None:
         db = self.cloud.server.db
-        cfg = self.cloud.server.config
         now = self.cloud.sim.now
         checks["result"] = len(db.results)
         unsent_ids = set(db._unsent)
@@ -209,8 +205,8 @@ class RunAuditor:
                         "result", f"r{res.id}",
                         "OVER without an outcome (unaccounted)"))
             elif res.state is ResultState.IN_PROGRESS:
-                if (res.deadline is not None
-                        and now > res.deadline + 2.0 * cfg.transitioner_period_s):
+                if (res.deadline is not None and now > res.deadline
+                        + 2.0 * DAEMON_PERIOD_S["transitioner"]):
                     violations.append(Violation(
                         "result", f"r{res.id}",
                         f"lost: deadline {res.deadline:g} passed at {now:g} "

@@ -12,9 +12,9 @@ the simulation rather than re-implemented.
   schemas, error codes, checksums), documented in ``docs/protocol.md``;
 - :mod:`repro.gateway.server` — :class:`GatewayServer`, the asyncio
   listener + daemon tick, and :class:`GatewayHandle` for in-process use;
-- :mod:`repro.gateway.client` — :class:`GatewayClient` (blocking HTTP
-  transport with the paper's backoff) and :func:`run_volunteer`, the
-  real-OS-process volunteer loop running the real engine;
+- :mod:`repro.gateway.client` — :class:`GatewayClient` (the one HTTP
+  client, blocking, with the paper's backoff) and :func:`run_volunteer`,
+  the real-OS-process volunteer loop running the real engine;
 - :mod:`repro.gateway.jobs` — the shared
   :class:`~repro.core.jobtracker.JobTracker` over real bytes;
 - :mod:`repro.gateway.files` — :class:`BlobStore`, real bytes behind

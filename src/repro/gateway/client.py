@@ -8,11 +8,12 @@ upload — issued as real HTTP over ``http.client``.  Retry semantics
 mirror the paper's client: a 503/connection failure triggers exponential
 backoff with jitter, honouring the server's ``Retry-After`` floor.
 
-:func:`run_volunteer` is the BOINC-MR client main loop on a real OS
-process: poll for work, download inputs, run the map/reduce task with
-the *real* :class:`repro.runtime.engine.LocalRunner`, upload outputs,
-and report at the next RPC — the report-at-next-RPC split the simulator
-models is preserved on the wire.
+:class:`Volunteer` is the BOINC-MR client on a real OS process, one RPC
+cycle at a time: poll for work, download inputs, run the map/reduce task
+with the *real* :class:`repro.runtime.engine.LocalRunner`, upload
+outputs, and report at the next RPC — the report-at-next-RPC split the
+simulator models is preserved on the wire.  :func:`run_volunteer` is its
+main loop; the load fleet drives the same cycle on a schedule.
 """
 
 from __future__ import annotations
@@ -183,14 +184,17 @@ class GatewayClient:
             "host_id": host_id, "work_req_s": work_req_s,
             "reports": reports or []})
 
-    def download(self, name: str) -> bytes:
-        """Fetch blob *name*, verifying the ``X-Checksum`` header."""
-        headers, data = self.request("GET", f"/data/{name}")
+    def _fetch(self, path: str, what: str) -> bytes:
+        headers, data = self.request("GET", path)
         claimed = headers.get(protocol.CHECKSUM_HEADER.lower())
         if claimed is not None and claimed != protocol.checksum(data):
             raise GatewayError(200, "checksum_mismatch",
-                               f"download {name!r} corrupt in transit")
+                               f"{what} corrupt in transit")
         return data
+
+    def download(self, name: str) -> bytes:
+        """Fetch blob *name*, verifying the ``X-Checksum`` header."""
+        return self._fetch(f"/data/{name}", f"download {name!r}")
 
     def upload(self, result_id: int, name: str, data: bytes) -> dict:
         """Upload one output blob for a leased result."""
@@ -216,12 +220,7 @@ class GatewayClient:
 
     def job_output(self, name: str) -> bytes:
         """Reclaim the merged output payload of a finished job."""
-        headers, data = self.request("GET", f"/jobs/{name}/output")
-        claimed = headers.get(protocol.CHECKSUM_HEADER.lower())
-        if claimed is not None and claimed != protocol.checksum(data):
-            raise GatewayError(200, "checksum_mismatch",
-                               f"output of {name!r} corrupt in transit")
-        return data
+        return self._fetch(f"/jobs/{name}/output", f"output of {name!r}")
 
 
 def execute_task(client: GatewayClient, task: dict) -> dict:
@@ -271,6 +270,46 @@ class VolunteerStats:
     idle_polls: int = 0
 
 
+class Volunteer:
+    """One registered host on the live wire: its client, its host id and
+    the reports waiting for its next scheduler RPC.
+
+    :meth:`cycle` is the pull protocol's client side written once;
+    :func:`run_volunteer` and the load fleet
+    (:mod:`repro.gateway.loadgen`) only decide *when* to call it.
+    """
+
+    def __init__(self, client: GatewayClient, name: str,
+                 flops: float = 1e9) -> None:
+        """Register *name* (idempotently) through *client*."""
+        self.client = client
+        self.host_id = client.register(name, flops=flops, supports_mr=True)
+        self.reports: list[dict] = []
+        self.stats = VolunteerStats()
+        #: Wall-clock seconds the last scheduler RPC took, retries included.
+        self.rpc_s = 0.0
+
+    def cycle(self) -> dict:
+        """One scheduler RPC carrying the pending reports, then execute
+        what it assigned, queueing those reports for the next cycle.
+        Returns the ``WorkReply``."""
+        t0 = time.perf_counter()
+        reply = self.client.scheduler_rpc(self.host_id, work_req_s=1.0,
+                                          reports=self.reports)
+        self.rpc_s = time.perf_counter() - t0
+        self.reports = []
+        self.stats.rpcs += 1
+        for task in reply["assignments"]:
+            try:
+                self.reports.append(execute_task(self.client, task))
+                self.stats.tasks_done += 1
+            except GatewayError:
+                self.stats.tasks_failed += 1
+                self.reports.append({"result_id": task["result_id"],
+                                     "success": False, "elapsed_s": 0.0})
+        return reply
+
+
 def run_volunteer(address: str, name: str, flops: float = 1e9,
                   poll_s: float = 0.02, idle_limit: int = 100,
                   stop: _t.Callable[[], bool] | None = None
@@ -282,32 +321,17 @@ def run_volunteer(address: str, name: str, flops: float = 1e9,
     no-work polls (with no reports pending), or when *stop* returns True.
     """
     client = GatewayClient(address)
-    host_id = client.register(name, flops=flops, supports_mr=True)
-    stats = VolunteerStats()
-    reports: list[dict] = []
+    volunteer = Volunteer(client, name, flops)
     idle = 0
-    while True:
-        if stop is not None and stop():
-            break
-        reply = client.scheduler_rpc(host_id, work_req_s=1.0,
-                                     reports=reports)
-        reports = []
-        stats.rpcs += 1
-        for task in reply["assignments"]:
-            try:
-                reports.append(execute_task(client, task))
-                stats.tasks_done += 1
-            except GatewayError:
-                stats.tasks_failed += 1
-                reports.append({"result_id": task["result_id"],
-                                "success": False, "elapsed_s": 0.0})
-        if reply["assignments"] or reports:
+    while stop is None or not stop():
+        reply = volunteer.cycle()
+        if volunteer.reports:
             idle = 0
             continue  # report promptly; more work may be chained
         idle += 1
-        stats.idle_polls += 1
+        volunteer.stats.idle_polls += 1
         if idle >= idle_limit:
             break
         time.sleep(max(reply["request_delay_s"], poll_s))
     client.close()
-    return stats
+    return volunteer.stats

@@ -4,11 +4,14 @@ Reuses :func:`repro.volunteers.traces.diurnal_trace` — the same home-PC
 availability shapes the simulator churns volunteers with — to derive
 each load client's RPC schedule: a 7-day diurnal trace is compressed
 onto the harness duration, and the client only polls inside its ON
-windows.  Hundreds of such clients run concurrently on one asyncio loop
-(each with its own keep-alive connection), every scheduler RPC's
-wall-clock latency is recorded both into the gateway's
-:class:`repro.obs.MetricsRegistry` and as raw samples for exact
-percentiles, and the run ends with the three gates the CI job enforces:
+windows.  Hundreds of such clients run concurrently, each a thread
+driving the one volunteer cycle (:class:`repro.gateway.client.Volunteer`)
+over its own keep-alive :class:`~repro.gateway.client.GatewayClient`, so
+the fleet speaks the wire — retries and backoff included — exactly as a
+real volunteer does.  Every scheduler RPC's wall-clock latency is
+recorded both into the gateway's :class:`repro.obs.MetricsRegistry` and
+as raw samples for exact percentiles, and the run ends with the three
+gates the CI job enforces:
 
 - **p99 latency**: exact p99 of scheduler-RPC latency under the
   checked-in budget (``benchmarks/BENCH_gateway_baseline.json``);
@@ -20,20 +23,19 @@ percentiles, and the run ends with the three gates the CI job enforces:
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import random
+import threading
 import time
 import typing as _t
 
 import numpy as np
 
 from ..runtime.engine import LocalRunner
-from ..volunteers.traces import AvailabilityTrace, diurnal_trace
+from ..volunteers.traces import diurnal_trace
 from ..workloads import generate_corpus
-from . import protocol
-from .client import execute_task, retry_delay
+from .client import GatewayClient, Volunteer, VolunteerStats, run_volunteer
 from .jobs import canonical_payload, resolve_app
 from .server import GatewayConfig, GatewayServer
 
@@ -97,10 +99,8 @@ def client_schedule(index: int, config: LoadConfig) -> list[float]:
     volunteer population instead of being a flat Poisson front.
     """
     rng = np.random.default_rng(config.seed * 100_003 + index)
-    trace: AvailabilityTrace = diurnal_trace(f"load-{index}", days=7,
-                                             rng=rng)
-    horizon = 7 * 24 * 3600.0
-    scale = config.duration_s / horizon
+    trace = diurnal_trace(f"load-{index}", days=7, rng=rng)
+    scale = config.duration_s / (7 * 24 * 3600.0)
     instants: list[float] = []
     spans = [(s * scale, e * scale) for s, e in trace.intervals]
     for _ in range(config.polls_per_client):
@@ -109,152 +109,29 @@ def client_schedule(index: int, config: LoadConfig) -> list[float]:
     return sorted(instants)
 
 
-class _AsyncConn:
-    """One keep-alive asyncio HTTP/1.1 connection to the gateway."""
-
-    def __init__(self, host: str, port: int) -> None:
-        """A closed connection; opens lazily on first request."""
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    async def _open(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
-
-    async def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    async def request(self, method: str, path: str, body: bytes = b"",
-                      headers: dict[str, str] | None = None
-                      ) -> tuple[int, dict[str, str], bytes]:
-        """One request/response exchange; reconnects once on failure."""
-        for attempt in (0, 1):
-            if self._writer is None:
-                await self._open()
-            try:
-                return await self._exchange(method, path, body,
-                                            headers or {})
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                await self.close()
-                if attempt:
-                    raise
-        raise ConnectionError("unreachable")  # pragma: no cover
-
-    async def _exchange(self, method: str, path: str, body: bytes,
-                        headers: dict[str, str]
-                        ) -> tuple[int, dict[str, str], bytes]:
-        assert self._reader is not None and self._writer is not None
-        lines = [f"{method} {path} HTTP/1.1",
-                 f"Host: {self.host}:{self.port}",
-                 f"Content-Length: {len(body)}"]
-        lines += [f"{k}: {v}" for k, v in headers.items()]
-        self._writer.write(("\r\n".join(lines) + "\r\n\r\n")
-                           .encode("latin-1") + body)
-        await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed connection")
-        status = int(status_line.split()[1])
-        resp_headers: dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
-        length = int(resp_headers.get("content-length", "0"))
-        payload = (await self._reader.readexactly(length)
-                   if length else b"")
-        return status, resp_headers, payload
-
-
-class _FleetClient:
-    """One simulated volunteer identity inside the async fleet."""
-
-    def __init__(self, index: int, host: str, port: int,
-                 config: LoadConfig, samples: list[float],
-                 errors: list[str]) -> None:
-        """Load client *index* recording into shared sample/error lists."""
-        self.index = index
-        self.conn = _AsyncConn(host, port)
-        self.config = config
-        self.samples = samples
-        self.errors = errors
-        self.rpcs = 0
-        self.tasks_done = 0
-        self._reports: list[dict] = []
-        self._rng = random.Random(config.seed * 7 + index)
-
-    async def _json(self, method: str, path: str,
-                    payload: _t.Any = None) -> _t.Any:
-        body = protocol.dumps(payload) if payload is not None else b""
-        for attempt in range(8):
-            status, headers, data = await self.conn.request(
-                method, path, body, {"Content-Type": "application/json"})
-            if status == 503:
-                doc = protocol.loads(data)
-                await asyncio.sleep(retry_delay(
-                    self._rng, attempt, float(doc.get("retry_after_s", 0.0))))
-                continue
-            if status >= 400:
-                raise RuntimeError(f"{path}: HTTP {status} "
-                                   f"{data[:120]!r}")
-            return protocol.loads(data)
-        raise RuntimeError(f"{path}: retries exhausted on 503")
-
-    async def run(self, start: float) -> None:
-        """Replay this client's schedule; execute any assigned work."""
-        try:
-            host_id = (await self._json("POST", "/rpc/register", {
-                "name": f"load-{self.index}", "flops": 1e9,
-                "supports_mr": True}))["host_id"]
-            for instant in client_schedule(self.index, self.config):
-                delay = start + instant - time.monotonic()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                await self._poll(host_id)
-            # Flush any pending reports so no result is lost at the end.
-            while self._reports:
-                await self._poll(host_id)
-        except Exception as exc:  # noqa: BLE001 — gate counts any failure
-            self.errors.append(f"client {self.index}: {exc}")
-
-    async def _poll(self, host_id: int) -> None:
-        """One scheduler RPC (timed) plus execution of its assignments."""
-        t0 = time.perf_counter()
-        reply = await self._json("POST", "/rpc/scheduler", {
-            "host_id": host_id, "work_req_s": 1.0,
-            "reports": self._reports})
-        self.samples.append(time.perf_counter() - t0)
-        self.rpcs += 1
-        self._reports = []
-        for task in reply["assignments"]:
-            report = await asyncio.get_running_loop().run_in_executor(
-                None, self._execute_blocking, task)
-            self._reports.append(report)
-            if report["success"]:
-                self.tasks_done += 1
-
-    def _execute_blocking(self, task: dict) -> dict:
-        """Compute + upload one task on a worker thread (own connection)."""
-        from .client import GatewayClient
-        client = GatewayClient(f"{self.conn.host}:{self.conn.port}")
-        try:
-            return execute_task(client, task)
-        except Exception:  # noqa: BLE001 — report failure, don't lose lease
-            return {"result_id": task["result_id"], "success": False,
-                    "elapsed_s": 0.0}
-        finally:
-            client.close()
+def _replay_client(index: int, address: str, config: LoadConfig,
+                   start: float, samples: list[float], errors: list[str],
+                   fleet: list[VolunteerStats]) -> None:
+    """Load client *index*, on its own thread and connection: replay its
+    schedule from monotonic time *start*, one volunteer cycle an instant."""
+    client = GatewayClient(address,
+                           rng=random.Random(config.seed * 7 + index))
+    try:
+        volunteer = Volunteer(client, f"load-{index}")
+        fleet.append(volunteer.stats)
+        instants = client_schedule(index, config)
+        # Keep cycling past the schedule while reports are pending, so no
+        # result is lost at the end.
+        while instants or volunteer.reports:
+            if instants:
+                time.sleep(max(0.0, start + instants.pop(0)
+                               - time.monotonic()))
+            volunteer.cycle()
+            samples.append(volunteer.rpc_s)
+    except Exception as exc:  # noqa: BLE001 — gate counts any failure
+        errors.append(f"client {index}: {exc}")
+    finally:
+        client.close()
 
 
 def oracle_payload(config: LoadConfig) -> bytes:
@@ -267,26 +144,11 @@ def oracle_payload(config: LoadConfig) -> bytes:
 
 def percentiles_ms(samples: _t.Sequence[float]) -> dict[str, float]:
     """Exact p50/p90/p99/max of *samples* (seconds), in milliseconds."""
-    if not samples:
-        return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-    arr = np.sort(np.asarray(samples, dtype=float)) * 1000.0
+    arr = np.sort(np.asarray(samples or [0.0], dtype=float)) * 1000.0
     def pick(q: float) -> float:
         return float(arr[min(len(arr) - 1, int(q * len(arr)))])
     return {"p50": pick(0.50), "p90": pick(0.90), "p99": pick(0.99),
             "max": float(arr[-1])}
-
-
-async def _run_fleet(address: str, config: LoadConfig,
-                     samples: list[float], errors: list[str]
-                     ) -> tuple[int, int]:
-    """Drive the whole fleet; returns (total_rpcs, total_tasks_done)."""
-    host, _, port_s = address.partition(":")
-    clients = [_FleetClient(i, host, int(port_s), config, samples, errors)
-               for i in range(config.n_clients)]
-    start = time.monotonic()
-    await asyncio.gather(*(c.run(start) for c in clients))
-    await asyncio.gather(*(c.conn.close() for c in clients))
-    return sum(c.rpcs for c in clients), sum(c.tasks_done for c in clients)
 
 
 def run_loadgen(address: str | None = None,
@@ -307,7 +169,6 @@ def run_loadgen(address: str | None = None,
             request_delay_s=0.0, delay_bound_s=5.0))
         address = handle.address
         say(f"self-hosted gateway on {address}")
-    from .client import GatewayClient, run_volunteer
     control = GatewayClient(address)
     job_name = f"loadgen-{config.seed}"
     control.submit_job(job_name, config.app, config.corpus_bytes,
@@ -320,9 +181,18 @@ def run_loadgen(address: str | None = None,
 
     samples: list[float] = []
     client_errors: list[str] = []
-    t0 = time.perf_counter()
-    rpcs, tasks_done = asyncio.run(
-        _run_fleet(address, config, samples, client_errors))
+    fleet: list[VolunteerStats] = []
+    start = time.monotonic()
+    threads = [threading.Thread(
+        target=_replay_client,
+        args=(index, address, config, start, samples, client_errors, fleet))
+        for index in range(config.n_clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    rpcs = sum(stats.rpcs for stats in fleet)
+    tasks_done = sum(stats.tasks_done for stats in fleet)
     say(f"fleet done: {rpcs} RPCs, {tasks_done} tasks, "
         f"{len(client_errors)} client errors")
 
@@ -336,7 +206,7 @@ def run_loadgen(address: str | None = None,
         run_volunteer(address, name=f"drain-{config.seed}-{sweep}",
                       poll_s=0.05, idle_limit=10)
         status = control.job_status(job_name)
-    wall = time.perf_counter() - t0
+    wall = time.monotonic() - start
 
     expected = config.n_maps + config.n_reducers
     assimilated = status["assimilated"]

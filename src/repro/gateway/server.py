@@ -43,7 +43,7 @@ from ..boinc.server import (
     SchedulerRequest,
     ServerConfig,
 )
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, Histogram, MetricsRegistry
 from . import protocol
 from .files import BlobStore
 from ..core.job import MapReduceJob
@@ -57,6 +57,15 @@ RPC_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_HEADERS = 64
 _MAX_BODY = 64 * 1024 * 1024
+#: Once a request's first byte is in, the rest of its head and body must
+#: follow within this long (``GatewayClient``'s own socket timeout).
+_READ_TIMEOUT_S = 10.0
+
+#: Feeder shared-memory slots visible to the live scheduler.
+_FEEDER_CACHE_SIZE = 256
+
+#: What a handler returns: (status, headers, payload).
+_Reply = tuple[int, dict[str, str], bytes]
 
 
 class _BadFraming(Exception):
@@ -79,8 +88,6 @@ class GatewayConfig:
     delay_bound_s: float = 30.0
     #: Cap on results handed out per scheduler RPC.
     max_results_per_rpc: int = 2
-    #: Feeder shared-memory slots visible to the scheduler.
-    feeder_cache_size: int = 256
     #: ``Retry-After`` value (seconds) sent with 503 refusals.
     retry_after_s: float = 0.5
 
@@ -90,7 +97,7 @@ class GatewayConfig:
             request_delay_s=self.request_delay_s,
             delay_bound_s=self.delay_bound_s,
             max_results_per_rpc=self.max_results_per_rpc,
-            feeder_cache_size=self.feeder_cache_size,
+            feeder_cache_size=_FEEDER_CACHE_SIZE,
         )
 
 
@@ -133,8 +140,40 @@ class GatewayServer:
         self.jobs = self.state.jobs
         self.port: int | None = None
         self.connections_active = 0
+        #: Handler task of each connection with a request begun and not
+        #: yet complete -> ``time.monotonic()`` of the request's first byte.
+        self._reading: dict[asyncio.Task, float] = {}
         self._server: asyncio.base_events.Server | None = None
         self._daemon_task: asyncio.Task | None = None
+        self._bind_routes()
+
+    def _bind_routes(self) -> None:
+        """Bind each ``protocol.ENDPOINTS`` entry to its handler and its
+        latency histogram; one without the other is an error."""
+        unbound = _HANDLERS.keys() ^ {ep.path for ep in protocol.ENDPOINTS}
+        if unbound:
+            raise LookupError(f"protocol.ENDPOINTS and the gateway's handlers "
+                              f"differ on {sorted(unbound)}")
+        def histogram(family: str) -> Histogram:
+            return self.metrics.histogram(f"gateway.rpc.{family}_s",
+                                          buckets=RPC_BUCKETS)
+
+        #: ``path -> route`` for parameter-free paths; ``(head, tail,
+        #: route)`` around the variable part for the rest, most literal
+        #: text first (``/jobs/{name}/output`` before ``/jobs/{name}``).
+        self._exact: dict[str, tuple] = {}
+        self._patterns: list[tuple] = []
+        for ep in protocol.ENDPOINTS:
+            handler, family = _HANDLERS[ep.path]
+            route = (ep, getattr(self, handler), histogram(family))
+            head, brace, _ = ep.path.partition("{")
+            if brace:
+                tail = ep.path.rpartition("}")[2]
+                self._patterns.append((head, tail, route))
+            else:
+                self._exact[ep.path] = route
+        self._patterns.sort(key=lambda p: -len(p[0]) - len(p[1]))
+        self._no_route = (None, None, histogram("other"))
 
     @property
     def address(self) -> str:
@@ -169,13 +208,15 @@ class GatewayServer:
             self._server = None
 
     async def _daemon_loop(self) -> None:
-        """Tick the shared daemons' pipeline on a wall-clock cadence."""
+        """Tick the shared daemons' pipeline on a wall-clock cadence, then
+        time out the requests that stalled half-sent."""
         while True:
             t0 = time.perf_counter()
             self.core.run_daemon_passes()
             self.metrics.histogram("gateway.daemon_tick_s",
                                    buckets=RPC_BUCKETS).observe(
                 time.perf_counter() - t0)
+            self._expire_stalled_reads()
             await asyncio.sleep(self.config.daemon_period_s)
 
     @classmethod
@@ -184,8 +225,8 @@ class GatewayServer:
         """Run a gateway on a fresh event loop in a daemon thread.
 
         The blocking-world entry point used by doctests, tests, and
-        ``repro loadgen --self-host``: returns a :class:`GatewayHandle`
-        once the listener is bound.
+        ``repro loadgen`` without ``--address``: returns a
+        :class:`GatewayHandle` once the listener is bound.
         """
         server = cls(config=config, state=state)
         started = threading.Event()
@@ -216,24 +257,17 @@ class GatewayServer:
                 except _BadFraming as exc:
                     # Where this request ends is unknown, so the stream
                     # cannot be resynchronised: reply, then hang up.
-                    status, reply_headers, payload = self._error(
-                        "bad_request", str(exc))
-                    reply_headers["Connection"] = "close"
+                    reply = self._error("bad_request", str(exc))
+                    reply[1]["Connection"] = "close"
                     self.metrics.counter("gateway.http_requests_total").inc()
                     self.metrics.counter("gateway.http_errors_total").inc()
-                    await self._write_response(writer, status, reply_headers,
-                                               payload)
+                    await self._write_response(writer, *reply)
                     break
                 if request is None:
                     break
                 method, path, headers, body = request
-                t0 = time.perf_counter()
-                status, reply_headers, payload = self._route(
-                    method, path, headers, body)
-                self._observe(method, path, time.perf_counter() - t0,
-                              status)
-                await self._write_response(writer, status, reply_headers,
-                                           payload)
+                await self._write_response(
+                    writer, *self._dispatch(method, path, headers, body))
                 if headers.get("connection", "").lower() == "close":
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -261,34 +295,60 @@ class GatewayServer:
     async def _read_request(
             self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request; None on clean EOF between requests."""
-        line = await self._read_line(reader)
+        """Parse one HTTP/1.1 request; None on clean EOF between requests.
+        Only the wait for its first byte (an idle keep-alive connection)
+        is unbounded: from then on this task stands in ``_reading``, where
+        :meth:`_expire_stalled_reads` finds a request that takes too long."""
+        line = await reader.read(1)
         if not line:
             return None
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3:
-            raise _BadFraming(f"malformed request line {line[:64]!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = await self._read_line(reader)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
-        raw_length = headers.get("content-length", "0")
+        task = asyncio.current_task()
+        self._reading[task] = time.monotonic()
         try:
-            length = int(raw_length)
-        except ValueError:
-            length = -1
-        if not 0 <= length <= _MAX_BODY:
-            raise _BadFraming(
-                f"Content-Length {raw_length[:32]!r} is not an integer in "
-                f"0..{_MAX_BODY}")
-        body = await reader.readexactly(length) if length else b""
-        return method, target.split("?", 1)[0], headers, body
+            if line != b"\n":
+                line += await self._read_line(reader)
+            parts = line.decode("latin-1").split()
+            if len(parts) != 3:
+                raise _BadFraming(f"malformed request line {line[:64]!r}")
+            method, target, _version = parts
+            headers: dict[str, str] = {}
+            for _ in range(_MAX_HEADERS + 1):
+                line = await self._read_line(reader)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
+            raw_length = headers.get("content-length", "0")
+            try:
+                length = int(raw_length)
+            except ValueError:
+                length = -1
+            if not 0 <= length <= _MAX_BODY:
+                raise _BadFraming(
+                    f"Content-Length {raw_length[:32]!r} is not an integer in "
+                    f"0..{_MAX_BODY}")
+            body = await reader.readexactly(length) if length else b""
+            return method, target.split("?", 1)[0], headers, body
+        except asyncio.CancelledError:
+            if task in self._reading:
+                raise  # not the sweep's doing
+            task.uncancel()
+            raise _BadFraming(f"request incomplete {_READ_TIMEOUT_S:g}s "
+                              f"after its first byte") from None
+        finally:
+            self._reading.pop(task, None)
+
+    def _expire_stalled_reads(self) -> None:
+        """Interrupt each request still incomplete ``_READ_TIMEOUT_S`` after
+        its first byte (its read raises :class:`_BadFraming`).  One sweep a
+        daemon tick, not a timer a request: arming ``asyncio.timeout`` 8,000
+        times doubled what reading a no-work poll costs."""
+        overdue = time.monotonic() - _READ_TIMEOUT_S
+        for task in [t for t, t0 in self._reading.items() if t0 <= overdue]:
+            del self._reading[task]
+            task.cancel()
 
     async def _write_response(self, writer: asyncio.StreamWriter,
                               status: int, headers: dict[str, str],
@@ -305,84 +365,54 @@ class GatewayServer:
         writer.write(head + payload)
         await writer.drain()
 
-    def _observe(self, method: str, path: str, elapsed: float,
-                 status: int) -> None:
-        """Per-RPC latency + outcome accounting into the obs registry."""
-        family = self._route_family(path)
-        self.metrics.histogram(f"gateway.rpc.{family}_s",
-                               buckets=RPC_BUCKETS).observe(elapsed)
-        self.metrics.counter("gateway.http_requests_total").inc()
-        if status >= 400:
-            self.metrics.counter("gateway.http_errors_total").inc()
-
-    @staticmethod
-    def _route_family(path: str) -> str:
-        """Collapse a request path to its metric family name."""
-        if path == "/rpc/scheduler":
-            return "scheduler"
-        if path == "/rpc/register":
-            return "register"
-        if path.startswith("/data/"):
-            return "data"
-        if path.startswith("/upload/"):
-            return "upload"
-        if path == "/jobs" or path.startswith("/jobs/"):
-            return "jobs"
-        return "other"
-
     # -- routing ---------------------------------------------------------------
-    def _route(self, method: str, path: str, headers: dict[str, str],
-               body: bytes) -> tuple[int, dict[str, str], bytes]:
-        """Dispatch one request; returns (status, headers, payload)."""
+    def _dispatch(self, method: str, path: str, headers: dict[str, str],
+                  body: _t.Any) -> _Reply:
+        """Serve one request — match the path, refuse a wrong method,
+        decode + validate the declared request schema, call the handler —
+        and account its latency and outcome; returns (status, headers,
+        payload)."""
+        t0 = time.perf_counter()
+        route, arg = self._exact.get(path, self._no_route), ""
+        if route is self._no_route:
+            for head, tail, candidate in self._patterns:
+                if path.startswith(head) and path.endswith(tail):
+                    route = candidate
+                    arg = path[len(head):len(path) - len(tail)]
+                    break
+        endpoint, handler, histogram = route
         try:
-            if path == "/rpc/register":
-                return self._only(method, "POST") or self._rpc_register(body)
-            if path == "/rpc/scheduler":
-                return self._only(method, "POST") or self._rpc_scheduler(body)
-            if path.startswith("/data/"):
-                return self._only(method, "GET") or self._data_get(
-                    path[len("/data/"):])
-            if path.startswith("/upload/"):
-                return self._only(method, "POST") or self._upload(
-                    path[len("/upload/"):], headers, body)
-            if path == "/jobs":
-                return self._only(method, "POST") or self._job_submit(body)
-            if path.startswith("/jobs/") and path.endswith("/output"):
-                return self._only(method, "GET") or self._job_output(
-                    path[len("/jobs/"):-len("/output")])
-            if path.startswith("/jobs/"):
-                return self._only(method, "GET") or self._job_status(
-                    path[len("/jobs/"):])
-            if path == "/status":
-                return self._only(method, "GET") or self._status()
-            if path == "/healthz":
-                return self._only(method, "GET") or self._json(
-                    200, {"ok": True, "version": protocol.PROTOCOL_VERSION})
-            return self._error("not_found", f"no route {path!r}")
+            if endpoint is None:
+                reply = self._error("not_found", f"no route {path!r}")
+            elif method != endpoint.method:
+                reply = self._error("method_not_allowed",
+                                    f"use {endpoint.method}")
+            else:
+                if endpoint.request_schema is not None:
+                    body = protocol.loads(body)
+                    problems = protocol.validate(endpoint.request_schema, body)
+                    if problems:
+                        raise ValueError("; ".join(problems))
+                reply = handler(arg, headers, body)
         except ServerUnavailable:
-            return self._error("unavailable", "server refusing; retry",
-                               retry_after_s=self.config.retry_after_s)
+            reply = self._error("unavailable", "server refusing; retry",
+                                retry_after_s=self.config.retry_after_s)
         except (ValueError, KeyError, TypeError) as exc:
-            return self._error("bad_request", f"{type(exc).__name__}: {exc}")
+            reply = self._error("bad_request", f"{type(exc).__name__}: {exc}")
+        histogram.observe(time.perf_counter() - t0)
+        self.metrics.counter("gateway.http_requests_total").inc()
+        if reply[0] >= 400:
+            self.metrics.counter("gateway.http_errors_total").inc()
+        return reply
 
     @staticmethod
-    def _only(method: str, allowed: str) -> tuple[int, dict, bytes] | None:
-        """405 error triple unless *method* is the *allowed* one."""
-        if method != allowed:
-            status, body = protocol.error_body(
-                "method_not_allowed", f"use {allowed}")
-            return status, {"Content-Type": "application/json"}, body
-        return None
-
-    @staticmethod
-    def _json(status: int, payload: _t.Any) -> tuple[int, dict, bytes]:
+    def _json(status: int, payload: _t.Any) -> _Reply:
         """A JSON response triple."""
         return (status, {"Content-Type": "application/json"},
                 protocol.dumps(payload))
 
     def _error(self, code: str, detail: str,
-               retry_after_s: float | None = None
-               ) -> tuple[int, dict, bytes]:
+               retry_after_s: float | None = None) -> _Reply:
         """An ``Error``-schema response triple for *code*."""
         status, body = protocol.error_body(code, detail, retry_after_s)
         headers = {"Content-Type": "application/json"}
@@ -390,36 +420,23 @@ class GatewayServer:
             headers["Retry-After"] = f"{retry_after_s:g}"
         return status, headers, body
 
-    def _validated(self, schema: str, body: bytes) -> dict:
-        """Decode + schema-check a JSON request body (ValueError on fail)."""
-        payload = protocol.loads(body)
-        problems = protocol.validate(schema, payload)
-        if problems:
-            raise ValueError("; ".join(problems))
-        return payload
-
     # -- control plane ---------------------------------------------------------
-    def _rpc_register(self, body: bytes) -> tuple[int, dict, bytes]:
+    def _rpc_register(self, _arg: str, _headers: dict, req: dict) -> _Reply:
         """``POST /rpc/register``: host registration, idempotent by name."""
-        req = self._validated("RegisterRequest", body)
         if not self.core.available:
             raise ServerUnavailable("registration refused")
-        for rec in self.core.db.hosts.values():
-            if rec.name == req["name"]:
-                host_id = rec.id
-                break
-        else:
+        host_id = next((rec.id for rec in self.core.db.hosts.values()
+                        if rec.name == req["name"]), None)
+        if host_id is None:
             host_id = self.core.register_host(
                 req["name"], float(req["flops"]),
                 supports_mr=req.get("supports_mr", True)).id
         return self._json(200, {
             "host_id": host_id,
-            "request_delay_s": self.config.request_delay_s,
-        })
+            "request_delay_s": self.config.request_delay_s})
 
-    def _rpc_scheduler(self, body: bytes) -> tuple[int, dict, bytes]:
+    def _rpc_scheduler(self, _arg: str, _headers: dict, req: dict) -> _Reply:
         """``POST /rpc/scheduler``: reports in, assignments out."""
-        req = self._validated("WorkRequest", body)
         if req["host_id"] not in self.core.db.hosts:
             return self._error("unknown_host",
                                f"host {req['host_id']} not registered")
@@ -449,20 +466,18 @@ class GatewayServer:
 
     def _encode_reply(self, reply: SchedulerReply) -> dict:
         """Serialise a core :class:`SchedulerReply` into a wire ``WorkReply``."""
-        tasks = []
-        for a in reply.assignments:
-            tasks.append({
-                "result_id": a.result_id, "wu_id": a.wu.id,
-                "input_files": [f.name for f in a.wu.input_files],
-                "est_runtime_s": a.est_runtime_s, "deadline": a.deadline,
-                **self.jobs.task_params(a.wu),
-            })
+        tasks = [{
+            "result_id": a.result_id, "wu_id": a.wu.id,
+            "input_files": [f.name for f in a.wu.input_files],
+            "est_runtime_s": a.est_runtime_s, "deadline": a.deadline,
+            **self.jobs.task_params(a.wu),
+        } for a in reply.assignments]
         return {"assignments": tasks,
                 "request_delay_s": reply.request_delay_s,
                 "no_work": reply.no_work}
 
     # -- data plane ------------------------------------------------------------
-    def _data_get(self, name: str) -> tuple[int, dict, bytes]:
+    def _data_get(self, name: str, _headers: dict, _body: bytes) -> _Reply:
         """``GET /data/{name}``: blob bytes + checksum header."""
         try:
             data = self.store.fetch(name)
@@ -472,8 +487,7 @@ class GatewayServer:
                       protocol.CHECKSUM_HEADER: self.store.checksum_of(name)},
                 data)
 
-    def _upload(self, rest: str, headers: dict[str, str],
-                body: bytes) -> tuple[int, dict, bytes]:
+    def _upload(self, rest: str, headers: dict, body: bytes) -> _Reply:
         """``POST /upload/{result_id}/{name}``: checksum-verified ingest."""
         result_id_s, _, name = rest.partition("/")
         if not result_id_s.isdigit() or not name:
@@ -496,23 +510,22 @@ class GatewayServer:
                                 "name": name, "size": len(body)})
 
     # -- job plane -------------------------------------------------------------
-    def _job_submit(self, body: bytes) -> tuple[int, dict, bytes]:
+    def _job_submit(self, _arg: str, _headers: dict, request: dict) -> _Reply:
         """``POST /jobs``: generate corpus, split, submit map workunits."""
-        request = self._validated("JobRequest", body)
-        # A taken name or unknown app raises ValueError: 400, see _route.
+        # A taken name or unknown app raises ValueError: 400, see _dispatch.
         spec = self.jobs.submit_spec(request).spec
         return self._json(200, {"name": spec.name, "n_maps": spec.n_maps,
                                 "n_reducers": spec.n_reducers,
                                 "workunits": spec.n_maps})
 
-    def _job_status(self, name: str) -> tuple[int, dict, bytes]:
+    def _job_status(self, name: str, _headers: dict, _body: bytes) -> _Reply:
         """``GET /jobs/{name}``: the job's wire status."""
         job = self.jobs.jobs.get(name)
         if job is None:
             return self._error("not_found", f"no job {name!r}")
         return self._json(200, self.jobs.status(job))
 
-    def _job_output(self, name: str) -> tuple[int, dict, bytes]:
+    def _job_output(self, name: str, _headers: dict, _body: bytes) -> _Reply:
         """``GET /jobs/{name}/output``: reclaim the merged payload."""
         job = self.jobs.jobs.get(name)
         if job is None:
@@ -527,9 +540,8 @@ class GatewayServer:
                 payload)
 
     # -- introspection ---------------------------------------------------------
-    def _status(self) -> tuple[int, dict, bytes]:
+    def _status(self, _arg: str, _headers: dict, _body: bytes) -> _Reply:
         """``GET /status``: the BOINC server-status page, JSON edition."""
-        from ..obs.metrics import Counter
         counters = {i.name: i.value for i in self.metrics.instruments()
                     if isinstance(i, Counter)}
         return self._json(200, {
@@ -539,6 +551,30 @@ class GatewayServer:
             "jobs": {name: WIRE_STATE[job.phase]
                      for name, job in self.jobs.jobs.items()},
         })
+
+    def _healthz(self, _arg: str, _headers: dict, _body: bytes) -> _Reply:
+        """``GET /healthz``: liveness and the protocol version."""
+        return self._json(200, {"ok": True,
+                                "version": protocol.PROTOCOL_VERSION})
+
+
+#: Path template of each ``protocol.ENDPOINTS`` entry -> (the
+#: :class:`GatewayServer` method serving it, the family of the
+#: ``gateway.rpc.<family>_s`` histogram its latency lands in).  A handler
+#: takes ``(arg, headers, body)``: the variable part of the path, the
+#: lower-cased request headers, and the body — decoded and validated
+#: already when the endpoint declares a request schema.
+_HANDLERS = {
+    "/rpc/register": ("_rpc_register", "register"),
+    "/rpc/scheduler": ("_rpc_scheduler", "scheduler"),
+    "/data/{name}": ("_data_get", "data"),
+    "/upload/{result_id}/{name}": ("_upload", "upload"),
+    "/jobs": ("_job_submit", "jobs"),
+    "/jobs/{name}": ("_job_status", "jobs"),
+    "/jobs/{name}/output": ("_job_output", "jobs"),
+    "/status": ("_status", "other"),
+    "/healthz": ("_healthz", "other"),
+}
 
 
 class GatewayHandle:

@@ -101,17 +101,17 @@ class TraversalOutcome:
 class TraversalConfig:
     """Tunable costs and availability of each rung."""
 
-    #: Extra rendezvous round-trips charged per rung attempted.
+    #: Extra rendezvous round-trips charged for the direct rung.
     direct_setup_s: float = 0.1
-    reversal_setup_s: float = 1.0
-    hole_punch_setup_s: float = 3.0
-    relay_setup_s: float = 2.0
     enable_reversal: bool = True
     enable_hole_punch: bool = True
     enable_relay: bool = True
-    punch_success: _t.Mapping[tuple[NatType, NatType], float] = dataclasses.field(
-        default_factory=lambda: dict(DEFAULT_PUNCH_SUCCESS)
-    )
+
+
+#: Extra rendezvous round-trips charged per later rung attempted.
+REVERSAL_SETUP_S = 1.0
+HOLE_PUNCH_SETUP_S = 3.0
+RELAY_SETUP_S = 2.0
 
 
 class ConnectivityPolicy:
@@ -131,7 +131,6 @@ class ConnectivityPolicy:
     def establish(self, client_nat: NatBox | None, server_nat: NatBox | None,
                   client_name: str = "?", server_name: str = "?") -> TraversalOutcome:
         """Walk the ladder; returns the first rung that succeeds."""
-        cfg = self.config
         c = client_nat or PUBLIC
         s = server_nat or PUBLIC
         outcome = self._try_ladder(c, s)
@@ -149,19 +148,19 @@ class ConnectivityPolicy:
         # reachable: the NATed server connects out to it (rendezvous via the
         # project server tells it to).
         if cfg.enable_reversal:
-            cumulative += cfg.reversal_setup_s
+            cumulative += REVERSAL_SETUP_S
             if c.accepts_inbound():
                 return TraversalOutcome(True, TraversalMethod.REVERSAL, cumulative)
         # Rung 3: simultaneous-open hole punching, probabilistic by NAT pair.
         if cfg.enable_hole_punch:
-            cumulative += cfg.hole_punch_setup_s
-            p = cfg.punch_success.get((c.nat_type, s.nat_type), 0.0)
+            cumulative += HOLE_PUNCH_SETUP_S
+            p = DEFAULT_PUNCH_SUCCESS.get((c.nat_type, s.nat_type), 0.0)
             if self.rng.random() < p:
                 return TraversalOutcome(True, TraversalMethod.HOLE_PUNCH, cumulative)
         # Rung 4: TURN-style relay — always works if enabled, but the payload
         # transits the relay (the caller must route bytes accordingly).
         if cfg.enable_relay:
-            cumulative += cfg.relay_setup_s
+            cumulative += RELAY_SETUP_S
             return TraversalOutcome(True, TraversalMethod.RELAY, cumulative,
                                     relayed=True)
         return TraversalOutcome(False, None, cumulative)

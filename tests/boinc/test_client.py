@@ -125,6 +125,10 @@ class TestBackoff:
         the client defaults (60 s doubling to 600 s; transfers 15 s to
         300 s; 50% jitter, one rng draw per delay).  Values recorded from
         the separate copies this function replaced: traces depend on them."""
+        from repro.boinc.client import (
+            TRANSFER_BACKOFF_MAX_S,
+            TRANSFER_BACKOFF_MIN_S,
+        )
         from repro.sim import backoff_delay
 
         cfg = ClientConfig()
@@ -135,9 +139,8 @@ class TestBackoff:
             67.50572799628002, 167.66565611634906, 306.16456565884647,
             348.0994511954841, 480.09977094673525, 824.1320672377572]
         rng = np.random.default_rng(7)
-        assert [backoff_delay(rng, cfg.transfer_backoff_min_s,
-                              cfg.transfer_backoff_max_s, n,
-                              cfg.backoff_jitter)
+        assert [backoff_delay(rng, TRANSFER_BACKOFF_MIN_S,
+                              TRANSFER_BACKOFF_MAX_S, n, cfg.backoff_jitter)
                 for n in range(1, 7)] == [
             16.876431999070004, 41.916414029087264, 76.54114141471162,
             87.02486279887103, 192.0399083786941, 412.0660336188786]

@@ -259,3 +259,15 @@ class TestScenarioCellParams:
                 exec(f"from repro.experiments import {name}")
             with pytest.raises(ImportError):
                 exec(f"from repro.experiments.scenario import {name}")
+
+    def test_a_cell_kind_is_declared_once(self):
+        # Executor and headline metric live in one table; the kind list
+        # and the aggregation derive from it (three parallel tables before).
+        from repro.analysis import campaign as aggregation
+        from repro.campaign import CELL_KINDS, cells
+
+        assert CELL_KINDS == tuple(cells.KINDS) == (
+            "scenario", "table1", "churn", "replication", "scale_out",
+            "sleep")
+        assert not hasattr(aggregation, "HEADLINE_METRIC")
+        assert not hasattr(cells, "_EXECUTORS")

@@ -2,6 +2,19 @@
 
 import pytest
 
+from repro.boinc.model import (
+    OutputData,
+    ResultOutcome,
+    ResultState,
+    Workunit,
+    WorkunitState,
+)
+from repro.boinc.server import (
+    ReportedResult,
+    SchedulerCore,
+    SchedulerRequest,
+    ServerConfig,
+)
 from repro.campaign import CampaignCell, LeaseTable
 from repro.campaign.lease import DONE, FAILED, LEASED, PENDING
 
@@ -207,6 +220,99 @@ class TestStealing:
         assert table.cells[key].status == LEASED
         assert table.cells[key].attempts == 0
         assert table.report_ok("w1", key, now=7.0) is True
+
+
+class _CoreAsLeaseTable:
+    """``SchedulerCore`` driven as a one-cell lease table: the cell is a
+    workunit with ``target_nresults=1, min_quorum=1`` and ``retries + 1``
+    tolerated errors, a lease is a result, stealing is speculative
+    execution.  The mapping ROADMAP item (a) proposed to merge on."""
+
+    def __init__(self, lease_s: float, retries: int,
+                 steal_after_s: float | None = None) -> None:
+        self.now = 0.0
+        self.core = SchedulerCore(
+            ServerConfig(delay_bound_s=lease_s,
+                         speculative_execution=steal_after_s is not None,
+                         speculative_factor=0.0,
+                         speculative_min_elapsed_s=steal_after_s or 0.0),
+            clock=lambda: self.now)
+        self.wu = self.core.submit_workunit(Workunit(
+            id=0, app_name="cell", input_files=(), flops=1.0,
+            target_nresults=1, min_quorum=1, max_error_results=retries + 1))
+        self.hosts: dict[str, int] = {}
+
+    def tick(self, now: float) -> None:
+        """The daemons' pipeline at *now* (twice: a result the transitioner
+        creates is visible to the scheduler after the next feeder pass)."""
+        self.now = now
+        self.core.run_daemon_passes()
+        self.core.run_daemon_passes()
+
+    def rpc(self, worker: str, now: float, report: int | None = None):
+        """One scheduler RPC by *worker*: optionally report result id
+        *report* as a success, ask for work; returns the granted id."""
+        self.tick(now)
+        if worker not in self.hosts:
+            self.hosts[worker] = self.core.register_host(worker, 1.0).id
+        reports = [] if report is None else [ReportedResult(
+            report, True, OutputData(digest="d"), elapsed_s=1.0)]
+        reply = self.core.handle_scheduler_request(SchedulerRequest(
+            self.hosts[worker], work_req_s=1.0, reports=reports))
+        self.tick(now)
+        return reply.assignments[0].result_id if reply.assignments else None
+
+
+class TestNotASchedulerCore:
+    """Why ``LeaseTable`` is not ``SchedulerCore`` (ROADMAP (a), closed by
+    evidence): the same script through both machines ends differently in
+    two places, and each difference is load-bearing on its own side —
+    a shared kernel would have to branch on which caller it serves."""
+
+    def test_late_report_completes_a_cell_but_not_a_workunit(self):
+        # Script: lease, let it expire, then the original worker reports ok.
+        table = _table(1, lease_s=1.0)
+        key = table.grant("w0", now=0.0).key
+        table.expire(now=5.0)
+        assert table.report_ok("w0", key, now=6.0) is True
+        assert table.cells[key].status == DONE  # the work IS done
+
+        core = _CoreAsLeaseTable(lease_s=1.0, retries=1)
+        first = core.rpc("w0", now=0.0)
+        core.tick(now=5.0)
+        results = core.core.db.results
+        assert results[first].outcome is ResultOutcome.NO_REPLY
+        core.rpc("w0", now=6.0, report=first)
+        # BOINC drops a report for a result it already wrote off: the
+        # replacement it issued is the only way forward.
+        assert results[first].outcome is ResultOutcome.NO_REPLY
+        assert core.wu.state is WorkunitState.ACTIVE
+        assert core.wu.canonical_result_id is None
+
+    def test_losing_one_of_two_leases_charges_a_workunit_not_a_cell(self):
+        # Script: no retries; a duplicate is in flight when the original
+        # lease's deadline passes; then the duplicate reports ok.
+        table = _table(1, lease_s=6.0, steal_after_s=1.0, retries=0)
+        key = table.grant("w0", now=0.0).key
+        assert table.grant("w1", now=5.0).stolen
+        table.expire(now=6.5)
+        assert table.cells[key].status == LEASED
+        assert table.cells[key].attempts == 0  # the duplicate still runs
+        assert table.report_ok("w1", key, now=7.0) is True
+        assert table.cells[key].status == DONE
+
+        core = _CoreAsLeaseTable(lease_s=6.0, retries=0, steal_after_s=1.0)
+        first = core.rpc("w0", now=0.0)
+        backup = core.rpc("w1", now=5.0)
+        results = core.core.db.results
+        assert backup is not None and backup != first
+        assert results[backup].state is ResultState.IN_PROGRESS
+        core.tick(now=6.5)
+        # Every timeout counts against max_error_results, live duplicate
+        # or not: the workunit is given up while its backup still runs.
+        assert core.wu.state is WorkunitState.ERROR
+        core.rpc("w1", now=7.0, report=backup)
+        assert core.wu.state is WorkunitState.ERROR
 
 
 class TestResume:

@@ -1,6 +1,7 @@
 """CloudSpec construction API."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -67,3 +68,39 @@ class TestFromSpec:
             VolunteerCloud.from_spec(CloudSpec(), seed=1)
         with pytest.raises(TypeError):
             CloudSpec(engine="parallel")
+
+
+class TestNeverSetOptionsAreConstants:
+    """A field nothing in the repository set had one value in use: it is
+    a module constant beside its reader now (``docs/surface.py`` counts
+    the next one).  No alias, no accepted-and-ignored keyword."""
+
+    @pytest.mark.parametrize("path,keyword", [
+        ("repro.boinc.server.ServerConfig", "feeder_period_s"),
+        ("repro.boinc.server.ServerConfig", "transitioner_period_s"),
+        ("repro.boinc.server.ServerConfig", "validator_period_s"),
+        ("repro.boinc.server.ServerConfig", "assimilator_period_s"),
+        ("repro.boinc.client.ClientConfig", "max_peer_upload_conns"),
+        ("repro.boinc.client.ClientConfig", "max_peer_download_conns"),
+        ("repro.boinc.client.ClientConfig", "transfer_retries"),
+        ("repro.boinc.client.ClientConfig", "transfer_backoff_min_s"),
+        ("repro.boinc.client.ClientConfig", "transfer_backoff_max_s"),
+        ("repro.core.config.BoincMRConfig", "fetch_poll_attempts"),
+        ("repro.net.nat.TraversalConfig", "reversal_setup_s"),
+        ("repro.net.nat.TraversalConfig", "hole_punch_setup_s"),
+        ("repro.net.nat.TraversalConfig", "relay_setup_s"),
+        ("repro.net.nat.TraversalConfig", "punch_success"),
+        ("repro.gateway.server.GatewayConfig", "feeder_cache_size"),
+    ])
+    def test_keyword_is_a_type_error(self, path, keyword):
+        module, _, name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert keyword not in {f.name for f in dataclasses.fields(cls)}
+        with pytest.raises(TypeError):
+            cls(**{keyword: 1})
+
+    def test_unloaded_xml_job_format_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.core import load_jobtracker_xml  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.core.xmlconfig  # noqa: F401

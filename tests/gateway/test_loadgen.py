@@ -1,8 +1,17 @@
 """Load-harness tests: small-fleet replay with the full gate set."""
 
+import threading
+
 import numpy as np
 
-from repro.gateway import LoadConfig, LoadReport, run_loadgen
+from repro.boinc.model import ResultState
+from repro.gateway import (
+    GatewayConfig,
+    GatewayServer,
+    LoadConfig,
+    LoadReport,
+    run_loadgen,
+)
 from repro.gateway.loadgen import (
     client_schedule,
     oracle_payload,
@@ -68,3 +77,51 @@ class TestSmallReplay:
         doc = report.to_dict()
         assert doc["kind"] == "gateway"
         assert np.isfinite(doc["latency_ms"]["p99"])
+
+
+class TestFleetSharesTheVolunteerCycle:
+    """The fleet drives ``client.Volunteer.cycle`` — same reports, same
+    retry policy as ``run_volunteer`` — on ``client_schedule`` instants."""
+
+    SMALL_JOB = dict(corpus_bytes=20_000, n_maps=4, n_reducers=2,
+                     replication=1, quorum=1, drain_s=10.0)
+
+    def test_single_poll_client_still_reports_its_work(self):
+        handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
+        try:
+            report = run_loadgen(handle.address, LoadConfig(
+                n_clients=8, duration_s=1.0, polls_per_client=1, seed=5,
+                **self.SMALL_JOB))
+            core = handle.server.core
+            held = [res for res in core.db.results.values()
+                    if res.host_id is not None and core.db.hosts[
+                        res.host_id].name.startswith("load-")]
+        finally:
+            handle.close()
+        assert report.tasks_done > 0 and len(held) >= report.tasks_done
+        # Pending reports were flushed before each client exited: nothing
+        # a load client was handed is still waiting on its lease.
+        assert all(res.state is ResultState.OVER for res in held)
+        assert report.rpcs > 8  # the flush cycles, past one poll each
+        assert report.clean and report.lost_results == 0
+
+    def test_503_window_costs_no_error_and_no_result(self):
+        handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
+        core = handle.server.core
+        timers = [threading.Timer(0.8, setattr, (core, "available", False)),
+                  threading.Timer(1.1, setattr, (core, "available", True))]
+        try:
+            for timer in timers:
+                timer.start()
+            report = run_loadgen(handle.address, LoadConfig(
+                n_clients=25, duration_s=2.0, polls_per_client=4, seed=4,
+                **self.SMALL_JOB))
+            refused = handle.server.metrics.counter(
+                "sched.refused_total").value
+        finally:
+            for timer in timers:
+                timer.join(5.0)
+            handle.close()
+        assert refused >= 1  # the window was hit ...
+        assert report.errors == 0  # ... and backed off through, as
+        assert report.clean        # docs/protocol.md says a client must

@@ -22,6 +22,7 @@ from repro.gateway import (
     run_volunteer,
 )
 from repro.gateway import protocol
+from repro.gateway import server as server_module
 from repro.workloads import generate_corpus
 
 
@@ -122,7 +123,95 @@ class TestBasics:
         assert err.value.code == "bad_request"
 
 
+def _raw(client, method, path, body=b""):
+    """One request, whatever its status: (status, reply body bytes)."""
+    status, _headers, payload = client._once(method, path, body, {})
+    return status, payload
+
+
+@pytest.mark.parametrize("ep", protocol.ENDPOINTS,
+                         ids=[f"{ep.method} {ep.path}"
+                              for ep in protocol.ENDPOINTS])
+class TestRouteConformance:
+    """Served <=> declared: the server dispatches from ``ENDPOINTS``."""
+
+    @staticmethod
+    def _concrete(ep):
+        return ep.path.replace("{result_id}", "1").replace("{name}", "x")
+
+    def test_declared_method_reaches_the_handler(self, client, ep):
+        status, body = _raw(client, ep.method, self._concrete(ep), b"{}")
+        if status >= 400:  # the handler's own refusal, not the router's
+            doc = protocol.loads(body)
+            assert protocol.validate("Error", doc) == []
+            assert doc["error"] != "method_not_allowed"
+            assert not doc["detail"].startswith("no route")
+
+    def test_other_methods_get_405(self, client, ep):
+        for method in {"GET", "POST", "PUT", "DELETE"} - {ep.method}:
+            assert _raw(client, method, self._concrete(ep)) == (
+                405, protocol.dumps({"error": "method_not_allowed",
+                                     "detail": f"use {ep.method}"}))
+
+    def test_undeclared_sibling_path_gets_404(self, client, ep):
+        path = "/nope" + self._concrete(ep)
+        assert _raw(client, ep.method, path) == (
+            404, protocol.dumps({"error": "not_found",
+                                 "detail": f"no route {path!r}"}))
+
+
+
+@pytest.mark.parametrize("ep", [ep for ep in protocol.ENDPOINTS
+                                if ep.request_schema is not None],
+                         ids=lambda ep: ep.request_schema)
+def test_json_endpoint_rejects_unknown_field(client, ep):
+    # The declared request schema is what the dispatcher validates.
+    status, body = _raw(client, ep.method, ep.path,
+                        protocol.dumps({"bogus": 1}))
+    doc = protocol.loads(body)
+    assert (status, doc["error"]) == (400, "bad_request")
+    assert f"{ep.request_schema}.bogus: unknown field" in doc["detail"]
+
+
+class TestRouteBinding:
+    def test_endpoint_without_handler_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "ENDPOINTS", protocol.ENDPOINTS + (
+            protocol.Endpoint("GET", "/metrics", None, None, "unserved"),))
+        with pytest.raises(LookupError, match="/metrics"):
+            GatewayServer()
+
+    def test_handler_without_endpoint_raises(self, monkeypatch):
+        monkeypatch.setitem(server_module._HANDLERS, "/metrics",
+                            ("_status", "other"))
+        with pytest.raises(LookupError, match="/metrics"):
+            GatewayServer()
+
+    def test_latency_lands_in_the_declared_family(self, handle, client):
+        client.health()
+        with pytest.raises(GatewayError):
+            client.job_status("none")
+        with pytest.raises(GatewayError):
+            client.request("GET", "/nope")
+        metrics = handle.server.metrics
+        assert metrics.get("gateway.rpc.other_s").count == 2
+        assert metrics.get("gateway.rpc.jobs_s").count == 1
+        assert metrics.counter("gateway.http_requests_total").value == 3
+        assert metrics.counter("gateway.http_errors_total").value == 2
+
+
 class TestRemovedSurface:
+    def test_second_client_and_router_helpers_are_gone(self):
+        # One HTTP client (GatewayClient), one description of the routes
+        # (protocol.ENDPOINTS): no alias, no accepted-and-ignored knob.
+        with pytest.raises(ImportError):
+            from repro.gateway.loadgen import _AsyncConn  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.gateway.loadgen import _FleetClient  # noqa: F401
+        for name in ("_route", "_route_family", "_only", "_validated"):
+            assert not hasattr(GatewayServer, name)
+        with pytest.raises(TypeError):
+            GatewayConfig(feeder_cache_size=256)
+
     def test_second_job_record_and_backoff_policy_are_gone(self):
         # One job record (core.MapReduceJob) and one backoff function
         # (repro.sim.backoff_delay): no alias, no accepted-and-ignored knob.
@@ -159,6 +248,35 @@ class TestHostileFraming:
             "request-line-over-stream-limit", "malformed-request-line"])
     def test_answered_with_400_then_closed(self, handle, request_bytes,
                                            caplog):
+        self._assert_400_then_closed(handle, request_bytes, caplog)
+
+    @pytest.mark.parametrize("request_bytes", [
+        LINE[:-7],
+        LINE + b"Content-Length: 4\r\n",
+        LINE + b"Content-Length: 40\r\n\r\n{\"host_id\":",
+    ], ids=["stalled-request-line", "stalled-headers", "stalled-body"])
+    def test_stalled_request_is_answered_400_then_closed(
+            self, handle, request_bytes, caplog, monkeypatch):
+        # The client sends part of a request, then nothing, and keeps the
+        # socket open: without a read deadline the slot is pinned forever.
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.2)
+        self._assert_400_then_closed(handle, request_bytes, caplog)
+
+    def test_idle_keepalive_connection_outlives_the_read_timeout(
+            self, handle, monkeypatch):
+        # The deadline starts at a request's first byte, not between
+        # requests: the load fleet holds idle connections for seconds.
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.1)
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            for _ in range(2):
+                time.sleep(0.3)
+                assert handle.server.connections_active == 1
+                raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert raw.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+
+    @staticmethod
+    def _assert_400_then_closed(handle, request_bytes, caplog):
         host, port = handle.address.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as raw:
             raw.sendall(request_bytes)

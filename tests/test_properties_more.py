@@ -1,14 +1,12 @@
-"""Additional property-based tests: overlay balance, XML round-trips,
-peer-store invariants, corpus structure."""
+"""Additional property-based tests: overlay balance, peer-store
+invariants, corpus structure."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.boinc.model import FileRef
-from repro.core import BoincMRConfig, MapReduceJobSpec, PeerStore
-from repro.core.xmlconfig import dump_jobtracker_xml, load_jobtracker_xml
+from repro.core import PeerStore
 from repro.net import EMULAB_LINK, NatBox, NatType, Network, SupernodeOverlay
 from repro.sim import Simulator
 
@@ -40,49 +38,6 @@ def test_overlay_attachment_invariants(public_flags, n_supernodes, fanout):
     # 3. Attachment load is balanced within one unit.
     counts = overlay.attachment_counts().values()
     assert max(counts) - min(counts) <= 1
-
-
-# ---------------------------------------------------------------------------
-# mr_jobtracker.xml round trip
-# ---------------------------------------------------------------------------
-
-config_strategy = st.builds(
-    BoincMRConfig,
-    reduce_from_peers=st.booleans(),
-    upload_map_outputs=st.just(True),
-    serve_timeout_s=st.floats(min_value=1.0, max_value=1e6),
-    peer_retries=st.integers(min_value=0, max_value=9),
-    peer_failure_rate=st.floats(min_value=0.0, max_value=1.0),
-    reduce_creation_fraction=st.floats(min_value=0.01, max_value=1.0),
-)
-
-spec_strategy = st.builds(
-    MapReduceJobSpec,
-    name=st.text(alphabet="abcdefgh", min_size=1, max_size=10),
-    n_maps=st.integers(min_value=1, max_value=100),
-    n_reducers=st.integers(min_value=1, max_value=20),
-    input_size=st.floats(min_value=1.0, max_value=1e10),
-    replication=st.just(2),
-    quorum=st.just(2),
-)
-
-
-@given(config_strategy, st.lists(spec_strategy, max_size=3))
-@settings(max_examples=50)
-def test_xml_round_trip(config, specs):
-    # unique job names required by nothing in the XML layer, but keep sane
-    text = dump_jobtracker_xml(config, specs)
-    config2, specs2 = load_jobtracker_xml(text)
-    assert config2.reduce_from_peers == config.reduce_from_peers
-    assert config2.peer_retries == config.peer_retries
-    assert config2.serve_timeout_s == pytest.approx(config.serve_timeout_s)
-    assert config2.reduce_creation_fraction == pytest.approx(
-        config.reduce_creation_fraction)
-    assert len(specs2) == len(specs)
-    for a, b in zip(specs, specs2):
-        assert (a.name, a.n_maps, a.n_reducers) == (b.name, b.n_maps,
-                                                    b.n_reducers)
-        assert b.input_size == pytest.approx(a.input_size)
 
 
 # ---------------------------------------------------------------------------
