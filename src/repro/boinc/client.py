@@ -251,7 +251,7 @@ class GenericExecutor:
         wu = task.assignment.wu
         out_size = sum(ref.size for ref in wu.input_files) * 0.1
         digest = f"wu:{wu.id}"
-        if getattr(client, "corrupt_results", False):
+        if client.corrupt_results:
             # Byzantine fault: a digest no honest replica reproduces.
             digest = f"corrupt:{client.name}:{digest}"
         return OutputData(
@@ -303,7 +303,11 @@ class Client:
         self._wake = sim.event(f"{self.name}.wake0")
         self._main_proc: Process | None = None
         self._task_procs: list[Process] = []
-        self._stopped = False
+        #: True between :meth:`go_offline` and :meth:`come_online`.
+        self.offline = False
+        #: The BOINC-MR map-output store (``repro.core.interclient.PeerStore``)
+        #: the deployment attaches to an MR-capable client.
+        self.peer_store: _t.Any = None
         #: Fault injection: compute-time multiplier (> 1 = straggler).
         self.slowdown = 1.0
         #: Fault injection: every produced result digest is corrupted.
@@ -322,15 +326,28 @@ class Client:
             raise RuntimeError(f"client {self.name} already started")
         self._main_proc = self.sim.process(self._main(), name=f"client:{self.name}")
 
-    def shutdown(self) -> None:
-        """Take the client down (volunteer churn): kill main loop and tasks."""
-        self._stopped = True
-        if self._main_proc is not None and self._main_proc.alive:
-            self._main_proc.interrupt("shutdown")
+    def go_offline(self) -> None:
+        """The host leaves, abruptly: running tasks fail, the pull loop
+        stops, and the link drops — which aborts in-flight transfers and
+        takes away whatever peers were fetching from this host.  The one
+        way a volunteer leaves (churn, a replayed trace, a test)."""
         for proc in self._task_procs:
             if proc.alive:
-                proc.interrupt("shutdown")
+                proc.interrupt("host offline")
+        self._task_procs = [p for p in self._task_procs if p.alive]
+        self.offline = True
+        if self._main_proc is not None and self._main_proc.alive:
+            self._main_proc.interrupt("host offline")
+        self._main_proc = None
         self.net.set_online(self.host, False)
+
+    def come_online(self) -> None:
+        """The host returns: link up and a fresh pull loop.  Nothing is
+        re-registered and finished tasks not yet reported survived the
+        outage (BOINC semantics: state is client-side)."""
+        self.net.set_online(self.host, True)
+        self.offline = False
+        self.start()
 
     # -- main loop ------------------------------------------------------------------
     def _est_queued_s(self) -> float:
@@ -351,7 +368,7 @@ class Client:
         if stagger > 0:
             yield stagger
         try:
-            while not self._stopped:
+            while True:
                 want_work = self._est_queued_s() < self.config.work_buffer_min_s
                 have_reports = bool(self._ready)
                 urgent = have_reports and self.config.report_immediately

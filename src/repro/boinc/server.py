@@ -180,8 +180,6 @@ class SchedulerCore:
         self.assimilate_handler: _t.Callable[[Workunit, Result], None] | None = None
         self.locate_reduce_inputs: _t.Callable[
             [Workunit, HostRecord], dict[int, list[str]]] | None = None
-        #: Invoked after a result's output upload lands (received_at set).
-        self.on_upload: _t.Callable[[Result], None] | None = None
         #: Invoked when a workunit is abandoned after too many errors.
         self.on_wu_error: _t.Callable[[Workunit], None] | None = None
         #: Called with each input :class:`FileRef` on submission.
@@ -310,8 +308,6 @@ class SchedulerCore:
             res.received_at = self.now
             self.tracer.record(self.now, "server.upload_received",
                                result=res.id, wu=res.wu_id)
-            if self.on_upload is not None:
-                self.on_upload(res)
 
     def _assign_work(self, host: HostRecord, work_req_s: float) -> list[Assignment]:
         out: list[Assignment] = []

@@ -187,12 +187,10 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
         return 2
     coordinator = CampaignCoordinator(
         grid, ResultStore(args.out), spawn=args.spawn, host=args.bind,
-        port=args.port, timeout_s=args.timeout, retries=args.retries,
-        resume=args.resume, heartbeat_s=args.heartbeat,
-        steal_after_s=args.steal_after, shard_dir=args.shard_dir,
+        port=args.port, retries=args.retries, resume=args.resume,
+        heartbeat_s=args.heartbeat, shard_dir=args.shard_dir,
         chaos_kills=args.kill_workers,
         chaos_interval_s=args.kill_interval,
-        wall_limit_s=args.wall_limit,
         echo=None if args.quiet else print)
     report = coordinator.run()
     print(report.render())
@@ -220,8 +218,7 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
         return 2
     worker = CampaignWorker(
         host, int(port), worker_id=args.id,
-        shard=ResultStore(args.shard) if args.shard else None,
-        max_cells=args.max_cells)
+        shard=ResultStore(args.shard) if args.shard else None)
     completed = worker.run()
     print(f"worker {worker.worker_id}: completed {completed} cell(s)")
     return 0
@@ -259,20 +256,10 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-_CAMPAIGN_MODES: dict[str, _t.Callable[[argparse.Namespace], int]] = {
-    "coordinate": _cmd_campaign_coordinate,
-    "work": _cmd_campaign_work,
-    "merge": _cmd_campaign_merge,
-    "diff": _cmd_campaign_diff,
-}
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .analysis import aggregate_store, render_campaign_table
     from .experiments import GRID_BUILDERS
 
-    if args.mode is not None:
-        return _CAMPAIGN_MODES[args.mode](args)
     if args.list_grids:
         for name in sorted(GRID_BUILDERS):
             grid = GRID_BUILDERS[name]()
@@ -351,8 +338,8 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
     from .gateway import run_volunteer
 
     name = args.name or f"vol-{os.getpid()}"
-    stats = run_volunteer(args.address, name=name, flops=args.flops,
-                          poll_s=args.poll, idle_limit=args.idle_limit)
+    stats = run_volunteer(args.address, name=name,
+                          idle_limit=args.idle_limit)
     print(f"{name}: {stats.tasks_done} tasks done, "
           f"{stats.tasks_failed} failed, {stats.rpcs} scheduler RPCs")
     return 0 if stats.tasks_failed == 0 else 1
@@ -363,9 +350,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     config = LoadConfig(
         n_clients=args.clients, duration_s=args.duration, seed=args.seed,
-        corpus_bytes=args.corpus_kb * 1024, n_maps=args.maps,
-        n_reducers=args.reducers, replication=args.replication,
-        quorum=args.quorum)
+        n_maps=args.maps, n_reducers=args.reducers)
     report = run_loadgen(address=args.address, config=config, echo=print)
     write_report(report, args.out)
     lat = report.latency_ms
@@ -399,7 +384,7 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
     """Attach the ``coordinate`` / ``work`` / ``merge`` / ``diff`` modes
     under ``campaign``; ``coordinate`` is the one that runs cells."""
     csub = p.add_subparsers(
-        dest="mode", metavar="MODE",
+        metavar="MODE",
         help="coordinate runs a grid; work / merge / diff attach "
              "workers and reconcile their shards")
 
@@ -430,14 +415,6 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                     metavar="SECONDS",
                     help="worker heartbeat cadence; a worker silent for "
                          "3x this is declared dead (default 0.5)")
-    pc.add_argument("--steal-after", type=float, default=None,
-                    metavar="SECONDS",
-                    help="age before a sole in-flight lease may be "
-                         "duplicated onto an idle worker "
-                         "(default 4x --heartbeat)")
-    pc.add_argument("--timeout", type=float, default=None,
-                    metavar="SECONDS",
-                    help="per-cell lease budget (default: unbounded)")
     pc.add_argument("--retries", type=int, default=1,
                     help="extra attempts before quarantining a cell "
                          "(default 1)")
@@ -452,16 +429,13 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
     pc.add_argument("--kill-interval", type=float, default=1.0,
                     metavar="SECONDS",
                     help="spacing between --kill-workers kills (default 1)")
-    pc.add_argument("--wall-limit", type=float, default=None,
-                    metavar="SECONDS",
-                    help="quarantine whatever is unfinished after this "
-                         "long (default: unbounded)")
     pc.add_argument("--summary-out", metavar="FILE", default=None,
                     help="write the JSON control-plane summary "
                          "(leases granted/expired/reclaimed/stolen, "
                          "worker failures, chaos kills)")
     pc.add_argument("--quiet", action="store_true",
                     help="suppress per-cell progress lines")
+    pc.set_defaults(handler=_cmd_campaign_coordinate)
 
     pw = csub.add_parser(
         "work", parents=[common],
@@ -474,9 +448,7 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
     pw.add_argument("--shard", metavar="FILE", default=None,
                     help="also append every outcome to this per-worker "
                          "JSONL shard")
-    pw.add_argument("--max-cells", type=int, default=None, metavar="N",
-                    help="stop after completing N cells (default: serve "
-                         "until shutdown)")
+    pw.set_defaults(handler=_cmd_campaign_work)
 
     pm = csub.add_parser(
         "merge", parents=[common],
@@ -486,6 +458,7 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                     help="per-worker shard files to merge")
     pm.add_argument("--out", required=True, metavar="FILE",
                     help="merged store to write (must not be a SHARD)")
+    pm.set_defaults(handler=_cmd_campaign_merge)
 
     pd = csub.add_parser(
         "diff", parents=[common],
@@ -493,6 +466,7 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
              "(exit 1 on any mismatch)")
     pd.add_argument("left", metavar="STORE")
     pd.add_argument("right", metavar="STORE")
+    pd.set_defaults(handler=_cmd_campaign_diff)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,25 +484,32 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment seed (overrides the global --seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", parents=[common],
-                   help="Table I: word-count makespan grid")
+    p = sub.add_parser("table1", parents=[common],
+                       help="Table I: word-count makespan grid")
+    p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("fig4", parents=[common],
                        help="Fig. 4: backoff straggler timeline")
     p.add_argument("--width", type=int, default=64)
+    p.set_defaults(handler=_cmd_fig4)
 
-    sub.add_parser("ablations", parents=[common],
-                   help="Section IV.C mitigations")
-    sub.add_parser("nat", parents=[common],
-                   help="Section III.D NAT traversal ladder")
+    p = sub.add_parser("ablations", parents=[common],
+                       help="Section IV.C mitigations")
+    p.set_defaults(handler=_cmd_ablations)
+
+    p = sub.add_parser("nat", parents=[common],
+                       help="Section III.D NAT traversal ladder")
+    p.set_defaults(handler=_cmd_nat)
 
     p = sub.add_parser("churn", parents=[common], help="volunteer churn study")
     p.add_argument("--mean-on", type=float, default=1800.0)
     p.add_argument("--mean-off", type=float, default=600.0)
     p.add_argument("--departures", type=float, default=0.05)
+    p.set_defaults(handler=_cmd_churn)
 
-    sub.add_parser("planetlab", parents=[common],
-                   help="LAN vs Internet deployment study")
+    p = sub.add_parser("planetlab", parents=[common],
+                       help="LAN vs Internet deployment study")
+    p.set_defaults(handler=_cmd_planetlab)
 
     p = sub.add_parser("run", parents=[common],
                        help="run one simulated MapReduce job")
@@ -556,12 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="chrome",
                    help="chrome = Perfetto/chrome://tracing timeline "
                         "(default), jsonl = raw records, csv = flat table")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("wordcount", parents=[common],
                        help="run REAL word count on real bytes")
     p.add_argument("--size-mb", type=float, default=2.0)
     p.add_argument("--maps", type=int, default=8)
     p.add_argument("--reducers", type=int, default=4)
+    p.set_defaults(handler=_cmd_wordcount)
 
     p = sub.add_parser(
         "campaign", parents=[common],
@@ -573,6 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", metavar="FILE", default=None,
                    help="render the aggregated table of an existing result "
                         "store and exit (runs nothing)")
+    p.set_defaults(handler=_cmd_campaign)
     _add_campaign_modes(p, common)
 
     p = sub.add_parser(
@@ -592,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "reissued by the transitioner (default 10)")
     p.add_argument("--duration", type=float, default=0.0, metavar="SECONDS",
                    help="serve for this long then exit (0 = forever)")
+    p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
         "volunteer", parents=[common],
@@ -599,11 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--address", required=True, metavar="HOST:PORT")
     p.add_argument("--name", default=None,
                    help="host name to register as (default vol-<pid>)")
-    p.add_argument("--flops", type=float, default=1e9)
     p.add_argument("--idle-limit", type=int, default=100,
                    help="consecutive no-work polls before exiting")
-    p.add_argument("--poll", type=float, default=0.02, metavar="SECONDS",
-                   help="minimum poll period when the server sets no delay")
+    p.set_defaults(handler=_cmd_volunteer)
 
     p = sub.add_parser(
         "loadgen", parents=[common],
@@ -617,39 +600,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "availability schedules (default 8)")
     p.add_argument("--maps", type=int, default=12)
     p.add_argument("--reducers", type=int, default=6)
-    p.add_argument("--replication", type=int, default=2)
-    p.add_argument("--quorum", type=int, default=2)
-    p.add_argument("--corpus-kb", type=int, default=200,
-                   help="benchmark job corpus size in KiB (default 200)")
     p.add_argument("--out", default="BENCH_gateway.json", metavar="FILE")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero unless the correctness gates hold "
                         "(zero lost/duplicated results, oracle-equivalent "
                         "output, job done)")
+    p.set_defaults(handler=_cmd_loadgen)
 
     return parser
 
 
-_COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
-    "table1": _cmd_table1,
-    "fig4": _cmd_fig4,
-    "ablations": _cmd_ablations,
-    "nat": _cmd_nat,
-    "churn": _cmd_churn,
-    "planetlab": _cmd_planetlab,
-    "run": _cmd_run,
-    "campaign": _cmd_campaign,
-    "wordcount": _cmd_wordcount,
-    "serve": _cmd_serve,
-    "volunteer": _cmd_volunteer,
-    "loadgen": _cmd_loadgen,
-}
-
-
 def main(argv: _t.Sequence[str] | None = None) -> int:
-    """Entry point: parse *argv* and dispatch to the subcommand."""
+    """Entry point: parse *argv* and run the subcommand's handler."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -64,7 +64,7 @@ class MapReduceExecutor:
             raise ValueError(f"unknown MapReduce kind {wu.mr_kind!r}")
         if self.platform_variance and client.record.hr_class:
             digest = f"{digest}@{client.record.hr_class}"
-        if getattr(client, "corrupt_results", False):
+        if client.corrupt_results:
             # Deterministic byzantine fault on this host: corrupt every
             # execution without touching the rng, so the draw sequence of
             # a fault-free run is left intact (trace determinism).

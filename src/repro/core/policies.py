@@ -73,7 +73,7 @@ class MapReduceOutputPolicy:
         assert task.output is not None
         is_mr_map = wu.mr_kind == "map" and client.record.supports_mr
         if is_mr_map:
-            store: PeerStore | None = getattr(client, "peer_store", None)
+            store: PeerStore | None = client.peer_store
             if store is None:
                 raise RuntimeError(
                     f"BOINC-MR client {client.name} has no peer store")
@@ -142,7 +142,7 @@ class MapReduceInputFetcher:
         sim = client.sim
         # Locality: a reducer that mapped this index already holds the
         # partition — read it from local disk, no transfer at all.
-        own_store: PeerStore | None = getattr(client, "peer_store", None)
+        own_store: PeerStore | None = client.peer_store
         if own_store is not None and own_store.available(filename):
             client.tracer.record(sim.now, "peer.local", host=client.name,
                                  file=filename)
@@ -158,7 +158,7 @@ class MapReduceInputFetcher:
             if mapper is None or mapper is client:
                 attempts += 1
                 continue
-            store: PeerStore | None = getattr(mapper, "peer_store", None)
+            store: PeerStore | None = mapper.peer_store
             if store is None or not store.available(filename):
                 attempts += 1
                 client.tracer.record(sim.now, "peer.unavailable",

@@ -234,9 +234,7 @@ class VolunteerCloud:
         overlay = SupernodeOverlay([c.host for c in self.clients],
                                    n_supernodes=n_supernodes, fanout=fanout)
         for client in self.clients:
-            fetcher = client.input_fetcher
-            if hasattr(fetcher, "relay_selector"):
-                fetcher.relay_selector = overlay.pick_relay
+            client.input_fetcher.relay_selector = overlay.pick_relay
         self.overlay = overlay
         return overlay
 
@@ -312,9 +310,8 @@ class VolunteerCloud:
     def _cleanup_job(self, job: MapReduceJob) -> None:
         """Withdraw served map outputs once the job completes."""
         for client in self.clients:
-            store: PeerStore | None = getattr(client, "peer_store", None)
-            if store is not None:
-                store.stop_job(job.spec.name)
+            if client.peer_store is not None:
+                client.peer_store.stop_job(job.spec.name)
 
     # -- execution ---------------------------------------------------------------
     def run_until(self, event: Event, timeout: float = 7 * 24 * 3600.0) -> None:

@@ -60,16 +60,15 @@ def run_churn(seed: int = 1, mean_on_s: float = 1800.0,
     cloud = VolunteerCloud.from_spec(spec)
     model = AvailabilityModel(mean_on_s=mean_on_s, mean_off_s=mean_off_s,
                               departure_prob=departure_prob)
-    controller = ChurnController(cloud.sim, cloud.rngs.stream("churn"),
-                                 model, tracer=cloud.tracer)
+    controller = ChurnController(cloud.sim, tracer=cloud.tracer)
+    rng = cloud.rngs.stream("churn")
     cloud.start()
-    controller.manage_all(cloud.clients)
+    for client in cloud.clients:
+        controller.manage(client, model.periods(rng))
     result = run_scenario(cloud, job, timeout_s=24 * 3600.0)
     replacement = len(cloud.tracer.select("transitioner.new_result"))
-    peer_fetches = sum(
-        getattr(c.input_fetcher, "peer_fetches", 0) for c in cloud.clients)
-    fallbacks = sum(
-        getattr(c.input_fetcher, "server_fallbacks", 0) for c in cloud.clients)
+    peer_fetches = sum(c.input_fetcher.peer_fetches for c in cloud.clients)
+    fallbacks = sum(c.input_fetcher.server_fallbacks for c in cloud.clients)
     return ChurnOutcome(
         result=result,
         transitions=controller.transitions,

@@ -88,10 +88,8 @@ def _run_with_traversal(spec: CloudSpec, job: MapReduceJobSpec,
     # Swap the connectivity policy wholesale (all fetchers share it).
     cloud.connectivity.config = traversal
     result = run_scenario(cloud, job)
-    peer_fetches = sum(
-        getattr(c.input_fetcher, "peer_fetches", 0) for c in cloud.clients)
-    fallbacks = sum(
-        getattr(c.input_fetcher, "server_fallbacks", 0) for c in cloud.clients)
+    peer_fetches = sum(c.input_fetcher.peer_fetches for c in cloud.clients)
+    fallbacks = sum(c.input_fetcher.server_fallbacks for c in cloud.clients)
     return NatStudyOutcome(
         label=job.name.removeprefix("nat_"),
         total=result.total,

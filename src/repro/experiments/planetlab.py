@@ -85,7 +85,7 @@ def run_internet_deployment(seed: int = 1, n_nodes: int = 20, mr: bool = True,
     assert job.finished
     peer_bytes = sum(
         c.peer_store.bytes_served for c in cloud.clients
-        if getattr(c, "peer_store", None) is not None)
+        if c.peer_store is not None)
     return InternetDeployment(
         label=name,
         metrics=job_metrics(cloud.tracer, name),
@@ -107,7 +107,7 @@ def run_lan_vs_internet(seed: int = 1) -> dict[str, InternetDeployment]:
             MapReduceJobSpec(label, n_maps=20, n_reducers=5))
         peer_bytes = sum(
             c.peer_store.bytes_served for c in result.cloud.clients
-            if getattr(c, "peer_store", None) is not None)
+            if c.peer_store is not None)
         out[label] = InternetDeployment(
             label=label, metrics=result.metrics,
             server_gb_served=result.cloud.server.dataserver.bytes_served / 1e9,

@@ -125,8 +125,7 @@ class FaultInjector:
             def undo() -> None:
                 # Churn may have taken (or permanently departed) this host
                 # while its link was down; the flap must not resurrect it.
-                if (getattr(client, "_stopped", False)
-                        or getattr(client, "_paused", False)):
+                if client.offline:
                     return
                 net.set_online(client.host, True)
             return undo

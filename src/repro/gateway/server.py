@@ -44,6 +44,7 @@ from ..boinc.server import (
     ServerConfig,
 )
 from ..obs.metrics import Counter, Histogram, MetricsRegistry
+from ..sim import Tracer
 from . import protocol
 from .files import BlobStore
 from ..core.job import MapReduceJob
@@ -117,7 +118,10 @@ class GatewayState:
         self.config = config or GatewayConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         t0 = time.monotonic()
+        # Nothing on the gateway reads the records back: count every kind
+        # and serve taps, store none (a server runs for days).
         self.core = SchedulerCore(config=self.config.server_config(),
+                                  tracer=Tracer(keep=lambda kind: False),
                                   metrics=self.metrics,
                                   clock=lambda: time.monotonic() - t0)
         self.store = BlobStore()

@@ -227,7 +227,7 @@ def peer_download(
     return TransferRecord(ok=True, method=outcome.method, size=size,
                           started_at=started, finished_at=sim.now,
                           relayed=outcome.relayed,
-                          corrupted=getattr(src, "corrupt_serves", False))
+                          corrupted=src.corrupt_serves)
 
 
 def _abort_if_running(net: Network, flow) -> None:

@@ -15,10 +15,9 @@ registered as a live ``Tracer.tap()`` folds them into:
   daemon's own track.
 
 Spans still open at end-of-run (a task assigned but never reported — the
-churn/straggler signature) are drained via
-:meth:`~repro.sim.trace.IntervalAccumulator.close_all` and flagged
-``leaked`` so the run summary can report them instead of silently losing
-them.
+churn/straggler signature) are closed by :meth:`SpanBuilder.finish` and
+flagged ``leaked`` so the run summary can report them instead of silently
+losing them.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..sim import IntervalAccumulator, TraceRecord, Tracer
+from ..sim import TraceRecord, Tracer
 
 #: Track name for per-host timelines.
 HOST_TRACK = "host"
@@ -109,8 +108,8 @@ class SpanBuilder:
         self.instants: list[Instant] = []
         #: Result spans force-closed at end-of-run (assigned, never reported).
         self.leaked: list[Span] = []
+        #: Open result spans, in opening order (assigned, not yet reported).
         self._results: dict[int, _ResultState] = {}
-        self._result_intervals = IntervalAccumulator()
         self._rpc_open: dict[str, tuple[float, float]] = {}  # host -> (t, work_req)
         self._fault_open: dict[_t.Any, TraceRecord] = {}  # fault id -> begin rec
         self._finished = False
@@ -138,7 +137,6 @@ class SpanBuilder:
         self._results[rid] = _ResultState(
             result_id=rid, host=rec["host"], assigned_at=rec.time,
             job=rec.get("job"), kind=rec.get("kind"), index=rec.get("index"))
-        self._result_intervals.open(rid, rec.time)
         self._generic_instant(rec)
 
     def _on_download_start(self, rec: TraceRecord) -> None:
@@ -162,7 +160,6 @@ class SpanBuilder:
         st = self._results.pop(rid, None)
         if st is None:
             return  # reported without a traced assignment (partial trace)
-        self._result_intervals.close(rid, rec.time)
         self.spans.append(self._build_result_span(
             st, end=rec.time, success=bool(rec.get("success", True))))
         self._generic_instant(rec)
@@ -244,7 +241,6 @@ class SpanBuilder:
         self._generic_instant(rec)
         if st is None:
             return
-        self._result_intervals.close(rid, rec.time)
         span = self._build_result_span(st, end=rec.time, success=False)
         span.args["outcome"] = "deadline-timeout"
         self.spans.append(span)
@@ -293,14 +289,14 @@ class SpanBuilder:
         if self._finished:
             return self.leaked
         self._finished = True
-        for rid, _start, end in self._result_intervals.close_all(now):
-            st = self._results.pop(rid, None)
-            if st is None:
-                continue
-            span = self._build_result_span(st, end=end, success=False,
-                                           leaked=True)
+        for st in self._results.values():
+            # A span opened after *now* closes with zero length rather
+            # than going backwards.
+            span = self._build_result_span(
+                st, end=max(st.assigned_at, now), success=False, leaked=True)
             self.spans.append(span)
             self.leaked.append(span)
+        self._results.clear()
         for host, (start, work_req) in sorted(self._rpc_open.items()):
             span = Span(name="sched-rpc", track=f"{HOST_TRACK}:{host}",
                         start=start, end=max(start, now), category="rpc",
@@ -321,7 +317,7 @@ class SpanBuilder:
     @property
     def open_count(self) -> int:
         """Result spans currently open (assigned, not yet reported)."""
-        return self._result_intervals.open_count
+        return len(self._results)
 
     def open_result_ids(self) -> list[int]:
         """Result ids with an open span (for auditor cross-checks)."""

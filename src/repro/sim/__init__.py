@@ -20,7 +20,7 @@ from .engine import (
 from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
 from .process import Interrupted, Process
 from .rng import RngRegistry, backoff_delay, derive_seed, jittered
-from .trace import IntervalAccumulator, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -42,5 +42,4 @@ __all__ = [
     "jittered",
     "Tracer",
     "TraceRecord",
-    "IntervalAccumulator",
 ]

@@ -120,64 +120,3 @@ class _Missing:
 
 _MISSING = _Missing()
 
-
-class IntervalAccumulator:
-    """Tracks named open intervals and computes their durations.
-
-    Used for per-task ``(assigned → reported)`` intervals, transfer
-    durations, phase spans, etc.
-    """
-
-    def __init__(self) -> None:
-        """No intervals open yet."""
-        self._open: dict[_t.Hashable, float] = {}
-        self.closed: list[tuple[_t.Hashable, float, float]] = []
-
-    def open(self, key: _t.Hashable, time: float) -> None:
-        """Start the interval *key* at *time* (must not be open)."""
-        if key in self._open:
-            raise ValueError(f"interval {key!r} already open")
-        self._open[key] = time
-
-    def close(self, key: _t.Hashable, time: float) -> float:
-        """End interval *key* at *time*; returns its duration."""
-        start = self._open.pop(key, None)
-        if start is None:
-            raise ValueError(f"interval {key!r} is not open")
-        if time < start:
-            raise ValueError(f"interval {key!r} closes before it opens")
-        self.closed.append((key, start, time))
-        return time - start
-
-    def durations(self) -> list[float]:
-        """Durations of all closed intervals, in closing order."""
-        return [end - start for _key, start, end in self.closed]
-
-    def open_items(self) -> list[tuple[_t.Hashable, float]]:
-        """Still-open ``(key, opened_at)`` pairs, in opening order.
-
-        Leaked spans (a task assigned but never reported under churn)
-        show up here; the run summary reports them.
-        """
-        return list(self._open.items())
-
-    def close_all(self, time: float) -> list[tuple[_t.Hashable, float, float]]:
-        """Force-close every open interval at *time*; returns those closed.
-
-        Intervals opened after *time* close with zero duration rather
-        than going backwards — this is a drain for end-of-run leak
-        accounting, not a time machine.
-        """
-        drained: list[tuple[_t.Hashable, float, float]] = []
-        for key, start in self.open_items():
-            del self._open[key]
-            end = max(start, time)
-            item = (key, start, end)
-            self.closed.append(item)
-            drained.append(item)
-        return drained
-
-    @property
-    def open_count(self) -> int:
-        """Intervals opened but not yet closed."""
-        return len(self._open)

@@ -1,18 +1,11 @@
 """Volunteer host modelling: availability, churn, departures."""
 
 from .availability import AvailabilityModel, ChurnController
-from .traces import (
-    AvailabilityTrace,
-    TraceChurnController,
-    diurnal_trace,
-    load_traces_csv,
-)
+from .traces import AvailabilityTrace, diurnal_trace
 
 __all__ = [
     "AvailabilityModel",
     "ChurnController",
     "AvailabilityTrace",
-    "TraceChurnController",
     "diurnal_trace",
-    "load_traces_csv",
 ]

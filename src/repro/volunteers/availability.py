@@ -7,9 +7,11 @@ module provides the standard two-state availability model used in desktop
 grid studies: alternating exponentially distributed ON/OFF periods per
 host, plus a permanent-departure hazard.
 
-:class:`ChurnController` drives a set of clients through that process —
-taking a client offline kills its flows and running tasks (the server
-recovers via deadline timeouts and replica creation).
+:class:`ChurnController` drives clients through such ON/OFF periods,
+whichever source they come from — this model, drawn lazily, or a recorded
+:class:`~repro.volunteers.traces.AvailabilityTrace` — by calling
+:meth:`Client.go_offline` and :meth:`Client.come_online`; the server
+recovers lost work via deadline timeouts and replica creation.
 """
 
 from __future__ import annotations
@@ -46,74 +48,59 @@ class AvailabilityModel:
         """Sample the next OFF-period length."""
         return float(rng.exponential(self.mean_off_s))
 
+    def periods(self, rng: np.random.Generator) -> _t.Iterator[float]:
+        """Alternating ON, OFF, ON, ... lengths, each drawn from *rng* only
+        when asked for (so hosts sharing one stream interleave their draws
+        by simulated time); a departure ends the sequence after an ON."""
+        while True:
+            yield self.draw_on(rng)
+            if rng.random() < self.departure_prob:
+                return
+            yield self.draw_off(rng)
+
 
 class ChurnController:
-    """Applies an :class:`AvailabilityModel` to live clients.
+    """Takes clients offline and back as their ON/OFF periods elapse.
 
-    Going offline is *abrupt*: running tasks fail, in-flight transfers are
-    aborted, and peers serving from this host lose their source — exactly
-    the failure surface the paper's retry/fallback design targets.  A host
-    coming back re-registers nothing; its client simply resumes the pull
-    loop (BOINC semantics: state is client-side).
+    Going offline is *abrupt* (:meth:`Client.go_offline`): running tasks
+    fail, in-flight transfers are aborted, and peers serving from this host
+    lose their source — exactly the failure surface the paper's
+    retry/fallback design targets.  A host coming back re-registers
+    nothing; its client simply resumes the pull loop.
     """
 
-    def __init__(self, sim: Simulator, rng: np.random.Generator,
-                 model: AvailabilityModel,
-                 tracer: Tracer | None = None) -> None:
-        """Drive ON/OFF lifecycles from *model* using *rng*."""
+    def __init__(self, sim: Simulator, tracer: Tracer | None = None) -> None:
+        """A controller on *sim*; transitions are recorded on *tracer*."""
         self.sim = sim
-        self.rng = rng
-        self.model = model
         self.tracer = tracer
+        #: Hosts whose periods ran out while online: they never return.
         self.departed: set[str] = set()
         self.transitions = 0
 
-    def manage(self, client: Client) -> None:
-        """Start driving *client* through ON/OFF cycles."""
-        self.sim.process(self._lifecycle(client), name=f"churn:{client.name}")
+    def manage(self, client: Client, periods: _t.Iterator[float]) -> None:
+        """Drive *client*, online now, through *periods*: alternating ON
+        and OFF lengths in seconds, ON first (``model.periods(rng)`` or
+        ``trace.periods()``).  A host whose periods end with an ON length
+        goes offline after it for good."""
+        self.sim.process(self._lifecycle(client, periods),
+                         name=f"churn:{client.name}")
 
-    def manage_all(self, clients: _t.Iterable[Client]) -> None:
-        """Start a lifecycle process for every client."""
-        for c in clients:
-            self.manage(c)
-
-    def _lifecycle(self, client: Client) -> _t.Generator:
-        while True:
-            yield self.model.draw_on(self.rng)
-            # -- go offline ------------------------------------------------
-            permanent = self.rng.random() < self.model.departure_prob
+    def _lifecycle(self, client: Client,
+                   periods: _t.Iterator[float]) -> _t.Generator:
+        for on_s in periods:
+            yield on_s
+            off_s = next(periods, None)
             self.transitions += 1
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, "churn.offline",
-                                   host=client.name, permanent=permanent)
-            self._take_offline(client)
-            if permanent:
+                                   host=client.name, permanent=off_s is None)
+            client.go_offline()
+            if off_s is None:
                 self.departed.add(client.name)
                 return
-            yield self.model.draw_off(self.rng)
-            # -- come back -------------------------------------------------
+            yield off_s
             self.transitions += 1
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, "churn.online",
                                    host=client.name)
-            self._bring_online(client)
-
-    def _take_offline(self, client: Client) -> None:
-        # Kill running task processes; the client's main loop pauses.
-        for proc in client._task_procs:
-            if proc.alive:
-                proc.interrupt("host offline")
-        client._task_procs = [p for p in client._task_procs if p.alive]
-        client._paused = True
-        if client._main_proc is not None and client._main_proc.alive:
-            client._main_proc.interrupt("host offline")
-        client._main_proc = None
-        client.net.set_online(client.host, False)
-
-    def _bring_online(self, client: Client) -> None:
-        client.net.set_online(client.host, True)
-        client._paused = False
-        client._stopped = False
-        # Unreported finished tasks survive the outage (client-side state).
-        client._main_proc = client.sim.process(
-            client._main(), name=f"client:{client.name}")
+            client.come_online()

@@ -6,26 +6,21 @@ collections) rather than analytic ON/OFF models.  This module provides:
 
 - :class:`AvailabilityTrace` — an explicit list of ``[start, end)``
   availability intervals for one host, with validation and queries;
-- :func:`load_traces_csv` — a simple ``host,start,end`` CSV reader;
 - :func:`diurnal_trace` — a synthetic weekday/evening pattern generator
-  (volunteer machines are famously available outside office hours);
-- :class:`TraceChurnController` — drives clients from traces, the
-  deterministic counterpart of
-  :class:`~repro.volunteers.availability.ChurnController`.
+  (volunteer machines are famously available outside office hours).
+
+:meth:`AvailabilityTrace.periods` is what
+:class:`~repro.volunteers.availability.ChurnController` replays: the
+deterministic counterpart of drawing from an
+:class:`~repro.volunteers.availability.AvailabilityModel`.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import typing as _t
 
 import numpy as np
-
-from ..boinc.client import Client
-from ..sim import Simulator, Tracer
-from .availability import ChurnController
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -63,24 +58,22 @@ class AvailabilityTrace:
                       for start, end in self.intervals)
         return covered / horizon
 
-
-def load_traces_csv(source: str | _t.TextIO) -> dict[str, AvailabilityTrace]:
-    """Parse ``host,start,end`` rows (header optional) into traces."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    rows: dict[str, list[tuple[float, float]]] = {}
-    for row in csv.reader(source):
-        if not row or row[0].strip().lower() == "host":
-            continue
-        if len(row) != 3:
-            raise ValueError(f"expected host,start,end — got {row!r}")
-        host, start, end = row[0].strip(), float(row[1]), float(row[2])
-        rows.setdefault(host, []).append((start, end))
-    return {
-        host: AvailabilityTrace(host=host,
-                                intervals=tuple(sorted(intervals)))
-        for host, intervals in rows.items()
-    }
+    def periods(self, now: float = 0.0) -> _t.Iterator[float]:
+        """Alternating ON, OFF, ON, ... lengths from *now* on, for a host
+        that is online at *now*: a trace that says otherwise opens with a
+        zero ON, back-to-back intervals are one ON, and the last ON ends
+        the sequence (the trace knows of no return)."""
+        t = on_until = now
+        for start, end in self.intervals:
+            if end <= t:
+                continue
+            start = max(start, t)
+            if start > on_until:
+                yield on_until - t
+                yield start - on_until
+                t = start
+            on_until = end
+        yield on_until - t
 
 
 def diurnal_trace(host: str, days: int, *,
@@ -112,56 +105,3 @@ def diurnal_trace(host: str, days: int, *,
         if end > start:
             intervals.append((start, end))
     return AvailabilityTrace(host=host, intervals=tuple(intervals))
-
-
-class TraceChurnController:
-    """Drive clients' availability from explicit traces."""
-
-    def __init__(self, sim: Simulator, tracer: Tracer | None = None) -> None:
-        """Replay recorded availability traces on *sim*."""
-        self.sim = sim
-        self.tracer = tracer
-        self._impl = ChurnController(
-            sim, rng=np.random.default_rng(0),
-            model=_DUMMY_MODEL, tracer=tracer)
-
-    def manage(self, client: Client, trace: AvailabilityTrace) -> None:
-        """Drive *client* ON/OFF according to *trace*."""
-        self.sim.process(self._lifecycle(client, trace),
-                         name=f"trace:{client.name}")
-
-    def _lifecycle(self, client: Client,
-                   trace: AvailabilityTrace) -> _t.Generator:
-        # A client starts online (its start() already ran); if the trace
-        # says it is offline at t=0, take it down immediately.
-        online = True
-        for start, end in trace.intervals:
-            if self.sim.now < start:
-                if online:
-                    self._offline(client)
-                    online = False
-                yield self.sim.timeout(start - self.sim.now)
-            if not online:
-                self._online(client)
-                online = True
-            if self.sim.now < end:
-                yield self.sim.timeout(end - self.sim.now)
-        if online:
-            self._offline(client)
-
-    def _offline(self, client: Client) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "churn.offline",
-                               host=client.name, permanent=False)
-        self._impl._take_offline(client)
-
-    def _online(self, client: Client) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "churn.online", host=client.name)
-        self._impl._bring_online(client)
-
-
-# Internal placeholder; TraceChurnController never draws from the model.
-from .availability import AvailabilityModel as _AM  # noqa: E402
-
-_DUMMY_MODEL = _AM()

@@ -240,10 +240,11 @@ class TestShutdown:
         sim, _net, server, clients = build(n_clients=1)
         start_all(server, clients)
         sim.run(until=50.0)
-        clients[0].shutdown()
+        clients[0].go_offline()
         rpcs_at_shutdown = clients[0].rpcs
         sim.run(until=500.0)
         assert clients[0].rpcs == rpcs_at_shutdown
+        assert clients[0].offline and not clients[0].host.online
 
     def test_shutdown_fails_running_task(self):
         sim, _net, server, clients = build(
@@ -253,15 +254,38 @@ class TestShutdown:
         start_all(server, clients)
         sim.run(until=60.0)  # task is computing
         assert any(t.state == TaskState.COMPUTING for t in clients[0].tasks)
-        clients[0].shutdown()
+        clients[0].go_offline()
         sim.run(until=70.0)
         assert clients[0].tasks[0].state == TaskState.FAILED
+
+    def test_come_online_resumes_and_reports_what_was_finished(self):
+        """Client-side state survives the outage: a task finished but not
+        yet reported when the host left is reported once it is back."""
+        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=50.0,
+                           backoff_max_s=50.0, backoff_jitter=0.0)
+        sim, _net, server, clients = build(n_clients=1, client_config=cfg)
+        submit(server, n=1, flops=30.0, replication=1, quorum=1)
+        start_all(server, clients)
+        client = clients[0]
+        while server.tracer.first("task.ready", host=client.name) is None:
+            sim.run(until=sim.now + 1.0)
+        res = server.db.results_for_wu(1)[0]
+        assert res.reported_at is None
+        client.go_offline()
+        sim.run(until=sim.now + 100.0)
+        assert res.reported_at is None
+        client.come_online()
+        assert not client.offline and client.host.online
+        sim.run(until=sim.now + 100.0)
+        assert res.reported_at is not None
 
     def test_double_start_rejected(self):
         _sim, _net, _server, clients = build(n_clients=1)
         clients[0].start()
         with pytest.raises(RuntimeError):
             clients[0].start()
+        with pytest.raises(RuntimeError):
+            clients[0].come_online()  # it never left
 
 
 class TestFailureRecovery:

@@ -104,3 +104,49 @@ class TestNeverSetOptionsAreConstants:
             from repro.core import load_jobtracker_xml  # noqa: F401
         with pytest.raises(ImportError):
             import repro.core.xmlconfig  # noqa: F401
+
+    @pytest.mark.parametrize("module,name", [
+        ("repro.volunteers", "TraceChurnController"),
+        ("repro.volunteers", "load_traces_csv"),
+        ("repro.volunteers", "ChurnController.manage_all"),
+        ("repro.sim", "IntervalAccumulator"),
+        ("repro.boinc.client", "Client.shutdown"),
+    ])
+    def test_second_mechanisms_and_unused_capabilities_are_gone(self, module,
+                                                                name):
+        *owners, last = name.split(".")
+        holder = importlib.import_module(module)
+        for owner in owners:
+            holder = getattr(holder, owner)
+        assert not hasattr(holder, last)
+
+    def test_a_host_leaves_and_returns_one_way(self):
+        """``go_offline()`` / ``come_online()`` and two declared attributes;
+        nothing sets, or answers to, the old privates."""
+        from repro.boinc.server import SchedulerCore
+
+        client = VolunteerCloud.from_spec(CloudSpec(n_nodes=1)).clients[0]
+        assert client.offline is False and client.peer_store is None
+        for name in ("_stopped", "_paused"):
+            assert not hasattr(client, name)
+        assert not hasattr(SchedulerCore(), "on_upload")
+
+    @pytest.mark.parametrize("argv", [
+        ["loadgen", "--corpus-kb", "10"],
+        ["loadgen", "--replication", "1"],
+        ["loadgen", "--quorum", "1"],
+        ["volunteer", "--address", "h:1", "--flops", "1e9"],
+        ["volunteer", "--address", "h:1", "--poll", "0.1"],
+        ["campaign", "work", "h:1", "--max-cells", "1"],
+        ["campaign", "coordinate", "--steal-after", "1"],
+        ["campaign", "coordinate", "--timeout", "1"],
+        ["campaign", "coordinate", "--wall-limit", "1"],
+    ], ids=lambda argv: argv[-2])
+    def test_flag_nothing_invoked_is_a_usage_error(self, argv, capsys):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(argv[:-2])  # the command itself parses
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

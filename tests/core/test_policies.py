@@ -95,7 +95,7 @@ class TestOutputPolicy:
     def test_missing_peer_store_raises(self):
         cloud, clients, spec, _job = harness()
         task = make_map_task(cloud, spec, 0)
-        del clients[0].peer_store
+        clients[0].peer_store = None
 
         def body():
             try:

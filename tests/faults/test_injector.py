@@ -140,9 +140,11 @@ class TestHostFaults:
         inject(cloud, FaultSpec(kind="link_flap", at=1.0, duration=10.0,
                                 target=victim.name))
         cloud.sim.run(until=2.0)
-        victim._paused = True  # churn controller took it mid-flap
+        victim.go_offline()  # churn took it mid-flap
         cloud.sim.run(until=20.0)
         assert not victim.host.online
+        victim.come_online()
+        assert victim.host.online
 
 
 class TestSingletonFaults:

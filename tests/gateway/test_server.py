@@ -104,6 +104,26 @@ class TestBasics:
         assert protocol.validate("StatusReply", doc) == []
         assert doc["counts"]["hosts"] == 1
 
+    def test_core_tracer_counts_every_record_and_stores_none(self, handle,
+                                                             client):
+        """Nothing on the gateway reads trace records back, so a server
+        that runs for days must not keep them; counts, taps and the
+        ``/status`` counters still see every one."""
+        tracer = handle.server.core.tracer
+        tapped = []
+        tracer.tap(tapped.append)
+        host_id = client.register("poller", flops=1e9)
+        for _ in range(40):
+            assert client.scheduler_rpc(host_id, work_req_s=1.0)["no_work"]
+        assert tracer.counts["sched.rpc"] == 40
+        assert [rec.kind for rec in tapped] == ["sched.rpc"] * 40
+        assert len(tracer.records) == 0 and tracer.select("sched.rpc") == []
+        doc = client.status()
+        assert protocol.validate("StatusReply", doc) == []
+        assert doc["counters"] == {"gateway.http_requests_total": 41.0,
+                                   "sched.no_work_total": 40.0,
+                                   "sched.rpc_total": 40.0}
+
     def test_unavailable_maps_to_503_with_retry_after(self, handle):
         client = GatewayClient(handle.address, retries=1)
         host_id = client.register("flaky", flops=1e9)

@@ -50,6 +50,17 @@ class TestResultSpans:
         assert (leaked[0].start, leaked[0].end) == (0.0, 50.0)
         assert builder.open_count == 0
 
+    def test_leaks_close_in_opening_order_and_never_backwards(self):
+        tracer = Tracer()
+        builder = SpanBuilder(tracer)
+        for rid, t in ((9, 1.0), (3, 2.0), (5, 8.0)):
+            tracer.record(t, "sched.assign", host="h1", result=rid, wu=rid)
+        tracer.record(4.0, "sched.report", host="h1", result=3, wu=3)
+        assert builder.open_result_ids() == [5, 9]
+        leaked = builder.finish(6.0)
+        assert [(s.args["result"], s.start, s.end) for s in leaked] == [
+            (9, 1.0, 6.0), (5, 8.0, 8.0)]
+
     def test_finish_is_idempotent(self):
         tracer = Tracer()
         builder = SpanBuilder(tracer)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import IntervalAccumulator, RngRegistry, Tracer
+from repro.sim import RngRegistry, Tracer
 from repro.sim.rng import jittered
 
 
@@ -127,43 +127,3 @@ class TestTracer:
         tr.record(1.0, "x", foo="bar")
         assert tr.records[0]["foo"] == "bar"
         assert tr.records[0].get("nope", 0) == 0
-
-
-class TestIntervalAccumulator:
-    def test_open_close_duration(self):
-        acc = IntervalAccumulator()
-        acc.open("task1", 10.0)
-        assert acc.close("task1", 25.0) == 15.0
-        assert acc.durations() == [15.0]
-
-    def test_double_open_rejected(self):
-        acc = IntervalAccumulator()
-        acc.open("t", 0.0)
-        with pytest.raises(ValueError):
-            acc.open("t", 1.0)
-
-    def test_close_unopened_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalAccumulator().close("t", 1.0)
-
-    def test_close_before_open_rejected(self):
-        acc = IntervalAccumulator()
-        acc.open("t", 10.0)
-        with pytest.raises(ValueError):
-            acc.close("t", 5.0)
-
-    def test_reopen_after_close(self):
-        acc = IntervalAccumulator()
-        acc.open("t", 0.0)
-        acc.close("t", 1.0)
-        acc.open("t", 2.0)
-        acc.close("t", 5.0)
-        assert acc.durations() == [1.0, 3.0]
-
-    def test_open_count(self):
-        acc = IntervalAccumulator()
-        acc.open("a", 0.0)
-        acc.open("b", 0.0)
-        assert acc.open_count == 2
-        acc.close("a", 1.0)
-        assert acc.open_count == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import IntervalAccumulator, Tracer
+from repro.sim import Tracer
 
 
 class TestTapOrdering:
@@ -84,34 +84,3 @@ class TestPerKindIndex:
         assert tracer.first("k").time == 1.0
         assert tracer.last("k")["n"] == 2
         assert tracer.times("k") == [1.0, 2.0]
-
-
-class TestIntervalDrain:
-    def test_open_items_in_opening_order(self):
-        acc = IntervalAccumulator()
-        acc.open("b", 1.0)
-        acc.open("a", 2.0)
-        assert acc.open_items() == [("b", 1.0), ("a", 2.0)]
-
-    def test_close_all_drains_and_records(self):
-        acc = IntervalAccumulator()
-        acc.open("x", 1.0)
-        acc.open("y", 3.0)
-        drained = acc.close_all(10.0)
-        assert drained == [("x", 1.0, 10.0), ("y", 3.0, 10.0)]
-        assert acc.open_count == 0
-        assert acc.closed[-2:] == drained
-
-    def test_close_all_clamps_instead_of_going_backwards(self):
-        acc = IntervalAccumulator()
-        acc.open("late", 5.0)
-        assert acc.close_all(2.0) == [("late", 5.0, 5.0)]
-
-    def test_close_all_empty_is_noop(self):
-        assert IntervalAccumulator().close_all(1.0) == []
-
-    def test_normal_close_unaffected(self):
-        acc = IntervalAccumulator()
-        acc.open("x", 1.0)
-        assert acc.close("x", 4.0) == 3.0
-        assert acc.close_all(9.0) == []

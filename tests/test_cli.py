@@ -228,10 +228,9 @@ class TestCampaignControlPlane:
 
     def test_coordinate_parser_defaults(self):
         args = build_parser().parse_args(["campaign", "coordinate"])
-        assert args.mode == "coordinate"
+        assert args.handler.__name__ == "_cmd_campaign_coordinate"
         assert args.spawn == 3 and args.port == 0
         assert args.heartbeat == 0.5 and args.kill_workers == 0
-        assert args.steal_after is None
 
     def test_flag_mode_is_gone(self):
         # 'coordinate' is the one command that runs cells: the old

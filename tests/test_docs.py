@@ -1,6 +1,6 @@
 """Tier-1 gates for the documentation layer.
 
-Five enforcement points keep the docs from drifting away from the code:
+These enforcement points keep the docs from drifting away from the code:
 
 - ``docs/check_docstrings.py`` — every public module/class documented,
   function coverage above its ratchet floor;
@@ -13,7 +13,12 @@ Five enforcement points keep the docs from drifting away from the code:
   :class:`DeprecationWarning` promoted to an error, so the front-page
   examples can never show a deprecated API;
 - ``DESIGN.md`` — every module a package section's ``Modules:`` list names
-  exists under that package.
+  exists under that package;
+- every ``python -m repro …`` command line in README / EXPERIMENTS /
+  DESIGN parses, and a documented ``campaign coordinate`` resolves its grid;
+- a volunteer host's lifecycle has one owner: nothing outside
+  ``boinc/client.py`` pokes at a ``Client``'s privates or reads a declared
+  attribute defensively.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -181,3 +187,68 @@ def test_design_names_only_modules_that_exist(package, module):
     assert importlib.util.find_spec(f"{package}.{module}") is not None, (
         f"DESIGN.md lists `{module}` under {package}, which has no such "
         "module")
+
+
+def _documented_commands() -> list[tuple[str, list[str]]]:
+    """``(file:line, argv)`` of every ``python -m repro …`` line in the
+    prose docs: backslash continuations joined, cut at the closing backtick
+    of inline code, a shell comment or a shell operator; brace lists of
+    commands skipped."""
+    found = []
+    for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md"):
+        lines = (REPO / name).read_text(encoding="utf-8").splitlines()
+        for n, line in enumerate(lines):
+            _, marker, command = line.partition("python -m repro ")
+            while command.endswith("\\"):
+                n += 1
+                command = command[:-1] + lines[n]
+            command = re.split(r"`|\s[#&|>]", command)[0]
+            if marker and "{" not in command:
+                found.append((f"{name}:{n + 1}", shlex.split(command)))
+    return found
+
+
+def test_documented_command_lines_parse(capsys):
+    """A removed flag or an unsupported combination cannot be documented."""
+    from repro import cli
+
+    commands = _documented_commands()
+    assert len(commands) >= 25
+    # A continuation line belongs to its command.
+    assert any("--kill-workers" in argv and "--out" in argv
+               for _, argv in commands)
+    problems = []
+    for where, argv in commands:
+        try:
+            args = cli.build_parser().parse_args(argv)
+            if argv[:2] == ["campaign", "coordinate"] \
+                    and not args.grid.endswith(".toml"):
+                cli._resolve_campaign_grid(args)  # e.g. --faults + wrong grid
+        except SystemExit:
+            usage = capsys.readouterr().err.strip().splitlines()
+            problems.append(f"{where}: {usage[-1]}")
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+    assert problems == []
+
+
+def test_a_host_lifecycle_has_one_owner():
+    """``Client.go_offline()`` / ``come_online()`` is the transition:
+    ``volunteers`` and ``faults`` plug in from outside (DESIGN §2), only
+    ``boinc/client.py`` assigns the process handles, and what ``Client`` and
+    its strategies declare is read as a plain attribute."""
+    src = REPO / "src" / "repro"
+    outside = [*(src / "volunteers").glob("*.py"),
+               src / "faults" / "injector.py"]
+    declared = ("peer_store|corrupt_results|corrupt_serves|peer_fetches|"
+                "server_fallbacks|relay_selector|_paused|_stopped")
+    offences = []
+    for path in sorted(src.rglob("*.py")):
+        for n, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+            if (path in outside and re.search(r"client\._[a-z]", line)
+                    or re.search(rf"(getattr|hasattr)\(.*\b({declared})\b",
+                                 line)
+                    or path != src / "boinc" / "client.py" and re.search(
+                        r"\b_(main_proc|task_procs)\s*=[^=]", line)):
+                offences.append(f"{path.relative_to(REPO)}:{n}: {line.strip()}")
+    assert offences == []

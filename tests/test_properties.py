@@ -212,27 +212,3 @@ def test_quorum_never_validates_minority(digests, quorum):
         assigned = min(len(digests), counts.total())
         assert all(c < quorum for c in counts.values()) or \
             wu.state is WorkunitState.ACTIVE
-
-
-# ---------------------------------------------------------------------------
-# Interval accumulator sanity under arbitrary open/close sequences
-# ---------------------------------------------------------------------------
-
-@given(st.lists(st.tuples(st.integers(0, 5), st.floats(0, 100,
-                                                       allow_nan=False)),
-                max_size=40))
-def test_interval_accumulator_never_negative(ops):
-    from repro.sim import IntervalAccumulator
-
-    acc = IntervalAccumulator()
-    clock = 0.0
-    for key, dt in ops:
-        clock += dt
-        try:
-            acc.open(key, clock)
-        except ValueError:
-            try:
-                acc.close(key, clock)
-            except ValueError:
-                pass
-    assert all(d >= 0 for d in acc.durations())
