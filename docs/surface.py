@@ -2,11 +2,10 @@
 """Size of the program's surface, counted the same way for every PR.
 
 Prints ``src/`` Python lines, dataclass fields on the ``*Config`` /
-``*Spec`` classes (each an independently settable value; ``Scenario``
-counts as one where it still exists), how many of those fields nothing
-in the repository sets, CLI flags and subcommands, and how many of those
-flags nothing in the repository invokes, so CHANGES.md can quote parent
-and change instead of a hand count::
+``*Spec`` classes (each an independently settable value), how many of
+those fields nothing in the repository sets, CLI flags and subcommands,
+and how many of those flags nothing in the repository invokes, so
+CHANGES.md can quote parent and change instead of a hand count::
 
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on a never-set field or
@@ -38,14 +37,13 @@ DEPLOYMENT_FLAGS = ("--host", "--bind")
 
 
 def option_classes() -> dict[str, list[str]]:
-    """``module.Class`` -> field names of every *Config / *Spec dataclass
-    (and of ``Scenario``, the third run description PR 18 folded away)."""
+    """``module.Class`` -> field names of every *Config / *Spec dataclass."""
     import repro
 
     found: dict[str, list[str]] = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         for name, obj in vars(importlib.import_module(info.name)).items():
-            if ((name.endswith(("Config", "Spec")) or name == "Scenario")
+            if (name.endswith(("Config", "Spec"))
                     and isinstance(obj, type)
                     and obj.__module__ == info.name
                     and dataclasses.is_dataclass(obj)):

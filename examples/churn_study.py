@@ -24,15 +24,15 @@ def main() -> None:
     for mean_off, departure in [(300.0, 0.0), (600.0, 0.05), (900.0, 0.15)]:
         out = run_churn(seed=3, mean_on_s=1800.0, mean_off_s=mean_off,
                         departure_prob=departure)
-        slowdown = out.total / stable.metrics.total
+        slowdown = out["total"] / stable.metrics.total
         print(f"churn: OFF~{mean_off / 60:.0f}min, "
               f"{departure * 100:.0f}% departures")
-        print(f"  total {out.total:8.1f}s (x{slowdown:.2f} vs stable)")
-        print(f"  {out.transitions} availability transitions, "
-              f"{out.departed} hosts gone for good")
-        print(f"  {out.replacement_results} replacement results created, "
-              f"{out.server_fallbacks} reduce inputs recovered from the "
-              f"server, {out.peer_fetches} from peers\n")
+        print(f"  total {out['total']:8.1f}s (x{slowdown:.2f} vs stable)")
+        print(f"  {out['transitions']} availability transitions, "
+              f"{out['departed']} hosts gone for good")
+        print(f"  {out['replacement_results']} replacement results created, "
+              f"{out['server_fallbacks']} reduce inputs recovered from the "
+              f"server, {out['peer_fetches']} from peers\n")
 
     print("the job always finishes — replication, deadlines, and the "
           "retry-then-server\nfallback absorb the volatility the paper "

@@ -14,11 +14,8 @@ from repro.core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerClou
 
 
 def run(label: str, mr: bool) -> None:
-    if mr:
-        mr_config = BoincMRConfig()  # hash-only reporting, peer transfers
-    else:
-        mr_config = BoincMRConfig(upload_map_outputs=True,
-                                  reduce_from_peers=False)
+    # BOINC-MR: hash-only reporting, peer transfers.
+    mr_config = BoincMRConfig() if mr else BoincMRConfig.vanilla_boinc()
     cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=mr_config))
     cloud.add_volunteers(20, mr=mr)
 
@@ -38,7 +35,7 @@ def run(label: str, mr: bool) -> None:
     print(f"  server served {cloud.server.dataserver.bytes_served / 1e9:.2f} GB, "
           f"received {cloud.server.dataserver.bytes_received / 1e9:.2f} GB")
     peer_bytes = sum(c.peer_store.bytes_served for c in cloud.clients
-                     if getattr(c, "peer_store", None) is not None)
+                     if c.peer_store is not None)
     print(f"  inter-client transfers: {peer_bytes / 1e9:.2f} GB")
 
 

@@ -26,6 +26,7 @@ from .export import (
     utilisation_timeline,
     write_chrome_trace,
 )
+from .studies import render_study, study_payloads
 from .stats import Summary, improvement, percentile, straggler_index, summarise
 from .tables import format_cell, render_series, render_table, render_timeline
 
@@ -59,4 +60,6 @@ __all__ = [
     "aggregate_records",
     "aggregate_store",
     "render_campaign_table",
+    "study_payloads",
+    "render_study",
 ]

@@ -28,7 +28,10 @@ class GroupStats:
 
     group: str
     kind: str
-    summary: Summary
+    #: Summary of the kind's headline metric over the completed cells;
+    #: ``None`` when no cell of the group carries it (all failed, or the
+    #: payloads lack the field), so the group is still listed.
+    summary: Summary | None
     #: Mean of every numeric payload field across the group's cells.
     field_means: dict[str, float]
     failed: int
@@ -46,18 +49,18 @@ class GroupStats:
     @property
     def n(self) -> int:
         """Number of completed cells aggregated into this group."""
-        return self.summary.n
+        return self.summary.n if self.summary else 0
 
     @property
     def stddev(self) -> float:
         """Cross-seed sample standard deviation of the headline metric."""
-        return self.summary.stddev
+        return self.summary.stddev if self.summary else 0.0
 
     @property
     def ci95(self) -> float:
         """Half-width of the normal-approximation 95% confidence band
         around the cross-seed mean (0.0 when n < 2)."""
-        if self.summary.n < 2:
+        if self.n < 2:
             return 0.0
         return 1.96 * self.summary.stddev / math.sqrt(self.summary.n)
 
@@ -65,7 +68,7 @@ class GroupStats:
     def paper_delta(self) -> float | None:
         """Fractional deviation of the simulated mean from the paper's
         reported value (``None`` when the paper reported nothing)."""
-        if self.paper_mean is None or self.paper_mean == 0:
+        if not self.summary or not self.paper_mean:
             return None
         return self.summary.mean / self.paper_mean - 1.0
 
@@ -96,14 +99,10 @@ def aggregate_records(records: _t.Iterable["CellRecord"]
     for group, members in groups.items():
         ok = [m for m in members if m.ok and m.result is not None]
         failed = len(members) - len(ok)
-        if not ok:
-            continue
         kind = members[0].spec["kind"]
         _executor, metric = KINDS[kind]
         values = [float(m.result[metric]) for m in ok
                   if metric in m.result]
-        if not values:
-            continue
         walls = [float(m.meta["wall_s"]) for m in ok if "wall_s" in m.meta]
         events = [float(m.result["events"]) for m in ok
                   if "wall_s" in m.meta and "events" in m.result]
@@ -111,7 +110,8 @@ def aggregate_records(records: _t.Iterable["CellRecord"]
         papers = [float(m.result[f"paper_{metric}"]) for m in ok
                   if f"paper_{metric}" in m.result]
         out.append(GroupStats(
-            group=group, kind=kind, summary=summarise(values),
+            group=group, kind=kind,
+            summary=summarise(values) if values else None,
             field_means=_numeric_means([m.result for m in ok]),
             failed=failed,
             wall_mean=wall_sum / len(walls) if walls else 0.0,
@@ -137,14 +137,16 @@ def render_campaign_table(stats: _t.Sequence[GroupStats],
                "min", "max", "paper", "delta", "wall", "ev/s", "failed"]
     rows = []
     for s in stats:
+        headline = ([f"{v:.1f}" for v in (
+            s.summary.mean, s.summary.p50, s.summary.p90,
+            s.summary.minimum, s.summary.maximum)]
+            if s.summary else ["-"] * 5)
         rows.append([
             s.group, s.kind, s.n,
-            f"{s.summary.mean:.1f}",
+            headline[0],
             f"{s.stddev:.1f}" if s.n > 1 else "-",
             f"+/-{s.ci95:.1f}" if s.n > 1 else "-",
-            f"{s.summary.p50:.1f}",
-            f"{s.summary.p90:.1f}", f"{s.summary.minimum:.1f}",
-            f"{s.summary.maximum:.1f}",
+            *headline[1:],
             f"{s.paper_mean:.1f}" if s.paper_mean is not None else "-",
             f"{s.paper_delta * 100:+.1f}%"
             if s.paper_delta is not None else "-",

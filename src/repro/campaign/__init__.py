@@ -6,7 +6,8 @@ package runs such grids concurrently without giving up determinism:
 - :mod:`repro.campaign.grid` — :class:`CampaignCell` /
   :class:`CampaignGrid`, content-hash cell keys, TOML grid loading;
 - :mod:`repro.campaign.cells` — :func:`execute_cell`, the per-kind cell
-  executors (scenario, table1, churn, replication, scale_out, sleep);
+  executors (scenario, study, table1, churn, replication, scale_out,
+  sleep);
 - :mod:`repro.campaign.store` — the resumable append-only JSONL
   :class:`ResultStore`, plus :func:`merge_stores` /
   :func:`diff_stores` for multi-writer shard reconciliation;

@@ -31,38 +31,6 @@ def _scalar_fields(cls: type) -> set[str]:
             if getattr(f.type, "__name__", f.type) in names}
 
 
-def _metrics_payload(metrics: _t.Any) -> dict[str, _t.Any]:
-    """The paper's Table I cell set, as a flat JSON-able dict."""
-    return {
-        "total": metrics.total,
-        "total_discard_slowest": metrics.total_discard_slowest,
-        "map_mean": metrics.map_stats.mean,
-        "map_discard_slowest": metrics.map_stats.mean_discard_slowest,
-        "reduce_mean": metrics.reduce_stats.mean,
-        "reduce_discard_slowest": metrics.reduce_stats.mean_discard_slowest,
-        "transition_gap": metrics.transition_gap,
-    }
-
-
-def _run_deployment(cloud_spec: _t.Any, job_spec: _t.Any, faults: str | None,
-                    **timeout: float) -> dict[str, _t.Any]:
-    """Build, optionally fault-inject, and run one deployment."""
-    from ..core import VolunteerCloud
-    from ..experiments import run_scenario
-
-    cloud = VolunteerCloud.from_spec(cloud_spec)
-    injector = cloud.apply_faults(faults) if faults else None
-    result = run_scenario(cloud, job_spec, **timeout)
-    payload = _metrics_payload(result.metrics)
-    payload["events"] = cloud.sim.dispatch_count
-    payload["sim_end"] = cloud.sim.now
-    if injector is not None:
-        report = cloud.audit(result.job)
-        payload["faults_injected"] = len(injector.events)
-        payload["audit_ok"] = report.ok
-    return payload
-
-
 def scenario_specs(spec: _t.Mapping[str, _t.Any]) -> tuple[_t.Any, _t.Any]:
     """The ``(CloudSpec, MapReduceJobSpec)`` a flat ``scenario`` cell names.
 
@@ -90,56 +58,48 @@ def scenario_specs(spec: _t.Mapping[str, _t.Any]) -> tuple[_t.Any, _t.Any]:
 
 def _execute_scenario(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """One run described by flat params (see :func:`scenario_specs`)."""
+    from ..experiments import run_deployment
+
     params = spec.get("params", {})
     timeout = ({"timeout_s": params["timeout_s"]} if "timeout_s" in params
                else {})
-    return _run_deployment(*scenario_specs(spec), spec.get("faults"),
-                           **timeout)
+    return run_deployment(*scenario_specs(spec), spec.get("faults"),
+                          **timeout)
 
 
 def _execute_table1(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """One Table I row (by index into :data:`repro.experiments.PAPER_TABLE1`)."""
-    from ..experiments import PAPER_TABLE1, scenario_for_row
+    from ..experiments import table1_payload
 
-    row = PAPER_TABLE1[spec["params"]["row"]]
-    payload = _run_deployment(*scenario_for_row(row, seed=spec["seed"]),
-                              spec.get("faults"))
-    payload["paper_total"] = row.paper_total.mean
-    payload["paper_map"] = row.paper_map.mean
-    payload["paper_reduce"] = row.paper_reduce.mean
-    return payload
+    return table1_payload(spec["params"]["row"], spec["seed"],
+                          spec.get("faults"))
 
 
 def _execute_churn(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """One churn-study run (:func:`repro.experiments.run_churn`)."""
     from ..experiments import run_churn
 
-    outcome = run_churn(seed=spec["seed"], **dict(spec.get("params", {})))
-    return {
-        "total": outcome.total,
-        "transitions": outcome.transitions,
-        "departed": outcome.departed,
-        "peer_fetches": outcome.peer_fetches,
-        "server_fallbacks": outcome.server_fallbacks,
-        "replacement_results": outcome.replacement_results,
-    }
+    return run_churn(seed=spec["seed"], **dict(spec.get("params", {})))
 
 
 def _execute_replication(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """One replication-sweep point (:func:`repro.experiments.run_replication`)."""
     from ..experiments import run_replication
 
-    outcome = run_replication(seed=spec["seed"], **dict(spec.get("params", {})))
-    return {
-        "total": outcome.total,
-        "replication": outcome.replication,
-        "quorum": outcome.quorum,
-        "byzantine_rate": outcome.byzantine_rate,
-        "results_executed": outcome.results_executed,
-        "corrupt_accepted": outcome.corrupt_accepted,
-        "workunits": outcome.workunits,
-        "overhead": outcome.overhead,
-    }
+    return run_replication(seed=spec["seed"], **dict(spec.get("params", {})))
+
+
+def _execute_study(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
+    """One variant of one study in :data:`repro.experiments.STUDIES`."""
+    from ..experiments import STUDIES
+
+    params = spec.get("params", {})
+    study = next((s for s in STUDIES if s.name == params.get("study")), None)
+    if study is None or params.get("variant") not in study.variants:
+        raise ValueError(
+            f"unknown study variant {params.get('study')!r} / "
+            f"{params.get('variant')!r}")
+    return study.variants[params["variant"]](seed=spec["seed"])
 
 
 def _execute_scale_out(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
@@ -170,6 +130,7 @@ def _execute_sleep(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
 #: seeds).  The one declaration; a new kind is one entry here.
 KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str]] = {
     "scenario": (_execute_scenario, "total"),
+    "study": (_execute_study, "total"),
     "table1": (_execute_table1, "total"),
     "churn": (_execute_churn, "total"),
     "replication": (_execute_replication, "total"),

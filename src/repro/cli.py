@@ -1,8 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Each subcommand regenerates one of the paper's artefacts (or an extension
-study) and prints it; they are thin wrappers over
-:mod:`repro.experiments`, so everything is also available as a library.
+``run`` runs one simulated job and ``wordcount`` the real runtime;
+``campaign`` runs whole grids on leased workers — ``campaign coordinate
+--grid paper`` regenerates every table, figure and claim in
+EXPERIMENTS.md (declared in :mod:`repro.experiments`, rendered by
+``docs/gen_experiments.py``); ``serve`` / ``volunteer`` / ``loadgen``
+operate the live gateway.
 """
 
 from __future__ import annotations
@@ -11,64 +14,6 @@ import argparse
 import pathlib
 import sys
 import typing as _t
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments import PAPER_TABLE1, run_table1
-    from .experiments.table1 import render
-
-    records = run_table1(PAPER_TABLE1, seed=args.seed)
-    print(render(records))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    from .experiments import run_fig4
-
-    result = run_fig4(base_seed=args.seed)
-    print(result.render(width=args.width))
-    return 0
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    from .experiments.ablations import run_all
-
-    for o in run_all(seed=args.seed):
-        print(f"{o.name:24s} total {o.baseline_total:8.1f}s -> "
-              f"{o.mitigated_total:8.1f}s ({o.improvement * 100:+5.1f}%)")
-    return 0
-
-
-def _cmd_nat(args: argparse.Namespace) -> int:
-    from .experiments import run_ladder_study
-
-    for o in run_ladder_study(seed=args.seed):
-        print(f"{o.label:16s} total {o.total:7.1f}s  peer {o.peer_fetches:4d}"
-              f"  fallback {o.server_fallbacks:4d}  {o.method_counts}")
-    return 0
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from .experiments import run_churn
-
-    o = run_churn(seed=args.seed, mean_on_s=args.mean_on,
-                  mean_off_s=args.mean_off,
-                  departure_prob=args.departures)
-    print(f"total {o.total:.1f}s  transitions {o.transitions}  "
-          f"departed {o.departed}  replacements {o.replacement_results}  "
-          f"peer {o.peer_fetches} / fallback {o.server_fallbacks}")
-    return 0
-
-
-def _cmd_planetlab(args: argparse.Namespace) -> int:
-    from .experiments import run_lan_vs_internet
-
-    for label, d in run_lan_vs_internet(seed=args.seed).items():
-        print(f"{label:18s} total {d.total:8.0f}s  "
-              f"map {d.metrics.map_stats.mean:6.0f}s  "
-              f"reduce {d.metrics.reduce_stats.mean:6.0f}s  "
-              f"server {d.server_gb_served:.2f}GB  peer {d.peer_gb:.2f}GB")
-    return 0
 
 
 def _render_fault_log(injector: _t.Any) -> str:
@@ -473,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser (all subcommands)."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="BOINC-MR reproduction: regenerate the paper's tables, "
-                    "figures, and extension studies.")
+        description="BOINC-MR reproduction: simulated jobs, campaign "
+                    "grids (the paper's evaluation is --grid paper) and "
+                    "the live gateway.")
     parser.add_argument("--seed", type=_seed_type, default=1,
                         help="experiment seed (default 1)")
     # Every subcommand also accepts --seed after the command name; a value
@@ -483,33 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_seed_type, default=argparse.SUPPRESS,
                         help="experiment seed (overrides the global --seed)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table1", parents=[common],
-                       help="Table I: word-count makespan grid")
-    p.set_defaults(handler=_cmd_table1)
-
-    p = sub.add_parser("fig4", parents=[common],
-                       help="Fig. 4: backoff straggler timeline")
-    p.add_argument("--width", type=int, default=64)
-    p.set_defaults(handler=_cmd_fig4)
-
-    p = sub.add_parser("ablations", parents=[common],
-                       help="Section IV.C mitigations")
-    p.set_defaults(handler=_cmd_ablations)
-
-    p = sub.add_parser("nat", parents=[common],
-                       help="Section III.D NAT traversal ladder")
-    p.set_defaults(handler=_cmd_nat)
-
-    p = sub.add_parser("churn", parents=[common], help="volunteer churn study")
-    p.add_argument("--mean-on", type=float, default=1800.0)
-    p.add_argument("--mean-off", type=float, default=600.0)
-    p.add_argument("--departures", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_churn)
-
-    p = sub.add_parser("planetlab", parents=[common],
-                       help="LAN vs Internet deployment study")
-    p.set_defaults(handler=_cmd_planetlab)
 
     p = sub.add_parser("run", parents=[common],
                        help="run one simulated MapReduce job")

@@ -1,12 +1,13 @@
 """The paper's sweeps expressed as campaign grids.
 
-Each builder returns a :class:`repro.campaign.CampaignGrid` whose cells
-reproduce one of the existing sequential studies — the Table I grid,
-the churn study, the replication sweep, and the simulator-scalability
-study — fanned out over seeds (and, where it makes sense, a chaos
-plan), so ``python -m repro campaign coordinate --grid table1`` runs the
-whole evaluation concurrently and :mod:`repro.analysis.campaign` folds the
-seeds back into tables.
+Each builder returns a :class:`repro.campaign.CampaignGrid`.  ``paper``
+is the whole evaluation: every variant of every study in
+:data:`repro.experiments.STUDIES` at its documented seed, so ``python -m
+repro campaign coordinate --grid paper`` regenerates every number in
+EXPERIMENTS.md.  The others fan one study out over seeds (and, where it
+makes sense, a chaos plan) — the Table I grid, the churn study, the
+replication sweep, and the simulator-scalability study — and
+:mod:`repro.analysis.campaign` folds the seeds back into tables.
 
 Per-replicate seeds are derived with :func:`repro.sim.derive_seed`, so
 every cell owns an independent, reproducible rng universe regardless of
@@ -19,6 +20,7 @@ import typing as _t
 
 from ..campaign import CampaignCell, CampaignGrid
 from ..sim import derive_seed
+from . import replication, table1
 from .table1 import PAPER_TABLE1
 
 #: Default seed fan-out for multi-seed sweeps.
@@ -65,14 +67,13 @@ def churn_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS,
 def replication_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS,
                      byzantine_rate: float = 0.2) -> CampaignGrid:
     """The replication/quorum sweep (1/1, the paper's 2/2, 3/2) x seeds."""
-    points = [(1, 1), (2, 2), (3, 2)]
     cells = [
         CampaignCell(
             kind="replication", seed=derive_seed(seed, "replication", r, q),
             params={"replication": r, "quorum": q,
                     "byzantine_rate": byzantine_rate},
             group=f"repl{r}q{q}")
-        for r, q in points
+        for r, q in replication.POINTS
         for seed in seeds
     ]
     return CampaignGrid(
@@ -99,8 +100,29 @@ def scale_out_grid(seeds: _t.Sequence[int] = (1,),
         description="simulator throughput at volunteer-platform scale")
 
 
+def paper_grid() -> CampaignGrid:
+    """Every variant of every study at the seed its EXPERIMENTS.md section
+    documents.  Table I's variants stay the ``table1`` cells they have
+    always been, so a ``--grid table1 --seeds 1`` store and a ``paper``
+    store share those nine keys."""
+    from . import STUDIES
+
+    cells = list(table1_grid(seeds=(table1.STUDY.seed,)).cells)
+    cells += [
+        CampaignCell(kind="study", seed=study.seed,
+                     params={"study": study.name, "variant": variant},
+                     group=f"{study.name}/{variant}")
+        for study in STUDIES if study is not table1.STUDY
+        for variant in study.variants
+    ]
+    return CampaignGrid(
+        name="paper", cells=tuple(cells),
+        description="every table, figure and claim in EXPERIMENTS.md")
+
+
 #: Builtin grid builders addressable from the CLI (``--grid NAME``).
 GRID_BUILDERS: dict[str, _t.Callable[..., CampaignGrid]] = {
+    "paper": paper_grid,
     "table1": table1_grid,
     "churn": churn_grid,
     "replication": replication_grid,
@@ -126,6 +148,10 @@ def resolve_grid(name_or_path: str, seeds: _t.Sequence[int] | None = None,
             f"{sorted(GRID_BUILDERS)} or a .toml path")
     kwargs: dict[str, _t.Any] = {}
     if seeds is not None:
+        if builder is paper_grid:
+            raise ValueError(
+                "--seeds does not apply to the paper grid: each study runs "
+                "at the seed its EXPERIMENTS.md section documents")
         kwargs["seeds"] = tuple(seeds)
     if faults is not None:
         if builder is not table1_grid:

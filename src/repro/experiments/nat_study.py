@@ -11,13 +11,14 @@ method, how many fall back to the server, and what it does to makespan.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import typing as _t
 
 from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..net import NatType, TraversalConfig, sample_nat_population
 from ..sim import RngRegistry
-from .scenario import ScenarioResult, run_scenario
+from .scenario import fetch_counts, metrics_payload, run_scenario
+from .study import VARIANT, Claim, Study, col
 
 #: An Internet-like volunteer NAT population (see ``sample_nat_population``).
 INTERNET_MIX: dict[NatType, float] = {
@@ -28,18 +29,6 @@ INTERNET_MIX: dict[NatType, float] = {
     NatType.SYMMETRIC: 0.10,
     NatType.FIREWALL: 0.05,
 }
-
-
-@dataclasses.dataclass(slots=True)
-class NatStudyOutcome:
-    """One traversal configuration's results."""
-
-    label: str
-    total: float
-    method_counts: dict[str, int]
-    peer_fetches: int
-    server_fallbacks: int
-    result: ScenarioResult
 
 
 #: The ladder configurations compared, cheapest-capability first.
@@ -54,12 +43,11 @@ LADDERS: dict[str, TraversalConfig] = {
 }
 
 
-def nat_scenario(seed: int, traversal_label: str = "full_ladder",
-                 mix: dict[NatType, float] | None = None
+def nat_scenario(seed: int, traversal_label: str = "full_ladder"
                  ) -> tuple[CloudSpec, MapReduceJobSpec]:
     """20-node scenario with a sampled NAT population and traversal config."""
     rng = RngRegistry(seed).stream("nat_population")
-    nats = sample_nat_population(rng, 20, mix=mix or INTERNET_MIX)
+    nats = sample_nat_population(rng, 20, mix=INTERNET_MIX)
     cloud = CloudSpec(
         seed=seed, n_nodes=20, mr_clients=True, nats=nats,
         # Keep the server copy so failed traversals fall back instead of
@@ -70,31 +58,56 @@ def nat_scenario(seed: int, traversal_label: str = "full_ladder",
                                    n_maps=20, n_reducers=5)
 
 
-def run_ladder_study(seed: int = 1,
-                     ladders: _t.Mapping[str, TraversalConfig] = None
-                     ) -> list[NatStudyOutcome]:
-    """Run the NAT scenario under every ladder configuration."""
-    ladders = dict(LADDERS if ladders is None else ladders)
-    out = []
-    for label, traversal in ladders.items():
-        out.append(_run_with_traversal(
-            *nat_scenario(seed, traversal_label=label), traversal))
-    return out
-
-
-def _run_with_traversal(spec: CloudSpec, job: MapReduceJobSpec,
-                        traversal: TraversalConfig) -> NatStudyOutcome:
+def ladder_payload(label: str, seed: int) -> dict[str, _t.Any]:
+    """Run the NAT scenario under the ladder configuration *label*."""
+    spec, job = nat_scenario(seed, traversal_label=label)
     cloud = VolunteerCloud.from_spec(spec)
     # Swap the connectivity policy wholesale (all fetchers share it).
-    cloud.connectivity.config = traversal
+    cloud.connectivity.config = LADDERS[label]
     result = run_scenario(cloud, job)
-    peer_fetches = sum(c.input_fetcher.peer_fetches for c in cloud.clients)
-    fallbacks = sum(c.input_fetcher.server_fallbacks for c in cloud.clients)
-    return NatStudyOutcome(
-        label=job.name.removeprefix("nat_"),
-        total=result.total,
-        method_counts=cloud.connectivity.method_counts(),
-        peer_fetches=peer_fetches,
-        server_fallbacks=fallbacks,
-        result=result,
-    )
+    methods = cloud.connectivity.method_counts()
+    return {
+        **metrics_payload(result.metrics),
+        **fetch_counts(cloud),
+        **{method: methods.get(method, 0)
+           for method in ("direct", "reversal", "hole_punch", "relay",
+                          "failed")},
+    }
+
+
+def _peer_fetches_rise(p: _t.Mapping[str, _t.Any]) -> bool:
+    peer = [p[label]["peer_fetches"] for label in LADDERS]
+    return peer == sorted(peer) and peer[-1] > peer[0]
+
+
+STUDY = Study(
+    name="nat", seed=1,
+    variants={label: functools.partial(ladder_payload, label)
+              for label in LADDERS},
+    columns=(
+        VARIANT,
+        col("peer fetches", "{peer_fetches}"),
+        col("server fallbacks", "{server_fallbacks}"),
+        col("direct", "{direct}"),
+        col("reversal", "{reversal}"),
+        col("hole punch", "{hole_punch}"),
+        col("relay", "{relay}"),
+        col("failed attempts", "{failed}"),
+        col("total", "{total:.1f} s"),
+    ),
+    claims=(
+        Claim("Each rung of the ladder recovers more inter-client "
+              "transfers.", _peer_fetches_rise),
+        Claim("The full Skype-style ladder eliminates server fallbacks "
+              "entirely.",
+              lambda p: p["full_ladder"]["server_fallbacks"] == 0),
+        Claim("With direct connections only, most reduce inputs come from "
+              "the server.",
+              lambda p: p["direct_only"]["server_fallbacks"]
+              > p["direct_only"]["peer_fetches"]),
+        Claim("Relayed transfers appear only once the relay rung is "
+              "enabled.",
+              lambda p: all((row["relay"] > 0) == (label == "full_ladder")
+                            for label, row in p.items())),
+    ),
+)

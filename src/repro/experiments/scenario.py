@@ -9,12 +9,15 @@ server or BOINC-MR clients with inter-client transfers) and a
 input split into ``n_maps`` chunks, replication 2 / quorum 2).
 
 ``run_scenario()`` executes the pair to completion and returns the
-paper's metrics plus handles for deeper inspection.
+paper's metrics plus handles for deeper inspection;
+``run_deployment()`` does the same and returns the flat JSON payload
+campaign cells and study variants are made of.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing as _t
 
 from ..analysis import JobMetrics, job_metrics
 from ..core import CloudSpec, MapReduceJob, MapReduceJobSpec, VolunteerCloud
@@ -54,3 +57,46 @@ def run_scenario(cloud: CloudSpec | VolunteerCloud, job: MapReduceJobSpec,
     return ScenarioResult(job=finished,
                           metrics=job_metrics(cloud.tracer, job.name),
                           tracer=cloud.tracer, cloud=cloud)
+
+
+def metrics_payload(metrics: JobMetrics) -> dict[str, _t.Any]:
+    """The paper's Table I cell set, as a flat JSON-able dict."""
+    return {
+        "total": metrics.total,
+        "total_discard_slowest": metrics.total_discard_slowest,
+        "map_mean": metrics.map_stats.mean,
+        "map_discard_slowest": metrics.map_stats.mean_discard_slowest,
+        "reduce_mean": metrics.reduce_stats.mean,
+        "reduce_discard_slowest": metrics.reduce_stats.mean_discard_slowest,
+        "transition_gap": metrics.transition_gap,
+    }
+
+
+def fetch_counts(cloud: VolunteerCloud) -> dict[str, int]:
+    """How the cloud's reducers got their inputs: from peers, or from the
+    server copy after a peer fetch failed."""
+    return {
+        "peer_fetches": sum(c.input_fetcher.peer_fetches
+                            for c in cloud.clients),
+        "server_fallbacks": sum(c.input_fetcher.server_fallbacks
+                                for c in cloud.clients),
+    }
+
+
+def run_deployment(cloud_spec: CloudSpec, job_spec: MapReduceJobSpec,
+                   faults: str | None = None,
+                   **timeout: float) -> dict[str, _t.Any]:
+    """Build, optionally fault-inject, and run one deployment; returns
+    :func:`metrics_payload` plus the simulator's event count and end time
+    (and the audit verdict when a chaos plan was armed)."""
+    cloud = VolunteerCloud.from_spec(cloud_spec)
+    injector = cloud.apply_faults(faults) if faults else None
+    result = run_scenario(cloud, job_spec, **timeout)
+    payload = metrics_payload(result.metrics)
+    payload["events"] = cloud.sim.dispatch_count
+    payload["sim_end"] = cloud.sim.now
+    if injector is not None:
+        report = cloud.audit(result.job)
+        payload["faults_injected"] = len(injector.events)
+        payload["audit_ok"] = report.ok
+    return payload

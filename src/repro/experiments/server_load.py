@@ -13,75 +13,77 @@ processing time, extracted from per-RPC traces.
 
 from __future__ import annotations
 
-import dataclasses
-import statistics
+import functools
 import typing as _t
 
-from ..analysis import job_metrics, utilisation_timeline
+from ..analysis import utilisation_timeline
 from ..boinc.client import ClientConfig
-from ..boinc.server import ServerConfig
 from ..core import CloudSpec, MapReduceJobSpec
-from .scenario import run_scenario
-
-
-@dataclasses.dataclass(slots=True)
-class LoadPoint:
-    """Server-side load measurements for one configuration."""
-
-    n_nodes: int
-    report_immediately: bool
-    total: float
-    rpc_count: int
-    rpc_rate_per_min: float
-    peak_rpcs_per_min: int
-
-    @property
-    def label(self) -> str:
-        """Short ``<nodes>n/<mode>`` tag for tables."""
-        mode = "immediate" if self.report_immediately else "batched"
-        return f"{self.n_nodes}n/{mode}"
+from .scenario import metrics_payload, run_scenario
+from .study import VARIANT, Claim, Study, col
 
 
 def run_load_point(n_nodes: int, report_immediately: bool,
-                   seed: int = 1, rpc_capacity: int = 10) -> LoadPoint:
+                   seed: int = 1) -> dict[str, _t.Any]:
     """Measure scheduler RPC load at one deployment size / report mode."""
     result = run_scenario(
         CloudSpec(
             seed=seed, n_nodes=n_nodes,
-            client_config=ClientConfig(report_immediately=report_immediately),
-            server_config=ServerConfig(rpc_capacity=rpc_capacity)),
+            client_config=ClientConfig(report_immediately=report_immediately)),
         MapReduceJobSpec("load", n_maps=n_nodes,
                          n_reducers=max(2, n_nodes // 4)))
-    metrics = job_metrics(result.tracer, "load")
     rpcs = result.tracer.times("sched.rpc")
     span_min = max((max(rpcs) - min(rpcs)) / 60.0, 1e-9) if rpcs else 1e-9
     buckets = utilisation_timeline(result.tracer, bucket_s=60.0)
-    peak = max((count for _t0, count in buckets), default=0)
-    return LoadPoint(
-        n_nodes=n_nodes,
-        report_immediately=report_immediately,
-        total=metrics.total,
-        rpc_count=len(rpcs),
-        rpc_rate_per_min=len(rpcs) / span_min,
-        peak_rpcs_per_min=peak,
-    )
+    return {
+        **metrics_payload(result.metrics),
+        "rpc_count": len(rpcs),
+        "rpc_rate_per_min": len(rpcs) / span_min,
+        "peak_rpcs_per_min": max((count for _t0, count in buckets),
+                                 default=0),
+    }
 
 
-def run_load_sweep(node_counts: _t.Sequence[int] = (10, 20, 40),
-                   seed: int = 1) -> list[LoadPoint]:
-    """Both reporting policies at each cluster size."""
-    out = []
-    for n in node_counts:
-        for immediate in (False, True):
-            out.append(run_load_point(n, immediate, seed=seed))
-    return out
+NODE_COUNTS = (10, 20, 40)
 
 
-def congestion_ratio(points: _t.Sequence[LoadPoint],
-                     n_nodes: int) -> float:
-    """RPC-volume multiplier of immediate reporting at one cluster size."""
-    batched = next(p for p in points
-                   if p.n_nodes == n_nodes and not p.report_immediately)
-    immediate = next(p for p in points
-                     if p.n_nodes == n_nodes and p.report_immediately)
-    return immediate.rpc_count / max(batched.rpc_count, 1)
+def _pairs(p: _t.Mapping[str, _t.Any]
+           ) -> list[tuple[_t.Mapping[str, _t.Any], _t.Mapping[str, _t.Any]]]:
+    """(batched, immediate) at each cluster size."""
+    return [(p[f"{n}n/batched"], p[f"{n}n/immediate"]) for n in NODE_COUNTS]
+
+
+STUDY = Study(
+    name="server_load", seed=1,
+    variants={f"{n}n/{mode}": functools.partial(run_load_point, n, immediate)
+              for n in NODE_COUNTS
+              for mode, immediate in (("batched", False),
+                                      ("immediate", True))},
+    columns=(
+        VARIANT,
+        col("total", "{total:.0f} s"),
+        col("scheduler RPCs", "{rpc_count}"),
+        col("mean rate", "{rpc_rate_per_min:.1f}/min"),
+        col("peak", "{peak_rpcs_per_min}/min"),
+    ),
+    claims=(
+        Claim("Total RPC volume is essentially unchanged by immediate "
+              "reporting (within 0.8-1.3x at every size): reports piggyback "
+              "on RPCs the pull loop makes anyway.",
+              lambda p: all(
+                  0.8 < now["rpc_count"] / max(batched["rpc_count"], 1) < 1.3
+                  for batched, now in _pairs(p))),
+        Claim("The same RPCs compress into a shorter makespan, so the "
+              "arrival rate rises at 40 nodes: congestion shows up as rate, "
+              "not volume.",
+              lambda p: p["40n/immediate"]["rpc_rate_per_min"]
+              >= p["40n/batched"]["rpc_rate_per_min"]),
+        Claim("Immediate reporting is never slower.",
+              lambda p: all(now["total"] <= batched["total"] * 1.02
+                            for batched, now in _pairs(p))),
+        Claim("Scheduler load scales with the cluster.",
+              lambda p: p["40n/batched"]["rpc_count"]
+              > p["20n/batched"]["rpc_count"]
+              > p["10n/batched"]["rpc_count"]),
+    ),
+)

@@ -18,6 +18,7 @@ from repro.experiments import (
     GRID_BUILDERS,
     PAPER_TABLE1,
     churn_grid,
+    paper_grid,
     replication_grid,
     resolve_grid,
     scale_out_grid,
@@ -66,6 +67,28 @@ class TestBuiltinGrids:
         with pytest.raises(TypeError, match="allocator"):
             execute_cell(scale.spec())
 
+    def test_paper_grid_is_every_variant_of_every_study(self):
+        from repro.experiments import STUDIES
+
+        grid = paper_grid()
+        assert len(grid) == sum(len(s.variants) for s in STUDIES) == 52
+        assert len({c.key for c in grid}) == 52
+        assert sorted(GRID_BUILDERS) == [
+            "churn", "paper", "replication", "scale_out", "table1"]
+        # Table I's nine cells are the table1 grid's, key for key.
+        assert [c.key for c in grid][:9] == [
+            c.key for c in table1_grid(seeds=(1,))]
+        assert {c.kind for c in grid.cells[9:]} == {"study"}
+        assert all(c.seed == s.seed for s in STUDIES for c in grid
+                   if c.group.startswith(f"{s.name}/"))
+
+    def test_unknown_study_variant_is_refused(self):
+        for params in ({"study": "nope", "variant": "run"},
+                       {"study": "fig4", "variant": "nope"}, {}):
+            cell = CampaignCell(kind="study", seed=1, params=params)
+            with pytest.raises(ValueError, match="unknown study variant"):
+                execute_cell(cell.spec())
+
     def test_registry_builders_all_construct(self):
         for name, builder in GRID_BUILDERS.items():
             grid = builder()
@@ -85,6 +108,11 @@ class TestResolveGrid:
     def test_faults_on_non_table1_rejected(self):
         with pytest.raises(ValueError, match="--faults"):
             resolve_grid("churn", faults="kitchen-sink")
+
+    def test_paper_grid_has_no_seed_fan_out(self):
+        assert len(resolve_grid("paper")) == 52
+        with pytest.raises(ValueError, match="--seeds does not apply"):
+            resolve_grid("paper", seeds=(1, 2))
 
     def test_toml_path(self, tmp_path):
         path = tmp_path / "g.toml"
@@ -122,6 +150,33 @@ class TestAggregation:
         ]
         stats = aggregate_records(records)
         assert stats[0].n == 1 and stats[0].failed == 1
+
+    def test_a_group_without_the_headline_field_is_listed(self):
+        # It used to vanish between `coordinate` and `--aggregate`.
+        records = [
+            _ok("a1", "rowA", "table1", {"total": 100.0}),
+            _ok("b1", "rowB", "table1", {"map_mean": 40.0}),
+            CellRecord(key="c1", spec={"kind": "table1", "seed": 2,
+                                       "params": {}, "faults": None,
+                                       "group": "rowC"},
+                       status="failed", result=None, meta={"error": "x"}),
+        ]
+        stats = aggregate_records(records)
+        assert [(s.group, s.n, s.failed) for s in stats] == [
+            ("rowA", 1, 0), ("rowB", 0, 0), ("rowC", 0, 1)]
+        assert stats[1].summary is None
+        assert stats[1].field_means == {"map_mean": 40.0}
+        *_, row_b, row_c = (
+            [c.strip() for c in line.split("|")]
+            for line in render_campaign_table(stats).splitlines())
+        assert row_b[:5] == ["rowB", "table1", "0", "-", "-"]
+        assert row_c[0] == "rowC" and row_c[-1] == "1"
+
+    def test_every_group_of_a_paper_store_is_listed(self, paper_store):
+        stats = aggregate_store(str(paper_store))
+        assert [s.group for s in stats] == [
+            c.spec()["group"] for c in paper_grid()]
+        assert all(s.n == 1 and s.failed == 0 for s in stats)
 
     def test_scale_out_uses_makespan_metric(self):
         records = [_ok("s1", "scale100", "scale_out",
@@ -267,7 +322,7 @@ class TestScenarioCellParams:
         from repro.campaign import CELL_KINDS, cells
 
         assert CELL_KINDS == tuple(cells.KINDS) == (
-            "scenario", "table1", "churn", "replication", "scale_out",
-            "sleep")
+            "scenario", "study", "table1", "churn", "replication",
+            "scale_out", "sleep")
         assert not hasattr(aggregation, "HEADLINE_METRIC")
         assert not hasattr(cells, "_EXECUTORS")

@@ -56,11 +56,21 @@ class TestMeasureCostModel:
             timeout=48 * 3600)
         assert job.finished
 
-    def test_ratio_preserved_under_anchoring(self):
+    def test_ratio_preserved_under_anchoring(self, monkeypatch):
+        import itertools
+        import types
+
+        from repro.runtime import calibrate
+
+        # One fake clock for both profiling runs: the map phase takes 2 s,
+        # the reduce phase 0.5 s, whatever the box is doing.
+        ticks = itertools.cycle([0.0, 2.0, 2.0, 2.5])
+        monkeypatch.setattr(calibrate, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks)))
         m = profile_app(WordCount(), CORPUS, n_maps=4, n_reducers=2)
+        assert (m.map_seconds, m.reduce_seconds) == (2.0, 0.5)
         model = measure_cost_model(WordCount(), CORPUS, n_maps=4,
                                    n_reducers=2, anchor_map_throughput=1e6)
         measured_ratio = m.reduce_throughput / m.map_throughput
         model_ratio = model.reduce_throughput / model.map_throughput
-        # Timing noise between the two runs is the only slack.
-        assert model_ratio == pytest.approx(measured_ratio, rel=0.8)
+        assert model_ratio == pytest.approx(measured_ratio, rel=1e-12)

@@ -62,13 +62,18 @@ class TestWordCount:
         assert serial.output == parallel.output
 
     def test_combiner_shrinks_intermediate(self):
+        plain = FnApp(lambda k, v: ((w, 1) for w in v.split()),
+                      lambda k, vs: [sum(vs)])
         with_comb = LocalRunner(WordCount(), 4, 2).run(TEXT)
-        no_comb = LocalRunner(
-            FnApp(lambda k, v: ((w, 1) for w in v.split()),
-                  lambda k, vs: [sum(vs)]),
-            4, 2).run(TEXT)
+        no_comb = LocalRunner(plain, 4, 2).run(TEXT)
         assert with_comb.output == no_comb.output
         assert with_comb.intermediate_bytes < no_comb.intermediate_bytes
+        # On the Zipf corpus the cost models are calibrated from, most map
+        # outputs collapse locally: more than half the bytes are saved.
+        zipf = generate_corpus(400_000, seed=7)
+        saving = 1 - (LocalRunner(WordCount(), 8, 4).run(zipf).intermediate_bytes
+                      / LocalRunner(plain, 8, 4).run(zipf).intermediate_bytes)
+        assert saving > 0.5
 
     def test_lowercase_option(self):
         runner = LocalRunner(WordCount(lowercase=True), 2, 2)

@@ -15,7 +15,7 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_seed_flag(self):
-        args = build_parser().parse_args(["--seed", "9", "table1"])
+        args = build_parser().parse_args(["--seed", "9", "run"])
         assert args.seed == 9
 
     def test_run_defaults(self):
@@ -42,10 +42,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--sample-period", "30"])
 
-    @pytest.mark.parametrize("command", ["chaos", "metrics"])
+    @pytest.mark.parametrize("command", [
+        "chaos", "metrics",
+        "table1", "fig4", "ablations", "nat", "churn", "planetlab"])
     def test_folded_commands_are_gone(self, command, capsys):
-        """`run` is the one command that runs one simulated job: no
-        alias, no accepted-and-ignored flag."""
+        """`run` is the one command that runs one simulated job and
+        `campaign coordinate --grid paper` the one that regenerates the
+        paper's artefacts: no alias, no accepted-and-ignored flag."""
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2
@@ -76,29 +79,6 @@ class TestCommands:
         assert main(["wordcount", "--size-mb", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "verified against collections.Counter" in out
-
-    def test_fig4_command(self, capsys):
-        assert main(["fig4", "--width", "40"]) == 0
-        assert "Fig. 4" in capsys.readouterr().out
-
-    def test_nat_command(self, capsys):
-        assert main(["nat"]) == 0
-        out = capsys.readouterr().out
-        assert "full_ladder" in out
-
-    def test_churn_command(self, capsys):
-        assert main(["--seed", "3", "churn", "--mean-on", "1800",
-                     "--mean-off", "600", "--departures", "0.05"]) == 0
-        assert "transitions" in capsys.readouterr().out
-
-    def test_planetlab_command(self, capsys):
-        assert main(["planetlab"]) == 0
-        out = capsys.readouterr().out
-        assert "lan_mr" in out and "planetlab_mr" in out
-
-    def test_ablations_command(self, capsys):
-        assert main(["ablations"]) == 0
-        assert "report_immediately" in capsys.readouterr().out
 
 
 class TestObservabilityCommands:
@@ -149,8 +129,7 @@ class TestObservabilityCommands:
 class TestSeedHandling:
     """--seed is accepted (and validated) uniformly on every subcommand."""
 
-    COMMANDS = ["table1", "fig4", "ablations", "nat", "churn", "planetlab",
-                "run", "wordcount"]
+    COMMANDS = ["run", "wordcount"]
 
     def test_every_subcommand_accepts_seed(self):
         for cmd in self.COMMANDS:
@@ -167,11 +146,11 @@ class TestSeedHandling:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--seed", "-2"])
+            build_parser().parse_args(["run", "--seed", "-2"])
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--seed", "banana", "table1"])
+            build_parser().parse_args(["--seed", "banana", "run"])
 
 
 class TestCampaignCommand:
@@ -190,6 +169,7 @@ class TestCampaignCommand:
         assert main(["campaign", "--list-grids"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "churn" in out
+        assert "paper         52 cells" in out
 
     def test_run_resume_and_aggregate(self, tmp_path, capsys):
         grid = self._toml_grid(tmp_path)

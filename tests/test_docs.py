@@ -6,6 +6,9 @@ These enforcement points keep the docs from drifting away from the code:
   function coverage above its ratchet floor;
 - ``docs/gen_api.py --check`` — the committed ``docs/api/*.md`` pages
   match a fresh render and no docstring cross-reference is broken;
+- ``docs/gen_experiments.py --check`` — every study block of
+  EXPERIMENTS.md equals a fresh render of the ``paper`` store;
+- every ``examples/*.py`` runs;
 - ``docs/protocol.md`` — every schema-annotated JSON example validates
   against :data:`repro.gateway.protocol.SCHEMAS` and every served
   route/error code is documented;
@@ -18,7 +21,7 @@ These enforcement points keep the docs from drifting away from the code:
   DESIGN parses, and a documented ``campaign coordinate`` resolves its grid;
 - a volunteer host's lifecycle has one owner: nothing outside
   ``boinc/client.py`` pokes at a ``Client``'s privates or reads a declared
-  attribute defensively.
+  attribute defensively, in ``src/`` or in ``examples/``.
 """
 
 from __future__ import annotations
@@ -69,6 +72,28 @@ def test_docstring_gate_passes():
 def test_api_reference_is_fresh_and_refs_resolve():
     proc = _run(str(REPO / "docs" / "gen_api.py"), "--check")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_experiments_document_is_rendered_from_the_store(paper_store):
+    proc = _run(str(REPO / "docs" / "gen_experiments.py"), "--check",
+                "--store", str(paper_store))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def load_script(path: pathlib.Path):
+    """Import a script that is not on ``sys.path`` (an example, a docs tool)."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("example", sorted((REPO / "examples").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_example_runs(example, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(example)])
+    load_script(example).main()
+    assert capsys.readouterr().out
 
 
 def test_api_reference_pages_are_committed():
@@ -243,7 +268,8 @@ def test_a_host_lifecycle_has_one_owner():
     declared = ("peer_store|corrupt_results|corrupt_serves|peer_fetches|"
                 "server_fallbacks|relay_selector|_paused|_stopped")
     offences = []
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted([*src.rglob("*.py"),
+                        *(REPO / "examples").glob("*.py")]):
         for n, line in enumerate(path.read_text("utf-8").splitlines(), 1):
             if (path in outside and re.search(r"client\._[a-z]", line)
                     or re.search(rf"(getattr|hasattr)\(.*\b({declared})\b",
