@@ -300,6 +300,9 @@ class Client:
         #: there is no point hammering a server that refused us.
         self._comm_gate = 0.0
         self._rpc_failures = 0
+        #: Names the poll loop would otherwise format on every pass.
+        self._wake_name = f"{self.name}.wake"
+        self._rpc_name = f"rpc:{self.name}"
         self._wake = sim.event(f"{self.name}.wake0")
         self._main_proc: Process | None = None
         self._task_procs: list[Process] = []
@@ -353,11 +356,12 @@ class Client:
     def _est_queued_s(self) -> float:
         """Estimated remaining compute seconds across queued/running tasks."""
         total = 0.0
+        now = self.sim.now
         for t in self.tasks:
             if t.state in (TaskState.DOWNLOADING, TaskState.WAITING_CPU):
                 total += t.assignment.est_runtime_s
             elif t.state == TaskState.COMPUTING:
-                elapsed = self.sim.now - (t.started_compute_at or self.sim.now)
+                elapsed = now - (t.started_compute_at or now)
                 total += max(0.0, t.assignment.est_runtime_s - elapsed)
         return total
 
@@ -367,22 +371,24 @@ class Client:
         stagger = float(self.rng.uniform(0.0, self.config.initial_stagger_s))
         if stagger > 0:
             yield stagger
+        sim, config = self.sim, self.config
         try:
             while True:
-                want_work = self._est_queued_s() < self.config.work_buffer_min_s
+                queued_s = self._est_queued_s()
+                want_work = queued_s < config.work_buffer_min_s
                 have_reports = bool(self._ready)
-                urgent = have_reports and self.config.report_immediately
-                now = self.sim.now
+                urgent = have_reports and config.report_immediately
+                now = sim.now
                 if (want_work or have_reports) and now >= self._comm_gate and (
                         now >= self._next_allowed_rpc or urgent):
-                    yield from self._rpc_cycle(want_work)
+                    yield from self._rpc_cycle(want_work, queued_s)
                     continue
-                self._wake = self.sim.event(f"{self.name}.wake")
+                self._wake = sim.event(self._wake_name)
                 if want_work or have_reports:
                     wait_until = 0.0 if urgent else self._next_allowed_rpc
                     wait_until = max(wait_until, self._comm_gate)
                     delay = max(0.0, wait_until - now)
-                    yield self.sim.any_of([self._wake, self.sim.timeout(delay)])
+                    yield sim.any_of([self._wake, sim.timeout(delay)])
                 else:
                     yield self._wake
         except Interrupted:
@@ -391,13 +397,13 @@ class Client:
     def _notify(self) -> None:
         self._wake.succeed_if_pending()
 
-    def _rpc_cycle(self, want_work: bool) -> _t.Generator:
+    def _rpc_cycle(self, want_work: bool, queued_s: float) -> _t.Generator:
+        """One scheduler contact; *queued_s* is :meth:`_est_queued_s` now."""
         reports = [self._to_report(t) for t in self._ready]
         reporting, self._ready = self._ready, []
         work_req = 0.0
         if want_work:
-            work_req = max(0.0, self.config.work_buffer_target_s
-                           - self._est_queued_s())
+            work_req = max(0.0, self.config.work_buffer_target_s - queued_s)
         request = SchedulerRequest(
             host_id=self.record.id,
             work_req_s=work_req,
@@ -415,7 +421,7 @@ class Client:
             if rtt > 0:
                 yield self.sim.timeout(rtt)
             reply = yield self.sim.process(
-                self.server.scheduler_rpc(request), name=f"rpc:{self.name}")
+                self.server.scheduler_rpc(request), name=self._rpc_name)
         except ServerUnavailable as exc:
             # Lost contact (crash fault or partition).  Put the reports
             # back for the next attempt and retry on the paper's
@@ -435,7 +441,8 @@ class Client:
             return
         self._rpc_failures = 0
         self._comm_gate = 0.0
-        self.tracer.record(self.sim.now, "client.rpc_done", host=self.name,
+        now = self.sim.now
+        self.tracer.record(now, "client.rpc_done", host=self.name,
                            n_assignments=len(reply.assignments),
                            no_work=reply.no_work)
         for task in reporting:
@@ -452,12 +459,12 @@ class Client:
             if self.metrics is not None:
                 self.metrics.counter("client.backoff_total").inc()
             delay = self._backoff(self._backoff_count)
-            self._next_allowed_rpc = self.sim.now + delay
-            self.tracer.record(self.sim.now, "client.backoff", host=self.name,
+            self._next_allowed_rpc = now + delay
+            self.tracer.record(now, "client.backoff", host=self.name,
                                count=self._backoff_count, delay=delay)
         else:
             self._backoff_count = 0
-            self._next_allowed_rpc = self.sim.now + reply.request_delay_s
+            self._next_allowed_rpc = now + reply.request_delay_s
 
     def _backoff(self, n: int) -> float:
         """Scheduler deferral after the *n*-th consecutive no-work reply

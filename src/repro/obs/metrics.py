@@ -236,25 +236,29 @@ class MetricsRegistry:
         #: Gauge time series filled in by the :class:`Sampler`.
         self.series: dict[str, list[Sample]] = {}
 
-    def _get_or_create(self, name: str, factory: _t.Callable[[], Instrument],
-                       cls: type) -> _t.Any:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = factory()
-            self._instruments[name] = inst
-        elif not isinstance(inst, cls):
-            raise TypeError(f"metric {name!r} is a {type(inst).__name__}, "
+    def _create(self, found: Instrument | None, cls: type,
+                name: str, *args: _t.Any) -> _t.Any:
+        """Slow path of the three getters: register ``cls(name, *args)``,
+        or refuse when *found*, an instrument of another type, has the name."""
+        if found is not None:
+            raise TypeError(f"metric {name!r} is a {type(found).__name__}, "
                             f"not a {cls.__name__}")
+        inst = self._instruments[name] = cls(name, *args)
         return inst
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the :class:`Counter` called *name*."""
-        return self._get_or_create(name, lambda: Counter(name, help), Counter)
+        inst = self._instruments.get(name)
+        if isinstance(inst, Counter):
+            return inst
+        return self._create(inst, Counter, name, help)
 
     def gauge(self, name: str, help: str = "",
               fn: _t.Callable[[], float] | None = None) -> Gauge:
         """Get or create the :class:`Gauge` called *name*."""
-        gauge = self._get_or_create(name, lambda: Gauge(name, help, fn=fn), Gauge)
+        gauge = self._instruments.get(name)
+        if not isinstance(gauge, Gauge):
+            return self._create(gauge, Gauge, name, help, fn)
         if fn is not None and gauge._fn is None:
             gauge._fn = fn  # upgrade an explicit gauge to callback-backed
         return gauge
@@ -263,8 +267,10 @@ class MetricsRegistry:
                   buckets: _t.Sequence[float] = DEFAULT_BUCKETS,
                   quantiles: _t.Sequence[float] = DEFAULT_QUANTILES) -> Histogram:
         """Get or create the :class:`Histogram` called *name*."""
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, buckets, quantiles), Histogram)
+        inst = self._instruments.get(name)
+        if isinstance(inst, Histogram):
+            return inst
+        return self._create(inst, Histogram, name, help, buckets, quantiles)
 
     # -- introspection -------------------------------------------------------
     def __contains__(self, name: str) -> bool:

@@ -105,8 +105,12 @@ class Event:
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         assert callbacks is not None
-        for cb in callbacks:
-            self.sim.call_soon(cb, self)
+        if callbacks:
+            # Simulator.call_soon(cb, self) for each, without the calls.
+            sim = self.sim
+            soon, seq, args = sim._fifo.append, sim._seq, (self,)
+            for cb in callbacks:
+                soon((next(seq), cb, args))
 
     # -- waiting ----------------------------------------------------------
     def add_callback(self, cb: _t.Callable[["Event"], None]) -> None:
@@ -118,8 +122,11 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "triggered" if self._triggered else "pending"
-        label = self.name or hex(id(self))
-        return f"<{type(self).__name__} {label} {state}>"
+        return f"<{type(self).__name__} {self._label()} {state}>"
+
+    def _label(self) -> str:
+        """What ``repr`` calls an event that was given no name."""
+        return self.name or hex(id(self))
 
 
 class Timeout(Event):
@@ -132,13 +139,16 @@ class Timeout(Event):
         """An event that self-triggers with *value* after *delay*."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name or f"timeout({delay:g})")
+        super().__init__(sim, name=name)
         self.delay = float(delay)
         sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: _t.Any) -> None:
         if not self._triggered:
             self.trigger(value)
+
+    def _label(self) -> str:
+        return self.name or f"timeout({self.delay:g})"
 
 
 class _Condition(Event):

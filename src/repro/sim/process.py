@@ -19,10 +19,13 @@ the simulation run (crashes should be loud, not silent).
 
 from __future__ import annotations
 
+import math
 import typing as _t
 
-from .engine import Simulator
-from .events import Event
+from .events import Event, Timeout
+
+if _t.TYPE_CHECKING:  # pragma: no cover - typing only (engine imports this module)
+    from .engine import Simulator
 
 
 class Interrupted(Exception):
@@ -54,7 +57,7 @@ class Process(Event):
 
     # -- driving ------------------------------------------------------------
     def _resume(self, fired: Event | None) -> None:
-        if self.triggered:
+        if self._triggered:
             return  # finished or interrupted while this wakeup was in flight
         if fired is not None and fired is not self._waiting_on:
             return  # stale wakeup from an event we stopped waiting on
@@ -65,10 +68,10 @@ class Process(Event):
                 target = next(self._gen)
             elif fired is None:
                 target = self._gen.send(None)
-            elif fired.exception is not None:
-                target = self._gen.throw(fired.exception)
+            elif fired._exc is not None:
+                target = self._gen.throw(fired._exc)
             else:
-                target = self._gen.send(fired.value)
+                target = self._gen.send(fired._value)
         except StopIteration as stop:
             self.trigger(stop.value)
             return
@@ -82,7 +85,12 @@ class Process(Event):
             self.sim.call_soon(self._resume, None)
             return
         if isinstance(target, (int, float)):
-            target = self.sim.timeout(target)
+            if not 0 <= target < math.inf:  # negative, NaN or infinite
+                self._crash(ValueError(
+                    f"process {self.name!r} yielded the delay {target!r}; "
+                    "expected a finite number of seconds >= 0"))
+                return
+            target = Timeout(self.sim, target)
         if not isinstance(target, Event):
             self._crash(TypeError(
                 f"process {self.name!r} yielded {target!r}; expected an Event, "

@@ -58,12 +58,16 @@ class Tracer:
         bugs should be loud), skipping any later taps.
         """
         self.counts[kind] += 1
-        rec = TraceRecord(time=time, kind=kind, fields=fields)
+        rec = TraceRecord(time, kind, fields)
         if self._keep is None or self._keep(kind):
             self.records.append(rec)
-            self._by_kind.setdefault(kind, []).append(rec)
-        for tap in self._taps:
-            tap(rec)
+            try:
+                self._by_kind[kind].append(rec)
+            except KeyError:
+                self._by_kind[kind] = [rec]
+        if self._taps:
+            for tap in self._taps:
+                tap(rec)
 
     def tap(self, fn: _t.Callable[[TraceRecord], None]) -> None:
         """Register a live observer called for every record (kept or not)."""

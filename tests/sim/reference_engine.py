@@ -1,52 +1,29 @@
-"""Deterministic discrete-event simulation engine.
+"""Test oracle: the single-heap event kernel ``repro.sim.engine`` shipped
+through PR 21, kept verbatim.
 
-Every pending callback has a key ``(time, priority, seq)``; ``seq`` comes
-from one monotonically increasing counter, so keys are unique and
-callbacks run in that total order — same-instant callbacks of one
-priority in the order they were scheduled.  This is what makes every run
-with the same seed bit-identical, an invariant the property tests and the
-golden traces rely on.
+Every pending callback, timers and same-instant wake-ups alike, is one
+``(time, priority, seq, fn, args, handle)`` entry in one binary heap, and
+``run()`` calls ``step()`` per event.  The product kernel keeps timers in
+that heap and same-instant normal-priority callbacks in a FIFO beside it;
+it must dispatch in exactly the order this one does — the total order
+``(time, priority, seq)`` — and agree on ``now``, ``dispatch_count``,
+``peak_pending``, ``pending()`` and ``peek()`` after every step
+(``test_engine_differential.py``).
 
-The :class:`Simulator` keeps the pending set in two containers that
-together realise that one order:
-
-- **timers** — anything scheduled with a delay, a priority or a
-  :class:`TimerHandle` — in a binary heap of ``(time, priority, seq, fn,
-  args, handle)`` entries;
-- **same-instant wake-ups** — :meth:`Simulator.call_soon`, every
-  :class:`~repro.sim.events.Event` callback, every process start, resume
-  and interrupt: normal priority, due *now* — in a FIFO of ``(seq, fn,
-  args)``.  Most of a run's callbacks are these, and an append and a
-  ``popleft`` replace a push and a pop on a heap of hundreds of timers.
-
-The clock cannot advance while the FIFO holds anything (a later timer
-never sorts before ``(now, PRIORITY_NORMAL, seq)``), so every FIFO entry
-is due at ``now``, and the dispatch loop takes the heap's live top
-exactly when its key sorts before the FIFO head's: a
-:data:`PRIORITY_HIGH` retraction, or an older timer landing on this
-instant, still runs first.  ``tests/sim/reference_engine.py`` keeps the
-single-heap kernel this one replaced as the oracle for that claim.
-
-``peak_pending`` is the high-water mark of :meth:`Simulator.pending`, the
-live callbacks in both containers (cancelled timers awaiting lazy
-deletion are not counted).
-
-The engine is callback-based at the bottom; generator-based *processes*
-(:mod:`repro.sim.process`) are layered on top and are the main way model
-code is written.
+Only the callback-level API is kept: the ``event`` / ``timeout`` /
+``process`` factories build ``repro.sim.events`` objects, which append to
+the product kernel's FIFO directly and so cannot run on this class;
+``run(until_event=…)`` reads nothing but ``.triggered``.
 """
 
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 import math
 import time as _time
 import typing as _t
 
-from .events import AllOf, AnyOf, Event, Timeout
-from .process import Process
 
 #: Scheduling priority for ordinary callbacks.
 PRIORITY_NORMAL = 0
@@ -112,13 +89,8 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         """An empty simulator whose clock starts at *start_time*."""
         self._now = float(start_time)
-        #: Timers: a heap in ``(time, priority, seq)`` order.  The dispatch
-        #: loop holds on to this list, so it is only ever mutated in place.
         self._queue: list[tuple[float, int, int, _t.Callable[..., None], tuple,
                                 TimerHandle | None]] = []
-        #: Normal-priority callbacks due at the current instant, oldest first.
-        self._fifo: collections.deque[
-            tuple[int, _t.Callable[..., None], tuple]] = collections.deque()
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -126,13 +98,13 @@ class Simulator:
         self._cancelled = 0
         #: Number of callbacks executed so far (diagnostic).
         self.dispatch_count = 0
-        #: Highest :meth:`pending` seen just before a callback left the
-        #: pending set (see :attr:`peak_pending`).
-        self._peak = 0
+        #: High-water mark of live scheduled callbacks (diagnostic; the
+        #: scale benchmarks report it as "peak queue depth").
+        self.peak_pending = 0
         #: Optional observer ``(fn, args, wall_seconds)`` called after every
         #: dispatched callback — the hook behind the engine self-profiler
         #: (:class:`repro.obs.probes.SelfProfiler`).  Leave ``None`` to keep
-        #: the dispatch loop on its timer-free fast path.
+        #: :meth:`step` on its timer-free fast path.
         self.dispatch_hook: _t.Callable[
             [_t.Callable[..., None], tuple, float], None] | None = None
 
@@ -152,6 +124,9 @@ class Simulator:
             self._queue,
             (self._now + delay, priority, next(self._seq), fn, args, None),
         )
+        live = len(self._queue) - self._cancelled
+        if live > self.peak_pending:
+            self.peak_pending = live
 
     def schedule_cancellable(self, delay: float, fn: _t.Callable[..., None],
                              *args: _t.Any,
@@ -168,6 +143,9 @@ class Simulator:
             self._queue,
             (self._now + delay, priority, next(self._seq), fn, args, handle),
         )
+        live = len(self._queue) - self._cancelled
+        if live > self.peak_pending:
+            self.peak_pending = live
         return handle
 
     def at(self, when: float, fn: _t.Callable[..., None], *args: _t.Any,
@@ -177,28 +155,7 @@ class Simulator:
 
     def call_soon(self, fn: _t.Callable[..., None], *args: _t.Any) -> None:
         """Run ``fn(*args)`` at the current instant, after pending callbacks."""
-        self._fifo.append((next(self._seq), fn, args))
-
-    # -- event / process factories -------------------------------------------
-    def event(self, name: str = "") -> Event:
-        """Create a fresh pending :class:`Event` owned by this simulator."""
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: _t.Any = None, name: str = "") -> Timeout:
-        """Create an event that fires *delay* seconds from now."""
-        return Timeout(self, delay, value=value, name=name)
-
-    def all_of(self, events: _t.Iterable[Event]) -> AllOf:
-        """Event that fires when all *events* have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of *events* fires."""
-        return AnyOf(self, events)
-
-    def process(self, gen: _t.Generator, name: str = "") -> Process:
-        """Spawn a generator-based process; see :mod:`repro.sim.process`."""
-        return Process(self, gen, name=name)
+        self.schedule(0.0, fn, *args)
 
     # -- execution -------------------------------------------------------------
     def _note_cancel(self) -> None:
@@ -210,19 +167,16 @@ class Simulator:
         completion timers under heavy churn — would otherwise let dead
         entries dominate heap memory.  Once more than half the heap is
         cancelled (and past :data:`_COMPACT_MIN`), the live entries are
-        reheapified, in place.  Compaction preserves the dispatch order
-        exactly: entry keys are unique, so a heap over any subset pops in
-        the same relative order.
+        reheapified.  Compaction preserves the dispatch order exactly:
+        entry keys are unique, so a heap over any subset pops in the same
+        relative order.
         """
-        live = self.pending()
-        if live > self._peak:  # the pending set shrinks here: see _loop
-            self._peak = live
         self._cancelled += 1
-        queue = self._queue
-        if self._cancelled > _COMPACT_MIN and self._cancelled * 2 > len(queue):
-            queue[:] = [entry for entry in queue
-                        if entry[5] is None or entry[5].active]
-            heapq.heapify(queue)
+        if (self._cancelled > _COMPACT_MIN
+                and self._cancelled * 2 > len(self._queue)):
+            self._queue = [entry for entry in self._queue
+                           if entry[5] is None or entry[5].active]
+            heapq.heapify(self._queue)
             self._cancelled = 0
 
     def _prune(self) -> None:
@@ -235,86 +189,34 @@ class Simulator:
             heapq.heappop(queue)
             self._cancelled -= 1
 
-    def _loop(self, until: float | None, until_event: Event | None,
-              limit: int | None) -> bool:
-        """Run callbacks in ``(time, priority, seq)`` order; the one loop
-        behind :meth:`step` and :meth:`run`.
-
-        Ends when nothing is pending, when the next callback is due after
-        *until*, when *until_event* has fired, or after a callback called
-        :meth:`stop`.  Returns True when it ended because *limit*
-        callbacks had run and one more was due, else False.
-        """
-        queue, fifo = self._queue, self._fifo
-        pop_timer, pop_soon = heapq.heappop, fifo.popleft
-        steps = 0
-        while True:
-            now = self._now
-            # Choose: the heap's live top runs first exactly when its key
-            # sorts before the FIFO head's (now, PRIORITY_NORMAL, seq).
-            if queue:
-                top = queue[0]
-                handle = top[5]
-                if handle is not None and not handle.active:
-                    self._prune()
-                    continue
-                if fifo:
-                    timer = top[0] <= now and (
-                        top[1] < PRIORITY_NORMAL
-                        or (top[1] == PRIORITY_NORMAL and top[2] < fifo[0][0]))
-                else:
-                    timer = True
-            elif fifo:
-                timer = False
-            else:
-                return False
-            if until_event is not None and until_event.triggered:
-                return False
-            if until is not None and (top[0] if timer else now) > until:
-                return False
-            if limit is not None and steps >= limit:
-                return True
-            # The pending set only shrinks here and in _note_cancel, so
-            # these are the two places its high-water mark is taken.
-            live = len(queue) + len(fifo) - self._cancelled
-            if live > self._peak:
-                self._peak = live
-            if timer:
-                when, _prio, _seq, fn, args, handle = pop_timer(queue)
-                if when < now:  # pragma: no cover - defensive; cannot happen
-                    raise SimulationError("event queue went backwards in time")
-                if handle is not None:
-                    handle.active = False  # fired; a later cancel() is a no-op
-                self._now = when
-            else:
-                _seq, fn, args = pop_soon()
-            self.dispatch_count += 1
-            hook = self.dispatch_hook
-            if hook is None:
-                fn(*args)
-            else:
-                t0 = _time.perf_counter()
-                fn(*args)
-                hook(fn, args, _time.perf_counter() - t0)
-            steps += 1
-            if self._stopped:
-                return False
-
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False when empty."""
-        before = self.dispatch_count
-        self._loop(None, None, 1)
-        return self.dispatch_count > before
+        self._prune()
+        if not self._queue:
+            return False
+        when, _prio, _seq, fn, args, handle = heapq.heappop(self._queue)
+        if when < self._now:  # pragma: no cover - defensive; cannot happen
+            raise SimulationError("event queue went backwards in time")
+        if handle is not None:
+            handle.active = False  # fired; a later cancel() is a no-op
+        self._now = when
+        self.dispatch_count += 1
+        hook = self.dispatch_hook
+        if hook is None:
+            fn(*args)
+        else:
+            t0 = _time.perf_counter()
+            fn(*args)
+            hook(fn, args, _time.perf_counter() - t0)
+        return True
 
     def peek(self) -> float:
         """Timestamp of the next live scheduled callback, or ``inf`` if none."""
-        if self._fifo:
-            return self._now
         self._prune()
         return self._queue[0][0] if self._queue else math.inf
 
     def run(self, until: float | None = None,
-            until_event: Event | None = None,
+            until_event: _t.Any = None,
             max_steps: int | None = None) -> None:
         """Run until the queue drains, *until* is reached, or *until_event* fires.
 
@@ -325,20 +227,32 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         self._stopped = False
+        steps = 0
         try:
-            if self._loop(until, until_event, max_steps):
-                raise SimulationError(
-                    f"exceeded max_steps={max_steps}; likely a livelock "
-                    f"(t={self._now:.3f}, "
-                    f"queue={len(self._queue) + len(self._fifo)})")
+            while self._queue and not self._stopped:
+                self._prune()
+                if not self._queue:
+                    break
+                if until_event is not None and until_event.triggered:
+                    break
+                if until is not None and self._queue[0][0] > until:
+                    break
+                if max_steps is not None and steps >= max_steps:
+                    raise SimulationError(
+                        f"exceeded max_steps={max_steps}; likely a livelock "
+                        f"(t={self._now:.3f}, queue={len(self._queue)})"
+                    )
+                self.step()
+                steps += 1
         finally:
             self._running = False
         # Advance the clock to `until` only when the run genuinely reached
         # it — never after stop() or an until_event fired with callbacks
         # still queued (the clock must not jump past pending events).
+        self._prune()
         if (until is not None and self._now < until and not self._stopped
                 and (until_event is None or not until_event.triggered)
-                and self.peek() > until):
+                and (not self._queue or self._queue[0][0] > until)):
             self._now = until
 
     def stop(self) -> None:
@@ -347,12 +261,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) callbacks currently scheduled."""
-        return len(self._queue) + len(self._fifo) - self._cancelled
-
-    @property
-    def peak_pending(self) -> int:
-        """High-water mark of :meth:`pending` (the scale runs' peak queue depth)."""
-        return max(self._peak, self.pending())
+        return len(self._queue) - self._cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Simulator t={self._now:.3f} pending={self.pending()}>"

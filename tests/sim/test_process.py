@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupted, Simulator
+from repro.sim import Interrupted, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -88,6 +88,55 @@ def test_yielding_garbage_fails_process(sim):
     with pytest.raises(TypeError, match="yielded"):
         sim.run()
     assert proc.triggered and not proc.ok
+
+
+BAD_DELAYS = [-1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS, ids=repr)
+def test_unobserved_bad_delay_fails_process_and_propagates(sim, delay):
+    def body():
+        yield delay
+
+    proc = sim.process(body())
+    with pytest.raises(ValueError, match="yielded the delay"):
+        sim.run()
+    assert not proc.alive and not proc.ok
+    assert sim.pending() == 0  # no timer was scheduled for it
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS, ids=repr)
+def test_observed_bad_delay_reaches_the_supervisor(sim, delay):
+    """A malformed delay is a malformed yield like any other: the waiter
+    registered before it sees the error and the run goes on."""
+    seen = []
+
+    def child():
+        yield 1.0
+        yield delay
+
+    def supervisor(proc):
+        try:
+            yield proc
+        except ValueError as exc:
+            seen.append((sim.now, str(exc)))
+        yield 2.0
+        seen.append(sim.now)
+
+    proc = sim.process(child(), name="child")
+    sim.process(supervisor(proc))
+    sim.run()
+    assert not proc.alive and isinstance(proc.exception, ValueError)
+    assert seen == [(1.0, f"process 'child' yielded the delay {delay!r}; "
+                          "expected a finite number of seconds >= 0"), 3.0]
+
+
+def test_direct_callers_still_get_bad_delays_rejected(sim):
+    with pytest.raises(ValueError):
+        sim.timeout(-1.0)
+    for delay in BAD_DELAYS[:2]:
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
 
 
 def test_unobserved_exception_propagates(sim):
