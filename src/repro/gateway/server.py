@@ -1,8 +1,9 @@
 """The live asyncio HTTP gateway: real volunteers against the shared core.
 
-A single-threaded :mod:`asyncio` server (stdlib only — the HTTP/1.1
-framing is hand-rolled on ``asyncio.start_server`` streams) exposing the
-pull protocol of :mod:`repro.gateway.protocol`:
+A single-threaded :mod:`asyncio` server (stdlib only: one protocol
+object per connection, and the HTTP/1.1 framing is a pure function over
+that connection's buffer, :class:`_RequestParser`) exposing the pull
+protocol of :mod:`repro.gateway.protocol`:
 
 - control plane: ``/rpc/register`` and ``/rpc/scheduler`` delegate to the
   *same* :class:`repro.boinc.server.SchedulerCore` state machine the
@@ -13,9 +14,10 @@ pull protocol of :mod:`repro.gateway.protocol`:
 - job plane: ``/jobs`` submission, status polling, and output reclaim
   via :class:`repro.gateway.jobs.GatewayJobTracker`.
 
-Because the event loop is single-threaded and every handler is
-synchronous between awaits, core/state mutations need no locking — the
-same property the simulator gets from cooperative scheduling.  A daemon
+Because the event loop is single-threaded and a request is parsed,
+dispatched and answered inside one ``data_received`` callback,
+core/state mutations need no locking — the same property the simulator
+gets from cooperative scheduling.  A daemon
 task ticks :meth:`SchedulerCore.run_daemon_passes` on a wall-clock
 cadence, standing in for the feeder/transitioner/validator/assimilator
 polling processes.
@@ -69,8 +71,238 @@ _FEEDER_CACHE_SIZE = 256
 _Reply = tuple[int, dict[str, str], bytes]
 
 
+#: ``status -> b"HTTP/1.1 <status> <reason>\r\nContent-Length: "`` for 200
+#: and every status of ``protocol.ERROR_CODES``.
+_STATUS_PREFIX = {
+    status: f"HTTP/1.1 {status} {reason}\r\nContent-Length: ".encode("latin-1")
+    for status, reason in ((200, "OK"), (400, "Bad Request"),
+                           (404, "Not Found"), (405, "Method Not Allowed"),
+                           (409, "Conflict"), (422, "Unprocessable Entity"),
+                           (503, "Service Unavailable"))}
+#: The headers of every JSON reply, and the bytes they are sent as.
+_JSON_HEADERS = {"Content-Type": "application/json"}
+_JSON_BLOCK = b"\r\nContent-Type: application/json\r\n\r\n"
+
+
 class _BadFraming(Exception):
     """A request whose extent cannot be trusted: answer 400, then close."""
+
+
+class _RequestParser:
+    """Sans-IO HTTP/1.1 request framing over the bytes in :attr:`buffer`.
+
+    :meth:`next_request` takes the next whole request off the front of
+    the buffer, returns None while it is not whole, and raises
+    :class:`_BadFraming` for one whose extent cannot be trusted — as
+    soon as the bytes that show it are in, so no limit waits for a line
+    end or a blank line that may never come.  Lines end in ``\n`` or
+    ``\r\n``; a request ends at its blank line plus ``Content-Length``
+    body bytes, and not before.
+    """
+
+    __slots__ = ("buffer", "_scanned", "_lines", "_head")
+
+    def __init__(self) -> None:
+        """An empty buffer, nothing scanned."""
+        self.buffer = bytearray()
+        #: Where the first line not yet seen whole starts, and how many
+        #: whole lines of the current head come before it.
+        self._scanned = 0
+        self._lines = 0
+        #: The parsed head of a request whose body is still arriving.
+        self._head: tuple | None = None
+
+    def next_request(self) -> tuple[str, str, dict[str, str], bytes] | None:
+        """``(method, path, headers, body)`` of the next whole request."""
+        head = self._head
+        if head is None:
+            head = self._scan_head()
+            if head is None:
+                return None
+        method, path, headers, body_at, end = head
+        buffer = self.buffer
+        if len(buffer) < end:
+            self._head = head
+            return None
+        self._head = None
+        with memoryview(buffer) as view:
+            body = bytes(view[body_at:end])
+        del buffer[:end]
+        return method, path, headers, body
+
+    def _scan_head(self) -> tuple | None:
+        """Find the blank line that ends the head at the front of the
+        buffer, each line bounded by ``_MAX_HEADER_LINE`` and their number
+        by ``_MAX_HEADERS``, and parse the head; None while it is not
+        whole.  Resumes where the last call stopped: feeding a head one
+        byte at a time scans each byte once."""
+        buffer, start, lines = self.buffer, self._scanned, self._lines
+        while True:
+            end = buffer.find(b"\n", start, start + _MAX_HEADER_LINE)
+            if end < 0:
+                if len(buffer) - start >= _MAX_HEADER_LINE:
+                    raise _BadFraming(
+                        f"request or header line over {_MAX_HEADER_LINE} bytes")
+                if lines and not self._lines:
+                    # The request line came whole in this scan and the
+                    # head did not: refuse a malformed one now.
+                    self._request_line(
+                        buffer[:buffer.index(b"\n")].decode("latin-1"))
+                self._scanned, self._lines = start, lines
+                return None
+            if lines and (end == start
+                          or (end == start + 1 and buffer[start] == 13)):
+                self._scanned = self._lines = 0
+                return self._parse_head(start - 1, end + 1)
+            if lines > _MAX_HEADERS:
+                raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
+            lines += 1
+            start = end + 1
+
+    def _parse_head(self, last_line_end: int, body_at: int) -> tuple:
+        """``(method, path, headers, body_at, end of body)`` of the head
+        whose last line ends at *last_line_end*: one decode, the request
+        line's three parts, headers lower-cased, the ``Content-Length``
+        rule."""
+        request_line, *header_lines = \
+            self.buffer[:last_line_end].decode("latin-1").split("\n")
+        method, target, _version = self._request_line(request_line)
+        headers: dict[str, str] = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _BadFraming("Content-Length headers that disagree")
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            raise _BadFraming("Transfer-Encoding is not supported: frame "
+                              "the body with Content-Length")
+        raw_length = headers.get("content-length", "0")
+        try:  # ASCII 1*DIGIT only: int() also takes "+24" and "2_4"
+            length = (int(raw_length)
+                      if raw_length.isascii() and raw_length.isdigit() else -1)
+        except ValueError:  # more digits than int() converts
+            length = -1
+        if not 0 <= length <= _MAX_BODY:
+            raise _BadFraming(
+                f"Content-Length {raw_length[:32]!r} is not an integer in "
+                f"0..{_MAX_BODY}")
+        return method, target.split("?", 1)[0], headers, body_at, body_at + length
+
+    @staticmethod
+    def _request_line(line: str) -> list[str]:
+        """The three parts of request line *line* (its ``\\n`` taken off)."""
+        parts = line.split()
+        if len(parts) != 3:
+            raise _BadFraming("malformed request line "
+                              f"{(line + chr(10))[:64].encode('latin-1')!r}")
+        return parts
+
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive connection: every whole request in the buffer is
+    parsed, dispatched and answered inside the callback that delivered
+    its last byte."""
+
+    __slots__ = ("server", "transport", "requests", "paused")
+
+    def __init__(self, server: "GatewayServer") -> None:
+        """A connection of *server*, not yet made."""
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.requests = _RequestParser()
+        #: True while the peer is not reading its replies.
+        self.paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        """Join the server's set of open connections."""
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        """Buffer *data* and serve what it completes."""
+        self.requests.buffer += data
+        if not self.paused:
+            self._serve()
+
+    def pause_writing(self) -> None:
+        """The peer is not reading its replies: stop reading its requests
+        (what is already buffered waits, unparsed, for
+        :meth:`resume_writing`)."""
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        """The peer caught up: read again, after what was buffered."""
+        self.paused = False
+        self.transport.resume_reading()
+        self._serve()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        """Leave the server's sets; a connection that broke, or ended
+        inside a request, counts as a disconnect and runs nothing."""
+        server = self.server
+        server._connections.discard(self)
+        server._reading.pop(self, None)
+        if exc is not None or self.requests.buffer:
+            server.metrics.counter("gateway.disconnects_total").inc()
+
+    def _serve(self) -> None:
+        """Answer, in order, every whole request at the front of the
+        buffer, until the buffer is empty, the peer stops reading, or the
+        connection is to close.  A request left unfinished stands in the
+        server's ``_reading`` from now until it is whole."""
+        server, requests = self.server, self.requests
+        while True:
+            try:
+                request = requests.next_request()
+            except _BadFraming as exc:
+                # Where this request ends is unknown, so the stream
+                # cannot be resynchronised: reply, then hang up.
+                self._refuse(str(exc))
+                return
+            if request is None:
+                if requests.buffer:
+                    server._reading.setdefault(self, time.monotonic())
+                return
+            if server._reading:
+                server._reading.pop(self, None)
+            method, path, headers, body = request
+            self._write(*server._dispatch(method, path, headers, body))
+            if headers.get("connection", "").lower() == "close":
+                self._close()
+                return
+            if (not requests.buffer or self.paused
+                    or self.transport.is_closing()):
+                return
+
+    def _write(self, status: int, headers: dict[str, str],
+               payload: bytes) -> None:
+        """Emit one HTTP/1.1 response with Content-Length framing."""
+        if headers == _JSON_HEADERS:
+            block = _JSON_BLOCK
+        else:
+            block = ("".join(f"\r\n{k}: {v}" for k, v in headers.items())
+                     + "\r\n\r\n").encode("latin-1")
+        self.transport.write(b"%b%d%b%b" % (
+            _STATUS_PREFIX[status], len(payload), block, payload))
+
+    def _refuse(self, detail: str) -> None:
+        """Answer 400 ``bad_request`` + ``Connection: close``, hang up."""
+        server = self.server
+        status, headers, payload = server._error("bad_request", detail)
+        headers["Connection"] = "close"
+        server.metrics.counter("gateway.http_requests_total").inc()
+        server.metrics.counter("gateway.http_errors_total").inc()
+        self._write(status, headers, payload)
+        self._close()
+
+    def _close(self) -> None:
+        """Hang up once what was written has gone out.  Bytes still
+        buffered are no request of this connection's any more."""
+        self.requests.buffer.clear()
+        self.server._reading.pop(self, None)
+        self.transport.close()
 
 
 @dataclasses.dataclass(slots=True)
@@ -143,10 +375,10 @@ class GatewayServer:
         self.store = self.state.store
         self.jobs = self.state.jobs
         self.port: int | None = None
-        self.connections_active = 0
-        #: Handler task of each connection with a request begun and not
-        #: yet complete -> ``time.monotonic()`` of the request's first byte.
-        self._reading: dict[asyncio.Task, float] = {}
+        self._connections: set[_Connection] = set()
+        #: Each connection with a request begun and not yet whole ->
+        #: ``time.monotonic()`` of when its first bytes were looked at.
+        self._reading: dict[_Connection, float] = {}
         self._server: asyncio.base_events.Server | None = None
         self._daemon_task: asyncio.Task | None = None
         self._bind_routes()
@@ -180,6 +412,11 @@ class GatewayServer:
         self._no_route = (None, None, histogram("other"))
 
     @property
+    def connections_active(self) -> int:
+        """Open HTTP connections."""
+        return len(self._connections)
+
+    @property
     def address(self) -> str:
         """``host:port`` clients should dial (valid after :meth:`start`)."""
         if self.port is None:
@@ -191,14 +428,14 @@ class GatewayServer:
         """Bind the listener and start the daemon tick task."""
         from ..obs.probes import attach_gateway_probes
         attach_gateway_probes(self)
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._daemon_task = asyncio.get_running_loop().create_task(
-            self._daemon_loop())
+        self._daemon_task = loop.create_task(self._daemon_loop())
 
     async def stop(self) -> None:
-        """Stop listening and cancel the daemon task (state survives)."""
+        """Stop serving: listener, open connections, daemon task (state survives)."""
         if self._daemon_task is not None:
             self._daemon_task.cancel()
             try:
@@ -208,6 +445,8 @@ class GatewayServer:
             self._daemon_task = None
         if self._server is not None:
             self._server.close()
+            for conn in tuple(self._connections):
+                conn.transport.abort()
             await self._server.wait_closed()
             self._server = None
 
@@ -249,125 +488,15 @@ class GatewayServer:
         started.wait()
         return GatewayHandle(server, loop, thread)
 
-    # -- HTTP framing ----------------------------------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        """Serve one keep-alive connection until EOF or ``Connection: close``."""
-        self.connections_active += 1
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _BadFraming as exc:
-                    # Where this request ends is unknown, so the stream
-                    # cannot be resynchronised: reply, then hang up.
-                    reply = self._error("bad_request", str(exc))
-                    reply[1]["Connection"] = "close"
-                    self.metrics.counter("gateway.http_requests_total").inc()
-                    self.metrics.counter("gateway.http_errors_total").inc()
-                    await self._write_response(writer, *reply)
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                await self._write_response(
-                    writer, *self._dispatch(method, path, headers, body))
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            self.metrics.counter("gateway.disconnects_total").inc()
-        finally:
-            self.connections_active -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> bytes:
-        """One request or header line, bounded by ``_MAX_HEADER_LINE``."""
-        try:
-            line = await reader.readline()
-        except ValueError:  # over the stream's own (larger) limit
-            line = None
-        if line is None or len(line) > _MAX_HEADER_LINE:
-            raise _BadFraming(
-                f"request or header line over {_MAX_HEADER_LINE} bytes")
-        return line
-
-    async def _read_request(
-            self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request; None on clean EOF between requests.
-        Only the wait for its first byte (an idle keep-alive connection)
-        is unbounded: from then on this task stands in ``_reading``, where
-        :meth:`_expire_stalled_reads` finds a request that takes too long."""
-        line = await reader.read(1)
-        if not line:
-            return None
-        task = asyncio.current_task()
-        self._reading[task] = time.monotonic()
-        try:
-            if line != b"\n":
-                line += await self._read_line(reader)
-            parts = line.decode("latin-1").split()
-            if len(parts) != 3:
-                raise _BadFraming(f"malformed request line {line[:64]!r}")
-            method, target, _version = parts
-            headers: dict[str, str] = {}
-            for _ in range(_MAX_HEADERS + 1):
-                line = await self._read_line(reader)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            else:
-                raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
-            raw_length = headers.get("content-length", "0")
-            try:
-                length = int(raw_length)
-            except ValueError:
-                length = -1
-            if not 0 <= length <= _MAX_BODY:
-                raise _BadFraming(
-                    f"Content-Length {raw_length[:32]!r} is not an integer in "
-                    f"0..{_MAX_BODY}")
-            body = await reader.readexactly(length) if length else b""
-            return method, target.split("?", 1)[0], headers, body
-        except asyncio.CancelledError:
-            if task in self._reading:
-                raise  # not the sweep's doing
-            task.uncancel()
-            raise _BadFraming(f"request incomplete {_READ_TIMEOUT_S:g}s "
-                              f"after its first byte") from None
-        finally:
-            self._reading.pop(task, None)
-
     def _expire_stalled_reads(self) -> None:
-        """Interrupt each request still incomplete ``_READ_TIMEOUT_S`` after
-        its first byte (its read raises :class:`_BadFraming`).  One sweep a
-        daemon tick, not a timer a request: arming ``asyncio.timeout`` 8,000
-        times doubled what reading a no-work poll costs."""
+        """Refuse each request still incomplete ``_READ_TIMEOUT_S`` after
+        its first bytes were looked at.  One sweep a daemon tick, not a
+        timer a request: arming ``asyncio.timeout`` 8,000 times doubled
+        what reading a no-work poll costs."""
         overdue = time.monotonic() - _READ_TIMEOUT_S
-        for task in [t for t, t0 in self._reading.items() if t0 <= overdue]:
-            del self._reading[task]
-            task.cancel()
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, headers: dict[str, str],
-                              payload: bytes) -> None:
-        """Emit one HTTP/1.1 response with Content-Length framing."""
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 409: "Conflict",
-                  422: "Unprocessable Entity",
-                  503: "Service Unavailable"}.get(status, "OK")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 f"Content-Length: {len(payload)}"]
-        lines += [f"{k}: {v}" for k, v in headers.items()]
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + payload)
-        await writer.drain()
+        for conn in [c for c, t0 in self._reading.items() if t0 <= overdue]:
+            conn._refuse(f"request incomplete {_READ_TIMEOUT_S:g}s after "
+                         f"its first byte")
 
     # -- routing ---------------------------------------------------------------
     def _dispatch(self, method: str, path: str, headers: dict[str, str],

@@ -108,48 +108,55 @@ class _P2Estimator:
 
     def observe(self, x: float) -> None:
         self.n += 1
-        if len(self._heights) < 5:
-            self._heights.append(x)
-            self._heights.sort()
-            return
         h = self._heights
-        if x < h[0]:
-            h[0] = x
-            k = 0
+        if len(h) < 5:
+            h.append(x)
+            h.sort()
+            return
+        # Written out marker by marker: this runs three times for every
+        # histogram observation, on the live request path among others.
+        p, want, inc = self._positions, self._desired, self._increments
+        if x < h[1]:
+            if x < h[0]:
+                h[0] = x
+            p[1] += 1.0
+            p[2] += 1.0
+            p[3] += 1.0
+        elif x < h[2]:
+            p[2] += 1.0
+            p[3] += 1.0
+        elif x < h[3]:
+            p[3] += 1.0
         elif x >= h[4]:
             h[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= x < h[i + 1])
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
+        p[4] += 1.0
+        want[0] += inc[0]
+        want[1] += inc[1]
+        want[2] += inc[2]
+        want[3] += inc[3]
+        want[4] += inc[4]
         # Adjust the three interior markers toward their desired positions.
         for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            pos, prev, nxt = (self._positions[i], self._positions[i - 1],
-                              self._positions[i + 1])
-            if (d >= 1.0 and nxt - pos > 1.0) or (d <= -1.0 and prev - pos < -1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic estimate escaped; fall back to linear
-                    h[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (p[j] - p[i])
+            pos = p[i]
+            d = want[i] - pos
+            prev, nxt = p[i - 1], p[i + 1]
+            if d >= 1.0 and nxt - pos > 1.0:
+                step = 1.0
+            elif d <= -1.0 and prev - pos < -1.0:
+                step = -1.0
+            else:
+                continue
+            below, height, above = h[i - 1], h[i], h[i + 1]
+            candidate = height + step / (nxt - prev) * (
+                (pos - prev + step) * (above - height) / (nxt - pos)
+                + (nxt - pos - step) * (height - below) / (pos - prev))
+            if below < candidate < above:
+                h[i] = candidate
+            elif step > 0.0:  # parabolic estimate escaped; fall back to linear
+                h[i] = height + step * (above - height) / (nxt - pos)
+            else:
+                h[i] = height + step * (below - height) / (prev - pos)
+            p[i] = pos + step
 
     def estimate(self) -> float:
         if not self._heights:

@@ -8,6 +8,7 @@
 import collections
 import gc
 import socket
+import struct
 import time
 
 import pytest
@@ -24,6 +25,8 @@ from repro.gateway import (
 from repro.gateway import protocol
 from repro.gateway import server as server_module
 from repro.workloads import generate_corpus
+
+from . import reference_framing
 
 
 @pytest.fixture()
@@ -248,33 +251,62 @@ class TestRemovedSurface:
             run_volunteer("127.0.0.1:1", name="v", max_tasks=1)
 
 
+LINE = b"POST /rpc/scheduler HTTP/1.1\r\n"
+POLL_BODY = b'{"host_id":1,"work_req_s":1.0}'
+
+#: Requests whose extent cannot be trusted, by name.  Each is answered
+#: 400 + ``Connection: close`` and then hung up on; CI's ``gateway-load``
+#: job fires the same corpus at a long-lived ``repro serve`` process.
+HOSTILE_REQUESTS = {
+    "non-numeric": LINE + b"Content-Length: banana\r\n\r\n",
+    "negative": LINE + b"Content-Length: -5\r\n\r\n",
+    # str.isdigit() says yes to this one, int() to the next three
+    "superscript": LINE + b"Content-Length: \xb2\r\n\r\n",
+    "plus-sign": LINE + b"Content-Length: +30\r\n\r\n" + POLL_BODY,
+    "underscore": LINE + b"Content-Length: 3_0\r\n\r\n" + POLL_BODY,
+    "minus-zero": LINE + b"Content-Length: -0\r\n\r\n",
+    "oversized": LINE + b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1),
+    # last-wins would serve the body of the first and run the second
+    # with an empty body, then read its body as a request line
+    "lengths-disagree-0-30": LINE + b"Content-Length: 0\r\n"
+                                    b"Content-Length: 30\r\n\r\n" + POLL_BODY,
+    "lengths-disagree-30-0": LINE + b"Content-Length: 30\r\n"
+                                    b"Content-Length: 0\r\n\r\n" + POLL_BODY,
+    # the gateway never chunks: the chunk stream would be the next request
+    "transfer-encoding": LINE + b"Transfer-Encoding: chunked\r\n\r\n"
+                                b"1e\r\n" + POLL_BODY + b"\r\n0\r\n\r\n",
+    "header-count": LINE + b"X-Pad: 1\r\n" * 65,    # no blank line needed
+    "header-over-16k": LINE + b"X-Pad: " + b"a" * (16 * 1024) + b"\r\n\r\n",
+    "header-over-stream-limit":
+        LINE + b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+    "request-line-over-stream-limit":
+        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+    # The line bound counts every byte of every line, the first included.
+    "request-line-one-over-16k":
+        b"GET /" + b"a" * (16 * 1024 - 15) + b" HTTP/1.1\r\n\r\n",
+    "malformed-request-line": b"GET /healthz\r\n\r\n",
+}
+assert len(POLL_BODY) == 30
+
+#: A request begun and never finished, at each place it can stop.
+STALLED_REQUESTS = {
+    "stalled-request-line": LINE[:-7],
+    "stalled-headers": LINE + b"Content-Length: 4\r\n",
+    "stalled-body": LINE + b"Content-Length: 40\r\n\r\n{\"host_id\":",
+}
+
+
 class TestHostileFraming:
     """Requests whose extent cannot be trusted get a 400, then a close."""
 
-    LINE = b"POST /rpc/scheduler HTTP/1.1\r\n"
-
-    @pytest.mark.parametrize("request_bytes", [
-        LINE + b"Content-Length: banana\r\n\r\n",
-        LINE + b"Content-Length: -5\r\n\r\n",
-        LINE + b"Content-Length: \xb2\r\n\r\n",   # str.isdigit() says yes
-        LINE + b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1),
-        LINE + b"X-Pad: 1\r\n" * 65,                # no blank line needed
-        LINE + b"X-Pad: " + b"a" * (16 * 1024) + b"\r\n\r\n",
-        LINE + b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n",
-        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
-        b"GET /healthz\r\n\r\n",
-    ], ids=["non-numeric", "negative", "superscript", "oversized",
-            "header-count", "header-over-16k", "header-over-stream-limit",
-            "request-line-over-stream-limit", "malformed-request-line"])
+    @pytest.mark.parametrize("request_bytes", HOSTILE_REQUESTS.values(),
+                             ids=HOSTILE_REQUESTS.keys())
     def test_answered_with_400_then_closed(self, handle, request_bytes,
                                            caplog):
         self._assert_400_then_closed(handle, request_bytes, caplog)
 
-    @pytest.mark.parametrize("request_bytes", [
-        LINE[:-7],
-        LINE + b"Content-Length: 4\r\n",
-        LINE + b"Content-Length: 40\r\n\r\n{\"host_id\":",
-    ], ids=["stalled-request-line", "stalled-headers", "stalled-body"])
+    @pytest.mark.parametrize("request_bytes", STALLED_REQUESTS.values(),
+                             ids=STALLED_REQUESTS.keys())
     def test_stalled_request_is_answered_400_then_closed(
             self, handle, request_bytes, caplog, monkeypatch):
         # The client sends part of a request, then nothing, and keeps the
@@ -297,12 +329,7 @@ class TestHostileFraming:
 
     @staticmethod
     def _assert_400_then_closed(handle, request_bytes, caplog):
-        host, port = handle.address.split(":")
-        with socket.create_connection((host, int(port)), timeout=5) as raw:
-            raw.sendall(request_bytes)
-            reply = b""
-            while chunk := raw.recv(65536):  # until the server hangs up
-                reply += chunk
+        reply = _exchange(handle, request_bytes)
         head_bytes, _, body = reply.partition(b"\r\n\r\n")
         assert head_bytes.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert b"Connection: close" in head_bytes
@@ -325,6 +352,231 @@ class TestHostileFraming:
                         + b"X-Pad: 1\r\n" * 63 + b"\r\n")
             reply = raw.recv(65536)
         assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+
+
+    def test_request_line_at_the_bound_is_served(self, handle):
+        request = b"GET /healthz?" + b"a" * (16 * 1024 - 24) + b" HTTP/1.1\r\n"
+        assert len(request) == 16 * 1024
+        assert _exchange(handle, request + b"Connection: close\r\n\r\n") \
+            .startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_content_lengths_that_agree_are_served(self, handle):
+        reply = _exchange(handle, LINE + b"Content-Length: 30\r\n"
+                          b"Connection: close\r\ncontent-length:30\r\n\r\n"
+                          + POLL_BODY)
+        # The body reached the handler whole: host 1 is not registered.
+        assert reply.startswith(b"HTTP/1.1 404 Not Found\r\n")
+        assert b"unknown_host" in reply
+
+    @pytest.mark.parametrize("name", ["plus-sign", "underscore", "minus-zero",
+                                      "lengths-disagree-0-30",
+                                      "lengths-disagree-30-0",
+                                      "transfer-encoding",
+                                      "request-line-one-over-16k"])
+    def test_the_stream_reader_guessed_where_this_one_refuses(self, name):
+        # What the product is stricter about on purpose: the reader it
+        # replaced ran each of these, some with another request's bytes.
+        requests, verdict = reference_framing.read_all([HOSTILE_REQUESTS[name]])
+        assert requests and requests[0][:2] in (("POST", "/rpc/scheduler"),
+                                                ("GET", "/" + "a" * 16369))
+
+
+def _exchange(handle, request_bytes, half_close=False):
+    """Send *request_bytes*, read until the server hangs up."""
+    host, port = handle.address.split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as raw:
+        raw.sendall(request_bytes)
+        if half_close:
+            raw.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _wait_until(condition, budget_s=5.0):
+    deadline = time.time() + budget_s
+    while not condition() and time.time() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+class TestEofInsideARequest:
+    """A request is whole at its blank line plus body, and not before: a
+    connection that ends earlier ran nothing and is a disconnect."""
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /status HTT",
+        b"GET /healthz HTTP/1.1\r\nX-A: b",
+        b"GET /healthz HTTP/1.1\r\nX-A: b\r\n",
+        LINE + b"Content-Length: 30\r\n\r\n" + POLL_BODY[:10],
+    ], ids=["request-line", "header", "blank-line-missing", "body"])
+    def test_nothing_runs_nothing_is_written_one_disconnect(
+            self, handle, request_bytes, caplog):
+        assert _exchange(handle, request_bytes, half_close=True) == b""
+        metrics = handle.server.metrics
+        assert _wait_until(lambda: metrics.counter(
+            "gateway.disconnects_total").value == 1)
+        assert _wait_until(lambda: handle.server.connections_active == 0)
+        assert metrics.counter("gateway.http_requests_total").value == 0
+        assert metrics.get("gateway.rpc.other_s").count == 0
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_the_stream_reader_ran_a_head_cut_off_by_eof(self):
+        for cut_off in (b"GET /status HTT", b"GET /healthz HTTP/1.1\r\nX-A: b"):
+            requests, verdict = reference_framing.read_all([cut_off])
+            assert (len(requests), verdict) == (1, "eof")
+
+    def test_whole_request_then_half_close_is_answered(self, handle):
+        reply = _exchange(handle, b"GET /healthz HTTP/1.1\r\n\r\n" * 2,
+                          half_close=True)
+        assert reply.count(b"HTTP/1.1 200 OK\r\n") == 2
+        assert _wait_until(lambda: handle.server.connections_active == 0)
+        assert handle.server.metrics.counter(
+            "gateway.disconnects_total").value == 0
+
+
+BLOB = 4 * 1024 * 1024
+
+
+def _rss_mb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmRSS:")) / 1024
+
+
+def _read_responses(raw, count):
+    """Read *count* whole responses off *raw*, a socket or the buffered
+    reader made from one: ``[(status line, body)]``."""
+    stream = raw.makefile("rb") if isinstance(raw, socket.socket) else raw
+    out = []
+    for _ in range(count):
+        status, length = stream.readline(), 0
+        while (header := stream.readline()) not in (b"\r\n", b""):
+            if header.lower().startswith(b"content-length:"):
+                length = int(header[15:])
+        out.append((status, stream.read(length)))
+    return out
+
+
+class TestPipeliningAndBackpressure:
+    """What ``await drain()`` and the per-task read deadline guaranteed,
+    now that a connection is a protocol object."""
+
+    def test_two_requests_in_one_segment_are_answered_in_order(self, handle):
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n"
+                        b"GET /nope HTTP/1.1\nConnection: close\n\n")
+            (first, _), (second, _) = _read_responses(raw, 2)
+            assert (first, second) == (b"HTTP/1.1 200 OK\r\n",
+                                       b"HTTP/1.1 404 Not Found\r\n")
+            assert raw.recv(1) == b""
+
+    def test_one_request_in_three_segments(self, handle, client):
+        host_id = client.register("split", flops=1e9)
+        body = protocol.dumps({"host_id": host_id, "work_req_s": 1.0})
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for segment in (b"POST /rpc/sched", b"uler HTTP/1.1\r\nContent-Len"
+                            b"gth: %d\r\n\r\n" % len(body), body):
+                raw.sendall(segment)
+                time.sleep(0.05)
+            raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            (first, reply), (second, _) = _read_responses(raw, 2)
+        assert first == second == b"HTTP/1.1 200 OK\r\n"
+        assert protocol.loads(reply)["no_work"] is True
+
+    def test_requests_wait_while_their_replies_are_not_read(self, handle):
+        # 50 pipelined downloads of a 4 MiB blob from a client that does
+        # not read: served as fast as asked for, 200 MiB would sit in the
+        # server's write buffer.
+        handle.server.store.put("blob", bytes(BLOB))
+        served = handle.server.metrics.counter("gateway.http_requests_total")
+        host, port = handle.address.split(":")
+        raw = socket.socket()
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        raw.settimeout(20)
+        with raw:
+            raw.connect((host, int(port)))
+            rss0 = _rss_mb()
+            raw.sendall(b"GET /data/blob HTTP/1.1\r\n\r\n" * 50)
+            assert _wait_until(lambda: served.value >= 1)
+            time.sleep(0.3)
+            assert served.value <= 2
+            assert _rss_mb() - rss0 < 6 * BLOB / 2**20
+            stream = raw.makefile("rb")
+            for _ in range(50):  # one at a time: this side keeps no blob
+                (status, body), = _read_responses(stream, 1)
+                assert status == b"HTTP/1.1 200 OK\r\n" and len(body) == BLOB
+                assert _rss_mb() - rss0 < 6 * BLOB / 2**20
+            assert served.value == 50
+
+    def test_whole_request_behind_unread_replies_is_not_timed_out(
+            self, handle, monkeypatch):
+        # The read deadline is for a request that is not whole.  This one
+        # is, and waits for its turn longer than the deadline.
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.1)
+        handle.server.store.put("blob", bytes(4 * BLOB))
+        metrics = handle.server.metrics
+        served = metrics.counter("gateway.http_requests_total")
+        host, port = handle.address.split(":")
+        raw = socket.socket()
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        raw.settimeout(20)
+        with raw:
+            raw.connect((host, int(port)))
+            raw.sendall(b"GET /data/blob HTTP/1.1\r\n\r\n"
+                        b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _wait_until(lambda: served.value == 1)
+            time.sleep(0.4)
+            assert served.value == 1  # parked, not refused
+            (_, blob), (status, _) = _read_responses(raw, 2)
+        assert len(blob) == 4 * BLOB and status == b"HTTP/1.1 200 OK\r\n"
+        assert metrics.counter("gateway.http_errors_total").value == 0
+
+    def test_stop_with_connections_open(self, caplog):
+        handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
+        host, port = handle.address.split(":")
+        idle, served, halfway = (socket.create_connection((host, int(port)),
+                                                          timeout=5)
+                                 for _ in range(3))
+        with idle, served, halfway:
+            served.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert served.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+            halfway.sendall(LINE + b"Content-Length: 30\r\n\r\n{")
+            assert _wait_until(lambda: handle.server.connections_active == 3)
+            handle.close()
+            assert handle.server.connections_active == 0
+            for raw in (idle, served, halfway):  # hung up on, not answered
+                try:
+                    assert raw.recv(65536) == b""
+                except ConnectionResetError:
+                    pass
+        gc.collect()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_client_that_resets_mid_response(self, handle, caplog):
+        handle.server.store.put("blob", bytes(4 * BLOB))
+        host, port = handle.address.split(":")
+        raw = socket.socket()
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        raw.settimeout(5)
+        raw.connect((host, int(port)))
+        raw.sendall(b"GET /data/blob HTTP/1.1\r\n\r\n")
+        assert raw.recv(4096).startswith(b"HTTP/1.1 200 OK\r\n")
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                       struct.pack("ii", 1, 0))  # close() sends RST
+        raw.close()
+        assert _wait_until(lambda: handle.server.connections_active == 0)
+        assert handle.server.metrics.counter(
+            "gateway.disconnects_total").value == 1
+        gc.collect()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        assert _exchange(handle, b"GET /healthz HTTP/1.1\r\n"
+                         b"Connection: close\r\n\r\n").startswith(
+            b"HTTP/1.1 200 OK\r\n")
 
 
 class TestEndToEnd:
