@@ -4,8 +4,10 @@
 Prints ``src/`` Python lines, dataclass fields on the ``*Config`` /
 ``*Spec`` classes (each an independently settable value), how many of
 those fields nothing in the repository sets, CLI flags and subcommands,
-and how many of those flags nothing in the repository invokes, so
-CHANGES.md can quote parent and change instead of a hand count::
+how many of those flags nothing in the repository invokes, the campaign
+cell kinds, the functions that build campaign cells and the builtin grid
+names, so CHANGES.md can quote parent and change instead of a hand
+count::
 
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on a never-set field or
@@ -73,6 +75,31 @@ def never_set(classes: dict[str, list[str]]) -> list[str]:
             if not re.search(rf"\b{field}\s*=", text)]
 
 
+def grid_builders() -> list[str]:
+    """Functions of :mod:`repro.experiments.grids` that construct campaign
+    cells themselves (every other grid function delegates to one)."""
+    import inspect
+
+    from repro.experiments import grids
+
+    return [name for name, fn in vars(grids).items()
+            if inspect.isfunction(fn) and fn.__module__ == grids.__name__
+            and "CampaignCell(" in inspect.getsource(fn)]
+
+
+def grid_names() -> list[str]:
+    """The builtin grid names, as ``campaign --list-grids`` prints them."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["campaign", "--list-grids"])
+    return [line.split()[0] for line in out.getvalue().splitlines()]
+
+
 def subcommands(parser: argparse.ArgumentParser) -> int:
     """Top-level ``python -m repro <command>`` choices."""
     return sum(len(action.choices) for action in parser._actions
@@ -119,6 +146,13 @@ if __name__ == "__main__":
     unused = never_used(flags)
     print("never-used flags:   ", len(unused), ", ".join(unused))
     print("cli subcommands:    ", subcommands(parser))
+    from repro.campaign import CELL_KINDS
+
+    print("campaign cell kinds:", len(CELL_KINDS), ", ".join(CELL_KINDS))
+    builders = grid_builders()
+    print("grid builders:      ", len(builders), ", ".join(builders))
+    grids = grid_names()
+    print("builtin grids:      ", len(grids), ", ".join(grids))
     for name, fields in sorted(classes.items()):
         print(f"  {len(fields):3d}  {name}")
     if "--check" in sys.argv[1:] and (unset or unused):

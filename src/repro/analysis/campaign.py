@@ -88,7 +88,12 @@ def _numeric_means(payloads: _t.Sequence[_t.Mapping[str, _t.Any]]
 
 def aggregate_records(records: _t.Iterable["CellRecord"]
                       ) -> list[GroupStats]:
-    """Fold store records into per-group statistics (store order kept)."""
+    """Fold store records into per-group statistics (store order kept).
+
+    Raises ``ValueError`` naming the kind when a record's kind is not one
+    of :data:`repro.campaign.CELL_KINDS` (a store written by a version
+    that had more kinds).
+    """
     from ..campaign.cells import KINDS
 
     groups: dict[str, list["CellRecord"]] = {}
@@ -100,7 +105,11 @@ def aggregate_records(records: _t.Iterable["CellRecord"]
         ok = [m for m in members if m.ok and m.result is not None]
         failed = len(members) - len(ok)
         kind = members[0].spec["kind"]
-        _executor, metric = KINDS[kind]
+        if kind not in KINDS:
+            raise ValueError(
+                f"store holds {kind!r} cells (group {group!r}), a kind "
+                f"this version cannot aggregate; known kinds: {list(KINDS)}")
+        metric = KINDS[kind][1]
         values = [float(m.result[metric]) for m in ok
                   if metric in m.result]
         walls = [float(m.meta["wall_s"]) for m in ok if "wall_s" in m.meta]

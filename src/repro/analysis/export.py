@@ -1,25 +1,19 @@
-"""Export traces and metrics to CSV/JSON for external analysis.
+"""Flat views of a trace for external analysis.
 
-The offline environment has no plotting stack; these exporters produce
-files any external tool (pandas, gnuplot, a spreadsheet) can consume to
-redraw the paper's figures from our runs.
+The offline environment has no plotting stack; :func:`trace_to_csv`
+writes a file any external tool (pandas, gnuplot, a spreadsheet) can
+consume, and :func:`utilisation_timeline` buckets one record kind over
+time.  The Chrome-trace, JSONL and run-summary exporters live in
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import typing as _t
 
-from ..obs.export import (  # noqa: F401 - analysis is the exporters' home too
-    chrome_trace_json,
-    run_summary,
-    trace_to_jsonl,
-    write_chrome_trace,
-)
 from ..sim import Tracer
-from .makespan import JobMetrics, task_intervals
 
 
 def trace_to_csv(tracer: Tracer, kinds: _t.Sequence[str] | None = None,
@@ -49,48 +43,6 @@ def trace_to_csv(tracer: Tracer, kinds: _t.Sequence[str] | None = None,
     if out is not None:
         out.write(text)
     return text
-
-
-def intervals_to_csv(tracer: Tracer, job: str,
-                     out: _t.TextIO | None = None) -> str:
-    """Per-result (assign, report) intervals as CSV — the Fig. 4 data."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["result_id", "host", "kind", "index",
-                     "assigned_at", "reported_at", "duration"])
-    for iv in task_intervals(tracer, job):
-        writer.writerow([iv.result_id, iv.host, iv.kind, iv.index,
-                         iv.assigned_at, iv.reported_at, iv.duration])
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
-
-
-def metrics_to_dict(metrics: JobMetrics) -> dict:
-    """JSON-ready dictionary of one run's Table I cells."""
-    def phase(p) -> dict:
-        return {
-            "mean": p.mean,
-            "mean_discard_slowest": p.mean_discard_slowest,
-            "span": p.span,
-            "n_tasks": p.n_tasks,
-            "slowest_host": p.slowest_host,
-        }
-
-    return {
-        "job": metrics.job,
-        "map": phase(metrics.map_stats),
-        "reduce": phase(metrics.reduce_stats),
-        "total": metrics.total,
-        "total_discard_slowest": metrics.total_discard_slowest,
-        "transition_gap": metrics.transition_gap,
-    }
-
-
-def metrics_to_json(metrics: JobMetrics, indent: int = 2) -> str:
-    """JSON-encode a JobMetrics (sorted keys, stable across runs)."""
-    return json.dumps(metrics_to_dict(metrics), indent=indent, sort_keys=True)
 
 
 def utilisation_timeline(tracer: Tracer, bucket_s: float = 30.0,

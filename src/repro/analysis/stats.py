@@ -1,8 +1,7 @@
 """Summary statistics helpers for experiment series.
 
-Small, dependency-light descriptive statistics used by the benches and
-examples: percentile summaries, straggler indices, and comparison ratios
-with readable rendering.
+Small, dependency-light descriptive statistics: percentiles and the
+summary :mod:`repro.analysis.campaign` folds a group's seeds into.
 """
 
 from __future__ import annotations
@@ -73,22 +72,3 @@ def summarise(values: _t.Sequence[float]) -> Summary:
         maximum=max(values),
         stddev=stddev,
     )
-
-
-def straggler_index(values: _t.Sequence[float]) -> float:
-    """max / median — how badly the worst sample lags the typical one.
-
-    1.0 means perfectly even; the paper's Fig. 4 run has a map-phase
-    straggler index of several.
-    """
-    med = percentile(values, 50)
-    if med <= 0:
-        raise ValueError("straggler index undefined for non-positive median")
-    return max(values) / med
-
-
-def improvement(baseline: float, treated: float) -> float:
-    """Fractional improvement of *treated* over *baseline* (+ is better)."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return 1.0 - treated / baseline

@@ -58,20 +58,3 @@ def render_timeline(events: _t.Sequence[tuple[str, float, float]],
         bar = " " * a + "#" * (b - a + 1)
         lines.append(f"{label:{label_w}}  |{bar.ljust(width)}|")
     return "\n".join(lines)
-
-
-def render_series(points: _t.Sequence[tuple[_t.Any, float]],
-                  value_label: str = "value", width: int = 40,
-                  title: str = "") -> str:
-    """Horizontal bar chart for (x, value) series (figure-style output)."""
-    if not points:
-        return "(no data)"
-    peak = max(v for _x, v in points) or 1.0
-    label_w = max(len(str(x)) for x, _v in points)
-    lines = []
-    if title:
-        lines.append(title)
-    for x, v in points:
-        bar = "#" * max(1, int(round(v / peak * width))) if v > 0 else ""
-        lines.append(f"{str(x):>{label_w}}  {bar} {v:.1f} {value_label}")
-    return "\n".join(lines)

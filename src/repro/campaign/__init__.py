@@ -6,8 +6,7 @@ package runs such grids concurrently without giving up determinism:
 - :mod:`repro.campaign.grid` — :class:`CampaignCell` /
   :class:`CampaignGrid`, content-hash cell keys, TOML grid loading;
 - :mod:`repro.campaign.cells` — :func:`execute_cell`, the per-kind cell
-  executors (scenario, study, table1, churn, replication, scale_out,
-  sleep);
+  executors (scenario, study, table1, sleep);
 - :mod:`repro.campaign.store` — the resumable append-only JSONL
   :class:`ResultStore`, plus :func:`merge_stores` /
   :func:`diff_stores` for multi-writer shard reconciliation;
@@ -24,7 +23,7 @@ package runs such grids concurrently without giving up determinism:
   local front end (a coordinator plus N loopback workers, or the
   in-process sequential reference at ``workers=0``).
 
-Builtin grids for the paper's sweeps live in
+Builtin grids — ``paper`` and each study at some seeds — live in
 :mod:`repro.experiments.grids`; aggregation of a finished store into
 tables lives in :mod:`repro.analysis.campaign`; the CLI front end is
 ``python -m repro campaign`` (``coordinate`` runs a grid; ``work`` /

@@ -75,20 +75,6 @@ def _execute_table1(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
                           spec.get("faults"))
 
 
-def _execute_churn(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    """One churn-study run (:func:`repro.experiments.run_churn`)."""
-    from ..experiments import run_churn
-
-    return run_churn(seed=spec["seed"], **dict(spec.get("params", {})))
-
-
-def _execute_replication(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    """One replication-sweep point (:func:`repro.experiments.run_replication`)."""
-    from ..experiments import run_replication
-
-    return run_replication(seed=spec["seed"], **dict(spec.get("params", {})))
-
-
 def _execute_study(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """One variant of one study in :data:`repro.experiments.STUDIES`."""
     from ..experiments import STUDIES
@@ -102,21 +88,6 @@ def _execute_study(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     return study.variants[params["variant"]](seed=spec["seed"])
 
 
-def _execute_scale_out(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    """One simulator-scalability point; wall-clock fields are dropped
-    (they are nondeterministic and belong to the runner's meta)."""
-    from ..experiments import scale_out
-
-    point = scale_out(seed=spec["seed"], **dict(spec.get("params", {})))
-    return {
-        "n_nodes": point.n_nodes,
-        "n_jobs": point.n_jobs,
-        "events": point.events,
-        "makespan_s": point.makespan_s,
-        "peak_queue_depth": point.peak_queue_depth,
-    }
-
-
 def _execute_sleep(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """Synthetic wall-clock cell: used by the campaign benchmark to
     measure pure fan-out speedup, and by tests to exercise timeouts."""
@@ -125,17 +96,17 @@ def _execute_sleep(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     return {"slept_s": duration}
 
 
-#: What each cell kind is: its executor, and the payload field that is
-#: its headline metric (what :mod:`repro.analysis.campaign` folds over
-#: seeds).  The one declaration; a new kind is one entry here.
-KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str]] = {
-    "scenario": (_execute_scenario, "total"),
-    "study": (_execute_study, "total"),
-    "table1": (_execute_table1, "total"),
-    "churn": (_execute_churn, "total"),
-    "replication": (_execute_replication, "total"),
-    "scale_out": (_execute_scale_out, "makespan_s"),
-    "sleep": (_execute_sleep, "slept_s"),
+#: What each cell kind is: its executor, the payload field that is its
+#: headline metric (what :mod:`repro.analysis.campaign` folds over
+#: seeds), and whether its executor arms the cell's chaos plan (a plan on
+#: any other kind would change the cell key and nothing else, so
+#: :class:`~repro.campaign.CampaignCell` refuses it).  The one
+#: declaration; a new kind is one entry here.
+KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str, bool]] = {
+    "scenario": (_execute_scenario, "total", True),
+    "study": (_execute_study, "total", False),
+    "table1": (_execute_table1, "total", True),
+    "sleep": (_execute_sleep, "slept_s", False),
 }
 
 
@@ -146,7 +117,7 @@ def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     runner converts exceptions into quarantine records).
     """
     try:
-        executor, _headline = KINDS[spec["kind"]]
+        executor = KINDS[spec["kind"]][0]
     except KeyError:
         raise ValueError(f"unknown cell kind {spec.get('kind')!r}") from None
     return executor(spec)

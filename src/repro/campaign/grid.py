@@ -2,7 +2,7 @@
 
 A campaign is a grid of independent simulation *cells* — one
 (configuration x seed x fault-plan) point of an evaluation sweep, the
-unit the paper's Table I / churn / replication grids are made of.  Cells
+unit the paper's Table I grid and every study grid are made of.  Cells
 are plain JSON-able data, so they can be hashed (:func:`cell_key`),
 shipped to a worker process, and persisted next to their results; a
 cell's identity is the content hash of its spec, which is what makes
@@ -30,10 +30,10 @@ class CampaignCell:
 
     ``params`` must be JSON-able (the spec travels to worker processes
     and into the on-disk store); ``faults`` names a builtin chaos plan
-    or a TOML plan path, applied to kinds that run a full deployment
-    (``scenario`` / ``table1``).  ``group`` labels the aggregation bucket
-    the cell's result belongs to (e.g. a Table I row label), so
-    :mod:`repro.analysis.campaign` can fold seeds together.
+    or a TOML plan path, and only kinds that run a full deployment
+    (``scenario`` / ``table1``) accept one.  ``group`` labels the
+    aggregation bucket the cell's result belongs to (e.g. a Table I row
+    label), so :mod:`repro.analysis.campaign` can fold seeds together.
     """
 
     kind: str
@@ -47,6 +47,12 @@ class CampaignCell:
             raise ValueError(
                 f"unknown cell kind {self.kind!r}; expected one of "
                 f"{CELL_KINDS}")
+        if self.faults is not None and not KINDS[self.kind][2]:
+            raise ValueError(
+                f"a {self.kind!r} cell does not arm a chaos plan, so "
+                f"faults={self.faults!r} would change its key and nothing "
+                f"else; only the {[k for k, v in KINDS.items() if v[2]]} "
+                f"kinds take faults")
         if self.seed < 0:
             raise ValueError(f"cell seed must be >= 0, got {self.seed}")
 
@@ -145,8 +151,9 @@ def grid_from_toml(path: str | pathlib.Path) -> CampaignGrid:
         params = { n_nodes = 10, n_maps = 10, n_reducers = 2 }
 
         [[cell]]
-        kind = "churn"
+        kind = "table1"
         seeds = [4]
+        params = { row = 0 }
         faults = "flaky-network"
     """
     path = pathlib.Path(path)

@@ -140,9 +140,12 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
     report = coordinator.run()
     print(report.render())
     if report.ran or report.skipped:
-        print(render_campaign_table(
-            aggregate_store(args.out),
-            title=f"campaign {grid.name!r} — headline metric by group"))
+        try:
+            print(render_campaign_table(
+                aggregate_store(args.out),
+                title=f"campaign {grid.name!r} — headline metric by group"))
+        except ValueError as exc:  # a resumed store holding a retired kind
+            print(f"campaign coordinate: {exc}", file=sys.stderr)
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
             json.dump(coordinator.summary(), fh, indent=2)
@@ -203,11 +206,11 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .analysis import aggregate_store, render_campaign_table
-    from .experiments import GRID_BUILDERS
+    from .experiments import STUDIES, resolve_grid
 
     if args.list_grids:
-        for name in sorted(GRID_BUILDERS):
-            grid = GRID_BUILDERS[name]()
+        for name in ("paper", *(s.name for s in STUDIES)):
+            grid = resolve_grid(name)
             print(f"{name:12s} {len(grid):3d} cells  {grid.description}")
         return 0
     if args.aggregate:
@@ -345,7 +348,7 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                          "(default: the grid's own, typically 1,2,3)")
     pc.add_argument("--faults", metavar="PLAN", default=None,
                     help="arm a chaos plan on every cell "
-                         "(table1 grid only)")
+                         "(scenario and table1 cells only)")
     pc.add_argument("--out", default="campaign.jsonl", metavar="FILE",
                     help="authoritative JSONL result store "
                          "(default campaign.jsonl)")

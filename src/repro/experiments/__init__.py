@@ -24,25 +24,10 @@ from . import (
     table1,
 )
 from .churn import run_churn
-from .grids import (
-    GRID_BUILDERS,
-    churn_grid,
-    paper_grid,
-    replication_grid,
-    resolve_grid,
-    scale_out_grid,
-    table1_grid,
-)
+from .grids import paper_grid, resolve_grid, study_grid, table1_grid
 from .nat_study import nat_scenario
 from .replication import run_replication
-from .scaling import (
-    SCALE_NODE_COUNTS,
-    build_scale_cloud,
-    granularity_scaling,
-    node_scaling,
-    scale_out,
-    speedup,
-)
+from .scaling import SCALE_NODE_COUNTS, build_scale_cloud, scale_out
 from .scenario import run_deployment, run_scenario
 from .study import Claim, Study
 from .table1 import PAPER_TABLE1, scenario_for_row, table1_payload
@@ -78,17 +63,11 @@ __all__ = [
     "nat_scenario",
     "run_churn",
     "run_replication",
-    "node_scaling",
-    "granularity_scaling",
-    "speedup",
     "SCALE_NODE_COUNTS",
     "build_scale_cloud",
     "scale_out",
-    "GRID_BUILDERS",
     "resolve_grid",
+    "study_grid",
     "table1_grid",
-    "churn_grid",
-    "replication_grid",
-    "scale_out_grid",
     "paper_grid",
 ]

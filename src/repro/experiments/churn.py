@@ -54,9 +54,10 @@ def _payload(cloud: VolunteerCloud, total: float, transitions: int = 0,
 def run_churn(seed: int = 1, mean_on_s: float = 1800.0,
               mean_off_s: float = 600.0, departure_prob: float = 0.05,
               mr: bool = True) -> dict[str, _t.Any]:
-    """Run the churn scenario (it is the ``churn`` campaign cell): the
-    makespan plus the volatility the job survived.  Raises if the job
-    cannot finish at all."""
+    """Run the churn scenario (the study's ``churn`` variant at the
+    defaults; ``examples/churn_study.py`` sweeps the rest): the makespan
+    plus the volatility the job survived.  Raises if the job cannot
+    finish at all."""
     spec, job = churn_scenario(seed, mr=mr)
     cloud = VolunteerCloud.from_spec(spec)
     model = AvailabilityModel(mean_on_s=mean_on_s, mean_off_s=mean_off_s,

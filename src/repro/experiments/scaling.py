@@ -1,19 +1,11 @@
-"""Scaling study: makespan vs cluster size and vs task granularity.
+"""Scaling studies: makespan vs cluster size, and simulator throughput.
 
-Table I varies both node count and work-unit count without isolating
-either axis; this study sweeps them independently:
-
-- :func:`node_scaling`: fixed 1 GB job, growing cluster — where does
-  adding volunteers stop helping?  (Answer: when per-node work drops to a
-  couple of tasks, scheduling/backoff overheads and the replication floor
-  dominate; the serial fraction here is the reduce tail plus the
-  map->reduce transition.)
-- :func:`granularity_scaling`: fixed cluster, varying ``n_maps`` — the
-  paper's 1x vs 2x maps-per-node comparison extended to a full curve.
-  Finer tasks pipeline better (downloads overlap compute) until per-task
-  overheads win.
-- :data:`NODE_SCALING`: the node-scaling curve as the study
-  EXPERIMENTS.md documents, one variant per cluster size.
+- :data:`NODE_SCALING`: Table I varies node count and work-unit count
+  together; this study holds a 1 GB job fixed and grows the cluster, one
+  variant per size — where does adding volunteers stop helping?  (Answer:
+  when per-node work drops to a couple of tasks, scheduling/backoff
+  overheads and the replication floor dominate; the serial fraction here
+  is the reduce tail plus the map->reduce transition.)
 - :func:`scale_out`: the simulator-scalability study behind
   ``benchmarks/test_scale.py`` — an internet-style deployment (1 Gbit
   project server, ADSL volunteers, one concurrent word-count job per 200
@@ -31,64 +23,19 @@ import typing as _t
 from ..boinc.client import ClientConfig
 from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..net import ADSL_LINK, SERVER_LINK
-from .scenario import ScenarioResult, metrics_payload, run_scenario
+from .scenario import metrics_payload, run_scenario
 from .study import Claim, Study, col
 
-#: Node counts for the simulator-scalability study (ISSUE 4).
+#: Node counts for the simulator-scalability study.
 SCALE_NODE_COUNTS: tuple[int, ...] = (100, 500, 2000)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SweepPoint:
-    """One point on a scaling sweep: x = swept value, y = makespans."""
-
-    x: int
-    total: float
-    map_mean: float
-    reduce_mean: float
-    result: ScenarioResult
-
-
-def _point(x: int, cloud: CloudSpec, job: MapReduceJobSpec) -> SweepPoint:
-    result = run_scenario(cloud, job)
-    m = result.metrics
-    return SweepPoint(x=x, total=m.total, map_mean=m.map_stats.mean,
-                      reduce_mean=m.reduce_stats.mean, result=result)
-
-
-def node_scaling(node_counts: _t.Sequence[int] = (5, 10, 20, 40),
-                 seed: int = 1, mr: bool = True,
-                 input_size: float = 1e9) -> list[SweepPoint]:
-    """Makespan for the same job on clusters of increasing size."""
-    return [_point(n, CloudSpec(seed=seed, n_nodes=n, mr_clients=mr),
-                   MapReduceJobSpec(f"nodes{n}", n_maps=max(n, 10),
-                                    n_reducers=max(2, n // 4),
-                                    input_size=input_size))
-            for n in node_counts]
-
-
-def granularity_scaling(map_counts: _t.Sequence[int] = (10, 20, 40, 80),
-                        seed: int = 1, n_nodes: int = 20,
-                        mr: bool = True,
-                        input_size: float = 1e9) -> list[SweepPoint]:
-    """Makespan for the same 1 GB job split into more, smaller map tasks."""
-    return [_point(n_maps,
-                   CloudSpec(seed=seed, n_nodes=n_nodes, mr_clients=mr),
-                   MapReduceJobSpec(f"maps{n_maps}", n_maps=n_maps,
-                                    n_reducers=5, input_size=input_size))
-            for n_maps in map_counts]
-
-
-def speedup(points: _t.Sequence[SweepPoint]) -> list[tuple[int, float]]:
-    """Speedup relative to the first (smallest) point."""
-    if not points:
-        return []
-    base = points[0].total
-    return [(p.x, base / p.total) for p in points]
-
-
 def _node_point(n_nodes: int, seed: int) -> dict[str, _t.Any]:
-    return metrics_payload(node_scaling((n_nodes,), seed=seed)[0].result.metrics)
+    """The same 1 GB job on *n_nodes* BOINC-MR hosts."""
+    job = MapReduceJobSpec(f"nodes{n_nodes}", n_maps=max(n_nodes, 10),
+                           n_reducers=max(2, n_nodes // 4), input_size=1e9)
+    cloud = CloudSpec(seed=seed, n_nodes=n_nodes, mr_clients=True)
+    return metrics_payload(run_scenario(cloud, job).metrics)
 
 
 def _speedup_bounded(p: _t.Mapping[str, _t.Any]) -> bool:

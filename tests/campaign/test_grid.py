@@ -31,11 +31,28 @@ class TestCampaignCell:
         assert again.key == cell.key
 
     def test_label_mentions_group_seed_faults(self):
-        cell = CampaignCell(kind="churn", seed=7, group="churn",
-                            faults="split-brain")
+        cell = CampaignCell(kind="table1", seed=7, group="churn",
+                            params={"row": 0}, faults="split-brain")
         label = cell.label()
         assert "churn" in label and "seed=7" in label
         assert "split-brain" in label
+
+    @pytest.mark.parametrize("kind,faults", [
+        ("sleep", "flaky-network"), ("study", "no-such-plan")])
+    def test_faults_on_a_kind_that_ignores_them_rejected(self, kind, faults):
+        # Only scenario and table1 cells arm a plan; on any other kind it
+        # changed the key and nothing else.
+        with pytest.raises(ValueError,
+                           match=f"a '{kind}' cell does not arm a chaos plan"):
+            CampaignCell(kind=kind, seed=1, faults=faults)
+        with pytest.raises(ValueError, match="does not arm"):
+            CampaignCell.from_spec({"kind": kind, "seed": 1,
+                                    "faults": faults})
+
+    def test_deployment_kinds_take_faults(self):
+        for kind in ("scenario", "table1"):
+            cell = CampaignCell(kind=kind, seed=1, faults="flaky-network")
+            assert cell.spec()["faults"] == "flaky-network"
 
 
 class TestCellKey:
@@ -57,8 +74,10 @@ class TestCellKey:
         assert base.key != CampaignCell(kind="sleep", seed=2).key
         assert base.key != CampaignCell(kind="sleep", seed=1,
                                         params={"duration_s": 9}).key
-        assert base.key != CampaignCell(kind="sleep", seed=1,
-                                        faults="kitchen-sink").key
+        row = CampaignCell(kind="table1", seed=1, params={"row": 0})
+        assert row.key != CampaignCell(kind="table1", seed=1,
+                                       params={"row": 0},
+                                       faults="kitchen-sink").key
 
     def test_stable_across_processes(self):
         # A fixed spec must hash identically forever (the resume contract).
@@ -107,14 +126,17 @@ class TestTomlGrid:
             'group = "naps"\n'
             'params = { duration_s = 0.01 }\n'
             '[[cell]]\n'
-            'kind = "churn"\n'
-            'seed = 9\n')
+            'kind = "table1"\n'
+            'seed = 9\n'
+            'params = { row = 0 }\n'
+            'faults = "flaky-network"\n')
         grid = grid_from_toml(path)
         assert grid.name == "custom"
         assert len(grid) == 4
         assert [c.seed for c in grid] == [1, 2, 3, 9]
         assert grid.cells[0].params["duration_s"] == 0.01
         assert grid.cells[0].group == "naps"
+        assert grid.cells[3].faults == "flaky-network"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.toml"

@@ -1,5 +1,7 @@
 """Tests for the builtin experiment grids and campaign aggregation."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis import (
@@ -15,15 +17,18 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.experiments import (
-    GRID_BUILDERS,
     PAPER_TABLE1,
-    churn_grid,
+    STUDIES,
     paper_grid,
-    replication_grid,
     resolve_grid,
-    scale_out_grid,
+    study_grid,
     table1_grid,
 )
+
+
+def _keys_digest(grid):
+    return hashlib.sha256(
+        "".join(c.key for c in grid).encode()).hexdigest()[:16]
 
 
 class TestBuiltinGrids:
@@ -37,23 +42,28 @@ class TestBuiltinGrids:
         grid = table1_grid(seeds=(1,), faults="flaky-network")
         assert all(c.faults == "flaky-network" for c in grid)
 
-    def test_churn_grid_derives_distinct_seeds(self):
-        grid = churn_grid(seeds=(1, 2), replicates=3)
-        assert len(grid) == 6
-        assert len({c.seed for c in grid}) == 6
+    def test_churn_grid_runs_both_variants_per_seed(self):
+        grid = resolve_grid("churn", seeds=(1, 2))
+        assert [(c.group, c.seed) for c in grid] == [
+            ("churn/stable", 1), ("churn/stable", 2),
+            ("churn/churn", 1), ("churn/churn", 2)]
+        assert len(resolve_grid("churn")) == 6
 
     def test_replication_grid_shape(self):
-        grid = replication_grid(seeds=(1,))
-        assert {c.group for c in grid} == {"repl1q1", "repl2q2", "repl3q2"}
-        assert all(c.params["byzantine_rate"] == 0.2 for c in grid)
+        grid = resolve_grid("replication", seeds=(1,))
+        assert {c.group for c in grid} == {
+            "replication/1/1", "replication/2/2", "replication/3/2"}
+        assert len(resolve_grid("replication")) == 9
 
-    def test_scale_out_grid_shape(self):
-        grid = scale_out_grid(sizes=(100,))
-        assert len(grid) == 1
-        assert grid.cells[0].params == {"n_nodes": 100}
-        assert grid.cells[0].group == "scale100"
-        with pytest.raises(TypeError):
-            scale_out_grid(sizes=(100,), allocators=("full",))
+    def test_every_study_resolves_at_the_requested_seeds(self):
+        for study in STUDIES:
+            grid = resolve_grid(study.name, seeds=(4, 7))
+            assert grid.name == study.name
+            assert len(grid) == 2 * len(study.variants), study.name
+            assert [c.seed for c in grid] == [4, 7] * len(study.variants)
+            assert len(resolve_grid(study.name)) == 3 * len(study.variants)
+            assert ([c.key for c in grid]
+                    == [c.key for c in study_grid(study, (4, 7))])
 
     def test_cells_carrying_an_allocator_are_rejected(self):
         # Stored grids (TOML or JSONL) written before the knob left.
@@ -62,19 +72,27 @@ class TestBuiltinGrids:
         with pytest.raises(ValueError, match=r"unknown scenario params: "
                                              r"\['allocator'\]"):
             execute_cell(scenario.spec())
-        scale = CampaignCell(kind="scale_out", seed=1, params={
-            "n_nodes": 40, "allocator": "full"})
-        with pytest.raises(TypeError, match="allocator"):
-            execute_cell(scale.spec())
+
+    def test_retired_kinds_are_refused(self):
+        for kind in ("churn", "replication", "scale_out"):
+            with pytest.raises(ValueError, match="unknown cell kind"):
+                CampaignCell(kind=kind, seed=1)
+            with pytest.raises(ValueError, match="unknown cell kind"):
+                execute_cell({"kind": kind, "seed": 1, "params": {}})
+
+    def test_keys_are_pinned(self):
+        # Recorded before study_grid became the one builder: neither the
+        # paper store nor a Table I sweep re-runs a cell.
+        assert len(paper_grid()) == 52
+        assert _keys_digest(paper_grid()) == "ca879205c9e6796f"
+        t1 = table1_grid(seeds=(1, 2, 3))
+        assert len(t1) == 27
+        assert _keys_digest(t1) == "03b744e7b4a4fd9d"
 
     def test_paper_grid_is_every_variant_of_every_study(self):
-        from repro.experiments import STUDIES
-
         grid = paper_grid()
         assert len(grid) == sum(len(s.variants) for s in STUDIES) == 52
         assert len({c.key for c in grid}) == 52
-        assert sorted(GRID_BUILDERS) == [
-            "churn", "paper", "replication", "scale_out", "table1"]
         # Table I's nine cells are the table1 grid's, key for key.
         assert [c.key for c in grid][:9] == [
             c.key for c in table1_grid(seeds=(1,))]
@@ -90,9 +108,8 @@ class TestBuiltinGrids:
                 execute_cell(cell.spec())
 
     def test_registry_builders_all_construct(self):
-        for name, builder in GRID_BUILDERS.items():
-            grid = builder()
-            assert len(grid) > 0, name
+        for name in ("paper", *(s.name for s in STUDIES)):
+            assert len(resolve_grid(name)) > 0, name
 
 
 class TestResolveGrid:
@@ -106,13 +123,17 @@ class TestResolveGrid:
             resolve_grid("nope")
 
     def test_faults_on_non_table1_rejected(self):
-        with pytest.raises(ValueError, match="--faults"):
+        # The cell refuses a plan its kind would not arm.
+        with pytest.raises(ValueError, match="a 'study' cell does not arm"):
             resolve_grid("churn", faults="kitchen-sink")
+        grid = resolve_grid("table1", seeds=(1,), faults="kitchen-sink")
+        assert {c.faults for c in grid} == {"kitchen-sink"}
 
     def test_paper_grid_has_no_seed_fan_out(self):
         assert len(resolve_grid("paper")) == 52
-        with pytest.raises(ValueError, match="--seeds does not apply"):
-            resolve_grid("paper", seeds=(1, 2))
+        for kwargs in ({"seeds": (1, 2)}, {"faults": "flaky-network"}):
+            with pytest.raises(ValueError, match="do not apply to the paper"):
+                resolve_grid("paper", **kwargs)
 
     def test_toml_path(self, tmp_path):
         path = tmp_path / "g.toml"
@@ -178,11 +199,12 @@ class TestAggregation:
             c.spec()["group"] for c in paper_grid()]
         assert all(s.n == 1 and s.failed == 0 for s in stats)
 
-    def test_scale_out_uses_makespan_metric(self):
-        records = [_ok("s1", "scale100", "scale_out",
-                       {"makespan_s": 1234.0, "events": 10})]
-        stats = aggregate_records(records)
-        assert stats[0].summary.mean == pytest.approx(1234.0)
+    def test_an_unknown_kind_is_a_value_error_naming_it(self):
+        # A store written while `churn` was a cell kind.
+        records = [_ok("a1", "rowA", "table1", {"total": 100.0}),
+                   _ok("c1", "churn", "churn", {"total": 9.0})]
+        with pytest.raises(ValueError, match="'churn' cells"):
+            aggregate_records(records)
 
     def test_render_table_contains_groups(self):
         records = [_ok("a1", "rowA", "table1", {"total": 100.0})]
@@ -322,7 +344,6 @@ class TestScenarioCellParams:
         from repro.campaign import CELL_KINDS, cells
 
         assert CELL_KINDS == tuple(cells.KINDS) == (
-            "scenario", "study", "table1", "churn", "replication",
-            "scale_out", "sleep")
+            "scenario", "study", "table1", "sleep")
         assert not hasattr(aggregation, "HEADLINE_METRIC")
         assert not hasattr(cells, "_EXECUTORS")

@@ -6,7 +6,6 @@ from repro.analysis import (
     backoff_delays,
     format_cell,
     job_metrics,
-    render_series,
     render_table,
     render_timeline,
     report_lags,
@@ -135,10 +134,3 @@ class TestRenderers:
 
     def test_render_timeline_empty(self):
         assert render_timeline([]) == "(no events)"
-
-    def test_render_series(self):
-        text = render_series([("a", 1.0), ("b", 2.0)], value_label="s")
-        assert "a" in text and "2.0 s" in text
-
-    def test_render_series_empty(self):
-        assert render_series([]) == "(no data)"

@@ -191,6 +191,25 @@ class TestCampaignCommand:
         assert main(["campaign", "--aggregate", str(missing)]) == 2
         assert "no such store" in capsys.readouterr().err
 
+    def test_aggregate_of_a_retired_kind_exits_2(self, tmp_path, capsys):
+        from repro.campaign import CellRecord, ResultStore
+
+        store = tmp_path / "old.jsonl"
+        ResultStore(store).append(CellRecord(
+            key="k1", spec={"kind": "replication", "seed": 1, "params": {},
+                            "faults": None, "group": "repl2q2"},
+            status="ok", result={"total": 1.0}, meta={}))
+        assert main(["campaign", "--aggregate", str(store)]) == 2
+        assert "'replication' cells" in capsys.readouterr().err
+        # Resuming into that store still runs the grid; only its table is
+        # replaced by the message.
+        assert main(["campaign", "coordinate", "--grid",
+                     str(self._toml_grid(tmp_path)), "--spawn", "1",
+                     "--out", str(store), "--quiet", "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert "'replication' cells" in captured.err
+        assert "2 ran, 0 skipped" in captured.out
+
 
 class TestCampaignControlPlane:
     """The distributed modes: coordinate / work / merge / diff."""

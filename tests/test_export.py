@@ -1,19 +1,11 @@
-"""Tests for CSV/JSON export and utilisation timelines."""
+"""Tests for CSV export and utilisation timelines."""
 
 import csv
 import io
-import json
 
 import pytest
 
-from repro.analysis import (
-    intervals_to_csv,
-    job_metrics,
-    metrics_to_dict,
-    metrics_to_json,
-    trace_to_csv,
-    utilisation_timeline,
-)
+from repro.analysis import trace_to_csv, utilisation_timeline
 from repro.sim import Tracer
 from tests.test_analysis import synth_trace
 
@@ -41,29 +33,6 @@ class TestTraceCsv:
     def test_empty_tracer(self):
         text = trace_to_csv(Tracer())
         assert text.splitlines() == ["time,kind"]
-
-
-class TestIntervalsCsv:
-    def test_rows_match_intervals(self):
-        text = intervals_to_csv(synth_trace(), "j")
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 3
-        by_result = {r["result_id"]: r for r in rows}
-        assert float(by_result["2"]["duration"]) == 400.0
-        assert by_result["2"]["host"] == "B"
-
-
-class TestMetricsJson:
-    def test_dict_shape(self):
-        d = metrics_to_dict(job_metrics(synth_trace(), "j"))
-        assert d["job"] == "j"
-        assert d["map"]["mean"] == pytest.approx(250.0)
-        assert d["reduce"]["n_tasks"] == 1
-        assert "transition_gap" in d
-
-    def test_json_parses(self):
-        text = metrics_to_json(job_metrics(synth_trace(), "j"))
-        assert json.loads(text)["total"] == 600.0
 
 
 class TestUtilisationTimeline:

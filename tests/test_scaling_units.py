@@ -1,38 +1,33 @@
-"""Unit tests for the scaling sweep helpers."""
+"""Task granularity: the same job split into more, smaller map tasks."""
 
 import pytest
 
-from repro.experiments import granularity_scaling, node_scaling, speedup
+from repro.core import CloudSpec, MapReduceJobSpec
+from repro.experiments import run_scenario
+
+MAP_COUNTS = (4, 8, 16)
 
 
 class TestGranularity:
     @pytest.fixture(scope="class")
     def points(self):
         # Small cluster/input so the sweep stays fast.
-        return granularity_scaling(map_counts=(4, 8, 16), seed=1,
-                                   n_nodes=8, input_size=160e6)
+        return {n_maps: run_scenario(
+                    CloudSpec(seed=1, n_nodes=8, mr_clients=True),
+                    MapReduceJobSpec(f"maps{n_maps}", n_maps=n_maps,
+                                     n_reducers=5, input_size=160e6))
+                for n_maps in MAP_COUNTS}
 
     def test_every_point_completes(self, points):
         assert len(points) == 3
-        for p in points:
+        for p in points.values():
             assert p.total > 0
-            assert p.result.job.finished
+            assert p.job.finished
 
     def test_map_mean_shrinks_with_granularity(self, points):
-        means = [p.map_mean for p in points]
+        means = [points[n].metrics.map_stats.mean for n in MAP_COUNTS]
         # Smaller chunks -> shorter per-task intervals (the dominant term).
         assert means[-1] < means[0]
 
     def test_x_axis_recorded(self, points):
-        assert [p.x for p in points] == [4, 8, 16]
-
-
-class TestSpeedupHelper:
-    def test_empty(self):
-        assert speedup([]) == []
-
-    def test_relative_to_first(self):
-        pts = node_scaling((5, 10), seed=2, input_size=200e6)
-        s = dict(speedup(pts))
-        assert s[5] == pytest.approx(1.0)
-        assert s[10] > 0
+        assert [p.job.spec.n_maps for p in points.values()] == [4, 8, 16]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.stats import improvement, percentile, straggler_index, summarise
+from repro.analysis.stats import percentile, summarise
 
 
 class TestPercentile:
@@ -61,26 +61,3 @@ class TestSummarise:
         with pytest.raises(ValueError):
             summarise([])
 
-
-class TestStragglerIndex:
-    def test_even_sample(self):
-        assert straggler_index([5.0, 5.0, 5.0]) == 1.0
-
-    def test_straggler(self):
-        assert straggler_index([10.0, 10.0, 10.0, 60.0]) == pytest.approx(6.0)
-
-    def test_nonpositive_median_rejected(self):
-        with pytest.raises(ValueError):
-            straggler_index([0.0, 0.0])
-
-
-class TestImprovement:
-    def test_positive(self):
-        assert improvement(100.0, 80.0) == pytest.approx(0.2)
-
-    def test_regression_negative(self):
-        assert improvement(100.0, 120.0) == pytest.approx(-0.2)
-
-    def test_invalid_baseline(self):
-        with pytest.raises(ValueError):
-            improvement(0.0, 1.0)
