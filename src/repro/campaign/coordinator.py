@@ -401,8 +401,16 @@ class CampaignCoordinator:
         os.kill(process.pid, signal.SIGKILL)
         process.join()
         self._kills_done += 1
+        # The victim is known dead: reclaim its leases now.  Left to its
+        # socket's EOF, a result it sent just before the kill could drain
+        # the lease first, and the kill would not count as a failure.
+        held = len(self.table.workers[victim].keys)
+        quarantined = self.table.fail_worker(victim, now)
         self._progress(f"chaos: SIGKILLed worker {victim} "
-                       f"(pid {process.pid})")
+                       f"(pid {process.pid}); reclaimed "
+                       f"{held - len(quarantined)} lease(s)")
+        for key in quarantined:
+            self._quarantine(key, f"worker {victim} SIGKILLed mid-cell")
         self._spawn_worker()  # keep the fleet at strength
 
     def _sweep(self, now: float) -> bool:

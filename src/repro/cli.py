@@ -31,7 +31,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .analysis import job_metrics, trace_to_csv
     from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
     from .faults import BUILTIN_PLANS
-    from .obs import chrome_trace_json, run_summary, trace_to_jsonl
+    from .obs import run_summary, trace_to_jsonl, write_chrome_trace
 
     if args.list_plans:
         for name in sorted(BUILTIN_PLANS):
@@ -76,13 +76,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                           builder=builder, profiler=cloud.profiler))
     if args.trace_out:
         if args.trace_format == "chrome":
-            text = chrome_trace_json(builder)
-        elif args.trace_format == "jsonl":
-            text = trace_to_jsonl(cloud.tracer)
+            write_chrome_trace(builder, args.trace_out)
         else:
-            text = trace_to_csv(cloud.tracer)
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            text = (trace_to_jsonl(cloud.tracer)
+                    if args.trace_format == "jsonl"
+                    else trace_to_csv(cloud.tracer))
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         print(f"wrote {args.trace_format} trace to {args.trace_out} "
               f"({len(cloud.tracer)} records, {len(builder.leaked)} "
               f"leaked spans)")

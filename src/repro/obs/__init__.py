@@ -14,7 +14,6 @@ The layer every perf/robustness change measures itself against:
 """
 
 from .export import (
-    chrome_trace_events,
     chrome_trace_json,
     run_summary,
     trace_to_jsonl,
@@ -41,7 +40,6 @@ __all__ = [
     "Span",
     "Instant",
     "SpanBuilder",
-    "chrome_trace_events",
     "chrome_trace_json",
     "write_chrome_trace",
     "trace_to_jsonl",

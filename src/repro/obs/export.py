@@ -8,16 +8,24 @@ server, with one *thread* (track) per host and per server daemon, complete
 backoffs.  Timestamps are simulated microseconds, so a run's trace is a
 pure function of its seed: byte-identical across repeats, which the golden
 determinism test asserts.
+
+The Chrome document is written event by event, straight from the span
+builder's tuples, in exactly the bytes ``json.dumps(doc, sort_keys=True)``
+gives for the one-dict-per-event document (``tests/obs/reference_export.py``
+keeps that exporter as the oracle); :func:`write_chrome_trace` streams the
+same pieces to a file without building the whole string.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import typing as _t
+from json.encoder import encode_basestring_ascii
 
 from ..sim import Tracer
 from .metrics import MetricsRegistry
-from .spans import DAEMON_TRACKS, HOST_TRACK, Instant, Span, SpanBuilder
+from .spans import DAEMON_TRACKS, HOST_TRACK, Span, SpanBuilder
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .probes import SelfProfiler
@@ -26,90 +34,161 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 _HOSTS_PID = 1
 _SERVER_PID = 2
 
+#: ``json`` turns a value into one of these scalars (anything else becomes
+#: its ``repr`` string) before it writes it.
+_JSON_SCALARS = (int, float, str, bool, type(None))
 
-def _track_ids(builder: SpanBuilder) -> dict[str, tuple[int, int]]:
-    """Map track name -> (pid, tid), hosts then daemons, deterministic."""
-    out: dict[str, tuple[int, int]] = {}
-    tid = 1
-    for track in builder.tracks():
-        if track.startswith(f"{HOST_TRACK}:"):
-            out[track] = (_HOSTS_PID, tid)
-            tid += 1
-    for i, daemon in enumerate(DAEMON_TRACKS, start=1):
-        track = f"daemon:{daemon}"
-        if track in builder.tracks():
-            out[track] = (_SERVER_PID, i)
-    return out
+#: What ``json.dumps(doc, sort_keys=True)`` writes around the event list.
+_HEAD = ('{"displayTimeUnit": "ms", "metadata": {"clock": '
+         '"simulated-microseconds", "format": "repro.obs chrome trace"}, '
+         '"traceEvents": [')
+_TAIL = "]}"
+_PROCESSES = (
+    '{"args": {"name": "volunteer hosts"}, "name": "process_name", '
+    f'"ph": "M", "pid": {_HOSTS_PID}}}, '
+    '{"args": {"name": "project server"}, "name": "process_name", '
+    f'"ph": "M", "pid": {_SERVER_PID}}}')
 
 
 def _json_safe(args: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    return {k: (v if isinstance(v, (int, float, str, bool, type(None)))
-                else repr(v))
+    return {k: (v if isinstance(v, _JSON_SCALARS) else repr(v))
             for k, v in args.items()}
 
 
-def chrome_trace_events(builder: SpanBuilder) -> list[dict]:
-    """The ``traceEvents`` list for *builder*'s timeline."""
-    ids = _track_ids(builder)
-    events: list[dict] = [
-        {"ph": "M", "pid": _HOSTS_PID, "name": "process_name",
-         "args": {"name": "volunteer hosts"}},
-        {"ph": "M", "pid": _SERVER_PID, "name": "process_name",
-         "args": {"name": "project server"}},
-    ]
-    for track, (pid, tid) in sorted(ids.items(), key=lambda kv: kv[1]):
-        label = track.split(":", 1)[1]
-        events.append({"ph": "M", "pid": pid, "tid": tid,
-                       "name": "thread_name", "args": {"name": label}})
+def _float(x: float) -> str:
+    """*x* as ``json`` writes a float (``NaN`` / ``Infinity`` included)."""
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
-    def emit_span(span: Span) -> None:
-        pid, tid = ids[span.track]
-        args = _json_safe(span.args)
+
+#: How ``json`` writes a value of each exact scalar type.
+_FORMATS: dict[type, _t.Callable[[_t.Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _scalar_json(v: _t.Any) -> str:
+    """A value of no type in :data:`_FORMATS` as ``json.dumps`` writes it
+    after :func:`_json_safe`: a scalar subclass (an ``IntEnum``) as its
+    base type, anything else as its ``repr`` string."""
+    return json.dumps(v if isinstance(v, _JSON_SCALARS) else repr(v))
+
+
+def _value(v: _t.Any) -> str:
+    """One args value as ``json.dumps`` writes it after :func:`_json_safe`."""
+    return _FORMATS.get(type(v), _scalar_json)(v)
+
+
+def _args_encoder() -> _t.Callable[[_t.Mapping[str, _t.Any]], str]:
+    """A function writing an args mapping as ``json.dumps(_json_safe(args),
+    sort_keys=True)`` does, through a ``%`` template built once per key set."""
+    templates: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
+
+    def encode(args: _t.Mapping[str, _t.Any]) -> str:
+        keys = tuple(args)
+        try:
+            order, text = templates[keys]
+        except KeyError:
+            order, text = templates[keys] = _args_template(keys)
+        return text % tuple(map(_value, map(args.__getitem__, order)))
+
+    return encode
+
+
+def _args_template(keys: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
+    """The sorted *keys* and the ``%`` template their values fill.  Trace
+    fields are keyword arguments, so every key is a string."""
+    order = tuple(sorted(keys))
+    text = ", ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                     for k in order)
+    return order, "{" + text + "}"
+
+
+def _chrome_fragments(builder: SpanBuilder) -> _t.Iterator[str]:
+    """The Chrome trace document of *builder*'s timeline, one event per
+    piece (each formatted once)."""
+    # Hosts in name order, then the daemons at their fixed ids: tracks()
+    # is already in (pid, tid) order.
+    tracks = builder.tracks()
+    ids: dict[str, tuple[int, int]] = {}
+    for tid, track in enumerate(
+            (t for t in tracks if t.startswith(f"{HOST_TRACK}:")), start=1):
+        ids[track] = (_HOSTS_PID, tid)
+    for tid, daemon in enumerate(DAEMON_TRACKS, start=1):
+        if f"daemon:{daemon}" in tracks:
+            ids[f"daemon:{daemon}"] = (_SERVER_PID, tid)
+    yield _HEAD
+    yield _PROCESSES
+    # Each track's keys after "name" in an "X" / an "i" event, up to "ts".
+    span_at: dict[str, str] = {}
+    instant_at: dict[str, str] = {}
+    for track, (pid, tid) in ids.items():
+        label = encode_basestring_ascii(track.split(":", 1)[1])
+        yield (f', {{"args": {{"name": {label}}}, "name": "thread_name", '
+               f'"ph": "M", "pid": {pid}, "tid": {tid}}}')
+        span_at[track] = f'"ph": "X", "pid": {pid}, "tid": {tid}, "ts": '
+        instant_at[track] = (f'"ph": "i", "pid": {pid}, "s": "t", '
+                             f'"tid": {tid}, "ts": ')
+
+    args_json = _args_encoder()
+
+    def span_events(span: Span) -> _t.Iterator[str]:
+        args = span.args
         if span.leaked:
-            args["leaked"] = True
-        events.append({
-            "ph": "X", "pid": pid, "tid": tid, "cat": span.category,
-            "name": span.name, "ts": span.start * 1e6,
-            "dur": span.duration * 1e6, "args": args,
-        })
+            args = {**args, "leaked": True}
+        yield (f', {{"args": {args_json(args)}, '
+               f'"cat": {encode_basestring_ascii(span.category)}, '
+               f'"dur": {_float((span.end - span.start) * 1e6)}, '
+               f'"name": {encode_basestring_ascii(span.name)}, '
+               f'{span_at[span.track]}{_float(span.start * 1e6)}}}')
         for child in span.children:
-            emit_span(child)
+            yield from span_events(child)
 
-    for span in sorted(builder.spans, key=_span_order):
-        emit_span(span)
-    for inst in sorted(builder.instants, key=_instant_order):
-        pid, tid = ids[inst.track]
-        events.append({
-            "ph": "i", "pid": pid, "tid": tid, "cat": inst.category,
-            "name": inst.name, "ts": inst.time * 1e6, "s": "t",
-            "args": _json_safe(inst.args),
-        })
-    return events
+    for span in sorted(builder._spans, key=_span_order):
+        if type(span) is tuple:  # an RPC round-trip
+            start, end, track, work_req, n_assignments, no_work = span
+            yield (f', {{"args": {{"n_assignments": {_value(n_assignments)}, '
+                   f'"no_work": {_value(no_work)}, '
+                   f'"work_req": {_value(work_req)}}}, "cat": "rpc", '
+                   f'"dur": {_float((end - start) * 1e6)}, '
+                   f'"name": "sched-rpc", {span_at[track]}'
+                   f'{_float(start * 1e6)}}}')
+        else:
+            yield from span_events(span)
+    for time, track, name, category, fields in sorted(
+            builder._instants, key=_instant_order):
+        yield (f', {{"args": {args_json(fields)}, '
+               f'"cat": {encode_basestring_ascii(category)}, '
+               f'"name": {encode_basestring_ascii(name)}, '
+               f'{instant_at[track]}{_float(time * 1e6)}}}')
+    yield _TAIL
 
 
-def _span_order(span: Span) -> tuple:
+def _span_order(span: Span | tuple) -> tuple:
+    if type(span) is tuple:
+        return (span[0], span[2], "sched-rpc")
     return (span.start, span.track, span.name)
 
 
-def _instant_order(inst: Instant) -> tuple:
-    return (inst.time, inst.track, inst.name)
+#: Instants sort by (time, track, name); ties keep arrival order.
+_instant_order = operator.itemgetter(0, 1, 2)
 
 
-def chrome_trace_json(builder: SpanBuilder, indent: int | None = None) -> str:
+def chrome_trace_json(builder: SpanBuilder) -> str:
     """Serialise the timeline as a Chrome trace-event JSON document."""
-    doc = {
-        "traceEvents": chrome_trace_events(builder),
-        "displayTimeUnit": "ms",
-        "metadata": {"format": "repro.obs chrome trace",
-                     "clock": "simulated-microseconds"},
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return "".join(_chrome_fragments(builder))
 
 
 def write_chrome_trace(builder: SpanBuilder, path: str) -> None:
-    """Write the builder's spans as a Chrome trace-event file."""
+    """Write the builder's timeline to *path* as a Chrome trace-event file,
+    piece by piece (the same bytes :func:`chrome_trace_json` returns)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(chrome_trace_json(builder))
+        fh.writelines(_chrome_fragments(builder))
 
 
 def trace_to_jsonl(tracer: Tracer, out: _t.TextIO | None = None,

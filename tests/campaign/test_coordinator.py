@@ -128,7 +128,12 @@ class TestFailureRecovery:
     def test_sigkilled_workers_mid_cell_every_cell_completes(self, tmp_path):
         """The issue's acceptance invariant: 3 workers, kills mid-cell,
         campaign still completes every cell and the merged per-key
-        payloads equal a sequential run."""
+        payloads equal a sequential run.
+
+        Every assertion reads the coordinator's own counters and store,
+        none a wall-clock margin: a victim is chosen while it holds a
+        lease and is failed as it is killed, so each kill counts and the
+        first one (the queue still full) reclaims its cell."""
         grid = _sleep_grid(9, duration_s=0.4, name="chaos")
         store = ResultStore(tmp_path / "dist.jsonl")
         coordinator = CampaignCoordinator(
@@ -139,19 +144,50 @@ class TestFailureRecovery:
         assert report.failed == 0 and report.ran == 9
         summary = coordinator.summary()
         assert summary["chaos_kills"] == 2
-        assert summary["workers_failed"] >= 2
+        assert summary["workers_failed"] >= summary["chaos_kills"]
         assert summary["leases"]["reclaimed"] >= 1
         assert report.reclaimed == summary["leases"]["reclaimed"]
         run_campaign(grid, str(tmp_path / "seq.jsonl"), workers=0)
         # coordinator's authoritative store matches sequential ...
         assert diff_stores(tmp_path / "dist.jsonl",
                            tmp_path / "seq.jsonl") == []
-        # ... and so do the merged per-worker shards
+        # ... and so do the merged per-worker shards: every worker whose
+        # result was stored wrote its shard before it sent the result
+        writers = {r.meta["worker"] for r in store.load().values()}
         shards = sorted((tmp_path / "shards").glob("*.jsonl"))
-        assert len(shards) >= 3
+        assert len(shards) >= len(writers) >= 2
         merge_stores(tmp_path / "merged.jsonl", shards)
         assert diff_stores(tmp_path / "merged.jsonl",
                            tmp_path / "seq.jsonl") == []
+
+    def test_a_chaos_kill_counts_when_its_result_was_in_flight(
+            self, tmp_path, monkeypatch):
+        # Regression: a victim's leases were reclaimed only once its
+        # socket's EOF reached a handler thread, so a result it had sent
+        # just before the kill drained the lease first and the kill went
+        # uncounted (workers_failed 1 after two kills, seen under load).
+        coordinator = CampaignCoordinator(
+            _sleep_grid(1), ResultStore(tmp_path / "out.jsonl"),
+            chaos_kills=1, chaos_interval_s=0.0)
+        coordinator.begin()
+        monkeypatch.setattr(coordinator, "_spawn_worker", lambda: "w1")
+        victim = multiprocessing.get_context().Process(
+            target=time.sleep, args=(60.0,))
+        victim.start()
+        coordinator._spawned["w0"] = victim
+        coordinator.dispatch({"op": "hello", "worker": "w0"})
+        cell = coordinator.dispatch({"op": "lease", "worker": "w0"})
+        with coordinator._lock:
+            coordinator._chaos_step(time.monotonic())
+        assert not victim.is_alive()
+        coordinator.dispatch({"op": "result", "worker": "w0",
+                              "key": cell["key"], "status": "ok",
+                              "payload": {"slept_s": 0.0}})
+        coordinator.connection_lost("w0")
+        summary = coordinator.summary()
+        assert summary["chaos_kills"] == summary["workers_failed"] == 1
+        assert summary["leases"]["reclaimed"] == 1
+        assert summary["completed"] == 1  # the late result still counts
 
     def test_sigkilled_local_worker_costs_a_lease_not_the_campaign(
             self, tmp_path):

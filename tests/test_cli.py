@@ -96,6 +96,25 @@ class TestObservabilityCommands:
         assert any(e["ph"] == "X" and e["cat"] == "result"
                    for e in doc["traceEvents"])
 
+    def test_chrome_file_is_the_export_of_the_same_run(self, tmp_path):
+        # The file is streamed piece by piece; its bytes must be the string
+        # chrome_trace_json returns for the same run built through the API.
+        from repro.core import (BoincMRConfig, CloudSpec, MapReduceJobSpec,
+                                VolunteerCloud)
+        from repro.obs import chrome_trace_json
+
+        out = tmp_path / "trace.json"
+        assert main(["--seed", "4", *self.RUN, "--trace-out", str(out)]) == 0
+        cloud = VolunteerCloud.from_spec(
+            CloudSpec(seed=4, mr_config=BoincMRConfig()))
+        cloud.add_volunteers(6, mr=True)
+        cloud.attach_observability(spans=True, probes=False)
+        job = cloud.submit(MapReduceJobSpec(
+            "job", n_maps=6, n_reducers=2, input_size=0.06 * 1e9))
+        cloud.run_until(job.done)
+        expected = chrome_trace_json(cloud.finish_observability())
+        assert out.read_bytes() == expected.encode()
+
     def test_run_trace_identical_across_same_seed_runs(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
