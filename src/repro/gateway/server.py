@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import sys
 import threading
 import time
 import typing as _t
@@ -79,7 +80,8 @@ _STATUS_PREFIX = {
                            (404, "Not Found"), (405, "Method Not Allowed"),
                            (409, "Conflict"), (422, "Unprocessable Entity"),
                            (503, "Service Unavailable"))}
-#: The headers of every JSON reply, and the bytes they are sent as.
+#: The headers of every JSON reply (one shared dict: never mutated), and
+#: the bytes they are sent as.
 _JSON_HEADERS = {"Content-Type": "application/json"}
 _JSON_BLOCK = b"\r\nContent-Type: application/json\r\n\r\n"
 
@@ -381,6 +383,10 @@ class GatewayServer:
         self._reading: dict[_Connection, float] = {}
         self._server: asyncio.base_events.Server | None = None
         self._daemon_task: asyncio.Task | None = None
+        #: Bound by the first request, when ``/status`` starts to list it.
+        self._requests_total: Counter | None = None
+        #: ``(request_delay_s, no_work) ->`` a reply without assignments.
+        self._canned: dict[tuple[float, bool], _Reply] = {}
         self._bind_routes()
 
     def _bind_routes(self) -> None:
@@ -530,10 +536,15 @@ class GatewayServer:
         except ServerUnavailable:
             reply = self._error("unavailable", "server refusing; retry",
                                 retry_after_s=self.config.retry_after_s)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            # OverflowError: an integer too large for float()
             reply = self._error("bad_request", f"{type(exc).__name__}: {exc}")
         histogram.observe(time.perf_counter() - t0)
-        self.metrics.counter("gateway.http_requests_total").inc()
+        requests_total = self._requests_total
+        if requests_total is None:
+            requests_total = self._requests_total = self.metrics.counter(
+                "gateway.http_requests_total")
+        requests_total.inc()
         if reply[0] >= 400:
             self.metrics.counter("gateway.http_errors_total").inc()
         return reply
@@ -541,8 +552,7 @@ class GatewayServer:
     @staticmethod
     def _json(status: int, payload: _t.Any) -> _Reply:
         """A JSON response triple."""
-        return (status, {"Content-Type": "application/json"},
-                protocol.dumps(payload))
+        return status, _JSON_HEADERS, protocol.dumps(payload)
 
     def _error(self, code: str, detail: str,
                retry_after_s: float | None = None) -> _Reply:
@@ -558,6 +568,10 @@ class GatewayServer:
         """``POST /rpc/register``: host registration, idempotent by name."""
         if not self.core.available:
             raise ServerUnavailable("registration refused")
+        # Below 1 FLOP/s, an estimate wu.flops / flops may overflow.
+        if not 1 <= req["flops"] <= sys.float_info.max:
+            raise ValueError("RegisterRequest.flops: expected a finite "
+                             f"number >= 1, got {req['flops']!r}")
         host_id = next((rec.id for rec in self.core.db.hosts.values()
                         if rec.name == req["name"]), None)
         if host_id is None:
@@ -595,7 +609,12 @@ class GatewayServer:
         reply = self.core.handle_scheduler_request(SchedulerRequest(
             host_id=req["host_id"], work_req_s=float(req["work_req_s"]),
             reports=reports))
-        return self._json(200, self._encode_reply(reply))
+        if reply.assignments:
+            return self._json(200, self._encode_reply(reply))
+        key = (reply.request_delay_s, reply.no_work)
+        if key not in self._canned:
+            self._canned[key] = self._json(200, self._encode_reply(reply))
+        return self._canned[key]
 
     def _encode_reply(self, reply: SchedulerReply) -> dict:
         """Serialise a core :class:`SchedulerReply` into a wire ``WorkReply``."""
@@ -646,6 +665,10 @@ class GatewayServer:
     def _job_submit(self, _arg: str, _headers: dict, request: dict) -> _Reply:
         """``POST /jobs``: generate corpus, split, submit map workunits."""
         # A taken name or unknown app raises ValueError: 400, see _dispatch.
+        # The corpus is generated on the event loop: bounded like a body.
+        if request["corpus"]["size"] > _MAX_BODY:
+            raise ValueError(f"JobRequest.corpus.size: at most {_MAX_BODY} "
+                             f"bytes, got {request['corpus']['size']}")
         spec = self.jobs.submit_spec(request).spec
         return self._json(200, {"name": spec.name, "n_maps": spec.n_maps,
                                 "n_reducers": spec.n_reducers,

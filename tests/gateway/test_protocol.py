@@ -99,3 +99,27 @@ class TestDumps:
     def test_roundtrip(self):
         doc = {"x": [1, 2, {"y": None}]}
         assert protocol.loads(protocol.dumps(doc)) == doc
+
+
+class TestLoads:
+    @pytest.mark.parametrize("text", ["NaN", "[Infinity]", '{"a":-Infinity}',
+                                      "1e400", "[-1e400]"])
+    def test_non_finite_numbers_are_refused(self, text):
+        # json.loads takes every one of these; RFC 8259 has no such number.
+        with pytest.raises(ValueError, match="is not a finite number"):
+            protocol.loads(text.encode())
+
+    @pytest.mark.parametrize("data", [
+        b'{"a":[1,-0.0,1e308,2.5e-324,"\\u00e9"],"b":null}', b"10" * 200,
+        b"", b"{", b"\xef\xbb\xbf{}", b"[1,]", b'"\xff"'])
+    def test_everything_else_as_json_loads(self, data):
+        import json
+
+        try:
+            expected = json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as err:
+                protocol.loads(data)
+            assert str(err.value) == str(exc)
+        else:
+            assert protocol.loads(data) == expected

@@ -296,6 +296,53 @@ STALLED_REQUESTS = {
 }
 
 
+def _job(**fields):
+    """A ``JobRequest`` body: a one-map word count unless overridden."""
+    job = {"name": "hostile", "app": "wordcount", "n_maps": 1,
+           "n_reducers": 1, "corpus": {"size": 100, "seed": 1}, **fields}
+    return "/jobs", protocol.dumps(job)
+
+
+#: ``POST`` bodies that frame cleanly and must be refused, by name: each
+#: is answered 400 ``bad_request`` on a connection that stays open,
+#: whatever state the server is in.  CI's ``gateway-load`` job sends them
+#: on one keep-alive connection to a long-lived ``repro serve`` process.
+HOSTILE_BODIES = {
+    # Not JSON, or JSON of the wrong shape.
+    "not-json": ("/rpc/register", b"not json"),
+    "not-utf8": ("/rpc/register", b'{"name":"\xff","flops":1e9}'),
+    "not-an-object": ("/rpc/scheduler", b"[]"),
+    "unknown-field": ("/rpc/register", b'{"name":"h","flops":1e9,"zz":1}'),
+    "bool-for-number": ("/rpc/register", b'{"name":"h","flops":true}'),
+    "reports-not-a-list": ("/rpc/scheduler",
+                           b'{"host_id":1,"work_req_s":1.0,"reports":{}}'),
+    "report-not-an-object": ("/rpc/scheduler",
+                             b'{"host_id":1,"work_req_s":1.0,"reports":[7]}'),
+    "corpus-not-an-object": _job(corpus=5),
+    # Tokens Python's json takes and RFC 8259 does not.
+    "nan-token": ("/rpc/register", b'{"name":"h","flops":NaN}'),
+    "infinity-token": ("/rpc/scheduler", b'{"host_id":1,"work_req_s":Infinity}'),
+    "minus-infinity-token": ("/rpc/scheduler",
+                             b'{"host_id":1,"work_req_s":-Infinity}'),
+    "overflowing-literal": ("/rpc/register", b'{"name":"h","flops":1e400}'),
+    # Schema-valid values the server must not take.
+    "flops-zero": ("/rpc/register", b'{"name":"h","flops":0}'),
+    "flops-negative": ("/rpc/register", b'{"name":"h","flops":-1e9}'),
+    "flops-below-one": ("/rpc/register", b'{"name":"h","flops":5e-324}'),
+    "flops-past-double": ("/rpc/register",
+                          b'{"name":"h","flops":1%s}' % (b"0" * 400)),
+    "corpus-over-64MiB": _job(corpus={"size": 64 * 1024 * 1024 + 1,
+                                      "seed": 1}),
+    "corpus-10e12": _job(corpus={"size": 10**12, "seed": 1}),
+    "corpus-empty": _job(corpus={"size": 0, "seed": 1}),
+    "corpus-negative-seed": _job(corpus={"size": 100, "seed": -1}),
+    "no-maps": _job(n_maps=0),
+    "negative-reducers": _job(n_reducers=-1),
+    "quorum-over-replication": _job(replication=1, quorum=2),
+    "unknown-app": _job(app="no-such-app"),
+}
+
+
 class TestHostileFraming:
     """Requests whose extent cannot be trusted get a 400, then a close."""
 
@@ -379,6 +426,178 @@ class TestHostileFraming:
         requests, verdict = reference_framing.read_all([HOSTILE_REQUESTS[name]])
         assert requests and requests[0][:2] in (("POST", "/rpc/scheduler"),
                                                 ("GET", "/" + "a" * 16369))
+
+
+def _post(path, body):
+    """The bytes of one keep-alive ``POST`` of *body* to *path*."""
+    return (b"POST %s HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (path.encode(), len(body), body))
+
+
+@pytest.fixture()
+def no_big_corpus(monkeypatch):
+    """Fail a test, rather than the machine, if the server starts
+    generating a corpus past the body limit."""
+    from repro.gateway import jobs as jobs_module
+
+    def guarded(size, **kwargs):
+        assert size <= 64 * 1024 * 1024, f"generated a {size}-byte corpus"
+        return generate_corpus(size, **kwargs)
+
+    monkeypatch.setattr(jobs_module, "generate_corpus", guarded)
+
+
+def _dispatch(server, method, path, body=b""):
+    """``(status, decoded body)`` of one request served without a socket."""
+    status, _headers, payload = server._dispatch(method, path, {}, body)
+    return status, protocol.loads(payload)
+
+
+class TestHostileBodies:
+    """Bodies that frame cleanly get a 400 naming what is wrong, and the
+    connection they came on stays open."""
+
+    @pytest.mark.parametrize("name", HOSTILE_BODIES)
+    def test_refused_with_400(self, name, no_big_corpus):
+        server = GatewayServer()
+        status, doc = _dispatch(server, "POST", *HOSTILE_BODIES[name])
+        assert (status, doc["error"]) == (400, "bad_request"), doc
+        assert protocol.validate("Error", doc) == []
+        assert server.core.db.hosts == {} and server.jobs.jobs == {}
+
+    def test_all_on_one_keepalive_connection(self, handle, no_big_corpus):
+        metrics = handle.server.metrics
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as raw:
+            stream = raw.makefile("rb")
+            for name, (path, body) in HOSTILE_BODIES.items():
+                raw.sendall(_post(path, body))
+                status = stream.readline()
+                head = b""
+                while (line := stream.readline()) not in (b"\r\n", b""):
+                    head += line
+                length = int(head.split(b"Content-Length: ")[1].split(b"\r")[0])
+                doc = protocol.loads(stream.read(length))
+                assert status == b"HTTP/1.1 400 Bad Request\r\n", name
+                assert b"Connection" not in head, name
+                assert doc["error"] == "bad_request", name
+            raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert stream.readline() == b"HTTP/1.1 200 OK\r\n"
+        assert metrics.counter("gateway.http_errors_total").value == len(
+            HOSTILE_BODIES)
+
+    @pytest.mark.parametrize("flops", [0, -1e9, 0.5, 5e-324, 10**400])
+    def test_register_refuses_flops_a_task_estimate_cannot_divide_by(
+            self, flops):
+        # Accepted, flops 0 made the host's first RPC that found work raise
+        # ZeroDivisionError past the 400 handler: no reply, every poll.
+        server = GatewayServer()
+        status, doc = _dispatch(server, "POST", "/rpc/register",
+                                protocol.dumps({"name": "h", "flops": flops}))
+        assert status == 400
+        assert doc["detail"].startswith(
+            "ValueError: RegisterRequest.flops: expected a finite number >= 1")
+        assert server.core.db.hosts == {}
+
+    def test_slowest_host_gets_a_finite_estimate(self):
+        server = GatewayServer()
+        assert _dispatch(server, "POST", "/rpc/register",
+                         b'{"name":"slow","flops":1}')[0] == 200
+        server.jobs.submit_data("big", "wordcount", b"x" * 5000, 1, 1)
+        server.core.run_daemon_passes()
+        status, doc = _dispatch(server, "POST", "/rpc/scheduler",
+                                b'{"host_id":1,"work_req_s":1e300}')
+        assert status == 200 and protocol.validate("WorkReply", doc) == []
+        assert doc["assignments"][0]["est_runtime_s"] == 5000.0
+
+    def test_corpus_past_the_body_limit_is_never_generated(
+            self, no_big_corpus):
+        # 10**12 bytes used to be generated on the event loop: every
+        # volunteer starved while it ran.
+        server = GatewayServer()
+        status, doc = _dispatch(server, "POST", *_job(
+            corpus={"size": 10**12, "seed": 1}))
+        assert (status, doc["detail"]) == (
+            400, "ValueError: JobRequest.corpus.size: at most 67108864 "
+                 "bytes, got 1000000000000")
+
+    def test_integer_too_large_for_a_float_is_a_400(self):
+        # float(10**400) raises OverflowError, which used to escape the
+        # 400 handler and drop the connection without a reply.
+        server = GatewayServer()
+        _dispatch(server, "POST", "/rpc/register", b'{"name":"h","flops":1e9}')
+        server.jobs.submit_data("j", "wordcount", b"x" * 100, 1, 1)
+        server.core.run_daemon_passes()
+        status, doc = _dispatch(server, "POST", "/rpc/scheduler",
+                                b'{"host_id":1,"work_req_s":1}')
+        result_id = doc["assignments"][0]["result_id"]
+        huge = b"1" + b"0" * 400
+        for body in (b'{"host_id":1,"work_req_s":%s}' % huge,
+                     b'{"host_id":1,"work_req_s":1,"reports":[{"result_id":%d,'
+                     b'"success":true,"elapsed_s":%s}]}' % (result_id, huge)):
+            status, doc = _dispatch(server, "POST", "/rpc/scheduler", body)
+            assert (status, doc["error"]) == (400, "bad_request")
+            assert doc["detail"].startswith("OverflowError: int too large")
+
+
+NO_WORK = b'{"assignments":[],"no_work":true,"request_delay_s":0.0}'
+
+
+class TestCannedReplies:
+    """A scheduler reply without assignments is sent from bytes encoded
+    once per ``(request_delay_s, no_work)``: the same bytes as ever."""
+
+    def test_no_work_and_no_request_bytes_on_the_wire(self, handle, client):
+        host_id = client.register("canned", flops=1e9)
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            for work_req, body in (
+                    (b"1.0", NO_WORK),
+                    (b"0", NO_WORK.replace(b"true", b"false")),
+                    (b"1.0", NO_WORK)):
+                raw.sendall(_post("/rpc/scheduler", b'{"host_id":%d,'
+                                  b'"work_req_s":%s}' % (host_id, work_req)))
+                assert raw.recv(65536) == (
+                    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                    b"Content-Type: application/json\r\n\r\n%s"
+                    % (len(body), body))
+
+    @pytest.mark.parametrize("delay", [0.0, 0.5, 1e-7, 3600.0])
+    def test_canned_body_is_the_encoded_reply(self, delay):
+        from repro.boinc.server import SchedulerReply
+
+        server = GatewayServer(GatewayConfig(request_delay_s=delay))
+        _dispatch(server, "POST", "/rpc/register", b'{"name":"h","flops":1e9}')
+        for work_req, no_work in ((b"1.0", True), (b"0", False)):
+            body = b'{"host_id":1,"work_req_s":%s}' % work_req
+            first = server._dispatch("POST", "/rpc/scheduler", {}, body)
+            assert first == (200, {"Content-Type": "application/json"},
+                             protocol.dumps(server._encode_reply(
+                                 SchedulerReply([], delay, no_work))))
+            assert server._dispatch("POST", "/rpc/scheduler", {},
+                                    body) is first
+        assert len(server._canned) == 2
+
+    def test_status_counters_after_a_sequence(self):
+        # Bound at the first request: /status lists no counter earlier
+        # than it did when each request looked its counter up by name.
+        server = GatewayServer()
+        sequence = [("GET", "/status", b""),
+                    ("POST", "/rpc/register", b'{"name":"a","flops":1e9}'),
+                    ("POST", "/rpc/scheduler", b'{"host_id":1,"work_req_s":1}'),
+                    ("POST", "/rpc/scheduler", b'{"host_id":1,"work_req_s":0}'),
+                    ("POST", "/rpc/scheduler", b'{"host_id":2,"work_req_s":1}'),
+                    ("POST", "/rpc/scheduler", b"not json"),
+                    ("GET", "/nope", b""),
+                    ("GET", "/status", b"")]
+        replies = [_dispatch(server, *request) for request in sequence]
+        assert [status for status, _ in replies] == [
+            200, 200, 200, 200, 404, 400, 404, 200]
+        assert replies[0][1]["counters"] == {}
+        assert replies[-1][1]["counters"] == {
+            "gateway.http_errors_total": 3.0,
+            "gateway.http_requests_total": 7.0,
+            "sched.no_work_total": 1.0, "sched.rpc_total": 2.0}
 
 
 def _exchange(handle, request_bytes, half_close=False):
