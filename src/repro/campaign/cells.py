@@ -115,9 +115,27 @@ def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
 
     Returns the deterministic result payload; raises on any failure (the
     runner converts exceptions into quarantine records).
+
+    Every deployment the cell built is then audited
+    (:meth:`repro.core.VolunteerCloud.audit`): after the payload is taken,
+    since the audit runs each clock on until the daemons settle and
+    straggling replicas drain.  The verdict stays out of the payload — a
+    violated invariant (a leaked flow or slot, a lost result) raises, so
+    the cell fails naming it.  A cell with a chaos plan is left to the
+    audit its executor records in the payload.
     """
+    from ..core.system import collect_clouds
+
     try:
         executor = KINDS[spec["kind"]][0]
     except KeyError:
         raise ValueError(f"unknown cell kind {spec.get('kind')!r}") from None
-    return executor(spec)
+    with collect_clouds() as clouds:
+        payload = executor(spec)
+    if not spec.get("faults"):
+        for cloud in clouds:
+            report = cloud.audit()
+            if not report.ok:
+                raise RuntimeError(f"cell {spec.get('group') or spec['kind']}"
+                                   f" failed its audit: {report.render()}")
+    return payload

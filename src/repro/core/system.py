@@ -24,6 +24,8 @@ paper's homogeneous volunteer population (Section IV.A), in which case
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import typing as _t
 
@@ -61,6 +63,23 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: workload class.
 PC3001_FLOPS = 1.0
 PCR200_FLOPS = 1.6
+
+#: The list :func:`collect_clouds` is filling in this context, if any.
+_collecting: contextvars.ContextVar[list["VolunteerCloud"] | None] = \
+    contextvars.ContextVar("collecting", default=None)
+
+
+@contextlib.contextmanager
+def collect_clouds() -> _t.Iterator[list["VolunteerCloud"]]:
+    """Yield a list that gathers every :class:`VolunteerCloud` built inside
+    the block, so code that runs a whole experiment can audit what it built
+    without the experiment handing its deployments back."""
+    clouds: list[VolunteerCloud] = []
+    token = _collecting.set(clouds)
+    try:
+        yield clouds
+    finally:
+        _collecting.reset(token)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -126,6 +145,9 @@ class VolunteerCloud:
                 f"spec must be a CloudSpec, got {type(spec).__name__}")
         #: The frozen construction spec this deployment was built from.
         self.spec = spec
+        collecting = _collecting.get()
+        if collecting is not None:
+            collecting.append(self)
         self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
         self.tracer = tracer if tracer is not None else Tracer()

@@ -204,6 +204,12 @@ SCHEMAS: dict[str, dict[str, _FieldSpec]] = {
 #: Job lifecycle states as served in ``JobStatus.state``.
 JOB_STATES = ("running", "done", "error")
 
+#: ``JobRequest`` count -> the largest value the gateway takes.  A job is
+#: split, stored and scheduled on the gateway's one event loop, so its
+#: size is bounded like a body; each count must lie in ``1..bound``.
+JOB_LIMITS: dict[str, int] = {"n_maps": 1024, "n_reducers": 256,
+                              "replication": 8, "quorum": 8}
+
 
 #: The test of each primitive kind, over the value named ``{v}``.
 _PRIMITIVE = {"null": "{v} is None", "str": "isinstance({v}, str)",

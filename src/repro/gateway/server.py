@@ -665,7 +665,13 @@ class GatewayServer:
     def _job_submit(self, _arg: str, _headers: dict, request: dict) -> _Reply:
         """``POST /jobs``: generate corpus, split, submit map workunits."""
         # A taken name or unknown app raises ValueError: 400, see _dispatch.
-        # The corpus is generated on the event loop: bounded like a body.
+        # The job is generated, split and scheduled on the event loop, so
+        # its counts and corpus are bounded like a body — checked first.
+        for field, most in protocol.JOB_LIMITS.items():
+            value = request.get(field, 1)
+            if not 1 <= value <= most:
+                raise ValueError(f"JobRequest.{field}: expected 1..{most}, "
+                                 f"got {value}")
         if request["corpus"]["size"] > _MAX_BODY:
             raise ValueError(f"JobRequest.corpus.size: at most {_MAX_BODY} "
                              f"bytes, got {request['corpus']['size']}")

@@ -7,10 +7,15 @@ extra shared links such as a project data-server trunk).  Rates are the
 classic max–min fair allocation computed by progressive filling, with
 optional per-flow rate caps (to model TCP throughput ceilings).
 
-Whenever the flow set changes, progress is advanced, rates are recomputed,
-and the earliest completion is scheduled.  Stale completion timers are
-retracted (cancelled, or skipped via version counters), so the model stays
-correct under arbitrary churn.
+Whenever the flow set changes, progress is advanced, the stale completion
+timer is retracted (cancelled, or skipped via version counters) and the
+rates are marked for a re-solve, so the model stays correct under
+arbitrary churn.  The solve itself waits for the end of the simulated
+instant (:meth:`repro.sim.Simulator.at_instant_end`): a wave of k
+downloads that start together through one server link costs one solve of
+k flows, not k solves of up to k.  Reads never see the wait —
+:attr:`Flow.rate`, :meth:`Flow.eta` and :meth:`FlowNetwork.utilisation`
+settle pending changes first and return what an immediate solve would.
 
 *Background* flows (the TCP-Nice model from the paper's Section III.D) only
 receive capacity left over after all foreground flows are allocated — a
@@ -29,14 +34,15 @@ the textbook per-flow formulation kept as the test oracle in
 
 Rate allocation is incremental (:class:`IncrementalAllocator`): the active
 flows are partitioned into link-connected components and only the component
-touched by a change is reallocated.  Untouched components keep their cached
-rates and completion timers (per-component version counters + cancellable
-timers), which is what lets the simulator scale to thousands of volunteers.
+touched by a change is reallocated, at most once per instant.  Untouched
+components keep their cached rates and completion timers (per-component
+version counters + cancellable timers), which is what lets the simulator
+scale to thousands of volunteers.
 A removal walks the component for a split only when the removed flows leave
 two or more of their links populated, and the walk reads each link's member
 list once.  Per-link used-rate sums make :meth:`FlowNetwork.utilisation`
 O(1) per sample.  The global algorithm it replaced (every flow change
-re-solves every active flow) is kept as the test oracle in
+re-solves every active flow, at once) is kept as the test oracle in
 ``tests/net/reference_allocator.py``; :class:`FlowNetwork` accepts an
 allocator *instance* so the equivalence tests can inject it.
 """
@@ -92,13 +98,13 @@ class Flow:
         Event fired with the flow on completion, or failed with
         :class:`FlowError` when aborted.
     rate:
-        Current allocated rate in bytes/s (updated on every recompute).
+        Current allocated rate in bytes/s (see the property).
     """
 
     __slots__ = (
-        "name", "links", "size", "remaining", "rate", "max_rate",
+        "name", "links", "size", "remaining", "_rate", "max_rate",
         "background", "done", "started_at", "finished_at", "aborted",
-        "corrupted", "seq",
+        "corrupted", "seq", "_alloc",
     )
 
     def __init__(self, sim: Simulator, name: str, links: _t.Sequence[Link],
@@ -114,7 +120,7 @@ class Flow:
         self.links = tuple(links)
         self.size = float(size)
         self.remaining = float(size)
-        self.rate = 0.0
+        self._rate = 0.0
         self.max_rate = max_rate
         self.background = background
         self.done: Event = sim.event(name=f"flow:{name}")
@@ -127,6 +133,26 @@ class Flow:
         #: Global start order, assigned by FlowNetwork — the deterministic
         #: tie-breaker allocators use wherever ordering matters.
         self.seq = -1
+        #: The allocator that owns the rate, set by FlowNetwork (None for
+        #: a flow built outside a network).
+        self._alloc: IncrementalAllocator | None = None
+
+    @property
+    def rate(self) -> float:
+        """Allocated rate in bytes/s, exact at any point of an instant.
+
+        The owning allocator solves a changed component at the end of the
+        instant; reading the rate settles pending changes first, so it
+        returns what an immediate solve would.
+        """
+        if self._alloc is not None:
+            self._alloc.flush()
+        return self._rate
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        """Assign the rate, as a solver run outside an allocator does."""
+        self._rate = value
 
     @property
     def finished(self) -> bool:
@@ -137,13 +163,14 @@ class Flow:
         """Seconds until completion at the current rate (inf if stalled)."""
         if self.remaining <= _EPSILON_BYTES:
             return 0.0
-        if self.rate <= 0:
+        rate = self.rate
+        if rate <= 0:
             return math.inf
-        return self.remaining / self.rate
+        return self.remaining / rate
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Flow {self.name} {self.remaining:.0f}/{self.size:.0f}B "
-                f"@{self.rate:.0f}B/s>")
+                f"@{self._rate:.0f}B/s>")
 
 
 _by_seq = operator.attrgetter("seq")
@@ -259,7 +286,7 @@ def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
     for f in foreground:
         for link in f.links:
             if link in residual:
-                residual[link] -= f.rate
+                residual[link] -= f._rate
     # Progressive filling over the residual, floored so a fully used link
     # still divides; the links themselves are never touched.
     rates = maxmin_rates(background, {link: max(room, 1e-9)
@@ -267,7 +294,7 @@ def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
     for f, r in rates.items():
         # A starved background flow gets a vanishing sliver from the
         # capacity floor above; treat it as fully stalled.
-        f.rate = r if r > 1e-6 else 0.0
+        f._rate = r if r > 1e-6 else 0.0
 
 
 def allocate_rates(flows: _t.Sequence[Flow],
@@ -275,7 +302,7 @@ def allocate_rates(flows: _t.Sequence[Flow],
                    ) -> None:
     """Two-pass (foreground max–min, then background residual) allocation.
 
-    Mutates ``flow.rate`` in place.  Progressive filling is numerically
+    Sets each flow's rate in place.  Progressive filling is numerically
     order-independent, so allocating a flow set component by component or
     all at once (the test oracle) produces identical rates.  *adj* is an
     optional link → flows index over exactly *flows*; it serves the
@@ -285,7 +312,7 @@ def allocate_rates(flows: _t.Sequence[Flow],
     background = [f for f in flows if f.background]
     rates = maxmin_rates(foreground, adj=None if background else adj)
     for f, r in rates.items():
-        f.rate = r
+        f._rate = r
     if background:
         _fill_background(foreground, background)
 
@@ -303,7 +330,7 @@ def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
     next_eta = math.inf
     next_rate = 0.0
     for f in flows:
-        r = f.rate
+        r = f._rate
         for link in f.links:
             used[link] += r
         if f.remaining <= _EPSILON_BYTES:
@@ -322,7 +349,7 @@ class _Component:
     """A link-connected island of active flows (incremental allocator)."""
 
     __slots__ = ("flows", "adj", "seq", "version", "last_update", "next_at",
-                 "next_rate", "timer")
+                 "next_rate", "timer", "due_now")
 
     def __init__(self, now: float, seq: int) -> None:
         """An empty component created at sim time *now* (internal)."""
@@ -345,6 +372,11 @@ class _Component:
         #: Rate of the earliest-finishing flow at the last allocation.
         self.next_rate = 0.0
         self.timer: TimerHandle | None = None
+        #: A member was within the completion epsilon when progress was
+        #: last accounted: its completion is due this very instant, so a
+        #: change is solved at once rather than at the instant's end
+        #: (conservative — it may outlive that flow, never the reverse).
+        self.due_now = False
 
 
 def _link_components(flows: list[Flow],
@@ -386,11 +418,21 @@ class IncrementalAllocator:
     timer, so churn in one part of the network never reschedules — or even
     inspects — flows elsewhere.  Per-event cost is O(component), not O(F).
 
+    A change only marks its component; :meth:`flush` solves every marked
+    component, in the order they were marked, once the simulated instant
+    has nothing left to dispatch, or earlier when a rate is read.  So a
+    component is solved at most once per instant however many flows join
+    or leave it, with the same floats, timers and completions as solving
+    after every change.  The one exception is a component holding a flow
+    already within the completion epsilon: its completion is due now, and
+    it is solved at once, as it always was.
+
     The :class:`FlowNetwork` keeps flow lifecycle bookkeeping (tracing,
     metrics, ``done`` events) and calls :meth:`bind` once, :meth:`add` /
     :meth:`remove` as flows start and die, :meth:`advance` before it
-    mutates a flow so progress at the old rates is not lost, and
-    :meth:`refresh` after external link-capacity changes.
+    mutates a flow so progress at the old rates is not lost,
+    :meth:`refresh` after external link-capacity changes and
+    :meth:`flush` before it reads a rate sum.
     """
 
     def __init__(self) -> None:
@@ -401,6 +443,10 @@ class IncrementalAllocator:
         self._link_comp: dict[Link, _Component] = {}
         self._used: dict[Link, float] = {}
         self._comp_seq = itertools.count()
+        #: Components changed since the last flush, in the order marked.
+        self._dirty: dict[_Component, None] = {}
+        #: A flush is registered for the end of the current instant.
+        self._armed = False
         #: Due-scan index: min-heap of ``(key, comp.seq, comp, version)``
         #: where *key* conservatively under-estimates the earliest sim time
         #: the component could pass the completion-epsilon test.  Replaces
@@ -460,6 +506,14 @@ class IncrementalAllocator:
             self._advance_comp(comp, self.net.sim.now)
             self._settle(comp)
 
+    def flush(self) -> None:
+        """Solve every component changed since the last flush, oldest first."""
+        dirty = self._dirty
+        if dirty:
+            self._dirty = {}
+            for comp in dirty:
+                self._solve(comp)
+
     def link_used(self, link: Link) -> float:
         """Summed allocated rate over *link* (cached sum, O(1))."""
         return self._used.get(link, 0.0)
@@ -486,11 +540,15 @@ class IncrementalAllocator:
     def _advance_comp(self, comp: _Component, now: float) -> None:
         dt = now - comp.last_update
         if dt > 0:
+            due_now = False
             for f in comp.flows:
-                sent = min(f.remaining, f.rate * dt)
+                sent = min(f.remaining, f._rate * dt)
                 f.remaining -= sent
                 for link in f.links:
                     link.bytes_carried += sent
+                if f.remaining <= _EPSILON_BYTES:
+                    due_now = True
+            comp.due_now = due_now
         comp.last_update = now
 
     def _detach(self, comp: _Component, flow: Flow) -> None:
@@ -520,6 +578,8 @@ class IncrementalAllocator:
             src.timer.cancel()
             src.timer = None
         src.version += 1
+        self._dirty.pop(src, None)
+        dst.due_now = dst.due_now or src.due_now
         for f in src.flows:
             dst.flows[f] = None
             self._flow_comp[f] = dst
@@ -535,6 +595,7 @@ class IncrementalAllocator:
             comp.timer.cancel()
             comp.timer = None
         comp.version += 1
+        self._dirty.pop(comp, None)
         for link in comp.adj:
             if self._link_comp.get(link) is comp:
                 del self._link_comp[link]
@@ -542,20 +603,36 @@ class IncrementalAllocator:
         self._comps.pop(comp, None)
 
     def _settle(self, comp: _Component) -> None:
-        """(Re)allocate *comp*'s rates and reschedule its completion timer.
+        """Retract *comp*'s completion timer and mark it for :meth:`flush`.
 
         Timer hygiene lives here: the previous timer is cancelled (O(1))
         rather than left to fire as a stale no-op, so unaffected components
-        elsewhere never accumulate superseded queue entries.
+        elsewhere never accumulate superseded queue entries.  The first
+        mark of an instant registers the flush for the instant's end.
         """
         if not comp.flows:
             self._dissolve(comp)
             return
-        sim = self.net.sim
         comp.version += 1
         if comp.timer is not None:
             comp.timer.cancel()
             comp.timer = None
+        if comp.due_now:
+            self._dirty.pop(comp, None)
+            self._solve(comp)
+            return
+        if not self._armed:
+            self._armed = True
+            self.net.sim.at_instant_end(self._end_instant)
+        self._dirty[comp] = None
+
+    def _end_instant(self) -> None:
+        self._armed = False
+        self.flush()
+
+    def _solve(self, comp: _Component) -> None:
+        """Allocate *comp*'s rates and schedule its completion timer."""
+        sim = self.net.sim
         flows = sorted(comp.flows, key=_by_seq)
         allocate_rates(flows, comp.adj)
         for link in comp.adj:
@@ -619,6 +696,7 @@ class IncrementalAllocator:
         for group in groups:
             nc = _Component(now, next(self._comp_seq))
             self._comps[nc] = None
+            nc.due_now = comp.due_now
             for f in group:
                 nc.flows[f] = None
                 self._flow_comp[f] = nc
@@ -659,6 +737,7 @@ class IncrementalAllocator:
         for c in due:
             self._advance_comp(c, now)
             fin = [f for f in c.flows if f.remaining <= _EPSILON_BYTES]
+            c.due_now = False  # every flow that was is in fin
             touched.append((c, fin))
             finished.extend(fin)
         for c, fin in touched:
@@ -717,6 +796,7 @@ class FlowNetwork:
         """Begin a transfer of *size* bytes across *links*; returns the flow."""
         flow = Flow(self.sim, name, links, size, max_rate, background)
         flow.seq = next(self._flow_seq)
+        flow._alloc = self.allocator
         if flow.remaining <= _EPSILON_BYTES:
             flow.finished_at = self.sim.now
             flow.done.trigger(flow)
@@ -736,7 +816,7 @@ class FlowNetwork:
         self.allocator.advance(flow)
         del self._active[flow]
         flow.aborted = True
-        flow.rate = 0.0
+        flow._rate = 0.0
         flow.finished_at = self.sim.now
         self.flows_aborted += 1
         if self.metrics is not None:
@@ -760,6 +840,7 @@ class FlowNetwork:
 
     def utilisation(self, link: Link) -> float:
         """Fraction of *link* capacity currently in use (0..1).  O(1)."""
+        self.allocator.flush()
         return self.allocator.link_used(link) / link.capacity
 
     def flows_using(self, links: _t.Sequence[Link]) -> list[Flow]:
@@ -773,7 +854,7 @@ class FlowNetwork:
         for f in flows:
             del self._active[f]
             f.remaining = 0.0
-            f.rate = 0.0
+            f._rate = 0.0
             f.finished_at = now
             self.bytes_delivered += f.size
             self.flows_completed += 1

@@ -31,6 +31,14 @@ single-heap kernel this one replaced as the oracle for that claim.
 live callbacks in both containers (cancelled timers awaiting lazy
 deletion are not counted).
 
+Beside the two containers sits a third, tiny list: callbacks registered
+with :meth:`Simulator.at_instant_end`, run once the current instant has
+nothing left to dispatch and before the clock moves on.  They are not
+events — they take no ``seq``, are not in :meth:`Simulator.pending` and
+never count in ``dispatch_count`` or ``peak_pending`` — which is what lets
+the flow allocator batch every change of an instant into one solve
+without moving a single dispatched callback.
+
 The engine is callback-based at the bottom; generator-based *processes*
 (:mod:`repro.sim.process`) are layered on top and are the main way model
 code is written.
@@ -119,6 +127,8 @@ class Simulator:
         #: Normal-priority callbacks due at the current instant, oldest first.
         self._fifo: collections.deque[
             tuple[int, _t.Callable[..., None], tuple]] = collections.deque()
+        #: :meth:`at_instant_end` callbacks, oldest first.
+        self._at_end: list[_t.Callable[[], None]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -178,6 +188,21 @@ class Simulator:
     def call_soon(self, fn: _t.Callable[..., None], *args: _t.Any) -> None:
         """Run ``fn(*args)`` at the current instant, after pending callbacks."""
         self._fifo.append((next(self._seq), fn, args))
+
+    def at_instant_end(self, fn: _t.Callable[[], None]) -> None:
+        """Run ``fn()`` once, before the clock next advances.
+
+        It runs when the current instant has nothing left to dispatch —
+        no same-instant wake-up is queued and the next timer is later than
+        :attr:`now`, or nothing is pending at all — so ``run(until=…)``
+        runs it before moving the clock to *until*.  Callbacks run oldest
+        first; one that schedules work at the current instant extends it.
+        It is not a dispatched event: :attr:`dispatch_count`,
+        :meth:`pending` and :attr:`peak_pending` do not count it, but
+        :attr:`dispatch_hook` sees it, so a profiler charges it to its
+        owner.  :meth:`peek` returns :attr:`now` while one is registered.
+        """
+        self._at_end.append(fn)
 
     # -- event / process factories -------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -243,9 +268,11 @@ class Simulator:
         Ends when nothing is pending, when the next callback is due after
         *until*, when *until_event* has fired, or after a callback called
         :meth:`stop`.  Returns True when it ended because *limit*
-        callbacks had run and one more was due, else False.
+        callbacks had run and one more was due, else False.  Whenever the
+        instant has nothing left to dispatch, the :meth:`at_instant_end`
+        callbacks run first, before any of those checks.
         """
-        queue, fifo = self._queue, self._fifo
+        queue, fifo, at_end = self._queue, self._fifo, self._at_end
         pop_timer, pop_soon = heapq.heappop, fifo.popleft
         steps = 0
         while True:
@@ -262,10 +289,18 @@ class Simulator:
                     timer = top[0] <= now and (
                         top[1] < PRIORITY_NORMAL
                         or (top[1] == PRIORITY_NORMAL and top[2] < fifo[0][0]))
+                elif at_end and top[0] > now:
+                    if self._end_instant():
+                        return False
+                    continue
                 else:
                     timer = True
             elif fifo:
                 timer = False
+            elif at_end:
+                if self._end_instant():
+                    return False
+                continue
             else:
                 return False
             if until_event is not None and until_event.triggered:
@@ -300,6 +335,20 @@ class Simulator:
             if self._stopped:
                 return False
 
+    def _end_instant(self) -> bool:
+        """Run the oldest :meth:`at_instant_end` callback, which is not a
+        dispatched event; True when it called :meth:`stop`."""
+        stopped = self._stopped
+        fn = self._at_end.pop(0)
+        hook = self.dispatch_hook
+        if hook is None:
+            fn()
+        else:
+            t0 = _time.perf_counter()
+            fn()
+            hook(fn, (), _time.perf_counter() - t0)
+        return self._stopped and not stopped
+
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False when empty."""
         before = self.dispatch_count
@@ -307,8 +356,11 @@ class Simulator:
         return self.dispatch_count > before
 
     def peek(self) -> float:
-        """Timestamp of the next live scheduled callback, or ``inf`` if none."""
-        if self._fifo:
+        """Timestamp of the next live scheduled callback, or ``inf`` if none.
+
+        It is :attr:`now` while an :meth:`at_instant_end` callback waits.
+        """
+        if self._fifo or self._at_end:
             return self._now
         self._prune()
         return self._queue[0][0] if self._queue else math.inf

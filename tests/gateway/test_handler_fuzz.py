@@ -15,8 +15,8 @@ Whatever arrives, each request gets exactly one reply, its status is
 200, 400, 404, 409 or 503, a 200 body conforms to the route's reply
 schema and any other body to ``Error``, a body the request schema refuses
 is a 400, no reply closes the connection, and ``/healthz`` answers
-afterwards.  Task counts (``n_maps``, ``n_reducers``, ``replication``)
-stay small: the gateway does not bound them yet.
+afterwards.  Task counts (``n_maps``, ``n_reducers``, ``replication``,
+``quorum``) run up to 10**12, past the bounds the gateway enforces.
 """
 
 import gc
@@ -41,7 +41,7 @@ NUMBER = INT | st.floats(allow_nan=False, allow_infinity=False) | \
     st.sampled_from([0.0, -0.0, 0.5, 5e-324, 1e308])
 NAME = st.sampled_from(["", "h", "é", "名前", "a b", "x" * 300, "\x00"]) | \
     st.text(max_size=6)
-COUNT = st.integers(-2, 4)
+COUNT = st.integers(-2, 4) | st.integers(-2, 10**12)
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False),

@@ -339,6 +339,11 @@ HOSTILE_BODIES = {
     "no-maps": _job(n_maps=0),
     "negative-reducers": _job(n_reducers=-1),
     "quorum-over-replication": _job(replication=1, quorum=2),
+    "maps-10e9": _job(n_maps=10**9),
+    "reducers-over-bound": _job(n_reducers=protocol.JOB_LIMITS["n_reducers"]
+                                + 1),
+    "replication-10e12": _job(replication=10**12, quorum=1),
+    "quorum-over-bound": _job(replication=8, quorum=9),
     "unknown-app": _job(app="no-such-app"),
 }
 
@@ -520,6 +525,32 @@ class TestHostileBodies:
         assert (status, doc["detail"]) == (
             400, "ValueError: JobRequest.corpus.size: at most 67108864 "
                  "bytes, got 1000000000000")
+
+    @pytest.mark.parametrize("field", sorted(protocol.JOB_LIMITS))
+    def test_a_count_past_its_bound_is_refused_before_any_work(
+            self, field, monkeypatch):
+        # n_maps had no bound: 10**9 chunks were split on the event loop,
+        # starving every volunteer while it ran.
+        from repro.gateway import jobs as jobs_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("the job was built before it was refused")
+
+        monkeypatch.setattr(jobs_module, "generate_corpus", never)
+        monkeypatch.setattr(jobs_module, "split_text", never)
+        server = GatewayServer()
+        t0 = time.perf_counter()
+        status, doc = _dispatch(server, "POST", *_job(**{field: 10**9}))
+        assert time.perf_counter() - t0 < 0.05
+        assert (status, doc["detail"]) == (
+            400, f"ValueError: JobRequest.{field}: expected "
+                 f"1..{protocol.JOB_LIMITS[field]}, got 1000000000")
+        assert server.jobs.jobs == {}
+
+    def test_a_job_at_every_bound_is_taken(self):
+        server = GatewayServer()
+        status, doc = _dispatch(server, "POST", *_job(**protocol.JOB_LIMITS))
+        assert status == 200 and doc["workunits"] == 1024
 
     def test_integer_too_large_for_a_float_is_a_400(self):
         # float(10**400) raises OverflowError, which used to escape the

@@ -5,10 +5,12 @@ Every flow start, abort, completion or capacity change advances and
 re-solves *every* active flow, O(F) per event — 1.1x / 1.6x / 2.8x slower
 than the component-partitioned :class:`repro.net.IncrementalAllocator` at
 100 / 500 / 2,000 volunteers, which is why it is no longer a product
-option.  It has no components, no due-scan heap and no cancellable
-timers, so it is the simple statement of what the incremental allocator
-must be observationally equivalent to: same rates on the same flow set,
-same completions, same link accounting.  ``test_allocators.py``,
+option.  It has no components, no due-scan heap, no cancellable
+timers and no end-of-instant batching — every change is solved before
+``add`` / ``remove`` / ``refresh`` returns — so it is the simple statement
+of what the incremental allocator must be observationally equivalent to:
+same rates on the same flow set, read at any point of an instant, same
+completions, same link accounting.  ``test_allocators.py``,
 ``test_flows.py`` and ``tests/test_scale_experiment.py`` inject an instance
 through ``FlowNetwork(sim, allocator=FullAllocator())``.
 
@@ -79,6 +81,9 @@ class FullAllocator:
     def refresh(self) -> None:
         """Globally reallocate after a capacity change."""
         self._reallocate()
+
+    def flush(self) -> None:
+        """Nothing waits: every change above was solved at once."""
 
     def link_used(self, link: Link) -> float:
         """Summed allocated rate over *link* (cached sum, O(1))."""

@@ -14,6 +14,11 @@ Only the callback-level API is kept: the ``event`` / ``timeout`` /
 ``process`` factories build ``repro.sim.events`` objects, which append to
 the product kernel's FIFO directly and so cannot run on this class;
 ``run(until_event=…)`` reads nothing but ``.triggered``.
+
+One addition since: ``at_instant_end``, in its plainest form.  Before and
+after every ``step()``, and at the top of every ``run()`` iteration, the
+registered callbacks run one by one while the heap holds nothing due at
+``now``.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, int, _t.Callable[..., None], tuple,
                                 TimerHandle | None]] = []
+        self._at_end: list[_t.Callable[[], None]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -157,6 +163,10 @@ class Simulator:
         """Run ``fn(*args)`` at the current instant, after pending callbacks."""
         self.schedule(0.0, fn, *args)
 
+    def at_instant_end(self, fn: _t.Callable[[], None]) -> None:
+        """Run ``fn()`` once, before the clock next advances."""
+        self._at_end.append(fn)
+
     # -- execution -------------------------------------------------------------
     def _note_cancel(self) -> None:
         """Account a lazy cancellation; compact the heap when they pile up.
@@ -189,11 +199,34 @@ class Simulator:
             heapq.heappop(queue)
             self._cancelled -= 1
 
+    def _end_instant(self) -> bool:
+        """Run ``at_instant_end`` callbacks while nothing is due at ``now``;
+        True when one of them called ``stop()``."""
+        while self._at_end:
+            self._prune()
+            if self._queue and self._queue[0][0] <= self._now:
+                return False
+            stopped = self._stopped
+            fn = self._at_end.pop(0)
+            hook = self.dispatch_hook
+            if hook is None:
+                fn()
+            else:
+                t0 = _time.perf_counter()
+                fn()
+                hook(fn, (), _time.perf_counter() - t0)
+            if self._stopped and not stopped:
+                return True
+        return False
+
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False when empty."""
+        before = self.dispatch_count  # an instant-end callback may step()
+        if self._end_instant():
+            return self.dispatch_count > before
         self._prune()
         if not self._queue:
-            return False
+            return self.dispatch_count > before
         when, _prio, _seq, fn, args, handle = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - defensive; cannot happen
             raise SimulationError("event queue went backwards in time")
@@ -208,10 +241,14 @@ class Simulator:
             t0 = _time.perf_counter()
             fn(*args)
             hook(fn, args, _time.perf_counter() - t0)
+        if not self._stopped:
+            self._end_instant()
         return True
 
     def peek(self) -> float:
         """Timestamp of the next live scheduled callback, or ``inf`` if none."""
+        if self._at_end:
+            return self._now
         self._prune()
         return self._queue[0][0] if self._queue else math.inf
 
@@ -229,7 +266,9 @@ class Simulator:
         self._stopped = False
         steps = 0
         try:
-            while self._queue and not self._stopped:
+            while not self._stopped:
+                if self._end_instant():
+                    break
                 self._prune()
                 if not self._queue:
                     break
@@ -252,6 +291,7 @@ class Simulator:
         self._prune()
         if (until is not None and self._now < until and not self._stopped
                 and (until_event is None or not until_event.triggered)
+                and not self._at_end
                 and (not self._queue or self._queue[0][0] > until)):
             self._now = until
 

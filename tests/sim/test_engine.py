@@ -195,3 +195,65 @@ def test_scheduling_during_run_is_honoured():
     sim.run()
     assert seen == ["first", "second"]
     assert sim.now == 6.0
+
+
+class TestAtInstantEnd:
+    def test_runs_after_the_instant_and_before_the_clock_moves(self):
+        sim = Simulator()
+        seen = []
+
+        def first():
+            sim.at_instant_end(lambda: seen.append(("end", sim.now)))
+            sim.call_soon(lambda: seen.append(("soon", sim.now)))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: seen.append(("timer", sim.now)))
+        sim.schedule(2.0, lambda: seen.append(("later", sim.now)))
+        sim.run()
+        assert seen == [("timer", 1.0), ("soon", 1.0), ("end", 1.0),
+                        ("later", 2.0)]
+
+    def test_runs_before_run_until_returns_and_moves_the_clock(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, sim.at_instant_end, lambda: seen.append(sim.now))
+        sim.schedule(10.0, lambda: None)
+        sim.run(until=5.0)
+        assert seen == [1.0] and sim.now == 5.0
+        # Registered outside run(): the next run() ends this instant first.
+        sim.at_instant_end(lambda: seen.append(sim.now))
+        assert sim.peek() == 5.0
+        sim.run(until=7.0)
+        assert seen == [1.0, 5.0] and sim.now == 7.0
+
+    def test_is_not_a_dispatched_event(self):
+        sim = Simulator()
+        hooked = []
+        sim.dispatch_hook = lambda fn, args, seconds: hooked.append(fn)
+        end = lambda: None  # noqa: E731
+        sim.schedule(1.0, sim.at_instant_end, end)
+        sim.run()
+        assert sim.dispatch_count == 1  # the timer, not the end callback
+        assert sim.pending() == 0 and sim.peak_pending == 1
+        assert hooked[-1] is end  # but a profiler still sees it
+
+    def test_work_it_schedules_at_now_extends_the_instant(self):
+        sim = Simulator()
+        seen = []
+
+        def end():
+            seen.append("end")
+            sim.schedule(0.0, lambda: seen.append(("again", sim.now)))
+
+        sim.at_instant_end(end)
+        sim.schedule(3.0, lambda: seen.append(("later", sim.now)))
+        sim.run()
+        assert seen == ["end", ("again", 0.0), ("later", 3.0)]
+
+    def test_step_ends_the_instant_its_callback_finished(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, sim.at_instant_end, lambda: seen.append("end"))
+        sim.schedule(2.0, lambda: None)
+        assert sim.step() is True
+        assert seen == ["end"] and sim.now == 1.0

@@ -1,12 +1,19 @@
-"""Golden traces: three small runs pinned across commits.
+"""Golden traces: small runs pinned across commits.
 
 The same-seed ≡ same-run tests cannot see a reordering that is itself
 deterministic (two callbacks of one instant swapped on every run); these
-digests can.  They were recorded at the commit *before* the event kernel
-gained its same-instant FIFO, so they pin the order the single-heap
-kernel produced.  A change that moves one either reordered dispatch — a
-bug in a perf-only change — or changed the model on purpose, in which
-case re-record with ``python tests/test_golden_traces.py`` and say why.
+digests can.  The first three were recorded at the commit *before* the
+event kernel gained its same-instant FIFO, so they pin the order the
+single-heap kernel produced.  The chaos twelve — every bundled plan, on
+BOINC-MR and on original BOINC clients — were recorded before the flow
+allocator started settling each component once per instant.  Their
+volunteers sit on ADSL links, so transfers are slow enough for the faults
+to land on flows in flight: these are the runs that abort flows
+(``link_flap``, ``partition``), re-solve live flows after a capacity
+change (``bandwidth``) and fail transfers, which the three above do not.
+A change that moves one either reordered dispatch — a bug in a perf-only
+change — or changed the model on purpose, in which case re-record with
+``python tests/test_golden_traces.py`` and say why.
 """
 
 import hashlib
@@ -14,7 +21,8 @@ import hashlib
 import pytest
 
 from repro.boinc.client import ClientConfig
-from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
+from repro.core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
+from repro.faults import BUILTIN_PLANS
 from repro.net import ADSL_LINK, EMULAB_LINK, SERVER_LINK
 
 
@@ -61,6 +69,61 @@ GOLDEN = {
         8790, 72),
 }
 
+#: Client modes of the chaos runs: BOINC-MR, and original BOINC (every
+#: byte through the server's link, the shape where a wave of downloads
+#: shares one link component).
+MODES = ("mr", "boinc")
+
+#: "plan/mode" -> (trace sha256, dispatch_count, peak_pending), at the
+#: parent of the once-per-instant allocator; that change lowered one peak.
+CHAOS_GOLDEN = {
+    "bad-volunteers/mr": (
+        "8866457b44422f3bc8dc76f976c742f26234ce4e825ea6df9d93ecd3dc16a50c",
+        4790, 41),
+    "bad-volunteers/boinc": (
+        "cee449fd7e88a0e656a3cf85ee332113fd66cc2462aa3241250cf468c2ca6921",
+        4299, 39),
+    "dataserver-degraded/mr": (
+        "fcdc832c1562aa7153c82ab9852914ce6ac52e7abfe02d803cdd2293b2068e4d",
+        3949, 42),
+    "dataserver-degraded/boinc": (
+        "d3d39af4ba9f7af6b635bedc2f2fe3e19173848303bf0bd5e7626a6cd445b0ce",
+        3879, 40),
+    "flaky-network/mr": (
+        "1f0d23b70ca08667ba74a91866bf0f793f52fdcf91a4ef6404106948ab5b219d",
+        4832, 51),
+    "flaky-network/boinc": (
+        "d7db9324e2a64f8b86290cccbc48626d7e143955e501557c2a474a25223c6eaa",
+        4037, 39),
+    "kitchen-sink/mr": (
+        "540d13dd69e6b7f0b3539bd5320f5ca50327ec91066a0e32d1e3804705cdcd8d",
+        4250, 47),
+    "kitchen-sink/boinc": (  # peak_pending was 44: a completion timer
+        # the same instant superseded is no longer scheduled at all
+        "3e6d36392c4018f6f32fb3d50896865c427f9f25b1f56f7adddd9a1f224f397e",
+        4818, 43),
+    "server-chaos/mr": (
+        "8b9ef37aea53f9f55735d49c5dd29865c480ec7df4fe8bb87ba74aee51c30ecc",
+        3446, 43),
+    "server-chaos/boinc": (
+        "f6d0320ec7d5c5721cdcd7e110a9efed8c4f155c5aacee374e090ee9b660926a",
+        3740, 39),
+    "split-brain/mr": (
+        "64d0e8dd32786afacdb3486f6e002e4586bdf7d1262458540a2898627771b3cd",
+        5299, 42),
+    "split-brain/boinc": (
+        "1cb8a6729e0d52549706cb77d3aed1139d92587de91091fb1e3a2ccb403d029d",
+        4736, 39),
+}
+
+
+def _digest(cloud):
+    digest = hashlib.sha256()
+    for rec in cloud.tracer.records:
+        digest.update(repr((rec.time, rec.kind,
+                            sorted(rec.fields.items()))).encode())
+    return digest.hexdigest(), cloud.sim.dispatch_count, cloud.sim.peak_pending
+
 
 def fingerprint(name: str) -> tuple[str, int, int]:
     """Run scenario *name*; its trace digest and the kernel's two counts."""
@@ -70,11 +133,22 @@ def fingerprint(name: str) -> tuple[str, int, int]:
     if horizon_s is not None:
         cloud.run_until(cloud.sim.timeout(horizon_s))
     cloud.run_until(job.done)
-    digest = hashlib.sha256()
-    for rec in cloud.tracer.records:
-        digest.update(repr((rec.time, rec.kind,
-                            sorted(rec.fields.items()))).encode())
-    return digest.hexdigest(), cloud.sim.dispatch_count, cloud.sim.peak_pending
+    return _digest(cloud)
+
+
+def chaos_fingerprint(plan: str, mode: str) -> tuple[str, int, int]:
+    """Run *plan* on the CI chaos job's shape (12 nodes, 12 maps x 3
+    reducers, 0.5 GB, seed 1), with ADSL volunteers and a 1 Gbit server."""
+    mr = mode == "mr"
+    cloud = VolunteerCloud.from_spec(CloudSpec(
+        seed=1, server_link=SERVER_LINK,
+        mr_config=BoincMRConfig() if mr else BoincMRConfig.vanilla_boinc()))
+    cloud.add_volunteers(12, mr=mr, link_spec=ADSL_LINK)
+    cloud.apply_faults(plan)
+    job = cloud.submit(MapReduceJobSpec("job", n_maps=12, n_reducers=3,
+                                        input_size=0.5e9))
+    cloud.run_until(job.done)
+    return _digest(cloud)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -82,6 +156,15 @@ def test_trace_and_kernel_counts_are_the_recorded_ones(name):
     assert fingerprint(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("plan", sorted(BUILTIN_PLANS))
+def test_chaos_trace_and_kernel_counts_are_the_recorded_ones(plan, mode):
+    assert chaos_fingerprint(plan, mode) == CHAOS_GOLDEN[f"{plan}/{mode}"]
+
+
 if __name__ == "__main__":  # re-record
     for scenario in SCENARIOS:
         print(f'    "{scenario}": {fingerprint(scenario)!r},')
+    for plan in sorted(BUILTIN_PLANS):
+        for mode in MODES:
+            print(f'    "{plan}/{mode}": {chaos_fingerprint(plan, mode)!r},')

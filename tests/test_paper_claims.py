@@ -10,8 +10,9 @@ import pytest
 
 from repro import experiments
 from repro.analysis import render_study, study_payloads
-from repro.campaign import ResultStore
-from repro.experiments import STUDIES, Claim, Study
+from repro.campaign import ResultStore, execute_cell
+from repro.core import CloudSpec, MapReduceJobSpec
+from repro.experiments import STUDIES, Claim, Study, run_scenario
 from repro.experiments.study import col
 
 
@@ -36,11 +37,33 @@ def test_claim(study, claim, payloads):
 
 
 def test_every_variant_completed(paper_store):
-    """A variant that cannot finish its job raises, and its cell fails."""
+    """A variant that cannot finish its job raises, and so does one that
+    leaves a deployment its audit flags: either way its cell fails.  The
+    verdict itself stays out of the payload."""
     records = ResultStore(paper_store).load().values()
     assert len(records) == len(experiments.paper_grid()) == 52
     assert [r.key for r in records if not r.ok] == []
     assert all(r.result["total"] > 0 for r in records)
+    assert not any("audit_ok" in r.result for r in records)
+
+
+def test_a_variant_that_leaks_a_flow_fails_its_cell(monkeypatch):
+    def leaky(seed):
+        result = run_scenario(
+            CloudSpec(seed=seed, n_nodes=4),
+            MapReduceJobSpec("leak", n_maps=2, n_reducers=1, input_size=1e7))
+        a, b = result.cloud.clients[:2]
+        result.cloud.net.transfer(a.host, b.host, 1e15)  # nobody waits on it
+        return {"total": result.total}
+
+    study = dataclasses.replace(STUDIES[1], variants={"run": leaky})
+    monkeypatch.setattr(experiments, "STUDIES",
+                        tuple(study if s is STUDIES[1] else s for s in STUDIES))
+    spec = {"kind": "study", "seed": 1, "group": "fig4/run",
+            "params": {"study": "fig4", "variant": "run"}}
+    with pytest.raises(RuntimeError, match=r"cell fig4/run failed its audit"
+                       r"(.|\n)*FAIL \[flow\] node000->node001"):
+        execute_cell(spec)
 
 
 #: (label, map mean, reduce mean, total) of Table I at seed 1, recorded
