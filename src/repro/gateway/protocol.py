@@ -80,6 +80,8 @@ ENDPOINTS: tuple[Endpoint, ...] = (
              "Server-status page: database counts and metric counters."),
     Endpoint("GET", "/healthz", None, "HealthReply",
              "Liveness probe; also reports the protocol version."),
+    Endpoint("GET", "/metrics", None, None,
+             "Every metric instrument as Prometheus text exposition."),
 )
 
 #: Error code -> (HTTP status, meaning).  Every non-2xx reply carries an

@@ -719,6 +719,11 @@ class GatewayServer:
         return self._json(200, {"ok": True,
                                 "version": protocol.PROTOCOL_VERSION})
 
+    def _metrics(self, _arg: str, _headers: dict, _body: bytes) -> _Reply:
+        """``GET /metrics``: the registry in Prometheus text format."""
+        return (200, {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
+                self.metrics.render_prometheus().encode())
+
 
 #: Path template of each ``protocol.ENDPOINTS`` entry -> (the
 #: :class:`GatewayServer` method serving it, the family of the
@@ -736,6 +741,7 @@ _HANDLERS = {
     "/jobs/{name}/output": ("_job_output", "jobs"),
     "/status": ("_status", "other"),
     "/healthz": ("_healthz", "other"),
+    "/metrics": ("_metrics", "other"),
 }
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -352,8 +353,44 @@ class MetricsRegistry:
                         f"mean={inst.mean:.3g} {qs}")
         return "\n".join(lines)
 
+    def render_prometheus(self) -> str:
+        """Prometheus text exposition (format 0.0.4) of every instrument,
+        sorted by name: ``.`` and any other character a Prometheus name
+        cannot hold become ``_``, and a histogram is its cumulative
+        ``_bucket{le=...}`` counts, ``_sum`` and ``_count``."""
+        lines = []
+        for inst in self.instruments():
+            name = _PROM_UNSAFE.sub("_", inst.name)
+            if isinstance(inst, Histogram):
+                lines.append(f"# TYPE {name} histogram")
+                cumulative = 0
+                for bound, count in zip((*inst.bounds, math.inf),
+                                        inst.bucket_counts):
+                    cumulative += count
+                    lines.append(f'{name}_bucket{{le="{_prom_number(bound)}"}}'
+                                 f" {cumulative}")
+                lines.append(f"{name}_sum {_prom_number(inst.total)}")
+                lines.append(f"{name}_count {inst.count}")
+            else:
+                kind = "counter" if isinstance(inst, Counter) else "gauge"
+                lines.append(f"# TYPE {name} {kind}")
+                lines.append(f"{name} {_prom_number(inst.value)}")
+        return "".join(line + "\n" for line in lines)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MetricsRegistry {len(self._instruments)} instruments>"
+
+
+_PROM_UNSAFE = re.compile(r"[^A-Za-z0-9_:]")
+
+
+def _prom_number(value: float) -> str:
+    """*value* as a Prometheus sample value (``NaN``, ``+Inf``, ``-Inf``)."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return repr(float(value))
 
 
 class Sampler:

@@ -83,24 +83,48 @@ class LocalRunner:
     # -- stages ---------------------------------------------------------------
     def run_map_task(self, map_index: int, chunk: bytes
                      ) -> tuple[TaskReport, dict[int, bytes]]:
-        """One map task: records -> (k2, v2) pairs -> partitioned blobs."""
-        partitions: dict[int, list[tuple]] = {r: [] for r in range(self.n_reducers)}
+        """One map task: records -> (k2, v2) pairs -> partitioned blobs.
+
+        ``partition()`` is called once per distinct key.  With a combiner,
+        values are grouped by key while mapping and each partition's keys
+        are combined in first-seen order; without one, each partition
+        keeps its pairs in emission order.  Either way a blob is the
+        partition's pairs, stably sorted by key ``repr``, pickled.  Keys
+        must be hashable (the reduce side groups them in a dict too), and
+        keys that compare equal are one key, partitioned as the first seen.
+        """
+        app = self.app
+        partition = app.partition
+        n_reducers = self.n_reducers
+        partitions: dict[int, list] = {r: [] for r in range(n_reducers)}
         records = 0
         emitted = 0
-        for offset, record in iter_records(chunk):
-            records += 1
-            for k2, v2 in self.app.map(offset, record):
-                partitions[self.app.partition(k2, self.n_reducers)].append((k2, v2))
-                emitted += 1
-        if self.app.combine is not None:
-            emitted = 0
-            for r, pairs in partitions.items():
-                combined: list[tuple] = []
-                for key, values in _group(pairs).items():
-                    for v in self.app.combine(key, values):
-                        combined.append((key, v))
-                partitions[r] = combined
-                emitted += len(combined)
+        if app.combine is None:
+            part_of: dict = {}
+            for offset, record in iter_records(chunk):
+                records += 1
+                for k2, v2 in app.map(offset, record):
+                    r = part_of.get(k2)
+                    if r is None:
+                        r = part_of[k2] = partition(k2, n_reducers)
+                    partitions[r].append((k2, v2))
+                    emitted += 1
+        else:
+            # partitions[r] holds the distinct keys of r until combined.
+            grouped: dict = {}
+            for offset, record in iter_records(chunk):
+                records += 1
+                for k2, v2 in app.map(offset, record):
+                    values = grouped.get(k2)
+                    if values is None:
+                        partitions[partition(k2, n_reducers)].append(k2)
+                        grouped[k2] = [v2]
+                    else:
+                        values.append(v2)
+            for r, keys in partitions.items():
+                partitions[r] = [(key, v) for key in keys
+                                 for v in app.combine(key, grouped[key])]
+                emitted += len(partitions[r])
         blobs = {
             r: pickle.dumps(sorted(pairs, key=_stable_key))
             for r, pairs in partitions.items()

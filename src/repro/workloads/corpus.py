@@ -5,6 +5,13 @@ frequencies are famously Zipfian, and word-count behaviour (distinct-word
 counts, intermediate data skew across reducers) depends on that shape, so
 the generator draws words from a Zipf(s) distribution over a synthetic
 vocabulary.  Fully deterministic under the seed.
+
+The words are drawn a batch at a time and each batch is joined in one
+call, through a table holding every word twice: once followed by a space,
+once by the newline that ends a line.  The draws are call for call the
+ones a word-at-a-time loop makes, so the bytes are too; the 1 MB corpus
+the benchmarks count words in is pinned by digest in
+``tests/test_workloads.py``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,16 @@ import numpy as np
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
+#: Distinct pseudo-words of one to three consonant-vowel syllables.
+_MAX_VOCABULARY = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (1, 2, 3))
 
 
 def make_vocabulary(size: int, rng: np.random.Generator) -> list[bytes]:
     """Pronounceable unique pseudo-words, deterministic under *rng*."""
     if size < 1:
         raise ValueError("vocabulary size must be >= 1")
+    if size > _MAX_VOCABULARY:
+        raise ValueError(f"vocabulary size must be <= {_MAX_VOCABULARY}")
     vocab: list[bytes] = []
     seen: set[bytes] = set()
     while len(vocab) < size:
@@ -56,21 +67,24 @@ def generate_corpus(target_bytes: int, *, vocabulary_size: int = 2000,
     """
     if target_bytes < 1:
         raise ValueError("target_bytes must be >= 1")
+    if words_per_line < 1:
+        raise ValueError("words_per_line must be >= 1")
     rng = np.random.default_rng(seed)
     vocab = make_vocabulary(vocabulary_size, rng)
     weights = zipf_weights(vocabulary_size, zipf_s)
+    # Token t < vocabulary_size is word t and a space; t + vocabulary_size
+    # is word t ending its line.
+    table = [w + b" " for w in vocab] + [w + b"\n" for w in vocab]
+    batch = max(1024, words_per_line * 64)  # part of the stream: keep it
     out = bytearray()
-    # Draw in batches to amortise RNG overhead.
-    batch = max(1024, words_per_line * 64)
-    line: list[bytes] = []
-    while len(out) < target_bytes:
-        for idx in rng.choice(vocabulary_size, size=batch, p=weights):
-            line.append(vocab[int(idx)])
-            if len(line) == words_per_line:
-                out += b" ".join(line) + b"\n"
-                line.clear()
-                if len(out) >= target_bytes:
-                    break
+    drawn = 0
+    while (end := out.find(b"\n", target_bytes - 1)) < 0:
+        tokens = rng.choice(vocabulary_size, size=batch, p=weights)
+        tokens[(words_per_line - 1 - drawn) % words_per_line::words_per_line] \
+            += vocabulary_size
+        drawn += batch
+        out += b"".join(map(table.__getitem__, tokens.tolist()))
+    del out[end + 1:]
     return bytes(out)
 
 

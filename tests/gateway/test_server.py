@@ -7,6 +7,8 @@
 
 import collections
 import gc
+import re
+import select
 import socket
 import struct
 import time
@@ -199,14 +201,14 @@ def test_json_endpoint_rejects_unknown_field(client, ep):
 class TestRouteBinding:
     def test_endpoint_without_handler_raises(self, monkeypatch):
         monkeypatch.setattr(protocol, "ENDPOINTS", protocol.ENDPOINTS + (
-            protocol.Endpoint("GET", "/metrics", None, None, "unserved"),))
-        with pytest.raises(LookupError, match="/metrics"):
+            protocol.Endpoint("GET", "/debug/vars", None, None, "unserved"),))
+        with pytest.raises(LookupError, match="/debug/vars"):
             GatewayServer()
 
     def test_handler_without_endpoint_raises(self, monkeypatch):
-        monkeypatch.setitem(server_module._HANDLERS, "/metrics",
+        monkeypatch.setitem(server_module._HANDLERS, "/debug/vars",
                             ("_status", "other"))
-        with pytest.raises(LookupError, match="/metrics"):
+        with pytest.raises(LookupError, match="/debug/vars"):
             GatewayServer()
 
     def test_latency_lands_in_the_declared_family(self, handle, client):
@@ -684,6 +686,125 @@ class TestEofInsideARequest:
         assert _wait_until(lambda: handle.server.connections_active == 0)
         assert handle.server.metrics.counter(
             "gateway.disconnects_total").value == 0
+
+
+#: One Prometheus sample line: ``name{labels} value``.
+SAMPLE_LINE = re.compile(
+    r'[A-Za-z_:][A-Za-z0-9_:]*(\{[A-Za-z_]\w*="[^"]*"\})? (\S+)')
+
+
+def scrape(address):
+    """``GET /metrics`` of the gateway at *address*: ``{series: value}``,
+    every non-comment line checked to be ``name{labels} value``."""
+    client = GatewayClient(address)
+    try:
+        headers, body = client.request("GET", "/metrics")
+    finally:
+        client.close()
+    assert headers["content-type"].startswith("text/plain; version=0.0.4")
+    samples = {}
+    for line in body.decode("utf-8").splitlines():
+        if line.startswith("#"):
+            continue
+        match = SAMPLE_LINE.fullmatch(line)
+        assert match, line
+        samples[line.rpartition(" ")[0]] = float(match.group(2))
+    return samples
+
+
+class TestMetricsRoute:
+    def test_scrape_matches_the_status_counters(self, handle, client):
+        host_id = client.register("scraped", flops=1e9)
+        client.scheduler_rpc(host_id, work_req_s=1.0)
+        with pytest.raises(GatewayError):
+            client.request("GET", "/nope")
+        samples = scrape(handle.address)
+        counters = client.status()["counters"]
+        assert samples["gateway_http_errors_total"] \
+            == counters["gateway.http_errors_total"] == 1.0
+        assert samples["sched_rpc_total"] == counters["sched.rpc_total"] == 1.0
+        # The scrape is rendered before its own request is counted.
+        assert samples["gateway_http_requests_total"] == 3.0
+        assert samples['gateway_rpc_other_s_bucket{le="+Inf"}'] \
+            == samples["gateway_rpc_other_s_count"] == 1.0
+        assert samples["gateway_connections_active"] >= 1.0
+
+    def test_buckets_are_cumulative(self, handle, client):
+        for _ in range(5):
+            client.health()
+        samples = scrape(handle.address)
+        buckets = [v for k, v in samples.items()
+                   if k.startswith("gateway_rpc_other_s_bucket")]
+        assert len(buckets) == len(server_module.RPC_BUCKETS) + 1
+        assert buckets == sorted(buckets) and buckets[-1] == 5.0
+
+
+class TestSlowDrip:
+    """Bytes that keep coming, but slower than a request should: the read
+    deadline runs from a request's first byte, not from its latest."""
+
+    INTERVAL_S = 0.02
+
+    @classmethod
+    def _drip(cls, raw, data, between=lambda: None):
+        """Send *data* a byte every ``INTERVAL_S``, calling *between* after
+        each, until it is all sent or a reply starts; returns the seconds
+        from the first byte to then."""
+        t0 = time.monotonic()
+        for i in range(len(data)):
+            raw.sendall(data[i:i + 1])
+            between()
+            if select.select([raw], [], [], cls.INTERVAL_S)[0]:
+                break
+        return time.monotonic() - t0
+
+    def test_a_drip_that_completes_inside_the_deadline_is_served(
+            self, handle, monkeypatch):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 1.0)
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            request = b"GET /healthz HTTP/1.1\n\n"  # about 0.5 s of drip
+            assert self._drip(raw, request) < 1.0
+            stream = raw.makefile("rb")
+            assert _read_responses(stream, 1)[0][0] == b"HTTP/1.1 200 OK\r\n"
+            assert handle.server._reading == {}
+            # The connection stays open, and the next request's deadline
+            # starts at its own first byte.
+            self._drip(raw, request)
+            assert _read_responses(stream, 1)[0][0] == b"HTTP/1.1 200 OK\r\n"
+
+    def test_a_drip_past_the_deadline_is_refused_on_time(
+            self, handle, monkeypatch):
+        deadline_s = 0.3
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", deadline_s)
+        poller = GatewayClient(handle.address)
+        host_id = poller.register("poller", flops=1e9)
+        polls = []
+
+        def poll():  # on a second connection, while the drip is in flight
+            if len(polls) < 10:
+                t0 = time.monotonic()
+                assert poller.scheduler_rpc(host_id, work_req_s=1.0)["no_work"]
+                polls.append(time.monotonic() - t0)
+
+        host, port = handle.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as raw:
+            endless = LINE + b"X-Pad: " + b"a" * 10_000
+            elapsed = self._drip(raw, endless, between=poll)
+            head, body = _read_responses(raw, 1)[0]
+        poller.close()
+        assert head == b"HTTP/1.1 400 Bad Request\r\n"
+        assert protocol.loads(body) == {
+            "error": "bad_request",
+            "detail": "request incomplete 0.3s after its first byte"}
+        # Refused at the first daemon sweep past the deadline, with room
+        # for a loaded host to schedule the sweep and the reply.
+        tick_s = handle.server.config.daemon_period_s
+        assert deadline_s <= elapsed < deadline_s + tick_s + 0.15
+        assert _wait_until(lambda: handle.server.connections_active == 1)
+        assert len(polls) == 10 and max(polls) < deadline_s
+        assert handle.server.metrics.counter(
+            "gateway.http_errors_total").value == 1
 
 
 BLOB = 4 * 1024 * 1024

@@ -118,6 +118,34 @@ class TestRegistry:
         text = reg.render()
         assert text.index("aa") < text.index("zz")
 
+    def test_render_prometheus(self):
+        reg = MetricsRegistry()
+        reg.counter("gateway.http_errors_total").inc(3)
+        reg.gauge("net.flows-active", fn=lambda: float("nan"))
+        h = reg.histogram("rpc.lat_s", buckets=(0.5, 2.0))
+        for value in (0.1, 0.4, 1.0, 7.0):
+            h.observe(value)
+        reg.histogram("empty_s", buckets=(1.0,))
+        assert reg.render_prometheus() == (
+            "# TYPE empty_s histogram\n"
+            'empty_s_bucket{le="1.0"} 0\n'
+            'empty_s_bucket{le="+Inf"} 0\n'
+            "empty_s_sum 0.0\n"
+            "empty_s_count 0\n"
+            "# TYPE gateway_http_errors_total counter\n"
+            "gateway_http_errors_total 3.0\n"
+            "# TYPE net_flows_active gauge\n"
+            "net_flows_active NaN\n"
+            "# TYPE rpc_lat_s histogram\n"
+            'rpc_lat_s_bucket{le="0.5"} 2\n'
+            'rpc_lat_s_bucket{le="2.0"} 3\n'
+            'rpc_lat_s_bucket{le="+Inf"} 4\n'
+            "rpc_lat_s_sum 8.5\n"
+            "rpc_lat_s_count 4\n")
+
+    def test_render_prometheus_empty_registry(self):
+        assert MetricsRegistry().render_prometheus() == ""
+
 
 class TestSampler:
     def test_samples_gauges_on_cadence(self):
