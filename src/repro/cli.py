@@ -289,7 +289,10 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
     stats = run_volunteer(args.address, name=name,
                           idle_limit=args.idle_limit)
     print(f"{name}: {stats.tasks_done} tasks done, "
-          f"{stats.tasks_failed} failed, {stats.rpcs} scheduler RPCs")
+          f"{stats.tasks_failed} failed, {stats.rpcs} scheduler RPCs; "
+          f"{stats.requests} requests, {stats.retries} retries, "
+          f"{stats.bytes_sent} bytes sent, "
+          f"{stats.bytes_received} bytes received")
     return 0 if stats.tasks_failed == 0 else 1
 
 

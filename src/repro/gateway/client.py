@@ -4,9 +4,12 @@
 simulated comm gate: the same pull-protocol verbs the simulated client
 performs against :class:`repro.boinc.server.ProjectServer` — register,
 scheduler RPC with piggybacked reports, checksum-verified download,
-upload — issued as real HTTP over ``http.client``.  Retry semantics
-mirror the paper's client: a 503/connection failure triggers exponential
-backoff with jitter, honouring the server's ``Retry-After`` floor.
+upload — issued as HTTP/1.1 on one keep-alive TCP socket that the client
+frames itself: each request goes out in one ``sendall``, each reply is
+read off a per-connection buffer (what it accepts: docs/protocol.md,
+"Transport conventions").  Retry semantics mirror the paper's client: a
+503/connection failure triggers exponential backoff with jitter,
+honouring the server's ``Retry-After`` floor.
 
 :class:`Volunteer` is the BOINC-MR client on a real OS process, one RPC
 cycle at a time: poll for work, download inputs, run the map/reduce task
@@ -19,9 +22,10 @@ main loop; the load fleet drives the same cycle on a schedule.
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import pickle
 import random
+import re
+import socket
 import time
 import typing as _t
 
@@ -53,6 +57,18 @@ class GatewayError(RuntimeError):
         return self.status == 503
 
 
+#: ``http.client``'s bounds on a reply: bytes in one line, its line end
+#: included, and header lines (its 100, the blank line after them counted).
+_MAX_LINE, _MAX_HEADER_LINES = 65536, 99
+_RECV_BYTES = 65536
+#: A method or request target: visible ASCII only, so it cannot break
+#: the request line.  A header name as ``http.client`` takes one, and a
+#: header value that cannot end its line early.
+_TOKEN = re.compile(r"[\x21-\x7e]+")
+_FIELD_NAME = re.compile(r"[^:\s][^:\r\n\x00]*", re.ASCII)
+_LINE_BREAK = re.compile(r"[\r\n\x00]")
+
+
 #: Live retry backoff (docs/protocol.md, "Retry semantics"): base and cap
 #: of the doubling, and the relative jitter of each delay.
 RETRY_BASE_S, RETRY_CAP_S, RETRY_JITTER = 0.05, 2.0, 0.5
@@ -79,35 +95,117 @@ class GatewayClient:
         self.timeout_s = timeout_s
         self.retries = retries
         self.rng = rng or random.Random()
-        self._conn: http.client.HTTPConnection | None = None
-        #: Diagnostics: total retries performed across all requests.
+        self._sock: socket.socket | None = None
+        #: Bytes of the connection received and not yet taken by a reply.
+        self._buf = bytearray()
+        self._host_line = f"Host: {host}:{self.port}\r\n"
+        #: Diagnostics: total retries performed across all requests, the
+        #: request attempts sent, their bytes and the bytes of the replies.
         self.retry_count = 0
+        self.requests = self.bytes_sent = self.bytes_received = 0
 
     # -- transport -------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s)
-        return self._conn
-
     def close(self) -> None:
         """Drop the persistent connection (reopened on next request)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self._buf.clear()
 
     def _once(self, method: str, path: str, body: bytes,
               headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
-        conn = self._connection()
+        """One exchange on the keep-alive socket: ``(status, lower-cased
+        headers, body)``.  ``ValueError`` before a byte is sent for a
+        request that cannot be framed; an ``OSError`` drops the socket."""
+        if not (_TOKEN.fullmatch(method) and _TOKEN.fullmatch(path)):
+            raise ValueError(f"cannot send {method!r} {path!r}: a method or "
+                             "target byte outside visible ASCII")
+        head = (f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+                f"Content-Length: {len(body)}\r\n")
+        for name, value in headers.items():
+            if not _FIELD_NAME.fullmatch(name) or _LINE_BREAK.search(value):
+                raise ValueError(f"cannot send header {name!r}: {value!r}")
+            head += f"{name}: {value}\r\n"
+        request = (head + "\r\n").encode("latin-1") + body
         try:
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            payload = resp.read()
-            return resp.status, {k.lower(): v for k, v in
-                                 resp.getheaders()}, payload
-        except (http.client.HTTPException, ConnectionError, OSError):
+            sock = self._sock or self._connect()
+            sock.sendall(request)
+            self.requests += 1
+            self.bytes_sent += len(request)
+            return self._read_reply(sock)
+        except OSError:
             self.close()
             raise
+
+    def _connect(self) -> socket.socket:
+        sock = self._sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _receive(self, sock: socket.socket) -> None:
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise ConnectionError("connection closed inside a reply")
+        self._buf += chunk
+
+    def _read_reply(self, sock: socket.socket
+                    ) -> tuple[int, dict[str, str], bytes]:
+        """Take the next reply off the buffer, receiving until it is
+        whole: a ``HTTP/1.x NNN`` status line, header lines, a blank line
+        (lines end in ``\\n`` or ``\\r\\n``) and ``Content-Length`` body
+        bytes.  A reply it cannot frame, or one the connection cuts short,
+        raises ``ConnectionError``: retried like a reset.  The socket is
+        closed after a reply on ``Connection: close`` or when bytes
+        follow it."""
+        buf, start, lines = self._buf, 0, 0
+        while True:
+            end = buf.find(b"\n", start, start + _MAX_LINE)
+            if end < 0:
+                if len(buf) - start >= _MAX_LINE:
+                    raise ConnectionError(f"reply line over {_MAX_LINE} bytes")
+                self._receive(sock)
+                continue
+            if lines and (end == start
+                          or (end == start + 1 and buf[start] == 13)):
+                break
+            if lines > _MAX_HEADER_LINES:
+                raise ConnectionError(f"over {_MAX_HEADER_LINES} reply header lines")
+            lines += 1
+            start = end + 1
+        status_line, *header_lines = \
+            buf[:start - 1].decode("latin-1").split("\n")
+        parts = status_line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith("HTTP/1.")
+                or len(parts[1]) != 3 or not parts[1].isdecimal()
+                or parts[1][0] == "0"):
+            raise ConnectionError(f"malformed status line {status_line[:64]!r}")
+        headers: dict[str, str] = {}
+        for line in header_lines:  # as http.client: the value lstripped
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.lstrip(" \t").removesuffix("\r")
+        if "transfer-encoding" in headers:
+            raise ConnectionError("a reply with Transfer-Encoding: the gateway "
+                           "frames every body with Content-Length")
+        raw = headers.get("content-length", "").strip()
+        try:  # ASCII digits only: int() also takes "+5" and "5_0"
+            size = int(raw) if raw.isdecimal() else -1
+        except ValueError:  # more digits than int() converts
+            size = -1
+        if size < 0:
+            raise ConnectionError(f"reply Content-Length {raw[:32]!r} is not a "
+                           "number of bytes")
+        body_at = end + 1
+        end = body_at + size
+        while len(buf) < end:
+            self._receive(sock)
+        with memoryview(buf) as view:
+            payload = bytes(view[body_at:end])
+        del buf[:end]
+        self.bytes_received += end
+        if buf or "close" in headers.get("connection", "").lower():
+            self.close()  # told to, or the stream is out of step
+        return int(parts[1]), headers, payload
 
     def request(self, method: str, path: str, body: bytes = b"",
                 headers: dict[str, str] | None = None
@@ -116,7 +214,10 @@ class GatewayClient:
 
         Retries connection failures and 503 refusals with exponential
         backoff + jitter (honouring ``Retry-After``); any other non-2xx
-        raises :class:`GatewayError` immediately.
+        raises :class:`GatewayError` immediately.  A request that cannot
+        be framed — a method or target byte outside visible ASCII, a
+        header name or value holding CR, LF or NUL — raises ``ValueError``
+        before anything is sent, and is not retried.
         """
         headers = dict(headers or {})
         last: Exception | None = None
@@ -125,8 +226,7 @@ class GatewayClient:
             try:
                 status, resp_headers, payload = self._once(
                     method, path, body, headers)
-            except (http.client.HTTPException, ConnectionError,
-                    OSError) as exc:
+            except OSError as exc:  # bad reply, reset, refused, timeout
                 last = exc
             else:
                 if status < 400:
@@ -268,6 +368,12 @@ class VolunteerStats:
     tasks_failed: int = 0
     rpcs: int = 0
     idle_polls: int = 0
+    #: What its client moved, taken by :meth:`Volunteer.close`: retries,
+    #: request attempts sent, their bytes and the bytes of the replies.
+    retries: int = 0
+    requests: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
 
 
 class Volunteer:
@@ -309,6 +415,14 @@ class Volunteer:
                                      "success": False, "elapsed_s": 0.0})
         return reply
 
+    def close(self) -> None:
+        """Record in :attr:`stats` what the client moved; close it."""
+        client, stats = self.client, self.stats
+        stats.retries, stats.requests = client.retry_count, client.requests
+        stats.bytes_sent = client.bytes_sent
+        stats.bytes_received = client.bytes_received
+        client.close()
+
 
 def run_volunteer(address: str, name: str, flops: float = 1e9,
                   poll_s: float = 0.02, idle_limit: int = 100,
@@ -333,5 +447,5 @@ def run_volunteer(address: str, name: str, flops: float = 1e9,
         if idle >= idle_limit:
             break
         time.sleep(max(reply["request_delay_s"], poll_s))
-    client.close()
+    volunteer.close()
     return volunteer.stats

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import typing as _t
 import zlib
 
@@ -211,6 +212,11 @@ JOB_STATES = ("running", "done", "error")
 #: size is bounded like a body; each count must lie in ``1..bound``.
 JOB_LIMITS: dict[str, int] = {"n_maps": 1024, "n_reducers": 256,
                               "replication": 8, "quorum": 8}
+
+#: What a ``JobRequest.name`` may be.  The name is a path segment of
+#: ``/jobs/{name}`` and the stem of every blob name of the job, so it
+#: holds nothing a URL path would have to escape, nor a ``/``.
+JOB_NAME = re.compile(r"[A-Za-z0-9._-]{1,128}")
 
 
 #: The test of each primitive kind, over the value named ``{v}``.

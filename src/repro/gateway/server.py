@@ -667,6 +667,9 @@ class GatewayServer:
         # A taken name or unknown app raises ValueError: 400, see _dispatch.
         # The job is generated, split and scheduled on the event loop, so
         # its counts and corpus are bounded like a body — checked first.
+        if not protocol.JOB_NAME.fullmatch(request["name"]):
+            raise ValueError("JobRequest.name: expected 1..128 of A-Z a-z "
+                             f"0-9 . _ -, got {request['name'][:140]!r}")
         for field, most in protocol.JOB_LIMITS.items():
             value = request.get(field, 1)
             if not 1 <= value <= most:

@@ -147,6 +147,46 @@ class TestBasics:
             client.submit_job("j", "no-such-app", 1000, 1, 1, 1)
         assert err.value.code == "bad_request"
 
+    def test_client_counts_what_it_moves_on_one_connection(self, handle,
+                                                           client):
+        reply = protocol.dumps({"ok": True,
+                                "version": protocol.PROTOCOL_VERSION})
+        request = (f"GET /healthz HTTP/1.1\r\nHost: {handle.address}\r\n"
+                   "Content-Length: 0\r\nContent-Type: application/json"
+                   "\r\n\r\n").encode()
+        head = (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                b"Content-Type: application/json\r\n\r\n" % len(reply))
+        for _ in range(20):
+            client.health()
+        assert handle.server.connections_active == 1
+        assert (client.requests, client.retry_count) == (20, 0)
+        assert client.bytes_sent == 20 * len(request)
+        assert client.bytes_received == 20 * (len(head) + len(reply))
+
+
+class TestJobNames:
+    """A job name is a path segment of ``/jobs/{name}`` and the stem of
+    its blob names: 1..128 of ``A-Z a-z 0-9 . _ -``, nothing else."""
+
+    @pytest.mark.parametrize("name", [
+        "my job", "jöb", "a?b", "x/output", "a/b", "", "a" * 129, "tab\t",
+        "line\n", "per%20cent", "semi;colon", "../up", "snow☃"])
+    def test_a_name_the_path_cannot_carry_is_refused(self, handle, client,
+                                                     name):
+        with pytest.raises(GatewayError) as err:
+            client.submit_job(name, "wordcount", 1000, 1, 1, 1)
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+        assert err.value.detail.startswith("ValueError: JobRequest.name: ")
+        assert handle.server.jobs.jobs == {}
+        assert handle.server.store.files == {}
+
+    def test_every_allowed_character_round_trips(self, handle, client):
+        for name in ["A-Z_a.z-09", "." * 3, "j" * 128]:
+            assert client.submit_job(name, "wordcount", 1000, 1, 1, 1)[
+                "name"] == name
+            assert client.job_status(name)["name"] == name
+            assert client.download(f"{name}.m0.in")
+
 
 def _raw(client, method, path, body=b""):
     """One request, whatever its status: (status, reply body bytes)."""
@@ -792,7 +832,6 @@ class TestSlowDrip:
             endless = LINE + b"X-Pad: " + b"a" * 10_000
             elapsed = self._drip(raw, endless, between=poll)
             head, body = _read_responses(raw, 1)[0]
-        poller.close()
         assert head == b"HTTP/1.1 400 Bad Request\r\n"
         assert protocol.loads(body) == {
             "error": "bad_request",
@@ -801,7 +840,9 @@ class TestSlowDrip:
         # for a loaded host to schedule the sweep and the reply.
         tick_s = handle.server.config.daemon_period_s
         assert deadline_s <= elapsed < deadline_s + tick_s + 0.15
+        # The drip's connection is gone; the poller's keep-alive one is not.
         assert _wait_until(lambda: handle.server.connections_active == 1)
+        poller.close()
         assert len(polls) == 10 and max(polls) < deadline_s
         assert handle.server.metrics.counter(
             "gateway.http_errors_total").value == 1
@@ -956,8 +997,27 @@ class TestEndToEnd:
         handle.submit_job("wc", "wordcount", corpus, n_maps=3, n_reducers=2)
         stats = run_volunteer(handle.address, name="solo", idle_limit=30)
         assert stats.tasks_done == 5  # 3 maps + 2 reduces
+        # register + RPCs, 3 map downloads, 3 x 2 uploads, 2 x 3 downloads
+        # and 2 uploads, on a client that closed without a retry.
+        assert stats.retries == 0
+        assert stats.requests == 1 + stats.rpcs + 3 + 6 + 6 + 2
+        assert stats.bytes_sent > 0
+        assert stats.bytes_received > len(corpus)  # every chunk came down
         out = handle.result("wc", timeout=10)
         assert out == dict(collections.Counter(corpus.split()))
+
+    def test_repro_volunteer_says_what_it_moved(self, handle, capsys):
+        from repro.cli import main
+
+        handle.submit_job("cli", "wordcount", generate_corpus(4_000, seed=2),
+                          n_maps=2, n_reducers=1)
+        assert main(["volunteer", "--address", handle.address,
+                     "--name", "cli-vol", "--idle-limit", "20"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.fullmatch(
+            r"cli-vol: 3 tasks done, 0 failed, \d+ scheduler RPCs; "
+            r"\d+ requests, 0 retries, \d+ bytes sent, \d+ bytes received",
+            line), line
 
     def test_quorum_two_needs_two_hosts(self, handle):
         corpus = generate_corpus(8_000, seed=4)
@@ -1034,6 +1094,25 @@ class TestClientRetryBudget:
         assert err.value.code == "unavailable"
         assert "retries exhausted" in err.value.detail
         assert len(sleeps) == 3 and client.retry_count == 3
+
+    @pytest.mark.parametrize("call", [
+        lambda c: c.job_status("my job"),
+        lambda c: c.job_output("jöb"),
+        lambda c: c.download("a\r\nX-Injected: 1"),
+        lambda c: c.request("GET", "/healthz", headers={"X-Bad": "a\nb"}),
+    ])
+    def test_a_request_that_cannot_be_sent_is_not_retried(self, monkeypatch,
+                                                          call):
+        with socket.socket() as s:  # nothing listens: a dial would fail
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        client = GatewayClient(f"127.0.0.1:{port}", retries=3)
+        with pytest.raises(ValueError):
+            call(client)
+        assert sleeps == [] and client.retry_count == 0
+        assert (client.requests, client.bytes_sent) == (0, 0)
 
 
 class TestDisconnectMidUpload:
