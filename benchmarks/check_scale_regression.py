@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Gate: fail when benchmark throughput regresses vs a checked-in baseline.
+"""Gate: fail when a benchmark regresses vs a checked-in baseline.
 
 A shared helper for the simulator-throughput and gateway benchmarks:
 
 - ``--kind scale`` (default) compares ``BENCH_scale.json`` (from
   ``benchmarks/test_scale.py``) against
-  ``benchmarks/BENCH_scale_baseline.json``: per common size, events/sec
-  must stay within ``--tolerance`` of baseline.
+  ``benchmarks/BENCH_scale_baseline.json``: per common size, the run's
+  wall-clock seconds must stay within ``--tolerance`` of baseline.
+  Wall time, not events/sec: a change that needs fewer events for the
+  same run lowers events/sec even when the run gets faster.
 - ``--kind gateway`` compares ``BENCH_gateway.json`` (from
   ``benchmarks/test_gateway.py`` or ``repro loadgen``) against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
@@ -15,7 +17,7 @@ A shared helper for the simulator-throughput and gateway benchmarks:
   lost/duplicated results, benchmark job done, reclaimed payload
   byte-equivalent to the simulated LocalRunner oracle).
 
-Absolute events/sec varies across machines; regenerate a baseline on the
+Absolute wall time varies across machines; regenerate a baseline on the
 reference runner with e.g. ``python benchmarks/test_scale.py && cp
 BENCH_scale.json benchmarks/BENCH_scale_baseline.json`` when an
 intentional change shifts the numbers.
@@ -47,19 +49,19 @@ def _index(report: dict) -> dict[int, dict]:
 
 
 def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Scale-kind findings: simulator throughput per size (empty = pass)."""
+    """Scale-kind findings: simulator wall time per size (empty = pass)."""
     failures = []
     fresh, base = _index(result), _index(baseline)
     common = sorted(set(fresh) & set(base))
     if not common:
         return ["no common sizes between result and baseline"]
     for n in common:
-        got = fresh[n]["events_per_s"]
-        want = base[n]["events_per_s"]
-        if got < (1.0 - tolerance) * want:
+        got = fresh[n]["wall_s"]
+        want = base[n]["wall_s"]
+        if got > (1.0 + tolerance) * want:
             failures.append(
-                f"n={n}: throughput {got:.0f} events/s is "
-                f"{100 * (1 - got / want):.0f}% below baseline {want:.0f}")
+                f"n={n}: wall time {got:.2f}s is "
+                f"{100 * (got / want - 1):.0f}% above baseline {want:.2f}s")
     return failures
 
 
@@ -111,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("result", nargs="?", default=None)
     parser.add_argument("baseline", nargs="?", default=None)
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional drop (default 0.20)")
+                        help="allowed fractional regression (default 0.20)")
     args = parser.parse_args(argv)
     default_result, default_baseline = DEFAULTS[args.kind]
     with open(args.result or default_result, encoding="utf-8") as fh:

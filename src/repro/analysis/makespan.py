@@ -51,10 +51,6 @@ class PhaseStats:
     n_tasks: int
     slowest_host: str
 
-    def as_row(self) -> tuple[float, float]:
-        """(mean, slowest-discarded mean) — one Table I cell pair."""
-        return (self.mean, self.mean_discard_slowest)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class JobMetrics:

@@ -174,9 +174,9 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
             # leave the flow consuming bandwidth unobserved.
             if flow is not None and not flow.finished:
                 client.net.flownet.abort_flow(flow, reason=f"{verb} cancelled")
-        yield client.sim.timeout(backoff_delay(
+        yield backoff_delay(
             client.rng, TRANSFER_BACKOFF_MIN_S, TRANSFER_BACKOFF_MAX_S,
-            attempt, client.config.backoff_jitter))
+            attempt, client.config.backoff_jitter)
     raise TransferFailed(
         f"{verb} of {name!r} failed after {TRANSFER_RETRIES} "
         f"attempts: {last}")
@@ -302,7 +302,6 @@ class Client:
         self._rpc_failures = 0
         #: Names the poll loop would otherwise format on every pass.
         self._wake_name = f"{self.name}.wake"
-        self._rpc_name = f"rpc:{self.name}"
         self._wake = sim.event(f"{self.name}.wake0")
         self._main_proc: Process | None = None
         self._task_procs: list[Process] = []
@@ -383,14 +382,19 @@ class Client:
                         now >= self._next_allowed_rpc or urgent):
                     yield from self._rpc_cycle(want_work, queued_s)
                     continue
-                self._wake = sim.event(self._wake_name)
+                self._wake = wake = sim.event(self._wake_name)
                 if want_work or have_reports:
                     wait_until = 0.0 if urgent else self._next_allowed_rpc
                     wait_until = max(wait_until, self._comm_gate)
                     delay = max(0.0, wait_until - now)
-                    yield sim.any_of([self._wake, sim.timeout(delay)])
+                    timer = sim.schedule_cancellable(
+                        delay, wake.succeed_if_pending)
+                    try:
+                        yield wake
+                    finally:  # woken early, or the host left
+                        timer.cancel()
                 else:
-                    yield self._wake
+                    yield wake
         except Interrupted:
             return
 
@@ -419,9 +423,8 @@ class Client:
                     f"project server unreachable from {self.name}")
             rtt = self.net.rtt(self.host, self.server.host)
             if rtt > 0:
-                yield self.sim.timeout(rtt)
-            reply = yield self.sim.process(
-                self.server.scheduler_rpc(request), name=self._rpc_name)
+                yield rtt
+            reply = yield self.server.scheduler_rpc(request)
         except ServerUnavailable as exc:
             # Lost contact (crash fault or partition).  Put the reports
             # back for the next attempt and retry on the paper's
@@ -510,7 +513,7 @@ class Client:
                                    host=self.name,
                                    result=task.assignment.result_id,
                                    runtime=runtime)
-                yield self.sim.timeout(runtime)
+                yield runtime
                 task.finished_compute_at = self.sim.now
                 task.output = self.executor.execute(self, task)
             finally:

@@ -22,7 +22,7 @@ import dataclasses
 import typing as _t
 
 from ..net import Host, Network, SimSemaphore
-from ..sim import Simulator, Tracer, jittered
+from ..sim import Event, Simulator, Tracer, jittered
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -685,26 +685,39 @@ class ProjectServer(SchedulerCore):
         self.tracer.record(self.sim.now, "server.restore")
 
     # -- scheduler RPC (simulated transport) -----------------------------------
-    def scheduler_rpc(self, request: SchedulerRequest) -> _t.Generator:
-        """Process body handling one scheduler RPC; returns a SchedulerReply.
-
-        Raises :class:`ServerUnavailable` when the server is down (crash
-        fault) — the client retries with the paper's exponential backoff.
+    def scheduler_rpc(self, request: SchedulerRequest) -> Event:
+        """One scheduler RPC: an event that fires with the SchedulerReply
+        after a jittered service delay in one of ``rpc_capacity`` slots, or
+        fails with :class:`ServerUnavailable` while the server is down.  A
+        caller that stops waiting (churn) does not cancel the server side.
         """
+        reply = self.sim.event()
         if not self.available:
             if self.metrics is not None:
                 self.metrics.counter("sched.refused_total").inc()
-            raise ServerUnavailable("scheduler is down")
+            return reply.fail(ServerUnavailable("scheduler is down"))
         grant = self._rpc_slots.acquire()
-        try:
-            yield grant
+
+        def serve(_grant: Event | None = None) -> None:
             # A crash may land while this RPC is queued for a slot.
             if not self.available:
-                raise ServerUnavailable("scheduler crashed mid-request")
+                self._rpc_slots.settle(grant)
+                reply.fail(ServerUnavailable("scheduler crashed mid-request"))
+                return
             delay = self.config.rpc_process_s
             if self.rng is not None:
                 delay = jittered(self.rng, delay, 0.2)
-            yield self.sim.timeout(delay)
-            return self._handle_rpc_now(request)
-        finally:
+            self.sim.schedule(delay, finish)
+
+        def finish() -> None:
             self._rpc_slots.settle(grant)
+            try:
+                reply.trigger(self._handle_rpc_now(request))
+            except Exception as exc:  # noqa: BLE001 - the caller's to see
+                reply.fail(exc)
+
+        if grant.triggered:  # a free slot: no grant wake-up
+            serve()
+        else:
+            grant.add_callback(serve)
+        return reply

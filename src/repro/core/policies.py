@@ -230,7 +230,7 @@ class MapReduceInputFetcher:
             if self.config.reduce_creation_fraction >= 1.0:
                 break  # nothing will ever appear; fail fast
             polls += 1
-            yield sim.timeout(self.config.fetch_poll_s)
+            yield self.config.fetch_poll_s
         raise TransferFailed(
             f"reduce input {filename} unavailable: no reachable peer and "
             "no server copy (upload_map_outputs is off)")

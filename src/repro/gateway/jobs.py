@@ -175,6 +175,16 @@ class GatewayJobTracker(JobTracker):
             "n_reducers": None if spec is None else spec.n_reducers,
         }
 
+    def output_names(self, wu: Workunit) -> tuple[str, ...]:
+        """Blobs a replica of *wu* may upload (map i: its partitions)."""
+        job = self.jobs.get(wu.mr_job or "")
+        if job is None:
+            return ()
+        if wu.mr_kind == "reduce":
+            return (reduce_blob_name(job.spec.name, wu.mr_index),)
+        return tuple(partition_blob_name(job.spec.name, wu.mr_index, r)
+                     for r in range(job.spec.n_reducers))
+
     def _seal(self, job: MapReduceJob) -> None:
         """Last reduce validated: merge the partition outputs.  The blobs
         are whatever volunteers uploaded, so this may raise anything; the

@@ -94,6 +94,7 @@ ERROR_CODES: dict[str, tuple[int, str]] = {
     "method_not_allowed": (405, "route exists but not for this method"),
     "unknown_result": (409, "upload names a result id the server never "
                             "issued"),
+    "upload_refused": (403, "upload of a blob its result may not write"),
     "not_ready": (409, "job output reclaimed before the job finished"),
     "checksum_mismatch": (422, "uploaded bytes do not match X-Checksum"),
     "unavailable": (503, "server refusing; honour Retry-After, then back "

@@ -38,7 +38,7 @@ import time
 import typing as _t
 
 from ..boinc.dataserver import FileMissing, ServerUnavailable
-from ..boinc.model import FileRef, OutputData
+from ..boinc.model import FileRef, OutputData, ResultState
 from ..boinc.server import (
     ReportedResult,
     SchedulerCore,
@@ -77,8 +77,9 @@ _Reply = tuple[int, dict[str, str], bytes]
 _STATUS_PREFIX = {
     status: f"HTTP/1.1 {status} {reason}\r\nContent-Length: ".encode("latin-1")
     for status, reason in ((200, "OK"), (400, "Bad Request"),
-                           (404, "Not Found"), (405, "Method Not Allowed"),
-                           (409, "Conflict"), (422, "Unprocessable Entity"),
+                           (403, "Forbidden"), (404, "Not Found"),
+                           (405, "Method Not Allowed"), (409, "Conflict"),
+                           (422, "Unprocessable Entity"),
                            (503, "Service Unavailable"))}
 #: The headers of every JSON reply (one shared dict: never mutated), and
 #: the bytes they are sent as.
@@ -646,9 +647,14 @@ class GatewayServer:
             return self._error("bad_request",
                                "upload path must be /upload/<id>/<name>")
         result_id = int(result_id_s)
-        if result_id not in self.core.db.results:
+        res = self.core.db.results.get(result_id)
+        if res is None:
             return self._error("unknown_result",
                                f"result {result_id} was never issued")
+        outputs = self.jobs.output_names(self.core.db.workunits[res.wu_id])
+        if res.state is not ResultState.IN_PROGRESS or name not in outputs:
+            return self._error("upload_refused", f"result {result_id} "
+                               f"({res.state.value}) may not write {name!r}")
         claimed = headers.get(protocol.CHECKSUM_HEADER.lower())
         actual = protocol.checksum(body)
         if claimed is not None and claimed != actual:

@@ -184,7 +184,7 @@ def peer_download(
             f"relay required for {dst.host.name} <- {src.host.name} "
             "but no relay host configured", outcome)
     if outcome.setup_delay > 0:
-        yield sim.timeout(outcome.setup_delay)
+        yield outcome.setup_delay
 
     up = src.upload_slots.acquire()
     down = dst.download_slots.acquire()
@@ -193,7 +193,7 @@ def peer_download(
         yield sim.all_of([up, down])
         rtt = net.rtt(src.host, dst.host)
         if rtt > 0:
-            yield sim.timeout(rtt)
+            yield rtt
         extra = ()
         if outcome.relayed:
             assert relay is not None

@@ -7,7 +7,8 @@ yielding *waitables*:
   :class:`AllOf`, :class:`AnyOf`, or another :class:`Process`) — the process
   resumes when it fires, receiving the event's value (for ``AnyOf``, the
   winning child event);
-- a plain ``float``/``int`` — shorthand for ``Timeout(delay)``;
+- a plain ``float``/``int`` — sleep that many seconds: one timer that
+  resumes the generator itself, cancelled if the process is interrupted;
 - ``None`` — resume on the next scheduler pass at the same instant.
 
 A :class:`Process` is itself an :class:`Event` that triggers with the
@@ -22,10 +23,10 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from .events import Event, Timeout
+from .events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only (engine imports this module)
-    from .engine import Simulator
+    from .engine import Simulator, TimerHandle
 
 
 class Interrupted(Exception):
@@ -40,7 +41,7 @@ class Interrupted(Exception):
 class Process(Event):
     """A running simulation process (also an event; fires on completion)."""
 
-    __slots__ = ("_gen", "_waiting_on", "_started")
+    __slots__ = ("_gen", "_waiting_on", "_started", "_sleep")
 
     def __init__(self, sim: Simulator, gen: _t.Generator, name: str = "") -> None:
         """Wrap generator *gen* as a process and schedule its first step."""
@@ -53,6 +54,8 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Event | None = None
         self._started = False
+        #: The timer of the last plain-number sleep (``interrupt`` cancels it).
+        self._sleep: TimerHandle | None = None
         sim.call_soon(self._resume, None)
 
     # -- driving ------------------------------------------------------------
@@ -90,7 +93,9 @@ class Process(Event):
                     f"process {self.name!r} yielded the delay {target!r}; "
                     "expected a finite number of seconds >= 0"))
                 return
-            target = Timeout(self.sim, target)
+            self._sleep = self.sim.schedule_cancellable(
+                target, self._resume, None)
+            return
         if not isinstance(target, Event):
             self._crash(TypeError(
                 f"process {self.name!r} yielded {target!r}; expected an Event, "
@@ -120,16 +125,21 @@ class Process(Event):
         """Throw :class:`Interrupted` into the process at the current instant.
 
         A process blocked on an event is detached from it; the event may
-        still fire later without affecting the interrupted process.
+        still fire later without affecting the interrupted process.  A
+        process asleep on a plain-number delay has that timer cancelled.
         """
         if self.triggered:
             return
+        if self._sleep is not None:  # or it could wake us before delivery
+            self._sleep.cancel()
         self.sim.call_soon(self._do_interrupt, cause)
 
     def _do_interrupt(self, cause: _t.Any) -> None:
         if self.triggered:
             return
         self._waiting_on = None
+        if self._sleep is not None:
+            self._sleep.cancel()
         try:
             target = self._gen.throw(Interrupted(cause))
         except StopIteration as stop:

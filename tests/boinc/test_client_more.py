@@ -42,8 +42,8 @@ class TestRpcCongestion:
         sim, _net, server, _clients = build(
             0, server_config=ServerConfig(rpc_capacity=2, rpc_process_s=10.0))
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(6)]
-        procs = [sim.process(server.scheduler_rpc(SchedulerRequest(
-            host_id=h.id, work_req_s=0.0))) for h in hosts]
+        procs = [server.scheduler_rpc(SchedulerRequest(
+            host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
         # 6 RPCs, 2 at a time, 10s each -> three waves; last ends at t=30.
         assert all(p.ok for p in procs)
@@ -53,8 +53,8 @@ class TestRpcCongestion:
         sim, _net, server, _clients = build(
             0, server_config=ServerConfig(rpc_capacity=1, rpc_process_s=1.0))
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(5)]
-        procs = [sim.process(server.scheduler_rpc(SchedulerRequest(
-            host_id=h.id, work_req_s=0.0))) for h in hosts]
+        procs = [server.scheduler_rpc(SchedulerRequest(
+            host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
         assert all(p.ok for p in procs)
         assert sim.now == pytest.approx(5.0)

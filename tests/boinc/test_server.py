@@ -41,8 +41,8 @@ def make_wu(server, replication=2, quorum=2, **kwargs):
 
 def rpc(sim, server, host, work_req=600.0, reports=()):
     """Run one scheduler RPC synchronously and return the reply."""
-    proc = sim.process(server.scheduler_rpc(SchedulerRequest(
-        host_id=host.id, work_req_s=work_req, reports=list(reports))))
+    proc = server.scheduler_rpc(SchedulerRequest(
+        host_id=host.id, work_req_s=work_req, reports=list(reports)))
     sim.run(until_event=proc)
     return proc.value
 

@@ -306,7 +306,9 @@ class TestScenarioCellParams:
         non_scalar_values()
 
     def test_key_and_payload_equal_the_pinned_cells(self):
-        # Recorded at the commit before SCENARIO_PARAMS was deleted.
+        # Recorded at the commit before SCENARIO_PARAMS was deleted; only
+        # "events" was re-recorded since (1115 and 1172), when the scheduler
+        # RPC and the plain-delay waits stopped dispatching their own events.
         mr = CampaignCell(kind="scenario", seed=4, group="g", params={
             "n_nodes": 6, "n_maps": 6, "n_reducers": 2, "mr_clients": True,
             "input_size": 1e8, "fast_node_fraction": 0.5})
@@ -319,14 +321,14 @@ class TestScenarioCellParams:
             "reduce_mean": 93.17835222835248,
             "reduce_discard_slowest": 90.35635323086422,
             "transition_gap": 48.82424219403663,
-            "events": 1115, "sim_end": 370.0}
+            "events": 674, "sim_end": 370.0}
         vanilla = CampaignCell(kind="scenario", seed=2, group="g", params={
             "n_nodes": 5, "n_maps": 5, "n_reducers": 2, "input_size": 5e7,
             "name": "v", "byzantine_rate": 0.1, "timeout_s": 90000.0})
         assert vanilla.key == "f4c72b480e465fc7"
         payload = execute_cell(vanilla.spec())
         assert (payload["total"], payload["events"], payload["sim_end"]) == (
-            463.38139318157556, 1172, 470.0)
+            463.38139318157556, 717, 470.0)
 
     def test_removed_names_do_not_import(self):
         with pytest.raises(ImportError):

@@ -1167,6 +1167,62 @@ class TestDisconnectMidUpload:
         assert err.value.code == "unknown_result"
 
 
+class TestUploadRules:
+    """An upload is taken only for a blob its result's task produces, and
+    only while that result is in progress (docs/protocol.md)."""
+
+    def test_foreign_input_overwrite_is_refused(self, handle, client):
+        # The holder of result 1 (map 0) tries to replace map 3's input.
+        corpus = generate_corpus(8_000, seed=9)
+        handle.submit_job("j", "wordcount", corpus, n_maps=4, n_reducers=2)
+        original = client.download("j.m3.in")
+        host_id = client.register("overwriter", flops=1e9)
+        task = next(t for t in _poll_for_assignment(client, host_id)
+                    if t["result_id"] == 1)
+        assert (task["kind"], task["index"]) == ("map", 0)
+        for name in ("j.m3.in", "j.m3.p0", "j.m0.p2", "j.out0", "other"):
+            with pytest.raises(GatewayError) as err:
+                client.upload(1, name, b"forged")
+            assert 400 <= err.value.status < 500, name
+            assert err.value.code == "upload_refused", name
+        assert client.download("j.m3.in") == original
+        assert not handle.server.store.has("j.m3.p0")
+        # Its own partitions are taken; once reported, not even those.
+        report = execute_task(client, task)
+        assert [f["name"] for f in report["output_files"]] == [
+            "j.m0.p0", "j.m0.p1"]
+        client.scheduler_rpc(host_id, work_req_s=0.0, reports=[report])
+        assert handle.server.core.db.results[1].state is ResultState.OVER
+        with pytest.raises(GatewayError) as err:
+            client.upload(1, "j.m0.p0", b"late")
+        assert (err.value.status, err.value.code) == (403, "upload_refused")
+        assert client.download("j.m0.p0") != b"late"
+
+    def test_a_refused_volunteer_fails_the_task_and_keeps_polling(
+            self, handle, monkeypatch):
+        from repro.gateway import client as client_module
+
+        refused = []
+
+        def forger(client, task):
+            if not refused:
+                try:
+                    client.upload(task["result_id"], "fg.m1.in", b"forged")
+                except GatewayError as exc:
+                    refused.append(exc.code)
+                    raise
+            return execute_task(client, task)
+
+        monkeypatch.setattr(client_module, "execute_task", forger)
+        corpus = generate_corpus(10_000, seed=10)
+        handle.submit_job("fg", "wordcount", corpus, n_maps=2, n_reducers=1)
+        stats = run_volunteer(handle.address, name="forger", idle_limit=50)
+        assert refused == ["upload_refused"]
+        assert (stats.tasks_failed, stats.tasks_done) == (1, 3)
+        assert handle.result("fg", timeout=10) == dict(
+            collections.Counter(corpus.split()))
+
+
 class TestDuplicateReport:
     def test_replayed_report_is_dropped_and_counted(self, handle, client):
         corpus = generate_corpus(6_000, seed=8)

@@ -297,3 +297,96 @@ def test_process_waiting_on_itself_fails(sim):
     holder["proc"] = sim.process(body())
     with pytest.raises(RuntimeError, match="waited on itself"):
         sim.run()
+
+
+# -- a plain-number delay is one cancellable timer ---------------------------
+
+def test_interrupt_cancels_the_sleep_timer(sim):
+    """No Timeout event is left behind: the interrupt retracts the timer,
+    so the stale one can never resume the process and the clock does not
+    run on to it."""
+    never = sim.event()
+    log = []
+
+    def body():
+        try:
+            yield 10.0
+            log.append(("slept", sim.now))
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+            yield never
+
+    proc = sim.process(body())
+    sim.run(until=1.0)
+    assert sim.pending() == 1  # the sleep timer
+    proc.interrupt()
+    assert sim.pending() == 1  # timer retracted, interrupt queued
+    sim.step()  # deliver the interrupt
+    assert sim.pending() == 0  # dropped by one: no stale timer pending
+    sim.run()
+    assert log == [("interrupted", 1.0)]
+    assert sim.now == 1.0 and proc.alive
+
+
+def test_an_interrupt_beats_a_sleep_due_the_same_instant(sim):
+    """The interrupt is delivered a hop after ``interrupt()``; a sleep
+    timer due in between must not resume the process first (a server
+    crash landing on a daemon's poll instant kills the daemon unpolled)."""
+    log = []
+
+    def body():
+        try:
+            yield 5.0
+            log.append(("slept", sim.now))
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+
+    holder = {}
+    sim.schedule(5.0, lambda: holder["proc"].interrupt())  # older than
+    holder["proc"] = sim.process(body())                   # the sleep
+    sim.run()
+    assert log == [("interrupted", 5.0)]
+
+
+def test_an_interrupt_cancels_the_sleep_taken_after_an_earlier_one(sim):
+    """Two interrupts in one instant: the sleep the first one led to is
+    the one the second retracts."""
+    log = []
+
+    def body():
+        for delay in (100.0, 5.0, 2.0):
+            try:
+                yield delay
+                break
+            except Interrupted as exc:
+                log.append((exc.cause, sim.now))
+        log.append(("slept", sim.now))
+        yield 10.0  # a stale 5 s timer would cut this short at t=6
+        log.append(("slept", sim.now))
+
+    proc = sim.process(body())
+    sim.schedule(1.0, proc.interrupt, "first")
+    sim.schedule(1.0, proc.interrupt, "second")
+    sim.run()
+    assert log == [("first", 1.0), ("second", 1.0), ("slept", 3.0),
+                   ("slept", 13.0)]
+
+
+def test_zero_delay_and_none_resume_in_yield_order(sim):
+    """``yield 0`` is a timer due now and ``yield None`` a same-instant
+    wake-up; both keep the kernel's one (time, priority, seq) order, so
+    processes resume in the order they yielded."""
+    log = []
+
+    def body(tag, wait):
+        yield wait
+        log.append((tag, sim.now))
+
+    def start():
+        for tag, wait in (("a", 0), ("b", None), ("c", 0.0), ("d", None)):
+            sim.process(body(tag, wait))
+
+    sim.schedule(2.0, start)
+    sim.run()
+    assert log == [("a", 2.0), ("b", 2.0), ("c", 2.0), ("d", 2.0)]
+    assert sim.dispatch_count == 1 + 4 + 4  # start, four starts, four wakes

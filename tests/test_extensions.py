@@ -273,13 +273,13 @@ class TestAdaptiveReplication:
         server._feeder_pass()
         for i in range(2):
             host = server.register_host(f"h{i}", 1.0)
-            proc = sim.process(server.scheduler_rpc(SchedulerRequest(
-                host_id=host.id, work_req_s=10.0)))
+            proc = server.scheduler_rpc(SchedulerRequest(
+                host_id=host.id, work_req_s=10.0))
             sim.run(until_event=proc)
             rid = proc.value.assignments[0].result_id
-            proc = sim.process(server.scheduler_rpc(SchedulerRequest(
+            proc = server.scheduler_rpc(SchedulerRequest(
                 host_id=host.id, work_req_s=0.0,
-                reports=[ReportedResult(rid, True, OutputData("d"), 1.0)])))
+                reports=[ReportedResult(rid, True, OutputData("d"), 1.0)]))
             sim.run(until_event=proc)
         server._transitioner_pass()
         server._validator_pass()

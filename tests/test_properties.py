@@ -188,16 +188,16 @@ def test_quorum_never_validates_minority(digests, quorum):
     server._feeder_pass()
     for i, digest in enumerate(digests):
         host = server.register_host(f"h{i}", 1.0)
-        proc = sim.process(server.scheduler_rpc(SchedulerRequest(
-            host_id=host.id, work_req_s=10.0)))
+        proc = server.scheduler_rpc(SchedulerRequest(
+            host_id=host.id, work_req_s=10.0))
         sim.run(until_event=proc)
         reply = proc.value
         if not reply.assignments:
             continue
         rid = reply.assignments[0].result_id
-        proc = sim.process(server.scheduler_rpc(SchedulerRequest(
+        proc = server.scheduler_rpc(SchedulerRequest(
             host_id=host.id, work_req_s=0.0,
-            reports=[ReportedResult(rid, True, OutputData(digest), 1.0)])))
+            reports=[ReportedResult(rid, True, OutputData(digest), 1.0)]))
         sim.run(until_event=proc)
     server._transitioner_pass()
     server._validator_pass()

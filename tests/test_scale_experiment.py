@@ -111,3 +111,38 @@ class TestScaleStudy:
         full = scale_out(40, seed=1)
         assert [type(n.allocator) for n in built] == [FullAllocator]
         assert inc.makespan_s == pytest.approx(full.makespan_s, rel=0.05)
+
+
+class TestScaleGate:
+    """``benchmarks/check_scale_regression.py`` gates wall time per size,
+    so a run that needs fewer events is not read as a regression."""
+
+    @staticmethod
+    def gate():
+        import importlib.util
+        import pathlib
+
+        path = (pathlib.Path(__file__).resolve().parent.parent
+                / "benchmarks" / "check_scale_regression.py")
+        spec = importlib.util.spec_from_file_location("scale_gate", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.check
+
+    @staticmethod
+    def report(events, wall_s):
+        return {"sizes": [{"n_nodes": 100, "events": events, "wall_s": wall_s,
+                           "events_per_s": events / wall_s}]}
+
+    def test_fewer_events_in_less_time_passes(self):
+        # events/s falls by 40%, the run is 10% faster: not a regression.
+        assert self.gate()(self.report(50_000, 0.9),
+                           self.report(100_000, 1.0), 0.20) == []
+
+    def test_over_twenty_percent_slower_fails(self):
+        findings = self.gate()(self.report(100_000, 1.25),
+                               self.report(100_000, 1.0), 0.20)
+        assert findings == [
+            "n=100: wall time 1.25s is 25% above baseline 1.00s"]
+        assert self.gate()(self.report(100_000, 1.19),
+                           self.report(100_000, 1.0), 0.20) == []
