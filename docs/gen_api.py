@@ -48,7 +48,7 @@ TARGETS = [
     ("repro.obs", "Metrics, span timelines, Chrome traces, self-profiling."),
     ("repro.sim", "Discrete-event kernel: simulator, events, rng, tracer."),
     ("repro.analysis", "Trace analysis, statistics, tables, exports."),
-    ("repro.runtime", "Real MapReduce runtime used for calibration."),
+    ("repro.runtime", "Real MapReduce runtime the live volunteers run."),
     ("repro.gateway",
      "Live asyncio volunteer gateway, client, and load harness."),
 ]

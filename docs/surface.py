@@ -1,27 +1,36 @@
 #!/usr/bin/env python
 """Size of the program's surface, counted the same way for every PR.
 
-Prints ``src/`` Python lines, dataclass fields on the ``*Config`` /
-``*Spec`` classes (each an independently settable value), how many of
-those fields nothing in the repository sets, CLI flags and subcommands,
-how many of those flags nothing in the repository invokes, the campaign
-cell kinds, the functions that build campaign cells and the builtin grid
-names, so CHANGES.md can quote parent and change instead of a hand
-count::
+Prints ``src/`` Python lines, the ``src`` modules none of whose
+functions :data:`ENTRY_POINTS` call, dataclass fields on the
+``*Config`` / ``*Spec`` classes (each an independently settable value),
+how many of those fields nothing in the repository sets, CLI flags and
+subcommands, how many of those flags nothing in the repository invokes,
+the campaign cell kinds, the functions that build campaign cells and the
+builtin grid names, so CHANGES.md can quote parent and change instead of
+a hand count::
 
     python docs/surface.py
-    python docs/surface.py --check    # exit 1 on a never-set field or
-                                      # a never-used flag (the CI gate)
+    python docs/surface.py --check    # exit 1 on an unreached module, a
+                                      # never-set field or a never-used
+                                      # flag (the CI gate)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
+import inspect
+import io
 import pkgutil
 import re
 import sys
+import tempfile
+import threading
+import time
+import typing as _t
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,8 +87,6 @@ def never_set(classes: dict[str, list[str]]) -> list[str]:
 def grid_builders() -> list[str]:
     """Functions of :mod:`repro.experiments.grids` that construct campaign
     cells themselves (every other grid function delegates to one)."""
-    import inspect
-
     from repro.experiments import grids
 
     return [name for name, fn in vars(grids).items()
@@ -89,9 +96,6 @@ def grid_builders() -> list[str]:
 
 def grid_names() -> list[str]:
     """The builtin grid names, as ``campaign --list-grids`` prints them."""
-    import contextlib
-    import io
-
     from repro.cli import main
 
     out = io.StringIO()
@@ -130,12 +134,157 @@ def never_used(flags: list[tuple[str, str]]) -> list[str]:
             and not re.search(rf"{flag}(?![\w-])", text)]
 
 
+def _cli(*argv: object) -> None:
+    """``python -m repro *argv*`` in this process."""
+    from repro.cli import main
+
+    code = main([str(arg) for arg in argv])
+    if code != 0:
+        raise RuntimeError(f"repro {' '.join(map(str, argv))}: exit {code}")
+
+
+def _simulated_runs(scratch: Path) -> None:
+    """``repro run``: BOINC-MR with the run summary and a CSV trace,
+    original BOINC with a Chrome trace, and a chaos plan audited into a
+    summary file."""
+    small = ("--nodes", 8, "--maps", 8, "--reducers", 2, "--input-gb", 0.1)
+    _cli("run", "--list-plans")
+    _cli("run", "--mr", *small, "--summary",
+         "--trace-out", scratch / "run.csv", "--trace-format", "csv")
+    _cli("run", *small, "--trace-out", scratch / "run.json")
+    _cli("run", "--mr", *small, "--faults", "flaky-network",
+         "--summary-out", scratch / "faults.json")
+
+
+def _real_runtime(scratch: Path) -> None:
+    """``repro wordcount`` on real bytes."""
+    _cli("wordcount", "--size-mb", 0.1, "--maps", 4, "--reducers", 2)
+
+
+def _paper_grid(scratch: Path) -> None:
+    """The paper grid, every cell inline, rendered into EXPERIMENTS.md's
+    study blocks as ``docs/gen_experiments.py`` does; then the same store
+    read by ``repro campaign --aggregate``, and ``--list-grids``."""
+    import gen_experiments
+    from repro import experiments
+    from repro.campaign import run_campaign
+
+    store = str(scratch / "paper.jsonl")
+    run_campaign(experiments.paper_grid(), store, workers=0)
+    gen_experiments.render_document(
+        gen_experiments.DOCUMENT.read_text(encoding="utf-8"), store)
+    _cli("campaign", "--aggregate", store)
+    _cli("campaign", "--list-grids")
+
+
+def _campaign_work(scratch: Path) -> None:
+    """``repro campaign work`` against an in-process coordinator, on its
+    own thread, serving one cell."""
+    from repro.campaign import (CampaignCell, CampaignCoordinator,
+                                CampaignGrid, ResultStore)
+
+    grid = CampaignGrid(name="probe", cells=(CampaignCell(
+        kind="sleep", seed=0, params={"duration_s": 0.0}),))
+    coordinator = CampaignCoordinator(
+        grid, ResultStore(scratch / "work.jsonl"), spawn=0, heartbeat_s=0.2)
+    served = threading.Thread(target=coordinator.run, daemon=True)
+    served.start()
+    while not coordinator.port:
+        time.sleep(0.01)
+    _cli("campaign", "work", f"127.0.0.1:{coordinator.port}")
+    served.join()
+
+
+def _live_gateway(scratch: Path) -> None:
+    """A self-hosted ``repro loadgen``, then one job per
+    :data:`~repro.gateway.APP_REGISTRY` app on a live gateway, run by two
+    ``repro volunteer`` threads."""
+    from repro.gateway import APP_REGISTRY, GatewayClient, GatewayServer
+
+    _cli("loadgen", "--clients", 8, "--duration", 1, "--maps", 4,
+         "--reducers", 2, "--out", scratch / "load.json")
+    gateway = GatewayServer.in_thread()
+    client = GatewayClient(gateway.address)
+    try:
+        for app in APP_REGISTRY:
+            client.submit_job(app, app, 20_000, 1, 4, 2)
+        volunteers = [threading.Thread(target=_cli, args=(
+            "volunteer", "--address", gateway.address, "--name", f"probe{k}",
+            "--idle-limit", 25)) for k in range(2)]
+        for thread in volunteers:
+            thread.start()
+        for app in APP_REGISTRY:
+            while client.job_status(app)["state"] == "running":
+                if not any(thread.is_alive() for thread in volunteers):
+                    raise RuntimeError(f"probe job {app!r} left unfinished")
+                time.sleep(0.01)
+            client.job_output(app)
+        for thread in volunteers:
+            thread.join()
+    finally:
+        client.close()
+        gateway.close()
+
+
+#: What the reachability probe runs, each in this process and in order.
+ENTRY_POINTS = (_simulated_runs, _real_runtime, _paper_grid, _campaign_work,
+                _live_gateway)
+
+
+def _defines_functions(path: Path) -> bool:
+    """Whether the module at *path* has a function, method or lambda."""
+    stack = [compile(path.read_bytes(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        nested = [c for c in code.co_consts if inspect.iscode(c)]
+        if any(c.co_flags & inspect.CO_NEWLOCALS for c in nested):
+            return True
+        stack += nested
+    return False
+
+
+def unreached_modules() -> list[str]:
+    """``src`` modules none of whose functions :data:`ENTRY_POINTS` call.
+
+    Their standard output is dropped, and every thread runs under a
+    profile hook that notes each function code object entered; a module
+    counts as reached when one of them is its own.  A module body is not a function, so an import alone reaches
+    nothing; a function called while importing (``col`` building a
+    study's columns) does, so call this before anything imports
+    ``repro``.  Work done in a child process (``--spawn``, a worker's
+    forked cell) is not seen, which is why the paper grid runs inline."""
+    seen: set = set()
+
+    def hook(frame: _t.Any, event: str, _arg: _t.Any) -> None:
+        if event == "call":
+            seen.add(frame.f_code)
+
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        with (tempfile.TemporaryDirectory() as scratch,
+              contextlib.redirect_stdout(io.StringIO())):
+            for entry in ENTRY_POINTS:
+                entry(Path(scratch))
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    reached = {code.co_filename for code in seen
+               if code.co_flags & inspect.CO_NEWLOCALS}
+    return [str(path.relative_to(SRC / "repro"))
+            for path in sorted(SRC.rglob("*.py"))
+            if str(path) not in reached and _defines_functions(path)]
+
+
 if __name__ == "__main__":
+    unreached = unreached_modules()
+
     from repro.cli import build_parser
 
     classes = option_classes()
     print("src python lines:   ", sum(len(p.read_bytes().splitlines())
                                       for p in SRC.rglob("*.py")))
+    print("src modules no entry point reaches:", len(unreached), *unreached)
     print("config/spec fields: ", sum(map(len, classes.values())),
           "on", len(classes), "classes")
     unset = never_set(classes)
@@ -155,5 +304,6 @@ if __name__ == "__main__":
     print("builtin grids:      ", len(grids), ", ".join(grids))
     for name, fields in sorted(classes.items()):
         print(f"  {len(fields):3d}  {name}")
-    if "--check" in sys.argv[1:] and (unset or unused):
-        sys.exit("surface: an option or a flag nothing uses (see above)")
+    if "--check" in sys.argv[1:] and (unreached or unset or unused):
+        sys.exit("surface: a module, an option or a flag nothing uses "
+                 "(see above)")

@@ -78,11 +78,6 @@ class OutputData:
     digest: str
     files: tuple[FileRef, ...] = ()
 
-    @property
-    def total_size(self) -> float:
-        """Summed size of all output files in bytes."""
-        return sum(f.size for f in self.files)
-
 
 @dataclasses.dataclass(slots=True)
 class Workunit:
@@ -233,14 +228,6 @@ class Database:
         res.deadline = deadline
         self._unsent.pop(res.id, None)
         host.results_assigned += 1
-
-    def requeue(self, res: Result) -> None:
-        """Return an in-progress result to the unsent pool (lost client)."""
-        res.state = ResultState.UNSENT
-        res.host_id = None
-        res.sent_at = None
-        res.deadline = None
-        self._unsent[res.id] = None
 
     # -- queries ------------------------------------------------------------------
     def results_for_wu(self, wu_id: int) -> list[Result]:

@@ -23,14 +23,10 @@ from .job import JobPhase, MapReduceJob, MapReduceJobSpec, MapTaskRecord
 from .jobtracker import JobTracker
 from .policies import ClientDirectory, MapReduceInputFetcher, MapReduceOutputPolicy
 from .system import CloudSpec, VolunteerCloud
-from .workflow import MapReduceWorkflow, WorkflowStage, pipeline
 
 __all__ = [
     "VolunteerCloud",
     "CloudSpec",
-    "MapReduceWorkflow",
-    "WorkflowStage",
-    "pipeline",
     "MapReduceJobSpec",
     "MapReduceJob",
     "JobPhase",

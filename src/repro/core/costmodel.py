@@ -89,7 +89,7 @@ WORD_COUNT = MapReduceCostModel(
 )
 
 #: Distributed grep: maps scan fast and emit only matching lines; the
-#: reduce side is nearly free.  Used by the extension benchmarks to explore
+#: reduce side is nearly free.  The ``apps`` study uses it to explore
 #: "which scenarios are the most suited" (Section IV.B future work).
 GREP = MapReduceCostModel(
     map_throughput=5e6,

@@ -4,8 +4,8 @@ A BOINC-MR client that finishes a map task "opens a TCP [socket] for
 listening to incoming connections ... and stop[s] accepting connections
 when there are no more files available for upload".  :class:`PeerStore`
 models that serving table: files enter with an expiry (the serving
-timeout), can be renewed when the server reschedules a reduce task, and
-are withdrawn when the job finishes.
+timeout), a file that served corrupt data is evicted, and the rest are
+withdrawn when the job finishes.
 
 The actual byte movement happens through
 :func:`repro.net.transfer.peer_download`, gated by the client's
@@ -48,26 +48,6 @@ class PeerStore:
         """Start (or restart) serving *ref* for *job*."""
         self._files[ref.name] = ServedFile(
             ref=ref, job=job, expires_at=self.sim.now + self.serve_timeout_s)
-
-    def renew(self, name: str) -> bool:
-        """Reset a file's timeout — "even if it has already been reached".
-
-        Returns False when the file was never served (nothing to renew).
-        """
-        entry = self._files.get(name)
-        if entry is None:
-            return False
-        entry.expires_at = self.sim.now + self.serve_timeout_s
-        return True
-
-    def renew_job(self, job: str) -> int:
-        """Renew every file of *job*; returns how many were renewed."""
-        n = 0
-        for entry in self._files.values():
-            if entry.job == job:
-                entry.expires_at = self.sim.now + self.serve_timeout_s
-                n += 1
-        return n
 
     def evict(self, name: str) -> bool:
         """Withdraw a file that served corrupt data (checksum mismatch).

@@ -33,9 +33,8 @@ from ..workloads import generate_corpus
 from .files import BlobStore
 from .protocol import checksum
 
-#: Apps submittable by name over the wire (``JobRequest.app``).  Only
-#: zero-config apps are listed; parameterised apps (grep patterns, sort
-#: boundaries) need in-process submission with an app instance.
+#: Apps submittable by name over the wire (``JobRequest.app``).  A wire
+#: job carries no app parameters, so ``matchcount`` counts a fixed pattern.
 APP_REGISTRY: dict[str, _t.Callable[[], MapReduceApp]] = {
     "wordcount": WordCount,
     "invindex": InvertedIndex,

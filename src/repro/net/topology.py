@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..sim import Event, Simulator, Tracer
+from ..sim import Simulator, Tracer
 from .flows import Flow, FlowNetwork, Link
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -60,13 +60,6 @@ class Host:
         self.downlink = Link(f"{name}.down", spec.down_bps)
         #: Set False to simulate the host going offline (churn).
         self.online = True
-
-    @property
-    def behind_nat(self) -> bool:
-        """True when this host sits behind a real (non-NONE) NAT box."""
-        from .nat import NatType
-
-        return self.nat is not None and self.nat.nat_type is not NatType.NONE
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Host {self.name}>"
@@ -212,8 +205,3 @@ class Network:
         """Heal the partition; all hosts can reach each other again."""
         self._partition = None
 
-    # -- convenience ----------------------------------------------------------------
-    def transfer_and_wait(self, src: Host, dst: Host, size_bytes: float,
-                          **kwargs: _t.Any) -> Event:
-        """The flow's completion event (for direct use in ``yield``)."""
-        return self.transfer(src, dst, size_bytes, **kwargs).done

@@ -8,7 +8,6 @@ the simulator models.
 
 from .api import FnApp, MapReduceApp, default_partition
 from .engine import JobReport, LocalRunner, TaskReport
-from .calibrate import Measurement, measure_cost_model, profile_app
 from .splitter import iter_records, split_bytes, split_text
 
 __all__ = [
@@ -16,9 +15,6 @@ __all__ = [
     "FnApp",
     "default_partition",
     "LocalRunner",
-    "Measurement",
-    "profile_app",
-    "measure_cost_model",
     "JobReport",
     "TaskReport",
     "split_bytes",

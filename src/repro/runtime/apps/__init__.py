@@ -1,16 +1,11 @@
 """Bundled MapReduce applications."""
 
-from .grep import DistributedGrep, MatchCount
+from .grep import MatchCount
 from .invindex import InvertedIndex
-from .sortapp import DistributedSort, merge_sorted_output, sample_boundaries
 from .wordcount import WordCount
 
 __all__ = [
     "WordCount",
-    "DistributedGrep",
     "MatchCount",
     "InvertedIndex",
-    "DistributedSort",
-    "sample_boundaries",
-    "merge_sorted_output",
 ]

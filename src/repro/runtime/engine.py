@@ -58,9 +58,6 @@ class JobReport:
         """Reports of the map tasks only."""
         return [t for t in self.tasks if t.kind == "map"]
 
-    def reduce_tasks(self) -> list[TaskReport]:
-        """Reports of the reduce tasks only."""
-        return [t for t in self.tasks if t.kind == "reduce"]
 
 
 class LocalRunner:

@@ -5,7 +5,7 @@ traces (e.g. the Failure Trace Archive's SETI@home and Notre Dame
 collections) rather than analytic ON/OFF models.  This module provides:
 
 - :class:`AvailabilityTrace` — an explicit list of ``[start, end)``
-  availability intervals for one host, with validation and queries;
+  availability intervals for one host, validated on construction;
 - :func:`diurnal_trace` — a synthetic weekday/evening pattern generator
   (volunteer machines are famously available outside office hours).
 
@@ -40,23 +40,6 @@ class AvailabilityTrace:
                 raise ValueError(
                     f"trace {self.host}: overlapping/unsorted at {start}")
             prev_end = end
-
-    def available_at(self, t: float) -> bool:
-        """True when some ON interval covers time *t*."""
-        return any(start <= t < end for start, end in self.intervals)
-
-    @property
-    def total_available(self) -> float:
-        """Summed ON time across all intervals."""
-        return sum(end - start for start, end in self.intervals)
-
-    def availability_fraction(self, horizon: float) -> float:
-        """Fraction of [0, horizon) covered by availability."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        covered = sum(max(0.0, min(end, horizon) - min(start, horizon))
-                      for start, end in self.intervals)
-        return covered / horizon
 
     def periods(self, now: float = 0.0) -> _t.Iterator[float]:
         """Alternating ON, OFF, ON, ... lengths from *now* on, for a host

@@ -5,7 +5,6 @@ import pytest
 from repro.boinc import (
     Database,
     FileRef,
-    OutputData,
     ResultState,
     Workunit,
     WorkunitState,
@@ -28,15 +27,6 @@ class TestFileRef:
         ref = FileRef("f", 10)
         with pytest.raises(AttributeError):
             ref.size = 20
-
-
-class TestOutputData:
-    def test_total_size(self):
-        out = OutputData(digest="d", files=(FileRef("a", 10), FileRef("b", 5)))
-        assert out.total_size == 15
-
-    def test_empty_files(self):
-        assert OutputData(digest="d").total_size == 0
 
 
 class TestWorkunitValidation:
@@ -103,17 +93,6 @@ class TestDatabase:
         db.mark_sent(res, host, 0.0, 10.0)
         with pytest.raises(ValueError):
             db.mark_sent(res, host, 1.0, 10.0)
-
-    def test_requeue_restores_unsent(self):
-        db = Database()
-        wu = make_wu(db)
-        res = db.insert_result(wu)
-        host = db.insert_host("h", 1.0)
-        db.mark_sent(res, host, 0.0, 10.0)
-        db.requeue(res)
-        assert res.state is ResultState.UNSENT
-        assert res.host_id is None
-        assert [r.id for r in db.unsent_results()] == [res.id]
 
     def test_hosts_with_result_of_wu(self):
         db = Database()

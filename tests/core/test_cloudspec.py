@@ -105,12 +105,41 @@ class TestNeverSetOptionsAreConstants:
         with pytest.raises(ImportError):
             import repro.core.xmlconfig  # noqa: F401
 
+    @pytest.mark.parametrize("module", [
+        "repro.core.workflow",
+        "repro.runtime.calibrate",
+        "repro.runtime.apps.sortapp",
+    ])
+    def test_modules_no_entry_point_reached_are_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.volunteers", "TraceChurnController"),
         ("repro.volunteers", "load_traces_csv"),
         ("repro.volunteers", "ChurnController.manage_all"),
         ("repro.sim", "IntervalAccumulator"),
         ("repro.boinc.client", "Client.shutdown"),
+        ("repro.core", "MapReduceWorkflow"),
+        ("repro.core", "WorkflowStage"),
+        ("repro.core", "pipeline"),
+        ("repro.runtime", "profile_app"),
+        ("repro.runtime", "measure_cost_model"),
+        ("repro.runtime", "Measurement"),
+        ("repro.runtime.apps", "DistributedSort"),
+        ("repro.runtime.apps", "DistributedGrep"),
+        ("repro.runtime.apps", "sample_boundaries"),
+        ("repro.runtime.apps", "merge_sorted_output"),
+        ("repro.boinc", "Database.requeue"),
+        ("repro.boinc", "OutputData.total_size"),
+        ("repro.net", "Network.transfer_and_wait"),
+        ("repro.net", "Host.behind_nat"),
+        ("repro.core", "PeerStore.renew"),
+        ("repro.core", "PeerStore.renew_job"),
+        ("repro.runtime", "JobReport.reduce_tasks"),
+        ("repro.volunteers", "AvailabilityTrace.available_at"),
+        ("repro.volunteers", "AvailabilityTrace.total_available"),
+        ("repro.volunteers", "AvailabilityTrace.availability_fraction"),
     ])
     def test_second_mechanisms_and_unused_capabilities_are_gone(self, module,
                                                                 name):

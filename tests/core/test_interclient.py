@@ -38,29 +38,6 @@ class TestServing:
         with pytest.raises(KeyError, match="timeout"):
             store.get("f")
 
-    def test_renew_resets_expiry_even_after_reached(self, sim, store):
-        """Section III.C: "the map outputs' timeout is reset (even if it
-        has already been reached in the meantime)"."""
-        store.serve(FileRef("f", 10), job="j")
-        sim.schedule(150.0, lambda: None)
-        sim.run()
-        assert not store.available("f")
-        assert store.renew("f") is True
-        assert store.available("f")
-
-    def test_renew_unknown_file(self, store):
-        assert store.renew("nope") is False
-
-    def test_renew_job_renews_all(self, sim, store):
-        store.serve(FileRef("a", 1), job="j1")
-        store.serve(FileRef("b", 1), job="j1")
-        store.serve(FileRef("c", 1), job="j2")
-        sim.schedule(150.0, lambda: None)
-        sim.run()
-        assert store.renew_job("j1") == 2
-        assert store.available("a") and store.available("b")
-        assert not store.available("c")
-
     def test_stop_job_withdraws_files(self, store):
         store.serve(FileRef("a", 1), job="j1")
         store.serve(FileRef("b", 1), job="j2")
@@ -116,7 +93,6 @@ class TestEviction:
         store.evict("f")
         store.serve(FileRef("f", 10), job="j")
         assert store.available("f")
-        assert store.renew("f") is True
 
 
 class TestExpiryRaces:

@@ -4,7 +4,13 @@ import pytest
 
 from repro.boinc import ProjectServer, Workunit
 from repro.boinc.model import FileRef, OutputData, ResultState, ValidateState
-from repro.core import BoincMRConfig, JobPhase, MapReduceJobSpec
+from repro.core import (
+    BoincMRConfig,
+    CloudSpec,
+    JobPhase,
+    MapReduceJobSpec,
+    VolunteerCloud,
+)
 from repro.core.jobtracker import JobTracker
 from repro.net import Network, SERVER_LINK
 from repro.sim import Simulator
@@ -184,3 +190,25 @@ class TestWuErrorPropagation:
         assert job.phase is JobPhase.FAILED
         with pytest.raises(RuntimeError, match="map workunit 0"):
             job.done.value
+
+    def test_crashing_executions_fail_the_job(self):
+        # Every execution crashes: each map workunit exhausts its error
+        # budget, the transitioner abandons it, and the JobTracker fails
+        # the job before any reduce workunit exists.
+        class Exploding:
+            def execute(self, client, task):
+                raise RuntimeError("bad binary")
+
+        cloud = VolunteerCloud.from_spec(
+            CloudSpec(seed=1, mr_config=BoincMRConfig()))
+        for client in cloud.add_volunteers(6, mr=True):
+            client.executor = Exploding()
+        doomed = spec(name="doomed", n_maps=6, n_reducers=2, input_size=60e6)
+        with pytest.raises(RuntimeError, match="map workunit .* errored"):
+            cloud.run_job(doomed, timeout=48 * 3600)
+        job = cloud.jobtracker.jobs["doomed"]
+        assert job.phase is JobPhase.FAILED and not job.done.ok
+        db = cloud.server.db
+        assert any(wu.error_reason
+                   for wu in db.workunits_by_job("doomed", "map"))
+        assert db.workunits_by_job("doomed", "reduce") == []

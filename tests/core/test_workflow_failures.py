@@ -1,53 +1,10 @@
-"""Workflow failure propagation and multi-seed Table I stability."""
+"""Multi-seed Table I stability."""
 
 import statistics
 
 import pytest
 
-from repro.core import (
-    BoincMRConfig,
-    CloudSpec,
-    MapReduceJobSpec,
-    VolunteerCloud,
-    WorkflowStage,
-    pipeline,
-)
-
-
-class TestWorkflowFailure:
-    def test_failed_stage_fails_workflow(self):
-        # Every execution crashes: each map workunit exhausts its error
-        # budget, the transitioner abandons it, and the JobTracker fails
-        # the job — which must fail the workflow at stage 0.
-        class Exploding:
-            def execute(self, client, task):
-                raise RuntimeError("bad binary")
-
-        cloud = VolunteerCloud.from_spec(
-            CloudSpec(seed=1, mr_config=BoincMRConfig()))
-        for client in cloud.add_volunteers(6, mr=True):
-            client.executor = Exploding()
-        wf = pipeline(cloud, "doomed", 60e6,
-                      WorkflowStage("a", n_maps=6, n_reducers=2),
-                      WorkflowStage("never_runs", n_maps=3, n_reducers=1))
-        with pytest.raises(RuntimeError, match="failed at stage"):
-            wf.run(timeout=48 * 3600)
-        assert not wf.done.ok
-        # Stage 0 was submitted, stage 1 never was.
-        assert len(wf.jobs) == 1
-        assert "never_runs" not in {
-            wu.mr_job for wu in cloud.server.db.workunits.values()
-            if wu.mr_job is not None
-        } - {"doomed.a"}
-
-    def test_makespan_none_until_finished(self):
-        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
-        cloud.add_volunteers(6, mr=True)
-        wf = pipeline(cloud, "pending", 30e6,
-                      WorkflowStage("a", n_maps=3, n_reducers=1))
-        assert wf.makespan() is None
-        wf.run()
-        assert wf.makespan() is not None
+from repro.core import CloudSpec, MapReduceJobSpec
 
 
 class TestTable1Stability:

@@ -8,8 +8,6 @@ from repro.net import (
     SERVER_LINK,
     HostOffline,
     LinkSpec,
-    NatBox,
-    NatType,
     Network,
 )
 from repro.sim import Simulator
@@ -53,12 +51,6 @@ class TestHosts:
         net.add_host("a")
         with pytest.raises(ValueError):
             net.add_host("a")
-
-    def test_behind_nat(self, net):
-        pub = net.add_host("pub")
-        natted = net.add_host("natted", nat=NatBox(nat_type=NatType.SYMMETRIC))
-        assert not pub.behind_nat
-        assert natted.behind_nat
 
     def test_link_names_include_host(self, net):
         h = net.add_host("worker1")
@@ -149,13 +141,6 @@ class TestTransfers:
         flow = net.transfer(a, b, 1.25e6, extra_links=[trunk])
         sim.run(until_event=flow.done)
         assert sim.now == pytest.approx(1.0)
-
-    def test_transfer_and_wait_returns_done_event(self, sim, net):
-        a = net.add_host("a")
-        b = net.add_host("b")
-        ev = net.transfer_and_wait(a, b, 125e3)
-        sim.run(until_event=ev)
-        assert ev.triggered
 
     def test_server_link_profile_fast(self, sim, net):
         s = net.add_host("s", SERVER_LINK)

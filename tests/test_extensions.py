@@ -1,5 +1,5 @@
 """Tests for the future-work extensions: supernode overlay, TCP-Nice
-uploads, MapReduce workflows, and adaptive replication."""
+uploads, and adaptive replication."""
 
 import pytest
 
@@ -10,10 +10,7 @@ from repro.core import (
     JobPhase,
     MapReduceJobSpec,
     VolunteerCloud,
-    WorkflowStage,
-    pipeline,
 )
-from repro.core.costmodel import GREP, WORD_COUNT
 from repro.net import (
     EMULAB_LINK,
     LinkSpec,
@@ -157,58 +154,6 @@ class TestNiceUploads:
             "nice", n_maps=6, n_reducers=2, input_size=60e6),
             timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
-
-
-class TestWorkflows:
-    def cloud(self, seed=4):
-        cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
-        cloud.add_volunteers(10, mr=True)
-        return cloud
-
-    def test_two_stage_pipeline(self):
-        wf = pipeline(self.cloud(), "etl", 100e6,
-                      WorkflowStage("grep", n_maps=8, n_reducers=2, cost=GREP),
-                      WorkflowStage("count", n_maps=4, n_reducers=2,
-                                    cost=WORD_COUNT))
-        jobs = wf.run()
-        assert [j.spec.name for j in jobs] == ["etl.grep", "etl.count"]
-        assert all(j.phase is JobPhase.DONE for j in jobs)
-        assert wf.makespan() >= sum(wf.stage_makespans()) - 1e-6
-
-    def test_stage_input_derived_from_previous_output(self):
-        wf = pipeline(self.cloud(), "flow", 100e6,
-                      WorkflowStage("a", n_maps=4, n_reducers=2),
-                      WorkflowStage("b", n_maps=4, n_reducers=1))
-        jobs = wf.run()
-        stage_a = jobs[0].spec
-        expected = stage_a.reduce_output_size() * stage_a.n_reducers
-        assert jobs[1].spec.input_size == pytest.approx(expected)
-
-    def test_stages_run_sequentially(self):
-        wf = pipeline(self.cloud(), "seq", 60e6,
-                      WorkflowStage("one", n_maps=4, n_reducers=2),
-                      WorkflowStage("two", n_maps=4, n_reducers=2))
-        jobs = wf.run()
-        assert jobs[1].submitted_at >= jobs[0].finished_at
-
-    def test_validation(self):
-        cloud = self.cloud()
-        with pytest.raises(ValueError):
-            pipeline(cloud, "w", 1e6)  # no stages
-        with pytest.raises(ValueError):
-            pipeline(cloud, "w", 0,
-                     WorkflowStage("a", n_maps=1, n_reducers=1))
-        with pytest.raises(ValueError):
-            pipeline(cloud, "w", 1e6,
-                     WorkflowStage("dup", n_maps=1, n_reducers=1),
-                     WorkflowStage("dup", n_maps=1, n_reducers=1))
-
-    def test_double_start_rejected(self):
-        wf = pipeline(self.cloud(), "once", 60e6,
-                      WorkflowStage("a", n_maps=4, n_reducers=2))
-        wf.start()
-        with pytest.raises(RuntimeError):
-            wf.start()
 
 
 class TestAdaptiveReplication:

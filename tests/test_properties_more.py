@@ -45,7 +45,7 @@ def test_overlay_attachment_invariants(public_flags, n_supernodes, fanout):
 # ---------------------------------------------------------------------------
 
 ops = st.lists(
-    st.tuples(st.sampled_from(["serve", "get", "renew", "stop", "advance"]),
+    st.tuples(st.sampled_from(["serve", "get", "stop", "advance"]),
               st.integers(min_value=0, max_value=4),
               st.floats(min_value=0.0, max_value=200.0)),
     max_size=60,
@@ -66,15 +66,10 @@ def test_peer_store_never_serves_expired(operations):
         elif op == "get":
             try:
                 store.get(name)
-                # Success implies within the window of its last serve/renew.
+                # Success implies within the window of its last serve.
                 assert store.available(name)
             except KeyError:
                 assert not store.available(name)
-        elif op == "renew":
-            renewed = store.renew(name)
-            assert renewed == (name in store._files)
-            if renewed:
-                served_at[name] = sim.now
         elif op == "stop":
             store.stop_job("j")
             served_at.clear()

@@ -18,17 +18,6 @@ from .test_volunteers import ChurnCases
 
 
 class TestAvailabilityTrace:
-    def test_valid(self):
-        tr = AvailabilityTrace("h", ((0.0, 10.0), (20.0, 30.0)))
-        assert tr.available_at(5.0)
-        assert not tr.available_at(15.0)
-        assert not tr.available_at(10.0)  # half-open
-        assert tr.total_available == 20.0
-
-    def test_availability_fraction(self):
-        tr = AvailabilityTrace("h", ((0.0, 10.0), (20.0, 30.0)))
-        assert tr.availability_fraction(40.0) == pytest.approx(0.5)
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlapping"):
             AvailabilityTrace("h", ((0.0, 10.0), (5.0, 20.0)))
