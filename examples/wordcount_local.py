@@ -3,7 +3,7 @@
 
 Generates a Zipf-distributed text corpus, splits it into chunks exactly as
 the BOINC-MR server splits its 1 GB input, runs the actual map ->
-hash-partition -> reduce pipeline (serially and thread-parallel), verifies
+hash-partition -> reduce pipeline, verifies
 the result against ``collections.Counter``, and demonstrates the
 replication/quorum idea on real outputs: two independent executions of the
 same chunk produce byte-identical partitions (what BOINC's validator
@@ -29,7 +29,7 @@ def main() -> None:
 
     runner = LocalRunner(WordCount(), n_maps=16, n_reducers=4)
     t0 = time.perf_counter()
-    report = runner.run(corpus, parallel=True)
+    report = runner.run(corpus)
     elapsed = time.perf_counter() - t0
 
     truth = collections.Counter(corpus.split())

@@ -241,7 +241,7 @@ def _cmd_wordcount(args: argparse.Namespace) -> int:
 
     corpus = generate_corpus(int(args.size_mb * 1e6), seed=args.seed)
     report = LocalRunner(WordCount(), n_maps=args.maps,
-                         n_reducers=args.reducers).run(corpus, parallel=True)
+                         n_reducers=args.reducers).run(corpus)
     assert report.output == dict(collections.Counter(corpus.split()))
     print(f"{sum(report.output.values())} words, "
           f"{len(report.output)} distinct, "

@@ -362,6 +362,9 @@ class GatewayState:
         self.store = BlobStore()
         self.core.publish_input = self.store.publish
         self.jobs = GatewayJobTracker(self.core, self.store)
+        #: (result_id, name) -> checksum of the one upload that result
+        #: made to that name (each result writes each of its names once).
+        self.written: dict[tuple[int, str], str] = {}
 
 
 class GatewayServer:
@@ -661,9 +664,16 @@ class GatewayServer:
             self.metrics.counter("gateway.bad_checksum_total").inc()
             return self._error("checksum_mismatch",
                                f"claimed {claimed}, got {actual}")
-        self.store.put(name, body)
-        self.core.record_upload(result_id)
-        self.metrics.counter("gateway.uploads_total").inc()
+        written = self.state.written.get((result_id, name))
+        if written is None:
+            self.store.put(name, body)
+            self.state.written[(result_id, name)] = actual
+            self.core.record_upload(result_id)
+            self.metrics.counter("gateway.uploads_total").inc()
+        elif written != actual:
+            return self._error("upload_refused", f"result {result_id} "
+                               f"already wrote other bytes to {name!r}")
+        # (written == actual: a replay after a lost reply stores nothing.)
         return self._json(200, {"received": True, "result_id": result_id,
                                 "name": name, "size": len(body)})
 

@@ -15,12 +15,22 @@ Semantics follow the Dean & Ghemawat model the paper builds on:
 - partitioning is ``hash(k2) mod n_reducers`` — exactly the paper's
   "each map output's key ... is hashed and the output file ... decided
   based on ... modulo the number of reducers".
+
+A map task calls one method, ``map_chunk(chunk) -> iterable[(k2, v2)]``:
+the pairs the task hands to partitioning.  With ``combine is None`` they
+are every record's ``map`` output in emission order; otherwise each
+distinct key in first-seen order, with the values ``combine(key, values)``
+returns.  The default walks the chunk's records through ``map`` and
+``combine``; an app may override it with a one-pass kernel that returns
+the same pairs (word count counts the whole chunk in one ``Counter``).
 """
 
 from __future__ import annotations
 
 import typing as _t
 import zlib
+
+from .splitter import iter_records
 
 K1 = _t.TypeVar("K1")
 V1 = _t.TypeVar("V1")
@@ -50,7 +60,7 @@ class MapReduceApp:
     """Base class for MapReduce applications.
 
     Subclasses override :meth:`map` and :meth:`reduce`; :meth:`combine`
-    defaults to None (no combiner).
+    defaults to None (no combiner).  A map task runs :meth:`map_chunk`.
     """
 
     #: Human-readable application name (used in file naming and traces).
@@ -66,6 +76,28 @@ class MapReduceApp:
 
     #: Optional combiner; when set, runs as a local reduce per map task.
     combine: ReduceFn | None = None
+
+    def map_chunk(self, chunk: bytes) -> _t.Iterable[tuple[_t.Any, _t.Any]]:
+        """The (k2, v2) pairs one map task over *chunk* hands to partitioning.
+
+        Without a combiner, every record's :meth:`map` output in emission
+        order.  With one, values are grouped by key as they are emitted
+        and each distinct key, in first-seen order, yields the values
+        ``combine(key, values)`` returns.  Keys must be hashable.
+        """
+        pairs = (pair for offset, record in iter_records(chunk)
+                 for pair in self.map(offset, record))
+        if self.combine is None:
+            return pairs
+        grouped: dict = {}
+        for k2, v2 in pairs:
+            values = grouped.get(k2)
+            if values is None:
+                grouped[k2] = [v2]
+            else:
+                values.append(v2)
+        return [(key, v) for key, values in grouped.items()
+                for v in self.combine(key, values)]
 
     def partition(self, key: _t.Any, n_reducers: int) -> int:
         """Reducer index for *key* (hash mod R by default)."""

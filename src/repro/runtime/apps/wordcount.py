@@ -3,10 +3,15 @@
 "The map function reads an input file word by word and outputs one line
 per word, with the format 'word 1' ... The reduce application reads one
 line at a time, and increments the count for each unique word."
+
+:meth:`WordCount.map` and :meth:`WordCount.combine` are that per-record
+definition.  A map task runs :meth:`WordCount.map_chunk` instead, which
+returns the same combined pairs from one ``Counter`` pass over the chunk.
 """
 
 from __future__ import annotations
 
+import collections
 import typing as _t
 
 from ..api import MapReduceApp
@@ -26,6 +31,18 @@ class WordCount(MapReduceApp):
         line = value.lower() if self.lowercase else value
         for word in line.split():
             yield word, 1
+
+    def map_chunk(self, chunk: bytes) -> _t.Iterable[tuple[bytes, int]]:
+        """Each distinct word of *chunk*, first seen first, with its count.
+
+        Equals the default :meth:`MapReduceApp.map_chunk` over :meth:`map`
+        and :meth:`combine`: the combiner sums, and ``bytes.split`` over
+        the whole chunk splits on the per-line whitespace plus the ``\\n``
+        that ends each line.  A subclass that changes either must
+        override this too.
+        """
+        text = chunk.lower() if self.lowercase else chunk
+        return collections.Counter(text.split()).items()
 
     def reduce(self, key: bytes, values: list[int]) -> _t.Iterator[int]:
         """Sum the per-word counts."""

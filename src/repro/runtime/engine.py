@@ -3,9 +3,9 @@
 This is the executable counterpart of the simulated BOINC-MR pipeline —
 the same three stages with the same partitioning rule, so properties shown
 here (determinism, partition completeness, replica agreement) transfer to
-the simulation's validation model.  It supports optional thread-pool
-parallelism for the embarrassingly parallel map stage, combiners, and a
-per-task execution trace used to derive cost-model statistics.
+the simulation's validation model.  A map task partitions the pairs of
+the app's ``map_chunk`` (combined, when the app has a combiner), and
+every task reports its record and byte volumes.
 
 The engine deliberately materialises intermediate partitions as explicit
 ``(map_index, reduce_index) -> serialized bytes`` blobs: that is exactly
@@ -15,17 +15,12 @@ intermediate data volumes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import pickle
-import time
 import typing as _t
 
 from .api import MapReduceApp
-from .splitter import iter_records, split_text
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import MetricsRegistry
+from .splitter import count_records, split_text
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -63,71 +58,44 @@ class JobReport:
 class LocalRunner:
     """Run a :class:`MapReduceApp` over real input on this machine."""
 
-    def __init__(self, app: MapReduceApp, n_maps: int, n_reducers: int,
-                 max_workers: int | None = None,
-                 metrics: "MetricsRegistry | None" = None) -> None:
+    def __init__(self, app: MapReduceApp, n_maps: int, n_reducers: int
+                 ) -> None:
         """A runner for *app* with a fixed map/reduce task split."""
         if n_maps < 1 or n_reducers < 1:
             raise ValueError("n_maps and n_reducers must be >= 1")
         self.app = app
         self.n_maps = n_maps
         self.n_reducers = n_reducers
-        self.max_workers = max_workers
-        #: Optional :class:`repro.obs.MetricsRegistry`: per-task wall-clock
-        #: histograms and byte counters (the real engine's own telemetry).
-        self.metrics = metrics
 
     # -- stages ---------------------------------------------------------------
     def run_map_task(self, map_index: int, chunk: bytes
                      ) -> tuple[TaskReport, dict[int, bytes]]:
-        """One map task: records -> (k2, v2) pairs -> partitioned blobs.
+        """One map task: ``app.map_chunk`` pairs -> partitioned blobs.
 
-        ``partition()`` is called once per distinct key.  With a combiner,
-        values are grouped by key while mapping and each partition's keys
-        are combined in first-seen order; without one, each partition
-        keeps its pairs in emission order.  Either way a blob is the
-        partition's pairs, stably sorted by key ``repr``, pickled.  Keys
-        must be hashable (the reduce side groups them in a dict too), and
-        keys that compare equal are one key, partitioned as the first seen.
+        ``partition()`` is called once per distinct key, and each
+        partition keeps its pairs in the order ``map_chunk`` returns
+        them.  A blob is the partition's pairs, stably sorted by key
+        ``repr``, pickled.  Keys must be hashable (the reduce side groups
+        them in a dict too), and keys that compare equal are one key,
+        partitioned as the first seen.
         """
-        app = self.app
-        partition = app.partition
+        partition = self.app.partition
         n_reducers = self.n_reducers
         partitions: dict[int, list] = {r: [] for r in range(n_reducers)}
-        records = 0
+        part_of: dict = {}
         emitted = 0
-        if app.combine is None:
-            part_of: dict = {}
-            for offset, record in iter_records(chunk):
-                records += 1
-                for k2, v2 in app.map(offset, record):
-                    r = part_of.get(k2)
-                    if r is None:
-                        r = part_of[k2] = partition(k2, n_reducers)
-                    partitions[r].append((k2, v2))
-                    emitted += 1
-        else:
-            # partitions[r] holds the distinct keys of r until combined.
-            grouped: dict = {}
-            for offset, record in iter_records(chunk):
-                records += 1
-                for k2, v2 in app.map(offset, record):
-                    values = grouped.get(k2)
-                    if values is None:
-                        partitions[partition(k2, n_reducers)].append(k2)
-                        grouped[k2] = [v2]
-                    else:
-                        values.append(v2)
-            for r, keys in partitions.items():
-                partitions[r] = [(key, v) for key in keys
-                                 for v in app.combine(key, grouped[key])]
-                emitted += len(partitions[r])
+        for k2, v2 in self.app.map_chunk(chunk):
+            r = part_of.get(k2)
+            if r is None:
+                r = part_of[k2] = partition(k2, n_reducers)
+            partitions[r].append((k2, v2))
+            emitted += 1
         blobs = {
             r: pickle.dumps(sorted(pairs, key=_stable_key))
             for r, pairs in partitions.items()
         }
         report = TaskReport(
-            kind="map", index=map_index, records_in=records,
+            kind="map", index=map_index, records_in=count_records(chunk),
             records_out=emitted, bytes_in=len(chunk),
             bytes_out=sum(len(b) for b in blobs.values()))
         return report, blobs
@@ -154,58 +122,21 @@ class LocalRunner:
             bytes_out=len(pickle.dumps(output)))
         return report, output
 
-    # -- metrics ---------------------------------------------------------------
-    _LOCAL_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
-
-    def _observe_task(self, report: TaskReport, elapsed: float) -> None:
-        """Feed one task's wall-clock cost and volumes into the registry.
-
-        Called only from the coordinating thread — the registry's P²
-        estimators are not thread-safe.
-        """
-        if self.metrics is None:
-            return
-        self.metrics.histogram(f"local.{report.kind}_task_s",
-                               buckets=self._LOCAL_BUCKETS).observe(elapsed)
-        self.metrics.counter(f"local.{report.kind}_bytes_in_total").inc(
-            report.bytes_in)
-        self.metrics.counter(f"local.{report.kind}_bytes_out_total").inc(
-            report.bytes_out)
-
-    def _timed_map_task(self, map_index: int, chunk: bytes
-                        ) -> tuple[TaskReport, dict[int, bytes], float]:
-        t0 = time.perf_counter()
-        report, blobs = self.run_map_task(map_index, chunk)
-        return report, blobs, time.perf_counter() - t0
-
     # -- whole job ---------------------------------------------------------------
-    def run(self, data: bytes, parallel: bool = False) -> JobReport:
+    def run(self, data: bytes) -> JobReport:
         """Execute the full job on *data*; returns merged output + reports."""
-        chunks = split_text(data, self.n_maps)
         tasks: list[TaskReport] = []
         all_blobs: dict[tuple[int, int], bytes] = {}
-
-        if parallel and self.n_maps > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.max_workers) as pool:
-                futures = [pool.submit(self._timed_map_task, i, chunk)
-                           for i, chunk in enumerate(chunks)]
-                map_results = [f.result() for f in futures]
-        else:
-            map_results = [self._timed_map_task(i, chunk)
-                           for i, chunk in enumerate(chunks)]
-        for i, (report, blobs, elapsed) in enumerate(map_results):
+        for i, chunk in enumerate(split_text(data, self.n_maps)):
+            report, blobs = self.run_map_task(i, chunk)
             tasks.append(report)
-            self._observe_task(report, elapsed)
             for r, blob in blobs.items():
                 all_blobs[(i, r)] = blob
 
         output: dict = {}
         for r in range(self.n_reducers):
             blobs = [all_blobs[(i, r)] for i in range(self.n_maps)]
-            t0 = time.perf_counter()
             report, part_out = self.run_reduce_task(r, blobs)
-            self._observe_task(report, time.perf_counter() - t0)
             tasks.append(report)
             overlap = set(part_out) & set(output)
             if overlap:  # partitioner guarantees disjoint key ranges

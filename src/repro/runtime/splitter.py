@@ -65,3 +65,12 @@ def iter_records(chunk: bytes, delimiter: bytes = b"\n"
             return
         yield pos, chunk[pos:cut]
         pos = cut + dlen
+
+
+def count_records(chunk: bytes) -> int:
+    """How many records :func:`iter_records` yields from *chunk*.
+
+    One per ``\\n``, plus one for a non-empty last line without one.
+    """
+    tail = 1 if chunk and not chunk.endswith(b"\n") else 0
+    return chunk.count(b"\n") + tail

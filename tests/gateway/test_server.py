@@ -1198,6 +1198,32 @@ class TestUploadRules:
         assert (err.value.status, err.value.code) == (403, "upload_refused")
         assert client.download("j.m0.p0") != b"late"
 
+    def test_each_result_writes_each_name_once(self, handle, client):
+        corpus = generate_corpus(8_000, seed=11)
+        handle.submit_job("once", "wordcount", corpus, n_maps=1, n_reducers=2)
+        host_id = client.register("replayer", flops=1e9)
+        task = _poll_for_assignment(client, host_id)[0]
+        report = execute_task(client, task)
+        rid, name = task["result_id"], "once.m0.p1"
+        original = client.download(name)
+        store, uploads = handle.server.store, handle.server.metrics.counter(
+            "gateway.uploads_total")
+        stored, landed = store.bytes_received, uploads.value
+        # Its reply was lost: the same bytes again are a 200 that stores
+        # nothing new.
+        assert client.upload(rid, name, original)["received"] is True
+        assert (store.bytes_received, uploads.value) == (stored, landed)
+        # Other bytes from the same result for a name it wrote are refused.
+        with pytest.raises(GatewayError) as err:
+            client.upload(rid, name, b"second thoughts")
+        assert (err.value.status, err.value.code) == (403, "upload_refused")
+        assert client.download(name) == original
+        assert store.bytes_received == stored
+        client.scheduler_rpc(host_id, work_req_s=0.0, reports=[report])
+        run_volunteer(handle.address, name="closer", idle_limit=20)
+        assert handle.result("once", timeout=10) == dict(
+            collections.Counter(corpus.split()))
+
     def test_a_refused_volunteer_fails_the_task_and_keeps_polling(
             self, handle, monkeypatch):
         from repro.gateway import client as client_module

@@ -1,11 +1,12 @@
 """Test oracle: ``LocalRunner.run_map_task`` as it was before a map task
 grouped its keys while mapping, kept verbatim.
 
-Every emitted pair is partitioned on its own and appended to its
-partition's pair list; with a combiner, each list is then grouped by key
-in a second pass.  The product task partitions each distinct key once and
-groups as it maps; it must return the same ``(TaskReport, blobs)`` for
-every app, chunk and reducer count (``test_map_task_differential.py``).
+Every record goes through the app's per-record ``map``, every emitted
+pair is partitioned on its own and appended to its partition's pair
+list; with a combiner, each list is then grouped by key in a second pass.
+The product task partitions the pairs of ``app.map_chunk``, each distinct
+key once; it must return the same ``(TaskReport, blobs)`` for every app,
+chunk and reducer count (``test_map_task_differential.py``).
 """
 
 from __future__ import annotations

@@ -48,11 +48,6 @@ class TestWordCount:
             outputs.append(runner.run(TEXT).output)
         assert all(o == outputs[0] for o in outputs)
 
-    def test_parallel_map_equals_serial(self):
-        serial = LocalRunner(WordCount(), 8, 3).run(TEXT)
-        parallel = LocalRunner(WordCount(), 8, 3).run(TEXT, parallel=True)
-        assert serial.output == parallel.output
-
     def test_combiner_shrinks_intermediate(self):
         plain = FnApp(lambda k, v: ((w, 1) for w in v.split()),
                       lambda k, vs: [sum(vs)])

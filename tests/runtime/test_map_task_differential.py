@@ -1,14 +1,17 @@
-"""A map task that groups while it maps writes the blobs it always wrote.
+"""A map task over ``app.map_chunk`` writes the blobs it always wrote.
 
-``LocalRunner.run_map_task`` partitions each distinct key once and, with
-a combiner, groups values by key as they are emitted; the oracle
-``reference_engine.run_map_task`` partitions every pair and groups each
-partition in a second pass.  Hypothesis draws chunks over a small
-alphabet (so keys repeat, within a line and across lines), a reducer
-count and an app: the bundled word count, inverted index and match count,
-and ``FnApp`` apps whose keys are ints and tuples, whose maps emit two
-pairs per word, and whose combiners emit several values or none.  The
-``(TaskReport, blobs)`` pair must be equal.
+``LocalRunner.run_map_task`` partitions the pairs of ``app.map_chunk``,
+each distinct key once; word count's ``map_chunk`` counts the whole chunk
+in one ``Counter`` pass.  The oracle ``reference_engine.run_map_task``
+runs every record through ``map``, partitions every pair and combines
+each partition in a second pass.  Hypothesis draws chunks over a small
+alphabet (so keys repeat, within a line and across lines) with ASCII and
+non-ASCII letters, every ASCII whitespace byte inside lines, ``\n`` and
+``\r\n`` line ends, blank lines and a last line that may lack its
+``\n``; a reducer count; and an app: the bundled word count, inverted
+index and match count, and ``FnApp`` apps whose keys are ints and tuples,
+whose maps emit two pairs per word, and whose combiners emit several
+values or none.  The ``(TaskReport, blobs)`` pair must be equal.
 """
 
 import pickle
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import FnApp, LocalRunner
+from repro.runtime import FnApp, LocalRunner, default_partition
 from repro.runtime.apps import InvertedIndex, MatchCount, WordCount
 
 from .reference_engine import run_map_task as reference_map_task
@@ -27,7 +30,7 @@ def _mixed_keys(offset, line):
     """Keys of several types, each word yielding two pairs."""
     for word in line.split():
         yield len(word), word
-        yield ("w", word[:1].decode()), offset
+        yield ("w", word[:1].decode("latin-1")), offset
 
 
 def _two_values(key, values):
@@ -48,41 +51,70 @@ APPS = {
         combine_fn=lambda k, vs: iter(())),
 }
 
-_words = st.text("abcAB", min_size=1, max_size=4)
-_lines = st.lists(
-    st.tuples(st.sampled_from(["", "doc1\t", "doc2\t"]),
-              st.lists(_words, max_size=8)),
-    max_size=12)
+# Letters that bytes.lower folds (A, B) and that it leaves alone (0x80-0xff).
+_words = st.lists(st.sampled_from(b"abcAB") | st.integers(0x80, 0xFF),
+                  min_size=1, max_size=4).map(bytes)
+_line = st.tuples(
+    st.sampled_from([b"", b"doc1\t", b"doc2\t", b" \t"]),
+    # Each word is followed by a run of ASCII whitespace.
+    st.lists(st.tuples(_words, st.sampled_from(
+        [b" ", b"\t", b"\r", b"\x0b", b"\x0c", b" \t\x0c"])), max_size=8),
+    st.sampled_from([b"\n", b"\r\n"]))
 
 
-@settings(deadline=None, max_examples=200)
-@given(app=st.sampled_from(sorted(APPS)), lines=_lines,
+def _join(lines):
+    return b"".join(tag + b"".join(w + s for w, s in words) + end
+                    for tag, words, end in lines)
+
+
+_chunks = st.builds(
+    lambda lines, cut_last: _join(lines)[:-1 if cut_last else None],
+    st.lists(_line, max_size=12), st.booleans())
+
+
+@settings(deadline=None, max_examples=300)
+@given(app=st.sampled_from(sorted(APPS)), chunk=_chunks,
        n_reducers=st.integers(1, 9), map_index=st.integers(0, 40))
-@example(app="wordcount", lines=[], n_reducers=3, map_index=0)
-@example(app="fn_combined", lines=[("", ["a", "a", "b"]), ("", ["a"])],
-         n_reducers=9, map_index=1)
-def test_map_task_equals_two_pass_reference(app, lines, n_reducers, map_index):
-    chunk = "".join(tag + " ".join(words) + "\n"
-                    for tag, words in lines).encode()
+@example(app="wordcount", chunk=b"", n_reducers=3, map_index=0)
+@example(app="fn_combined", chunk=b"a a b\na\n", n_reducers=9, map_index=1)
+@example(app="wordcount_lower", chunk=b"\xc9A a\tb\r\n\n \x0bB\xe9 a\x0c",
+         n_reducers=4, map_index=2)
+def test_map_task_equals_two_pass_reference(app, chunk, n_reducers, map_index):
     runner = LocalRunner(APPS[app](), n_maps=1, n_reducers=n_reducers)
     expected = reference_map_task(runner, map_index, chunk)
     assert runner.run_map_task(map_index, chunk) == expected
 
 
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_wordcount_map_task_runs_map_chunk_alone(lowercase):
+    # The per-record map and combine are word count's definition, not its
+    # map task: a subclass whose map and combine raise writes the same blobs.
+    class ChunkOnly(WordCount):
+        def map(self, key, value):
+            raise AssertionError("map called")
+
+        def combine(self, key, values):
+            raise AssertionError("combine called")
+
+    chunk = b"a B a\r\n\xe9 b\tc\n\n\x0bA\xc9 b"
+    expected = reference_map_task(
+        LocalRunner(WordCount(lowercase), 1, 4), 3, chunk)
+    assert LocalRunner(ChunkOnly(lowercase), 1, 4).run_map_task(
+        3, chunk) == expected
+
+
 @pytest.mark.parametrize("combined", [True, False])
 def test_each_distinct_key_partitioned_once(combined):
     calls = []
+    app = WordCount() if combined else FnApp(
+        lambda k, v: ((w, 1) for w in v.split()), lambda k, vs: [sum(vs)])
 
-    class Counting(WordCount):
-        if not combined:
-            combine = None
+    def counting(key, n_reducers):
+        calls.append(key)
+        return default_partition(key, n_reducers)
 
-        def partition(self, key, n_reducers):
-            calls.append(key)
-            return super().partition(key, n_reducers)
-
-    report, blobs = LocalRunner(Counting(), 1, 5).run_map_task(
-        0, b"a b a\nb c a\n")
+    app.partition = counting
+    report, blobs = LocalRunner(app, 1, 5).run_map_task(0, b"a b a\nb c a\n")
     assert sorted(calls) == [b"a", b"b", b"c"]
     pairs = [pair for blob in blobs.values() for pair in pickle.loads(blob)]
     if combined:

@@ -1,8 +1,11 @@
 """Unit tests for input splitting."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.runtime import iter_records, split_bytes, split_text
+from repro.runtime.splitter import count_records
 
 
 class TestSplitBytes:
@@ -87,3 +90,7 @@ class TestIterRecords:
 
     def test_empty_lines_preserved(self):
         assert list(iter_records(b"a\n\nb\n")) == [(0, b"a"), (2, b""), (3, b"b")]
+
+    @given(st.binary(max_size=64) | st.text("a\n\r ", max_size=32).map(str.encode))
+    def test_count_records_equals_iter_records(self, chunk):
+        assert count_records(chunk) == len(list(iter_records(chunk)))
