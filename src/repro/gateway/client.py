@@ -5,11 +5,11 @@ simulated comm gate: the same pull-protocol verbs the simulated client
 performs against :class:`repro.boinc.server.ProjectServer` — register,
 scheduler RPC with piggybacked reports, checksum-verified download,
 upload — issued as HTTP/1.1 on one keep-alive TCP socket that the client
-frames itself: each request goes out in one ``sendall``, each reply is
-read off a per-connection buffer (what it accepts: docs/protocol.md,
-"Transport conventions").  Retry semantics mirror the paper's client: a
-503/connection failure triggers exponential backoff with jitter,
-honouring the server's ``Retry-After`` floor.
+frames itself: a request, or a task's pipelined batch, goes out in one
+``sendall``, each reply is read off a per-connection buffer (what it
+accepts: docs/protocol.md, "Transport conventions").  Retry semantics
+mirror the paper's client: a 503/connection failure triggers exponential
+backoff with jitter, honouring the server's ``Retry-After`` floor.
 
 :class:`Volunteer` is the BOINC-MR client on a real OS process, one RPC
 cycle at a time: poll for work, download inputs, run the map/reduce task
@@ -112,11 +112,9 @@ class GatewayClient:
             self._sock = None
         self._buf.clear()
 
-    def _once(self, method: str, path: str, body: bytes,
-              headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
-        """One exchange on the keep-alive socket: ``(status, lower-cased
-        headers, body)``.  ``ValueError`` before a byte is sent for a
-        request that cannot be framed; an ``OSError`` drops the socket."""
+    def _frame(self, method: str, path: str, body: bytes,
+               headers: dict[str, str]) -> bytes:
+        """The bytes of one request; ``ValueError`` if it cannot be framed."""
         if not (_TOKEN.fullmatch(method) and _TOKEN.fullmatch(path)):
             raise ValueError(f"cannot send {method!r} {path!r}: a method or "
                              "target byte outside visible ASCII")
@@ -126,16 +124,34 @@ class GatewayClient:
             if not _FIELD_NAME.fullmatch(name) or _LINE_BREAK.search(value):
                 raise ValueError(f"cannot send header {name!r}: {value!r}")
             head += f"{name}: {value}\r\n"
-        request = (head + "\r\n").encode("latin-1") + body
+        return (head + "\r\n").encode("latin-1") + body
+
+    def _once(self, method: str, path: str, body: bytes,
+              headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
+        """One exchange on the keep-alive socket: ``(status, lower-cased
+        headers, body)``.  ``ValueError`` before a byte is sent for a
+        request that cannot be framed; an ``OSError`` drops the socket."""
+        return self._exchange([self._frame(method, path, body, headers)], [])[0]
+
+    def _exchange(self, requests: list[bytes], replies: list) -> list:
+        """Send framed *requests* in one ``sendall``; append their replies
+        to *replies*, in order, and return it.  An ``OSError`` drops the
+        socket; the replies read before it stay in *replies*."""
         try:
             sock = self._sock or self._connect()
-            sock.sendall(request)
-            self.requests += 1
-            self.bytes_sent += len(request)
-            return self._read_reply(sock)
+            data = b"".join(requests)
+            sock.sendall(data)
+            self.requests += len(requests)
+            self.bytes_sent += len(data)
+            for left in range(len(requests) - 1, -1, -1):
+                replies.append(self._read_reply(sock, last=not left))
+                if left and self._sock is None:
+                    raise ConnectionError(f"connection closed with {left} "
+                                          "replies to come")
         except OSError:
             self.close()
             raise
+        return replies
 
     def _connect(self) -> socket.socket:
         sock = self._sock = socket.create_connection(
@@ -149,15 +165,15 @@ class GatewayClient:
             raise ConnectionError("connection closed inside a reply")
         self._buf += chunk
 
-    def _read_reply(self, sock: socket.socket
+    def _read_reply(self, sock: socket.socket, last: bool
                     ) -> tuple[int, dict[str, str], bytes]:
         """Take the next reply off the buffer, receiving until it is
         whole: a ``HTTP/1.x NNN`` status line, header lines, a blank line
         (lines end in ``\\n`` or ``\\r\\n``) and ``Content-Length`` body
         bytes.  A reply it cannot frame, or one the connection cuts short,
         raises ``ConnectionError``: retried like a reset.  The socket is
-        closed after a reply on ``Connection: close`` or when bytes
-        follow it."""
+        closed after a reply on ``Connection: close``, or when bytes
+        follow the *last* reply of a batch."""
         buf, start, lines = self._buf, 0, 0
         while True:
             end = buf.find(b"\n", start, start + _MAX_LINE)
@@ -203,7 +219,7 @@ class GatewayClient:
             payload = bytes(view[body_at:end])
         del buf[:end]
         self.bytes_received += end
-        if buf or "close" in headers.get("connection", "").lower():
+        if (buf and last) or "close" in headers.get("connection", "").lower():
             self.close()  # told to, or the stream is out of step
         return int(parts[1]), headers, payload
 
@@ -219,25 +235,39 @@ class GatewayClient:
         header name or value holding CR, LF or NUL — raises ``ValueError``
         before anything is sent, and is not retried.
         """
-        headers = dict(headers or {})
+        return self._request_all([(method, path, body, headers or {})])[0]
+
+    def _request_all(self, requests: list[tuple[str, str, bytes, dict]]
+                     ) -> list[tuple[dict[str, str], bytes]]:
+        """:meth:`request` for a pipelined batch; an error is raised once
+        every reply is read.  Only the unanswered and the 503'd requests
+        are sent again, each counted as one retry."""
+        frames = [self._frame(*r) for r in requests]
+        replies: list = [None] * len(frames)
+        pending = list(range(len(frames)))
         last: Exception | None = None
         for attempt in range(self.retries + 1):
-            floor_s = 0.0
+            got: list = []
             try:
-                status, resp_headers, payload = self._once(
-                    method, path, body, headers)
+                self._exchange([frames[i] for i in pending], got)
             except OSError as exc:  # bad reply, reset, refused, timeout
                 last = exc
-            else:
+            floor_s, refused = 0.0, []
+            for i, (status, resp_headers, payload) in zip(pending, got):
                 if status < 400:
-                    return resp_headers, payload
+                    replies[i] = resp_headers, payload
+                    continue
                 last = err = self._decode_error(status, resp_headers, payload)
                 if not err.retryable or attempt == self.retries:
                     raise err
-                floor_s = err.retry_after_s
+                refused.append(i)
+                floor_s = max(floor_s, err.retry_after_s)
+            pending = refused + pending[len(got):]
+            if not pending:
+                return replies
             if attempt == self.retries:
                 break  # nothing left to wait for
-            self.retry_count += 1
+            self.retry_count += len(pending)
             time.sleep(retry_delay(self.rng, attempt, floor_s))
         raise GatewayError(503, "unavailable",
                            f"retries exhausted: {last}")
@@ -284,8 +314,10 @@ class GatewayClient:
             "host_id": host_id, "work_req_s": work_req_s,
             "reports": reports or []})
 
-    def _fetch(self, path: str, what: str) -> bytes:
-        headers, data = self.request("GET", path)
+    @staticmethod
+    def _verified(reply: tuple[dict[str, str], bytes], what: str) -> bytes:
+        """The body of *reply*, checked against its ``X-Checksum``."""
+        headers, data = reply
         claimed = headers.get(protocol.CHECKSUM_HEADER.lower())
         if claimed is not None and claimed != protocol.checksum(data):
             raise GatewayError(200, "checksum_mismatch",
@@ -294,15 +326,28 @@ class GatewayClient:
 
     def download(self, name: str) -> bytes:
         """Fetch blob *name*, verifying the ``X-Checksum`` header."""
-        return self._fetch(f"/data/{name}", f"download {name!r}")
+        return self.download_all([name])[0]
+
+    def download_all(self, names: _t.Sequence[str]) -> list[bytes]:
+        """Fetch blobs *names* in one pipelined batch, each verified."""
+        replies = self._request_all([("GET", f"/data/{name}", b"", {})
+                                     for name in names])
+        return [self._verified(reply, f"download {name!r}")
+                for name, reply in zip(names, replies)]
 
     def upload(self, result_id: int, name: str, data: bytes) -> dict:
         """Upload one output blob for a leased result."""
-        _, payload = self.request(
-            "POST", f"/upload/{result_id}/{name}", data,
-            {"Content-Type": "application/octet-stream",
-             protocol.CHECKSUM_HEADER: protocol.checksum(data)})
-        return protocol.loads(payload)
+        return self.upload_all(result_id, [(name, data)])[0]
+
+    def upload_all(self, result_id: int,
+                   outputs: _t.Sequence[tuple[str, bytes]]) -> list[dict]:
+        """Upload a leased result's ``(name, data)`` *outputs*, pipelined."""
+        replies = self._request_all([
+            ("POST", f"/upload/{result_id}/{name}", data,
+             {"Content-Type": "application/octet-stream",
+              protocol.CHECKSUM_HEADER: protocol.checksum(data)})
+            for name, data in outputs])
+        return [protocol.loads(payload) for _, payload in replies]
 
     def submit_job(self, name: str, app: str, corpus_size: int,
                    corpus_seed: int, n_maps: int, n_reducers: int,
@@ -320,7 +365,8 @@ class GatewayClient:
 
     def job_output(self, name: str) -> bytes:
         """Reclaim the merged output payload of a finished job."""
-        return self._fetch(f"/jobs/{name}/output", f"output of {name!r}")
+        return self._verified(self.request("GET", f"/jobs/{name}/output"),
+                              f"output of {name!r}")
 
 
 def execute_task(client: GatewayClient, task: dict) -> dict:
@@ -337,20 +383,17 @@ def execute_task(client: GatewayClient, task: dict) -> dict:
     runner = LocalRunner(resolve_app(task["app"]),
                          n_maps=max(task["n_maps"] or 1, 1),
                          n_reducers=max(task["n_reducers"] or 1, 1))
-    outputs: list[tuple[str, bytes]] = []
+    if kind not in ("map", "reduce"):
+        raise ValueError(f"task {task['result_id']} has no MR kind")
+    inputs = client.download_all(task["input_files"])
     if kind == "map":
-        chunk = client.download(task["input_files"][0])
-        _report, blobs = runner.run_map_task(index, chunk)
+        _report, blobs = runner.run_map_task(index, inputs[0])
         outputs = [(partition_blob_name(job, index, r), blobs[r])
                    for r in sorted(blobs)]
-    elif kind == "reduce":
-        blobs = [client.download(name) for name in task["input_files"]]
-        _report, output = runner.run_reduce_task(index, blobs)
-        outputs = [(reduce_blob_name(job, index), pickle.dumps(output))]
     else:
-        raise ValueError(f"task {task['result_id']} has no MR kind")
-    for name, data in outputs:
-        client.upload(task["result_id"], name, data)
+        _report, output = runner.run_reduce_task(index, inputs)
+        outputs = [(reduce_blob_name(job, index), pickle.dumps(output))]
+    client.upload_all(task["result_id"], outputs)
     digest = protocol.checksum(b"".join(data for _, data in outputs))
     return {
         "result_id": task["result_id"], "success": True,

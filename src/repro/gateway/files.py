@@ -10,7 +10,8 @@ Every blob carries a CRC32 checksum in the wire format of
 :func:`repro.gateway.protocol.checksum` (``crc32:<8 hex digits>``); the
 gateway sends it in the ``X-Checksum`` response header on downloads and
 verifies it on uploads, mirroring the checksum-validated transfers of the
-simulated client (:func:`repro.boinc.client.download_with_retry`).
+simulated client (:func:`repro.boinc.client.download_with_retry`).  An
+upload is *staged*, unserved, until :meth:`BlobStore.settle`.
 """
 
 from __future__ import annotations
@@ -28,20 +29,32 @@ class BlobStore(FileCatalogue):
         super().__init__()
         self._blobs: dict[str, bytes] = {}
         self.checksums: dict[str, str] = {}
+        #: ``(result_id, name) ->`` the bytes that result uploaded.
+        self.staged: dict[tuple[int, str], bytes] = {}
 
     # -- ingest ---------------------------------------------------------------
     def put(self, name: str, data: bytes) -> FileRef:
-        """Store *data* under *name* (idempotent; re-put overwrites).
-
-        Replicated tasks produce byte-identical outputs under the same
-        name, so a second replica's upload is a no-op rewrite.
-        """
+        """Store and serve *data* under *name* (a re-put overwrites)."""
         ref = FileRef(name=name, size=float(len(data)))
         self._blobs[name] = data
         self.checksums[name] = checksum(data)
         self.publish(ref)
         self.bytes_received += len(data)
         return ref
+
+    def stage(self, result_id: int, name: str, data: bytes) -> None:
+        """Hold *data* as result *result_id*'s copy of *name*, unserved."""
+        self.staged[result_id, name] = data
+
+    def settle(self, names: tuple[str, ...], result_ids: list[int],
+               canonical: int | None) -> None:
+        """Drop each result's staged copies of *names*, serving the
+        *canonical* result's under those names from now on."""
+        for name in names:
+            for result_id in result_ids:
+                data = self.staged.pop((result_id, name), None)
+                if data is not None and result_id == canonical:
+                    self.put(name, data)
 
     # -- serve ----------------------------------------------------------------
     def fetch(self, name: str) -> bytes:

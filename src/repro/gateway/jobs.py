@@ -9,10 +9,10 @@ from bytes or a ``JobRequest``, per-task wire parameters, the merged
 output payload sealed as the last reduce validates, and ``JobStatus``.
 
 Determinism carries the replication story: :class:`~repro.runtime.engine.
-LocalRunner` tasks are bit-reproducible, so replicas of the same task
-upload byte-identical blobs under the same name (an idempotent re-put in
-:class:`~repro.gateway.files.BlobStore`) and report equal digests, which
-is exactly what the shared validator's digest comparison needs.
+LocalRunner` tasks are bit-reproducible, so honest replicas of the same
+task upload byte-identical blobs and report equal digests, which is
+exactly what the shared validator's digest comparison needs.  Only the
+canonical result's staged blobs are published, as it is assimilated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import threading
 import typing as _t
 
 from ..boinc.dataserver import FileMissing
-from ..boinc.model import Workunit
+from ..boinc.model import Result, Workunit
 from ..boinc.server import SchedulerCore
 from ..core.job import JobPhase, MapReduceJob, MapReduceJobSpec
 from ..core.jobtracker import JobTracker, TaskInput
@@ -183,6 +183,20 @@ class GatewayJobTracker(JobTracker):
             return (reduce_blob_name(job.spec.name, wu.mr_index),)
         return tuple(partition_blob_name(job.spec.name, wu.mr_index, r)
                      for r in range(job.spec.n_reducers))
+
+    def _on_assimilated(self, wu: Workunit, canonical: Result) -> None:
+        """Publish the canonical result's staged blobs, drop the rest."""
+        self._settle(wu, canonical.id)
+        super()._on_assimilated(wu, canonical)
+
+    def _on_wu_error(self, wu: Workunit) -> None:
+        """Drop every replica's staged blobs, then fail the job."""
+        self._settle(wu, None)
+        super()._on_wu_error(wu)
+
+    def _settle(self, wu: Workunit, canonical: int | None) -> None:
+        self.store.settle(self.output_names(wu), [
+            res.id for res in self.core.db.results_for_wu(wu.id)], canonical)
 
     def _seal(self, job: MapReduceJob) -> None:
         """Last reduce validated: merge the partition outputs.  The blobs

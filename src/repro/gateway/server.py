@@ -38,7 +38,7 @@ import time
 import typing as _t
 
 from ..boinc.dataserver import FileMissing, ServerUnavailable
-from ..boinc.model import FileRef, OutputData, ResultState
+from ..boinc.model import FileRef, OutputData, ResultState, WorkunitState
 from ..boinc.server import (
     ReportedResult,
     SchedulerCore,
@@ -85,6 +85,16 @@ _STATUS_PREFIX = {
 #: the bytes they are sent as.
 _JSON_HEADERS = {"Content-Type": "application/json"}
 _JSON_BLOCK = b"\r\nContent-Type: application/json\r\n\r\n"
+
+
+def _framed(status: int, headers: dict[str, str], payload: bytes) -> bytes:
+    """One HTTP/1.1 response with Content-Length framing."""
+    if headers == _JSON_HEADERS:
+        block = _JSON_BLOCK
+    else:
+        block = ("".join(f"\r\n{k}: {v}" for k, v in headers.items())
+                 + "\r\n\r\n").encode("latin-1")
+    return b"%b%d%b%b" % (_STATUS_PREFIX[status], len(payload), block, payload)
 
 
 class _BadFraming(Exception):
@@ -252,43 +262,55 @@ class _Connection(asyncio.Protocol):
 
     def _serve(self) -> None:
         """Answer, in order, every whole request at the front of the
-        buffer, until the buffer is empty, the peer stops reading, or the
-        connection is to close.  A request left unfinished stands in the
-        server's ``_reading`` from now until it is whole."""
-        server, requests = self.server, self.requests
+        buffer, until it is empty, the peer stops reading, or the
+        connection is to close: a lone request's reply at once, a burst's
+        held and written together below the high-water mark.  A request
+        left unfinished stands in ``_reading`` until it is whole."""
+        server, requests, transport = self.server, self.requests, self.transport
+        held: list[bytes] | None = None
         while True:
             try:
                 request = requests.next_request()
             except _BadFraming as exc:
                 # Where this request ends is unknown, so the stream
                 # cannot be resynchronised: reply, then hang up.
+                self._flush(held)
                 self._refuse(str(exc))
                 return
             if request is None:
                 if requests.buffer:
                     server._reading.setdefault(self, time.monotonic())
-                return
+                break
             if server._reading:
                 server._reading.pop(self, None)
             method, path, headers, body = request
-            self._write(*server._dispatch(method, path, headers, body))
-            if headers.get("connection", "").lower() == "close":
+            reply = _framed(*server._dispatch(method, path, headers, body))
+            close = headers.get("connection", "").lower() == "close"
+            if held is None:
+                if not (close or requests.buffer):
+                    transport.write(reply)
+                    return
+                held, size, limit = [], 0, transport.get_write_buffer_limits()[1]
+            held.append(reply)
+            size += len(reply)
+            if close or size >= limit:
+                self._flush(held)
+                size = 0
+            if close:
                 self._close()
                 return
-            if (not requests.buffer or self.paused
-                    or self.transport.is_closing()):
-                return
+            if self.paused or transport.is_closing():
+                break
+        self._flush(held)
 
-    def _write(self, status: int, headers: dict[str, str],
-               payload: bytes) -> None:
-        """Emit one HTTP/1.1 response with Content-Length framing."""
-        if headers == _JSON_HEADERS:
-            block = _JSON_BLOCK
-        else:
-            block = ("".join(f"\r\n{k}: {v}" for k, v in headers.items())
-                     + "\r\n\r\n").encode("latin-1")
-        self.transport.write(b"%b%d%b%b" % (
-            _STATUS_PREFIX[status], len(payload), block, payload))
+    def _flush(self, held: list[bytes] | None) -> None:
+        """Write the *held* replies in one write, and empty the list."""
+        if held:
+            if len(held) > 1:
+                self.server.metrics.counter(
+                    "gateway.coalesced_replies_total").inc(len(held) - 1)
+            self.transport.write(b"".join(held))
+            held.clear()
 
     def _refuse(self, detail: str) -> None:
         """Answer 400 ``bad_request`` + ``Connection: close``, hang up."""
@@ -297,7 +319,7 @@ class _Connection(asyncio.Protocol):
         headers["Connection"] = "close"
         server.metrics.counter("gateway.http_requests_total").inc()
         server.metrics.counter("gateway.http_errors_total").inc()
-        self._write(status, headers, payload)
+        self.transport.write(_framed(status, headers, payload))
         self._close()
 
     def _close(self) -> None:
@@ -654,7 +676,8 @@ class GatewayServer:
         if res is None:
             return self._error("unknown_result",
                                f"result {result_id} was never issued")
-        outputs = self.jobs.output_names(self.core.db.workunits[res.wu_id])
+        wu = self.core.db.workunits[res.wu_id]
+        outputs = self.jobs.output_names(wu)
         if res.state is not ResultState.IN_PROGRESS or name not in outputs:
             return self._error("upload_refused", f"result {result_id} "
                                f"({res.state.value}) may not write {name!r}")
@@ -666,7 +689,8 @@ class GatewayServer:
                                f"claimed {claimed}, got {actual}")
         written = self.state.written.get((result_id, name))
         if written is None:
-            self.store.put(name, body)
+            if wu.state is WorkunitState.ACTIVE:  # else settled: too late
+                self.store.stage(result_id, name, body)
             self.state.written[(result_id, name)] = actual
             self.core.record_upload(result_id)
             self.metrics.counter("gateway.uploads_total").inc()

@@ -11,10 +11,14 @@ call, through a table holding every word twice: once followed by a space,
 once by the newline that ends a line.  The draws are call for call the
 ones a word-at-a-time loop makes, so the bytes are too; the 1 MB corpus
 the benchmarks count words in is pinned by digest in
-``tests/test_workloads.py``.
+``tests/test_workloads.py``.  The letters and words are bulk draws
+mapped as ``rng.integers`` and ``rng.choice`` map theirs: the same bytes,
+and the same generator state, without their per-call overhead.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -25,23 +29,41 @@ _MAX_VOCABULARY = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (1, 2, 3))
 
 
 def make_vocabulary(size: int, rng: np.random.Generator) -> list[bytes]:
-    """Pronounceable unique pseudo-words, deterministic under *rng*."""
+    """Pronounceable unique pseudo-words, deterministic under *rng*: each
+    ``rng.integers(n)`` call it stands for maps one 32-bit word by numpy's
+    bounded (Lemire) method, here from bulk draws; then *rng* is rewound
+    and advanced by the words used."""
     if size < 1:
         raise ValueError("vocabulary size must be >= 1")
     if size > _MAX_VOCABULARY:
         raise ValueError(f"vocabulary size must be <= {_MAX_VOCABULARY}")
+    saved = rng.bit_generator.state
+    stream = (word for _ in itertools.count() for word in rng.integers(
+        0, 2**32, size=min(8 * size, 1 << 16), dtype=np.uint32).tolist())
+    used = 0
+
+    def below(n: int) -> int:
+        """What ``int(rng.integers(n))`` returns, from the stream."""
+        nonlocal used
+        while True:
+            used += 1
+            m = next(stream) * n
+            if m & 0xFFFFFFFF >= (2**32 - n) % n:
+                return m >> 32
+
     vocab: list[bytes] = []
     seen: set[bytes] = set()
     while len(vocab) < size:
-        n_syll = int(rng.integers(1, 4))
+        n_syll = 1 + below(3)
         word = "".join(
-            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + _VOWELS[int(rng.integers(len(_VOWELS)))]
+            _CONSONANTS[below(len(_CONSONANTS))] + _VOWELS[below(len(_VOWELS))]
             for _ in range(n_syll)
         ).encode()
         if word not in seen:
             seen.add(word)
             vocab.append(word)
+    rng.bit_generator.state = saved
+    rng.integers(0, 2**32, size=used, dtype=np.uint32)
     return vocab
 
 
@@ -71,7 +93,9 @@ def generate_corpus(target_bytes: int, *, vocabulary_size: int = 2000,
         raise ValueError("words_per_line must be >= 1")
     rng = np.random.default_rng(seed)
     vocab = make_vocabulary(vocabulary_size, rng)
-    weights = zipf_weights(vocabulary_size, zipf_s)
+    # What rng.choice(vocabulary_size, p=weights) builds on every call.
+    cdf = zipf_weights(vocabulary_size, zipf_s).cumsum()
+    cdf /= cdf[-1]
     # Token t < vocabulary_size is word t and a space; t + vocabulary_size
     # is word t ending its line.
     table = [w + b" " for w in vocab] + [w + b"\n" for w in vocab]
@@ -79,7 +103,7 @@ def generate_corpus(target_bytes: int, *, vocabulary_size: int = 2000,
     out = bytearray()
     drawn = 0
     while (end := out.find(b"\n", target_bytes - 1)) < 0:
-        tokens = rng.choice(vocabulary_size, size=batch, p=weights)
+        tokens = cdf.searchsorted(rng.random(batch), side="right")
         tokens[(words_per_line - 1 - drawn) % words_per_line::words_per_line] \
             += vocabulary_size
         drawn += batch

@@ -1196,6 +1196,8 @@ class TestUploadRules:
         with pytest.raises(GatewayError) as err:
             client.upload(1, "j.m0.p0", b"late")
         assert (err.value.status, err.value.code) == (403, "upload_refused")
+        # A partition is served once its map is assimilated.
+        assert _wait_until(lambda: handle.server.store.has("j.m0.p0"))
         assert client.download("j.m0.p0") != b"late"
 
     def test_each_result_writes_each_name_once(self, handle, client):
@@ -1205,9 +1207,9 @@ class TestUploadRules:
         task = _poll_for_assignment(client, host_id)[0]
         report = execute_task(client, task)
         rid, name = task["result_id"], "once.m0.p1"
-        original = client.download(name)
         store, uploads = handle.server.store, handle.server.metrics.counter(
             "gateway.uploads_total")
+        original = store.staged[rid, name]  # unserved until assimilated
         stored, landed = store.bytes_received, uploads.value
         # Its reply was lost: the same bytes again are a 200 that stores
         # nothing new.
@@ -1217,7 +1219,7 @@ class TestUploadRules:
         with pytest.raises(GatewayError) as err:
             client.upload(rid, name, b"second thoughts")
         assert (err.value.status, err.value.code) == (403, "upload_refused")
-        assert client.download(name) == original
+        assert store.staged[rid, name] == original
         assert store.bytes_received == stored
         client.scheduler_rpc(host_id, work_req_s=0.0, reports=[report])
         run_volunteer(handle.address, name="closer", idle_limit=20)
@@ -1247,6 +1249,48 @@ class TestUploadRules:
         assert (stats.tasks_failed, stats.tasks_done) == (1, 3)
         assert handle.result("fg", timeout=10) == dict(
             collections.Counter(corpus.split()))
+
+
+class TestReplicasStagedApart:
+    """A replica's uploads are its own until its workunit is assimilated;
+    then only the canonical result's bytes are served."""
+
+    def test_a_rejected_replica_writing_last_is_not_what_reducers_read(
+            self, handle):
+        from repro.runtime import LocalRunner
+        from repro.runtime.apps import WordCount
+
+        corpus = generate_corpus(6_000, seed=15)
+        handle.submit_job("rep", "wordcount", corpus, n_maps=1, n_reducers=1,
+                          replication=3, quorum=2)
+        clients = {h: GatewayClient(handle.address) for h in "ABC"}
+        hosts = {h: c.register(f"replica-{h}", flops=1e9)
+                 for h, c in clients.items()}
+        tasks = {h: _poll_for_assignment(clients[h], hosts[h])[0]
+                 for h in "ABC"}
+        assert {t["kind"] for t in tasks.values()} == {"map"}
+        for h in "AC":
+            clients[h].scheduler_rpc(hosts[h], work_req_s=0.0, reports=[
+                execute_task(clients[h], tasks[h])])
+        runner = LocalRunner(WordCount(), 1, 1)
+        honest = runner.run_map_task(0, clients["B"].download("rep.m0.in"))[1][0]
+        # B writes other bytes, last, and reports their digest.
+        forged = runner.run_map_task(0, b"forged words forged\n")[1][0]
+        rid = tasks["B"]["result_id"]
+        clients["B"].upload(rid, "rep.m0.p0", forged)
+        clients["B"].scheduler_rpc(hosts["B"], work_req_s=0.0, reports=[{
+            "result_id": rid, "success": True, "elapsed_s": 0.0,
+            "digest": protocol.checksum(forged),
+            "output_files": [{"name": "rep.m0.p0", "size": len(forged)}]}])
+        for c in clients.values():
+            c.close()
+        for h in "AC":  # two replicas of the reduce
+            run_volunteer(handle.address, name=f"replica-{h}", idle_limit=15)
+        assert handle.result("rep", timeout=10) == dict(
+            collections.Counter(corpus.split()))
+        assert handle.server.store.fetch("rep.m0.p0") == honest != forged
+        assert not any(name == "rep.m0.p0"
+                       for _rid, name in handle.server.store.staged)
 
 
 class TestDuplicateReport:
@@ -1394,10 +1438,10 @@ class TestBadReportFailsOnlyItsJob:
         task = _poll_for_assignment(client, host_id)[0]
 
         class SkipsPartitionOne(GatewayClient):
-            def upload(self, result_id, name, data):
-                if name.endswith(".p1"):
-                    return {}
-                return super().upload(result_id, name, data)
+            def upload_all(self, result_id, outputs):
+                return super().upload_all(result_id, [
+                    (name, data) for name, data in outputs
+                    if not name.endswith(".p1")])
 
         forgetful = SkipsPartitionOne(handle.address)
         client.scheduler_rpc(host_id, work_req_s=0.0,

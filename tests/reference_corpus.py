@@ -1,17 +1,46 @@
 """Test oracle: ``repro.workloads.corpus.generate_corpus`` as it was before
-the corpus was joined a batch at a time, kept verbatim.
+the corpus was joined a batch at a time, and ``make_vocabulary`` as it
+was before its letters came from bulk draws, both kept verbatim.
 
-It walks each drawn batch one index at a time and joins each line as it
-fills.  The product generator makes the same ``rng.choice`` draws, call
-for call, and joins a whole batch at once; it must return the same bytes
-for every argument (``test_workloads.py``).
+The generator walks each ``rng.choice`` batch one index at a time and
+joins each line as it fills; the vocabulary makes one scalar
+``rng.integers`` call per letter.  The product functions draw in bulk
+and join a whole batch at once; they must return the same bytes, and
+leave the generator in the same state, for every argument
+(``test_workloads.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.corpus import make_vocabulary, zipf_weights
+from repro.workloads.corpus import (
+    _CONSONANTS,
+    _MAX_VOCABULARY,
+    _VOWELS,
+    zipf_weights,
+)
+
+
+def make_vocabulary(size: int, rng: np.random.Generator) -> list[bytes]:
+    """Pronounceable unique pseudo-words, deterministic under *rng*."""
+    if size < 1:
+        raise ValueError("vocabulary size must be >= 1")
+    if size > _MAX_VOCABULARY:
+        raise ValueError(f"vocabulary size must be <= {_MAX_VOCABULARY}")
+    vocab: list[bytes] = []
+    seen: set[bytes] = set()
+    while len(vocab) < size:
+        n_syll = int(rng.integers(1, 4))
+        word = "".join(
+            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
+            + _VOWELS[int(rng.integers(len(_VOWELS)))]
+            for _ in range(n_syll)
+        ).encode()
+        if word not in seen:
+            seen.add(word)
+            vocab.append(word)
+    return vocab
 
 
 def generate_corpus(target_bytes: int, *, vocabulary_size: int = 2000,

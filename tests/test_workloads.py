@@ -115,6 +115,34 @@ def test_corpus_equals_word_at_a_time_reference(target_bytes, vocabulary_size,
             == reference_corpus.generate_corpus(target_bytes, **kwargs))
 
 
+@settings(deadline=None, max_examples=60)
+@given(size=st.one_of(st.integers(1, 100), st.integers(1, 3_000),
+                      st.integers(1, 20_000)),
+       seed=st.integers(0, 2**32 - 1),
+       earlier_words=st.integers(0, 5),
+       earlier_doubles=st.integers(0, 2))
+@example(size=1, seed=0, earlier_words=0, earlier_doubles=0)
+@example(size=2000, seed=1, earlier_words=1, earlier_doubles=0)
+@example(size=8100, seed=7, earlier_words=3, earlier_doubles=1)
+def test_vocabulary_equals_scalar_draw_reference(size, seed, earlier_words,
+                                                 earlier_doubles):
+    """The bulk-drawn vocabulary is the scalar-drawn one, and the generator
+    ends in the same state, pending half-word included (an odd number of
+    earlier ``uint32`` draws leaves one).  Sizes stop at 20,000: the
+    scalar oracle takes a second there, and the coupon-collector tail
+    makes one near ``_MAX_VOCABULARY`` take hours."""
+    rngs = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2**32, size=earlier_words, dtype=np.uint32)
+        rng.random(earlier_doubles)
+        rngs.append(rng)
+    product, oracle = rngs
+    assert (make_vocabulary(size, product)
+            == reference_corpus.make_vocabulary(size, oracle))
+    assert product.bit_generator.state == oracle.bit_generator.state
+
+
 class TestPinnedBytes:
     """The 1 MB word-count input and what the engine makes of it, pinned
     across commits: the corpus, every map blob of a 32 x 8 run
