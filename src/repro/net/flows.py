@@ -38,11 +38,14 @@ touched by a change is reallocated, at most once per instant.  Untouched
 components keep their cached rates and completion timers (per-component
 version counters + cancellable timers), which is what lets the simulator
 scale to thousands of volunteers.
-A removal walks the component for a split only when the removed flows leave
-two or more of their links populated, and the walk reads each link's member
-list once.  Per-link used-rate sums make :meth:`FlowNetwork.utilisation`
-O(1) per sample.  The global algorithm it replaced (every flow change
-re-solves every active flow, at once) is kept as the test oracle in
+A component keeps its link → flows index, its per-link traversal counts and
+its members in start order up to date as flows join and leave, so a solve
+neither recounts nor sorts.  A removal walks the component for a split only
+when the removed flows leave two or more of their links populated, and the
+walk reads each link's member list once.  A link's used rate, which only
+:meth:`FlowNetwork.utilisation` reads, is summed on read.  The global
+algorithm it replaced (every flow change re-solves every active flow, at
+once) is kept as the test oracle in
 ``tests/net/reference_allocator.py``; :class:`FlowNetwork` accepts an
 allocator *instance* so the equivalence tests can inject it.
 """
@@ -176,18 +179,21 @@ class Flow:
 _by_seq = operator.attrgetter("seq")
 
 
-def maxmin_rates(flows: _t.Sequence[Flow],
+def maxmin_rates(flows: _t.Collection[Flow],
                  capacity: _t.Mapping[Link, float] | None = None,
                  adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
+                 load: _t.Mapping[Link, int] | None = None,
                  ) -> dict[Flow, float]:
     """Max–min fair rates for *flows* via progressive filling (water-filling).
 
     Respects per-flow ``max_rate`` caps.  Links are discovered from the
     flows themselves; *capacity*, when given, overrides ``Link.capacity``
     for every link *flows* traverse (the background pass hands in the
-    residual left by the foreground), and *adj*, when given, is a ready
-    link → flows index over exactly *flows* (a component's adjacency) that
-    saves building one.  Returns rates in bytes/s, keyed in *flows* order.
+    residual left by the foreground).  *adj*, when given, is a ready
+    link → flows index over exactly *flows* (a component's adjacency), and
+    *load*, when given with it, the number of times *flows* traverse each
+    link (a link listed twice counts twice); each saves building one.
+    Neither is modified.  Returns rates in bytes/s, keyed in *flows* order.
 
     All unfrozen flows rise in lockstep, so the fill is one scalar
     ``level`` that a flow takes as its rate in the round it freezes.  A
@@ -213,6 +219,8 @@ def maxmin_rates(flows: _t.Sequence[Flow],
                     members.append(f)
         active = {link: len(members) for link, members in index.items()}
         adj = index
+    elif load is not None:
+        active = dict(load)
     else:
         for f in flows:
             for link in f.links:
@@ -297,68 +305,49 @@ def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
         f._rate = r if r > 1e-6 else 0.0
 
 
-def allocate_rates(flows: _t.Sequence[Flow],
+def allocate_rates(flows: _t.Collection[Flow],
                    adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
+                   load: _t.Mapping[Link, int] | None = None,
                    ) -> None:
     """Two-pass (foreground max–min, then background residual) allocation.
 
     Sets each flow's rate in place.  Progressive filling is numerically
     order-independent, so allocating a flow set component by component or
-    all at once (the test oracle) produces identical rates.  *adj* is an
-    optional link → flows index over exactly *flows*; it serves the
-    foreground pass when there is no background flow to split off.
+    all at once (the test oracle) produces identical rates.  *adj* and
+    *load* are an optional link → flows index and link → traversal count
+    over exactly *flows*; they serve the foreground pass when there is no
+    background flow to split off.
     """
-    foreground = [f for f in flows if not f.background]
     background = [f for f in flows if f.background]
-    rates = maxmin_rates(foreground, adj=None if background else adj)
+    if not background:
+        for f, r in maxmin_rates(flows, adj=adj, load=load).items():
+            f._rate = r
+        return
+    foreground = [f for f in flows if not f.background]
+    rates = maxmin_rates(foreground)
     for f, r in rates.items():
         f._rate = r
-    if background:
-        _fill_background(foreground, background)
-
-
-def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
-           ) -> tuple[float, float]:
-    """Sum fresh rates into *used* per link and find the earliest completion.
-
-    One pass over *flows*, which must be in start order so the per-link
-    float sums and the earliest-completion tie-break come out the same
-    whoever calls; *used* must already hold 0.0 for every link they
-    traverse.  Returns ``(eta, rate)`` of the first flow to finish at the
-    current rates, ``(inf, 0.0)`` if every flow is stalled.
-    """
-    next_eta = math.inf
-    next_rate = 0.0
-    for f in flows:
-        r = f._rate
-        for link in f.links:
-            used[link] += r
-        if f.remaining <= _EPSILON_BYTES:
-            eta = 0.0
-        elif r <= 0:
-            continue
-        else:
-            eta = f.remaining / r
-        if eta < next_eta:
-            next_eta = eta
-            next_rate = r
-    return next_eta, next_rate
+    _fill_background(foreground, background)
 
 
 class _Component:
     """A link-connected island of active flows (incremental allocator)."""
 
-    __slots__ = ("flows", "adj", "seq", "version", "last_update", "next_at",
-                 "next_rate", "timer", "due_now")
+    __slots__ = ("flows", "adj", "load", "seq", "version", "last_update",
+                 "next_at", "next_rate", "timer", "due_now")
 
     def __init__(self, now: float, seq: int) -> None:
         """An empty component created at sim time *now* (internal)."""
-        #: Member flows, insertion-ordered (dict-as-ordered-set).
+        #: Member flows in start order (dict-as-ordered-set).
         self.flows: dict[Flow, None] = {}
-        #: Link -> member flows over it, maintained incrementally on every
-        #: add/detach so splits never rebuild adjacency from scratch.  The
-        #: key set is exactly the links member flows touch.
+        #: Link -> member flows over it, in start order, maintained
+        #: incrementally on every add/detach so splits never rebuild
+        #: adjacency from scratch.  The key set is exactly the links member
+        #: flows touch.
         self.adj: dict[Link, dict[Flow, None]] = {}
+        #: Link -> member traversals of it (a link listed twice counts
+        #: twice); same key set as :attr:`adj`.
+        self.load: dict[Link, int] = {}
         #: Creation order — the deterministic tie-breaker that keeps the
         #: indexed due-scan processing components in the same order the
         #: historical ``_comps`` iteration did.
@@ -379,7 +368,7 @@ class _Component:
         self.due_now = False
 
 
-def _link_components(flows: list[Flow],
+def _link_components(flows: _t.Iterable[Flow],
                      adj: _t.Mapping[Link, _t.Iterable[Flow]],
                      ) -> list[list[Flow]]:
     """Partition *flows* into link-connected groups, each in start order."""
@@ -441,7 +430,6 @@ class IncrementalAllocator:
         self._comps: dict[_Component, None] = {}
         self._flow_comp: dict[Flow, _Component] = {}
         self._link_comp: dict[Link, _Component] = {}
-        self._used: dict[Link, float] = {}
         self._comp_seq = itertools.count()
         #: Components changed since the last flush, in the order marked.
         self._dirty: dict[_Component, None] = {}
@@ -476,10 +464,12 @@ class IncrementalAllocator:
         if comp is None:
             comp = _Component(now, next(self._comp_seq))
             self._comps[comp] = None
-        comp.flows[flow] = None
+        comp.flows[flow] = None  # the newest flow: start order holds
         self._flow_comp[flow] = comp
+        load = comp.load
         for link in flow.links:
             comp.adj.setdefault(link, {})[flow] = None
+            load[link] = load.get(link, 0) + 1
             self._link_comp[link] = comp
         self._settle(comp)
 
@@ -515,8 +505,20 @@ class IncrementalAllocator:
                 self._solve(comp)
 
     def link_used(self, link: Link) -> float:
-        """Summed allocated rate over *link* (cached sum, O(1))."""
-        return self._used.get(link, 0.0)
+        """Summed allocated rate over *link*, summed on read.
+
+        The link's members are summed in start order, a member listing the
+        link twice twice, so the float is the one a per-solve tally made.
+        """
+        comp = self._link_comp.get(link)
+        if comp is None:
+            return 0.0
+        used = 0.0
+        for f in comp.adj[link]:
+            for other in f.links:
+                if other is link:
+                    used += f._rate
+        return used
 
     def flows_using(self, links: _t.Sequence[Link]) -> list[Flow]:
         """Collect flows from only the components touching *links*."""
@@ -542,7 +544,9 @@ class IncrementalAllocator:
         if dt > 0:
             due_now = False
             for f in comp.flows:
-                sent = min(f.remaining, f._rate * dt)
+                sent = f._rate * dt
+                if sent > f.remaining:
+                    sent = f.remaining
                 f.remaining -= sent
                 for link in f.links:
                     link.bytes_carried += sent
@@ -554,23 +558,24 @@ class IncrementalAllocator:
     def _detach(self, comp: _Component, flow: Flow) -> None:
         """Unlink *flow* from *comp*'s membership and adjacency indexes.
 
-        Links that lose their last member flow are evicted from the
-        component's adjacency and from the global link index eagerly, so
-        :meth:`_resettle` never sees stale links and never rebuilds the
-        adjacency map from scratch.
+        Links that lose their last traversal are evicted from the
+        component's adjacency and load and from the global link index
+        eagerly, so :meth:`_resettle` never sees stale links and never
+        rebuilds the adjacency map from scratch.
         """
         del comp.flows[flow]
         del self._flow_comp[flow]
+        load = comp.load
         for link in flow.links:
-            members = comp.adj.get(link)
-            if members is None:
-                continue
-            members.pop(flow, None)
-            if not members:
+            left = load[link] - 1
+            if left:
+                load[link] = left
+                comp.adj[link].pop(flow, None)
+            else:
+                del load[link]
                 del comp.adj[link]
                 if self._link_comp.get(link) is comp:
                     del self._link_comp[link]
-                    self._used.pop(link, None)
 
     def _merge(self, dst: _Component, src: _Component) -> None:
         """Absorb *src* into *dst* (both already advanced to now)."""
@@ -581,10 +586,14 @@ class IncrementalAllocator:
         self._dirty.pop(src, None)
         dst.due_now = dst.due_now or src.due_now
         for f in src.flows:
-            dst.flows[f] = None
             self._flow_comp[f] = dst
-        for link, members in src.adj.items():
-            dst.adj.setdefault(link, {}).update(members)
+        # Two start-ordered runs: timsort merges them in one pass.
+        dst.flows = dict.fromkeys(sorted([*dst.flows, *src.flows],
+                                         key=_by_seq))
+        # Components share no link, so src's entries are new to dst.
+        dst.adj.update(src.adj)
+        dst.load.update(src.load)
+        for link in src.adj:
             if self._link_comp.get(link) is src:
                 self._link_comp[link] = dst
         del self._comps[src]
@@ -599,7 +608,6 @@ class IncrementalAllocator:
         for link in comp.adj:
             if self._link_comp.get(link) is comp:
                 del self._link_comp[link]
-                self._used.pop(link, None)
         self._comps.pop(comp, None)
 
     def _settle(self, comp: _Component) -> None:
@@ -633,11 +641,21 @@ class IncrementalAllocator:
     def _solve(self, comp: _Component) -> None:
         """Allocate *comp*'s rates and schedule its completion timer."""
         sim = self.net.sim
-        flows = sorted(comp.flows, key=_by_seq)
-        allocate_rates(flows, comp.adj)
-        for link in comp.adj:
-            self._used[link] = 0.0
-        next_eta, next_rate = _tally(flows, self._used)
+        allocate_rates(comp.flows, comp.adj, comp.load)
+        # The first flow to finish at the new rates; start order breaks ties.
+        next_eta = math.inf
+        next_rate = 0.0
+        for f in comp.flows:
+            r = f._rate
+            if f.remaining <= _EPSILON_BYTES:
+                eta = 0.0
+            elif r <= 0:
+                continue
+            else:
+                eta = f.remaining / r
+            if eta < next_eta:
+                next_eta = eta
+                next_rate = r
         if math.isfinite(next_eta):
             comp.next_at = sim.now + next_eta
             comp.next_rate = next_rate
@@ -687,7 +705,7 @@ class IncrementalAllocator:
         if len(populated) < 2:
             groups = []
         else:
-            groups = _link_components(sorted(comp.flows, key=_by_seq), adj)
+            groups = _link_components(comp.flows, adj)
         if len(groups) < 2:
             self._settle(comp)  # which dissolves an emptied component
             return
@@ -703,6 +721,7 @@ class IncrementalAllocator:
                 for link in f.links:
                     nc.adj.setdefault(link, {})[f] = None
             for link in nc.adj:
+                nc.load[link] = comp.load[link]
                 self._link_comp[link] = nc
             self._settle(nc)
 
@@ -839,7 +858,7 @@ class FlowNetwork:
         self.allocator.refresh()
 
     def utilisation(self, link: Link) -> float:
-        """Fraction of *link* capacity currently in use (0..1).  O(1)."""
+        """Fraction of *link* capacity currently in use (0..1), summed on read."""
         self.allocator.flush()
         return self.allocator.link_used(link) / link.capacity
 

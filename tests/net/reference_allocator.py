@@ -14,9 +14,11 @@ completions, same link accounting.  ``test_allocators.py``,
 ``test_flows.py`` and ``tests/test_scale_experiment.py`` inject an instance
 through ``FlowNetwork(sim, allocator=FullAllocator())``.
 
-It calls the production ``allocate_rates`` / ``_tally`` on purpose: the
-solver has its own oracle (``reference_maxmin.py``); this one checks
-*when* and *over what scope* rates are recomputed.
+It calls the production ``allocate_rates`` on purpose: the solver has its
+own oracle (``reference_maxmin.py``); this one checks *when* and *over
+what scope* rates are recomputed.  ``_tally`` is the per-solve link-usage
+sum the production allocator kept until it began summing usage on read,
+moved here verbatim.
 """
 
 from __future__ import annotations
@@ -29,10 +31,37 @@ from repro.net.flows import (
     Flow,
     FlowNetwork,
     Link,
-    _tally,
     allocate_rates,
 )
 from repro.sim import PRIORITY_HIGH
+
+
+def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
+           ) -> tuple[float, float]:
+    """Sum fresh rates into *used* per link and find the earliest completion.
+
+    One pass over *flows*, which must be in start order so the per-link
+    float sums and the earliest-completion tie-break come out the same
+    whoever calls; *used* must already hold 0.0 for every link they
+    traverse.  Returns ``(eta, rate)`` of the first flow to finish at the
+    current rates, ``(inf, 0.0)`` if every flow is stalled.
+    """
+    next_eta = math.inf
+    next_rate = 0.0
+    for f in flows:
+        r = f._rate
+        for link in f.links:
+            used[link] += r
+        if f.remaining <= _EPSILON_BYTES:
+            eta = 0.0
+        elif r <= 0:
+            continue
+        else:
+            eta = f.remaining / r
+        if eta < next_eta:
+            next_eta = eta
+            next_rate = r
+    return next_eta, next_rate
 
 
 class FullAllocator:

@@ -5,8 +5,8 @@ equivalent to the reference full-recompute allocator kept in
 ``reference_allocator.py``: same rates on the same active flow set, same
 completion behaviour, same link accounting.  These tests drive both
 implementations through randomized flow sets and
-churn sequences (hypothesis) and pin the O(1) ``utilisation()`` sums
-against a brute-force recount.
+churn sequences (hypothesis) and pin the ``utilisation()`` sums against a
+brute-force recount.
 """
 
 import math
@@ -157,7 +157,7 @@ def test_incremental_matches_full_to_completion(script):
 
 
 # ---------------------------------------------------------------------------
-# O(1) utilisation accounting stays exact across abort/complete
+# Utilisation accounting stays exact across abort/complete
 # ---------------------------------------------------------------------------
 
 def _brute_utilisation(net, link):

@@ -131,9 +131,9 @@ def test_a_wave_of_starts_is_one_solve(monkeypatch):
     sizes = []
     real = flows_module.maxmin_rates
 
-    def counting(flows, capacity=None, adj=None):
+    def counting(flows, capacity=None, adj=None, load=None):
         sizes.append(len(flows))
-        return real(flows, capacity, adj)
+        return real(flows, capacity, adj, load)
 
     monkeypatch.setattr(flows_module, "maxmin_rates", counting)
     sim = Simulator()

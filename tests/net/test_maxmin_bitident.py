@@ -6,19 +6,24 @@ progressive filling it replaced, kept verbatim.  Golden traces are
 byte-compared, so "close" is not enough: every rate must be the same
 float, bit for bit (``float.hex``), on any topology — caps, a link listed
 twice by one flow, one giant star, a chain, and the two-pass
-foreground/background allocation.
+foreground/background allocation — with or without the component's kept
+adjacency and link loads handed in.  A link's used rate, summed on read,
+is the float the old per-solve tally made.
 """
+
+import collections
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Flow, Link, maxmin_rates
+from repro.net import Flow, FlowNetwork, Link, maxmin_rates
 from repro.net import flows as flows_module
 from repro.net.flows import allocate_rates
 from repro.sim import Simulator
 
 from . import reference_maxmin as reference
+from .reference_allocator import _tally
 
 
 def _flows(caps_bps, specs):
@@ -49,6 +54,18 @@ def _adjacency(flows):
     return adj
 
 
+def _load(flows):
+    """What ``_Component.load`` holds for *flows*: link -> traversals."""
+    return dict(collections.Counter(link for f in flows for link in f.links))
+
+
+def _assert_kept_inputs_match(flows, want):
+    """The solver over a ready adjacency and load, which it leaves as given."""
+    adj, load = _adjacency(flows), _load(flows)
+    _assert_identical(maxmin_rates(flows, adj=adj, load=load), want)
+    assert load == _load(flows) and adj == _adjacency(flows)
+
+
 capacities = st.lists(
     st.one_of(st.floats(min_value=8.0, max_value=1e10),
               st.sampled_from([8e2, 1e6, 1e8])),
@@ -71,6 +88,7 @@ def test_solver_is_bit_identical_on_random_topologies(topo):
     _assert_identical(maxmin_rates(flows), want)
     # Handing in the component's ready-made adjacency changes nothing.
     _assert_identical(maxmin_rates(flows, adj=_adjacency(flows)), want)
+    _assert_kept_inputs_match(flows, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,6 +104,10 @@ def test_two_pass_allocation_is_bit_identical(topo):
         f.rate = -1.0
     allocate_rates(flows, _adjacency(flows))
     assert [f.rate.hex() for f in flows] == want
+    for f in flows:
+        f.rate = -1.0
+    allocate_rates(flows, _adjacency(flows), _load(flows))
+    assert [f.rate.hex() for f in flows] == want
     assert [link.capacity for link in links] == before
 
 
@@ -96,6 +118,8 @@ def test_repeated_link_counts_twice():
     want = reference.maxmin_rates(flows)
     _assert_identical(maxmin_rates(flows), want)
     _assert_identical(maxmin_rates(flows, adj=_adjacency(flows)), want)
+    _assert_kept_inputs_match(flows, want)
+    assert _load(flows)[flows[0].links[0]] == 5
     assert want[flows[0]] == pytest.approx(20.0)  # 100 B/s over 5 traversals
 
 
@@ -121,7 +145,27 @@ def test_chain():
 
 def test_empty():
     assert maxmin_rates([]) == {}
-    assert maxmin_rates([], capacity={}, adj={}) == {}
+    assert maxmin_rates([], capacity={}, adj={}, load={}) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology, st.floats(min_value=0.0, max_value=5.0))
+def test_link_used_is_the_old_tally_sum(topo, run_for):
+    """Summed on read, a link's usage is the start-order per-solve tally."""
+    caps, specs = topo
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    links = [Link(f"l{i}", cap) for i, cap in enumerate(caps)]
+    for seq, (idx, max_rate, background) in enumerate(specs):
+        net.start_flow(f"f{seq}", [links[i % len(links)] for i in idx],
+                       1e3 * (1 + seq), max_rate, background)
+    for until in (0.0, run_for):
+        sim.run(until=until)
+        net.allocator.flush()
+        used = dict.fromkeys(links, 0.0)
+        _tally(net.active, used)
+        assert ([net.allocator.link_used(link).hex() for link in links]
+                == [used[link].hex() for link in links])
 
 
 class TestBackgroundNeverTouchesLinks:

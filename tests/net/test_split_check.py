@@ -162,10 +162,12 @@ class TestShortcutNeverMissesASplit:
 
     def test_removed_flow_was_the_last_on_every_link(self):
         net = FlowNetwork(Simulator())
-        flow = net.start_flow("f", [Link("a", 8e6), Link("b", 8e6)], 1e9)
+        links = [Link("a", 8e6), Link("b", 8e6)]
+        flow = net.start_flow("f", links, 1e9)
         net.abort_flow(flow)
         assert net.allocator.component_count() == 0
-        assert not net.allocator._link_comp and not net.allocator._used
+        assert not net.allocator._link_comp
+        assert [net.allocator.link_used(link) for link in links] == [0.0, 0.0]
 
 
 flow_spec = st.tuples(
