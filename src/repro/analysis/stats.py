@@ -25,12 +25,6 @@ class Summary:
     #: Sample standard deviation (Bessel-corrected; 0.0 when n < 2).
     stddev: float = 0.0
 
-    def text(self, unit: str = "s") -> str:
-        """One-line rendering: n, mean, p50/p90, min-max."""
-        return (f"n={self.n} mean={self.mean:.1f}{unit} "
-                f"p50={self.p50:.1f}{unit} p90={self.p90:.1f}{unit} "
-                f"p99={self.p99:.1f}{unit} max={self.maximum:.1f}{unit}")
-
 
 def percentile(values: _t.Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, q in [0, 100]."""

@@ -71,10 +71,6 @@ class FileCatalogue:
         """True when *name* is published."""
         return name in self.files
 
-    def unpublish(self, name: str) -> None:
-        """Remove *name* from the store (idempotent)."""
-        self.files.pop(name, None)
-
 
 class DataServer(FileCatalogue):
     """File catalogue + simulated transfer endpoints on a server host."""

@@ -111,9 +111,6 @@ class ResultStore:
         if self.path.exists():
             self.path.unlink()
 
-    def __len__(self) -> int:
-        return len(self.load())
-
 
 def _as_store(store: "ResultStore | str | pathlib.Path") -> ResultStore:
     """Coerce a path-or-store argument into a :class:`ResultStore`."""

@@ -176,8 +176,3 @@ class MapReduceJob:
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<MapReduceJob {self.spec.name} {self.phase.value} "
-                f"maps={self.maps_completed}/{self.spec.n_maps} "
-                f"reduces={self.reduces_completed}/{self.spec.n_reducers}>")

@@ -55,9 +55,6 @@ class ClientDirectory:
         name = address.split(":", 1)[0]
         return self._clients.get(name)
 
-    def __len__(self) -> int:
-        return len(self._clients)
-
 
 class MapReduceOutputPolicy:
     """Dispose of task outputs per BOINC-MR rules (Section III.B/III.C)."""

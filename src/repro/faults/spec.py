@@ -82,12 +82,3 @@ class FaultSpec:
                    duration=float(row.get("duration", 60.0)),
                    target=str(row.get("target", "")),
                    params=params)
-
-    def to_dict(self) -> dict[str, _t.Any]:
-        """Flat dict form (params inlined) for logs and campaign cells."""
-        out: dict[str, _t.Any] = {"kind": self.kind, "at": self.at,
-                                  "duration": self.duration}
-        if self.target:
-            out["target"] = self.target
-        out.update(self.params)
-        return out

@@ -84,9 +84,6 @@ class Link:
         #: Total bytes this link has carried (all flows, all time).
         self.bytes_carried = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Link {self.name} {self.capacity * 8 / 1e6:.0f}Mbit>"
-
 
 class FlowError(RuntimeError):
     """A flow was aborted; carried by the flow's ``done`` event on failure."""
@@ -170,10 +167,6 @@ class Flow:
         if rate <= 0:
             return math.inf
         return self.remaining / rate
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Flow {self.name} {self.remaining:.0f}/{self.size:.0f}B "
-                f"@{self._rate:.0f}B/s>")
 
 
 _by_seq = operator.attrgetter("seq")

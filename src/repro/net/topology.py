@@ -61,9 +61,6 @@ class Host:
         #: Set False to simulate the host going offline (churn).
         self.online = True
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Host {self.name}>"
-
 
 class HostOffline(RuntimeError):
     """A transfer was attempted to or from an offline host."""

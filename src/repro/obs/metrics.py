@@ -54,9 +54,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self.value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Counter {self.name}={self.value:g}>"
-
 
 class Gauge:
     """An instantaneous level: set explicitly, or backed by a callable."""
@@ -87,9 +84,6 @@ class Gauge:
         if self._fn is not None:
             return float(self._fn())
         return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Gauge {self.name}={self.value:g}>"
 
 
 class _P2Estimator:
@@ -221,9 +215,6 @@ class Histogram:
         """All tracked quantile estimates, keyed by q."""
         return {q: est.estimate() for q, est in self._estimators.items()}
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Histogram {self.name} n={self.count} mean={self.mean:g}>"
-
 
 Instrument = _t.Union[Counter, Gauge, Histogram]
 
@@ -300,37 +291,6 @@ class MetricsRegistry:
                 self.series.setdefault(name, []).append(
                     Sample(time=time, value=inst.value))
 
-    def snapshot(self) -> dict[str, _t.Any]:
-        """JSON-ready dump of every instrument (and gauge series extents)."""
-        out: dict[str, _t.Any] = {}
-        for inst in self.instruments():
-            if isinstance(inst, Counter):
-                out[inst.name] = {"type": "counter", "value": inst.value}
-            elif isinstance(inst, Gauge):
-                entry: dict[str, _t.Any] = {"type": "gauge", "value": inst.value}
-                series = self.series.get(inst.name)
-                if series:
-                    values = [s.value for s in series]
-                    entry["samples"] = len(series)
-                    entry["series_max"] = max(values)
-                    entry["series_mean"] = sum(values) / len(values)
-                out[inst.name] = entry
-            else:
-                out[inst.name] = {
-                    "type": "histogram",
-                    "count": inst.count,
-                    "mean": None if inst.count == 0 else inst.mean,
-                    "min": None if inst.count == 0 else inst.min,
-                    "max": None if inst.count == 0 else inst.max,
-                    "quantiles": {
-                        f"p{int(q * 100)}": (None if inst.count == 0 else v)
-                        for q, v in inst.quantiles().items()
-                    },
-                    "buckets": dict(zip([*map(str, inst.bounds), "+inf"],
-                                        inst.bucket_counts)),
-                }
-        return out
-
     def render(self) -> str:
         """Plain-text summary, one instrument per line, sorted by name."""
         lines = []
@@ -376,9 +336,6 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {name} {kind}")
                 lines.append(f"{name} {_prom_number(inst.value)}")
         return "".join(line + "\n" for line in lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<MetricsRegistry {len(self._instruments)} instruments>"
 
 
 _PROM_UNSAFE = re.compile(r"[^A-Za-z0-9_:]")

@@ -216,8 +216,3 @@ class SelfProfiler:
             lines.append(f"  {kind:32s} {count:8d} calls "
                          f"{seconds * 1e3:9.1f} ms ({share:4.1f}%)")
         return "\n".join(lines)
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """JSON-ready {kind: {count, seconds}} dump."""
-        return {kind: {"count": count, "seconds": seconds}
-                for kind, (count, seconds) in sorted(self.totals.items())}

@@ -8,7 +8,7 @@ the simulator models.
 
 from .api import FnApp, MapReduceApp, default_partition
 from .engine import JobReport, LocalRunner, TaskReport
-from .splitter import iter_records, split_bytes, split_text
+from .splitter import iter_records, split_text
 
 __all__ = [
     "MapReduceApp",
@@ -17,7 +17,6 @@ __all__ = [
     "LocalRunner",
     "JobReport",
     "TaskReport",
-    "split_bytes",
     "split_text",
     "iter_records",
 ]

@@ -13,15 +13,6 @@ from __future__ import annotations
 import typing as _t
 
 
-def split_bytes(data: bytes, n_chunks: int) -> list[bytes]:
-    """Split *data* into *n_chunks* nearly equal byte ranges (no snapping)."""
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    n = len(data)
-    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-    return [data[bounds[i]:bounds[i + 1]] for i in range(n_chunks)]
-
-
 def split_text(data: bytes, n_chunks: int,
                delimiter: bytes = b"\n") -> list[bytes]:
     """Split text into *n_chunks*, snapping boundaries to *delimiter*.

@@ -19,7 +19,7 @@ from .engine import (
 )
 from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
 from .process import Interrupted, Process
-from .rng import RngRegistry, backoff_delay, derive_seed, jittered
+from .rng import RngRegistry, backoff_delay, jittered
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "Interrupted",
     "RngRegistry",
     "backoff_delay",
-    "derive_seed",
     "jittered",
     "Tracer",
     "TraceRecord",

@@ -405,6 +405,3 @@ class Simulator:
     def peak_pending(self) -> int:
         """High-water mark of :meth:`pending` (the scale runs' peak queue depth)."""
         return max(self._peak, self.pending())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Simulator t={self._now:.3f} pending={self.pending()}>"

@@ -122,11 +122,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "triggered" if self._triggered else "pending"
-        return f"<{type(self).__name__} {self._label()} {state}>"
-
-    def _label(self) -> str:
-        """What ``repr`` calls an event that was given no name."""
-        return self.name or hex(id(self))
+        return f"<{type(self).__name__} {self.name or hex(id(self))} {state}>"
 
 
 class Timeout(Event):
@@ -147,9 +143,6 @@ class Timeout(Event):
         if not self._triggered:
             self.trigger(value)
 
-    def _label(self) -> str:
-        return self.name or f"timeout({self.delay:g})"
-
 
 class _Condition(Event):
     """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
@@ -165,9 +158,6 @@ class _Condition(Event):
         self._remaining = len(self.events)
         for ev in self.events:
             ev.add_callback(self._child_fired)
-
-    def _child_fired(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class AllOf(_Condition):

@@ -10,35 +10,9 @@ across runs and across machines.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 
 import numpy as np
-
-
-def derive_seed(seed: int, *labels: object) -> int:
-    """A stable derived seed for a labelled sub-experiment.
-
-    Campaign grids fan one base seed out into many independent cells;
-    hashing ``(seed, *labels)`` gives each cell its own well-separated
-    root seed without any coordination, and the derivation is stable
-    across runs, machines, and Python versions (unlike ``hash()``)::
-
-        >>> derive_seed(1, "churn", 0) == derive_seed(1, "churn", 0)
-        True
-        >>> derive_seed(1, "churn", 0) != derive_seed(1, "churn", 1)
-        True
-
-    Returns a non-negative int that fits the ``seed >= 0`` contract of
-    :class:`RngRegistry` and :class:`repro.core.CloudSpec`.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    digest = hashlib.sha256()
-    digest.update(str(seed).encode("utf-8"))
-    for label in labels:
-        digest.update(b"\x00" + str(label).encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") >> 1
 
 
 class RngRegistry:
@@ -67,13 +41,6 @@ class RngRegistry:
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry with a seed derived from this one (for sub-scenarios)."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + salt) % (2**63))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RngRegistry seed={self.seed} streams={len(self._streams)}>"
 
 
 def jittered(rng, base: float, rel_jitter: float) -> float:

@@ -73,11 +73,6 @@ class Tracer:
         """Register a live observer called for every record (kept or not)."""
         self._taps.append(fn)
 
-    def untap(self, fn: _t.Callable[[TraceRecord], None]) -> None:
-        """Remove a previously registered tap (no-op if absent)."""
-        if fn in self._taps:
-            self._taps.remove(fn)
-
     # -- queries -------------------------------------------------------------
     def select(self, kind: str | None = None, /,
                **field_filters: _t.Any) -> list[TraceRecord]:
@@ -111,16 +106,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Tracer {len(self.records)} records, {sum(self.counts.values())} seen>"
 
-
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<missing>"
-
-
-_MISSING = _Missing()
+_MISSING = object()
 

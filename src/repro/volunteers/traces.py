@@ -9,10 +9,12 @@ collections) rather than analytic ON/OFF models.  This module provides:
 - :func:`diurnal_trace` — a synthetic weekday/evening pattern generator
   (volunteer machines are famously available outside office hours).
 
-:meth:`AvailabilityTrace.periods` is what
-:class:`~repro.volunteers.availability.ChurnController` replays: the
-deterministic counterpart of drawing from an
-:class:`~repro.volunteers.availability.AvailabilityModel`.
+:meth:`AvailabilityTrace.periods` yields the ON/OFF lengths that
+:meth:`~repro.volunteers.availability.ChurnController.manage` takes (the
+README's churn example hands it one): the deterministic counterpart of
+drawing them from an
+:class:`~repro.volunteers.availability.AvailabilityModel`, which is what
+the paper grid's ``churn`` study does.
 """
 
 from __future__ import annotations

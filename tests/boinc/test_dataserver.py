@@ -25,13 +25,6 @@ class TestCatalogue:
         assert ds.has("f")
         assert not ds.has("g")
 
-    def test_unpublish(self, setup):
-        _sim, _net, ds, _client = setup
-        ds.publish(FileRef("f", 100))
-        ds.unpublish("f")
-        assert not ds.has("f")
-        ds.unpublish("f")  # idempotent
-
     def test_republish_overwrites(self, setup):
         _sim, _net, ds, _client = setup
         ds.publish(FileRef("f", 100))

@@ -9,7 +9,6 @@ from repro.campaign import (
     cell_key,
     grid_from_toml,
 )
-from repro.sim import derive_seed
 
 
 class TestCampaignCell:
@@ -143,24 +142,3 @@ class TestTomlGrid:
         path.write_text('name = "nothing"\n')
         with pytest.raises(ValueError, match="no .*cell"):
             grid_from_toml(path)
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, "churn", 0) == derive_seed(1, "churn", 0)
-
-    def test_labels_separate_streams(self):
-        seen = {derive_seed(1, "churn", i) for i in range(100)}
-        assert len(seen) == 100
-
-    def test_base_seed_matters(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-    def test_non_negative_and_bounded(self):
-        for s in range(20):
-            derived = derive_seed(s, "label", s)
-            assert 0 <= derived < 2 ** 63
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            derive_seed(-1, "x")

@@ -63,10 +63,3 @@ class TestResultStore:
         store.clear()
         assert store.load() == {}
         store.clear()  # idempotent on a missing file
-
-    def test_len(self, tmp_path):
-        store = ResultStore(tmp_path / "s.jsonl")
-        assert len(store) == 0
-        store.append(_record("aaa"))
-        store.append(_record("bbb"))
-        assert len(store) == 2

@@ -25,11 +25,6 @@ class TestClientDirectory:
     def test_resolve_unknown(self):
         assert ClientDirectory().resolve("ghost:1") is None
 
-    def test_len(self):
-        cloud = VolunteerCloud.from_spec(CloudSpec(seed=1))
-        cloud.add_volunteers(3, mr=True)
-        assert len(cloud.directory) == 3
-
 
 def harness(mr_config=None, n=3):
     cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=mr_config))

@@ -100,17 +100,6 @@ class TestRegistry:
         with pytest.raises(TypeError, match="Counter"):
             reg.gauge("a")
 
-    def test_snapshot_shape(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(3)
-        reg.histogram("h").observe(1.0)
-        snap = reg.snapshot()
-        assert snap["c"] == {"type": "counter", "value": 2.0}
-        assert snap["g"]["value"] == 3.0
-        assert snap["h"]["count"] == 1
-        assert "p50" in snap["h"]["quantiles"]
-
     def test_render_sorted_and_complete(self):
         reg = MetricsRegistry()
         reg.counter("zz").inc()

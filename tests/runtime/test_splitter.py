@@ -4,33 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime import iter_records, split_bytes, split_text
+from repro.runtime import iter_records, split_text
 from repro.runtime.splitter import count_records
-
-
-class TestSplitBytes:
-    def test_reassembles(self):
-        data = bytes(range(256)) * 10
-        chunks = split_bytes(data, 7)
-        assert b"".join(chunks) == data
-        assert len(chunks) == 7
-
-    def test_nearly_equal_sizes(self):
-        chunks = split_bytes(b"x" * 1000, 3)
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_single_chunk(self):
-        assert split_bytes(b"abc", 1) == [b"abc"]
-
-    def test_more_chunks_than_bytes(self):
-        chunks = split_bytes(b"ab", 5)
-        assert b"".join(chunks) == b"ab"
-        assert len(chunks) == 5
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            split_bytes(b"x", 0)
 
 
 class TestSplitText:

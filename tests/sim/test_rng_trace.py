@@ -41,15 +41,6 @@ class TestRngRegistry:
         b = RngRegistry(2).stream("x").random(5).tolist()
         assert a != b
 
-    def test_fork_deterministic(self):
-        a = RngRegistry(3).fork(5).stream("x").random(5).tolist()
-        b = RngRegistry(3).fork(5).stream("x").random(5).tolist()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        base = RngRegistry(3)
-        assert base.fork(1).stream("x").random(5).tolist() != base.stream("x").random(5).tolist()
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngRegistry("42")

@@ -39,17 +39,6 @@ class TestTapOrdering:
         # The record itself was kept and counted before the tap ran.
         assert len(tracer.records) == 1 and tracer.counts["a"] == 1
 
-    def test_untap_removes_observer(self):
-        tracer = Tracer()
-        seen = []
-        fn = seen.append
-        tracer.tap(fn)
-        tracer.record(1.0, "a")
-        tracer.untap(fn)
-        tracer.untap(fn)  # no-op on a missing tap
-        tracer.record(2.0, "a")
-        assert len(seen) == 1
-
 
 class TestPerKindIndex:
     def test_select_by_kind_matches_full_scan(self):

@@ -53,11 +53,6 @@ class TestSummarise:
         assert s.minimum == 1.0 and s.maximum == 100.0
         assert s.p50 == 3.0
 
-    def test_text(self):
-        text = summarise([1.0, 2.0]).text(unit="ms")
-        assert "n=2" in text and "ms" in text
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarise([])
-
