@@ -32,6 +32,7 @@ import typing as _t
 from ..runtime.engine import LocalRunner
 from ..sim.rng import backoff_delay
 from . import protocol
+from .framing import ReplyFramer
 from .jobs import (
     partition_blob_name,
     reduce_blob_name,
@@ -57,9 +58,6 @@ class GatewayError(RuntimeError):
         return self.status == 503
 
 
-#: ``http.client``'s bounds on a reply: bytes in one line, its line end
-#: included, and header lines (its 100, the blank line after them counted).
-_MAX_LINE, _MAX_HEADER_LINES = 65536, 99
 _RECV_BYTES = 65536
 #: A method or request target: visible ASCII only, so it cannot break
 #: the request line.  A header name as ``http.client`` takes one, and a
@@ -96,8 +94,8 @@ class GatewayClient:
         self.retries = retries
         self.rng = rng or random.Random()
         self._sock: socket.socket | None = None
-        #: Bytes of the connection received and not yet taken by a reply.
-        self._buf = bytearray()
+        #: The connection's bytes received and not yet taken by a reply.
+        self._replies = ReplyFramer()
         self._host_line = f"Host: {host}:{self.port}\r\n"
         #: Diagnostics: total retries performed across all requests, the
         #: request attempts sent, their bytes and the bytes of the replies.
@@ -110,7 +108,7 @@ class GatewayClient:
         if self._sock is not None:
             self._sock.close()
             self._sock = None
-        self._buf.clear()
+        self._replies = ReplyFramer()
 
     def _frame(self, method: str, path: str, body: bytes,
                headers: dict[str, str]) -> bytes:
@@ -159,69 +157,26 @@ class GatewayClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def _receive(self, sock: socket.socket) -> None:
-        chunk = sock.recv(_RECV_BYTES)
-        if not chunk:
-            raise ConnectionError("connection closed inside a reply")
-        self._buf += chunk
-
     def _read_reply(self, sock: socket.socket, last: bool
                     ) -> tuple[int, dict[str, str], bytes]:
-        """Take the next reply off the buffer, receiving until it is
-        whole: a ``HTTP/1.x NNN`` status line, header lines, a blank line
-        (lines end in ``\\n`` or ``\\r\\n``) and ``Content-Length`` body
-        bytes.  A reply it cannot frame, or one the connection cuts short,
-        raises ``ConnectionError``: retried like a reset.  The socket is
-        closed after a reply on ``Connection: close``, or when bytes
-        follow the *last* reply of a batch."""
-        buf, start, lines = self._buf, 0, 0
-        while True:
-            end = buf.find(b"\n", start, start + _MAX_LINE)
-            if end < 0:
-                if len(buf) - start >= _MAX_LINE:
-                    raise ConnectionError(f"reply line over {_MAX_LINE} bytes")
-                self._receive(sock)
-                continue
-            if lines and (end == start
-                          or (end == start + 1 and buf[start] == 13)):
-                break
-            if lines > _MAX_HEADER_LINES:
-                raise ConnectionError(f"over {_MAX_HEADER_LINES} reply header lines")
-            lines += 1
-            start = end + 1
-        status_line, *header_lines = \
-            buf[:start - 1].decode("latin-1").split("\n")
-        parts = status_line.split(None, 2)
-        if (len(parts) < 2 or not parts[0].startswith("HTTP/1.")
-                or len(parts[1]) != 3 or not parts[1].isdecimal()
-                or parts[1][0] == "0"):
-            raise ConnectionError(f"malformed status line {status_line[:64]!r}")
-        headers: dict[str, str] = {}
-        for line in header_lines:  # as http.client: the value lstripped
-            name, _, value = line.partition(":")
-            headers[name.lower()] = value.lstrip(" \t").removesuffix("\r")
-        if "transfer-encoding" in headers:
-            raise ConnectionError("a reply with Transfer-Encoding: the gateway "
-                           "frames every body with Content-Length")
-        raw = headers.get("content-length", "").strip()
-        try:  # ASCII digits only: int() also takes "+5" and "5_0"
-            size = int(raw) if raw.isdecimal() else -1
-        except ValueError:  # more digits than int() converts
-            size = -1
-        if size < 0:
-            raise ConnectionError(f"reply Content-Length {raw[:32]!r} is not a "
-                           "number of bytes")
-        body_at = end + 1
-        end = body_at + size
-        while len(buf) < end:
-            self._receive(sock)
-        with memoryview(buf) as view:
-            payload = bytes(view[body_at:end])
-        del buf[:end]
-        self.bytes_received += end
-        if (buf and last) or "close" in headers.get("connection", "").lower():
+        """Take the next reply off the buffer, receiving until it is whole.
+        A reply :class:`~repro.gateway.framing.ReplyFramer` refuses, or one
+        the connection cuts short, raises ``ConnectionError``: retried like
+        a reset.  The socket is closed after ``Connection: close``, or when
+        bytes follow the *last* reply of a batch."""
+        replies = self._replies
+        held = len(replies.buffer)
+        while (reply := replies.next_message()) is None:
+            chunk = sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionError("connection closed inside a reply")
+            replies.buffer += chunk
+            held += len(chunk)
+        self.bytes_received += held - len(replies.buffer)
+        if ((replies.buffer and last)
+                or "close" in reply[1].get("connection", "").lower()):
             self.close()  # told to, or the stream is out of step
-        return int(parts[1]), headers, payload
+        return reply
 
     def request(self, method: str, path: str, body: bytes = b"",
                 headers: dict[str, str] | None = None

@@ -1,9 +1,10 @@
 """The live asyncio HTTP gateway: real volunteers against the shared core.
 
 A single-threaded :mod:`asyncio` server (stdlib only: one protocol
-object per connection, and the HTTP/1.1 framing is a pure function over
-that connection's buffer, :class:`_RequestParser`) exposing the pull
-protocol of :mod:`repro.gateway.protocol`:
+object per connection, its buffer framed by the sans-IO
+:class:`~repro.gateway.framing.RequestFramer`, the engine that also
+frames the client's replies) exposing the pull protocol of
+:mod:`repro.gateway.protocol`:
 
 - control plane: ``/rpc/register`` and ``/rpc/scheduler`` delegate to the
   *same* :class:`repro.boinc.server.SchedulerCore` state machine the
@@ -50,6 +51,7 @@ from ..obs.metrics import Counter, Histogram, MetricsRegistry
 from ..sim import Tracer
 from . import protocol
 from .files import BlobStore
+from .framing import FramingError, RequestFramer
 from ..core.job import MapReduceJob
 from .jobs import WIRE_STATE, GatewayJobTracker, decode_payload
 
@@ -58,9 +60,6 @@ from .jobs import WIRE_STATE, GatewayJobTracker, decode_payload
 RPC_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                0.1, 0.25, 0.5, 1.0, 2.5)
 
-_MAX_HEADER_LINE = 16 * 1024
-_MAX_HEADERS = 64
-_MAX_BODY = 64 * 1024 * 1024
 #: Once a request's first byte is in, the rest of its head and body must
 #: follow within this long (``GatewayClient``'s own socket timeout).
 _READ_TIMEOUT_S = 10.0
@@ -97,121 +96,6 @@ def _framed(status: int, headers: dict[str, str], payload: bytes) -> bytes:
     return b"%b%d%b%b" % (_STATUS_PREFIX[status], len(payload), block, payload)
 
 
-class _BadFraming(Exception):
-    """A request whose extent cannot be trusted: answer 400, then close."""
-
-
-class _RequestParser:
-    """Sans-IO HTTP/1.1 request framing over the bytes in :attr:`buffer`.
-
-    :meth:`next_request` takes the next whole request off the front of
-    the buffer, returns None while it is not whole, and raises
-    :class:`_BadFraming` for one whose extent cannot be trusted — as
-    soon as the bytes that show it are in, so no limit waits for a line
-    end or a blank line that may never come.  Lines end in ``\n`` or
-    ``\r\n``; a request ends at its blank line plus ``Content-Length``
-    body bytes, and not before.
-    """
-
-    __slots__ = ("buffer", "_scanned", "_lines", "_head")
-
-    def __init__(self) -> None:
-        """An empty buffer, nothing scanned."""
-        self.buffer = bytearray()
-        #: Where the first line not yet seen whole starts, and how many
-        #: whole lines of the current head come before it.
-        self._scanned = 0
-        self._lines = 0
-        #: The parsed head of a request whose body is still arriving.
-        self._head: tuple | None = None
-
-    def next_request(self) -> tuple[str, str, dict[str, str], bytes] | None:
-        """``(method, path, headers, body)`` of the next whole request."""
-        head = self._head
-        if head is None:
-            head = self._scan_head()
-            if head is None:
-                return None
-        method, path, headers, body_at, end = head
-        buffer = self.buffer
-        if len(buffer) < end:
-            self._head = head
-            return None
-        self._head = None
-        with memoryview(buffer) as view:
-            body = bytes(view[body_at:end])
-        del buffer[:end]
-        return method, path, headers, body
-
-    def _scan_head(self) -> tuple | None:
-        """Find the blank line that ends the head at the front of the
-        buffer, each line bounded by ``_MAX_HEADER_LINE`` and their number
-        by ``_MAX_HEADERS``, and parse the head; None while it is not
-        whole.  Resumes where the last call stopped: feeding a head one
-        byte at a time scans each byte once."""
-        buffer, start, lines = self.buffer, self._scanned, self._lines
-        while True:
-            end = buffer.find(b"\n", start, start + _MAX_HEADER_LINE)
-            if end < 0:
-                if len(buffer) - start >= _MAX_HEADER_LINE:
-                    raise _BadFraming(
-                        f"request or header line over {_MAX_HEADER_LINE} bytes")
-                if lines and not self._lines:
-                    # The request line came whole in this scan and the
-                    # head did not: refuse a malformed one now.
-                    self._request_line(
-                        buffer[:buffer.index(b"\n")].decode("latin-1"))
-                self._scanned, self._lines = start, lines
-                return None
-            if lines and (end == start
-                          or (end == start + 1 and buffer[start] == 13)):
-                self._scanned = self._lines = 0
-                return self._parse_head(start - 1, end + 1)
-            if lines > _MAX_HEADERS:
-                raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
-            lines += 1
-            start = end + 1
-
-    def _parse_head(self, last_line_end: int, body_at: int) -> tuple:
-        """``(method, path, headers, body_at, end of body)`` of the head
-        whose last line ends at *last_line_end*: one decode, the request
-        line's three parts, headers lower-cased, the ``Content-Length``
-        rule."""
-        request_line, *header_lines = \
-            self.buffer[:last_line_end].decode("latin-1").split("\n")
-        method, target, _version = self._request_line(request_line)
-        headers: dict[str, str] = {}
-        for line in header_lines:
-            name, _, value = line.partition(":")
-            name, value = name.strip().lower(), value.strip()
-            if name == "content-length" and headers.get(name, value) != value:
-                raise _BadFraming("Content-Length headers that disagree")
-            headers[name] = value
-        if "transfer-encoding" in headers:
-            raise _BadFraming("Transfer-Encoding is not supported: frame "
-                              "the body with Content-Length")
-        raw_length = headers.get("content-length", "0")
-        try:  # ASCII 1*DIGIT only: int() also takes "+24" and "2_4"
-            length = (int(raw_length)
-                      if raw_length.isascii() and raw_length.isdigit() else -1)
-        except ValueError:  # more digits than int() converts
-            length = -1
-        if not 0 <= length <= _MAX_BODY:
-            raise _BadFraming(
-                f"Content-Length {raw_length[:32]!r} is not an integer in "
-                f"0..{_MAX_BODY}")
-        return method, target.split("?", 1)[0], headers, body_at, body_at + length
-
-    @staticmethod
-    def _request_line(line: str) -> list[str]:
-        """The three parts of request line *line* (its ``\\n`` taken off)."""
-        parts = line.split()
-        if len(parts) != 3:
-            raise _BadFraming("malformed request line "
-                              f"{(line + chr(10))[:64].encode('latin-1')!r}")
-        return parts
-
-
 class _Connection(asyncio.Protocol):
     """One keep-alive connection: every whole request in the buffer is
     parsed, dispatched and answered inside the callback that delivered
@@ -223,7 +107,7 @@ class _Connection(asyncio.Protocol):
         """A connection of *server*, not yet made."""
         self.server = server
         self.transport: asyncio.Transport | None = None
-        self.requests = _RequestParser()
+        self.requests = RequestFramer()
         #: True while the peer is not reading its replies.
         self.paused = False
 
@@ -270,8 +154,8 @@ class _Connection(asyncio.Protocol):
         held: list[bytes] | None = None
         while True:
             try:
-                request = requests.next_request()
-            except _BadFraming as exc:
+                request = requests.next_message()
+            except FramingError as exc:
                 # Where this request ends is unknown, so the stream
                 # cannot be resynchronised: reply, then hang up.
                 self._flush(held)
@@ -715,9 +599,10 @@ class GatewayServer:
             if not 1 <= value <= most:
                 raise ValueError(f"JobRequest.{field}: expected 1..{most}, "
                                  f"got {value}")
-        if request["corpus"]["size"] > _MAX_BODY:
-            raise ValueError(f"JobRequest.corpus.size: at most {_MAX_BODY} "
-                             f"bytes, got {request['corpus']['size']}")
+        if request["corpus"]["size"] > RequestFramer.MAX_BODY:
+            raise ValueError("JobRequest.corpus.size: at most "
+                             f"{RequestFramer.MAX_BODY} bytes, "
+                             f"got {request['corpus']['size']}")
         spec = self.jobs.submit_spec(request).spec
         return self._json(200, {"name": spec.name, "n_maps": spec.n_maps,
                                 "n_reducers": spec.n_reducers,

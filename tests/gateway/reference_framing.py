@@ -4,7 +4,7 @@ shipped through PR 23, kept verbatim.
 One coroutine per connection pulled a request through
 ``StreamReader.read(1)``, a ``readline()`` per header line and
 ``readexactly()`` for the body.  The product frames the same bytes with
-the sans-IO ``_RequestParser`` inside one ``data_received`` callback and
+the sans-IO ``RequestFramer`` inside one ``data_received`` callback and
 must yield the same ``(method, path, headers, body)`` sequence and refuse
 the same request, however the stream is cut into chunks
 (``test_framing_differential.py``) — except where the product is stricter
@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.gateway.server import _BadFraming
+from repro.gateway.framing import FramingError
 
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_HEADERS = 64
@@ -51,7 +51,7 @@ class ReferenceFraming:
         except ValueError:  # over the stream's own (larger) limit
             line = None
         if line is None or len(line) > _MAX_HEADER_LINE:
-            raise _BadFraming(
+            raise FramingError(
                 f"request or header line over {_MAX_HEADER_LINE} bytes")
         return line
 
@@ -72,7 +72,7 @@ class ReferenceFraming:
                 line += await self._read_line(reader)
             parts = line.decode("latin-1").split()
             if len(parts) != 3:
-                raise _BadFraming(f"malformed request line {line[:64]!r}")
+                raise FramingError(f"malformed request line {line[:64]!r}")
             method, target, _version = parts
             headers: dict[str, str] = {}
             for _ in range(_MAX_HEADERS + 1):
@@ -82,14 +82,14 @@ class ReferenceFraming:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
             else:
-                raise _BadFraming(f"more than {_MAX_HEADERS} header lines")
+                raise FramingError(f"more than {_MAX_HEADERS} header lines")
             raw_length = headers.get("content-length", "0")
             try:
                 length = int(raw_length)
             except ValueError:
                 length = -1
             if not 0 <= length <= _MAX_BODY:
-                raise _BadFraming(
+                raise FramingError(
                     f"Content-Length {raw_length[:32]!r} is not an integer in "
                     f"0..{_MAX_BODY}")
             body = await reader.readexactly(length) if length else b""
@@ -98,7 +98,7 @@ class ReferenceFraming:
             if task in self._reading:
                 raise  # not the sweep's doing
             task.uncancel()
-            raise _BadFraming(f"request incomplete {_READ_TIMEOUT_S:g}s "
+            raise FramingError(f"request incomplete {_READ_TIMEOUT_S:g}s "
                               f"after its first byte") from None
         finally:
             self._reading.pop(task, None)
@@ -121,7 +121,7 @@ def read_all(chunks: list[bytes]) -> tuple[list[tuple], str]:
             while True:
                 try:
                     request = await framing._read_request(reader)
-                except _BadFraming:
+                except FramingError:
                     return "bad"
                 except asyncio.IncompleteReadError:
                     return "disconnect"  # EOF inside a body

@@ -30,7 +30,8 @@ from repro.boinc.dataserver import ServerUnavailable
 from repro.gateway import GatewayClient, GatewayError, GatewayServer
 from repro.gateway import client as client_module
 from repro.gateway import protocol
-from repro.gateway.server import GatewayConfig, _RequestParser
+from repro.gateway.framing import RequestFramer
+from repro.gateway.server import GatewayConfig
 from repro.workloads import generate_corpus
 
 BLOBS = {f"b{i}": bytes([i]) * (i * 700) for i in range(6)}
@@ -67,9 +68,9 @@ class BlobPeer:
                 self._serve(conn)
 
     def _serve(self, conn):
-        parser = _RequestParser()
+        parser = RequestFramer()
         while True:
-            request = parser.next_request()
+            request = parser.next_message()
             if request is None:
                 try:
                     chunk = conn.recv(65536)

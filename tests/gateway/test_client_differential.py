@@ -15,6 +15,7 @@ must refuse, the old one may do either):
 
 - no usable ``Content-Length`` (missing, negative, not digits): read to
   EOF;
+- two ``Content-Length`` headers that disagree: the first one read;
 - ``Transfer-Encoding: chunked``: decoded;
 - a reply cut short by EOF inside its status line or head: the partial
   head read as whole, then a body read to EOF (or to its length).
@@ -25,8 +26,11 @@ digits, a header name that is not a token, or bytes in a value that
 ``str.splitlines`` breaks on (the email parser behind ``http.client``
 splits header lines there).  The gateway sends none of them either.
 
+Without a socket, ``ReplyFramer`` fed a reply one byte at a time must
+frame what it frames from the whole reply.
+
 On the request side, the bytes each transport sends are parsed by the
-server's ``_RequestParser``: the same method, path, headers and body,
+server's ``RequestFramer``: the same method, path, headers and body,
 bar the ``Accept-Encoding`` only ``http.client`` adds.
 """
 
@@ -41,7 +45,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gateway import GatewayClient, protocol
-from repro.gateway.server import _RequestParser
+from repro.gateway.framing import FramingError, ReplyFramer, RequestFramer
 
 from . import reference_client
 from .reference_client import ReferenceClient
@@ -64,8 +68,8 @@ class Peer:
         with conn:
             conn.settimeout(10)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            parser = _RequestParser()
-            while (request := parser.next_request()) is None:
+            parser = RequestFramer()
+            while (request := parser.next_message()) is None:
                 chunk = conn.recv(65536)
                 if not chunk:
                     return
@@ -286,6 +290,11 @@ DIFFERENT_EDGES = {
     "EOF before the blank line": _stream(headers=["Content-Length: 0"],
                                          body=b"")[:-2],
     "EOF inside the status line": b"HTTP/1.1 200 O",
+    # http.client reads the first length, the old framing read the last
+    "Content-Length 2, then 4": _stream(
+        headers=["Content-Length: 2", "Content-Length: 4"], body=b"{}{}"),
+    "Content-Length 4, then 2": _stream(
+        headers=["Content-Length: 4", "Content-Length: 2"], body=b"{}{}"),
 }
 
 
@@ -321,6 +330,38 @@ def test_the_socket_closes_after_close_or_extra_bytes(peer, reply):
     outcome, _, open_after = _new_outcome(peer, [reply])
     assert outcome[0] == 200 and outcome[2] == b"{}"
     assert not open_after
+
+
+# -- the reply side, sans IO ------------------------------------------------------
+
+def _framed(pieces):
+    """What ``ReplyFramer`` makes of *pieces*, fed in order: the replies
+    it took and the bytes left over, or ``RETRY`` once it refuses."""
+    framer, replies = ReplyFramer(), []
+    try:
+        for piece in pieces:
+            framer.buffer += piece
+            while (reply := framer.next_message()) is not None:
+                replies.append(reply)
+    except FramingError:
+        return RETRY
+    return replies, bytes(framer.buffer)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_reply())
+@example(([OK_REPLY], None))
+@example(([OK_REPLY * 3], "trailing-bytes"))
+def test_a_reply_fed_byte_by_byte_frames_as_the_whole(case):
+    pieces, mutation = case
+    stream = b"".join(pieces)
+    whole = _framed([stream])
+    assert _framed([stream[i:i + 1] for i in range(len(stream))]) == whole
+    if mutation is None:
+        [(_status, _headers, body)] = whole[0]
+        assert whole[1] == b"" and stream.endswith(body)
 
 
 # -- requests --------------------------------------------------------------------

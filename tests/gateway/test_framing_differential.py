@@ -2,7 +2,7 @@
 against a socket.
 
 ``reference_framing`` is the parent's ``_read_line`` + ``_read_request``
-verbatim over a ``StreamReader``; ``_RequestParser`` is what the product
+verbatim over a ``StreamReader``; ``RequestFramer`` is what the product
 runs inside ``data_received``.  Hypothesis builds byte streams of one to
 four requests with, at most, one request mutated into something that must
 be refused, cuts each stream into chunks at arbitrary places (down to one
@@ -14,6 +14,8 @@ stricter there on purpose, see ``reference_framing`` — and
 ``TestHostileFraming`` / ``TestEofInsideARequest`` pin those.
 
 The second property fires the same streams at a live in-thread server.
+Between the two, each bound of both framers (``RequestFramer`` and the
+client's ``ReplyFramer``) is shown to fail on the byte that breaks it.
 """
 
 import gc
@@ -21,11 +23,12 @@ import re
 import socket
 import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, protocol
-from repro.gateway.server import _BadFraming, _RequestParser
+from repro.gateway.framing import FramingError, ReplyFramer, RequestFramer
 
 from . import reference_framing
 
@@ -173,13 +176,13 @@ def _streams(draw):
 def parse_all(chunks):
     """What the product's parser makes of *chunks*: like
     ``reference_framing.read_all``, plus the verdict ``"incomplete"``."""
-    parser, requests = _RequestParser(), []
+    parser, requests = RequestFramer(), []
     for chunk in chunks:
         parser.buffer += chunk
         while True:
             try:
-                request = parser.next_request()
-            except _BadFraming:
+                request = parser.next_message()
+            except FramingError:
                 return requests, "bad"
             if request is None:
                 break
@@ -208,6 +211,28 @@ def test_same_requests_and_same_verdict_as_the_stream_reader(chunks):
     expected = reference_framing.read_all(chunks)
     assert expected[1] in ("eof", "close", "bad")  # never mid-request
     assert parse_all(chunks) == expected
+
+
+REQUEST = b"GET /healthz HTTP/1.1\r\nHost: h\r\n"
+REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+
+
+@pytest.mark.parametrize("framer,head,last", [
+    # A line one byte short of the bound: its line end would still fit.
+    (RequestFramer, REQUEST + b"X-Long: " + b"a" * (LIMIT - 9), b"a"),
+    (ReplyFramer, REPLY + b"X-Long: " + b"a" * (65536 - 9), b"a"),
+    # Every header line the bound allows, and a CR: the blank line, maybe.
+    (RequestFramer, REQUEST + b"X-Pad: 1\r\n" * 63 + b"\r", b"X"),
+    (ReplyFramer, REPLY + b"X-Pad: 1\r\n" * 98 + b"\r", b"X"),
+], ids=["request header line over 16 KiB", "reply header line over 64 KiB",
+        "65th request header line", "100th reply header line"])
+def test_a_bound_fails_once_the_bytes_that_show_it_are_in(framer, head, last):
+    parser = framer()
+    parser.buffer += head
+    assert parser.next_message() is None
+    parser.buffer += last  # no line end: none is needed to know
+    with pytest.raises(FramingError):
+        parser.next_message()
 
 
 RESPONSE_HEAD = re.compile(

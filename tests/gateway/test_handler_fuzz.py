@@ -11,12 +11,13 @@ gets, over a single keep-alive socket to an in-thread gateway:
   and foreign ``result_id``\\ s, ``work_req_s`` of 0, corpora of bounded
   size, and the scheduler switched off now and then (503).
 
-Whatever arrives, each request gets exactly one reply, its status is
-200, 400, 404, 409 or 503, a 200 body conforms to the route's reply
-schema and any other body to ``Error``, a body the request schema refuses
-is a 400, no reply closes the connection, and ``/healthz`` answers
-afterwards.  Task counts (``n_maps``, ``n_reducers``, ``replication``,
-``quorum``) run up to 10**12, past the bounds the gateway enforces.
+Whatever arrives, each request gets exactly one reply, which the
+``ReplyFramer`` of ``GatewayClient`` takes; its status is 200, 400, 404,
+409 or 503, a 200 body conforms to the route's reply schema and any
+other body to ``Error``, a body the request schema refuses is a 400, no
+reply closes the connection, and ``/healthz`` answers afterwards.  Task
+counts (``n_maps``, ``n_reducers``, ``replication``, ``quorum``) run up
+to 10**12, past the bounds the gateway enforces.
 """
 
 import gc
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gateway import GatewayConfig, GatewayServer, protocol
+from repro.gateway.framing import ReplyFramer
 
 from .test_server import HOSTILE_BODIES, _post
 
@@ -120,14 +122,16 @@ def _request(draw):
     return path, protocol.dumps(body)
 
 
-def _read_reply(stream):
-    """``(status, {lower-cased header: value}, body)`` of one reply."""
-    status = int(stream.readline().split()[1])
-    headers = {}
-    while (line := stream.readline()) not in (b"\r\n", b""):
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.lower()] = value.strip()
-    return status, headers, stream.read(int(headers["content-length"]))
+def _read_reply(raw, replies):
+    """``(status, {lower-cased header: value}, body)`` of the next reply
+    on socket *raw*, framed by *replies* as ``GatewayClient`` frames it
+    (a reply it refuses raises)."""
+    while (reply := replies.next_message()) is None:
+        chunk = raw.recv(65536)
+        assert chunk, "the gateway hung up inside a reply"
+        replies.buffer += chunk
+    assert not replies.buffer, "bytes past the reply"
+    return reply
 
 
 def _check_reply(path, body, status, headers, payload):
@@ -158,7 +162,7 @@ def test_every_json_route_answers_once_and_keeps_the_connection(caplog):
     server = handle.server
     host, port = handle.address.split(":")
     raw = socket.create_connection((host, int(port)), timeout=10)
-    stream = raw.makefile("rb")
+    replies = ReplyFramer()
     served = server.metrics.counter("gateway.http_requests_total")
 
     @settings(max_examples=60, deadline=None,
@@ -176,11 +180,11 @@ def test_every_json_route_answers_once_and_keeps_the_connection(caplog):
         before = served.value
         for path, body in requests:
             raw.sendall(_post(path, body))
-            _check_reply(path, body, *_read_reply(stream))
+            _check_reply(path, body, *_read_reply(raw, replies))
         server.core.available = True
         assert served.value - before == len(requests)
         raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
-        status, _, payload = _read_reply(stream)
+        status, _, payload = _read_reply(raw, replies)
         assert (status, protocol.loads(payload)["ok"]) == (200, True)
         assert server.connections_active == 1
 
@@ -188,7 +192,6 @@ def test_every_json_route_answers_once_and_keeps_the_connection(caplog):
         fire()
         assert server.metrics.counter("gateway.disconnects_total").value == 0
     finally:
-        stream.close()
         raw.close()
         handle.close()
     gc.collect()
