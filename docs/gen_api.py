@@ -51,6 +51,7 @@ TARGETS = [
     ("repro.runtime", "Real MapReduce runtime the live volunteers run."),
     ("repro.gateway",
      "Live asyncio volunteer gateway, client, and load harness."),
+    ("repro.wire", "The JSON codec and schema compiler both wires share."),
 ]
 
 ROLE_RE = re.compile(

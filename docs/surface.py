@@ -384,8 +384,9 @@ PINNED: dict[str, str] = {
     "runtime.api:MapReduceApp.reduce":
         "tests/runtime/test_engine.py::TestGrep::test_matchcount",
     # Live code the probe's inputs do not take: a client with no executor
-    # given, a scenario cell, a resumed campaign, --strict, and the match
-    # count of a corpus in which ``the`` never matches.
+    # given, a scenario cell, a resumed campaign, a heartbeat (its cells
+    # sleep 0 s under a 30 s heartbeat), --strict, and the match count of
+    # a corpus in which ``the`` never matches.
     "boinc.client:GenericExecutor.execute":
         "tests/boinc/test_client.py::TestFailureRecovery::"
         "test_failed_task_reported_and_replaced",
@@ -401,6 +402,9 @@ PINNED: dict[str, str] = {
     "campaign.store:ResultStore.completed_keys":
         "tests/campaign/test_store.py::TestResultStore::"
         "test_completed_keys_excludes_failures",
+    "campaign.coordinator:CampaignCoordinator._on_heartbeat":
+        "tests/campaign/test_coordinator.py::TestFailureRecovery::"
+        "test_malformed_messages_get_an_error_reply",
     "gateway.loadgen:LoadReport.clean":
         "tests/gateway/test_loadgen.py::TestFleetSharesTheVolunteerCycle::"
         "test_single_poll_client_still_reports_its_work",

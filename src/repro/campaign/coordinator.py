@@ -1,8 +1,8 @@
 """The campaign coordinator: lease cells to worker processes over TCP.
 
 :class:`CampaignCoordinator` is the server half of the distributed
-campaign control plane.  It speaks a line-JSON protocol (one
-canonical-JSON object per line, request/response in lockstep per
+campaign control plane.  It speaks a line-JSON protocol (the table
+:data:`CONTROL_OPS`, one canonical-JSON object per line, lockstep per
 connection) with any number of :class:`repro.campaign.worker.CampaignWorker`
 processes — locally spawned or connecting from other hosts — and it
 survives them the way BOINC's server survives volunteers:
@@ -35,7 +35,6 @@ and worker loss notifies it.
 from __future__ import annotations
 
 import contextlib
-import json
 import multiprocessing
 import os
 import pathlib
@@ -48,13 +47,48 @@ import time
 import typing as _t
 
 from ..obs import MetricsRegistry
-from .grid import CampaignGrid, canonical_json
+from ..wire import compile_checks, dumps, loads
+from .grid import CampaignGrid
 from .lease import DONE, FAILED, LeaseTable
 from .runner import CampaignReport
 from .store import CellRecord, ResultStore
 
-#: Protocol ops a worker may send.
-WORKER_OPS: tuple[str, ...] = ("hello", "lease", "heartbeat", "result")
+_OP = {"op": (("str",), True)}
+_REQUEST = {**_OP, "worker": (("str",), True)}
+
+#: Every control-plane message, in :mod:`repro.wire`'s schema format.
+#: ``op`` names the message; a request also names its ``worker``.
+CONTROL_SCHEMAS: dict[str, dict[str, tuple[tuple[str, ...], bool]]] = {
+    "Hello": _REQUEST,
+    "Lease": _REQUEST,
+    "Heartbeat": _REQUEST,
+    "Result": {**_REQUEST, "key": (("str",), True),
+               "status": (("str",), True),
+               "payload": (("dict", "null"), False),
+               "error": (("str", "null"), False),
+               "wall_s": (("number",), False),
+               "attempt": (("int",), False)},
+    "Welcome": {**_OP, "heartbeat_s": (("number",), True)},
+    "Cell": {**_OP, "key": (("str",), True), "spec": (("dict",), True),
+             "attempt": (("int",), True),
+             "lease_s": (("number", "null"), True)},
+    "Wait": _OP,
+    "Shutdown": _OP,
+    "Revoked": {**_OP, "revoked": (("list[str]",), True)},
+    "Ack": {**_OP, "accepted": (("bool",), True)},
+    "ControlError": {**_OP, "error": (("str",), True)},
+}
+
+#: Op a worker may send -> (its request schema, the schemas of its
+#: replies).  Any request may be answered ``ControlError`` instead.
+CONTROL_OPS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "hello": ("Hello", ("Welcome",)),
+    "lease": ("Lease", ("Cell", "Wait", "Shutdown")),
+    "heartbeat": ("Heartbeat", ("Revoked",)),
+    "result": ("Result", ("Ack",)),
+}
+
+_CHECKS = compile_checks(CONTROL_SCHEMAS)
 
 #: Seeds the ``chaos_kills`` victim choice, so a chaos run is repeatable.
 _CHAOS_SEED = 1
@@ -101,16 +135,15 @@ class _ControlHandler(socketserver.StreamRequestHandler):
         try:
             for raw in self.rfile:
                 try:
-                    message = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                    message = loads(raw)
+                except ValueError as exc:
                     reply: dict[str, _t.Any] = {"op": "error",
                                                 "error": f"bad json: {exc}"}
                 else:
                     reply = coordinator.dispatch(message)
                     if reply["op"] != "error":
                         worker = message["worker"]
-                self.wfile.write(
-                    (canonical_json(reply) + "\n").encode("utf-8"))
+                self.wfile.write(dumps(reply) + b"\n")
                 self.wfile.flush()
         except (ConnectionError, OSError):
             pass
@@ -231,31 +264,33 @@ class CampaignCoordinator:
             self.echo(text)
 
     # -- protocol ------------------------------------------------------------
-    def dispatch(self, message: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-        """Handle one worker request; returns the JSON-able reply."""
-        if not isinstance(message, dict):
-            return {"op": "error", "error": "bad request (not an object)"}
-        op = message.get("op")
-        worker = message.get("worker")
-        if op not in WORKER_OPS or not isinstance(worker, str):
-            return {"op": "error",
-                    "error": f"bad request (op={op!r}, worker={worker!r})"}
+    def dispatch(self, message: _t.Any) -> dict[str, _t.Any]:
+        """Handle one worker request; returns the JSON-able reply.
+
+        The request is checked against its op's schema in
+        :data:`CONTROL_OPS`, then its fields are the keyword arguments
+        of the op's ``_on_<op>`` handler, which runs under the lock."""
+        op = message.get("op") if isinstance(message, dict) else None
+        if isinstance(op, str) and op in CONTROL_OPS:
+            schema = CONTROL_OPS[op][0]
+            problems = _CHECKS[schema](message, schema)
+        else:
+            problems = [f"op must be one of {sorted(CONTROL_OPS)}"]
+        if problems:
+            return {"op": "error", "error": "bad request: "
+                                            + "; ".join(problems)}
         now = time.monotonic()
         with self._lock:
-            if op == "hello":
-                self.table.register(worker, now)
-                return {"op": "welcome", "name": self.grid.name,
-                        "heartbeat_s": self.heartbeat_s}
-            if op == "heartbeat":
-                revoked = self.table.touch(worker, now)
-                return {"op": "ack", "revoked": revoked}
-            if op == "lease":
-                return self._on_lease(worker, now)
-            reply = self._on_result(worker, message, now)
-            self._wake.notify_all()
-            return reply
+            return getattr(self, f"_on_{op}")(now, **message)
 
-    def _on_lease(self, worker: str, now: float) -> dict[str, _t.Any]:
+    def _on_hello(self, now: float, worker: str, **_: _t.Any) -> dict:
+        self.table.register(worker, now)
+        return {"op": "welcome", "heartbeat_s": self.heartbeat_s}
+
+    def _on_heartbeat(self, now: float, worker: str, **_: _t.Any) -> dict:
+        return {"op": "ack", "revoked": self.table.touch(worker, now)}
+
+    def _on_lease(self, now: float, worker: str, **_: _t.Any) -> dict:
         if self.table.done:
             return {"op": "shutdown"}
         lease = self.table.grant(worker, now)
@@ -274,42 +309,45 @@ class CampaignCoordinator:
                            f"(attempt {lease.attempt + 1})")
         return {"op": "cell", "key": lease.key,
                 "spec": self.table.cells[lease.key].spec,
-                "attempt": lease.attempt, "lease_s": self.timeout_s,
-                "stolen": lease.stolen}
+                "attempt": lease.attempt, "lease_s": self.timeout_s}
 
-    def _on_result(self, worker: str, message: _t.Mapping[str, _t.Any],
-                   now: float) -> dict[str, _t.Any]:
-        key = message.get("key")
-        if not isinstance(key, str) or key not in self.table.cells:
+    def _on_result(self, now: float, worker: str, key: str, status: str,
+                   payload: dict[str, _t.Any] | None = None,
+                   error: str | None = None, wall_s: float = 0.0,
+                   attempt: int = 0, **_: _t.Any) -> dict:
+        self._wake.notify_all()
+        if key not in self.table.cells:
             return {"op": "error", "error": f"unknown cell key {key!r}"}
-        ok = message.get("status") == "ok"
-        payload = message.get("payload")
-        try:
-            wall = float(message.get("wall_s", 0.0))
-            attempt = int(message.get("attempt", 0))
-            if ok and not isinstance(payload, dict):
-                raise TypeError("ok payload is not an object")
-        except (TypeError, ValueError) as exc:
-            return {"op": "error", "error": f"bad result for {key}: {exc}"}
-        if ok:
-            first = self.table.report_ok(worker, key, now)
-            if first:
-                self._append(key, "ok", payload, wall=wall,
-                             attempts=attempt + 1, worker=worker)
+        if not 0 <= wall_s <= now - self._started:
+            return {"op": "error", "error": f"bad result for {key}: wall_s "
+                    "is negative or longer than the campaign has run"}
+        if status == "ok":
+            if payload is None:
+                return {"op": "error",
+                        "error": f"bad result for {key}: ok without payload"}
+            first = self.table.cells[key].status not in (DONE, FAILED)
+            if first:  # stored before report_ok marks the cell done, so
+                try:   # a payload too deep to encode is refused, not lost
+                    self._append(key, "ok", payload, wall=wall_s,
+                                 attempts=attempt + 1, worker=worker)
+                except RecursionError:
+                    return {"op": "error", "error": f"bad result for {key}:"
+                            " payload nested too deep to store"}
                 self._ran += 1
                 self._m_done.inc()
                 done = self._ran + self._skipped
                 self._progress(
                     f"[{done}/{len(self.grid)}] ok     {key} "
-                    f"from {worker} ({wall:.2f}s)")
+                    f"from {worker} ({wall_s:.2f}s)")
+            self.table.report_ok(worker, key, now)
             return {"op": "ack", "accepted": first}
-        error = str(message.get("error", "worker reported failure"))
+        error = error or "worker reported failure"
         fate = self.table.report_error(worker, key, now)
         if fate == "retry":
             self._progress(f"retrying {key} after {worker}: "
                            f"{error.splitlines()[0]}")
         elif fate == "failed":
-            self._quarantine(key, error, wall=wall)
+            self._quarantine(key, error, wall=wall_s)
         return {"op": "ack", "accepted": False}
 
     def connection_lost(self, worker: str) -> None:

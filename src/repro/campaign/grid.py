@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import pathlib
 import tomllib
 import typing as _t
 
+from ..wire import canonical_json
 from .cells import KINDS
 
 #: Cell kinds understood by :func:`repro.campaign.cells.execute_cell`.
@@ -83,17 +83,6 @@ class CampaignCell:
         """Short human-readable identity for progress lines."""
         return f"{self.group or self.kind} seed={self.seed}" + (
             f" faults={self.faults}" if self.faults else "")
-
-
-def canonical_json(value: _t.Any) -> str:
-    """Deterministic JSON encoding: sorted keys, no whitespace drift.
-
-    The byte-identity contract of the campaign layer rests on this:
-    the same payload always encodes to the same bytes, independent of
-    dict insertion order or the process that produced it.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
 
 
 def cell_key(cell: "CampaignCell | _t.Mapping[str, _t.Any]") -> str:

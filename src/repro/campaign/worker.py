@@ -21,13 +21,12 @@ result on disk for :func:`repro.campaign.store.merge_stores`.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
 import typing as _t
 
-from .grid import canonical_json
+from ..wire import dumps, loads
 from .runner import _child_main, _describe, _shutdown_child
 from .store import CellRecord, ResultStore
 
@@ -60,41 +59,44 @@ class CampaignWorker:
         self.max_cells = max_cells
         self.completed = 0
         self._sock: socket.socket | None = None
-        self._rfile: _t.Any = None
-        self._wfile: _t.Any = None
-        self._heartbeat_s = 0.5
+        self._wire: _t.Any = None
 
     # -- protocol ------------------------------------------------------------
     def _rpc(self, message: dict[str, _t.Any]) -> dict[str, _t.Any]:
-        """One lockstep request/response exchange with the coordinator."""
+        """One lockstep request/response exchange with the coordinator.
+
+        A reply conforms to one of its op's reply schemas
+        (:data:`~repro.campaign.coordinator.CONTROL_OPS`), so its fields
+        are read as they come; an undecodable one ends the connection."""
         message["worker"] = self.worker_id
-        self._wfile.write((canonical_json(message) + "\n").encode("utf-8"))
-        self._wfile.flush()
-        raw = self._rfile.readline()
+        self._wire.write(dumps(message) + b"\n")
+        self._wire.flush()
+        raw = self._wire.readline()
         if not raw:
             raise ConnectionError("coordinator closed the connection")
-        reply = json.loads(raw)
-        if reply.get("op") == "error":
+        try:
+            reply = loads(raw)
+        except ValueError as exc:
+            raise ConnectionError(f"undecodable reply: {exc}") from exc
+        if reply["op"] == "error":
             raise ValueError(f"coordinator rejected request: "
-                             f"{reply.get('error')}")
+                             f"{reply['error']}")
         return reply
 
     def _connect(self) -> None:
         self._sock = socket.create_connection((self.host, self.port),
                                               timeout=30.0)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
-        welcome = self._rpc({"op": "hello"})
-        self._heartbeat_s = float(welcome.get("heartbeat_s", 0.5))
+        self._wire = self._sock.makefile("rwb")
+        self._heartbeat_s = self._rpc({"op": "hello"})["heartbeat_s"]
 
     def _close(self) -> None:
-        for closable in (self._rfile, self._wfile, self._sock):
+        for closable in (self._wire, self._sock):
             if closable is not None:
                 try:
                     closable.close()
                 except OSError:  # pragma: no cover - best-effort teardown
                     pass
-        self._sock = self._rfile = self._wfile = None
+        self._sock = self._wire = None
 
     # -- cell execution ------------------------------------------------------
     def _run_cell(self, grant: dict[str, _t.Any]) -> None:
@@ -109,7 +111,7 @@ class CampaignWorker:
         child.close()
         key = grant["key"]
         started = time.monotonic()
-        lease_s = grant.get("lease_s")
+        lease_s = grant["lease_s"]
         deadline = started + lease_s if lease_s else None
         next_heartbeat = started + self._heartbeat_s
         outcome: tuple[str, _t.Any] | None = None
@@ -131,39 +133,27 @@ class CampaignWorker:
                                f"cell exceeded {lease_s:g}s lease budget")
                 if outcome is None and now >= next_heartbeat:
                     next_heartbeat = now + self._heartbeat_s
-                    reply = self._rpc({"op": "heartbeat", "keys": [key]})
-                    if key in reply.get("revoked", ()):
+                    reply = self._rpc({"op": "heartbeat"})
+                    if key in reply["revoked"]:
                         return  # someone else owns the cell now; no report
         finally:
             _shutdown_child(process, parent)
-        wall = time.monotonic() - started
+        wall = round(time.monotonic() - started, 4)
         status, detail = outcome
-        result: dict[str, _t.Any] = {
-            "op": "result", "key": key, "attempt": grant.get("attempt", 0),
-            "wall_s": round(wall, 4),
-        }
-        if status == "ok":
-            result.update(status="ok", payload=detail, error=None)
-        else:
-            result.update(status="error", payload=None, error=str(detail))
-        self._shard_append(grant, status, detail, wall)
-        self._rpc(result)
-        if status == "ok":
-            self.completed += 1
-
-    def _shard_append(self, grant: dict[str, _t.Any], status: str,
-                      detail: _t.Any, wall: float) -> None:
-        if self.shard is None:
-            return
         ok = status == "ok"
-        self.shard.append(CellRecord(
-            key=grant["key"], spec=dict(grant["spec"]),
-            status="ok" if ok else "failed",
-            result=detail if ok else None,
-            meta={"wall_s": round(wall, 4),
-                  "attempts": int(grant.get("attempt", 0)) + 1,
-                  "worker": self.worker_id,
-                  **({} if ok else {"error": str(detail)})}))
+        if self.shard is not None:  # on disk before it is reported
+            self.shard.append(CellRecord(
+                key=key, spec=grant["spec"], status="ok" if ok else "failed",
+                result=detail if ok else None,
+                meta={"wall_s": wall, "attempts": grant["attempt"] + 1,
+                      "worker": self.worker_id,
+                      **({} if ok else {"error": str(detail)})}))
+        self._rpc({"op": "result", "key": key, "attempt": grant["attempt"],
+                   "wall_s": wall, "status": "ok" if ok else "error",
+                   "payload": detail if ok else None,
+                   "error": None if ok else str(detail)})
+        if ok:
+            self.completed += 1
 
     # -- entry point ---------------------------------------------------------
     def run(self) -> int:
@@ -176,25 +166,20 @@ class CampaignWorker:
             while (self.max_cells is None
                    or self.completed < self.max_cells):
                 reply = self._rpc({"op": "lease"})
-                op = reply.get("op")
-                if op == "shutdown":
+                if reply["op"] == "shutdown":
                     break
-                if op == "wait":
+                if reply["op"] == "wait":
                     continue
-                if op != "cell":
-                    raise ValueError(f"unexpected coordinator reply {op!r}")
                 try:
                     self._run_cell(reply)
-                except (ConnectionError, json.JSONDecodeError):
+                except ConnectionError:
                     raise
                 except Exception as exc:  # noqa: BLE001 — report, keep serving
                     self._rpc({"op": "result", "key": reply["key"],
-                               "attempt": reply.get("attempt", 0),
-                               "wall_s": 0.0, "status": "error",
-                               "payload": None,
+                               "attempt": reply["attempt"], "status": "error",
                                "error": "worker-side failure: "
                                         + _describe(exc)})
-        except (ConnectionError, OSError, json.JSONDecodeError):
+        except OSError:
             pass  # coordinator gone; our leases will be reclaimed
         finally:
             self._close()

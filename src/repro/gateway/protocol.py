@@ -22,11 +22,11 @@ Design rules (all inherited from BOINC's pull architecture):
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 import re
 import typing as _t
 import zlib
+
+from ..wire import compile_checks, dumps, loads  # loads: the gateway's decoder
 
 #: Protocol version; served by ``GET /healthz`` so clients can refuse to
 #: talk to an incompatible gateway.
@@ -101,11 +101,7 @@ ERROR_CODES: dict[str, tuple[int, str]] = {
                          "off exponentially with jitter"),
 }
 
-# -- schemas ------------------------------------------------------------------
-# A schema is {field: (kinds, required)} where kinds is a tuple drawn
-# from: "str", "int", "number", "bool", "null", "dict", "list[str]",
-# "list[<Schema>]", or a nested schema name.  Unknown fields are
-# rejected: the wire surface is closed by construction.
+# -- schemas (in the table format of repro.wire) ------------------------------
 
 _FieldSpec = tuple[tuple[str, ...], bool]
 
@@ -220,66 +216,8 @@ JOB_LIMITS: dict[str, int] = {"n_maps": 1024, "n_reducers": 256,
 JOB_NAME = re.compile(r"[A-Za-z0-9._-]{1,128}")
 
 
-#: The test of each primitive kind, over the value named ``{v}``.
-_PRIMITIVE = {"null": "{v} is None", "str": "isinstance({v}, str)",
-              "bool": "isinstance({v}, bool)", "dict": "isinstance({v}, dict)",
-              "int": "isinstance({v}, int) and not isinstance({v}, bool)",
-              "number": "isinstance({v}, (int, float)) "
-                        "and not isinstance({v}, bool)"}
-
-
-def _kinds_source(kinds: tuple, v: str, where: str, depth: int) -> list:
-    """Lines checking the value named *v* against the union *kinds*, one
-    branch per kind in declared order, that append to ``problems`` under
-    the f-string path *where*.  A schema kind matches any value."""
-    lines: list[str] = []
-    for kind in kinds:
-        test = "elif" if lines else "if"
-        if kind in _PRIMITIVE:
-            lines += [f"{test} {_PRIMITIVE[kind].format(v=v)}:", "    pass"]
-        elif kind.startswith("list[") and kind.endswith("]"):
-            i, item = f"i{depth}", f"v{depth + 1}"
-            lines += [f"{test} isinstance({v}, list):",
-                      f"    for {i}, {item} in enumerate({v}):"]
-            lines += ["        " + line for line in _kinds_source(
-                (kind[5:-1],), item, f"{where}[{{{i}}}]", depth + 1)]
-        elif kind in SCHEMAS:  # always matches: later kinds never run
-            call = f"problems.extend(check_{kind}({v}, f{where!r}))"
-            return lines + ["else:", "    " + call] if lines else [call]
-        else:
-            raise ValueError(f"unknown schema kind {kind!r}")
-    got = f"{where}: expected {' | '.join(kinds)}, got {{type({v}).__name__}}"
-    return lines + ["else:", f"    problems.append(f{got!r})"]
-
-
-def _compile_check(schema: str) -> _t.Callable[[_t.Any, str], list[str]]:
-    """``check_<schema>(payload, where)``, defined in :data:`_CHECK_SCOPE`:
-    unknown fields first, then each declared field in spec order."""
-    known = frozenset(SCHEMAS[schema])
-    lines = [f"def check_{schema}(payload, where, known={known!r}):",
-             "    if not isinstance(payload, dict):",
-             "        return [f'{where}: expected object, got "
-             "{type(payload).__name__}']",
-             "    problems = [] if known.issuperset(payload) else [f'{where}."
-             "{field}: unknown field' for field in payload if field not in "
-             "known]"]
-    for field, (kinds, required) in SCHEMAS[schema].items():
-        lines += [f"    if {field!r} in payload:",
-                  f"        v0 = payload[{field!r}]"]
-        lines += ["        " + line for line in _kinds_source(
-            kinds, "v0", f"{{where}}.{field}", 0)]
-        if required:
-            lines += ["    else:", "        problems.append("
-                      f"f{f'{{where}}.{field}: missing required field'!r})"]
-    # One compile() per schema: one over all of them peaks six times higher.
-    exec(compile("\n".join(lines + ["    return problems"]),
-                 f"<schema {schema}>", "exec"), _CHECK_SCOPE)
-    return _CHECK_SCOPE[f"check_{schema}"]
-
-
-#: The compiled checks, calling each other by name.
-_CHECK_SCOPE: dict[str, _t.Any] = {}
-_CHECKS = {schema: _compile_check(schema) for schema in SCHEMAS}
+#: The compiled checks, one per schema.
+_CHECKS = compile_checks(SCHEMAS)
 
 
 def validate(schema: str, payload: _t.Any, _where: str = "") -> list[str]:
@@ -291,35 +229,6 @@ def validate(schema: str, payload: _t.Any, _where: str = "") -> list[str]:
     schema is compiled once, at import, into one straight-line check.
     """
     return _CHECKS[schema](payload, _where or schema)
-
-
-def dumps(payload: _t.Any) -> bytes:
-    """Canonical JSON encoding for wire bodies (sorted keys, compact)."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def _finite(token: str) -> float:
-    """*token* as a float; ``ValueError`` unless it is finite."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token} is not a finite number")
-    return value
-
-
-#: One decoder for every body: refuses ``NaN`` / ``Infinity``, which RFC
-#: 8259 does not have, and a literal past the double range (``1e400``).
-_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
-
-
-def loads(data: bytes) -> _t.Any:
-    """Decode a JSON wire body (raises ``ValueError`` on malformed input,
-    and on a number that is not finite)."""
-    text = data.decode("utf-8")
-    if text.startswith("\ufeff"):  # as json.loads words it
-        raise json.JSONDecodeError(
-            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
 
 
 def error_body(code: str, detail: str,

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -26,6 +27,53 @@ from repro.campaign import (
     merge_stores,
     run_campaign,
 )
+from repro.campaign.coordinator import CONTROL_SCHEMAS
+from repro.wire import compile_checks, loads
+
+
+def _result_line(tail: bytes = b"",
+                 payload: bytes = b'{"slept_s":0.0}') -> bytes:
+    """An ``ok`` result line from worker ``raw`` for cell ``<key>``."""
+    return (b'{"op":"result","worker":"raw","key":"<key>","status":"ok",'
+            b'"payload":%s%s}' % (payload, tail))
+
+
+HELLO = b'{"op":"hello","worker":"raw"}'
+CHECKS = compile_checks(CONTROL_SCHEMAS)
+
+#: Lines the coordinator answers with one ``error`` reply each, on a
+#: connection that goes on serving; ``<key>`` stands for a leased cell's
+#: key.  CI's ``control-plane-chaos`` job sends them to a live coordinator.
+HOSTILE_LINES = {
+    # Not JSON, not an object, or no known op.
+    "not-utf8": b"\xff\xfe",
+    "nested-past-recursion-limit": b"[" * 100000 + b"]" * 100000,
+    "not-an-object": b"[]",
+    "a-number": b"5",
+    "no-op": b'{"worker":"raw"}',
+    "unknown-op": b'{"op":"steal","worker":"raw"}',
+    "op-not-a-string": b'{"op":["hello"],"worker":"raw"}',
+    # A field the schema refuses.
+    "wall-s-a-string": _result_line(b',"wall_s":"fast"'),
+    "wall-s-true": _result_line(b',"wall_s":true'),
+    "attempt-a-list": _result_line(b',"attempt":[]'),
+    "attempt-1e300": _result_line(b',"attempt":1e300'),
+    "payload-a-list": _result_line(payload=b"[1]"),
+    "unknown-field": _result_line(b',"zz":1'),
+    "heartbeat-with-keys": b'{"op":"heartbeat","worker":"raw",'
+                           b'"keys":["<key>"]}',
+    # Tokens Python's json takes and RFC 8259 does not.
+    "attempt-1e400": _result_line(b',"attempt":1e400'),
+    "payload-nan": _result_line(payload=b'{"slept_s":NaN}'),
+    "wall-s-infinity": _result_line(b',"wall_s":Infinity'),
+    # Schema-valid values the coordinator must not take.
+    "wall-s-past-double": _result_line(b',"wall_s":1' + b"0" * 400),
+    "wall-s-negative": _result_line(b',"wall_s":-1'),
+    "ok-without-payload": b'{"op":"result","worker":"raw","key":"<key>",'
+                          b'"status":"ok"}',
+    "unknown-key": b'{"op":"result","worker":"raw","key":"nope",'
+                   b'"status":"ok","payload":{}}',
+}
 
 
 def _sleep_grid(n: int, duration_s: float = 0.05,
@@ -255,37 +303,74 @@ class TestFailureRecovery:
         assert multiprocessing.active_children() == []
 
     def test_malformed_messages_get_an_error_reply(self, tmp_path):
-        # Regression: a non-object line or a result with junk fields
-        # used to kill the handler thread (and, for a non-dict payload,
-        # would have been stored as an ok record).  The connection and
-        # the lease must survive.
+        # Regression: each line used to kill the handler thread, or be
+        # stored (a 301-digit attempt count, a bare NaN, a wall time
+        # past the campaign's).  The connection and the lease survive,
+        # and the store holds only what the shared decoder takes back.
         grid = _sleep_grid(1, duration_s=0.0)
         store = ResultStore(tmp_path / "out.jsonl")
-        coordinator = CampaignCoordinator(grid, store, heartbeat_s=0.2)
+        coordinator = CampaignCoordinator(grid, store, heartbeat_s=1.0)
         thread, reports = _serve(coordinator)
         with socket.create_connection(("127.0.0.1", coordinator.port),
                                       timeout=5.0) as sock:
             wire = sock.makefile("rwb")
 
-            def rpc(message) -> dict:
-                wire.write(json.dumps(message).encode() + b"\n")
+            def send(line: bytes) -> dict:
+                wire.write(line + b"\n")
                 wire.flush()
-                return json.loads(wire.readline())
+                return loads(wire.readline())
 
-            assert rpc([])["op"] == "error"
-            assert rpc(5)["op"] == "error"
-            assert rpc({"op": "hello", "worker": "raw"})["op"] == "welcome"
-            cell = rpc({"op": "lease", "worker": "raw"})
-            result = {"op": "result", "worker": "raw", "key": cell["key"],
-                      "status": "ok", "payload": {"slept_s": 0.0}}
-            assert rpc({**result, "wall_s": "fast"})["op"] == "error"
-            assert rpc({**result, "attempt": []})["op"] == "error"
-            assert rpc({**result, "payload": [1]})["op"] == "error"
-            assert rpc(result) == {"op": "ack", "accepted": True}
-            assert rpc({"op": "lease", "worker": "raw"})["op"] == "shutdown"
+            assert send(HELLO)["op"] == "welcome"
+            key = send(b'{"op":"lease","worker":"raw"}')["key"].encode()
+            for name, line in HOSTILE_LINES.items():
+                reply = send(line.replace(b"<key>", key))
+                assert reply["op"] == "error", (name, reply)
+                assert CHECKS["ControlError"](reply, name) == [], reply
+            assert send(HELLO)["op"] == "welcome"
+            assert send(b'{"op":"heartbeat","worker":"raw"}') == {
+                "op": "ack", "revoked": []}
+            assert send(_result_line().replace(b"<key>", key)) == {
+                "op": "ack", "accepted": True}
+            assert send(b'{"op":"lease","worker":"raw"}')["op"] == "shutdown"
         thread.join(timeout=10.0)
         assert not thread.is_alive() and reports[0].ok
-        assert store.load()[cell["key"]].result == {"slept_s": 0.0}
+        lines = store.path.read_bytes().splitlines()
+        assert [loads(line)["result"] for line in lines] == [{"slept_s": 0.0}]
+
+    def test_payloads_nested_near_the_recursion_limit_are_never_lost(
+            self, tmp_path):
+        # Regression: a payload that decoded a few levels short of the
+        # recursion limit failed to encode on the store's deeper stack,
+        # after the table had marked its cell done: no reply, no record.
+        # Deepest first: refusals until one is taken, and that one stored.
+        coordinator = CampaignCoordinator(
+            _sleep_grid(1), ResultStore(tmp_path / "out.jsonl"),
+            heartbeat_s=1.0)
+        thread, _ = _serve(coordinator)
+        limit = sys.getrecursionlimit()
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5.0) as sock:
+            wire = sock.makefile("rwb")
+            wire.write(HELLO + b"\n" + b'{"op":"lease","worker":"raw"}\n')
+            wire.flush()
+            wire.readline()
+            key = loads(wire.readline())["key"].encode()
+            taken = []
+            for depth in range(limit + 1, limit - 61, -1):
+                wire.write(_result_line(payload=b'{"a":%s}' % (
+                    b"[" * depth + b"]" * depth)).replace(b"<key>", key)
+                    + b"\n")
+                wire.flush()
+                reply = loads(wire.readline())
+                if reply["op"] == "ack":
+                    taken.append((depth, reply["accepted"]))
+                else:
+                    assert not taken and reply["op"] == "error", depth
+        coordinator.wall_limit_s = 0.0
+        thread.join(timeout=10.0)
+        assert taken and taken[0][1] and not any(a for _, a in taken[1:])
+        line, = (tmp_path / "out.jsonl").read_bytes().splitlines()
+        assert line.count(b"[") == taken[0][0]
 
 
 class TestWorkStealing:

@@ -109,6 +109,11 @@ class TestLoads:
         with pytest.raises(ValueError, match="is not a finite number"):
             protocol.loads(text.encode())
 
+    def test_nesting_past_the_recursion_limit_is_refused(self):
+        # json.loads raises RecursionError, which no ValueError handler takes.
+        with pytest.raises(ValueError, match="nested too deeply"):
+            protocol.loads(b"[" * 100000 + b"]" * 100000)
+
     @pytest.mark.parametrize("data", [
         b'{"a":[1,-0.0,1e308,2.5e-324,"\\u00e9"],"b":null}', b"10" * 200,
         b"", b"{", b"\xef\xbb\xbf{}", b"[1,]", b'"\xff"'])

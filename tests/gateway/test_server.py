@@ -361,6 +361,8 @@ HOSTILE_BODIES = {
     "report-not-an-object": ("/rpc/scheduler",
                              b'{"host_id":1,"work_req_s":1.0,"reports":[7]}'),
     "corpus-not-an-object": _job(corpus=5),
+    "nested-past-recursion-limit": ("/rpc/register",
+                                    b"[" * 100000 + b"]" * 100000),
     # Tokens Python's json takes and RFC 8259 does not.
     "nan-token": ("/rpc/register", b'{"name":"h","flops":NaN}'),
     "infinity-token": ("/rpc/scheduler", b'{"host_id":1,"work_req_s":Infinity}'),

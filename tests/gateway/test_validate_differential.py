@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import wire
 from repro.gateway import protocol
 
 from . import reference_validate
@@ -112,8 +113,7 @@ def test_the_walker_is_gone_from_the_product():
         protocol.validate("NoSuchSchema", {})
 
 
-def test_an_unknown_kind_fails_at_compile_time(monkeypatch):
-    monkeypatch.setitem(protocol.SCHEMAS, "Broken",
-                        {"x": (("float",), True)})
+def test_an_unknown_kind_fails_at_compile_time():
     with pytest.raises(ValueError, match="unknown schema kind 'float'"):
-        protocol._compile_check("Broken")
+        wire.compile_checks({**protocol.SCHEMAS,
+                             "Broken": {"x": (("float",), True)}})

@@ -10,8 +10,9 @@ These enforcement points keep the docs from drifting away from the code:
   EXPERIMENTS.md equals a fresh render of the ``paper`` store;
 - every ``examples/*.py`` runs;
 - ``docs/protocol.md`` — every schema-annotated JSON example validates
-  against :data:`repro.gateway.protocol.SCHEMAS` and every served
-  route/error code is documented;
+  against :data:`repro.gateway.protocol.SCHEMAS` or, in the control-plane
+  section, :data:`repro.campaign.coordinator.CONTROL_SCHEMAS`, and every
+  served route, error code and control op is documented;
 - the README quickstart doctests — run here with
   :class:`DeprecationWarning` promoted to an error, so the front-page
   examples can never show a deprecated API;
@@ -38,14 +39,17 @@ import warnings
 
 import pytest
 
+from repro.campaign.coordinator import CONTROL_OPS, CONTROL_SCHEMAS
 from repro.gateway import protocol
+from repro.wire import compile_checks
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-#: ``<!-- schema: Name -->`` followed by a fenced JSON block.
+#: ``<!-- schema: Name -->`` (a gateway schema) or ``<!-- control: Name
+#: -->`` (a control-plane schema) followed by a fenced JSON block.
 _EXAMPLE_RE = re.compile(
-    r"<!--\s*schema:\s*(?P<schema>\w+)\s*-->\s*\n```json\n"
-    r"(?P<body>.*?)\n```",
+    r"<!--\s*(?P<tag>schema|control):\s*(?P<schema>\w+)\s*-->\s*\n"
+    r"\s*```json\n\s*(?P<body>.*?)\n\s*```",
     re.DOTALL)
 
 
@@ -53,10 +57,10 @@ def _protocol_doc() -> str:
     return (REPO / "docs" / "protocol.md").read_text(encoding="utf-8")
 
 
-def _examples() -> list[tuple[str, str]]:
+def _examples(tag: str = "schema") -> list[tuple[str, str]]:
     doc = _protocol_doc()
     return [(m.group("schema"), m.group("body"))
-            for m in _EXAMPLE_RE.finditer(doc)]
+            for m in _EXAMPLE_RE.finditer(doc) if m.group("tag") == tag]
 
 
 def _run(*argv: str) -> subprocess.CompletedProcess:
@@ -160,6 +164,32 @@ class TestProtocolSpec:
 
     def test_protocol_version_is_current(self):
         assert f"(v{protocol.PROTOCOL_VERSION})" in _protocol_doc()
+
+
+class TestControlPlaneSpec:
+    """docs/protocol.md's control-plane section is validated against
+    repro.campaign.coordinator's table, as the gateway's is."""
+
+    CHECKS = compile_checks(CONTROL_SCHEMAS)
+
+    @pytest.mark.parametrize("schema,body", _examples("control"),
+                             ids=[s for s, _ in _examples("control")])
+    def test_every_example_validates(self, schema, body):
+        assert schema in CONTROL_SCHEMAS, (
+            f"example annotated with unknown control schema {schema!r}")
+        assert self.CHECKS[schema](json.loads(body), schema) == []
+
+    def test_every_schema_shown_as_an_example(self):
+        shown = {schema for schema, _ in _examples("control")}
+        assert shown == set(CONTROL_SCHEMAS), (
+            f"docs/protocol.md has no control example for "
+            f"{sorted(set(CONTROL_SCHEMAS) - shown)}")
+
+    def test_every_op_documented(self):
+        documented = set(re.findall(r"^### `(\w+)`$", _protocol_doc(),
+                                    flags=re.MULTILINE))
+        assert documented == set(CONTROL_OPS), (
+            "docs/protocol.md's op sections differ from CONTROL_OPS")
 
 
 def test_readme_doctests_clean_of_deprecations():
