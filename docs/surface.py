@@ -5,7 +5,8 @@ Prints ``src/`` Python lines, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
 enter and how many of those :data:`PINNED` keeps, dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
-how many of those fields nothing in the repository sets, CLI flags and
+how many of those fields nothing in the repository sets, how many of their
+bool fields (on/off switches) only tests and examples set, CLI flags and
 subcommands, how many of those flags nothing in the repository invokes,
 the campaign cell kinds, the functions that build campaign cells and the
 builtin grid names, so CHANGES.md can quote parent and change instead of
@@ -14,7 +15,8 @@ a hand count::
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on an unreached module, an
                                       # unreached function not pinned, a
-                                      # stale pin, a never-set field or a
+                                      # stale pin, a never-set field, a
+                                      # switch only tests set or a
                                       # never-used flag (the CI gate)
 """
 
@@ -44,6 +46,9 @@ sys.path.insert(0, str(SRC))
 #: Where an option counts as set (see :func:`never_set`).
 SET_IN = ("src", "tests", "bench", "benchmarks", "examples", "README.md",
           "EXPERIMENTS.md", "DESIGN.md")
+#: Where a switch counts as set by the product (see :func:`tested_switches`).
+PRODUCT_IN = tuple(root for root in SET_IN
+                   if root not in ("tests", "examples"))
 #: Where a CLI flag counts as invoked (see :func:`never_used`).
 USED_IN = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/protocol.md",
            ".github", ".claude", "tests", "bench", "benchmarks", "examples")
@@ -51,8 +56,9 @@ USED_IN = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/protocol.md",
 DEPLOYMENT_FLAGS = ("--host", "--bind")
 
 
-def option_classes() -> dict[str, list[str]]:
-    """``module.Class`` -> field names of every *Config / *Spec dataclass."""
+def option_classes(of_type: str | None = None) -> dict[str, list[str]]:
+    """``module.Class`` -> field names of every *Config / *Spec dataclass
+    (only the fields annotated *of_type*, when given)."""
     import repro
 
     found: dict[str, list[str]] = {}
@@ -63,7 +69,8 @@ def option_classes() -> dict[str, list[str]]:
                     and obj.__module__ == info.name
                     and dataclasses.is_dataclass(obj)):
                 found[f"{info.name}.{name}"] = [
-                    f.name for f in dataclasses.fields(obj)]
+                    f.name for f in dataclasses.fields(obj)
+                    if of_type in (None, f.type)]
     return found
 
 
@@ -78,14 +85,26 @@ def _text(roots: tuple[str, ...], pattern: str) -> str:
         if path.is_file() and path.suffix != ".pyc")
 
 
-def never_set(classes: dict[str, list[str]]) -> list[str]:
-    """``Class.field`` for every option no line of the repository sets:
-    nothing under :data:`SET_IN` matches ``\\b<field>\\s*=``, as a keyword
-    argument or an assignment would.  One value in use means a constant."""
-    text = _text(SET_IN, "*.py")
+def never_set(classes: dict[str, list[str]],
+              text: str | None = None) -> list[str]:
+    """``Class.field`` for every option no line of *text* (default: the
+    repository under :data:`SET_IN`) sets: nothing matches
+    ``\\b<field>\\s*=``, as a keyword argument or an assignment would.
+    One value in use means a constant."""
+    text = _text(SET_IN, "*.py") if text is None else text
     return [f"{cls.rsplit('.', 1)[1]}.{field}"
             for cls, fields in sorted(classes.items()) for field in fields
             if not re.search(rf"\b{field}\s*=", text)]
+
+
+def tested_switches(switches: dict[str, list[str]],
+                  text: str | None = None) -> list[str]:
+    """``Class.field`` for every switch (bool option) that no product line
+    sets: :func:`never_set` over *text* (default: the repository under
+    :data:`PRODUCT_IN`, which leaves out ``tests`` and ``examples``).
+    The code behind a switch only a test turns on runs only in tests."""
+    return never_set(switches,
+                     _text(PRODUCT_IN, "*.py") if text is None else text)
 
 
 def grid_builders() -> list[str]:
@@ -385,8 +404,7 @@ PINNED: dict[str, str] = {
         "tests/runtime/test_engine.py::TestGrep::test_matchcount",
     # Live code the probe's inputs do not take: a client with no executor
     # given, a scenario cell, a resumed campaign, a heartbeat (its cells
-    # sleep 0 s under a 30 s heartbeat), --strict, and the match count of
-    # a corpus in which ``the`` never matches.
+    # sleep 0 s under a 30 s heartbeat) and --strict.
     "boinc.client:GenericExecutor.execute":
         "tests/boinc/test_client.py::TestFailureRecovery::"
         "test_failed_task_reported_and_replaced",
@@ -408,10 +426,6 @@ PINNED: dict[str, str] = {
     "gateway.loadgen:LoadReport.clean":
         "tests/gateway/test_loadgen.py::TestFleetSharesTheVolunteerCycle::"
         "test_single_poll_client_still_reports_its_work",
-    "runtime.apps.grep:MatchCount.reduce":
-        "tests/runtime/test_engine.py::TestGrep::test_matchcount",
-    "runtime.apps.grep:MatchCount.combine":
-        "tests/runtime/test_engine.py::TestGrep::test_matchcount",
     "runtime.api:FnApp.reduce":
         "tests/runtime/test_engine.py::TestGrep::"
         "test_grep_intermediate_smaller_than_wordcount",
@@ -496,8 +510,6 @@ PINNED: dict[str, str] = {
     "net.transfer:SimSemaphore.cancel":
         "tests/net/test_transfer.py::TestSemaphoreSettle::"
         "test_cancel_refuses_granted_event",
-    "net.transfer:_abort_if_running":
-        "tests/net/test_transfer.py::TestPeerDownload::test_injected_failure",
     "obs.export:_scalar_json":
         "tests/obs/test_export_differential.py::"
         "test_same_records_same_spans_and_same_bytes",
@@ -709,6 +721,8 @@ if __name__ == "__main__":
           "on", len(classes), "classes")
     unset = never_set(classes)
     print("never-set fields:   ", len(unset), *unset)
+    tested = tested_switches(option_classes("bool"))
+    print("switches only tests set:", len(tested), *tested)
     parser = build_parser()
     flags = cli_flags(parser)
     print("cli flags:          ", len(flags))
@@ -725,6 +739,6 @@ if __name__ == "__main__":
     for name, fields in sorted(classes.items()):
         print(f"  {len(fields):3d}  {name}")
     if "--check" in sys.argv[1:] and (unreached or problems or unset
-                                      or unused):
+                                      or tested or unused):
         sys.exit("surface: a module, a function, an option or a flag nothing "
-                 "uses, or a stale pin (see above)")
+                 "uses, a switch only tests set, or a stale pin (see above)")

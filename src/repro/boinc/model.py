@@ -154,8 +154,6 @@ class HostRecord:
     supports_mr: bool = False         # BOINC-MR client?
     #: Reputation: how many of this host's results have validated.
     validated_count: int = 0
-    #: Homogeneous-redundancy class (platform family, e.g. "x86-linux").
-    hr_class: str = ""
     #: (address, port) other clients use for inter-client transfers.
     address: str = ""
     rpc_count: int = 0

@@ -74,13 +74,6 @@ class ServerConfig:
     speculative_execution: bool = False
     speculative_factor: float = 3.0
     speculative_min_elapsed_s: float = 120.0
-    #: BOINC's homogeneous redundancy: replicas of a workunit go only to
-    #: hosts of the same platform class, so bitwise output comparison is
-    #: sound for numerically platform-sensitive applications.
-    homogeneous_redundancy: bool = False
-    #: Prefer assigning reduce results to hosts already holding map
-    #: output partitions for that job (locality-aware scheduling).
-    locality_scheduling: bool = False
     #: BOINC's adaptive replication: workunits start with a single
     #: replica; a result from a host with fewer than
     #: ``adaptive_trust_threshold`` validated results — or any result
@@ -226,14 +219,11 @@ class SchedulerCore:
         return wu
 
     def register_host(self, name: str, flops: float,
-                      supports_mr: bool = False,
-                      hr_class: str = "") -> HostRecord:
+                      supports_mr: bool = False) -> HostRecord:
         """Add a volunteer host to the project database."""
         version = "6.11.1-mr" if supports_mr else "6.13.0"
-        rec = self.db.insert_host(name, flops, supports_mr=supports_mr,
-                                  client_version=version)
-        rec.hr_class = hr_class
-        return rec
+        return self.db.insert_host(name, flops, supports_mr=supports_mr,
+                                   client_version=version)
 
     # -- scheduler RPC ------------------------------------------------------------
     def handle_scheduler_request(self, request: SchedulerRequest
@@ -360,12 +350,10 @@ class SchedulerCore:
     def _eligible_results(self, host: HostRecord) -> list[int]:
         """Feeder-cache results this host may receive, in serving order.
 
-        Enforces one-replica-per-host and (optionally) homogeneous
-        redundancy; with locality scheduling on, reduce results whose
-        inputs this host already holds are served first.
+        Enforces one-replica-per-host; serving order is the feeder's.
         """
-        eligible: list[tuple[float, int, int]] = []  # (-locality, order, rid)
-        for order, rid in enumerate(list(self._feeder_visible)):
+        eligible: list[int] = []
+        for rid in list(self._feeder_visible):
             res = self.db.results.get(rid)
             if res is None or res.state is not ResultState.UNSENT:
                 self._feeder_visible.discard(rid)
@@ -374,25 +362,10 @@ class SchedulerCore:
             if wu.state is not WorkunitState.ACTIVE:
                 self._feeder_visible.discard(rid)
                 continue
-            assigned_hosts = self.db.hosts_with_result_of_wu(wu.id)
-            if self._barred(wu, host, assigned_hosts):
-                continue
-            if self.config.homogeneous_redundancy and assigned_hosts:
-                classes = {self.db.hosts[h].hr_class for h in assigned_hosts}
-                if host.hr_class not in classes:
-                    continue
-            locality = 0.0
-            if (self.config.locality_scheduling and wu.mr_kind == "reduce"
-                    and self.locate_reduce_inputs is not None):
-                locations = self.locate_reduce_inputs(wu, host)
-                locality = sum(
-                    1.0 for holders in locations.values()
-                    for addr in holders if addr.startswith(host.name + ":")
-                    or addr == host.name
-                )
-            eligible.append((-locality, order, rid))
-        eligible.sort()
-        return [rid for _loc, _order, rid in eligible]
+            if not self._barred(wu, host,
+                                self.db.hosts_with_result_of_wu(wu.id)):
+                eligible.append(rid)
+        return eligible
 
     # -- daemons ------------------------------------------------------------------
     def _feeder_pass(self) -> None:

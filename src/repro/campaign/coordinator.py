@@ -47,7 +47,7 @@ import time
 import typing as _t
 
 from ..obs import MetricsRegistry
-from ..wire import compile_checks, dumps, loads
+from ..wire import MAX_MESSAGE_BYTES, compile_checks, dumps, loads
 from .grid import CampaignGrid
 from .lease import DONE, FAILED, LeaseTable
 from .runner import CampaignReport
@@ -132,13 +132,20 @@ class _ControlHandler(socketserver.StreamRequestHandler):
         """Serve one worker connection until EOF or socket error."""
         coordinator = self.server.coordinator  # type: ignore[attr-defined]
         worker: str | None = None
+        reply: dict[str, _t.Any]
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_MESSAGE_BYTES + 1):
+                if len(raw) > MAX_MESSAGE_BYTES:
+                    # No end in sight: answer once and hang up rather than
+                    # buffer the rest of the line.
+                    reply = {"op": "error",
+                             "error": f"line over {MAX_MESSAGE_BYTES} bytes"}
+                    self.wfile.write(dumps(reply) + b"\n")
+                    return
                 try:
                     message = loads(raw)
                 except ValueError as exc:
-                    reply: dict[str, _t.Any] = {"op": "error",
-                                                "error": f"bad json: {exc}"}
+                    reply = {"op": "error", "error": f"bad json: {exc}"}
                 else:
                     reply = coordinator.dispatch(message)
                     if reply["op"] != "error":

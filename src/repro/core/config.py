@@ -30,8 +30,6 @@ class BoincMRConfig:
     serve_timeout_s: float = 4 * 3600.0
     #: Failed inter-client download attempts before falling back.
     peer_retries: int = 3
-    #: Probability that any single inter-client transfer fails (injected).
-    peer_failure_rate: float = 0.0
     #: §IV.C "intermediate data downloads" ablation: create reduce
     #: workunits once this fraction of map WUs has validated (1.0 =
     #: paper behaviour, wait for every map).  Reducers then overlap their
@@ -60,7 +58,5 @@ class BoincMRConfig:
                 "(late map outputs are fetched by polling the data server)")
         if self.peer_retries < 0:
             raise ValueError("peer_retries must be >= 0")
-        if not 0.0 <= self.peer_failure_rate <= 1.0:
-            raise ValueError("peer_failure_rate must be in [0, 1]")
         if self.serve_timeout_s <= 0:
             raise ValueError("serve_timeout_s must be positive")

@@ -29,17 +29,12 @@ class MapReduceExecutor:
 
     def __init__(self, jobtracker: JobTracker,
                  byzantine_rate: float = 0.0,
-                 platform_variance: bool = False,
                  rng: np.random.Generator | None = None) -> None:
         """Create an executor; *byzantine_rate* corrupts that fraction of runs."""
         if not 0.0 <= byzantine_rate <= 1.0:
             raise ValueError("byzantine_rate must be in [0, 1]")
         self.jobtracker = jobtracker
         self.byzantine_rate = byzantine_rate
-        #: Numerically platform-sensitive application: outputs (digests)
-        #: differ across hr_class platforms, so bitwise validation only
-        #: works under homogeneous redundancy.
-        self.platform_variance = platform_variance
         self.rng = rng or np.random.default_rng(0)
         self._corruptions = 0
 
@@ -62,8 +57,6 @@ class MapReduceExecutor:
             digest = f"{spec.name}:reduce:{wu.mr_index}"
         else:
             raise ValueError(f"unknown MapReduce kind {wu.mr_kind!r}")
-        if self.platform_variance and client.record.hr_class:
-            digest = f"{digest}@{client.record.hr_class}"
         if client.corrupt_results:
             # Deterministic byzantine fault on this host: corrupt every
             # execution without touching the rng, so the draw sequence of

@@ -173,8 +173,6 @@ class MapReduceInputFetcher:
                 sim, client.net, self.connectivity,
                 src=mapper.endpoint, dst=client.endpoint,
                 size=ref.size, relay=relay,
-                failure_rate=self.config.peer_failure_rate,
-                rng=self.rng,
                 label=f"mr:{filename}->{client.name}"),
                 name=f"peerdl:{client.name}:{filename}")
             try:

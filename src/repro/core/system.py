@@ -201,9 +201,7 @@ class VolunteerCloud:
                       mr: bool = False, link_spec: LinkSpec = EMULAB_LINK,
                       nat: NatBox | None = None,
                       config: ClientConfig | None = None,
-                      byzantine_rate: float = 0.0,
-                      hr_class: str = "",
-                      platform_variance: bool = False) -> Client:
+                      byzantine_rate: float = 0.0) -> Client:
         """Create one volunteer host and its client (not yet started)."""
         if name is None:
             # First free hostNNN at or after the population size, so an
@@ -212,12 +210,10 @@ class VolunteerCloud:
             while (name := f"host{n:03d}") in self.net.hosts:
                 n += 1
         host = self.net.add_host(name, link_spec, nat=nat)
-        record = self.server.register_host(name, flops, supports_mr=mr,
-                                           hr_class=hr_class)
+        record = self.server.register_host(name, flops, supports_mr=mr)
         cfg = config or self.client_config
         executor = MapReduceExecutor(
             self.jobtracker, byzantine_rate=byzantine_rate,
-            platform_variance=platform_variance,
             rng=self.rngs.stream(f"exec.{name}"))
         fetcher = MapReduceInputFetcher(
             self.jobtracker, self.directory, self.mr_config,

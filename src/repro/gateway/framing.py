@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from ..wire import MAX_MESSAGE_BYTES
+
 
 class FramingError(ConnectionError):
     """A message whose extent cannot be trusted: the gateway answers it
@@ -119,7 +121,7 @@ class RequestFramer(_Framer):
     """Requests as the gateway takes them: ``(method, path, headers,
     body)``, the query cut off the path; no ``Content-Length``, no body."""
 
-    MAX_LINE, MAX_HEADERS, MAX_BODY = 16 * 1024, 64, 64 * 1024 * 1024
+    MAX_LINE, MAX_HEADERS, MAX_BODY = 16 * 1024, 64, MAX_MESSAGE_BYTES
     NO_LENGTH = "0"
     NAME_WS = LEAD_WS = TRAIL_WS = None
 

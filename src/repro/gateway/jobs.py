@@ -34,11 +34,13 @@ from .files import BlobStore
 from .protocol import checksum
 
 #: Apps submittable by name over the wire (``JobRequest.app``).  A wire
-#: job carries no app parameters, so ``matchcount`` counts a fixed pattern.
+#: job carries no app parameters, so ``matchcount`` counts a fixed pattern:
+#: the words ending in ``a``, one in five of the consonant-vowel words
+#: :func:`~repro.workloads.generate_corpus` draws.
 APP_REGISTRY: dict[str, _t.Callable[[], MapReduceApp]] = {
     "wordcount": WordCount,
     "invindex": InvertedIndex,
-    "matchcount": lambda: MatchCount(rb"the"),
+    "matchcount": lambda: MatchCount(rb"\w+a\b"),
 }
 
 

@@ -5,16 +5,14 @@ connections, so as to not overload the network" (Section III.C).  This
 module provides the counting semaphore that enforces it, plus the
 ``peer_download`` process that performs one inter-client download end to
 end: traversal establishment (see :mod:`repro.net.nat`), connection-slot
-acquisition at both endpoints, the bulk flow itself (optionally via a
-relay), and probabilistic mid-transfer failure injection.
+acquisition at both endpoints, and the bulk flow itself (optionally via a
+relay).  Failures are injected by :mod:`repro.faults`, not here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing as _t
-
-import numpy as np
 
 from ..sim import Event, Simulator
 from .flows import FlowError
@@ -162,14 +160,12 @@ def peer_download(
     dst: TransferEndpoint,
     size: float,
     relay: Host | None = None,
-    failure_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
     label: str = "",
 ) -> _t.Generator:
     """Process body: download *size* bytes from ``src.host`` to ``dst.host``.
 
     Returns a :class:`TransferRecord`; raises :class:`TransferFailed` on
-    traversal failure, endpoint churn, or injected failure.  Run it with
+    traversal failure or endpoint churn.  Run it with
     ``sim.process(peer_download(...))``.
     """
     started = sim.now
@@ -204,13 +200,6 @@ def peer_download(
                                 extra_links=extra)
         except HostOffline as exc:
             raise TransferFailed(str(exc), outcome) from exc
-
-        if failure_rate > 0 and rng is not None and rng.random() < failure_rate:
-            # Kill the transfer partway through: abort after a random
-            # fraction of its nominal duration.
-            frac = float(rng.uniform(0.05, 0.95))
-            nominal = size / max(flow.rate, 1.0)
-            sim.schedule(frac * nominal, _abort_if_running, net, flow)
         try:
             yield flow.done
         except FlowError as exc:
@@ -228,8 +217,3 @@ def peer_download(
                           started_at=started, finished_at=sim.now,
                           relayed=outcome.relayed,
                           corrupted=src.corrupt_serves)
-
-
-def _abort_if_running(net: Network, flow) -> None:
-    if not flow.finished:
-        net.flownet.abort_flow(flow, reason="injected transfer failure")

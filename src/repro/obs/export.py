@@ -210,23 +210,27 @@ def trace_to_jsonl(tracer: Tracer, out: _t.TextIO | None = None,
     return text
 
 
+#: Rows :func:`run_summary` lists of the busiest record kinds and of the
+#: leaked spans.
+_SUMMARY_ROWS = 10
+
+
 def run_summary(tracer: Tracer,
                 metrics: MetricsRegistry | None = None,
                 builder: SpanBuilder | None = None,
-                profiler: "SelfProfiler | None" = None,
-                top_kinds: int = 10) -> str:
+                profiler: "SelfProfiler | None" = None) -> str:
     """Plain-text end-of-run report: traffic, metrics, leaks, hot spots."""
     lines: list[str] = ["== run summary =="]
     total = sum(tracer.counts.values())
     lines.append(f"trace records: {len(tracer.records)} kept / {total} seen")
     busiest = sorted(tracer.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    for kind, count in busiest[:top_kinds]:
+    for kind, count in busiest[:_SUMMARY_ROWS]:
         lines.append(f"  {kind:40s} {count:8d}")
     if builder is not None:
         lines.append(f"spans: {len(builder.spans)} closed, "
                      f"{len(builder.instants)} instants, "
                      f"{len(builder.leaked)} leaked")
-        for span in builder.leaked[:top_kinds]:
+        for span in builder.leaked[:_SUMMARY_ROWS]:
             lines.append(f"  LEAKED {span.name} on {span.track} "
                          f"open {span.duration:.1f}s")
     if metrics is not None:

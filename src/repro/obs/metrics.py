@@ -33,8 +33,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
 )
-#: Default streaming quantiles tracked by every histogram.
-DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
+#: Streaming quantiles tracked by every histogram.
+QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 class Counter:
@@ -171,8 +171,7 @@ class Histogram:
                  "min", "max", "_estimators")
 
     def __init__(self, name: str, help: str = "",
-                 buckets: _t.Sequence[float] = DEFAULT_BUCKETS,
-                 quantiles: _t.Sequence[float] = DEFAULT_QUANTILES) -> None:
+                 buckets: _t.Sequence[float] = DEFAULT_BUCKETS) -> None:
         """Create an empty histogram with the given bucket bounds."""
         if list(buckets) != sorted(buckets) or len(set(buckets)) != len(buckets):
             raise ValueError("histogram buckets must be strictly increasing")
@@ -185,7 +184,7 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._estimators = {q: _P2Estimator(q) for q in quantiles}
+        self._estimators = {q: _P2Estimator(q) for q in QUANTILES}
 
     def observe(self, value: float) -> None:
         """Record one observation into buckets and quantile estimators."""
@@ -263,13 +262,12 @@ class MetricsRegistry:
         return gauge
 
     def histogram(self, name: str, help: str = "",
-                  buckets: _t.Sequence[float] = DEFAULT_BUCKETS,
-                  quantiles: _t.Sequence[float] = DEFAULT_QUANTILES) -> Histogram:
+                  buckets: _t.Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """Get or create the :class:`Histogram` called *name*."""
         inst = self._instruments.get(name)
         if isinstance(inst, Histogram):
             return inst
-        return self._create(inst, Histogram, name, help, buckets, quantiles)
+        return self._create(inst, Histogram, name, help, buckets)
 
     # -- introspection -------------------------------------------------------
     def __contains__(self, name: str) -> bool:

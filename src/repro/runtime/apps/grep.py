@@ -3,7 +3,7 @@
 A grep that returns small summaries: the map emits (match, 1) per hit,
 a combiner pre-sums each map task's hits and the reduce totals them, so
 the intermediate data is tiny next to word count's.  The gateway serves
-it as ``matchcount`` (counting ``the``).
+it as ``matchcount`` (counting the words that end in ``a``).
 """
 
 from __future__ import annotations

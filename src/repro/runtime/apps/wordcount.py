@@ -22,14 +22,9 @@ class WordCount(MapReduceApp):
 
     name = "wordcount"
 
-    def __init__(self, lowercase: bool = False) -> None:
-        """Optionally fold words to lower case before counting."""
-        self.lowercase = lowercase
-
     def map(self, key: int, value: bytes) -> _t.Iterator[tuple[bytes, int]]:
         """Emit (word, 1) per whitespace-separated token."""
-        line = value.lower() if self.lowercase else value
-        for word in line.split():
+        for word in value.split():
             yield word, 1
 
     def map_chunk(self, chunk: bytes) -> _t.Iterable[tuple[bytes, int]]:
@@ -41,8 +36,7 @@ class WordCount(MapReduceApp):
         that ends each line.  A subclass that changes either must
         override this too.
         """
-        text = chunk.lower() if self.lowercase else chunk
-        return collections.Counter(text.split()).items()
+        return collections.Counter(chunk.split()).items()
 
     def reduce(self, key: bytes, values: list[int]) -> _t.Iterator[int]:
         """Sum the per-word counts."""

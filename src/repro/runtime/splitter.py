@@ -13,9 +13,8 @@ from __future__ import annotations
 import typing as _t
 
 
-def split_text(data: bytes, n_chunks: int,
-               delimiter: bytes = b"\n") -> list[bytes]:
-    """Split text into *n_chunks*, snapping boundaries to *delimiter*.
+def split_text(data: bytes, n_chunks: int) -> list[bytes]:
+    """Split text into *n_chunks*, snapping boundaries to line ends.
 
     Every byte of *data* lands in exactly one chunk, chunk order preserves
     input order, and no chunk starts mid-record.  Chunks may be empty when
@@ -31,11 +30,8 @@ def split_text(data: bytes, n_chunks: int,
         if nominal <= start:
             chunks.append(b"")
             continue
-        cut = data.find(delimiter, nominal - 1)
-        if cut == -1:
-            cut = n
-        else:
-            cut += len(delimiter)
+        cut = data.find(b"\n", nominal - 1)
+        cut = n if cut == -1 else cut + 1
         cut = max(cut, start)
         chunks.append(data[start:cut])
         start = cut
@@ -43,19 +39,17 @@ def split_text(data: bytes, n_chunks: int,
     return chunks
 
 
-def iter_records(chunk: bytes, delimiter: bytes = b"\n"
-                 ) -> _t.Iterator[tuple[int, bytes]]:
-    """Yield (offset, record) pairs from a chunk (records exclude delimiter)."""
+def iter_records(chunk: bytes) -> _t.Iterator[tuple[int, bytes]]:
+    """Yield (offset, line) pairs from a chunk (lines exclude the ``\\n``)."""
     pos = 0
     n = len(chunk)
-    dlen = len(delimiter)
     while pos < n:
-        cut = chunk.find(delimiter, pos)
+        cut = chunk.find(b"\n", pos)
         if cut == -1:
             yield pos, chunk[pos:]
             return
         yield pos, chunk[pos:cut]
-        pos = cut + dlen
+        pos = cut + 1
 
 
 def count_records(chunk: bytes) -> int:

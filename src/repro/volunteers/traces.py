@@ -63,14 +63,12 @@ class AvailabilityTrace:
 
 def diurnal_trace(host: str, days: int, *,
                   rng: np.random.Generator,
-                  evening_start_h: float = 18.0,
-                  evening_len_h: float = 5.0,
-                  weekend_all_day: bool = True,
                   jitter_h: float = 1.0) -> AvailabilityTrace:
     """A home-PC availability pattern: evenings on weekdays, long weekends.
 
-    Deterministic under *rng*; start times and session lengths are
-    jittered by up to ``jitter_h`` hours.
+    Weekdays are on from 18:00 for 5 hours, weekends from 09:00 to
+    23:00.  Deterministic under *rng*; start times and session lengths
+    are jittered by up to ``jitter_h`` hours.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -78,15 +76,13 @@ def diurnal_trace(host: str, days: int, *,
     intervals: list[tuple[float, float]] = []
     for day in range(days):
         day_start = day * 24 * hour
-        weekend = day % 7 in (5, 6)
-        if weekend and weekend_all_day:
+        if day % 7 in (5, 6):  # weekend
             start = day_start + (9.0 + rng.uniform(0, jitter_h)) * hour
             end = day_start + (23.0 - rng.uniform(0, jitter_h)) * hour
         else:
-            start = day_start + (evening_start_h
+            start = day_start + (18.0
                                  + rng.uniform(-jitter_h, jitter_h)) * hour
-            end = start + (evening_len_h
-                           + rng.uniform(-jitter_h, jitter_h)) * hour
+            end = start + (5.0 + rng.uniform(-jitter_h, jitter_h)) * hour
         if end > start:
             intervals.append((start, end))
     return AvailabilityTrace(host=host, intervals=tuple(intervals))

@@ -13,7 +13,12 @@ import json
 import math
 import typing as _t
 
-__all__ = ["canonical_json", "compile_checks", "dumps", "loads"]
+__all__ = ["MAX_MESSAGE_BYTES", "canonical_json", "compile_checks", "dumps",
+           "loads"]
+
+#: The largest message either wire takes: a gateway request body, or a
+#: control line with its ``\n``.  Past it a peer is refused, not buffered.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: The one encoder: sorted keys, no whitespace, ASCII only.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,4 @@
-"""Tests for speculative execution, homogeneous redundancy, and
-locality-aware scheduling."""
+"""Tests for speculative execution."""
 
 import pytest
 
@@ -65,67 +64,3 @@ class TestSpeculativeExecution:
         cloud.run_job(spec(), timeout=48 * 3600)
         assert len(cloud.tracer.select("transitioner.speculative")) <= 2
 
-
-class TestHomogeneousRedundancy:
-    def platform_cloud(self, hr_on, seed=3):
-        cloud = VolunteerCloud.from_spec(CloudSpec(
-            seed=seed,
-            server_config=ServerConfig(homogeneous_redundancy=hr_on)))
-        for i in range(5):
-            cloud.add_volunteer(f"linux{i}", mr=True, hr_class="x86-linux",
-                                platform_variance=True)
-        for i in range(5):
-            cloud.add_volunteer(f"win{i}", mr=True, hr_class="x86-windows",
-                                platform_variance=True)
-        return cloud
-
-    def test_hr_restricts_replicas_to_one_class(self):
-        cloud = self.platform_cloud(hr_on=True)
-        job = cloud.run_job(spec(), timeout=48 * 3600)
-        assert job.phase is JobPhase.DONE
-        for wu in cloud.server.db.workunits.values():
-            classes = {
-                cloud.server.db.hosts[r.host_id].hr_class
-                for r in cloud.server.db.results_for_wu(wu.id)
-                if r.host_id is not None
-            }
-            assert len(classes) == 1, f"wu {wu.id} crossed platforms"
-
-    def test_platform_variant_app_validates_cleanly_under_hr(self):
-        cloud = self.platform_cloud(hr_on=True)
-        cloud.run_job(spec(), timeout=48 * 3600)
-        assert len(cloud.tracer.select("validator.inconclusive")) == 0
-
-    def test_without_hr_platform_variance_wastes_work(self):
-        """Cross-platform replica pairs never match; the validator keeps
-        asking for more replicas until two land on the same platform."""
-        cloud = self.platform_cloud(hr_on=False)
-        job = cloud.run_job(spec(), timeout=96 * 3600)
-        assert job.phase is JobPhase.DONE
-        assert len(cloud.tracer.select("validator.inconclusive")) > 0
-        hr_cloud = self.platform_cloud(hr_on=True)
-        hr_cloud.run_job(spec(), timeout=96 * 3600)
-        assert len(hr_cloud.server.db.results) < len(cloud.server.db.results)
-
-
-class TestLocalityScheduling:
-    def run(self, locality, seed=2):
-        cloud = VolunteerCloud.from_spec(CloudSpec(
-            seed=seed,
-            server_config=ServerConfig(locality_scheduling=locality)))
-        cloud.add_volunteers(8, mr=True)
-        job = cloud.run_job(spec(), timeout=48 * 3600)
-        assert job.phase is JobPhase.DONE
-        local = len(cloud.tracer.select("peer.local"))
-        fetched = len(cloud.tracer.select("peer.fetched"))
-        return local, fetched
-
-    def test_locality_increases_local_reads(self):
-        local_on, fetched_on = self.run(True)
-        local_off, fetched_off = self.run(False)
-        assert local_on + fetched_on == local_off + fetched_off
-        assert local_on >= local_off
-
-    def test_job_completes_with_locality(self):
-        local, fetched = self.run(True)
-        assert local + fetched > 0

@@ -27,6 +27,7 @@ from repro.campaign import (
     merge_stores,
     run_campaign,
 )
+from repro.campaign import coordinator as coordinator_module
 from repro.campaign.coordinator import CONTROL_SCHEMAS
 from repro.wire import compile_checks, loads
 
@@ -336,6 +337,43 @@ class TestFailureRecovery:
         assert not thread.is_alive() and reports[0].ok
         lines = store.path.read_bytes().splitlines()
         assert [loads(line)["result"] for line in lines] == [{"slept_s": 0.0}]
+
+    def test_an_over_long_line_gets_one_error_and_a_hang_up(
+            self, tmp_path, monkeypatch):
+        # Regression: a line with no end was buffered without bound.  At
+        # the limit a line is served; one byte past it is answered once,
+        # the connection closes and its lease goes back to the table.
+        monkeypatch.setattr(coordinator_module, "MAX_MESSAGE_BYTES", 256)
+        coordinator = CampaignCoordinator(
+            _sleep_grid(1, duration_s=0.0),
+            ResultStore(tmp_path / "out.jsonl"), heartbeat_s=1.0)
+        thread, reports = _serve(coordinator)
+        lease = b'{"op":"lease","worker":"raw"}'
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5.0) as sock:
+            wire = sock.makefile("rwb")
+            wire.write(HELLO.ljust(255) + b"\n" + lease + b"\n")
+            wire.write(lease.ljust(256) + b"\n")
+            wire.flush()
+            assert loads(wire.readline())["op"] == "welcome"
+            key = loads(wire.readline())["key"]
+            assert loads(wire.readline()) == {
+                "op": "error", "error": "line over 256 bytes"}
+            assert wire.readline() == b""
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5.0) as sock:
+            wire = sock.makefile("rwb")
+            wire.write(HELLO + b"\n" + lease + b"\n")
+            wire.flush()
+            wire.readline()
+            assert loads(wire.readline())["key"] == key
+            wire.write(_result_line().replace(b"<key>", key.encode())
+                       + b"\n" + lease + b"\n")
+            wire.flush()
+            assert loads(wire.readline())["accepted"]
+            assert loads(wire.readline())["op"] == "shutdown"
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and reports[0].ok
 
     def test_payloads_nested_near_the_recursion_limit_are_never_lost(
             self, tmp_path):

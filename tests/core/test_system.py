@@ -11,6 +11,7 @@ from repro.core import (
     MapReduceJobSpec,
     VolunteerCloud,
 )
+from repro.faults import FaultSpec
 from repro.net import NatBox, NatType
 from repro.sim import SimulationError
 
@@ -172,9 +173,10 @@ class TestByzantine:
 
 class TestPeerFailureFallback:
     def test_peer_failures_fall_back_to_server(self):
-        cfg = BoincMRConfig(upload_map_outputs=True, peer_failure_rate=1.0,
-                            peer_retries=2)
+        cfg = BoincMRConfig(upload_map_outputs=True, peer_retries=2)
         cloud = mr_cloud(mr_config=cfg)
+        cloud.apply_faults([FaultSpec(kind="peer_corrupt", at=0.0,
+                                      duration=24 * 3600, target="all")])
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
         fallbacks = sum(getattr(c.input_fetcher, "server_fallbacks", 0)
@@ -186,14 +188,16 @@ class TestPeerFailureFallback:
         assert fallbacks > 0
 
     def test_no_fallback_available_fails_tasks_but_replicas_retry(self):
-        # Pure hash-only mode with flaky peers: some reduce replicas fail,
-        # but retries (new replicas / repeated attempts) eventually succeed
-        # because failures are probabilistic per transfer.
-        cfg = BoincMRConfig(upload_map_outputs=False, peer_failure_rate=0.3,
-                            peer_retries=3)
+        # Pure hash-only mode with some corrupt peers: a reducer evicts a
+        # poisoned copy and tries the partition's other holder, so the
+        # job completes without any server copy to fall back to.
+        cfg = BoincMRConfig(upload_map_outputs=False, peer_retries=3)
         cloud = mr_cloud(seed=11, mr_config=cfg)
+        cloud.apply_faults([FaultSpec(kind="peer_corrupt", at=0.0,
+                                      duration=48 * 3600, target="random:3")])
         job = cloud.run_job(small_spec(), timeout=48 * 3600)
         assert job.phase is JobPhase.DONE
+        assert len(cloud.tracer.select("peer.corrupt")) > 0
 
 
 class TestNatDeployment:

@@ -26,6 +26,8 @@ from repro.gateway import (
 )
 from repro.gateway import protocol
 from repro.gateway import server as server_module
+from repro.runtime import LocalRunner
+from repro.runtime.apps import MatchCount
 from repro.workloads import generate_corpus
 
 from . import reference_framing
@@ -1007,6 +1009,15 @@ class TestEndToEnd:
         assert stats.bytes_received > len(corpus)  # every chunk came down
         out = handle.result("wc", timeout=10)
         assert out == dict(collections.Counter(corpus.split()))
+
+    def test_matchcount_counts_matches_the_corpus_holds(self, handle):
+        corpus = generate_corpus(20_000, seed=3)
+        handle.submit_job("mc", "matchcount", corpus, n_maps=3, n_reducers=2)
+        run_volunteer(handle.address, name="grep", idle_limit=30)
+        out = handle.result("mc", timeout=10)
+        assert out
+        assert out == LocalRunner(MatchCount(rb"\w+a\b"), 3, 2).run(
+            corpus).output
 
     def test_repro_volunteer_says_what_it_moved(self, handle, capsys):
         from repro.cli import main

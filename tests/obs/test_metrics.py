@@ -65,14 +65,14 @@ class TestHistogram:
             Histogram("h", buckets=(5.0, 1.0))
 
     def test_small_sample_quantiles_exact(self):
-        h = Histogram("h", quantiles=(0.5,))
+        h = Histogram("h")
         h.observe(3.0)
         h.observe(1.0)
         assert h.quantile(0.5) == pytest.approx(1.0, abs=2.0)
 
     def test_p2_median_converges(self):
         rng = np.random.default_rng(1)
-        h = Histogram("h", quantiles=(0.5, 0.9))
+        h = Histogram("h")
         data = rng.normal(loc=100.0, scale=10.0, size=5000)
         for v in data:
             h.observe(float(v))
@@ -83,7 +83,7 @@ class TestHistogram:
 
     def test_p2_uniform_tail(self):
         rng = np.random.default_rng(2)
-        h = Histogram("h", quantiles=(0.99,))
+        h = Histogram("h")
         for v in rng.uniform(0.0, 1.0, size=10000):
             h.observe(float(v))
         assert h.quantile(0.99) == pytest.approx(0.99, abs=0.03)

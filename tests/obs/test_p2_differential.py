@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import DEFAULT_QUANTILES, Histogram, _P2Estimator
+from repro.obs.metrics import QUANTILES, Histogram, _P2Estimator
 
 from . import reference_p2
 
@@ -56,7 +56,7 @@ def test_every_marker_agrees_after_every_observation(q, stream):
     _assert_in_step(q, stream)
 
 
-@pytest.mark.parametrize("q", DEFAULT_QUANTILES)
+@pytest.mark.parametrize("q", QUANTILES)
 @pytest.mark.parametrize("draw", ["latency", "uniform", "bimodal", "steps"])
 def test_a_few_thousand_observations_of_a_measured_shape(q, draw):
     # Four distributions a histogram of this repository really sees; the
@@ -75,7 +75,7 @@ def test_a_few_thousand_observations_of_a_measured_shape(q, draw):
 
 def test_histogram_quantiles_are_the_reference_estimates():
     histogram = Histogram("h")
-    references = {q: reference_p2._P2Estimator(q) for q in DEFAULT_QUANTILES}
+    references = {q: reference_p2._P2Estimator(q) for q in QUANTILES}
     for i in range(500):
         x = math.sin(i) * 10.0 + i % 13
         histogram.observe(x)

@@ -62,11 +62,6 @@ class TestWordCount:
                       / LocalRunner(plain, 8, 4).run(zipf).intermediate_bytes)
         assert saving > 0.5
 
-    def test_lowercase_option(self):
-        runner = LocalRunner(WordCount(lowercase=True), 2, 2)
-        report = runner.run(b"Dog dog DOG\n")
-        assert report.output == {b"dog": 3}
-
     def test_task_reports(self):
         runner = LocalRunner(WordCount(), n_maps=4, n_reducers=2)
         report = runner.run(TEXT)

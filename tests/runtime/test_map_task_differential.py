@@ -40,7 +40,6 @@ def _two_values(key, values):
 
 APPS = {
     "wordcount": WordCount,
-    "wordcount_lower": lambda: WordCount(lowercase=True),
     "invindex": InvertedIndex,
     "matchcount": lambda: MatchCount(rb"[ab]+c?"),
     "fn_plain": lambda: FnApp(_mixed_keys, lambda k, vs: [len(vs)]),
@@ -51,7 +50,7 @@ APPS = {
         combine_fn=lambda k, vs: iter(())),
 }
 
-# Letters that bytes.lower folds (A, B) and that it leaves alone (0x80-0xff).
+# Mixed-case ASCII letters and non-ASCII bytes (0x80-0xff).
 _words = st.lists(st.sampled_from(b"abcAB") | st.integers(0x80, 0xFF),
                   min_size=1, max_size=4).map(bytes)
 _line = st.tuples(
@@ -77,7 +76,7 @@ _chunks = st.builds(
        n_reducers=st.integers(1, 9), map_index=st.integers(0, 40))
 @example(app="wordcount", chunk=b"", n_reducers=3, map_index=0)
 @example(app="fn_combined", chunk=b"a a b\na\n", n_reducers=9, map_index=1)
-@example(app="wordcount_lower", chunk=b"\xc9A a\tb\r\n\n \x0bB\xe9 a\x0c",
+@example(app="wordcount", chunk=b"\xc9A a\tb\r\n\n \x0bB\xe9 a\x0c",
          n_reducers=4, map_index=2)
 def test_map_task_equals_two_pass_reference(app, chunk, n_reducers, map_index):
     runner = LocalRunner(APPS[app](), n_maps=1, n_reducers=n_reducers)
@@ -85,8 +84,7 @@ def test_map_task_equals_two_pass_reference(app, chunk, n_reducers, map_index):
     assert runner.run_map_task(map_index, chunk) == expected
 
 
-@pytest.mark.parametrize("lowercase", [False, True])
-def test_wordcount_map_task_runs_map_chunk_alone(lowercase):
+def test_wordcount_map_task_runs_map_chunk_alone():
     # The per-record map and combine are word count's definition, not its
     # map task: a subclass whose map and combine raise writes the same blobs.
     class ChunkOnly(WordCount):
@@ -98,8 +96,8 @@ def test_wordcount_map_task_runs_map_chunk_alone(lowercase):
 
     chunk = b"a B a\r\n\xe9 b\tc\n\n\x0bA\xc9 b"
     expected = reference_map_task(
-        LocalRunner(WordCount(lowercase), 1, 4), 3, chunk)
-    assert LocalRunner(ChunkOnly(lowercase), 1, 4).run_map_task(
+        LocalRunner(WordCount(), 1, 4), 3, chunk)
+    assert LocalRunner(ChunkOnly(), 1, 4).run_map_task(
         3, chunk) == expected
 
 

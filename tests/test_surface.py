@@ -95,3 +95,26 @@ def test_a_pin_naming_a_missing_test_or_a_file_that_never_calls_it():
 
 def test_every_pin_names_a_function_and_a_test_or_file_that_exist():
     assert surface.pin_problems(list(surface.PINNED)) == []
+
+
+def test_option_classes_of_a_type_keeps_only_those_fields():
+    switches = surface.option_classes("bool")[
+        "repro.boinc.server.ServerConfig"]
+    assert "speculative_execution" in switches
+    assert "speculative_factor" not in switches
+
+
+def test_a_switch_only_a_test_sets_is_reported():
+    # This file sets it, as a test would: FakeConfig(only_tested=True).
+    switches = {"repro.fake.FakeConfig": ["only_tested"]}
+    assert surface.tested_switches(switches) == ["FakeConfig.only_tested"]
+
+
+def test_a_switch_a_product_line_sets_is_not_reported():
+    switches = {"repro.fake.FakeConfig": ["only_tested"]}
+    assert surface.tested_switches(
+        switches, "cfg = FakeConfig(only_tested=True)\n") == []
+
+
+def test_no_switch_in_src_is_set_only_by_tests():
+    assert surface.tested_switches(surface.option_classes("bool")) == []
