@@ -5,19 +5,19 @@ Prints ``src/`` Python lines, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
 enter and how many of those :data:`PINNED` keeps, dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
-how many of those fields nothing in the repository sets, how many of their
-bool fields (on/off switches) only tests and examples set, CLI flags and
-subcommands, how many of those flags nothing in the repository invokes,
-the campaign cell kinds, the functions that build campaign cells and the
-builtin grid names, so CHANGES.md can quote parent and change instead of
-a hand count::
+the :func:`census` of those fields (nothing sets it, only tests set it,
+the product sets it only to its default: each one value in use), CLI
+flags and subcommands, how many of those flags nothing in the repository
+invokes, the campaign cell kinds, the functions that build campaign cells
+and the builtin grid names, so CHANGES.md can quote parent and change
+instead of a hand count::
 
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on an unreached module, an
                                       # unreached function not pinned, a
-                                      # stale pin, a never-set field, a
-                                      # switch only tests set or a
-                                      # never-used flag (the CI gate)
+                                      # stale pin, a config field with
+                                      # one value in use or a never-used
+                                      # flag (the CI gate)
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-#: Where an option counts as set (see :func:`never_set`).
-SET_IN = ("src", "tests", "bench", "benchmarks", "examples", "README.md",
-          "EXPERIMENTS.md", "DESIGN.md")
-#: Where a switch counts as set by the product (see :func:`tested_switches`).
-PRODUCT_IN = tuple(root for root in SET_IN
-                   if root not in ("tests", "examples"))
+#: Where a config field counts as set by the product (see :func:`census`).
+PRODUCT_IN = ("src", "bench", "benchmarks")
+#: Where a test or an example sets one.
+TESTS_IN = ("tests", "examples")
 #: Where a CLI flag counts as invoked (see :func:`never_used`).
 USED_IN = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/protocol.md",
            ".github", ".claude", "tests", "bench", "benchmarks", "examples")
@@ -56,55 +54,103 @@ USED_IN = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/protocol.md",
 DEPLOYMENT_FLAGS = ("--host", "--bind")
 
 
-def option_classes(of_type: str | None = None) -> dict[str, list[str]]:
-    """``module.Class`` -> field names of every *Config / *Spec dataclass
-    (only the fields annotated *of_type*, when given)."""
+def option_classes() -> dict[str, type]:
+    """``module.Class`` -> every *Config / *Spec dataclass of ``repro``."""
     import repro
 
-    found: dict[str, list[str]] = {}
+    found: dict[str, type] = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         for name, obj in vars(importlib.import_module(info.name)).items():
             if (name.endswith(("Config", "Spec"))
                     and isinstance(obj, type)
                     and obj.__module__ == info.name
                     and dataclasses.is_dataclass(obj)):
-                found[f"{info.name}.{name}"] = [
-                    f.name for f in dataclasses.fields(obj)
-                    if of_type in (None, f.type)]
+                found[f"{info.name}.{name}"] = obj
     return found
 
 
-def _text(roots: tuple[str, ...], pattern: str) -> str:
-    """Every file among *roots*, and every *pattern* file under the
-    directories among them, as one string to search."""
-    return "\n".join(
-        path.read_text(encoding="utf-8", errors="ignore")
-        for root in roots
-        for path in ([ROOT / root] if (ROOT / root).is_file()
-                     else sorted((ROOT / root).rglob(pattern)))
-        if path.is_file() and path.suffix != ".pyc")
+def census_fields(classes: dict[str, type]) -> dict[str, dataclasses.Field]:
+    """``Class.field`` -> field, for every field of a *Config class and
+    every bool field (an on/off switch) of a *Spec class: a *Spec
+    describes a run, so only its switches must earn their code path."""
+    return {f"{cls.__name__}.{field.name}": field
+            for cls in classes.values() for field in dataclasses.fields(cls)
+            if cls.__name__.endswith("Config") or field.type == "bool"}
 
 
-def never_set(classes: dict[str, list[str]],
-              text: str | None = None) -> list[str]:
-    """``Class.field`` for every option no line of *text* (default: the
-    repository under :data:`SET_IN`) sets: nothing matches
-    ``\\b<field>\\s*=``, as a keyword argument or an assignment would.
-    One value in use means a constant."""
-    text = _text(SET_IN, "*.py") if text is None else text
-    return [f"{cls.rsplit('.', 1)[1]}.{field}"
-            for cls, fields in sorted(classes.items()) for field in fields
-            if not re.search(rf"\b{field}\s*=", text)]
+def _sources(roots: tuple[str, ...], pattern: str = "*.py") -> list[str]:
+    """The text of every file among *roots* and of every *pattern* file
+    under the directories among them."""
+    return [path.read_text(encoding="utf-8", errors="ignore")
+            for root in roots
+            for path in ([ROOT / root] if (ROOT / root).is_file()
+                         else sorted((ROOT / root).rglob(pattern)))
+            if path.is_file() and path.suffix != ".pyc"]
 
 
-def tested_switches(switches: dict[str, list[str]],
-                  text: str | None = None) -> list[str]:
-    """``Class.field`` for every switch (bool option) that no product line
-    sets: :func:`never_set` over *text* (default: the repository under
-    :data:`PRODUCT_IN`, which leaves out ``tests`` and ``examples``).
-    The code behind a switch only a test turns on runs only in tests."""
-    return never_set(switches,
-                     _text(PRODUCT_IN, "*.py") if text is None else text)
+def setters(fields: _t.Iterable[str],
+            sources: list[str]) -> dict[str, list[ast.expr]]:
+    """``Class.field`` -> the value of every keyword in *sources* that
+    sets it: a keyword in a call to the class by name, in a ``cls(...)``
+    call inside the class body, or in a ``replace(...)`` call (which sets
+    the field of that name on every class that has one).  A keyword of
+    the same name on any other call sets nothing."""
+    names: dict[str, set[str]] = {}
+    for key in fields:
+        cls, name = key.split(".")
+        names.setdefault(cls, set()).add(name)
+    found: dict[str, list[ast.expr]] = {}
+
+    def note(classes: _t.Iterable[str], call: ast.Call) -> None:
+        for keyword in call.keywords:
+            for cls in classes:
+                if keyword.arg in names[cls]:
+                    found.setdefault(f"{cls}.{keyword.arg}", []).append(
+                        keyword.value)
+
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Name)
+                            and call.func.id == "cls"):
+                        note([node.name], call)
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                if called == "replace":
+                    note(names, node)
+                elif called in names:
+                    note([called], node)
+    return found
+
+
+def _is_default(value: ast.expr, field: dataclasses.Field) -> bool:
+    """True when *value* is a literal equal to *field*'s default."""
+    try:
+        return ast.literal_eval(value) == field.default
+    except ValueError:
+        return False
+
+
+def census(fields: dict[str, dataclasses.Field],
+           product: list[str] | None = None,
+           tests: list[str] | None = None
+           ) -> tuple[list[str], list[str], list[str]]:
+    """The *fields* (:func:`census_fields`) nothing sets, those only
+    *tests* set and those *product* sets only to their default, by
+    :func:`setters` over the ``.py`` files of *product* (default: under
+    :data:`PRODUCT_IN`) and *tests* (default: under :data:`TESTS_IN`).
+    Each is one value in use, so a constant, not a field."""
+    product = setters(fields, _sources(PRODUCT_IN)
+                      if product is None else product)
+    tested = setters(fields, _sources(TESTS_IN) if tests is None else tests)
+    return ([key for key in fields if key not in product
+             and key not in tested],
+            [key for key in fields if key not in product and key in tested],
+            [key for key, values in product.items()
+             if all(_is_default(value, fields[key]) for value in values)])
 
 
 def grid_builders() -> list[str]:
@@ -151,7 +197,7 @@ def never_used(flags: list[tuple[str, str]]) -> list[str]:
     """``command --flag`` for every flag whose spelling appears in no doc,
     CI step, skill, test, example or bench under :data:`USED_IN`: nothing
     shows it working, so it is a library parameter, not a CLI surface."""
-    text = _text(USED_IN, "*")
+    text = "\n".join(_sources(USED_IN, "*"))
     return [f"{command} {flag}".strip() for command, flag in sorted(flags)
             if flag not in DEPLOYMENT_FLAGS
             and not re.search(rf"{flag}(?![\w-])", text)]
@@ -717,12 +763,14 @@ if __name__ == "__main__":
           f"(pinned {sum(name in PINNED for name in dead)})")
     for line in problems:
         print("  ", line)
-    print("config/spec fields: ", sum(map(len, classes.values())),
+    print("config/spec fields: ", sum(len(dataclasses.fields(cls))
+                                      for cls in classes.values()),
           "on", len(classes), "classes")
-    unset = never_set(classes)
+    unset, tested, default = census(census_fields(classes))
     print("never-set fields:   ", len(unset), *unset)
-    tested = tested_switches(option_classes("bool"))
-    print("switches only tests set:", len(tested), *tested)
+    print("config fields only tests set:", len(tested), *tested)
+    print("config fields the product sets only to their default:",
+          len(default), *default)
     parser = build_parser()
     flags = cli_flags(parser)
     print("cli flags:          ", len(flags))
@@ -736,9 +784,10 @@ if __name__ == "__main__":
     print("grid builders:      ", len(builders), ", ".join(builders))
     grids = grid_names()
     print("builtin grids:      ", len(grids), ", ".join(grids))
-    for name, fields in sorted(classes.items()):
-        print(f"  {len(fields):3d}  {name}")
+    for name, cls in sorted(classes.items()):
+        print(f"  {len(dataclasses.fields(cls)):3d}  {name}")
     if "--check" in sys.argv[1:] and (unreached or problems or unset
-                                      or tested or unused):
-        sys.exit("surface: a module, a function, an option or a flag nothing "
-                 "uses, a switch only tests set, or a stale pin (see above)")
+                                      or tested or default or unused):
+        sys.exit("surface: a module, a function or a flag nothing uses, a "
+                 "config field with one value in use, or a stale pin "
+                 "(see above)")

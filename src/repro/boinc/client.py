@@ -51,27 +51,10 @@ from .server import Assignment, ProjectServer, ReportedResult, SchedulerRequest
 class ClientConfig:
     """Client-side policy knobs (BOINC preferences + paper settings)."""
 
-    ncpus: int = 1
-    #: Low watermark: request more work when the estimated *remaining*
-    #: queued work drops below this (BOINC's min work buffer).  Because
-    #: this is typically larger than one task, clients poll the scheduler
-    #: *while still computing* — the behaviour behind the paper's Fig. 4
-    #: backoff pathology.
-    work_buffer_min_s: float = 120.0
-    #: High watermark: ask for (target - queued) seconds of work.
-    work_buffer_target_s: float = 240.0
-    #: Exponential backoff after a no-work reply: min, cap (paper: 600 s).
-    backoff_min_s: float = 60.0
+    #: Exponential backoff cap after a no-work reply (paper: 600 s).
     backoff_max_s: float = 600.0
-    #: Relative jitter applied to each backoff draw (BOINC randomises
-    #: its deferrals; high jitter is what makes stragglers occasional
-    #: rather than universal).
-    backoff_jitter: float = 0.5
     #: §IV.C ablation: report finished tasks immediately, ignoring backoff.
     report_immediately: bool = False
-    #: Relative jitter on task compute times (testbed hardware/IO noise;
-    #: calibrated so per-phase variance matches the paper's spread).
-    compute_jitter: float = 0.15
     #: Actual compute speed relative to the benchmark speed the server
     #: knows (BOINC estimates are routinely wrong for real applications;
     #: < 1 makes this host a genuine straggler the scheduler cannot see).
@@ -79,9 +62,26 @@ class ClientConfig:
     #: Send output uploads as TCP-Nice-style background transfers that
     #: yield to foreground traffic (Section III.D future work).
     nice_uploads: bool = False
-    #: Initial scheduler contact is staggered by up to this many seconds.
-    initial_stagger_s: float = 5.0
 
+
+#: Low watermark: request more work when the estimated *remaining*
+#: queued work drops below this (BOINC's min work buffer).  Because this
+#: is larger than one task, clients poll the scheduler *while still
+#: computing* — the behaviour behind the paper's Fig. 4 backoff pathology.
+WORK_BUFFER_MIN_S = 120.0
+#: High watermark: ask for (target - queued) seconds of work.
+WORK_BUFFER_TARGET_S = 240.0
+#: Exponential backoff floor after a no-work reply.
+BACKOFF_MIN_S = 60.0
+#: Relative jitter applied to each backoff draw (BOINC randomises its
+#: deferrals; high jitter is what makes stragglers occasional rather than
+#: universal).
+BACKOFF_JITTER = 0.5
+#: Relative jitter on task compute times (testbed hardware/IO noise;
+#: calibrated so per-phase variance matches the paper's spread).
+COMPUTE_JITTER = 0.15
+#: Initial scheduler contact is staggered by up to this many seconds.
+INITIAL_STAGGER_S = 5.0
 
 #: Inter-client connection threshold (Section III.C), per direction.
 MAX_PEER_CONNS = 6
@@ -176,7 +176,7 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
                 client.net.flownet.abort_flow(flow, reason=f"{verb} cancelled")
         yield backoff_delay(
             client.rng, TRANSFER_BACKOFF_MIN_S, TRANSFER_BACKOFF_MAX_S,
-            attempt, client.config.backoff_jitter)
+            attempt, BACKOFF_JITTER)
     raise TransferFailed(
         f"{verb} of {name!r} failed after {TRANSFER_RETRIES} "
         f"attempts: {last}")
@@ -292,7 +292,7 @@ class Client:
             max_download_conns=MAX_PEER_CONNS)
         self.tasks: list[ClientTask] = []
         self._ready: list[ClientTask] = []
-        self._cpu = SimSemaphore(sim, self.config.ncpus, name=f"{self.name}.cpu")
+        self._cpu = SimSemaphore(sim, 1, name=f"{self.name}.cpu")
         self._backoff_count = 0
         self._next_allowed_rpc = 0.0
         #: Gate after a *failed* scheduler contact (server down, partition).
@@ -367,14 +367,14 @@ class Client:
     def _main(self) -> _t.Generator:
         # Desynchronise initial contact: real volunteers never start in
         # lockstep, and a deterministic stagger keeps runs reproducible.
-        stagger = float(self.rng.uniform(0.0, self.config.initial_stagger_s))
+        stagger = float(self.rng.uniform(0.0, INITIAL_STAGGER_S))
         if stagger > 0:
             yield stagger
         sim, config = self.sim, self.config
         try:
             while True:
                 queued_s = self._est_queued_s()
-                want_work = queued_s < config.work_buffer_min_s
+                want_work = queued_s < WORK_BUFFER_MIN_S
                 have_reports = bool(self._ready)
                 urgent = have_reports and config.report_immediately
                 now = sim.now
@@ -407,7 +407,7 @@ class Client:
         reporting, self._ready = self._ready, []
         work_req = 0.0
         if want_work:
-            work_req = max(0.0, self.config.work_buffer_target_s - queued_s)
+            work_req = max(0.0, WORK_BUFFER_TARGET_S - queued_s)
         request = SchedulerRequest(
             host_id=self.record.id,
             work_req_s=work_req,
@@ -472,9 +472,8 @@ class Client:
     def _backoff(self, n: int) -> float:
         """Scheduler deferral after the *n*-th consecutive no-work reply
         (or failed contact), on this client's rng stream."""
-        cfg = self.config
-        return backoff_delay(self.rng, cfg.backoff_min_s, cfg.backoff_max_s,
-                             n, cfg.backoff_jitter)
+        return backoff_delay(self.rng, BACKOFF_MIN_S,
+                             self.config.backoff_max_s, n, BACKOFF_JITTER)
 
     def _to_report(self, task: ClientTask) -> ReportedResult:
         ok = task.error is None
@@ -507,7 +506,7 @@ class Client:
                 task.started_compute_at = self.sim.now
                 runtime = wu.flops / (self.record.flops
                                        * self.config.speed_factor)
-                runtime = jittered(self.rng, runtime, self.config.compute_jitter)
+                runtime = jittered(self.rng, runtime, COMPUTE_JITTER)
                 runtime *= self.slowdown  # straggler fault, 1.0 when healthy
                 self.tracer.record(self.sim.now, "task.compute_start",
                                    host=self.name,

@@ -53,27 +53,17 @@ class ServerConfig:
 
     #: Feeder shared-memory slots (results visible to the scheduler).
     feeder_cache_size: int = 100
-    #: Max simultaneous scheduler RPCs before requests queue (congestion).
-    rpc_capacity: int = 10
-    #: Server-side processing time per scheduler RPC.
-    rpc_process_s: float = 0.5
     #: Result deadline: sent_at + delay_bound.
     delay_bound_s: float = 6 * 3600.0
     #: Reply field telling the client the minimum wait before its next RPC.
     request_delay_s: float = 6.0
-    #: Cap on results handed out in a single RPC.  Keeping this small
-    #: spreads a single job's results evenly over the cluster, matching
-    #: the paper's ~(replication x maps / nodes) tasks per node.
-    max_results_per_rpc: int = 2
     #: Hadoop-style speculative execution: when an assigned result has
-    #: been out for ``speculative_factor`` x its estimated runtime (and at
-    #: least ``speculative_min_elapsed_s``), the transitioner creates a
-    #: backup replica on another host.  Directly attacks the paper's
-    #: Fig. 4 straggler: a backup replica can complete the quorum while
-    #: the original sits unreported in a backoff window.
+    #: been out for :data:`SPECULATIVE_FACTOR` x its estimated runtime
+    #: (and at least :data:`SPECULATIVE_MIN_ELAPSED_S`), the transitioner
+    #: creates a backup replica on another host.  Directly attacks the
+    #: paper's Fig. 4 straggler: a backup replica can complete the quorum
+    #: while the original sits unreported in a backoff window.
     speculative_execution: bool = False
-    speculative_factor: float = 3.0
-    speculative_min_elapsed_s: float = 120.0
     #: BOINC's adaptive replication: workunits start with a single
     #: replica; a result from a host with fewer than
     #: ``adaptive_trust_threshold`` validated results — or any result
@@ -81,7 +71,21 @@ class ServerConfig:
     #: Trades the paper's fixed 2x redundancy for reputation + sampling.
     adaptive_replication: bool = False
     adaptive_trust_threshold: int = 3
-    adaptive_spot_check_rate: float = 0.1
+
+
+#: Max simultaneous scheduler RPCs before requests queue (congestion).
+RPC_CAPACITY = 10
+#: Server-side processing time per scheduler RPC.
+RPC_PROCESS_S = 0.5
+#: Cap on results handed out in a single RPC.  Keeping this small spreads
+#: a single job's results evenly over the cluster, matching the paper's
+#: ~(replication x maps / nodes) tasks per node.
+MAX_RESULTS_PER_RPC = 2
+#: Speculative execution's straggler threshold (``speculative_execution``).
+SPECULATIVE_FACTOR = 3.0
+SPECULATIVE_MIN_ELAPSED_S = 120.0
+#: Share of adaptive results drawn for a spot check.
+ADAPTIVE_SPOT_CHECK_RATE = 0.1
 
 
 @dataclasses.dataclass(slots=True)
@@ -303,7 +307,7 @@ class SchedulerCore:
         out: list[Assignment] = []
         booked = 0.0
         for rid in self._eligible_results(host):
-            if booked >= work_req_s or len(out) >= self.config.max_results_per_rpc:
+            if booked >= work_req_s or len(out) >= MAX_RESULTS_PER_RPC:
                 break
             res = self.db.results.get(rid)
             if res is None or res.state is not ResultState.UNSENT:
@@ -399,15 +403,14 @@ class SchedulerCore:
 
     def _speculative_pass(self, now: float) -> None:
         """Create backup replicas for results that look like stragglers."""
-        cfg = self.config
         for res in self.db.in_progress_results():
             wu = self.db.workunits[res.wu_id]
             if wu.state is not WorkunitState.ACTIVE or res.sent_at is None:
                 continue
             host = self.db.hosts[res.host_id]
             est = wu.flops / host.flops
-            threshold = max(cfg.speculative_min_elapsed_s,
-                            cfg.speculative_factor * est)
+            threshold = max(SPECULATIVE_MIN_ELAPSED_S,
+                            SPECULATIVE_FACTOR * est)
             if now - res.sent_at < threshold:
                 continue
             results = self.db.results_for_wu(wu.id)
@@ -525,7 +528,7 @@ class SchedulerCore:
         trusted = host.validated_count >= self.config.adaptive_trust_threshold
         spot_check = False
         if self.rng is not None:
-            spot_check = self.rng.random() < self.config.adaptive_spot_check_rate
+            spot_check = self.rng.random() < ADAPTIVE_SPOT_CHECK_RATE
         if trusted and not spot_check:
             self.tracer.record(self.now, "validator.adaptive_accept",
                                wu=wu.id, host=host.name,
@@ -593,7 +596,7 @@ class ProjectServer(SchedulerCore):
         self._clock = lambda: sim.now
         self.dataserver = DataServer(sim, net, host, tracer=self.tracer)
         self.publish_input = self.dataserver.publish
-        self._rpc_slots = SimSemaphore(sim, self.config.rpc_capacity, name="sched")
+        self._rpc_slots = SimSemaphore(sim, RPC_CAPACITY, name="sched")
         self._daemons_started = False
         self._daemon_procs: dict[str, _t.Any] = {}
         #: Fault injection: daemon name -> sim time until which its passes
@@ -660,7 +663,7 @@ class ProjectServer(SchedulerCore):
     # -- scheduler RPC (simulated transport) -----------------------------------
     def scheduler_rpc(self, request: SchedulerRequest) -> Event:
         """One scheduler RPC: an event that fires with the SchedulerReply
-        after a jittered service delay in one of ``rpc_capacity`` slots, or
+        after a jittered service delay in one of :data:`RPC_CAPACITY` slots, or
         fails with :class:`ServerUnavailable` while the server is down.  A
         caller that stops waiting (churn) does not cancel the server side.
         """
@@ -677,7 +680,7 @@ class ProjectServer(SchedulerCore):
                 self._rpc_slots.settle(grant)
                 reply.fail(ServerUnavailable("scheduler crashed mid-request"))
                 return
-            delay = self.config.rpc_process_s
+            delay = RPC_PROCESS_S
             if self.rng is not None:
                 delay = jittered(self.rng, delay, 0.2)
             self.sim.schedule(delay, finish)

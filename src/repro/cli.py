@@ -43,6 +43,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run: --summary-out records the fault log and the audit, so "
               "--faults PLAN is required (see --list-plans)", file=sys.stderr)
         return 2
+    try:
+        spec = MapReduceJobSpec("job", args.maps, args.reducers,
+                                args.input_gb * 1e9)
+        spec.require_hosts(args.nodes)
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     mr_config = (BoincMRConfig() if args.mr
                  else BoincMRConfig.vanilla_boinc())
     cloud = VolunteerCloud.from_spec(CloudSpec(
@@ -52,9 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cloud.attach_observability(spans=True, probes=args.summary,
                                    profile=args.summary)
     injector = cloud.apply_faults(args.faults) if args.faults else None
-    job = cloud.submit(MapReduceJobSpec(
-        "job", n_maps=args.maps, n_reducers=args.reducers,
-        input_size=args.input_gb * 1e9))
+    job = cloud.submit(spec)
     diagnosis = None
     try:
         cloud.run_until(job.done)

@@ -19,6 +19,12 @@ import dataclasses
 from ..sim import Simulator
 from ..boinc.model import FileRef
 
+#: How long a mapper keeps its outputs available for peers before the
+#: serving timeout expires (Section III.C: "chosen according to the
+#: expected execution time of a map task"; the paper used a value "large
+#: enough to allow all inter-client transfers").
+SERVE_TIMEOUT_S = 4 * 3600.0
+
 
 @dataclasses.dataclass(slots=True)
 class ServedFile:
@@ -33,12 +39,9 @@ class ServedFile:
 class PeerStore:
     """The files one BOINC-MR client is currently serving to peers."""
 
-    def __init__(self, sim: Simulator, serve_timeout_s: float) -> None:
-        """An empty store whose entries expire after *serve_timeout_s*."""
-        if serve_timeout_s <= 0:
-            raise ValueError("serve_timeout_s must be positive")
+    def __init__(self, sim: Simulator) -> None:
+        """An empty store; entries expire :data:`SERVE_TIMEOUT_S` on."""
         self.sim = sim
-        self.serve_timeout_s = serve_timeout_s
         self._files: dict[str, ServedFile] = {}
         self.bytes_served = 0.0
         self.evictions = 0
@@ -47,7 +50,7 @@ class PeerStore:
     def serve(self, ref: FileRef, job: str) -> None:
         """Start (or restart) serving *ref* for *job*."""
         self._files[ref.name] = ServedFile(
-            ref=ref, job=job, expires_at=self.sim.now + self.serve_timeout_s)
+            ref=ref, job=job, expires_at=self.sim.now + SERVE_TIMEOUT_S)
 
     def evict(self, name: str) -> bool:
         """Withdraw a file that served corrupt data (checksum mismatch).

@@ -47,6 +47,13 @@ class MapReduceJobSpec:
         if self.quorum < 1 or self.replication < self.quorum:
             raise ValueError("need replication >= quorum >= 1")
 
+    def require_hosts(self, n_hosts: int) -> None:
+        """Raise ValueError when *n_hosts* volunteers, one replica each,
+        are too few for any workunit to ever reach quorum."""
+        if n_hosts < self.replication:
+            raise ValueError(f"need at least {self.replication} nodes (the "
+                             f"replication) to reach quorum, got {n_hosts}")
+
     # -- derived geometry ------------------------------------------------------
     @property
     def chunk_size(self) -> float:

@@ -31,6 +31,10 @@ from .config import BoincMRConfig
 from .interclient import PeerStore
 from .jobtracker import JobTracker
 
+#: Failed inter-client downloads before the server copy (Section III).
+PEER_RETRIES = 3
+#: While waiting for a late map output, poll the server this often.
+FETCH_POLL_S = 30.0
 #: Give up on a missing reduce input after this many server polls.
 FETCH_POLL_ATTEMPTS = 120
 
@@ -148,8 +152,8 @@ class MapReduceInputFetcher:
         order = list(holders)
         if len(order) > 1:
             order = [order[i] for i in self.rng.permutation(len(order))]
-        for address in order * max(1, self.config.peer_retries):
-            if attempts >= self.config.peer_retries:
+        for address in order * PEER_RETRIES:
+            if attempts >= PEER_RETRIES:
                 break
             mapper = self.directory.resolve(address)
             if mapper is None or mapper is client:
@@ -225,7 +229,7 @@ class MapReduceInputFetcher:
             if self.config.reduce_creation_fraction >= 1.0:
                 break  # nothing will ever appear; fail fast
             polls += 1
-            yield self.config.fetch_poll_s
+            yield FETCH_POLL_S
         raise TransferFailed(
             f"reduce input {filename} unavailable: no reachable peer and "
             "no server copy (upload_map_outputs is off)")

@@ -225,8 +225,7 @@ class VolunteerCloud:
                         tracer=self.tracer, input_fetcher=fetcher,
                         output_policy=output_policy, executor=executor)
         if mr:
-            client.peer_store = PeerStore(self.sim,
-                                          self.mr_config.serve_timeout_s)
+            client.peer_store = PeerStore(self.sim)
         self.directory.register(client)
         self.clients.append(client)
         if self._started:
@@ -299,15 +298,14 @@ class VolunteerCloud:
         injector = FaultInjector(self, plan)
         return injector.arm()
 
-    def audit(self, job: "MapReduceJob | None" = None,
-              settle: bool = True) -> "AuditReport":
-        """Post-run invariant sweep; see :class:`repro.faults.RunAuditor`."""
+    def audit(self, job: "MapReduceJob | None" = None) -> "AuditReport":
+        """Post-run invariant sweep, after settling and draining; see
+        :class:`repro.faults.RunAuditor`."""
         from ..faults import RunAuditor
 
         auditor = RunAuditor(self)
-        if settle:
-            auditor.settle()
-            auditor.drain()
+        auditor.settle()
+        auditor.drain()
         return auditor.audit(job)
 
     # -- jobs --------------------------------------------------------------------

@@ -20,17 +20,16 @@ import statistics
 import typing as _t
 
 from ..analysis import backoff_delays, job_metrics, report_lags
-from ..boinc.client import ClientConfig
+from ..boinc.client import BACKOFF_JITTER, BACKOFF_MIN_S, ClientConfig
 from ..core import CloudSpec, MapReduceJobSpec
 from ..sim import Tracer
 from .scenario import metrics_payload, run_scenario
 from .study import Claim, Study, col
 
-_CLIENT = ClientConfig()
 #: Smallest and largest deferral a jittered backoff draw can produce
 #: (60 s and the paper's 600 s cap, +/-50 %).
-BACKOFF_FLOOR_S = _CLIENT.backoff_min_s * (1 - _CLIENT.backoff_jitter)
-BACKOFF_CEILING_S = _CLIENT.backoff_max_s * (1 + _CLIENT.backoff_jitter)
+BACKOFF_FLOOR_S = BACKOFF_MIN_S * (1 - BACKOFF_JITTER)
+BACKOFF_CEILING_S = ClientConfig().backoff_max_s * (1 + BACKOFF_JITTER)
 
 
 def delay_payload(tracer: Tracer, job: str) -> dict[str, _t.Any]:

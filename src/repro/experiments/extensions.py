@@ -76,8 +76,7 @@ def adaptive_payload(adaptive: bool, seed: int) -> dict[str, _t.Any]:
     measured one."""
     cloud = VolunteerCloud.from_spec(CloudSpec(
         seed=seed, server_config=ServerConfig(
-            adaptive_replication=adaptive, adaptive_trust_threshold=2,
-            adaptive_spot_check_rate=0.1)))
+            adaptive_replication=adaptive, adaptive_trust_threshold=2)))
     cloud.add_volunteers(12, mr=True)
     for name in ("warm", "main"):
         job = cloud.run_job(MapReduceJobSpec(name, n_maps=12, n_reducers=3,

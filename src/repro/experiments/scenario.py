@@ -49,10 +49,7 @@ def run_scenario(cloud: CloudSpec | VolunteerCloud, job: MapReduceJobSpec,
     """
     if isinstance(cloud, CloudSpec):
         cloud = VolunteerCloud.from_spec(cloud)
-    if len(cloud.clients) < job.replication:
-        raise ValueError(
-            "need at least `replication` nodes or no workunit can ever "
-            "reach quorum (one replica per host)")
+    job.require_hosts(len(cloud.clients))
     finished = cloud.run_job(job, timeout=timeout_s)
     return ScenarioResult(job=finished,
                           metrics=job_metrics(cloud.tracer, job.name),

@@ -5,7 +5,7 @@ be reported as soon as their upload is completed, **even if it meant
 increasing server congestion**".  This experiment prices that trade: it
 sweeps cluster size under both reporting policies and measures scheduler
 RPC volume, RPC queueing delay (time spent waiting for one of the
-server's ``rpc_capacity`` slots), and job makespan.
+server's ``RPC_CAPACITY`` slots), and job makespan.
 
 The queueing delay is measured directly: each RPC's wall time minus its
 processing time, extracted from per-RPC traces.

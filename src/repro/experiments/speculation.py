@@ -22,8 +22,7 @@ def slow_node_payload(speculative: bool, seed: int) -> dict[str, _t.Any]:
     """19 healthy BOINC-MR hosts plus ``slowpoke`` at 1/20 speed."""
     cloud = VolunteerCloud.from_spec(CloudSpec(
         seed=seed, server_config=ServerConfig(
-            speculative_execution=speculative, speculative_factor=3.0,
-            speculative_min_elapsed_s=120.0)))
+            speculative_execution=speculative)))
     cloud.add_volunteers(19, mr=True)
     cloud.add_volunteer("slowpoke", mr=True,
                         config=ClientConfig(speed_factor=0.05))

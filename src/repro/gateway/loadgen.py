@@ -47,18 +47,21 @@ class LoadConfig:
     n_clients: int = 500
     #: Wall-clock length the compressed schedules are replayed over.
     duration_s: float = 8.0
-    #: Scheduler polls each client attempts inside its ON windows.
-    polls_per_client: int = 4
     seed: int = 1
-    #: Job the fleet computes while generating load.
-    app: str = "wordcount"
-    corpus_bytes: int = 200_000
+    #: Shape of the job the fleet computes while generating load.
     n_maps: int = 12
     n_reducers: int = 6
-    replication: int = 2
-    quorum: int = 2
-    #: Extra wall-clock grace after schedules finish for the job to seal.
-    drain_s: float = 20.0
+
+
+#: Scheduler polls each client attempts inside its ON windows.
+POLLS_PER_CLIENT = 4
+#: The job the fleet computes: app, corpus size, replicas and quorum.
+APP = "wordcount"
+CORPUS_BYTES = 200_000
+REPLICATION = 2
+QUORUM = 2
+#: Extra wall-clock grace after schedules finish for the job to seal.
+DRAIN_S = 20.0
 
 
 @dataclasses.dataclass(slots=True)
@@ -103,7 +106,7 @@ def client_schedule(index: int, config: LoadConfig) -> list[float]:
     scale = config.duration_s / (7 * 24 * 3600.0)
     instants: list[float] = []
     spans = [(s * scale, e * scale) for s, e in trace.intervals]
-    for _ in range(config.polls_per_client):
+    for _ in range(POLLS_PER_CLIENT):
         start, end = spans[int(rng.integers(len(spans)))]
         instants.append(float(rng.uniform(start, end)))
     return sorted(instants)
@@ -136,8 +139,8 @@ def _replay_client(index: int, address: str, config: LoadConfig,
 
 def oracle_payload(config: LoadConfig) -> bytes:
     """The simulated-run oracle: LocalRunner over the same corpus/split."""
-    data = generate_corpus(config.corpus_bytes, seed=config.seed)
-    runner = LocalRunner(resolve_app(config.app), n_maps=config.n_maps,
+    data = generate_corpus(CORPUS_BYTES, seed=config.seed)
+    runner = LocalRunner(resolve_app(APP), n_maps=config.n_maps,
                          n_reducers=config.n_reducers)
     return canonical_payload(runner.run(data).output)
 
@@ -165,19 +168,16 @@ def run_loadgen(address: str | None = None,
     say = echo or (lambda _msg: None)
     handle = None
     if address is None:
-        handle = GatewayServer.in_thread(GatewayConfig(
-            request_delay_s=0.0, delay_bound_s=5.0))
+        handle = GatewayServer.in_thread(GatewayConfig(delay_bound_s=5.0))
         address = handle.address
         say(f"self-hosted gateway on {address}")
     control = GatewayClient(address)
     job_name = f"loadgen-{config.seed}"
-    control.submit_job(job_name, config.app, config.corpus_bytes,
-                       config.seed, n_maps=config.n_maps,
-                       n_reducers=config.n_reducers,
-                       replication=config.replication,
-                       quorum=config.quorum)
+    control.submit_job(job_name, APP, CORPUS_BYTES, config.seed,
+                       n_maps=config.n_maps, n_reducers=config.n_reducers,
+                       replication=REPLICATION, quorum=QUORUM)
     say(f"submitted {job_name}: {config.n_maps} maps x "
-        f"{config.replication} replicas, {config.n_reducers} reduces")
+        f"{REPLICATION} replicas, {config.n_reducers} reduces")
 
     samples: list[float] = []
     client_errors: list[str] = []
@@ -198,7 +198,7 @@ def run_loadgen(address: str | None = None,
 
     # Drain: deadline-expired leases are reissued by the shared
     # transitioner; cleanup volunteers absorb them until the job seals.
-    deadline = time.monotonic() + config.drain_s
+    deadline = time.monotonic() + DRAIN_S
     status = control.job_status(job_name)
     sweep = 0
     while status["state"] == "running" and time.monotonic() < deadline:

@@ -67,6 +67,11 @@ _READ_TIMEOUT_S = 10.0
 #: Feeder shared-memory slots visible to the live scheduler.
 _FEEDER_CACHE_SIZE = 256
 
+#: Next-contact hint handed to clients in every scheduler reply.
+REQUEST_DELAY_S = 0.0
+#: ``Retry-After`` value (seconds) sent with 503 refusals.
+RETRY_AFTER_S = 0.5
+
 #: What a handler returns: (status, headers, payload).
 _Reply = tuple[int, dict[str, str], bytes]
 
@@ -224,21 +229,14 @@ class GatewayConfig:
     #: Wall-clock period of the daemon tick (one full
     #: feeder/transitioner/validator/assimilator pipeline per tick).
     daemon_period_s: float = 0.02
-    #: Next-contact hint handed to clients in every scheduler reply.
-    request_delay_s: float = 0.0
     #: Lease deadline for live results (sent_at + delay_bound).
     delay_bound_s: float = 30.0
-    #: Cap on results handed out per scheduler RPC.
-    max_results_per_rpc: int = 2
-    #: ``Retry-After`` value (seconds) sent with 503 refusals.
-    retry_after_s: float = 0.5
 
     def server_config(self) -> ServerConfig:
         """The shared-core :class:`ServerConfig` this front end implies."""
         return ServerConfig(
-            request_delay_s=self.request_delay_s,
+            request_delay_s=REQUEST_DELAY_S,
             delay_bound_s=self.delay_bound_s,
-            max_results_per_rpc=self.max_results_per_rpc,
             feeder_cache_size=_FEEDER_CACHE_SIZE,
         )
 
@@ -295,8 +293,8 @@ class GatewayServer:
         self._daemon_task: asyncio.Task | None = None
         #: Bound by the first request, when ``/status`` starts to list it.
         self._requests_total: Counter | None = None
-        #: ``(request_delay_s, no_work) ->`` a reply without assignments.
-        self._canned: dict[tuple[float, bool], _Reply] = {}
+        #: ``no_work ->`` a reply without assignments.
+        self._canned: dict[bool, _Reply] = {}
         self._bind_routes()
 
     def _bind_routes(self) -> None:
@@ -445,7 +443,7 @@ class GatewayServer:
                 reply = handler(arg, headers, body)
         except ServerUnavailable:
             reply = self._error("unavailable", "server refusing; retry",
-                                retry_after_s=self.config.retry_after_s)
+                                retry_after_s=RETRY_AFTER_S)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             # OverflowError: an integer too large for float()
             reply = self._error("bad_request", f"{type(exc).__name__}: {exc}")
@@ -490,7 +488,7 @@ class GatewayServer:
                 supports_mr=req.get("supports_mr", True)).id
         return self._json(200, {
             "host_id": host_id,
-            "request_delay_s": self.config.request_delay_s})
+            "request_delay_s": REQUEST_DELAY_S})
 
     def _rpc_scheduler(self, _arg: str, _headers: dict, req: dict) -> _Reply:
         """``POST /rpc/scheduler``: reports in, assignments out."""
@@ -521,10 +519,10 @@ class GatewayServer:
             reports=reports))
         if reply.assignments:
             return self._json(200, self._encode_reply(reply))
-        key = (reply.request_delay_s, reply.no_work)
-        if key not in self._canned:
-            self._canned[key] = self._json(200, self._encode_reply(reply))
-        return self._canned[key]
+        if reply.no_work not in self._canned:
+            self._canned[reply.no_work] = self._json(
+                200, self._encode_reply(reply))
+        return self._canned[reply.no_work]
 
     def _encode_reply(self, reply: SchedulerReply) -> dict:
         """Serialise a core :class:`SchedulerReply` into a wire ``WorkReply``."""

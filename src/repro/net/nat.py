@@ -99,16 +99,16 @@ class TraversalOutcome:
 
 @dataclasses.dataclass(slots=True)
 class TraversalConfig:
-    """Tunable costs and availability of each rung."""
+    """Which rungs of the ladder are available."""
 
-    #: Extra rendezvous round-trips charged for the direct rung.
-    direct_setup_s: float = 0.1
     enable_reversal: bool = True
     enable_hole_punch: bool = True
     enable_relay: bool = True
 
 
-#: Extra rendezvous round-trips charged per later rung attempted.
+#: Extra rendezvous round-trips charged for the direct rung, and per later
+#: rung attempted.
+DIRECT_SETUP_S = 0.1
 REVERSAL_SETUP_S = 1.0
 HOLE_PUNCH_SETUP_S = 3.0
 RELAY_SETUP_S = 2.0
@@ -139,9 +139,8 @@ class ConnectivityPolicy:
 
     def _try_ladder(self, c: NatBox, s: NatBox) -> TraversalOutcome:
         cfg = self.config
-        cumulative = 0.0
         # Rung 1: direct — server must accept unsolicited inbound.
-        cumulative += cfg.direct_setup_s
+        cumulative = DIRECT_SETUP_S
         if s.accepts_inbound():
             return TraversalOutcome(True, TraversalMethod.DIRECT, cumulative)
         # Rung 2: connection reversal — works when the *client* is publicly

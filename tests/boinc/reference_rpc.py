@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.boinc import client as client_mod
+from repro.boinc import server as server_mod
 from repro.boinc.dataserver import ServerUnavailable
 from repro.boinc.server import SchedulerRequest
 from repro.sim import Interrupted, Process, jittered
@@ -42,7 +44,7 @@ def scheduler_rpc(self, request: SchedulerRequest) -> _t.Generator:
         # A crash may land while this RPC is queued for a slot.
         if not self.available:
             raise ServerUnavailable("scheduler crashed mid-request")
-        delay = self.config.rpc_process_s
+        delay = server_mod.RPC_PROCESS_S
         if self.rng is not None:
             delay = jittered(self.rng, delay, 0.2)
         yield self.sim.timeout(delay)
@@ -62,14 +64,14 @@ def main(self) -> _t.Generator:
     """``Client._main`` with the ``AnyOf`` backoff wait."""
     # Desynchronise initial contact: real volunteers never start in
     # lockstep, and a deterministic stagger keeps runs reproducible.
-    stagger = float(self.rng.uniform(0.0, self.config.initial_stagger_s))
+    stagger = float(self.rng.uniform(0.0, client_mod.INITIAL_STAGGER_S))
     if stagger > 0:
         yield stagger
     sim, config = self.sim, self.config
     try:
         while True:
             queued_s = self._est_queued_s()
-            want_work = queued_s < config.work_buffer_min_s
+            want_work = queued_s < client_mod.WORK_BUFFER_MIN_S
             have_reports = bool(self._ready)
             urgent = have_reports and config.report_immediately
             now = sim.now

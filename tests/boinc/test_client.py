@@ -15,28 +15,37 @@ from repro.boinc import (
     WorkunitState,
     make_client,
 )
+from repro.boinc import client as client_mod
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
 from repro.sim import Simulator
 
+#: The client constants of ``build``'s quick client (with a 60 s backoff
+#: cap), used unless a test passes its own config.
+QUICK = {"INITIAL_STAGGER_S": 1.0, "BACKOFF_MIN_S": 10.0,
+         "WORK_BUFFER_MIN_S": 60.0, "WORK_BUFFER_TARGET_S": 120.0}
 
-def build(n_clients=2, client_config=None, server_config=None, flops=1.0,
-          seed=0):
-    sim = Simulator()
-    net = Network(sim)
-    server_host = net.add_host("server", SERVER_LINK)
-    server = ProjectServer(sim, net, server_host,
-                           config=server_config or ServerConfig())
-    cfg = client_config or ClientConfig(initial_stagger_s=1.0,
-                                        backoff_min_s=10.0,
-                                        backoff_max_s=60.0,
-                                        work_buffer_min_s=60.0,
-                                        work_buffer_target_s=120.0)
-    clients = [
-        make_client(sim, net, server, f"c{i}", flops=flops, config=cfg,
-                    rng=np.random.default_rng(seed + i))
-        for i in range(n_clients)
-    ]
-    return sim, net, server, clients
+
+@pytest.fixture
+def build(pin):
+    """``build(...) -> (sim, net, server, clients)``."""
+    def build(n_clients=2, client_config=None, server_config=None,
+              flops=1.0, seed=0):
+        sim = Simulator()
+        net = Network(sim)
+        server_host = net.add_host("server", SERVER_LINK)
+        server = ProjectServer(sim, net, server_host,
+                               config=server_config or ServerConfig())
+        if client_config is None:
+            pin(client_mod, **QUICK)
+            client_config = ClientConfig(backoff_max_s=60.0)
+        clients = [
+            make_client(sim, net, server, f"c{i}", flops=flops,
+                        config=client_config,
+                        rng=np.random.default_rng(seed + i))
+            for i in range(n_clients)
+        ]
+        return sim, net, server, clients
+    return build
 
 
 def submit(server, n=1, flops=30.0, input_size=1e6, replication=2, quorum=2):
@@ -57,7 +66,7 @@ def start_all(server, clients):
 
 
 class TestWorkFetchCycle:
-    def test_client_fetches_computes_reports(self):
+    def test_client_fetches_computes_reports(self, build):
         sim, _net, server, clients = build(n_clients=2)
         wus = submit(server, n=1)
         start_all(server, clients)
@@ -67,7 +76,7 @@ class TestWorkFetchCycle:
         results = server.db.results_for_wu(wu.id)
         assert all(r.reported_success for r in results)
 
-    def test_single_client_cannot_complete_quorum_alone(self):
+    def test_single_client_cannot_complete_quorum_alone(self, build):
         sim, _net, server, clients = build(n_clients=1)
         wus = submit(server, n=1, replication=2, quorum=2)
         start_all(server, clients)
@@ -78,12 +87,11 @@ class TestWorkFetchCycle:
         assert ResultState.OVER in states
         assert ResultState.UNSENT in states
 
-    def test_tasks_run_sequentially_on_one_cpu(self):
-        sim, _net, server, clients = build(
-            n_clients=1,
-            client_config=ClientConfig(initial_stagger_s=0.0,
-                                       work_buffer_target_s=1000,
-                                       compute_jitter=0.0))
+    def test_tasks_run_sequentially_on_one_cpu(self, build, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, WORK_BUFFER_TARGET_S=1000,
+            COMPUTE_JITTER=0.0)
+        sim, _net, server, clients = build(n_clients=1,
+                                           client_config=ClientConfig())
         submit(server, n=3, flops=50.0, replication=1, quorum=1)
         start_all(server, clients)
         sim.run(until=400.0)
@@ -93,25 +101,10 @@ class TestWorkFetchCycle:
         assert starts[1] - starts[0] == pytest.approx(50.0, rel=0.02)
         assert starts[2] - starts[1] == pytest.approx(50.0, rel=0.02)
 
-    def test_multicore_runs_in_parallel(self):
-        sim, _net, server, clients = build(
-            n_clients=1,
-            client_config=ClientConfig(ncpus=2, initial_stagger_s=0.0,
-                                       work_buffer_target_s=1000,
-                                       compute_jitter=0.0))
-        submit(server, n=2, flops=50.0, replication=1, quorum=1)
-        start_all(server, clients)
-        sim.run(until=300.0)
-        starts = sorted(r.time for r in server.tracer.select(
-            "task.compute_start", host="c0"))
-        assert len(starts) == 2
-        assert starts[1] - starts[0] < 1.0
-
-    def test_compute_time_scales_with_flops(self):
-        sim, _net, server, clients = build(
-            n_clients=1, flops=2.0,
-            client_config=ClientConfig(initial_stagger_s=0.0,
-                                       compute_jitter=0.0))
+    def test_compute_time_scales_with_flops(self, build, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, COMPUTE_JITTER=0.0)
+        sim, _net, server, clients = build(n_clients=1, flops=2.0,
+                                           client_config=ClientConfig())
         submit(server, n=1, flops=100.0, replication=1, quorum=1)
         start_all(server, clients)
         sim.run(until=300.0)
@@ -126,21 +119,22 @@ class TestBackoff:
         300 s; 50% jitter, one rng draw per delay).  Values recorded from
         the separate copies this function replaced: traces depend on them."""
         from repro.boinc.client import (
+            BACKOFF_JITTER,
+            BACKOFF_MIN_S,
             TRANSFER_BACKOFF_MAX_S,
             TRANSFER_BACKOFF_MIN_S,
         )
         from repro.sim import backoff_delay
 
-        cfg = ClientConfig()
         rng = np.random.default_rng(7)
-        assert [backoff_delay(rng, cfg.backoff_min_s, cfg.backoff_max_s, n,
-                              cfg.backoff_jitter)
+        assert [backoff_delay(rng, BACKOFF_MIN_S, ClientConfig().backoff_max_s,
+                              n, BACKOFF_JITTER)
                 for n in range(1, 7)] == [
             67.50572799628002, 167.66565611634906, 306.16456565884647,
             348.0994511954841, 480.09977094673525, 824.1320672377572]
         rng = np.random.default_rng(7)
         assert [backoff_delay(rng, TRANSFER_BACKOFF_MIN_S,
-                              TRANSFER_BACKOFF_MAX_S, n, cfg.backoff_jitter)
+                              TRANSFER_BACKOFF_MAX_S, n, BACKOFF_JITTER)
                 for n in range(1, 7)] == [
             16.876431999070004, 41.916414029087264, 76.54114141471162,
             87.02486279887103, 192.0399083786941, 412.0660336188786]
@@ -158,7 +152,7 @@ class TestBackoff:
         assert all(0.5 * s <= d <= 1.5 * s for s, d in zip(spans, delays))
         assert retry_delay(random.Random(3), 0, retry_after_s=9.0) == 9.0
 
-    def test_no_work_triggers_exponential_backoff(self):
+    def test_no_work_triggers_exponential_backoff(self, build):
         sim, _net, server, clients = build(n_clients=1)
         start_all(server, clients)  # no work submitted at all
         sim.run(until=500.0)
@@ -169,7 +163,7 @@ class TestBackoff:
         assert delays[1] > delays[0]
         assert max(delays) <= 60.0 * 1.5 + 1e-9  # cap * (1 + jitter)
 
-    def test_backoff_resets_after_work(self):
+    def test_backoff_resets_after_work(self, build):
         sim, _net, server, clients = build(n_clients=2)
         start_all(server, clients)
         sim.run(until=200.0)  # accumulate backoff
@@ -185,12 +179,12 @@ class TestBackoff:
         assert post, "client never backed off after draining the new work"
         assert post[0] <= 10.0 * 1.5  # backoff_min * (1 + jitter)
 
-    def test_report_waits_for_backoff_window(self):
+    def test_report_waits_for_backoff_window(self, build, pin):
         """The paper's Fig. 4 pathology: a finished task cannot be reported
         while the client sits in a backoff window."""
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=100.0,
-                           backoff_max_s=100.0, backoff_jitter=0.0,
-                           compute_jitter=0.0)
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=100.0,
+            BACKOFF_JITTER=0.0, COMPUTE_JITTER=0.0)
+        cfg = ClientConfig(backoff_max_s=100.0)
         sim, _net, server, clients = build(n_clients=1, client_config=cfg)
         submit(server, n=1, flops=30.0, replication=1, quorum=1)
         start_all(server, clients)
@@ -204,10 +198,10 @@ class TestBackoff:
         gap = report.time - ready.time
         assert gap > 30.0
 
-    def test_report_immediately_skips_backoff(self):
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=100.0,
-                           backoff_max_s=100.0, backoff_jitter=0.0,
-                           compute_jitter=0.0, report_immediately=True)
+    def test_report_immediately_skips_backoff(self, build, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=100.0,
+            BACKOFF_JITTER=0.0, COMPUTE_JITTER=0.0)
+        cfg = ClientConfig(backoff_max_s=100.0, report_immediately=True)
         sim, _net, server, clients = build(n_clients=1, client_config=cfg)
         submit(server, n=1, flops=30.0, replication=1, quorum=1)
         start_all(server, clients)
@@ -220,11 +214,12 @@ class TestBackoff:
 
 
 class TestUploadVsReport:
-    def test_upload_precedes_report(self):
+    def test_upload_precedes_report(self, build, pin):
         """Outputs are uploaded as soon as ready; the report waits for the
         next scheduler RPC (Section IV.B)."""
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=50.0,
-                           backoff_max_s=50.0, backoff_jitter=0.0)
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=50.0,
+            BACKOFF_JITTER=0.0)
+        cfg = ClientConfig(backoff_max_s=50.0)
         sim, _net, server, clients = build(n_clients=1, client_config=cfg)
         submit(server, n=1, flops=30.0, replication=1, quorum=1)
         start_all(server, clients)
@@ -236,7 +231,7 @@ class TestUploadVsReport:
 
 
 class TestShutdown:
-    def test_shutdown_stops_rpc_activity(self):
+    def test_shutdown_stops_rpc_activity(self, build):
         sim, _net, server, clients = build(n_clients=1)
         start_all(server, clients)
         sim.run(until=50.0)
@@ -246,10 +241,10 @@ class TestShutdown:
         assert clients[0].rpcs == rpcs_at_shutdown
         assert clients[0].offline and not clients[0].host.online
 
-    def test_shutdown_fails_running_task(self):
-        sim, _net, server, clients = build(
-            n_clients=1,
-            client_config=ClientConfig(initial_stagger_s=0.0))
+    def test_shutdown_fails_running_task(self, build, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0)
+        sim, _net, server, clients = build(n_clients=1,
+                                           client_config=ClientConfig())
         submit(server, n=1, flops=1000.0, replication=1, quorum=1)
         start_all(server, clients)
         sim.run(until=60.0)  # task is computing
@@ -258,11 +253,13 @@ class TestShutdown:
         sim.run(until=70.0)
         assert clients[0].tasks[0].state == TaskState.FAILED
 
-    def test_come_online_resumes_and_reports_what_was_finished(self):
+    def test_come_online_resumes_and_reports_what_was_finished(self, build,
+                                                                pin):
         """Client-side state survives the outage: a task finished but not
         yet reported when the host left is reported once it is back."""
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=50.0,
-                           backoff_max_s=50.0, backoff_jitter=0.0)
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=50.0,
+            BACKOFF_JITTER=0.0)
+        cfg = ClientConfig(backoff_max_s=50.0)
         sim, _net, server, clients = build(n_clients=1, client_config=cfg)
         submit(server, n=1, flops=30.0, replication=1, quorum=1)
         start_all(server, clients)
@@ -279,7 +276,7 @@ class TestShutdown:
         sim.run(until=sim.now + 100.0)
         assert res.reported_at is not None
 
-    def test_double_start_rejected(self):
+    def test_double_start_rejected(self, build):
         _sim, _net, _server, clients = build(n_clients=1)
         clients[0].start()
         with pytest.raises(RuntimeError):
@@ -289,7 +286,7 @@ class TestShutdown:
 
 
 class TestFailureRecovery:
-    def test_failed_task_reported_and_replaced(self):
+    def test_failed_task_reported_and_replaced(self, pin):
         class ExplodingExecutor:
             def execute(self, client, task):
                 raise RuntimeError("segfault")
@@ -298,8 +295,8 @@ class TestFailureRecovery:
         net = Network(sim)
         server_host = net.add_host("server", SERVER_LINK)
         server = ProjectServer(sim, net, server_host)
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=5.0,
-                           backoff_max_s=20.0)
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=5.0)
+        cfg = ClientConfig(backoff_max_s=20.0)
         bad = make_client(sim, net, server, "bad", config=cfg,
                           rng=np.random.default_rng(0),
                           executor=ExplodingExecutor())

@@ -12,6 +12,8 @@ from repro.boinc import (
     Workunit,
     make_client,
 )
+from repro.boinc import client as client_mod
+from repro.boinc import server as server_mod
 from repro.net import Network, SERVER_LINK
 from repro.sim import Simulator
 
@@ -38,9 +40,9 @@ def submit(server, n=1, flops=30.0, replication=1, quorum=1):
 
 
 class TestRpcCongestion:
-    def test_rpc_capacity_queues_excess_requests(self):
-        sim, _net, server, _clients = build(
-            0, server_config=ServerConfig(rpc_capacity=2, rpc_process_s=10.0))
+    def test_rpc_capacity_queues_excess_requests(self, pin):
+        pin(server_mod, RPC_CAPACITY=2, RPC_PROCESS_S=10.0)
+        sim, _net, server, _clients = build(0)
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(6)]
         procs = [server.scheduler_rpc(SchedulerRequest(
             host_id=h.id, work_req_s=0.0)) for h in hosts]
@@ -49,9 +51,9 @@ class TestRpcCongestion:
         assert all(p.ok for p in procs)
         assert sim.now == pytest.approx(30.0)
 
-    def test_all_rpcs_eventually_served(self):
-        sim, _net, server, _clients = build(
-            0, server_config=ServerConfig(rpc_capacity=1, rpc_process_s=1.0))
+    def test_all_rpcs_eventually_served(self, pin):
+        pin(server_mod, RPC_CAPACITY=1, RPC_PROCESS_S=1.0)
+        sim, _net, server, _clients = build(0)
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(5)]
         procs = [server.scheduler_rpc(SchedulerRequest(
             host_id=h.id, work_req_s=0.0)) for h in hosts]
@@ -61,13 +63,12 @@ class TestRpcCongestion:
 
 
 class TestPacing:
-    def test_request_delay_limits_rpc_rate(self):
-        cfg = ClientConfig(initial_stagger_s=0.0, backoff_min_s=1e9,
-                           backoff_max_s=1e9)
+    def test_request_delay_limits_rpc_rate(self, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=1e9)
+        pin(server_mod, RPC_PROCESS_S=0.1)
         sim, _net, server, clients = build(
-            1, client_config=cfg,
-            server_config=ServerConfig(request_delay_s=30.0,
-                                       rpc_process_s=0.1))
+            1, client_config=ClientConfig(backoff_max_s=1e9),
+            server_config=ServerConfig(request_delay_s=30.0))
         submit(server, n=50, flops=5.0)
         server.start_daemons()
         clients[0].start()
@@ -76,9 +77,9 @@ class TestPacing:
         gaps = [b - a for a, b in zip(rpcs, rpcs[1:])]
         assert gaps and min(gaps) >= 30.0 - 1e-6
 
-    def test_initial_stagger_bounds(self):
-        cfg = ClientConfig(initial_stagger_s=20.0)
-        sim, _net, server, clients = build(8, client_config=cfg)
+    def test_initial_stagger_bounds(self, pin):
+        pin(client_mod, INITIAL_STAGGER_S=20.0)
+        sim, _net, server, clients = build(8)
         server.start_daemons()
         for c in clients:
             c.start()
@@ -90,9 +91,9 @@ class TestPacing:
 
 
 class TestSpeedFactor:
-    def test_speed_factor_slows_compute_only(self):
-        cfg = ClientConfig(initial_stagger_s=0.0, compute_jitter=0.0,
-                           speed_factor=0.5)
+    def test_speed_factor_slows_compute_only(self, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, COMPUTE_JITTER=0.0)
+        cfg = ClientConfig(speed_factor=0.5)
         sim, _net, server, clients = build(1, client_config=cfg)
         submit(server, n=1, flops=40.0)
         server.start_daemons()
@@ -106,13 +107,11 @@ class TestSpeedFactor:
 
 
 class TestWorkRequestAccounting:
-    def test_work_request_shrinks_with_queued_work(self):
-        cfg = ClientConfig(initial_stagger_s=0.0, work_buffer_min_s=1000.0,
-                           work_buffer_target_s=1000.0, compute_jitter=0.0)
+    def test_work_request_shrinks_with_queued_work(self, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, WORK_BUFFER_MIN_S=1000.0,
+            WORK_BUFFER_TARGET_S=1000.0, COMPUTE_JITTER=0.0)
         sim, _net, server, clients = build(
-            1, client_config=cfg,
-            server_config=ServerConfig(max_results_per_rpc=2,
-                                       request_delay_s=1.0))
+            1, server_config=ServerConfig(request_delay_s=1.0))
         submit(server, n=10, flops=100.0)
         server.start_daemons()
         clients[0].start()

@@ -23,8 +23,8 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.boinc import (FileRef, ProjectServer, SchedulerRequest,
-                         ServerConfig, Workunit)
+from repro.boinc import FileRef, ProjectServer, SchedulerRequest, Workunit
+from repro.boinc import server as server_mod
 from repro.boinc.client import Client, ClientConfig
 from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 from repro.faults import RunAuditor
@@ -57,54 +57,54 @@ def run_program(capacity, arrivals, crashes, restores, interrupts, seed,
                 oracle):
     """Play one drawn program; what every RPC and caller saw, and the
     server's slot counters and audit."""
-    cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=seed, server_config=ServerConfig(rpc_capacity=capacity,
-                                              rpc_process_s=0.6)))
-    sim, server = cloud.sim, cloud.server
-    hosts = [server.register_host(f"h{i}", 1.0) for i in range(HOSTS)]
-    for i in range(3):
-        server.submit_workunit(Workunit(
-            id=server.db.new_wu_id(), app_name="app",
-            input_files=(FileRef(f"in{i}", 1e3),), flops=50.0 * (i + 1),
-            target_nresults=2, min_quorum=1))
-    server._feeder_pass()
-    start = (reference_rpc.process_rpc if oracle
-             else ProjectServer.scheduler_rpc)
-    served, seen, callers = {}, {}, {}
+    with (mock.patch.object(server_mod, "RPC_CAPACITY", capacity),
+          mock.patch.object(server_mod, "RPC_PROCESS_S", 0.6)):
+        cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
+        sim, server = cloud.sim, cloud.server
+        hosts = [server.register_host(f"h{i}", 1.0) for i in range(HOSTS)]
+        for i in range(3):
+            server.submit_workunit(Workunit(
+                id=server.db.new_wu_id(), app_name="app",
+                input_files=(FileRef(f"in{i}", 1e3),), flops=50.0 * (i + 1),
+                target_nresults=2, min_quorum=1))
+        server._feeder_pass()
+        start = (reference_rpc.process_rpc if oracle
+                 else ProjectServer.scheduler_rpc)
+        served, seen, callers = {}, {}, {}
 
-    def caller(n, request):
-        try:
-            rpc = start(server, request)
-            rpc.add_callback(
-                lambda ev: served.__setitem__(n, (sim.now, _served(ev))))
-            reply = yield rpc
-            seen[n] = (sim.now, len(reply.assignments))
-        except Interrupted:
-            seen[n] = (sim.now, "interrupted")
-        except Exception as exc:  # noqa: BLE001 - compared below
-            seen[n] = (sim.now, type(exc).__name__)
+        def caller(n, request):
+            try:
+                rpc = start(server, request)
+                rpc.add_callback(
+                    lambda ev: served.__setitem__(n, (sim.now, _served(ev))))
+                reply = yield rpc
+                seen[n] = (sim.now, len(reply.assignments))
+            except Interrupted:
+                seen[n] = (sim.now, "interrupted")
+            except Exception as exc:  # noqa: BLE001 - compared below
+                seen[n] = (sim.now, type(exc).__name__)
 
-    def arrive(n, host, work_req):
-        callers[n] = sim.process(caller(n, SchedulerRequest(
-            host_id=hosts[host].id, work_req_s=work_req)))
+        def arrive(n, host, work_req):
+            callers[n] = sim.process(caller(n, SchedulerRequest(
+                host_id=hosts[host].id, work_req_s=work_req)))
 
-    for n, (at, host, work_req) in enumerate(arrivals):
-        sim.schedule(at, arrive, n, host, work_req)
-    for at in crashes:
-        sim.schedule(at, server.crash)
-    for at in restores:
-        sim.schedule(at, server.restore)
-    for at, n in interrupts:
-        if n < len(arrivals):
-            sim.schedule(at, lambda n=n: n in callers
-                         and callers[n].interrupt("churn"))
-    sim.run(until=30.0)
-    slots = server._rpc_slots
-    audit = RunAuditor(cloud).audit()
-    return (served, seen,
-            (slots.granted_total, slots.released_total,
-             slots.cancelled_total, slots.in_use, slots.waiting),
-            [str(v) for v in audit.violations])
+        for n, (at, host, work_req) in enumerate(arrivals):
+            sim.schedule(at, arrive, n, host, work_req)
+        for at in crashes:
+            sim.schedule(at, server.crash)
+        for at in restores:
+            sim.schedule(at, server.restore)
+        for at, n in interrupts:
+            if n < len(arrivals):
+                sim.schedule(at, lambda n=n: n in callers
+                             and callers[n].interrupt("churn"))
+        sim.run(until=30.0)
+        slots = server._rpc_slots
+        audit = RunAuditor(cloud).audit()
+        return (served, seen,
+                (slots.granted_total, slots.released_total,
+                 slots.cancelled_total, slots.in_use, slots.waiting),
+                [str(v) for v in audit.violations])
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,10 +157,11 @@ def run_cloud(n_nodes, capacity, mr, urgent, notifies, churn, crashes, seed,
     trace records and audit."""
     spec = CloudSpec(seed=seed, n_nodes=n_nodes, mr_clients=mr,
                      link=ADSL_LINK,
-                     server_config=ServerConfig(rpc_capacity=capacity),
                      client_config=ClientConfig(backoff_max_s=60.0,
                                                 report_immediately=urgent))
     with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(server_mod, "RPC_CAPACITY",
+                                              capacity))
         if oracle:
             stack.enter_context(mock.patch.object(
                 Client, "_main", reference_rpc.main))

@@ -15,6 +15,7 @@ from repro.boinc import (
     Workunit,
     WorkunitState,
 )
+from repro.boinc import server as server_mod
 from repro.net import Network, SERVER_LINK
 from repro.sim import Simulator
 
@@ -154,11 +155,11 @@ class TestScheduler:
         # First WU books 100s >= nothing, second pushes over 150.
         assert len(reply.assignments) == 2
 
-    def test_max_results_per_rpc(self, sim):
+    def test_max_results_per_rpc(self, sim, pin):
+        pin(server_mod, MAX_RESULTS_PER_RPC=3)
         net = Network(sim)
         host_net = net.add_host("server", SERVER_LINK)
-        server = ProjectServer(sim, net, host_net,
-                               config=ServerConfig(max_results_per_rpc=3))
+        server = ProjectServer(sim, net, host_net)
         for _ in range(10):
             make_wu(server, flops=1.0)
         host = server.register_host("h1", 1.0)

@@ -16,9 +16,7 @@ class TestSpeculativeExecution:
     def slow_node_cloud(self, speculative, speed_factor=0.05, seed=1):
         cloud = VolunteerCloud.from_spec(CloudSpec(
             seed=seed, server_config=ServerConfig(
-                speculative_execution=speculative,
-                speculative_factor=3.0,
-                speculative_min_elapsed_s=60.0)))
+                speculative_execution=speculative)))
         cloud.add_volunteers(7, mr=True)
         # One genuine straggler: the server's speed estimate is 20x off
         # (benchmark speed 1.0, real application speed 0.05).
@@ -57,9 +55,7 @@ class TestSpeculativeExecution:
 
     def test_healthy_cluster_barely_speculates(self):
         cloud = VolunteerCloud.from_spec(CloudSpec(
-            seed=1, server_config=ServerConfig(
-                speculative_execution=True, speculative_factor=3.0,
-                speculative_min_elapsed_s=600.0)))
+            seed=1, server_config=ServerConfig(speculative_execution=True)))
         cloud.add_volunteers(8, mr=True)
         cloud.run_job(spec(), timeout=48 * 3600)
         assert len(cloud.tracer.select("transitioner.speculative")) <= 2

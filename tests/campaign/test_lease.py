@@ -15,6 +15,7 @@ from repro.boinc.server import (
     SchedulerRequest,
     ServerConfig,
 )
+from repro.boinc import server as server_mod
 from repro.campaign import CampaignCell, LeaseTable
 from repro.campaign.lease import DONE, FAILED, LEASED, PENDING
 
@@ -226,16 +227,15 @@ class _CoreAsLeaseTable:
     """``SchedulerCore`` driven as a one-cell lease table: the cell is a
     workunit with ``target_nresults=1, min_quorum=1`` and ``retries + 1``
     tolerated errors, a lease is a result, stealing is speculative
-    execution.  The mapping ROADMAP item (a) proposed to merge on."""
+    execution (after ``SPECULATIVE_MIN_ELAPSED_S`` once a test pins
+    ``SPECULATIVE_FACTOR`` to 0).  The mapping ROADMAP item (a) proposed
+    to merge on."""
 
     def __init__(self, lease_s: float, retries: int,
-                 steal_after_s: float | None = None) -> None:
+                 steal: bool = False) -> None:
         self.now = 0.0
         self.core = SchedulerCore(
-            ServerConfig(delay_bound_s=lease_s,
-                         speculative_execution=steal_after_s is not None,
-                         speculative_factor=0.0,
-                         speculative_min_elapsed_s=steal_after_s or 0.0),
+            ServerConfig(delay_bound_s=lease_s, speculative_execution=steal),
             clock=lambda: self.now)
         self.wu = self.core.submit_workunit(Workunit(
             id=0, app_name="cell", input_files=(), flops=1.0,
@@ -289,7 +289,8 @@ class TestNotASchedulerCore:
         assert core.wu.state is WorkunitState.ACTIVE
         assert core.wu.canonical_result_id is None
 
-    def test_losing_one_of_two_leases_charges_a_workunit_not_a_cell(self):
+    def test_losing_one_of_two_leases_charges_a_workunit_not_a_cell(self,
+                                                                     pin):
         # Script: no retries; a duplicate is in flight when the original
         # lease's deadline passes; then the duplicate reports ok.
         table = _table(1, lease_s=6.0, steal_after_s=1.0, retries=0)
@@ -301,7 +302,8 @@ class TestNotASchedulerCore:
         assert table.report_ok("w1", key, now=7.0) is True
         assert table.cells[key].status == DONE
 
-        core = _CoreAsLeaseTable(lease_s=6.0, retries=0, steal_after_s=1.0)
+        pin(server_mod, SPECULATIVE_FACTOR=0.0, SPECULATIVE_MIN_ELAPSED_S=1.0)
+        core = _CoreAsLeaseTable(lease_s=6.0, retries=0, steal=True)
         first = core.rpc("w0", now=0.0)
         backup = core.rpc("w1", now=5.0)
         results = core.core.db.results

@@ -71,9 +71,10 @@ class TestFromSpec:
 
 
 class TestNeverSetOptionsAreConstants:
-    """A field nothing in the repository set had one value in use: it is
-    a module constant beside its reader now (``docs/surface.py`` counts
-    the next one).  No alias, no accepted-and-ignored keyword."""
+    """A field with one value in use (nothing set it, only tests did, or
+    the product only to its default) is a module constant beside its
+    reader now (``docs/surface.py`` counts the next one).  No alias, no
+    accepted-and-ignored keyword."""
 
     @pytest.mark.parametrize("path,keyword", [
         ("repro.boinc.server.ServerConfig", "feeder_period_s"),
@@ -91,6 +92,32 @@ class TestNeverSetOptionsAreConstants:
         ("repro.net.nat.TraversalConfig", "relay_setup_s"),
         ("repro.net.nat.TraversalConfig", "punch_success"),
         ("repro.gateway.server.GatewayConfig", "feeder_cache_size"),
+        ("repro.boinc.client.ClientConfig", "ncpus"),
+        ("repro.boinc.client.ClientConfig", "work_buffer_min_s"),
+        ("repro.boinc.client.ClientConfig", "work_buffer_target_s"),
+        ("repro.boinc.client.ClientConfig", "backoff_min_s"),
+        ("repro.boinc.client.ClientConfig", "backoff_jitter"),
+        ("repro.boinc.client.ClientConfig", "compute_jitter"),
+        ("repro.boinc.client.ClientConfig", "initial_stagger_s"),
+        ("repro.boinc.server.ServerConfig", "rpc_capacity"),
+        ("repro.boinc.server.ServerConfig", "rpc_process_s"),
+        ("repro.boinc.server.ServerConfig", "max_results_per_rpc"),
+        ("repro.boinc.server.ServerConfig", "speculative_factor"),
+        ("repro.boinc.server.ServerConfig", "speculative_min_elapsed_s"),
+        ("repro.boinc.server.ServerConfig", "adaptive_spot_check_rate"),
+        ("repro.core.config.BoincMRConfig", "serve_timeout_s"),
+        ("repro.core.config.BoincMRConfig", "peer_retries"),
+        ("repro.core.config.BoincMRConfig", "fetch_poll_s"),
+        ("repro.net.nat.TraversalConfig", "direct_setup_s"),
+        ("repro.gateway.server.GatewayConfig", "request_delay_s"),
+        ("repro.gateway.server.GatewayConfig", "retry_after_s"),
+        ("repro.gateway.server.GatewayConfig", "max_results_per_rpc"),
+        ("repro.gateway.loadgen.LoadConfig", "polls_per_client"),
+        ("repro.gateway.loadgen.LoadConfig", "app"),
+        ("repro.gateway.loadgen.LoadConfig", "corpus_bytes"),
+        ("repro.gateway.loadgen.LoadConfig", "replication"),
+        ("repro.gateway.loadgen.LoadConfig", "quorum"),
+        ("repro.gateway.loadgen.LoadConfig", "drain_s"),
     ])
     def test_keyword_is_a_type_error(self, path, keyword):
         module, _, name = path.rpartition(".")

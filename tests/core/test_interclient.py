@@ -3,7 +3,7 @@
 import pytest
 
 from repro.boinc import FileRef
-from repro.core import PeerStore
+from repro.core import PeerStore, interclient
 from repro.sim import Simulator
 
 
@@ -13,8 +13,9 @@ def sim():
 
 
 @pytest.fixture
-def store(sim):
-    return PeerStore(sim, serve_timeout_s=100.0)
+def store(sim, pin):
+    pin(interclient, SERVE_TIMEOUT_S=100.0)
+    return PeerStore(sim)
 
 
 class TestServing:
@@ -66,10 +67,6 @@ class TestServing:
         store.get("f")
         assert store._files["f"].downloads == 2
 
-    def test_invalid_timeout(self, sim):
-        with pytest.raises(ValueError):
-            PeerStore(sim, serve_timeout_s=0)
-
 
 class TestEviction:
     def test_evict_withdraws_file(self, store):
@@ -96,22 +93,22 @@ class TestEviction:
 
 
 class TestExpiryRaces:
-    def test_expiry_mid_download_does_not_kill_the_transfer(self, sim, store):
+    def test_expiry_mid_download_does_not_kill_the_transfer(self, sim, store,
+                                                              pin):
         """The serving window gates *lookups*, not in-flight transfers: a
         download that called get() just inside the window completes even
         though the timeout expires while its bytes are still moving."""
         import numpy as np
 
         from repro.net import (EMULAB_LINK, PUBLIC, ConnectivityPolicy,
-                               Network, TransferEndpoint, TraversalConfig,
-                               peer_download)
+                               Network, TransferEndpoint, nat, peer_download)
 
         net = Network(sim)
         a = net.add_host("mapper", EMULAB_LINK, nat=PUBLIC)
         b = net.add_host("reducer", EMULAB_LINK, nat=PUBLIC)
         src, dst = TransferEndpoint(sim, a), TransferEndpoint(sim, b)
-        policy = ConnectivityPolicy(TraversalConfig(direct_setup_s=0.0),
-                                    rng=np.random.default_rng(0))
+        pin(nat, DIRECT_SETUP_S=0.0)
+        policy = ConnectivityPolicy(rng=np.random.default_rng(0))
         store.serve(FileRef("part0", 12.5e6), job="j")
 
         def reducer():

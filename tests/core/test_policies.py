@@ -11,6 +11,7 @@ from repro.core import (
     MapReduceJobSpec,
     VolunteerCloud,
 )
+from repro.core import interclient
 from repro.core.policies import ClientDirectory
 from repro.net import TransferFailed
 
@@ -154,9 +155,10 @@ class TestInputFetcher:
         assert fetcher.server_fallbacks == spec.n_maps
         assert len(cloud.tracer.select("peer.unavailable")) > 0
 
-    def test_expired_serving_window_counts_as_unavailable(self):
+    def test_expired_serving_window_counts_as_unavailable(self, pin):
+        pin(interclient, SERVE_TIMEOUT_S=10.0)
         cloud, clients, spec, _job = harness(
-            BoincMRConfig(upload_map_outputs=True, serve_timeout_s=10.0))
+            BoincMRConfig(upload_map_outputs=True))
         self.serve_all(cloud, clients, spec)
         for i in range(spec.n_maps):
             cloud.server.dataserver.publish(

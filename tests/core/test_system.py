@@ -173,7 +173,7 @@ class TestByzantine:
 
 class TestPeerFailureFallback:
     def test_peer_failures_fall_back_to_server(self):
-        cfg = BoincMRConfig(upload_map_outputs=True, peer_retries=2)
+        cfg = BoincMRConfig(upload_map_outputs=True)
         cloud = mr_cloud(mr_config=cfg)
         cloud.apply_faults([FaultSpec(kind="peer_corrupt", at=0.0,
                                       duration=24 * 3600, target="all")])
@@ -191,7 +191,7 @@ class TestPeerFailureFallback:
         # Pure hash-only mode with some corrupt peers: a reducer evicts a
         # poisoned copy and tries the partition's other holder, so the
         # job completes without any server copy to fall back to.
-        cfg = BoincMRConfig(upload_map_outputs=False, peer_retries=3)
+        cfg = BoincMRConfig(upload_map_outputs=False)
         cloud = mr_cloud(seed=11, mr_config=cfg)
         cloud.apply_faults([FaultSpec(kind="peer_corrupt", at=0.0,
                                       duration=48 * 3600, target="random:3")])
@@ -221,7 +221,7 @@ class TestNatDeployment:
 class TestEarlyReduceCreation:
     def test_overlap_mode_completes_and_overlaps(self):
         cfg = BoincMRConfig(upload_map_outputs=True, reduce_from_peers=False,
-                            reduce_creation_fraction=0.5, fetch_poll_s=5.0)
+                            reduce_creation_fraction=0.5)
         cloud = VolunteerCloud.from_spec(CloudSpec(seed=1, mr_config=cfg))
         cloud.add_volunteers(8, mr=False)
         job = cloud.run_job(small_spec(), timeout=24 * 3600)

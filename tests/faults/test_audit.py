@@ -44,21 +44,21 @@ class TestViolationDetection:
     def test_leaked_cpu_slot_detected(self):
         cloud, job = finished_cloud()
         cloud.clients[0]._cpu.acquire()  # slot held with no live process
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "semaphore" and "leaked" in v.detail
                    for v in report.violations)
 
     def test_broken_semaphore_accounting_detected(self):
         cloud, job = finished_cloud()
         cloud.clients[0]._cpu.granted_total += 1
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "semaphore" and "accounting" in v.detail
                    for v in report.violations)
 
     def test_leaked_flow_detected(self):
         cloud, job = finished_cloud()
         cloud.net.transfer(cloud.clients[0].host, cloud.clients[1].host, 1e12)
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "flow" for v in report.violations)
 
     def test_lost_result_detected(self):
@@ -66,7 +66,7 @@ class TestViolationDetection:
         res = next(iter(cloud.server.db.results.values()))
         res.state = ResultState.IN_PROGRESS
         res.deadline = 0.0  # long past; the transitioner never noticed
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "result" and "lost" in v.detail
                    for v in report.violations)
 
@@ -75,7 +75,7 @@ class TestViolationDetection:
         res = next(iter(cloud.server.db.results.values()))
         assert res.state is ResultState.OVER
         cloud.server.db._unsent[res.id] = None
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "result" and "stale" in v.detail
                    for v in report.violations)
 
@@ -84,7 +84,7 @@ class TestViolationDetection:
         wu = next(iter(cloud.server.db.workunits.values()))
         wu.state = WorkunitState.ERROR
         wu.error_reason = None
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "workunit" and "diagnosis" in v.detail
                    for v in report.violations)
 
@@ -92,7 +92,7 @@ class TestViolationDetection:
         cloud, job = finished_cloud()
         wu = next(iter(cloud.server.db.workunits.values()))
         wu.state = WorkunitState.ACTIVE  # but all its results are OVER
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "workunit" and "no path to completion" in v.detail
                    for v in report.violations)
 
@@ -103,7 +103,7 @@ class TestViolationDetection:
 
         cloud, job = finished_cloud()
         cloud.span_builder = StubBuilder()
-        report = cloud.audit(job, settle=False)
+        report = RunAuditor(cloud).audit(job)
         assert any(v.check == "span" and "gone" in v.detail
                    for v in report.violations)
 

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 
 from repro.boinc.model import ResultState
+from repro.gateway import loadgen
 from repro.gateway import (
     GatewayConfig,
     GatewayServer,
@@ -25,8 +26,9 @@ class TestSchedules:
         assert client_schedule(3, cfg) == client_schedule(3, cfg)
         assert client_schedule(3, cfg) != client_schedule(4, cfg)
 
-    def test_instants_inside_run_window(self):
-        cfg = LoadConfig(seed=2, duration_s=5.0, polls_per_client=6)
+    def test_instants_inside_run_window(self, pin):
+        pin(loadgen, POLLS_PER_CLIENT=6)
+        cfg = LoadConfig(seed=2, duration_s=5.0)
         for index in range(20):
             for t in client_schedule(index, cfg):
                 assert 0.0 <= t < cfg.duration_s
@@ -50,22 +52,23 @@ class TestPercentiles:
 
 
 class TestOracle:
-    def test_oracle_is_deterministic(self):
-        cfg = LoadConfig(corpus_bytes=20_000, n_maps=3, n_reducers=2)
+    def test_oracle_is_deterministic(self, pin):
+        pin(loadgen, CORPUS_BYTES=20_000)
+        cfg = LoadConfig(n_maps=3, n_reducers=2)
         assert oracle_payload(cfg) == oracle_payload(cfg)
 
-    def test_oracle_depends_on_seed(self):
-        a = LoadConfig(corpus_bytes=20_000, seed=1)
-        b = LoadConfig(corpus_bytes=20_000, seed=2)
+    def test_oracle_depends_on_seed(self, pin):
+        pin(loadgen, CORPUS_BYTES=20_000)
+        a = LoadConfig(seed=1)
+        b = LoadConfig(seed=2)
         assert oracle_payload(a) != oracle_payload(b)
 
 
 class TestSmallReplay:
-    def test_25_client_replay_hits_every_gate(self):
+    def test_25_client_replay_hits_every_gate(self, pin):
+        pin(loadgen, CORPUS_BYTES=40_000, DRAIN_S=30.0)
         report = run_loadgen(config=LoadConfig(
-            n_clients=25, duration_s=2.5, polls_per_client=4, seed=3,
-            corpus_bytes=40_000, n_maps=4, n_reducers=2,
-            replication=2, quorum=2, drain_s=30.0))
+            n_clients=25, duration_s=2.5, seed=3, n_maps=4, n_reducers=2))
         assert isinstance(report, LoadReport)
         assert report.job_state == "done"
         assert report.errors == 0
@@ -83,15 +86,17 @@ class TestFleetSharesTheVolunteerCycle:
     """The fleet drives ``client.Volunteer.cycle`` — same reports, same
     retry policy as ``run_volunteer`` — on ``client_schedule`` instants."""
 
-    SMALL_JOB = dict(corpus_bytes=20_000, n_maps=4, n_reducers=2,
-                     replication=1, quorum=1, drain_s=10.0)
+    #: A small job, one replica each, on a short drain.
+    SMALL_JOB = dict(CORPUS_BYTES=20_000, REPLICATION=1, QUORUM=1,
+                     DRAIN_S=10.0)
 
-    def test_single_poll_client_still_reports_its_work(self):
+    def test_single_poll_client_still_reports_its_work(self, pin):
+        pin(loadgen, POLLS_PER_CLIENT=1, **self.SMALL_JOB)
         handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
         try:
             report = run_loadgen(handle.address, LoadConfig(
-                n_clients=8, duration_s=1.0, polls_per_client=1, seed=5,
-                **self.SMALL_JOB))
+                n_clients=8, duration_s=1.0, seed=5, n_maps=4,
+                n_reducers=2))
             core = handle.server.core
             held = [res for res in core.db.results.values()
                     if res.host_id is not None and core.db.hosts[
@@ -105,7 +110,8 @@ class TestFleetSharesTheVolunteerCycle:
         assert report.rpcs > 8  # the flush cycles, past one poll each
         assert report.clean and report.lost_results == 0
 
-    def test_503_window_costs_no_error_and_no_result(self):
+    def test_503_window_costs_no_error_and_no_result(self, pin):
+        pin(loadgen, **self.SMALL_JOB)
         handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
         core = handle.server.core
         timers = [threading.Timer(0.8, setattr, (core, "available", False)),
@@ -114,8 +120,8 @@ class TestFleetSharesTheVolunteerCycle:
             for timer in timers:
                 timer.start()
             report = run_loadgen(handle.address, LoadConfig(
-                n_clients=25, duration_s=2.0, polls_per_client=4, seed=4,
-                **self.SMALL_JOB))
+                n_clients=25, duration_s=2.0, seed=4, n_maps=4,
+                n_reducers=2))
             refused = handle.server.metrics.counter(
                 "sched.refused_total").value
         finally:

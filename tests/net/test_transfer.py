@@ -16,6 +16,7 @@ from repro.net import (
     TraversalConfig,
     peer_download,
 )
+from repro.net import nat
 from repro.sim import Simulator
 
 
@@ -29,9 +30,11 @@ def net(sim):
     return Network(sim)
 
 
-def make_policy(seed=0):
-    return ConnectivityPolicy(TraversalConfig(direct_setup_s=0.0),
-                              rng=np.random.default_rng(seed))
+@pytest.fixture
+def make_policy(pin):
+    """``make_policy(seed)``: the full ladder, its direct rung free."""
+    pin(nat, DIRECT_SETUP_S=0.0)
+    return lambda seed=0: ConnectivityPolicy(rng=np.random.default_rng(seed))
 
 
 class TestSimSemaphore:
@@ -83,7 +86,7 @@ class TestPeerDownload:
         return (TransferEndpoint(sim, a, **ep_kwargs),
                 TransferEndpoint(sim, b, **ep_kwargs))
 
-    def test_successful_download(self, sim, net):
+    def test_successful_download(self, sim, net, make_policy):
         src, dst = self.make_pair(sim, net)
         proc = sim.process(peer_download(
             sim, net, make_policy(), src, dst, 12.5e6))
@@ -110,7 +113,7 @@ class TestPeerDownload:
         sim.run()
         assert proc.value.startswith("failed: no connectivity")
 
-    def test_relay_needs_relay_host(self, sim, net):
+    def test_relay_needs_relay_host(self, sim, net, make_policy):
         sym = NatBox(nat_type=NatType.SYMMETRIC)
         src, dst = self.make_pair(sim, net, src_nat=sym, dst_nat=sym)
 
@@ -125,7 +128,7 @@ class TestPeerDownload:
         sim.run()
         assert "relay required" in proc.value
 
-    def test_relayed_download_uses_relay_links(self, sim, net):
+    def test_relayed_download_uses_relay_links(self, sim, net, make_policy):
         sym = NatBox(nat_type=NatType.SYMMETRIC)
         src, dst = self.make_pair(sim, net, src_nat=sym, dst_nat=sym)
         relay = net.add_host("relay", EMULAB_LINK)
@@ -135,7 +138,7 @@ class TestPeerDownload:
         rec = proc.value
         assert rec.ok and rec.relayed
 
-    def test_connection_limit_serialises_uploads(self, sim, net):
+    def test_connection_limit_serialises_uploads(self, sim, net, make_policy):
         src_host = net.add_host("server_peer", EMULAB_LINK)
         src = TransferEndpoint(sim, src_host, max_upload_conns=1)
         dsts = []
@@ -152,7 +155,8 @@ class TestPeerDownload:
         assert ends[1] - ends[0] == pytest.approx(1.0, rel=0.05)
         assert ends[2] - ends[1] == pytest.approx(1.0, rel=0.05)
 
-    def test_unlimited_connections_share_bandwidth(self, sim, net):
+    def test_unlimited_connections_share_bandwidth(self, sim, net,
+                                                   make_policy):
         src_host = net.add_host("server_peer", EMULAB_LINK)
         src = TransferEndpoint(sim, src_host, max_upload_conns=8)
         dsts = []
@@ -168,7 +172,7 @@ class TestPeerDownload:
         assert max(ends) == pytest.approx(3.0, rel=0.05)
         assert max(ends) - min(ends) < 0.2
 
-    def test_offline_source_fails_cleanly(self, sim, net):
+    def test_offline_source_fails_cleanly(self, sim, net, make_policy):
         src, dst = self.make_pair(sim, net)
         net.set_online(src.host, False)
 
@@ -183,7 +187,7 @@ class TestPeerDownload:
         sim.run()
         assert "offline" in proc.value
 
-    def test_slots_released_after_failure(self, sim, net):
+    def test_slots_released_after_failure(self, sim, net, make_policy):
         src, dst = self.make_pair(sim, net)
 
         def body():
@@ -257,7 +261,8 @@ class TestPeerDownloadLeaks:
         return (TransferEndpoint(sim, a, **ep_kwargs),
                 TransferEndpoint(sim, b, **ep_kwargs))
 
-    def test_interrupt_while_waiting_for_slot_leaks_nothing(self, sim, net):
+    def test_interrupt_while_waiting_for_slot_leaks_nothing(self, sim, net,
+                                                            make_policy):
         """Regression: a process killed while QUEUED on the grant used to
         leave a phantom waiter that swallowed the next released slot."""
         src, dst = self.make_pair(sim, net, max_upload_conns=1)
@@ -274,7 +279,7 @@ class TestPeerDownloadLeaks:
         # The slot freed by `first` is immediately grantable again.
         assert src.upload_slots.acquire().triggered
 
-    def test_interrupt_mid_flow_aborts_transfer(self, sim, net):
+    def test_interrupt_mid_flow_aborts_transfer(self, sim, net, make_policy):
         src, dst = self.make_pair(sim, net)
         proc = sim.process(peer_download(
             sim, net, make_policy(), src, dst, 12.5e6))
@@ -285,7 +290,8 @@ class TestPeerDownloadLeaks:
         assert src.upload_slots.in_use == 0
         assert dst.download_slots.in_use == 0
 
-    def test_corrupt_serving_endpoint_marks_record(self, sim, net):
+    def test_corrupt_serving_endpoint_marks_record(self, sim, net,
+                                                   make_policy):
         src, dst = self.make_pair(sim, net)
         src.corrupt_serves = True
         proc = sim.process(peer_download(

@@ -418,13 +418,27 @@ class TestChaosCommand:
         assert doc["job_done"] is False and doc["audit"]["ok"] is False
         assert doc["diagnosis"].startswith("SimulationError")
 
-    def test_failed_job_without_faults_still_raises(self):
+    def test_failed_job_without_faults_still_raises(self, monkeypatch):
+        from repro.core import VolunteerCloud
         from repro.sim import SimulationError
 
+        def never_done(cloud, event):
+            raise SimulationError("job never finished")
+
+        monkeypatch.setattr(VolunteerCloud, "run_until", never_done)
         with pytest.raises(SimulationError):
-            # replication 2 on one host can never reach quorum
-            main(["run", "--nodes", "1", "--maps", "2", "--reducers", "1",
+            main(["run", "--nodes", "2", "--maps", "2", "--reducers", "1",
                   "--input-gb", "0.01"])
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_fewer_nodes_than_replicas_is_a_usage_error(self, nodes, capsys):
+        # Replication 2 on fewer hosts can never reach quorum: refused
+        # before anything is simulated.
+        assert main(["run", "--nodes", str(nodes), "--maps", "2",
+                     "--reducers", "1", "--input-gb", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("run: need at least 2 nodes (the replication) to "
+                       f"reach quorum, got {nodes}\n")
 
     def test_run_with_faults_flag(self, capsys):
         assert main(["run", "--mr", "--nodes", "6", "--maps", "6",

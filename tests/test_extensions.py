@@ -160,8 +160,7 @@ class TestAdaptiveReplication:
     def cloud(self, adaptive=True, byz=0.0, seed=5):
         cloud = VolunteerCloud.from_spec(CloudSpec(
             seed=seed, server_config=ServerConfig(
-                adaptive_replication=adaptive, adaptive_trust_threshold=2,
-                adaptive_spot_check_rate=0.1)))
+                adaptive_replication=adaptive, adaptive_trust_threshold=2)))
         cloud.add_volunteers(12, mr=True, byzantine_rate=byz)
         return cloud
 

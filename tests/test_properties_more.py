@@ -1,12 +1,14 @@
 """Additional property-based tests: overlay balance, peer-store
 invariants, corpus structure."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.boinc.model import FileRef
-from repro.core import PeerStore
+from repro.core import PeerStore, interclient
 from repro.net import EMULAB_LINK, NatBox, NatType, Network, SupernodeOverlay
 from repro.sim import Simulator
 
@@ -52,11 +54,12 @@ ops = st.lists(
 )
 
 
+@mock.patch.object(interclient, "SERVE_TIMEOUT_S", 100.0)
 @given(ops)
 @settings(max_examples=60)
 def test_peer_store_never_serves_expired(operations):
     sim = Simulator()
-    store = PeerStore(sim, serve_timeout_s=100.0)
+    store = PeerStore(sim)
     served_at: dict[str, float] = {}
     for op, idx, amount in operations:
         name = f"f{idx}"

@@ -1,9 +1,10 @@
-"""The per-function reachability gate of ``docs/surface.py``, without its
-probe: which code objects count as functions, and which pins ``--check``
-refuses."""
+"""The gates of ``docs/surface.py``, without its probe: which code objects
+count as functions, which pins ``--check`` refuses, and which calls the
+config-field census counts as setting a field."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import pathlib
 import textwrap
@@ -97,24 +98,65 @@ def test_every_pin_names_a_function_and_a_test_or_file_that_exist():
     assert surface.pin_problems(list(surface.PINNED)) == []
 
 
-def test_option_classes_of_a_type_keeps_only_those_fields():
-    switches = surface.option_classes("bool")[
-        "repro.boinc.server.ServerConfig"]
-    assert "speculative_execution" in switches
-    assert "speculative_factor" not in switches
+def test_the_census_covers_config_fields_and_spec_switches():
+    fields = surface.census_fields(surface.option_classes())
+    assert "ServerConfig.delay_bound_s" in fields
+    assert "CloudSpec.mr_clients" in fields  # a bool: a switch
+    assert "CloudSpec.link" not in fields    # a run's description
+
+
+@dataclasses.dataclass
+class LoadConfig:
+    corpus_bytes: int = 200_000
+    n_maps: int = 12
+    only_tested: bool = False
+
+
+FIELDS = surface.census_fields({"fake.LoadConfig": LoadConfig})
+#: Sets every field but the switch to a value other than its default.
+BOTH_NUMBERS = "LoadConfig(corpus_bytes=size, n_maps=4)\n"
 
 
 def test_a_switch_only_a_test_sets_is_reported():
-    # This file sets it, as a test would: FakeConfig(only_tested=True).
-    switches = {"repro.fake.FakeConfig": ["only_tested"]}
-    assert surface.tested_switches(switches) == ["FakeConfig.only_tested"]
+    assert surface.census(FIELDS, [BOTH_NUMBERS], [
+        "LoadConfig(only_tested=True)\n"]) == (
+        [], ["LoadConfig.only_tested"], [])
 
 
 def test_a_switch_a_product_line_sets_is_not_reported():
-    switches = {"repro.fake.FakeConfig": ["only_tested"]}
-    assert surface.tested_switches(
-        switches, "cfg = FakeConfig(only_tested=True)\n") == []
+    assert surface.census(FIELDS, [
+        BOTH_NUMBERS, "cfg = LoadConfig(only_tested=True)\n"], []) == (
+        [], [], [])
 
 
-def test_no_switch_in_src_is_set_only_by_tests():
-    assert surface.tested_switches(surface.option_classes("bool")) == []
+def test_a_keyword_of_the_same_name_on_another_call_sets_nothing():
+    product = ["JobShape(corpus_bytes=1_000_000, n_maps=32)\n"
+               "cfg = LoadConfig(n_maps=4, only_tested=True)\n"]
+    assert surface.census(FIELDS, product, []) == (
+        ["LoadConfig.corpus_bytes"], [], [])
+
+
+def test_a_cls_call_in_the_class_body_sets_the_field():
+    product = ["class LoadConfig:\n"
+               "    @classmethod\n"
+               "    def small(cls):\n"
+               "        return cls(corpus_bytes=20_000, only_tested=True)\n"
+               "class Other:\n"
+               "    @classmethod\n"
+               "    def make(cls):\n"
+               "        return cls(n_maps=4)\n"]
+    assert surface.census(FIELDS, product, []) == (
+        ["LoadConfig.n_maps"], [], [])
+
+
+def test_a_field_the_product_sets_only_to_its_default_is_reported():
+    product = ["LoadConfig(corpus_bytes=200_000, n_maps=4)\n",
+               "dataclasses.replace(cfg, corpus_bytes=200000, "
+               "only_tested=True)\n"]
+    assert surface.census(FIELDS, product, []) == (
+        [], [], ["LoadConfig.corpus_bytes"])
+
+
+def test_every_config_field_and_spec_switch_has_two_values_in_use():
+    assert surface.census(surface.census_fields(
+        surface.option_classes())) == ([], [], [])
