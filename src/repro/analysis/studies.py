@@ -34,12 +34,9 @@ def study_payloads(records: _t.Iterable["CellRecord"]
         if not record.ok or spec.get("faults"):
             continue
         if spec["kind"] == "study":
-            name, variant = spec["params"]["study"], spec["params"]["variant"]
-        elif spec["kind"] == "table1":
-            name, variant = "table1", spec["group"]
-        else:
-            continue
-        found[name, variant, spec["seed"]] = record.result
+            params = spec["params"]
+            found[params["study"], params["variant"],
+                  spec["seed"]] = record.result
     missing = [f"{study.name}/{variant}" for study in STUDIES
                for variant in study.variants
                if (study.name, variant, study.seed) not in found]

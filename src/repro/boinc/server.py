@@ -66,11 +66,10 @@ class ServerConfig:
     speculative_execution: bool = False
     #: BOINC's adaptive replication: workunits start with a single
     #: replica; a result from a host with fewer than
-    #: ``adaptive_trust_threshold`` validated results — or any result
+    #: :data:`ADAPTIVE_TRUST_THRESHOLD` validated results — or any result
     #: drawn for a spot check — escalates the workunit to its full quorum.
     #: Trades the paper's fixed 2x redundancy for reputation + sampling.
     adaptive_replication: bool = False
-    adaptive_trust_threshold: int = 3
 
 
 #: Max simultaneous scheduler RPCs before requests queue (congestion).
@@ -84,6 +83,9 @@ MAX_RESULTS_PER_RPC = 2
 #: Speculative execution's straggler threshold (``speculative_execution``).
 SPECULATIVE_FACTOR = 3.0
 SPECULATIVE_MIN_ELAPSED_S = 120.0
+#: Validated results a host needs before adaptive replication trusts a
+#: lone result from it.
+ADAPTIVE_TRUST_THRESHOLD = 2
 #: Share of adaptive results drawn for a spot check.
 ADAPTIVE_SPOT_CHECK_RATE = 0.1
 
@@ -525,7 +527,7 @@ class SchedulerCore:
         Returns True when the result was accepted as canonical.
         """
         host = self.db.hosts[res.host_id]
-        trusted = host.validated_count >= self.config.adaptive_trust_threshold
+        trusted = host.validated_count >= ADAPTIVE_TRUST_THRESHOLD
         spot_check = False
         if self.rng is not None:
             spot_check = self.rng.random() < ADAPTIVE_SPOT_CHECK_RATE

@@ -6,7 +6,7 @@ package runs such grids concurrently without giving up determinism:
 - :mod:`repro.campaign.grid` — :class:`CampaignCell` /
   :class:`CampaignGrid`, content-hash cell keys, TOML grid loading;
 - :mod:`repro.campaign.cells` — :func:`execute_cell`, the per-kind cell
-  executors (scenario, study, table1, sleep);
+  executors (scenario, study, sleep);
 - :mod:`repro.campaign.store` — the resumable append-only JSONL
   :class:`ResultStore`, plus :func:`merge_stores` /
   :func:`diff_stores` for multi-writer shard reconciliation;

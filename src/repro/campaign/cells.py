@@ -63,16 +63,7 @@ def _execute_scenario(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     params = spec.get("params", {})
     timeout = ({"timeout_s": params["timeout_s"]} if "timeout_s" in params
                else {})
-    return run_deployment(*scenario_specs(spec), spec.get("faults"),
-                          **timeout)
-
-
-def _execute_table1(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    """One Table I row (by index into :data:`repro.experiments.PAPER_TABLE1`)."""
-    from ..experiments import table1_payload
-
-    return table1_payload(spec["params"]["row"], spec["seed"],
-                          spec.get("faults"))
+    return run_deployment(*scenario_specs(spec), **timeout)
 
 
 def _execute_study(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
@@ -98,14 +89,13 @@ def _execute_sleep(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
 
 #: What each cell kind is: its executor, the payload field that is its
 #: headline metric (what :mod:`repro.analysis.campaign` folds over
-#: seeds), and whether its executor arms the cell's chaos plan (a plan on
-#: any other kind would change the cell key and nothing else, so
-#: :class:`~repro.campaign.CampaignCell` refuses it).  The one
-#: declaration; a new kind is one entry here.
+#: seeds), and whether it builds deployments, which is what arms the
+#: cell's chaos plan (a plan on any other kind would change the cell key
+#: and nothing else, so :class:`~repro.campaign.CampaignCell` refuses
+#: it).  The one declaration; a new kind is one entry here.
 KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str, bool]] = {
     "scenario": (_execute_scenario, "total", True),
-    "study": (_execute_study, "total", False),
-    "table1": (_execute_table1, "total", True),
+    "study": (_execute_study, "total", True),
     "sleep": (_execute_sleep, "slept_s", False),
 }
 
@@ -116,13 +106,15 @@ def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     Returns the deterministic result payload; raises on any failure (the
     runner converts exceptions into quarantine records).
 
-    Every deployment the cell built is then audited
-    (:meth:`repro.core.VolunteerCloud.audit`): after the payload is taken,
-    since the audit runs each clock on until the daemons settle and
-    straggling replicas drain.  The verdict stays out of the payload — a
-    violated invariant (a leaked flow or slot, a lost result) raises, so
-    the cell fails naming it.  A cell with a chaos plan is left to the
-    audit its executor records in the payload.
+    The cell's chaos plan, if any, is armed on every deployment it builds
+    (:func:`repro.core.system.collect_clouds`).  Each deployment is then
+    audited (:meth:`repro.core.VolunteerCloud.audit`): after the payload
+    is taken, since the audit runs each clock on until the daemons settle
+    and straggling replicas drain.  Without a plan the verdict stays out
+    of the payload — a violated invariant (a leaked flow or slot, a lost
+    result) raises, so the cell fails naming it.  With one, the payload
+    gains ``faults_injected`` (summed over the deployments) and
+    ``audit_ok`` (every deployment clean).
     """
     from ..core.system import collect_clouds
 
@@ -130,12 +122,17 @@ def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
         executor = KINDS[spec["kind"]][0]
     except KeyError:
         raise ValueError(f"unknown cell kind {spec.get('kind')!r}") from None
-    with collect_clouds() as clouds:
+    faults = spec.get("faults") or None
+    with collect_clouds(faults) as clouds:
         payload = executor(spec)
-    if not spec.get("faults"):
-        for cloud in clouds:
-            report = cloud.audit()
-            if not report.ok:
-                raise RuntimeError(f"cell {spec.get('group') or spec['kind']}"
-                                   f" failed its audit: {report.render()}")
+    reports = [cloud.audit() for cloud in clouds]
+    if faults:
+        payload["faults_injected"] = sum(
+            len(cloud.injector.events) for cloud in clouds if cloud.injector)
+        payload["audit_ok"] = all(report.ok for report in reports)
+        return payload
+    for report in reports:
+        if not report.ok:
+            raise RuntimeError(f"cell {spec.get('group') or spec['kind']}"
+                               f" failed its audit: {report.render()}")
     return payload

@@ -30,10 +30,11 @@ class CampaignCell:
 
     ``params`` must be JSON-able (the spec travels to worker processes
     and into the on-disk store); ``faults`` names a builtin chaos plan
-    or a TOML plan path, and only kinds that run a full deployment
-    (``scenario`` / ``table1``) accept one.  ``group`` labels the
-    aggregation bucket the cell's result belongs to (e.g. a Table I row
-    label), so :mod:`repro.analysis.campaign` can fold seeds together.
+    or a TOML plan path, armed on every deployment the cell builds, so
+    every kind but ``sleep`` accepts one.  ``group`` labels the
+    aggregation bucket the cell's result belongs to (e.g.
+    ``table1/<row label>``), so :mod:`repro.analysis.campaign` can fold
+    seeds together.
     """
 
     kind: str
@@ -140,9 +141,9 @@ def grid_from_toml(path: str | pathlib.Path) -> CampaignGrid:
         params = { n_nodes = 10, n_maps = 10, n_reducers = 2 }
 
         [[cell]]
-        kind = "table1"
+        kind = "study"
         seeds = [4]
-        params = { row = 0 }
+        params = { study = "churn", variant = "churn" }
         faults = "flaky-network"
     """
     path = pathlib.Path(path)

@@ -355,8 +355,8 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                     help="comma-separated seed fan-out "
                          "(default: the grid's own, typically 1,2,3)")
     pc.add_argument("--faults", metavar="PLAN", default=None,
-                    help="arm a chaos plan on every cell "
-                         "(scenario and table1 cells only)")
+                    help="arm a chaos plan on every deployment of "
+                         "every cell (not on sleep cells)")
     pc.add_argument("--out", default="campaign.jsonl", metavar="FILE",
                     help="authoritative JSONL result store "
                          "(default campaign.jsonl)")

@@ -64,18 +64,27 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 PC3001_FLOPS = 1.0
 PCR200_FLOPS = 1.6
 
-#: The list :func:`collect_clouds` is filling in this context, if any.
-_collecting: contextvars.ContextVar[list["VolunteerCloud"] | None] = \
+#: The list :func:`collect_clouds` is filling in this context, and the
+#: chaos plan its clouds arm, if any.
+_collecting: contextvars.ContextVar[
+    tuple[list["VolunteerCloud"], _t.Any] | None] = \
     contextvars.ContextVar("collecting", default=None)
 
 
 @contextlib.contextmanager
-def collect_clouds() -> _t.Iterator[list["VolunteerCloud"]]:
+def collect_clouds(faults: _t.Any = None
+                   ) -> _t.Iterator[list["VolunteerCloud"]]:
     """Yield a list that gathers every :class:`VolunteerCloud` built inside
     the block, so code that runs a whole experiment can audit what it built
-    without the experiment handing its deployments back."""
+    without the experiment handing its deployments back.
+
+    A *faults* plan (anything :meth:`VolunteerCloud.apply_faults` takes)
+    is armed on each of those clouds at its first
+    :meth:`~VolunteerCloud.start`, before the daemons start; its injector
+    is the cloud's ``injector``.
+    """
     clouds: list[VolunteerCloud] = []
-    token = _collecting.set(clouds)
+    token = _collecting.set((clouds, faults))
     try:
         yield clouds
     finally:
@@ -145,9 +154,10 @@ class VolunteerCloud:
                 f"spec must be a CloudSpec, got {type(spec).__name__}")
         #: The frozen construction spec this deployment was built from.
         self.spec = spec
-        collecting = _collecting.get()
-        if collecting is not None:
-            collecting.append(self)
+        clouds, self._faults = _collecting.get() or ([], None)
+        clouds.append(self)
+        #: The injector of the plan :func:`collect_clouds` armed, once started.
+        self.injector: FaultInjector | None = None
         self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
         self.tracer = tracer if tracer is not None else Tracer()
@@ -315,10 +325,13 @@ class VolunteerCloud:
         return self.jobtracker.submit(spec)
 
     def start(self) -> None:
-        """Start server daemons and all clients (idempotent)."""
+        """Arm the :func:`collect_clouds` plan, if any, then start server
+        daemons and all clients (idempotent)."""
         if self._started:
             return
         self._started = True
+        if self._faults is not None:
+            self.injector = self.apply_faults(self._faults)
         self.server.start_daemons()
         for client in self.clients:
             client.start()

@@ -75,8 +75,7 @@ def adaptive_payload(adaptive: bool, seed: int) -> dict[str, _t.Any]:
     """Two jobs on 12 hosts: a warm-up that builds reputation, then the
     measured one."""
     cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=seed, server_config=ServerConfig(
-            adaptive_replication=adaptive, adaptive_trust_threshold=2)))
+        seed=seed, server_config=ServerConfig(adaptive_replication=adaptive)))
     cloud.add_volunteers(12, mr=True)
     for name in ("warm", "main"):
         job = cloud.run_job(MapReduceJobSpec(name, n_maps=12, n_reducers=3,

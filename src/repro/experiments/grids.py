@@ -15,7 +15,6 @@ import typing as _t
 from ..campaign import CampaignCell, CampaignGrid
 from . import table1
 from .study import Study
-from .table1 import PAPER_TABLE1
 
 #: Default seed fan-out for multi-seed sweeps.
 DEFAULT_SEEDS: tuple[int, ...] = (1, 2, 3)
@@ -26,23 +25,14 @@ def study_grid(study: Study, seeds: _t.Sequence[int] = DEFAULT_SEEDS,
     """Every variant of *study* x every seed, the variant outermost.
 
     A variant is a ``study`` cell (params ``{study, variant}``, group
-    ``<study>/<variant>``), except that Table I's rows stay the ``table1``
-    cells they have always been (params ``{row}``, group the row label),
-    so their keys do not move.  The cell seed is the sweep seed itself:
-    a one-seed grid reproduces the study's variants at that seed.
-    *faults* arms a chaos plan on every cell, which only kinds that run
-    a deployment accept.
+    ``<study>/<variant>``).  The cell seed is the sweep seed itself: a
+    one-seed grid reproduces the study's variants at that seed.  *faults*
+    arms a chaos plan on every deployment every cell builds.
     """
-    if study is table1.STUDY:
-        cells = [CampaignCell(kind="table1", seed=seed, params={"row": i},
-                              faults=faults, group=row.label)
-                 for i, row in enumerate(PAPER_TABLE1) for seed in seeds]
-    else:
-        cells = [CampaignCell(kind="study", seed=seed,
-                              params={"study": study.name,
-                                      "variant": variant},
-                              faults=faults, group=f"{study.name}/{variant}")
-                 for variant in study.variants for seed in seeds]
+    cells = [CampaignCell(kind="study", seed=seed,
+                          params={"study": study.name, "variant": variant},
+                          faults=faults, group=f"{study.name}/{variant}")
+             for variant in study.variants for seed in seeds]
     n = len(study.variants)
     return CampaignGrid(
         name=study.name, cells=tuple(cells),
@@ -57,16 +47,16 @@ def table1_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS,
     return study_grid(table1.STUDY, seeds, faults)
 
 
-def paper_grid() -> CampaignGrid:
+def paper_grid(faults: str | None = None) -> CampaignGrid:
     """Every variant of every study at the seed its EXPERIMENTS.md section
     documents (Table I first, so a ``--grid table1 --seeds 1`` store and a
-    ``paper`` store share those nine keys)."""
+    ``paper`` store share those nine keys), under *faults* if given."""
     from . import STUDIES
 
     return CampaignGrid(
         name="paper",
         cells=tuple(cell for study in STUDIES
-                    for cell in study_grid(study, (study.seed,))),
+                    for cell in study_grid(study, (study.seed,), faults)),
         description="every table, figure and claim in EXPERIMENTS.md")
 
 
@@ -75,18 +65,17 @@ def resolve_grid(name_or_path: str, seeds: _t.Sequence[int] | None = None,
     """``paper``, a study by name, or a declarative grid from a TOML path.
 
     *seeds* overrides a study's default fan-out (:data:`DEFAULT_SEEDS`);
-    *faults* arms a chaos plan on every cell (refused by cell kinds that
-    do not run a deployment).
+    *faults* arms a chaos plan on every cell.
     """
     from ..campaign import grid_from_toml
     from . import STUDIES
 
     if name_or_path == "paper":
-        if seeds is not None or faults is not None:
+        if seeds is not None:
             raise ValueError(
-                "--seeds and --faults do not apply to the paper grid: each "
-                "study runs at the seed its EXPERIMENTS.md section documents")
-        return paper_grid()
+                "--seeds does not apply to the paper grid: each study runs "
+                "at the seed its EXPERIMENTS.md section documents")
+        return paper_grid(faults)
     study = next((s for s in STUDIES if s.name == name_or_path), None)
     if study is not None:
         return study_grid(study, DEFAULT_SEEDS if seeds is None

@@ -81,19 +81,12 @@ def fetch_counts(cloud: VolunteerCloud) -> dict[str, int]:
 
 
 def run_deployment(cloud_spec: CloudSpec, job_spec: MapReduceJobSpec,
-                   faults: str | None = None,
                    **timeout: float) -> dict[str, _t.Any]:
-    """Build, optionally fault-inject, and run one deployment; returns
-    :func:`metrics_payload` plus the simulator's event count and end time
-    (and the audit verdict when a chaos plan was armed)."""
+    """Build and run one deployment; returns :func:`metrics_payload` plus
+    the simulator's event count and end time."""
     cloud = VolunteerCloud.from_spec(cloud_spec)
-    injector = cloud.apply_faults(faults) if faults else None
     result = run_scenario(cloud, job_spec, **timeout)
     payload = metrics_payload(result.metrics)
     payload["events"] = cloud.sim.dispatch_count
     payload["sim_end"] = cloud.sim.now
-    if injector is not None:
-        report = cloud.audit(result.job)
-        payload["faults_injected"] = len(injector.events)
-        payload["audit_ok"] = report.ok
     return payload

@@ -1,8 +1,8 @@
 """Reproduction of Table I: word-count makespan across cluster shapes.
 
 Eight vanilla-BOINC rows plus the BOINC-MR row, exactly as the paper lists
-them.  ``table1_payload()`` runs one row (it is the ``table1`` campaign
-cell); :data:`STUDY` declares the table in the paper's cell format
+them.  ``table1_payload()`` runs one row (one variant of the study);
+:data:`STUDY` declares the table in the paper's cell format
 (``mean [slowest-node-discarded]``) and the relational claims the
 reproduction targets.
 """
@@ -80,11 +80,10 @@ def scenario_for_row(row: Table1Row, seed: int = 1
                              n_reducers=row.n_reducers))
 
 
-def table1_payload(row: int, seed: int,
-                   faults: str | None = None) -> dict[str, _t.Any]:
+def table1_payload(row: int, seed: int) -> dict[str, _t.Any]:
     """Run Table I row number *row*; measured cells plus the paper's means."""
     published = PAPER_TABLE1[row]
-    payload = run_deployment(*scenario_for_row(published, seed=seed), faults)
+    payload = run_deployment(*scenario_for_row(published, seed=seed))
     payload["paper_total"] = published.paper_total.mean
     payload["paper_map"] = published.paper_map.mean
     payload["paper_reduce"] = published.paper_reduce.mean

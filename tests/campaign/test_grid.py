@@ -30,17 +30,18 @@ class TestCampaignCell:
         assert again.key == cell.key
 
     def test_label_mentions_group_seed_faults(self):
-        cell = CampaignCell(kind="table1", seed=7, group="churn",
-                            params={"row": 0}, faults="split-brain")
+        cell = CampaignCell(kind="study", seed=7, group="churn",
+                            params={"study": "churn", "variant": "churn"},
+                            faults="split-brain")
         label = cell.label()
         assert "churn" in label and "seed=7" in label
         assert "split-brain" in label
 
     @pytest.mark.parametrize("kind,faults", [
-        ("sleep", "flaky-network"), ("study", "no-such-plan")])
+        ("sleep", "flaky-network"), ("sleep", "no-such-plan")])
     def test_faults_on_a_kind_that_ignores_them_rejected(self, kind, faults):
-        # Only scenario and table1 cells arm a plan; on any other kind it
-        # changed the key and nothing else.
+        # A sleep cell builds no deployment to arm a plan on; there it
+        # would change the key and nothing else.
         with pytest.raises(ValueError,
                            match=f"a '{kind}' cell does not arm a chaos plan"):
             CampaignCell(kind=kind, seed=1, faults=faults)
@@ -49,7 +50,7 @@ class TestCampaignCell:
                                     "faults": faults})
 
     def test_deployment_kinds_take_faults(self):
-        for kind in ("scenario", "table1"):
+        for kind in ("scenario", "study"):
             cell = CampaignCell(kind=kind, seed=1, faults="flaky-network")
             assert cell.spec()["faults"] == "flaky-network"
 
@@ -73,10 +74,10 @@ class TestCellKey:
         assert base.key != CampaignCell(kind="sleep", seed=2).key
         assert base.key != CampaignCell(kind="sleep", seed=1,
                                         params={"duration_s": 9}).key
-        row = CampaignCell(kind="table1", seed=1, params={"row": 0})
-        assert row.key != CampaignCell(kind="table1", seed=1,
-                                       params={"row": 0},
-                                       faults="kitchen-sink").key
+        cell = CampaignCell(kind="scenario", seed=1, params={"n_nodes": 4})
+        assert cell.key != CampaignCell(kind="scenario", seed=1,
+                                        params={"n_nodes": 4},
+                                        faults="kitchen-sink").key
 
     def test_stable_across_processes(self):
         # A fixed spec must hash identically forever (the resume contract).
@@ -125,9 +126,9 @@ class TestTomlGrid:
             'group = "naps"\n'
             'params = { duration_s = 0.01 }\n'
             '[[cell]]\n'
-            'kind = "table1"\n'
+            'kind = "study"\n'
             'seed = 9\n'
-            'params = { row = 0 }\n'
+            'params = { study = "churn", variant = "churn" }\n'
             'faults = "flaky-network"\n')
         grid = grid_from_toml(path)
         assert grid.name == "custom"

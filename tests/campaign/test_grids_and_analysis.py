@@ -13,6 +13,7 @@ from repro.campaign import (
     CampaignCell,
     CampaignGrid,
     CellRecord,
+    canonical_json,
     execute_cell,
     run_campaign,
 )
@@ -36,7 +37,7 @@ class TestBuiltinGrids:
         grid = table1_grid(seeds=(1, 2))
         assert len(grid) == len(PAPER_TABLE1) * 2
         groups = {c.group for c in grid}
-        assert groups == {row.label for row in PAPER_TABLE1}
+        assert groups == {f"table1/{row.label}" for row in PAPER_TABLE1}
 
     def test_table1_faults_armed_on_every_cell(self):
         grid = table1_grid(seeds=(1,), faults="flaky-network")
@@ -74,20 +75,29 @@ class TestBuiltinGrids:
             execute_cell(scenario.spec())
 
     def test_retired_kinds_are_refused(self):
-        for kind in ("churn", "replication", "scale_out"):
+        # `table1` rows are `study` cells now; a store row of the old kind
+        # is refused by name.
+        for kind in ("churn", "replication", "scale_out", "table1"):
             with pytest.raises(ValueError, match="unknown cell kind"):
                 CampaignCell(kind=kind, seed=1)
             with pytest.raises(ValueError, match="unknown cell kind"):
                 execute_cell({"kind": kind, "seed": 1, "params": {}})
+        row = CellRecord(key="k", spec={"kind": "table1", "seed": 1,
+                                        "params": {"row": 0}, "faults": None,
+                                        "group": "boinc_10n_10m_2r"},
+                         status="ok", result={"total": 1.0}, meta={})
+        with pytest.raises(ValueError, match="'table1' cells"):
+            aggregate_records([row])
 
     def test_keys_are_pinned(self):
-        # Recorded before study_grid became the one builder: neither the
-        # paper store nor a Table I sweep re-runs a cell.
+        # Re-recorded once, on purpose, when Table I's rows became `study`
+        # cells (params {study, variant}) and the `table1` kind went; the
+        # 43 other paper cells kept their keys.
         assert len(paper_grid()) == 52
-        assert _keys_digest(paper_grid()) == "ca879205c9e6796f"
+        assert _keys_digest(paper_grid()) == "0e76fc078bc1d5e8"
         t1 = table1_grid(seeds=(1, 2, 3))
         assert len(t1) == 27
-        assert _keys_digest(t1) == "03b744e7b4a4fd9d"
+        assert _keys_digest(t1) == "a219b6b95bea8443"
 
     def test_paper_grid_is_every_variant_of_every_study(self):
         grid = paper_grid()
@@ -96,7 +106,7 @@ class TestBuiltinGrids:
         # Table I's nine cells are the table1 grid's, key for key.
         assert [c.key for c in grid][:9] == [
             c.key for c in table1_grid(seeds=(1,))]
-        assert {c.kind for c in grid.cells[9:]} == {"study"}
+        assert {c.kind for c in grid} == {"study"}
         assert all(c.seed == s.seed for s in STUDIES for c in grid
                    if c.group.startswith(f"{s.name}/"))
 
@@ -112,6 +122,29 @@ class TestBuiltinGrids:
             assert len(resolve_grid(name)) > 0, name
 
 
+def _table1_cell(row: int, seed: int, faults: str) -> CampaignCell:
+    return CampaignCell(kind="study", seed=seed, faults=faults, params={
+        "study": "table1", "variant": PAPER_TABLE1[row].label})
+
+
+class TestPlanOnEveryDeployment:
+    @pytest.mark.parametrize("cell,digest", [
+        (_table1_cell(0, 1, "flaky-network"), "7965759b772318ac"),
+        (_table1_cell(8, 1, "kitchen-sink"), "7a8c20b5a448a756"),
+        (CampaignCell(kind="scenario", seed=3, faults="bad-volunteers",
+                      params={"n_nodes": 10, "n_maps": 10,
+                              "n_reducers": 2}), "63c8ac15e7a2348a"),
+    ], ids=["table1-row0-flaky-network", "table1-row8-kitchen-sink",
+            "scenario-bad-volunteers"])
+    def test_payload_equals_the_pinned_run(self, cell, digest):
+        # Recorded while Table I rows were `table1` cells and only they
+        # and scenario cells armed a plan, each in its own executor.
+        payload = execute_cell(cell.spec())
+        assert payload["audit_ok"] is True
+        assert hashlib.sha256(canonical_json(payload).encode()).hexdigest()[
+            :16] == digest
+
+
 class TestResolveGrid:
     def test_builtin_by_name_with_seed_override(self):
         grid = resolve_grid("table1", seeds=(5,))
@@ -122,18 +155,31 @@ class TestResolveGrid:
         with pytest.raises(ValueError, match="unknown grid"):
             resolve_grid("nope")
 
-    def test_faults_on_non_table1_rejected(self):
-        # The cell refuses a plan its kind would not arm.
-        with pytest.raises(ValueError, match="a 'study' cell does not arm"):
-            resolve_grid("churn", faults="kitchen-sink")
-        grid = resolve_grid("table1", seeds=(1,), faults="kitchen-sink")
-        assert {c.faults for c in grid} == {"kitchen-sink"}
+    def test_sleep_refuses_a_plan_a_study_grid_takes_one(self):
+        # A sleep cell builds no deployment to arm a plan on.
+        with pytest.raises(ValueError, match="a 'sleep' cell does not arm"):
+            CampaignCell(kind="sleep", seed=1, faults="kitchen-sink")
+        for name in ("churn", "table1"):
+            grid = resolve_grid(name, seeds=(1,), faults="kitchen-sink")
+            assert {c.faults for c in grid} == {"kitchen-sink"}
 
     def test_paper_grid_has_no_seed_fan_out(self):
         assert len(resolve_grid("paper")) == 52
-        for kwargs in ({"seeds": (1, 2)}, {"faults": "flaky-network"}):
-            with pytest.raises(ValueError, match="do not apply to the paper"):
-                resolve_grid("paper", **kwargs)
+        with pytest.raises(ValueError, match="does not apply to the paper"):
+            resolve_grid("paper", seeds=(1, 2))
+
+    def test_paper_grid_takes_a_plan(self):
+        grid = resolve_grid("paper", faults="flaky-network")
+        assert len(grid) == 52
+        assert {c.faults for c in grid} == {"flaky-network"}
+
+    def test_a_study_grid_under_a_plan_runs_audited(self):
+        # Every deployment a study cell builds arms the plan, and the
+        # payload carries what it injected and the audit's verdict.
+        for cell in resolve_grid("churn", seeds=(1,), faults="flaky-network"):
+            payload = execute_cell(cell.spec())
+            assert payload["audit_ok"] is True, cell.group
+            assert payload["faults_injected"] > 0, cell.group
 
     def test_toml_path(self, tmp_path):
         path = tmp_path / "g.toml"
@@ -150,9 +196,9 @@ def _ok(key: str, group: str, kind: str, payload: dict) -> CellRecord:
 class TestAggregation:
     def test_groups_and_summaries(self):
         records = [
-            _ok("a1", "rowA", "table1", {"total": 100.0, "map_mean": 40.0}),
-            _ok("a2", "rowA", "table1", {"total": 200.0, "map_mean": 60.0}),
-            _ok("b1", "rowB", "table1", {"total": 50.0, "map_mean": 25.0}),
+            _ok("a1", "rowA", "study", {"total": 100.0, "map_mean": 40.0}),
+            _ok("a2", "rowA", "study", {"total": 200.0, "map_mean": 60.0}),
+            _ok("b1", "rowB", "study", {"total": 50.0, "map_mean": 25.0}),
         ]
         stats = aggregate_records(records)
         by_group = {s.group: s for s in stats}
@@ -163,8 +209,8 @@ class TestAggregation:
 
     def test_failed_cells_counted_not_averaged(self):
         records = [
-            _ok("a1", "rowA", "table1", {"total": 100.0}),
-            CellRecord(key="a2", spec={"kind": "table1", "seed": 2,
+            _ok("a1", "rowA", "study", {"total": 100.0}),
+            CellRecord(key="a2", spec={"kind": "study", "seed": 2,
                                        "params": {}, "faults": None,
                                        "group": "rowA"},
                        status="failed", result=None, meta={"error": "x"}),
@@ -175,9 +221,9 @@ class TestAggregation:
     def test_a_group_without_the_headline_field_is_listed(self):
         # It used to vanish between `coordinate` and `--aggregate`.
         records = [
-            _ok("a1", "rowA", "table1", {"total": 100.0}),
-            _ok("b1", "rowB", "table1", {"map_mean": 40.0}),
-            CellRecord(key="c1", spec={"kind": "table1", "seed": 2,
+            _ok("a1", "rowA", "study", {"total": 100.0}),
+            _ok("b1", "rowB", "study", {"map_mean": 40.0}),
+            CellRecord(key="c1", spec={"kind": "study", "seed": 2,
                                        "params": {}, "faults": None,
                                        "group": "rowC"},
                        status="failed", result=None, meta={"error": "x"}),
@@ -190,7 +236,7 @@ class TestAggregation:
         *_, row_b, row_c = (
             [c.strip() for c in line.split("|")]
             for line in render_campaign_table(stats).splitlines())
-        assert row_b[:5] == ["rowB", "table1", "0", "-", "-"]
+        assert row_b[:5] == ["rowB", "study", "0", "-", "-"]
         assert row_c[0] == "rowC" and row_c[-1] == "1"
 
     def test_every_group_of_a_paper_store_is_listed(self, paper_store):
@@ -201,13 +247,13 @@ class TestAggregation:
 
     def test_an_unknown_kind_is_a_value_error_naming_it(self):
         # A store written while `churn` was a cell kind.
-        records = [_ok("a1", "rowA", "table1", {"total": 100.0}),
+        records = [_ok("a1", "rowA", "study", {"total": 100.0}),
                    _ok("c1", "churn", "churn", {"total": 9.0})]
         with pytest.raises(ValueError, match="'churn' cells"):
             aggregate_records(records)
 
     def test_render_table_contains_groups(self):
-        records = [_ok("a1", "rowA", "table1", {"total": 100.0})]
+        records = [_ok("a1", "rowA", "study", {"total": 100.0})]
         text = render_campaign_table(aggregate_records(records))
         assert "rowA" in text and "mean" in text
 
@@ -346,6 +392,6 @@ class TestScenarioCellParams:
         from repro.campaign import CELL_KINDS, cells
 
         assert CELL_KINDS == tuple(cells.KINDS) == (
-            "scenario", "study", "table1", "sleep")
+            "scenario", "study", "sleep")
         assert not hasattr(aggregation, "HEADLINE_METRIC")
         assert not hasattr(cells, "_EXECUTORS")

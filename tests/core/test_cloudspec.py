@@ -105,6 +105,7 @@ class TestNeverSetOptionsAreConstants:
         ("repro.boinc.server.ServerConfig", "speculative_factor"),
         ("repro.boinc.server.ServerConfig", "speculative_min_elapsed_s"),
         ("repro.boinc.server.ServerConfig", "adaptive_spot_check_rate"),
+        ("repro.boinc.server.ServerConfig", "adaptive_trust_threshold"),
         ("repro.core.config.BoincMRConfig", "serve_timeout_s"),
         ("repro.core.config.BoincMRConfig", "peer_retries"),
         ("repro.core.config.BoincMRConfig", "fetch_poll_s"),

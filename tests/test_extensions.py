@@ -159,8 +159,8 @@ class TestNiceUploads:
 class TestAdaptiveReplication:
     def cloud(self, adaptive=True, byz=0.0, seed=5):
         cloud = VolunteerCloud.from_spec(CloudSpec(
-            seed=seed, server_config=ServerConfig(
-                adaptive_replication=adaptive, adaptive_trust_threshold=2)))
+            seed=seed,
+            server_config=ServerConfig(adaptive_replication=adaptive)))
         cloud.add_volunteers(12, mr=True, byzantine_rate=byz)
         return cloud
 
