@@ -3,7 +3,9 @@
 
 Prints ``src/`` Python lines, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
-enter and how many of those :data:`PINNED` keeps, dataclass fields on the
+enter and how many of those :data:`PINNED` keeps, the counters ``src``
+increments and never reads and how many of those :data:`COUNTER_PINS`
+keeps, dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
 the :func:`census` of those fields (nothing sets it, only tests set it,
 the product sets it only to its default: each one value in use), CLI
@@ -14,10 +16,10 @@ instead of a hand count::
 
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on an unreached module, an
-                                      # unreached function not pinned, a
-                                      # stale pin, a config field with
-                                      # one value in use or a never-used
-                                      # flag (the CI gate)
+                                      # unreached function or a write-only
+                                      # counter not pinned, a stale pin, a
+                                      # config field with one value in use
+                                      # or a never-used flag (the CI gate)
 """
 
 from __future__ import annotations
@@ -151,6 +153,72 @@ def census(fields: dict[str, dataclasses.Field],
             [key for key in fields if key not in product and key in tested],
             [key for key, values in product.items()
              if all(_is_default(value, fields[key]) for value in values)])
+
+
+#: Counters ``src`` increments and never reads (:func:`write_only_counters`),
+#: each with the test or file outside ``src`` that reads it.
+COUNTER_PINS = {
+    # The RPC differential's oracle compares it.
+    "net.transfer:SimSemaphore.cancelled_total":
+        "tests/boinc/test_rpc_differential.py",
+    "gateway.client:VolunteerStats.idle_polls": "bench/workloads.py",
+}
+
+
+def write_only_counters(sources: dict[str, str] | None = None) -> list[str]:
+    """``module:Class.name`` of every ``<expr>.<name> += ...`` in
+    *sources* (module name -> text; default every ``src`` file) whose
+    ``<name>`` none of them reads as an attribute: a count only something
+    outside ``src`` can read.  The class is the one in that module whose
+    body declares ``name`` or whose methods assign ``self.name``."""
+    if sources is None:
+        sources = {_module_name(str(path)): path.read_text(encoding="utf-8")
+                   for path in sorted(SRC.rglob("*.py"))}
+    loads: set[str] = set()
+    counters: dict[str, str] = {}   # module:Class.name -> name
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners: dict[str, str] = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                names = [stmt.target.id for stmt in cls.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)]
+                names += [node.attr for node in ast.walk(cls)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Store)
+                          and getattr(node.value, "id", None) == "self"]
+                for name in names:
+                    owners.setdefault(name, cls.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loads.add(node.attr)
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.op, ast.Add)
+                  and isinstance(node.target, ast.Attribute)):
+                name = node.target.attr
+                owner = f"{owners[name]}." if name in owners else ""
+                counters[f"{module}:{owner}{name}"] = name
+    return [key for key, name in counters.items() if name not in loads]
+
+
+def counter_problems(counters: list[str],
+                     pins: dict[str, str] | None = None) -> list[str]:
+    """One line per write-only counter (:func:`write_only_counters`)
+    *pins* (default :data:`COUNTER_PINS`) leaves out, and per stale pin:
+    ``src`` reads its counter or no longer counts it, or its test or
+    file cannot pin it (:func:`_pin_problem`)."""
+    pins = COUNTER_PINS if pins is None else pins
+    problems = [f"{name}: src increments it, never reads it, and it is not "
+                "pinned" for name in counters if name not in pins]
+    for name, by in pins.items():
+        if name not in counters:
+            problems.append(f"{name}: pinned, but src reads it or no longer "
+                            "counts it")
+        elif problem := _pin_problem(name, by):
+            problems.append(f"{name}: pinned by {by}, but {problem}")
+    return problems
 
 
 def grid_builders() -> list[str]:
@@ -577,12 +645,6 @@ PINNED: dict[str, str] = {
     # body into them.
     "boinc.client:make_client": "tests/boinc/test_client_more.py",
     "boinc.model:Database.workunits_by_job": "tests/core/test_jobtracker.py",
-    "campaign.lease:LeaseTable.count":
-        "tests/campaign/test_runner.py::TestProgressAndMetrics::"
-        "test_metrics_registry_counts",
-    "campaign.lease:LeaseTable.live_workers":
-        "tests/campaign/test_lease.py::TestWorkerFailure::"
-        "test_dead_worker_can_reregister",
     "core.interclient:PeerStore.serving_count":
         "tests/core/test_system.py::TestEndToEnd::"
         "test_serving_store_cleared_after_job",
@@ -752,6 +814,8 @@ if __name__ == "__main__":
     unreached = unreached_modules(reached)
     dead = unreached_functions(reached)
     problems = pin_problems(dead)
+    counters = write_only_counters()
+    problems += counter_problems(counters)
 
     from repro.cli import build_parser
 
@@ -761,6 +825,8 @@ if __name__ == "__main__":
     print("src modules no entry point reaches:", len(unreached), *unreached)
     print("src functions no entry point reaches:", len(dead),
           f"(pinned {sum(name in PINNED for name in dead)})")
+    print("counters src increments and never reads:", len(counters),
+          f"(pinned {sum(name in COUNTER_PINS for name in counters)})")
     for line in problems:
         print("  ", line)
     print("config/spec fields: ", sum(len(dataclasses.fields(cls))
@@ -788,6 +854,6 @@ if __name__ == "__main__":
         print(f"  {len(dataclasses.fields(cls)):3d}  {name}")
     if "--check" in sys.argv[1:] and (unreached or problems or unset
                                       or tested or default or unused):
-        sys.exit("surface: a module, a function or a flag nothing uses, a "
-                 "config field with one value in use, or a stale pin "
-                 "(see above)")
+        sys.exit("surface: a module, a function, a counter or a flag nothing "
+                 "uses, a config field with one value in use, or a stale "
+                 "pin (see above)")

@@ -316,10 +316,6 @@ class Client:
         self.corrupt_results = False
         #: Shared metrics registry (the server's, when it has one).
         self.metrics = server.metrics
-        #: Diagnostics.
-        self.rpcs = 0
-        self.backoffs = 0
-        self.rpc_retries = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
@@ -413,7 +409,6 @@ class Client:
             work_req_s=work_req,
             reports=reports,
         )
-        self.rpcs += 1
         self.tracer.record(self.sim.now, "client.rpc_start", host=self.name,
                            work_req=work_req, n_reports=len(reports))
         try:
@@ -432,7 +427,6 @@ class Client:
             # dead project forever; nothing is abandoned.
             self._ready = reporting + self._ready
             self._rpc_failures += 1
-            self.rpc_retries += 1
             if self.metrics is not None:
                 self.metrics.counter("client.rpc_retries_total").inc()
             # Same shape as the no-work backoff, own counter.
@@ -458,7 +452,6 @@ class Client:
             self._task_procs.append(proc)
         if want_work and reply.no_work:
             self._backoff_count += 1
-            self.backoffs += 1
             if self.metrics is not None:
                 self.metrics.counter("client.backoff_total").inc()
             delay = self._backoff(self._backoff_count)

@@ -59,8 +59,6 @@ class FileCatalogue:
         self.bytes_received = 0.0
         #: Fault injection: False makes every request a 503-style refusal.
         self.available = True
-        #: Diagnostics.
-        self.refusals = 0
 
     # -- catalogue ------------------------------------------------------------
     def publish(self, ref: FileRef) -> None:
@@ -90,11 +88,9 @@ class DataServer(FileCatalogue):
         #: (``corrupt_rng`` draws the dice; rate 1 needs no rng).
         self.corrupt_rate = 0.0
         self.corrupt_rng: np.random.Generator | None = None
-        self.corrupt_serves = 0
 
     # -- fault hooks ----------------------------------------------------------
     def _refuse(self, op: str, name: str, peer: Host) -> None:
-        self.refusals += 1
         if self.tracer is not None:
             self.tracer.record(self.sim.now, "dataserver.refused", op=op,
                                file=name, host=peer.name)
@@ -113,7 +109,6 @@ class DataServer(FileCatalogue):
                    and self.corrupt_rng.random() < self.corrupt_rate))
         if hit:
             flow.corrupted = True
-            self.corrupt_serves += 1
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, "dataserver.corrupt_serve",
                                    file=name, to=to.name)

@@ -150,14 +150,9 @@ class HostRecord:
     id: int
     name: str
     flops: float                      # effective device speed
-    client_version: str = "6.13.0"
     supports_mr: bool = False         # BOINC-MR client?
     #: Reputation: how many of this host's results have validated.
     validated_count: int = 0
-    #: (address, port) other clients use for inter-client transfers.
-    address: str = ""
-    rpc_count: int = 0
-    results_assigned: int = 0
 
 
 class Database:
@@ -204,13 +199,12 @@ class Database:
         self._unsent[rid] = None
         return res
 
-    def insert_host(self, name: str, flops: float, supports_mr: bool = False,
-                    client_version: str = "6.13.0") -> HostRecord:
+    def insert_host(self, name: str, flops: float,
+                    supports_mr: bool = False) -> HostRecord:
         """Create and index a host row."""
         hid = next(self._host_ids)
         rec = HostRecord(id=hid, name=name, flops=flops,
-                         supports_mr=supports_mr, client_version=client_version,
-                         address=f"{name}:31416")
+                         supports_mr=supports_mr)
         self.hosts[hid] = rec
         return rec
 
@@ -225,7 +219,6 @@ class Database:
         res.sent_at = now
         res.deadline = deadline
         self._unsent.pop(res.id, None)
-        host.results_assigned += 1
 
     # -- queries ------------------------------------------------------------------
     def results_for_wu(self, wu_id: int) -> list[Result]:

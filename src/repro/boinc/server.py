@@ -227,9 +227,7 @@ class SchedulerCore:
     def register_host(self, name: str, flops: float,
                       supports_mr: bool = False) -> HostRecord:
         """Add a volunteer host to the project database."""
-        version = "6.11.1-mr" if supports_mr else "6.13.0"
-        return self.db.insert_host(name, flops, supports_mr=supports_mr,
-                                   client_version=version)
+        return self.db.insert_host(name, flops, supports_mr=supports_mr)
 
     # -- scheduler RPC ------------------------------------------------------------
     def handle_scheduler_request(self, request: SchedulerRequest
@@ -248,7 +246,6 @@ class SchedulerCore:
 
     def _handle_rpc_now(self, request: SchedulerRequest) -> SchedulerReply:
         host = self.db.hosts[request.host_id]
-        host.rpc_count += 1
         self.tracer.record(self.now, "sched.rpc", host=host.name,
                            work_req=request.work_req_s,
                            n_reports=len(request.reports))
@@ -605,7 +602,6 @@ class ProjectServer(SchedulerCore):
         #: are skipped (the process stays alive, it just does no work —
         #: a hung MySQL query, not a dead daemon).
         self._stalled_until: dict[str, float] = {}
-        self.crashes = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def start_daemons(self) -> None:
@@ -643,7 +639,6 @@ class ProjectServer(SchedulerCore):
             return
         self.available = False
         self.dataserver.available = False
-        self.crashes += 1
         for proc in self._daemon_procs.values():
             if proc.alive:
                 proc.interrupt("server crash")

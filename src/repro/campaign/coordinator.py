@@ -46,7 +46,6 @@ import threading
 import time
 import typing as _t
 
-from ..obs import MetricsRegistry
 from ..wire import MAX_MESSAGE_BYTES, compile_checks, dumps, loads
 from .grid import CampaignGrid
 from .lease import DONE, FAILED, LeaseTable
@@ -162,7 +161,7 @@ class _ControlHandler(socketserver.StreamRequestHandler):
 class CampaignCoordinator:
     """Serve a :class:`CampaignGrid` to workers under lease discipline.
 
-    *timeout_s*, *retries*, *resume*, *metrics* and *echo* are
+    *timeout_s*, *retries*, *resume* and *echo* are
     :func:`~repro.campaign.runner.run_campaign`'s (*echo* receives each
     progress line).  *spawn* local worker processes are forked and
     pointed at the server (0 = external workers only); *host*/*port*
@@ -186,7 +185,6 @@ class CampaignCoordinator:
                  shard_dir: str | pathlib.Path | None = None,
                  chaos_kills: int = 0, chaos_interval_s: float = 1.0,
                  wall_limit_s: float | None = None,
-                 metrics: MetricsRegistry | None = None,
                  echo: _t.Callable[[str], None] | None = None) -> None:
         """Validate knobs and bind grid/store; nothing runs until :meth:`run`."""
         if spawn < 0:
@@ -209,7 +207,6 @@ class CampaignCoordinator:
         self.chaos_kills = chaos_kills
         self.chaos_interval_s = chaos_interval_s
         self.wall_limit_s = wall_limit_s
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.echo = echo
         self.table = LeaseTable(
             grid, lease_s=timeout_s, retries=retries,
@@ -225,46 +222,6 @@ class CampaignCoordinator:
         self._skipped = 0
         self._kills_done = 0
         self._started = 0.0
-
-    # -- metrics -------------------------------------------------------------
-    def _instrument(self) -> None:
-        from ..obs.probes import attach_coordinator_probes
-
-        m = self.metrics
-        self._m_granted = m.counter("campaign.leases.granted",
-                                    "leases handed to workers")
-        self._m_expired = m.counter("campaign.leases.expired",
-                                    "leases past their deadline")
-        self._m_reclaimed = m.counter("campaign.leases.reclaimed",
-                                      "cells requeued after a lost lease")
-        self._m_stolen = m.counter("campaign.leases.stolen",
-                                   "duplicate leases stolen from stragglers")
-        self._m_worker_fail = m.counter("campaign.workers.failed",
-                                        "workers declared dead")
-        self._m_done = m.counter("campaign.cells.completed",
-                                 "cells finished successfully")
-        self._m_failed = m.counter("campaign.cells.quarantined",
-                                   "cells abandoned after retries")
-        self._m_retries = m.counter("campaign.cells.retries",
-                                    "extra attempts after failure/timeout")
-        self._m_skipped = m.counter("campaign.cells.skipped",
-                                    "cells satisfied from the store (resume)")
-        self._m_wall = m.histogram("campaign.cell_wall_s",
-                                   "per-cell wall-clock seconds")
-        attach_coordinator_probes(self, m)
-
-    def _sync_counters(self) -> None:
-        """Mirror the lease table's event totals into the obs counters."""
-        c = self.table.counters
-        for metric, value in ((self._m_granted, c.granted),
-                              (self._m_expired, c.expired),
-                              (self._m_reclaimed, c.reclaimed),
-                              (self._m_retries, c.reclaimed),
-                              (self._m_stolen, c.stolen),
-                              (self._m_worker_fail, c.workers_failed)):
-            delta = value - metric.value
-            if delta > 0:
-                metric.inc(delta)
 
     def _progress(self, text: str) -> None:
         if self.echo is not None:
@@ -341,7 +298,6 @@ class CampaignCoordinator:
                     return {"op": "error", "error": f"bad result for {key}:"
                             " payload nested too deep to store"}
                 self._ran += 1
-                self._m_done.inc()
                 done = self._ran + self._skipped
                 self._progress(
                     f"[{done}/{len(self.grid)}] ok     {key} "
@@ -390,7 +346,6 @@ class CampaignCoordinator:
         record = CellRecord(key=key, spec=self.table.cells[key].spec,
                             status=status, result=payload, meta=meta)
         self.store.append(record)
-        self._m_wall.observe(wall)
         return record
 
     def _quarantine(self, key: str, error: str, *,
@@ -401,7 +356,6 @@ class CampaignCoordinator:
         record = self._append(key, "failed", None, wall=wall,
                               attempts=attempts, error=error)
         self._quarantined[key] = record
-        self._m_failed.inc()
         self._progress(f"FAILED {key}: {error.splitlines()[0]}")
 
     # -- worker fleet --------------------------------------------------------
@@ -484,7 +438,6 @@ class CampaignCoordinator:
                 if cell.status not in (DONE, FAILED):
                     cell.status = FAILED
                     self._quarantine(key, "campaign wall limit reached")
-        self._sync_counters()
         if expired or dead or self.table.done:
             self._wake.notify_all()
         return self.table.done
@@ -505,10 +458,9 @@ class CampaignCoordinator:
 
     # -- entry points --------------------------------------------------------
     def begin(self) -> None:
-        """Attach the instruments and load (*resume*) or truncate the
-        store: what :meth:`run` starts with, and what a caller driving
-        :meth:`dispatch` itself (``run_campaign(workers=0)``) calls first."""
-        self._instrument()
+        """Load (*resume*) or truncate the store: what :meth:`run` starts
+        with, and what a caller driving :meth:`dispatch` itself
+        (``run_campaign(workers=0)``) calls first."""
         self._started = time.monotonic()
         if self.resume:
             completed = self.store.completed_keys()
@@ -516,7 +468,6 @@ class CampaignCoordinator:
             self.store.clear()
             completed = set()
         self._skipped = self.table.mark_done(completed)
-        self._m_skipped.inc(self._skipped)
         if self._skipped:
             self._progress(f"resume: {self._skipped} cell(s) already "
                            f"complete in {self.store.path}")
@@ -545,8 +496,6 @@ class CampaignCoordinator:
 
     def report(self) -> CampaignReport:
         """What the campaign did so far (final once every cell is terminal)."""
-        with self._lock:
-            self._sync_counters()
         counters = self.table.counters
         return CampaignReport(
             grid=self.grid.name, total=len(self.grid), ran=self._ran,

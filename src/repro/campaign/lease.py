@@ -124,14 +124,6 @@ class LeaseTable:
         """True when every cell reached a terminal state (done/failed)."""
         return all(c.status in (DONE, FAILED) for c in self.cells.values())
 
-    def count(self, status: str) -> int:
-        """Number of cells currently in *status*."""
-        return sum(1 for c in self.cells.values() if c.status == status)
-
-    def live_workers(self) -> list[str]:
-        """Ids of registered, not-yet-failed workers."""
-        return [w for w, s in self.workers.items() if not s.dead]
-
     # -- worker liveness -----------------------------------------------------
     def register(self, worker: str, now: float) -> None:
         """Record (or refresh) a worker; resurrecting a dead id re-registers."""

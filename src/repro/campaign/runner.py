@@ -3,7 +3,7 @@
 There is one executor.  Every cell is leased out by a
 :class:`~repro.campaign.coordinator.CampaignCoordinator`, which owns the
 deadline, retry and quarantine accounting, resume, the store's records,
-the ``campaign.*`` instruments and the progress lines;
+the report and the progress lines;
 :func:`run_campaign` only picks the transport.  ``workers >= 1`` spawns
 that many :class:`~repro.campaign.worker.CampaignWorker` processes on
 loopback, each running one forked child per cell, so a hung, crashed or
@@ -29,7 +29,6 @@ import time
 import traceback
 import typing as _t
 
-from ..obs import MetricsRegistry
 from .cells import execute_cell
 from .grid import CampaignCell, CampaignGrid
 from .store import CellRecord, ResultStore
@@ -109,7 +108,6 @@ class CampaignReport:
 def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
                  timeout_s: float | None = None, retries: int = 1,
                  resume: bool = False,
-                 metrics: MetricsRegistry | None = None,
                  echo: _t.Callable[[str], None] | None = None
                  ) -> CampaignReport:
     """Run *grid* into the store at *out* on this host; returns the report.
@@ -128,7 +126,7 @@ def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
     coordinator = CampaignCoordinator(
         grid, ResultStore(out), spawn=workers, timeout_s=timeout_s,
         retries=retries, resume=resume, steal_after_s=math.inf,
-        metrics=metrics, echo=echo)
+        echo=echo)
     if workers:
         return coordinator.run()
     coordinator.begin()

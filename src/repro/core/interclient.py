@@ -33,7 +33,6 @@ class ServedFile:
     ref: FileRef
     job: str
     expires_at: float
-    downloads: int = 0
 
 
 class PeerStore:
@@ -44,7 +43,6 @@ class PeerStore:
         self.sim = sim
         self._files: dict[str, ServedFile] = {}
         self.bytes_served = 0.0
-        self.evictions = 0
 
     # -- mapper side -------------------------------------------------------------
     def serve(self, ref: FileRef, job: str) -> None:
@@ -59,10 +57,7 @@ class PeerStore:
         another holder or the data server.  Returns False when the file
         was not being served (already evicted by a concurrent downloader).
         """
-        if self._files.pop(name, None) is None:
-            return False
-        self.evictions += 1
-        return True
+        return self._files.pop(name, None) is not None
 
     def stop_job(self, job: str) -> int:
         """Withdraw all files of a finished job; returns how many."""
@@ -84,7 +79,6 @@ class PeerStore:
             raise KeyError(f"{name} is not being served")
         if self.sim.now > entry.expires_at:
             raise KeyError(f"{name} serving timeout expired")
-        entry.downloads += 1
         self.bytes_served += entry.ref.size
         return entry.ref
 

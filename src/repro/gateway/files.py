@@ -65,7 +65,6 @@ class BlobStore(FileCatalogue):
         :class:`~repro.boinc.dataserver.FileMissing` when unpublished (404).
         """
         if not self.available:
-            self.refusals += 1
             raise ServerUnavailable(f"blob store refused download of {name!r}")
         if name not in self.files:
             raise FileMissing(name)

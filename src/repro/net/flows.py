@@ -783,10 +783,6 @@ class FlowNetwork:
         self.metrics = metrics
         self._active: dict[Flow, None] = {}
         self._flow_seq = itertools.count()
-        #: Total bytes delivered by completed flows (diagnostic).
-        self.bytes_delivered = 0.0
-        self.flows_completed = 0
-        self.flows_aborted = 0
         self.allocator = (IncrementalAllocator() if allocator is None
                           else allocator)
         self.allocator.bind(self)
@@ -812,7 +808,8 @@ class FlowNetwork:
         if flow.remaining <= _EPSILON_BYTES:
             flow.finished_at = self.sim.now
             flow.done.trigger(flow)
-            self.flows_completed += 1
+            if self.metrics is not None:
+                self.metrics.counter("net.flows_completed_total").inc()
             return flow
         self._active[flow] = None
         if self.tracer is not None:
@@ -830,7 +827,6 @@ class FlowNetwork:
         flow.aborted = True
         flow._rate = 0.0
         flow.finished_at = self.sim.now
-        self.flows_aborted += 1
         if self.metrics is not None:
             self.metrics.counter("net.flows_aborted_total").inc()
         if self.tracer is not None:
@@ -868,8 +864,6 @@ class FlowNetwork:
             f.remaining = 0.0
             f._rate = 0.0
             f.finished_at = now
-            self.bytes_delivered += f.size
-            self.flows_completed += 1
             if self.metrics is not None:
                 self.metrics.counter("net.flows_completed_total").inc()
                 self.metrics.counter("net.bytes_delivered_total").inc(f.size)

@@ -314,11 +314,15 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4) of every instrument,
         sorted by name: ``.`` and any other character a Prometheus name
-        cannot hold become ``_``, and a histogram is its cumulative
+        cannot hold become ``_``, an instrument with help text gets a
+        ``# HELP`` line, and a histogram is its cumulative
         ``_bucket{le=...}`` counts, ``_sum`` and ``_count``."""
         lines = []
         for inst in self.instruments():
             name = _PROM_UNSAFE.sub("_", inst.name)
+            if inst.help:
+                text = inst.help.replace("\\", "\\\\").replace("\n", "\\n")
+                lines.append(f"# HELP {name} {text}")
             if isinstance(inst, Histogram):
                 lines.append(f"# TYPE {name} histogram")
                 cumulative = 0
@@ -359,13 +363,11 @@ class Sampler:
         self.sim = sim
         self.registry = registry
         self.period_s = period_s
-        self.samples_taken = 0
         self._proc = sim.process(self._run(), name="obs:sampler")
 
     def _run(self) -> _t.Generator:
         while True:
             self.registry.sample_gauges(self.sim.now)
-            self.samples_taken += 1
             yield self.period_s
 
     def stop(self) -> None:

@@ -23,7 +23,6 @@ from ..sim.process import Process
 from .metrics import MetricsRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..campaign.coordinator import CampaignCoordinator
     from ..core.system import VolunteerCloud
     from ..gateway.server import GatewayServer
 
@@ -83,31 +82,6 @@ def attach_standard_probes(cloud: "VolunteerCloud",
                   TaskState.READY_TO_REPORT):
         reg.gauge(f"client.tasks_{state}", f"client tasks in state {state}",
                   fn=_occupancy(state))
-    return reg
-
-
-def attach_coordinator_probes(coordinator: "CampaignCoordinator",
-                              registry: MetricsRegistry | None = None
-                              ) -> MetricsRegistry:
-    """Register liveness/occupancy gauges for a campaign coordinator.
-
-    The control-plane analogue of :func:`attach_standard_probes`: live
-    worker count plus the cell lifecycle occupancy of the coordinator's
-    :class:`~repro.campaign.lease.LeaseTable` (pending / leased / done /
-    failed).  Idempotent per registry; returns the registry the probes
-    were attached to (``coordinator.metrics`` by default).
-    """
-    from ..campaign import lease as _lease
-
-    reg = registry if registry is not None else coordinator.metrics
-    table = coordinator.table
-    reg.gauge("campaign.workers.live", "registered, not-yet-failed workers",
-              fn=lambda: len(table.live_workers()))
-    for status in (_lease.PENDING, _lease.LEASED,
-                   _lease.DONE, _lease.FAILED):
-        reg.gauge(f"campaign.cells.{status}",
-                  f"campaign cells currently {status}",
-                  fn=lambda s=status: table.count(s))
     return reg
 
 

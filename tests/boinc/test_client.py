@@ -233,12 +233,17 @@ class TestUploadVsReport:
 class TestShutdown:
     def test_shutdown_stops_rpc_activity(self, build):
         sim, _net, server, clients = build(n_clients=1)
+
+        def rpcs():
+            return len(server.tracer.select("client.rpc_start",
+                                            host=clients[0].name))
+
         start_all(server, clients)
         sim.run(until=50.0)
         clients[0].go_offline()
-        rpcs_at_shutdown = clients[0].rpcs
+        rpcs_at_shutdown = rpcs()
         sim.run(until=500.0)
-        assert clients[0].rpcs == rpcs_at_shutdown
+        assert rpcs() == rpcs_at_shutdown
         assert clients[0].offline and not clients[0].host.online
 
     def test_shutdown_fails_running_task(self, build, pin):

@@ -83,7 +83,8 @@ class TestDatabase:
         assert res.state is ResultState.IN_PROGRESS
         assert res.host_id == host.id
         assert db.unsent_results() == []
-        assert host.results_assigned == 1
+        assert [r for r in db.results.values() if r.host_id == host.id] \
+            == [res]
 
     def test_mark_sent_twice_rejected(self):
         db = Database()
@@ -129,11 +130,6 @@ class TestDatabase:
         db.insert_host("h", 1.0)
         counts = db.counts()
         assert counts == {"workunits": 1, "results": 1, "hosts": 1, "unsent": 1}
-
-    def test_host_address_format(self):
-        db = Database()
-        rec = db.insert_host("worker7", 2.0)
-        assert rec.address == "worker7:31416"
 
     def test_wu_state_starts_active(self):
         db = Database()

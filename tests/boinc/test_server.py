@@ -186,7 +186,7 @@ class TestScheduler:
         host = server.register_host("h1", 1.0)
         rpc(sim, server, host)
         rpc(sim, server, host)
-        assert host.rpc_count == 2
+        assert len(server.tracer.select("sched.rpc", host="h1")) == 2
 
 
 class TestReporting:

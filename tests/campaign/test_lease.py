@@ -146,10 +146,10 @@ class TestWorkerFailure:
             table.grant("w0", now=0.0)
         quarantined = table.fail_worker("w0", now=1.0)
         assert quarantined == []  # first loss of each; retry budget left
-        assert table.count(PENDING) == 3
+        assert [c.status for c in table.cells.values()] == [PENDING] * 3
         assert table.counters.workers_failed == 1
         assert table.counters.reclaimed == 3
-        assert table.live_workers() == []
+        assert table.workers["w0"].dead
 
     def test_fail_worker_quarantines_when_budget_spent(self):
         table = _table(1, retries=0)
@@ -169,7 +169,8 @@ class TestWorkerFailure:
         table.register("w0", now=0.0)
         table.fail_worker("w0", now=1.0)
         table.register("w0", now=2.0)
-        assert table.live_workers() == ["w0"]
+        assert list(table.workers) == ["w0"]
+        assert not table.workers["w0"].dead
 
 
 class TestStealing:

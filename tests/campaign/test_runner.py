@@ -1,4 +1,4 @@
-"""Tests for ``run_campaign``: determinism, resume, retries, metrics.
+"""Tests for ``run_campaign``: determinism, resume, retries, accounting.
 
 What ``run_campaign`` shares with a bare coordinator (resume skip,
 quarantine, lease timeout, a SIGKILLed worker) is parametrized over
@@ -17,7 +17,6 @@ from repro.campaign import (
     execute_cell,
     run_campaign,
 )
-from repro.obs import MetricsRegistry
 
 
 def small_grid(n_seeds: int = 3) -> CampaignGrid:
@@ -98,11 +97,10 @@ class TestResume:
 class TestLocalRuns:
     def test_retries_counted(self, tmp_path):
         grid = sleep_grid(30.0)
-        metrics = MetricsRegistry()
         report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=1,
-                              timeout_s=0.2, retries=2, metrics=metrics)
+                              timeout_s=0.2, retries=2)
         assert report.failed == 1
-        assert metrics.counter("campaign.cells.retries").value == 2
+        assert report.reclaimed == 2
         failed_meta = ResultStore(tmp_path / "s.jsonl").load()[
             grid.cells[0].key].meta
         assert failed_meta["attempts"] == 3
@@ -121,16 +119,17 @@ class TestLocalRuns:
 
 class TestProgressAndMetrics:
     def test_metrics_registry_counts(self, tmp_path):
+        """A campaign counts in one place: its report and each store
+        record's ``meta``."""
         grid = small_grid()
-        metrics = MetricsRegistry()
-        run_campaign(grid, str(tmp_path / "s.jsonl"), workers=2,
-                     metrics=metrics)
-        assert metrics.counter("campaign.cells.completed").value == len(grid)
-        assert metrics.counter("campaign.cells.quarantined").value == 0
-        assert metrics.counter("campaign.cells.skipped").value == 0
-        assert metrics.gauge("campaign.cells.leased").value == 0
-        hist = metrics.histogram("campaign.cell_wall_s")
-        assert hist.count == len(grid)
+        report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=2)
+        assert report.ran == len(grid)
+        assert report.failed == 0
+        assert report.skipped == 0
+        assert report.ran + report.skipped + report.failed == report.total
+        records = ResultStore(tmp_path / "s.jsonl").load()
+        assert sorted(records) == sorted(cell.key for cell in grid.cells)
+        assert all(r.ok and r.meta["wall_s"] >= 0 for r in records.values())
 
     def test_echo_reports_every_cell(self, tmp_path):
         grid = small_grid()

@@ -65,7 +65,7 @@ class TestServing:
         store.serve(FileRef("f", 10), job="j")
         store.get("f")
         store.get("f")
-        assert store._files["f"].downloads == 2
+        assert store.bytes_served == 20
 
 
 class TestEviction:
@@ -75,14 +75,13 @@ class TestEviction:
         assert not store.available("f")
         with pytest.raises(KeyError):
             store.get("f")
-        assert store.evictions == 1
+        assert store.stop_job("j") == 0  # nothing left to withdraw
 
     def test_evict_unknown_or_already_evicted(self, store):
         assert store.evict("nope") is False
         store.serve(FileRef("f", 10), job="j")
-        store.evict("f")
+        assert store.evict("f") is True
         assert store.evict("f") is False  # concurrent downloader lost the race
-        assert store.evictions == 1
 
     def test_evicted_file_can_be_reserved(self, store):
         """A mapper re-serving after eviction starts a clean window."""

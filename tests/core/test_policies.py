@@ -116,8 +116,7 @@ class TestInputFetcher:
     def test_peer_fetch_happy_path(self):
         cloud, clients, spec, _job = harness()
         self.serve_all(cloud, clients, spec)
-        locations = {i: [clients[0].record.address]
-                     for i in range(spec.n_maps)}
+        locations = {i: [clients[0].name] for i in range(spec.n_maps)}
         task = make_reduce_task(cloud, spec, 0, locations)
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))
@@ -128,8 +127,7 @@ class TestInputFetcher:
     def test_local_partitions_read_without_transfer(self):
         cloud, clients, spec, _job = harness()
         self.serve_all(cloud, clients, spec)
-        locations = {i: [clients[0].record.address]
-                     for i in range(spec.n_maps)}
+        locations = {i: [clients[0].name] for i in range(spec.n_maps)}
         task = make_reduce_task(cloud, spec, 0, locations)
         fetcher = clients[0].input_fetcher  # the mapper reduces its own data
         proc = cloud.sim.process(fetcher.fetch(clients[0], task))
@@ -145,8 +143,7 @@ class TestInputFetcher:
         for i in range(spec.n_maps):
             cloud.server.dataserver.publish(
                 FileRef(spec.map_output_file(i, 0), spec.map_output_size()))
-        locations = {i: [clients[0].record.address]
-                     for i in range(spec.n_maps)}
+        locations = {i: [clients[0].name] for i in range(spec.n_maps)}
         task = make_reduce_task(cloud, spec, 0, locations)
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))
@@ -165,8 +162,7 @@ class TestInputFetcher:
                 FileRef(spec.map_output_file(i, 0), spec.map_output_size()))
         cloud.sim.schedule(100.0, lambda: None)
         cloud.sim.run()  # run past the serving timeout
-        locations = {i: [clients[0].record.address]
-                     for i in range(spec.n_maps)}
+        locations = {i: [clients[0].name] for i in range(spec.n_maps)}
         task = make_reduce_task(cloud, spec, 0, locations)
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))

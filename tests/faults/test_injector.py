@@ -214,7 +214,7 @@ class TestSingletonFaults:
         cloud.sim.run(until=2.0)
         assert not cloud.server.available
         assert not cloud.server.dataserver.available
-        assert cloud.server.crashes == 1
+        assert len(cloud.tracer.select("server.crash")) == 1
         cloud.sim.run(until=20.0)
         assert cloud.server.available
         assert cloud.server.dataserver.available

@@ -781,6 +781,14 @@ class TestMetricsRoute:
         assert len(buckets) == len(server_module.RPC_BUCKETS) + 1
         assert buckets == sorted(buckets) and buckets[-1] == 5.0
 
+    def test_help_precedes_type(self, handle, client):
+        _, body = client.request("GET", "/metrics")
+        lines = body.decode("utf-8").splitlines()
+        at = lines.index("# HELP gateway_connections_active "
+                         "open HTTP connections")
+        assert lines[at + 1] == "# TYPE gateway_connections_active gauge"
+        assert "# HELP gateway_hosts registered volunteer hosts" in lines
+
 
 class TestSlowDrip:
     """Bytes that keep coming, but slower than a request should: the read

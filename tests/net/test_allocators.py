@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, IncrementalAllocator, Link, maxmin_rates
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from .reference_allocator import FullAllocator
@@ -86,7 +87,7 @@ churn_script = st.tuples(
 
 def _build(allocator, caps, specs):
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator())
+    net = FlowNetwork(sim, metrics=MetricsRegistry(), allocator=allocator())
     links = [Link(f"l{i}", cap * 8.0) for i, cap in enumerate(caps)]
     flows = []
     for i, (linkidx, size, background, max_rate) in enumerate(specs):
@@ -143,10 +144,13 @@ def test_incremental_matches_full_to_completion(script):
             net_f.abort_flow(flows_f[idx])
     sim_i.run()
     sim_f.run()
-    assert net_i.flows_completed == net_f.flows_completed
-    assert net_i.flows_aborted == net_f.flows_aborted
-    assert net_i.bytes_delivered == pytest.approx(
-        net_f.bytes_delivered, rel=1e-9)
+    def total(net, family):
+        return net.metrics.counter(f"net.{family}_total").value
+
+    assert total(net_i, "flows_completed") == total(net_f, "flows_completed")
+    assert total(net_i, "flows_aborted") == total(net_f, "flows_aborted")
+    assert total(net_i, "bytes_delivered") == pytest.approx(
+        total(net_f, "bytes_delivered"), rel=1e-9)
     for fi, ff in zip(flows_i, flows_f):
         assert fi.finished == ff.finished
         if fi.finished_at is not None:

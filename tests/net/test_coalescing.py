@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, IncrementalAllocator, Link
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from .reference_allocator import FullAllocator
@@ -63,7 +64,7 @@ def drive(allocator, script, hub):
     """Run *script*; returns every read and every completion, in order."""
     caps, batches = script
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator)
+    net = FlowNetwork(sim, metrics=MetricsRegistry(), allocator=allocator)
     links = [Link(f"l{i}", cap * 8.0) for i, cap in enumerate(caps)]
     flows, log = [], []
 
@@ -100,7 +101,9 @@ def drive(allocator, script, hub):
                     [link.bytes_carried for link in links]))
     sim.run()
     log.append(("end", [(f.finished_at, f.aborted) for f in flows],
-                net.flows_completed, net.flows_aborted))
+                *(net.metrics.counter(f"net.{family}_total").value
+                  for family in ("flows_completed", "flows_aborted",
+                                 "bytes_delivered"))))
     return log
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import (FlowError, FlowNetwork, IncrementalAllocator, Link,
                        maxmin_rates)
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from .reference_allocator import FullAllocator
@@ -13,6 +14,11 @@ from .reference_allocator import FullAllocator
 
 def mbit(x):
     return x * 1e6  # bits per second
+
+
+def counted(net, family):
+    """The ``net.<family>_total`` counter of *net*'s registry."""
+    return net.metrics.counter(f"net.{family}_total").value
 
 
 @pytest.fixture
@@ -25,7 +31,8 @@ def sim():
 def net(sim, request):
     """Every behavioural test in this file runs under the product
     allocator and under the reference oracle."""
-    return FlowNetwork(sim, allocator=request.param())
+    return FlowNetwork(sim, metrics=MetricsRegistry(),
+                       allocator=request.param())
 
 
 class TestLink:
@@ -50,7 +57,7 @@ class TestSingleFlow:
         link = Link("l", mbit(100))
         flow = net.start_flow("f", [link], 0)
         assert flow.finished
-        assert net.flows_completed == 1
+        assert counted(net, "flows_completed") == 1
 
     def test_negative_size_rejected(self, sim, net):
         with pytest.raises(ValueError):
@@ -187,9 +194,9 @@ class TestAbort:
         f2 = net.start_flow("f2", [link], 1e9)
         sim.run(until_event=f1.done)
         net.abort_flow(f2)
-        assert net.flows_completed == 1
-        assert net.flows_aborted == 1
-        assert net.bytes_delivered == pytest.approx(100)
+        assert counted(net, "flows_completed") == 1
+        assert counted(net, "flows_aborted") == 1
+        assert counted(net, "bytes_delivered") == pytest.approx(100)
 
 
 class TestBackground:
@@ -246,6 +253,6 @@ class TestProgressAccounting:
         assert len(flows) == 20
         assert all(f.finished for f in flows)
         total = sum(f.size for f in flows)
-        assert net.bytes_delivered == pytest.approx(total)
+        assert counted(net, "bytes_delivered") == pytest.approx(total)
         # Last byte cannot arrive before total/capacity seconds.
         assert sim.now >= total / link.capacity - 1e-6

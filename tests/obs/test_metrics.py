@@ -109,8 +109,9 @@ class TestRegistry:
 
     def test_render_prometheus(self):
         reg = MetricsRegistry()
-        reg.counter("gateway.http_errors_total").inc(3)
-        reg.gauge("net.flows-active", fn=lambda: float("nan"))
+        reg.counter("gateway.http_errors_total", "error replies").inc(3)
+        reg.gauge("net.flows-active", "in-flight\nflows, C:\\net",
+                  fn=lambda: float("nan"))
         h = reg.histogram("rpc.lat_s", buckets=(0.5, 2.0))
         for value in (0.1, 0.4, 1.0, 7.0):
             h.observe(value)
@@ -121,8 +122,10 @@ class TestRegistry:
             'empty_s_bucket{le="+Inf"} 0\n'
             "empty_s_sum 0.0\n"
             "empty_s_count 0\n"
+            "# HELP gateway_http_errors_total error replies\n"
             "# TYPE gateway_http_errors_total counter\n"
             "gateway_http_errors_total 3.0\n"
+            "# HELP net_flows_active in-flight\\nflows, C:\\\\net\n"
             "# TYPE net_flows_active gauge\n"
             "net_flows_active NaN\n"
             "# TYPE rpc_lat_s histogram\n"

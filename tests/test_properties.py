@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, Link, maxmin_rates
+from repro.obs import MetricsRegistry
 from repro.runtime import LocalRunner, default_partition, split_text
 from repro.runtime.apps import WordCount
 from repro.sim import RngRegistry, Simulator
@@ -104,7 +105,7 @@ def test_maxmin_conservation_and_caps(specs):
 @settings(max_examples=30)
 def test_all_flows_eventually_complete(specs):
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, metrics=MetricsRegistry())
     links = [Link(f"l{i}", 8 * 10e6) for i in range(8)]
     flows = []
     for i, (a, b, size, cap) in enumerate(specs):
@@ -113,7 +114,8 @@ def test_all_flows_eventually_complete(specs):
     sim.run(max_steps=100_000)
     assert all(f.finished for f in flows)
     total = sum(size for _a, _b, size, _c in specs)
-    assert net.bytes_delivered == pytest.approx(total, rel=1e-6)
+    delivered = net.metrics.counter("net.bytes_delivered_total").value
+    assert delivered == pytest.approx(total, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

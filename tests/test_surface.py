@@ -98,6 +98,54 @@ def test_every_pin_names_a_function_and_a_test_or_file_that_exist():
     assert surface.pin_problems(list(surface.PINNED)) == []
 
 
+COUNTED = textwrap.dedent('''
+    class Pool:
+        def __init__(self):
+            self.taken = 0
+            self.lent = 0
+
+        def take(self):
+            self.taken += 1
+            self.lent += 1
+
+        def lend(self, other):
+            return other.lent
+    ''')
+
+
+def test_a_counter_only_a_test_reads_is_reported():
+    assert surface.write_only_counters({"fake.pool": COUNTED}) == [
+        "fake.pool:Pool.taken"]
+
+
+def test_a_counter_src_reads_in_another_module_is_not_reported():
+    assert surface.write_only_counters({
+        "fake.pool": COUNTED,
+        "fake.report": "def report(pool):\n    return pool.taken\n"}) == []
+
+
+def test_a_counter_pin_holds_while_only_its_reader_reads_it():
+    counters = surface.write_only_counters({"fake.pool": COUNTED})
+    assert surface.counter_problems(counters, {}) == [
+        "fake.pool:Pool.taken: src increments it, never reads it, and it "
+        "is not pinned"]
+    assert surface.counter_problems(
+        counters, {"fake.pool:Pool.taken": "tests/test_surface.py"}) == []
+
+
+def test_a_counter_pin_src_reads_is_stale():
+    assert surface.counter_problems([], {
+        "fake.pool:Pool.lent": "tests/test_surface.py"}) == [
+        "fake.pool:Pool.lent: pinned, but src reads it or no longer counts "
+        "it"]
+
+
+def test_every_write_only_counter_is_pinned_by_its_reader():
+    counters = surface.write_only_counters()
+    assert sorted(counters) == sorted(surface.COUNTER_PINS)
+    assert surface.counter_problems(counters) == []
+
+
 def test_the_census_covers_config_fields_and_spec_switches():
     fields = surface.census_fields(surface.option_classes())
     assert "ServerConfig.delay_bound_s" in fields

@@ -95,7 +95,7 @@ class ChurnCases:
         cloud.submit(MapReduceJobSpec(
             "churny", n_maps=6, n_reducers=2, input_size=6e9))
         cloud.sim.run(until=600.0)
-        assert cloud.net.flownet.flows_aborted > 0
+        assert cloud.metrics.counter("net.flows_aborted_total").value > 0
         down = [c for c in cloud.clients if c.offline]
         assert down
         for client in down:
