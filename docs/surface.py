@@ -160,7 +160,8 @@ def census(fields: dict[str, dataclasses.Field],
 COUNTER_PINS = {
     # The RPC differential's oracle compares it.
     "net.transfer:SimSemaphore.cancelled_total":
-        "tests/boinc/test_rpc_differential.py",
+        "tests/boinc/test_rpc_differential.py::"
+        "test_rpc_matches_the_process_it_replaced",
     "gateway.client:VolunteerStats.idle_polls": "bench/workloads.py",
 }
 
@@ -553,12 +554,16 @@ PINNED: dict[str, str] = {
     "campaign.grid:CampaignCell.label":
         "tests/campaign/test_coordinator.py::TestFailureRecovery::"
         "test_quarantine_after_retry_budget",
-    "campaign.lease:LeaseTable.touch": "tests/campaign/test_lease.py",
+    "campaign.lease:LeaseTable.touch":
+        "tests/campaign/test_lease.py::TestExpiry::"
+        "test_expire_reclaims_and_requeues",
     "campaign.lease:LeaseTable.fail_worker":
         "tests/campaign/test_lease.py::TestWorkerFailure",
     "campaign.lease:LeaseTable._steal_candidate":
         "tests/campaign/test_lease.py::TestStealing",
-    "campaign.lease:LeaseTable.report_error": "tests/campaign/test_lease.py",
+    "campaign.lease:LeaseTable.report_error":
+        "tests/campaign/test_lease.py::TestRetryAccounting::"
+        "test_error_requeues_until_budget_spent",
     "campaign.lease:LeaseTable._revoke":
         "tests/campaign/test_lease.py::TestStealing::"
         "test_first_result_revokes_the_loser",
@@ -640,43 +645,6 @@ PINNED: dict[str, str] = {
         "test_uninstall_restores_fast_path",
     "sim.events:Event.__repr__":
         "tests/sim/test_events.py::test_double_trigger_rejected",
-    # A test reads state through it, and the test checks more than it: the
-    # accessor goes when those tests no longer need it, not by moving its
-    # body into them.
-    "boinc.client:make_client": "tests/boinc/test_client_more.py",
-    "boinc.model:Database.workunits_by_job": "tests/core/test_jobtracker.py",
-    "core.interclient:PeerStore.serving_count":
-        "tests/core/test_system.py::TestEndToEnd::"
-        "test_serving_store_cleared_after_job",
-    "gateway.server:GatewayHandle.submit_job":
-        "tests/gateway/test_server.py::TestEndToEnd::"
-        "test_single_volunteer_completes_job",
-    "gateway.server:GatewayHandle.submit_job.<locals>._submit":
-        "tests/gateway/test_server.py::TestEndToEnd::"
-        "test_single_volunteer_completes_job",
-    "gateway.server:GatewayHandle.result":
-        "tests/gateway/test_server.py::TestEndToEnd::"
-        "test_single_volunteer_completes_job",
-    "net.supernode:SupernodeOverlay.attachment_counts":
-        "tests/test_properties_more.py::test_overlay_attachment_invariants",
-    "net.topology:Network.host":
-        "tests/net/test_topology.py::TestHosts::test_add_host",
-    "obs.metrics:Gauge.add":
-        "tests/obs/test_metrics.py::TestGauge::test_set_and_add",
-    "obs.metrics:Histogram.quantile":
-        "tests/obs/test_metrics.py::TestHistogram::test_p2_median_converges",
-    "obs.metrics:MetricsRegistry.__contains__":
-        "tests/obs/test_probes.py::TestStandardProbes::"
-        "test_registers_expected_gauges",
-    "obs.metrics:MetricsRegistry.get":
-        "tests/gateway/test_server.py::TestRouteBinding::"
-        "test_latency_lands_in_the_declared_family",
-    "runtime.engine:JobReport.map_tasks":
-        "tests/runtime/test_engine.py::TestWordCount::test_task_reports",
-    "sim.events:Event.ok": "tests/boinc/test_client_more.py",
-    "sim.trace:Tracer.first": "tests/boinc/test_client.py::TestBackoff",
-    "sim.trace:Tracer.last":
-        "tests/sim/test_rng_trace.py::TestTracer::test_first_and_last",
 }
 
 
@@ -767,16 +735,20 @@ def unreached_functions(reached: set[tuple[str, str, int]]) -> list[str]:
 
 def _pin_problem(name: str, by: str) -> str | None:
     """Why *by* cannot pin function *name*: a test node id
-    (``path::Class::test``) naming no test, or a path that does not
-    exist or never mentions the function; ``None`` when it can."""
+    (``path::Class::test``) naming no test, a path that does not exist
+    or never mentions the function, or a ``tests/`` file named without a
+    test in it (its test could go and the pin would still hold);
+    ``None`` when it can."""
     path, *parts = by.split("::")
     if not (ROOT / path).is_file():
         return f"no file {path}"
     source = (ROOT / path).read_text(encoding="utf-8")
     if not parts:
         short = name.rsplit(".", 1)[-1].rsplit(":", 1)[-1]
-        return (None if re.search(rf"\b{re.escape(short)}\b", source)
-                else f"{path} never mentions {short}")
+        if not re.search(rf"\b{re.escape(short)}\b", source):
+            return f"{path} never mentions {short}"
+        return (f"{path} is under tests/: pin a test in it "
+                "(path::Class::test)" if path.startswith("tests/") else None)
     scope: list = ast.parse(source).body
     for part in parts:
         part = part.split("[", 1)[0]

@@ -19,7 +19,6 @@ from .client import (
     ServerUploadPolicy,
     TaskState,
     download_with_retry,
-    make_client,
     upload_with_retry,
 )
 from .dataserver import ChecksumMismatch, DataServer, FileMissing, ServerUnavailable
@@ -76,5 +75,4 @@ __all__ = [
     "GenericExecutor",
     "ServerInputFetcher",
     "ServerUploadPolicy",
-    "make_client",
 ]

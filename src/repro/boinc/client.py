@@ -538,18 +538,3 @@ class Client:
             self.tracer.record(self.sim.now, "task.failed", host=self.name,
                                result=task.assignment.result_id, error=str(exc))
             self._notify()
-
-
-def make_client(sim: Simulator, net: Network, server: ProjectServer,
-                name: str, flops: float = 1.0,
-                link_spec=None, nat=None, supports_mr: bool = False,
-                config: ClientConfig | None = None,
-                rng: np.random.Generator | None = None,
-                **strategies: _t.Any) -> Client:
-    """Convenience factory: create host, register with server, build client."""
-    from ..net import EMULAB_LINK
-
-    host = net.add_host(name, link_spec or EMULAB_LINK, nat=nat)
-    record = server.register_host(name, flops, supports_mr=supports_mr)
-    return Client(sim, net, server, host, record, config=config, rng=rng,
-                  **strategies)

@@ -235,13 +235,6 @@ class Database:
             r.host_id for r in self.results_for_wu(wu_id) if r.host_id is not None
         }
 
-    def workunits_by_job(self, job: str, kind: str | None = None) -> list[Workunit]:
-        """Workunits of one job, optionally filtered by kind."""
-        return [
-            wu for wu in self.workunits.values()
-            if wu.mr_job == job and (kind is None or wu.mr_kind == kind)
-        ]
-
     def in_progress_results(self) -> list[Result]:
         """Every result currently out on a host."""
         return [r for r in self.results.values() if r.state is ResultState.IN_PROGRESS]

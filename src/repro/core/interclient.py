@@ -81,9 +81,3 @@ class PeerStore:
             raise KeyError(f"{name} serving timeout expired")
         self.bytes_served += entry.ref.size
         return entry.ref
-
-    @property
-    def serving_count(self) -> int:
-        """Files currently within their serving window."""
-        return sum(1 for e in self._files.values()
-                   if self.sim.now <= e.expires_at)

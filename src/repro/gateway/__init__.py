@@ -11,7 +11,9 @@ the simulation rather than re-implemented.
 - :mod:`repro.gateway.protocol` — the wire protocol (endpoints, JSON
   schemas, error codes, checksums), documented in ``docs/protocol.md``;
 - :mod:`repro.gateway.server` — :class:`GatewayServer`, the asyncio
-  listener + daemon tick, and :class:`GatewayHandle` for in-process use;
+  listener + daemon tick, and :class:`GatewayHandle` for in-process use
+  (an ``address`` for clients to dial, the running ``server`` and
+  ``close()``);
 - :mod:`repro.gateway.client` — :class:`GatewayClient` (the one HTTP
   client, blocking, with the paper's backoff) and :func:`run_volunteer`,
   the real-OS-process volunteer loop running the real engine;

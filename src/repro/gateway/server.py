@@ -32,6 +32,7 @@ timeouts keep counting on the same clock).
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
 import sys
 import threading
@@ -52,8 +53,7 @@ from ..sim import Tracer
 from . import protocol
 from .files import BlobStore
 from .framing import FramingError, RequestFramer
-from ..core.job import MapReduceJob
-from .jobs import WIRE_STATE, GatewayJobTracker, decode_payload
+from .jobs import WIRE_STATE, GatewayJobTracker
 
 #: Latency buckets (seconds) for live RPC histograms: sub-millisecond to
 #: multi-second, matching what a loopback-to-WAN deployment can see.
@@ -383,23 +383,30 @@ class GatewayServer:
 
         The blocking-world entry point used by doctests, tests, and
         ``repro loadgen`` without ``--address``: returns a
-        :class:`GatewayHandle` once the listener is bound.
+        :class:`GatewayHandle` once the listener is bound.  If binding
+        fails (the port is taken), the loop is closed and the caller
+        gets the exception.
         """
         server = cls(config=config, state=state)
-        started = threading.Event()
+        started: concurrent.futures.Future[None] = concurrent.futures.Future()
         loop = asyncio.new_event_loop()
 
         def _run() -> None:
             asyncio.set_event_loop(loop)
-            loop.run_until_complete(server.start())
-            started.set()
+            try:
+                loop.run_until_complete(server.start())
+            except BaseException as exc:
+                loop.close()
+                started.set_exception(exc)
+                return
+            started.set_result(None)
             loop.run_forever()
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
         thread = threading.Thread(target=_run, name="gateway", daemon=True)
         thread.start()
-        started.wait()
+        started.result()
         return GatewayHandle(server, loop, thread)
 
     def _expire_stalled_reads(self) -> None:
@@ -674,9 +681,9 @@ _HANDLERS = {
 class GatewayHandle:
     """Blocking-world handle to a gateway running on a background thread.
 
-    What :meth:`GatewayServer.in_thread` returns: thread-safe job
-    submission, result reclaim, and shutdown for doctests, pytest, and
-    the self-hosting load harness.
+    What :meth:`GatewayServer.in_thread` returns: the :attr:`address` a
+    :class:`~repro.gateway.client.GatewayClient` dials to submit jobs and
+    reclaim their output, the running ``server``, and :meth:`close`.
     """
 
     def __init__(self, server: GatewayServer, loop: asyncio.AbstractEventLoop,
@@ -690,29 +697,6 @@ class GatewayHandle:
     def address(self) -> str:
         """``host:port`` for clients to dial."""
         return self.server.address
-
-    def submit_job(self, name: str, app: str, data: bytes, n_maps: int,
-                   n_reducers: int, replication: int = 1,
-                   quorum: int = 1) -> MapReduceJob:
-        """Submit a job with explicit input bytes (thread-safe)."""
-
-        async def _submit() -> MapReduceJob:
-            return self.server.jobs.submit_data(
-                name, app, data, n_maps=n_maps, n_reducers=n_reducers,
-                replication=replication, quorum=quorum)
-
-        return asyncio.run_coroutine_threadsafe(_submit(),
-                                                self.loop).result(30.0)
-
-    def result(self, name: str, timeout: float = 60.0) -> dict:
-        """Block until job *name* finishes, then return its merged output."""
-        job = self.server.jobs.jobs[name]
-        if not job.done.wait(timeout):
-            raise TimeoutError(f"job {name!r} still running "
-                               f"after {timeout}s")
-        if job.done.exception is not None:
-            raise job.done.exception
-        return decode_payload(self.server.jobs.outputs[name])
 
     def close(self) -> None:
         """Stop the server and join its thread (state is preserved)."""

@@ -115,7 +115,3 @@ class SupernodeOverlay:
                 f"no online supernode to relay {uploader.name} -> "
                 f"{downloader.name}")
         return min(candidates, key=lambda s: (self._load[s.name], s.name))
-
-    def attachment_counts(self) -> dict[str, int]:
-        """Ordinary-node attachments per supernode (for balance checks)."""
-        return dict(self._load)

@@ -102,10 +102,6 @@ class Network:
         self._host_by_link[host.downlink] = host
         return host
 
-    def host(self, name: str) -> Host:
-        """Look up a host by name (KeyError if absent)."""
-        return self.hosts[name]
-
     # -- transfers ----------------------------------------------------------------
     def latency(self, src: Host, dst: Host) -> float:
         """One-way latency between two hosts (sum of access latencies)."""

@@ -74,10 +74,6 @@ class Gauge:
             raise ValueError(f"gauge {self.name!r} is callback-backed")
         self._value = float(value)
 
-    def add(self, amount: float) -> None:
-        """Shift the level by *amount* (may be negative)."""
-        self.set(self._value + amount)
-
     @property
     def value(self) -> float:
         """Current level — the callback's answer when callback-backed."""
@@ -206,10 +202,6 @@ class Histogram:
         """Arithmetic mean of all observations (NaN when empty)."""
         return self.total / self.count if self.count else math.nan
 
-    def quantile(self, q: float) -> float:
-        """Streaming estimate of quantile *q* (must be tracked)."""
-        return self._estimators[q].estimate()
-
     def quantiles(self) -> dict[float, float]:
         """All tracked quantile estimates, keyed by q."""
         return {q: est.estimate() for q, est in self._estimators.items()}
@@ -270,13 +262,6 @@ class MetricsRegistry:
         return self._create(inst, Histogram, name, help, buckets)
 
     # -- introspection -------------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def get(self, name: str) -> Instrument | None:
-        """The instrument called *name*, or None."""
-        return self._instruments.get(name)
-
     def instruments(self) -> list[Instrument]:
         """Every registered instrument, sorted by name."""
         return [self._instruments[k] for k in sorted(self._instruments)]

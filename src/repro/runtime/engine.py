@@ -49,11 +49,6 @@ class JobReport:
         """Total bytes across all map-output partitions."""
         return sum(self.partition_bytes.values())
 
-    def map_tasks(self) -> list[TaskReport]:
-        """Reports of the map tasks only."""
-        return [t for t in self.tasks if t.kind == "map"]
-
-
 
 class LocalRunner:
     """Run a :class:`MapReduceApp` over real input on this machine."""

@@ -52,11 +52,6 @@ class Event:
         return self._triggered
 
     @property
-    def ok(self) -> bool:
-        """True once triggered successfully (no exception)."""
-        return self._triggered and self._exc is None
-
-    @property
     def value(self) -> _t.Any:
         """The value the event was triggered with.
 

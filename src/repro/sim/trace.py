@@ -89,16 +89,6 @@ class Tracer:
             out.append(rec)
         return out
 
-    def first(self, kind: str, /, **field_filters: _t.Any) -> TraceRecord | None:
-        """Earliest matching record, or None."""
-        matches = self.select(kind, **field_filters)
-        return matches[0] if matches else None
-
-    def last(self, kind: str, /, **field_filters: _t.Any) -> TraceRecord | None:
-        """Latest matching record, or None."""
-        matches = self.select(kind, **field_filters)
-        return matches[-1] if matches else None
-
     def times(self, kind: str, /, **field_filters: _t.Any) -> list[float]:
         """Timestamps of matching records, in order."""
         return [r.time for r in self.select(kind, **field_filters)]

@@ -13,7 +13,6 @@ from repro.boinc import (
     TaskState,
     Workunit,
     WorkunitState,
-    make_client,
 )
 from repro.boinc import client as client_mod
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
@@ -38,12 +37,13 @@ def build(pin):
         if client_config is None:
             pin(client_mod, **QUICK)
             client_config = ClientConfig(backoff_max_s=60.0)
-        clients = [
-            make_client(sim, net, server, f"c{i}", flops=flops,
-                        config=client_config,
-                        rng=np.random.default_rng(seed + i))
-            for i in range(n_clients)
-        ]
+        clients = []
+        for i in range(n_clients):
+            host = net.add_host(f"c{i}", EMULAB_LINK)
+            record = server.register_host(f"c{i}", flops)
+            clients.append(Client(sim, net, server, host, record,
+                                  config=client_config,
+                                  rng=np.random.default_rng(seed + i)))
         return sim, net, server, clients
     return build
 
@@ -172,10 +172,10 @@ class TestBackoff:
         sim.run(until=400.0)
         # Getting work reset the sequence: the first no-work backoff *after*
         # receiving an assignment starts again near the minimum, not the cap.
-        first_assign = server.tracer.first("sched.assign", host="c0")
-        assert first_assign is not None
+        assigns = server.tracer.select("sched.assign", host="c0")
+        assert assigns
         post = [r["delay"] for r in server.tracer.select(
-            "client.backoff", host="c0") if r.time > first_assign.time]
+            "client.backoff", host="c0") if r.time > assigns[0].time]
         assert post, "client never backed off after draining the new work"
         assert post[0] <= 10.0 * 1.5  # backoff_min * (1 + jitter)
 
@@ -190,12 +190,12 @@ class TestBackoff:
         start_all(server, clients)
         sim.run(until=600.0)
         tracer = server.tracer
-        ready = tracer.first("task.ready", host="c0")
-        report = tracer.first("sched.report", host="c0")
-        assert ready is not None and report is not None
+        ready = tracer.select("task.ready", host="c0")
+        report = tracer.select("sched.report", host="c0")
+        assert ready and report
         # While computing (~30s) the client polled for more work, got
         # nothing, and entered a 100s backoff; the report had to wait.
-        gap = report.time - ready.time
+        gap = report[0].time - ready[0].time
         assert gap > 30.0
 
     def test_report_immediately_skips_backoff(self, build, pin):
@@ -207,8 +207,8 @@ class TestBackoff:
         start_all(server, clients)
         sim.run(until=600.0)
         tracer = server.tracer
-        ready = tracer.first("task.ready", host="c0")
-        report = tracer.first("sched.report", host="c0")
+        ready = tracer.select("task.ready", host="c0")[0]
+        report = tracer.select("sched.report", host="c0")[0]
         gap = report.time - ready.time
         assert gap < 5.0
 
@@ -269,7 +269,7 @@ class TestShutdown:
         submit(server, n=1, flops=30.0, replication=1, quorum=1)
         start_all(server, clients)
         client = clients[0]
-        while server.tracer.first("task.ready", host=client.name) is None:
+        while not server.tracer.select("task.ready", host=client.name):
             sim.run(until=sim.now + 1.0)
         res = server.db.results_for_wu(1)[0]
         assert res.reported_at is None
@@ -302,13 +302,15 @@ class TestFailureRecovery:
         server = ProjectServer(sim, net, server_host)
         pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=5.0)
         cfg = ClientConfig(backoff_max_s=20.0)
-        bad = make_client(sim, net, server, "bad", config=cfg,
-                          rng=np.random.default_rng(0),
-                          executor=ExplodingExecutor())
-        good1 = make_client(sim, net, server, "good1", config=cfg,
-                            rng=np.random.default_rng(1))
-        good2 = make_client(sim, net, server, "good2", config=cfg,
-                            rng=np.random.default_rng(2))
+        clients = []
+        for i, name in enumerate(("bad", "good1", "good2")):
+            host = net.add_host(name, EMULAB_LINK)
+            record = server.register_host(name, 1.0)
+            strategies = ({"executor": ExplodingExecutor()} if name == "bad"
+                          else {})
+            clients.append(Client(sim, net, server, host, record, config=cfg,
+                                  rng=np.random.default_rng(i), **strategies))
+        bad, good1, good2 = clients
         wu = Workunit(id=server.db.new_wu_id(), app_name="app",
                       input_files=(FileRef("in", 1e6),), flops=30.0,
                       target_nresults=3, min_quorum=2)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.boinc import (
+    Client,
     ClientConfig,
     FileRef,
     ProjectServer,
     SchedulerRequest,
     ServerConfig,
     Workunit,
-    make_client,
 )
 from repro.boinc import client as client_mod
 from repro.boinc import server as server_mod
-from repro.net import Network, SERVER_LINK
+from repro.net import EMULAB_LINK, Network, SERVER_LINK
 from repro.sim import Simulator
 
 
@@ -25,9 +25,12 @@ def build(n_clients, client_config=None, server_config=None):
     server = ProjectServer(sim, net, server_host,
                            config=server_config or ServerConfig())
     cfg = client_config or ClientConfig()
-    clients = [make_client(sim, net, server, f"c{i}", config=cfg,
-                           rng=np.random.default_rng(i))
-               for i in range(n_clients)]
+    clients = []
+    for i in range(n_clients):
+        host = net.add_host(f"c{i}", EMULAB_LINK)
+        record = server.register_host(f"c{i}", 1.0)
+        clients.append(Client(sim, net, server, host, record, config=cfg,
+                              rng=np.random.default_rng(i)))
     return sim, net, server, clients
 
 
@@ -48,7 +51,7 @@ class TestRpcCongestion:
             host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
         # 6 RPCs, 2 at a time, 10s each -> three waves; last ends at t=30.
-        assert all(p.ok for p in procs)
+        assert all(p.triggered and p.exception is None for p in procs)
         assert sim.now == pytest.approx(30.0)
 
     def test_all_rpcs_eventually_served(self, pin):
@@ -58,7 +61,7 @@ class TestRpcCongestion:
         procs = [server.scheduler_rpc(SchedulerRequest(
             host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
-        assert all(p.ok for p in procs)
+        assert all(p.triggered and p.exception is None for p in procs)
         assert sim.now == pytest.approx(5.0)
 
 
@@ -84,7 +87,7 @@ class TestPacing:
         for c in clients:
             c.start()
         sim.run(until=60.0)
-        firsts = [server.tracer.first("sched.rpc", host=c.name).time
+        firsts = [server.tracer.select("sched.rpc", host=c.name)[0].time
                   for c in clients]
         assert all(t <= 20.0 + 2.0 for t in firsts)
         assert max(firsts) - min(firsts) > 1.0  # actually staggered
@@ -99,11 +102,11 @@ class TestSpeedFactor:
         server.start_daemons()
         clients[0].start()
         sim.run(until=300.0)
-        rec = server.tracer.first("task.compute_start", host="c0")
+        rec = server.tracer.select("task.compute_start", host="c0")[0]
         assert rec["runtime"] == pytest.approx(80.0)
         # The server's estimate was still 40s.
-        assigns = server.tracer.first("sched.assign", host="c0")
-        assert assigns is not None
+        assigns = server.tracer.select("sched.assign", host="c0")
+        assert assigns
 
 
 class TestWorkRequestAccounting:

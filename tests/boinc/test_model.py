@@ -105,15 +105,6 @@ class TestDatabase:
         db.mark_sent(r2, h2, 0.0, 10.0)
         assert db.hosts_with_result_of_wu(wu.id) == {h1.id, h2.id}
 
-    def test_workunits_by_job_and_kind(self):
-        db = Database()
-        make_wu(db, mr_job="j1", mr_kind="map", mr_index=0)
-        make_wu(db, mr_job="j1", mr_kind="reduce", mr_index=0)
-        make_wu(db, mr_job="j2", mr_kind="map", mr_index=0)
-        assert len(db.workunits_by_job("j1")) == 2
-        assert len(db.workunits_by_job("j1", "map")) == 1
-        assert len(db.workunits_by_job("j3")) == 0
-
     def test_in_progress_results(self):
         db = Database()
         wu = make_wu(db)

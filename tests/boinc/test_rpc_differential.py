@@ -44,8 +44,8 @@ HOSTS = 4
 
 def _served(outcome):
     """An RPC's outcome, comparable across the two implementations."""
-    if not outcome.ok:
-        exc = outcome.exception
+    exc = outcome.exception  # a callback's event has fired
+    if exc is not None:
         return (type(exc).__name__, str(exc))
     reply = outcome.value
     return ([(a.result_id, a.wu.id, a.deadline, a.est_runtime_s)

@@ -104,7 +104,8 @@ class Wiring:
             self.core._transitioner_pass()
 
     def workunits(self, kind=None):
-        return self.core.db.workunits_by_job("j", kind)
+        return [wu for wu in self.core.db.workunits.values()
+                if wu.mr_job == "j" and kind in (None, wu.mr_kind)]
 
     def trace_kinds(self):
         return [rec.kind for rec in self.core.tracer.records

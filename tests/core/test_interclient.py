@@ -48,11 +48,11 @@ class TestServing:
 
     def test_serving_count_excludes_expired(self, sim, store):
         store.serve(FileRef("a", 1), job="j")
-        assert store.serving_count == 1
+        assert [store.available(name) for name in "ab"] == [True, False]
         sim.schedule(150.0, lambda: None)
         sim.run()
         store.serve(FileRef("b", 1), job="j")
-        assert store.serving_count == 1
+        assert [store.available(name) for name in "ab"] == [False, True]
 
     def test_reserve_restarts_window(self, sim, store):
         store.serve(FileRef("f", 10), job="j")

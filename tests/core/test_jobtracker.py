@@ -59,7 +59,8 @@ class TestSubmission:
     def test_creates_map_wus_with_tags(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        maps = server.db.workunits_by_job("j", "map")
+        maps = [w for w in server.db.workunits.values()
+                if (w.mr_job, w.mr_kind) == ("j", "map")]
         assert len(maps) == 3
         assert {wu.mr_index for wu in maps} == {0, 1, 2}
         assert all(wu.target_nresults == 2 for wu in maps)
@@ -81,19 +82,23 @@ class TestPhaseTransition:
     def test_reduce_wus_created_after_all_maps(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        maps = server.db.workunits_by_job("j", "map")
+        maps = [w for w in server.db.workunits.values()
+                if (w.mr_job, w.mr_kind) == ("j", "map")]
         for wu in maps[:-1]:
             force_validate(server, wu, [f"h{wu.mr_index}a", f"h{wu.mr_index}b"])
-            assert server.db.workunits_by_job("j", "reduce") == []
+            assert [w for w in server.db.workunits.values()
+                    if (w.mr_job, w.mr_kind) == ("j", "reduce")] == []
         force_validate(server, maps[-1], ["hza", "hzb"])
-        reduces = server.db.workunits_by_job("j", "reduce")
+        reduces = [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "reduce")]
         assert len(reduces) == 2
         assert job.phase is JobPhase.REDUCE
 
     def test_reduce_inputs_not_published(self, setup):
         _sim, server, tracker = setup
         tracker.submit(spec())
-        for wu in server.db.workunits_by_job("j", "map"):
+        for wu in [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "map")]:
             force_validate(server, wu, [f"h{wu.mr_index}a", f"h{wu.mr_index}b"])
         # Reduce input files exist as references only, not on the server.
         assert not server.dataserver.has("j_m0_r0")
@@ -101,16 +106,19 @@ class TestPhaseTransition:
     def test_reduce_wu_geometry(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        for wu in server.db.workunits_by_job("j", "map"):
+        for wu in [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "map")]:
             force_validate(server, wu, [f"h{wu.mr_index}a", f"h{wu.mr_index}b"])
-        reduces = server.db.workunits_by_job("j", "reduce")
+        reduces = [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "reduce")]
         # Each reduce WU has one input per mapper.
         assert all(len(wu.input_files) == 3 for wu in reduces)
 
     def test_holders_are_mr_hosts_only(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        wu = server.db.workunits_by_job("j", "map")[0]
+        wu = [w for w in server.db.workunits.values()
+              if (w.mr_job, w.mr_kind) == ("j", "map")][0]
         # one MR host, one legacy host
         server.register_host("mr_host", 1.0, supports_mr=True)
         server.register_host("old_host", 1.0, supports_mr=False)
@@ -120,9 +128,11 @@ class TestPhaseTransition:
     def test_job_done_event(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        for wu in server.db.workunits_by_job("j", "map"):
+        for wu in [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "map")]:
             force_validate(server, wu, [f"h{wu.mr_index}a", f"h{wu.mr_index}b"])
-        for wu in server.db.workunits_by_job("j", "reduce"):
+        for wu in [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "reduce")]:
             force_validate(server, wu, [f"r{wu.mr_index}a", f"r{wu.mr_index}b"])
         assert job.phase is JobPhase.DONE
         assert job.done.triggered
@@ -132,9 +142,11 @@ class TestLocateReduceInputs:
     def prepared(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        for wu in server.db.workunits_by_job("j", "map"):
+        for wu in [w for w in server.db.workunits.values()
+                   if (w.mr_job, w.mr_kind) == ("j", "map")]:
             force_validate(server, wu, [f"h{wu.mr_index}a", f"h{wu.mr_index}b"])
-        reduce_wu = server.db.workunits_by_job("j", "reduce")[0]
+        reduce_wu = [w for w in server.db.workunits.values()
+                     if (w.mr_job, w.mr_kind) == ("j", "reduce")][0]
         return server, tracker, job, reduce_wu
 
     def test_mr_host_gets_locations(self, setup):
@@ -171,11 +183,14 @@ class TestEarlyReduceCreation:
         tracker = JobTracker(server, sim.event, config=BoincMRConfig(
             upload_map_outputs=True, reduce_creation_fraction=0.5))
         job = tracker.submit(spec(name="early", n_maps=4))
-        maps = server.db.workunits_by_job("early", "map")
+        maps = [w for w in server.db.workunits.values()
+                if (w.mr_job, w.mr_kind) == ("early", "map")]
         force_validate(server, maps[0], ["a0", "b0"])
-        assert server.db.workunits_by_job("early", "reduce") == []
+        assert [w for w in server.db.workunits.values()
+                if (w.mr_job, w.mr_kind) == ("early", "reduce")] == []
         force_validate(server, maps[1], ["a1", "b1"])
-        assert len(server.db.workunits_by_job("early", "reduce")) == 2
+        assert len([w for w in server.db.workunits.values()
+                    if (w.mr_job, w.mr_kind) == ("early", "reduce")]) == 2
         assert job.phase is JobPhase.MAP  # maps still outstanding
 
 
@@ -183,7 +198,8 @@ class TestWuErrorPropagation:
     def test_map_wu_error_fails_job(self, setup):
         _sim, server, tracker = setup
         job = tracker.submit(spec())
-        wu = server.db.workunits_by_job("j", "map")[0]
+        wu = [w for w in server.db.workunits.values()
+              if (w.mr_job, w.mr_kind) == ("j", "map")][0]
         # simulate the transitioner calling the hook
         wu.error_reason = "too many errors"
         tracker._on_wu_error(wu)
@@ -207,8 +223,10 @@ class TestWuErrorPropagation:
         with pytest.raises(RuntimeError, match="map workunit .* errored"):
             cloud.run_job(doomed, timeout=48 * 3600)
         job = cloud.jobtracker.jobs["doomed"]
-        assert job.phase is JobPhase.FAILED and not job.done.ok
+        assert job.phase is JobPhase.FAILED
+        assert job.done.exception is not None
         db = cloud.server.db
-        assert any(wu.error_reason
-                   for wu in db.workunits_by_job("doomed", "map"))
-        assert db.workunits_by_job("doomed", "reduce") == []
+        assert any(wu.error_reason for wu in db.workunits.values()
+                   if (wu.mr_job, wu.mr_kind) == ("doomed", "map"))
+        assert [w for w in db.workunits.values()
+                if (w.mr_job, w.mr_kind) == ("doomed", "reduce")] == []

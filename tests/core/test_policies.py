@@ -121,7 +121,7 @@ class TestInputFetcher:
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))
         cloud.sim.run(until_event=proc)
-        assert proc.ok
+        assert proc.triggered and proc.exception is None
         assert fetcher.peer_fetches == spec.n_maps
 
     def test_local_partitions_read_without_transfer(self):
@@ -132,7 +132,7 @@ class TestInputFetcher:
         fetcher = clients[0].input_fetcher  # the mapper reduces its own data
         proc = cloud.sim.process(fetcher.fetch(clients[0], task))
         cloud.sim.run(until_event=proc)
-        assert proc.ok
+        assert proc.triggered and proc.exception is None
         assert fetcher.peer_fetches == 0
         assert len(cloud.tracer.select("peer.local")) == spec.n_maps
 
@@ -148,7 +148,7 @@ class TestInputFetcher:
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))
         cloud.sim.run(until_event=proc)
-        assert proc.ok
+        assert proc.triggered and proc.exception is None
         assert fetcher.server_fallbacks == spec.n_maps
         assert len(cloud.tracer.select("peer.unavailable")) > 0
 
@@ -167,7 +167,7 @@ class TestInputFetcher:
         fetcher = clients[1].input_fetcher
         proc = cloud.sim.process(fetcher.fetch(clients[1], task))
         cloud.sim.run(until_event=proc)
-        assert proc.ok
+        assert proc.triggered and proc.exception is None
         assert fetcher.peer_fetches == 0
         assert fetcher.server_fallbacks == spec.n_maps
 
@@ -196,4 +196,4 @@ class TestInputFetcher:
         proc = cloud.sim.process(
             clients[1].input_fetcher.fetch(clients[1], task))
         cloud.sim.run(until_event=proc)
-        assert proc.ok
+        assert proc.triggered and proc.exception is None

@@ -117,9 +117,12 @@ class TestEndToEnd:
 
     def test_serving_store_cleared_after_job(self):
         cloud = mr_cloud()
-        cloud.run_job(small_spec())
+        spec = cloud.run_job(small_spec()).spec
+        partitions = [spec.map_output_file(i, r) for i in range(spec.n_maps)
+                      for r in range(spec.n_reducers)]
+        assert cloud.tracer.select("peer.serving")  # the maps served them
         for client in cloud.clients:
-            assert client.peer_store.serving_count == 0
+            assert not any(map(client.peer_store.available, partitions))
 
     def test_duplicate_job_name_rejected(self):
         cloud = mr_cloud()

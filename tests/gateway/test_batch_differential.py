@@ -32,7 +32,6 @@ from repro.gateway import client as client_module
 from repro.gateway import protocol
 from repro.gateway.framing import RequestFramer
 from repro.gateway.server import GatewayConfig
-from repro.workloads import generate_corpus
 
 BLOBS = {f"b{i}": bytes([i]) * (i * 700) for i in range(6)}
 
@@ -203,9 +202,8 @@ def _leased_map(refusals, close_after):
     handle = FlakyGateway.in_thread(GatewayConfig(daemon_period_s=0.01))
     handle.server.refusals = dict(refusals)
     handle.server.close_after = close_after
-    handle.submit_job("b", "wordcount", generate_corpus(2_000, seed=1),
-                      n_maps=1, n_reducers=4)
     client = GatewayClient(handle.address, timeout_s=5.0)
+    client.submit_job("b", "wordcount", 2_000, 1, n_maps=1, n_reducers=4)
     host_id = client.register("uploader", flops=1e9)
     for _ in range(200):
         tasks = client.scheduler_rpc(host_id, work_req_s=1.0)["assignments"]

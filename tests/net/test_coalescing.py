@@ -69,8 +69,9 @@ def drive(allocator, script, hub):
     flows, log = [], []
 
     def done(event):
-        log.append(("done", event.value.name if event.ok else str(
-            event.exception), sim.now))
+        exc = event.exception
+        log.append(("done", event.value.name if exc is None else str(exc),
+                    sim.now))
 
     def run_batch(ops):
         for op in ops:

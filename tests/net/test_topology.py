@@ -44,7 +44,7 @@ class TestLinkSpec:
 class TestHosts:
     def test_add_host(self, net):
         h = net.add_host("a")
-        assert net.host("a") is h
+        assert net.hosts["a"] is h
         assert h.online
 
     def test_duplicate_name_rejected(self, net):

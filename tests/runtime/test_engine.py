@@ -65,10 +65,11 @@ class TestWordCount:
     def test_task_reports(self):
         runner = LocalRunner(WordCount(), n_maps=4, n_reducers=2)
         report = runner.run(TEXT)
-        assert len(report.map_tasks()) == 4
+        maps = [t for t in report.tasks if t.kind == "map"]
+        assert len(maps) == 4
         assert sum(t.kind == "reduce" for t in report.tasks) == 2
-        assert sum(t.bytes_in for t in report.map_tasks()) == len(TEXT)
-        assert all(t.records_in > 0 for t in report.map_tasks())
+        assert sum(t.bytes_in for t in maps) == len(TEXT)
+        assert all(t.records_in > 0 for t in maps)
 
     def test_empty_input(self):
         report = LocalRunner(WordCount(), 3, 2).run(b"")

@@ -13,13 +13,13 @@ def sim():
 def test_event_starts_pending(sim):
     ev = sim.event("x")
     assert not ev.triggered
-    assert not ev.ok
+    assert ev.exception is None
 
 
 def test_trigger_sets_value(sim):
     ev = sim.event()
     ev.trigger(42)
-    assert ev.triggered and ev.ok
+    assert ev.triggered and ev.exception is None
     assert ev.value == 42
 
 
@@ -50,7 +50,7 @@ def test_fail_requires_exception_instance(sim):
 def test_failed_event_value_raises_original(sim):
     ev = sim.event()
     ev.fail(ValueError("boom"))
-    assert not ev.ok
+    assert ev.triggered and isinstance(ev.exception, ValueError)
     with pytest.raises(ValueError, match="boom"):
         ev.value
 
@@ -124,7 +124,7 @@ def test_allof_fails_on_child_failure(sim):
     cond = sim.all_of([a, b])
     sim.schedule(1.0, a.fail, RuntimeError("x"))
     sim.run()
-    assert cond.triggered and not cond.ok
+    assert cond.triggered and cond.exception is not None
 
 
 def test_allof_empty_rejected(sim):

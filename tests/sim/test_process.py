@@ -87,7 +87,7 @@ def test_yielding_garbage_fails_process(sim):
     proc = sim.process(body())
     with pytest.raises(TypeError, match="yielded"):
         sim.run()
-    assert proc.triggered and not proc.ok
+    assert proc.triggered and proc.exception is not None
 
 
 BAD_DELAYS = [-1.0, float("nan"), float("inf")]
@@ -101,7 +101,7 @@ def test_unobserved_bad_delay_fails_process_and_propagates(sim, delay):
     proc = sim.process(body())
     with pytest.raises(ValueError, match="yielded the delay"):
         sim.run()
-    assert not proc.alive and not proc.ok
+    assert not proc.alive and proc.exception is not None
     assert sim.pending() == 0  # no timer was scheduled for it
 
 

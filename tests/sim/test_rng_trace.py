@@ -84,14 +84,6 @@ class TestTracer:
         tr.record(1.0, "rpc", host=None)
         assert len(tr.select("rpc", host=None)) == 1
 
-    def test_first_and_last(self):
-        tr = Tracer()
-        tr.record(1.0, "x", k=1)
-        tr.record(5.0, "x", k=2)
-        assert tr.first("x").get("k") == 1
-        assert tr.last("x").get("k") == 2
-        assert tr.first("nothing") is None
-
     def test_times(self):
         tr = Tracer()
         for t in (1.0, 4.0, 9.0):

@@ -70,6 +70,6 @@ class TestPerKindIndex:
         tracer = Tracer()
         tracer.record(1.0, "k", n=1)
         tracer.record(2.0, "k", n=2)
-        assert tracer.first("k").time == 1.0
-        assert tracer.last("k")["n"] == 2
+        assert tracer.select("k")[0].time == 1.0
+        assert tracer.select("k")[-1]["n"] == 2
         assert tracer.times("k") == [1.0, 2.0]

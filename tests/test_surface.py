@@ -94,6 +94,13 @@ def test_a_pin_naming_a_missing_test_or_a_file_that_never_calls_it():
             f"{PINNED_NAME}: pinned by {by}, but {why}"]
 
 
+def test_a_pin_into_tests_must_name_a_test_not_a_file():
+    by = "tests/sim/test_process.py"  # mentions timeout, pins no test
+    assert surface.pin_problems([PINNED_NAME], {PINNED_NAME: by}) == [
+        f"{PINNED_NAME}: pinned by {by}, but {by} is under tests/: pin a "
+        "test in it (path::Class::test)"]
+
+
 def test_every_pin_names_a_function_and_a_test_or_file_that_exist():
     assert surface.pin_problems(list(surface.PINNED)) == []
 
@@ -129,8 +136,9 @@ def test_a_counter_pin_holds_while_only_its_reader_reads_it():
     assert surface.counter_problems(counters, {}) == [
         "fake.pool:Pool.taken: src increments it, never reads it, and it "
         "is not pinned"]
-    assert surface.counter_problems(
-        counters, {"fake.pool:Pool.taken": "tests/test_surface.py"}) == []
+    assert surface.counter_problems(counters, {
+        "fake.pool:Pool.taken": "tests/test_surface.py::"
+        "test_a_counter_pin_holds_while_only_its_reader_reads_it"}) == []
 
 
 def test_a_counter_pin_src_reads_is_stale():
