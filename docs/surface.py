@@ -7,8 +7,10 @@ enter and how many of those :data:`PINNED` keeps, the counters ``src``
 increments and never reads and how many of those :data:`COUNTER_PINS`
 keeps, dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
-the :func:`census` of those fields (nothing sets it, only tests set it,
-the product sets it only to its default: each one value in use), CLI
+the :func:`census` of those fields and of every defaulted parameter of a
+public ``src`` function (nothing sets it, only tests set it, the product
+sets it only to its default: each one value in use) and how many of the
+parameters :data:`PARAM_PINS` keeps, CLI
 flags and subcommands, how many of those flags nothing in the repository
 invokes, the campaign cell kinds, the functions that build campaign cells
 and the builtin grid names, so CHANGES.md can quote parent and change
@@ -18,7 +20,8 @@ instead of a hand count::
     python docs/surface.py --check    # exit 1 on an unreached module, an
                                       # unreached function or a write-only
                                       # counter not pinned, a stale pin, a
-                                      # config field with one value in use
+                                      # config or spec field or parameter
+                                      # with one value in use not pinned
                                       # or a never-used flag (the CI gate)
 """
 
@@ -71,13 +74,83 @@ def option_classes() -> dict[str, type]:
     return found
 
 
-def census_fields(classes: dict[str, type]) -> dict[str, dataclasses.Field]:
-    """``Class.field`` -> field, for every field of a *Config class and
-    every bool field (an on/off switch) of a *Spec class: a *Spec
-    describes a run, so only its switches must earn their code path."""
-    return {f"{cls.__name__}.{field.name}": field
-            for cls in classes.values() for field in dataclasses.fields(cls)
-            if cls.__name__.endswith("Config") or field.type == "bool"}
+class Knob(_t.NamedTuple):
+    """One value a caller can set: a field of a ``*Config`` / ``*Spec``
+    class (:func:`census_fields`) or a defaulted parameter of a public
+    ``src`` function (:func:`parameters`)."""
+
+    #: The keyword that sets it.
+    name: str
+    #: The called name whose calls set it: its function's, or its class's
+    #: for a field or an ``__init__`` parameter.
+    call: str
+    #: Its index among a call's positional arguments; None if keyword-only.
+    position: int | None
+    #: Its default: a value, or the expression a ``def`` gives.
+    default: object
+    #: A dataclass field, which ``replace(...)`` also sets.
+    field: bool = False
+
+
+def census_fields(classes: dict[str, type]) -> dict[str, Knob]:
+    """``Class.field`` -> :class:`Knob`, for every field of every
+    *Config / *Spec class in *classes* (:func:`option_classes`)."""
+    found = {}
+    for cls in classes.values():
+        positional = [field.name for field in dataclasses.fields(cls)
+                      if field.init and not field.kw_only]
+        for field in dataclasses.fields(cls):
+            found[f"{cls.__name__}.{field.name}"] = Knob(
+                field.name, cls.__name__,
+                positional.index(field.name) if field.name in positional
+                else None, field.default, field=True)
+    return found
+
+
+def parameters(sources: dict[str, str] | None = None) -> dict[str, Knob]:
+    """``module:qualname(name)`` -> :class:`Knob`, for every defaulted
+    parameter of a public function, method or constructor in *sources*
+    (module name -> text; default every ``src`` file): a ``def`` at
+    module or class level whose name and classes do not begin with
+    ``_``, or an ``__init__``.  A parameter whose own name begins with
+    ``_`` is left out."""
+    if sources is None:
+        sources = {_module_name(str(path)): path.read_text(encoding="utf-8")
+                   for path in sorted(SRC.rglob("*.py"))}
+    found: dict[str, Knob] = {}
+
+    def visit(module: str, body: list[ast.stmt], prefix: str,
+              owner: str | None) -> None:
+        for node in body:
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")):
+                visit(module, node.body, f"{prefix}{node.name}.", node.name)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and (not node.name.startswith("_")
+                       or (node.name == "__init__" and owner))):
+                init = node.name == "__init__"
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and "staticmethod" not in {
+                    getattr(d, "id", None) for d in node.decorator_list}
+                defaulted = [
+                    (arg, index - bound, default) for index, (arg, default)
+                    in enumerate(zip(positional, [None] * (
+                        len(positional) - len(args.defaults))
+                        + args.defaults))
+                    if default is not None] + [
+                    (arg, None, default) for arg, default
+                    in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                for arg, position, default in defaulted:
+                    if not arg.arg.startswith("_"):
+                        found[f"{module}:{prefix}{node.name}({arg.arg})"] = (
+                            Knob(arg.arg, owner if init else node.name,
+                                 position, default))
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text).body, "", None)
+    return found
 
 
 def _sources(roots: tuple[str, ...], pattern: str = "*.py") -> list[str]:
@@ -90,69 +163,205 @@ def _sources(roots: tuple[str, ...], pattern: str = "*.py") -> list[str]:
             if path.is_file() and path.suffix != ".pyc"]
 
 
-def setters(fields: _t.Iterable[str],
+def _called(func: ast.expr) -> str | None:
+    """The name a call to *func* goes by: ``f`` or ``<expr>.f``."""
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _calls(tree: ast.AST) -> _t.Iterator[
+        tuple[str | None, list[ast.expr], list[ast.keyword]]]:
+    """``(called name, positional arguments, keywords)`` of every call in
+    *tree*.  A ``cls(...)`` inside a class body calls that class, and a
+    ``super().__init__(...)`` its first base; ``partial(f, ...)`` and
+    ``Thread`` / ``Process(target=f, args=(...), kwargs={...})`` also
+    call ``f``."""
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if getattr(call.func, "id", None) == "cls":
+                    owners[id(call)] = node.name
+                elif (getattr(call.func, "attr", None) == "__init__"
+                      and getattr(call.func.value, "func", None) is not None
+                      and getattr(call.func.value.func, "id", None)
+                      == "super" and node.bases):
+                    owners[id(call)] = _called(node.bases[0])
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = owners.get(id(call)) or _called(call.func)
+        yield name, call.args, call.keywords
+        if name == "partial" and call.args:
+            yield _called(call.args[0]), call.args[1:], call.keywords
+        elif name in ("Thread", "Process"):
+            given = {keyword.arg: keyword.value for keyword in call.keywords}
+            if "target" in given:
+                args = given.get("args", ast.Tuple([]))
+                kwargs = given.get("kwargs", ast.Dict([], []))
+                yield (_called(given["target"]),
+                       getattr(args, "elts", [ast.Starred(args)]),
+                       [ast.keyword(ast.literal_eval(key), value)
+                        for key, value in zip(kwargs.keys, kwargs.values)]
+                       if isinstance(kwargs, ast.Dict) else [])
+
+
+def setters(knobs: dict[str, Knob],
             sources: list[str]) -> dict[str, list[ast.expr]]:
-    """``Class.field`` -> the value of every keyword in *sources* that
-    sets it: a keyword in a call to the class by name, in a ``cls(...)``
-    call inside the class body, or in a ``replace(...)`` call (which sets
-    the field of that name on every class that has one).  A keyword of
-    the same name on any other call sets nothing."""
-    names: dict[str, set[str]] = {}
-    for key in fields:
-        cls, name = key.split(".")
-        names.setdefault(cls, set()).add(name)
+    """Key of each of *knobs* -> the value of every argument in *sources*
+    that sets it: a keyword of its name, or a positional argument (before
+    any ``*args``) at its position, in a call by name or attribute to
+    its :attr:`~Knob.call` (:func:`_calls`); and for a field, a keyword
+    of its name in any ``replace(...)`` (which sets the field of that name
+    on every class that has one).  A keyword of the same name on any
+    other call sets nothing, nor does a ``**mapping``."""
+    by_call: dict[str | None, list[str]] = {}
+    for key, knob in knobs.items():
+        by_call.setdefault(knob.call, []).append(key)
+    fields = [key for key, knob in knobs.items() if knob.field]
     found: dict[str, list[ast.expr]] = {}
-
-    def note(classes: _t.Iterable[str], call: ast.Call) -> None:
-        for keyword in call.keywords:
-            for cls in classes:
-                if keyword.arg in names[cls]:
-                    found.setdefault(f"{cls}.{keyword.arg}", []).append(
-                        keyword.value)
-
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and node.name in names:
-                for call in ast.walk(node):
-                    if (isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Name)
-                            and call.func.id == "cls"):
-                        note([node.name], call)
-            elif isinstance(node, ast.Call):
-                called = getattr(node.func, "id",
-                                 getattr(node.func, "attr", None))
-                if called == "replace":
-                    note(names, node)
-                elif called in names:
-                    note([called], node)
+        for name, args, keywords in _calls(ast.parse(source)):
+            given = {keyword.arg: keyword.value for keyword in keywords}
+            positional = list(_until_starred(args))
+            for key in by_call.get(name, ()):
+                knob = knobs[key]
+                if knob.name in given:
+                    found.setdefault(key, []).append(given[knob.name])
+                elif (knob.position is not None
+                      and knob.position < len(positional)):
+                    found.setdefault(key, []).append(
+                        positional[knob.position])
+            if name == "replace":
+                for key in fields:
+                    if knobs[key].name in given:
+                        found.setdefault(key, []).append(
+                            given[knobs[key].name])
     return found
 
 
-def _is_default(value: ast.expr, field: dataclasses.Field) -> bool:
-    """True when *value* is a literal equal to *field*'s default."""
+def _until_starred(args: list[ast.expr]) -> _t.Iterator[ast.expr]:
+    """The positional arguments before the first ``*args``."""
+    for arg in args:
+        if isinstance(arg, ast.Starred):
+            return
+        yield arg
+
+
+def _is_default(value: ast.expr, knob: Knob) -> bool:
+    """True when *value* is *knob*'s default: the same expression as a
+    ``def`` gives, or a literal equal to it."""
+    default = knob.default
+    if isinstance(default, ast.expr):
+        if ast.dump(value) == ast.dump(default):
+            return True
+        try:
+            default = ast.literal_eval(default)
+        except (ValueError, TypeError, SyntaxError):
+            return False
     try:
-        return ast.literal_eval(value) == field.default
-    except ValueError:
+        return ast.literal_eval(value) == default
+    except (ValueError, TypeError, SyntaxError):
         return False
 
 
-def census(fields: dict[str, dataclasses.Field],
+def cell_params() -> set[str]:
+    """``Class.field`` of every *Spec field a ``scenario`` cell admits: a
+    TOML grid, input from outside the program, sets it."""
+    from repro.campaign.cells import _scalar_fields
+    from repro.core import CloudSpec, MapReduceJobSpec
+
+    return {f"{cls.__name__}.{name}" for cls in (CloudSpec, MapReduceJobSpec)
+            for name in _scalar_fields(cls)}
+
+
+def census(knobs: dict[str, Knob],
            product: list[str] | None = None,
-           tests: list[str] | None = None
+           tests: list[str] | None = None,
+           outside: _t.Iterable[str] | None = None
            ) -> tuple[list[str], list[str], list[str]]:
-    """The *fields* (:func:`census_fields`) nothing sets, those only
-    *tests* set and those *product* sets only to their default, by
-    :func:`setters` over the ``.py`` files of *product* (default: under
-    :data:`PRODUCT_IN`) and *tests* (default: under :data:`TESTS_IN`).
-    Each is one value in use, so a constant, not a field."""
-    product = setters(fields, _sources(PRODUCT_IN)
+    """The *knobs* (:func:`census_fields`, :func:`parameters`) nothing
+    sets, those only *tests* set and those *product* sets only to their
+    default, by :func:`setters` over the ``.py`` files of *product*
+    (default: under :data:`PRODUCT_IN`) and *tests* (default: under
+    :data:`TESTS_IN`).  The *outside* keys (default :func:`cell_params`)
+    count as set by the product.  Each is one value in use, so a
+    constant, not a knob."""
+    product = setters(knobs, _sources(PRODUCT_IN)
                       if product is None else product)
-    tested = setters(fields, _sources(TESTS_IN) if tests is None else tests)
-    return ([key for key in fields if key not in product
-             and key not in tested],
-            [key for key in fields if key not in product and key in tested],
-            [key for key, values in product.items()
-             if all(_is_default(value, fields[key]) for value in values)])
+    outside = set(cell_params() if outside is None else outside)
+    tested = setters(knobs, _sources(TESTS_IN) if tests is None else tests)
+    return ([key for key in knobs if key not in product
+             and key not in outside and key not in tested],
+            [key for key in knobs if key not in product
+             and key not in outside and key in tested],
+            [key for key, values in product.items() if key not in outside
+             and all(_is_default(value, knobs[key]) for value in values)])
+
+
+#: Why a parameter with one value in use (:func:`census`) may stay one.
+PIN_REASONS = {
+    "fake": "a test substitutes a fake through it",
+    "bound": "it bounds a wait or a loop",
+    "entry": "it is the program's entry",
+    "bench": "a benchmark workload passes it, and the benchmark's files "
+             "change only with the benchmark",
+}
+
+#: ``module:qualname(parameter)`` -> (the test that sets it, one of
+#: :data:`PIN_REASONS`), for each parameter with one value in use that
+#: stays a parameter.
+PARAM_PINS: dict[str, tuple[str, str]] = {
+    "net.flows:FlowNetwork.__init__(allocator)": (
+        "tests/test_scale_experiment.py::TestScaleStudy::"
+        "test_scale_out_agrees_with_reference_allocator", "fake"),
+    "sim.engine:Simulator.run(max_steps)": (
+        "tests/sim/test_engine.py::test_max_steps_detects_livelock", "bound"),
+    "campaign.runner:run_campaign(timeout_s)": (
+        "tests/campaign/test_runner.py::TestLocalRuns::test_retries_counted",
+        "bound"),
+    "campaign.coordinator:CampaignCoordinator.__init__(wall_limit_s)": (
+        "tests/campaign/test_coordinator.py::TestFailureRecovery::"
+        "test_exception_in_run_reaps_the_fleet", "bound"),
+    "gateway.client:GatewayClient.__init__(timeout_s)": (
+        "tests/gateway/test_batch_differential.py::"
+        "test_download_all_is_downloads_one_by_one", "bound"),
+    "cli:main(argv)": (
+        "tests/test_cli.py::TestCommands::test_run_command", "entry"),
+    # bench/workloads.py passes spans=True, the default and every caller's.
+    "core.system:VolunteerCloud.attach_observability(spans)": (
+        "bench/test_selfcheck.py::test_every_workload_runs_clean", "bench"),
+}
+
+
+def param_problems(found: dict[str, str], params: _t.Iterable[str],
+                   pins: dict[str, tuple[str, str]] | None = None
+                   ) -> list[str]:
+    """One line per parameter or spec field with one value in use
+    (*found*: key -> why, from :func:`census`) that *pins* (default
+    :data:`PARAM_PINS`) leaves out, and per stale pin: its parameter is
+    not among *params* (:func:`parameters`) or the product sets it, its
+    reason is not one of :data:`PIN_REASONS`, or it names a file or
+    anything but an existing test (:func:`_pin_problem`)."""
+    pins = PARAM_PINS if pins is None else pins
+    params = set(params)
+    problems = [f"{key}: {why}, and it is not pinned"
+                for key, why in found.items() if key not in pins]
+    for key, (by, reason) in pins.items():
+        if key not in params:
+            problems.append(f"{key}: pinned, but no such parameter")
+        elif key not in found:
+            problems.append(f"{key}: pinned, but the product sets it")
+        elif reason not in PIN_REASONS:
+            problems.append(f"{key}: pinned for {reason!r}, which is not "
+                            f"one of {', '.join(PIN_REASONS)}")
+        elif "::" not in by:
+            problems.append(f"{key}: pinned by {by}, a file: pin a test "
+                            "in it (path::test)")
+        elif problem := _pin_problem(key, by):
+            problems.append(f"{key}: pinned by {by}, but {problem}")
+    return problems
 
 
 #: Counters ``src`` increments and never reads (:func:`write_only_counters`),
@@ -444,7 +653,6 @@ PINNED: dict[str, str] = {
     "experiments.scaling:scale_out": "benchmarks/test_scale.py",
     "experiments.scaling:build_scale_cloud": "benchmarks/test_scale.py",
     # A README doctest calls it.
-    "core.system:CloudSpec.replace": "README.md",
     "volunteers.traces:AvailabilityTrace.periods": "README.md",
     # A test oracle or differential calls it.
     "sim.engine:Simulator.any_of":
@@ -477,12 +685,6 @@ PINNED: dict[str, str] = {
     "obs.spans:SpanBuilder.open_count":
         "tests/obs/test_export_differential.py::"
         "test_same_records_same_spans_and_same_bytes",
-    "runtime.api:FnApp.__init__":
-        "tests/runtime/test_map_task_differential.py::"
-        "test_map_task_equals_two_pass_reference",
-    "runtime.api:FnApp.map":
-        "tests/runtime/test_map_task_differential.py::"
-        "test_map_task_equals_two_pass_reference",
     "runtime.apps.wordcount:WordCount.map":
         "tests/runtime/test_map_task_differential.py::"
         "test_map_task_equals_two_pass_reference",
@@ -541,9 +743,6 @@ PINNED: dict[str, str] = {
     "gateway.loadgen:LoadReport.clean":
         "tests/gateway/test_loadgen.py::TestFleetSharesTheVolunteerCycle::"
         "test_single_poll_client_still_reports_its_work",
-    "runtime.api:FnApp.reduce":
-        "tests/runtime/test_engine.py::TestGrep::"
-        "test_grep_intermediate_smaller_than_wordcount",
     # Safety code: error replies, failure and recovery paths, cleanup.
     "campaign.coordinator:CampaignCoordinator._quarantine":
         "tests/campaign/test_coordinator.py::TestFailureRecovery::"
@@ -804,11 +1003,25 @@ if __name__ == "__main__":
     print("config/spec fields: ", sum(len(dataclasses.fields(cls))
                                       for cls in classes.values()),
           "on", len(classes), "classes")
-    unset, tested, default = census(census_fields(classes))
+    fields, params = census_fields(classes), parameters()
+    found = dict(zip(("nothing sets it", "only tests set it",
+                      "the product sets it only to its default"),
+                     census(fields | params)))
+    config = {key for key in fields if key.split(".")[0].endswith("Config")}
+    unset, tested, default = ([key for key in keys if key in config]
+                              for keys in found.values())
     print("never-set fields:   ", len(unset), *unset)
     print("config fields only tests set:", len(tested), *tested)
     print("config fields the product sets only to their default:",
           len(default), *default)
+    values = {key: why for why, keys in found.items()
+              for key in keys if key not in config}
+    unpinned = [key for key in values if key not in PARAM_PINS]
+    print("parameters and spec fields with one value in use:",
+          len(unpinned), f"(pinned {len(values) - len(unpinned)})")
+    value_problems = param_problems(values, params)
+    for line in value_problems:
+        print("  ", line)
     parser = build_parser()
     flags = cli_flags(parser)
     print("cli flags:          ", len(flags))
@@ -825,7 +1038,8 @@ if __name__ == "__main__":
     for name, cls in sorted(classes.items()):
         print(f"  {len(dataclasses.fields(cls)):3d}  {name}")
     if "--check" in sys.argv[1:] and (unreached or problems or unset
-                                      or tested or default or unused):
+                                      or tested or default
+                                      or value_problems or unused):
         sys.exit("surface: a module, a function, a counter or a flag nothing "
-                 "uses, a config field with one value in use, or a stale "
-                 "pin (see above)")
+                 "uses, a config field, spec field or parameter with one "
+                 "value in use, or a stale pin (see above)")

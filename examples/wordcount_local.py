@@ -25,7 +25,7 @@ from repro.workloads import generate_corpus
 def main() -> None:
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
     print(f"generating {size / 1e6:.1f} MB Zipf corpus ...")
-    corpus = generate_corpus(size, vocabulary_size=5000, seed=42)
+    corpus = generate_corpus(size, seed=42)
 
     runner = LocalRunner(WordCount(), n_maps=16, n_reducers=4)
     t0 = time.perf_counter()

@@ -2,8 +2,8 @@
 
 The offline environment has no plotting stack; :func:`trace_to_csv`
 writes a file any external tool (pandas, gnuplot, a spreadsheet) can
-consume, and :func:`utilisation_timeline` buckets one record kind over
-time.  The Chrome-trace, JSONL and run-summary exporters live in
+consume, and :func:`utilisation_timeline` buckets the scheduler RPCs
+over time.  The Chrome-trace, JSONL and run-summary exporters live in
 :mod:`repro.obs`.
 """
 
@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import csv
 import io
-import typing as _t
 
 from ..sim import Tracer
 
 
-def trace_to_csv(tracer: Tracer, kinds: _t.Sequence[str] | None = None,
-                 out: _t.TextIO | None = None) -> str:
+def trace_to_csv(tracer: Tracer) -> str:
     """Serialise trace records to CSV (one row per record).
 
-    Field columns are the union of all selected records' fields, sorted
-    for stability.  Returns the CSV text (also written to *out* if given).
+    Field columns are the union of all records' fields, sorted for
+    stability.
     """
-    records = [r for r in tracer.records
-               if kinds is None or r.kind in kinds]
+    records = tracer.records
     field_names: set[str] = set()
     for rec in records:
         field_names.update(rec.fields)
@@ -39,22 +36,19 @@ def trace_to_csv(tracer: Tracer, kinds: _t.Sequence[str] | None = None,
     for rec in records:
         writer.writerow([rec.time, rec.kind]
                         + [rec.get(k, "") for k in fields])
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
+    return buf.getvalue()
 
 
-def utilisation_timeline(tracer: Tracer, bucket_s: float = 30.0,
-                         kind: str = "sched.rpc") -> list[tuple[float, int]]:
-    """Events per time bucket — e.g. scheduler RPC load over the run.
+def utilisation_timeline(tracer: Tracer,
+                         bucket_s: float = 30.0) -> list[tuple[float, int]]:
+    """Scheduler RPCs per time bucket: the server's load over the run.
 
     Returns ``(bucket_start, count)`` pairs covering the full span of the
     trace, including empty buckets (so plots show the gaps).
     """
     if bucket_s <= 0:
         raise ValueError("bucket_s must be positive")
-    times = tracer.times(kind)
+    times = tracer.times("sched.rpc")
     if not times:
         return []
     start = 0.0

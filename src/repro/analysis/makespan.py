@@ -139,11 +139,9 @@ def job_metrics(tracer: Tracer, job: str) -> JobMetrics:
     )
 
 
-def backoff_delays(tracer: Tracer, host: str | None = None) -> list[float]:
-    """All exponential-backoff deferrals recorded, optionally per host."""
-    if host is None:
-        return [r["delay"] for r in tracer.select("client.backoff")]
-    return [r["delay"] for r in tracer.select("client.backoff", host=host)]
+def backoff_delays(tracer: Tracer) -> list[float]:
+    """All exponential-backoff deferrals recorded."""
+    return [r["delay"] for r in tracer.select("client.backoff")]
 
 
 def report_lags(tracer: Tracer, job: str) -> list[tuple[str, float]]:

@@ -10,9 +10,15 @@ from __future__ import annotations
 import typing as _t
 
 
-def format_cell(mean: float, discarded: float, threshold: float = 10.0) -> str:
-    """Table I cell style: ``mean [discarded]`` when they differ materially."""
-    if abs(mean - discarded) <= threshold:
+#: How far apart (s) a Table I mean and its discard-slowest mean must be
+#: for :func:`format_cell` to print both.
+CELL_THRESHOLD_S = 10.0
+
+
+def format_cell(mean: float, discarded: float) -> str:
+    """Table I cell style: ``mean [discarded]`` when they differ by more
+    than :data:`CELL_THRESHOLD_S`."""
+    if abs(mean - discarded) <= CELL_THRESHOLD_S:
         return f"{mean:.0f}"
     return f"{mean:.0f} [{discarded:.0f}]"
 

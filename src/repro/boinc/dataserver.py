@@ -16,8 +16,6 @@ that fail the client's checksum validation, forcing a re-download).
 
 from __future__ import annotations
 
-import typing as _t
-
 import numpy as np
 
 from ..net import Flow, Host, Network
@@ -31,11 +29,6 @@ class FileMissing(KeyError):
 
 class ServerUnavailable(RuntimeError):
     """503-style refusal: the service is down or shedding load; retry later."""
-
-    def __init__(self, what: str, retry_after_s: float = 0.0) -> None:
-        """Server refused *what*; retry no sooner than *retry_after_s*."""
-        super().__init__(what)
-        self.retry_after_s = retry_after_s
 
 
 class ChecksumMismatch(RuntimeError):
@@ -132,7 +125,6 @@ class DataServer(FileCatalogue):
         return flow
 
     def upload(self, ref: FileRef, frm: Host,
-               on_done: _t.Callable[[], None] | None = None,
                background: bool = False) -> Flow:
         """Start an HTTP upload of *ref* from host *frm*.
 
@@ -157,8 +149,6 @@ class DataServer(FileCatalogue):
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, "dataserver.upload",
                                    file=ref.name, frm=frm.name, size=ref.size)
-            if on_done is not None:
-                on_done()
 
         flow.done.add_callback(_complete)
         return flow

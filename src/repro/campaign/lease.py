@@ -32,6 +32,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 #: Cell lifecycle states tracked by the table.
 PENDING, LEASED, DONE, FAILED = "pending", "leased", "done", "failed"
+#: Most grants of one cell live at once: its holder and one stealer.
+MAX_LEASES = 2
 
 
 @dataclasses.dataclass(slots=True)
@@ -91,23 +93,21 @@ class LeaseTable:
     only reclamation path), *retries* the extra attempts a cell gets
     after a lost lease before quarantine, *steal_after_s* how long a
     sole lease must have been held before an idle worker may duplicate
-    it (``None`` disables stealing), and *max_leases* caps concurrent
-    duplicates per cell.
+    it (``None`` disables stealing).  :data:`MAX_LEASES` caps concurrent
+    grants per cell.
     """
 
     def __init__(self, cells: _t.Iterable["CampaignCell"], *,
                  lease_s: float | None = None, retries: int = 1,
-                 steal_after_s: float | None = None,
-                 max_leases: int = 2) -> None:
+                 steal_after_s: float | None = None) -> None:
         """Index the grid cells; everything starts pending."""
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if max_leases < 1:
-            raise ValueError(f"max_leases must be >= 1, got {max_leases}")
+        if MAX_LEASES < 1:  # no cell could ever be granted
+            raise ValueError(f"MAX_LEASES must be >= 1, got {MAX_LEASES}")
         self.lease_s = lease_s
         self.retries = retries
         self.steal_after_s = steal_after_s
-        self.max_leases = max_leases
         self.cells: dict[str, _CellState] = {}
         self._queue: collections.deque[str] = collections.deque()
         for cell in cells:
@@ -204,7 +204,7 @@ class LeaseTable:
         for key, cell in self.cells.items():
             if cell.status != LEASED or worker in cell.leases:
                 continue
-            if len(cell.leases) >= self.max_leases:
+            if len(cell.leases) >= MAX_LEASES:
                 continue
             age = now - min(l.granted for l in cell.leases.values())
             if age >= best_age:

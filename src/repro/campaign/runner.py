@@ -105,19 +105,21 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+#: Extra attempts :func:`run_campaign` gives a failing or timing-out cell.
+RETRIES = 1
+
+
 def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
-                 timeout_s: float | None = None, retries: int = 1,
-                 resume: bool = False,
-                 echo: _t.Callable[[str], None] | None = None
-                 ) -> CampaignReport:
+                 timeout_s: float | None = None,
+                 resume: bool = False) -> CampaignReport:
     """Run *grid* into the store at *out* on this host; returns the report.
 
     *workers* local worker processes run the cells (0 = every cell in
     this process, the sequential reference), *timeout_s* is the per-cell
-    wall-clock budget (None = unbounded), *retries* how many extra
-    attempts a failing or timing-out cell gets before quarantine, and
-    *resume* whether cells already ``ok`` in the store are skipped
-    (False truncates the store first).
+    wall-clock budget (None = unbounded), and *resume* whether cells
+    already ``ok`` in the store are skipped (False truncates the store
+    first).  A failing or timing-out cell gets :data:`RETRIES` more
+    attempts before quarantine.
     """
     from .coordinator import CampaignCoordinator
 
@@ -125,8 +127,7 @@ def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
     # deterministic cell can never finish first.
     coordinator = CampaignCoordinator(
         grid, ResultStore(out), spawn=workers, timeout_s=timeout_s,
-        retries=retries, resume=resume, steal_after_s=math.inf,
-        echo=echo)
+        retries=RETRIES, resume=resume, steal_after_s=math.inf)
     if workers:
         return coordinator.run()
     coordinator.begin()

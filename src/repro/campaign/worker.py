@@ -41,22 +41,18 @@ class CampaignWorker:
     *worker_id* defaults to ``<hostname>-<pid>``; *shard*, when given,
     is a per-worker :class:`~repro.campaign.store.ResultStore` that
     receives every outcome this worker computes (the multi-writer merge
-    input).  *max_cells* bounds how many cells the worker will run
-    (None = until the coordinator says shutdown), which tests use to
-    exercise partial progress.
+    input).  It runs cells until the coordinator says shutdown.
     """
 
     def __init__(self, host: str, port: int, *,
                  worker_id: str | None = None,
-                 shard: ResultStore | None = None,
-                 max_cells: int | None = None) -> None:
+                 shard: ResultStore | None = None) -> None:
         """Record the coordinator address; nothing connects until :meth:`run`."""
         self.host = host
         self.port = port
         self.worker_id = (worker_id if worker_id is not None
                           else f"{socket.gethostname()}-{os.getpid()}")
         self.shard = shard
-        self.max_cells = max_cells
         self.completed = 0
         self._sock: socket.socket | None = None
         self._wire: _t.Any = None
@@ -163,8 +159,7 @@ class CampaignWorker:
         """
         self._connect()
         try:
-            while (self.max_cells is None
-                   or self.completed < self.max_cells):
+            while True:
                 reply = self._rpc({"op": "lease"})
                 if reply["op"] == "shutdown":
                     break

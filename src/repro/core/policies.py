@@ -99,7 +99,6 @@ class MapReduceInputFetcher:
                  config: BoincMRConfig,
                  connectivity: ConnectivityPolicy,
                  relay: Host | None = None,
-                 relay_selector: _t.Callable[[Host, Host], Host] | None = None,
                  rng: np.random.Generator | None = None) -> None:
         """Input fetcher using *directory* for peer lookup, NAT-aware."""
         self.jobtracker = jobtracker
@@ -109,7 +108,7 @@ class MapReduceInputFetcher:
         self.relay = relay
         #: Optional dynamic relay choice ``(downloader, uploader) -> relay``
         #: (e.g. a supernode overlay); falls back to the fixed ``relay``.
-        self.relay_selector = relay_selector
+        self.relay_selector: _t.Callable[[Host, Host], Host] | None = None
         self.rng = rng or np.random.default_rng(0)
         self._server_fetch = ServerInputFetcher()
         #: Diagnostics: peer download successes / fallbacks to the server.

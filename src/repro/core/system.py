@@ -63,6 +63,9 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: workload class.
 PC3001_FLOPS = 1.0
 PCR200_FLOPS = 1.6
+#: The supernode overlay's shape: supernodes elected, and supernodes
+#: each ordinary volunteer attaches to.
+SUPERNODES, SUPERNODE_FANOUT = 3, 2
 
 #: The list :func:`collect_clouds` is filling in this context, and the
 #: chaos plan its clouds arm, if any.
@@ -97,10 +100,10 @@ class CloudSpec:
 
     Build a spec, then ``VolunteerCloud.from_spec(spec)``.  Being frozen,
     specs are safely shareable between runs; derive variants with
-    :meth:`replace`::
+    :func:`dataclasses.replace`::
 
         base = CloudSpec(seed=1, server_link=SERVER_LINK)
-        reseeded = base.replace(seed=2)
+        reseeded = dataclasses.replace(base, seed=2)
     """
 
     seed: int = 0
@@ -116,8 +119,6 @@ class CloudSpec:
     n_nodes: int = 0
     #: BOINC-MR clients (inter-client transfers) or original BOINC ones.
     mr_clients: bool = False
-    #: Access link of every declared volunteer.
-    link: LinkSpec = EMULAB_LINK
     #: Fraction of the declared nodes, lowest indices first, that are the
     #: faster pcr200 class.
     fast_node_fraction: float = 0.0
@@ -130,22 +131,21 @@ class CloudSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_nodes < 0:
             raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
+        for name in ("fast_node_fraction", "byzantine_rate"):
+            # A TOML grid sets both; NaN fails the comparison too.
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], "
+                                 f"got {getattr(self, name)!r}")
         if self.nats is not None:
             if len(self.nats) != self.n_nodes:
                 raise ValueError("nats must have one entry per node")
             object.__setattr__(self, "nats", tuple(self.nats))
 
-    def replace(self, **changes: _t.Any) -> "CloudSpec":
-        """A copy of this spec with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
 
 class VolunteerCloud:
     """A complete simulated BOINC-MR deployment."""
 
-    def __init__(self, spec: CloudSpec | None = None, *,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self, spec: CloudSpec | None = None) -> None:
         """Build a cloud from a :class:`CloudSpec` (default spec if None)."""
         if spec is None:
             spec = CloudSpec()
@@ -160,10 +160,9 @@ class VolunteerCloud:
         self.injector: FaultInjector | None = None
         self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.net = Network(self.sim, tracer=None,  # flow traces are noisy
-                           metrics=self.metrics)
+        self.tracer = Tracer()
+        self.metrics = MetricsRegistry()
+        self.net = Network(self.sim, metrics=self.metrics)
         self.server_host = self.net.add_host("server", spec.server_link)
         self.server = ProjectServer(self.sim, self.net, self.server_host,
                                     config=spec.server_config,
@@ -190,21 +189,19 @@ class VolunteerCloud:
             self.add_volunteer(
                 f"node{i:03d}",
                 flops=PCR200_FLOPS if i < n_fast else PC3001_FLOPS,
-                mr=spec.mr_clients, link_spec=spec.link,
+                mr=spec.mr_clients,
                 nat=spec.nats[i] if spec.nats is not None else None,
                 byzantine_rate=spec.byzantine_rate)
 
     @classmethod
-    def from_spec(cls, spec: CloudSpec, *, tracer: Tracer | None = None,
-                  metrics: MetricsRegistry | None = None) -> "VolunteerCloud":
+    def from_spec(cls, spec: CloudSpec) -> "VolunteerCloud":
         """Build a deployment from a frozen :class:`CloudSpec`.
 
-        The preferred constructor; *tracer* and *metrics* stay out of the
-        spec because they are stateful observers, not configuration.  The
-        spec's ``n_nodes`` volunteers are added (not started) in index
-        order, so their rng streams depend only on the seed and the name.
+        The preferred constructor.  The spec's ``n_nodes`` volunteers are
+        added (not started) in index order, so their rng streams depend
+        only on the seed and the name.
         """
-        return cls(spec, tracer=tracer, metrics=metrics)
+        return cls(spec)
 
     # -- population ------------------------------------------------------------
     def add_volunteer(self, name: str | None = None, *, flops: float = 1.0,
@@ -246,20 +243,20 @@ class VolunteerCloud:
         """Add *n* identical volunteers (names auto-generated)."""
         return [self.add_volunteer(**kwargs) for _ in range(n)]
 
-    def enable_supernode_overlay(self, n_supernodes: int = 3,
-                                 fanout: int = 2) -> "SupernodeOverlay":
+    def enable_supernode_overlay(self) -> "SupernodeOverlay":
         """Relay NAT-blocked transfers through a supernode overlay.
 
         Section III.D's alternative to relaying through the project
-        server: publicly reachable, well-provisioned volunteers are
-        elected supernodes and carry relayed inter-client traffic,
-        keeping the server's access link out of the data path.  Call
-        after the volunteer population is built.
+        server: :data:`SUPERNODES` publicly reachable, well-provisioned
+        volunteers are elected supernodes and carry relayed inter-client
+        traffic, keeping the server's access link out of the data path.
+        Call after the volunteer population is built.
         """
         from ..net.supernode import SupernodeOverlay
 
         overlay = SupernodeOverlay([c.host for c in self.clients],
-                                   n_supernodes=n_supernodes, fanout=fanout)
+                                   n_supernodes=SUPERNODES,
+                                   fanout=SUPERNODE_FANOUT)
         for client in self.clients:
             client.input_fetcher.relay_selector = overlay.pick_relay
         self.overlay = overlay
@@ -267,7 +264,6 @@ class VolunteerCloud:
 
     # -- observability -----------------------------------------------------------
     def attach_observability(self, spans: bool = True, probes: bool = True,
-                             sample_period_s: float = 30.0,
                              profile: bool = False) -> None:
         """Wire the full observability stack onto this deployment.
 
@@ -282,8 +278,7 @@ class VolunteerCloud:
         if probes:
             attach_standard_probes(self)
             if self.sampler is None:
-                self.sampler = Sampler(self.sim, self.metrics,
-                                       period_s=sample_period_s)
+                self.sampler = Sampler(self.sim, self.metrics)
         if profile and self.profiler is None:
             self.profiler = SelfProfiler(self.sim)
 

@@ -23,18 +23,21 @@ from .study import VARIANT, Claim, Study, col
 
 
 _JOB = MapReduceJobSpec("churn", n_maps=20, n_reducers=5)
+#: The ``churn`` variant's volunteers: ON for 30 min and OFF for 10 min
+#: on average, and 5 % of OFF transitions permanent.
+CHURN = AvailabilityModel(mean_on_s=1800.0, mean_off_s=600.0,
+                          departure_prob=0.05)
 
 
-def churn_scenario(seed: int = 1, mr: bool = True
-                   ) -> tuple[CloudSpec, MapReduceJobSpec]:
-    """The churn-study deployment (20 nodes, 20 maps, 5 reducers)."""
+def churn_scenario(seed: int) -> tuple[CloudSpec, MapReduceJobSpec]:
+    """The churn-study deployment (20 BOINC-MR nodes, 20 maps, 5
+    reducers)."""
     cloud = CloudSpec(
-        seed=seed, n_nodes=20, mr_clients=mr,
+        seed=seed, n_nodes=20, mr_clients=True,
         # Volatile hosts need a short deadline or lost results stall the
         # job for hours; 20 minutes is generous for ~2-4 minute tasks.
         server_config=ServerConfig(delay_bound_s=1200.0),
-        # None = vanilla BOINC, which keeps the server copy anyway.
-        mr_config=BoincMRConfig(upload_map_outputs=True) if mr else None,
+        mr_config=BoincMRConfig(upload_map_outputs=True),
     )
     return cloud, _JOB
 
@@ -51,22 +54,18 @@ def _payload(cloud: VolunteerCloud, total: float, transitions: int = 0,
     }
 
 
-def run_churn(seed: int = 1, mean_on_s: float = 1800.0,
-              mean_off_s: float = 600.0, departure_prob: float = 0.05,
-              mr: bool = True) -> dict[str, _t.Any]:
-    """Run the churn scenario (the study's ``churn`` variant at the
-    defaults; ``examples/churn_study.py`` sweeps the rest): the makespan
-    plus the volatility the job survived.  Raises if the job cannot
-    finish at all."""
-    spec, job = churn_scenario(seed, mr=mr)
+def run_churn(seed: int) -> dict[str, _t.Any]:
+    """Run the churn scenario under :data:`CHURN` (the study's ``churn``
+    variant; ``examples/churn_study.py`` sweeps other models): the
+    makespan plus the volatility the job survived.  Raises if the job
+    cannot finish at all."""
+    spec, job = churn_scenario(seed)
     cloud = VolunteerCloud.from_spec(spec)
-    model = AvailabilityModel(mean_on_s=mean_on_s, mean_off_s=mean_off_s,
-                              departure_prob=departure_prob)
     controller = ChurnController(cloud.sim, tracer=cloud.tracer)
     rng = cloud.rngs.stream("churn")
     cloud.start()
     for client in cloud.clients:
-        controller.manage(client, model.periods(rng))
+        controller.manage(client, CHURN.periods(rng))
     result = run_scenario(cloud, job, timeout_s=24 * 3600.0)
     return _payload(cloud, result.total, controller.transitions,
                     len(controller.departed))

@@ -36,7 +36,7 @@ def relay_payload(overlay: bool, seed: int) -> dict[str, _t.Any]:
     cloud.add_volunteers(15, mr=True,
                          nat=NatBox(nat_type=NatType.SYMMETRIC))
     if overlay:
-        cloud.enable_supernode_overlay(n_supernodes=3, fanout=2)
+        cloud.enable_supernode_overlay()
     job = cloud.run_job(MapReduceJobSpec("relayed", n_maps=15, n_reducers=4,
                                          input_size=600e6),
                         timeout=_TIMEOUT_S)

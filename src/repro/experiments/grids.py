@@ -40,11 +40,10 @@ def study_grid(study: Study, seeds: _t.Sequence[int] = DEFAULT_SEEDS,
                     f"{','.join(map(str, seeds))}")
 
 
-def table1_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS,
-                faults: str | None = None) -> CampaignGrid:
+def table1_grid(seeds: _t.Sequence[int] = DEFAULT_SEEDS) -> CampaignGrid:
     """:func:`study_grid` of Table I: every row x every seed (a name of its
     own because the perf ledger's ``campaign_table1`` workload imports it)."""
-    return study_grid(table1.STUDY, seeds, faults)
+    return study_grid(table1.STUDY, seeds)
 
 
 def paper_grid(faults: str | None = None) -> CampaignGrid:

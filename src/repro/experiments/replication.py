@@ -26,13 +26,13 @@ from .study import VARIANT, Claim, Study, col
 
 
 def run_replication(replication: int, quorum: int,
-                    byzantine_rate: float = 0.0, seed: int = 5,
-                    n_nodes: int = 12) -> dict[str, _t.Any]:
-    """Run one job at a given replication factor / quorum setting (each
-    study variant is one of :data:`POINTS` at 20 % byzantine hosts): cost
-    vs byzantine resilience."""
+                    byzantine_rate: float = 0.0, *,
+                    seed: int) -> dict[str, _t.Any]:
+    """Run one job on 12 BOINC-MR hosts at a given replication factor /
+    quorum setting (each study variant is one of :data:`POINTS` at 20 %
+    byzantine hosts): cost vs byzantine resilience."""
     cloud = VolunteerCloud.from_spec(CloudSpec(seed=seed))
-    cloud.add_volunteers(n_nodes, mr=True, byzantine_rate=byzantine_rate)
+    cloud.add_volunteers(12, mr=True, byzantine_rate=byzantine_rate)
     spec = MapReduceJobSpec("repl", n_maps=12, n_reducers=3,
                             input_size=120e6, replication=replication,
                             quorum=quorum)

@@ -85,9 +85,8 @@ class ScalePoint:
     peak_queue_depth: int
 
 
-def build_scale_cloud(n_nodes: int, seed: int = 1,
-                      jobs_per_200_nodes: int = 1,
-                      ) -> tuple[VolunteerCloud, list]:
+def build_scale_cloud(n_nodes: int,
+                      seed: int = 1) -> tuple[VolunteerCloud, list]:
     """Internet-style deployment for the scalability study.
 
     A well-provisioned project server (1 Gbit) serves ``n_nodes`` ADSL
@@ -108,7 +107,7 @@ def build_scale_cloud(n_nodes: int, seed: int = 1,
     )
     cloud = VolunteerCloud.from_spec(spec)
     cloud.add_volunteers(n_nodes, mr=True, link_spec=ADSL_LINK)
-    n_jobs = max(1, (n_nodes * jobs_per_200_nodes) // 200)
+    n_jobs = max(1, n_nodes // 200)
     jobs = [
         cloud.submit(MapReduceJobSpec(
             name=f"wordcount{j}", n_maps=50, n_reducers=50,

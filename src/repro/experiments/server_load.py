@@ -23,8 +23,8 @@ from .scenario import metrics_payload, run_scenario
 from .study import VARIANT, Claim, Study, col
 
 
-def run_load_point(n_nodes: int, report_immediately: bool,
-                   seed: int = 1) -> dict[str, _t.Any]:
+def run_load_point(n_nodes: int, report_immediately: bool, *,
+                   seed: int) -> dict[str, _t.Any]:
     """Measure scheduler RPC load at one deployment size / report mode."""
     result = run_scenario(
         CloudSpec(

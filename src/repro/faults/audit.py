@@ -95,20 +95,17 @@ class RunAuditor:
             grace_s = 3.0 * sum(DAEMON_PERIOD_S.values())
         self.cloud.sim.run(until=self.cloud.sim.now + grace_s)
 
-    def drain(self, max_s: float | None = None) -> bool:
+    def drain(self) -> bool:
         """Run until no result is in flight (reported or deadline-timed out).
 
         Redundant replicas of an already-finished job legitimately stay
         IN_PROGRESS after the job completes; the server recovers them via
         report or deadline timeout.  Returns True when fully drained
-        within *max_s* (default: one delay bound plus daemon margin).
+        within one delay bound plus daemon margin.
         """
-        cfg = self.cloud.server.config
-        if max_s is None:
-            max_s = (cfg.delay_bound_s
-                     + 3.0 * DAEMON_PERIOD_S["transitioner"] + 600.0)
         sim = self.cloud.sim
-        deadline = sim.now + max_s
+        deadline = (sim.now + self.cloud.server.config.delay_bound_s
+                    + 3.0 * DAEMON_PERIOD_S["transitioner"] + 600.0)
         step = max(60.0, DAEMON_PERIOD_S["transitioner"])
         while sim.now < deadline:
             if not any(r.state is ResultState.IN_PROGRESS

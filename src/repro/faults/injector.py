@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
 
 from .spec import FaultSpec
 
@@ -36,13 +35,12 @@ class FaultInjector:
     """Arms one chaos plan against one :class:`repro.core.system.VolunteerCloud`."""
 
     def __init__(self, cloud: "VolunteerCloud",
-                 plan: "ChaosPlan | _t.Sequence[FaultSpec]",
-                 rng: np.random.Generator | None = None) -> None:
+                 plan: "ChaosPlan | _t.Sequence[FaultSpec]") -> None:
         """Arm *plan*'s faults against *cloud* (scheduled at start())."""
         self.cloud = cloud
         self.specs: tuple[FaultSpec, ...] = tuple(getattr(plan, "faults", plan))
         self.plan_name = getattr(plan, "name", "custom")
-        self.rng = rng if rng is not None else cloud.rngs.stream("faults")
+        self.rng = cloud.rngs.stream("faults")
         self.tracer = cloud.tracer
         self.metrics = cloud.metrics
         #: Chronological log of applied faults (fid, kind, target, begin, end).

@@ -70,6 +70,9 @@ _LINE_BREAK = re.compile(r"[\r\n\x00]")
 #: Live retry backoff (docs/protocol.md, "Retry semantics"): base and cap
 #: of the doubling, and the relative jitter of each delay.
 RETRY_BASE_S, RETRY_CAP_S, RETRY_JITTER = 0.05, 2.0, 0.5
+#: Speed every live volunteer registers with; the real engine runs as
+#: fast as the box allows.
+VOLUNTEER_FLOPS = 1e9
 
 
 def retry_delay(rng: random.Random, attempt: int,
@@ -255,11 +258,11 @@ class GatewayClient:
         """``GET /status``."""
         return self._json("GET", "/status")
 
-    def register(self, name: str, flops: float = 1e9,
-                 supports_mr: bool = True) -> int:
-        """Register (idempotently) and return the host id."""
+    def register(self, name: str) -> int:
+        """Register (idempotently) a BOINC-MR host of
+        :data:`VOLUNTEER_FLOPS` and return its host id."""
         reply = self._json("POST", "/rpc/register", {
-            "name": name, "flops": flops, "supports_mr": supports_mr})
+            "name": name, "flops": VOLUNTEER_FLOPS, "supports_mr": True})
         return reply["host_id"]
 
     def scheduler_rpc(self, host_id: int, work_req_s: float,
@@ -383,11 +386,10 @@ class Volunteer:
     (:mod:`repro.gateway.loadgen`) only decide *when* to call it.
     """
 
-    def __init__(self, client: GatewayClient, name: str,
-                 flops: float = 1e9) -> None:
+    def __init__(self, client: GatewayClient, name: str) -> None:
         """Register *name* (idempotently) through *client*."""
         self.client = client
-        self.host_id = client.register(name, flops=flops, supports_mr=True)
+        self.host_id = client.register(name)
         self.reports: list[dict] = []
         self.stats = VolunteerStats()
         #: Wall-clock seconds the last scheduler RPC took, retries included.
@@ -422,7 +424,7 @@ class Volunteer:
         client.close()
 
 
-def run_volunteer(address: str, name: str, flops: float = 1e9,
+def run_volunteer(address: str, name: str,
                   poll_s: float = 0.02, idle_limit: int = 100,
                   stop: _t.Callable[[], bool] | None = None
                   ) -> VolunteerStats:
@@ -433,7 +435,7 @@ def run_volunteer(address: str, name: str, flops: float = 1e9,
     no-work polls (with no reports pending), or when *stop* returns True.
     """
     client = GatewayClient(address)
-    volunteer = Volunteer(client, name, flops)
+    volunteer = Volunteer(client, name)
     idle = 0
     while stop is None or not stop():
         reply = volunteer.cycle()

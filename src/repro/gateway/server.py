@@ -22,11 +22,6 @@ gets from cooperative scheduling.  A daemon
 task ticks :meth:`SchedulerCore.run_daemon_passes` on a wall-clock
 cadence, standing in for the feeder/transitioner/validator/assimilator
 polling processes.
-
-Restart-with-state is first-class: pass a previous server's
-:class:`GatewayState` to a new :class:`GatewayServer` and in-flight
-leases survive the restart (clients keep their result ids; deadline
-timeouts keep counting on the same clock).
 """
 
 from __future__ import annotations
@@ -242,20 +237,16 @@ class GatewayConfig:
 
 
 class GatewayState:
-    """The transport-independent state a gateway serves (and can adopt).
+    """The transport-independent state a gateway serves.
 
     Bundles the shared scheduler core, the blob store, and the job
-    tracker.  A restarted :class:`GatewayServer` constructed with the old
-    server's state picks up every in-flight lease: results stay
-    IN_PROGRESS, deadlines keep counting on the same monotonic clock, and
-    clients holding assignments can upload/report as if nothing happened.
+    tracker.
     """
 
-    def __init__(self, config: GatewayConfig | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self, config: GatewayConfig) -> None:
         """Fresh core + store + tracker on a wall-clock monotonic clock."""
-        self.config = config or GatewayConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.config = config
+        self.metrics = MetricsRegistry()
         t0 = time.monotonic()
         # Nothing on the gateway reads the records back: count every kind
         # and serve taps, store none (a server runs for days).
@@ -274,12 +265,10 @@ class GatewayState:
 class GatewayServer:
     """Asyncio HTTP front end over a :class:`GatewayState`."""
 
-    def __init__(self, config: GatewayConfig | None = None,
-                 state: GatewayState | None = None) -> None:
+    def __init__(self, config: GatewayConfig | None = None) -> None:
         """A stopped server; call :meth:`start` inside a running loop."""
-        self.config = config or (state.config if state is not None
-                                 else GatewayConfig())
-        self.state = state if state is not None else GatewayState(self.config)
+        self.config = config or GatewayConfig()
+        self.state = GatewayState(self.config)
         self.metrics = self.state.metrics
         self.core = self.state.core
         self.store = self.state.store
@@ -377,8 +366,8 @@ class GatewayServer:
             await asyncio.sleep(self.config.daemon_period_s)
 
     @classmethod
-    def in_thread(cls, config: GatewayConfig | None = None,
-                  state: GatewayState | None = None) -> "GatewayHandle":
+    def in_thread(cls,
+                  config: GatewayConfig | None = None) -> "GatewayHandle":
         """Run a gateway on a fresh event loop in a daemon thread.
 
         The blocking-world entry point used by doctests, tests, and
@@ -387,7 +376,7 @@ class GatewayServer:
         fails (the port is taken), the loop is closed and the caller
         gets the exception.
         """
-        server = cls(config=config, state=state)
+        server = cls(config=config)
         started: concurrent.futures.Future[None] = concurrent.futures.Future()
         loop = asyncio.new_event_loop()
 

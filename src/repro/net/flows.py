@@ -58,7 +58,7 @@ import math
 import operator
 import typing as _t
 
-from ..sim import PRIORITY_HIGH, Event, Simulator, TimerHandle, Tracer
+from ..sim import PRIORITY_HIGH, Event, Simulator, TimerHandle
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -772,12 +772,11 @@ class FlowNetwork:
     equivalence tests inject ``tests/net/reference_allocator.py``).
     """
 
-    def __init__(self, sim: Simulator, tracer: Tracer | None = None,
+    def __init__(self, sim: Simulator,
                  metrics: "MetricsRegistry | None" = None,
                  allocator: IncrementalAllocator | None = None) -> None:
         """Create an empty network on *sim*."""
         self.sim = sim
-        self.tracer = tracer
         #: Optional :class:`repro.obs.MetricsRegistry` for flow counters
         #: and duration/size histograms.
         self.metrics = metrics
@@ -812,9 +811,6 @@ class FlowNetwork:
                 self.metrics.counter("net.flows_completed_total").inc()
             return flow
         self._active[flow] = None
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "flow.start", flow=name,
-                               size=size, background=background)
         self.allocator.add(flow)
         return flow
 
@@ -829,9 +825,6 @@ class FlowNetwork:
         flow.finished_at = self.sim.now
         if self.metrics is not None:
             self.metrics.counter("net.flows_aborted_total").inc()
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "flow.abort", flow=flow.name,
-                               reason=reason, transferred=flow.size - flow.remaining)
         flow.done.fail(FlowError(f"flow {flow.name}: {reason}"))
         self.allocator.remove(flow)
 
@@ -869,7 +862,4 @@ class FlowNetwork:
                 self.metrics.counter("net.bytes_delivered_total").inc(f.size)
                 self.metrics.histogram("net.flow_duration_s").observe(
                     now - f.started_at)
-            if self.tracer is not None:
-                self.tracer.record(now, "flow.done", flow=f.name,
-                                   size=f.size, duration=now - f.started_at)
             f.done.trigger(f)

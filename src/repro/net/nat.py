@@ -121,10 +121,10 @@ class ConnectivityPolicy:
     outputs); ``client`` is the peer initiating the download (a reducer).
     """
 
-    def __init__(self, config: TraversalConfig | None = None,
-                 rng: np.random.Generator | None = None) -> None:
-        """Traversal policy with its own rng for probabilistic outcomes."""
-        self.config = config or TraversalConfig()
+    def __init__(self, rng: np.random.Generator | None = None) -> None:
+        """Traversal policy with its own rng for probabilistic outcomes,
+        every rung of the ladder on (assign :attr:`config` to change)."""
+        self.config = TraversalConfig()
         self.rng = rng or np.random.default_rng(0)
         self.attempts: list[tuple[str, str, TraversalOutcome]] = []
 

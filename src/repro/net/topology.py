@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 from .flows import Flow, FlowNetwork, Link
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -78,12 +78,11 @@ class NetworkPartitioned(HostOffline):
 class Network:
     """Facade over :class:`FlowNetwork` exposing host-to-host transfers."""
 
-    def __init__(self, sim: Simulator, tracer: Tracer | None = None,
+    def __init__(self, sim: Simulator,
                  metrics: "MetricsRegistry | None" = None) -> None:
         """An empty network over *sim*'s clock."""
         self.sim = sim
-        self.tracer = tracer
-        self.flownet = FlowNetwork(sim, tracer=tracer, metrics=metrics)
+        self.flownet = FlowNetwork(sim, metrics=metrics)
         self.hosts: dict[str, Host] = {}
         self._host_by_link: dict[Link, Host] = {}
         #: Active partition: host name -> group id.  Hosts not listed form
@@ -136,11 +135,11 @@ class Network:
         return self.flownet.start_flow(name, links, size_bytes,
                                        max_rate=max_rate, background=background)
 
-    def drop_host_flows(self, host: Host, reason: str = "host offline") -> int:
+    def drop_host_flows(self, host: Host) -> int:
         """Abort every active flow touching *host*; returns how many."""
         victims = self.flownet.flows_using((host.uplink, host.downlink))
         for f in victims:
-            self.flownet.abort_flow(f, reason=reason)
+            self.flownet.abort_flow(f, reason="host offline")
         return len(victims)
 
     def set_online(self, host: Host, online: bool) -> None:

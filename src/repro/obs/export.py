@@ -191,23 +191,17 @@ def write_chrome_trace(builder: SpanBuilder, path: str) -> None:
         fh.writelines(_chrome_fragments(builder))
 
 
-def trace_to_jsonl(tracer: Tracer, out: _t.TextIO | None = None,
-                   kinds: _t.Sequence[str] | None = None) -> str:
+def trace_to_jsonl(tracer: Tracer) -> str:
     """One JSON object per trace record — greppable, pandas-loadable."""
     lines = []
     for rec in tracer.records:
-        if kinds is not None and rec.kind not in kinds:
-            continue
         row: dict[str, _t.Any] = {"time": rec.time, "kind": rec.kind}
         for key, value in _json_safe(rec.fields).items():
             # A payload field may shadow record metadata (e.g. sched.assign
             # carries kind="map"); keep both under distinct keys.
             row[f"field.{key}" if key in row else key] = value
         lines.append(json.dumps(row, sort_keys=True))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 #: Rows :func:`run_summary` lists of the busiest record kinds and of the
@@ -238,5 +232,5 @@ def run_summary(tracer: Tracer,
         lines.append(metrics.render())
     if profiler is not None:
         lines.append("-- engine self-profile (wall-clock dispatch time) --")
-        lines.append(profiler.render(top=5))
+        lines.append(profiler.render())
     return "\n".join(lines)

@@ -40,12 +40,13 @@ QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 class Counter:
     """A monotonically increasing total."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
+    #: Counters carry no help text.
+    help: _t.ClassVar[str] = ""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         """Create the counter at zero."""
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -163,16 +164,17 @@ class _P2Estimator:
 class Histogram:
     """Fixed-bucket distribution plus P² streaming quantile estimates."""
 
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "total",
+    __slots__ = ("name", "bounds", "bucket_counts", "count", "total",
                  "min", "max", "_estimators")
+    #: Histograms carry no help text.
+    help: _t.ClassVar[str] = ""
 
-    def __init__(self, name: str, help: str = "",
+    def __init__(self, name: str,
                  buckets: _t.Sequence[float] = DEFAULT_BUCKETS) -> None:
         """Create an empty histogram with the given bucket bounds."""
         if list(buckets) != sorted(buckets) or len(set(buckets)) != len(buckets):
             raise ValueError("histogram buckets must be strictly increasing")
         self.name = name
-        self.help = help
         self.bounds = tuple(buckets)
         #: counts[i] observes values <= bounds[i]; the last slot is +inf.
         self.bucket_counts = [0] * (len(self.bounds) + 1)
@@ -226,40 +228,41 @@ class MetricsRegistry:
         #: Gauge time series filled in by the :class:`Sampler`.
         self.series: dict[str, list[Sample]] = {}
 
-    def _create(self, found: Instrument | None, cls: type,
-                name: str, *args: _t.Any) -> _t.Any:
-        """Slow path of the three getters: register ``cls(name, *args)``,
-        or refuse when *found*, an instrument of another type, has the name."""
+    def _register(self, found: Instrument | None,
+                  inst: Instrument) -> _t.Any:
+        """Slow path of the three getters: register *inst*, or refuse
+        when *found*, an instrument of another type, has its name."""
         if found is not None:
-            raise TypeError(f"metric {name!r} is a {type(found).__name__}, "
-                            f"not a {cls.__name__}")
-        inst = self._instruments[name] = cls(name, *args)
+            raise TypeError(f"metric {inst.name!r} is a "
+                            f"{type(found).__name__}, not a "
+                            f"{type(inst).__name__}")
+        self._instruments[inst.name] = inst
         return inst
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create the :class:`Counter` called *name*."""
         inst = self._instruments.get(name)
         if isinstance(inst, Counter):
             return inst
-        return self._create(inst, Counter, name, help)
+        return self._register(inst, Counter(name))
 
     def gauge(self, name: str, help: str = "",
               fn: _t.Callable[[], float] | None = None) -> Gauge:
         """Get or create the :class:`Gauge` called *name*."""
         gauge = self._instruments.get(name)
         if not isinstance(gauge, Gauge):
-            return self._create(gauge, Gauge, name, help, fn)
+            return self._register(gauge, Gauge(name, help, fn))
         if fn is not None and gauge._fn is None:
             gauge._fn = fn  # upgrade an explicit gauge to callback-backed
         return gauge
 
-    def histogram(self, name: str, help: str = "",
+    def histogram(self, name: str,
                   buckets: _t.Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """Get or create the :class:`Histogram` called *name*."""
         inst = self._instruments.get(name)
         if isinstance(inst, Histogram):
             return inst
-        return self._create(inst, Histogram, name, help, buckets)
+        return self._register(inst, Histogram(name, buckets))
 
     # -- introspection -------------------------------------------------------
     def instruments(self) -> list[Instrument]:
@@ -299,7 +302,7 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4) of every instrument,
         sorted by name: ``.`` and any other character a Prometheus name
-        cannot hold become ``_``, an instrument with help text gets a
+        cannot hold become ``_``, a gauge with help text gets a
         ``# HELP`` line, and a histogram is its cumulative
         ``_bucket{le=...}`` counts, ``_sum`` and ``_count``."""
         lines = []
@@ -337,17 +340,21 @@ def _prom_number(value: float) -> str:
     return repr(float(value))
 
 
-class Sampler:
-    """Snapshots every gauge into ``registry.series`` on a sim-time cadence."""
+#: Simulated seconds between two :class:`Sampler` snapshots.
+SAMPLE_PERIOD_S = 30.0
 
-    def __init__(self, sim: "Simulator", registry: MetricsRegistry,
-                 period_s: float = 30.0) -> None:
-        """Start the sampling process on *sim* with the given period."""
-        if period_s <= 0:
+
+class Sampler:
+    """Snapshots every gauge into ``registry.series`` every
+    :data:`SAMPLE_PERIOD_S` of simulated time."""
+
+    def __init__(self, sim: "Simulator", registry: MetricsRegistry) -> None:
+        """Start the sampling process on *sim*."""
+        if SAMPLE_PERIOD_S <= 0:
             raise ValueError("sampler period must be positive")
         self.sim = sim
         self.registry = registry
-        self.period_s = period_s
+        self.period_s = SAMPLE_PERIOD_S
         self._proc = sim.process(self._run(), name="obs:sampler")
 
     def _run(self) -> _t.Generator:

@@ -27,18 +27,16 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from ..gateway.server import GatewayServer
 
 
-def attach_standard_probes(cloud: "VolunteerCloud",
-                           registry: MetricsRegistry | None = None
-                           ) -> MetricsRegistry:
+def attach_standard_probes(cloud: "VolunteerCloud") -> MetricsRegistry:
     """Register the standard gauge set for a :class:`repro.core.system.VolunteerCloud`.
 
-    Idempotent per registry (gauges are get-or-create).  Returns the
-    registry the probes were attached to (``cloud.metrics`` by default).
+    Idempotent (gauges are get-or-create).  Returns the registry the
+    probes were attached to, ``cloud.metrics``.
     """
     from ..boinc.client import TaskState
     from ..boinc.model import WorkunitState
 
-    reg = registry if registry is not None else cloud.metrics
+    reg = cloud.metrics
     server = cloud.server
     net = cloud.net
 
@@ -85,20 +83,18 @@ def attach_standard_probes(cloud: "VolunteerCloud",
     return reg
 
 
-def attach_gateway_probes(gateway: "GatewayServer",
-                          registry: MetricsRegistry | None = None
-                          ) -> MetricsRegistry:
+def attach_gateway_probes(gateway: "GatewayServer") -> MetricsRegistry:
     """Register live-deployment gauges for a :class:`repro.gateway.GatewayServer`.
 
     The wall-clock analogue of :func:`attach_standard_probes`: open HTTP
     connections, feeder-cache occupancy, database occupancy (hosts,
     unsent / in-progress results), blob-store size, and running jobs.
-    Idempotent per registry; returns the registry the probes were
-    attached to (``gateway.metrics`` by default).
+    Idempotent; returns the registry the probes were attached to,
+    ``gateway.metrics``.
     """
     from ..boinc.model import ResultState
 
-    reg = registry if registry is not None else gateway.metrics
+    reg = gateway.metrics
     core = gateway.core
     reg.gauge("gateway.connections_active", "open HTTP connections",
               fn=lambda: gateway.connections_active)
@@ -117,6 +113,10 @@ def attach_gateway_probes(gateway: "GatewayServer",
               fn=lambda: sum(1 for j in gateway.jobs.jobs.values()
                              if not j.finished))
     return reg
+
+
+#: Callback kinds :meth:`SelfProfiler.render` lists, costliest first.
+PROFILE_ROWS = 5
 
 
 class SelfProfiler:
@@ -173,19 +173,20 @@ class SelfProfiler:
         """Wall-clock seconds spent dispatching, all kinds."""
         return sum(seconds for _count, seconds in self.totals.values())
 
-    def top(self, n: int = 5) -> list[tuple[str, int, float]]:
+    def top(self, n: int) -> list[tuple[str, int, float]]:
         """``(kind, dispatch_count, wall_seconds)`` rows, hottest first."""
         rows = [(kind, int(count), seconds)
                 for kind, (count, seconds) in self.totals.items()]
         rows.sort(key=lambda r: (-r[2], r[0]))
         return rows[:n]
 
-    def render(self, top: int = 5) -> str:
-        """Plain-text profile of the *top* costliest callback kinds."""
+    def render(self) -> str:
+        """Plain-text profile of the :data:`PROFILE_ROWS` costliest
+        callback kinds."""
         total = self.total_seconds
         lines = [f"total dispatch wall time: {total * 1e3:.1f} ms over "
                  f"{sum(int(c) for c, _s in self.totals.values())} callbacks"]
-        for kind, count, seconds in self.top(top):
+        for kind, count, seconds in self.top(PROFILE_ROWS):
             share = 100.0 * seconds / total if total > 0 else 0.0
             lines.append(f"  {kind:32s} {count:8d} calls "
                          f"{seconds * 1e3:9.1f} ms ({share:4.1f}%)")

@@ -6,13 +6,12 @@ real bytes through the same map -> hash-mod-partition -> reduce pipeline
 the simulator models.
 """
 
-from .api import FnApp, MapReduceApp, default_partition
+from .api import MapReduceApp, default_partition
 from .engine import JobReport, LocalRunner, TaskReport
 from .splitter import iter_records, split_text
 
 __all__ = [
     "MapReduceApp",
-    "FnApp",
     "default_partition",
     "LocalRunner",
     "JobReport",

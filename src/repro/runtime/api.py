@@ -2,8 +2,7 @@
 
 The paper's prototype hard-coded word count into the application; "a
 'full-blown' MapReduce API" is listed as future work.  This module is that
-API: users subclass :class:`MapReduceApp` (or compose mapper/reducer
-callables) and run it on the local engine (:mod:`repro.runtime.engine`)
+API: users subclass :class:`MapReduceApp` and run it on the local engine (:mod:`repro.runtime.engine`)
 for real results, or hand its cost profile to the simulator for
 cluster-scale studies.
 
@@ -32,13 +31,10 @@ import zlib
 
 from .splitter import iter_records
 
-K1 = _t.TypeVar("K1")
-V1 = _t.TypeVar("V1")
 K2 = _t.TypeVar("K2")
 V2 = _t.TypeVar("V2")
 V3 = _t.TypeVar("V3")
 
-MapFn = _t.Callable[[K1, V1], _t.Iterable[tuple[K2, V2]]]
 ReduceFn = _t.Callable[[K2, _t.List[V2]], _t.Iterable[V3]]
 
 
@@ -102,24 +98,3 @@ class MapReduceApp:
     def partition(self, key: _t.Any, n_reducers: int) -> int:
         """Reducer index for *key* (hash mod R by default)."""
         return default_partition(key, n_reducers)
-
-
-class FnApp(MapReduceApp):
-    """Compose an app from plain callables (no subclassing needed)."""
-
-    def __init__(self, map_fn: MapFn, reduce_fn: ReduceFn,
-                 combine_fn: ReduceFn | None = None,
-                 name: str = "fn_app") -> None:
-        """Wrap *map_fn*/*reduce_fn* (and optional combiner) as an app."""
-        self._map = map_fn
-        self._reduce = reduce_fn
-        self.combine = combine_fn
-        self.name = name
-
-    def map(self, key, value):
-        """Delegate to the wrapped map callable."""
-        return self._map(key, value)
-
-    def reduce(self, key, values):
-        """Delegate to the wrapped reduce callable."""
-        return self._reduce(key, values)

@@ -90,11 +90,12 @@ class Event:
         self._dispatch()
         return self
 
-    def succeed_if_pending(self, value: _t.Any = None) -> bool:
-        """Trigger unless already triggered; returns whether it fired now."""
+    def succeed_if_pending(self) -> bool:
+        """Trigger (value None) unless already triggered; returns whether
+        it fired now."""
         if self._triggered:
             return False
-        self.trigger(value)
+        self.trigger(None)
         return True
 
     def _dispatch(self) -> None:
@@ -125,18 +126,17 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: _t.Any = None,
-                 name: str = "") -> None:
-        """An event that self-triggers with *value* after *delay*."""
+    def __init__(self, sim: "Simulator", delay: float) -> None:
+        """An event that self-triggers (value None) after *delay*."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name)
+        super().__init__(sim)
         self.delay = float(delay)
-        sim.schedule(delay, self._fire, value)
+        sim.schedule(delay, self._fire)
 
-    def _fire(self, value: _t.Any) -> None:
+    def _fire(self) -> None:
         if not self._triggered:
-            self.trigger(value)
+            self.trigger(None)
 
 
 class _Condition(Event):

@@ -61,15 +61,20 @@ class AvailabilityTrace:
         yield on_until - t
 
 
+#: Hours by which :func:`diurnal_trace` jitters start times and session
+#: lengths, at most.
+JITTER_H = 1.0
+
+
 def diurnal_trace(host: str, days: int, *,
-                  rng: np.random.Generator,
-                  jitter_h: float = 1.0) -> AvailabilityTrace:
+                  rng: np.random.Generator) -> AvailabilityTrace:
     """A home-PC availability pattern: evenings on weekdays, long weekends.
 
     Weekdays are on from 18:00 for 5 hours, weekends from 09:00 to
     23:00.  Deterministic under *rng*; start times and session lengths
-    are jittered by up to ``jitter_h`` hours.
+    are jittered by up to :data:`JITTER_H` hours.
     """
+    jitter_h = JITTER_H
     if days < 1:
         raise ValueError("days must be >= 1")
     hour = 3600.0

@@ -26,6 +26,9 @@ _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
 #: Distinct pseudo-words of one to three consonant-vowel syllables.
 _MAX_VOCABULARY = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (1, 2, 3))
+#: The corpus shape :func:`generate_corpus` draws: distinct words, the
+#: Zipf exponent of their frequencies, and words per line.
+VOCABULARY_SIZE, ZIPF_S, WORDS_PER_LINE = 2000, 1.1, 12
 
 
 def make_vocabulary(size: int, rng: np.random.Generator) -> list[bytes]:
@@ -78,19 +81,20 @@ def zipf_weights(n: int, s: float = 1.1) -> np.ndarray:
     return w / w.sum()
 
 
-def generate_corpus(target_bytes: int, *, vocabulary_size: int = 2000,
-                    zipf_s: float = 1.1, words_per_line: int = 12,
-                    seed: int = 0) -> bytes:
+def generate_corpus(target_bytes: int, *, seed: int = 0) -> bytes:
     """A Zipf-distributed text corpus of roughly *target_bytes* bytes.
 
-    Lines have ``words_per_line`` space-separated words; generation stops
-    at the first line boundary at or past the target, so the result is
-    within one line of the requested size.
+    :data:`VOCABULARY_SIZE` words at Zipf exponent :data:`ZIPF_S`; lines
+    have :data:`WORDS_PER_LINE` space-separated words, and generation
+    stops at the first line boundary at or past the target, so the
+    result is within one line of the requested size.
     """
+    vocabulary_size, zipf_s = VOCABULARY_SIZE, ZIPF_S
+    words_per_line = WORDS_PER_LINE
     if target_bytes < 1:
         raise ValueError("target_bytes must be >= 1")
     if words_per_line < 1:
-        raise ValueError("words_per_line must be >= 1")
+        raise ValueError("WORDS_PER_LINE must be >= 1")
     rng = np.random.default_rng(seed)
     vocab = make_vocabulary(vocabulary_size, rng)
     # What rng.choice(vocabulary_size, p=weights) builds on every call.

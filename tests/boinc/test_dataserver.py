@@ -69,10 +69,11 @@ class TestUpload:
 
     def test_upload_callback(self, setup):
         sim, _net, ds, client = setup
-        done = []
-        ds.upload(FileRef("out", 100), client, on_done=lambda: done.append(1))
+        published = []
+        flow = ds.upload(FileRef("out", 100), client)
+        flow.done.add_callback(lambda _ev: published.append(ds.has("out")))
         sim.run()
-        assert done == [1]
+        assert published == [True]
 
     def test_aborted_upload_leaves_no_file(self, setup):
         sim, net, ds, client = setup

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from repro.boinc import FileRef, ProjectServer, SchedulerRequest, Workunit
 from repro.boinc import server as server_mod
 from repro.boinc.client import Client, ClientConfig
-from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
+from repro.core import (BoincMRConfig, CloudSpec, MapReduceJobSpec,
+                        VolunteerCloud)
 from repro.faults import RunAuditor
 from repro.net import ADSL_LINK
 from repro.sim import Interrupted
@@ -155,8 +156,9 @@ def run_cloud(n_nodes, capacity, mr, urgent, notifies, churn, crashes, seed,
               oracle):
     """A small job on a few volunteers under drawn disturbances; its
     trace records and audit."""
-    spec = CloudSpec(seed=seed, n_nodes=n_nodes, mr_clients=mr,
-                     link=ADSL_LINK,
+    spec = CloudSpec(seed=seed,
+                     mr_config=(BoincMRConfig() if mr
+                                else BoincMRConfig.vanilla_boinc()),
                      client_config=ClientConfig(backoff_max_s=60.0,
                                                 report_immediately=urgent))
     with contextlib.ExitStack() as stack:
@@ -168,6 +170,8 @@ def run_cloud(n_nodes, capacity, mr, urgent, notifies, churn, crashes, seed,
             stack.enter_context(mock.patch.object(
                 ProjectServer, "scheduler_rpc", reference_rpc.process_rpc))
         cloud = VolunteerCloud.from_spec(spec)
+        for i in range(n_nodes):
+            cloud.add_volunteer(f"node{i:03d}", mr=mr, link_spec=ADSL_LINK)
         job = cloud.submit(MapReduceJobSpec("d", n_maps=3, n_reducers=1,
                                             input_size=3e6))
         sim, clients = cloud.sim, cloud.clients

@@ -262,7 +262,7 @@ class TestFailureRecovery:
         grid = CampaignGrid(name="bad", cells=(
             CampaignCell(kind="sleep", seed=0,
                          params={"duration_s": "not-a-number"}),))
-        report = _run(how, grid, tmp_path / "out.jsonl", retries=1)
+        report = _run(how, grid, tmp_path / "out.jsonl")
         assert not report.ok and report.failed == 1
         assert "quarantined" in report.render()
         record = ResultStore(tmp_path / "out.jsonl").load()[grid.cells[0].key]
@@ -279,8 +279,7 @@ class TestFailureRecovery:
             *_sleep_grid(1, duration_s=30.0).cells,
             CampaignCell(kind="sleep", seed=9, params={"duration_s": 0.01})))
         t0 = time.monotonic()
-        report = _run(how, grid, tmp_path / "out.jsonl", timeout_s=0.3,
-                      retries=1)
+        report = _run(how, grid, tmp_path / "out.jsonl", timeout_s=0.3)
         assert time.monotonic() - t0 < 5.0
         assert report.failed == 1 and report.ran == 1
         assert report.reclaimed >= 1

@@ -40,7 +40,7 @@ class TestBuiltinGrids:
         assert groups == {f"table1/{row.label}" for row in PAPER_TABLE1}
 
     def test_table1_faults_armed_on_every_cell(self):
-        grid = table1_grid(seeds=(1,), faults="flaky-network")
+        grid = resolve_grid("table1", seeds=(1,), faults="flaky-network")
         assert all(c.faults == "flaky-network" for c in grid)
 
     def test_churn_grid_runs_both_variants_per_seed(self):

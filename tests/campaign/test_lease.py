@@ -17,6 +17,7 @@ from repro.boinc.server import (
 )
 from repro.boinc import server as server_mod
 from repro.campaign import CampaignCell, LeaseTable
+from repro.campaign import lease
 from repro.campaign.lease import DONE, FAILED, LEASED, PENDING
 
 
@@ -195,7 +196,7 @@ class TestStealing:
         assert table.grant("w1", now=100.0) is None
 
     def test_max_leases_caps_duplicates(self):
-        table = _table(1, steal_after_s=1.0, max_leases=2)
+        table = _table(1, steal_after_s=1.0)
         table.grant("w0", now=0.0)
         assert table.grant("w1", now=5.0) is not None
         assert table.grant("w2", now=50.0) is None
@@ -335,9 +336,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="retries"):
             _table(1, retries=-1)
 
-    def test_zero_max_leases_rejected(self):
-        with pytest.raises(ValueError, match="max_leases"):
-            _table(1, max_leases=0)
+    def test_zero_max_leases_rejected(self, pin):
+        pin(lease, MAX_LEASES=0)
+        with pytest.raises(ValueError, match="MAX_LEASES"):
+            _table(1)
 
     def test_duplicate_cells_rejected(self):
         cell = CampaignCell(kind="sleep", seed=1)

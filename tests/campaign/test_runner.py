@@ -17,6 +17,7 @@ from repro.campaign import (
     execute_cell,
     run_campaign,
 )
+from repro.campaign import runner
 
 
 def small_grid(n_seeds: int = 3) -> CampaignGrid:
@@ -95,10 +96,11 @@ class TestResume:
 
 
 class TestLocalRuns:
-    def test_retries_counted(self, tmp_path):
+    def test_retries_counted(self, tmp_path, pin):
+        pin(runner, RETRIES=2)
         grid = sleep_grid(30.0)
         report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=1,
-                              timeout_s=0.2, retries=2)
+                              timeout_s=0.2)
         assert report.failed == 1
         assert report.reclaimed == 2
         failed_meta = ResultStore(tmp_path / "s.jsonl").load()[
@@ -134,8 +136,8 @@ class TestProgressAndMetrics:
     def test_echo_reports_every_cell(self, tmp_path):
         grid = small_grid()
         lines: list[str] = []
-        run_campaign(grid, str(tmp_path / "s.jsonl"), workers=2,
-                     echo=lines.append)
+        CampaignCoordinator(grid, ResultStore(tmp_path / "s.jsonl"), spawn=2,
+                            echo=lines.append).run()
         assert len([ln for ln in lines if "] ok" in ln]) == len(grid)
         assert any(f"/{len(grid)}]" in ln for ln in lines)
 
@@ -144,4 +146,5 @@ class TestProgressAndMetrics:
         with pytest.raises(ValueError):
             run_campaign(grid, str(tmp_path / "s.jsonl"), workers=-1)
         with pytest.raises(ValueError):
-            run_campaign(grid, str(tmp_path / "s.jsonl"), retries=-1)
+            CampaignCoordinator(grid, ResultStore(tmp_path / "s.jsonl"),
+                                retries=-1)

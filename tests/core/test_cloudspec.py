@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 
 import pytest
 
@@ -25,9 +26,29 @@ class TestCloudSpec:
         with pytest.raises(ValueError):
             CloudSpec(seed=-1)
 
+    @pytest.mark.parametrize("value", [2.0, -0.5, 5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["fast_node_fraction", "byzantine_rate"])
+    def test_a_fraction_outside_0_1_is_refused_by_name(self, name, value):
+        # Both are scenario-cell params a TOML grid sets: 2.0 used to make
+        # every node fast, NaN to die inside VolunteerCloud.__init__.
+        with pytest.raises(ValueError, match=name):
+            CloudSpec(n_nodes=4, **{name: value})
+
+    def test_a_scenario_cell_with_a_bad_fraction_fails_before_running(self):
+        from repro.campaign.cells import scenario_specs
+
+        job = {"n_maps": 4, "n_reducers": 2}
+        with pytest.raises(ValueError, match="byzantine_rate"):
+            scenario_specs({"seed": 1, "params": {**job,
+                                                  "byzantine_rate": 5.0}})
+        spec, _ = scenario_specs({"seed": 1, "params": {
+            **job, "n_nodes": 4, "fast_node_fraction": 1.0,
+            "byzantine_rate": 0.0}})
+        assert spec.fast_node_fraction == 1.0
+
     def test_replace(self):
         spec = CloudSpec(seed=4)
-        other = spec.replace(server_link=SERVER_LINK)
+        other = dataclasses.replace(spec, server_link=SERVER_LINK)
         assert other.seed == 4
         assert other.server_link is SERVER_LINK
         assert spec.server_link is EMULAB_LINK  # original untouched
@@ -43,7 +64,7 @@ class TestFromSpec:
         with pytest.raises(TypeError):
             CloudSpec(allocator="full")
         with pytest.raises(TypeError):
-            CloudSpec().replace(allocator="full")
+            dataclasses.replace(CloudSpec(), allocator="full")
 
     def test_unset_settings_are_gone(self):
         # Nobody set either: nat_study swaps cloud.connectivity.config,

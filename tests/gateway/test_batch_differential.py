@@ -204,7 +204,7 @@ def _leased_map(refusals, close_after):
     handle.server.close_after = close_after
     client = GatewayClient(handle.address, timeout_s=5.0)
     client.submit_job("b", "wordcount", 2_000, 1, n_maps=1, n_reducers=4)
-    host_id = client.register("uploader", flops=1e9)
+    host_id = client.register("uploader")
     for _ in range(200):
         tasks = client.scheduler_rpc(host_id, work_req_s=1.0)["assignments"]
         if tasks:

@@ -77,8 +77,8 @@ class TestBasics:
         assert doc == {"ok": True, "version": protocol.PROTOCOL_VERSION}
 
     def test_register_is_idempotent_by_name(self, client):
-        a = client.register("twin", flops=1e9)
-        b = client.register("twin", flops=1e9)
+        a = client.register("twin")
+        b = client.register("twin")
         assert a == b
 
     def test_scheduler_unknown_host(self, client):
@@ -120,7 +120,7 @@ class TestBasics:
         assert err.value.code == "not_found"
 
     def test_status_page(self, handle, client):
-        client.register("probe", flops=1e9)
+        client.register("probe")
         doc = client.status()
         assert protocol.validate("StatusReply", doc) == []
         assert doc["counts"]["hosts"] == 1
@@ -133,7 +133,7 @@ class TestBasics:
         tracer = handle.server.core.tracer
         tapped = []
         tracer.tap(tapped.append)
-        host_id = client.register("poller", flops=1e9)
+        host_id = client.register("poller")
         for _ in range(40):
             assert client.scheduler_rpc(host_id, work_req_s=1.0)["no_work"]
         assert tracer.counts["sched.rpc"] == 40
@@ -147,7 +147,7 @@ class TestBasics:
 
     def test_unavailable_maps_to_503_with_retry_after(self, handle):
         client = GatewayClient(handle.address, retries=1)
-        host_id = client.register("flaky", flops=1e9)
+        host_id = client.register("flaky")
         handle.server.core.available = False
         with pytest.raises(GatewayError) as err:
             client.scheduler_rpc(host_id, work_req_s=1.0)
@@ -640,7 +640,7 @@ class TestCannedReplies:
     once per ``no_work``: the same bytes as ever."""
 
     def test_no_work_and_no_request_bytes_on_the_wire(self, handle, client):
-        host_id = client.register("canned", flops=1e9)
+        host_id = client.register("canned")
         host, port = handle.address.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as raw:
             for work_req, body in (
@@ -772,7 +772,7 @@ def scrape(address):
 
 class TestMetricsRoute:
     def test_scrape_matches_the_status_counters(self, handle, client):
-        host_id = client.register("scraped", flops=1e9)
+        host_id = client.register("scraped")
         client.scheduler_rpc(host_id, work_req_s=1.0)
         with pytest.raises(GatewayError):
             client.request("GET", "/nope")
@@ -844,7 +844,7 @@ class TestSlowDrip:
         deadline_s = 0.3
         monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", deadline_s)
         poller = GatewayClient(handle.address)
-        host_id = poller.register("poller", flops=1e9)
+        host_id = poller.register("poller")
         polls = []
 
         def poll():  # on a second connection, while the drip is in flight
@@ -912,7 +912,7 @@ class TestPipeliningAndBackpressure:
             assert raw.recv(1) == b""
 
     def test_one_request_in_three_segments(self, handle, client):
-        host_id = client.register("split", flops=1e9)
+        host_id = client.register("split")
         body = protocol.dumps({"host_id": host_id, "work_req_s": 1.0})
         host, port = handle.address.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as raw:
@@ -1156,7 +1156,7 @@ class TestDisconnectMidUpload:
     def test_partial_upload_leaves_no_blob(self, handle, client):
         corpus = generate_corpus(5_000, seed=6)
         client.submit_job("cut", "wordcount", 5_000, 6, n_maps=1, n_reducers=1)
-        host_id = client.register("cutter", flops=1e9)
+        host_id = client.register("cutter")
         task = _poll_for_assignment(client, host_id)[0]
         result_id = task["result_id"]
 
@@ -1188,7 +1188,7 @@ class TestDisconnectMidUpload:
 
     def test_checksum_mismatch_rejected(self, handle, client):
         client.submit_job("ck", "wordcount", 4_000, 7, n_maps=1, n_reducers=1)
-        host_id = client.register("checker", flops=1e9)
+        host_id = client.register("checker")
         task = _poll_for_assignment(client, host_id)[0]
         with pytest.raises(GatewayError) as err:
             client.request(
@@ -1212,7 +1212,7 @@ class TestUploadRules:
         # The holder of result 1 (map 0) tries to replace map 3's input.
         client.submit_job("j", "wordcount", 8_000, 9, n_maps=4, n_reducers=2)
         original = client.download("j.m3.in")
-        host_id = client.register("overwriter", flops=1e9)
+        host_id = client.register("overwriter")
         task = next(t for t in _poll_for_assignment(client, host_id)
                     if t["result_id"] == 1)
         assert (task["kind"], task["index"]) == ("map", 0)
@@ -1240,7 +1240,7 @@ class TestUploadRules:
         corpus = generate_corpus(8_000, seed=11)
         client.submit_job("once", "wordcount", 8_000, 11,
                           n_maps=1, n_reducers=2)
-        host_id = client.register("replayer", flops=1e9)
+        host_id = client.register("replayer")
         task = _poll_for_assignment(client, host_id)[0]
         report = execute_task(client, task)
         rid, name = task["result_id"], "once.m0.p1"
@@ -1305,7 +1305,7 @@ class TestReplicasStagedApart:
                           n_maps=1, n_reducers=1,
                           replication=3, quorum=2)
         clients = {h: GatewayClient(handle.address) for h in "ABC"}
-        hosts = {h: c.register(f"replica-{h}", flops=1e9)
+        hosts = {h: c.register(f"replica-{h}")
                  for h, c in clients.items()}
         tasks = {h: _poll_for_assignment(clients[h], hosts[h])[0]
                  for h in "ABC"}
@@ -1339,7 +1339,7 @@ class TestDuplicateReport:
     def test_replayed_report_is_dropped_and_counted(self, handle, client):
         corpus = generate_corpus(6_000, seed=8)
         client.submit_job("dup", "wordcount", 6_000, 8, n_maps=1, n_reducers=1)
-        host_id = client.register("replayer", flops=1e9)
+        host_id = client.register("replayer")
         task = _poll_for_assignment(client, host_id)[0]
         report = execute_task(client, task)
         client.scheduler_rpc(host_id, work_req_s=0.0, reports=[report])
@@ -1356,8 +1356,8 @@ class TestDuplicateReport:
 
     def test_report_for_foreign_result_dropped(self, handle, client):
         client.submit_job("f", "wordcount", 6_000, 9, n_maps=1, n_reducers=1)
-        mine = client.register("honest", flops=1e9)
-        thief = client.register("thief", flops=1e9)
+        mine = client.register("honest")
+        thief = client.register("thief")
         task = _poll_for_assignment(client, mine)[0]
         report = execute_task(client, task)
         # The wrong host tries to claim the result: dropped + counted.
@@ -1392,34 +1392,31 @@ class TestInThread:
 
 
 class TestRestartWithLeases:
-    def test_state_survives_restart_and_lease_completes(self):
-        first = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
-        corpus = generate_corpus(6_000, seed=10)
-        client = GatewayClient(first.address)
-        client.submit_job("boot", "wordcount", 6_000, 10,
-                          n_maps=1, n_reducers=1)
-        host_id = client.register("survivor", flops=1e9)
-        task = _poll_for_assignment(client, host_id)[0]
-        client.close()
-        state = first.server.state
-        first.close()  # gateway down; the lease is still in flight
-
-        second = GatewayServer.in_thread(state=state)
+    def test_a_volunteer_restart_keeps_its_lease(self):
+        handle = GatewayServer.in_thread(GatewayConfig(daemon_period_s=0.01))
         try:
-            res = second.server.core.db.results[task["result_id"]]
+            corpus = generate_corpus(6_000, seed=10)
+            client = GatewayClient(handle.address)
+            client.submit_job("boot", "wordcount", 6_000, 10,
+                              n_maps=1, n_reducers=1)
+            host_id = client.register("survivor")
+            task = _poll_for_assignment(client, host_id)[0]
+            client.close()  # volunteer down; the lease is still in flight
+
+            res = handle.server.core.db.results[task["result_id"]]
             assert res.state is ResultState.IN_PROGRESS
-            client = GatewayClient(second.address)
-            assert client.register("survivor", flops=1e9) == host_id
+            client = GatewayClient(handle.address)
+            assert client.register("survivor") == host_id
             report = execute_task(client, task)
             client.scheduler_rpc(host_id, work_req_s=0.0, reports=[report])
-            run_volunteer(second.address, name="post-restart",
+            run_volunteer(handle.address, name="post-restart",
                           idle_limit=20)
             assert _wait_until_finished(client, "boot")["state"] == "done"
             out = decode_payload(client.job_output("boot"))
             client.close()
             assert out == dict(collections.Counter(corpus.split()))
         finally:
-            second.close()
+            handle.close()
 
     def test_abandoned_lease_expires_and_is_reissued(self):
         handle = GatewayServer.in_thread(GatewayConfig(
@@ -1429,7 +1426,7 @@ class TestRestartWithLeases:
             client = GatewayClient(handle.address)
             client.submit_job("aband", "wordcount", 6_000, 11,
                               n_maps=1, n_reducers=1)
-            ghost = client.register("ghost", flops=1e9)
+            ghost = client.register("ghost")
             task = _poll_for_assignment(client, ghost)[0]
             client.close()
             # The ghost never reports; past the delay bound the shared
@@ -1467,7 +1464,7 @@ class TestBadReportFailsOnlyItsJob:
     def test_reduce_reported_without_its_upload(self, handle, client):
         client.submit_job("liar", "wordcount", 4_000, 12,
                           n_maps=1, n_reducers=1)
-        host_id = client.register("liar-host", flops=1e9)
+        host_id = client.register("liar-host")
         map_task = _poll_for_assignment(client, host_id)[0]
         client.scheduler_rpc(host_id, work_req_s=0.0,
                              reports=[execute_task(client, map_task)])
@@ -1491,7 +1488,7 @@ class TestBadReportFailsOnlyItsJob:
                                                           client):
         client.submit_job("gap", "wordcount", 4_000, 14,
                           n_maps=1, n_reducers=2)
-        host_id = client.register("forgetful", flops=1e9)
+        host_id = client.register("forgetful")
         task = _poll_for_assignment(client, host_id)[0]
 
         class SkipsPartitionOne(GatewayClient):

@@ -139,9 +139,12 @@ class FullAllocator:
         next_eta, _ = _tally(flows, self._used)
         if math.isfinite(next_eta):
             # PRIORITY_HIGH so completion processing at time T runs before
-            # ordinary model callbacks at T observe a stale flow set.
-            net.sim.schedule(next_eta, self._on_timer, self._version,
-                             priority=PRIORITY_HIGH)
+            # ordinary model callbacks at T observe a stale flow set (only
+            # a cancellable timer takes a priority; this one is never
+            # cancelled, a later version supersedes it).
+            net.sim.schedule_cancellable(next_eta, self._on_timer,
+                                         self._version,
+                                         priority=PRIORITY_HIGH)
 
     def _on_timer(self, version: int) -> None:
         if version != self._version:

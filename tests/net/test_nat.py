@@ -15,7 +15,9 @@ from repro.net import (
 
 
 def policy(seed=0, **cfg):
-    return ConnectivityPolicy(TraversalConfig(**cfg), rng=np.random.default_rng(seed))
+    made = ConnectivityPolicy(rng=np.random.default_rng(seed))
+    made.config = TraversalConfig(**cfg)
+    return made
 
 
 SYM = NatBox(nat_type=NatType.SYMMETRIC)

@@ -98,10 +98,10 @@ class TestPeerDownload:
     def test_traversal_failure_raises(self, sim, net):
         sym = NatBox(nat_type=NatType.SYMMETRIC)
         src, dst = self.make_pair(sim, net, src_nat=sym, dst_nat=sym)
-        policy = ConnectivityPolicy(
-            TraversalConfig(enable_relay=False, enable_hole_punch=False,
-                            enable_reversal=False),
-            rng=np.random.default_rng(0))
+        policy = ConnectivityPolicy(rng=np.random.default_rng(0))
+        policy.config = TraversalConfig(enable_relay=False,
+                                        enable_hole_punch=False,
+                                        enable_reversal=False)
 
         def body():
             try:

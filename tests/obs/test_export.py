@@ -107,12 +107,6 @@ class TestJsonl:
         assert row["kind"] == "sched.assign"
         assert row["field.kind"] == "map"
 
-    def test_kind_filter(self):
-        tracer = Tracer()
-        tracer.record(1.0, "a")
-        tracer.record(2.0, "b")
-        assert trace_to_jsonl(tracer, kinds=["b"]).count("\n") == 1
-
     def test_empty_trace_is_empty_string(self):
         assert trace_to_jsonl(Tracer()) == ""
 

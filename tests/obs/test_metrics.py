@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -109,7 +110,7 @@ class TestRegistry:
 
     def test_render_prometheus(self):
         reg = MetricsRegistry()
-        reg.counter("gateway.http_errors_total", "error replies").inc(3)
+        reg.counter("gateway.http_errors_total").inc(3)
         reg.gauge("net.flows-active", "in-flight\nflows, C:\\net",
                   fn=lambda: float("nan"))
         h = reg.histogram("rpc.lat_s", buckets=(0.5, 2.0))
@@ -122,7 +123,6 @@ class TestRegistry:
             'empty_s_bucket{le="+Inf"} 0\n'
             "empty_s_sum 0.0\n"
             "empty_s_count 0\n"
-            "# HELP gateway_http_errors_total error replies\n"
             "# TYPE gateway_http_errors_total counter\n"
             "gateway_http_errors_total 3.0\n"
             "# HELP net_flows_active in-flight\\nflows, C:\\\\net\n"
@@ -140,26 +140,29 @@ class TestRegistry:
 
 
 class TestSampler:
-    def test_samples_gauges_on_cadence(self):
+    def test_samples_gauges_on_cadence(self, pin):
+        pin(metrics, SAMPLE_PERIOD_S=10.0)
         sim = Simulator()
         reg = MetricsRegistry()
         reg.gauge("clock", fn=lambda: sim.now)
-        Sampler(sim, reg, period_s=10.0)
+        Sampler(sim, reg)
         sim.run(until=35.0)
         series = reg.series["clock"]
         assert [s.time for s in series] == [0.0, 10.0, 20.0, 30.0]
         assert [s.value for s in series] == [0.0, 10.0, 20.0, 30.0]
 
-    def test_stop_halts_sampling(self):
+    def test_stop_halts_sampling(self, pin):
+        pin(metrics, SAMPLE_PERIOD_S=5.0)
         sim = Simulator()
         reg = MetricsRegistry()
         reg.gauge("g").set(1)
-        sampler = Sampler(sim, reg, period_s=5.0)
+        sampler = Sampler(sim, reg)
         sim.run(until=11.0)
         sampler.stop()
         sim.run(until=50.0)
         assert len(reg.series["g"]) == 3  # t=0, 5, 10 only
 
-    def test_invalid_period_rejected(self):
+    def test_invalid_period_rejected(self, pin):
+        pin(metrics, SAMPLE_PERIOD_S=0.0)
         with pytest.raises(ValueError, match="positive"):
-            Sampler(Simulator(), MetricsRegistry(), period_s=0.0)
+            Sampler(Simulator(), MetricsRegistry())

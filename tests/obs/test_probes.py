@@ -9,6 +9,7 @@ from repro.core import (
     VolunteerCloud,
 )
 from repro.obs import MetricsRegistry, SelfProfiler, attach_standard_probes
+from repro.obs import metrics
 from repro.sim import Simulator
 
 
@@ -37,9 +38,10 @@ class TestStandardProbes:
         attach_standard_probes(cloud)
         attach_standard_probes(cloud)  # no TypeError from re-registration
 
-    def test_gauges_track_live_state_through_a_run(self):
+    def test_gauges_track_live_state_through_a_run(self, pin):
+        pin(metrics, SAMPLE_PERIOD_S=10.0)
         cloud = self.make_cloud()
-        cloud.attach_observability(probes=True, sample_period_s=10.0)
+        cloud.attach_observability(probes=True)
         cloud.run_job(MapReduceJobSpec("wc", n_maps=6, n_reducers=2,
                                        input_size=60e6))
         series = cloud.metrics.series
@@ -114,5 +116,5 @@ class TestSelfProfiler:
         prof = SelfProfiler(sim)
         sim.schedule(0.0, lambda: None)
         sim.run()
-        text = prof.render(top=5)
+        text = prof.render()
         assert "total dispatch wall time" in text

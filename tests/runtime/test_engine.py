@@ -4,11 +4,21 @@ import collections
 
 import pytest
 
-from repro.runtime import FnApp, LocalRunner, default_partition
+from repro.runtime import LocalRunner, MapReduceApp, default_partition
 from repro.runtime.apps import InvertedIndex, MatchCount, WordCount
 from repro.workloads import generate_corpus, tag_documents
 
 TEXT = b"the quick brown fox jumps over the lazy dog\nthe dog barks loudly\n" * 40
+
+
+class PlainCount(MapReduceApp):
+    """Word count without a combiner."""
+
+    def map(self, offset, line):
+        return ((w, 1) for w in line.split())
+
+    def reduce(self, key, values):
+        return [sum(values)]
 
 
 class TestPartitioner:
@@ -49,8 +59,7 @@ class TestWordCount:
         assert all(o == outputs[0] for o in outputs)
 
     def test_combiner_shrinks_intermediate(self):
-        plain = FnApp(lambda k, v: ((w, 1) for w in v.split()),
-                      lambda k, vs: [sum(vs)])
+        plain = PlainCount()
         with_comb = LocalRunner(WordCount(), 4, 2).run(TEXT)
         no_comb = LocalRunner(plain, 4, 2).run(TEXT)
         assert with_comb.output == no_comb.output
@@ -88,8 +97,7 @@ class TestGrep:
 
     def test_grep_intermediate_smaller_than_wordcount(self):
         g = LocalRunner(MatchCount(rb"barks"), 4, 2).run(TEXT)
-        w = LocalRunner(FnApp(lambda k, v: ((x, 1) for x in v.split()),
-                              lambda k, vs: [sum(vs)]), 4, 2).run(TEXT)
+        w = LocalRunner(PlainCount(), 4, 2).run(TEXT)
         assert g.intermediate_bytes < w.intermediate_bytes
 
 

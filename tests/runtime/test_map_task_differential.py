@@ -9,9 +9,9 @@ alphabet (so keys repeat, within a line and across lines) with ASCII and
 non-ASCII letters, every ASCII whitespace byte inside lines, ``\n`` and
 ``\r\n`` line ends, blank lines and a last line that may lack its
 ``\n``; a reducer count; and an app: the bundled word count, inverted
-index and match count, and ``FnApp`` apps whose keys are ints and tuples,
-whose maps emit two pairs per word, and whose combiners emit several
-values or none.  The ``(TaskReport, blobs)`` pair must be equal.
+index and match count, and ``MapReduceApp`` subclasses whose keys are
+ints and tuples, whose maps emit two pairs per word, and whose combiners
+emit several values or none.  The ``(TaskReport, blobs)`` pair must be equal.
 """
 
 import pickle
@@ -20,34 +20,62 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import FnApp, LocalRunner, default_partition
+from repro.runtime import LocalRunner, MapReduceApp, default_partition
 from repro.runtime.apps import InvertedIndex, MatchCount, WordCount
 
 from .reference_engine import run_map_task as reference_map_task
 
 
-def _mixed_keys(offset, line):
+class MixedKeys(MapReduceApp):
     """Keys of several types, each word yielding two pairs."""
-    for word in line.split():
-        yield len(word), word
-        yield ("w", word[:1].decode("latin-1")), offset
+
+    def map(self, offset, line):
+        for word in line.split():
+            yield len(word), word
+            yield ("w", word[:1].decode("latin-1")), offset
+
+    def reduce(self, key, values):
+        return [len(values)]
 
 
-def _two_values(key, values):
-    yield len(values)
-    yield values[-1]
+class TwoValues(MixedKeys):
+    """The same pairs, and a combiner that emits two values per key."""
+
+    def combine(self, key, values):
+        yield len(values)
+        yield values[-1]
+
+
+class NoneCombined(MapReduceApp):
+    """``None`` values, and a combiner that emits none."""
+
+    def map(self, offset, line):
+        return ((w, None) for w in line.split())
+
+    def reduce(self, key, values):
+        return [len(values)]
+
+    def combine(self, key, values):
+        return iter(())
+
+
+class PlainCount(MapReduceApp):
+    """Word count without a combiner."""
+
+    def map(self, offset, line):
+        return ((w, 1) for w in line.split())
+
+    def reduce(self, key, values):
+        return [sum(values)]
 
 
 APPS = {
     "wordcount": WordCount,
     "invindex": InvertedIndex,
     "matchcount": lambda: MatchCount(rb"[ab]+c?"),
-    "fn_plain": lambda: FnApp(_mixed_keys, lambda k, vs: [len(vs)]),
-    "fn_combined": lambda: FnApp(_mixed_keys, lambda k, vs: [len(vs)],
-                                 combine_fn=_two_values),
-    "fn_none_combined": lambda: FnApp(
-        lambda k, v: ((w, None) for w in v.split()), lambda k, vs: [len(vs)],
-        combine_fn=lambda k, vs: iter(())),
+    "fn_plain": MixedKeys,
+    "fn_combined": TwoValues,
+    "fn_none_combined": NoneCombined,
 }
 
 # Mixed-case ASCII letters and non-ASCII bytes (0x80-0xff).
@@ -104,8 +132,7 @@ def test_wordcount_map_task_runs_map_chunk_alone():
 @pytest.mark.parametrize("combined", [True, False])
 def test_each_distinct_key_partitioned_once(combined):
     calls = []
-    app = WordCount() if combined else FnApp(
-        lambda k, v: ((w, 1) for w in v.split()), lambda k, vs: [sum(vs)])
+    app = WordCount() if combined else PlainCount()
 
     def counting(key, n_reducers):
         calls.append(key)
@@ -123,11 +150,21 @@ def test_each_distinct_key_partitioned_once(combined):
         assert sorted(pairs) == [(b"a", 1)] * 3 + [(b"b", 1)] * 2 + [(b"c", 1)]
 
 
+class ListKey(MapReduceApp):
+    """An unhashable key per record."""
+
+    def map(self, offset, line):
+        return [([1], line)]
+
+    def reduce(self, key, values):
+        return [len(values)]
+
+
 @pytest.mark.parametrize("combine", [None, lambda k, vs: [len(vs)]])
 def test_unhashable_key_fails_at_map_time(combine):
     # The reduce side groups keys in a dict, so a key always had to be
     # hashable; a map task now says so itself.
-    app = FnApp(lambda k, v: [([1], v)], lambda k, vs: [len(vs)],
-                combine_fn=combine)
+    app = ListKey()
+    app.combine = combine
     with pytest.raises(TypeError, match="unhashable"):
         LocalRunner(app, 1, 2).run_map_task(0, b"x\n")

@@ -16,10 +16,6 @@ def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
 
 
-def test_clock_custom_start():
-    assert Simulator(start_time=100.0).now == 100.0
-
-
 def test_schedule_and_run_advances_clock():
     sim = Simulator()
     seen = []
@@ -52,8 +48,8 @@ def test_priority_overrides_fifo_at_same_instant():
     sim = Simulator()
     seen = []
     sim.schedule(1.0, seen.append, "normal")
-    sim.schedule(1.0, seen.append, "high", priority=PRIORITY_HIGH)
-    sim.schedule(1.0, seen.append, "low", priority=PRIORITY_LOW)
+    sim.schedule_cancellable(1.0, seen.append, "high", priority=PRIORITY_HIGH)
+    sim.schedule_cancellable(1.0, seen.append, "low", priority=PRIORITY_LOW)
     sim.run()
     assert seen == ["high", "normal", "low"]
 
@@ -79,7 +75,8 @@ def test_at_schedules_absolute_time():
 
 
 def test_at_in_the_past_rejected():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.at(5.0, lambda: None)
 

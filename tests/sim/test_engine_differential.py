@@ -111,9 +111,11 @@ class Driver:
                 self.handles.append(sim.schedule_cancellable(
                     delay, self.callback, self.ids, children,
                     priority=priority))
-            else:
-                sim.schedule(delay, self.callback, self.ids, children,
-                             priority=priority)
+            elif priority == PRIORITY_NORMAL:
+                sim.schedule(delay, self.callback, self.ids, children)
+            else:  # only a cancellable timer takes another priority
+                sim.schedule_cancellable(delay, self.callback, self.ids,
+                                         children, priority=priority)
         elif kind == "cancel":
             if self.handles:
                 handle = self.handles[action[1] % len(self.handles)]

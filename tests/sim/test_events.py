@@ -57,9 +57,9 @@ def test_failed_event_value_raises_original(sim):
 
 def test_succeed_if_pending(sim):
     ev = sim.event()
-    assert ev.succeed_if_pending(1) is True
-    assert ev.succeed_if_pending(2) is False
-    assert ev.value == 1
+    assert ev.succeed_if_pending() is True
+    assert ev.succeed_if_pending() is False
+    assert ev.triggered and ev.value is None
 
 
 def test_callback_runs_through_scheduler(sim):
@@ -82,10 +82,10 @@ def test_callback_added_after_trigger_still_runs(sim):
 
 
 def test_timeout_fires_at_delay(sim):
-    t = sim.timeout(5.0, value="done")
+    t = sim.timeout(5.0)
     sim.run()
     assert sim.now == 5.0
-    assert t.value == "done"
+    assert t.triggered and t.value is None
 
 
 def test_timeout_negative_delay_rejected(sim):
@@ -162,8 +162,8 @@ def test_anyof_with_pretriggered_child(sim):
 
 
 def test_condition_over_timeouts_acts_as_race(sim):
-    fast = sim.timeout(1.0, value="fast")
-    slow = sim.timeout(10.0, value="slow")
+    fast = sim.timeout(1.0)
+    slow = sim.timeout(10.0)
     cond = sim.any_of([fast, slow])
     sim.run(until_event=cond)
     assert cond.value is fast

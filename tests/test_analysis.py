@@ -105,7 +105,6 @@ class TestReportLags:
         tr.record(1.0, "client.backoff", host="A", count=1, delay=60.0)
         tr.record(2.0, "client.backoff", host="B", count=1, delay=120.0)
         assert backoff_delays(tr) == [60.0, 120.0]
-        assert backoff_delays(tr, host="B") == [120.0]
 
 
 def dict_of(pairs):

@@ -19,17 +19,6 @@ class TestTraceCsv:
         assert "host" in header
         assert len(rows) == 1 + len(synth_trace().records)
 
-    def test_kind_filter(self):
-        text = trace_to_csv(synth_trace(), kinds=["task.ready"])
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 1 + 3
-        assert all(r[1] == "task.ready" for r in rows[1:])
-
-    def test_writes_to_stream(self):
-        buf = io.StringIO()
-        text = trace_to_csv(synth_trace(), out=buf)
-        assert buf.getvalue() == text
-
     def test_empty_tracer(self):
         text = trace_to_csv(Tracer())
         assert text.splitlines() == ["time,kind"]

@@ -4,6 +4,7 @@ uploads, and adaptive replication."""
 import pytest
 
 from repro.boinc import ClientConfig, ProjectServer, ServerConfig
+from repro.core import system
 from repro.core import (
     BoincMRConfig,
     CloudSpec,
@@ -107,12 +108,13 @@ class TestSupernodeOverlay:
         with pytest.raises(NoSupernodeAvailable):
             overlay.pick_relay(hosts[-1], hosts[-2])
 
-    def test_overlay_relays_mapreduce_job(self):
+    def test_overlay_relays_mapreduce_job(self, pin):
+        pin(system, SUPERNODES=2, SUPERNODE_FANOUT=1)
         cloud = VolunteerCloud.from_spec(CloudSpec(seed=2))
         cloud.add_volunteers(2, mr=True,
                              link_spec=LinkSpec(200e6, 200e6, 0.001))
         cloud.add_volunteers(8, mr=True, nat=SYM)
-        overlay = cloud.enable_supernode_overlay(n_supernodes=2, fanout=1)
+        overlay = cloud.enable_supernode_overlay()
         job = cloud.run_job(MapReduceJobSpec(
             "sn", n_maps=6, n_reducers=2, input_size=60e6),
             timeout=24 * 3600)

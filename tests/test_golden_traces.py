@@ -26,30 +26,33 @@ from repro.faults import BUILTIN_PLANS
 from repro.net import ADSL_LINK, EMULAB_LINK, SERVER_LINK
 
 
+# Each scenario: (spec, fleet, job, horizon), the fleet ``(n, mr, link)``
+# added as ``node000``.. in index order, as a spec's ``n_nodes`` are.
+
 def _adsl_shuffle():
     """BOINC-MR over ADSL: map outputs travel between the clients."""
-    spec = CloudSpec(seed=5, n_nodes=16, mr_clients=True, link=ADSL_LINK,
+    spec = CloudSpec(seed=5, mr_config=BoincMRConfig(),
                      server_link=SERVER_LINK,
                      client_config=ClientConfig(backoff_max_s=120.0))
-    return spec, MapReduceJobSpec(name="golden", n_maps=8, n_reducers=8,
-                                  input_size=40e6), None
+    return spec, (16, True, ADSL_LINK), MapReduceJobSpec(
+        name="golden", n_maps=8, n_reducers=8, input_size=40e6), None
 
 
 def _server_hub():
     """Original BOINC: every byte crosses the server's one access link."""
-    spec = CloudSpec(seed=5, n_nodes=10, link=EMULAB_LINK,
+    spec = CloudSpec(seed=5, mr_config=BoincMRConfig.vanilla_boinc(),
                      server_link=EMULAB_LINK)
-    return spec, MapReduceJobSpec(name="golden", n_maps=10, n_reducers=2,
-                                  input_size=2e8), None
+    return spec, (10, False, EMULAB_LINK), MapReduceJobSpec(
+        name="golden", n_maps=10, n_reducers=2, input_size=2e8), None
 
 
 def _idle_fleet():
     """Far more volunteers than work, run to a horizon: backoff polls."""
-    spec = CloudSpec(seed=5, n_nodes=48, mr_clients=True, link=ADSL_LINK,
+    spec = CloudSpec(seed=5, mr_config=BoincMRConfig(),
                      server_link=SERVER_LINK,
                      client_config=ClientConfig(backoff_max_s=60.0))
-    return spec, MapReduceJobSpec(name="golden", n_maps=6, n_reducers=2,
-                                  input_size=60e6), 900.0
+    return spec, (48, True, ADSL_LINK), MapReduceJobSpec(
+        name="golden", n_maps=6, n_reducers=2, input_size=60e6), 900.0
 
 
 SCENARIOS = {"adsl_shuffle": _adsl_shuffle, "server_hub": _server_hub,
@@ -135,8 +138,10 @@ def _digest(cloud):
 
 def fingerprint(name: str) -> tuple[str, int, int]:
     """Run scenario *name*; its trace digest and the kernel's two counts."""
-    cloud_spec, job_spec, horizon_s = SCENARIOS[name]()
+    cloud_spec, (n_nodes, mr, link), job_spec, horizon_s = SCENARIOS[name]()
     cloud = VolunteerCloud.from_spec(cloud_spec)
+    for i in range(n_nodes):
+        cloud.add_volunteer(f"node{i:03d}", mr=mr, link_spec=link)
     job = cloud.submit(job_spec)
     if horizon_s is not None:
         cloud.run_until(cloud.sim.timeout(horizon_s))

@@ -110,9 +110,11 @@ def test_peer_store_never_serves_expired(operations):
        st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25)
 def test_corpus_structure(target, vocab, seed):
+    from repro.workloads import corpus as corpus_module
     from repro.workloads import generate_corpus
 
-    corpus = generate_corpus(target, vocabulary_size=vocab, seed=seed)
+    with mock.patch.object(corpus_module, "VOCABULARY_SIZE", vocab):
+        corpus = generate_corpus(target, seed=seed)
     assert len(corpus) >= target
     assert corpus.endswith(b"\n")
     words = set(corpus.split())

@@ -17,8 +17,9 @@ class TestScenarioCloudSpec:
 
     def test_defaults_match_paper_testbed(self):
         spec = CloudSpec(n_nodes=4)
-        assert spec.server_link is EMULAB_LINK and spec.link is EMULAB_LINK
+        assert spec.server_link is EMULAB_LINK
         cloud = VolunteerCloud.from_spec(spec)
+        assert {c.host.spec for c in cloud.clients} == {EMULAB_LINK}
         assert [c.name for c in cloud.clients] == [
             "node000", "node001", "node002", "node003"]
         assert not cloud._started
@@ -31,7 +32,7 @@ class TestScenarioCloudSpec:
     def test_fields_flow_through(self):
         cc = ClientConfig(backoff_max_s=60.0)
         spec = CloudSpec(seed=11, n_nodes=4, mr_clients=True,
-                         link=CABLE_LINK, client_config=cc,
+                         client_config=cc,
                          fast_node_fraction=0.5, byzantine_rate=0.25)
         cloud = VolunteerCloud.from_spec(spec)
         assert cloud.mr_config.reduce_from_peers  # BOINC-MR default
@@ -40,16 +41,20 @@ class TestScenarioCloudSpec:
         assert [c.record.flops for c in cloud.clients] == [
             PCR200_FLOPS, PCR200_FLOPS, PC3001_FLOPS, PC3001_FLOPS]
         assert {c.executor.byzantine_rate for c in cloud.clients} == {0.25}
+        # Declared volunteers sit on the testbed's link.
         assert cloud.clients[0].host.uplink.capacity == pytest.approx(
-            CABLE_LINK.up_bps / 8.0)
+            EMULAB_LINK.up_bps / 8.0)
 
     def test_server_link_override(self):
         cloud = VolunteerCloud.from_spec(CloudSpec(
-            n_nodes=4, link=ADSL_LINK, server_link=SERVER_LINK))
+            n_nodes=4, server_link=SERVER_LINK))
+        cloud.add_volunteer("adsl", link_spec=ADSL_LINK)
         assert cloud.server_host.uplink.capacity == pytest.approx(
             SERVER_LINK.up_bps / 8.0)
         # Volunteers keep the volunteer profile.
         assert cloud.clients[0].host.uplink.capacity == pytest.approx(
+            EMULAB_LINK.up_bps / 8.0)
+        assert cloud.clients[-1].host.uplink.capacity == pytest.approx(
             ADSL_LINK.up_bps / 8.0)
 
     def test_allocator_knob_and_link_spec_alias_are_gone(self):
@@ -57,6 +62,8 @@ class TestScenarioCloudSpec:
             CloudSpec(n_nodes=4, allocator="full")
         with pytest.raises(TypeError):
             CloudSpec(n_nodes=4, link_spec=CABLE_LINK)
+        with pytest.raises(TypeError):
+            CloudSpec(n_nodes=4, link=CABLE_LINK)
         cloud = VolunteerCloud.from_spec(CloudSpec(n_nodes=4))
         assert isinstance(cloud.net.flownet.allocator, IncrementalAllocator)
 

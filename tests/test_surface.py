@@ -1,6 +1,6 @@
 """The gates of ``docs/surface.py``, without its probe: which code objects
 count as functions, which pins ``--check`` refuses, and which calls the
-config-field census counts as setting a field."""
+census counts as setting a field or a parameter."""
 
 from __future__ import annotations
 
@@ -157,8 +157,9 @@ def test_every_write_only_counter_is_pinned_by_its_reader():
 def test_the_census_covers_config_fields_and_spec_switches():
     fields = surface.census_fields(surface.option_classes())
     assert "ServerConfig.delay_bound_s" in fields
-    assert "CloudSpec.mr_clients" in fields  # a bool: a switch
-    assert "CloudSpec.link" not in fields    # a run's description
+    assert "CloudSpec.mr_clients" in fields      # a bool: a switch
+    assert "CloudSpec.server_link" in fields     # not a scalar either
+    assert "MapReduceJobSpec.input_size" in fields
 
 
 @dataclasses.dataclass
@@ -216,3 +217,140 @@ def test_a_field_the_product_sets_only_to_its_default_is_reported():
 def test_every_config_field_and_spec_switch_has_two_values_in_use():
     assert surface.census(surface.census_fields(
         surface.option_classes())) == ([], [], [])
+
+
+PUBLIC = textwrap.dedent('''
+    def load(path, retries=3, *, echo=None, _depth=0):
+        pass
+
+    def _private(flag=False):
+        pass
+
+    class Pool:
+        def __init__(self, size=4):
+            pass
+
+        def grow(self, by=1):
+            def inner(step=2):
+                pass
+
+        @staticmethod
+        def make(size=4):
+            pass
+
+    class _Hidden:
+        def run(self, fast=True):
+            pass
+    ''')
+PARAMS = surface.parameters({"fake.pool": PUBLIC})
+
+
+def test_parameters_are_the_defaulted_ones_of_public_defs():
+    assert sorted(PARAMS) == [
+        "fake.pool:Pool.__init__(size)", "fake.pool:Pool.grow(by)",
+        "fake.pool:Pool.make(size)", "fake.pool:load(echo)",
+        "fake.pool:load(retries)"]
+
+
+#: Sets every parameter of :data:`PUBLIC` to a value other than its
+#: default, by keyword or by position.
+EVERY_PARAM = ("load(p, 5, echo=print)\n"
+               "pool = Pool(8)\npool.grow(by=2)\nPool.make(size=2)\n")
+
+
+def test_a_parameter_only_a_test_passes_is_reported():
+    product = EVERY_PARAM.replace("pool.grow(by=2)", "pool.grow()")
+    assert surface.census(PARAMS, [product], ["pool.grow(3)\n"]) == (
+        [], ["fake.pool:Pool.grow(by)"], [])
+    assert surface.census(PARAMS, [product], []) == (
+        ["fake.pool:Pool.grow(by)"], [], [])
+
+
+def test_a_partial_keyword_and_a_positional_argument_set_it():
+    product = EVERY_PARAM.replace("load(p, 5, echo=print)",
+                                  "loader = functools.partial(load, echo=e)")
+    assert surface.census(PARAMS, [product], []) == (
+        ["fake.pool:load(retries)"], [], [])
+    product += "threading.Thread(target=load, args=(p, 9)).start()\n"
+    assert surface.census(PARAMS, [product], []) == ([], [], [])
+    # A method's positions start after self.
+    product = EVERY_PARAM.replace("pool.grow(by=2)", "pool.grow(2)")
+    assert surface.census(PARAMS, [product], []) == ([], [], [])
+
+
+def test_a_parameter_the_product_passes_only_at_its_default_is_reported():
+    product = EVERY_PARAM.replace("Pool(8)", "Pool(size=4)")
+    assert surface.census(PARAMS, [product], []) == (
+        [], [], ["fake.pool:Pool.__init__(size)"])
+
+
+def test_a_scenario_cell_scalar_counts_as_set():
+    real = surface.census_fields(surface.option_classes())
+    knobs = {key: real[key] for key in (
+        "CloudSpec.byzantine_rate", "CloudSpec.server_link")}
+    assert "CloudSpec.byzantine_rate" in surface.cell_params()
+    # A grid sets the scalar; nothing sets the LinkSpec.
+    assert surface.census(knobs, [], []) == (["CloudSpec.server_link"], [], [])
+    assert surface.census(knobs, [], [], outside=()) == (
+        ["CloudSpec.byzantine_rate", "CloudSpec.server_link"], [], [])
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    seed: int = 0
+    link: tuple = (100e6, 100e6)
+
+
+def test_a_non_scalar_spec_field_only_tests_set_is_reported():
+    fields = surface.census_fields({"fake.RunSpec": RunSpec})
+    assert surface.census(fields, ["RunSpec(seed=seed)\n"], [
+        "RunSpec(link=(1e6, 1e6))\n"]) == ([], ["RunSpec.link"], [])
+
+
+ONE_VALUE = {"sim.engine:Simulator.run(max_steps)": "only tests set it"}
+ENGINE_PARAMS = ["sim.engine:Simulator.run(max_steps)",
+                 "sim.engine:Simulator.run(until)"]
+MAX_STEPS_TEST = "tests/sim/test_engine.py::test_max_steps_detects_livelock"
+
+
+def test_a_pinned_parameter_with_a_test_and_a_reason_holds():
+    pins = {"sim.engine:Simulator.run(max_steps)": (MAX_STEPS_TEST, "bound")}
+    assert surface.param_problems(ONE_VALUE, ENGINE_PARAMS, pins) == []
+    assert surface.param_problems(ONE_VALUE, ENGINE_PARAMS, {}) == [
+        "sim.engine:Simulator.run(max_steps): only tests set it, and it is "
+        "not pinned"]
+
+
+def test_a_stale_param_pin_is_a_problem():
+    gone = {"sim.engine:Simulator.run(budget)": (MAX_STEPS_TEST, "bound")}
+    set_by_product = {
+        "sim.engine:Simulator.run(until)": (MAX_STEPS_TEST, "bound")}
+    a_file = {"sim.engine:Simulator.run(max_steps)": (
+        "tests/sim/test_engine.py", "bound")}
+    no_test = {"sim.engine:Simulator.run(max_steps)": (
+        "tests/sim/test_engine.py::test_gone", "bound")}
+    no_reason = {"sim.engine:Simulator.run(max_steps)": (
+        MAX_STEPS_TEST, "handy")}
+    assert [surface.param_problems(ONE_VALUE, ENGINE_PARAMS, pins)[-1]
+            for pins in (gone, set_by_product, a_file, no_test, no_reason)
+            ] == [
+        "sim.engine:Simulator.run(budget): pinned, but no such parameter",
+        "sim.engine:Simulator.run(until): pinned, but the product sets it",
+        "sim.engine:Simulator.run(max_steps): pinned by "
+        "tests/sim/test_engine.py, a file: pin a test in it (path::test)",
+        "sim.engine:Simulator.run(max_steps): pinned by "
+        "tests/sim/test_engine.py::test_gone, but no test "
+        "tests/sim/test_engine.py::test_gone",
+        "sim.engine:Simulator.run(max_steps): pinned for 'handy', which is "
+        "not one of fake, bound, entry, bench"]
+
+
+def test_every_parameter_and_spec_field_has_two_values_in_use_or_a_pin():
+    fields = surface.census_fields(surface.option_classes())
+    params = surface.parameters()
+    found = dict(zip(("nothing sets it", "only tests set it",
+                      "the product sets it only to its default"),
+                     surface.census(fields | params)))
+    values = {key: why for why, keys in found.items() for key in keys}
+    assert sorted(values) == sorted(surface.PARAM_PINS)
+    assert surface.param_problems(values, params) == []

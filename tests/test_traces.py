@@ -12,6 +12,7 @@ from repro.core import (
     VolunteerCloud,
 )
 from repro.volunteers import ChurnController
+from repro.volunteers import traces
 from repro.volunteers.traces import AvailabilityTrace, diurnal_trace
 
 from .test_volunteers import ChurnCases
@@ -56,9 +57,10 @@ class TestDiurnal:
         tr = diurnal_trace("h", days=14, rng=rng)
         assert len(tr.intervals) == 14
 
-    def test_weekends_longer(self):
+    def test_weekends_longer(self, pin):
+        pin(traces, JITTER_H=0.0)
         rng = np.random.default_rng(0)
-        tr = diurnal_trace("h", days=14, rng=rng, jitter_h=0.0)
+        tr = diurnal_trace("h", days=14, rng=rng)
         lengths = [e - s for s, e in tr.intervals]
         weekday = lengths[0]
         weekend = lengths[5]

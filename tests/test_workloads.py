@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.gateway.jobs import canonical_payload
 from repro.runtime import LocalRunner
 from repro.runtime.apps import InvertedIndex, WordCount
 from repro.runtime.splitter import split_text
+from repro.workloads import corpus as corpus_module
 from repro.workloads import generate_corpus, make_vocabulary, tag_documents, zipf_weights
 
 from . import reference_corpus
@@ -66,20 +68,23 @@ class TestCorpus:
     def test_seeds_differ(self):
         assert generate_corpus(10_000, seed=1) != generate_corpus(10_000, seed=2)
 
-    def test_line_structure(self):
-        corpus = generate_corpus(20_000, words_per_line=8, seed=0)
+    def test_line_structure(self, pin):
+        pin(corpus_module, WORDS_PER_LINE=8)
+        corpus = generate_corpus(20_000, seed=0)
         lines = corpus.splitlines()
         assert all(len(line.split()) == 8 for line in lines)
         assert corpus.endswith(b"\n")
 
-    def test_zipf_skew_visible(self):
-        corpus = generate_corpus(200_000, vocabulary_size=1000, seed=0)
+    def test_zipf_skew_visible(self, pin):
+        pin(corpus_module, VOCABULARY_SIZE=1000)
+        corpus = generate_corpus(200_000, seed=0)
         counts = collections.Counter(corpus.split()).most_common()
         top_share = sum(c for _w, c in counts[:10]) / sum(c for _w, c in counts)
         assert top_share > 0.2  # heavy head, as in natural language
 
-    def test_vocabulary_respected(self):
-        corpus = generate_corpus(30_000, vocabulary_size=50, seed=0)
+    def test_vocabulary_respected(self, pin):
+        pin(corpus_module, VOCABULARY_SIZE=50)
+        corpus = generate_corpus(30_000, seed=0)
         assert len(set(corpus.split())) <= 50
 
     def test_invalid_target(self):
@@ -87,13 +92,15 @@ class TestCorpus:
             generate_corpus(0)
 
     @pytest.mark.parametrize("words_per_line", [0, -3])
-    def test_invalid_words_per_line(self, words_per_line):
+    def test_invalid_words_per_line(self, words_per_line, pin):
         # A line that can never fill used to grow without bound.
-        with pytest.raises(ValueError, match="words_per_line must be >= 1"):
-            generate_corpus(100, words_per_line=words_per_line)
+        pin(corpus_module, WORDS_PER_LINE=words_per_line)
+        with pytest.raises(ValueError, match="WORDS_PER_LINE must be >= 1"):
+            generate_corpus(100)
 
-    def test_one_word_lines(self):
-        corpus = generate_corpus(5_000, words_per_line=1, seed=3)
+    def test_one_word_lines(self, pin):
+        pin(corpus_module, WORDS_PER_LINE=1)
+        corpus = generate_corpus(5_000, seed=3)
         assert all(len(line.split()) == 1 for line in corpus.splitlines())
 
 
@@ -109,10 +116,13 @@ class TestCorpus:
 def test_corpus_equals_word_at_a_time_reference(target_bytes, vocabulary_size,
                                                 words_per_line, zipf_s, seed):
     """The batch-joined corpus is byte for byte the word-at-a-time one."""
-    kwargs = dict(vocabulary_size=vocabulary_size, zipf_s=zipf_s,
-                  words_per_line=words_per_line, seed=seed)
-    assert (generate_corpus(target_bytes, **kwargs)
-            == reference_corpus.generate_corpus(target_bytes, **kwargs))
+    shape = dict(VOCABULARY_SIZE=vocabulary_size, ZIPF_S=zipf_s,
+                 WORDS_PER_LINE=words_per_line)
+    with mock.patch.multiple(corpus_module, **shape):
+        corpus = generate_corpus(target_bytes, seed=seed)
+    assert corpus == reference_corpus.generate_corpus(
+        target_bytes, vocabulary_size=vocabulary_size, zipf_s=zipf_s,
+        words_per_line=words_per_line, seed=seed)
 
 
 @settings(deadline=None, max_examples=60)
