@@ -300,9 +300,13 @@ class Client:
         #: there is no point hammering a server that refused us.
         self._comm_gate = 0.0
         self._rpc_failures = 0
-        #: Names the poll loop would otherwise format on every pass.
-        self._wake_name = f"{self.name}.wake"
+        #: What the poll loop waits on when nothing is due; :meth:`_notify`
+        #: fires it.
         self._wake = sim.event(f"{self.name}.wake0")
+        #: The pull loop's process while it sleeps out a backoff wait, the
+        #: one sleep :meth:`_notify` cuts short (not the RTT, not the
+        #: start stagger).
+        self._napping: Process | None = None
         self._main_proc: Process | None = None
         self._task_procs: list[Process] = []
         #: True between :meth:`go_offline` and :meth:`come_online`.
@@ -361,6 +365,8 @@ class Client:
         return total
 
     def _main(self) -> _t.Generator:
+        # start() binds _main_proc before this first step runs.
+        me = self._main_proc
         # Desynchronise initial contact: real volunteers never start in
         # lockstep, and a deterministic stagger keeps runs reproducible.
         stagger = float(self.rng.uniform(0.0, INITIAL_STAGGER_S))
@@ -378,24 +384,28 @@ class Client:
                         now >= self._next_allowed_rpc or urgent):
                     yield from self._rpc_cycle(want_work, queued_s)
                     continue
-                self._wake = wake = sim.event(self._wake_name)
                 if want_work or have_reports:
                     wait_until = 0.0 if urgent else self._next_allowed_rpc
                     wait_until = max(wait_until, self._comm_gate)
-                    delay = max(0.0, wait_until - now)
-                    timer = sim.schedule_cancellable(
-                        delay, wake.succeed_if_pending)
+                    self._napping = me
                     try:
-                        yield wake
-                    finally:  # woken early, or the host left
-                        timer.cancel()
+                        yield max(0.0, wait_until - now)
+                    finally:  # slept out, woken early, or the host left
+                        self._napping = None
                 else:
+                    self._wake = wake = sim.event(f"{self.name}.wake")
                     yield wake
         except Interrupted:
             return
 
     def _notify(self) -> None:
-        self._wake.succeed_if_pending()
+        """A task is ready to report: end the backoff sleep or the wait
+        with nothing due, whichever the pull loop is in."""
+        napping = self._napping
+        if napping is not None:
+            napping.wake()
+        else:
+            self._wake.succeed_if_pending()
 
     def _rpc_cycle(self, want_work: bool, queued_s: float) -> _t.Generator:
         """One scheduler contact; *queued_s* is :meth:`_est_queued_s` now."""

@@ -9,6 +9,8 @@ yielding *waitables*:
   winning child event);
 - a plain ``float``/``int`` — sleep that many seconds: one timer that
   resumes the generator itself, cancelled if the process is interrupted;
+  :meth:`Process.wake` cuts such a sleep short, resuming the process at
+  the current instant (after the wake-ups already queued for it);
 - ``None`` — resume on the next scheduler pass at the same instant.
 
 A :class:`Process` is itself an :class:`Event` that triggers with the
@@ -133,6 +135,17 @@ class Process(Event):
         if self._sleep is not None:  # or it could wake us before delivery
             self._sleep.cancel()
         self.sim.call_soon(self._do_interrupt, cause)
+
+    def wake(self) -> None:
+        """Cut a plain-number sleep short: resume at the current instant.
+
+        Cancels the sleep's timer and queues the resume behind the
+        same-instant wake-ups already queued.  A no-op unless the process
+        is asleep on a plain-number delay: it waits on an event, its sleep
+        fired or was cut short already, it was interrupted, or it finished.
+        """
+        if self._sleep is not None and self._sleep.cancel():
+            self.sim.call_soon(self._resume, None)
 
     def _do_interrupt(self, cause: _t.Any) -> None:
         if self.triggered:

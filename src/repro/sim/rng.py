@@ -53,7 +53,12 @@ def jittered(rng, base: float, rel_jitter: float) -> float:
         raise ValueError(f"rel_jitter must be in [0, 1), got {rel_jitter}")
     if rel_jitter == 0:
         return base
-    return base * (1.0 + rng.uniform(-rel_jitter, rel_jitter))
+    # rng.uniform(-j, j) by hand, from one rng.random(): the formula both
+    # numpy.random.Generator.uniform and random.Random.uniform compute, so
+    # the value and the stream state are bit-identical, at a third of the
+    # cost of numpy's scalar uniform.
+    lo = -rel_jitter
+    return base * (1.0 + (lo + (rel_jitter - lo) * rng.random()))
 
 
 def backoff_delay(rng, lo: float, hi: float, n: int, jitter: float) -> float:
@@ -62,7 +67,7 @@ def backoff_delay(rng, lo: float, hi: float, n: int, jitter: float) -> float:
 
     The one backoff formula: the simulated client's no-work, lost-contact
     and transfer-retry deferrals and the live clients' 503 retries all call
-    it.  *rng* needs only ``uniform(a, b)`` (``numpy.random.Generator`` or
+    it.  *rng* needs only ``random()`` (``numpy.random.Generator`` or
     ``random.Random``); a call draws from it at most once.
     """
     return jittered(rng, min(hi, lo * (2.0 ** (n - 1))), jitter)

@@ -10,17 +10,25 @@ inside the models, which keeps the models honest and the metrics testable.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import typing as _t
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One trace row: timestamp, event kind, and arbitrary fields."""
+    """One trace row: timestamp, event kind, and arbitrary fields.
 
-    time: float
-    kind: str
-    fields: _t.Mapping[str, _t.Any]
+    A plain slotted class rather than a frozen dataclass: a run builds one
+    per emitted row, and the frozen ``__init__`` costs three times as much.
+    Treat a record as read-only all the same.
+    """
+
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str,
+                 fields: _t.Mapping[str, _t.Any]) -> None:
+        """A row at simulated *time* of *kind* carrying *fields*."""
+        self.time = time
+        self.kind = kind
+        self.fields = fields
 
     def __getitem__(self, key: str) -> _t.Any:
         return self.fields[key]

@@ -79,7 +79,7 @@ def main(self) -> _t.Generator:
                     now >= self._next_allowed_rpc or urgent):
                 yield from self._rpc_cycle(want_work, queued_s)
                 continue
-            self._wake = sim.event(self._wake_name)
+            self._wake = sim.event(f"{self.name}.wake")
             if want_work or have_reports:
                 wait_until = 0.0 if urgent else self._next_allowed_rpc
                 wait_until = max(wait_until, self._comm_gate)

@@ -1,5 +1,7 @@
 """Unit and integration tests for the BOINC client state machine."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.boinc import (
     WorkunitState,
 )
 from repro.boinc import client as client_mod
-from repro.net import EMULAB_LINK, Network, SERVER_LINK
+from repro.net import EMULAB_LINK, LinkSpec, Network, SERVER_LINK
 from repro.sim import Simulator
 
 #: The client constants of ``build``'s quick client (with a 60 s backoff
@@ -141,7 +143,7 @@ class TestBackoff:
 
     def test_live_retry_delay_is_the_same_formula(self):
         """The live clients' 503 retry: same function, live constants,
-        any rng with ``uniform`` — and never under the server's floor."""
+        any rng with ``random()`` — and never under the server's floor."""
         import random
 
         from repro.gateway.client import retry_delay
@@ -288,6 +290,68 @@ class TestShutdown:
             clients[0].start()
         with pytest.raises(RuntimeError):
             clients[0].come_online()  # it never left
+
+
+class TestWake:
+    """A task that becomes ready ends the backoff sleep early, and nothing
+    else: not the RTT of a scheduler contact, not the start stagger."""
+
+    def test_a_task_finishing_during_the_rtt_does_not_shorten_it(self, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0, COMPUTE_JITTER=0.0)
+        sim = Simulator()
+        net = Network(sim)
+        server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK))
+        far = LinkSpec(latency_s=20.0)  # a 40 s round trip
+        record = server.register_host("c0", 1.0)
+        client = Client(sim, net, server, net.add_host("c0", far), record,
+                        rng=np.random.default_rng(0))
+        rtt = net.rtt(client.host, server.host)
+        arrivals = []
+        serve = server.scheduler_rpc
+
+        def arrive(request):
+            arrivals.append(sim.now)
+            return serve(request)
+
+        server.scheduler_rpc = arrive
+        submit(server, n=1, flops=30.0, replication=1, quorum=1)
+        start_all(server, [client])
+        sim.run(until=400.0)
+        starts = [r.time for r in server.tracer.select("client.rpc_start")]
+        ready = server.tracer.select("task.ready", host="c0")[0].time
+        # The task is fetched on the first contact and finishes while the
+        # client is on the wire asking for more work.
+        assert any(t < ready < t + rtt for t in starts)
+        assert arrivals == [t + rtt for t in starts[:len(arrivals)]]
+        assert len(arrivals) >= 3
+
+    def test_notify_between_go_offline_and_its_interrupt(self, build, pin):
+        """``go_offline`` drops the pull loop's process before its
+        interrupt lands; a task ready in that same instant must not raise,
+        nor cut the new loop's start stagger after ``come_online``."""
+        sim, _net, server, clients = build(n_clients=1,
+                                           client_config=ClientConfig())
+        client = clients[0]
+        start_all(server, clients)
+        sim.run(until=30.0)  # no work: asleep in a backoff wait
+        assert client._napping is client._main_proc is not None
+        # Leave just before the backoff ends, with a stagger far longer.
+        at = client._next_allowed_rpc - 0.5
+        pin(client_mod, INITIAL_STAGGER_S=100.0)
+        stagger = copy.deepcopy(client.rng).uniform(0.0, 100.0)
+        assert stagger > 1.0
+
+        def leave_and_return():
+            client.go_offline()
+            client._notify()
+            client.come_online()
+            client._notify()
+
+        sim.schedule(at - sim.now, leave_and_return)
+        sim.run(until=at + 200.0)
+        after = [r.time for r in server.tracer.select("client.rpc_start")
+                 if r.time >= at]
+        assert after[0] == pytest.approx(at + stagger)
 
 
 class TestFailureRecovery:

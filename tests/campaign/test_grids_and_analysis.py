@@ -128,19 +128,23 @@ def _table1_cell(row: int, seed: int, faults: str) -> CampaignCell:
 
 
 class TestPlanOnEveryDeployment:
-    @pytest.mark.parametrize("cell,digest", [
-        (_table1_cell(0, 1, "flaky-network"), "7965759b772318ac"),
-        (_table1_cell(8, 1, "kitchen-sink"), "7a8c20b5a448a756"),
+    @pytest.mark.parametrize("cell,digest,events", [
+        (_table1_cell(0, 1, "flaky-network"), "f4461caa6061f30c", 1590),
+        (_table1_cell(8, 1, "kitchen-sink"), "15689fc9a6c5baca", 3737),
         (CampaignCell(kind="scenario", seed=3, faults="bad-volunteers",
                       params={"n_nodes": 10, "n_maps": 10,
-                              "n_reducers": 2}), "63c8ac15e7a2348a"),
+                              "n_reducers": 2}), "297d9776faf42012", 2323),
     ], ids=["table1-row0-flaky-network", "table1-row8-kitchen-sink",
             "scenario-bad-volunteers"])
-    def test_payload_equals_the_pinned_run(self, cell, digest):
-        # Recorded while Table I rows were `table1` cells and only they
-        # and scenario cells armed a plan, each in its own executor.
+    def test_payload_equals_the_pinned_run(self, cell, digest, events):
+        # The model's fields, recorded while Table I rows were `table1`
+        # cells and only they and scenario cells armed a plan, each in its
+        # own executor.  `events` is the kernel's dispatch count, pinned
+        # beside the digest so that a kernel-only change re-records a
+        # visible count, not a digest.
         payload = execute_cell(cell.spec())
         assert payload["audit_ok"] is True
+        assert payload.pop("events") == events
         assert hashlib.sha256(canonical_json(payload).encode()).hexdigest()[
             :16] == digest
 
@@ -353,8 +357,10 @@ class TestScenarioCellParams:
 
     def test_key_and_payload_equal_the_pinned_cells(self):
         # Recorded at the commit before SCENARIO_PARAMS was deleted; only
-        # "events" was re-recorded since (1115 and 1172), when the scheduler
-        # RPC and the plain-delay waits stopped dispatching their own events.
+        # "events" was re-recorded since: from 1115 and 1172 to 674 and 717
+        # when the scheduler RPC and the plain-delay waits stopped
+        # dispatching their own events, and to 648 and 690 when the
+        # client's backoff wait became its own plain-number sleep.
         mr = CampaignCell(kind="scenario", seed=4, group="g", params={
             "n_nodes": 6, "n_maps": 6, "n_reducers": 2, "mr_clients": True,
             "input_size": 1e8, "fast_node_fraction": 0.5})
@@ -367,14 +373,14 @@ class TestScenarioCellParams:
             "reduce_mean": 93.17835222835248,
             "reduce_discard_slowest": 90.35635323086422,
             "transition_gap": 48.82424219403663,
-            "events": 674, "sim_end": 370.0}
+            "events": 648, "sim_end": 370.0}
         vanilla = CampaignCell(kind="scenario", seed=2, group="g", params={
             "n_nodes": 5, "n_maps": 5, "n_reducers": 2, "input_size": 5e7,
             "name": "v", "byzantine_rate": 0.1, "timeout_s": 90000.0})
         assert vanilla.key == "f4c72b480e465fc7"
         payload = execute_cell(vanilla.spec())
         assert (payload["total"], payload["events"], payload["sim_end"]) == (
-            463.38139318157556, 717, 470.0)
+            463.38139318157556, 690, 470.0)
 
     def test_removed_names_do_not_import(self):
         with pytest.raises(ImportError):

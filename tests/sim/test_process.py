@@ -390,3 +390,121 @@ def test_zero_delay_and_none_resume_in_yield_order(sim):
     sim.run()
     assert log == [("a", 2.0), ("b", 2.0), ("c", 2.0), ("d", 2.0)]
     assert sim.dispatch_count == 1 + 4 + 4  # start, four starts, four wakes
+
+
+# -- wake(): cut a plain-number sleep short ----------------------------------
+
+def test_wake_resumes_a_sleep_now_after_the_queued_wakeups(sim):
+    """``wake()`` cancels the sleep timer and queues the resume behind the
+    same-instant wake-ups already queued, as triggering an event the
+    process waited on would."""
+    log = []
+
+    def sleeper():
+        yield 100.0
+        log.append(("woke", sim.now))
+        yield 5.0
+        log.append(("slept", sim.now))
+
+    def other(tag):
+        yield None
+        log.append((tag, sim.now))
+
+    proc = sim.process(sleeper())
+
+    def at_three():
+        sim.process(other("before"))  # first step queued ahead of the wake
+        proc.wake()
+        sim.process(other("after"))
+
+    sim.schedule(3.0, at_three)
+    sim.run()
+    assert log == [("woke", 3.0), ("before", 3.0), ("after", 3.0),
+                   ("slept", 8.0)]
+    assert sim.now == 8.0  # the retracted 100 s timer never ran the clock on
+
+
+def test_two_wakes_in_one_instant_resume_once(sim):
+    log = []
+
+    def body():
+        yield 10.0
+        log.append(sim.now)
+        yield 10.0
+        log.append(sim.now)
+
+    proc = sim.process(body())
+    sim.schedule(2.0, proc.wake)
+    sim.schedule(2.0, proc.wake)
+    sim.run()
+    assert log == [2.0, 12.0]
+
+
+def test_wake_is_a_noop_on_a_process_waiting_on_an_event(sim):
+    ev = sim.event()
+    log = []
+
+    def body():
+        yield 1.0  # a sleep that fires: its spent timer stays behind
+        log.append(("got", (yield ev), sim.now))
+
+    proc = sim.process(body())
+    sim.schedule(2.0, proc.wake)
+    sim.schedule(5.0, ev.trigger, "v")
+    sim.run()
+    assert log == [("got", "v", 5.0)]
+
+
+def test_wake_is_a_noop_once_the_sleep_fired(sim):
+    log = []
+
+    def body():
+        yield 2.0
+        log.append(sim.now)
+        yield None  # the wake lands here, between two wake-ups
+        log.append(sim.now)
+        yield 4.0
+        log.append(sim.now)
+
+    proc = sim.process(body())
+    sim.run(until=1.0)
+    sim.schedule(1.0, proc.wake)  # due at 2 s, after the sleep timer
+    sim.run()
+    assert log == [2.0, 2.0, 6.0]
+    # start, sleep timer, wake call, None hop, 4 s timer: no extra resume
+    assert sim.dispatch_count == 5
+
+
+def test_wake_is_a_noop_after_the_process_finished(sim):
+    def body():
+        yield 1.0
+        return "done"
+
+    proc = sim.process(body())
+    sim.run()
+    proc.wake()
+    assert sim.pending() == 0
+    sim.run()
+    assert proc.value == "done"
+
+
+def test_wake_is_a_noop_after_an_interrupt_retracted_the_sleep(sim):
+    log = []
+
+    def body():
+        try:
+            yield 10.0
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+            return
+        log.append(("woke", sim.now))
+
+    proc = sim.process(body())
+
+    def at_one():
+        proc.interrupt()
+        proc.wake()  # the sleep is already cancelled: no second resume
+
+    sim.schedule(1.0, at_one)
+    sim.run()
+    assert log == [("interrupted", 1.0)]

@@ -1,8 +1,12 @@
 """Unit tests for RNG streams and the tracer."""
 
-import pytest
+import random
 
-from repro.sim import RngRegistry, Tracer
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import RngRegistry, Tracer, backoff_delay
 from repro.sim.rng import jittered
 
 
@@ -63,6 +67,44 @@ class TestJittered:
             jittered(rng, 1.0, -0.1)
         with pytest.raises(ValueError):
             jittered(rng, 1.0, 1.0)
+
+
+class TestJitterIsUniform:
+    """``jittered`` draws ``rng.random()`` once and applies uniform's own
+    formula, so it is bit-identical to ``base * (1 + rng.uniform(-j, j))``
+    for both rngs the program passes it, and leaves the stream where
+    ``uniform`` would."""
+
+    @staticmethod
+    def _pairs(seed):
+        return [(np.random.default_rng(seed), np.random.default_rng(seed)),
+                (random.Random(seed), random.Random(seed))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           base=st.floats(-1e12, 1e12, allow_nan=False),
+           rel_jitter=st.floats(0.0, 1.0, exclude_max=True))
+    def test_jittered_is_uniform_bit_for_bit(self, seed, base, rel_jitter):
+        for mine, ref in self._pairs(seed):
+            got = jittered(mine, base, rel_jitter)
+            want = (base if rel_jitter == 0 else
+                    base * (1.0 + ref.uniform(-rel_jitter, rel_jitter)))
+            assert got == want
+            assert mine.random() == ref.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lo=st.floats(1e-3, 1e3), hi=st.floats(1e-3, 1e4),
+           n=st.integers(1, 12),
+           jitter=st.floats(0.0, 1.0, exclude_max=True))
+    def test_backoff_delay_is_uniform_bit_for_bit(self, seed, lo, hi, n,
+                                                   jitter):
+        for mine, ref in self._pairs(seed):
+            base = min(hi, lo * (2.0 ** (n - 1)))
+            want = (base if jitter == 0 else
+                    base * (1.0 + ref.uniform(-jitter, jitter)))
+            assert backoff_delay(mine, lo, hi, n, jitter) == want
+            assert mine.random() == ref.random()
 
 
 class TestTracer:

@@ -64,17 +64,19 @@ SCENARIOS = {"adsl_shuffle": _adsl_shuffle, "server_hub": _server_hub,
 #: being a process: gone are the RPC process's start and finish wake-ups,
 #: its slot-grant wake-up, the ``Timeout`` hop of every plain-delay wait
 #: (RPC service, RTT, compute, retry backoff, NAT setup, fetch poll) and
-#: the ``AnyOf`` hop of the client's backoff wait.
+#: the ``AnyOf`` hop of the client's backoff wait.  They fell again when
+#: that wait became the client process's own plain-number sleep: gone is
+#: the same-instant hop from the wake event its timer fired to the resume.
 GOLDEN = {
     "adsl_shuffle": (
         "d8fea58eea548a6e11288d711432e64ba636856d5c838e310c93df502e97ca91",
-        2187, 42),
+        2126, 42),
     "server_hub": (
         "cc920a91e2f87c9976b509f7a2cd197abcb049512046d8ffddd8c24bd7426c5d",
-        1197, 33),
+        1151, 33),
     "idle_fleet": (
         "221026cc42fa5b58dd99253765d09c9afdcd08311fb9d187e89e7a075d6479d8",
-        4542, 72),
+        3852, 72),
 }
 
 #: Client modes of the chaos runs: BOINC-MR, and original BOINC (every
@@ -89,42 +91,42 @@ MODES = ("mr", "boinc")
 CHAOS_GOLDEN = {
     "bad-volunteers/mr": (
         "8866457b44422f3bc8dc76f976c742f26234ce4e825ea6df9d93ecd3dc16a50c",
-        2768, 41),
+        2688, 41),
     "bad-volunteers/boinc": (
         "cee449fd7e88a0e656a3cf85ee332113fd66cc2462aa3241250cf468c2ca6921",
-        2561, 39),
+        2493, 39),
     "dataserver-degraded/mr": (
         "fcdc832c1562aa7153c82ab9852914ce6ac52e7abfe02d803cdd2293b2068e4d",
-        2361, 42),
+        2306, 42),
     "dataserver-degraded/boinc": (
         "d3d39af4ba9f7af6b635bedc2f2fe3e19173848303bf0bd5e7626a6cd445b0ce",
-        2333, 40),
+        2278, 40),
     "flaky-network/mr": (  # peak_pending was 51 before those events went
         "1f0d23b70ca08667ba74a91866bf0f793f52fdcf91a4ef6404106948ab5b219d",
-        2976, 45),
+        2905, 45),
     "flaky-network/boinc": (
         "d7db9324e2a64f8b86290cccbc48626d7e143955e501557c2a474a25223c6eaa",
-        2402, 39),
+        2345, 39),
     "kitchen-sink/mr": (
         "540d13dd69e6b7f0b3539bd5320f5ca50327ec91066a0e32d1e3804705cdcd8d",
-        2514, 47),
+        2440, 47),
     "kitchen-sink/boinc": (  # peak_pending was 44: a completion timer
         # the same instant superseded is no longer scheduled at all; then
         # 43, until the RPC and plain-delay events above went
         "3e6d36392c4018f6f32fb3d50896865c427f9f25b1f56f7adddd9a1f224f397e",
-        2826, 40),
+        2735, 40),
     "server-chaos/mr": (
         "8b9ef37aea53f9f55735d49c5dd29865c480ec7df4fe8bb87ba74aee51c30ecc",
-        2104, 43),
+        2041, 43),
     "server-chaos/boinc": (
         "f6d0320ec7d5c5721cdcd7e110a9efed8c4f155c5aacee374e090ee9b660926a",
-        2258, 39),
+        2174, 39),
     "split-brain/mr": (
         "64d0e8dd32786afacdb3486f6e002e4586bdf7d1262458540a2898627771b3cd",
-        3224, 42),
+        3138, 42),
     "split-brain/boinc": (
         "1cb8a6729e0d52549706cb77d3aed1139d92587de91091fb1e3a2ccb403d029d",
-        2791, 39),
+        2713, 39),
 }
 
 
