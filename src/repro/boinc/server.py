@@ -130,6 +130,8 @@ class SchedulerReply:
     request_delay_s: float
     #: True when the server currently has no work for this host.
     no_work: bool = False
+    #: Reports refused because this host does not hold their result.
+    refused_reports: int = 0
 
 
 class SchedulerCore:
@@ -249,8 +251,9 @@ class SchedulerCore:
         self.tracer.record(self.now, "sched.rpc", host=host.name,
                            work_req=request.work_req_s,
                            n_reports=len(request.reports))
+        refused = 0
         for report in request.reports:
-            self._accept_report(report, host)
+            refused += not self._accept_report(report, host)
         assignments: list[Assignment] = []
         no_work = False
         if request.work_req_s > 0:
@@ -268,12 +271,21 @@ class SchedulerCore:
                 self.metrics.counter("sched.no_work_total").inc()
         return SchedulerReply(assignments=assignments,
                               request_delay_s=self.config.request_delay_s,
-                              no_work=no_work)
+                              no_work=no_work, refused_reports=refused)
 
-    def _accept_report(self, report: ReportedResult, host: HostRecord) -> None:
+    def _accept_report(self, report: ReportedResult, host: HostRecord) -> bool:
+        """Take *host*'s report of one result; False if it was refused.
+
+        Only the host a result was sent to may report it, on either
+        transport: a report of an unknown result or of another host's
+        changes nothing.  A late one from the holder (the result already
+        timed out and was replaced) is dropped, as BOINC drops it.
+        """
         res = self.db.results.get(report.result_id)
-        if res is None or res.state is not ResultState.IN_PROGRESS:
-            return  # e.g. already timed out and replaced — BOINC drops these
+        if res is None or res.host_id != host.id:
+            return False
+        if res.state is not ResultState.IN_PROGRESS:
+            return True
         res.state = ResultState.OVER
         res.outcome = (ResultOutcome.SUCCESS if report.success
                        else ResultOutcome.CLIENT_ERROR)
@@ -293,6 +305,7 @@ class SchedulerCore:
         self.tracer.record(self.now, "sched.report", host=host.name,
                            result=res.id, wu=res.wu_id, success=report.success,
                            job=wu.mr_job, kind=wu.mr_kind, index=wu.mr_index)
+        return True
 
     def record_upload(self, result_id: int) -> None:
         """Mark a result's output data as landed on the server (pre-report)."""

@@ -100,6 +100,24 @@ KINDS: dict[str, tuple[_t.Callable[..., dict[str, _t.Any]], str, bool]] = {
 }
 
 
+def preload() -> None:
+    """Import every module :func:`execute_cell` reaches lazily.
+
+    That is the executors' :mod:`repro.experiments`, the cell's
+    :mod:`repro.core.system`, the :mod:`repro.faults` that
+    :meth:`~repro.core.VolunteerCloud.audit` loads, and the
+    :mod:`numpy.random` that numpy 2 loads on the first ``np.random``
+    access.  A :class:`~repro.campaign.worker.CampaignWorker` calls it
+    once, before its first lease, so every cell child it forks inherits
+    them instead of importing them again.  Not done at ``import
+    repro.campaign``: the coordinator and a plain import do not need them.
+    """
+    import numpy.random  # noqa: F401
+
+    from .. import experiments, faults  # noqa: F401
+    from ..core import system  # noqa: F401
+
+
 def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
     """Run one cell spec (see :meth:`repro.campaign.CampaignCell.spec`) to completion.
 

@@ -6,7 +6,9 @@ pull-based: it connects to a
 :class:`repro.campaign.coordinator.CampaignCoordinator`, requests a
 lease, runs the cell in a forked child process (so a crashing or
 hanging cell cannot take the worker down), heartbeats while the child
-runs, and ships the outcome back.  Three coordinator signals shape the
+runs, and ships the outcome back.  It loads the cell executors once,
+before its first fork (:func:`~repro.campaign.cells.preload`), so no
+child imports a module of its own.  Three coordinator signals shape the
 loop: ``wait`` (nothing became leasable while the coordinator held the
 request — re-ask at once; the waiting happens on its side),
 ``shutdown`` (campaign complete — drain and exit), and a ``revoked``
@@ -27,6 +29,7 @@ import time
 import typing as _t
 
 from ..wire import dumps, loads
+from .cells import preload
 from .runner import _child_main, _describe, _shutdown_child
 from .store import CellRecord, ResultStore
 
@@ -157,6 +160,7 @@ class CampaignWorker:
 
         Returns the number of cells this worker completed successfully.
         """
+        preload()  # once; every cell child forked below inherits it
         self._connect()
         try:
             while True:

@@ -494,8 +494,7 @@ class GatewayServer:
         reports = []
         for rep in req.get("reports", []):
             res = self.core.db.results.get(rep["result_id"])
-            if res is None or res.host_id != req["host_id"] or \
-                    res.reported_at is not None:
+            if res is None or res.reported_at is not None:
                 # Replayed/stale report: BOINC drops these silently, the
                 # gateway additionally counts them (idempotency metric).
                 self.metrics.counter(
@@ -513,6 +512,9 @@ class GatewayServer:
         reply = self.core.handle_scheduler_request(SchedulerRequest(
             host_id=req["host_id"], work_req_s=float(req["work_req_s"]),
             reports=reports))
+        if reply.refused_reports:  # another host's results: counted alike
+            self.metrics.counter("gateway.duplicate_reports_total").inc(
+                reply.refused_reports)
         if reply.assignments:
             return self._json(200, self._encode_reply(reply))
         if reply.no_work not in self._canned:

@@ -217,6 +217,21 @@ class TestReporting:
         res = server.db.results[a.result_id]
         assert res.outcome is ResultOutcome.CLIENT_ERROR
 
+    def test_report_of_another_hosts_result_is_refused(self, sim, server):
+        make_wu(server)
+        holder = server.register_host("a", 1.0)
+        other = server.register_host("b", 1.0)
+        a = self.assign_one(sim, server, holder)
+        reply = rpc(sim, server, other, work_req=0,
+                    reports=[ReportedResult(a.result_id, True,
+                                            OutputData("forged"), 1.0)])
+        res = server.db.results[a.result_id]
+        assert res.state is ResultState.IN_PROGRESS and res.output is None
+        assert reply.refused_reports == 1
+        rpc(sim, server, holder, work_req=0,
+            reports=[ReportedResult(a.result_id, True, OutputData("d1"), 1.0)])
+        assert res.state is ResultState.OVER and res.output.digest == "d1"
+
     def test_report_unknown_result_ignored(self, sim, server):
         host = server.register_host("h1", 1.0)
         rpc(sim, server, host, work_req=0,

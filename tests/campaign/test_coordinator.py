@@ -11,12 +11,14 @@ import multiprocessing
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.campaign import (
     CampaignCell,
     CampaignCoordinator,
@@ -28,6 +30,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import coordinator as coordinator_module
+from repro.campaign import worker as worker_module
 from repro.campaign.coordinator import CONTROL_SCHEMAS
 from repro.wire import compile_checks, loads
 
@@ -429,3 +432,53 @@ class TestWorkStealing:
         assert report.stolen >= 1
         # first result won; the duplicate was dropped, not double-stored
         assert len(store.load()) == 4
+
+
+#: Run in a fresh interpreter: what a ``repro campaign work`` process has
+#: loaded after :func:`~repro.campaign.cells.preload`, then the modules
+#: three cells (a Table I study cell, a scenario cell, a study cell under
+#: a chaos plan) import on top of that.
+_PRELOAD_PROBE = """
+import json, sys
+import repro.cli, repro.campaign
+from repro.campaign import execute_cell
+from repro.campaign.cells import preload
+preload()
+before = set(sys.modules)
+row = {"study": "table1", "variant": "boinc_10n_10m_2r"}
+execute_cell({"kind": "study", "seed": 1, "params": row})
+execute_cell({"kind": "scenario", "seed": 2,
+              "params": {"n_nodes": 6, "n_maps": 4, "n_reducers": 2}})
+execute_cell({"kind": "study", "seed": 1, "params": row,
+              "faults": "flaky-network"})
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestWarmWorker:
+    def test_preload_leaves_a_cell_nothing_to_import(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PRELOAD_PROBE], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(proc.stdout) == []
+
+    def test_each_worker_preloads_once_not_once_per_cell(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(worker_module, "preload",
+                            lambda: calls.append(threading.get_ident()))
+        coordinator = CampaignCoordinator(
+            _sleep_grid(6), ResultStore(tmp_path / "out.jsonl"),
+            spawn=0, heartbeat_s=0.2)
+        thread, reports = _serve(coordinator)
+        completed = []
+        workers = [threading.Thread(target=lambda i=i: completed.append(
+            CampaignWorker("127.0.0.1", coordinator.port,
+                           worker_id=f"warm{i}").run())) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers + [thread]:
+            worker.join(timeout=20.0)
+        assert reports[0].ok and sum(completed) == 6
+        assert len(calls) == 2 and len(set(calls)) == 2
