@@ -265,9 +265,8 @@ class Client:
     """One volunteer's BOINC client."""
 
     def __init__(self, sim: Simulator, net: Network, server: ProjectServer,
-                 host: Host, record: HostRecord,
+                 host: Host, record: HostRecord, rng: np.random.Generator,
                  config: ClientConfig | None = None,
-                 rng: np.random.Generator | None = None,
                  tracer: Tracer | None = None,
                  input_fetcher: InputFetcher | None = None,
                  output_policy: OutputPolicy | None = None,
@@ -279,7 +278,7 @@ class Client:
         self.host = host
         self.record = record
         self.config = config or ClientConfig()
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self.tracer = tracer if tracer is not None else server.tracer
         self.input_fetcher = input_fetcher or ServerInputFetcher()
         self.output_policy = output_policy or ServerUploadPolicy()

@@ -172,7 +172,12 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
     worker = CampaignWorker(
         host, int(port), worker_id=args.id,
         shard=ResultStore(args.shard) if args.shard else None)
-    completed = worker.run()
+    try:
+        completed = worker.run()
+    except OSError as exc:  # the first connect; later losses end run()
+        print(f"campaign work: cannot reach {args.address}: {exc}",
+              file=sys.stderr)
+        return 2
     print(f"worker {worker.worker_id}: completed {completed} cell(s)")
     return 0
 

@@ -27,15 +27,14 @@ from .jobtracker import JobTracker
 class MapReduceExecutor:
     """Produces outputs for ``map``/``reduce`` workunits of known jobs."""
 
-    def __init__(self, jobtracker: JobTracker,
-                 byzantine_rate: float = 0.0,
-                 rng: np.random.Generator | None = None) -> None:
+    def __init__(self, jobtracker: JobTracker, rng: np.random.Generator,
+                 byzantine_rate: float = 0.0) -> None:
         """Create an executor; *byzantine_rate* corrupts that fraction of runs."""
         if not 0.0 <= byzantine_rate <= 1.0:
             raise ValueError("byzantine_rate must be in [0, 1]")
         self.jobtracker = jobtracker
         self.byzantine_rate = byzantine_rate
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self._corruptions = 0
 
     def execute(self, client: Client, task: ClientTask) -> OutputData:

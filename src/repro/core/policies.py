@@ -98,8 +98,8 @@ class MapReduceInputFetcher:
     def __init__(self, jobtracker: JobTracker, directory: ClientDirectory,
                  config: BoincMRConfig,
                  connectivity: ConnectivityPolicy,
-                 relay: Host | None = None,
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: np.random.Generator,
+                 relay: Host | None = None) -> None:
         """Input fetcher using *directory* for peer lookup, NAT-aware."""
         self.jobtracker = jobtracker
         self.directory = directory
@@ -109,7 +109,7 @@ class MapReduceInputFetcher:
         #: Optional dynamic relay choice ``(downloader, uploader) -> relay``
         #: (e.g. a supernode overlay); falls back to the fixed ``relay``.
         self.relay_selector: _t.Callable[[Host, Host], Host] | None = None
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self._server_fetch = ServerInputFetcher()
         #: Diagnostics: peer download successes / fallbacks to the server.
         self.peer_fetches = 0

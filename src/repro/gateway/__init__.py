@@ -47,7 +47,6 @@ from .server import (
     GatewayConfig,
     GatewayHandle,
     GatewayServer,
-    GatewayState,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "GatewayHandle",
     "GatewayJobTracker",
     "GatewayServer",
-    "GatewayState",
     "LoadConfig",
     "LoadReport",
     "PROTOCOL_VERSION",

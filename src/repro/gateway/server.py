@@ -236,16 +236,14 @@ class GatewayConfig:
         )
 
 
-class GatewayState:
-    """The transport-independent state a gateway serves.
+class GatewayServer:
+    """Asyncio HTTP front end over the shared scheduler core, a blob store
+    and the job tracker."""
 
-    Bundles the shared scheduler core, the blob store, and the job
-    tracker.
-    """
-
-    def __init__(self, config: GatewayConfig) -> None:
-        """Fresh core + store + tracker on a wall-clock monotonic clock."""
-        self.config = config
+    def __init__(self, config: GatewayConfig | None = None) -> None:
+        """A stopped server over a fresh core, store and tracker, timed by
+        the monotonic wall clock; call :meth:`start` inside a running loop."""
+        self.config = config or GatewayConfig()
         self.metrics = MetricsRegistry()
         t0 = time.monotonic()
         # Nothing on the gateway reads the records back: count every kind
@@ -260,19 +258,6 @@ class GatewayState:
         #: (result_id, name) -> checksum of the one upload that result
         #: made to that name (each result writes each of its names once).
         self.written: dict[tuple[int, str], str] = {}
-
-
-class GatewayServer:
-    """Asyncio HTTP front end over a :class:`GatewayState`."""
-
-    def __init__(self, config: GatewayConfig | None = None) -> None:
-        """A stopped server; call :meth:`start` inside a running loop."""
-        self.config = config or GatewayConfig()
-        self.state = GatewayState(self.config)
-        self.metrics = self.state.metrics
-        self.core = self.state.core
-        self.store = self.state.store
-        self.jobs = self.state.jobs
         self.port: int | None = None
         self._connections: set[_Connection] = set()
         #: Each connection with a request begun and not yet whole ->
@@ -567,11 +552,11 @@ class GatewayServer:
             self.metrics.counter("gateway.bad_checksum_total").inc()
             return self._error("checksum_mismatch",
                                f"claimed {claimed}, got {actual}")
-        written = self.state.written.get((result_id, name))
+        written = self.written.get((result_id, name))
         if written is None:
             if wu.state is WorkunitState.ACTIVE:  # else settled: too late
                 self.store.stage(result_id, name, body)
-            self.state.written[(result_id, name)] = actual
+            self.written[(result_id, name)] = actual
             self.core.record_upload(result_id)
             self.metrics.counter("gateway.uploads_total").inc()
         elif written != actual:

@@ -121,11 +121,11 @@ class ConnectivityPolicy:
     outputs); ``client`` is the peer initiating the download (a reducer).
     """
 
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         """Traversal policy with its own rng for probabilistic outcomes,
         every rung of the ladder on (assign :attr:`config` to change)."""
         self.config = TraversalConfig()
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self.attempts: list[tuple[str, str, TraversalOutcome]] = []
 
     def establish(self, client_nat: NatBox | None, server_nat: NatBox | None,

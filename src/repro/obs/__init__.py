@@ -3,8 +3,8 @@
 The layer every perf/robustness change measures itself against:
 
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, histograms (fixed buckets + streaming quantiles) and a
-  sim-time :class:`Sampler`;
+  gauges, fixed-bucket histograms (quantiles estimated from the
+  buckets) and a sim-time :class:`Sampler`;
 - :mod:`repro.obs.spans` — :class:`SpanBuilder` folding flat trace
   records into per-result / per-RPC span timelines with leak detection;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /

@@ -9,9 +9,10 @@ perf PR will speak):
 - :class:`Gauge` — instantaneous levels (queue depths, in-flight flows,
   client task-state occupancy), either set explicitly or backed by a
   zero-argument callable sampled on demand;
-- :class:`Histogram` — distributions, with fixed buckets for cheap
-  export *and* streaming quantile estimates (the P² algorithm, constant
-  memory) so a million-task run never stores a million observations.
+- :class:`Histogram` — distributions as fixed bucket counts, so a
+  million-task run never stores a million observations; its quantiles
+  are estimated from the buckets, as Prometheus' ``histogram_quantile``
+  does.
 
 The :class:`MetricsRegistry` hands out get-or-create instruments keyed by
 name, and the :class:`Sampler` process snapshots every gauge on a sim-time
@@ -33,7 +34,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
 )
-#: Streaming quantiles tracked by every histogram.
+#: Quantiles a histogram's summary line reports.
 QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
@@ -83,89 +84,13 @@ class Gauge:
         return self._value
 
 
-class _P2Estimator:
-    """Jain & Chlamtac's P² streaming quantile estimator (constant memory)."""
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "n")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.n = 0
-
-    def observe(self, x: float) -> None:
-        self.n += 1
-        h = self._heights
-        if len(h) < 5:
-            h.append(x)
-            h.sort()
-            return
-        # Written out marker by marker: this runs three times for every
-        # histogram observation, on the live request path among others.
-        p, want, inc = self._positions, self._desired, self._increments
-        if x < h[1]:
-            if x < h[0]:
-                h[0] = x
-            p[1] += 1.0
-            p[2] += 1.0
-            p[3] += 1.0
-        elif x < h[2]:
-            p[2] += 1.0
-            p[3] += 1.0
-        elif x < h[3]:
-            p[3] += 1.0
-        elif x >= h[4]:
-            h[4] = x
-        p[4] += 1.0
-        want[0] += inc[0]
-        want[1] += inc[1]
-        want[2] += inc[2]
-        want[3] += inc[3]
-        want[4] += inc[4]
-        # Adjust the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            pos = p[i]
-            d = want[i] - pos
-            prev, nxt = p[i - 1], p[i + 1]
-            if d >= 1.0 and nxt - pos > 1.0:
-                step = 1.0
-            elif d <= -1.0 and prev - pos < -1.0:
-                step = -1.0
-            else:
-                continue
-            below, height, above = h[i - 1], h[i], h[i + 1]
-            candidate = height + step / (nxt - prev) * (
-                (pos - prev + step) * (above - height) / (nxt - pos)
-                + (nxt - pos - step) * (height - below) / (pos - prev))
-            if below < candidate < above:
-                h[i] = candidate
-            elif step > 0.0:  # parabolic estimate escaped; fall back to linear
-                h[i] = height + step * (above - height) / (nxt - pos)
-            else:
-                h[i] = height + step * (below - height) / (prev - pos)
-            p[i] = pos + step
-
-    def estimate(self) -> float:
-        if not self._heights:
-            return math.nan
-        if self.n < 5:
-            # Exact small-sample quantile over the sorted buffer.
-            idx = min(len(self._heights) - 1,
-                      int(self.q * (len(self._heights) - 1) + 0.5))
-            return self._heights[idx]
-        return self._heights[2]
-
-
 class Histogram:
-    """Fixed-bucket distribution plus P² streaming quantile estimates."""
+    """Fixed-bucket distribution: bucket counts, count and total, as in a
+    Prometheus histogram, plus the observed extremes that bound its
+    quantile estimates."""
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total",
-                 "min", "max", "_estimators")
+                 "min", "max")
     #: Histograms carry no help text.
     help: _t.ClassVar[str] = ""
 
@@ -182,31 +107,48 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._estimators = {q: _P2Estimator(q) for q in QUANTILES}
 
     def observe(self, value: float) -> None:
-        """Record one observation into buckets and quantile estimators."""
+        """Record one observation."""
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.bucket_counts[i] += 1
                 break
         else:
             self.bucket_counts[-1] += 1
-        for est in self._estimators.values():
-            est.observe(value)
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (NaN when empty)."""
         return self.total / self.count if self.count else math.nan
 
-    def quantiles(self) -> dict[float, float]:
-        """All tracked quantile estimates, keyed by q."""
-        return {q: est.estimate() for q, est in self._estimators.items()}
+    def quantile(self, q: float) -> float:
+        """The *q*-quantile estimated from the buckets (NaN when empty).
+
+        Prometheus' ``histogram_quantile`` rule: find the bucket that holds
+        rank ``q * count`` and interpolate linearly inside it, the first
+        bucket starting at :attr:`min`.  The estimate is clamped to the
+        observed ``[min, max]``, and a rank in the overflow bucket reads
+        as :attr:`max`.
+        """
+        rank = q * self.count
+        below = 0
+        for i, n in enumerate(self.bucket_counts):
+            if below + n >= rank and n:
+                if i == len(self.bounds):
+                    return self.max
+                lower = self.bounds[i - 1] if i else self.min
+                upper = self.bounds[i]
+                estimate = lower + (upper - lower) * (rank - below) / n
+                return min(max(estimate, self.min), self.max)
+            below += n
+        return math.nan
 
 
 Instrument = _t.Union[Counter, Gauge, Histogram]
@@ -292,8 +234,8 @@ class MetricsRegistry:
                 if inst.count == 0:
                     lines.append(f"{inst.name:44s} histogram        (empty)")
                 else:
-                    qs = " ".join(f"p{int(q * 100)}={v:.3g}"
-                                  for q, v in sorted(inst.quantiles().items()))
+                    qs = " ".join(f"p{int(q * 100)}={inst.quantile(q):.3g}"
+                                  for q in QUANTILES)
                     lines.append(
                         f"{inst.name:44s} histogram n={inst.count:<7d} "
                         f"mean={inst.mean:.3g} {qs}")

@@ -2,7 +2,7 @@
 
 ``simulated`` is what :class:`VolunteerCloud` builds: a
 :class:`ProjectServer` with the base :class:`JobTracker` (bytes are
-cost-model sizes).  ``live`` is what :class:`GatewayState` builds, minus
+cost-model sizes).  ``live`` is what :class:`GatewayServer` builds, minus
 the sockets: a bare :class:`SchedulerCore` on an injected clock, a
 :class:`BlobStore`, and :class:`GatewayJobTracker` (bytes are blobs).
 Assimilation is driven by hand, one workunit at a time, so the barrier's

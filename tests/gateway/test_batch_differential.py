@@ -235,10 +235,10 @@ def test_upload_all_is_uploads_one_by_one(names, refusals, close_after):
             with mock.patch.object(client_module.time, "sleep"):
                 replies = (client.upload_all(rid, outputs) if batch
                            else [client.upload(rid, n, d) for n, d in outputs])
-            state = handle.server.state
-            seen.append((replies, dict(state.store.staged),
-                         dict(state.written),
-                         state.metrics.counter(
+            server = handle.server
+            seen.append((replies, dict(server.store.staged),
+                         dict(server.written),
+                         server.metrics.counter(
                              "gateway.uploads_total").value))
             assert client.requests - sent == len(outputs) + (
                 client.retry_count - retried)

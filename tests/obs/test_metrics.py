@@ -1,9 +1,12 @@
 """Tests for the metric instruments, registry, and sampler."""
 
+import bisect
 import math
+import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import metrics
 from repro.obs.metrics import (
@@ -13,6 +16,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Sampler,
 )
+from repro.gateway.server import RPC_BUCKETS
 from repro.sim import Simulator
 
 
@@ -64,30 +68,86 @@ class TestHistogram:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram("h", buckets=(5.0, 1.0))
 
-    def test_small_sample_quantiles_exact(self):
-        h = Histogram("h")
-        h.observe(3.0)
-        h.observe(1.0)
-        assert h.quantiles()[0.5] == pytest.approx(1.0, abs=2.0)
+    def test_quantile_interpolates_inside_its_bucket(self):
+        h = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        for v in (0.5, 1.5, 1.5, 3.0, 3.5):
+            h.observe(v)
+        # rank 2.5 of 5 is 1.5 into the (1, 2] bucket's two: 1 + 1 * 1.5 / 2.
+        assert h.quantile(0.5) == pytest.approx(1.75)
+        # rank 4.5 is 1.5 into the (2, 4] bucket's two: 2 + 2 * 1.5 / 2.
+        assert h.quantile(0.9) == pytest.approx(3.5)
 
-    def test_p2_median_converges(self):
-        rng = np.random.default_rng(1)
-        h = Histogram("h")
-        data = rng.normal(loc=100.0, scale=10.0, size=5000)
-        for v in data:
-            h.observe(float(v))
-        estimates = h.quantiles()
-        assert estimates[0.5] == pytest.approx(
-            float(np.median(data)), rel=0.05)
-        assert estimates[0.9] == pytest.approx(
-            float(np.percentile(data, 90)), rel=0.05)
+    def test_quantile_is_clamped_to_what_was_observed(self):
+        h = Histogram("h", buckets=(10.0, 100.0))
+        for v in (20.0, 21.0, 22.0, 23.0):
+            h.observe(v)
+        # Interpolation alone reads 10 + 90 * 3.6 / 4 = 91 and
+        # 10 + 90 * 0.4 / 4 = 19.
+        assert h.quantile(0.9) == 23.0
+        assert h.quantile(0.1) == 20.0
+        first = Histogram("h", buckets=(10.0,))
+        for v in (2.0, 10.0):
+            first.observe(v)
+        # The first bucket starts at the smallest observation, not at 0.
+        assert first.quantile(0.5) == pytest.approx(6.0)
 
-    def test_p2_uniform_tail(self):
-        rng = np.random.default_rng(2)
+    def test_a_single_observation_reads_as_itself(self):
+        for value in (-3.0, 0.0, 0.3, 7.0, 5000.0):
+            h = Histogram("h")
+            h.observe(value)
+            assert [h.quantile(q) for q in metrics.QUANTILES] == [value] * 3
+
+    def test_a_rank_in_the_overflow_bucket_reads_as_max(self):
+        h = Histogram("h", buckets=(1.0,))
+        for v in (0.5, 2.0, 9.0, 30.0):
+            h.observe(v)
+        assert h.quantile(0.5) == 30.0
+        assert h.quantile(0.25) == 1.0  # rank 1 ends the first bucket
+
+    def test_an_empty_histogram_reads_nan(self):
         h = Histogram("h")
-        for v in rng.uniform(0.0, 1.0, size=10000):
-            h.observe(float(v))
-        assert h.quantiles()[0.99] == pytest.approx(0.99, abs=0.03)
+        assert all(math.isnan(h.quantile(q)) for q in metrics.QUANTILES)
+
+    @pytest.mark.parametrize("q", metrics.QUANTILES)
+    @pytest.mark.parametrize("draw", ["latency", "uniform", "bimodal",
+                                      "steps"])
+    def test_a_measured_shape_reads_in_the_bucket_of_its_exact_quantile(
+            self, q, draw):
+        # Four distributions a histogram of this repository really sees.
+        rng = random.Random(f"{q}-{draw}")
+        stream = {
+            "latency": lambda: rng.lognormvariate(-6.0, 1.2),
+            "uniform": lambda: rng.uniform(-50.0, 50.0),
+            "bimodal": lambda: rng.gauss(1.0, 0.1) if rng.random() < 0.7
+            else rng.gauss(40.0, 5.0),
+            "steps": lambda: float(rng.randrange(6)),
+        }[draw]
+        buckets = RPC_BUCKETS if draw == "latency" else metrics.DEFAULT_BUCKETS
+        _assert_in_exact_bucket(buckets, q, [stream() for _ in range(4000)])
+
+    @settings(deadline=None)
+    @given(st.sampled_from([(1.0,), (0.1, 0.5, 1.0, 5.0), RPC_BUCKETS]),
+           st.sampled_from(metrics.QUANTILES),
+           st.lists(st.floats(-10.0, 10.0) | st.integers(-2, 6).map(float),
+                    min_size=1, max_size=200))
+    def test_every_stream_reads_in_the_bucket_of_its_exact_quantile(
+            self, buckets, q, values):
+        _assert_in_exact_bucket(buckets, q, values)
+
+
+def _assert_in_exact_bucket(buckets, q, values):
+    """The estimate lies where the exact q-quantile (the ceil(q*n)-th
+    smallest value) does: in its bucket, within the observed range."""
+    h = Histogram("h", buckets=buckets)
+    for v in values:
+        h.observe(v)
+    ordered = sorted(values)
+    exact = ordered[math.ceil(q * len(ordered)) - 1]
+    i = bisect.bisect_left(buckets, exact)
+    lo = max(buckets[i - 1] if i else -math.inf, ordered[0])
+    hi = min(buckets[i] if i < len(buckets) else math.inf, ordered[-1])
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))  # interpolation rounding
+    assert lo - slack <= h.quantile(q) <= hi + slack, (exact, lo, hi)
 
 
 class TestRegistry:

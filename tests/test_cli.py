@@ -143,6 +143,13 @@ class TestObservabilityCommands:
         assert "sched.rpc_total" in out
         assert "daemon.transitioner.backlog" in out
         assert "engine self-profile" in out
+        lines = [line for line in out.splitlines() if " histogram " in line]
+        assert lines
+        for line in lines:
+            fields = line.split()
+            assert fields[1] == "histogram", line
+            assert [f.partition("=")[0] for f in fields[2:]] == [
+                "n", "mean", "p50", "p90", "p99"], line
 
 
 class TestSeedHandling:
@@ -264,6 +271,18 @@ class TestCampaignControlPlane:
     def test_work_rejects_bad_address(self, capsys):
         assert main(["campaign", "work", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_work_against_a_closed_port_is_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["campaign", "work", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"campaign work: cannot reach 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_merge_requires_out(self):
         with pytest.raises(SystemExit):
