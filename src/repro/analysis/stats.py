@@ -19,7 +19,6 @@ class Summary:
     mean: float
     p50: float
     p90: float
-    p99: float
     minimum: float
     maximum: float
     #: Sample standard deviation (Bessel-corrected; 0.0 when n < 2).
@@ -61,7 +60,6 @@ def summarise(values: _t.Sequence[float]) -> Summary:
         mean=mean,
         p50=percentile(values, 50),
         p90=percentile(values, 90),
-        p99=percentile(values, 99),
         minimum=min(values),
         maximum=max(values),
         stddev=stddev,

@@ -37,7 +37,6 @@ from ..sim import (
     Interrupted,
     Process,
     Simulator,
-    Tracer,
     backoff_delay,
     jittered,
 )
@@ -162,8 +161,7 @@ def _transfer_with_retry(client: "Client", verb: str, name: str,
         except (ServerUnavailable, HostOffline, FlowError,
                 ChecksumMismatch) as exc:
             last = str(exc)
-            if client.metrics is not None:
-                client.metrics.counter(f"client.{verb}_retries_total").inc()
+            client.metrics.counter(f"client.{verb}_retries_total").inc()
             client.tracer.record(client.sim.now, f"client.{verb}_retry",
                                  host=client.name, file=name, attempt=attempt,
                                  error=last)
@@ -267,7 +265,6 @@ class Client:
     def __init__(self, sim: Simulator, net: Network, server: ProjectServer,
                  host: Host, record: HostRecord, rng: np.random.Generator,
                  config: ClientConfig | None = None,
-                 tracer: Tracer | None = None,
                  input_fetcher: InputFetcher | None = None,
                  output_policy: OutputPolicy | None = None,
                  executor: Executor | None = None) -> None:
@@ -279,7 +276,7 @@ class Client:
         self.record = record
         self.config = config or ClientConfig()
         self.rng = rng
-        self.tracer = tracer if tracer is not None else server.tracer
+        self.tracer = server.tracer
         self.input_fetcher = input_fetcher or ServerInputFetcher()
         self.output_policy = output_policy or ServerUploadPolicy()
         self.executor = executor or GenericExecutor()
@@ -317,7 +314,7 @@ class Client:
         self.slowdown = 1.0
         #: Fault injection: every produced result digest is corrupted.
         self.corrupt_results = False
-        #: Shared metrics registry (the server's, when it has one).
+        #: The server's metrics registry, shared.
         self.metrics = server.metrics
 
     # -- lifecycle ---------------------------------------------------------------
@@ -436,8 +433,7 @@ class Client:
             # dead project forever; nothing is abandoned.
             self._ready = reporting + self._ready
             self._rpc_failures += 1
-            if self.metrics is not None:
-                self.metrics.counter("client.rpc_retries_total").inc()
+            self.metrics.counter("client.rpc_retries_total").inc()
             # Same shape as the no-work backoff, own counter.
             delay = self._backoff(self._rpc_failures)
             self._comm_gate = self.sim.now + delay
@@ -461,8 +457,7 @@ class Client:
             self._task_procs.append(proc)
         if want_work and reply.no_work:
             self._backoff_count += 1
-            if self.metrics is not None:
-                self.metrics.counter("client.backoff_total").inc()
+            self.metrics.counter("client.backoff_total").inc()
             delay = self._backoff(self._backoff_count)
             self._next_allowed_rpc = now + delay
             self.tracer.record(now, "client.backoff", host=self.name,
@@ -526,14 +521,13 @@ class Client:
             self._ready.append(task)
             self.tracer.record(self.sim.now, "task.ready", host=self.name,
                                result=task.assignment.result_id, wu=wu.id)
-            if self.metrics is not None:
-                self.metrics.counter("client.tasks_completed_total").inc()
-                self.metrics.histogram("client.task_turnaround_s").observe(
-                    self.sim.now - fetched_at)
-                if task.started_compute_at is not None:
-                    self.metrics.histogram("client.task_compute_s").observe(
-                        (task.finished_compute_at or self.sim.now)
-                        - task.started_compute_at)
+            self.metrics.counter("client.tasks_completed_total").inc()
+            self.metrics.histogram("client.task_turnaround_s").observe(
+                self.sim.now - fetched_at)
+            if task.started_compute_at is not None:
+                self.metrics.histogram("client.task_compute_s").observe(
+                    (task.finished_compute_at or self.sim.now)
+                    - task.started_compute_at)
             self._notify()
         except Interrupted:
             task.state = TaskState.FAILED
@@ -542,8 +536,7 @@ class Client:
             task.state = TaskState.FAILED
             task.error = str(exc)
             self._ready.append(task)
-            if self.metrics is not None:
-                self.metrics.counter("client.tasks_failed_total").inc()
+            self.metrics.counter("client.tasks_failed_total").inc()
             self.tracer.record(self.sim.now, "task.failed", host=self.name,
                                result=task.assignment.result_id, error=str(exc))
             self._notify()

@@ -67,8 +67,9 @@ class DataServer(FileCatalogue):
     """File catalogue + simulated transfer endpoints on a server host."""
 
     def __init__(self, sim: Simulator, net: Network, host: Host,
-                 tracer: Tracer | None = None) -> None:
-        """An empty file store served from *host* over *net*."""
+                 tracer: Tracer) -> None:
+        """An empty file store served from *host* over *net*, recording
+        on *tracer*."""
         super().__init__()
         self.sim = sim
         self.net = net
@@ -84,9 +85,8 @@ class DataServer(FileCatalogue):
 
     # -- fault hooks ----------------------------------------------------------
     def _refuse(self, op: str, name: str, peer: Host) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "dataserver.refused", op=op,
-                               file=name, host=peer.name)
+        self.tracer.record(self.sim.now, "dataserver.refused", op=op,
+                           file=name, host=peer.name)
         raise ServerUnavailable(f"data server refused {op} of {name!r}")
 
     def _rate_cap(self) -> float | None:
@@ -102,9 +102,8 @@ class DataServer(FileCatalogue):
                    and self.corrupt_rng.random() < self.corrupt_rate))
         if hit:
             flow.corrupted = True
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, "dataserver.corrupt_serve",
-                                   file=name, to=to.name)
+            self.tracer.record(self.sim.now, "dataserver.corrupt_serve",
+                               file=name, to=to.name)
 
     # -- transfers ------------------------------------------------------------
     def download(self, name: str, to: Host) -> Flow:
@@ -119,9 +118,8 @@ class DataServer(FileCatalogue):
                                  max_rate=self._rate_cap())
         self._maybe_corrupt(flow, name, to)
         self.bytes_served += ref.size
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "dataserver.download",
-                               file=name, to=to.name, size=ref.size)
+        self.tracer.record(self.sim.now, "dataserver.download",
+                           file=name, to=to.name, size=ref.size)
         return flow
 
     def upload(self, ref: FileRef, frm: Host,
@@ -146,9 +144,8 @@ class DataServer(FileCatalogue):
                 return  # aborted upload leaves no file behind
             self.publish(ref)
             self.bytes_received += ref.size
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, "dataserver.upload",
-                                   file=ref.name, frm=frm.name, size=ref.size)
+            self.tracer.record(self.sim.now, "dataserver.upload",
+                               file=ref.name, frm=frm.name, size=ref.size)
 
         flow.done.add_callback(_complete)
         return flow

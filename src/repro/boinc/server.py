@@ -29,6 +29,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 from .dataserver import DataServer, ServerUnavailable
 from .model import (
     Database,
+    FileRef,
     HostRecord,
     OutputData,
     Result,
@@ -151,40 +152,41 @@ class SchedulerCore:
     Validation/replication semantics are therefore shared, not forked: a
     behaviour proven in simulation holds verbatim on the live gateway.
 
-    Project-specific behaviour is attached through hooks:
+    Project-specific behaviour is attached through hooks, each doing
+    nothing until a deployment sets it:
 
     - ``assimilate_handler(wu, canonical_result)`` — called once per
       validated workunit (the BOINC assimilator contract);
     - ``locate_reduce_inputs(wu, host)`` — returns the peer-address map for
       a reduce assignment (BOINC-MR's JobTracker), or ``{}``;
+    - ``on_wu_error(wu)`` — called when a workunit is abandoned after too
+      many errors;
     - ``publish_input(ref)`` — called per input file on submission (the
       data-server publish seam).
     """
 
-    def __init__(self, config: ServerConfig | None = None,
-                 tracer: Tracer | None = None,
+    def __init__(self, tracer: Tracer, metrics: "MetricsRegistry",
+                 config: ServerConfig | None = None,
                  rng=None,
-                 metrics: "MetricsRegistry | None" = None,
                  clock: _t.Callable[[], float] | None = None) -> None:
         """Create the scheduler state machine (database, hooks, clock)."""
         self.config = config or ServerConfig()
-        # Explicit None check: an empty Tracer is falsy (it has __len__).
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer
         self.rng = rng
-        #: Optional :class:`repro.obs.MetricsRegistry`; when present the
+        #: The deployment's :class:`repro.obs.MetricsRegistry`: the
         #: scheduler and daemons keep BOINC server-status style counters.
         self.metrics = metrics
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.db = Database()
         self._feeder_visible: set[int] = set()
         self._dirty_wus: set[int] = set()
-        self.assimilate_handler: _t.Callable[[Workunit, Result], None] | None = None
+        self.assimilate_handler: _t.Callable[[Workunit, Result], None] = (
+            lambda wu, canonical: None)
         self.locate_reduce_inputs: _t.Callable[
-            [Workunit, HostRecord], dict[int, list[str]]] | None = None
-        #: Invoked when a workunit is abandoned after too many errors.
-        self.on_wu_error: _t.Callable[[Workunit], None] | None = None
-        #: Called with each input :class:`FileRef` on submission.
-        self.publish_input: _t.Callable[..., None] | None = None
+            [Workunit, HostRecord], dict[int, list[str]]] = (
+            lambda wu, host: {})
+        self.on_wu_error: _t.Callable[[Workunit], None] = lambda wu: None
+        self.publish_input: _t.Callable[[FileRef], None] = lambda ref: None
         #: Fault injection: False refuses every scheduler RPC (server down).
         self.available = True
 
@@ -216,12 +218,11 @@ class SchedulerCore:
             wu.target_nresults = 1
         for _ in range(wu.target_nresults):
             self.db.insert_result(wu, created_at=self.now)
-        if publish_inputs and self.publish_input is not None:
+        if publish_inputs:
             for ref in wu.input_files:
                 self.publish_input(ref)
         self._dirty_wus.add(wu.id)
-        if self.metrics is not None:
-            self.metrics.counter("server.workunits_submitted_total").inc()
+        self.metrics.counter("server.workunits_submitted_total").inc()
         self.tracer.record(self.now, "server.wu_submitted", wu=wu.id,
                            job=wu.mr_job, kind=wu.mr_kind, index=wu.mr_index)
         return wu
@@ -241,8 +242,7 @@ class SchedulerCore:
         simulated client's exponential backoff, the gateway's HTTP 503).
         """
         if not self.available:
-            if self.metrics is not None:
-                self.metrics.counter("sched.refused_total").inc()
+            self.metrics.counter("sched.refused_total").inc()
             raise ServerUnavailable("scheduler is down")
         return self._handle_rpc_now(request)
 
@@ -259,16 +259,15 @@ class SchedulerCore:
         if request.work_req_s > 0:
             assignments = self._assign_work(host, request.work_req_s)
             no_work = not assignments
-        if self.metrics is not None:
-            self.metrics.counter("sched.rpc_total").inc()
-            if request.reports:
-                self.metrics.counter("sched.reports_total").inc(
-                    len(request.reports))
-            if assignments:
-                self.metrics.counter("sched.assignments_total").inc(
-                    len(assignments))
-            if no_work:
-                self.metrics.counter("sched.no_work_total").inc()
+        self.metrics.counter("sched.rpc_total").inc()
+        if request.reports:
+            self.metrics.counter("sched.reports_total").inc(
+                len(request.reports))
+        if assignments:
+            self.metrics.counter("sched.assignments_total").inc(
+                len(assignments))
+        if no_work:
+            self.metrics.counter("sched.no_work_total").inc()
         return SchedulerReply(assignments=assignments,
                               request_delay_s=self.config.request_delay_s,
                               no_work=no_work, refused_reports=refused)
@@ -298,7 +297,7 @@ class SchedulerCore:
                 # is available (hash-only reporting in BOINC-MR).
                 res.received_at = self.now
         self._dirty_wus.add(res.wu_id)
-        if self.metrics is not None and res.sent_at is not None:
+        if res.sent_at is not None:
             self.metrics.histogram("sched.result_turnaround_s").observe(
                 self.now - res.sent_at)
         wu = self.db.workunits[res.wu_id]
@@ -330,7 +329,7 @@ class SchedulerCore:
             if self._barred(wu, host, self.db.hosts_with_result_of_wu(wu.id)):
                 continue
             peer_locations: dict[int, list[str]] = {}
-            if wu.mr_kind == "reduce" and self.locate_reduce_inputs is not None:
+            if wu.mr_kind == "reduce":
                 peer_locations = self.locate_reduce_inputs(wu, host)
             est = wu.flops / host.flops
             deadline = self.now + self.config.delay_bound_s
@@ -402,9 +401,8 @@ class SchedulerCore:
                 res.state = ResultState.OVER
                 res.outcome = ResultOutcome.NO_REPLY
                 self._dirty_wus.add(res.wu_id)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "daemon.transitioner.timeouts_total").inc()
+                self.metrics.counter(
+                    "daemon.transitioner.timeouts_total").inc()
                 self.tracer.record(now, "transitioner.timeout", result=res.id,
                                    wu=res.wu_id)
         if self.config.speculative_execution:
@@ -453,8 +451,7 @@ class SchedulerCore:
             wu.state = WorkunitState.ERROR
             wu.error_reason = f"{n_errors} errored results"
             self.tracer.record(self.now, "transitioner.wu_error", wu=wu.id)
-            if self.on_wu_error is not None:
-                self.on_wu_error(wu)
+            self.on_wu_error(wu)
             return
         # Top up replicas: errors and timeouts spawn replacement results.
         while (n_success + n_outstanding < wu.target_nresults
@@ -523,10 +520,9 @@ class SchedulerCore:
                 r.state = ResultState.OVER
                 r.outcome = ResultOutcome.NO_REPLY
                 self.db._unsent.pop(r.id, None)
-        if self.metrics is not None:
-            self.metrics.counter("daemon.validator.validated_total").inc()
-            self.metrics.histogram("daemon.validator.wu_latency_s").observe(
-                self.now - wu.created_at)
+        self.metrics.counter("daemon.validator.validated_total").inc()
+        self.metrics.histogram("daemon.validator.wu_latency_s").observe(
+            self.now - wu.created_at)
         self.tracer.record(self.now, "validator.validated", wu=wu.id,
                            canonical=canonical.id, job=wu.mr_job,
                            kind=wu.mr_kind, index=wu.mr_index)
@@ -563,13 +559,11 @@ class SchedulerCore:
         for wu in list(self.db.workunits.values()):
             if wu.state is WorkunitState.VALIDATED:
                 canonical = self.db.results[wu.canonical_result_id]
-                if self.assimilate_handler is not None:
-                    self.assimilate_handler(wu, canonical)
+                self.assimilate_handler(wu, canonical)
                 wu.state = WorkunitState.ASSIMILATED
                 wu.assimilated_at = self.now
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "daemon.assimilator.assimilated_total").inc()
+                self.metrics.counter(
+                    "daemon.assimilator.assimilated_total").inc()
                 self.tracer.record(self.now, "assimilator.done", wu=wu.id,
                                    job=wu.mr_job, kind=wu.mr_kind,
                                    index=wu.mr_index)
@@ -595,18 +589,16 @@ class ProjectServer(SchedulerCore):
     """
 
     def __init__(self, sim: Simulator, net: Network, host: Host,
+                 tracer: Tracer, metrics: "MetricsRegistry",
                  config: ServerConfig | None = None,
-                 tracer: Tracer | None = None,
-                 rng=None,
-                 metrics: "MetricsRegistry | None" = None) -> None:
+                 rng=None) -> None:
         """Stand up the server (database, daemons, RPC gate) on *host*."""
-        super().__init__(config=config, tracer=tracer, rng=rng,
-                         metrics=metrics)
+        super().__init__(tracer, metrics, config=config, rng=rng)
         self.sim = sim
         self.net = net
         self.host = host
         self._clock = lambda: sim.now
-        self.dataserver = DataServer(sim, net, host, tracer=self.tracer)
+        self.dataserver = DataServer(sim, net, host, self.tracer)
         self.publish_input = self.dataserver.publish
         self._rpc_slots = SimSemaphore(sim, RPC_CAPACITY, name="sched")
         self._daemons_started = False
@@ -679,8 +671,7 @@ class ProjectServer(SchedulerCore):
         """
         reply = self.sim.event()
         if not self.available:
-            if self.metrics is not None:
-                self.metrics.counter("sched.refused_total").inc()
+            self.metrics.counter("sched.refused_total").inc()
             return reply.fail(ServerUnavailable("scheduler is down"))
         grant = self._rpc_slots.acquire()
 

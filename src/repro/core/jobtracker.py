@@ -44,9 +44,9 @@ class JobTracker:
         core.assimilate_handler = self._on_assimilated
         core.locate_reduce_inputs = self.locate_reduce_inputs
         core.on_wu_error = self._on_wu_error
-        #: Optional callback run as the last reduce validates, just before
-        #: ``job.done`` triggers; if it raises, the job fails instead.
-        self.on_job_done: _t.Callable[[MapReduceJob], None] | None = None
+        #: Run as the last reduce validates, just before ``job.done``
+        #: triggers; if it raises, the job fails instead.
+        self.on_job_done: _t.Callable[[MapReduceJob], None] = lambda job: None
 
     # -- where the bytes live (all a transport decides) --------------------------
     def map_input(self, spec: MapReduceJobSpec, i: int) -> TaskInput:
@@ -71,8 +71,7 @@ class JobTracker:
         for i in range(spec.n_maps):
             job.map_wu_ids[i] = self._submit_wu(
                 spec, "map", i, self.map_input(spec, i), publish_inputs=True)
-        if self.metrics is not None:
-            self.metrics.counter("jobtracker.jobs_submitted_total").inc()
+        self.metrics.counter("jobtracker.jobs_submitted_total").inc()
         self.tracer.record(self.core.now, "jobtracker.submitted", job=spec.name,
                            n_maps=spec.n_maps, n_reducers=spec.n_reducers)
         return job
@@ -114,8 +113,7 @@ class JobTracker:
                 if h.supports_mr
             ]
             job.record_map_validated(wu.mr_index, wu.id, holders, now)
-            if self.metrics is not None:
-                self.metrics.counter("jobtracker.maps_validated_total").inc()
+            self.metrics.counter("jobtracker.maps_validated_total").inc()
             self.tracer.record(now, "jobtracker.map_done",
                                job=job.spec.name, index=wu.mr_index,
                                holders=len(holders))
@@ -124,19 +122,16 @@ class JobTracker:
             if job.maps_completed >= threshold and not job.reduce_wu_ids:
                 self._create_reduce_wus(job)
         elif wu.mr_kind == "reduce":
-            if (self.on_job_done is not None
-                    and job.reduces_completed + 1 == job.spec.n_reducers):
+            if job.reduces_completed + 1 == job.spec.n_reducers:
                 self.on_job_done(job)
             job.record_reduce_validated(wu.mr_index, now)
-            if self.metrics is not None:
-                self.metrics.counter("jobtracker.reduces_validated_total").inc()
+            self.metrics.counter("jobtracker.reduces_validated_total").inc()
             self.tracer.record(now, "jobtracker.reduce_done",
                                job=job.spec.name, index=wu.mr_index)
             if job.phase is JobPhase.DONE:
-                if self.metrics is not None:
-                    self.metrics.counter("jobtracker.jobs_done_total").inc()
-                    self.metrics.histogram("jobtracker.job_makespan_s").observe(
-                        job.makespan())
+                self.metrics.counter("jobtracker.jobs_done_total").inc()
+                self.metrics.histogram("jobtracker.job_makespan_s").observe(
+                    job.makespan())
                 self.tracer.record(now, "jobtracker.job_done",
                                    job=job.spec.name,
                                    makespan=job.makespan())

@@ -196,8 +196,7 @@ class MapReduceInputFetcher:
                 # and move on to the next holder (or the server).
                 attempts += 1
                 store.evict(filename)
-                if client.metrics is not None:
-                    client.metrics.counter("peer.evictions_total").inc()
+                client.metrics.counter("peer.evictions_total").inc()
                 client.tracer.record(sim.now, "peer.corrupt",
                                      host=client.name, frm=mapper.name,
                                      file=filename, attempt=attempts)

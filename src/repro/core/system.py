@@ -229,7 +229,7 @@ class VolunteerCloud:
         output_policy = MapReduceOutputPolicy(self.jobtracker, self.mr_config)
         client = Client(self.sim, self.net, self.server, host, record,
                         config=cfg, rng=self.rngs.stream(f"client.{name}"),
-                        tracer=self.tracer, input_fetcher=fetcher,
+                        input_fetcher=fetcher,
                         output_policy=output_policy, executor=executor)
         if mr:
             client.peer_store = PeerStore(self.sim)

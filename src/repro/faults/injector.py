@@ -67,9 +67,8 @@ class FaultInjector:
         self.tracer.record(self.cloud.sim.now, "fault.begin", fault=fid,
                            kind=spec.kind, target=target,
                            duration=spec.duration)
-        if self.metrics is not None:
-            self.metrics.counter("faults.injected_total").inc()
-            self.metrics.gauge("faults.active").set(self.active)
+        self.metrics.counter("faults.injected_total").inc()
+        self.metrics.gauge("faults.active").set(self.active)
         self.cloud.sim.schedule(spec.duration, self._end, fid, spec, undo,
                                 target)
 
@@ -79,8 +78,7 @@ class FaultInjector:
         self.active -= 1
         self.tracer.record(self.cloud.sim.now, "fault.end", fault=fid,
                            kind=spec.kind, target=target)
-        if self.metrics is not None:
-            self.metrics.gauge("faults.active").set(self.active)
+        self.metrics.gauge("faults.active").set(self.active)
 
     # -- target resolution ------------------------------------------------------
     def _pick_clients(self, spec: FaultSpec) -> list["Client"]:

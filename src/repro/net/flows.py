@@ -772,13 +772,12 @@ class FlowNetwork:
     equivalence tests inject ``tests/net/reference_allocator.py``).
     """
 
-    def __init__(self, sim: Simulator,
-                 metrics: "MetricsRegistry | None" = None,
+    def __init__(self, sim: Simulator, metrics: "MetricsRegistry",
                  allocator: IncrementalAllocator | None = None) -> None:
         """Create an empty network on *sim*."""
         self.sim = sim
-        #: Optional :class:`repro.obs.MetricsRegistry` for flow counters
-        #: and duration/size histograms.
+        #: The deployment's :class:`repro.obs.MetricsRegistry`: flow
+        #: counters and the flow-duration histogram.
         self.metrics = metrics
         self._active: dict[Flow, None] = {}
         self._flow_seq = itertools.count()
@@ -807,8 +806,7 @@ class FlowNetwork:
         if flow.remaining <= _EPSILON_BYTES:
             flow.finished_at = self.sim.now
             flow.done.trigger(flow)
-            if self.metrics is not None:
-                self.metrics.counter("net.flows_completed_total").inc()
+            self.metrics.counter("net.flows_completed_total").inc()
             return flow
         self._active[flow] = None
         self.allocator.add(flow)
@@ -823,8 +821,7 @@ class FlowNetwork:
         flow.aborted = True
         flow._rate = 0.0
         flow.finished_at = self.sim.now
-        if self.metrics is not None:
-            self.metrics.counter("net.flows_aborted_total").inc()
+        self.metrics.counter("net.flows_aborted_total").inc()
         flow.done.fail(FlowError(f"flow {flow.name}: {reason}"))
         self.allocator.remove(flow)
 
@@ -857,9 +854,8 @@ class FlowNetwork:
             f.remaining = 0.0
             f._rate = 0.0
             f.finished_at = now
-            if self.metrics is not None:
-                self.metrics.counter("net.flows_completed_total").inc()
-                self.metrics.counter("net.bytes_delivered_total").inc(f.size)
-                self.metrics.histogram("net.flow_duration_s").observe(
-                    now - f.started_at)
+            self.metrics.counter("net.flows_completed_total").inc()
+            self.metrics.counter("net.bytes_delivered_total").inc(f.size)
+            self.metrics.histogram("net.flow_duration_s").observe(
+                now - f.started_at)
             f.done.trigger(f)

@@ -78,9 +78,8 @@ class NetworkPartitioned(HostOffline):
 class Network:
     """Facade over :class:`FlowNetwork` exposing host-to-host transfers."""
 
-    def __init__(self, sim: Simulator,
-                 metrics: "MetricsRegistry | None" = None) -> None:
-        """An empty network over *sim*'s clock."""
+    def __init__(self, sim: Simulator, metrics: "MetricsRegistry") -> None:
+        """An empty network over *sim*'s clock, counting into *metrics*."""
         self.sim = sim
         self.flownet = FlowNetwork(sim, metrics=metrics)
         self.hosts: dict[str, Host] = {}

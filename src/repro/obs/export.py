@@ -209,8 +209,7 @@ def trace_to_jsonl(tracer: Tracer) -> str:
 _SUMMARY_ROWS = 10
 
 
-def run_summary(tracer: Tracer,
-                metrics: MetricsRegistry | None = None,
+def run_summary(tracer: Tracer, metrics: MetricsRegistry,
                 builder: SpanBuilder | None = None,
                 profiler: "SelfProfiler | None" = None) -> str:
     """Plain-text end-of-run report: traffic, metrics, leaks, hot spots."""
@@ -227,9 +226,8 @@ def run_summary(tracer: Tracer,
         for span in builder.leaked[:_SUMMARY_ROWS]:
             lines.append(f"  LEAKED {span.name} on {span.track} "
                          f"open {span.duration:.1f}s")
-    if metrics is not None:
-        lines.append("-- metrics --")
-        lines.append(metrics.render())
+    lines.append("-- metrics --")
+    lines.append(metrics.render())
     if profiler is not None:
         lines.append("-- engine self-profile (wall-clock dispatch time) --")
         lines.append(profiler.render())

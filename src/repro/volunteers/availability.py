@@ -69,7 +69,7 @@ class ChurnController:
     nothing; its client simply resumes the pull loop.
     """
 
-    def __init__(self, sim: Simulator, tracer: Tracer | None = None) -> None:
+    def __init__(self, sim: Simulator, tracer: Tracer) -> None:
         """A controller on *sim*; transitions are recorded on *tracer*."""
         self.sim = sim
         self.tracer = tracer
@@ -91,16 +91,14 @@ class ChurnController:
             yield on_s
             off_s = next(periods, None)
             self.transitions += 1
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, "churn.offline",
-                                   host=client.name, permanent=off_s is None)
+            self.tracer.record(self.sim.now, "churn.offline",
+                               host=client.name, permanent=off_s is None)
             client.go_offline()
             if off_s is None:
                 self.departed.add(client.name)
                 return
             yield off_s
             self.transitions += 1
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, "churn.online",
-                                   host=client.name)
+            self.tracer.record(self.sim.now, "churn.online",
+                               host=client.name)
             client.come_online()

@@ -18,7 +18,8 @@ from repro.boinc import (
 )
 from repro.boinc import client as client_mod
 from repro.net import EMULAB_LINK, LinkSpec, Network, SERVER_LINK
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 #: The client constants of ``build``'s quick client (with a 60 s backoff
 #: cap), used unless a test passes its own config.
@@ -32,9 +33,10 @@ def build(pin):
     def build(n_clients=2, client_config=None, server_config=None,
               flops=1.0, seed=0):
         sim = Simulator()
-        net = Network(sim)
+        net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
-        server = ProjectServer(sim, net, server_host,
+        server = ProjectServer(sim, net, server_host, Tracer(),
+                               MetricsRegistry(),
                                config=server_config or ServerConfig())
         if client_config is None:
             pin(client_mod, **QUICK)
@@ -299,8 +301,9 @@ class TestWake:
     def test_a_task_finishing_during_the_rtt_does_not_shorten_it(self, pin):
         pin(client_mod, INITIAL_STAGGER_S=0.0, COMPUTE_JITTER=0.0)
         sim = Simulator()
-        net = Network(sim)
-        server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK))
+        net = Network(sim, MetricsRegistry())
+        server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
+                               Tracer(), MetricsRegistry())
         far = LinkSpec(latency_s=20.0)  # a 40 s round trip
         record = server.register_host("c0", 1.0)
         client = Client(sim, net, server, net.add_host("c0", far), record,
@@ -361,9 +364,10 @@ class TestFailureRecovery:
                 raise RuntimeError("segfault")
 
         sim = Simulator()
-        net = Network(sim)
+        net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
-        server = ProjectServer(sim, net, server_host)
+        server = ProjectServer(sim, net, server_host, Tracer(),
+                               MetricsRegistry())
         pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=5.0)
         cfg = ClientConfig(backoff_max_s=20.0)
         clients = []

@@ -15,14 +15,15 @@ from repro.boinc import (
 from repro.boinc import client as client_mod
 from repro.boinc import server as server_mod
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 
 def build(n_clients, client_config=None, server_config=None):
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, MetricsRegistry())
     server_host = net.add_host("server", SERVER_LINK)
-    server = ProjectServer(sim, net, server_host,
+    server = ProjectServer(sim, net, server_host, Tracer(), MetricsRegistry(),
                            config=server_config or ServerConfig())
     cfg = client_config or ClientConfig()
     clients = []

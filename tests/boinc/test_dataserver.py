@@ -5,15 +5,16 @@ import pytest
 from repro.boinc import FileRef
 from repro.boinc.dataserver import DataServer, FileMissing
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 
 @pytest.fixture
 def setup():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, MetricsRegistry())
     server_host = net.add_host("server", EMULAB_LINK)
-    ds = DataServer(sim, net, server_host)
+    ds = DataServer(sim, net, server_host, Tracer())
     client = net.add_host("client", EMULAB_LINK)
     return sim, net, ds, client
 

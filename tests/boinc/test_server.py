@@ -17,7 +17,8 @@ from repro.boinc import (
 )
 from repro.boinc import server as server_mod
 from repro.net import Network, SERVER_LINK
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 
 @pytest.fixture
@@ -27,9 +28,10 @@ def sim():
 
 @pytest.fixture
 def server(sim):
-    net = Network(sim)
+    net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
-    return ProjectServer(sim, net, host, config=ServerConfig())
+    return ProjectServer(sim, net, host, Tracer(), MetricsRegistry(),
+                         config=ServerConfig())
 
 
 def make_wu(server, replication=2, quorum=2, **kwargs):
@@ -157,9 +159,10 @@ class TestScheduler:
 
     def test_max_results_per_rpc(self, sim, pin):
         pin(server_mod, MAX_RESULTS_PER_RPC=3)
-        net = Network(sim)
+        net = Network(sim, MetricsRegistry())
         host_net = net.add_host("server", SERVER_LINK)
-        server = ProjectServer(sim, net, host_net)
+        server = ProjectServer(sim, net, host_net, Tracer(),
+                               MetricsRegistry())
         for _ in range(10):
             make_wu(server, flops=1.0)
         host = server.register_host("h1", 1.0)

@@ -19,6 +19,8 @@ from repro.boinc import server as server_mod
 from repro.campaign import CampaignCell, LeaseTable
 from repro.campaign import lease
 from repro.campaign.lease import DONE, FAILED, LEASED, PENDING
+from repro.obs import MetricsRegistry
+from repro.sim import Tracer
 
 
 def _cells(n: int) -> list[CampaignCell]:
@@ -237,6 +239,7 @@ class _CoreAsLeaseTable:
                  steal: bool = False) -> None:
         self.now = 0.0
         self.core = SchedulerCore(
+            Tracer(), MetricsRegistry(),
             ServerConfig(delay_bound_s=lease_s, speculative_execution=steal),
             clock=lambda: self.now)
         self.wu = self.core.submit_workunit(Workunit(

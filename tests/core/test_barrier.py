@@ -29,7 +29,8 @@ from repro.gateway.jobs import (
     reduce_blob_name,
 )
 from repro.net import SERVER_LINK, Network
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 from .test_jobtracker import force_validate
 
@@ -44,13 +45,15 @@ class Wiring:
         self.lost: set[tuple[int, int]] = set()
         if kind == "simulated":
             sim = Simulator()
-            net = Network(sim)
+            net = Network(sim, MetricsRegistry())
             self.core = ProjectServer(sim, net,
-                                      net.add_host("server", SERVER_LINK))
+                                      net.add_host("server", SERVER_LINK),
+                                      Tracer(), MetricsRegistry())
             self.store = None
             self.tracker = JobTracker(self.core, sim.event)
         else:
-            self.core = SchedulerCore(clock=lambda: 0.0)
+            self.core = SchedulerCore(Tracer(), MetricsRegistry(),
+                                      clock=lambda: 0.0)
             self.store = BlobStore()
             self.core.publish_input = self.store.publish
             self.tracker = GatewayJobTracker(self.core, self.store)

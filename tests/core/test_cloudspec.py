@@ -202,12 +202,15 @@ class TestNeverSetOptionsAreConstants:
         """``go_offline()`` / ``come_online()`` and two declared attributes;
         nothing sets, or answers to, the old privates."""
         from repro.boinc.server import SchedulerCore
+        from repro.obs import MetricsRegistry
+        from repro.sim import Tracer
 
         client = VolunteerCloud.from_spec(CloudSpec(n_nodes=1)).clients[0]
         assert client.offline is False and client.peer_store is None
         for name in ("_stopped", "_paused"):
             assert not hasattr(client, name)
-        assert not hasattr(SchedulerCore(), "on_upload")
+        assert not hasattr(SchedulerCore(Tracer(), MetricsRegistry()),
+                           "on_upload")
 
     @pytest.mark.parametrize("argv", [
         ["loadgen", "--corpus-kb", "10"],

@@ -4,6 +4,7 @@ import pytest
 
 from repro.boinc import FileRef
 from repro.core import PeerStore, interclient
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
@@ -102,7 +103,7 @@ class TestExpiryRaces:
         from repro.net import (EMULAB_LINK, PUBLIC, ConnectivityPolicy,
                                Network, TransferEndpoint, nat, peer_download)
 
-        net = Network(sim)
+        net = Network(sim, MetricsRegistry())
         a = net.add_host("mapper", EMULAB_LINK, nat=PUBLIC)
         b = net.add_host("reducer", EMULAB_LINK, nat=PUBLIC)
         src, dst = TransferEndpoint(sim, a), TransferEndpoint(sim, b)

@@ -13,15 +13,16 @@ from repro.core import (
 )
 from repro.core.jobtracker import JobTracker
 from repro.net import Network, SERVER_LINK
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 
 @pytest.fixture
 def setup():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
-    server = ProjectServer(sim, net, host)
+    server = ProjectServer(sim, net, host, Tracer(), MetricsRegistry())
     tracker = JobTracker(server, sim.event, config=BoincMRConfig(
         upload_map_outputs=True))
     return sim, server, tracker

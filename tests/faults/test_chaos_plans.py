@@ -3,10 +3,13 @@
 These are the acceptance tests of the fault-injection subsystem: a small
 deployment runs a word-count job while a plan injects its faults, and the
 RunAuditor must come back green — the job finished (or failed with a
-diagnosis), nothing leaked, every result accounted for.  A final test
-pins the determinism contract: same seed + same plan → byte-identical
-chrome trace.
+diagnosis), nothing leaked, every result accounted for — and every
+registry counter must agree with the trace of the site that ticks it.  A
+final test pins the determinism contract: same seed + same plan →
+byte-identical chrome trace.
 """
+
+import functools
 
 import pytest
 
@@ -32,10 +35,32 @@ def chaos_run(plan, seed):
     return cloud, job, injector, report, diagnosis
 
 
+@pytest.fixture(scope="module")
+def plan_run():
+    """``plan_run(plan, seed)``: one run per pair, shared by the tests
+    that only read it and dropped with this module."""
+    return functools.cache(chaos_run)
+
+
+#: Registry counter -> the trace kind recorded where it is incremented.
+COUNTED_AT = {
+    "sched.rpc_total": "sched.rpc",
+    "client.backoff_total": "client.backoff",
+    "client.rpc_retries_total": "client.rpc_failed",
+    "client.download_retries_total": "client.download_retry",
+    "client.upload_retries_total": "client.upload_retry",
+    "jobtracker.maps_validated_total": "jobtracker.map_done",
+    "daemon.validator.validated_total": "validator.validated",
+    "daemon.assimilator.assimilated_total": "assimilator.done",
+    "server.workunits_submitted_total": "server.wu_submitted",
+    "faults.injected_total": "fault.begin",
+}
+
+
 @pytest.mark.parametrize("plan", sorted(BUILTIN_PLANS))
 @pytest.mark.parametrize("seed", [1, 2])
-def test_bundled_plan_recovers(plan, seed):
-    cloud, job, injector, report, diagnosis = chaos_run(plan, seed)
+def test_bundled_plan_recovers(plan_run, plan, seed):
+    cloud, job, injector, report, diagnosis = plan_run(plan, seed)
     # Terminal: finished, or failed loudly with a diagnosis.
     assert job.done.triggered
     if diagnosis is not None:
@@ -44,6 +69,18 @@ def test_bundled_plan_recovers(plan, seed):
     assert injector.events, "plan injected nothing"
     # And the end state is clean: nothing leaked, nothing lost.
     assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("plan", sorted(BUILTIN_PLANS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_counters_match_the_trace(plan_run, plan, seed):
+    """Each counter counts exactly the records its site traces: a tick
+    lost (or doubled) on a fault path shows as a mismatch."""
+    cloud = plan_run(plan, seed)[0]
+    counted = {name: cloud.metrics.counter(name).value for name in COUNTED_AT}
+    traced = {name: cloud.tracer.counts[kind]
+              for name, kind in COUNTED_AT.items()}
+    assert counted == traced
 
 
 def test_same_seed_same_plan_is_byte_identical():

@@ -12,7 +12,7 @@ of what the incremental allocator must be observationally equivalent to:
 same rates on the same flow set, read at any point of an instant, same
 completions, same link accounting.  ``test_allocators.py``,
 ``test_flows.py`` and ``tests/test_scale_experiment.py`` inject an instance
-through ``FlowNetwork(sim, allocator=FullAllocator())``.
+through ``FlowNetwork(sim, metrics, allocator=FullAllocator())``.
 
 It calls the production ``allocate_rates`` on purpose: the solver has its
 own oracle (``reference_maxmin.py``); this one checks *when* and *over

@@ -30,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.net import Flow, FlowNetwork, Link
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from . import reference_maxmin
@@ -71,7 +72,7 @@ class AllocatorMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.sim = Simulator()
-        self.net = FlowNetwork(self.sim)
+        self.net = FlowNetwork(self.sim, MetricsRegistry())
         self.links = []
         self.flows = []
 
@@ -161,7 +162,7 @@ class AllocatorMachine(RuleBasedStateMachine):
     @invariant()
     def rates_match_the_full_allocator(self):
         active = self.net.active
-        full = FlowNetwork(Simulator(), allocator=FullAllocator())
+        full = FlowNetwork(Simulator(), MetricsRegistry(), allocator=FullAllocator())
         twins = [full.start_flow(f.name, f.links, max(f.remaining, 1.0),
                                  max_rate=f.max_rate,
                                  background=f.background)

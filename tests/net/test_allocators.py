@@ -33,12 +33,12 @@ BOTH = pytest.mark.parametrize(
 
 class TestAllocatorAPI:
     def test_default_is_incremental(self):
-        net = FlowNetwork(Simulator())
+        net = FlowNetwork(Simulator(), MetricsRegistry())
         assert isinstance(net.allocator, IncrementalAllocator)
 
     def test_instance_passthrough(self):
         alloc = FullAllocator()
-        net = FlowNetwork(Simulator(), allocator=alloc)
+        net = FlowNetwork(Simulator(), MetricsRegistry(), allocator=alloc)
         assert net.allocator is alloc
 
     def test_reference_is_not_importable_from_the_product(self):
@@ -51,11 +51,11 @@ class TestAllocatorAPI:
     def test_allocator_names_are_not_accepted(self):
         # The string dispatch is gone: only an instance (or None) works.
         with pytest.raises(AttributeError):
-            FlowNetwork(Simulator(), allocator="full")
+            FlowNetwork(Simulator(), MetricsRegistry(), allocator="full")
 
     def test_component_count(self):
         sim = Simulator()
-        net = FlowNetwork(sim)
+        net = FlowNetwork(sim, MetricsRegistry())
         l1, l2 = Link("l1", 800), Link("l2", 800)
         net.start_flow("a", [l1], 1e6)
         net.start_flow("b", [l2], 1e6)
@@ -172,7 +172,7 @@ def _brute_utilisation(net, link):
 @BOTH
 def test_utilisation_tracks_churn(allocator):
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator())
+    net = FlowNetwork(sim, MetricsRegistry(), allocator=allocator())
     links = [Link(f"l{i}", 8e6) for i in range(3)]  # 1 MB/s each
 
     def check():
@@ -203,7 +203,7 @@ def test_utilisation_tracks_churn(allocator):
 def test_utilisation_no_drift_after_many_cycles(allocator):
     """Per-link used-rate sums must not accumulate float residue."""
     sim = Simulator()
-    net = FlowNetwork(sim, allocator=allocator())
+    net = FlowNetwork(sim, MetricsRegistry(), allocator=allocator())
     link = Link("l", 8e5)  # 100 kB/s
     for cycle in range(30):
         f1 = net.start_flow(f"a{cycle}", [link], 1e4 / 3)
@@ -220,7 +220,7 @@ def test_utilisation_no_drift_after_many_cycles(allocator):
 def test_recompute_refreshes_rates_after_capacity_change():
     """`recompute()` is the one public entry point for external changes."""
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, MetricsRegistry())
     link = Link("l", 8e6)
     flow = net.start_flow("f", [link], 1e9)
     assert flow.rate == pytest.approx(1e6)

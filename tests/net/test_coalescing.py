@@ -141,7 +141,7 @@ def test_a_wave_of_starts_is_one_solve(monkeypatch):
 
     monkeypatch.setattr(flows_module, "maxmin_rates", counting)
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, MetricsRegistry())
     hub = Link("hub", 8e6)
 
     def wave():
@@ -164,7 +164,7 @@ def test_a_flow_due_now_still_completes_before_the_instant_goes_on():
     outcomes = []
     for allocator in (IncrementalAllocator(), FullAllocator()):
         sim = Simulator()
-        net = FlowNetwork(sim, allocator=allocator)
+        net = FlowNetwork(sim, MetricsRegistry(), allocator=allocator)
         link = Link("l", 8e3)  # 1000 B/s
         a = net.start_flow("a", [link], 1000.0)
 

@@ -123,7 +123,7 @@ class TestSharing:
         sim = Simulator()
         l1 = Link("l1", 80)  # 10 B/s
         l2 = Link("l2", 32)  # 4 B/s
-        net = FlowNetwork(sim)
+        net = FlowNetwork(sim, MetricsRegistry())
         a = net.start_flow("a", [l1], 1000)
         b = net.start_flow("b", [l1, l2], 1000)
         c = net.start_flow("c", [l2], 1000)

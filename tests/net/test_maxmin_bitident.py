@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.net import Flow, FlowNetwork, Link, maxmin_rates
 from repro.net import flows as flows_module
 from repro.net.flows import allocate_rates
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from . import reference_maxmin as reference
@@ -154,7 +155,7 @@ def test_link_used_is_the_old_tally_sum(topo, run_for):
     """Summed on read, a link's usage is the start-order per-solve tally."""
     caps, specs = topo
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, MetricsRegistry())
     links = [Link(f"l{i}", cap) for i, cap in enumerate(caps)]
     for seq, (idx, max_rate, background) in enumerate(specs):
         net.start_flow(f"f{seq}", [links[i % len(links)] for i in idx],

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, Link
 from repro.net.flows import _link_components
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
@@ -43,7 +44,7 @@ def _instrument(comp):
 
 def _star(n):
     """*n* flows through one hub link, each with a private leaf link."""
-    net = FlowNetwork(Simulator())
+    net = FlowNetwork(Simulator(), MetricsRegistry())
     hub = Link("hub", 8e6)
     flows = [net.start_flow(f"f{i}", [Link(f"leaf{i}", 8e6), hub], 1e9)
              for i in range(n)]
@@ -120,7 +121,7 @@ class TestOperationCount:
 
 class TestShortcutNeverMissesASplit:
     def test_bridge_between_two_stars(self):
-        net = FlowNetwork(Simulator())
+        net = FlowNetwork(Simulator(), MetricsRegistry())
         hub_a, hub_b = Link("a", 8e6), Link("b", 8e6)
         for i in range(5):
             net.start_flow(f"a{i}", [Link(f"la{i}", 8e6), hub_a], 1e9)
@@ -136,7 +137,7 @@ class TestShortcutNeverMissesASplit:
             assert flow.rate == 1e6 / 5
 
     def test_both_links_populated_but_still_connected(self):
-        net = FlowNetwork(Simulator())
+        net = FlowNetwork(Simulator(), MetricsRegistry())
         a, b = Link("a", 8e6), Link("b", 8e6)
         first = net.start_flow("first", [a, b], 1e9)
         net.start_flow("second", [a, b], 1e9)
@@ -148,7 +149,7 @@ class TestShortcutNeverMissesASplit:
     def test_two_bridges_leave_together(self):
         """Completions detach in a batch: the check sees all of them."""
         sim = Simulator()
-        net = FlowNetwork(sim)
+        net = FlowNetwork(sim, MetricsRegistry())
         a, b = Link("a", 8e6), Link("b", 8e6)
         net.start_flow("stay_a", [a], 1e9)
         net.start_flow("stay_b", [b], 1e9)
@@ -161,7 +162,7 @@ class TestShortcutNeverMissesASplit:
         _check_partition(net)
 
     def test_removed_flow_was_the_last_on_every_link(self):
-        net = FlowNetwork(Simulator())
+        net = FlowNetwork(Simulator(), MetricsRegistry())
         links = [Link("a", 8e6), Link("b", 8e6)]
         flow = net.start_flow("f", links, 1e9)
         net.abort_flow(flow)
@@ -186,7 +187,7 @@ def test_partition_is_exact_under_churn(script):
     """Starts, aborts and completions: components == connected groups."""
     specs, steps = script
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, MetricsRegistry())
     links = [Link(f"l{i}", 8e3) for i in range(7)]
     flows = []
     for i, (idx, size) in enumerate(specs):

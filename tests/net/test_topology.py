@@ -10,6 +10,7 @@ from repro.net import (
     LinkSpec,
     Network,
 )
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
@@ -20,7 +21,7 @@ def sim():
 
 @pytest.fixture
 def net(sim):
-    return Network(sim)
+    return Network(sim, MetricsRegistry())
 
 
 class TestLinkSpec:

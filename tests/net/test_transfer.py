@@ -17,6 +17,7 @@ from repro.net import (
     peer_download,
 )
 from repro.net import nat
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
@@ -27,7 +28,7 @@ def sim():
 
 @pytest.fixture
 def net(sim):
-    return Network(sim)
+    return Network(sim, MetricsRegistry())
 
 
 @pytest.fixture

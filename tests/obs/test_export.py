@@ -14,7 +14,13 @@ from repro.core import (
     MapReduceJobSpec,
     VolunteerCloud,
 )
-from repro.obs import SpanBuilder, chrome_trace_json, run_summary, trace_to_jsonl
+from repro.obs import (
+    MetricsRegistry,
+    SpanBuilder,
+    chrome_trace_json,
+    run_summary,
+    trace_to_jsonl,
+)
 from repro.sim import Tracer
 
 from .test_spans import emit_task
@@ -128,5 +134,5 @@ class TestRunSummary:
         builder = SpanBuilder(tracer)
         tracer.record(0.0, "sched.assign", host="h0", result=1, wu=1)
         builder.finish(25.0)
-        text = run_summary(tracer, builder=builder)
+        text = run_summary(tracer, MetricsRegistry(), builder=builder)
         assert "LEAKED" in text and "25.0s" in text

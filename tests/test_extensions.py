@@ -22,7 +22,8 @@ from repro.net import (
     SupernodeOverlay,
     elect_supernodes,
 )
-from repro.sim import Simulator
+from repro.obs import MetricsRegistry
+from repro.sim import Simulator, Tracer
 
 from .test_properties_more import replayed_loads
 
@@ -30,7 +31,7 @@ SYM = NatBox(nat_type=NatType.SYMMETRIC)
 
 
 def hosts_with(sim=None, specs=()):
-    net = Network(sim or Simulator())
+    net = Network(sim or Simulator(), MetricsRegistry())
     return [net.add_host(name, spec, nat=nat) for name, spec, nat in specs]
 
 
@@ -129,11 +130,11 @@ class TestNiceUploads:
         from repro.boinc.model import FileRef
 
         sim = Simulator()
-        net = Network(sim)
+        net = Network(sim, MetricsRegistry())
         server = net.add_host("server", EMULAB_LINK)
         a = net.add_host("a", EMULAB_LINK)   # a mapper
         b = net.add_host("b", EMULAB_LINK)   # a reducer fetching from it
-        ds = DataServer(sim, net, server)
+        ds = DataServer(sim, net, server, Tracer())
         # The mapper's uplink carries both its server upload (background)
         # and the inter-client transfer a reducer depends on (foreground).
         bg_flow = ds.upload(FileRef("bg", 12.5e6), a, background=True)
@@ -212,8 +213,9 @@ class TestAdaptiveReplication:
         from repro.boinc import ReportedResult, SchedulerRequest
 
         sim = Simulator()
-        net = Network(sim)
-        server = ProjectServer(sim, net, net.add_host("s", EMULAB_LINK))
+        net = Network(sim, MetricsRegistry())
+        server = ProjectServer(sim, net, net.add_host("s", EMULAB_LINK),
+                               Tracer(), MetricsRegistry())
         wu = server.submit_workunit(Workunit(
             id=server.db.new_wu_id(), app_name="a",
             input_files=(FileRef("in", 1.0),), flops=1.0,

@@ -16,7 +16,7 @@ from repro.net import FlowNetwork, Link, maxmin_rates
 from repro.obs import MetricsRegistry
 from repro.runtime import LocalRunner, default_partition, split_text
 from repro.runtime.apps import WordCount
-from repro.sim import RngRegistry, Simulator
+from repro.sim import RngRegistry, Simulator, Tracer
 
 # ---------------------------------------------------------------------------
 # Simulator determinism
@@ -67,7 +67,7 @@ flow_specs = st.lists(
 @settings(max_examples=60)
 def test_maxmin_conservation_and_caps(specs):
     sim = Simulator()
-    net = FlowNetwork(sim)
+    net = FlowNetwork(sim, MetricsRegistry())
     links = [Link(f"l{i}", 8 * 10e6) for i in range(8)]  # 10 MB/s each
     flows = []
     for i, (a, b, size, cap) in enumerate(specs):
@@ -180,8 +180,9 @@ def test_quorum_never_validates_minority(digests, quorum):
     from repro.net import Network, SERVER_LINK
 
     sim = Simulator()
-    net = Network(sim)
-    server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK))
+    net = Network(sim, MetricsRegistry())
+    server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
+                           Tracer(), MetricsRegistry())
     wu = server.submit_workunit(Workunit(
         id=server.db.new_wu_id(), app_name="a",
         input_files=(FileRef("in", 1.0),), flops=1.0,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.boinc.model import FileRef
 from repro.core import PeerStore, interclient
 from repro.net import EMULAB_LINK, NatBox, NatType, Network, SupernodeOverlay
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ def replayed_loads(overlay, hosts):
        st.integers(min_value=1, max_value=3))
 @settings(max_examples=50)
 def test_overlay_attachment_invariants(public_flags, n_supernodes, fanout):
-    net = Network(Simulator())
+    net = Network(Simulator(), MetricsRegistry())
     hosts = []
     for i, is_public in enumerate(public_flags):
         nat = None if is_public else NatBox(nat_type=NatType.SYMMETRIC)
