@@ -5,7 +5,8 @@ Prints ``src/`` Python lines, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
 enter and how many of those :data:`PINNED` keeps, the counters ``src``
 increments and never reads and how many of those :data:`COUNTER_PINS`
-keeps, dataclass fields on the
+keeps, the parameters no body reads and how many of those
+:data:`UNREAD_PINS` keeps, dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
 the :func:`census` of those fields and of every defaulted parameter of a
 public ``src`` function (nothing sets it, only tests set it, the product
@@ -18,8 +19,9 @@ instead of a hand count::
 
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on an unreached module, an
-                                      # unreached function or a write-only
-                                      # counter not pinned, a stale pin, a
+                                      # unreached function, a write-only
+                                      # counter or an unread parameter not
+                                      # pinned, a stale pin, a
                                       # config or spec field or parameter
                                       # with one value in use not pinned
                                       # or a never-used flag (the CI gate)
@@ -431,6 +433,131 @@ def counter_problems(counters: list[str],
     return problems
 
 
+def _stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """A body that is a docstring and ``...`` or ``raise
+    NotImplementedError`` alone: a declared signature, not an
+    implementation."""
+    body = [stmt for stmt in node.body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant)
+                    and isinstance(stmt.value.value, str))]
+    return all((isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Constant)
+                and stmt.value.value is Ellipsis)
+               or (isinstance(stmt, ast.Raise)
+                   and getattr(stmt.exc, "id", None) == "NotImplementedError")
+               for stmt in body)
+
+
+def unread_parameters(sources: dict[str, str] | None = None) -> list[str]:
+    """``module:qualname(name)`` of every parameter of a ``def`` in
+    *sources* (module name -> text; default every ``src`` file) that its
+    body, nested functions included, never reads.  Left out: a method's
+    ``self`` or ``cls``, a parameter whose name begins with ``_``, a
+    :func:`_stub`, a method of a ``Protocol``, and a method whose name a
+    base class of *sources* also defines (that base fixes the signature).
+    A base is one of *sources* when its module defines it or imports it
+    from ``repro`` by a bare name."""
+    if sources is None:
+        sources = {_module_name(str(path)): path.read_text(encoding="utf-8")
+                   for path in sorted(SRC.rglob("*.py"))}
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    #: Class name -> the names its body defines, for every class.
+    defines: dict[str, set[str]] = {}
+    #: Class name -> the names of its bases that are classes of *sources*.
+    bases: dict[str, list[str]] = {}
+    for tree in trees.values():
+        classes = {node.name: node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)}
+        local = set(classes) | {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("repro"))
+            for alias in node.names}
+        for name, cls in classes.items():
+            defines.setdefault(name, set()).update(
+                target.id for stmt in cls.body
+                for target in ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                               else getattr(stmt, "targets", []))
+                if isinstance(target, ast.Name))
+            defines[name].update(
+                stmt.name for stmt in cls.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            bases.setdefault(name, []).extend(
+                base.id for base in cls.bases
+                if isinstance(base, ast.Name) and base.id in local)
+
+    def inherited(cls: str, name: str) -> bool:
+        return any(name in defines.get(base, ()) or inherited(base, name)
+                   for base in bases.get(cls, ()) if base != cls)
+
+    found: list[str] = []
+
+    def visit(module: str, body: list[ast.stmt], prefix: str,
+              owner: ast.ClassDef | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, f"{prefix}{node.name}.", node)
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            qualname = f"{prefix}{node.name}"
+            visit(module, node.body, f"{qualname}.<locals>.", None)
+            if _stub(node) or owner is not None and (
+                    any(getattr(base, "id", getattr(base, "attr", None))
+                        == "Protocol" for base in owner.bases)
+                    or inherited(owner.name, node.name)):
+                continue
+            args = node.args
+            names = [arg.arg for arg in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)]
+            names += [arg.arg for arg in (args.vararg, args.kwarg) if arg]
+            if owner is not None and "staticmethod" not in {
+                    getattr(d, "id", None) for d in node.decorator_list}:
+                names = names[1:]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            found.extend(f"{module}:{qualname}({name})" for name in names
+                         if not name.startswith("_") and name not in read)
+
+    for module, tree in trees.items():
+        visit(module, tree.body, "", None)
+    return found
+
+
+#: Parameters no body reads (:func:`unread_parameters`) that stay, each
+#: with the caller that fixes its signature.
+UNREAD_PINS = {
+    "core.jobtracker:JobTracker._on_assimilated(canonical)":
+        "the scheduler's assimilate_handler hook hands every handler the "
+        "canonical result",
+    "faults.injector:FaultInjector._apply_dataserver_outage(spec)":
+        "FaultInjector dispatches every _apply_<kind> with the fault's spec",
+    "faults.injector:FaultInjector._apply_server_crash(spec)":
+        "FaultInjector dispatches every _apply_<kind> with the fault's spec",
+    "obs.probes:SelfProfiler._observe(args)":
+        "the simulator's dispatch hook hands every hook the callback's "
+        "arguments",
+    "gateway.jobs:JobSignal.trigger(value)":
+        "it mirrors sim Event.trigger(value), the signal the simulated "
+        "job tracker fires",
+}
+
+
+def unread_problems(unread: list[str],
+                    pins: dict[str, str] | None = None) -> list[str]:
+    """One line per unread parameter (:func:`unread_parameters`) *pins*
+    (default :data:`UNREAD_PINS`) leaves out, and per stale pin: a body
+    now reads its parameter, or the parameter is gone."""
+    pins = UNREAD_PINS if pins is None else pins
+    problems = [f"{key}: no body reads it, and it is not pinned"
+                for key in unread if key not in pins]
+    problems += [f"{key}: pinned, but a body reads it or it is gone"
+                 for key in pins if key not in unread]
+    return problems
+
+
 def grid_builders() -> list[str]:
     """Functions of :mod:`repro.experiments.grids` that construct campaign
     cells themselves (every other grid function delegates to one)."""
@@ -719,12 +846,9 @@ PINNED: dict[str, str] = {
         "tests/runtime/test_engine.py::TestGrep::test_matchcount",
     "runtime.api:MapReduceApp.reduce":
         "tests/runtime/test_engine.py::TestGrep::test_matchcount",
-    # Live code the probe's inputs do not take: a client with no executor
-    # given, a scenario cell, a resumed campaign, a heartbeat (its cells
-    # sleep 0 s under a 30 s heartbeat) and --strict.
-    "boinc.client:GenericExecutor.execute":
-        "tests/boinc/test_client.py::TestFailureRecovery::"
-        "test_failed_task_reported_and_replaced",
+    # Live code the probe's inputs do not take: a scenario cell, a resumed
+    # campaign, a heartbeat (its cells sleep 0 s under a 30 s heartbeat)
+    # and --strict.
     "campaign.cells:scenario_specs":
         "tests/campaign/test_grids_and_analysis.py::TestScenarioCellParams::"
         "test_every_scalar_spec_field_is_a_cell_param",
@@ -987,6 +1111,8 @@ if __name__ == "__main__":
     problems = pin_problems(dead)
     counters = write_only_counters()
     problems += counter_problems(counters)
+    unread = unread_parameters()
+    problems += unread_problems(unread)
 
     from repro.cli import build_parser
 
@@ -998,6 +1124,8 @@ if __name__ == "__main__":
           f"(pinned {sum(name in PINNED for name in dead)})")
     print("counters src increments and never reads:", len(counters),
           f"(pinned {sum(name in COUNTER_PINS for name in counters)})")
+    print("parameters no body reads:", len(unread),
+          f"(pinned {sum(key in UNREAD_PINS for key in unread)})")
     for line in problems:
         print("  ", line)
     print("config/spec fields: ", sum(len(dataclasses.fields(cls))
@@ -1041,5 +1169,6 @@ if __name__ == "__main__":
                                       or tested or default
                                       or value_problems or unused):
         sys.exit("surface: a module, a function, a counter or a flag nothing "
-                 "uses, a config field, spec field or parameter with one "
-                 "value in use, or a stale pin (see above)")
+                 "uses, a parameter no body reads, a config field, spec "
+                 "field or parameter with one value in use, or a stale pin "
+                 "(see above)")

@@ -14,7 +14,6 @@ from .client import (
     Client,
     ClientConfig,
     ClientTask,
-    GenericExecutor,
     ServerInputFetcher,
     ServerUploadPolicy,
     TaskState,
@@ -72,7 +71,6 @@ __all__ = [
     "ClientConfig",
     "ClientTask",
     "TaskState",
-    "GenericExecutor",
     "ServerInputFetcher",
     "ServerUploadPolicy",
 ]

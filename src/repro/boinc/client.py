@@ -241,33 +241,14 @@ class ServerUploadPolicy:
         client.server.record_upload(task.assignment.result_id)
 
 
-class GenericExecutor:
-    """Deterministic placeholder app: digest depends only on the workunit."""
-
-    def execute(self, client: "Client", task: ClientTask) -> OutputData:
-        """Produce a generic output sized at 10% of the inputs."""
-        wu = task.assignment.wu
-        out_size = sum(ref.size for ref in wu.input_files) * 0.1
-        digest = f"wu:{wu.id}"
-        if client.corrupt_results:
-            # Byzantine fault: a digest no honest replica reproduces.
-            digest = f"corrupt:{client.name}:{digest}"
-        return OutputData(
-            digest=digest,
-            files=(FileRef(name=f"{wu.app_name}_{wu.id}_out_{task.assignment.result_id}",
-                           size=out_size),),
-        )
-
-
 class Client:
     """One volunteer's BOINC client."""
 
     def __init__(self, sim: Simulator, net: Network, server: ProjectServer,
                  host: Host, record: HostRecord, rng: np.random.Generator,
-                 config: ClientConfig | None = None,
-                 input_fetcher: InputFetcher | None = None,
-                 output_policy: OutputPolicy | None = None,
-                 executor: Executor | None = None) -> None:
+                 input_fetcher: InputFetcher, output_policy: OutputPolicy,
+                 executor: Executor,
+                 config: ClientConfig | None = None) -> None:
         """Wire a client to its simulator, network, server and policies."""
         self.sim = sim
         self.net = net
@@ -277,9 +258,9 @@ class Client:
         self.config = config or ClientConfig()
         self.rng = rng
         self.tracer = server.tracer
-        self.input_fetcher = input_fetcher or ServerInputFetcher()
-        self.output_policy = output_policy or ServerUploadPolicy()
-        self.executor = executor or GenericExecutor()
+        self.input_fetcher = input_fetcher
+        self.output_policy = output_policy
+        self.executor = executor
         self.name = host.name
 
         self.endpoint = TransferEndpoint(

@@ -79,7 +79,7 @@ class DataServer(FileCatalogue):
         #: server access-link capacity (overload / throttling).
         self.slow_factor = 1.0
         #: Fault injection: probability a served download arrives corrupt
-        #: (``corrupt_rng`` draws the dice; rate 1 needs no rng).
+        #: (``corrupt_rng``, set with it, draws the dice; rate 1 draws none).
         self.corrupt_rate = 0.0
         self.corrupt_rng: np.random.Generator | None = None
 
@@ -97,10 +97,8 @@ class DataServer(FileCatalogue):
     def _maybe_corrupt(self, flow: Flow, name: str, to: Host) -> None:
         if self.corrupt_rate <= 0:
             return
-        hit = (self.corrupt_rate >= 1.0
-               or (self.corrupt_rng is not None
-                   and self.corrupt_rng.random() < self.corrupt_rate))
-        if hit:
+        if (self.corrupt_rate >= 1.0
+                or self.corrupt_rng.random() < self.corrupt_rate):
             flow.corrupted = True
             self.tracer.record(self.sim.now, "dataserver.corrupt_serve",
                                file=name, to=to.name)

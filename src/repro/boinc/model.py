@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-import typing as _t
 
 
 class WorkunitState(enum.Enum):
@@ -175,10 +174,8 @@ class Database:
         self._unsent: dict[int, None] = {}  # ordered set of result ids
 
     # -- inserts ---------------------------------------------------------------
-    def insert_workunit(self, wu: "Workunit | None" = None, /, **fields: _t.Any) -> Workunit:
-        """Insert a workunit (allocates the id when built from *fields*)."""
-        if wu is None:
-            wu = Workunit(id=next(self._wu_ids), **fields)
+    def insert_workunit(self, wu: Workunit) -> Workunit:
+        """Insert a workunit whose id :meth:`new_wu_id` allocated."""
         if wu.id in self.workunits:
             raise ValueError(f"duplicate workunit id {wu.id}")
         self.workunits[wu.id] = wu
@@ -189,7 +186,7 @@ class Database:
         """Allocate the next workunit id."""
         return next(self._wu_ids)
 
-    def insert_result(self, wu: Workunit, created_at: float = 0.0) -> Result:
+    def insert_result(self, wu: Workunit) -> Result:
         """Create one more replica of *wu* in UNSENT state."""
         rid = next(self._result_ids)
         seq = len(self._results_by_wu[wu.id])

@@ -141,8 +141,9 @@ class SchedulerCore:
     Everything BOINC-semantic lives here — work assignment, report
     acceptance, the feeder/transitioner/validator/assimilator passes,
     replication and quorum — with *no* reference to the simulator, the
-    flow network, or any transport.  Time comes from an injected ``clock``
-    callable, so the same state machine serves two front ends:
+    flow network, or any transport.  Time and chance come from an injected
+    ``clock`` callable and ``rng``, so the same state machine serves two
+    front ends:
 
     - :class:`ProjectServer` drives it on simulated time (``sim.now``)
       behind the simulated RPC gate;
@@ -165,18 +166,19 @@ class SchedulerCore:
       data-server publish seam).
     """
 
-    def __init__(self, tracer: Tracer, metrics: "MetricsRegistry",
-                 config: ServerConfig | None = None,
-                 rng=None,
-                 clock: _t.Callable[[], float] | None = None) -> None:
+    def __init__(self, tracer: Tracer, metrics: "MetricsRegistry", rng,
+                 clock: _t.Callable[[], float],
+                 config: ServerConfig | None = None) -> None:
         """Create the scheduler state machine (database, hooks, clock)."""
         self.config = config or ServerConfig()
         self.tracer = tracer
+        #: The stream of the adaptive spot check and of the simulated RPC
+        #: service jitter: anything with ``random()``.
         self.rng = rng
         #: The deployment's :class:`repro.obs.MetricsRegistry`: the
         #: scheduler and daemons keep BOINC server-status style counters.
         self.metrics = metrics
-        self._clock = clock if clock is not None else (lambda: 0.0)
+        self._clock = clock
         self.db = Database()
         self._feeder_visible: set[int] = set()
         self._dirty_wus: set[int] = set()
@@ -217,7 +219,7 @@ class SchedulerCore:
             wu.min_quorum = 1
             wu.target_nresults = 1
         for _ in range(wu.target_nresults):
-            self.db.insert_result(wu, created_at=self.now)
+            self.db.insert_result(wu)
         if publish_inputs:
             for ref in wu.input_files:
                 self.publish_input(ref)
@@ -428,7 +430,7 @@ class SchedulerCore:
                 continue  # a backup (or fresh replica) is already queued
             if len(results) >= wu.max_total_results:
                 continue
-            self.db.insert_result(wu, created_at=now)
+            self.db.insert_result(wu)
             self.tracer.record(now, "transitioner.speculative", wu=wu.id,
                                laggard=res.id, host=host.name,
                                out_for=now - res.sent_at)
@@ -456,7 +458,7 @@ class SchedulerCore:
         # Top up replicas: errors and timeouts spawn replacement results.
         while (n_success + n_outstanding < wu.target_nresults
                and len(results) < wu.max_total_results):
-            self.db.insert_result(wu, created_at=self.now)
+            self.db.insert_result(wu)
             results = self.db.results_for_wu(wu.id)
             n_outstanding += 1
             self.tracer.record(self.now, "transitioner.new_result", wu=wu.id)
@@ -534,9 +536,7 @@ class SchedulerCore:
         """
         host = self.db.hosts[res.host_id]
         trusted = host.validated_count >= ADAPTIVE_TRUST_THRESHOLD
-        spot_check = False
-        if self.rng is not None:
-            spot_check = self.rng.random() < ADAPTIVE_SPOT_CHECK_RATE
+        spot_check = self.rng.random() < ADAPTIVE_SPOT_CHECK_RATE
         if trusted and not spot_check:
             self.tracer.record(self.now, "validator.adaptive_accept",
                                wu=wu.id, host=host.name,
@@ -589,15 +589,14 @@ class ProjectServer(SchedulerCore):
     """
 
     def __init__(self, sim: Simulator, net: Network, host: Host,
-                 tracer: Tracer, metrics: "MetricsRegistry",
-                 config: ServerConfig | None = None,
-                 rng=None) -> None:
+                 tracer: Tracer, metrics: "MetricsRegistry", rng,
+                 config: ServerConfig | None = None) -> None:
         """Stand up the server (database, daemons, RPC gate) on *host*."""
-        super().__init__(tracer, metrics, config=config, rng=rng)
+        super().__init__(tracer, metrics, rng, lambda: sim.now,
+                         config=config)
         self.sim = sim
         self.net = net
         self.host = host
-        self._clock = lambda: sim.now
         self.dataserver = DataServer(sim, net, host, self.tracer)
         self.publish_input = self.dataserver.publish
         self._rpc_slots = SimSemaphore(sim, RPC_CAPACITY, name="sched")
@@ -681,10 +680,7 @@ class ProjectServer(SchedulerCore):
                 self._rpc_slots.settle(grant)
                 reply.fail(ServerUnavailable("scheduler crashed mid-request"))
                 return
-            delay = RPC_PROCESS_S
-            if self.rng is not None:
-                delay = jittered(self.rng, delay, 0.2)
-            self.sim.schedule(delay, finish)
+            self.sim.schedule(jittered(self.rng, RPC_PROCESS_S, 0.2), finish)
 
         def finish() -> None:
             self._rpc_slots.settle(grant)

@@ -315,7 +315,6 @@ class CampaignCoordinator:
 
     def connection_lost(self, worker: str) -> None:
         """A worker's socket closed; reclaim its leases if it held any."""
-        now = time.monotonic()
         with self._lock:
             state = self.table.workers.get(worker)
             if state is None or state.dead:
@@ -324,7 +323,7 @@ class CampaignCoordinator:
                 state.dead = True
                 return
             held = len(state.keys)
-            quarantined = self.table.fail_worker(worker, now)
+            quarantined = self.table.fail_worker(worker)
             self._progress(f"worker {worker} lost with {held} lease(s); "
                            f"reclaimed {held - len(quarantined)}")
             for key in quarantined:
@@ -404,7 +403,7 @@ class CampaignCoordinator:
         # socket's EOF, a result it sent just before the kill could drain
         # the lease first, and the kill would not count as a failure.
         held = len(self.table.workers[victim].keys)
-        quarantined = self.table.fail_worker(victim, now)
+        quarantined = self.table.fail_worker(victim)
         self._progress(f"chaos: SIGKILLed worker {victim} "
                        f"(pid {process.pid}); reclaimed "
                        f"{held - len(quarantined)} lease(s)")
@@ -426,7 +425,7 @@ class CampaignCoordinator:
         dead = self.table.dead_workers(now, self.liveness_s)
         for worker in dead:
             held = len(self.table.workers[worker].keys)
-            quarantined = self.table.fail_worker(worker, now)
+            quarantined = self.table.fail_worker(worker)
             self._progress(f"worker {worker} missed heartbeats; "
                            f"reclaimed {held} lease(s)")
             for key in quarantined:

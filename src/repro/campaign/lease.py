@@ -146,7 +146,7 @@ class LeaseTable:
         return [w for w, s in self.workers.items()
                 if not s.dead and now - s.last_seen > liveness_s]
 
-    def fail_worker(self, worker: str, now: float) -> list[str]:
+    def fail_worker(self, worker: str) -> list[str]:
         """Declare a worker dead and reclaim every lease it held.
 
         Returns the keys whose cells were quarantined as a consequence
@@ -159,7 +159,7 @@ class LeaseTable:
         self.counters.workers_failed += 1
         quarantined = []
         for key in sorted(state.keys):
-            if self._lose_lease(key, worker, now) == FAILED:
+            if self._lose_lease(key, worker) == FAILED:
                 quarantined.append(key)
         state.keys.clear()
         state.revoked.clear()
@@ -246,7 +246,7 @@ class LeaseTable:
         if cell is None or (worker not in cell.leases
                             and cell.status != LEASED):
             return "ignored"
-        outcome = self._lose_lease(key, worker, now)
+        outcome = self._lose_lease(key, worker)
         return {PENDING: "retry", FAILED: "failed"}.get(outcome, "ignored")
 
     # -- reclamation ---------------------------------------------------------
@@ -259,7 +259,7 @@ class LeaseTable:
                     expired.append(lease)
                     self.counters.expired += 1
                     self._revoke(cell, lease.key, lease.worker)
-                    self._account_loss(lease.key, now)
+                    self._account_loss(lease.key)
         return expired
 
     def mark_done(self, keys: _t.Iterable[str]) -> int:
@@ -286,13 +286,13 @@ class LeaseTable:
         if state is not None and not state.dead:
             state.revoked.add(key)
 
-    def _lose_lease(self, key: str, worker: str, now: float) -> str:
+    def _lose_lease(self, key: str, worker: str) -> str:
         """A lease ended without a result; returns the cell's new status."""
         cell = self.cells[key]
         self._drop_lease(cell, key, worker)
-        return self._account_loss(key, now)
+        return self._account_loss(key)
 
-    def _account_loss(self, key: str, now: float) -> str:
+    def _account_loss(self, key: str) -> str:
         """Requeue or quarantine a cell that lost a lease."""
         cell = self.cells[key]
         if cell.status in (DONE, FAILED):

@@ -128,15 +128,14 @@ class MapReduceInputFetcher:
             name = spec.map_output_file(map_index, wu.mr_index)
             holders = assignment.peer_locations.get(map_index, [])
             procs.append(client.sim.process(
-                self._fetch_partition(client, name, spec.map_output_size(),
-                                      holders),
+                self._fetch_partition(client, name, holders),
                 name=f"fetch:{client.name}:{name}"))
         # A churn kill of the reduce task must cascade: partition
         # fetches (and their nested peer downloads) may not keep
         # pulling bytes for a task that no longer exists.
         yield from join_transfers(client, procs, "reduce fetch cancelled")
 
-    def _fetch_partition(self, client: Client, filename: str, size: float,
+    def _fetch_partition(self, client: Client, filename: str,
                          holders: _t.Sequence[str]) -> _t.Generator:
         """Try each holder (with retries), then fall back to the server."""
         sim = client.sim

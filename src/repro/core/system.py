@@ -145,11 +145,9 @@ class CloudSpec:
 class VolunteerCloud:
     """A complete simulated BOINC-MR deployment."""
 
-    def __init__(self, spec: CloudSpec | None = None) -> None:
-        """Build a cloud from a :class:`CloudSpec` (default spec if None)."""
-        if spec is None:
-            spec = CloudSpec()
-        elif not isinstance(spec, CloudSpec):
+    def __init__(self, spec: CloudSpec) -> None:
+        """Build a cloud from a :class:`CloudSpec`."""
+        if not isinstance(spec, CloudSpec):
             raise TypeError(
                 f"spec must be a CloudSpec, got {type(spec).__name__}")
         #: The frozen construction spec this deployment was built from.

@@ -215,7 +215,7 @@ class GatewayClient:
                 if status < 400:
                     replies[i] = resp_headers, payload
                     continue
-                last = err = self._decode_error(status, resp_headers, payload)
+                last = err = self._decode_error(status, payload)
                 if not err.retryable or attempt == self.retries:
                     raise err
                 refused.append(i)
@@ -231,8 +231,7 @@ class GatewayClient:
                            f"retries exhausted: {last}")
 
     @staticmethod
-    def _decode_error(status: int, headers: dict[str, str],
-                      payload: bytes) -> GatewayError:
+    def _decode_error(status: int, payload: bytes) -> GatewayError:
         try:
             doc = protocol.loads(payload)
             return GatewayError(status, doc.get("error", "unknown"),

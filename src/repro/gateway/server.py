@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import dataclasses
+import random
 import sys
 import threading
 import time
@@ -247,10 +248,13 @@ class GatewayServer:
         self.metrics = MetricsRegistry()
         t0 = time.monotonic()
         # Nothing on the gateway reads the records back: count every kind
-        # and serve taps, store none (a server runs for days).
+        # and serve taps, store none (a server runs for days).  The rng is
+        # never drawn: the gateway runs no adaptive replication and no
+        # simulated RPC, so a stdlib stream spares importing numpy.random.
         self.core = SchedulerCore(config=self.config.server_config(),
                                   tracer=Tracer(keep=lambda kind: False),
                                   metrics=self.metrics,
+                                  rng=random.Random(0),
                                   clock=lambda: time.monotonic() - t0)
         self.store = BlobStore()
         self.core.publish_input = self.store.publish

@@ -182,11 +182,11 @@ def maxmin_rates(flows: _t.Collection[Flow],
     Respects per-flow ``max_rate`` caps.  Links are discovered from the
     flows themselves; *capacity*, when given, overrides ``Link.capacity``
     for every link *flows* traverse (the background pass hands in the
-    residual left by the foreground).  *adj*, when given, is a ready
-    link → flows index over exactly *flows* (a component's adjacency), and
-    *load*, when given with it, the number of times *flows* traverse each
-    link (a link listed twice counts twice); each saves building one.
-    Neither is modified.  Returns rates in bytes/s, keyed in *flows* order.
+    residual left by the foreground).  *adj* and *load*, given together,
+    are a ready link → flows index over exactly *flows* (a component's
+    adjacency) and the number of times *flows* traverse each link (a link
+    listed twice counts twice); they save building both.  Neither is
+    modified.  Returns rates in bytes/s, keyed in *flows* order.
 
     All unfrozen flows rise in lockstep, so the fill is one scalar
     ``level`` that a flow takes as its rate in the round it freezes.  A
@@ -200,7 +200,7 @@ def maxmin_rates(flows: _t.Collection[Flow],
         return {}
     rate: dict[Flow, _t.Any] = dict.fromkeys(flows)  # None while unfrozen
     #: Unfrozen flow *traversals* per link (a link listed twice counts twice).
-    active: dict[Link, int] = {}
+    active: dict[Link, int]
     if adj is None:
         index: dict[Link, list[Flow]] = {}
         for f in flows:
@@ -212,12 +212,8 @@ def maxmin_rates(flows: _t.Collection[Flow],
                     members.append(f)
         active = {link: len(members) for link, members in index.items()}
         adj = index
-    elif load is not None:
-        active = dict(load)
     else:
-        for f in flows:
-            for link in f.links:
-                active[link] = active.get(link, 0) + 1
+        active = dict(load)
     if capacity is None:
         headroom = {link: link.capacity for link in active}
     else:
@@ -307,9 +303,9 @@ def allocate_rates(flows: _t.Collection[Flow],
     Sets each flow's rate in place.  Progressive filling is numerically
     order-independent, so allocating a flow set component by component or
     all at once (the test oracle) produces identical rates.  *adj* and
-    *load* are an optional link → flows index and link → traversal count
-    over exactly *flows*; they serve the foreground pass when there is no
-    background flow to split off.
+    *load*, given together, are a link → flows index and link → traversal
+    count over exactly *flows*; they serve the foreground pass when there
+    is no background flow to split off.
     """
     background = [f for f in flows if f.background]
     if not background:
@@ -472,14 +468,9 @@ class IncrementalAllocator:
         self._detach(comp, flow)
         self._resettle(comp, (flow,))
 
-    def advance(self, flow: Flow | None = None) -> None:
-        """Account progress for *flow*'s component only (or all)."""
-        now = self.net.sim.now
-        if flow is None:
-            for comp in self._comps:
-                self._advance_comp(comp, now)
-        else:
-            self._advance_comp(self._flow_comp[flow], now)
+    def advance(self, flow: Flow) -> None:
+        """Account progress for *flow*'s component only."""
+        self._advance_comp(self._flow_comp[flow], self.net.sim.now)
 
     def refresh(self) -> None:
         """Refill every component; membership is capacity-invariant."""

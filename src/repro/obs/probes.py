@@ -128,22 +128,15 @@ class SelfProfiler:
     hot subsystem.
     """
 
-    def __init__(self, sim: Simulator | None = None) -> None:
-        """Create the profiler; installs on *sim* immediately when given."""
-        self.totals: dict[str, list[float]] = {}  # kind -> [count, seconds]
-        self._sim: Simulator | None = None
-        if sim is not None:
-            self.install(sim)
-
-    # -- lifecycle ------------------------------------------------------------
-    def install(self, sim: Simulator) -> "SelfProfiler":
-        """Hook the simulator's dispatch loop; returns self."""
+    def __init__(self, sim: Simulator) -> None:
+        """Create the profiler and hook *sim*'s dispatch loop."""
         if sim.dispatch_hook is not None:
             raise RuntimeError("simulator already has a dispatch hook")
+        self.totals: dict[str, list[float]] = {}  # kind -> [count, seconds]
         sim.dispatch_hook = self._observe
-        self._sim = sim
-        return self
+        self._sim: Simulator | None = sim
 
+    # -- lifecycle ------------------------------------------------------------
     def uninstall(self) -> None:
         """Remove the dispatch hook (idempotent)."""
         if self._sim is not None and self._sim.dispatch_hook == self._observe:

@@ -82,16 +82,15 @@ class Tracer:
         self._taps.append(fn)
 
     # -- queries -------------------------------------------------------------
-    def select(self, kind: str | None = None, /,
+    def select(self, kind: str, /,
                **field_filters: _t.Any) -> list[TraceRecord]:
         """Records matching *kind* and with every given field equal.
 
         ``kind`` is positional-only so a field named "kind" can be
         filtered on (e.g. a workunit's map/reduce kind).
         """
-        pool = self.records if kind is None else self._by_kind.get(kind, [])
         out = []
-        for rec in pool:
+        for rec in self._by_kind.get(kind, []):
             if any(rec.get(k, _MISSING) != v for k, v in field_filters.items()):
                 continue
             out.append(rec)

@@ -21,6 +21,8 @@ from repro.net import EMULAB_LINK, LinkSpec, Network, SERVER_LINK
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator, Tracer
 
+from .fakes import DigestExecutor, plain_boinc
+
 #: The client constants of ``build``'s quick client (with a 60 s backoff
 #: cap), used unless a test passes its own config.
 QUICK = {"INITIAL_STAGGER_S": 1.0, "BACKOFF_MIN_S": 10.0,
@@ -36,7 +38,7 @@ def build(pin):
         net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
         server = ProjectServer(sim, net, server_host, Tracer(),
-                               MetricsRegistry(),
+                               MetricsRegistry(), np.random.default_rng(seed),
                                config=server_config or ServerConfig())
         if client_config is None:
             pin(client_mod, **QUICK)
@@ -47,7 +49,8 @@ def build(pin):
             record = server.register_host(f"c{i}", flops)
             clients.append(Client(sim, net, server, host, record,
                                   config=client_config,
-                                  rng=np.random.default_rng(seed + i)))
+                                  rng=np.random.default_rng(seed + i),
+                                  **plain_boinc(DigestExecutor())))
         return sim, net, server, clients
     return build
 
@@ -303,11 +306,13 @@ class TestWake:
         sim = Simulator()
         net = Network(sim, MetricsRegistry())
         server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
-                               Tracer(), MetricsRegistry())
+                               Tracer(), MetricsRegistry(),
+                               np.random.default_rng(0))
         far = LinkSpec(latency_s=20.0)  # a 40 s round trip
         record = server.register_host("c0", 1.0)
         client = Client(sim, net, server, net.add_host("c0", far), record,
-                        rng=np.random.default_rng(0))
+                        rng=np.random.default_rng(0),
+                        **plain_boinc(DigestExecutor()))
         rtt = net.rtt(client.host, server.host)
         arrivals = []
         serve = server.scheduler_rpc
@@ -367,17 +372,18 @@ class TestFailureRecovery:
         net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
         server = ProjectServer(sim, net, server_host, Tracer(),
-                               MetricsRegistry())
+                               MetricsRegistry(), np.random.default_rng(0))
         pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=5.0)
         cfg = ClientConfig(backoff_max_s=20.0)
         clients = []
         for i, name in enumerate(("bad", "good1", "good2")):
             host = net.add_host(name, EMULAB_LINK)
             record = server.register_host(name, 1.0)
-            strategies = ({"executor": ExplodingExecutor()} if name == "bad"
-                          else {})
+            executor = (ExplodingExecutor() if name == "bad"
+                        else DigestExecutor())
             clients.append(Client(sim, net, server, host, record, config=cfg,
-                                  rng=np.random.default_rng(i), **strategies))
+                                  rng=np.random.default_rng(i),
+                                  **plain_boinc(executor)))
         bad, good1, good2 = clients
         wu = Workunit(id=server.db.new_wu_id(), app_name="app",
                       input_files=(FileRef("in", 1e6),), flops=30.0,

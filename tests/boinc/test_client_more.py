@@ -1,5 +1,7 @@
 """Additional client/server protocol tests: congestion, pacing, speed."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.boinc import client as client_mod
 from repro.boinc import server as server_mod
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator, Tracer, jittered
+
+from .fakes import DigestExecutor, plain_boinc
 
 
 def build(n_clients, client_config=None, server_config=None):
@@ -24,6 +28,7 @@ def build(n_clients, client_config=None, server_config=None):
     net = Network(sim, MetricsRegistry())
     server_host = net.add_host("server", SERVER_LINK)
     server = ProjectServer(sim, net, server_host, Tracer(), MetricsRegistry(),
+                           np.random.default_rng(0),
                            config=server_config or ServerConfig())
     cfg = client_config or ClientConfig()
     clients = []
@@ -31,7 +36,8 @@ def build(n_clients, client_config=None, server_config=None):
         host = net.add_host(f"c{i}", EMULAB_LINK)
         record = server.register_host(f"c{i}", 1.0)
         clients.append(Client(sim, net, server, host, record, config=cfg,
-                              rng=np.random.default_rng(i)))
+                              rng=np.random.default_rng(i),
+                              **plain_boinc(DigestExecutor())))
     return sim, net, server, clients
 
 
@@ -43,27 +49,41 @@ def submit(server, n=1, flops=30.0, replication=1, quorum=1):
             target_nresults=replication, min_quorum=quorum))
 
 
+def last_served(rng, n, capacity):
+    """When the last of *n* RPCs queued at t=0 finishes: each of
+    *capacity* slots takes the next request as it frees, and each service
+    time is ``RPC_PROCESS_S`` with the server's +-20% jitter, drawn from
+    *rng* in the order the slots take the requests."""
+    free = [0.0] * capacity
+    for _ in range(n):
+        slot = free.index(min(free))
+        free[slot] += jittered(rng, server_mod.RPC_PROCESS_S, 0.2)
+    return max(free)
+
+
 class TestRpcCongestion:
     def test_rpc_capacity_queues_excess_requests(self, pin):
         pin(server_mod, RPC_CAPACITY=2, RPC_PROCESS_S=10.0)
         sim, _net, server, _clients = build(0)
+        twin = copy.deepcopy(server.rng)
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(6)]
         procs = [server.scheduler_rpc(SchedulerRequest(
             host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
-        # 6 RPCs, 2 at a time, 10s each -> three waves; last ends at t=30.
+        # 6 RPCs, 2 at a time, ~10s each -> three waves.
         assert all(p.triggered and p.exception is None for p in procs)
-        assert sim.now == pytest.approx(30.0)
+        assert sim.now == pytest.approx(last_served(twin, 6, 2))
 
     def test_all_rpcs_eventually_served(self, pin):
         pin(server_mod, RPC_CAPACITY=1, RPC_PROCESS_S=1.0)
         sim, _net, server, _clients = build(0)
+        twin = copy.deepcopy(server.rng)
         hosts = [server.register_host(f"h{i}", 1.0) for i in range(5)]
         procs = [server.scheduler_rpc(SchedulerRequest(
             host_id=h.id, work_req_s=0.0)) for h in hosts]
         sim.run()
         assert all(p.triggered and p.exception is None for p in procs)
-        assert sim.now == pytest.approx(5.0)
+        assert sim.now == pytest.approx(last_served(twin, 5, 1))
 
 
 class TestPacing:

@@ -1,5 +1,6 @@
 """Unit tests for the project server: scheduler, daemons, validation."""
 
+import numpy as np
 import pytest
 
 from repro.boinc import (
@@ -31,7 +32,7 @@ def server(sim):
     net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
     return ProjectServer(sim, net, host, Tracer(), MetricsRegistry(),
-                         config=ServerConfig())
+                         np.random.default_rng(0), config=ServerConfig())
 
 
 def make_wu(server, replication=2, quorum=2, **kwargs):
@@ -162,7 +163,7 @@ class TestScheduler:
         net = Network(sim, MetricsRegistry())
         host_net = net.add_host("server", SERVER_LINK)
         server = ProjectServer(sim, net, host_net, Tracer(),
-                               MetricsRegistry())
+                               MetricsRegistry(), np.random.default_rng(0))
         for _ in range(10):
             make_wu(server, flops=1.0)
         host = server.register_host("h1", 1.0)

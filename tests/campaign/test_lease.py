@@ -1,5 +1,7 @@
 """Unit tests for the lease state machine (no sockets, no clocks)."""
 
+import random
+
 import pytest
 
 from repro.boinc.model import (
@@ -147,7 +149,7 @@ class TestWorkerFailure:
         table = _table(3, retries=1)
         for _ in range(3):
             table.grant("w0", now=0.0)
-        quarantined = table.fail_worker("w0", now=1.0)
+        quarantined = table.fail_worker("w0")
         assert quarantined == []  # first loss of each; retry budget left
         assert [c.status for c in table.cells.values()] == [PENDING] * 3
         assert table.counters.workers_failed == 1
@@ -157,20 +159,20 @@ class TestWorkerFailure:
     def test_fail_worker_quarantines_when_budget_spent(self):
         table = _table(1, retries=0)
         key = table.grant("w0", now=0.0).key
-        assert table.fail_worker("w0", now=1.0) == [key]
+        assert table.fail_worker("w0") == [key]
         assert table.cells[key].status == FAILED
 
     def test_fail_worker_idempotent(self):
         table = _table(1)
         table.grant("w0", now=0.0)
-        table.fail_worker("w0", now=1.0)
-        assert table.fail_worker("w0", now=2.0) == []
+        table.fail_worker("w0")
+        assert table.fail_worker("w0") == []
         assert table.counters.workers_failed == 1
 
     def test_dead_worker_can_reregister(self):
         table = _table(1)
         table.register("w0", now=0.0)
-        table.fail_worker("w0", now=1.0)
+        table.fail_worker("w0")
         table.register("w0", now=2.0)
         assert list(table.workers) == ["w0"]
         assert not table.workers["w0"].dead
@@ -239,9 +241,9 @@ class _CoreAsLeaseTable:
                  steal: bool = False) -> None:
         self.now = 0.0
         self.core = SchedulerCore(
-            Tracer(), MetricsRegistry(),
-            ServerConfig(delay_bound_s=lease_s, speculative_execution=steal),
-            clock=lambda: self.now)
+            Tracer(), MetricsRegistry(), random.Random(0),
+            lambda: self.now,
+            ServerConfig(delay_bound_s=lease_s, speculative_execution=steal))
         self.wu = self.core.submit_workunit(Workunit(
             id=0, app_name="cell", input_files=(), flops=1.0,
             target_nresults=1, min_quorum=1, max_error_results=retries + 1))

@@ -10,7 +10,9 @@ invariants can be checked after every step.
 """
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,12 +50,13 @@ class Wiring:
             net = Network(sim, MetricsRegistry())
             self.core = ProjectServer(sim, net,
                                       net.add_host("server", SERVER_LINK),
-                                      Tracer(), MetricsRegistry())
+                                      Tracer(), MetricsRegistry(),
+                                      np.random.default_rng(0))
             self.store = None
             self.tracker = JobTracker(self.core, sim.event)
         else:
             self.core = SchedulerCore(Tracer(), MetricsRegistry(),
-                                      clock=lambda: 0.0)
+                                      random.Random(0), lambda: 0.0)
             self.store = BlobStore()
             self.core.publish_input = self.store.publish
             self.tracker = GatewayJobTracker(self.core, self.store)

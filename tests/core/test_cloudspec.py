@@ -189,6 +189,8 @@ class TestNeverSetOptionsAreConstants:
         ("repro.volunteers", "AvailabilityTrace.available_at"),
         ("repro.volunteers", "AvailabilityTrace.total_available"),
         ("repro.volunteers", "AvailabilityTrace.availability_fraction"),
+        ("repro.boinc.client", "GenericExecutor"),
+        ("repro.obs", "SelfProfiler.install"),
     ])
     def test_second_mechanisms_and_unused_capabilities_are_gone(self, module,
                                                                 name):
@@ -201,16 +203,11 @@ class TestNeverSetOptionsAreConstants:
     def test_a_host_leaves_and_returns_one_way(self):
         """``go_offline()`` / ``come_online()`` and two declared attributes;
         nothing sets, or answers to, the old privates."""
-        from repro.boinc.server import SchedulerCore
-        from repro.obs import MetricsRegistry
-        from repro.sim import Tracer
-
         client = VolunteerCloud.from_spec(CloudSpec(n_nodes=1)).clients[0]
         assert client.offline is False and client.peer_store is None
         for name in ("_stopped", "_paused"):
             assert not hasattr(client, name)
-        assert not hasattr(SchedulerCore(Tracer(), MetricsRegistry()),
-                           "on_upload")
+        assert not hasattr(client.server, "on_upload")
 
     @pytest.mark.parametrize("argv", [
         ["loadgen", "--corpus-kb", "10"],

@@ -1,5 +1,6 @@
 """Unit tests for the JobTracker server module."""
 
+import numpy as np
 import pytest
 
 from repro.boinc import ProjectServer, Workunit
@@ -22,7 +23,8 @@ def setup():
     sim = Simulator()
     net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
-    server = ProjectServer(sim, net, host, Tracer(), MetricsRegistry())
+    server = ProjectServer(sim, net, host, Tracer(), MetricsRegistry(),
+                           np.random.default_rng(0))
     tracker = JobTracker(server, sim.event, config=BoincMRConfig(
         upload_map_outputs=True))
     return sim, server, tracker

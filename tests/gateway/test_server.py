@@ -7,15 +7,20 @@
 
 import collections
 import gc
+import os
+import pathlib
 import re
 import select
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.boinc.model import ResultState
 from repro.gateway import (
     GatewayClient,
@@ -72,6 +77,20 @@ def _wait_until_finished(client, name, budget_s=10.0):
 
 
 class TestBasics:
+    def test_the_core_draws_from_a_stdlib_stream(self):
+        """The core's rng is never drawn (no adaptive replication, no
+        simulated RPC), so a fresh server holds a stdlib stream and has not
+        imported ``numpy.random``."""
+        code = ("import random, sys; from repro.gateway import GatewayServer; "
+                "rng = GatewayServer().core.rng; "
+                "print(type(rng) is random.Random, "
+                "'numpy.random' in sys.modules)")
+        src = str(pathlib.Path(repro.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["True", "False"]
+
     def test_healthz(self, client):
         doc = client.health()
         assert doc == {"ok": True, "version": protocol.PROTOCOL_VERSION}

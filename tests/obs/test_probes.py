@@ -74,7 +74,7 @@ class TestSelfProfiler:
         assert any(k.endswith("tick") for k in kinds)
 
     def test_top_sorted_by_wall_time(self):
-        prof = SelfProfiler()
+        prof = SelfProfiler(Simulator())
         prof.totals = {"a": [1, 0.5], "b": [1, 2.0], "c": [1, 1.0]}
         assert [k for k, _c, _s in prof.top(2)] == ["b", "c"]
 

@@ -1,6 +1,7 @@
 """Tests for the future-work extensions: supernode overlay, TCP-Nice
 uploads, and adaptive replication."""
 
+import numpy as np
 import pytest
 
 from repro.boinc import ClientConfig, ProjectServer, ServerConfig
@@ -215,7 +216,8 @@ class TestAdaptiveReplication:
         sim = Simulator()
         net = Network(sim, MetricsRegistry())
         server = ProjectServer(sim, net, net.add_host("s", EMULAB_LINK),
-                               Tracer(), MetricsRegistry())
+                               Tracer(), MetricsRegistry(),
+                               np.random.default_rng(0))
         wu = server.submit_workunit(Workunit(
             id=server.db.new_wu_id(), app_name="a",
             input_files=(FileRef("in", 1.0),), flops=1.0,

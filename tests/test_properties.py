@@ -182,7 +182,8 @@ def test_quorum_never_validates_minority(digests, quorum):
     sim = Simulator()
     net = Network(sim, MetricsRegistry())
     server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
-                           Tracer(), MetricsRegistry())
+                           Tracer(), MetricsRegistry(),
+                           np.random.default_rng(0))
     wu = server.submit_workunit(Workunit(
         id=server.db.new_wu_id(), app_name="a",
         input_files=(FileRef("in", 1.0),), flops=1.0,

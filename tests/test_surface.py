@@ -154,6 +154,82 @@ def test_every_write_only_counter_is_pinned_by_its_reader():
     assert surface.counter_problems(counters) == []
 
 
+UNREAD_BASE = textwrap.dedent('''
+    class App:
+        def map(self, key, value):
+            """Declared, so every app takes both."""
+            raise NotImplementedError
+
+    class Event:
+        def trigger(self, value=None):
+            self.value = value
+    ''')
+
+UNREAD = textwrap.dedent('''
+    import threading
+    import typing as _t
+
+    from .base import App
+
+    class Hook(_t.Protocol):
+        def __call__(self, wu, result):
+            return None
+
+    class Lines(App):
+        def map(self, key, value):
+            return [value]
+
+    class Signal(threading.Event):
+        def trigger(self, value=None):
+            self.set()
+
+    class Table:
+        def account(self, key, now):
+            return key
+
+        def drop(self, key, _now):
+            return key
+
+        def declared(self, key): ...
+
+        @staticmethod
+        def decode(status, payload):
+            return status
+
+    def outer(a, b):
+        def inner():
+            return b
+        return inner
+    ''')
+
+
+def test_a_parameter_no_body_reads_is_reported():
+    """Not ``self``, ``_now``, a ``Protocol``'s, a stub's, an override of
+    a base in the sources, nor one a nested function reads; but an
+    override of a class the sources do not define is."""
+    assert surface.unread_parameters(
+        {"fake.base": UNREAD_BASE, "fake.table": UNREAD}) == [
+        "fake.table:Signal.trigger(value)", "fake.table:Table.account(now)",
+        "fake.table:Table.decode(payload)", "fake.table:outer(a)"]
+
+
+def test_an_unread_parameter_must_be_pinned_and_a_pin_must_be_unread():
+    unread = ["fake.table:Table.account(now)"]
+    assert surface.unread_problems(unread, {}) == [
+        "fake.table:Table.account(now): no body reads it, and it is not "
+        "pinned"]
+    assert surface.unread_problems(unread, {unread[0]: "a hook"}) == []
+    assert surface.unread_problems([], {unread[0]: "a hook"}) == [
+        "fake.table:Table.account(now): pinned, but a body reads it or it "
+        "is gone"]
+
+
+def test_every_unread_parameter_is_pinned():
+    unread = surface.unread_parameters()
+    assert sorted(unread) == sorted(surface.UNREAD_PINS)
+    assert surface.unread_problems(unread) == []
+
+
 def test_the_census_covers_config_fields_and_spec_switches():
     fields = surface.census_fields(surface.option_classes())
     assert "ServerConfig.delay_bound_s" in fields
