@@ -800,9 +800,6 @@ PINNED: dict[str, str] = {
     "gateway.client:GatewayClient._once":
         "tests/gateway/test_client_differential.py::"
         "test_a_whole_reply_keeps_the_socket_open_for_the_next",
-    "net.flows:Flow.eta":
-        "tests/net/test_coalescing.py::"
-        "test_every_read_and_completion_equals_the_eager_oracle",
     "net.flows:Flow.rate":
         "tests/net/test_coalescing.py::"
         "test_every_read_and_completion_equals_the_eager_oracle",
@@ -963,9 +960,6 @@ PINNED: dict[str, str] = {
         "test_daemon_events_route_to_daemon_tracks",
     "obs.metrics:Sampler.stop":
         "tests/obs/test_metrics.py::TestSampler::test_stop_halts_sampling",
-    "obs.probes:SelfProfiler.uninstall":
-        "tests/obs/test_probes.py::TestSelfProfiler::"
-        "test_uninstall_restores_fast_path",
     "sim.events:Event.__repr__":
         "tests/sim/test_events.py::test_double_trigger_rejected",
 }

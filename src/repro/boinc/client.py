@@ -58,9 +58,6 @@ class ClientConfig:
     #: knows (BOINC estimates are routinely wrong for real applications;
     #: < 1 makes this host a genuine straggler the scheduler cannot see).
     speed_factor: float = 1.0
-    #: Send output uploads as TCP-Nice-style background transfers that
-    #: yield to foreground traffic (Section III.D future work).
-    nice_uploads: bool = False
 
 
 #: Low watermark: request more work when the estimated *remaining*
@@ -187,13 +184,11 @@ def download_with_retry(client: "Client", name: str) -> _t.Generator:
         lambda: client.server.dataserver.download(name, client.host))
 
 
-def upload_with_retry(client: "Client", ref: FileRef,
-                      background: bool = False) -> _t.Generator:
+def upload_with_retry(client: "Client", ref: FileRef) -> _t.Generator:
     """Process body: upload *ref* to the data server with bounded retry."""
     return _transfer_with_retry(
         client, "upload", ref.name,
-        lambda: client.server.dataserver.upload(ref, client.host,
-                                                background=background))
+        lambda: client.server.dataserver.upload(ref, client.host))
 
 
 def join_transfers(client: "Client", procs: list[Process],
@@ -232,9 +227,8 @@ class ServerUploadPolicy:
     def handle(self, client: "Client", task: ClientTask) -> _t.Generator:
         """Upload every output file to the project data server."""
         assert task.output is not None
-        nice = client.config.nice_uploads
         yield from join_transfers(client, [
-            client.sim.process(upload_with_retry(client, ref, background=nice),
+            client.sim.process(upload_with_retry(client, ref),
                                name=f"upload:{client.name}:{ref.name}")
             for ref in task.output.files
         ], "output upload cancelled")

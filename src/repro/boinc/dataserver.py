@@ -120,21 +120,16 @@ class DataServer(FileCatalogue):
                            file=name, to=to.name, size=ref.size)
         return flow
 
-    def upload(self, ref: FileRef, frm: Host,
-               background: bool = False) -> Flow:
+    def upload(self, ref: FileRef, frm: Host) -> Flow:
         """Start an HTTP upload of *ref* from host *frm*.
 
         The file enters the catalogue when the flow completes (a partially
-        uploaded file is not served).  ``background=True`` sends it as a
-        TCP-Nice-style transfer that only uses spare bandwidth (Section
-        III.D: "optimizes bandwidth consumption by proactively detecting
-        congestion ... optimized to support background transfers").
+        uploaded file is not served).
         """
         if not self.available:
             self._refuse("upload", ref.name, frm)
         flow = self.net.transfer(frm, self.host, ref.size,
                                  label=f"http:{frm.name}->{ref.name}",
-                                 background=background,
                                  max_rate=self._rate_cap())
 
         def _complete(ev) -> None:

@@ -45,7 +45,6 @@ STUDIES: tuple[Study, ...] = (
     speculation.STUDY,
     extensions.ADAPTIVE,
     extensions.SUPERNODE,
-    extensions.NICE,
     scaling.NODE_SCALING,
     replication.STUDY,
     server_load.STUDY,

@@ -1,4 +1,4 @@
-"""Three design alternatives the paper sketches but never measured.
+"""Two design alternatives the paper sketches but never measured.
 
 1. **Supernode relay vs server relay** (:data:`SUPERNODE`) — when NATed
    peers need a relay, routing through elected volunteer supernodes
@@ -7,9 +7,6 @@
 2. **Adaptive replication** (:data:`ADAPTIVE`) — reputation +
    spot-checking replaces the fixed 2x redundancy, cutting executed
    results once trust is built.
-3. **TCP-Nice uploads** (:data:`NICE`) — background map-output uploads
-   stop competing with the inter-client transfers reducers are blocked
-   on.
 """
 
 from __future__ import annotations
@@ -17,9 +14,8 @@ from __future__ import annotations
 import functools
 import typing as _t
 
-from ..boinc.client import ClientConfig
 from ..boinc.server import ServerConfig
-from ..core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
+from ..core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 from ..net import LinkSpec, NatBox, NatType
 from .study import VARIANT, Claim, Study, col
 
@@ -111,32 +107,5 @@ ADAPTIVE = Study(
               < p["fixed"]["results_executed"]),
         Claim("It does not hurt the second job's makespan.",
               lambda p: p["adaptive"]["total"] <= p["fixed"]["total"] * 1.15),
-    ),
-)
-
-
-def nice_payload(nice: bool, seed: int) -> dict[str, _t.Any]:
-    """Map outputs uploaded for fallback *and* served to peers, over thin
-    uplinks — the contention TCP-Nice is for."""
-    cloud = VolunteerCloud.from_spec(CloudSpec(
-        seed=seed,
-        mr_config=BoincMRConfig(upload_map_outputs=True),
-        client_config=ClientConfig(nice_uploads=nice)))
-    cloud.add_volunteers(12, mr=True, link_spec=LinkSpec(30e6, 6e6, 0.010))
-    job = cloud.run_job(MapReduceJobSpec("nice", n_maps=12, n_reducers=3,
-                                         input_size=240e6),
-                        timeout=_TIMEOUT_S)
-    return {"total": job.makespan()}
-
-
-NICE = Study(
-    name="nice", seed=3,
-    variants={"greedy": functools.partial(nice_payload, False),
-              "nice": functools.partial(nice_payload, True)},
-    columns=(VARIANT, col("total", "{total:.0f} s")),
-    claims=(
-        Claim("Background (TCP-Nice) map-output uploads help or tie on "
-              "thin uplinks.",
-              lambda p: p["nice"]["total"] <= p["greedy"]["total"] * 1.05),
     ),
 )

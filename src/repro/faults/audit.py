@@ -239,10 +239,10 @@ class RunAuditor:
                 violations.append(Violation(
                     "flow", flow.name,
                     "finished but still in the active set"))
-            elif not flow.background and flow.rate <= 0:
+            elif flow.rate <= 0:
                 violations.append(Violation(
                     "flow", flow.name,
-                    "foreground flow with zero rate (stalled forever)"))
+                    "flow with zero rate (stalled forever)"))
             else:
                 violations.append(Violation(
                     "flow", flow.name,

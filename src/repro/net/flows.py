@@ -14,13 +14,8 @@ arbitrary churn.  The solve itself waits for the end of the simulated
 instant (:meth:`repro.sim.Simulator.at_instant_end`): a wave of k
 downloads that start together through one server link costs one solve of
 k flows, not k solves of up to k.  Reads never see the wait —
-:attr:`Flow.rate`, :meth:`Flow.eta` and :meth:`FlowNetwork.utilisation`
-settle pending changes first and return what an immediate solve would.
-
-*Background* flows (the TCP-Nice model from the paper's Section III.D) only
-receive capacity left over after all foreground flows are allocated — a
-two-pass allocation that captures Nice's "only use spare bandwidth"
-behaviour at the flow level.
+:attr:`Flow.rate` and :meth:`FlowNetwork.utilisation` settle pending
+changes first and return what an immediate solve would.
 
 One solver serves every allocation: :func:`maxmin_rates` keeps a single
 scalar fill level (all unfrozen flows rise together), visits only links
@@ -102,13 +97,12 @@ class Flow:
     """
 
     __slots__ = (
-        "name", "links", "size", "remaining", "_rate", "max_rate",
-        "background", "done", "started_at", "finished_at", "aborted",
-        "corrupted", "seq", "_alloc",
+        "name", "links", "size", "remaining", "_rate", "max_rate", "done",
+        "started_at", "finished_at", "aborted", "corrupted", "seq", "_alloc",
     )
 
     def __init__(self, sim: Simulator, name: str, links: _t.Sequence[Link],
-                 size: float, max_rate: float | None, background: bool) -> None:
+                 size: float, max_rate: float | None) -> None:
         """A transfer of *size* bytes over *links* (internal; see start_flow)."""
         if size < 0:
             raise ValueError(f"flow size must be >= 0, got {size}")
@@ -122,7 +116,6 @@ class Flow:
         self.remaining = float(size)
         self._rate = 0.0
         self.max_rate = max_rate
-        self.background = background
         self.done: Event = sim.event(name=f"flow:{name}")
         self.started_at = sim.now
         self.finished_at: float | None = None
@@ -149,44 +142,24 @@ class Flow:
             self._alloc.flush()
         return self._rate
 
-    @rate.setter
-    def rate(self, value: float) -> None:
-        """Assign the rate, as a solver run outside an allocator does."""
-        self._rate = value
-
     @property
     def finished(self) -> bool:
         """True once the last byte has been accounted."""
         return self.done.triggered
-
-    def eta(self) -> float:
-        """Seconds until completion at the current rate (inf if stalled)."""
-        if self.remaining <= _EPSILON_BYTES:
-            return 0.0
-        rate = self.rate
-        if rate <= 0:
-            return math.inf
-        return self.remaining / rate
 
 
 _by_seq = operator.attrgetter("seq")
 
 
 def maxmin_rates(flows: _t.Collection[Flow],
-                 capacity: _t.Mapping[Link, float] | None = None,
-                 adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
-                 load: _t.Mapping[Link, int] | None = None,
-                 ) -> dict[Flow, float]:
+                 adj: _t.Mapping[Link, _t.Iterable[Flow]],
+                 load: _t.Mapping[Link, int]) -> dict[Flow, float]:
     """Max–min fair rates for *flows* via progressive filling (water-filling).
 
-    Respects per-flow ``max_rate`` caps.  Links are discovered from the
-    flows themselves; *capacity*, when given, overrides ``Link.capacity``
-    for every link *flows* traverse (the background pass hands in the
-    residual left by the foreground).  *adj* and *load*, given together,
-    are a ready link → flows index over exactly *flows* (a component's
-    adjacency) and the number of times *flows* traverse each link (a link
-    listed twice counts twice); they save building both.  Neither is
-    modified.  Returns rates in bytes/s, keyed in *flows* order.
+    Respects per-flow ``max_rate`` caps.  *adj* is a link → flows index
+    over exactly *flows* (a component's adjacency) and *load* the number of
+    times *flows* traverse each link (a link listed twice counts twice);
+    neither is modified.  Returns rates in bytes/s, keyed in *flows* order.
 
     All unfrozen flows rise in lockstep, so the fill is one scalar
     ``level`` that a flow takes as its rate in the round it freezes.  A
@@ -200,24 +173,8 @@ def maxmin_rates(flows: _t.Collection[Flow],
         return {}
     rate: dict[Flow, _t.Any] = dict.fromkeys(flows)  # None while unfrozen
     #: Unfrozen flow *traversals* per link (a link listed twice counts twice).
-    active: dict[Link, int]
-    if adj is None:
-        index: dict[Link, list[Flow]] = {}
-        for f in flows:
-            for link in f.links:
-                members = index.get(link)
-                if members is None:
-                    index[link] = [f]
-                else:
-                    members.append(f)
-        active = {link: len(members) for link, members in index.items()}
-        adj = index
-    else:
-        active = dict(load)
-    if capacity is None:
-        headroom = {link: link.capacity for link in active}
-    else:
-        headroom = {link: capacity[link] for link in active}
+    active = dict(load)
+    headroom = {link: link.capacity for link in active}
     #: Saturation thresholds, from the same capacities the headroom starts at.
     floor = {link: room * 1e-9 for link, room in headroom.items()}
     live = list(active)
@@ -272,51 +229,6 @@ def maxmin_rates(flows: _t.Collection[Flow],
             if r is None:
                 rate[f] = level
     return rate
-
-
-def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
-    """Nice-style second pass: background flows share leftover capacity."""
-    residual: dict[Link, float] = {}
-    for f in background:
-        for link in f.links:
-            residual.setdefault(link, link.capacity)
-    for f in foreground:
-        for link in f.links:
-            if link in residual:
-                residual[link] -= f._rate
-    # Progressive filling over the residual, floored so a fully used link
-    # still divides; the links themselves are never touched.
-    rates = maxmin_rates(background, {link: max(room, 1e-9)
-                                      for link, room in residual.items()})
-    for f, r in rates.items():
-        # A starved background flow gets a vanishing sliver from the
-        # capacity floor above; treat it as fully stalled.
-        f._rate = r if r > 1e-6 else 0.0
-
-
-def allocate_rates(flows: _t.Collection[Flow],
-                   adj: _t.Mapping[Link, _t.Iterable[Flow]] | None = None,
-                   load: _t.Mapping[Link, int] | None = None,
-                   ) -> None:
-    """Two-pass (foreground max–min, then background residual) allocation.
-
-    Sets each flow's rate in place.  Progressive filling is numerically
-    order-independent, so allocating a flow set component by component or
-    all at once (the test oracle) produces identical rates.  *adj* and
-    *load*, given together, are a link → flows index and link → traversal
-    count over exactly *flows*; they serve the foreground pass when there
-    is no background flow to split off.
-    """
-    background = [f for f in flows if f.background]
-    if not background:
-        for f, r in maxmin_rates(flows, adj=adj, load=load).items():
-            f._rate = r
-        return
-    foreground = [f for f in flows if not f.background]
-    rates = maxmin_rates(foreground)
-    for f, r in rates.items():
-        f._rate = r
-    _fill_background(foreground, background)
 
 
 class _Component:
@@ -625,7 +537,9 @@ class IncrementalAllocator:
     def _solve(self, comp: _Component) -> None:
         """Allocate *comp*'s rates and schedule its completion timer."""
         sim = self.net.sim
-        allocate_rates(comp.flows, comp.adj, comp.load)
+        # Through the module global, which a profiler may wrap.
+        for f, r in maxmin_rates(comp.flows, comp.adj, comp.load).items():
+            f._rate = r
         # The first flow to finish at the new rates; start order breaks ties.
         next_eta = math.inf
         next_rate = 0.0
@@ -788,10 +702,9 @@ class FlowNetwork:
 
     # -- public API ----------------------------------------------------------
     def start_flow(self, name: str, links: _t.Sequence[Link], size: float,
-                   max_rate: float | None = None,
-                   background: bool = False) -> Flow:
+                   max_rate: float | None = None) -> Flow:
         """Begin a transfer of *size* bytes across *links*; returns the flow."""
-        flow = Flow(self.sim, name, links, size, max_rate, background)
+        flow = Flow(self.sim, name, links, size, max_rate)
         flow.seq = next(self._flow_seq)
         flow._alloc = self.allocator
         if flow.remaining <= _EPSILON_BYTES:

@@ -111,7 +111,6 @@ class Network:
 
     def transfer(self, src: Host, dst: Host, size_bytes: float,
                  label: str = "", max_rate: float | None = None,
-                 background: bool = False,
                  extra_links: _t.Sequence[Link] = ()) -> Flow:
         """Start a bulk transfer ``src -> dst``; returns the :class:`Flow`.
 
@@ -132,7 +131,7 @@ class Network:
         name = label or f"{src.name}->{dst.name}"
         links = [src.uplink, dst.downlink, *extra_links]
         return self.flownet.start_flow(name, links, size_bytes,
-                                       max_rate=max_rate, background=background)
+                                       max_rate=max_rate)
 
     def drop_host_flows(self, host: Host) -> int:
         """Abort every active flow touching *host*; returns how many."""

@@ -134,14 +134,6 @@ class SelfProfiler:
             raise RuntimeError("simulator already has a dispatch hook")
         self.totals: dict[str, list[float]] = {}  # kind -> [count, seconds]
         sim.dispatch_hook = self._observe
-        self._sim: Simulator | None = sim
-
-    # -- lifecycle ------------------------------------------------------------
-    def uninstall(self) -> None:
-        """Remove the dispatch hook (idempotent)."""
-        if self._sim is not None and self._sim.dispatch_hook == self._observe:
-            self._sim.dispatch_hook = None
-        self._sim = None
 
     # -- accounting ------------------------------------------------------------
     def _observe(self, fn: _t.Callable[..., None], args: tuple,

@@ -92,17 +92,18 @@ class TestBuiltinGrids:
     def test_keys_are_pinned(self):
         # Re-recorded once, on purpose, when Table I's rows became `study`
         # cells (params {study, variant}) and the `table1` kind went; the
-        # 43 other paper cells kept their keys.
-        assert len(paper_grid()) == 52
-        assert _keys_digest(paper_grid()) == "0e76fc078bc1d5e8"
+        # 43 other paper cells kept their keys.  Re-recorded again when the
+        # two `nice` cells went: the other 50 keep their keys and order.
+        assert len(paper_grid()) == 50
+        assert _keys_digest(paper_grid()) == "6bcee26f9c9515ed"
         t1 = table1_grid(seeds=(1, 2, 3))
         assert len(t1) == 27
         assert _keys_digest(t1) == "a219b6b95bea8443"
 
     def test_paper_grid_is_every_variant_of_every_study(self):
         grid = paper_grid()
-        assert len(grid) == sum(len(s.variants) for s in STUDIES) == 52
-        assert len({c.key for c in grid}) == 52
+        assert len(grid) == sum(len(s.variants) for s in STUDIES) == 50
+        assert len({c.key for c in grid}) == 50
         # Table I's nine cells are the table1 grid's, key for key.
         assert [c.key for c in grid][:9] == [
             c.key for c in table1_grid(seeds=(1,))]
@@ -168,13 +169,13 @@ class TestResolveGrid:
             assert {c.faults for c in grid} == {"kitchen-sink"}
 
     def test_paper_grid_has_no_seed_fan_out(self):
-        assert len(resolve_grid("paper")) == 52
+        assert len(resolve_grid("paper")) == 50
         with pytest.raises(ValueError, match="does not apply to the paper"):
             resolve_grid("paper", seeds=(1, 2))
 
     def test_paper_grid_takes_a_plan(self):
         grid = resolve_grid("paper", faults="flaky-network")
-        assert len(grid) == 52
+        assert len(grid) == 50
         assert {c.faults for c in grid} == {"flaky-network"}
 
     def test_a_study_grid_under_a_plan_runs_audited(self):

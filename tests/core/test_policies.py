@@ -88,6 +88,34 @@ class TestOutputPolicy:
         assert clients[0].peer_store.available(spec.map_output_file(0, 0))
         assert cloud.server.dataserver.has(spec.map_output_file(0, 0))
 
+    def test_map_result_is_ready_only_after_its_uploads(self):
+        """A map's fallback uploads land before the result is ready to report.
+
+        BOINC's client reports a result once its output files are uploaded,
+        so no map output upload is still running when reducers start
+        fetching that map's partitions from peers.
+        """
+        cloud = VolunteerCloud.from_spec(CloudSpec(
+            seed=3, mr_config=BoincMRConfig(upload_map_outputs=True)))
+        cloud.add_volunteers(6, mr=True)
+        spec = MapReduceJobSpec("j", n_maps=6, n_reducers=2, input_size=60e6)
+        cloud.run_job(spec, timeout=24 * 3600)
+        db = cloud.server.db
+        uploads = cloud.tracer.select("dataserver.upload")
+        checked = 0
+        for ready in cloud.tracer.select("task.ready"):
+            wu = db.workunits[db.results[ready["result"]].wu_id]
+            if wu.mr_kind != "map":
+                continue
+            outputs = {spec.map_output_file(wu.mr_index, r)
+                       for r in range(spec.n_reducers)}
+            landed = [up.time for up in uploads
+                      if up["frm"] == ready["host"] and up["file"] in outputs]
+            assert len(landed) == spec.n_reducers, ready
+            assert max(landed) <= ready.time, ready
+            checked += 1
+        assert checked >= spec.n_maps
+
     def test_missing_peer_store_raises(self):
         cloud, clients, spec, _job = harness()
         task = make_map_task(cloud, spec, 0)

@@ -14,7 +14,7 @@ completions, same link accounting.  ``test_allocators.py``,
 ``test_flows.py`` and ``tests/test_scale_experiment.py`` inject an instance
 through ``FlowNetwork(sim, metrics, allocator=FullAllocator())``.
 
-It calls the production ``allocate_rates`` on purpose: the solver has its
+It calls the production ``maxmin_rates`` on purpose: the solver has its
 own oracle (``reference_maxmin.py``); this one checks *when* and *over
 what scope* rates are recomputed.  ``_tally`` is the per-solve link-usage
 sum the production allocator kept until it began summing usage on read,
@@ -26,14 +26,10 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from repro.net.flows import (
-    _EPSILON_BYTES,
-    Flow,
-    FlowNetwork,
-    Link,
-    allocate_rates,
-)
+from repro.net.flows import _EPSILON_BYTES, Flow, FlowNetwork, Link
 from repro.sim import PRIORITY_HIGH
+
+from .solver_inputs import solve
 
 
 def _tally(flows: _t.Iterable[Flow], used: dict[Link, float],
@@ -133,7 +129,8 @@ class FullAllocator:
         net = self.net
         self.advance()
         flows = list(net._active)
-        allocate_rates(flows)
+        for f, r in solve(flows).items():
+            f._rate = r
         self._used = {link: 0.0 for f in flows for link in f.links}
         self._version += 1
         next_eta, _ = _tally(flows, self._used)

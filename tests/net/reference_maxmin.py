@@ -7,10 +7,6 @@ simulator's hot path, but the arithmetic it performs *is* the definition
 of the rates the simulator's traces were recorded with.  The production
 solver must return bit-identical floats (``float.hex`` equal), which
 ``test_maxmin_bitident.py`` asserts.
-
-``allocate_rates`` is the old two-pass foreground/background routine,
-including its temporary shrinking of ``Link.capacity`` — the very thing
-the production ``_fill_background`` no longer does.
 """
 
 from __future__ import annotations
@@ -73,39 +69,3 @@ def maxmin_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
                 for link in f.links:
                     active[link] -= 1
     return rate
-
-
-def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
-    """Nice-style second pass: background flows share leftover capacity."""
-    residual: dict[Link, float] = {}
-    for f in background:
-        for link in f.links:
-            residual.setdefault(link, link.capacity)
-    for f in foreground:
-        for link in f.links:
-            if link in residual:
-                residual[link] -= f.rate
-    # Reuse progressive filling by temporarily shrinking link capacities.
-    saved = {link: link.capacity for link in residual}
-    try:
-        for link, room in residual.items():
-            link.capacity = max(room, 1e-9)
-        rates = maxmin_rates(background)
-    finally:
-        for link, cap in saved.items():
-            link.capacity = cap
-    for f, r in rates.items():
-        # A starved background flow gets a vanishing sliver from the
-        # capacity floor above; treat it as fully stalled.
-        f.rate = r if r > 1e-6 else 0.0
-
-
-def allocate_rates(flows: _t.Sequence[Flow]) -> None:
-    """Two-pass (foreground max–min, then background residual) allocation."""
-    foreground = [f for f in flows if not f.background]
-    background = [f for f in flows if f.background]
-    rates = maxmin_rates(foreground)
-    for f, r in rates.items():
-        f.rate = r
-    if background:
-        _fill_background(foreground, background)

@@ -1,7 +1,7 @@
 """Step-wise oracle for the incremental allocator.
 
 A hypothesis state machine starts flows over one to three of six links
-(a link may be listed twice, a flow may be capped or background), aborts
+(a link may be listed twice, a flow may be capped), aborts
 them, runs the clock forward, scales a link's capacity and recomputes, and
 reads rates.  After every step it holds what the allocator keeps between
 solves to a fresh recount, and its rates to three references:
@@ -9,7 +9,7 @@ solves to a fresh recount, and its rates to three references:
 - the components are exactly the link-connected groups of the active flows;
 - each component's ``load`` is its members' link traversals, its members
   and every adjacency list are in start order;
-- every rate is ``reference_maxmin.allocate_rates`` over its component's
+- every rate is ``reference_maxmin.maxmin_rates`` over its component's
   flows, ``float.hex`` for ``float.hex``;
 - ``utilisation(link)`` is the start-order sum of the old per-solve tally
   and never exceeds 1 (plus float slack);
@@ -60,7 +60,7 @@ def _detached_copies(flows):
     sim = Simulator()
     copies = []
     for f in flows:
-        copy = Flow(sim, f.name, f.links, f.size, f.max_rate, f.background)
+        copy = Flow(sim, f.name, f.links, f.size, f.max_rate)
         copy.seq = f.seq
         copies.append(copy)
     return copies
@@ -84,12 +84,11 @@ class AllocatorMachine(RuleBasedStateMachine):
     # -- rules ----------------------------------------------------------------
     @rule(idx=st.lists(st.integers(0, N_LINKS - 1), min_size=1, max_size=3),
           size=st.floats(1.0, 1e5),
-          cap=st.none() | st.floats(1.0, 1e4),
-          background=st.booleans())
-    def start(self, idx, size, cap, background):
+          cap=st.none() | st.floats(1.0, 1e4))
+    def start(self, idx, size, cap):
         self.flows.append(self.net.start_flow(
             f"f{len(self.flows)}", [self.links[i] for i in idx], size,
-            max_rate=cap, background=background))
+            max_rate=cap))
 
     @rule(pick=st.integers(0, 63))
     def abort(self, pick):
@@ -144,10 +143,9 @@ class AllocatorMachine(RuleBasedStateMachine):
         self.net.allocator.flush()
         for comp in self.net.allocator._comps:
             members = list(comp.flows)
-            copies = _detached_copies(members)
-            reference_maxmin.allocate_rates(copies)
+            want = reference_maxmin.maxmin_rates(_detached_copies(members))
             assert ([f._rate.hex() for f in members]
-                    == [c.rate.hex() for c in copies])
+                    == [r.hex() for r in want.values()])
 
     @invariant()
     def utilisation_is_the_start_order_sum(self):
@@ -164,8 +162,7 @@ class AllocatorMachine(RuleBasedStateMachine):
         active = self.net.active
         full = FlowNetwork(Simulator(), MetricsRegistry(), allocator=FullAllocator())
         twins = [full.start_flow(f.name, f.links, max(f.remaining, 1.0),
-                                 max_rate=f.max_rate,
-                                 background=f.background)
+                                 max_rate=f.max_rate)
                  for f in active]
         for f, twin in zip(active, twins):
             assert f.rate == pytest.approx(twin.rate, rel=1e-9, abs=1e-9), \

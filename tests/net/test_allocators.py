@@ -9,17 +9,16 @@ churn sequences (hypothesis) and pin the ``utilisation()`` sums against a
 brute-force recount.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FlowNetwork, IncrementalAllocator, Link, maxmin_rates
+from repro.net import FlowNetwork, IncrementalAllocator, Link
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from .reference_allocator import FullAllocator
+from .solver_inputs import solve
 
 #: The product allocator and the oracle; each network gets a fresh instance.
 BOTH = pytest.mark.parametrize(
@@ -72,7 +71,6 @@ flow_spec = st.tuples(
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3,
              unique=True),                                   # link indices
     st.floats(min_value=1.0, max_value=1e6),                 # size (bytes)
-    st.booleans(),                                           # background
     st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)),  # cap
 )
 
@@ -90,10 +88,9 @@ def _build(allocator, caps, specs):
     net = FlowNetwork(sim, metrics=MetricsRegistry(), allocator=allocator())
     links = [Link(f"l{i}", cap * 8.0) for i, cap in enumerate(caps)]
     flows = []
-    for i, (linkidx, size, background, max_rate) in enumerate(specs):
+    for i, (linkidx, size, max_rate) in enumerate(specs):
         flows.append(net.start_flow(
-            f"f{i}", [links[j] for j in linkidx], size,
-            background=background, max_rate=max_rate))
+            f"f{i}", [links[j] for j in linkidx], size, max_rate=max_rate))
     return sim, net, links, flows
 
 
@@ -122,12 +119,12 @@ def test_incremental_matches_full_under_churn(script):
 @settings(max_examples=60, deadline=None)
 @given(churn_script)
 def test_incremental_matches_maxmin_reference(script):
-    """Foreground rates agree with a direct ``maxmin_rates`` evaluation."""
+    """Rates agree with a direct ``maxmin_rates`` evaluation."""
     caps, specs, _ = script
     _, net, _, flows = _build(IncrementalAllocator, caps, specs)
-    foreground = [f for f in flows if not f.background and not f.finished]
-    reference = maxmin_rates(foreground)
-    for f in foreground:
+    active = [f for f in flows if not f.finished]
+    reference = solve(active)
+    for f in active:
         assert f.rate == pytest.approx(reference[f], rel=1e-9, abs=1e-9)
 
 
@@ -184,7 +181,7 @@ def test_utilisation_tracks_churn(allocator):
     for i in range(12):
         flows.append(net.start_flow(
             f"f{i}", [links[i % 3], links[(i + 1) % 3]],
-            2e5 * (1 + i % 4), background=(i % 5 == 0)))
+            2e5 * (1 + i % 4)))
         check()
     net.abort_flow(flows[2])
     check()

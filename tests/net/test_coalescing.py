@@ -41,7 +41,6 @@ def _ops(n_links, hub):
                      max_size=2, unique=True)
     start = st.tuples(st.just("start"), links,
                       st.floats(1.0, 1e6),                   # size, bytes
-                      st.booleans(),                         # background
                       st.none() | st.floats(1.0, 1e4))       # rate cap
     return st.one_of(
         start, start,
@@ -77,10 +76,10 @@ def drive(allocator, script, hub):
         for op in ops:
             kind = op[0]
             if kind == "start":
-                _, idx, size, background, cap = op
+                _, idx, size, cap = op
                 path = [links[0]] * hub + [links[i] for i in idx]
                 flow = net.start_flow(f"f{len(flows)}", path, size,
-                                      max_rate=cap, background=background)
+                                      max_rate=cap)
                 flow.done.add_callback(done)
                 flows.append(flow)
             elif kind == "abort" and flows:
@@ -90,7 +89,7 @@ def drive(allocator, script, hub):
                 net.recompute()
             elif kind == "read" and flows:
                 flow = flows[op[1] % len(flows)]
-                log.append(("mid", flow.name, flow.rate, flow.eta(),
+                log.append(("mid", flow.name, flow.rate,
                             net.utilisation(flow.links[0])))
 
     for gap, ops in batches:
@@ -119,9 +118,9 @@ def test_every_read_and_completion_equals_the_eager_oracle(script):
 @given(_scripts(6, hub=False))
 # Two islands start in one instant, then a flow bridges them: the island
 # absorbed by the merge must not be solved on its own as well.
-@example(([1e3] * 6, [(0.0, [("start", [0], 1.0, False, None),
-                             ("start", [2], 1.0, False, None),
-                             ("start", [0, 2], 1.0, False, None)])]))
+@example(([1e3] * 6, [(0.0, [("start", [0], 1.0, None),
+                             ("start", [2], 1.0, None),
+                             ("start", [0, 2], 1.0, None)])]))
 def test_lazy_matches_eager_on_any_topology(script):
     """Islands that merge and split within an instant solve the same."""
     assert (drive(IncrementalAllocator(), script, hub=False)
@@ -135,9 +134,9 @@ def test_a_wave_of_starts_is_one_solve(monkeypatch):
     sizes = []
     real = flows_module.maxmin_rates
 
-    def counting(flows, capacity=None, adj=None, load=None):
+    def counting(flows, adj, load):
         sizes.append(len(flows))
-        return real(flows, capacity, adj, load)
+        return real(flows, adj, load)
 
     monkeypatch.setattr(flows_module, "maxmin_rates", counting)
     sim = Simulator()

@@ -1,15 +1,13 @@
 """Unit tests for the flow-level bandwidth model."""
 
-import math
-
 import pytest
 
-from repro.net import (FlowError, FlowNetwork, IncrementalAllocator, Link,
-                       maxmin_rates)
+from repro.net import FlowError, FlowNetwork, IncrementalAllocator, Link
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 from .reference_allocator import FullAllocator
+from .solver_inputs import solve
 
 
 def mbit(x):
@@ -146,7 +144,7 @@ class TestSharing:
 
 class TestMaxminFunction:
     def test_empty(self):
-        assert maxmin_rates([]) == {}
+        assert solve([]) == {}
 
     def test_caps_leave_capacity_unused(self, sim, net):
         link = Link("l", 100 * 8)  # 100 B/s
@@ -199,50 +197,7 @@ class TestAbort:
         assert counted(net, "bytes_delivered") == pytest.approx(100)
 
 
-class TestBackground:
-    def test_background_gets_leftover_only(self, sim, net):
-        link = Link("l", 100 * 8)  # 100 B/s
-        fg = net.start_flow("fg", [link], 1e6)
-        bg = net.start_flow("bg", [link], 1e6, background=True)
-        assert fg.rate == pytest.approx(100.0)
-        assert bg.rate == pytest.approx(0.0, abs=1e-6)
-
-    def test_background_uses_capacity_when_foreground_capped(self, sim, net):
-        link = Link("l", 100 * 8)
-        fg = net.start_flow("fg", [link], 1e6, max_rate=30.0)
-        bg = net.start_flow("bg", [link], 1e6, background=True)
-        assert fg.rate == pytest.approx(30.0)
-        assert bg.rate == pytest.approx(70.0)
-
-    def test_background_completes_alone(self, sim, net):
-        link = Link("l", 100 * 8)
-        bg = net.start_flow("bg", [link], 1000, background=True)
-        sim.run(until_event=bg.done)
-        assert sim.now == pytest.approx(10.0)
-
-    def test_background_resumes_after_foreground_done(self, sim, net):
-        link = Link("l", 100 * 8)
-        bg = net.start_flow("bg", [link], 1000, background=True)
-        fg = net.start_flow("fg", [link], 500)
-        sim.run(until_event=fg.done)
-        assert sim.now == pytest.approx(5.0)
-        sim.run(until_event=bg.done)
-        # bg was starved for 5s, then 10s at full rate
-        assert sim.now == pytest.approx(15.0)
-
-
 class TestProgressAccounting:
-    def test_eta(self, sim, net):
-        link = Link("l", 100 * 8)
-        flow = net.start_flow("f", [link], 1000)
-        assert flow.eta() == pytest.approx(10.0)
-
-    def test_eta_infinite_when_starved(self, sim, net):
-        link = Link("l", 100 * 8)
-        net.start_flow("fg", [link], 1e9)
-        bg = net.start_flow("bg", [link], 1000, background=True)
-        assert bg.eta() == math.inf
-
     def test_many_churning_flows_all_complete(self, sim, net):
         link = Link("l", mbit(8))  # 1 MB/s
         flows = []

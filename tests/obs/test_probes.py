@@ -84,15 +84,6 @@ class TestSelfProfiler:
         with pytest.raises(RuntimeError, match="already has a dispatch hook"):
             SelfProfiler(sim)
 
-    def test_uninstall_restores_fast_path(self):
-        sim = Simulator()
-        prof = SelfProfiler(sim)
-        prof.uninstall()
-        assert sim.dispatch_hook is None
-        sim.schedule(0.0, lambda: None)
-        sim.run()
-        assert prof.totals == {}
-
     def test_wall_clock_does_not_perturb_sim_time(self):
         def run(profile):
             sim = Simulator()

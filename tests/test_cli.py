@@ -195,7 +195,7 @@ class TestCampaignCommand:
         assert main(["campaign", "--list-grids"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "churn" in out
-        assert "paper         52 cells" in out
+        assert "paper         50 cells" in out
 
     def test_run_resume_and_aggregate(self, tmp_path, capsys):
         grid = self._toml_grid(tmp_path)

@@ -1,13 +1,12 @@
-"""Tests for the future-work extensions: supernode overlay, TCP-Nice
-uploads, and adaptive replication."""
+"""Tests for the future-work extensions: supernode overlay and adaptive
+replication."""
 
 import numpy as np
 import pytest
 
-from repro.boinc import ClientConfig, ProjectServer, ServerConfig
+from repro.boinc import ProjectServer, ServerConfig
 from repro.core import system
 from repro.core import (
-    BoincMRConfig,
     CloudSpec,
     JobPhase,
     MapReduceJobSpec,
@@ -123,43 +122,6 @@ class TestSupernodeOverlay:
         assert job.phase is JobPhase.DONE
         assert cloud.connectivity.method_counts().get("relay", 0) > 0
         assert {h.name for h in overlay.supernodes} == {"host000", "host001"}
-
-
-class TestNiceUploads:
-    def test_background_upload_yields_to_foreground(self):
-        from repro.boinc.dataserver import DataServer
-        from repro.boinc.model import FileRef
-
-        sim = Simulator()
-        net = Network(sim, MetricsRegistry())
-        server = net.add_host("server", EMULAB_LINK)
-        a = net.add_host("a", EMULAB_LINK)   # a mapper
-        b = net.add_host("b", EMULAB_LINK)   # a reducer fetching from it
-        ds = DataServer(sim, net, server, Tracer())
-        # The mapper's uplink carries both its server upload (background)
-        # and the inter-client transfer a reducer depends on (foreground).
-        bg_flow = ds.upload(FileRef("bg", 12.5e6), a, background=True)
-        fg_flow = net.transfer(a, b, 12.5e6)
-        # The peer transfer gets the whole uplink, nice yields entirely...
-        assert fg_flow.rate == pytest.approx(12.5e6)
-        assert bg_flow.rate == pytest.approx(0.0, abs=1.0)
-        sim.run(until_event=fg_flow.done)
-        assert sim.now == pytest.approx(1.0)
-        # ...then the nice upload takes the freed capacity.
-        sim.run(until_event=bg_flow.done)
-        assert sim.now == pytest.approx(2.0, rel=0.05)
-
-    def test_nice_uploads_dont_break_job(self):
-        cloud = VolunteerCloud.from_spec(CloudSpec(
-            seed=1,
-            mr_config=BoincMRConfig(upload_map_outputs=True,
-                                    reduce_from_peers=False),
-            client_config=ClientConfig(nice_uploads=True)))
-        cloud.add_volunteers(8, mr=False)
-        job = cloud.run_job(MapReduceJobSpec(
-            "nice", n_maps=6, n_reducers=2, input_size=60e6),
-            timeout=24 * 3600)
-        assert job.phase is JobPhase.DONE
 
 
 class TestAdaptiveReplication:

@@ -41,7 +41,7 @@ def test_every_variant_completed(paper_store):
     leaves a deployment its audit flags: either way its cell fails.  The
     verdict itself stays out of the payload."""
     records = ResultStore(paper_store).load().values()
-    assert len(records) == len(experiments.paper_grid()) == 52
+    assert len(records) == len(experiments.paper_grid()) == 50
     assert [r.key for r in records if not r.ok] == []
     assert all(r.result["total"] > 0 for r in records)
     assert not any("audit_ok" in r.result for r in records)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FlowNetwork, Link, maxmin_rates
+from repro.net import FlowNetwork, Link
 from repro.obs import MetricsRegistry
 from repro.runtime import LocalRunner, default_partition, split_text
 from repro.runtime.apps import WordCount
