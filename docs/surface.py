@@ -6,7 +6,8 @@ functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
 enter and how many of those :data:`PINNED` keeps, the counters ``src``
 increments and never reads and how many of those :data:`COUNTER_PINS`
 keeps, the parameters no body reads and how many of those
-:data:`UNREAD_PINS` keeps, dataclass fields on the
+:data:`UNREAD_PINS` keeps, the module-level imports of ``src`` and
+``tests`` nothing uses (none may stay), dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
 the :func:`census` of those fields and of every defaulted parameter of a
 public ``src`` function (nothing sets it, only tests set it, the product
@@ -21,10 +22,11 @@ instead of a hand count::
     python docs/surface.py --check    # exit 1 on an unreached module, an
                                       # unreached function, a write-only
                                       # counter or an unread parameter not
-                                      # pinned, a stale pin, a
-                                      # config or spec field or parameter
-                                      # with one value in use not pinned
-                                      # or a never-used flag (the CI gate)
+                                      # pinned, an unused import, a stale
+                                      # pin, a config or spec field or
+                                      # parameter with one value in use
+                                      # not pinned or a never-used flag
+                                      # (the CI gate)
 """
 
 from __future__ import annotations
@@ -556,6 +558,78 @@ def unread_problems(unread: list[str],
     problems += [f"{key}: pinned, but a body reads it or it is gone"
                  for key in pins if key not in unread]
     return problems
+
+
+#: Where :func:`unused_imports` looks.
+IMPORTS_IN = ("src", "tests")
+
+
+def unused_imports(sources: dict[str, str] | None = None) -> list[str]:
+    """``path:name`` of every name a module-level import binds that its
+    module never loads and does not list in ``__all__``, in *sources*
+    (path -> text; default every file under :data:`IMPORTS_IN`).  Imports
+    inside a module-level ``if`` or ``try`` count, imports inside a
+    ``def`` or ``class`` do not, ``from m import x as x`` is an explicit
+    re-export, and a name in a string annotation (``"Span | None"``) is
+    a load."""
+    if sources is None:
+        sources = {str(path.relative_to(ROOT)): path.read_text(
+                       encoding="utf-8")
+                   for root in IMPORTS_IN
+                   for path in sorted((ROOT / root).rglob("*.py"))}
+    found = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        used: set[str] = set()
+        notes: list[ast.expr | None] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+            notes += (getattr(node, "annotation", None),
+                      getattr(node, "returns", None))
+        for note in filter(None, notes):
+            used.update(_string_names(note))
+        found += [f"{path}:{name}" for name in _imported(tree.body)
+                  if name not in used]
+    return found
+
+
+def _string_names(note: ast.expr) -> _t.Iterator[str]:
+    """The names the strings inside the annotation *note* load."""
+    for const in ast.walk(note):
+        if isinstance(const, ast.Constant) and isinstance(const.value, str):
+            with contextlib.suppress(SyntaxError):  # a Literal's text
+                yield from (node.id for node in ast.walk(
+                    ast.parse(const.value, mode="eval"))
+                    if isinstance(node, ast.Name))
+
+
+def _imported(body: list[ast.stmt]) -> _t.Iterator[str]:
+    """The names the imports among *body*, and in its ``if`` and ``try``
+    blocks, bind (not ``__future__`` features or re-exports)."""
+    for stmt in body:
+        if isinstance(stmt, (ast.If, ast.Try)):
+            yield from _imported([*stmt.body, *stmt.orelse,
+                                  *getattr(stmt, "finalbody", ()),
+                                  *(inner for handler in getattr(
+                                      stmt, "handlers", ())
+                                    for inner in handler.body)])
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                if alias.name != "*" and alias.asname != alias.name:
+                    yield alias.asname or alias.name.split(".")[0]
+
+
+def import_problems(imports: list[str]) -> list[str]:
+    """One line per unused import (:func:`unused_imports`): none is
+    pinned, so each fails ``--check``."""
+    return [f"{name}: imported and never used" for name in imports]
 
 
 def grid_builders() -> list[str]:
@@ -1107,6 +1181,8 @@ if __name__ == "__main__":
     problems += counter_problems(counters)
     unread = unread_parameters()
     problems += unread_problems(unread)
+    imports = unused_imports()
+    problems += import_problems(imports)
 
     from repro.cli import build_parser
 
@@ -1120,6 +1196,7 @@ if __name__ == "__main__":
           f"(pinned {sum(name in COUNTER_PINS for name in counters)})")
     print("parameters no body reads:", len(unread),
           f"(pinned {sum(key in UNREAD_PINS for key in unread)})")
+    print("unused imports:", len(imports))
     for line in problems:
         print("  ", line)
     print("config/spec fields: ", sum(len(dataclasses.fields(cls))
@@ -1162,7 +1239,7 @@ if __name__ == "__main__":
     if "--check" in sys.argv[1:] and (unreached or problems or unset
                                       or tested or default
                                       or value_problems or unused):
-        sys.exit("surface: a module, a function, a counter or a flag nothing "
-                 "uses, a parameter no body reads, a config field, spec "
-                 "field or parameter with one value in use, or a stale pin "
-                 "(see above)")
+        sys.exit("surface: a module, a function, a counter, an import or a "
+                 "flag nothing uses, a parameter no body reads, a config "
+                 "field, spec field or parameter with one value in use, or "
+                 "a stale pin (see above)")

@@ -22,10 +22,8 @@ def trace_to_csv(tracer: Tracer) -> str:
     stability.
     """
     records = tracer.records
-    field_names: set[str] = set()
-    for rec in records:
-        field_names.update(rec.fields)
-    fields = sorted(field_names)
+    # Rows with the same fields share one key tuple.
+    fields = sorted(set().union(*{rec.keys for rec in records}))
     # A payload field may shadow the two record columns (e.g. sched.assign
     # carries kind="map"); keep both under distinct headers.
     header = ["time", "kind",

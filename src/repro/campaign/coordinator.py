@@ -282,6 +282,11 @@ class CampaignCoordinator:
         self._wake.notify_all()
         if key not in self.table.cells:
             return {"op": "error", "error": f"unknown cell key {key!r}"}
+        if not self.table.ever_held(worker, key):
+            # Only a holder's result counts; a former holder's late one
+            # still completes a cell that is not done yet.
+            return {"op": "error", "error": f"{worker} never held a lease "
+                    f"on {key}"}
         if not 0 <= wall_s <= now - self._started:
             return {"op": "error", "error": f"bad result for {key}: wall_s "
                     "is negative or longer than the campaign has run"}

@@ -72,6 +72,8 @@ class _CellState:
     #: Attempts lost so far (error / expiry / worker death).
     attempts: int = 0
     leases: dict[str, Lease] = dataclasses.field(default_factory=dict)
+    #: Every worker ever granted a lease on the cell.
+    holders: set[str] = dataclasses.field(default_factory=set)
 
 
 @dataclasses.dataclass(slots=True)
@@ -123,6 +125,11 @@ class LeaseTable:
     def done(self) -> bool:
         """True when every cell reached a terminal state (done/failed)."""
         return all(c.status in (DONE, FAILED) for c in self.cells.values())
+
+    def ever_held(self, worker: str, key: str) -> bool:
+        """True when *worker* holds, or once held, a lease on *key*."""
+        cell = self.cells.get(key)
+        return cell is not None and worker in cell.holders
 
     # -- worker liveness -----------------------------------------------------
     def register(self, worker: str, now: float) -> None:
@@ -190,6 +197,7 @@ class LeaseTable:
                       granted=now, deadline=deadline, stolen=stolen)
         cell.status = LEASED
         cell.leases[worker] = lease
+        cell.holders.add(worker)
         self.workers[worker].keys.add(key)
         self.counters.granted += 1
         if stolen:

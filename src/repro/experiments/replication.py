@@ -22,7 +22,7 @@ import typing as _t
 
 from ..analysis import job_metrics
 from ..core import CloudSpec, MapReduceJobSpec, VolunteerCloud
-from .study import VARIANT, Claim, Study, col
+from .study import Claim, Study, col
 
 
 def run_replication(replication: int, quorum: int,

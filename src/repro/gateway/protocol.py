@@ -26,7 +26,8 @@ import re
 import typing as _t
 import zlib
 
-from ..wire import compile_checks, dumps, loads  # loads: the gateway's decoder
+from ..wire import compile_checks, dumps
+from ..wire import loads as loads  # re-exported: the gateway's decoder
 
 #: Protocol version; served by ``GET /healthz`` so clients can refuse to
 #: talk to an incompatible gateway.

@@ -50,11 +50,6 @@ _PROCESSES = (
     f'"ph": "M", "pid": {_SERVER_PID}}}')
 
 
-def _json_safe(args: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:
-    return {k: (v if isinstance(v, _JSON_SCALARS) else repr(v))
-            for k, v in args.items()}
-
-
 def _float(x: float) -> str:
     """*x* as ``json`` writes a float (``NaN`` / ``Infinity`` included)."""
     if x - x == 0.0:  # finite
@@ -72,11 +67,17 @@ _FORMATS: dict[type, _t.Callable[[_t.Any], str]] = {
 }
 
 
+def _json_safe(v: _t.Any) -> _t.Any:
+    """*v* as ``json`` may write it: a scalar as it is, anything else as
+    its ``repr`` string."""
+    return v if isinstance(v, _JSON_SCALARS) else repr(v)
+
+
 def _scalar_json(v: _t.Any) -> str:
     """A value of no type in :data:`_FORMATS` as ``json.dumps`` writes it
     after :func:`_json_safe`: a scalar subclass (an ``IntEnum``) as its
     base type, anything else as its ``repr`` string."""
-    return json.dumps(v if isinstance(v, _JSON_SCALARS) else repr(v))
+    return json.dumps(_json_safe(v))
 
 
 def _value(v: _t.Any) -> str:
@@ -84,28 +85,31 @@ def _value(v: _t.Any) -> str:
     return _FORMATS.get(type(v), _scalar_json)(v)
 
 
-def _args_encoder() -> _t.Callable[[_t.Mapping[str, _t.Any]], str]:
-    """A function writing an args mapping as ``json.dumps(_json_safe(args),
-    sort_keys=True)`` does, through a ``%`` template built once per key set."""
-    templates: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
+def _args_encoder() -> _t.Callable[[tuple[str, ...], tuple[_t.Any, ...]],
+                                   str]:
+    """A function writing the args named *keys* with *values* as
+    ``json.dumps`` writes their dict, made safe, with ``sort_keys=True``:
+    through a ``%`` template built once per key tuple (a trace row's is
+    shared by every row with the same fields)."""
+    templates: dict[tuple[str, ...], tuple[tuple[int, ...], str]] = {}
 
-    def encode(args: _t.Mapping[str, _t.Any]) -> str:
-        keys = tuple(args)
+    def encode(keys: tuple[str, ...], values: tuple[_t.Any, ...]) -> str:
         try:
             order, text = templates[keys]
         except KeyError:
             order, text = templates[keys] = _args_template(keys)
-        return text % tuple(map(_value, map(args.__getitem__, order)))
+        return text % tuple(map(_value, map(values.__getitem__, order)))
 
     return encode
 
 
-def _args_template(keys: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
-    """The sorted *keys* and the ``%`` template their values fill.  Trace
-    fields are keyword arguments, so every key is a string."""
-    order = tuple(sorted(keys))
-    text = ", ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                     for k in order)
+def _args_template(keys: tuple[str, ...]) -> tuple[tuple[int, ...], str]:
+    """The positions of *keys* in sorted key order and the ``%`` template
+    their values fill.  Trace fields are keyword arguments, so every key
+    is a string and none repeats."""
+    order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+    text = ", ".join(encode_basestring_ascii(keys[i]).replace("%", "%%")
+                     + ": %s" for i in order)
     return order, "{" + text + "}"
 
 
@@ -141,7 +145,8 @@ def _chrome_fragments(builder: SpanBuilder) -> _t.Iterator[str]:
         args = span.args
         if span.leaked:
             args = {**args, "leaked": True}
-        yield (f', {{"args": {args_json(args)}, '
+        text = args_json(tuple(args), tuple(args.values()))
+        yield (f', {{"args": {text}, '
                f'"cat": {encode_basestring_ascii(span.category)}, '
                f'"dur": {_float((span.end - span.start) * 1e6)}, '
                f'"name": {encode_basestring_ascii(span.name)}, '
@@ -160,9 +165,9 @@ def _chrome_fragments(builder: SpanBuilder) -> _t.Iterator[str]:
                    f'{_float(start * 1e6)}}}')
         else:
             yield from span_events(span)
-    for time, track, name, category, fields in sorted(
+    for time, track, name, category, rec in sorted(
             builder._instants, key=_instant_order):
-        yield (f', {{"args": {args_json(fields)}, '
+        yield (f', {{"args": {args_json(rec.keys, rec.values)}, '
                f'"cat": {encode_basestring_ascii(category)}, '
                f'"name": {encode_basestring_ascii(name)}, '
                f'{instant_at[track]}{_float(time * 1e6)}}}')
@@ -196,10 +201,10 @@ def trace_to_jsonl(tracer: Tracer) -> str:
     lines = []
     for rec in tracer.records:
         row: dict[str, _t.Any] = {"time": rec.time, "kind": rec.kind}
-        for key, value in _json_safe(rec.fields).items():
+        for key, value in zip(rec.keys, rec.values):
             # A payload field may shadow record metadata (e.g. sched.assign
             # carries kind="map"); keep both under distinct keys.
-            row[f"field.{key}" if key in row else key] = value
+            row[f"field.{key}" if key in row else key] = _json_safe(value)
         lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -13,29 +13,52 @@ import collections
 import typing as _t
 
 
+#: Every distinct field-name order a row has carried, mapped to itself, so
+#: all rows with the same fields share one key tuple.
+_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
 class TraceRecord:
     """One trace row: timestamp, event kind, and arbitrary fields.
 
-    A plain slotted class rather than a frozen dataclass: a run builds one
-    per emitted row, and the frozen ``__init__`` costs three times as much.
-    Treat a record as read-only all the same.
+    The fields are two tuples: ``keys``, the field names in the order
+    they were given, shared by every row with the same names in that
+    order, and ``values``, this row's values in the same order.  A run
+    builds one row per emitted event, so a row holds no dict of its own;
+    ``rec[key]`` and :meth:`get` look the name up in ``keys``, and
+    :attr:`fields` builds a dict when read.  Treat a record as read-only.
     """
 
-    __slots__ = ("time", "kind", "fields")
+    __slots__ = ("time", "kind", "keys", "values")
 
-    def __init__(self, time: float, kind: str,
-                 fields: _t.Mapping[str, _t.Any]) -> None:
-        """A row at simulated *time* of *kind* carrying *fields*."""
+    def __init__(self, time: float, kind: str, keys: tuple[str, ...],
+                 values: tuple[_t.Any, ...]) -> None:
+        """A row at simulated *time* of *kind* whose field *keys* carry
+        *values*."""
         self.time = time
         self.kind = kind
-        self.fields = fields
+        self.keys = keys
+        self.values = values
 
     def __getitem__(self, key: str) -> _t.Any:
-        return self.fields[key]
+        try:
+            return self.values[self.keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
 
     def get(self, key: str, default: _t.Any = None) -> _t.Any:
         """Field lookup with a default, dict-style."""
-        return self.fields.get(key, default)
+        try:
+            return self.values[self.keys.index(key)]
+        except ValueError:
+            return default
+
+    @property
+    def fields(self) -> dict[str, _t.Any]:
+        """A new dict of the fields, in the order they were given.
+
+        Changing it changes nothing in the row."""
+        return dict(zip(self.keys, self.values))
 
 
 class Tracer:
@@ -48,12 +71,22 @@ class Tracer:
     def __init__(self, keep: _t.Callable[[str], bool] | None = None) -> None:
         """An empty tracer; *keep* filters which kinds are stored."""
         self.records: list[TraceRecord] = []
-        self.counts: collections.Counter[str] = collections.Counter()
         self._keep = keep
         self._taps: list[_t.Callable[[TraceRecord], None]] = []
         #: Per-kind index over kept records: select(kind) is O(matches),
         #: not O(all records) — the analysis layer queries per kind a lot.
+        #: Its list lengths are the kept records' counts, so a record
+        #: pays a counter only when *keep* drops it.
         self._by_kind: dict[str, list[TraceRecord]] = {}
+        self._dropped: collections.Counter[str] = collections.Counter()
+
+    @property
+    def counts(self) -> collections.Counter[str]:
+        """Records seen per kind, kept or dropped (a new counter)."""
+        counts = self._dropped.copy()
+        for kind, recs in self._by_kind.items():
+            counts[kind] += len(recs)
+        return counts
 
     def record(self, time: float, kind: str, /, **fields: _t.Any) -> None:
         """Append a record at simulated *time* under *kind*.
@@ -65,9 +98,15 @@ class Tracer:
         exception from a tap propagates to the emitter (observability
         bugs should be loud), skipping any later taps.
         """
-        self.counts[kind] += 1
-        rec = TraceRecord(time, kind, fields)
-        if self._keep is None or self._keep(kind):
+        kept = self._keep is None or self._keep(kind)
+        if not kept:
+            self._dropped[kind] += 1
+            if not self._taps:
+                return  # a row nobody stores or watches is only counted
+        keys = tuple(fields)
+        rec = TraceRecord(time, kind, _KEYS.setdefault(keys, keys),
+                          (*fields.values(),))
+        if kept:
             self.records.append(rec)
             try:
                 self._by_kind[kind].append(rec)

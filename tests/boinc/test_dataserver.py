@@ -4,7 +4,7 @@ import pytest
 
 from repro.boinc import FileRef
 from repro.boinc.dataserver import DataServer, FileMissing
-from repro.net import EMULAB_LINK, Network, SERVER_LINK
+from repro.net import EMULAB_LINK, Network
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator, Tracer
 

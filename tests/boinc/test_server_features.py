@@ -1,7 +1,5 @@
 """Tests for speculative execution."""
 
-import pytest
-
 from repro.boinc import ClientConfig, ServerConfig
 from repro.core import CloudSpec, JobPhase, MapReduceJobSpec, VolunteerCloud
 

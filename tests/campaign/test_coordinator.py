@@ -77,6 +77,11 @@ HOSTILE_LINES = {
                           b'"status":"ok"}',
     "unknown-key": b'{"op":"result","worker":"raw","key":"nope",'
                    b'"status":"ok","payload":{}}',
+    # A worker never leased the cell: neither outcome may touch it.
+    "never-leased-ok": b'{"op":"result","worker":"stranger","key":"<key>",'
+                       b'"status":"ok","payload":{"slept_s":9.0}}',
+    "never-leased-error": b'{"op":"result","worker":"stranger",'
+                          b'"key":"<key>","status":"error","error":"boom"}',
 }
 
 
@@ -339,6 +344,41 @@ class TestFailureRecovery:
         assert not thread.is_alive() and reports[0].ok
         lines = store.path.read_bytes().splitlines()
         assert [loads(line)["result"] for line in lines] == [{"slept_s": 0.0}]
+
+    def test_a_late_former_holder_completes_a_cell_a_stranger_cannot(
+            self, tmp_path):
+        # Regression: any worker's result reached the lease table, so a
+        # stranger's "error" could cost a leased cell an attempt.
+        store = ResultStore(tmp_path / "out.jsonl")
+        coordinator = CampaignCoordinator(_sleep_grid(1, duration_s=0.0),
+                                          store, heartbeat_s=1.0)
+        coordinator.begin()
+        table = coordinator.table
+
+        def result(worker: str, **fields) -> dict:
+            return coordinator.dispatch({"op": "result", "worker": worker,
+                                         "key": key, **fields})
+
+        def cell() -> tuple:
+            state = table.cells[key]
+            return state.status, state.attempts, sorted(state.leases)
+
+        coordinator.dispatch({"op": "hello", "worker": "a"})
+        key = coordinator.dispatch({"op": "lease", "worker": "a"})["key"]
+        for fields in ({"status": "error", "error": "boom"},
+                       {"status": "ok", "payload": {"slept_s": 9.0}}):
+            leased = cell()
+            assert result("stranger", **fields)["op"] == "error"
+            assert cell() == leased == ("leased", 0, ["a"])
+        coordinator.connection_lost("a")  # its lease is reclaimed
+        assert cell() == ("pending", 1, [])
+        assert result("stranger", status="ok",
+                      payload={"slept_s": 9.0})["op"] == "error"
+        assert cell() == ("pending", 1, [])
+        assert result("a", status="ok", payload={"slept_s": 0.0}) == {
+            "op": "ack", "accepted": True}
+        assert table.done and "stranger" not in table.workers
+        assert [r.result for r in store.records()] == [{"slept_s": 0.0}]
 
     def test_an_over_long_line_gets_one_error_and_a_hang_up(
             self, tmp_path, monkeypatch):

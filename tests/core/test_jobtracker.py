@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.boinc import ProjectServer, Workunit
-from repro.boinc.model import FileRef, OutputData, ResultState, ValidateState
+from repro.boinc.model import OutputData, ResultState
 from repro.core import (
     BoincMRConfig,
     CloudSpec,

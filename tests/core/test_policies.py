@@ -1,7 +1,5 @@
 """Unit-level tests for the BOINC-MR client strategies."""
 
-import pytest
-
 from repro.boinc.client import ClientTask
 from repro.boinc.model import FileRef, OutputData, Workunit
 from repro.boinc.server import Assignment

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.boinc import ClientConfig
 from repro.boinc.model import WorkunitState
 from repro.core import (
     BoincMRConfig,

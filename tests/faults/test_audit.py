@@ -1,7 +1,5 @@
 """Unit tests for the RunAuditor's end-state invariant checks."""
 
-import pytest
-
 from repro.boinc.model import ResultState, WorkunitState
 from repro.core import CloudSpec, MapReduceJobSpec, VolunteerCloud
 from repro.faults import RunAuditor

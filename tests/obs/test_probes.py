@@ -8,7 +8,7 @@ from repro.core import (
     MapReduceJobSpec,
     VolunteerCloud,
 )
-from repro.obs import MetricsRegistry, SelfProfiler, attach_standard_probes
+from repro.obs import SelfProfiler, attach_standard_probes
 from repro.obs import metrics
 from repro.sim import Simulator
 

@@ -1,7 +1,5 @@
 """Tests for SpanBuilder: stitching, hierarchy, RPC spans, leak detection."""
 
-import pytest
-
 from repro.obs.spans import SpanBuilder
 from repro.sim import Tracer
 

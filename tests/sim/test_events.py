@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, EventAlreadyTriggered, Simulator
+from repro.sim import EventAlreadyTriggered, Simulator
 
 
 @pytest.fixture

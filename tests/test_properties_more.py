@@ -3,7 +3,6 @@ invariants, corpus structure."""
 
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

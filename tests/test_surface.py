@@ -230,6 +230,42 @@ def test_every_unread_parameter_is_pinned():
     assert surface.unread_problems(unread) == []
 
 
+IMPORTS = textwrap.dedent('''
+    from __future__ import annotations
+
+    import os, sys as system
+    import json.decoder
+    import typing as _t
+    from .wire import loads as loads
+    from .spans import Span, Instant
+
+    if _t.TYPE_CHECKING:
+        from .probes import SelfProfiler
+
+    def run(profiler: "SelfProfiler | None") -> list["Span"]:
+        import csv
+        return system.argv
+
+    __all__ = ["Instant"]
+    ''')
+
+
+def test_an_import_nothing_loads_fails_the_check():
+    """Loaded, in a string annotation, in ``__all__`` or re-exported as
+    itself is used; inside a ``def`` is not module level."""
+    imports = surface.unused_imports({"src/repro/planted.py": IMPORTS})
+    assert imports == ["src/repro/planted.py:os",
+                       "src/repro/planted.py:json"]
+    # Every problem line makes ``--check`` exit 1; none is pinned.
+    assert surface.import_problems(imports) == [
+        "src/repro/planted.py:os: imported and never used",
+        "src/repro/planted.py:json: imported and never used"]
+
+
+def test_no_module_of_src_or_tests_has_an_unused_import():
+    assert surface.unused_imports() == []
+
+
 def test_the_census_covers_config_fields_and_spec_switches():
     fields = surface.census_fields(surface.option_classes())
     assert "ServerConfig.delay_bound_s" in fields

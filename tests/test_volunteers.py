@@ -11,7 +11,6 @@ from repro.core import (
     VolunteerCloud,
 )
 from repro.boinc.server import ServerConfig
-from repro.sim import Simulator, Tracer
 from repro.volunteers import AvailabilityModel, ChurnController
 
 
