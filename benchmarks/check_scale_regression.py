@@ -10,7 +10,7 @@ A shared helper for the simulator-throughput and gateway benchmarks:
   Wall time, not events/sec: a change that needs fewer events for the
   same run lowers events/sec even when the run gets faster.
 - ``--kind gateway`` compares ``BENCH_gateway.json`` (from
-  ``benchmarks/test_gateway.py`` or ``repro loadgen``) against
+  ``repro loadgen --out BENCH_gateway.json``) against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
   must stay under the absolute ``budget.p99_ms``, the replay must cover
   ``min_clients`` clients, and the correctness gates must be clean (zero

@@ -3,10 +3,10 @@
 
 Prints ``src/`` Python lines, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
-enter and how many of those :data:`PINNED` keeps, the counters ``src``
-increments and never reads and how many of those :data:`COUNTER_PINS`
-keeps, the parameters no body reads and how many of those
-:data:`UNREAD_PINS` keeps, the module-level imports of ``src`` and
+enter and how many of those :data:`PINNED` keeps, the fields ``src``
+stores and never reads and how many of those :data:`FIELD_PINS` keeps,
+the parameters no body reads and how many of those :data:`UNREAD_PINS`
+keeps, the module-level imports of ``src`` and
 ``tests`` nothing uses (none may stay), dataclass fields on the
 ``*Config`` / ``*Spec`` classes (each an independently settable value),
 the :func:`census` of those fields and of every defaulted parameter of a
@@ -21,7 +21,7 @@ instead of a hand count::
     python docs/surface.py
     python docs/surface.py --check    # exit 1 on an unreached module, an
                                       # unreached function, a write-only
-                                      # counter or an unread parameter not
+                                      # field or an unread parameter not
                                       # pinned, an unused import, a stale
                                       # pin, a config or spec field or
                                       # parameter with one value in use
@@ -368,31 +368,39 @@ def param_problems(found: dict[str, str], params: _t.Iterable[str],
     return problems
 
 
-#: Counters ``src`` increments and never reads (:func:`write_only_counters`),
+#: Fields ``src`` stores and never reads (:func:`write_only_fields`),
 #: each with the test or file outside ``src`` that reads it.
-COUNTER_PINS = {
+FIELD_PINS = {
     # The RPC differential's oracle compares it.
     "net.transfer:SimSemaphore.cancelled_total":
         "tests/boinc/test_rpc_differential.py::"
         "test_rpc_matches_the_process_it_replaced",
     "gateway.client:VolunteerStats.idle_polls": "bench/workloads.py",
+    # Exception payloads: the code that catches them reads them.
+    "sim.process:Interrupted.cause":
+        "tests/sim/test_process.py::test_interrupt_raises_interrupted",
+    "gateway.client:GatewayError.code":
+        "tests/gateway/test_server.py::TestBasics::"
+        "test_scheduler_unknown_host",
 }
 
 
-def write_only_counters(sources: dict[str, str] | None = None) -> list[str]:
-    """``module:Class.name`` of every ``<expr>.<name> += ...`` in
-    *sources* (module name -> text; default every ``src`` file) whose
-    ``<name>`` none of them reads as an attribute: a count only something
-    outside ``src`` can read.  The class is the one in that module whose
-    body declares ``name`` or whose methods assign ``self.name``."""
+def write_only_fields(sources: dict[str, str] | None = None) -> list[str]:
+    """``module:Class.name`` of every attribute ``src`` stores and never
+    loads, in *sources* (module name -> text; default every ``src``
+    file): a ``<expr>.<name> = ...`` or ``+= ...`` store, or a
+    ``<expr>.<name>[key] = ...`` store, whose ``<name>`` none of them
+    loads as an attribute (the base of a subscript store is no load) or
+    mentions as a string (a ``getattr`` name, a payload key; a
+    ``__slots__`` string is no mention).  The class is the one whose body
+    declares ``name`` or whose methods assign ``self.name``, in the
+    storing module first."""
     if sources is None:
         sources = {_module_name(str(path)): path.read_text(encoding="utf-8")
                    for path in sorted(SRC.rglob("*.py"))}
-    loads: set[str] = set()
-    counters: dict[str, str] = {}   # module:Class.name -> name
-    for module, text in sources.items():
-        tree = ast.parse(text)
-        owners: dict[str, str] = {}
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    owners: dict[str, dict[str, str]] = {}   # module -> name -> owner key
+    for module, tree in trees.items():
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 names = [stmt.target.id for stmt in cls.body
@@ -403,33 +411,58 @@ def write_only_counters(sources: dict[str, str] | None = None) -> list[str]:
                           and isinstance(node.ctx, ast.Store)
                           and getattr(node.value, "id", None) == "self"]
                 for name in names:
-                    owners.setdefault(name, cls.name)
+                    owners.setdefault(module, {}).setdefault(
+                        name, f"{module}:{cls.name}.{name}")
+    declared: dict[str, str] = {}
+    for found in owners.values():
+        for name, key in found.items():
+            declared.setdefault(name, key)
+    loads: set[str] = set()
+    fields: dict[str, str] = {}   # module:Class.name -> name
+    for module, tree in trees.items():
+        local = owners.get(module, {})
+        stored: list[str] = []
+        not_loads: set[int] = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                              ast.Load):
-                loads.add(node.attr)
-            elif (isinstance(node, ast.AugAssign)
-                  and isinstance(node.op, ast.Add)
-                  and isinstance(node.target, ast.Attribute)):
-                name = node.target.attr
-                owner = f"{owners[name]}." if name in owners else ""
-                counters[f"{module}:{owner}{name}"] = name
-    return [key for key, name in counters.items() if name not in loads]
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)):
+                not_loads.add(id(node.value))
+                stored.append(node.value.attr)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                    getattr(target, "id", None) == "__slots__"
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])):
+                not_loads.update(id(c) for c in ast.walk(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append(node.attr)
+                elif id(node) not in not_loads:
+                    loads.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in not_loads):
+                loads.add(node.value)
+        for name in stored:
+            key = local.get(name) or declared.get(name) or f"{module}:{name}"
+            fields.setdefault(key, name)
+    return [key for key, name in fields.items() if name not in loads]
 
 
-def counter_problems(counters: list[str],
-                     pins: dict[str, str] | None = None) -> list[str]:
-    """One line per write-only counter (:func:`write_only_counters`)
-    *pins* (default :data:`COUNTER_PINS`) leaves out, and per stale pin:
-    ``src`` reads its counter or no longer counts it, or its test or
-    file cannot pin it (:func:`_pin_problem`)."""
-    pins = COUNTER_PINS if pins is None else pins
-    problems = [f"{name}: src increments it, never reads it, and it is not "
-                "pinned" for name in counters if name not in pins]
+def field_problems(fields: list[str],
+                   pins: dict[str, str] | None = None) -> list[str]:
+    """One line per write-only field (:func:`write_only_fields`) *pins*
+    (default :data:`FIELD_PINS`) leaves out, and per stale pin: ``src``
+    reads its field or no longer stores it, or its test or file cannot
+    pin it (:func:`_pin_problem`)."""
+    pins = FIELD_PINS if pins is None else pins
+    problems = [f"{name}: src stores it, never reads it, and it is not "
+                "pinned" for name in fields if name not in pins]
     for name, by in pins.items():
-        if name not in counters:
+        if name not in fields:
             problems.append(f"{name}: pinned, but src reads it or no longer "
-                            "counts it")
+                            "stores it")
         elif problem := _pin_problem(name, by):
             problems.append(f"{name}: pinned by {by}, but {problem}")
     return problems
@@ -1032,8 +1065,6 @@ PINNED: dict[str, str] = {
     "obs.spans:SpanBuilder._on_timeout":
         "tests/obs/test_spans.py::TestInstants::"
         "test_daemon_events_route_to_daemon_tracks",
-    "obs.metrics:Sampler.stop":
-        "tests/obs/test_metrics.py::TestSampler::test_stop_halts_sampling",
     "sim.events:Event.__repr__":
         "tests/sim/test_events.py::test_double_trigger_rejected",
 }
@@ -1177,8 +1208,8 @@ if __name__ == "__main__":
     unreached = unreached_modules(reached)
     dead = unreached_functions(reached)
     problems = pin_problems(dead)
-    counters = write_only_counters()
-    problems += counter_problems(counters)
+    written = write_only_fields()
+    problems += field_problems(written)
     unread = unread_parameters()
     problems += unread_problems(unread)
     imports = unused_imports()
@@ -1192,8 +1223,8 @@ if __name__ == "__main__":
     print("src modules no entry point reaches:", len(unreached), *unreached)
     print("src functions no entry point reaches:", len(dead),
           f"(pinned {sum(name in PINNED for name in dead)})")
-    print("counters src increments and never reads:", len(counters),
-          f"(pinned {sum(name in COUNTER_PINS for name in counters)})")
+    print("fields src stores and never reads:", len(written),
+          f"(pinned {sum(name in FIELD_PINS for name in written)})")
     print("parameters no body reads:", len(unread),
           f"(pinned {sum(key in UNREAD_PINS for key in unread)})")
     print("unused imports:", len(imports))
@@ -1239,7 +1270,7 @@ if __name__ == "__main__":
     if "--check" in sys.argv[1:] and (unreached or problems or unset
                                       or tested or default
                                       or value_problems or unused):
-        sys.exit("surface: a module, a function, a counter, an import or a "
+        sys.exit("surface: a module, a function, a field, an import or a "
                  "flag nothing uses, a parameter no body reads, a config "
                  "field, spec field or parameter with one value in use, or "
                  "a stale pin (see above)")

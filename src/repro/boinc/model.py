@@ -104,8 +104,6 @@ class Workunit:
     adaptive: bool = False
     adaptive_quorum: int | None = None
     created_at: float = 0.0
-    validated_at: float | None = None
-    assimilated_at: float | None = None
     error_reason: str | None = None
 
     def __post_init__(self) -> None:

@@ -509,7 +509,6 @@ class SchedulerCore:
                            candidates: list[Result]) -> None:
         wu.canonical_result_id = canonical.id
         wu.state = WorkunitState.VALIDATED
-        wu.validated_at = self.now
         for r in candidates:
             matches = r.output.digest == canonical.output.digest
             r.validate_state = ValidateState.VALID if matches else ValidateState.INVALID
@@ -561,7 +560,6 @@ class SchedulerCore:
                 canonical = self.db.results[wu.canonical_result_id]
                 self.assimilate_handler(wu, canonical)
                 wu.state = WorkunitState.ASSIMILATED
-                wu.assimilated_at = self.now
                 self.metrics.counter(
                     "daemon.assimilator.assimilated_total").inc()
                 self.tracer.record(self.now, "assimilator.done", wu=wu.id,

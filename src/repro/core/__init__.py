@@ -19,7 +19,7 @@ from .config import BoincMRConfig
 from .costmodel import GREP, INVERTED_INDEX, WORD_COUNT, MapReduceCostModel
 from .executor import MapReduceExecutor
 from .interclient import PeerStore, ServedFile
-from .job import JobPhase, MapReduceJob, MapReduceJobSpec, MapTaskRecord
+from .job import JobPhase, MapReduceJob, MapReduceJobSpec
 from .jobtracker import JobTracker
 from .policies import ClientDirectory, MapReduceInputFetcher, MapReduceOutputPolicy
 from .system import CloudSpec, VolunteerCloud
@@ -30,7 +30,6 @@ __all__ = [
     "MapReduceJobSpec",
     "MapReduceJob",
     "JobPhase",
-    "MapTaskRecord",
     "JobTracker",
     "BoincMRConfig",
     "MapReduceCostModel",

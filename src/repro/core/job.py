@@ -5,7 +5,7 @@ configures: the number of mappers and reducers, replication/quorum, and —
 via a :class:`~repro.core.costmodel.MapReduceCostModel` — the compute and
 data volumes of each task.  :class:`MapReduceJob` is the server-side
 runtime record the JobTracker maintains: per-phase progress, validated
-mapper locations, and completion events the harness can wait on.
+mapper locations, and a completion event the harness can wait on.
 """
 
 from __future__ import annotations
@@ -94,17 +94,6 @@ class MapReduceJobSpec:
         return f"{self.name}_out{reduce_index}"
 
 
-@dataclasses.dataclass(slots=True)
-class MapTaskRecord:
-    """JobTracker's view of one validated map task."""
-
-    map_index: int
-    wu_id: int
-    #: Addresses (host names) of clients holding validated output.
-    holders: list[str] = dataclasses.field(default_factory=list)
-    validated_at: float | None = None
-
-
 class MapReduceJob:
     """Runtime state of a submitted job (owned by the JobTracker)."""
 
@@ -112,21 +101,18 @@ class MapReduceJob:
                  event: _t.Callable[[str], _t.Any]) -> None:
         """Track *spec* through its phases from time *now* (starts in MAP).
 
-        *event* builds the two completion signals from a name: ``sim.event``,
+        *event* builds the completion signal from a name: ``sim.event``,
         or anything else with its ``trigger(value)`` / ``fail(exc)`` verbs.
         """
         self.spec = spec
         self.phase = JobPhase.MAP
-        self.map_tasks: dict[int, MapTaskRecord] = {}
+        #: Validated map index -> addresses (host names) of the clients
+        #: holding its output, what a reduce assignment carries.
+        self.map_tasks: dict[int, list[str]] = {}
         self.reduce_done: set[int] = set()
-        self.map_wu_ids: dict[int, int] = {}      # map_index -> wu id
         self.reduce_wu_ids: dict[int, int] = {}   # reduce_index -> wu id
         self.submitted_at = now
-        self.map_phase_done_at: float | None = None
-        self.reduce_created_at: float | None = None
         self.finished_at: float | None = None
-        #: Fired when every map WU has been validated & assimilated.
-        self.map_phase_done = event(f"{spec.name}.maps_done")
         #: Fired when the job completes (all reduce outputs returned);
         #: failed, with the reason, when the job fails.
         self.done = event(f"{spec.name}.done")
@@ -147,18 +133,15 @@ class MapReduceJob:
         """True in either terminal phase (DONE or FAILED)."""
         return self.phase in (JobPhase.DONE, JobPhase.FAILED)
 
-    def record_map_validated(self, map_index: int, wu_id: int,
-                             holders: _t.Sequence[str], now: float) -> None:
-        """A map WU passed validation; remember which hosts hold output."""
+    def record_map_validated(self, map_index: int,
+                             holders: _t.Sequence[str]) -> None:
+        """A map WU passed validation; remember which hosts hold output.
+        The last one moves the job to REDUCE."""
         if map_index in self.map_tasks:
             raise ValueError(f"map {map_index} already validated")
-        self.map_tasks[map_index] = MapTaskRecord(
-            map_index=map_index, wu_id=wu_id, holders=list(holders),
-            validated_at=now)
+        self.map_tasks[map_index] = list(holders)
         if len(self.map_tasks) == self.spec.n_maps:
             self.phase = JobPhase.REDUCE
-            self.map_phase_done_at = now
-            self.map_phase_done.trigger(self)
 
     def record_reduce_validated(self, reduce_index: int, now: float) -> None:
         """A reduce WU passed validation; flips to DONE on the last one."""

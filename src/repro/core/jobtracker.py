@@ -69,7 +69,7 @@ class JobTracker:
         job = MapReduceJob(spec, self.core.now, self.event)
         self.jobs[spec.name] = job
         for i in range(spec.n_maps):
-            job.map_wu_ids[i] = self._submit_wu(
+            self._submit_wu(
                 spec, "map", i, self.map_input(spec, i), publish_inputs=True)
         self.metrics.counter("jobtracker.jobs_submitted_total").inc()
         self.tracer.record(self.core.now, "jobtracker.submitted", job=spec.name,
@@ -112,7 +112,7 @@ class JobTracker:
                 h.name for h in self.core.valid_hosts_for_wu(wu.id)
                 if h.supports_mr
             ]
-            job.record_map_validated(wu.mr_index, wu.id, holders, now)
+            job.record_map_validated(wu.mr_index, holders)
             self.metrics.counter("jobtracker.maps_validated_total").inc()
             self.tracer.record(now, "jobtracker.map_done",
                                job=job.spec.name, index=wu.mr_index,
@@ -152,7 +152,6 @@ class JobTracker:
         """
         spec = job.spec
         inputs = [self.reduce_input(spec, r) for r in range(spec.n_reducers)]
-        job.reduce_created_at = self.core.now
         for r, task_input in enumerate(inputs):
             job.reduce_wu_ids[r] = self._submit_wu(
                 spec, "reduce", r, task_input, publish_inputs=False)
@@ -168,11 +167,8 @@ class JobTracker:
             return {}
         if not (self.config.reduce_from_peers and host.supports_mr):
             return {}
-        return {
-            i: list(rec.holders)
-            for i, rec in job.map_tasks.items()
-            if rec.holders
-        }
+        return {i: list(holders)
+                for i, holders in job.map_tasks.items() if holders}
 
     def spec(self, job_name: str) -> MapReduceJobSpec:
         """Spec of a submitted job (KeyError if unknown)."""

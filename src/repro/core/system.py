@@ -38,7 +38,7 @@ from ..net import (
     NatBox,
     Network,
 )
-from ..obs import MetricsRegistry, Sampler, SelfProfiler, SpanBuilder
+from ..obs import MetricsRegistry, SelfProfiler, SpanBuilder
 from ..obs import attach_standard_probes
 from ..sim import (
     Event,
@@ -180,7 +180,6 @@ class VolunteerCloud:
         self._started = False
         #: Observability attachments (populated by attach_observability).
         self.span_builder: SpanBuilder | None = None
-        self.sampler: Sampler | None = None
         self.profiler: SelfProfiler | None = None
         n_fast = int(round(spec.n_nodes * spec.fast_node_fraction))
         for i in range(spec.n_nodes):
@@ -267,16 +266,15 @@ class VolunteerCloud:
 
         Call before the first job: *spans* folds the trace into per-result
         timelines (export with :func:`repro.obs.chrome_trace_json`),
-        *probes* registers the standard queue-depth gauges and starts a
-        :class:`Sampler` over them, and *profile* hooks the wall-clock
-        :class:`SelfProfiler` onto the event loop.  Idempotent.
+        *probes* registers the standard queue-depth gauges (read when a
+        summary or scrape asks, so they add no simulated event), and
+        *profile* hooks the wall-clock :class:`SelfProfiler` onto the
+        event loop.  Idempotent.
         """
         if spans and self.span_builder is None:
             self.span_builder = SpanBuilder(self.tracer)
         if probes:
             attach_standard_probes(self)
-            if self.sampler is None:
-                self.sampler = Sampler(self.sim, self.metrics)
         if profile and self.profiler is None:
             self.profiler = SelfProfiler(self.sim)
 

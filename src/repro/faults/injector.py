@@ -127,7 +127,7 @@ class FaultInjector:
             return undo
         if spec.kind == "bandwidth":
             factor = float(spec.params.get("factor", 0.1))
-            if factor <= 0:
+            if not factor > 0:  # NaN too
                 raise ValueError("bandwidth factor must be positive")
             saved = [(client.host.uplink, client.host.uplink.capacity),
                      (client.host.downlink, client.host.downlink.capacity)]
@@ -148,7 +148,7 @@ class FaultInjector:
             return undo
         if spec.kind == "straggler":
             factor = float(spec.params.get("factor", 4.0))
-            if factor < 1.0:
+            if not factor >= 1.0:  # NaN too
                 raise ValueError("straggler factor must be >= 1")
             client.slowdown = factor
 
@@ -193,7 +193,7 @@ class FaultInjector:
             self, spec: FaultSpec) -> tuple[_t.Callable[[], None], str]:
         ds = self.cloud.server.dataserver
         factor = float(spec.params.get("factor", 0.1))
-        if factor <= 0:
+        if not factor > 0:  # NaN too
             raise ValueError("dataserver_slow factor must be positive")
         previous = ds.slow_factor
         ds.slow_factor = factor

@@ -17,6 +17,7 @@ hosts, and byzantine volunteers.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 #: Every fault kind the injector knows how to apply.
@@ -65,11 +66,14 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(FAULT_KINDS)}")
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
-        if self.duration <= 0:
+        # Written so a NaN fails too: TOML has ``nan`` and ``inf``.
+        if not 0 <= self.at < math.inf:
             raise ValueError(
-                f"fault duration must be positive, got {self.duration}")
+                f"fault time must be finite and >= 0, got {self.at}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"fault duration must be finite and positive, "
+                f"got {self.duration}")
 
     @classmethod
     def from_dict(cls, row: _t.Mapping[str, _t.Any]) -> "FaultSpec":

@@ -15,6 +15,7 @@ overridden for sensitivity studies.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import typing as _t
@@ -126,15 +127,16 @@ class ConnectivityPolicy:
         every rung of the ladder on (assign :attr:`config` to change)."""
         self.config = TraversalConfig()
         self.rng = rng
-        self.attempts: list[tuple[str, str, TraversalOutcome]] = []
+        #: Establishments per method value (``"failed"`` when none worked).
+        self._methods: collections.Counter[str] = collections.Counter()
 
-    def establish(self, client_nat: NatBox | None, server_nat: NatBox | None,
-                  client_name: str = "?", server_name: str = "?") -> TraversalOutcome:
+    def establish(self, client_nat: NatBox | None,
+                  server_nat: NatBox | None) -> TraversalOutcome:
         """Walk the ladder; returns the first rung that succeeds."""
         c = client_nat or PUBLIC
         s = server_nat or PUBLIC
         outcome = self._try_ladder(c, s)
-        self.attempts.append((client_name, server_name, outcome))
+        self._methods[outcome.method.value if outcome.method else "failed"] += 1
         return outcome
 
     def _try_ladder(self, c: NatBox, s: NatBox) -> TraversalOutcome:
@@ -166,11 +168,7 @@ class ConnectivityPolicy:
 
     def method_counts(self) -> dict[str, int]:
         """How many establishments used each method (plus failures)."""
-        out: dict[str, int] = {}
-        for _c, _s, o in self.attempts:
-            key = o.method.value if o.method else "failed"
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(self._methods)
 
 
 def sample_nat_population(rng: np.random.Generator, n: int,

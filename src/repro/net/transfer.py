@@ -133,15 +133,14 @@ class TransferEndpoint:
 
 @dataclasses.dataclass(slots=True)
 class TransferRecord:
-    """Outcome of one peer download attempt."""
+    """Outcome of one completed peer download (a failed one raises
+    :class:`TransferFailed`)."""
 
-    ok: bool
     method: TraversalMethod | None
     size: float
     started_at: float
     finished_at: float
     relayed: bool = False
-    failure_reason: str | None = None
     #: The serving endpoint corrupted the payload (fault injection); the
     #: downloader's checksum validation will reject this copy.
     corrupted: bool = False
@@ -169,9 +168,7 @@ def peer_download(
     ``sim.process(peer_download(...))``.
     """
     started = sim.now
-    outcome = policy.establish(dst.host.nat, src.host.nat,
-                               client_name=dst.host.name,
-                               server_name=src.host.name)
+    outcome = policy.establish(dst.host.nat, src.host.nat)
     if not outcome.ok:
         raise TransferFailed(
             f"no connectivity {dst.host.name} <- {src.host.name}", outcome)
@@ -213,7 +210,7 @@ def peer_download(
         src.upload_slots.settle(up)
         dst.download_slots.settle(down)
 
-    return TransferRecord(ok=True, method=outcome.method, size=size,
+    return TransferRecord(method=outcome.method, size=size,
                           started_at=started, finished_at=sim.now,
                           relayed=outcome.relayed,
                           corrupted=src.corrupt_serves)

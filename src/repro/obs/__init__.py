@@ -3,8 +3,8 @@
 The layer every perf/robustness change measures itself against:
 
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, fixed-bucket histograms (quantiles estimated from the
-  buckets) and a sim-time :class:`Sampler`;
+  gauges and fixed-bucket histograms (quantiles estimated from the
+  buckets);
 - :mod:`repro.obs.spans` — :class:`SpanBuilder` folding flat trace
   records into per-result / per-RPC span timelines with leak detection;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
@@ -24,8 +24,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Sample,
-    Sampler,
 )
 from .probes import SelfProfiler, attach_standard_probes
 from .spans import Instant, Span, SpanBuilder
@@ -35,8 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Sample",
-    "Sampler",
     "Span",
     "Instant",
     "SpanBuilder",

@@ -15,20 +15,15 @@ perf PR will speak):
   does.
 
 The :class:`MetricsRegistry` hands out get-or-create instruments keyed by
-name, and the :class:`Sampler` process snapshots every gauge on a sim-time
-cadence into time series, which is how "transitioner backlog over the run"
-becomes a plottable artefact rather than a final number.
+name.  A gauge is read when something asks for it (a summary, a scrape),
+so observing a run schedules nothing on its simulated clock.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import typing as _t
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..sim import Simulator
 
 #: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -154,21 +149,11 @@ class Histogram:
 Instrument = _t.Union[Counter, Gauge, Histogram]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Sample:
-    """One gauge observation taken by the :class:`Sampler`."""
-
-    time: float
-    value: float
-
-
 class MetricsRegistry:
     """Owns every instrument by name; get-or-create, type-checked."""
 
     def __init__(self) -> None:
         self._instruments: dict[str, Instrument] = {}
-        #: Gauge time series filled in by the :class:`Sampler`.
-        self.series: dict[str, list[Sample]] = {}
 
     def _register(self, found: Instrument | None,
                   inst: Instrument) -> _t.Any:
@@ -211,14 +196,6 @@ class MetricsRegistry:
         """Every registered instrument, sorted by name."""
         return [self._instruments[k] for k in sorted(self._instruments)]
 
-    def sample_gauges(self, time: float) -> None:
-        """Append every gauge's current value to its time series."""
-        for name in sorted(self._instruments):
-            inst = self._instruments[name]
-            if isinstance(inst, Gauge):
-                self.series.setdefault(name, []).append(
-                    Sample(time=time, value=inst.value))
-
     def render(self) -> str:
         """Plain-text summary, one instrument per line, sorted by name."""
         lines = []
@@ -226,10 +203,7 @@ class MetricsRegistry:
             if isinstance(inst, Counter):
                 lines.append(f"{inst.name:44s} counter   {inst.value:12g}")
             elif isinstance(inst, Gauge):
-                series = self.series.get(inst.name)
-                peak = (f"  peak {max(s.value for s in series):g}"
-                        if series else "")
-                lines.append(f"{inst.name:44s} gauge     {inst.value:12g}{peak}")
+                lines.append(f"{inst.name:44s} gauge     {inst.value:12g}")
             else:
                 if inst.count == 0:
                     lines.append(f"{inst.name:44s} histogram        (empty)")
@@ -281,30 +255,3 @@ def _prom_number(value: float) -> str:
         return "+Inf" if value > 0 else "-Inf"
     return repr(float(value))
 
-
-#: Simulated seconds between two :class:`Sampler` snapshots.
-SAMPLE_PERIOD_S = 30.0
-
-
-class Sampler:
-    """Snapshots every gauge into ``registry.series`` every
-    :data:`SAMPLE_PERIOD_S` of simulated time."""
-
-    def __init__(self, sim: "Simulator", registry: MetricsRegistry) -> None:
-        """Start the sampling process on *sim*."""
-        if SAMPLE_PERIOD_S <= 0:
-            raise ValueError("sampler period must be positive")
-        self.sim = sim
-        self.registry = registry
-        self.period_s = SAMPLE_PERIOD_S
-        self._proc = sim.process(self._run(), name="obs:sampler")
-
-    def _run(self) -> _t.Generator:
-        while True:
-            self.registry.sample_gauges(self.sim.now)
-            yield self.period_s
-
-    def stop(self) -> None:
-        """Interrupt the sampling process (idempotent)."""
-        if self._proc.alive:
-            self._proc.interrupt("sampler stopped")

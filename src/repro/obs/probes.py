@@ -4,8 +4,8 @@
 server-status page exposes for a real project — scheduler RPC concurrency
 and queue depth, per-daemon backlogs, in-flight network flows and link
 utilisation, client task-state occupancy — against a
-:class:`~repro.obs.metrics.MetricsRegistry`, where a
-:class:`~repro.obs.metrics.Sampler` turns them into time series.
+:class:`~repro.obs.metrics.MetricsRegistry`.  Each gauge is a callback
+read when a summary or scrape asks for it.
 
 :class:`SelfProfiler` hooks :attr:`Simulator.dispatch_hook` and aggregates
 *wall-clock* time per callback kind (process name prefix or function

@@ -122,7 +122,7 @@ class TestExpiryRaces:
         sim.run()
         # ...the window expired mid-flight (the ~1 s transfer crossed
         # t=100), yet the download finished intact.
-        assert proc.value.ok
+        assert proc.value.size == 12.5e6
         assert sim.now > 100.0
         assert not store.available("part0")
 

@@ -65,21 +65,20 @@ class TestJobState:
         _sim, job = self.make()
         for i in range(4):
             assert job.phase is JobPhase.MAP
-            job.record_map_validated(i, wu_id=i + 1, holders=[f"h{i}"], now=10.0 * i)
+            job.record_map_validated(i, holders=[f"h{i}"])
         assert job.phase is JobPhase.REDUCE
-        assert job.map_phase_done.triggered
-        assert job.map_phase_done_at == 30.0
+        assert job.maps_completed == 4
 
     def test_duplicate_map_rejected(self):
         _sim, job = self.make()
-        job.record_map_validated(0, 1, [], 1.0)
+        job.record_map_validated(0, [])
         with pytest.raises(ValueError):
-            job.record_map_validated(0, 1, [], 2.0)
+            job.record_map_validated(0, [])
 
     def test_job_completes_after_all_reduces(self):
         _sim, job = self.make()
         for i in range(4):
-            job.record_map_validated(i, i + 1, [], 1.0)
+            job.record_map_validated(i, [])
         job.record_reduce_validated(0, 50.0)
         assert not job.finished
         job.record_reduce_validated(1, 60.0)
@@ -90,7 +89,7 @@ class TestJobState:
     def test_duplicate_reduce_rejected(self):
         _sim, job = self.make()
         for i in range(4):
-            job.record_map_validated(i, i + 1, [], 1.0)
+            job.record_map_validated(i, [])
         job.record_reduce_validated(0, 5.0)
         with pytest.raises(ValueError):
             job.record_reduce_validated(0, 6.0)
@@ -107,7 +106,7 @@ class TestJobState:
     def test_fail_after_done_is_noop(self):
         _sim, job = self.make()
         for i in range(4):
-            job.record_map_validated(i, i + 1, [], 1.0)
+            job.record_map_validated(i, [])
         for r in range(2):
             job.record_reduce_validated(r, 2.0)
         job.fail("too late", now=3.0)
@@ -115,6 +114,5 @@ class TestJobState:
 
     def test_holders_recorded(self):
         _sim, job = self.make()
-        job.record_map_validated(2, 7, ["a", "b"], 1.0)
-        assert job.map_tasks[2].holders == ["a", "b"]
-        assert job.map_tasks[2].wu_id == 7
+        job.record_map_validated(2, ["a", "b"])
+        assert job.map_tasks[2] == ["a", "b"]

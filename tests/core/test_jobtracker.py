@@ -126,7 +126,7 @@ class TestPhaseTransition:
         server.register_host("mr_host", 1.0, supports_mr=True)
         server.register_host("old_host", 1.0, supports_mr=False)
         force_validate(server, wu, ["mr_host", "old_host"])
-        assert job.map_tasks[wu.mr_index].holders == ["mr_host"]
+        assert job.map_tasks[wu.mr_index] == ["mr_host"]
 
     def test_job_done_event(self, setup):
         _sim, server, tracker = setup

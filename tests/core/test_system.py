@@ -160,8 +160,8 @@ class TestByzantine:
         assert job.phase is JobPhase.DONE
         # Corrupt hosts never appear as validated holders of map output.
         byz_names = {c.name for c in cloud.clients[6:]}
-        for rec in job.map_tasks.values():
-            assert not byz_names & set(rec.holders)
+        for holders in job.map_tasks.values():
+            assert not byz_names & set(holders)
         # And the validator created extra replicas to break ties.
         assert len(cloud.tracer.select("validator.inconclusive")) > 0 or \
             len(cloud.tracer.select("transitioner.new_result")) > 0
@@ -229,7 +229,9 @@ class TestEarlyReduceCreation:
         job = cloud.run_job(small_spec(), timeout=24 * 3600)
         assert job.phase is JobPhase.DONE
         # Reduce WUs were created before the map phase finished.
-        assert job.reduce_created_at < job.map_phase_done_at
+        created, = cloud.tracer.select("jobtracker.reduce_created")
+        last_map = max(r.time for r in cloud.tracer.select("jobtracker.map_done"))
+        assert created.time < last_map
 
     def test_invalid_overlap_config_rejected(self):
         with pytest.raises(ValueError, match="upload_map_outputs"):

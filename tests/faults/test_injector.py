@@ -1,5 +1,7 @@
 """Unit tests for deterministic fault application and undo."""
 
+import math
+
 import pytest
 
 from repro.core import CloudSpec, VolunteerCloud
@@ -121,6 +123,19 @@ class TestHostFaults:
         inject(cloud, FaultSpec(kind="straggler", at=1.0, duration=2.0,
                                 target="random", params={"factor": 0.5}))
         with pytest.raises(ValueError, match=">= 1"):
+            cloud.sim.run(until=2.0)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("bandwidth", {"factor": math.nan}),
+        ("straggler", {"factor": math.nan}),
+        ("dataserver_slow", {"factor": math.nan}),
+        ("transfer_corrupt", {"rate": math.nan}),
+    ])
+    def test_nan_factor_or_rate_rejected(self, kind, params):
+        cloud = tiny_cloud()
+        inject(cloud, FaultSpec(kind=kind, at=1.0, duration=2.0,
+                                target="random", params=params))
+        with pytest.raises(ValueError, match="factor|rate"):
             cloud.sim.run(until=2.0)
 
     def test_peer_corrupt_sets_endpoint_flag(self):

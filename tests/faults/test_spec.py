@@ -100,6 +100,20 @@ factor = 6.0
         with pytest.raises(ValueError, match="no .*fault"):
             load_plan(p)
 
+    @pytest.mark.parametrize("at,duration", [
+        ("inf", "1.0"),     # would arm a fault that never fires
+        ("-inf", "1.0"),
+        ("nan", "1.0"),     # would raise from inside the run
+        ("1.0", "nan"),
+        ("1.0", "inf"),
+    ])
+    def test_non_finite_time_in_file_rejected(self, tmp_path, at, duration):
+        p = tmp_path / "bad.toml"
+        p.write_text(f"[[fault]]\nkind = 'link_flap'\nat = {at}\n"
+                     f"duration = {duration}\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_plan(p)
+
     def test_bad_kind_in_file_rejected(self, tmp_path):
         p = tmp_path / "bad.toml"
         p.write_text("[[fault]]\nkind = 'gremlins'\nat = 1.0\nduration = 1.0\n")

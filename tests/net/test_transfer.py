@@ -93,7 +93,7 @@ class TestPeerDownload:
             sim, net, make_policy(), src, dst, 12.5e6))
         sim.run()
         rec = proc.value
-        assert rec.ok
+        assert rec.size == 12.5e6
         assert rec.duration == pytest.approx(1.0, rel=0.01)  # + rtt
 
     def test_traversal_failure_raises(self, sim, net):
@@ -137,7 +137,7 @@ class TestPeerDownload:
             sim, net, make_policy(seed=1), src, dst, 12.5e6, relay=relay))
         sim.run()
         rec = proc.value
-        assert rec.ok and rec.relayed
+        assert rec.relayed
 
     def test_connection_limit_serialises_uploads(self, sim, net, make_policy):
         src_host = net.add_host("server_peer", EMULAB_LINK)
@@ -273,7 +273,7 @@ class TestPeerDownloadLeaks:
             sim, net, make_policy(), src, dst, 12.5e6))
         sim.schedule(0.5, second.interrupt, "churn kill while waiting")
         sim.run()
-        assert first.value.ok
+        assert first.value.size == 12.5e6
         assert src.upload_slots.waiting == 0
         assert src.upload_slots.in_use == 0
         assert src.upload_slots.cancelled_total == 1
@@ -298,4 +298,4 @@ class TestPeerDownloadLeaks:
         proc = sim.process(peer_download(
             sim, net, make_policy(), src, dst, 12.5e6))
         sim.run()
-        assert proc.value.ok and proc.value.corrupted
+        assert proc.value.corrupted

@@ -1,4 +1,4 @@
-"""Tests for the metric instruments, registry, and sampler."""
+"""Tests for the metric instruments and the registry."""
 
 import bisect
 import math
@@ -13,10 +13,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Sampler,
 )
 from repro.gateway.server import RPC_BUCKETS
-from repro.sim import Simulator
 
 
 class TestCounter:
@@ -180,31 +178,3 @@ class TestRegistry:
     def test_render_prometheus_empty_registry(self):
         assert MetricsRegistry().render_prometheus() == ""
 
-
-class TestSampler:
-    def test_samples_gauges_on_cadence(self, pin):
-        pin(metrics, SAMPLE_PERIOD_S=10.0)
-        sim = Simulator()
-        reg = MetricsRegistry()
-        reg.gauge("clock", fn=lambda: sim.now)
-        Sampler(sim, reg)
-        sim.run(until=35.0)
-        series = reg.series["clock"]
-        assert [s.time for s in series] == [0.0, 10.0, 20.0, 30.0]
-        assert [s.value for s in series] == [0.0, 10.0, 20.0, 30.0]
-
-    def test_stop_halts_sampling(self, pin):
-        pin(metrics, SAMPLE_PERIOD_S=5.0)
-        sim = Simulator()
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1)
-        sampler = Sampler(sim, reg)
-        sim.run(until=11.0)
-        sampler.stop()
-        sim.run(until=50.0)
-        assert len(reg.series["g"]) == 3  # t=0, 5, 10 only
-
-    def test_invalid_period_rejected(self, pin):
-        pin(metrics, SAMPLE_PERIOD_S=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            Sampler(Simulator(), MetricsRegistry())

@@ -1,5 +1,7 @@
 """Tests for the standard probes and the engine self-profiler."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -9,7 +11,6 @@ from repro.core import (
     VolunteerCloud,
 )
 from repro.obs import SelfProfiler, attach_standard_probes
-from repro.obs import metrics
 from repro.sim import Simulator
 
 
@@ -38,19 +39,46 @@ class TestStandardProbes:
         attach_standard_probes(cloud)
         attach_standard_probes(cloud)  # no TypeError from re-registration
 
-    def test_gauges_track_live_state_through_a_run(self, pin):
-        pin(metrics, SAMPLE_PERIOD_S=10.0)
+    def test_gauges_track_live_state_through_a_run(self):
         cloud = self.make_cloud()
         cloud.attach_observability(probes=True)
+        computing = cloud.metrics.gauge("client.tasks_computing")
+        seen = []
+
+        def on_record(rec):
+            if rec.kind == "task.compute_start":
+                seen.append(computing.value)
+
+        cloud.tracer.tap(on_record)
         cloud.run_job(MapReduceJobSpec("wc", n_maps=6, n_reducers=2,
                                        input_size=60e6))
-        series = cloud.metrics.series
-        assert series  # sampler ran
-        # Tasks computed at some point during the run.
-        computing = [s.value for s in series["client.tasks_computing"]]
-        assert max(computing) > 0
+        # Read mid-run, the gauge counts the task that just started...
+        assert seen and min(seen) >= 1
+        # ...and after the run nothing computes.
+        assert computing.value == 0
         # RPC counters moved.
         assert cloud.metrics.counter("sched.rpc_total").value > 0
+
+
+def _fingerprint(observe: bool) -> tuple[str, int, int]:
+    """Trace digest and kernel counts of one small job, observed or not."""
+    cloud = VolunteerCloud.from_spec(
+        CloudSpec(seed=2, mr_config=BoincMRConfig()))
+    cloud.add_volunteers(6, mr=True)
+    if observe:
+        cloud.attach_observability(spans=True, probes=True, profile=True)
+    cloud.run_job(MapReduceJobSpec("wc", n_maps=6, n_reducers=2,
+                                   input_size=60e6))
+    digest = hashlib.sha256()
+    for rec in cloud.tracer.records:
+        digest.update(repr((rec.time, rec.kind, rec.fields)).encode())
+    return digest.hexdigest(), cloud.sim.dispatch_count, cloud.sim.peak_pending
+
+
+def test_observability_adds_no_simulated_event():
+    """Spans, probes and the profiler watch the run; none of them
+    schedules anything on its clock or changes what it records."""
+    assert _fingerprint(observe=True) == _fingerprint(observe=False)
 
 
 class TestSelfProfiler:

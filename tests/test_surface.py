@@ -121,37 +121,61 @@ COUNTED = textwrap.dedent('''
 
 
 def test_a_counter_only_a_test_reads_is_reported():
-    assert surface.write_only_counters({"fake.pool": COUNTED}) == [
+    assert surface.write_only_fields({"fake.pool": COUNTED}) == [
         "fake.pool:Pool.taken"]
 
 
 def test_a_counter_src_reads_in_another_module_is_not_reported():
-    assert surface.write_only_counters({
+    assert surface.write_only_fields({
         "fake.pool": COUNTED,
         "fake.report": "def report(pool):\n    return pool.taken\n"}) == []
 
 
 def test_a_counter_pin_holds_while_only_its_reader_reads_it():
-    counters = surface.write_only_counters({"fake.pool": COUNTED})
-    assert surface.counter_problems(counters, {}) == [
-        "fake.pool:Pool.taken: src increments it, never reads it, and it "
+    counters = surface.write_only_fields({"fake.pool": COUNTED})
+    assert surface.field_problems(counters, {}) == [
+        "fake.pool:Pool.taken: src stores it, never reads it, and it "
         "is not pinned"]
-    assert surface.counter_problems(counters, {
+    assert surface.field_problems(counters, {
         "fake.pool:Pool.taken": "tests/test_surface.py::"
         "test_a_counter_pin_holds_while_only_its_reader_reads_it"}) == []
 
 
 def test_a_counter_pin_src_reads_is_stale():
-    assert surface.counter_problems([], {
+    assert surface.field_problems([], {
         "fake.pool:Pool.lent": "tests/test_surface.py"}) == [
-        "fake.pool:Pool.lent: pinned, but src reads it or no longer counts "
+        "fake.pool:Pool.lent: pinned, but src reads it or no longer stores "
         "it"]
 
 
 def test_every_write_only_counter_is_pinned_by_its_reader():
-    counters = surface.write_only_counters()
-    assert sorted(counters) == sorted(surface.COUNTER_PINS)
-    assert surface.counter_problems(counters) == []
+    fields = surface.write_only_fields()
+    assert sorted(fields) == sorted(surface.FIELD_PINS)
+    assert surface.field_problems(fields) == []
+
+
+INDEXED = textwrap.dedent('''
+    class Ledger:
+        __slots__ = ("by_day", "by_host")
+
+        def __init__(self):
+            self.by_day = {}
+            self.by_host = {}
+
+        def book(self, day, host):
+            self.by_day[day] = host
+            self.by_host[host] = day
+
+        def day_of(self, host):
+            return self.by_host[host]
+    ''')
+
+
+def test_a_dict_only_ever_assigned_by_subscript_is_reported():
+    # ``self.by_day[day] = ...`` stores into the dict, it does not read
+    # it, and naming it in ``__slots__`` is no read either.
+    assert surface.write_only_fields({"fake.ledger": INDEXED}) == [
+        "fake.ledger:Ledger.by_day"]
 
 
 UNREAD_BASE = textwrap.dedent('''
