@@ -9,13 +9,14 @@ A shared helper for the simulator-throughput and gateway benchmarks:
   wall-clock seconds must stay within ``--tolerance`` of baseline.
   Wall time, not events/sec: a change that needs fewer events for the
   same run lowers events/sec even when the run gets faster.
-- ``--kind gateway`` compares ``BENCH_gateway.json`` (from
-  ``repro loadgen --out BENCH_gateway.json``) against
+- ``--kind gateway`` compares ``BENCH_gateway.json``, the run record
+  ``repro loadgen --out BENCH_gateway.json`` writes, against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
-  must stay under the absolute ``budget.p99_ms``, the replay must cover
-  ``min_clients`` clients, and the correctness gates must be clean (zero
-  lost/duplicated results, benchmark job done, reclaimed payload
-  byte-equivalent to the simulated LocalRunner oracle).
+  (``outcome.latency_ms.p99``) must stay under the absolute
+  ``budget.p99_ms``, the replay must cover ``min_clients`` clients, and
+  the record must be ``ok`` (no client error, zero lost/duplicated
+  results, benchmark job done, reclaimed payload byte-equivalent to the
+  simulated LocalRunner oracle).
 
 Absolute wall time varies across machines; regenerate a baseline on the
 reference runner with e.g. ``python benchmarks/test_scale.py && cp
@@ -67,7 +68,8 @@ def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
 
 def check_gateway(result: dict, baseline: dict,
                   tolerance: float) -> list[str]:
-    """Gateway-kind findings: p99 budget + the zero-loss/oracle gates.
+    """Gateway-kind findings: the p99 budget, the client count and the
+    run record's ``ok``.
 
     Unlike the throughput kinds, the latency gate is an absolute budget
     (``baseline["budget"]["p99_ms"]``) rather than a relative tolerance:
@@ -78,25 +80,20 @@ def check_gateway(result: dict, baseline: dict,
     budget = baseline.get("budget", {}).get("p99_ms")
     if budget is None:
         return ["baseline has no budget.p99_ms entry"]
-    p99 = result.get("latency_ms", {}).get("p99")
+    outcome = result.get("outcome", {})
+    p99 = outcome.get("latency_ms", {}).get("p99")
     if p99 is None:
-        failures.append("result has no latency_ms.p99 measurement")
+        failures.append("record has no outcome.latency_ms.p99 measurement")
     elif p99 > budget:
         failures.append(f"scheduler-RPC p99 {p99:.2f}ms exceeds the "
                         f"{budget:.2f}ms budget")
+    clients = result.get("spec", {}).get("n_clients", 0)
     min_clients = baseline.get("min_clients", 0)
-    if result.get("n_clients", 0) < min_clients:
-        failures.append(f"replayed {result.get('n_clients', 0)} clients; "
+    if clients < min_clients:
+        failures.append(f"replayed {clients} clients; "
                         f"the gate requires >= {min_clients}")
-    if result.get("job_state") != "done":
-        failures.append(f"benchmark job ended {result.get('job_state')!r}, "
-                        "not 'done'")
-    for gate in ("errors", "lost_results", "duplicated_results"):
-        if result.get(gate, 1) != 0:
-            failures.append(f"{gate} = {result.get(gate)} (must be 0)")
-    if not result.get("equivalent", False):
-        failures.append("reclaimed payload is not byte-equivalent to the "
-                        "simulated LocalRunner oracle")
+    if result.get("ok") is not True:
+        failures.append(f"record is not ok: {outcome}")
     return failures
 
 
@@ -128,10 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.kind == "gateway":
         print(f"gateway load gates clean: p99 "
-              f"{result['latency_ms']['p99']:.2f}ms within the "
+              f"{result['outcome']['latency_ms']['p99']:.2f}ms within the "
               f"{baseline['budget']['p99_ms']:.0f}ms budget, "
-              f"{result['n_clients']} clients, zero lost/duplicated "
-              f"results, oracle-equivalent output")
+              f"{result['spec']['n_clients']} clients, record ok")
     else:
         print(f"{args.kind} benchmark within {args.tolerance:.0%} of "
               f"baseline at sizes "

@@ -951,8 +951,7 @@ PINNED: dict[str, str] = {
     "runtime.api:MapReduceApp.reduce":
         "tests/runtime/test_engine.py::TestGrep::test_matchcount",
     # Live code the probe's inputs do not take: a scenario cell, a resumed
-    # campaign, a heartbeat (its cells sleep 0 s under a 30 s heartbeat)
-    # and --strict.
+    # campaign and a heartbeat (its cells sleep 0 s under a 30 s heartbeat).
     "campaign.cells:scenario_specs":
         "tests/campaign/test_grids_and_analysis.py::TestScenarioCellParams::"
         "test_every_scalar_spec_field_is_a_cell_param",
@@ -968,9 +967,6 @@ PINNED: dict[str, str] = {
     "campaign.coordinator:CampaignCoordinator._on_heartbeat":
         "tests/campaign/test_coordinator.py::TestFailureRecovery::"
         "test_malformed_messages_get_an_error_reply",
-    "gateway.loadgen:LoadReport.clean":
-        "tests/gateway/test_loadgen.py::TestFleetSharesTheVolunteerCycle::"
-        "test_single_poll_client_still_reports_its_work",
     # Safety code: error replies, failure and recovery paths, cleanup.
     "campaign.coordinator:CampaignCoordinator._quarantine":
         "tests/campaign/test_coordinator.py::TestFailureRecovery::"

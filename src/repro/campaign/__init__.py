@@ -17,7 +17,7 @@ package runs such grids concurrently without giving up determinism:
   that leases cells to worker processes (local or on other hosts),
   detects failures via heartbeats and connection loss, reclaims and
   re-leases lost work, steals stragglers near campaign end, and owns
-  resume, the store's records, the report and the summary;
+  resume, the store's records and the report;
 - :mod:`repro.campaign.runner` — :func:`run_campaign`, the one-call
   local front end (a coordinator plus N loopback workers, or the
   in-process sequential reference at ``workers=0``).

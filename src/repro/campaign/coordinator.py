@@ -35,6 +35,7 @@ and worker loss notifies it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import pathlib
@@ -500,29 +501,10 @@ class CampaignCoordinator:
 
     def report(self) -> CampaignReport:
         """What the campaign did so far (final once every cell is terminal)."""
-        counters = self.table.counters
         return CampaignReport(
             grid=self.grid.name, total=len(self.grid), ran=self._ran,
             skipped=self._skipped, failed=len(self._quarantined),
             wall_s=time.monotonic() - self._started,
-            quarantined=list(self._quarantined.values()),
-            reclaimed=counters.reclaimed, stolen=counters.stolen)
-
-    def summary(self) -> dict[str, _t.Any]:
-        """JSON-able control-plane summary (the CI artifact payload)."""
-        counters = self.table.counters
-        return {
-            "grid": self.grid.name,
-            "cells": len(self.grid),
-            "completed": self._ran + self._skipped,
-            "quarantined": sorted(self._quarantined),
-            "leases": {
-                "granted": counters.granted,
-                "expired": counters.expired,
-                "reclaimed": counters.reclaimed,
-                "stolen": counters.stolen,
-                "duplicates": counters.duplicates,
-            },
-            "workers_failed": counters.workers_failed,
-            "chaos_kills": self._kills_done,
-        }
+            leases=dataclasses.replace(self.table.counters),
+            chaos_kills=self._kills_done,
+            quarantined=list(self._quarantined.values()))

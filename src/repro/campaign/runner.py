@@ -31,6 +31,7 @@ import typing as _t
 
 from .cells import execute_cell
 from .grid import CampaignCell, CampaignGrid
+from .lease import LeaseCounters
 from .store import CellRecord, ResultStore
 
 
@@ -78,11 +79,11 @@ class CampaignReport:
     skipped: int
     failed: int
     wall_s: float
+    #: The lease table's totals (reclaimed, stolen, ...).
+    leases: LeaseCounters
+    #: Spawned workers SIGKILLed by the ``chaos_kills`` hook.
+    chaos_kills: int
     quarantined: list[CellRecord] = dataclasses.field(default_factory=list)
-    #: Cells requeued after a lost lease (error, expiry, worker death).
-    reclaimed: int = 0
-    #: Duplicate leases stolen from stragglers (never in :func:`run_campaign`).
-    stolen: int = 0
 
     @property
     def ok(self) -> bool:
@@ -94,15 +95,33 @@ class CampaignReport:
         lines = [f"campaign {self.grid!r}: {self.total} cells — "
                  f"{self.ran} ran, {self.skipped} skipped (resume), "
                  f"{self.failed} failed, wall {self.wall_s:.1f}s"]
-        if self.reclaimed or self.stolen:
-            lines[0] += (f" ({self.reclaimed} lease(s) reclaimed, "
-                         f"{self.stolen} stolen)")
+        if self.leases.reclaimed or self.leases.stolen:
+            lines[0] += (f" ({self.leases.reclaimed} lease(s) reclaimed, "
+                         f"{self.leases.stolen} stolen)")
         for rec in self.quarantined:
             error = str(rec.meta.get("error", "")).splitlines()
             lines.append(f"  quarantined {rec.key} "
                          f"({CampaignCell.from_spec(rec.spec).label()}): "
                          f"{error[0] if error else 'unknown error'}")
         return "\n".join(lines)
+
+    def record(self, seed: int) -> dict[str, _t.Any]:
+        """The run record (:data:`repro.wire.RECORD_SCHEMAS`) of the
+        campaign: cell counts, lease totals, worker failures, kills."""
+        leases = self.leases
+        outcome = {
+            "cells": self.total, "ran": self.ran, "skipped": self.skipped,
+            "completed": self.ran + self.skipped,
+            "quarantined": sorted(rec.key for rec in self.quarantined),
+            "leases": {"granted": leases.granted, "expired": leases.expired,
+                       "reclaimed": leases.reclaimed,
+                       "stolen": leases.stolen,
+                       "duplicates": leases.duplicates},
+            "workers_failed": leases.workers_failed,
+            "chaos_kills": self.chaos_kills}
+        return {"command": "campaign", "seed": seed, "wall_s": self.wall_s,
+                "ok": self.ok, "spec": {"grid": self.grid},
+                "outcome": outcome, "audit": None, "faults": []}
 
 
 #: Extra attempts :func:`run_campaign` gives a failing or timing-out cell.

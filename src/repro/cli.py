@@ -16,22 +16,15 @@ import sys
 import typing as _t
 
 
-def _render_fault_log(injector: _t.Any) -> str:
-    lines = [f"plan {injector.plan_name!r}: "
-             f"{len(injector.events)} fault(s) injected"]
-    for ev in injector.events:
-        lines.append(f"  {ev['fault']:>4s}  {ev['kind']:18s} "
-                     f"t={ev['begin']:7.1f}..{ev['end']:7.1f}  {ev['target']}")
-    return "\n".join(lines)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    import json
+    import time
 
     from .analysis import job_metrics, trace_to_csv
     from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
+    from .experiments.scenario import metrics_payload
     from .faults import BUILTIN_PLANS
     from .obs import run_summary, trace_to_jsonl, write_chrome_trace
+    from .wire import write_record
 
     if args.list_plans:
         for name in sorted(BUILTIN_PLANS):
@@ -39,10 +32,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{name:22s} {len(plan.faults):2d} faults  "
                   f"{plan.description}")
         return 0
-    if args.summary_out and not args.faults:
-        print("run: --summary-out records the fault log and the audit, so "
-              "--faults PLAN is required (see --list-plans)", file=sys.stderr)
-        return 2
     try:
         spec = MapReduceJobSpec("job", args.maps, args.reducers,
                                 args.input_gb * 1e9)
@@ -50,6 +39,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
+    started = time.monotonic()
     mr_config = (BoincMRConfig() if args.mr
                  else BoincMRConfig.vanilla_boinc())
     cloud = VolunteerCloud.from_spec(CloudSpec(
@@ -58,23 +48,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.summary or args.trace_out or args.faults:
         cloud.attach_observability(spans=True, probes=args.summary,
                                    profile=args.summary)
-    injector = cloud.apply_faults(args.faults) if args.faults else None
+    faults = cloud.apply_faults(args.faults).events if args.faults else []
     job = cloud.submit(spec)
-    diagnosis = None
+    outcome: dict[str, _t.Any] = {"job_done": True, "diagnosis": None}
     try:
         cloud.run_until(job.done)
     except Exception as exc:  # noqa: BLE001 — under faults, a diagnosis
-        if injector is None:
+        if not args.faults:
             raise
-        diagnosis = f"{type(exc).__name__}: {exc}"
-        print(f"job failed with diagnosis: {diagnosis}")
+        outcome.update(job_done=False,
+                       diagnosis=f"{type(exc).__name__}: {exc}")
+        print(f"job failed with diagnosis: {outcome['diagnosis']}")
     else:
         m = job_metrics(cloud.tracer, "job")
+        outcome.update(metrics_payload(m))
         print(f"map {m.map_stats.mean:.1f}s "
               f"[{m.map_stats.mean_discard_slowest:.1f}s]"
               f"  reduce {m.reduce_stats.mean:.1f}s"
               f"  total {m.total:.1f}s  transition gap {m.transition_gap:.1f}s")
-    report = cloud.audit(job) if injector is not None else None
+    outcome["events"] = cloud.sim.dispatch_count
+    report = cloud.audit(job)
     builder = cloud.finish_observability()
     if args.summary:
         print(run_summary(cloud.tracer, metrics=cloud.metrics,
@@ -91,24 +84,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.trace_format} trace to {args.trace_out} "
               f"({len(cloud.tracer)} records, {len(builder.leaked)} "
               f"leaked spans)")
-    if report is None:
-        return 0
-    print(_render_fault_log(injector))
+    if args.faults:
+        print(f"plan {args.faults!r}: {len(faults)} fault(s) injected")
+    for ev in faults:
+        print(f"  {ev['fault']:>4s}  {ev['kind']:18s} "
+              f"t={ev['begin']:7.1f}..{ev['end']:7.1f}  {ev['target']}")
     print(report.render())
+    ok = outcome["job_done"] and report.ok
     if args.summary_out:
-        summary = {
-            "plan": injector.plan_name,
-            "seed": args.seed,
-            "faults": injector.events,
-            "job_done": diagnosis is None,
-            "diagnosis": diagnosis,
-            "audit": report.to_dict(),
-        }
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote run summary to {args.summary_out}")
-    return 0 if report.ok else 1
+        write_record(args.summary_out, {
+            "command": "run", "seed": args.seed,
+            "wall_s": time.monotonic() - started, "ok": ok,
+            "spec": {key: getattr(args, key) for key in (
+                "nodes", "maps", "reducers", "input_gb", "mr", "faults")},
+            "outcome": outcome, "audit": report.to_dict(), "faults": faults})
+        print(f"wrote run record to {args.summary_out}")
+    return 0 if ok else 1
 
 
 def _resolve_campaign_grid(args: argparse.Namespace) -> _t.Any:
@@ -125,10 +116,9 @@ def _resolve_campaign_grid(args: argparse.Namespace) -> _t.Any:
 
 
 def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis import aggregate_store, render_campaign_table
     from .campaign import CampaignCoordinator, ResultStore
+    from .wire import write_record
 
     try:
         grid = _resolve_campaign_grid(args)
@@ -152,10 +142,8 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
         except ValueError as exc:  # a resumed store holding a retired kind
             print(f"campaign coordinate: {exc}", file=sys.stderr)
     if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(coordinator.summary(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote control-plane summary to {args.summary_out}")
+        write_record(args.summary_out, report.record(args.seed))
+        print(f"wrote run record to {args.summary_out}")
     print(f"results in {args.out} "
           f"(resume with --resume to skip completed cells)")
     return 0 if report.ok else 1
@@ -307,22 +295,23 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .gateway import LoadConfig, run_loadgen, write_report
+    from .gateway import LoadConfig, run_loadgen
+    from .wire import write_record
 
     config = LoadConfig(
         n_clients=args.clients, duration_s=args.duration, seed=args.seed,
         n_maps=args.maps, n_reducers=args.reducers)
     report = run_loadgen(address=args.address, config=config, echo=print)
-    write_report(report, args.out)
+    write_record(args.out, report.record())
     lat = report.latency_ms
-    print(f"{report.rpcs} scheduler RPCs from {report.n_clients} clients "
+    print(f"{report.rpcs} scheduler RPCs from {config.n_clients} clients "
           f"in {report.wall_s:.1f}s — "
           f"p50 {lat['p50']:.2f}ms  p90 {lat['p90']:.2f}ms  "
           f"p99 {lat['p99']:.2f}ms  max {lat['max']:.2f}ms")
     print(f"job {report.job_state}; lost={report.lost_results} "
           f"duplicated={report.duplicated_results} "
           f"equivalent={report.equivalent} -> {args.out}")
-    if args.strict and not report.clean:
+    if not report.ok:
         print("loadgen: correctness gates FAILED", file=sys.stderr)
         return 1
     return 0
@@ -391,9 +380,9 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                     metavar="SECONDS",
                     help="spacing between --kill-workers kills (default 1)")
     pc.add_argument("--summary-out", metavar="FILE", default=None,
-                    help="write the JSON control-plane summary "
-                         "(leases granted/expired/reclaimed/stolen, "
-                         "worker failures, chaos kills)")
+                    help="write the JSON run record (leases granted/"
+                         "expired/reclaimed/stolen, worker failures, "
+                         "chaos kills)")
     pc.add_argument("--quiet", action="store_true",
                     help="suppress per-cell progress lines")
     pc.set_defaults(handler=_cmd_campaign_coordinate)
@@ -461,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-plans", action="store_true",
                    help="list the bundled chaos plans and exit")
     p.add_argument("--summary-out", metavar="FILE", default=None,
-                   help="with --faults: write a JSON run summary "
-                        "(faults + audit report)")
+                   help="write the JSON run record (Table I cells, "
+                        "audit report, fault log)")
     p.add_argument("--summary", action="store_true",
                    help="run with the full observability stack and print "
                         "the metrics/self-profile summary")
@@ -535,11 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "availability schedules (default 8)")
     p.add_argument("--maps", type=int, default=12)
     p.add_argument("--reducers", type=int, default=6)
-    p.add_argument("--out", default="BENCH_gateway.json", metavar="FILE")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero unless the correctness gates hold "
-                        "(zero lost/duplicated results, oracle-equivalent "
-                        "output, job done)")
+    p.add_argument("--out", default="BENCH_gateway.json", metavar="FILE",
+                   help="the JSON run record; the exit status is 1 unless "
+                        "its correctness gates hold (zero lost/duplicated "
+                        "results, oracle-equivalent output, job done)")
     p.set_defaults(handler=_cmd_loadgen)
 
     return parser

@@ -34,7 +34,7 @@ from .client import (
 )
 from .files import BlobStore
 from .jobs import APP_REGISTRY, GatewayJobTracker
-from .loadgen import LoadConfig, LoadReport, run_loadgen, write_report
+from .loadgen import LoadConfig, LoadReport, run_loadgen
 from .protocol import (
     ENDPOINTS,
     ERROR_CODES,
@@ -70,5 +70,4 @@ __all__ = [
     "run_loadgen",
     "run_volunteer",
     "validate",
-    "write_report",
 ]

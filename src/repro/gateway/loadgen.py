@@ -10,21 +10,17 @@ over its own keep-alive :class:`~repro.gateway.client.GatewayClient`, so
 the fleet speaks the wire — retries and backoff included — exactly as a
 real volunteer does.  Every scheduler RPC's wall-clock latency is
 recorded both into the gateway's :class:`repro.obs.MetricsRegistry` and
-as raw samples for exact percentiles, and the run ends with the three
-gates the CI job enforces:
-
-- **p99 latency**: exact p99 of scheduler-RPC latency under the
-  checked-in budget (``benchmarks/BENCH_gateway_baseline.json``);
-- **no lost/duplicated results**: every workunit assimilated exactly
-  once (``assimilated == n_maps + n_reducers`` per job);
-- **oracle equivalence**: the reclaimed payload is byte-identical to a
-  :class:`repro.runtime.engine.LocalRunner` run over the same corpus.
+as raw samples for exact percentiles.  The run's record carries them
+with one verdict, :attr:`LoadReport.ok`: no client error, every
+workunit assimilated exactly once, the job done, and a payload
+byte-identical to a :class:`repro.runtime.engine.LocalRunner` run over
+the same corpus.  ``benchmarks/check_scale_regression.py --kind
+gateway`` holds the p99 to its checked-in budget.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 import threading
 import time
@@ -66,9 +62,9 @@ DRAIN_S = 20.0
 
 @dataclasses.dataclass(slots=True)
 class LoadReport:
-    """Everything a load run measured, JSON-ready via :meth:`to_dict`."""
+    """Everything a load run measured; :meth:`record` is its run record."""
 
-    n_clients: int
+    config: LoadConfig
     rpcs: int
     tasks_done: int
     errors: int
@@ -80,16 +76,23 @@ class LoadReport:
     latency_ms: dict[str, float]
     job_state: str
 
-    def to_dict(self) -> dict:
-        """JSON document in the repo's ``BENCH_*.json`` shape."""
-        return {"kind": "gateway", **dataclasses.asdict(self)}
-
     @property
-    def clean(self) -> bool:
+    def ok(self) -> bool:
         """True when the correctness gates (not latency) all hold."""
         return (self.errors == 0 and self.lost_results == 0
                 and self.duplicated_results == 0 and self.equivalent
                 and self.job_state == "done")
+
+    def record(self) -> dict[str, _t.Any]:
+        """The run record (:data:`repro.wire.RECORD_SCHEMAS`) of the load
+        run: its config as the spec, the rest of the report as the
+        outcome."""
+        outcome = dataclasses.asdict(self)
+        spec = outcome.pop("config")
+        return {"command": "loadgen", "seed": spec.pop("seed"),
+                "wall_s": outcome.pop("wall_s"), "ok": self.ok,
+                "spec": spec, "outcome": outcome, "audit": None,
+                "faults": []}
 
 
 def client_schedule(index: int, config: LoadConfig) -> list[float]:
@@ -218,7 +221,7 @@ def run_loadgen(address: str | None = None,
     if handle is not None:
         handle.close()
     return LoadReport(
-        n_clients=config.n_clients,
+        config=config,
         rpcs=rpcs,
         tasks_done=tasks_done,
         errors=len(client_errors),
@@ -232,9 +235,3 @@ def run_loadgen(address: str | None = None,
         job_state=status["state"],
     )
 
-
-def write_report(report: LoadReport, path: str) -> None:
-    """Write *report* as a ``BENCH_gateway.json`` document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -3,8 +3,7 @@
 The layer every perf/robustness change measures itself against:
 
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges and fixed-bucket histograms (quantiles estimated from the
-  buckets);
+  gauges and fixed-bucket histograms, exposed as Prometheus text;
 - :mod:`repro.obs.spans` — :class:`SpanBuilder` folding flat trace
   records into per-result / per-RPC span timelines with leak detection;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /

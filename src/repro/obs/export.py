@@ -215,25 +215,23 @@ _SUMMARY_ROWS = 10
 
 
 def run_summary(tracer: Tracer, metrics: MetricsRegistry,
-                builder: SpanBuilder | None = None,
-                profiler: "SelfProfiler | None" = None) -> str:
-    """Plain-text end-of-run report: traffic, metrics, leaks, hot spots."""
+                builder: SpanBuilder, profiler: "SelfProfiler") -> str:
+    """Plain-text end-of-run report: traffic, leaks, the metrics as the
+    Prometheus text ``GET /metrics`` serves, hot spots."""
     lines: list[str] = ["== run summary =="]
     total = sum(tracer.counts.values())
     lines.append(f"trace records: {len(tracer.records)} kept / {total} seen")
     busiest = sorted(tracer.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for kind, count in busiest[:_SUMMARY_ROWS]:
         lines.append(f"  {kind:40s} {count:8d}")
-    if builder is not None:
-        lines.append(f"spans: {len(builder.spans)} closed, "
-                     f"{len(builder.instants)} instants, "
-                     f"{len(builder.leaked)} leaked")
-        for span in builder.leaked[:_SUMMARY_ROWS]:
-            lines.append(f"  LEAKED {span.name} on {span.track} "
-                         f"open {span.duration:.1f}s")
+    lines.append(f"spans: {len(builder.spans)} closed, "
+                 f"{len(builder.instants)} instants, "
+                 f"{len(builder.leaked)} leaked")
+    for span in builder.leaked[:_SUMMARY_ROWS]:
+        lines.append(f"  LEAKED {span.name} on {span.track} "
+                     f"open {span.duration:.1f}s")
     lines.append("-- metrics --")
-    lines.append(metrics.render())
-    if profiler is not None:
-        lines.append("-- engine self-profile (wall-clock dispatch time) --")
-        lines.append(profiler.render())
+    lines.append(metrics.render_prometheus().rstrip("\n"))
+    lines.append("-- engine self-profile (wall-clock dispatch time) --")
+    lines.append(profiler.render())
     return "\n".join(lines)

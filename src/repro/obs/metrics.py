@@ -10,13 +10,13 @@ perf PR will speak):
   client task-state occupancy), either set explicitly or backed by a
   zero-argument callable sampled on demand;
 - :class:`Histogram` — distributions as fixed bucket counts, so a
-  million-task run never stores a million observations; its quantiles
-  are estimated from the buckets, as Prometheus' ``histogram_quantile``
-  does.
+  million-task run never stores a million observations.
 
 The :class:`MetricsRegistry` hands out get-or-create instruments keyed by
-name.  A gauge is read when something asks for it (a summary, a scrape),
-so observing a run schedules nothing on its simulated clock.
+name and has one exposition, the Prometheus text format, for a run
+summary and a ``GET /metrics`` scrape alike.  A gauge is read when
+something asks for it (a summary, a scrape), so observing a run
+schedules nothing on its simulated clock.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import typing as _t
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
 )
-#: Quantiles a histogram's summary line reports.
-QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 class Counter:
@@ -81,11 +79,9 @@ class Gauge:
 
 class Histogram:
     """Fixed-bucket distribution: bucket counts, count and total, as in a
-    Prometheus histogram, plus the observed extremes that bound its
-    quantile estimates."""
+    Prometheus histogram."""
 
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "total",
-                 "min", "max")
+    __slots__ = ("name", "bounds", "bucket_counts", "count", "total")
     #: Histograms carry no help text.
     help: _t.ClassVar[str] = ""
 
@@ -100,50 +96,17 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         self.count += 1
         self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.bucket_counts[i] += 1
                 break
         else:
             self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (NaN when empty)."""
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """The *q*-quantile estimated from the buckets (NaN when empty).
-
-        Prometheus' ``histogram_quantile`` rule: find the bucket that holds
-        rank ``q * count`` and interpolate linearly inside it, the first
-        bucket starting at :attr:`min`.  The estimate is clamped to the
-        observed ``[min, max]``, and a rank in the overflow bucket reads
-        as :attr:`max`.
-        """
-        rank = q * self.count
-        below = 0
-        for i, n in enumerate(self.bucket_counts):
-            if below + n >= rank and n:
-                if i == len(self.bounds):
-                    return self.max
-                lower = self.bounds[i - 1] if i else self.min
-                upper = self.bounds[i]
-                estimate = lower + (upper - lower) * (rank - below) / n
-                return min(max(estimate, self.min), self.max)
-            below += n
-        return math.nan
 
 
 Instrument = _t.Union[Counter, Gauge, Histogram]
@@ -195,25 +158,6 @@ class MetricsRegistry:
     def instruments(self) -> list[Instrument]:
         """Every registered instrument, sorted by name."""
         return [self._instruments[k] for k in sorted(self._instruments)]
-
-    def render(self) -> str:
-        """Plain-text summary, one instrument per line, sorted by name."""
-        lines = []
-        for inst in self.instruments():
-            if isinstance(inst, Counter):
-                lines.append(f"{inst.name:44s} counter   {inst.value:12g}")
-            elif isinstance(inst, Gauge):
-                lines.append(f"{inst.name:44s} gauge     {inst.value:12g}")
-            else:
-                if inst.count == 0:
-                    lines.append(f"{inst.name:44s} histogram        (empty)")
-                else:
-                    qs = " ".join(f"p{int(q * 100)}={inst.quantile(q):.3g}"
-                                  for q in QUANTILES)
-                    lines.append(
-                        f"{inst.name:44s} histogram n={inst.count:<7d} "
-                        f"mean={inst.mean:.3g} {qs}")
-        return "\n".join(lines)
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4) of every instrument,

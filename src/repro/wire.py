@@ -3,8 +3,9 @@
 The gateway (:mod:`repro.gateway.protocol`) and the campaign control
 plane (:mod:`repro.campaign.coordinator`) encode with :func:`dumps`,
 decode with :func:`loads` and check with what :func:`compile_checks`
-builds from their schema tables.  Only the standard library is imported,
-so the campaign package does not load the gateway.
+builds from their schema tables; every command's run record is written
+by :func:`write_record`.  Only the standard library is imported, so the
+campaign package does not load the gateway.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import json
 import math
 import typing as _t
 
-__all__ = ["MAX_MESSAGE_BYTES", "canonical_json", "compile_checks", "dumps",
-           "loads"]
+__all__ = ["MAX_MESSAGE_BYTES", "RECORD_SCHEMAS", "canonical_json",
+           "compile_checks", "dumps", "loads", "write_record"]
 
 #: The largest message either wire takes: a gateway request body, or a
 #: control line with its ``\n``.  Past it a peer is refused, not buffered.
@@ -126,3 +127,28 @@ def compile_checks(schemas: _t.Mapping[str, _t.Mapping[str, tuple]]
         exec(compile("\n".join(lines + ["    return problems"]),
                      f"<schema {schema}>", "exec"), scope)
     return {schema: scope[f"check_{schema}"] for schema in schemas}
+
+
+#: What a command did, in one shape for ``run``, ``campaign`` and
+#: ``loadgen``: what was asked (``spec``), what happened (``outcome``),
+#: the end-state audit and the fault log.  The exit status is 0 exactly
+#: when ``ok`` is true.
+RECORD_SCHEMAS: dict[str, dict[str, tuple]] = {"RunRecord": {
+    "command": (("str",), True), "seed": (("int",), True),
+    "wall_s": (("number",), True), "ok": (("bool",), True),
+    "spec": (("dict",), True), "outcome": (("dict",), True),
+    "audit": (("dict", "null"), True), "faults": (("list[dict]",), True)}}
+
+_CHECK_RECORD = compile_checks(RECORD_SCHEMAS)["RunRecord"]
+
+
+def write_record(path: str, record: dict[str, _t.Any]) -> None:
+    """Write *record* to *path* as indented, key-sorted JSON.  Before
+    opening *path*, raise ``ValueError`` if it breaks the ``RunRecord``
+    schema or holds a ``NaN`` or ``Infinity``."""
+    problems = _CHECK_RECORD(record, "RunRecord")
+    if problems:
+        raise ValueError("run record: " + "; ".join(problems))
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

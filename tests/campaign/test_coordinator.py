@@ -32,7 +32,7 @@ from repro.campaign import (
 from repro.campaign import coordinator as coordinator_module
 from repro.campaign import worker as worker_module
 from repro.campaign.coordinator import CONTROL_SCHEMAS
-from repro.wire import compile_checks, loads
+from repro.wire import compile_checks, loads, write_record
 
 
 def _result_line(tail: bytes = b"",
@@ -165,12 +165,11 @@ class TestCoordinatorBasics:
         coordinator = CampaignCoordinator(
             grid, ResultStore(tmp_path / "out.jsonl"),
             spawn=1, heartbeat_s=0.2)
-        coordinator.run()
-        summary = coordinator.summary()
-        json.dumps(summary)  # must be JSON-able (the CI artifact)
-        assert summary["completed"] == 2
-        assert summary["leases"]["granted"] >= 2
-        assert summary["quarantined"] == []
+        record = coordinator.run().record(seed=1)
+        write_record(str(tmp_path / "record.json"), record)  # the CI file
+        assert record["ok"] and record["outcome"]["completed"] == 2
+        assert record["outcome"]["leases"]["granted"] >= 2
+        assert record["outcome"]["quarantined"] == []
 
     def test_validation(self, tmp_path):
         grid = _sleep_grid(1)
@@ -199,11 +198,9 @@ class TestFailureRecovery:
             shard_dir=tmp_path / "shards")
         report = coordinator.run()
         assert report.failed == 0 and report.ran == 9
-        summary = coordinator.summary()
-        assert summary["chaos_kills"] == 2
-        assert summary["workers_failed"] >= summary["chaos_kills"]
-        assert summary["leases"]["reclaimed"] >= 1
-        assert report.reclaimed == summary["leases"]["reclaimed"]
+        assert report.chaos_kills == 2
+        assert report.leases.workers_failed >= report.chaos_kills
+        assert report.leases.reclaimed >= 1
         run_campaign(grid, str(tmp_path / "seq.jsonl"), workers=0)
         # coordinator's authoritative store matches sequential ...
         assert diff_stores(tmp_path / "dist.jsonl",
@@ -241,10 +238,10 @@ class TestFailureRecovery:
                               "key": cell["key"], "status": "ok",
                               "payload": {"slept_s": 0.0}})
         coordinator.connection_lost("w0")
-        summary = coordinator.summary()
-        assert summary["chaos_kills"] == summary["workers_failed"] == 1
-        assert summary["leases"]["reclaimed"] == 1
-        assert summary["completed"] == 1  # the late result still counts
+        report = coordinator.report()
+        assert report.chaos_kills == report.leases.workers_failed == 1
+        assert report.leases.reclaimed == 1
+        assert report.ran == 1  # the late result still counts
 
     def test_sigkilled_local_worker_costs_a_lease_not_the_campaign(
             self, tmp_path):
@@ -258,7 +255,7 @@ class TestFailureRecovery:
         thread.join(timeout=20.0)
         assert not thread.is_alive()
         assert reports[0].ok and reports[0].ran == 6
-        assert reports[0].reclaimed >= 1
+        assert reports[0].leases.reclaimed >= 1
         run_campaign(grid, str(tmp_path / "seq.jsonl"), workers=0)
         assert diff_stores(tmp_path / "par.jsonl",
                            tmp_path / "seq.jsonl") == []
@@ -290,7 +287,7 @@ class TestFailureRecovery:
         report = _run(how, grid, tmp_path / "out.jsonl", timeout_s=0.3)
         assert time.monotonic() - t0 < 5.0
         assert report.failed == 1 and report.ran == 1
-        assert report.reclaimed >= 1
+        assert report.leases.reclaimed >= 1
         failed = ResultStore(tmp_path / "out.jsonl").load()[grid.cells[0].key]
         assert "lease" in failed.meta["error"]
         assert multiprocessing.active_children() == []
@@ -468,8 +465,7 @@ class TestWorkStealing:
             grid, store, spawn=2, heartbeat_s=0.1, steal_after_s=0.3)
         report = coordinator.run()
         assert report.ok and report.ran == 4
-        assert coordinator.summary()["leases"]["stolen"] >= 1
-        assert report.stolen >= 1
+        assert report.leases.stolen >= 1
         # first result won; the duplicate was dropped, not double-stored
         assert len(store.load()) == 4
 

@@ -102,7 +102,7 @@ class TestLocalRuns:
         report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=1,
                               timeout_s=0.2)
         assert report.failed == 1
-        assert report.reclaimed == 2
+        assert report.leases.reclaimed == 2
         failed_meta = ResultStore(tmp_path / "s.jsonl").load()[
             grid.cells[0].key].meta
         assert failed_meta["attempts"] == 3
@@ -113,7 +113,7 @@ class TestLocalRuns:
         # duplicate can never win, so run_campaign keeps stealing off.
         grid = sleep_grid(2.4, 0.01)
         report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=2)
-        assert report.ok and report.ran == 2 and report.stolen == 0
+        assert report.ok and report.ran == 2 and report.leases.stolen == 0
         distributed = CampaignCoordinator(
             grid, ResultStore(tmp_path / "d.jsonl"))
         assert distributed.table.steal_after_s == 2.0

@@ -119,11 +119,10 @@ class TestHostFaults:
         assert victim.slowdown == 1.0
 
     def test_straggler_factor_below_one_rejected(self):
-        cloud = tiny_cloud()
-        inject(cloud, FaultSpec(kind="straggler", at=1.0, duration=2.0,
-                                target="random", params={"factor": 0.5}))
+        # Refused when the spec is built, before anything is armed.
         with pytest.raises(ValueError, match=">= 1"):
-            cloud.sim.run(until=2.0)
+            FaultSpec(kind="straggler", at=1.0, duration=2.0,
+                      target="random", params={"factor": 0.5})
 
     @pytest.mark.parametrize("kind,params", [
         ("bandwidth", {"factor": math.nan}),
@@ -132,11 +131,9 @@ class TestHostFaults:
         ("transfer_corrupt", {"rate": math.nan}),
     ])
     def test_nan_factor_or_rate_rejected(self, kind, params):
-        cloud = tiny_cloud()
-        inject(cloud, FaultSpec(kind=kind, at=1.0, duration=2.0,
-                                target="random", params=params))
         with pytest.raises(ValueError, match="factor|rate"):
-            cloud.sim.run(until=2.0)
+            FaultSpec(kind=kind, at=1.0, duration=2.0, target="random",
+                      params=params)
 
     def test_peer_corrupt_sets_endpoint_flag(self):
         cloud = tiny_cloud()

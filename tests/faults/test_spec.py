@@ -119,3 +119,34 @@ factor = 6.0
         p.write_text("[[fault]]\nkind = 'gremlins'\nat = 1.0\nduration = 1.0\n")
         with pytest.raises(ValueError, match="kind"):
             load_plan(p)
+
+    #: (kind, key, TOML value, refusal).  Each armed at the parent and
+    #: failed, or did nothing, only when its fault fired.
+    BAD_ROWS = [
+        ("straggler", "factor", "inf", "factor must be finite"),
+        ("straggler", "factor", "0.5", "factor must be finite and >= 1"),
+        ("straggler", "factor", "nan", "factor must be finite"),
+        ("bandwidth", "factor", "0", "factor must be finite and > 0"),
+        ("bandwidth", "factor", "inf", "factor must be finite"),
+        ("dataserver_slow", "factor", "-1.0", "factor must be finite"),
+        ("transfer_corrupt", "rate", "0.0", r"rate must be in \(0, 1\]"),
+        ("transfer_corrupt", "rate", "1.5", r"rate must be in \(0, 1\]"),
+        ("partition", "isolate", "0", "isolate must be an integer"),
+        ("partition", "isolate", "1.5", "isolate must be an integer"),
+        ("partition", "groups", "[]", "groups must be a non-empty"),
+        ("daemon_stall", "daemon", "'transitionr'", "daemon must be one of"),
+        ("link_flap", "target", "'random:0'", "random:N needs"),
+        ("link_flap", "target", "'random:two'", "random:N needs"),
+        ("straggler", "factr", "6.0", "takes no parameter 'factr'"),
+        ("server_crash", "daemon", "'feeder'", "takes no parameter"),
+    ]
+
+    @pytest.mark.parametrize("kind,key,value,refusal", BAD_ROWS,
+                             ids=[f"{k}-{key}={v}" for k, key, v, _ in BAD_ROWS])
+    def test_bad_parameter_in_file_rejected(self, tmp_path, kind, key, value,
+                                            refusal):
+        p = tmp_path / "bad.toml"
+        p.write_text(f"[[fault]]\nkind = '{kind}'\nat = 1.0\n"
+                     f"duration = 1.0\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=refusal):
+            load_plan(p)

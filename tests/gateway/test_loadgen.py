@@ -77,9 +77,10 @@ class TestSmallReplay:
         assert report.equivalent
         assert report.rpcs >= 25  # every client got at least one poll in
         assert report.latency_ms["p99"] >= report.latency_ms["p50"] >= 0
-        doc = report.to_dict()
-        assert doc["kind"] == "gateway"
-        assert np.isfinite(doc["latency_ms"]["p99"])
+        doc = report.record()
+        assert doc["command"] == "loadgen" and doc["ok"]
+        assert doc["spec"]["n_clients"] == 25
+        assert np.isfinite(doc["outcome"]["latency_ms"]["p99"])
 
 
 class TestFleetSharesTheVolunteerCycle:
@@ -108,7 +109,7 @@ class TestFleetSharesTheVolunteerCycle:
         # a load client was handed is still waiting on its lease.
         assert all(res.state is ResultState.OVER for res in held)
         assert report.rpcs > 8  # the flush cycles, past one poll each
-        assert report.clean and report.lost_results == 0
+        assert report.ok and report.lost_results == 0
 
     def test_503_window_costs_no_error_and_no_result(self, pin):
         pin(loadgen, **self.SMALL_JOB)
@@ -130,4 +131,4 @@ class TestFleetSharesTheVolunteerCycle:
             handle.close()
         assert refused >= 1  # the window was hit ...
         assert report.errors == 0  # ... and backed off through, as
-        assert report.clean        # docs/protocol.md says a client must
+        assert report.ok        # docs/protocol.md says a client must

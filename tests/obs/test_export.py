@@ -16,12 +16,13 @@ from repro.core import (
 )
 from repro.obs import (
     MetricsRegistry,
+    SelfProfiler,
     SpanBuilder,
     chrome_trace_json,
     run_summary,
     trace_to_jsonl,
 )
-from repro.sim import Tracer
+from repro.sim import Simulator, Tracer
 
 from .test_spans import emit_task
 
@@ -124,7 +125,7 @@ class TestRunSummary:
                            builder=cloud.span_builder,
                            profiler=cloud.profiler)
         assert "trace records:" in text
-        assert "sched.rpc_total" in text
+        assert "\nsched_rpc_total " in text  # a Prometheus sample line
         assert "leaked" in text
         assert "engine self-profile" in text
         assert "process:" in text  # at least one process kind in the top-5
@@ -134,5 +135,6 @@ class TestRunSummary:
         builder = SpanBuilder(tracer)
         tracer.record(0.0, "sched.assign", host="h0", result=1, wu=1)
         builder.finish(25.0)
-        text = run_summary(tracer, MetricsRegistry(), builder=builder)
+        text = run_summary(tracer, MetricsRegistry(), builder=builder,
+                           profiler=SelfProfiler(Simulator()))
         assert "LEAKED" in text and "25.0s" in text

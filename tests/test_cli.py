@@ -66,9 +66,14 @@ class TestCommands:
         # Recorded at the commit before `run` absorbed chaos and metrics.
         assert main(["run", "--nodes", "6", "--maps", "6", "--reducers", "2",
                      "--input-gb", "0.1", "--seed", "3"]) == 0
+        # Every run is audited: the pinned line, then the audit.
         assert capsys.readouterr().out == (
             "map 95.3s [88.5s]  reduce 102.8s  total 406.3s"
-            "  transition gap 49.9s\n")
+            "  transition gap 49.9s\n"
+            "audit at t=515: OK\n"
+            "  flow: 0 checked\n  job: 1 checked\n  result: 16 checked\n"
+            "  semaphore: 19 checked\n  span: 0 checked\n"
+            "  workunit: 8 checked\n")
 
     def test_run_mr_command(self, capsys):
         assert main(["run", "--mr", "--nodes", "6", "--maps", "6",
@@ -112,6 +117,7 @@ class TestObservabilityCommands:
         job = cloud.submit(MapReduceJobSpec(
             "job", n_maps=6, n_reducers=2, input_size=0.06 * 1e9))
         cloud.run_until(job.done)
+        cloud.audit(job)  # every run is audited before its trace is written
         expected = chrome_trace_json(cloud.finish_observability())
         assert out.read_bytes() == expected.encode()
 
@@ -137,19 +143,62 @@ class TestObservabilityCommands:
         assert cs.read_text().splitlines()[0].startswith("time,kind")
 
     def test_metrics_command(self, capsys):
+        from tests.gateway.test_server import SAMPLE_LINE
+
         assert main([*self.RUN, "--summary"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("map ")
-        assert "sched.rpc_total" in out
-        assert "daemon.transitioner.backlog" in out
         assert "engine self-profile" in out
-        lines = [line for line in out.splitlines() if " histogram " in line]
-        assert lines
-        for line in lines:
-            fields = line.split()
-            assert fields[1] == "histogram", line
-            assert [f.partition("=")[0] for f in fields[2:]] == [
-                "n", "mean", "p50", "p90", "p99"], line
+        # The metrics section is the Prometheus text GET /metrics serves:
+        # every non-comment line is a sample, as CI checks a scrape.
+        section = out.split("-- metrics --\n")[1].split("\n-- engine")[0]
+        samples = [line for line in section.splitlines()
+                   if not line.startswith("#")]
+        for line in samples:
+            assert SAMPLE_LINE.fullmatch(line), line
+        names = {line.partition(" ")[0] for line in samples}
+        assert {"sched_rpc_total", "daemon_transitioner_backlog",
+                'client_task_compute_s_bucket{le="+Inf"}'} <= names
+
+
+class TestRunRecord:
+    """``run``, ``campaign coordinate`` and ``loadgen`` write one shape."""
+
+    def test_three_commands_write_one_record_shape(self, tmp_path, pin,
+                                                   capsys):
+        import json
+
+        from repro.gateway import loadgen
+        from repro.wire import RECORD_SCHEMAS, compile_checks
+
+        grid = tmp_path / "grid.toml"
+        grid.write_text('name = "naps"\n[[cell]]\nkind = "sleep"\n'
+                        'seeds = [1, 2]\nparams = { duration_s = 0.0 }\n')
+        pin(loadgen, CORPUS_BYTES=20_000, REPLICATION=1, QUORUM=1,
+            DRAIN_S=10.0)
+        small = ["--nodes", "6", "--maps", "6", "--reducers", "2",
+                 "--input-gb", "0.06"]
+        commands = {
+            "run": ["run", *small],
+            "chaos": ["run", "--mr", *small, "--faults", "flaky-network"],
+            "campaign": ["campaign", "coordinate", "--grid", str(grid),
+                         "--spawn", "1", "--out", str(tmp_path / "c.jsonl"),
+                         "--quiet"],
+            "loadgen": ["loadgen", "--clients", "8", "--duration", "1",
+                        "--maps", "4", "--reducers", "2"],
+        }
+        check = compile_checks(RECORD_SCHEMAS)["RunRecord"]
+        keys = set()
+        for name, argv in commands.items():
+            path = tmp_path / f"{name}.json"
+            flag = "--out" if name == "loadgen" else "--summary-out"
+            assert main([*argv, flag, str(path)]) == 0, name
+            doc = json.loads(path.read_text())
+            assert check(doc, name) == [], name
+            assert doc["ok"] is True, name
+            keys.add(frozenset(doc))
+        capsys.readouterr()
+        assert keys == {frozenset(RECORD_SCHEMAS["RunRecord"])}
 
 
 class TestSeedHandling:
@@ -299,14 +348,16 @@ class TestCampaignControlPlane:
                      "--shard-dir", str(tmp_path / "shards"),
                      "--summary-out", str(summary), "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "4 ran" in out and "wrote control-plane summary" in out
+        assert "4 ran" in out and "wrote run record" in out
         assert main(["campaign", "coordinate", "--grid", str(grid),
                      "--spawn", "1", "--out", str(seq), "--quiet"]) == 0
         capsys.readouterr()
 
         import json
         doc = json.loads(summary.read_text())
-        assert doc["completed"] == 4 and doc["quarantined"] == []
+        assert doc["ok"] and doc["command"] == "campaign"
+        assert doc["outcome"]["completed"] == 4
+        assert doc["outcome"]["quarantined"] == []
 
         shards = sorted(str(p)
                         for p in (tmp_path / "shards").glob("*.jsonl"))
@@ -360,11 +411,20 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "kitchen-sink" in out and "dataserver-degraded" in out
 
-    def test_plan_required(self, capsys, tmp_path):
+    def test_summary_out_without_a_plan_writes_a_record(self, tmp_path):
+        import json
+
         summary = tmp_path / "summary.json"
-        assert main(["run", "--summary-out", str(summary)]) == 2
-        assert "required" in capsys.readouterr().err
-        assert not summary.exists()
+        assert main(["run", "--nodes", "6", "--maps", "6", "--reducers",
+                     "2", "--input-gb", "0.1", "--seed", "3",
+                     "--summary-out", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        assert doc["ok"] and doc["faults"] == [] and doc["audit"]["ok"]
+        assert doc["spec"]["faults"] is None
+        # The Table I cells of the pinned run (TestCommands).
+        assert round(doc["outcome"]["total"], 1) == 406.3
+        assert round(doc["outcome"]["transition_gap"], 1) == 49.9
+        assert doc["outcome"]["job_done"] and doc["outcome"]["events"] > 0
 
     def test_unknown_plan_raises(self):
         with pytest.raises(ValueError, match="unknown chaos plan"):
@@ -381,8 +441,8 @@ class TestChaosCommand:
 
         import json
         doc = json.loads(summary.read_text())
-        assert doc["audit"]["ok"] is True
-        assert doc["job_done"] is True
+        assert doc["ok"] is True and doc["audit"]["ok"] is True
+        assert doc["outcome"]["job_done"] is True
         assert doc["faults"]
         assert trace.read_text().startswith("{")
 
@@ -409,15 +469,17 @@ class TestChaosCommand:
         assert main([*self.CHAOS, "--faults", plan, "--seed", str(seed),
                      "--summary-out", str(summary)]) == 0
         faults, audit_at = self.PARENT_CHAOS[plan, seed]
-        assert json.loads(summary.read_text()) == {
-            "plan": plan, "seed": seed,
-            "faults": [{"fault": f"f{i}", "kind": kind, "target": target,
-                        "begin": begin, "end": end}
-                       for i, (kind, target, begin, end) in enumerate(faults)],
-            "job_done": True, "diagnosis": None,
-            "audit": {"ok": True, "at": audit_at,
-                      "checks": self.PARENT_CHECKS, "violations": []},
-        }
+        doc = json.loads(summary.read_text())
+        assert (doc["spec"]["faults"], doc["seed"]) == (plan, seed)
+        assert doc["faults"] == [
+            {"fault": f"f{i}", "kind": kind, "target": target,
+             "begin": begin, "end": end}
+            for i, (kind, target, begin, end) in enumerate(faults)]
+        assert doc["outcome"]["job_done"] is True
+        assert doc["outcome"]["diagnosis"] is None
+        assert doc["audit"] == {"ok": True, "at": audit_at,
+                                "checks": self.PARENT_CHECKS,
+                                "violations": []}
 
     def test_failed_job_becomes_a_diagnosis(self, capsys, tmp_path):
         import json
@@ -434,8 +496,9 @@ class TestChaosCommand:
         assert "job failed with diagnosis: SimulationError" in out
         assert "FAIL [job]" in out
         doc = json.loads(summary.read_text())
-        assert doc["job_done"] is False and doc["audit"]["ok"] is False
-        assert doc["diagnosis"].startswith("SimulationError")
+        assert doc["ok"] is False and doc["audit"]["ok"] is False
+        assert doc["outcome"]["job_done"] is False
+        assert doc["outcome"]["diagnosis"].startswith("SimulationError")
 
     def test_failed_job_without_faults_still_raises(self, monkeypatch):
         from repro.core import VolunteerCloud

@@ -10,9 +10,10 @@ These enforcement points keep the docs from drifting away from the code:
   EXPERIMENTS.md equals a fresh render of the ``paper`` store;
 - every ``examples/*.py`` runs;
 - ``docs/protocol.md`` — every schema-annotated JSON example validates
-  against :data:`repro.gateway.protocol.SCHEMAS` or, in the control-plane
-  section, :data:`repro.campaign.coordinator.CONTROL_SCHEMAS`, and every
-  served route, error code and control op is documented;
+  against :data:`repro.gateway.protocol.SCHEMAS`, in the control-plane
+  section :data:`repro.campaign.coordinator.CONTROL_SCHEMAS`, and in the
+  run-record section :data:`repro.wire.RECORD_SCHEMAS`; every served
+  route, error code and control op is documented;
 - the README quickstart doctests — run here with
   :class:`DeprecationWarning` promoted to an error, so the front-page
   examples can never show a deprecated API;
@@ -41,14 +42,15 @@ import pytest
 
 from repro.campaign.coordinator import CONTROL_OPS, CONTROL_SCHEMAS
 from repro.gateway import protocol
-from repro.wire import compile_checks
+from repro.wire import RECORD_SCHEMAS, compile_checks
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-#: ``<!-- schema: Name -->`` (a gateway schema) or ``<!-- control: Name
-#: -->`` (a control-plane schema) followed by a fenced JSON block.
+#: ``<!-- schema: Name -->`` (a gateway schema), ``<!-- control: Name
+#: -->`` (a control-plane schema) or ``<!-- record: Name -->`` (a run
+#: record schema) followed by a fenced JSON block.
 _EXAMPLE_RE = re.compile(
-    r"<!--\s*(?P<tag>schema|control):\s*(?P<schema>\w+)\s*-->\s*\n"
+    r"<!--\s*(?P<tag>schema|control|record):\s*(?P<schema>\w+)\s*-->\s*\n"
     r"\s*```json\n\s*(?P<body>.*?)\n\s*```",
     re.DOTALL)
 
@@ -190,6 +192,23 @@ class TestControlPlaneSpec:
                                     flags=re.MULTILINE))
         assert documented == set(CONTROL_OPS), (
             "docs/protocol.md's op sections differ from CONTROL_OPS")
+
+
+class TestRunRecordSpec:
+    """docs/protocol.md's run-record section is validated against
+    repro.wire.RECORD_SCHEMAS: one example per command that writes one."""
+
+    CHECKS = compile_checks(RECORD_SCHEMAS)
+
+    @pytest.mark.parametrize("schema,body", _examples("record"),
+                             ids=[s for s, _ in _examples("record")])
+    def test_every_example_validates(self, schema, body):
+        assert self.CHECKS[schema](json.loads(body), schema) == []
+
+    def test_one_example_per_command(self):
+        commands = [json.loads(body)["command"]
+                    for _, body in _examples("record")]
+        assert sorted(commands) == ["campaign", "loadgen", "run"]
 
 
 def test_readme_doctests_clean_of_deprecations():

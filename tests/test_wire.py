@@ -61,3 +61,31 @@ def test_importing_the_campaign_package_loads_no_gateway_module():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"
+
+
+#: A record that passes the ``RunRecord`` check.
+RECORD = {"command": "run", "seed": 1, "wall_s": 0.5, "ok": True,
+          "spec": {"nodes": 6}, "outcome": {"job_done": True},
+          "audit": None, "faults": []}
+
+
+def test_write_record_writes_indented_sorted_json(tmp_path):
+    path = tmp_path / "record.json"
+    wire.write_record(str(path), RECORD)
+    text = path.read_text()
+    assert json.loads(text) == RECORD
+    assert text == json.dumps(RECORD, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("record,refusal", [
+    ({**RECORD, "plan": "x"}, "RunRecord.plan: unknown field"),
+    ({k: v for k, v in RECORD.items() if k != "ok"},
+     "RunRecord.ok: missing required field"),
+    ({**RECORD, "wall_s": float("nan")}, "Out of range float"),
+    ({**RECORD, "outcome": {"p99": float("inf")}}, "Out of range float"),
+], ids=["unknown-field", "missing-field", "nan", "nested-inf"])
+def test_write_record_refuses(tmp_path, record, refusal):
+    path = tmp_path / "record.json"
+    with pytest.raises(ValueError, match=refusal):
+        wire.write_record(str(path), record)
+    assert not path.exists()  # no half-written record
