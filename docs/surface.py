@@ -725,15 +725,14 @@ def _cli(*argv: object) -> None:
 
 
 def _simulated_runs(scratch: Path) -> None:
-    """``repro run``: BOINC-MR with the run summary and a CSV trace,
-    original BOINC with a Chrome trace, and every builtin chaos plan
-    audited into a summary file with a JSONL trace."""
+    """``repro run``: BOINC-MR with the run summary, original BOINC with
+    a Chrome trace, and every builtin chaos plan audited into a summary
+    file with a JSONL trace."""
     from repro.faults import BUILTIN_PLANS
 
     small = ("--nodes", 8, "--maps", 8, "--reducers", 2, "--input-gb", 0.1)
     _cli("run", "--list-plans")
-    _cli("run", "--mr", *small, "--summary",
-         "--trace-out", scratch / "run.csv", "--trace-format", "csv")
+    _cli("run", "--mr", *small, "--summary")
     _cli("run", *small, "--trace-out", scratch / "run.json")
     for plan in BUILTIN_PLANS:
         _cli("run", "--mr", *small, "--faults", plan,
@@ -982,16 +981,15 @@ PINNED: dict[str, str] = {
         "test_expire_reclaims_and_requeues",
     "campaign.lease:LeaseTable.fail_worker":
         "tests/campaign/test_lease.py::TestWorkerFailure",
-    "campaign.lease:LeaseTable._steal_candidate":
-        "tests/campaign/test_lease.py::TestStealing",
     "campaign.lease:LeaseTable.report_error":
         "tests/campaign/test_lease.py::TestRetryAccounting::"
         "test_error_requeues_until_budget_spent",
     "campaign.lease:LeaseTable._revoke":
-        "tests/campaign/test_lease.py::TestStealing::"
-        "test_first_result_revokes_the_loser",
-    "campaign.lease:LeaseTable._lose_lease":
-        "tests/campaign/test_lease.py::TestWorkerFailure",
+        "tests/campaign/test_lease.py::TestExpiry::"
+        "test_expire_reclaims_and_requeues",
+    "campaign.coordinator:_ControlServer.handle_error":
+        "tests/campaign/test_coordinator.py::TestFailureRecovery::"
+        "test_a_handler_exception_reaches_the_thread_hook",
     "campaign.lease:LeaseTable._account_loss":
         "tests/campaign/test_lease.py::TestWorkerFailure",
     "core.job:MapReduceJob.fail":

@@ -15,7 +15,7 @@ from .campaign import (
     aggregate_store,
     render_campaign_table,
 )
-from .export import trace_to_csv, utilisation_timeline
+from .export import utilisation_timeline
 from .studies import render_study, study_payloads
 from .stats import Summary, percentile, summarise
 from .tables import format_cell, render_table, render_timeline
@@ -31,7 +31,6 @@ __all__ = [
     "format_cell",
     "render_table",
     "render_timeline",
-    "trace_to_csv",
     "utilisation_timeline",
     "Summary",
     "summarise",

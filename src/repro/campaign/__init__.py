@@ -11,13 +11,13 @@ package runs such grids concurrently without giving up determinism:
   :class:`ResultStore`, plus :func:`merge_stores` /
   :func:`diff_stores` for multi-writer shard reconciliation;
 - :mod:`repro.campaign.lease` — :class:`LeaseTable`, the pure
-  lease/reclaim/steal state machine (deadline, retry, quarantine);
+  lease/reclaim state machine (deadline, retry, quarantine);
 - :mod:`repro.campaign.coordinator` /
   :mod:`repro.campaign.worker` — the one executor: a TCP coordinator
   that leases cells to worker processes (local or on other hosts),
   detects failures via heartbeats and connection loss, reclaims and
-  re-leases lost work, steals stragglers near campaign end, and owns
-  resume, the store's records and the report;
+  re-leases lost work, and owns resume, the store's records and the
+  report;
 - :mod:`repro.campaign.runner` — :func:`run_campaign`, the one-call
   local front end (a coordinator plus N loopback workers, or the
   in-process sequential reference at ``workers=0``).

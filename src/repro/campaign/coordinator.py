@@ -12,9 +12,7 @@ survives them the way BOINC's server survives volunteers:
 - worker liveness is tracked via heartbeats *and* connection EOF, so a
   SIGKILLed worker's cells are reclaimed within one sweep interval;
 - reclaimed cells are re-leased until the retry budget is spent, then
-  quarantined (a ``failed`` record with the error in its ``meta``);
-- when the pending queue is dry, remaining in-flight cells are stolen
-  onto idle workers (first result wins, losers are revoked).
+  quarantined (a ``failed`` record with the error in its ``meta``).
 
 Results stream into the coordinator's authoritative
 :class:`~repro.campaign.store.ResultStore` as they arrive; workers may
@@ -43,6 +41,7 @@ import random
 import signal
 import socket
 import socketserver
+import sys
 import threading
 import time
 import typing as _t
@@ -124,6 +123,19 @@ class _ControlServer(socketserver.ThreadingTCPServer):
         self._acceptor.join(1.0)
         self.server_close()
 
+    def handle_error(self, _request: _t.Any,
+                     client_address: tuple[str, int]) -> None:
+        """A handler thread raised: hand the exception, traceback and all,
+        to :func:`threading.excepthook`, and report it as one progress
+        line."""
+        exc_type, exc, tb = sys.exc_info()
+        threading.excepthook(threading.ExceptHookArgs(
+            (exc_type, exc, tb, threading.current_thread())))
+        host, port = client_address[:2]
+        self.coordinator._progress(
+            f"control connection {host}:{port} failed: "
+            f"{type(exc).__name__}: {exc}")
+
 
 class _ControlHandler(socketserver.StreamRequestHandler):
     """Per-connection loop: read a JSON line, dispatch, write the reply."""
@@ -170,9 +182,8 @@ class CampaignCoordinator:
     the coordinator's ``port`` attribute after :meth:`run` binds);
     *heartbeat_s* is the worker heartbeat cadence and
     drives failure detection (a worker silent for ``3 x heartbeat_s``
-    is declared dead); *steal_after_s* enables work stealing once a
-    sole lease is that old (default ``4 x heartbeat_s``); *shard_dir*
-    makes spawned workers keep per-worker JSONL shards there;
+    is declared dead); *shard_dir* makes spawned workers keep
+    per-worker JSONL shards there;
     *chaos_kills* SIGKILLs that many spawned workers mid-cell (the
     fault hook), respawning replacements; *wall_limit_s* bounds the
     whole campaign (remaining cells are quarantined at the limit).
@@ -182,7 +193,6 @@ class CampaignCoordinator:
                  spawn: int = 0, host: str = "127.0.0.1", port: int = 0,
                  timeout_s: float | None = None, retries: int = 1,
                  resume: bool = False, heartbeat_s: float = 0.5,
-                 steal_after_s: float | None = None,
                  shard_dir: str | pathlib.Path | None = None,
                  chaos_kills: int = 0, chaos_interval_s: float = 1.0,
                  wall_limit_s: float | None = None,
@@ -202,16 +212,12 @@ class CampaignCoordinator:
         self.resume = resume
         self.heartbeat_s = heartbeat_s
         self.liveness_s = 3.0 * heartbeat_s
-        self.steal_after_s = (steal_after_s if steal_after_s is not None
-                              else 4.0 * heartbeat_s)
         self.shard_dir = pathlib.Path(shard_dir) if shard_dir else None
         self.chaos_kills = chaos_kills
         self.chaos_interval_s = chaos_interval_s
         self.wall_limit_s = wall_limit_s
         self.echo = echo
-        self.table = LeaseTable(
-            grid, lease_s=timeout_s, retries=retries,
-            steal_after_s=self.steal_after_s)
+        self.table = LeaseTable(grid, lease_s=timeout_s, retries=retries)
         self._lock = threading.Lock()
         #: Notified when a cell may have become leasable or the table done.
         self._wake = threading.Condition(self._lock)
@@ -269,9 +275,6 @@ class CampaignCoordinator:
             lease = self.table.grant(worker, time.monotonic())
             if lease is None:
                 return {"op": "wait"}
-        if lease.stolen:
-            self._progress(f"steal  {lease.key} -> {worker} "
-                           f"(attempt {lease.attempt + 1})")
         return {"op": "cell", "key": lease.key,
                 "spec": self.table.cells[lease.key].spec,
                 "attempt": lease.attempt, "lease_s": self.timeout_s}

@@ -22,7 +22,6 @@ store's line *order*, never a cell's bytes — ``workers=0`` and
 from __future__ import annotations
 
 import dataclasses
-import math
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -79,7 +78,7 @@ class CampaignReport:
     skipped: int
     failed: int
     wall_s: float
-    #: The lease table's totals (reclaimed, stolen, ...).
+    #: The lease table's totals (granted, reclaimed, ...).
     leases: LeaseCounters
     #: Spawned workers SIGKILLed by the ``chaos_kills`` hook.
     chaos_kills: int
@@ -95,9 +94,8 @@ class CampaignReport:
         lines = [f"campaign {self.grid!r}: {self.total} cells — "
                  f"{self.ran} ran, {self.skipped} skipped (resume), "
                  f"{self.failed} failed, wall {self.wall_s:.1f}s"]
-        if self.leases.reclaimed or self.leases.stolen:
-            lines[0] += (f" ({self.leases.reclaimed} lease(s) reclaimed, "
-                         f"{self.leases.stolen} stolen)")
+        if self.leases.reclaimed:
+            lines[0] += f" ({self.leases.reclaimed} lease(s) reclaimed)"
         for rec in self.quarantined:
             error = str(rec.meta.get("error", "")).splitlines()
             lines.append(f"  quarantined {rec.key} "
@@ -115,7 +113,6 @@ class CampaignReport:
             "quarantined": sorted(rec.key for rec in self.quarantined),
             "leases": {"granted": leases.granted, "expired": leases.expired,
                        "reclaimed": leases.reclaimed,
-                       "stolen": leases.stolen,
                        "duplicates": leases.duplicates},
             "workers_failed": leases.workers_failed,
             "chaos_kills": self.chaos_kills}
@@ -142,11 +139,9 @@ def run_campaign(grid: CampaignGrid, out: str, *, workers: int = 1,
     """
     from .coordinator import CampaignCoordinator
 
-    # Stealing is off: on one host at one speed a duplicate of a
-    # deterministic cell can never finish first.
     coordinator = CampaignCoordinator(
         grid, ResultStore(out), spawn=workers, timeout_s=timeout_s,
-        retries=RETRIES, resume=resume, steal_after_s=math.inf)
+        retries=RETRIES, resume=resume)
     if workers:
         return coordinator.run()
     coordinator.begin()

@@ -19,7 +19,7 @@ import typing as _t
 def _cmd_run(args: argparse.Namespace) -> int:
     import time
 
-    from .analysis import job_metrics, trace_to_csv
+    from .analysis import job_metrics
     from .core import BoincMRConfig, CloudSpec, MapReduceJobSpec, VolunteerCloud
     from .experiments.scenario import metrics_payload
     from .faults import BUILTIN_PLANS
@@ -76,11 +76,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.trace_format == "chrome":
             write_chrome_trace(builder, args.trace_out)
         else:
-            text = (trace_to_jsonl(cloud.tracer)
-                    if args.trace_format == "jsonl"
-                    else trace_to_csv(cloud.tracer))
             with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(trace_to_jsonl(cloud.tracer))
         print(f"wrote {args.trace_format} trace to {args.trace_out} "
               f"({len(cloud.tracer)} records, {len(builder.leaked)} "
               f"leaked spans)")
@@ -381,8 +378,8 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                     help="spacing between --kill-workers kills (default 1)")
     pc.add_argument("--summary-out", metavar="FILE", default=None,
                     help="write the JSON run record (leases granted/"
-                         "expired/reclaimed/stolen, worker failures, "
-                         "chaos kills)")
+                         "expired/reclaimed, worker failures, chaos "
+                         "kills)")
     pc.add_argument("--quiet", action="store_true",
                     help="suppress per-cell progress lines")
     pc.set_defaults(handler=_cmd_campaign_coordinate)
@@ -457,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the metrics/self-profile summary")
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="write the run's trace to FILE")
-    p.add_argument("--trace-format", choices=("chrome", "jsonl", "csv"),
+    p.add_argument("--trace-format", choices=("chrome", "jsonl"),
                    default="chrome",
                    help="chrome = Perfetto/chrome://tracing timeline "
-                        "(default), jsonl = raw records, csv = flat table")
+                        "(default), jsonl = one JSON object per record")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("wordcount", parents=[common],

@@ -7,7 +7,6 @@ import pytest
 from repro.boinc.model import (
     OutputData,
     ResultOutcome,
-    ResultState,
     Workunit,
     WorkunitState,
 )
@@ -17,10 +16,8 @@ from repro.boinc.server import (
     SchedulerRequest,
     ServerConfig,
 )
-from repro.boinc import server as server_mod
 from repro.campaign import CampaignCell, LeaseTable
-from repro.campaign import lease
-from repro.campaign.lease import DONE, FAILED, LEASED, PENDING
+from repro.campaign.lease import DONE, FAILED, PENDING
 from repro.obs import MetricsRegistry
 from repro.sim import Tracer
 
@@ -38,7 +35,7 @@ class TestGrantAndComplete:
         table = _table(3)
         keys = [table.grant("w0", now=0.0).key for _ in range(3)]
         assert keys == list(table.cells)
-        assert table.grant("w0", now=0.0) is None  # queue dry, no stealing
+        assert table.grant("w0", now=0.0) is None  # queue dry
 
     def test_deadline_derived_from_lease_s(self):
         table = _table(1, lease_s=10.0)
@@ -178,72 +175,17 @@ class TestWorkerFailure:
         assert not table.workers["w0"].dead
 
 
-class TestStealing:
-    def test_steal_duplicates_longest_held_lease(self):
-        table = _table(2, steal_after_s=1.0)
-        old = table.grant("w0", now=0.0).key
-        table.grant("w1", now=4.0)
-        lease = table.grant("w2", now=10.0)
-        assert lease is not None and lease.stolen and lease.key == old
-        assert table.counters.stolen == 1
-        assert table.cells[old].status == LEASED
-
-    def test_steal_waits_for_age_threshold(self):
-        table = _table(1, steal_after_s=5.0)
-        table.grant("w0", now=0.0)
-        assert table.grant("w1", now=3.0) is None
-        assert table.grant("w1", now=5.0) is not None
-
-    def test_steal_disabled_by_default(self):
-        table = _table(1)
-        table.grant("w0", now=0.0)
-        assert table.grant("w1", now=100.0) is None
-
-    def test_max_leases_caps_duplicates(self):
-        table = _table(1, steal_after_s=1.0)
-        table.grant("w0", now=0.0)
-        assert table.grant("w1", now=5.0) is not None
-        assert table.grant("w2", now=50.0) is None
-
-    def test_worker_never_steals_its_own_cell(self):
-        table = _table(1, steal_after_s=1.0)
-        table.grant("w0", now=0.0)
-        assert table.grant("w0", now=10.0) is None
-
-    def test_first_result_revokes_the_loser(self):
-        table = _table(1, steal_after_s=1.0)
-        key = table.grant("w0", now=0.0).key
-        table.grant("w1", now=5.0)
-        assert table.report_ok("w1", key, now=6.0) is True
-        assert key in table.touch("w0", now=6.5)
-        assert table.report_ok("w0", key, now=7.0) is False
-
-    def test_losing_a_duplicate_does_not_requeue(self):
-        # The other lease is still in flight; no retry is charged.
-        table = _table(1, lease_s=6.0, steal_after_s=1.0, retries=0)
-        key = table.grant("w0", now=0.0).key
-        table.grant("w1", now=5.0)       # duplicate, deadline 11.0
-        table.expire(now=6.5)            # w0's original lease expires
-        assert table.cells[key].status == LEASED
-        assert table.cells[key].attempts == 0
-        assert table.report_ok("w1", key, now=7.0) is True
-
-
 class _CoreAsLeaseTable:
     """``SchedulerCore`` driven as a one-cell lease table: the cell is a
     workunit with ``target_nresults=1, min_quorum=1`` and ``retries + 1``
-    tolerated errors, a lease is a result, stealing is speculative
-    execution (after ``SPECULATIVE_MIN_ELAPSED_S`` once a test pins
-    ``SPECULATIVE_FACTOR`` to 0).  The mapping ROADMAP item (a) proposed
-    to merge on."""
+    tolerated errors, a lease is a result.  The mapping ROADMAP item (a)
+    proposed to merge on."""
 
-    def __init__(self, lease_s: float, retries: int,
-                 steal: bool = False) -> None:
+    def __init__(self, lease_s: float, retries: int) -> None:
         self.now = 0.0
         self.core = SchedulerCore(
             Tracer(), MetricsRegistry(), random.Random(0),
-            lambda: self.now,
-            ServerConfig(delay_bound_s=lease_s, speculative_execution=steal))
+            lambda: self.now, ServerConfig(delay_bound_s=lease_s))
         self.wu = self.core.submit_workunit(Workunit(
             id=0, app_name="cell", input_files=(), flops=1.0,
             target_nresults=1, min_quorum=1, max_error_results=retries + 1))
@@ -272,9 +214,10 @@ class _CoreAsLeaseTable:
 
 class TestNotASchedulerCore:
     """Why ``LeaseTable`` is not ``SchedulerCore`` (ROADMAP (a), closed by
-    evidence): the same script through both machines ends differently in
-    two places, and each difference is load-bearing on its own side —
-    a shared kernel would have to branch on which caller it serves."""
+    evidence): the same script through both machines ends differently
+    where a result arrives for a lease already written off, and each
+    ending is load-bearing on its own side — a shared kernel would have
+    to branch on which caller it serves."""
 
     def test_late_report_completes_a_cell_but_not_a_workunit(self):
         # Script: lease, let it expire, then the original worker reports ok.
@@ -296,33 +239,6 @@ class TestNotASchedulerCore:
         assert core.wu.state is WorkunitState.ACTIVE
         assert core.wu.canonical_result_id is None
 
-    def test_losing_one_of_two_leases_charges_a_workunit_not_a_cell(self,
-                                                                     pin):
-        # Script: no retries; a duplicate is in flight when the original
-        # lease's deadline passes; then the duplicate reports ok.
-        table = _table(1, lease_s=6.0, steal_after_s=1.0, retries=0)
-        key = table.grant("w0", now=0.0).key
-        assert table.grant("w1", now=5.0).stolen
-        table.expire(now=6.5)
-        assert table.cells[key].status == LEASED
-        assert table.cells[key].attempts == 0  # the duplicate still runs
-        assert table.report_ok("w1", key, now=7.0) is True
-        assert table.cells[key].status == DONE
-
-        pin(server_mod, SPECULATIVE_FACTOR=0.0, SPECULATIVE_MIN_ELAPSED_S=1.0)
-        core = _CoreAsLeaseTable(lease_s=6.0, retries=0, steal=True)
-        first = core.rpc("w0", now=0.0)
-        backup = core.rpc("w1", now=5.0)
-        results = core.core.db.results
-        assert backup is not None and backup != first
-        assert results[backup].state is ResultState.IN_PROGRESS
-        core.tick(now=6.5)
-        # Every timeout counts against max_error_results, live duplicate
-        # or not: the workunit is given up while its backup still runs.
-        assert core.wu.state is WorkunitState.ERROR
-        core.rpc("w1", now=7.0, report=backup)
-        assert core.wu.state is WorkunitState.ERROR
-
 
 class TestResume:
     def test_mark_done_skips_completed_cells(self):
@@ -340,11 +256,6 @@ class TestValidation:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             _table(1, retries=-1)
-
-    def test_zero_max_leases_rejected(self, pin):
-        pin(lease, MAX_LEASES=0)
-        with pytest.raises(ValueError, match="MAX_LEASES"):
-            _table(1)
 
     def test_duplicate_cells_rejected(self):
         cell = CampaignCell(kind="sleep", seed=1)

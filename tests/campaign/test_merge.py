@@ -2,8 +2,8 @@
 
 The distributed campaign's crash model: several workers append to
 per-worker shards, any of them may be SIGKILLed mid-append (leaving a
-torn trailing line), records may be duplicated across shards (steals,
-reclaimed-then-completed leases), and the same key may carry both
+torn trailing line), records may be duplicated across shards
+(reclaimed-then-completed leases), and the same key may carry both
 failed attempts and a final success.  :func:`merge_stores` must fold
 any such pile back into one store whose ``load()`` view is exactly the
 ok-beats-failed / last-record-wins resolution.

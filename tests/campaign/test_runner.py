@@ -107,17 +107,6 @@ class TestLocalRuns:
             grid.cells[0].key].meta
         assert failed_meta["attempts"] == 3
 
-    def test_local_runs_never_duplicate_a_cell(self, tmp_path):
-        # A distributed coordinator steals a sole lease older than
-        # 4 x heartbeat_s = 2 s onto an idle worker; on one host the
-        # duplicate can never win, so run_campaign keeps stealing off.
-        grid = sleep_grid(2.4, 0.01)
-        report = run_campaign(grid, str(tmp_path / "s.jsonl"), workers=2)
-        assert report.ok and report.ran == 2 and report.leases.stolen == 0
-        distributed = CampaignCoordinator(
-            grid, ResultStore(tmp_path / "d.jsonl"))
-        assert distributed.table.steal_after_s == 2.0
-
 
 class TestProgressAndMetrics:
     def test_metrics_registry_counts(self, tmp_path):

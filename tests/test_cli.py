@@ -137,11 +137,6 @@ class TestObservabilityCommands:
         first = json.loads(jl.read_text().splitlines()[0])
         assert "kind" in first and "time" in first
 
-        cs = tmp_path / "t.csv"
-        assert main([*self.RUN, "--trace-out", str(cs),
-                     "--trace-format", "csv"]) == 0
-        assert cs.read_text().splitlines()[0].startswith("time,kind")
-
     def test_metrics_command(self, capsys):
         from tests.gateway.test_server import SAMPLE_LINE
 

@@ -1,27 +1,9 @@
-"""Tests for CSV export and utilisation timelines."""
-
-import csv
-import io
+"""Tests for the utilisation timeline."""
 
 import pytest
 
-from repro.analysis import trace_to_csv, utilisation_timeline
+from repro.analysis import utilisation_timeline
 from repro.sim import Tracer
-from tests.test_analysis import synth_trace
-
-
-class TestTraceCsv:
-    def test_roundtrip_columns(self):
-        text = trace_to_csv(synth_trace())
-        rows = list(csv.reader(io.StringIO(text)))
-        header = rows[0]
-        assert header[:2] == ["time", "kind"]
-        assert "host" in header
-        assert len(rows) == 1 + len(synth_trace().records)
-
-    def test_empty_tracer(self):
-        text = trace_to_csv(Tracer())
-        assert text.splitlines() == ["time,kind"]
 
 
 class TestUtilisationTimeline:
