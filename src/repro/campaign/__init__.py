@@ -8,8 +8,8 @@ package runs such grids concurrently without giving up determinism:
 - :mod:`repro.campaign.cells` — :func:`execute_cell`, the per-kind cell
   executors (scenario, study, sleep);
 - :mod:`repro.campaign.store` — the resumable append-only JSONL
-  :class:`ResultStore`, plus :func:`merge_stores` /
-  :func:`diff_stores` for multi-writer shard reconciliation;
+  :class:`ResultStore`, written by the coordinator alone, and
+  :func:`diff_stores`, which compares two finished stores;
 - :mod:`repro.campaign.lease` — :class:`LeaseTable`, the pure
   lease/reclaim state machine (deadline, retry, quarantine);
 - :mod:`repro.campaign.coordinator` /
@@ -25,8 +25,8 @@ package runs such grids concurrently without giving up determinism:
 Builtin grids — ``paper`` and each study at some seeds — live in
 :mod:`repro.experiments.grids`; aggregation of a finished store into
 tables lives in :mod:`repro.analysis.campaign`; the CLI front end is
-``python -m repro campaign`` (``coordinate`` runs a grid; ``work`` /
-``merge`` / ``diff`` attach workers and reconcile their shards).
+``python -m repro campaign`` (``coordinate`` runs a grid; ``work``
+attaches a worker to it; ``diff`` compares two stores).
 """
 
 from .cells import execute_cell
@@ -41,8 +41,8 @@ from .grid import (
 )
 from .lease import Lease, LeaseCounters, LeaseTable
 from .runner import CampaignReport, run_campaign
-from .store import CellRecord, ResultStore, diff_stores, merge_stores
-from .worker import CampaignWorker, worker_entry
+from .store import CellRecord, ResultStore, diff_stores
+from .worker import CampaignWorker
 
 __all__ = [
     "CELL_KINDS",
@@ -61,7 +61,5 @@ __all__ = [
     "diff_stores",
     "execute_cell",
     "grid_from_toml",
-    "merge_stores",
     "run_campaign",
-    "worker_entry",
 ]

@@ -7,21 +7,21 @@ connection) with any number of :class:`repro.campaign.worker.CampaignWorker`
 processes — locally spawned or connecting from other hosts — and it
 survives them the way BOINC's server survives volunteers:
 
-- every cell is handed out as a :class:`repro.campaign.lease.Lease`
-  with a deadline derived from the campaign's per-cell ``timeout_s``;
+- every cell is handed out as a :class:`repro.campaign.lease.Lease`,
+  with a deadline only when the caller sets a per-cell ``timeout_s``
+  (``campaign coordinate`` sets none: such a lease dies with its worker);
 - worker liveness is tracked via heartbeats *and* connection EOF, so a
   SIGKILLed worker's cells are reclaimed within one sweep interval;
 - reclaimed cells are re-leased until the retry budget is spent, then
   quarantined (a ``failed`` record with the error in its ``meta``).
 
-Results stream into the coordinator's authoritative
-:class:`~repro.campaign.store.ResultStore` as they arrive; workers may
-additionally keep per-worker shards, which
-:func:`repro.campaign.store.merge_stores` folds into one resumable
-store after the fact.  A built-in chaos hook (``chaos_kills``) SIGKILLs
-spawned workers mid-cell to prove the invariant the tests and the CI
-control-plane job assert: every cell still completes (or is quarantined
-after ``retries``), and the merged payloads equal a sequential run.
+Results stream into the coordinator's
+:class:`~repro.campaign.store.ResultStore` as they arrive, one flushed
+line per record; it is the campaign's only writer, and what ``resume``
+reads.  A built-in chaos hook (``chaos_kills``) SIGKILLs spawned workers
+mid-cell to prove the invariant the tests and the CI control-plane job
+assert: every cell still completes (or is quarantined after
+``retries``), and the store's payloads equal a sequential run.
 
 Nobody polls to learn that something happened: a ``lease`` request that
 cannot be granted *long-polls* on one :class:`threading.Condition` (at
@@ -36,7 +36,6 @@ import contextlib
 import dataclasses
 import multiprocessing
 import os
-import pathlib
 import random
 import signal
 import socket
@@ -92,11 +91,14 @@ _CHECKS = compile_checks(CONTROL_SCHEMAS)
 #: Seeds the ``chaos_kills`` victim choice, so a chaos run is repeatable.
 _CHAOS_SEED = 1
 
+#: How long :meth:`_ControlServer.stop` lets connections end by
+#: themselves, then waits for those it shut down, seconds.
+_JOIN_S = 1.0
+
 
 class _ControlServer(socketserver.ThreadingTCPServer):
     """Threaded line-JSON control-plane server (one thread per worker)."""
 
-    daemon_threads = True
     allow_reuse_address = True
     #: A spawned fleet connects all at once; a connection that overflows
     #: the listen backlog retries only after the 1 s SYN timeout.
@@ -106,8 +108,19 @@ class _ControlServer(socketserver.ThreadingTCPServer):
 
     def start(self) -> None:
         """Accept connections on a daemon thread until :meth:`stop`."""
+        self._handlers: list[tuple[threading.Thread, socket.socket]] = []
         self._acceptor = threading.Thread(target=self._accept, daemon=True)
         self._acceptor.start()
+
+    def process_request(self, request: socket.socket,
+                        client_address: tuple[str, int]) -> None:
+        """Serve the connection on a daemon thread :meth:`stop` joins."""
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="_ControlHandler-%s:%d" % client_address[:2], daemon=True)
+        self._handlers.append((thread, request))
+        thread.start()
 
     def _accept(self) -> None:
         # Blocks in accept() rather than serve_forever()'s timed select,
@@ -116,12 +129,29 @@ class _ControlServer(socketserver.ThreadingTCPServer):
             self.handle_request()
 
     def stop(self) -> None:
-        """Stop accepting and release the listening socket."""
+        """Stop accepting, end every connection, join its handler
+        thread and release the listening socket.  Each connection gets
+        :data:`_JOIN_S` to end by itself, so a request on its way is still
+        answered; one still open is then shut down, so a worker that
+        stays connected cannot hold the join."""
         self._closing = True
         with contextlib.suppress(OSError):  # wake the blocked accept()
             socket.create_connection(self.server_address, timeout=1.0).close()
         self._acceptor.join(1.0)
+        self._join_handlers()
+        for _, request in self._handlers:
+            with contextlib.suppress(OSError):  # closed by its handler
+                request.shutdown(socket.SHUT_RDWR)
+        with self.coordinator._wake:  # end a long-polled lease now
+            self.coordinator._wake.notify_all()
+        self._join_handlers()
         self.server_close()
+
+    def _join_handlers(self) -> None:
+        """Join the handler threads, for at most :data:`_JOIN_S` in all."""
+        deadline = time.monotonic() + _JOIN_S
+        for thread, _ in self._handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def handle_error(self, _request: _t.Any,
                      client_address: tuple[str, int]) -> None:
@@ -182,8 +212,7 @@ class CampaignCoordinator:
     the coordinator's ``port`` attribute after :meth:`run` binds);
     *heartbeat_s* is the worker heartbeat cadence and
     drives failure detection (a worker silent for ``3 x heartbeat_s``
-    is declared dead); *shard_dir* makes spawned workers keep
-    per-worker JSONL shards there;
+    is declared dead);
     *chaos_kills* SIGKILLs that many spawned workers mid-cell (the
     fault hook), respawning replacements; *wall_limit_s* bounds the
     whole campaign (remaining cells are quarantined at the limit).
@@ -193,7 +222,6 @@ class CampaignCoordinator:
                  spawn: int = 0, host: str = "127.0.0.1", port: int = 0,
                  timeout_s: float | None = None, retries: int = 1,
                  resume: bool = False, heartbeat_s: float = 0.5,
-                 shard_dir: str | pathlib.Path | None = None,
                  chaos_kills: int = 0, chaos_interval_s: float = 1.0,
                  wall_limit_s: float | None = None,
                  echo: _t.Callable[[str], None] | None = None) -> None:
@@ -207,12 +235,9 @@ class CampaignCoordinator:
         self.spawn = spawn
         self.host = host
         self.port = port
-        self.timeout_s = timeout_s
-        self.retries = retries
         self.resume = resume
         self.heartbeat_s = heartbeat_s
         self.liveness_s = 3.0 * heartbeat_s
-        self.shard_dir = pathlib.Path(shard_dir) if shard_dir else None
         self.chaos_kills = chaos_kills
         self.chaos_interval_s = chaos_interval_s
         self.wall_limit_s = wall_limit_s
@@ -277,7 +302,7 @@ class CampaignCoordinator:
                 return {"op": "wait"}
         return {"op": "cell", "key": lease.key,
                 "spec": self.table.cells[lease.key].spec,
-                "attempt": lease.attempt, "lease_s": self.timeout_s}
+                "attempt": lease.attempt, "lease_s": self.table.lease_s}
 
     def _on_result(self, now: float, worker: str, key: str, status: str,
                    payload: dict[str, _t.Any] | None = None,
@@ -331,13 +356,19 @@ class CampaignCoordinator:
             if not state.keys:       # graceful drain: nothing to reclaim
                 state.dead = True
                 return
-            held = len(state.keys)
-            quarantined = self.table.fail_worker(worker)
-            self._progress(f"worker {worker} lost with {held} lease(s); "
-                           f"reclaimed {held - len(quarantined)}")
-            for key in quarantined:
-                self._quarantine(key, f"worker {worker} died mid-cell")
+            self._fail_worker(worker, "lost its connection")
             self._wake.notify_all()
+
+    def _fail_worker(self, worker: str, how: str) -> None:
+        """Declare *worker* dead, lock held: reclaim its leases, and
+        quarantine each cell whose retries it spent.  *how* it was lost
+        goes into the progress line and the quarantine record."""
+        held = len(self.table.workers[worker].keys)
+        quarantined = self.table.fail_worker(worker)
+        self._progress(f"worker {worker} {how}; reclaimed "
+                       f"{held - len(quarantined)} of {held} lease(s)")
+        for key in quarantined:
+            self._quarantine(key, f"worker {worker} {how} mid-cell")
 
     # -- store ---------------------------------------------------------------
     def _append(self, key: str, status: str,
@@ -368,21 +399,15 @@ class CampaignCoordinator:
 
     # -- worker fleet --------------------------------------------------------
     def _spawn_worker(self) -> str:
-        from .worker import worker_entry
+        from .worker import CampaignWorker
 
         worker_id = f"w{self._next_worker}"
         self._next_worker += 1
-        shard = None
-        if self.shard_dir is not None:
-            self.shard_dir.mkdir(parents=True, exist_ok=True)
-            shard = str(self.shard_dir
-                        / f"{self.store.path.stem}-{worker_id}.jsonl")
         # Workers must not be daemons: each one forks a child per cell,
         # and daemonic processes may not have children.  _reap_fleet()
         # kills any worker that outlives the campaign.
-        process = self._mp.Process(
-            target=worker_entry,
-            args=(self.host, self.port, worker_id, shard), daemon=False)
+        process = self._mp.Process(target=CampaignWorker(
+            self.host, self.port, worker_id=worker_id).run, daemon=False)
         process.start()
         self._spawned[worker_id] = process
         return worker_id
@@ -411,13 +436,7 @@ class CampaignCoordinator:
         # The victim is known dead: reclaim its leases now.  Left to its
         # socket's EOF, a result it sent just before the kill could drain
         # the lease first, and the kill would not count as a failure.
-        held = len(self.table.workers[victim].keys)
-        quarantined = self.table.fail_worker(victim)
-        self._progress(f"chaos: SIGKILLed worker {victim} "
-                       f"(pid {process.pid}); reclaimed "
-                       f"{held - len(quarantined)} lease(s)")
-        for key in quarantined:
-            self._quarantine(key, f"worker {victim} SIGKILLed mid-cell")
+        self._fail_worker(victim, f"SIGKILLed by chaos (pid {process.pid})")
         self._spawn_worker()  # keep the fleet at strength
 
     def _sweep(self, now: float) -> bool:
@@ -433,12 +452,7 @@ class CampaignCoordinator:
                     lease.key, f"lease expired after {attempts} attempt(s)")
         dead = self.table.dead_workers(now, self.liveness_s)
         for worker in dead:
-            held = len(self.table.workers[worker].keys)
-            quarantined = self.table.fail_worker(worker)
-            self._progress(f"worker {worker} missed heartbeats; "
-                           f"reclaimed {held} lease(s)")
-            for key in quarantined:
-                self._quarantine(key, f"worker {worker} stopped heartbeating")
+            self._fail_worker(worker, "missed heartbeats")
         self._chaos_step(now)
         if (self.wall_limit_s is not None
                 and now - self._started > self.wall_limit_s):

@@ -9,8 +9,8 @@ reclamation logic is unit-testable without spawning anything
 (``tests/campaign/test_lease.py``).
 
 The lifecycle mirrors BOINC's deadline-based work dispatch (Anderson
-2019): a cell starts *pending*, a grant moves it to *leased* with a
-deadline derived from the campaign's per-cell ``timeout_s``, a worker
+2019): a cell starts *pending*, a grant moves it to *leased* (with a
+deadline when the campaign sets a per-cell ``timeout_s``), a worker
 result moves it to *done* (first result wins) or requeues it, and a
 lease lost to expiry, worker death, or an error is *reclaimed* — the
 cell returns to the pending queue with its attempt counter bumped until
@@ -175,7 +175,9 @@ class LeaseTable:
                 cell.status = LEASED
                 cell.lease = lease
                 cell.holders.add(worker)
-                self.workers[worker].keys.add(key)
+                state = self.workers[worker]
+                state.keys.add(key)
+                state.revoked.discard(key)
                 self.counters.granted += 1
                 return lease
         return None

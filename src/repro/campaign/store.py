@@ -7,6 +7,8 @@ truncated trailing line, which :meth:`ResultStore.load` skips, and the
 next ``--resume`` run re-executes only the cells without an ``ok``
 record.  Records for the same key supersede each other last-wins, so a
 re-run of a previously failed cell simply appends its new outcome.
+A campaign's store has one writer, its coordinator: workers report
+outcomes over the control socket and keep nothing of their own.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ class ResultStore:
         """Every record in file order (duplicates kept).
 
         Tolerates a truncated/corrupt trailing line (the crash case — a
-        writer killed mid-append, e.g. a SIGKILLed campaign worker);
-        corruption anywhere else raises, because silently dropping
-        completed results would quietly re-run work.
+        coordinator killed mid-append); corruption anywhere else raises,
+        because silently dropping completed results would quietly re-run
+        work.
         """
         if not self.path.exists():
             return []
@@ -97,10 +99,7 @@ class ResultStore:
 
         Same tolerance/corruption contract as :meth:`records`.
         """
-        records: dict[str, CellRecord] = {}
-        for record in self.records():
-            records[record.key] = record
-        return records
+        return {record.key: record for record in self.records()}
 
     def completed_keys(self) -> set[str]:
         """Keys with a successful result (the resume skip-set)."""
@@ -112,56 +111,8 @@ class ResultStore:
             self.path.unlink()
 
 
-def _as_store(store: "ResultStore | str | pathlib.Path") -> ResultStore:
-    """Coerce a path-or-store argument into a :class:`ResultStore`."""
-    return store if isinstance(store, ResultStore) else ResultStore(store)
-
-
-def merge_stores(out: "ResultStore | str | pathlib.Path",
-                 shards: _t.Iterable["ResultStore | str | pathlib.Path"],
-                 ) -> dict[str, CellRecord]:
-    """Fold per-worker JSONL shards into one resumable store at *out*.
-
-    The distributed campaign's multi-writer merge: each worker appends
-    only to its own shard, so shards never contend, and this function
-    reconciles them after the fact.  Per key, a successful record beats
-    a failed one regardless of shard order (a retry that succeeded on
-    another worker supersedes the failures a killed worker left
-    behind); between records of equal status, the last one encountered
-    wins — the same rule :meth:`ResultStore.load` applies within one
-    file.  Each shard tolerates a torn trailing line (a writer
-    SIGKILLed mid-append) but mid-file corruption raises, and merging
-    *out* into itself is refused.  The merged mapping is also written
-    to *out* (failed record first when a key has both, so a plain
-    ``load()`` of the merged file resolves last-wins to the success)
-    and returned.
-    """
-    out_store = _as_store(out)
-    shard_stores = [_as_store(s) for s in shards]
-    out_path = out_store.path.resolve()
-    for shard in shard_stores:
-        if shard.path.resolve() == out_path:
-            raise ValueError(
-                f"refusing to merge store {out_store.path} into itself")
-    best: dict[str, CellRecord] = {}
-    failures: dict[str, CellRecord] = {}     # audit trail of lost attempts
-    for shard in shard_stores:
-        for record in shard.records():
-            if not record.ok:
-                failures[record.key] = record
-            current = best.get(record.key)
-            if current is None or record.ok or not current.ok:
-                best[record.key] = record
-    out_store.clear()
-    for key in sorted(best):
-        if best[key].ok and key in failures:
-            out_store.append(failures[key])
-        out_store.append(best[key])
-    return best
-
-
-def diff_stores(left: "ResultStore | str | pathlib.Path",
-                right: "ResultStore | str | pathlib.Path") -> list[str]:
+def diff_stores(left: str | pathlib.Path,
+                right: str | pathlib.Path) -> list[str]:
     """Compare the successful per-key payloads of two campaign stores.
 
     Returns human-readable mismatch lines (empty list = the stores are
@@ -171,14 +122,14 @@ def diff_stores(left: "ResultStore | str | pathlib.Path",
     nondeterministic half of a record — so a distributed run compares
     equal to a sequential one whenever the science matches.
     """
-    a = {k: r for k, r in _as_store(left).load().items() if r.ok}
-    b = {k: r for k, r in _as_store(right).load().items() if r.ok}
+    a, b = ({k: r for k, r in ResultStore(path).load().items() if r.ok}
+            for path in (left, right))
     lines = []
     for key in sorted(a.keys() | b.keys()):
         if key not in b:
-            lines.append(f"{key}: only completed in {_as_store(left).path}")
+            lines.append(f"{key}: only completed in {left}")
         elif key not in a:
-            lines.append(f"{key}: only completed in {_as_store(right).path}")
+            lines.append(f"{key}: only completed in {right}")
         elif canonical_json(a[key].result) != canonical_json(b[key].result):
             lines.append(f"{key}: payloads differ")
     return lines

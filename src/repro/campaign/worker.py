@@ -15,14 +15,15 @@ request — re-ask at once; the waiting happens on its side),
 key in a heartbeat reply (another worker finished the cell first, or
 the lease was reclaimed — kill the child and move on).
 
-Results are optionally appended to a per-worker JSONL *shard*
-(:class:`~repro.campaign.store.ResultStore`) before being reported, so
-a worker killed between computing and reporting still leaves its
-result on disk for :func:`repro.campaign.store.merge_stores`.
+A worker writes nothing to disk: it reports every outcome to the
+coordinator, whose store is the campaign's one record.  A worker killed
+between computing and reporting loses only that attempt; the
+coordinator reclaims the lease and runs the cell again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import time
@@ -31,7 +32,6 @@ import typing as _t
 from ..wire import dumps, loads
 from .cells import preload
 from .runner import _child_main, _describe, _shutdown_child
-from .store import CellRecord, ResultStore
 
 #: How long the worker waits on the child pipe between bookkeeping
 #: passes (heartbeats, deadline, revocation checks), seconds.
@@ -41,21 +41,17 @@ _POLL_S = 0.05
 class CampaignWorker:
     """Run leased campaign cells against a coordinator at *host*:*port*.
 
-    *worker_id* defaults to ``<hostname>-<pid>``; *shard*, when given,
-    is a per-worker :class:`~repro.campaign.store.ResultStore` that
-    receives every outcome this worker computes (the multi-writer merge
-    input).  It runs cells until the coordinator says shutdown.
+    *worker_id* defaults to ``<hostname>-<pid>``.  It runs cells until
+    the coordinator says shutdown.
     """
 
     def __init__(self, host: str, port: int, *,
-                 worker_id: str | None = None,
-                 shard: ResultStore | None = None) -> None:
+                 worker_id: str | None = None) -> None:
         """Record the coordinator address; nothing connects until :meth:`run`."""
         self.host = host
         self.port = port
         self.worker_id = (worker_id if worker_id is not None
                           else f"{socket.gethostname()}-{os.getpid()}")
-        self.shard = shard
         self.completed = 0
         self._sock: socket.socket | None = None
         self._wire: _t.Any = None
@@ -90,11 +86,8 @@ class CampaignWorker:
 
     def _close(self) -> None:
         for closable in (self._wire, self._sock):
-            if closable is not None:
-                try:
-                    closable.close()
-                except OSError:  # pragma: no cover - best-effort teardown
-                    pass
+            with contextlib.suppress(OSError):  # best-effort teardown
+                closable.close()
         self._sock = self._wire = None
 
     # -- cell execution ------------------------------------------------------
@@ -140,13 +133,6 @@ class CampaignWorker:
         wall = round(time.monotonic() - started, 4)
         status, detail = outcome
         ok = status == "ok"
-        if self.shard is not None:  # on disk before it is reported
-            self.shard.append(CellRecord(
-                key=key, spec=grant["spec"], status="ok" if ok else "failed",
-                result=detail if ok else None,
-                meta={"wall_s": wall, "attempts": grant["attempt"] + 1,
-                      "worker": self.worker_id,
-                      **({} if ok else {"error": str(detail)})}))
         self._rpc({"op": "result", "key": key, "attempt": grant["attempt"],
                    "wall_s": wall, "status": "ok" if ok else "error",
                    "payload": detail if ok else None,
@@ -183,11 +169,3 @@ class CampaignWorker:
         finally:
             self._close()
         return self.completed
-
-
-def worker_entry(host: str, port: int, worker_id: str,
-                 shard_path: str | None = None) -> int:
-    """Process entry point for spawned workers (coordinator ``spawn=N``)."""
-    shard = ResultStore(shard_path) if shard_path else None
-    return CampaignWorker(host, port, worker_id=worker_id,
-                          shard=shard).run()

@@ -125,8 +125,7 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
     coordinator = CampaignCoordinator(
         grid, ResultStore(args.out), spawn=args.spawn, host=args.bind,
         port=args.port, retries=args.retries, resume=args.resume,
-        heartbeat_s=args.heartbeat, shard_dir=args.shard_dir,
-        chaos_kills=args.kill_workers,
+        heartbeat_s=args.heartbeat, chaos_kills=args.kill_workers,
         chaos_interval_s=args.kill_interval,
         echo=None if args.quiet else print)
     report = coordinator.run()
@@ -147,16 +146,14 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_work(args: argparse.Namespace) -> int:
-    from .campaign import CampaignWorker, ResultStore
+    from .campaign import CampaignWorker
 
     host, _, port = args.address.rpartition(":")
     if not host or not port.isdigit():
         print(f"campaign work: address must be HOST:PORT, "
               f"got {args.address!r}", file=sys.stderr)
         return 2
-    worker = CampaignWorker(
-        host, int(port), worker_id=args.id,
-        shard=ResultStore(args.shard) if args.shard else None)
+    worker = CampaignWorker(host, int(port), worker_id=args.id)
     try:
         completed = worker.run()
     except OSError as exc:  # the first connect; later losses end run()
@@ -164,20 +161,6 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     print(f"worker {worker.worker_id}: completed {completed} cell(s)")
-    return 0
-
-
-def _cmd_campaign_merge(args: argparse.Namespace) -> int:
-    from .campaign import merge_stores
-
-    try:
-        merged = merge_stores(args.out, args.shards)
-    except (ValueError, OSError) as exc:
-        print(f"campaign merge: {exc}", file=sys.stderr)
-        return 2
-    ok = sum(1 for r in merged.values() if r.ok)
-    print(f"merged {len(args.shards)} shard(s) into {args.out}: "
-          f"{len(merged)} cell(s), {ok} ok, {len(merged) - ok} failed")
     return 0
 
 
@@ -247,7 +230,6 @@ def _cmd_wordcount(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import time as _time
 
     from .gateway import GatewayConfig, GatewayServer
 
@@ -326,17 +308,22 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _add_campaign_modes(p: argparse.ArgumentParser,
-                        common: argparse.ArgumentParser) -> None:
-    """Attach the ``coordinate`` / ``work`` / ``merge`` / ``diff`` modes
-    under ``campaign``; ``coordinate`` is the one that runs cells."""
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    """Give a command that reads ``args.seed`` its ``--seed``."""
+    p.add_argument("--seed", type=_seed_type, default=1,
+                   help="experiment seed (default 1)")
+
+
+def _add_campaign_modes(p: argparse.ArgumentParser) -> None:
+    """Attach the ``coordinate`` / ``work`` / ``diff`` modes under
+    ``campaign``; ``coordinate`` is the one that runs cells."""
     csub = p.add_subparsers(
         metavar="MODE",
-        help="coordinate runs a grid; work / merge / diff attach "
-             "workers and reconcile their shards")
+        help="coordinate runs a grid; work attaches a worker to it; "
+             "diff compares two stores")
 
     pc = csub.add_parser(
-        "coordinate", parents=[common],
+        "coordinate",
         help="serve a grid to worker processes under lease discipline "
              "(spawns local workers, accepts external ones)")
     pc.add_argument("--grid", default="table1",
@@ -367,9 +354,6 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                          "(default 1)")
     pc.add_argument("--resume", action="store_true",
                     help="skip cells already completed in --out")
-    pc.add_argument("--shard-dir", metavar="DIR", default=None,
-                    help="give each spawned worker a per-worker JSONL "
-                         "shard in DIR (merge with 'campaign merge')")
     pc.add_argument("--kill-workers", type=int, default=0, metavar="N",
                     help="fault hook: SIGKILL N spawned workers mid-cell "
                          "and respawn replacements (default 0)")
@@ -382,33 +366,21 @@ def _add_campaign_modes(p: argparse.ArgumentParser,
                          "kills)")
     pc.add_argument("--quiet", action="store_true",
                     help="suppress per-cell progress lines")
+    _add_seed(pc)
     pc.set_defaults(handler=_cmd_campaign_coordinate)
 
     pw = csub.add_parser(
-        "work", parents=[common],
+        "work",
         help="run cells for a coordinator at HOST:PORT until it "
              "shuts the campaign down")
     pw.add_argument("address", metavar="HOST:PORT",
                     help="coordinator control-socket address")
     pw.add_argument("--id", default=None, metavar="NAME",
                     help="worker id (default <hostname>-<pid>)")
-    pw.add_argument("--shard", metavar="FILE", default=None,
-                    help="also append every outcome to this per-worker "
-                         "JSONL shard")
     pw.set_defaults(handler=_cmd_campaign_work)
 
-    pm = csub.add_parser(
-        "merge", parents=[common],
-        help="fold per-worker JSONL shards into one resumable store "
-             "(ok beats failed per key, last record wins otherwise)")
-    pm.add_argument("shards", nargs="+", metavar="SHARD",
-                    help="per-worker shard files to merge")
-    pm.add_argument("--out", required=True, metavar="FILE",
-                    help="merged store to write (must not be a SHARD)")
-    pm.set_defaults(handler=_cmd_campaign_merge)
-
     pd = csub.add_parser(
-        "diff", parents=[common],
+        "diff",
         help="compare the successful per-key payloads of two stores "
              "(exit 1 on any mismatch)")
     pd.add_argument("left", metavar="STORE")
@@ -423,17 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="BOINC-MR reproduction: simulated jobs, campaign "
                     "grids (the paper's evaluation is --grid paper) and "
                     "the live gateway.")
-    parser.add_argument("--seed", type=_seed_type, default=1,
-                        help="experiment seed (default 1)")
-    # Every subcommand also accepts --seed after the command name; a value
-    # there overrides the global one (SUPPRESS keeps the global default).
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_type, default=argparse.SUPPRESS,
-                        help="experiment seed (overrides the global --seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common],
-                       help="run one simulated MapReduce job")
+    p = sub.add_parser("run", help="run one simulated MapReduce job")
+    _add_seed(p)
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--maps", type=int, default=20)
     p.add_argument("--reducers", type=int, default=5)
@@ -460,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default), jsonl = one JSON object per record")
     p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("wordcount", parents=[common],
-                       help="run REAL word count on real bytes")
+    p = sub.add_parser("wordcount", help="run REAL word count on real bytes")
+    _add_seed(p)
     p.add_argument("--size-mb", type=float, default=2.0)
     p.add_argument("--maps", type=int, default=8)
     p.add_argument("--reducers", type=int, default=4)
     p.set_defaults(handler=_cmd_wordcount)
 
     p = sub.add_parser(
-        "campaign", parents=[common],
+        "campaign",
         help="run a whole experiment grid (scenario x seed x fault-plan "
              "cells) on leased workers, into a resumable result store "
              "('campaign coordinate')")
@@ -478,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render the aggregated table of an existing result "
                         "store and exit (runs nothing)")
     p.set_defaults(handler=_cmd_campaign)
-    _add_campaign_modes(p, common)
+    _add_campaign_modes(p)
 
     p = sub.add_parser(
-        "serve", parents=[common],
+        "serve",
         help="run the live asyncio gateway (real volunteers dial in over "
              "HTTP; see docs/protocol.md)")
     p.add_argument("--host", default="127.0.0.1")
@@ -500,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
-        "volunteer", parents=[common],
+        "volunteer",
         help="run one real volunteer process against a live gateway")
     p.add_argument("--address", required=True, metavar="HOST:PORT")
     p.add_argument("--name", default=None,
@@ -510,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_volunteer)
 
     p = sub.add_parser(
-        "loadgen", parents=[common],
+        "loadgen",
         help="replay simulated client schedules against a live gateway "
              "and emit BENCH_gateway.json with the p99 latency report")
     p.add_argument("--address", default=None, metavar="HOST:PORT",
@@ -525,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the JSON run record; the exit status is 1 unless "
                         "its correctness gates hold (zero lost/duplicated "
                         "results, oracle-equivalent output, job done)")
+    _add_seed(p)
     p.set_defaults(handler=_cmd_loadgen)
 
     return parser

@@ -26,7 +26,6 @@ from repro.campaign import (
     CampaignWorker,
     ResultStore,
     diff_stores,
-    merge_stores,
     run_campaign,
 )
 from repro.campaign import coordinator as coordinator_module
@@ -182,9 +181,9 @@ class TestCoordinatorBasics:
 
 class TestFailureRecovery:
     def test_sigkilled_workers_mid_cell_every_cell_completes(self, tmp_path):
-        """The issue's acceptance invariant: 3 workers, kills mid-cell,
-        campaign still completes every cell and the merged per-key
-        payloads equal a sequential run.
+        """The control plane's acceptance invariant: 3 workers, kills
+        mid-cell, campaign still completes every cell and the store's
+        per-key payloads equal a sequential run.
 
         Every assertion reads the coordinator's own counters and store,
         none a wall-clock margin: a victim is chosen while it holds a
@@ -194,24 +193,14 @@ class TestFailureRecovery:
         store = ResultStore(tmp_path / "dist.jsonl")
         coordinator = CampaignCoordinator(
             grid, store, spawn=3, heartbeat_s=0.2, retries=3,
-            chaos_kills=2, chaos_interval_s=0.4,
-            shard_dir=tmp_path / "shards")
+            chaos_kills=2, chaos_interval_s=0.4)
         report = coordinator.run()
         assert report.failed == 0 and report.ran == 9
         assert report.chaos_kills == 2
         assert report.leases.workers_failed >= report.chaos_kills
         assert report.leases.reclaimed >= 1
         run_campaign(grid, str(tmp_path / "seq.jsonl"), workers=0)
-        # coordinator's authoritative store matches sequential ...
         assert diff_stores(tmp_path / "dist.jsonl",
-                           tmp_path / "seq.jsonl") == []
-        # ... and so do the merged per-worker shards: every worker whose
-        # result was stored wrote its shard before it sent the result
-        writers = {r.meta["worker"] for r in store.load().values()}
-        shards = sorted((tmp_path / "shards").glob("*.jsonl"))
-        assert len(shards) >= len(writers) >= 2
-        merge_stores(tmp_path / "merged.jsonl", shards)
-        assert diff_stores(tmp_path / "merged.jsonl",
                            tmp_path / "seq.jsonl") == []
 
     def test_a_chaos_kill_counts_when_its_result_was_in_flight(
@@ -309,6 +298,31 @@ class TestFailureRecovery:
         with pytest.raises(RuntimeError, match="wall limit"):
             coordinator.run()
         assert multiprocessing.active_children() == []
+
+    def test_no_handler_outlives_run(self, tmp_path):
+        # Regression: a connection's handler thread outlived run(), so a
+        # worker that stayed connected reached the coordinator after its
+        # report was final: its hang-up reclaimed a lease and printed.
+        lines = []
+        coordinator = CampaignCoordinator(
+            _sleep_grid(1), ResultStore(tmp_path / "out.jsonl"),
+            heartbeat_s=30.0, wall_limit_s=0.3, echo=lines.append)
+        thread, reports = _serve(coordinator)
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5.0) as sock:
+            handler = "_ControlHandler-%s:%d" % sock.getsockname()
+            wire = sock.makefile("rwb")
+            wire.write(HELLO + b'\n{"op":"lease","worker":"raw"}\n')
+            wire.flush()
+            assert loads(wire.readline())["op"] == "welcome"
+            assert loads(wire.readline())["op"] == "cell"
+            thread.join(timeout=10.0)  # the wall limit ends the campaign
+            assert not thread.is_alive() and reports[0].failed == 1
+            assert handler not in {t.name for t in threading.enumerate()}
+            seen = list(lines)
+            assert any("worker raw lost" in line for line in seen), seen
+            assert wire.readline() == b""  # the coordinator hung up
+        assert lines == seen
 
     def test_malformed_messages_get_an_error_reply(self, tmp_path):
         # Regression: each line used to kill the handler thread, or be

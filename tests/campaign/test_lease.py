@@ -128,6 +128,17 @@ class TestExpiry:
         table.grant("w0", now=0.0)
         assert table.expire(now=5.0) == []
 
+    def test_a_regrant_to_the_same_worker_is_not_revoked(self):
+        # Regression: grant -> expire -> grant left the expired lease's
+        # revocation pending, so the next heartbeat told the worker to
+        # drop the cell it had just been granted again.
+        table = _table(1, lease_s=1.0, retries=1)
+        key = table.grant("w0", now=0.0).key
+        table.expire(now=2.0)
+        assert table.grant("w0", now=2.0).key == key
+        assert table.touch("w0", now=2.5) == []
+        assert table.cells[key].lease.worker == "w0"
+
     def test_expiry_exhausting_budget_quarantines(self):
         table = _table(1, lease_s=1.0, retries=0)
         key = table.grant("w0", now=0.0).key

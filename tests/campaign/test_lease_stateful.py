@@ -12,7 +12,9 @@ them.  After every step it checks:
 - no worker's ``keys`` names a cell whose lease it does not hold;
 - ``attempts <= retries + 1``;
 - a revoked key is returned by exactly one later ``touch`` of its
-  worker (a worker declared dead forgets its notices);
+  worker (a worker declared dead forgets its notices, and a worker
+  granted the key again forgets its notice of it);
+- no worker holds a key it has a pending revocation of;
 - ``done`` holds exactly when every cell is ``done`` or ``failed``.
 """
 
@@ -70,6 +72,7 @@ class LeaseMachine(RuleBasedStateMachine):
             assert not pending
             return
         assert lease.key in pending and lease.worker == worker
+        self.notices[worker].discard(lease.key)  # the key is its again
         assert lease.attempt == self.table.cells[lease.key].attempts
         if self.table.lease_s is None:
             assert lease.deadline is None
@@ -156,6 +159,11 @@ class LeaseMachine(RuleBasedStateMachine):
             for key in state.keys:
                 assert self._holder(key) == worker
             assert not (state.dead and state.keys)
+
+    @invariant()
+    def no_worker_is_revoked_a_key_it_holds(self):
+        for state in self.table.workers.values():
+            assert state.revoked.isdisjoint(state.keys)
 
     @invariant()
     def attempts_stay_within_the_retry_budget(self):

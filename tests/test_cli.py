@@ -15,7 +15,7 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_seed_flag(self):
-        args = build_parser().parse_args(["--seed", "9", "run"])
+        args = build_parser().parse_args(["run", "--seed", "9"])
         assert args.seed == 9
 
     def test_run_defaults(self):
@@ -109,7 +109,7 @@ class TestObservabilityCommands:
         from repro.obs import chrome_trace_json
 
         out = tmp_path / "trace.json"
-        assert main(["--seed", "4", *self.RUN, "--trace-out", str(out)]) == 0
+        assert main([*self.RUN, "--seed", "4", "--trace-out", str(out)]) == 0
         cloud = VolunteerCloud.from_spec(
             CloudSpec(seed=4, mr_config=BoincMRConfig()))
         cloud.add_volunteers(6, mr=True)
@@ -124,7 +124,7 @@ class TestObservabilityCommands:
     def test_run_trace_identical_across_same_seed_runs(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
-            assert main(["--seed", "4", *self.RUN,
+            assert main([*self.RUN, "--seed", "4",
                          "--trace-out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -197,22 +197,26 @@ class TestRunRecord:
 
 
 class TestSeedHandling:
-    """--seed is accepted (and validated) uniformly on every subcommand."""
+    """--seed exists on the commands that read it, and nowhere else."""
 
-    COMMANDS = ["run", "wordcount"]
+    COMMANDS = [["run"], ["wordcount"], ["loadgen"],
+                ["campaign", "coordinate"]]
 
     def test_every_subcommand_accepts_seed(self):
         for cmd in self.COMMANDS:
-            args = build_parser().parse_args([cmd, "--seed", "7"])
+            args = build_parser().parse_args([*cmd, "--seed", "7"])
             assert args.seed == 7, cmd
+            assert build_parser().parse_args(cmd).seed == 1, cmd
 
-    def test_global_seed_reaches_subcommand(self):
-        args = build_parser().parse_args(["--seed", "3", "run"])
-        assert args.seed == 3
-
-    def test_subcommand_seed_overrides_global(self):
-        args = build_parser().parse_args(["--seed", "3", "run", "--seed", "9"])
-        assert args.seed == 9
+    def test_seed_only_where_it_is_read(self):
+        # No global flag, and none on a command that would ignore it.
+        for argv in (["--seed", "3", "run"], ["serve", "--seed", "3"],
+                     ["volunteer", "--address", "h:1", "--seed", "3"],
+                     ["campaign", "--seed", "3"],
+                     ["campaign", "work", "h:1", "--seed", "3"],
+                     ["campaign", "diff", "a", "b", "--seed", "3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(SystemExit):
@@ -220,7 +224,7 @@ class TestSeedHandling:
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--seed", "banana", "run"])
+            build_parser().parse_args(["run", "--seed", "banana"])
 
 
 class TestCampaignCommand:
@@ -282,7 +286,7 @@ class TestCampaignCommand:
 
 
 class TestCampaignControlPlane:
-    """The distributed modes: coordinate / work / merge / diff."""
+    """The distributed modes: coordinate / work / diff."""
 
     def _toml_grid(self, tmp_path, n=4):
         path = tmp_path / "grid.toml"
@@ -328,11 +332,7 @@ class TestCampaignControlPlane:
             f"campaign work: cannot reach 127.0.0.1:{port}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_merge_requires_out(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "merge", "a.jsonl"])
-
-    def test_coordinate_merge_diff_roundtrip(self, tmp_path, capsys):
+    def test_coordinate_diff_roundtrip(self, tmp_path, capsys):
         grid = self._toml_grid(tmp_path)
         dist = tmp_path / "dist.jsonl"
         seq = tmp_path / "seq.jsonl"
@@ -340,7 +340,6 @@ class TestCampaignControlPlane:
         assert main(["campaign", "coordinate", "--grid", str(grid),
                      "--out", str(dist), "--spawn", "2",
                      "--heartbeat", "0.2",
-                     "--shard-dir", str(tmp_path / "shards"),
                      "--summary-out", str(summary), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "4 ran" in out and "wrote run record" in out
@@ -354,16 +353,7 @@ class TestCampaignControlPlane:
         assert doc["outcome"]["completed"] == 4
         assert doc["outcome"]["quarantined"] == []
 
-        shards = sorted(str(p)
-                        for p in (tmp_path / "shards").glob("*.jsonl"))
-        assert len(shards) == 2
-        merged = tmp_path / "merged.jsonl"
-        assert main(["campaign", "merge", *shards,
-                     "--out", str(merged)]) == 0
-        assert "merged 2 shard(s)" in capsys.readouterr().out
-
         assert main(["campaign", "diff", str(dist), str(seq)]) == 0
-        assert main(["campaign", "diff", str(merged), str(seq)]) == 0
         out = capsys.readouterr().out
         assert "result-equivalent" in out
 
@@ -381,18 +371,6 @@ class TestCampaignControlPlane:
         assert main(["campaign", "diff", str(tmp_path / "a.jsonl"),
                      str(tmp_path / "b.jsonl")]) == 1
         assert "payloads differ" in capsys.readouterr().out
-
-    def test_merge_refuses_self_merge(self, tmp_path, capsys):
-        from repro.campaign import CellRecord, ResultStore
-
-        shard = tmp_path / "shard.jsonl"
-        ResultStore(shard).append(CellRecord(
-            key="k0", spec={"kind": "sleep", "seed": 1, "params": {},
-                            "faults": None, "group": "g"},
-            status="ok", result={}, meta={}))
-        assert main(["campaign", "merge", str(shard),
-                     "--out", str(shard)]) == 2
-        assert "itself" in capsys.readouterr().err
 
 
 class TestChaosCommand:
