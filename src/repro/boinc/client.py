@@ -238,6 +238,15 @@ class ServerUploadPolicy:
 class Client:
     """One volunteer's BOINC client."""
 
+    # One per volunteer host: slotted, so a client carries no instance dict.
+    __slots__ = (
+        "sim", "net", "server", "host", "record", "config", "rng", "tracer",
+        "input_fetcher", "output_policy", "executor", "name", "endpoint",
+        "tasks", "_ready", "_cpu", "_backoff_count", "_next_allowed_rpc",
+        "_comm_gate", "_rpc_failures", "_wake", "_napping", "_main_proc",
+        "_task_procs", "offline", "peer_store", "slowdown",
+        "corrupt_results", "metrics")
+
     def __init__(self, sim: Simulator, net: Network, server: ProjectServer,
                  host: Host, record: HostRecord, rng: np.random.Generator,
                  input_fetcher: InputFetcher, output_policy: OutputPolicy,

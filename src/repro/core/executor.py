@@ -17,24 +17,29 @@ another replica and pass the quorum.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..boinc.client import Client, ClientTask
 from ..boinc.model import FileRef, OutputData
+from ..sim import RngRegistry
 from .jobtracker import JobTracker
 
 
 class MapReduceExecutor:
-    """Produces outputs for ``map``/``reduce`` workunits of known jobs."""
+    """Produces outputs for ``map``/``reduce`` workunits of known jobs.
 
-    def __init__(self, jobtracker: JobTracker, rng: np.random.Generator,
+    A byzantine draw comes from the client's ``exec.NAME`` stream of
+    *rngs*, made at the first draw: an honest volunteer never builds it.
+    """
+
+    __slots__ = ("jobtracker", "byzantine_rate", "rngs", "_corruptions")
+
+    def __init__(self, jobtracker: JobTracker, rngs: RngRegistry,
                  byzantine_rate: float = 0.0) -> None:
         """Create an executor; *byzantine_rate* corrupts that fraction of runs."""
         if not 0.0 <= byzantine_rate <= 1.0:
             raise ValueError("byzantine_rate must be in [0, 1]")
         self.jobtracker = jobtracker
         self.byzantine_rate = byzantine_rate
-        self.rng = rng
+        self.rngs = rngs
         self._corruptions = 0
 
     def execute(self, client: Client, task: ClientTask) -> OutputData:
@@ -62,7 +67,9 @@ class MapReduceExecutor:
             # a fault-free run is left intact (trace determinism).
             self._corruptions += 1
             digest = f"corrupt:{client.name}:{self._corruptions}:{digest}"
-        elif self.byzantine_rate > 0 and self.rng.random() < self.byzantine_rate:
+        elif (self.byzantine_rate > 0
+              and self.rngs.stream(f"exec.{client.name}").random()
+              < self.byzantine_rate):
             self._corruptions += 1
             digest = f"corrupt:{client.name}:{self._corruptions}:{digest}"
         return OutputData(digest=digest, files=files)

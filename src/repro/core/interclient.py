@@ -38,6 +38,8 @@ class ServedFile:
 class PeerStore:
     """The files one BOINC-MR client is currently serving to peers."""
 
+    __slots__ = ("sim", "_files", "bytes_served")
+
     def __init__(self, sim: Simulator) -> None:
         """An empty store; entries expire :data:`SERVE_TIMEOUT_S` on."""
         self.sim = sim

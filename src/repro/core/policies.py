@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
 from ..boinc.client import (
     Client,
     ClientTask,
@@ -27,6 +25,7 @@ from ..boinc.client import (
     join_transfers,
 )
 from ..net import ConnectivityPolicy, Host, TransferFailed, peer_download
+from ..sim import RngRegistry
 from .config import BoincMRConfig
 from .interclient import PeerStore
 from .jobtracker import JobTracker
@@ -61,7 +60,11 @@ class ClientDirectory:
 
 
 class MapReduceOutputPolicy:
-    """Dispose of task outputs per BOINC-MR rules (Section III.B/III.C)."""
+    """Dispose of task outputs per BOINC-MR rules (Section III.B/III.C).
+
+    It holds no per-client state, so a deployment builds one and every
+    client shares it.
+    """
 
     def __init__(self, jobtracker: JobTracker, config: BoincMRConfig) -> None:
         """Output policy bound to one job tracker and BOINC-MR config."""
@@ -93,12 +96,25 @@ class MapReduceOutputPolicy:
 
 
 class MapReduceInputFetcher:
-    """Fetch task inputs: data server for maps, peers-then-server for reduces."""
+    """Fetch task inputs: data server for maps, peers-then-server for reduces.
+
+    The order of a reduce's peer holders comes from the client's
+    ``fetch.NAME`` stream of *rngs*, made at the first draw: a volunteer
+    that never orders two holders never builds it.
+    """
+
+    __slots__ = ("jobtracker", "directory", "config", "connectivity",
+                 "relay", "relay_selector", "rngs", "peer_fetches",
+                 "server_fallbacks")
+
+    #: Maps read every input from the data server; the fetcher holds no
+    #: state, so all instances share one.
+    _server_fetch = ServerInputFetcher()
 
     def __init__(self, jobtracker: JobTracker, directory: ClientDirectory,
                  config: BoincMRConfig,
                  connectivity: ConnectivityPolicy,
-                 rng: np.random.Generator,
+                 rngs: RngRegistry,
                  relay: Host | None = None) -> None:
         """Input fetcher using *directory* for peer lookup, NAT-aware."""
         self.jobtracker = jobtracker
@@ -109,8 +125,7 @@ class MapReduceInputFetcher:
         #: Optional dynamic relay choice ``(downloader, uploader) -> relay``
         #: (e.g. a supernode overlay); falls back to the fixed ``relay``.
         self.relay_selector: _t.Callable[[Host, Host], Host] | None = None
-        self.rng = rng
-        self._server_fetch = ServerInputFetcher()
+        self.rngs = rngs
         #: Diagnostics: peer download successes / fallbacks to the server.
         self.peer_fetches = 0
         self.server_fallbacks = 0
@@ -149,7 +164,8 @@ class MapReduceInputFetcher:
         attempts = 0
         order = list(holders)
         if len(order) > 1:
-            order = [order[i] for i in self.rng.permutation(len(order))]
+            rng = self.rngs.stream(f"fetch.{client.name}")
+            order = [order[i] for i in rng.permutation(len(order))]
         for address in order * PEER_RETRIES:
             if attempts >= PEER_RETRIES:
                 break

@@ -175,6 +175,9 @@ class VolunteerCloud:
                                      config=self.mr_config)
         self.jobtracker.on_job_done = self._cleanup_job
         self.directory = ClientDirectory()
+        #: The output policy every client shares.
+        self.output_policy = MapReduceOutputPolicy(self.jobtracker,
+                                                   self.mr_config)
         self.connectivity = ConnectivityPolicy(rng=self.rngs.stream("nat"))
         self.clients: list[Client] = []
         self._started = False
@@ -216,18 +219,19 @@ class VolunteerCloud:
         host = self.net.add_host(name, link_spec, nat=nat)
         record = self.server.register_host(name, flops, supports_mr=mr)
         cfg = config or self.client_config
+        # The executor and fetcher draw their streams (exec.NAME,
+        # fetch.NAME) from the registry at their first draw, which most
+        # volunteers never make.
         executor = MapReduceExecutor(
-            self.jobtracker, byzantine_rate=byzantine_rate,
-            rng=self.rngs.stream(f"exec.{name}"))
+            self.jobtracker, byzantine_rate=byzantine_rate, rngs=self.rngs)
         fetcher = MapReduceInputFetcher(
             self.jobtracker, self.directory, self.mr_config,
             connectivity=self.connectivity, relay=self.server_host,
-            rng=self.rngs.stream(f"fetch.{name}"))
-        output_policy = MapReduceOutputPolicy(self.jobtracker, self.mr_config)
+            rngs=self.rngs)
         client = Client(self.sim, self.net, self.server, host, record,
                         config=cfg, rng=self.rngs.stream(f"client.{name}"),
                         input_fetcher=fetcher,
-                        output_policy=output_policy, executor=executor)
+                        output_policy=self.output_policy, executor=executor)
         if mr:
             client.peer_store = PeerStore(self.sim)
         self.directory.register(client)

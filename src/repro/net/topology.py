@@ -50,6 +50,8 @@ SERVER_LINK = LinkSpec(down_bps=1e9, up_bps=1e9, latency_s=0.002)
 class Host:
     """A network endpoint with its own access link and optional NAT box."""
 
+    __slots__ = ("name", "spec", "nat", "uplink", "downlink", "online")
+
     def __init__(self, name: str, spec: LinkSpec,
                  nat: "NatBox | None" = None) -> None:
         """A host with dedicated up/down access links (and optional NAT)."""

@@ -38,6 +38,9 @@ class SimSemaphore:
     try/finally inside the owning process.
     """
 
+    __slots__ = ("sim", "capacity", "name", "in_use", "_waiters",
+                 "granted_total", "released_total", "cancelled_total")
+
     def __init__(self, sim: Simulator, capacity: int, name: str = "") -> None:
         """A counting semaphore with *capacity* slots on *sim*'s clock."""
         if capacity < 1:
@@ -117,6 +120,8 @@ class SimSemaphore:
 
 class TransferEndpoint:
     """Per-host upload/download connection-slot accounting."""
+
+    __slots__ = ("host", "upload_slots", "download_slots", "corrupt_serves")
 
     def __init__(self, sim: Simulator, host: Host,
                  max_upload_conns: int = 8, max_download_conns: int = 8) -> None:

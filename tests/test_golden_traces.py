@@ -16,6 +16,7 @@ change — or changed the model on purpose, in which case re-record with
 ``python tests/test_golden_traces.py`` and say why.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -27,7 +28,8 @@ from repro.net import ADSL_LINK, EMULAB_LINK, SERVER_LINK
 
 
 # Each scenario: (spec, fleet, job, horizon), the fleet ``(n, mr, link)``
-# added as ``node000``.. in index order, as a spec's ``n_nodes`` are.
+# added as ``node000``.. in index order, as a spec's ``n_nodes`` are, at
+# the spec's ``byzantine_rate``.
 
 def _adsl_shuffle():
     """BOINC-MR over ADSL: map outputs travel between the clients."""
@@ -36,6 +38,14 @@ def _adsl_shuffle():
                      client_config=ClientConfig(backoff_max_s=120.0))
     return spec, (16, True, ADSL_LINK), MapReduceJobSpec(
         name="golden", n_maps=8, n_reducers=8, input_size=40e6), None
+
+
+def _byzantine_shuffle():
+    """``adsl_shuffle`` with a fifth of executions corrupt, as the
+    replication study's hosts: the quorum reissues what fails to agree."""
+    spec, fleet, job, horizon = _adsl_shuffle()
+    return (dataclasses.replace(spec, byzantine_rate=0.2), fleet, job,
+            horizon)
 
 
 def _server_hub():
@@ -56,7 +66,8 @@ def _idle_fleet():
 
 
 SCENARIOS = {"adsl_shuffle": _adsl_shuffle, "server_hub": _server_hub,
-             "idle_fleet": _idle_fleet}
+             "idle_fleet": _idle_fleet,
+             "byzantine_shuffle": _byzantine_shuffle}
 
 #: name -> (trace sha256, dispatch_count, peak_pending).  The digests are
 #: the ones recorded at the parent of the same-instant-FIFO change.  The
@@ -77,6 +88,9 @@ GOLDEN = {
     "idle_fleet": (
         "221026cc42fa5b58dd99253765d09c9afdcd08311fb9d187e89e7a075d6479d8",
         3852, 72),
+    "byzantine_shuffle": (  # recorded with every stream built up front
+        "439fa82eb4635e4c879dea8f7bf1b3aacedaa4c6cd95ecc4dd64fe0df50b0017",
+        2726, 44),
 }
 
 #: Client modes of the chaos runs: BOINC-MR, and original BOINC (every
@@ -143,7 +157,8 @@ def fingerprint(name: str) -> tuple[str, int, int]:
     cloud_spec, (n_nodes, mr, link), job_spec, horizon_s = SCENARIOS[name]()
     cloud = VolunteerCloud.from_spec(cloud_spec)
     for i in range(n_nodes):
-        cloud.add_volunteer(f"node{i:03d}", mr=mr, link_spec=link)
+        cloud.add_volunteer(f"node{i:03d}", mr=mr, link_spec=link,
+                            byzantine_rate=cloud_spec.byzantine_rate)
     job = cloud.submit(job_spec)
     if horizon_s is not None:
         cloud.run_until(cloud.sim.timeout(horizon_s))
