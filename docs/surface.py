@@ -886,6 +886,8 @@ PINNED: dict[str, str] = {
     # A README doctest calls it.
     "volunteers.traces:AvailabilityTrace.periods": "README.md",
     # A test oracle or differential calls it.
+    "sim.rng:RandomStream.state":
+        "tests/sim/test_rng.py::test_every_draw_and_end_state_equal_numpys",
     "sim.engine:Simulator.any_of":
         "tests/boinc/test_rpc_differential.py::"
         "test_volunteers_match_the_anyof_wait_and_the_rpc_process",

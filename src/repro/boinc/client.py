@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from ..net import (
     FlowError,
     Host,
@@ -36,6 +34,7 @@ from ..net import (
 from ..sim import (
     Interrupted,
     Process,
+    RandomStream,
     Simulator,
     backoff_delay,
     jittered,
@@ -248,7 +247,7 @@ class Client:
         "corrupt_results", "metrics")
 
     def __init__(self, sim: Simulator, net: Network, server: ProjectServer,
-                 host: Host, record: HostRecord, rng: np.random.Generator,
+                 host: Host, record: HostRecord, rng: RandomStream,
                  input_fetcher: InputFetcher, output_policy: OutputPolicy,
                  executor: Executor,
                  config: ClientConfig | None = None) -> None:
@@ -496,8 +495,14 @@ class Client:
                 yield runtime
                 task.finished_compute_at = self.sim.now
                 task.output = self.executor.execute(self, task)
-            finally:
+            except GeneratorExit:
+                # Closed, not interrupted: the garbage collector finalising
+                # a finished run's suspended task.  Touch no model state.
+                raise
+            except BaseException:
                 self._cpu.settle(grant)
+                raise
+            self._cpu.settle(grant)
 
             task.state = TaskState.UPLOADING
             yield from self.output_policy.handle(self, task)

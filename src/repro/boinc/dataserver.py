@@ -16,10 +16,8 @@ that fail the client's checksum validation, forcing a re-download).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..net import Flow, Host, Network
-from ..sim import Simulator, Tracer
+from ..sim import RandomStream, Simulator, Tracer
 from .model import FileRef
 
 
@@ -81,7 +79,7 @@ class DataServer(FileCatalogue):
         #: Fault injection: probability a served download arrives corrupt
         #: (``corrupt_rng``, set with it, draws the dice; rate 1 draws none).
         self.corrupt_rate = 0.0
-        self.corrupt_rng: np.random.Generator | None = None
+        self.corrupt_rng: RandomStream | None = None
 
     # -- fault hooks ----------------------------------------------------------
     def _refuse(self, op: str, name: str, peer: Host) -> None:

@@ -51,7 +51,7 @@ def build_internet_cloud(seed: int, n_nodes: int, mr: bool) -> VolunteerCloud:
     for i in range(n_nodes):
         link = links[int(rng.choice(len(links), p=weights))]
         # Log-normal CPU speed spread around the pc3001 reference.
-        flops = float(rng.lognormal(mean=0.0, sigma=0.35))
+        flops = float(rng.lognormal(sigma=0.35))
         cloud.add_volunteer(f"vol{i:03d}", flops=max(0.3, flops), mr=mr,
                             link_spec=link, nat=nats[i])
     return cloud

@@ -20,7 +20,7 @@ import dataclasses
 import enum
 import typing as _t
 
-import numpy as np
+from ..sim import RandomStream
 
 
 class NatType(enum.Enum):
@@ -122,7 +122,7 @@ class ConnectivityPolicy:
     outputs); ``client`` is the peer initiating the download (a reducer).
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: RandomStream) -> None:
         """Traversal policy with its own rng for probabilistic outcomes,
         every rung of the ladder on (assign :attr:`config` to change)."""
         self.config = TraversalConfig()
@@ -171,7 +171,7 @@ class ConnectivityPolicy:
         return dict(self._methods)
 
 
-def sample_nat_population(rng: np.random.Generator, n: int,
+def sample_nat_population(rng: RandomStream, n: int,
                           mix: _t.Mapping[NatType, float] | None = None
                           ) -> list[NatBox]:
     """Draw *n* NAT boxes from a population *mix* (probabilities sum to 1).
@@ -189,13 +189,16 @@ def sample_nat_population(rng: np.random.Generator, n: int,
             NatType.FIREWALL: 0.05,
         }
     types = list(mix.keys())
-    probs = np.array([mix[t] for t in types], dtype=float)
-    if probs.min() < 0:
+    probs = [float(mix[t]) for t in types]
+    if min(probs) < 0:
         raise ValueError("mix probabilities must be non-negative")
-    total = probs.sum()
-    if not np.isclose(total, 1.0):
+    total = 0.0
+    for p in probs:
+        total += p
+    # numpy.isclose(total, 1.0)'s default tolerances: atol 1e-8, rtol 1e-5.
+    if not abs(total - 1.0) <= 1e-8 + 1e-5:
         raise ValueError(f"mix probabilities must sum to 1, got {total}")
-    draws = rng.choice(len(types), size=n, p=probs / total)
+    draws = rng.choice(len(types), size=n, p=[p / total for p in probs])
     out = []
     for i in draws:
         t = types[int(i)]

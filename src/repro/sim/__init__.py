@@ -5,7 +5,8 @@ Public surface:
 - :class:`Simulator` — the event loop and clock;
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` — waitables;
 - :class:`Process`, :class:`Interrupted` — generator-based processes;
-- :class:`RngRegistry` — named deterministic random streams;
+- :class:`RngRegistry`, :class:`RandomStream` — named deterministic random
+  streams;
 - :class:`Tracer` — structured trace recording.
 """
 
@@ -19,7 +20,7 @@ from .engine import (
 )
 from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
 from .process import Interrupted, Process
-from .rng import RngRegistry, backoff_delay, jittered
+from .rng import RandomStream, RngRegistry, backoff_delay, jittered
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Interrupted",
+    "RandomStream",
     "RngRegistry",
     "backoff_delay",
     "jittered",

@@ -19,10 +19,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from ..boinc.client import Client
-from ..sim import Simulator, Tracer
+from ..sim import RandomStream, Simulator, Tracer
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -40,15 +38,15 @@ class AvailabilityModel:
         if not 0.0 <= self.departure_prob <= 1.0:
             raise ValueError("departure_prob must be in [0, 1]")
 
-    def draw_on(self, rng: np.random.Generator) -> float:
+    def draw_on(self, rng: RandomStream) -> float:
         """Sample the next ON-period length."""
         return float(rng.exponential(self.mean_on_s))
 
-    def draw_off(self, rng: np.random.Generator) -> float:
+    def draw_off(self, rng: RandomStream) -> float:
         """Sample the next OFF-period length."""
         return float(rng.exponential(self.mean_off_s))
 
-    def periods(self, rng: np.random.Generator) -> _t.Iterator[float]:
+    def periods(self, rng: RandomStream) -> _t.Iterator[float]:
         """Alternating ON, OFF, ON, ... lengths, each drawn from *rng* only
         when asked for (so hosts sharing one stream interleave their draws
         by simulated time); a departure ends the sequence after an ON."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
+from ..sim import RandomStream
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -67,7 +67,7 @@ JITTER_H = 1.0
 
 
 def diurnal_trace(host: str, days: int, *,
-                  rng: np.random.Generator) -> AvailabilityTrace:
+                  rng: RandomStream) -> AvailabilityTrace:
     """A home-PC availability pattern: evenings on weekdays, long weekends.
 
     Weekdays are on from 18:00 for 5 hours, weekends from 09:00 to

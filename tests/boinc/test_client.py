@@ -1,6 +1,9 @@
 """Unit and integration tests for the BOINC client state machine."""
 
 import copy
+import gc
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +298,65 @@ class TestShutdown:
             clients[0].start()
         with pytest.raises(RuntimeError):
             clients[0].come_online()  # it never left
+
+
+class TestClosedTask:
+    """A run that ends leaves its tasks suspended; the garbage collector
+    later closes their generators.  That close must touch no model state:
+    it must not settle the CPU slot, hand it to the queued task, or queue
+    callbacks into a simulator nobody will run again."""
+
+    @staticmethod
+    def _mid_compute(build, pin):
+        pin(client_mod, INITIAL_STAGGER_S=0.0)
+        sim, _net, server, clients = build(n_clients=1,
+                                           client_config=ClientConfig())
+        submit(server, n=3, flops=100.0, replication=1, quorum=1)
+        start_all(server, clients)
+        sim.run(until=30.0)
+        client = clients[0]
+        assert [t.state for t in client.tasks] == [TaskState.COMPUTING,
+                                                   TaskState.WAITING_CPU]
+        return sim, client
+
+    def test_closing_a_computing_task_leaves_the_run_as_it_was(self, build,
+                                                              pin):
+        sim, client = self._mid_compute(build, pin)
+        cpu = client._cpu
+
+        def snapshot():
+            return (sim.dispatch_count, sim.pending(), repr(sim._seq),
+                    cpu.in_use, cpu.released_total, cpu.cancelled_total,
+                    len(cpu._waiters))
+
+        before = snapshot()
+        for proc in client._task_procs:
+            proc._gen.close()  # what the collector's finaliser calls
+        assert snapshot() == before
+
+    def test_a_collected_run_queues_nothing_and_raises_nothing(
+            self, build, pin, monkeypatch):
+        sim, client = self._mid_compute(build, pin)
+        drawn, unraisable = [], []
+
+        class Spy:
+            """``Simulator._seq`` that notes every key drawn."""
+
+            def __init__(self, keys):
+                self.keys = keys
+
+            def __next__(self):
+                key = next(self.keys)
+                drawn.append(key)
+                return key
+
+        sim._seq = Spy(sim._seq)
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        gens = [weakref.ref(proc._gen) for proc in client._task_procs]
+        del sim, client
+        gc.collect()
+        assert gens and all(ref() is None for ref in gens)
+        assert drawn == [] and unraisable == []
 
 
 class TestWake:

@@ -498,8 +498,10 @@ class TestFailureRecovery:
 
 #: Run in a fresh interpreter: what a ``repro campaign work`` process has
 #: loaded after :func:`~repro.campaign.cells.preload`, then the modules
-#: three cells (a Table I study cell, a scenario cell, a study cell under
-#: a chaos plan) import on top of that.
+#: six cells (a Table I study cell, a scenario cell, a study cell under a
+#: chaos plan, and the churn, PlanetLab and NAT studies, which draw
+#: exponential, lognormal and weighted-choice streams) import on top of
+#: that, and whether numpy is loaded at the end.
 _PRELOAD_PROBE = """
 import json, sys
 import repro.cli, repro.campaign
@@ -513,7 +515,11 @@ execute_cell({"kind": "scenario", "seed": 2,
               "params": {"n_nodes": 6, "n_maps": 4, "n_reducers": 2}})
 execute_cell({"kind": "study", "seed": 1, "params": row,
               "faults": "flaky-network"})
-print(json.dumps(sorted(set(sys.modules) - before)))
+for study, variant in (("churn", "churn"), ("planetlab", "planetlab_mr"),
+                       ("nat", "full_ladder")):
+    execute_cell({"kind": "study", "seed": 1,
+                  "params": {"study": study, "variant": variant}})
+print(json.dumps([sorted(set(sys.modules) - before), "numpy" in sys.modules]))
 """
 
 
@@ -523,7 +529,7 @@ class TestWarmWorker:
         proc = subprocess.run(
             [sys.executable, "-c", _PRELOAD_PROBE], capture_output=True,
             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-        assert json.loads(proc.stdout) == []
+        assert json.loads(proc.stdout) == [[], False]
 
     def test_each_worker_preloads_once_not_once_per_cell(
             self, tmp_path, monkeypatch):

@@ -10,24 +10,29 @@ from repro.sim import RngRegistry, Tracer, backoff_delay
 from repro.sim.rng import jittered
 
 
+def draws(rng, n):
+    """*n* scalar ``random()`` draws from *rng*."""
+    return [rng.random() for _ in range(n)]
+
+
 class TestRngRegistry:
     def test_same_seed_same_stream(self):
-        a = RngRegistry(42).stream("x").random(10).tolist()
-        b = RngRegistry(42).stream("x").random(10).tolist()
+        a = draws(RngRegistry(42).stream("x"), 10)
+        b = draws(RngRegistry(42).stream("x"), 10)
         assert a == b
 
     def test_different_names_independent(self):
         reg = RngRegistry(42)
-        a = reg.stream("a").random(10).tolist()
-        b = reg.stream("b").random(10).tolist()
+        a = draws(reg.stream("a"), 10)
+        b = draws(reg.stream("b"), 10)
         assert a != b
 
     def test_creation_order_irrelevant(self):
         r1 = RngRegistry(7)
         r1.stream("first")
-        x1 = r1.stream("second").random(5).tolist()
+        x1 = draws(r1.stream("second"), 5)
         r2 = RngRegistry(7)
-        x2 = r2.stream("second").random(5).tolist()
+        x2 = draws(r2.stream("second"), 5)
         assert x1 == x2
 
     def test_stream_is_cached(self):
@@ -41,8 +46,8 @@ class TestRngRegistry:
         assert a != b
 
     def test_different_seeds_differ(self):
-        a = RngRegistry(1).stream("x").random(5).tolist()
-        b = RngRegistry(2).stream("x").random(5).tolist()
+        a = draws(RngRegistry(1).stream("x"), 5)
+        b = draws(RngRegistry(2).stream("x"), 5)
         assert a != b
 
     def test_non_int_seed_rejected(self):
