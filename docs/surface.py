@@ -873,7 +873,7 @@ PINNED: dict[str, str] = {
     "gateway.client:GatewayClient.health": "bench/workloads.py",
     "gateway.client:GatewayClient.download": "bench/workloads.py",
     "gateway.client:GatewayClient.upload": "bench/workloads.py",
-    "gateway.jobs:decode_payload": "bench/workloads.py",
+    "gateway.tasks:decode_payload": "bench/workloads.py",
     "experiments.grids:table1_grid": "bench/workloads.py",
     "obs.export:chrome_trace_json": "bench/workloads.py",
     "sim.events:Timeout.__init__":

@@ -23,7 +23,12 @@ Quickstart::
     print(job.makespan())
 """
 
-from .core import CloudSpec, MapReduceJob, MapReduceJobSpec, VolunteerCloud
+from .lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.job": ("MapReduceJob", "MapReduceJobSpec"),
+    ".core.system": ("CloudSpec", "VolunteerCloud"),
+})
 
 __version__ = "1.0.0"
 

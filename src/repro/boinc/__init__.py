@@ -10,38 +10,21 @@ Public surface:
   their stock implementations.
 """
 
-from .client import (
-    Client,
-    ClientConfig,
-    ClientTask,
-    ServerInputFetcher,
-    ServerUploadPolicy,
-    TaskState,
-    download_with_retry,
-    upload_with_retry,
-)
-from .dataserver import ChecksumMismatch, DataServer, FileMissing, ServerUnavailable
-from .model import (
-    Database,
-    FileRef,
-    HostRecord,
-    OutputData,
-    Result,
-    ResultOutcome,
-    ResultState,
-    ValidateState,
-    Workunit,
-    WorkunitState,
-)
-from .server import (
-    Assignment,
-    ProjectServer,
-    ReportedResult,
-    SchedulerCore,
-    SchedulerReply,
-    SchedulerRequest,
-    ServerConfig,
-)
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("Client", "ClientConfig", "ClientTask", "ServerInputFetcher",
+                "ServerUploadPolicy", "TaskState", "download_with_retry",
+                "upload_with_retry"),
+    ".dataserver": ("ChecksumMismatch", "DataServer", "FileMissing",
+                    "ServerUnavailable"),
+    ".model": ("Database", "FileRef", "HostRecord", "OutputData", "Result",
+               "ResultOutcome", "ResultState", "ValidateState", "Workunit",
+               "WorkunitState"),
+    ".server": ("Assignment", "ProjectServer", "ReportedResult",
+                "SchedulerCore", "SchedulerReply", "SchedulerRequest",
+                "ServerConfig"),
+})
 
 __all__ = [
     "ProjectServer",

@@ -274,7 +274,7 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .gateway import LoadConfig, run_loadgen
+    from .gateway.loadgen import LoadConfig, run_loadgen
     from .wire import write_record
 
     config = LoadConfig(

@@ -15,14 +15,20 @@ Public surface:
   :class:`PeerStore`, :class:`ClientDirectory`.
 """
 
-from .config import BoincMRConfig
-from .costmodel import GREP, INVERTED_INDEX, WORD_COUNT, MapReduceCostModel
-from .executor import MapReduceExecutor
-from .interclient import PeerStore, ServedFile
-from .job import JobPhase, MapReduceJob, MapReduceJobSpec
-from .jobtracker import JobTracker
-from .policies import ClientDirectory, MapReduceInputFetcher, MapReduceOutputPolicy
-from .system import CloudSpec, VolunteerCloud
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("BoincMRConfig",),
+    ".costmodel": ("GREP", "INVERTED_INDEX", "WORD_COUNT",
+                   "MapReduceCostModel"),
+    ".executor": ("MapReduceExecutor",),
+    ".interclient": ("PeerStore", "ServedFile"),
+    ".job": ("JobPhase", "MapReduceJob", "MapReduceJobSpec"),
+    ".jobtracker": ("JobTracker",),
+    ".policies": ("ClientDirectory", "MapReduceInputFetcher",
+                  "MapReduceOutputPolicy"),
+    ".system": ("CloudSpec", "VolunteerCloud"),
+})
 
 __all__ = [
     "VolunteerCloud",

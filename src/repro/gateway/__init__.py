@@ -17,37 +17,33 @@ the simulation rather than re-implemented.
 - :mod:`repro.gateway.client` — :class:`GatewayClient` (the one HTTP
   client, blocking, with the paper's backoff) and :func:`run_volunteer`,
   the real-OS-process volunteer loop running the real engine;
+- :mod:`repro.gateway.tasks` — what both sides agree a task is: the
+  wire app names, the blob names and the job output encoding;
 - :mod:`repro.gateway.jobs` — the shared
-  :class:`~repro.core.jobtracker.JobTracker` over real bytes;
+  :class:`~repro.core.jobtracker.JobTracker` over real bytes, loaded by
+  a built :class:`GatewayServer`;
 - :mod:`repro.gateway.files` — :class:`BlobStore`, real bytes behind
   the shared :class:`~repro.boinc.dataserver.FileCatalogue` seam;
 - :mod:`repro.gateway.loadgen` — the 500-client replay harness behind
   ``repro loadgen`` and the ``BENCH_gateway.json`` p99 gate.
+
+Each name this package exports resolves from its module on first use
+(:mod:`repro.lazy`), so a volunteer imports none of the server side.
 """
 
-from .client import (
-    GatewayClient,
-    GatewayError,
-    VolunteerStats,
-    execute_task,
-    run_volunteer,
-)
-from .files import BlobStore
-from .jobs import APP_REGISTRY, GatewayJobTracker
-from .loadgen import LoadConfig, LoadReport, run_loadgen
-from .protocol import (
-    ENDPOINTS,
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    SCHEMAS,
-    checksum,
-    validate,
-)
-from .server import (
-    GatewayConfig,
-    GatewayHandle,
-    GatewayServer,
-)
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("GatewayClient", "GatewayError", "VolunteerStats",
+                "execute_task", "run_volunteer"),
+    ".files": ("BlobStore",),
+    ".jobs": ("GatewayJobTracker",),
+    ".loadgen": ("LoadConfig", "LoadReport", "run_loadgen"),
+    ".protocol": ("ENDPOINTS", "ERROR_CODES", "PROTOCOL_VERSION", "SCHEMAS",
+                  "checksum", "validate"),
+    ".server": ("GatewayConfig", "GatewayHandle", "GatewayServer"),
+    ".tasks": ("APP_REGISTRY",),
+})
 
 __all__ = [
     "APP_REGISTRY",

@@ -33,7 +33,7 @@ from ..runtime.engine import LocalRunner
 from ..sim.rng import backoff_delay
 from . import protocol
 from .framing import ReplyFramer
-from .jobs import (
+from .tasks import (
     partition_blob_name,
     reduce_blob_name,
     resolve_app,

@@ -26,57 +26,18 @@ from ..boinc.model import Result, Workunit
 from ..boinc.server import SchedulerCore
 from ..core.job import JobPhase, MapReduceJob, MapReduceJobSpec
 from ..core.jobtracker import JobTracker, TaskInput
-from ..runtime.api import MapReduceApp
-from ..runtime.apps import InvertedIndex, MatchCount, WordCount
 from ..runtime.splitter import split_text
 from ..workloads import generate_corpus
 from .files import BlobStore
 from .protocol import checksum
-
-#: Apps submittable by name over the wire (``JobRequest.app``).  A wire
-#: job carries no app parameters, so ``matchcount`` counts a fixed pattern:
-#: the words ending in ``a``, one in five of the consonant-vowel words
-#: :func:`~repro.workloads.generate_corpus` draws.
-APP_REGISTRY: dict[str, _t.Callable[[], MapReduceApp]] = {
-    "wordcount": WordCount,
-    "invindex": InvertedIndex,
-    "matchcount": lambda: MatchCount(rb"\w+a\b"),
-}
-
-
-def resolve_app(name: str) -> MapReduceApp:
-    """Instantiate a registered app by wire name (KeyError when unknown)."""
-    return APP_REGISTRY[name]()
-
-
-def chunk_blob_name(job: str, map_index: int) -> str:
-    """Blob name of one map input chunk."""
-    return f"{job}.m{map_index}.in"
-
-
-def partition_blob_name(job: str, map_index: int, reduce_index: int) -> str:
-    """Blob name of one map-output partition (map i, reducer r)."""
-    return f"{job}.m{map_index}.p{reduce_index}"
-
-
-def reduce_blob_name(job: str, reduce_index: int) -> str:
-    """Blob name of one reducer's output."""
-    return f"{job}.out{reduce_index}"
-
-
-def canonical_payload(output: dict) -> bytes:
-    """Deterministic byte encoding of a merged job output dict.
-
-    Keys are sorted by ``repr`` (the engine's stable ordering), so the
-    same logical output always pickles to the same bytes — this is what
-    the byte-equivalence gate in the load harness compares.
-    """
-    return pickle.dumps(sorted(output.items(), key=lambda kv: repr(kv[0])))
-
-
-def decode_payload(payload: bytes) -> dict:
-    """Inverse of :func:`canonical_payload`."""
-    return dict(pickle.loads(payload))
+from .tasks import (
+    APP_REGISTRY,
+    canonical_payload,
+    chunk_blob_name,
+    partition_blob_name,
+    reduce_blob_name,
+)
+from .tasks import decode_payload as decode_payload  # bench/ reads it here
 
 
 class JobSignal(threading.Event):
@@ -209,6 +170,10 @@ class GatewayJobTracker(JobTracker):
             blob = self.store.fetch(reduce_blob_name(job.spec.name, r))
             merged.update(pickle.loads(blob))
         self.outputs[job.spec.name] = canonical_payload(merged)
+
+    def states(self) -> dict[str, str]:
+        """Job name -> its ``JobStatus.state``, as ``/status`` lists them."""
+        return {name: WIRE_STATE[job.phase] for name, job in self.jobs.items()}
 
     def status(self, job: MapReduceJob) -> dict:
         """The wire ``JobStatus`` payload for *job*."""

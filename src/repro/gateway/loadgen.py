@@ -32,7 +32,7 @@ from ..runtime.engine import LocalRunner
 from ..volunteers.traces import diurnal_trace
 from ..workloads import generate_corpus
 from .client import GatewayClient, Volunteer, VolunteerStats, run_volunteer
-from .jobs import canonical_payload, resolve_app
+from .tasks import canonical_payload, resolve_app
 from .server import GatewayConfig, GatewayServer
 
 

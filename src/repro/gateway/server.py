@@ -49,7 +49,6 @@ from ..sim import Tracer
 from . import protocol
 from .files import BlobStore
 from .framing import FramingError, RequestFramer
-from .jobs import WIRE_STATE, GatewayJobTracker
 
 #: Latency buckets (seconds) for live RPC histograms: sub-millisecond to
 #: multi-second, matching what a loopback-to-WAN deployment can see.
@@ -258,6 +257,11 @@ class GatewayServer:
                                   clock=lambda: time.monotonic() - t0)
         self.store = BlobStore()
         self.core.publish_input = self.store.publish
+        # Imported here, not with this module: the job plane brings numpy
+        # (it draws corpora), which a client importing this module never
+        # needs.  Not later either: at the first POST /jobs, numpy's
+        # import (its BLAS threads start) would land inside that request.
+        from .jobs import GatewayJobTracker
         self.jobs = GatewayJobTracker(self.core, self.store)
         #: (result_id, name) -> checksum of the one upload that result
         #: made to that name (each result writes each of its names once).
@@ -623,8 +627,7 @@ class GatewayServer:
             "now": self.core.now,
             "counts": self.core.db.counts(),
             "counters": counters,
-            "jobs": {name: WIRE_STATE[job.phase]
-                     for name, job in self.jobs.jobs.items()},
+            "jobs": self.jobs.states(),
         })
 
     def _healthz(self, _arg: str, _headers: dict, _body: bytes) -> _Reply:

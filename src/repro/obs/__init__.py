@@ -12,20 +12,15 @@ The layer every perf/robustness change measures itself against:
   wall-clock engine :class:`SelfProfiler`.
 """
 
-from .export import (
-    chrome_trace_json,
-    run_summary,
-    trace_to_jsonl,
-    write_chrome_trace,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .probes import SelfProfiler, attach_standard_probes
-from .spans import Instant, Span, SpanBuilder
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".export": ("chrome_trace_json", "run_summary", "trace_to_jsonl",
+                "write_chrome_trace"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".probes": ("SelfProfiler", "attach_standard_probes"),
+    ".spans": ("Instant", "Span", "SpanBuilder"),
+})
 
 __all__ = [
     "Counter",

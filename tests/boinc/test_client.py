@@ -5,7 +5,6 @@ import gc
 import sys
 import weakref
 
-import numpy as np
 import pytest
 
 from repro.boinc import (
@@ -22,7 +21,7 @@ from repro.boinc import (
 from repro.boinc import client as client_mod
 from repro.net import EMULAB_LINK, LinkSpec, Network, SERVER_LINK
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import RngRegistry, Simulator, Tracer
 
 from .fakes import DigestExecutor, plain_boinc
 
@@ -40,8 +39,9 @@ def build(pin):
         sim = Simulator()
         net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
+        rngs = RngRegistry(seed)
         server = ProjectServer(sim, net, server_host, Tracer(),
-                               MetricsRegistry(), np.random.default_rng(seed),
+                               MetricsRegistry(), rngs.stream("server"),
                                config=server_config or ServerConfig())
         if client_config is None:
             pin(client_mod, **QUICK)
@@ -52,7 +52,7 @@ def build(pin):
             record = server.register_host(f"c{i}", flops)
             clients.append(Client(sim, net, server, host, record,
                                   config=client_config,
-                                  rng=np.random.default_rng(seed + i),
+                                  rng=rngs.stream(f"client.c{i}"),
                                   **plain_boinc(DigestExecutor())))
         return sim, net, server, clients
     return build
@@ -136,18 +136,18 @@ class TestBackoff:
         )
         from repro.sim import backoff_delay
 
-        rng = np.random.default_rng(7)
+        rng = RngRegistry(7).stream("client.c0")
         assert [backoff_delay(rng, BACKOFF_MIN_S, ClientConfig().backoff_max_s,
                               n, BACKOFF_JITTER)
                 for n in range(1, 7)] == [
-            67.50572799628002, 167.66565611634906, 306.16456565884647,
-            348.0994511954841, 480.09977094673525, 824.1320672377572]
-        rng = np.random.default_rng(7)
+            36.46155614762513, 177.2682753264459, 346.68453052493925,
+            610.2749367479229, 587.317937211088, 863.0628586453308]
+        rng = RngRegistry(7).stream("client.c0")
         assert [backoff_delay(rng, TRANSFER_BACKOFF_MIN_S,
                               TRANSFER_BACKOFF_MAX_S, n, BACKOFF_JITTER)
                 for n in range(1, 7)] == [
-            16.876431999070004, 41.916414029087264, 76.54114141471162,
-            87.02486279887103, 192.0399083786941, 412.0660336188786]
+            9.115389036906283, 44.31706883161147, 86.67113263123481,
+            152.56873418698072, 234.92717488443517, 431.5314293226654]
 
     def test_live_retry_delay_is_the_same_formula(self):
         """The live clients' 503 retry: same function, live constants,
@@ -169,8 +169,13 @@ class TestBackoff:
         backoffs = server.tracer.select("client.backoff", host="c0")
         assert len(backoffs) >= 3
         delays = [b["delay"] for b in backoffs]
-        # Roughly doubling until the cap.
-        assert delays[1] > delays[0]
+        # Doubling until the cap, each delay within its +-50% jitter band
+        # (the jitter can overturn one doubling: the first two delays here
+        # are 12.6 s and 10.3 s).
+        assert [b["count"] for b in backoffs] == list(
+            range(1, len(backoffs) + 1))
+        assert all(0.5 * base <= d <= 1.5 * base for d, base in zip(
+            delays, (min(60.0, 10.0 * 2 ** k) for k in range(len(delays)))))
         assert max(delays) <= 60.0 * 1.5 + 1e-9  # cap * (1 + jitter)
 
     def test_backoff_resets_after_work(self, build):
@@ -367,13 +372,14 @@ class TestWake:
         pin(client_mod, INITIAL_STAGGER_S=0.0, COMPUTE_JITTER=0.0)
         sim = Simulator()
         net = Network(sim, MetricsRegistry())
+        rngs = RngRegistry(0)
         server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
                                Tracer(), MetricsRegistry(),
-                               np.random.default_rng(0))
+                               rngs.stream("server"))
         far = LinkSpec(latency_s=20.0)  # a 40 s round trip
         record = server.register_host("c0", 1.0)
         client = Client(sim, net, server, net.add_host("c0", far), record,
-                        rng=np.random.default_rng(0),
+                        rng=rngs.stream("client.c0"),
                         **plain_boinc(DigestExecutor()))
         rtt = net.rtt(client.host, server.host)
         arrivals = []
@@ -433,8 +439,9 @@ class TestFailureRecovery:
         sim = Simulator()
         net = Network(sim, MetricsRegistry())
         server_host = net.add_host("server", SERVER_LINK)
+        rngs = RngRegistry(0)
         server = ProjectServer(sim, net, server_host, Tracer(),
-                               MetricsRegistry(), np.random.default_rng(0))
+                               MetricsRegistry(), rngs.stream("server"))
         pin(client_mod, INITIAL_STAGGER_S=0.0, BACKOFF_MIN_S=5.0)
         cfg = ClientConfig(backoff_max_s=20.0)
         clients = []
@@ -444,7 +451,7 @@ class TestFailureRecovery:
             executor = (ExplodingExecutor() if name == "bad"
                         else DigestExecutor())
             clients.append(Client(sim, net, server, host, record, config=cfg,
-                                  rng=np.random.default_rng(i),
+                                  rng=rngs.stream(f"client.{name}"),
                                   **plain_boinc(executor)))
         bad, good1, good2 = clients
         wu = Workunit(id=server.db.new_wu_id(), app_name="app",

@@ -2,7 +2,6 @@
 
 import copy
 
-import numpy as np
 import pytest
 
 from repro.boinc import (
@@ -18,7 +17,7 @@ from repro.boinc import client as client_mod
 from repro.boinc import server as server_mod
 from repro.net import EMULAB_LINK, Network, SERVER_LINK
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer, jittered
+from repro.sim import RngRegistry, Simulator, Tracer, jittered
 
 from .fakes import DigestExecutor, plain_boinc
 
@@ -27,8 +26,9 @@ def build(n_clients, client_config=None, server_config=None):
     sim = Simulator()
     net = Network(sim, MetricsRegistry())
     server_host = net.add_host("server", SERVER_LINK)
+    rngs = RngRegistry(0)
     server = ProjectServer(sim, net, server_host, Tracer(), MetricsRegistry(),
-                           np.random.default_rng(0),
+                           rngs.stream("server"),
                            config=server_config or ServerConfig())
     cfg = client_config or ClientConfig()
     clients = []
@@ -36,7 +36,7 @@ def build(n_clients, client_config=None, server_config=None):
         host = net.add_host(f"c{i}", EMULAB_LINK)
         record = server.register_host(f"c{i}", 1.0)
         clients.append(Client(sim, net, server, host, record, config=cfg,
-                              rng=np.random.default_rng(i),
+                              rng=rngs.stream(f"client.c{i}"),
                               **plain_boinc(DigestExecutor())))
     return sim, net, server, clients
 

@@ -1,6 +1,5 @@
 """Unit tests for the project server: scheduler, daemons, validation."""
 
-import numpy as np
 import pytest
 
 from repro.boinc import (
@@ -19,7 +18,7 @@ from repro.boinc import (
 from repro.boinc import server as server_mod
 from repro.net import Network, SERVER_LINK
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import RngRegistry, Simulator, Tracer
 
 
 @pytest.fixture
@@ -32,7 +31,8 @@ def server(sim):
     net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
     return ProjectServer(sim, net, host, Tracer(), MetricsRegistry(),
-                         np.random.default_rng(0), config=ServerConfig())
+                         RngRegistry(0).stream("server"),
+                         config=ServerConfig())
 
 
 def make_wu(server, replication=2, quorum=2, **kwargs):
@@ -163,7 +163,8 @@ class TestScheduler:
         net = Network(sim, MetricsRegistry())
         host_net = net.add_host("server", SERVER_LINK)
         server = ProjectServer(sim, net, host_net, Tracer(),
-                               MetricsRegistry(), np.random.default_rng(0))
+                               MetricsRegistry(),
+                               RngRegistry(0).stream("server"))
         for _ in range(10):
             make_wu(server, flops=1.0)
         host = server.register_host("h1", 1.0)

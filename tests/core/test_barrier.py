@@ -12,7 +12,6 @@ invariants can be checked after every step.
 import pickle
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,15 +23,15 @@ from repro.boinc.server import SchedulerCore
 from repro.core import JobPhase, MapReduceJobSpec
 from repro.core.jobtracker import JobTracker
 from repro.gateway.files import BlobStore
-from repro.gateway.jobs import (
-    GatewayJobTracker,
+from repro.gateway.jobs import GatewayJobTracker
+from repro.gateway.tasks import (
     decode_payload,
     partition_blob_name,
     reduce_blob_name,
 )
 from repro.net import SERVER_LINK, Network
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import RngRegistry, Simulator, Tracer
 
 from .test_jobtracker import force_validate
 
@@ -51,7 +50,7 @@ class Wiring:
             self.core = ProjectServer(sim, net,
                                       net.add_host("server", SERVER_LINK),
                                       Tracer(), MetricsRegistry(),
-                                      np.random.default_rng(0))
+                                      RngRegistry(0).stream("server"))
             self.store = None
             self.tracker = JobTracker(self.core, sim.event)
         else:

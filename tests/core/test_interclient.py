@@ -5,7 +5,7 @@ import pytest
 from repro.boinc import FileRef
 from repro.core import PeerStore, interclient
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator
+from repro.sim import RngRegistry, Simulator
 
 
 @pytest.fixture
@@ -98,8 +98,6 @@ class TestExpiryRaces:
         """The serving window gates *lookups*, not in-flight transfers: a
         download that called get() just inside the window completes even
         though the timeout expires while its bytes are still moving."""
-        import numpy as np
-
         from repro.net import (EMULAB_LINK, PUBLIC, ConnectivityPolicy,
                                Network, TransferEndpoint, nat, peer_download)
 
@@ -108,7 +106,7 @@ class TestExpiryRaces:
         b = net.add_host("reducer", EMULAB_LINK, nat=PUBLIC)
         src, dst = TransferEndpoint(sim, a), TransferEndpoint(sim, b)
         pin(nat, DIRECT_SETUP_S=0.0)
-        policy = ConnectivityPolicy(rng=np.random.default_rng(0))
+        policy = ConnectivityPolicy(rng=RngRegistry(0).stream("nat"))
         store.serve(FileRef("part0", 12.5e6), job="j")
 
         def reducer():

@@ -1,6 +1,5 @@
 """Unit tests for the JobTracker server module."""
 
-import numpy as np
 import pytest
 
 from repro.boinc import ProjectServer, Workunit
@@ -15,7 +14,7 @@ from repro.core import (
 from repro.core.jobtracker import JobTracker
 from repro.net import Network, SERVER_LINK
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import RngRegistry, Simulator, Tracer
 
 
 @pytest.fixture
@@ -24,7 +23,7 @@ def setup():
     net = Network(sim, MetricsRegistry())
     host = net.add_host("server", SERVER_LINK)
     server = ProjectServer(sim, net, host, Tracer(), MetricsRegistry(),
-                           np.random.default_rng(0))
+                           RngRegistry(0).stream("server"))
     tracker = JobTracker(server, sim.event, config=BoincMRConfig(
         upload_map_outputs=True))
     return sim, server, tracker

@@ -1,6 +1,5 @@
 """Unit tests for NAT modelling and the traversal ladder."""
 
-import numpy as np
 import pytest
 
 from repro.net import (
@@ -12,10 +11,11 @@ from repro.net import (
     TraversalMethod,
     sample_nat_population,
 )
+from repro.sim import RngRegistry
 
 
 def policy(seed=0, **cfg):
-    made = ConnectivityPolicy(rng=np.random.default_rng(seed))
+    made = ConnectivityPolicy(rng=RngRegistry(seed).stream("nat"))
     made.config = TraversalConfig(**cfg)
     return made
 
@@ -90,29 +90,29 @@ class TestLadder:
 
 class TestPopulation:
     def test_default_population_size_and_mix(self):
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("nats")
         pop = sample_nat_population(rng, 1000)
         assert len(pop) == 1000
         public = sum(1 for b in pop if b.accepts_inbound())
         assert 130 < public < 270  # ~20% public
 
     def test_custom_mix(self):
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("nats")
         pop = sample_nat_population(rng, 50, mix={NatType.SYMMETRIC: 1.0})
         assert all(b.nat_type is NatType.SYMMETRIC for b in pop)
 
     def test_mix_must_sum_to_one(self):
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("nats")
         with pytest.raises(ValueError):
             sample_nat_population(rng, 10, mix={NatType.NONE: 0.4})
 
     def test_negative_probability_rejected(self):
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("nats")
         with pytest.raises(ValueError):
             sample_nat_population(
                 rng, 10, mix={NatType.NONE: 1.5, NatType.SYMMETRIC: -0.5})
 
     def test_deterministic(self):
-        a = sample_nat_population(np.random.default_rng(3), 20)
-        b = sample_nat_population(np.random.default_rng(3), 20)
+        a = sample_nat_population(RngRegistry(3).stream("nats"), 20)
+        b = sample_nat_population(RngRegistry(3).stream("nats"), 20)
         assert [x.nat_type for x in a] == [x.nat_type for x in b]

@@ -1,6 +1,5 @@
 """Unit tests for semaphores, endpoints, and peer downloads."""
 
-import numpy as np
 import pytest
 
 from repro.net import (
@@ -18,7 +17,7 @@ from repro.net import (
 )
 from repro.net import nat
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator
+from repro.sim import RngRegistry, Simulator
 
 
 @pytest.fixture
@@ -35,7 +34,7 @@ def net(sim):
 def make_policy(pin):
     """``make_policy(seed)``: the full ladder, its direct rung free."""
     pin(nat, DIRECT_SETUP_S=0.0)
-    return lambda seed=0: ConnectivityPolicy(rng=np.random.default_rng(seed))
+    return lambda seed=0: ConnectivityPolicy(rng=RngRegistry(seed).stream("nat"))
 
 
 class TestSimSemaphore:
@@ -99,7 +98,7 @@ class TestPeerDownload:
     def test_traversal_failure_raises(self, sim, net):
         sym = NatBox(nat_type=NatType.SYMMETRIC)
         src, dst = self.make_pair(sim, net, src_nat=sym, dst_nat=sym)
-        policy = ConnectivityPolicy(rng=np.random.default_rng(0))
+        policy = ConnectivityPolicy(rng=RngRegistry(0).stream("nat"))
         policy.config = TraversalConfig(enable_relay=False,
                                         enable_hole_punch=False,
                                         enable_reversal=False)

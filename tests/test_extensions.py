@@ -1,7 +1,6 @@
 """Tests for the future-work extensions: supernode overlay and adaptive
 replication."""
 
-import numpy as np
 import pytest
 
 from repro.boinc import ProjectServer, ServerConfig
@@ -23,7 +22,7 @@ from repro.net import (
     elect_supernodes,
 )
 from repro.obs import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import RngRegistry, Simulator, Tracer
 
 from .test_properties_more import replayed_loads
 
@@ -179,7 +178,7 @@ class TestAdaptiveReplication:
         net = Network(sim, MetricsRegistry())
         server = ProjectServer(sim, net, net.add_host("s", EMULAB_LINK),
                                Tracer(), MetricsRegistry(),
-                               np.random.default_rng(0))
+                               RngRegistry(0).stream("server"))
         wu = server.submit_workunit(Workunit(
             id=server.db.new_wu_id(), app_name="a",
             input_files=(FileRef("in", 1.0),), flops=1.0,

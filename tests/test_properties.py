@@ -7,7 +7,6 @@ pipeline, and soundness of quorum validation.
 
 import collections
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +182,7 @@ def test_quorum_never_validates_minority(digests, quorum):
     net = Network(sim, MetricsRegistry())
     server = ProjectServer(sim, net, net.add_host("server", SERVER_LINK),
                            Tracer(), MetricsRegistry(),
-                           np.random.default_rng(0))
+                           RngRegistry(0).stream("server"))
     wu = server.submit_workunit(Workunit(
         id=server.db.new_wu_id(), app_name="a",
         input_files=(FileRef("in", 1.0),), flops=1.0,

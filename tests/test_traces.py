@@ -1,6 +1,5 @@
 """Tests for availability-trace replay."""
 
-import numpy as np
 import pytest
 
 from repro.boinc.server import ServerConfig
@@ -11,6 +10,7 @@ from repro.core import (
     MapReduceJobSpec,
     VolunteerCloud,
 )
+from repro.sim import RngRegistry
 from repro.volunteers import ChurnController
 from repro.volunteers import traces
 from repro.volunteers.traces import AvailabilityTrace, diurnal_trace
@@ -53,13 +53,13 @@ class TestPeriods:
 
 class TestDiurnal:
     def test_one_interval_per_day(self):
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("diurnal")
         tr = diurnal_trace("h", days=14, rng=rng)
         assert len(tr.intervals) == 14
 
     def test_weekends_longer(self, pin):
         pin(traces, JITTER_H=0.0)
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("diurnal")
         tr = diurnal_trace("h", days=14, rng=rng)
         lengths = [e - s for s, e in tr.intervals]
         weekday = lengths[0]
@@ -67,13 +67,13 @@ class TestDiurnal:
         assert weekend > weekday
 
     def test_deterministic(self):
-        a = diurnal_trace("h", 7, rng=np.random.default_rng(3))
-        b = diurnal_trace("h", 7, rng=np.random.default_rng(3))
+        a = diurnal_trace("h", 7, rng=RngRegistry(3).stream("diurnal"))
+        b = diurnal_trace("h", 7, rng=RngRegistry(3).stream("diurnal"))
         assert a.intervals == b.intervals
 
     def test_invalid_days(self):
         with pytest.raises(ValueError):
-            diurnal_trace("h", 0, rng=np.random.default_rng(0))
+            diurnal_trace("h", 0, rng=RngRegistry(0).stream("diurnal"))
 
 
 class TestTraceReplay(ChurnCases):

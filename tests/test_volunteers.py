@@ -1,6 +1,7 @@
 """Unit and integration tests for availability/churn modelling."""
 
-import numpy as np
+import statistics
+
 import pytest
 
 from repro.core import (
@@ -11,6 +12,7 @@ from repro.core import (
     VolunteerCloud,
 )
 from repro.boinc.server import ServerConfig
+from repro.sim import RngRegistry
 from repro.volunteers import AvailabilityModel, ChurnController
 
 
@@ -25,18 +27,18 @@ class TestAvailabilityModel:
 
     def test_draws_positive_and_seeded(self):
         model = AvailabilityModel(mean_on_s=100.0, mean_off_s=10.0)
-        rng = np.random.default_rng(0)
+        rng = RngRegistry(0).stream("churn")
         draws = [model.draw_on(rng) for _ in range(100)]
         assert all(d >= 0 for d in draws)
-        assert np.mean(draws) == pytest.approx(100.0, rel=0.5)
-        rng2 = np.random.default_rng(0)
+        assert statistics.mean(draws) == pytest.approx(100.0, rel=0.5)
+        rng2 = RngRegistry(0).stream("churn")
         assert model.draw_on(rng2) == pytest.approx(draws[0])
 
     def test_periods_draw_lazily_in_stream_order(self):
         """ON length, permanence, OFF length — each only when asked for, so
         hosts sharing one stream interleave their draws by simulated time."""
         model = AvailabilityModel(mean_on_s=100.0, mean_off_s=10.0)
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        rng, twin = RngRegistry(3).stream("churn"), RngRegistry(3).stream("churn")
         a, b = model.periods(rng), model.periods(rng)
         assert next(a) == model.draw_on(twin)
         assert next(b) == model.draw_on(twin)
@@ -47,7 +49,7 @@ class TestAvailabilityModel:
 
     def test_certain_departure_ends_after_one_on_period(self):
         model = AvailabilityModel(departure_prob=1.0)
-        assert len(list(model.periods(np.random.default_rng(0)))) == 1
+        assert len(list(model.periods(RngRegistry(0).stream("churn")))) == 1
 
 
 def churn_cloud(seed=1):
