@@ -21,9 +21,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".model": ("Database", "FileRef", "HostRecord", "OutputData", "Result",
                "ResultOutcome", "ResultState", "ValidateState", "Workunit",
                "WorkunitState"),
-    ".server": ("Assignment", "ProjectServer", "ReportedResult",
-                "SchedulerCore", "SchedulerReply", "SchedulerRequest",
-                "ServerConfig"),
+    ".project": ("ProjectServer",),
+    ".server": ("Assignment", "ReportedResult", "SchedulerCore",
+                "SchedulerReply", "SchedulerRequest", "ServerConfig"),
 })
 
 __all__ = [

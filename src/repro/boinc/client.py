@@ -42,7 +42,8 @@ from ..sim import (
 from ..net.transfer import SimSemaphore
 from .dataserver import ChecksumMismatch, ServerUnavailable
 from .model import FileRef, HostRecord, OutputData
-from .server import Assignment, ProjectServer, ReportedResult, SchedulerRequest
+from .project import ProjectServer
+from .server import Assignment, ReportedResult, SchedulerRequest
 
 
 @dataclasses.dataclass(slots=True)

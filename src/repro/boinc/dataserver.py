@@ -16,9 +16,13 @@ that fail the client's checksum validation, forcing a re-download).
 
 from __future__ import annotations
 
-from ..net import Flow, Host, Network
-from ..sim import RandomStream, Simulator, Tracer
+import typing as _t
+
 from .model import FileRef
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..net import Flow, Host, Network
+    from ..sim import RandomStream, Simulator, Tracer
 
 
 class FileMissing(KeyError):

@@ -1,4 +1,4 @@
-"""The BOINC project server: scheduler RPC handler + back-end daemons.
+"""The BOINC project server's state machine: scheduler RPC handler + daemons.
 
 This mirrors the server-side architecture the paper modified (BOINC server
 6.11): a *scheduler* answers client RPCs (reports in, work out — strictly
@@ -9,11 +9,10 @@ scheduler, a *transitioner* drives workunit/result state transitions
 *assimilator* hands validated work to project code (for BOINC-MR, the
 JobTracker in :mod:`repro.core`).
 
-The daemons are simulation processes polling the database on configurable
-periods — these periods are *load-bearing* for the paper's results: the
-dead time between the last map report and the first reduce assignment is
-exactly one transitioner + validator + assimilator + feeder pipeline delay,
-during which clients keep backing off (Section IV.B).
+:class:`SchedulerCore` is that machine with no transport: it imports
+neither the simulator's event kernel nor the flow network, so the live
+gateway loads none of them.  The simulated front end,
+:class:`repro.boinc.project.ProjectServer`, is a module of its own.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..net import Host, Network, SimSemaphore
-from ..sim import Event, Simulator, Tracer, jittered
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import MetricsRegistry
-from .dataserver import DataServer, ServerUnavailable
+from .dataserver import ServerUnavailable
 from .model import (
     Database,
     FileRef,
@@ -39,6 +33,10 @@ from .model import (
     Workunit,
     WorkunitState,
 )
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import MetricsRegistry
+    from ..sim.trace import Tracer
 
 
 #: Daemon polling periods (seconds), in pipeline order.  BOINC defaults
@@ -145,8 +143,8 @@ class SchedulerCore:
     ``clock`` callable and ``rng``, so the same state machine serves two
     front ends:
 
-    - :class:`ProjectServer` drives it on simulated time (``sim.now``)
-      behind the simulated RPC gate;
+    - :class:`repro.boinc.project.ProjectServer` drives it on simulated
+      time (``sim.now``) behind the simulated RPC gate;
     - :class:`repro.gateway.GatewayServer` drives it on wall-clock time
       behind a live asyncio HTTP listener.
 
@@ -574,121 +572,3 @@ class SchedulerCore:
             if r.validate_state is ValidateState.VALID and r.host_id is not None:
                 out.append(self.db.hosts[r.host_id])
         return out
-
-
-class ProjectServer(SchedulerCore):
-    """The simulated project server: :class:`SchedulerCore` on sim time.
-
-    Adds the simulation transport around the shared state machine: the
-    scheduler RPC gate (a :class:`SimSemaphore` modelling bounded RPC
-    concurrency plus per-request processing delay), the
-    :class:`~repro.boinc.dataserver.DataServer` over the flow network, the
-    daemon polling processes, and the crash/stall fault hooks.
-    """
-
-    def __init__(self, sim: Simulator, net: Network, host: Host,
-                 tracer: Tracer, metrics: "MetricsRegistry", rng,
-                 config: ServerConfig | None = None) -> None:
-        """Stand up the server (database, daemons, RPC gate) on *host*."""
-        super().__init__(tracer, metrics, rng, lambda: sim.now,
-                         config=config)
-        self.sim = sim
-        self.net = net
-        self.host = host
-        self.dataserver = DataServer(sim, net, host, self.tracer)
-        self.publish_input = self.dataserver.publish
-        self._rpc_slots = SimSemaphore(sim, RPC_CAPACITY, name="sched")
-        self._daemons_started = False
-        self._daemon_procs: dict[str, _t.Any] = {}
-        #: Fault injection: daemon name -> sim time until which its passes
-        #: are skipped (the process stays alive, it just does no work —
-        #: a hung MySQL query, not a dead daemon).
-        self._stalled_until: dict[str, float] = {}
-
-    # -- lifecycle ---------------------------------------------------------------
-    def start_daemons(self) -> None:
-        """Spawn feeder/transitioner/validator/assimilator polling loops."""
-        if self._daemons_started:
-            raise RuntimeError("daemons already started")
-        self._daemons_started = True
-        for name, period in DAEMON_PERIOD_S.items():
-            fn = getattr(self, f"_{name}_pass")
-            self._daemon_procs[name] = self.sim.process(
-                self._poll_loop(name, fn, period), name=name)
-
-    def _poll_loop(self, name: str, fn: _t.Callable[[], None],
-                   period: float) -> _t.Generator:
-        while True:
-            if self.sim.now >= self._stalled_until.get(name, 0.0):
-                fn()
-            yield period
-
-    # -- fault hooks ----------------------------------------------------------
-    def stall_daemon(self, name: str, duration: float) -> None:
-        """Make daemon *name* skip its passes for *duration* seconds."""
-        if name not in self._daemon_procs:
-            raise KeyError(f"no such daemon {name!r}")
-        self._stalled_until[name] = self.sim.now + duration
-        self.tracer.record(self.sim.now, "server.daemon_stalled", daemon=name,
-                           duration=duration)
-
-    def crash(self) -> None:
-        """Hard-stop the server: refuse RPCs, kill daemons, drop the feeder
-        cache (shared memory is gone).  The database survives — BOINC state
-        is durable in MySQL — so :meth:`restore` resumes where it left off.
-        """
-        if not self.available:
-            return
-        self.available = False
-        self.dataserver.available = False
-        for proc in self._daemon_procs.values():
-            if proc.alive:
-                proc.interrupt("server crash")
-        self._daemon_procs.clear()
-        self._stalled_until.clear()
-        self._daemons_started = False
-        self._feeder_visible = set()
-        self.tracer.record(self.sim.now, "server.crash")
-
-    def restore(self) -> None:
-        """Bring a crashed server back: daemons restart, RPCs accepted."""
-        if self.available:
-            return
-        self.available = True
-        self.dataserver.available = True
-        self.start_daemons()
-        self.tracer.record(self.sim.now, "server.restore")
-
-    # -- scheduler RPC (simulated transport) -----------------------------------
-    def scheduler_rpc(self, request: SchedulerRequest) -> Event:
-        """One scheduler RPC: an event that fires with the SchedulerReply
-        after a jittered service delay in one of :data:`RPC_CAPACITY` slots, or
-        fails with :class:`ServerUnavailable` while the server is down.  A
-        caller that stops waiting (churn) does not cancel the server side.
-        """
-        reply = self.sim.event()
-        if not self.available:
-            self.metrics.counter("sched.refused_total").inc()
-            return reply.fail(ServerUnavailable("scheduler is down"))
-        grant = self._rpc_slots.acquire()
-
-        def serve(_grant: Event | None = None) -> None:
-            # A crash may land while this RPC is queued for a slot.
-            if not self.available:
-                self._rpc_slots.settle(grant)
-                reply.fail(ServerUnavailable("scheduler crashed mid-request"))
-                return
-            self.sim.schedule(jittered(self.rng, RPC_PROCESS_S, 0.2), finish)
-
-        def finish() -> None:
-            self._rpc_slots.settle(grant)
-            try:
-                reply.trigger(self._handle_rpc_now(request))
-            except Exception as exc:  # noqa: BLE001 - the caller's to see
-                reply.fail(exc)
-
-        if grant.triggered:  # a free slot: no grant wake-up
-            serve()
-        else:
-            grant.add_callback(serve)
-        return reply

@@ -30,7 +30,8 @@ import dataclasses
 import typing as _t
 
 from ..boinc.client import Client, ClientConfig
-from ..boinc.server import ProjectServer, ServerConfig
+from ..boinc.project import ProjectServer
+from ..boinc.server import ServerConfig
 from ..net import (
     EMULAB_LINK,
     ConnectivityPolicy,

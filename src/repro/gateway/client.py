@@ -2,7 +2,7 @@
 
 :class:`GatewayClient` is the live transport that swaps in for the
 simulated comm gate: the same pull-protocol verbs the simulated client
-performs against :class:`repro.boinc.server.ProjectServer` — register,
+performs against :class:`repro.boinc.project.ProjectServer` — register,
 scheduler RPC with piggybacked reports, checksum-verified download,
 upload — issued as HTTP/1.1 on one keep-alive TCP socket that the client
 frames itself: a request, or a task's pipelined batch, goes out in one

@@ -249,7 +249,7 @@ class GatewayServer:
         # Nothing on the gateway reads the records back: count every kind
         # and serve taps, store none (a server runs for days).  The rng is
         # never drawn: the gateway runs no adaptive replication and no
-        # simulated RPC, so a stdlib stream spares importing numpy.random.
+        # simulated RPC, so a stdlib stream does.
         self.core = SchedulerCore(config=self.config.server_config(),
                                   tracer=Tracer(keep=lambda kind: False),
                                   metrics=self.metrics,
@@ -258,9 +258,10 @@ class GatewayServer:
         self.store = BlobStore()
         self.core.publish_input = self.store.publish
         # Imported here, not with this module: the job plane brings numpy
-        # (it draws corpora), which a client importing this module never
-        # needs.  Not later either: at the first POST /jobs, numpy's
-        # import (its BLAS threads start) would land inside that request.
+        # and numpy.random (it draws corpora), which a client importing
+        # this module never needs.  Not later either: at the first
+        # POST /jobs, their import (numpy's BLAS threads start) would
+        # land inside that request.
         from .jobs import GatewayJobTracker
         self.jobs = GatewayJobTracker(self.core, self.store)
         #: (result_id, name) -> checksum of the one upload that result

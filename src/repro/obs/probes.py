@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..sim import Simulator
-from ..sim.process import Process
 from .metrics import MetricsRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.system import VolunteerCloud
     from ..gateway.server import GatewayServer
+    from ..sim import Simulator
 
 
 def attach_standard_probes(cloud: "VolunteerCloud") -> MetricsRegistry:
@@ -132,6 +131,10 @@ class SelfProfiler:
         """Create the profiler and hook *sim*'s dispatch loop."""
         if sim.dispatch_hook is not None:
             raise RuntimeError("simulator already has a dispatch hook")
+        # Bound here, not with this module: the live gateway imports the
+        # module for its probes and runs no simulated process.
+        from ..sim.process import Process
+        self._process = Process
         self.totals: dict[str, list[float]] = {}  # kind -> [count, seconds]
         sim.dispatch_hook = self._observe
 
@@ -142,10 +145,9 @@ class SelfProfiler:
         entry[0] += 1
         entry[1] += elapsed
 
-    @staticmethod
-    def _classify(fn: _t.Callable[..., None]) -> str:
+    def _classify(self, fn: _t.Callable[..., None]) -> str:
         owner = getattr(fn, "__self__", None)
-        if isinstance(owner, Process):
+        if isinstance(owner, self._process):
             name = owner.name or "process"
             return f"process:{name.split(':', 1)[0]}"
         if owner is not None:

@@ -10,18 +10,17 @@ Public surface:
 - :class:`Tracer` — structured trace recording.
 """
 
-from .engine import (
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    SimulationError,
-    Simulator,
-    TimerHandle,
-)
-from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
-from .process import Interrupted, Process
-from .rng import RandomStream, RngRegistry, backoff_delay, jittered
-from .trace import TraceRecord, Tracer
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".engine": ("PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NORMAL",
+                "SimulationError", "Simulator", "TimerHandle"),
+    ".events": ("AllOf", "AnyOf", "Event", "EventAlreadyTriggered",
+                "Timeout"),
+    ".process": ("Interrupted", "Process"),
+    ".rng": ("RandomStream", "RngRegistry", "backoff_delay", "jittered"),
+    ".trace": ("TraceRecord", "Tracer"),
+})
 
 __all__ = [
     "Simulator",

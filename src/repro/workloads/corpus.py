@@ -21,6 +21,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+# With this module, not on the first draw: a built gateway server holds
+# its job plane, so no request to it imports a module.
+from numpy.random import default_rng
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
@@ -95,7 +98,7 @@ def generate_corpus(target_bytes: int, *, seed: int = 0) -> bytes:
         raise ValueError("target_bytes must be >= 1")
     if words_per_line < 1:
         raise ValueError("WORDS_PER_LINE must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     vocab = make_vocabulary(vocabulary_size, rng)
     # What rng.choice(vocabulary_size, p=weights) builds on every call.
     cdf = zipf_weights(vocabulary_size, zipf_s).cumsum()

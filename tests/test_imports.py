@@ -1,9 +1,10 @@
 """What a process imports: each side of the gateway loads only its own.
 
 The package namespaces resolve their exports on first use
-(:mod:`repro.lazy`), a volunteer imports none of the server side, and a
-built :class:`~repro.gateway.GatewayServer` has loaded what its requests
-run, so none of them pays an import.  Each footprint is read in a fresh
+(:mod:`repro.lazy`), a volunteer imports none of the server side, no live
+process imports the simulator, and a built
+:class:`~repro.gateway.GatewayServer` has loaded what its requests run,
+so none of them pays an import.  Each footprint is read in a fresh
 interpreter.
 """
 
@@ -21,12 +22,40 @@ import repro
 SRC = str(pathlib.Path(repro.__file__).parent.parent)
 
 #: The packages whose ``__init__`` resolves each export on first use.
-LAZY = ("repro", "repro.core", "repro.boinc", "repro.obs", "repro.gateway")
+LAZY = ("repro", "repro.core", "repro.boinc", "repro.obs", "repro.gateway",
+        "repro.sim")
 
 #: What a client of the gateway must not load: the server's job plane and
 #: numpy with it, the load generator, the simulator and its observability.
 SERVER_SIDE = ("numpy", "repro.gateway.jobs", "repro.gateway.loadgen",
                "repro.core.system", "repro.boinc.client", "repro.obs.spans")
+
+#: The simulator's event kernel and flow network, which the scheduler
+#: core and every live process do without (module-name prefixes).
+SIMULATOR = ("repro.net", "repro.sim.engine", "repro.sim.events",
+             "repro.sim.process")
+
+#: What each live process imports before it does anything: the scheduler
+#: core alone, ``repro serve`` with its server built, the benchmark's
+#: load generator and a volunteer (``repro volunteer``).
+LIVE = {
+    "core": "import repro.boinc.server",
+    "serve": "import repro.cli\n"
+             "from repro.gateway import GatewayConfig, GatewayServer\n"
+             "GatewayServer(GatewayConfig())",
+    "loadgen": "from repro.gateway import GatewayClient, GatewayServer, "
+               "GatewayError, protocol, run_volunteer",
+    "volunteer": "import repro.cli\n"
+                 "from repro.gateway import GatewayClient, run_volunteer",
+}
+
+#: Prints the :data:`SIMULATOR` modules loaded once ``{code}`` has run.
+_LOADS = f"""
+import json, sys
+{{code}}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith({SIMULATOR!r}))))
+"""
 
 #: Prints the repro modules a volunteer's imports load outside the
 #: client side, then the :data:`SERVER_SIDE` modules loaded once the
@@ -44,7 +73,7 @@ print(json.dumps([volunteer,
 #: Every ``protocol.ENDPOINTS`` path served once by an in-thread server,
 #: the first ``POST /jobs`` among them; prints what the server had loaded
 #: once built, the modules the requests added, the package names they
-#: resolved and the paths served.
+#: resolved, the paths served and the :data:`SIMULATOR` modules loaded.
 _SERVED = f"""
 import json, socket, sys, threading, time
 from repro.gateway import GatewayClient, GatewayServer, protocol, run_volunteer
@@ -59,7 +88,8 @@ for path, (handler, _family) in server_module._HANDLERS.items():
     setattr(GatewayServer, handler, wrapped)
 
 handle = GatewayServer.in_thread()
-built = ["numpy" in sys.modules, "repro.gateway.jobs" in sys.modules]
+built = [m in sys.modules for m in ("numpy", "numpy.random",
+                                   "repro.gateway.jobs")]
 client = GatewayClient(handle.address)
 host, port = handle.address.rsplit(":", 1)
 socket.getaddrinfo(host, int(port))  # imports the host-name codec
@@ -88,17 +118,9 @@ added = sorted(set(sys.modules) - before)
 client.close()
 handle.close()
 print(json.dumps([built, added, resolved, sorted(served),
-                  sorted(ep.path for ep in protocol.ENDPOINTS)]))
-"""
-
-#: The modules numpy itself imports the first time a stream is drawn
-#: (``numpy.random`` is loaded on first use, as these namespaces are).
-_NUMPY_RANDOM = """
-import json, sys
-import numpy
-before = set(sys.modules)
-numpy.random.default_rng(0)
-print(json.dumps(sorted(set(sys.modules) - before)))
+                  sorted(ep.path for ep in protocol.ENDPOINTS),
+                  sorted(m for m in sys.modules
+                         if m.startswith({SIMULATOR!r}))]))
 """
 
 
@@ -114,17 +136,21 @@ def test_a_client_imports_none_of_the_server_side():
     assert _fresh(_CLIENT) == [[], []]
 
 
+@pytest.mark.parametrize("process", LIVE)
+def test_a_live_process_imports_no_simulator(process):
+    assert _fresh(_LOADS.format(code=LIVE[process])) == []
+
+
 def test_a_built_server_serves_every_endpoint_without_importing():
-    """The job plane loads with the server, so no request imports a repro
-    module or numpy.  The one thing the first corpus loads is numpy's own
-    ``numpy.random``, which a built server does not hold (see
-    ``test_the_core_draws_from_a_stdlib_stream``)."""
-    built, added, resolved, served, endpoints = _fresh(_SERVED)
-    assert built == [True, True]
+    """The job plane loads with the server, ``numpy.random`` with it (the
+    corpus generator draws from it), so no request imports a module, and
+    a server that has served every endpoint holds no simulator."""
+    built, added, resolved, served, endpoints, simulator = _fresh(_SERVED)
+    assert built == [True, True, True]
+    assert added == []
     assert resolved == []
     assert served == endpoints
-    assert "numpy.random" in added
-    assert set(added) <= set(_fresh(_NUMPY_RANDOM))
+    assert simulator == []
 
 
 @pytest.mark.parametrize("package", LAZY)
