@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Size of the program's surface, counted the same way for every PR.
 
-Prints ``src/`` Python lines, the ``src`` modules none of whose
+Prints ``src/`` Python lines and their ceiling
+:data:`SRC_LINES_CEILING`, the ``src`` modules none of whose
 functions :data:`ENTRY_POINTS` call, the ``src`` functions none of them
 enter and how many of those :data:`PINNED` keeps, the fields ``src``
 stores and never reads and how many of those :data:`FIELD_PINS` keeps,
@@ -25,7 +26,8 @@ instead of a hand count::
                                       # pinned, an unused import, a stale
                                       # pin, a config or spec field or
                                       # parameter with one value in use
-                                      # not pinned or a never-used flag
+                                      # not pinned, a never-used flag or
+                                      # src lines above their ceiling
                                       # (the CI gate)
 """
 
@@ -61,6 +63,26 @@ USED_IN = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/protocol.md",
            ".github", ".claude", "tests", "bench", "benchmarks", "examples")
 #: Deployment addresses stay configurable whether or not a recipe sets them.
 DEPLOYMENT_FLAGS = ("--host", "--bind")
+#: The most ``src`` Python lines ``--check`` allows: a change that grows
+#: ``src`` past it raises this pin in its own diff and says why.
+SRC_LINES_CEILING = 15_499
+
+
+def src_lines() -> int:
+    """``src``'s Python lines, blank lines and comments included."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in SRC.rglob("*.py"))
+
+
+def ceiling_problems(lines: int,
+                     ceiling: int = SRC_LINES_CEILING) -> list[str]:
+    """One line if *lines* is above *ceiling* (default
+    :data:`SRC_LINES_CEILING`)."""
+    if lines <= ceiling:
+        return []
+    return [f"src python lines: {lines}, above the pinned ceiling "
+            f"{ceiling}: raise SRC_LINES_CEILING in the same diff and say "
+            "why"]
 
 
 def option_classes() -> dict[str, type]:
@@ -1208,12 +1230,13 @@ if __name__ == "__main__":
     problems += unread_problems(unread)
     imports = unused_imports()
     problems += import_problems(imports)
+    lines = src_lines()
+    problems += ceiling_problems(lines)
 
     from repro.cli import build_parser
 
     classes = option_classes()
-    print("src python lines:   ", sum(len(p.read_bytes().splitlines())
-                                      for p in SRC.rglob("*.py")))
+    print("src python lines:   ", lines, f"(ceiling {SRC_LINES_CEILING})")
     print("src modules no entry point reaches:", len(unreached), *unreached)
     print("src functions no entry point reaches:", len(dead),
           f"(pinned {sum(name in PINNED for name in dead)})")
@@ -1266,5 +1289,6 @@ if __name__ == "__main__":
                                       or value_problems or unused):
         sys.exit("surface: a module, a function, a field, an import or a "
                  "flag nothing uses, a parameter no body reads, a config "
-                 "field, spec field or parameter with one value in use, or "
-                 "a stale pin (see above)")
+                 "field, spec field or parameter with one value in use, "
+                 "src lines above their ceiling, or a stale pin (see "
+                 "above)")

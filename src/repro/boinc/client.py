@@ -349,7 +349,7 @@ class Client:
         me = self._main_proc
         # Desynchronise initial contact: real volunteers never start in
         # lockstep, and a deterministic stagger keeps runs reproducible.
-        stagger = float(self.rng.uniform(0.0, INITIAL_STAGGER_S))
+        stagger = self.rng.uniform(0.0, INITIAL_STAGGER_S)
         if stagger > 0:
             yield stagger
         sim, config = self.sim, self.config

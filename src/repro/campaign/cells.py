@@ -105,10 +105,8 @@ def preload() -> None:
 
     That is the executors' :mod:`repro.experiments`, the cell's
     :mod:`repro.core.system`, the :mod:`repro.faults` that
-    :meth:`~repro.core.VolunteerCloud.audit` loads, and the
-    :mod:`repro.sim.ziggurat` tables a stream loads on its first
-    exponential or lognormal draw (the ``churn`` and ``planetlab``
-    studies make them).  A
+    :meth:`~repro.core.VolunteerCloud.audit` loads (and, with them, the
+    :mod:`statistics` a stream loads on its first lognormal draw).  A
     :class:`~repro.campaign.worker.CampaignWorker` calls it once, before
     its first lease, so every cell child it forks inherits them instead of
     importing them again.  Not done at ``import repro.campaign``: the
@@ -116,7 +114,6 @@ def preload() -> None:
     """
     from .. import experiments, faults  # noqa: F401
     from ..core import system  # noqa: F401
-    from ..sim import ziggurat  # noqa: F401
 
 
 def execute_cell(spec: _t.Mapping[str, _t.Any]) -> dict[str, _t.Any]:

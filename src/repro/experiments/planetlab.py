@@ -49,9 +49,9 @@ def build_internet_cloud(seed: int, n_nodes: int, mr: bool) -> VolunteerCloud:
     nats = sample_nat_population(rngs.stream("nats"), n_nodes)
     links, weights = zip(*LINK_MIX)
     for i in range(n_nodes):
-        link = links[int(rng.choice(len(links), p=weights))]
+        link = links[rng.choice(len(links), p=weights)]
         # Log-normal CPU speed spread around the pc3001 reference.
-        flops = float(rng.lognormal(sigma=0.35))
+        flops = rng.lognormal(sigma=0.35)
         cloud.add_volunteer(f"vol{i:03d}", flops=max(0.3, flops), mr=mr,
                             link_spec=link, nat=nats[i])
     return cloud

@@ -8,11 +8,14 @@ identical across runs and across machines.
 
 A stream is a :class:`RandomStream`: numpy's ``SeedSequence`` mixing and
 ``PCG64`` generator, and exactly the draws the model makes, in pure
-Python.  Each draw returns the value, and leaves the state, that
+Python.  Every draw but two returns the value, and leaves the state, that
 ``numpy.random.default_rng(SeedSequence(seed, spawn_key=(crc32(name),)))``
-would (``tests/sim/test_rng.py`` checks this against numpy).  So a
-simulated run imports no numpy, and its traces depend on this module, not
-on the algorithms of whichever numpy is installed.
+would (``tests/sim/test_rng.py`` checks this against numpy).  The two are
+``exponential`` and ``lognormal``: each inverts the distribution's CDF at
+one 64-bit output, where numpy runs a table-driven rejection sampler; the
+model is the distribution, not numpy's sampling algorithm.  So a simulated run imports
+no numpy, and its traces depend on this module, not on the algorithms of
+whichever numpy is installed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: A 53-bit integer times this is a double in [0, 1).
 _TWO_M53 = 1.0 / 9007199254740992.0
+#: A 52-bit integer plus one half, times this, is a double in (0, 1).
+_TWO_M52 = 2.0 ** -52
 #: numpy's ``choice(p=...)`` tolerance on the weights' sum.
 _P_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
 
@@ -122,18 +127,14 @@ def _pcg64_seed(entropy: int, key: int) -> tuple[int, int]:
     return (state * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _tables() -> _t.Any:
-    """The ziggurat tables, imported on the first draw that needs them."""
-    from . import ziggurat
-    return ziggurat
-
-
 class RandomStream:
     """One named stream: numpy's PCG64 and the draws the model makes.
 
-    Every draw is bit-identical to the same call on a
-    ``numpy.random.Generator`` over the same PCG64 state, and leaves the
-    same state (:attr:`state`).  A draw not defined here raises
+    Every draw but :meth:`exponential` and :meth:`lognormal` is
+    bit-identical to the same call on a ``numpy.random.Generator`` over
+    the same PCG64 state, and leaves the same state (:attr:`state`).
+    Those two invert their CDF at one 64-bit output each, so they leave
+    the state one ``random()`` would.  A draw not defined here raises
     ``AttributeError``, and a form of :meth:`choice` not defined here
     raises ``NotImplementedError``: no draw falls back to numpy.
     """
@@ -295,60 +296,31 @@ class RandomStream:
                 m = self._next32() * span
         return m >> 32
 
-    def _next_double(self) -> float:
-        return (self._next64() >> 11) * _TWO_M53
-
     def exponential(self, scale: float = 1.0) -> float:
-        """*scale* times a standard exponential from numpy's ziggurat."""
+        """*scale* times a standard exponential, drawn by inversion.
+
+        ``-scale * log1p(-u)``, *u* the double :meth:`random` would draw.
+        """
         if scale < 0:
             raise ValueError("scale < 0")
-        z = _tables()
-        while True:
-            ri = self._next64() >> 3
-            idx = ri & 0xFF
-            ri >>= 8
-            x = ri * z.WE[idx]
-            if ri < z.KE[idx]:
-                break
-            if idx == 0:
-                # The tail, from 1 - U so that log never sees 0.
-                x = z.EXP_R - math.log1p(-self._next_double())
-                break
-            if ((z.FE[idx - 1] - z.FE[idx]) * self._next_double() + z.FE[idx]
-                    < math.exp(-x)):
-                break
-        return scale * x
+        u = (self._next64() >> 11) * _TWO_M53
+        return -scale * math.log1p(-u)
 
     def lognormal(self, sigma: float = 1.0) -> float:
-        """``exp(sigma * N)``, N a standard normal from numpy's ziggurat:
-        numpy's ``lognormal(0.0, sigma)``, whose ``0.0 + x`` is ``x``."""
+        """``exp(sigma * N)``, N a standard normal drawn by inversion.
+
+        ``N = NormalDist().inv_cdf(u)``, *u* one 64-bit output's top 52
+        bits offset by half a step: strictly inside (0, 1), where
+        ``inv_cdf`` is defined, for every output (53 bits would round to
+        1.0 at the top one).
+        """
         if sigma < 0:
             raise ValueError("sigma < 0")
-        return math.exp(sigma * self._standard_normal())
-
-    def _standard_normal(self) -> float:
-        z = _tables()
-        while True:
-            r = self._next64()
-            idx = r & 0xFF
-            r >>= 8
-            rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
-            x = rabs * z.WI[idx]
-            if r & 1:
-                x = -x
-            if rabs < z.KI[idx]:
-                return x
-            if idx == 0:
-                # The tail beyond NOR_R, by Marsaglia's exponential pair.
-                while True:
-                    xx = -z.NOR_INV_R * math.log1p(-self._next_double())
-                    yy = -math.log1p(-self._next_double())
-                    if yy + yy > xx * xx:
-                        return (-(z.NOR_R + xx) if (rabs >> 8) & 1
-                                else z.NOR_R + xx)
-            elif ((z.FI[idx - 1] - z.FI[idx]) * self._next_double() + z.FI[idx]
-                    < math.exp(-0.5 * x * x)):
-                return x
+        # Imported here, not with the module: only the planetlab study
+        # draws a lognormal, and statistics costs a simulated run ~5 ms.
+        from statistics import NormalDist
+        u = ((self._next64() >> 12) + 0.5) * _TWO_M52
+        return math.exp(sigma * NormalDist().inv_cdf(u))
 
 
 class RngRegistry:

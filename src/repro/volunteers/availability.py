@@ -40,11 +40,11 @@ class AvailabilityModel:
 
     def draw_on(self, rng: RandomStream) -> float:
         """Sample the next ON-period length."""
-        return float(rng.exponential(self.mean_on_s))
+        return rng.exponential(self.mean_on_s)
 
     def draw_off(self, rng: RandomStream) -> float:
         """Sample the next OFF-period length."""
-        return float(rng.exponential(self.mean_off_s))
+        return rng.exponential(self.mean_off_s)
 
     def periods(self, rng: RandomStream) -> _t.Iterator[float]:
         """Alternating ON, OFF, ON, ... lengths, each drawn from *rng* only

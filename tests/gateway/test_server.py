@@ -869,6 +869,10 @@ class TestSlowDrip:
                 assert poller.scheduler_rpc(host_id, work_req_s=1.0)["no_work"]
                 polls.append(time.monotonic() - t0)
 
+        # Free what earlier tests left now: a full collection of it takes
+        # ~90 ms late in the suite, and one inside the timed drip would
+        # be charged to the deadline.
+        gc.collect()
         host, port = handle.address.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as raw:
             endless = LINE + b"X-Pad: " + b"a" * 10_000

@@ -3,17 +3,21 @@
 Every draw the model makes, on any seed and name, must return what
 ``numpy.random.Generator`` returns on the same ``SeedSequence`` and leave
 the same PCG64 state ``(state, inc, has_uint32, uinteger)``: the traces,
-the golden digests and every ``sim.trace_sha256`` rest on it.
+the golden digests and every ``sim.trace_sha256`` rest on it.  The two
+exceptions, ``exponential`` and ``lognormal``, invert their CDF at one
+64-bit output each; their oracle is that formula at numpy's ``random()``,
+which consumes the same output.
 """
 
+import math
 import zlib
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import RandomStream
-from repro.sim import ziggurat
 
 
 def reference(seed, name):
@@ -29,14 +33,27 @@ def numpy_state(gen):
             state["has_uint32"], state["uinteger"])
 
 
+def exponential(ref, scale):
+    """The stream's exponential, by inversion at ``ref.random()``."""
+    return -scale * math.log1p(-ref.random())
+
+
+def lognormal(ref, sigma):
+    """The stream's lognormal, by inversion at the top 52 bits of the
+    output behind ``ref.random()``, offset by half a step."""
+    u = ((int(ref.random() * 2**53) >> 1) + 0.5) * 2**-52
+    return math.exp(sigma * NormalDist().inv_cdf(u))
+
+
+#: The draws whose oracle is a formula at numpy's ``random()``.
+INVERSIONS = {"exponential": exponential, "lognormal": lognormal}
+
+
 def draw(rng, op, args):
     """Make draw *op* on *rng* (a stream or a numpy generator); plain
     Python values either way."""
-    if op == "lognormal":
-        # The stream draws numpy's lognormal(0.0, sigma), the one the model
-        # makes, and has no mean to pass.
-        value = (rng.lognormal(*args) if isinstance(rng, RandomStream)
-                 else rng.lognormal(0.0, *args))
+    if op in INVERSIONS and not isinstance(rng, RandomStream):
+        value = INVERSIONS[op](rng, *args)
     elif op == "distinct":
         n, size = args
         value = rng.choice(n, size=size, replace=False)
@@ -81,36 +98,28 @@ def test_every_draw_and_end_state_equal_numpys(seed, name, draws):
         assert mine.state == numpy_state(ref), (op, args)
 
 
-class CountingStream(RandomStream):
-    """A stream that counts the extra doubles the ziggurats' slow paths
-    (the tail and the wedge) draw."""
+class FixedStream(RandomStream):
+    """A stream whose every 64-bit output is *output*."""
 
-    def __init__(self, seed, name):
-        super().__init__(seed, name)
-        self.slow = 0
+    __slots__ = ("output",)
 
-    def _next_double(self):
-        self.slow += 1
-        return super()._next_double()
+    def __init__(self, output):
+        super().__init__(0, "fixed")
+        self.output = output
+
+    def _next64(self):
+        return self.output
 
 
-def test_sweep_reaches_both_ziggurats_tails_and_wedges():
-    mine, ref = CountingStream(11, "sweep"), reference(11, "sweep")
-    seen = set()
-    for _ in range(15_000):
-        before = mine.slow
-        value = mine.exponential(1.0)
-        assert value == ref.exponential(1.0)
-        if mine.slow > before:
-            seen.add("exp tail" if value >= ziggurat.EXP_R else "exp wedge")
-        before = mine.slow
-        value = mine.lognormal(1.0)
-        assert value == ref.lognormal(0.0, 1.0)
-        if mine.slow > before:
-            seen.add("normal tail" if abs(np.log(value)) >= ziggurat.NOR_R
-                     else "normal wedge")
-    assert mine.state == numpy_state(ref)
-    assert seen == {"exp tail", "exp wedge", "normal tail", "normal wedge"}
+@pytest.mark.parametrize("output, expo, logn", [
+    (0, 0.0, 2.72047e-4),
+    # A 53-bit u would round to 1.0 here, where inv_cdf raises.
+    (2**64 - 1, 53 * math.log(2), 3675.84),
+])
+def test_the_extreme_outputs_give_finite_draws(output, expo, logn):
+    stream = FixedStream(output)
+    assert stream.exponential(1.0) == pytest.approx(expo, rel=1e-12)
+    assert stream.lognormal(1.0) == pytest.approx(logn, rel=1e-5)
 
 
 @pytest.mark.parametrize("n, size", [

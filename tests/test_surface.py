@@ -490,3 +490,14 @@ def test_every_parameter_and_spec_field_has_two_values_in_use_or_a_pin():
     values = {key: why for why, keys in found.items() for key in keys}
     assert sorted(values) == sorted(surface.PARAM_PINS)
     assert surface.param_problems(values, params) == []
+
+
+def test_src_lines_above_the_ceiling_fail_the_check():
+    assert surface.ceiling_problems(100, 100) == []
+    assert surface.ceiling_problems(101, 100) == [
+        "src python lines: 101, above the pinned ceiling 100: raise "
+        "SRC_LINES_CEILING in the same diff and say why"]
+
+
+def test_src_holds_its_line_ceiling():
+    assert surface.ceiling_problems(surface.src_lines()) == []
